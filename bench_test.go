@@ -571,8 +571,7 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 // and locally trained from it. Each op encodes one job's acknowledgement —
 // the JobResult plus the gob serialization the transport puts on the
 // socket — and bytes/ack reports the measured frame size. full is the
-// legacy path (complete state dict as WireTensors, what the full codec
-// still ships); delta diffs the replica against the broadcast base with
+// complete-snapshot patch the full codec ships; delta diffs the replica against the broadcast base with
 // the lossless packed delta (changed keys only, per-element XOR against
 // the base, significance-plane shuffle, DEFLATE). Local training changes
 // ~96% of the state's elements — SGD touches every trainable tensor and
@@ -623,23 +622,17 @@ func BenchmarkUploadEncode(b *testing.B) {
 	next := nn.StateDict(replica.Global())
 
 	encodeAck := func(codec wire.Codec) (transport.JobResult, error) {
-		jr := transport.JobResult{Index: 0}
-		if codec == nil {
-			jr.State = transport.ToWire(next)
-			return jr, nil
-		}
 		p, err := codec.Encode(base, next)
 		if err != nil {
 			return transport.JobResult{}, err
 		}
-		jr.Patch = p
-		return jr, nil
+		return transport.JobResult{Index: 0, Patch: p}, nil
 	}
 	for _, setting := range []struct {
 		name  string
 		codec wire.Codec
 	}{
-		{"full", nil},
+		{"full", wire.Full{}},
 		{"delta", wire.Delta{}},
 	} {
 		setting := setting
@@ -683,22 +676,19 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkPipelinedRound prices transport pipelining against the barrier
-// runner on a loopback federation with real wall-clock stragglers. Three
-// workers each sleep through fl.StragglerSleep before acking a straggling
-// job, and the coordinator's AsyncRunner anticipates exactly those lags
-// with the matching fl.StragglerDelay (same seed, same splitmix64 draw):
-// in a straggler round the lagging worker is ~4-5x slower than its peers
-// (sleep + training vs training alone). The barrier arm pays every sleep
-// inside its round — round time is the per-round max over workers — while
-// the pipelined arm dispatches round r+1 immediately and awaits round r's
-// straggler during r+1's training, so its makespan approaches the slowest
-// worker's own serial chain. Both arms run the identical engine schedule
-// and produce bit-identical accuracy matrices (pinned by
-// TestPipelinedStalenessOneMatchesBarrierAsync); only wall clock may
-// differ. BENCH_pipeline.json records the measured win, which — unlike the
-// CPU-bound benchmarks — survives the 1-CPU container, because the
-// overlapped quantity is sleep, not compute.
+// BenchmarkPipelinedRound times a loopback federation with real wall-clock
+// stragglers under a staleness window. Three workers each sleep through
+// fl.StragglerSleep before acking a straggling job, and the coordinator's
+// AsyncRunner anticipates exactly those lags with the matching
+// fl.StragglerDelay (same seed, same splitmix64 draw): in a straggler round
+// the lagging worker is ~4-5x slower than its peers (sleep + training vs
+// training alone). The Pipeline dispatches round r+1 immediately and awaits
+// round r's straggler during r+1's training, so the makespan approaches the
+// slowest worker's own serial chain instead of the sum of per-round maxima.
+// BENCH_pipeline.json holds the historical comparison against the deleted
+// barrier coordinator, which paid every sleep inside its round; the
+// overlapped quantity is sleep, not compute, so the number survives a
+// 1-CPU container.
 func BenchmarkPipelinedRound(b *testing.B) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -743,10 +733,9 @@ func BenchmarkPipelinedRound(b *testing.B) {
 		return alg
 	}
 	// runOnce stands up a fresh loopback federation (listen/dial excluded
-	// from the timer by the caller) and runs the full 6-round task through
-	// either the barrier or the pipelined transport under the same
-	// AsyncRunner window and straggler schedule.
-	runOnce := func(b *testing.B, pipelined bool) {
+	// from the timer) and runs the full 8-round task under the AsyncRunner
+	// window and straggler schedule.
+	runOnce := func(b *testing.B) {
 		b.Helper()
 		coord, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
@@ -778,29 +767,14 @@ func BenchmarkPipelinedRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		alg := newAlg()
-		var inner fl.Runner
-		closeTransport := func() error { return nil }
-		if pipelined {
-			pl, err := transport.NewPipeline(coord, alg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := pl.UseCodec("delta"); err != nil {
-				b.Fatal(err)
-			}
-			closeTransport = pl.Close
-			inner = pl
-		} else {
-			br, err := transport.NewRunner(coord, alg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := br.UseCodec("delta"); err != nil {
-				b.Fatal(err)
-			}
-			inner = br
+		pl, err := transport.NewPipeline(coord, alg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		runner := &fl.AsyncRunner{Inner: inner, Staleness: staleness, Delay: delay}
+		if err := pl.UseCodec("delta"); err != nil {
+			b.Fatal(err)
+		}
+		runner := &fl.AsyncRunner{Inner: pl, Staleness: staleness, Delay: delay}
 		eng, err := fl.NewEngineWithRunner(cfg, alg, runner)
 		if err != nil {
 			b.Fatal(err)
@@ -810,7 +784,7 @@ func BenchmarkPipelinedRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := closeTransport(); err != nil {
+		if err := pl.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if err := coord.Shutdown(); err != nil {
@@ -823,19 +797,9 @@ func BenchmarkPipelinedRound(b *testing.B) {
 			}
 		}
 	}
-	for _, setting := range []struct {
-		name      string
-		pipelined bool
-	}{
-		{"barrier", false},
-		{"pipelined", true},
-	} {
-		b.Run(setting.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runOnce(b, setting.pipelined)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runOnce(b)
 	}
 }
 

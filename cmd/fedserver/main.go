@@ -141,10 +141,9 @@ func run() error {
 		joinWait   = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
 
-		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight (0 = synchronous rounds, bit-identical to the local engine)")
+		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight, lagging ones staying in flight on the wire while later rounds dispatch (0 = synchronous rounds, bit-identical to the local engine)")
 		straggler = flag.Float64("straggler", 0, "per-(round,client) probability of lagging 1..S rounds (deterministic simulation; requires -staleness >= 1)")
 		requeue   = flag.Bool("requeue", true, "re-queue a dead worker's unfinished jobs on the survivors instead of failing the round")
-		pipeline  = flag.Bool("pipeline", false, "pipelined rounds: dispatch round r+1 while round r's acks are in flight; with -staleness S >= 1 lagging results stay in flight on the wire instead of being completed and withheld, at S=0 it stays bit-identical to the barrier runner")
 		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; full and delta are bit-identical)")
 		wireLog   = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables profiling)")
@@ -254,42 +253,15 @@ func run() error {
 			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)),
 			telemetry.F("overlap_pct", fmt.Sprintf("%.0f", rs.OverlapRatio()*100)))
 	}
-	// Both transports expose the same engine-facing and accounting surface;
-	// -pipeline swaps the barrier Runner for the pipelined one.
-	var tr interface {
-		fl.Runner
-		UseCodec(string) error
-		Codec() string
-		Stats() transport.Stats
+	tr, err := transport.NewPipeline(coord, alg)
+	if err != nil {
+		return err
 	}
-	closeTransport := func() {}
-	if *pipeline {
-		pl, err := transport.NewPipeline(coord, alg)
-		if err != nil {
-			return err
-		}
-		pl.Requeue = *requeue
-		pl.JoinWait = *joinWait
-		pl.Telemetry = sink
-		if *wireLog {
-			pl.OnRound = onRound
-		}
-		// Closed before the worker goodbye: collectors must stop treating
-		// the connection teardown Shutdown triggers as worker deaths.
-		closeTransport = func() { _ = pl.Close() }
-		tr = pl
-	} else {
-		br, err := transport.NewRunner(coord, alg)
-		if err != nil {
-			return err
-		}
-		br.Requeue = *requeue
-		br.JoinWait = *joinWait
-		br.Telemetry = sink
-		if *wireLog {
-			br.OnRound = onRound
-		}
-		tr = br
+	tr.Requeue = *requeue
+	tr.JoinWait = *joinWait
+	tr.Telemetry = sink
+	if *wireLog {
+		tr.OnRound = onRound
 	}
 	if err := tr.UseCodec(*codec); err != nil {
 		return err
@@ -403,9 +375,11 @@ func run() error {
 		}
 		fmt.Println("saved global model to", *ckpt)
 	}
-	// The goodbye is best-effort: a worker that died after its last reply
-	// must not discard a completed run's results.
-	closeTransport()
+	// Closed before the worker goodbye: collectors must stop treating the
+	// connection teardown Shutdown triggers as worker deaths. The goodbye is
+	// best-effort: a worker that died after its last reply must not discard
+	// a completed run's results.
+	_ = tr.Close()
 	if err := coord.Shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, "fedserver: shutdown:", err)
 	}

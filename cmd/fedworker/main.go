@@ -88,7 +88,7 @@ func run() error {
 		codec   = flag.String("codec", "", "pin the accepted broadcast codec ("+strings.Join(wire.Names(), "|")+"); empty accepts whatever the coordinator sends")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables profiling)")
 
-		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -pipeline -straggler so admission anticipates the lag)")
+		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -staleness S -straggler p so admission anticipates the lag)")
 		straggleMax  = flag.Int("straggle-max", 1, "maximum lag in rounds for a straggling job (match fedserver -staleness)")
 		straggleUnit = flag.Duration("straggle-unit", 200*time.Millisecond, "real wall-clock sleep per lag round")
 

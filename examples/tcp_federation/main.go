@@ -3,22 +3,23 @@
 // worker processes (goroutines here, but each speaks only gob-over-TCP)
 // execute the rounds' jobs, deriving their private shards from the job
 // specs — no training data crosses the wire. The networked run uses the
-// v5 delta wire format (-codec delta in the CLIs), delta-encoded in both
-// directions: per-key state diffs against each worker's acked base version
-// on broadcast, per-job patches of the trained state against the round's
+// delta wire format (-codec delta in the CLIs), delta-encoded in both
+// directions: per-key state diffs against each worker's base version on
+// broadcast, per-job patches of the trained state against the round's
 // base on upload, method wire state only when it changes, and per-round
 // byte accounting printed as it runs. The same engine then runs
 // in-process, and the two accuracy matrices are compared cell by cell: the
 // delta-encoded networked path is not an approximation of the local one,
 // it is the same computation.
 //
-// A second networked run then demonstrates bounded-staleness async
-// rounds: an fl.AsyncRunner with staleness window S=1 over the same
-// transport, with deterministically simulated stragglers whose results
-// report one round late at half FedAvg weight. That run's matrix is
-// printed for comparison — it legitimately differs from the synchronous
-// one, because lagging results change the aggregation set of each round
-// (bit-identity is only guaranteed at S=0 or with no stragglers).
+// A second networked run then demonstrates bounded-staleness rounds: an
+// fl.AsyncRunner with staleness window S=1 over the same transport, with
+// one genuinely slow worker whose results report one round late at half
+// FedAvg weight while the next round is already dispatched. That run's
+// matrix is printed for comparison — it legitimately differs from the
+// synchronous one, because lagging results change the aggregation set of
+// each round (bit-identity is only guaranteed at S=0 or with no
+// stragglers).
 //
 //	go run ./examples/tcp_federation
 //
@@ -90,9 +91,9 @@ func newAlg(family *data.Family, tasks int) (fl.Algorithm, error) {
 }
 
 func run() error {
-	// Telemetry covers the first (barrier) networked run; the demo's later
-	// passes rerun the same mechanics, so one instrumented run is enough for
-	// the CI metrics smoke test to reconcile against.
+	// Telemetry covers the synchronous networked run; the overlap pass
+	// reruns the same mechanics, so one instrumented run is enough for the
+	// CI metrics smoke test to reconcile against.
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		sink = telemetry.NewSink(reg, nil)
@@ -109,49 +110,22 @@ func run() error {
 	}
 	domains := family.Domains[:2]
 
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	coord.SetTelemetry(sink)
-	fmt.Println("coordinator listening on", coord.Addr())
-
-	var wg sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-	fmt.Printf("%d workers connected\n", numWorkers)
-
-	// Networked run: the engine schedules, the transport Runner fans out
+	// Networked run: the engine schedules, the transport Pipeline fans out
 	// delta-encoded broadcasts and accounts every byte.
-	alg, err := newAlg(family, len(domains))
+	fed, err := startFederation(family, len(domains), nil)
 	if err != nil {
 		return err
 	}
-	runner, err := transport.NewRunner(coord, alg)
-	if err != nil {
-		return err
-	}
-	runner.Telemetry = sink
-	if err := runner.UseCodec("delta"); err != nil {
-		return err
-	}
-	runner.OnRound = func(rs transport.RoundStats) {
+	defer fed.coord.Close()
+	fed.coord.SetTelemetry(sink)
+	fmt.Printf("coordinator listening on %s, %d workers connected\n", fed.coord.Addr(), numWorkers)
+	fed.pipe.Telemetry = sink
+	fed.pipe.OnRound = func(rs transport.RoundStats) {
 		fmt.Printf("  [wire] task %d round %d: broadcast %d B, uploads %d B (%d patch/%d full), frames %d full/%d delta/%d idle\n",
 			rs.Task, rs.Round, rs.BroadcastBytes, rs.UploadBytes, rs.PatchUploads, rs.StateUploads,
 			rs.FullFrames, rs.DeltaFrames, rs.IdleFrames)
 	}
-	eng, err := fl.NewEngineWithRunner(config(), alg, runner)
+	eng, err := fl.NewEngineWithRunner(config(), fed.alg, fed.pipe)
 	if err != nil {
 		return err
 	}
@@ -161,12 +135,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Best-effort goodbye: a dead worker connection must not discard the
-	// completed run.
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "shutdown:", err)
-	}
-	wg.Wait()
+	fed.stop()
 
 	// Reference run: identical engine, in-process worker pool.
 	ref, err := newAlg(family, len(domains))
@@ -182,7 +151,7 @@ func run() error {
 		return err
 	}
 
-	st := runner.Stats()
+	st := fed.pipe.Stats()
 	fmt.Printf("wire totals (codec delta): broadcast %d B, uploads %d B (%d patch/%d full) over %d rounds, %d full-snapshot fallbacks\n",
 		st.BroadcastBytes, st.UploadBytes, st.PatchUploads, st.StateUploads, st.Rounds, st.Fallbacks)
 	printMatrix("over TCP", tcpMat)
@@ -197,10 +166,7 @@ func run() error {
 	}
 	fmt.Println("delta-encoded networked run and in-process run are bit-identical")
 
-	if err := runAsync(family, domains); err != nil {
-		return err
-	}
-	if err := runPipelined(family, domains, tcpMat); err != nil {
+	if err := runOverlap(family, domains); err != nil {
 		return err
 	}
 	if *metricsLinger > 0 {
@@ -210,190 +176,99 @@ func run() error {
 	return nil
 }
 
-// runAsync reruns the federation over TCP with bounded-staleness rounds:
-// simulated stragglers lag one round and report with discounted weight.
-func runAsync(family *data.Family, domains []string) error {
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	var wg sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "async worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-
-	alg, err := newAlg(family, len(domains))
-	if err != nil {
-		return err
-	}
-	tr, err := transport.NewRunner(coord, alg)
-	if err != nil {
-		return err
-	}
-	async := &fl.AsyncRunner{
-		Inner:     tr,
-		Staleness: 1,
-		// A third of the (round, client) pairs lag one round, deterministically.
-		Delay: fl.StragglerDelay(seed, 0.33, 1),
-	}
-	eng, err := fl.NewEngineWithRunner(config(), alg, async)
-	if err != nil {
-		return err
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		return err
-	}
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "async shutdown:", err)
-	}
-	wg.Wait()
-
-	fmt.Printf("\nbounded-staleness rerun (S=1, ~33%% stragglers, %d results dropped):\n", async.Dropped())
-	printMatrix("async over TCP", mat)
-	fmt.Println("async matrices may legitimately differ from the synchronous run: stragglers shift each round's aggregation set")
-	return nil
+// federation is one loopback deployment: a coordinator, the workers that
+// dialed it, and the delta-codec Pipeline over the coordinator-side
+// algorithm instance.
+type federation struct {
+	coord *transport.Coordinator
+	alg   fl.Algorithm
+	pipe  *transport.Pipeline
+	wg    sync.WaitGroup
 }
 
-// runPipelined demonstrates pipelined round execution. First pass: the
-// Pipeline at staleness 0 — dispatch and collection are decoupled
-// internally, but every result is awaited in its own round, so the matrix
-// must match the barrier run bit for bit. Second pass: staleness window
-// S=1 with one genuinely slow worker (a real wall-clock sleep before each
-// of its acks); the coordinator dispatches round r+1 while the straggler's
-// round-r acks are still in flight, and the per-round overlap ratio shows
-// how much collection time ran concurrently with later rounds.
-func runPipelined(family *data.Family, domains []string, barrier *metrics.Matrix) error {
+// startFederation listens, starts numWorkers workers and waits for them.
+// straggle, when non-nil, maps a worker id to its pre-ack hook.
+func startFederation(family *data.Family, tasks int, straggle map[int]func(fl.JobSpec)) (*federation, error) {
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer coord.Close()
-	var wg sync.WaitGroup
+	f := &federation{coord: coord}
 	for id := 0; id < numWorkers; id++ {
-		wg.Add(1)
+		f.wg.Add(1)
 		go func(id int) {
-			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pipelined worker %d: %v\n", id, err)
+			defer f.wg.Done()
+			if err := worker(coord.Addr(), id, family, tasks, straggle[id]); err != nil {
+				fmt.Fprintf(os.Stderr, "worker %d: %v\n", id, err)
 			}
 		}(id)
 	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
+	if err = coord.Accept(numWorkers, 10*time.Second); err == nil {
+		f.alg, err = newAlg(family, tasks)
 	}
+	if err == nil {
+		f.pipe, err = transport.NewPipeline(coord, f.alg)
+	}
+	if err == nil {
+		err = f.pipe.UseCodec("delta")
+	}
+	if err != nil {
+		_ = coord.Close()
+		return nil, err
+	}
+	return f, nil
+}
 
-	alg, err := newAlg(family, len(domains))
-	if err != nil {
-		return err
+// stop says goodbye to the workers and waits for them. Best-effort: a dead
+// worker connection must not discard the completed run.
+func (f *federation) stop() {
+	_ = f.pipe.Close()
+	if err := f.coord.Shutdown(); err != nil {
+		fmt.Fprintln(os.Stderr, "shutdown:", err)
 	}
-	pl, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		return err
-	}
-	if err := pl.UseCodec("delta"); err != nil {
-		return err
-	}
-	eng, err := fl.NewEngineWithRunner(config(), alg, &fl.AsyncRunner{Inner: pl, Staleness: 0})
-	if err != nil {
-		return err
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		return err
-	}
-	_ = pl.Close()
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "pipelined shutdown:", err)
-	}
-	wg.Wait()
-	for t := range mat.A {
-		for i := 0; i <= t; i++ {
-			if math.Float64bits(mat.A[t][i]) != math.Float64bits(barrier.A[t][i]) {
-				return fmt.Errorf("pipelined S=0 diverged at [%d][%d]: %v vs barrier %v",
-					t, i, mat.A[t][i], barrier.A[t][i])
-			}
-		}
-	}
-	fmt.Println("\npipelined run at staleness 0 is bit-identical to the barrier run")
+	f.wg.Wait()
+}
 
-	// Overlap pass: worker 1 really sleeps before each ack, and the
-	// coordinator's Delay policy marks every one of its results as lagging
-	// one round — they stay in flight on the wire while the next round
-	// dispatches, and are awaited only at admission.
-	coord2, err := transport.Listen("127.0.0.1:0")
+// runOverlap reruns the federation with a staleness window S=1 and one
+// genuinely slow worker (a real wall-clock sleep before each of its acks).
+// The coordinator's Delay policy marks every result as lagging one round —
+// they stay in flight on the wire while the next round dispatches, and are
+// awaited only at admission — and the per-round overlap ratio shows how
+// much collection time ran concurrently with later rounds.
+func runOverlap(family *data.Family, domains []string) error {
+	fed, err := startFederation(family, len(domains), map[int]func(fl.JobSpec){
+		1: func(fl.JobSpec) { time.Sleep(60 * time.Millisecond) },
+	})
 	if err != nil {
 		return err
 	}
-	defer coord2.Close()
-	var wg2 sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg2.Add(1)
-		go func(id int) {
-			defer wg2.Done()
-			var straggle func(fl.JobSpec)
-			if id == 1 {
-				straggle = func(fl.JobSpec) { time.Sleep(60 * time.Millisecond) }
-			}
-			if err := worker(coord2.Addr(), id, family, len(domains), straggle); err != nil {
-				fmt.Fprintf(os.Stderr, "overlap worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord2.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-	alg2, err := newAlg(family, len(domains))
-	if err != nil {
-		return err
-	}
-	pl2, err := transport.NewPipeline(coord2, alg2)
-	if err != nil {
-		return err
-	}
-	if err := pl2.UseCodec("delta"); err != nil {
-		return err
-	}
-	pl2.OnRound = func(rs transport.RoundStats) {
+	defer fed.coord.Close()
+	fed.pipe.OnRound = func(rs transport.RoundStats) {
 		fmt.Printf("  [pipe] task %d round %d: dispatch %.1fms, last ack %.1fms, overlap %.0f%%\n",
 			rs.Task, rs.Round, float64(rs.DispatchNanos)/1e6, float64(rs.LastAckNanos)/1e6,
 			rs.OverlapRatio()*100)
 	}
 	async := &fl.AsyncRunner{
-		Inner:     pl2,
+		Inner:     fed.pipe,
 		Staleness: 1,
-		// Worker assignment is round-robin by job index, so odd-indexed jobs
-		// land on the slow worker; lag every result one round so none is
-		// awaited before its computation had a full extra round of wall
-		// clock to finish in the background.
+		// Lag every result one round so none is awaited before its
+		// computation had a full extra round of wall clock to finish in the
+		// background.
 		Delay: func(round int, spec fl.JobSpec) int { return 1 },
 	}
-	eng2, err := fl.NewEngineWithRunner(config(), alg2, async)
+	eng, err := fl.NewEngineWithRunner(config(), fed.alg, async)
 	if err != nil {
 		return err
 	}
-	mat2, err := eng2.Run(family, domains)
+	mat, err := eng.Run(family, domains)
 	if err != nil {
 		return err
 	}
-	_ = pl2.Close()
-	if err := coord2.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "overlap shutdown:", err)
-	}
-	wg2.Wait()
-	fmt.Printf("pipelined S=1 rerun with a slow worker (%d results dropped):\n", async.Dropped())
-	printMatrix("pipelined S=1 over TCP", mat2)
-	fmt.Println("every result lagged one round, so collection overlapped the next dispatch instead of blocking it")
+	fed.stop()
+	fmt.Printf("\nbounded-staleness rerun (S=1, a slow worker, %d results dropped):\n", async.Dropped())
+	printMatrix("S=1 over TCP", mat)
+	fmt.Println("lagging results report one round late at half weight, so collection overlapped the next dispatch instead of blocking it;")
+	fmt.Println("the matrix may legitimately differ from the synchronous run: they shift each round's aggregation set")
 	return nil
 }
 
@@ -405,7 +280,7 @@ func printMatrix(label string, mat *metrics.Matrix) {
 // worker is one federation participant machine: dial, construct the same
 // method with the same construction seed, and serve job broadcasts. A
 // non-nil straggle runs before each ack — the real-slowness simulation of
-// the pipelined demo.
+// the overlap demo.
 func worker(addr string, id int, family *data.Family, tasks int, straggle func(fl.JobSpec)) error {
 	alg, err := newAlg(family, tasks)
 	if err != nil {

@@ -23,23 +23,25 @@ type TaggedResult struct {
 	// Staleness is admitting-round minus Origin; 0 for fresh results.
 	Staleness int
 	// Weight is the FedAvg weight after the staleness discount has been
-	// applied (the job's base weight for Staleness 0 under the default
-	// discount).
+	// applied (the job's base weight for Staleness 0).
 	Weight float64
 	// Result is the trained state dict and method upload, unchanged.
 	Result Result
 }
 
 // StalenessRunner is the engine-facing contract for asynchronous rounds.
-// Unlike Runner.Run — which must return one result per job — RunRound may
-// hold results back and admit them into a later round of the same task, as
-// long as it honours the bounded-staleness invariants:
+// Unlike EachRunner.RunEach — which must report one result per job —
+// RunRound may hold results back and admit them into a later round of the
+// same task. It hands each admitted result to admit as it is settled, so
+// the engine folds it straight into the streaming FedAvg Accumulator and
+// holds O(1) dicts; an error from admit aborts the round. The
+// bounded-staleness invariants:
 //
 //   - a result trained against round r-k's weights is admitted into round
 //     r only if k ≤ the runner's staleness bound (staler results are
 //     dropped, like a client dropout);
-//   - admitted results are ordered by (Origin, position in the origin
-//     round's job list), so aggregation order is deterministic;
+//   - results are admitted in (Origin, position in the origin round's job
+//     list) order, so aggregation order is deterministic;
 //   - when drain is set (the last round of a task stage) every in-flight
 //     result is admitted: no result may leak across a task boundary.
 //
@@ -48,17 +50,16 @@ type TaggedResult struct {
 // to the synchronous path.
 type StalenessRunner interface {
 	Runner
-	RunRound(task, round int, jobs []Job, drain bool) ([]TaggedResult, error)
+	RunRound(task, round int, jobs []Job, drain bool, admit func(TaggedResult) error) error
 }
 
 // DefaultDiscount is the staleness discount applied to a late result's
-// FedAvg weight when AsyncRunner.Discount is nil: 1/(1+k) for a result k
-// rounds stale. It is 1 at k=0, so fresh results aggregate exactly as in
-// the synchronous path.
+// FedAvg weight: 1/(1+k) for a result k rounds stale. It is 1 at k=0, so
+// fresh results aggregate exactly as in the synchronous path.
 func DefaultDiscount(staleness int) float64 { return 1 / float64(1+staleness) }
 
 // AsyncRunner layers bounded-staleness round semantics over any Runner:
-// the in-process LocalRunner pool or the TCP transport Runner. Each
+// the in-process LocalRunner pool or the TCP transport Pipeline. Each
 // RunRound executes the round's jobs on Inner against the current global
 // weights, then decides per result — via the Delay policy — whether it
 // reports immediately or lags like a straggler, reporting into a later
@@ -83,11 +84,6 @@ type AsyncRunner struct {
 	// deterministic in (round, spec) for reproducible runs — see
 	// StragglerDelay.
 	Delay func(round int, spec JobSpec) int
-	// Discount maps a result's staleness to its FedAvg weight multiplier;
-	// nil means DefaultDiscount. Discount(0) should be 1 (anything else
-	// rescales fresh rounds too) and must be positive — FedAvg rejects
-	// non-positive weights.
-	Discount func(staleness int) float64
 	// Telemetry, when non-nil, receives admission-queue depth, staleness
 	// distribution, discounted weight mass and drop events. Observation
 	// only — admission order and weights are unaffected.
@@ -99,7 +95,7 @@ type AsyncRunner struct {
 }
 
 // pendingResult is a trained result withheld by the Delay policy, waiting
-// for its admission round. Over a barrier runner res holds the trained
+// for its admission round. Over a plain Runner res holds the trained
 // result; over a Dispatcher the result is still in flight on the transport
 // (inflight set) and is awaited at admission time — that wall-clock overlap
 // is the whole point of the pipelined path.
@@ -113,35 +109,9 @@ type pendingResult struct {
 	res        Result
 }
 
-// StreamStalenessRunner extends StalenessRunner with a streaming admission
-// path: instead of buffering the round's admitted results into a slice,
-// RunRoundStream hands each one to admit as it is settled — in the same
-// (Origin, job-order) sequence RunRound would return — so the engine can
-// fold it straight into the streaming FedAvg Accumulator and hold O(1)
-// dicts. An error from admit aborts the round.
-type StreamStalenessRunner interface {
-	StalenessRunner
-	RunRoundStream(task, round int, jobs []Job, drain bool, admit func(TaggedResult) error) error
-}
-
-// RunRound implements StalenessRunner by collecting RunRoundStream's
-// admissions into a slice. See StalenessRunner for the ordering and
-// boundary contract.
-func (a *AsyncRunner) RunRound(task, round int, jobs []Job, drain bool) ([]TaggedResult, error) {
-	var admitted []TaggedResult
-	err := a.RunRoundStream(task, round, jobs, drain, func(tr TaggedResult) error {
-		admitted = append(admitted, tr)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return admitted, nil
-}
-
-// RunRoundStream implements StreamStalenessRunner: execute round's jobs on
-// Inner, admit every in-flight result due by this round (all of them under
-// drain), and queue the rest.
+// RunRound implements StalenessRunner: execute round's jobs on Inner, admit
+// every in-flight result due by this round (all of them under drain), and
+// queue the rest.
 //
 // When Inner is a Dispatcher (the pipelined transport), the round's jobs
 // are dispatched without a barrier: results the Delay policy marks as
@@ -154,7 +124,7 @@ func (a *AsyncRunner) RunRound(task, round int, jobs []Job, drain bool) ([]Tagge
 //
 // After any error the runner's pending bookkeeping is unspecified; the
 // engine treats a round error as fatal for the run.
-func (a *AsyncRunner) RunRoundStream(task, round int, jobs []Job, drain bool, admit func(TaggedResult) error) error {
+func (a *AsyncRunner) RunRound(task, round int, jobs []Job, drain bool, admit func(TaggedResult) error) error {
 	if a.Inner == nil {
 		return fmt.Errorf("fl: async runner has no inner runner")
 	}
@@ -264,15 +234,11 @@ func (a *AsyncRunner) RunRoundStream(task, round int, jobs []Job, drain bool, ad
 // admission into the given round.
 func (a *AsyncRunner) admit(p pendingResult, round int) TaggedResult {
 	k := round - p.origin
-	disc := DefaultDiscount
-	if a.Discount != nil {
-		disc = a.Discount
-	}
 	tr := TaggedResult{
 		ClientID:  p.clientID,
 		Origin:    p.origin,
 		Staleness: k,
-		Weight:    p.baseWeight * disc(k),
+		Weight:    p.baseWeight * DefaultDiscount(k),
 		Result:    p.res,
 	}
 	a.Telemetry.ResultAdmitted(round, tr.Origin, tr.Staleness, tr.Weight)
@@ -358,7 +324,6 @@ func StragglerSleep(seed int64, prob float64, maxDelay int, unit time.Duration) 
 }
 
 var (
-	_ Runner                = (*AsyncRunner)(nil)
-	_ StalenessRunner       = (*AsyncRunner)(nil)
-	_ StreamStalenessRunner = (*AsyncRunner)(nil)
+	_ Runner          = (*AsyncRunner)(nil)
+	_ StalenessRunner = (*AsyncRunner)(nil)
 )

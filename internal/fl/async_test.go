@@ -28,6 +28,16 @@ func (s *scriptRunner) Run(jobs []Job) ([]Result, error) {
 	return out, nil
 }
 
+// collectRound runs one RunRound and returns its admissions in order.
+func collectRound(ar *AsyncRunner, task, round int, jobs []Job, drain bool) ([]TaggedResult, error) {
+	var admitted []TaggedResult
+	err := ar.RunRound(task, round, jobs, drain, func(tr TaggedResult) error {
+		admitted = append(admitted, tr)
+		return nil
+	})
+	return admitted, err
+}
+
 // asyncJob builds a placement-only job for direct RunRound tests.
 func asyncJob(client, round int, weight float64) Job {
 	return Job{Spec: JobSpec{ClientID: client, Round: round}, Weight: weight}
@@ -48,7 +58,7 @@ func TestAsyncRunnerAdmissionOrderAndDiscount(t *testing.T) {
 		Staleness: 1,
 		Delay:     delayByClient(map[int]int{1: 1}),
 	}
-	admitted, err := ar.RunRound(0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20)}, false)
+	admitted, err := collectRound(ar, 0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +72,7 @@ func TestAsyncRunnerAdmissionOrderAndDiscount(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", ar.Pending())
 	}
 
-	admitted, err = ar.RunRound(0, 1, []Job{asyncJob(3, 1, 40)}, false)
+	admitted, err = collectRound(ar, 0, 1, []Job{asyncJob(3, 1, 40)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestAsyncRunnerDropsBeyondBound(t *testing.T) {
 		Staleness: 1,
 		Delay:     delayByClient(map[int]int{9: 2}),
 	}
-	admitted, err := ar.RunRound(0, 0, []Job{asyncJob(9, 0, 5), asyncJob(2, 0, 20)}, false)
+	admitted, err := collectRound(ar, 0, 0, []Job{asyncJob(9, 0, 5), asyncJob(2, 0, 20)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +116,7 @@ func TestAsyncRunnerDropsBeyondBound(t *testing.T) {
 	if ar.Dropped() != 1 || ar.Pending() != 0 {
 		t.Fatalf("dropped=%d pending=%d, want 1/0", ar.Dropped(), ar.Pending())
 	}
-	admitted, err = ar.RunRound(0, 1, nil, true)
+	admitted, err = collectRound(ar, 0, 1, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +134,13 @@ func TestAsyncRunnerDrainFlushes(t *testing.T) {
 		Staleness: 2,
 		Delay:     delayByClient(map[int]int{1: 2, 4: 1}),
 	}
-	if _, err := ar.RunRound(0, 0, []Job{asyncJob(1, 0, 10)}, false); err != nil {
+	if _, err := collectRound(ar, 0, 0, []Job{asyncJob(1, 0, 10)}, false); err != nil {
 		t.Fatal(err)
 	}
 	if ar.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", ar.Pending())
 	}
-	admitted, err := ar.RunRound(0, 1, []Job{asyncJob(4, 1, 40)}, true)
+	admitted, err := collectRound(ar, 0, 1, []Job{asyncJob(4, 1, 40)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +166,19 @@ func TestAsyncRunnerTaskBoundaryLeak(t *testing.T) {
 		Staleness: 3,
 		Delay:     delayByClient(map[int]int{1: 3}),
 	}
-	if _, err := ar.RunRound(0, 0, []Job{asyncJob(1, 0, 10)}, false); err != nil {
+	if _, err := collectRound(ar, 0, 0, []Job{asyncJob(1, 0, 10)}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ar.RunRound(1, 0, nil, false); err == nil {
+	if _, err := collectRound(ar, 1, 0, nil, false); err == nil {
 		t.Fatal("pending result leaking across a task boundary must error")
 	}
 }
 
 func TestAsyncRunnerValidation(t *testing.T) {
-	if _, err := (&AsyncRunner{}).RunRound(0, 0, nil, false); err == nil {
+	if _, err := collectRound(&AsyncRunner{}, 0, 0, nil, false); err == nil {
 		t.Fatal("nil inner runner must error")
 	}
-	if _, err := (&AsyncRunner{Inner: &scriptRunner{}, Staleness: -1}).RunRound(0, 0, nil, false); err == nil {
+	if _, err := collectRound(&AsyncRunner{Inner: &scriptRunner{}, Staleness: -1}, 0, 0, nil, false); err == nil {
 		t.Fatal("negative staleness must error")
 	}
 }

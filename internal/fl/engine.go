@@ -250,9 +250,10 @@ func NewEngine(cfg Config, alg Algorithm) (*Engine, error) {
 }
 
 // NewEngineWithRunner builds an engine that executes each round's jobs on
-// the given Runner. A networked runner must train replicas of the same
-// algorithm instance (see transport.NewRunner). A nil runner selects the
-// in-process LocalRunner over cfg.Workers.
+// the given Runner, which must stream its results: an EachRunner or a
+// StalenessRunner (see runRound). A networked runner must train replicas of
+// the same algorithm instance (see transport.NewPipeline). A nil runner
+// selects the in-process LocalRunner over cfg.Workers.
 func NewEngineWithRunner(cfg Config, alg Algorithm, runner Runner) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -453,32 +454,27 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 // touching no shared mutable state; and aggregation consumes updates in
 // selection order regardless of which worker finished first.
 //
-// A runner implementing StalenessRunner switches the round to bounded-
-// staleness bookkeeping: results may report into a later round of the same
-// task (see runRoundAsync). With a staleness bound of 0 the async path is
-// bit-identical to this one.
+// Phases 2 and 3 interleave (parallel training, serial folding): each
+// result folds into the streaming FedAvg accumulator the moment the runner
+// hands it over, so the engine holds the running sums plus only the
+// results that completed out of order — not every selected client's full
+// dict until the round ends. Two kinds of runner feed the fold. An
+// EachRunner runs the synchronous round: every job reports into its own
+// round, folded in job order with its own weight. A StalenessRunner runs
+// the bounded-staleness round: it decides which results report now and
+// which lag into a later round of the same task, and hands over whatever
+// it admits in (Origin, job-order) sequence with a staleness-discounted
+// weight; the task's last round drains it, so no result crosses a task
+// boundary. With a staleness bound of 0 the two are bit-identical.
+//
+// A round that folds nothing — every selected client dropped out, or every
+// result is lagging — leaves the global untouched.
 func (e *Engine) runRound(t, r int) error {
 	jobs := e.roundJobs(t, r)
-	if sr, ok := e.runner.(StalenessRunner); ok {
-		return e.runRoundAsync(sr, t, r, jobs)
-	}
-	if len(jobs) == 0 {
-		// Every selected client dropped out: the global was never mutated,
-		// so there is nothing to restore.
-		return nil
-	}
-
-	// Phase 2+3 interleaved where the runner can stream (parallel training,
-	// serial folding): each completed result folds into the streaming FedAvg
-	// accumulator the moment its job-order turn comes up, so the engine
-	// holds the running sums plus only the results that completed out of
-	// order — not every selected client's full dict until the round ends.
-	// The fold order is job order, never arrival order, which is what keeps
-	// streaming aggregation bit-identical to the batch WeightedAverage.
 	acc := NewAccumulator()
 	var uploads []Upload
-	fold := func(i int, res Result) error {
-		if err := acc.Fold(res.Dict, jobs[i].Weight); err != nil {
+	fold := func(res Result, weight float64) error {
+		if err := acc.Fold(res.Dict, weight); err != nil {
 			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
 		}
 		if res.Upload != nil {
@@ -486,50 +482,69 @@ func (e *Engine) runRound(t, r int) error {
 		}
 		return nil
 	}
-	if er, ok := e.runner.(EachRunner); ok {
-		next := 0
-		buffered := make(map[int]Result)
-		err := er.RunEach(jobs, func(i int, res Result) error {
-			if i != next {
-				buffered[i] = res
-				return nil
+	var err error
+	switch runner := e.runner.(type) {
+	case StalenessRunner:
+		err = runner.RunRound(t, r, jobs, r == e.cfg.Rounds-1, func(tr TaggedResult) error {
+			if tr.Origin < 0 || tr.Origin > r {
+				return fmt.Errorf("fl: round %d admitted a result from round %d", r, tr.Origin)
 			}
-			if err := fold(i, res); err != nil {
-				return err
-			}
-			for next++; ; next++ {
-				res, ok := buffered[next]
-				if !ok {
-					break
-				}
-				delete(buffered, next)
-				if err := fold(next, res); err != nil {
-					return err
-				}
-			}
-			return nil
+			return fold(tr.Result, tr.Weight)
 		})
-		if err != nil {
-			return err
-		}
-		if next != len(jobs) {
-			return fmt.Errorf("fl: runner completed %d of %d jobs", next, len(jobs))
-		}
-	} else {
-		results, err := e.runner.Run(jobs)
-		if err != nil {
-			return err
-		}
-		if len(results) != len(jobs) {
-			return fmt.Errorf("fl: runner returned %d results for %d jobs", len(results), len(jobs))
-		}
-		for i, res := range results {
-			if err := fold(i, res); err != nil {
-				return err
-			}
-		}
+	case EachRunner:
+		err = runInJobOrder(runner, jobs, func(i int, res Result) error {
+			return fold(res, jobs[i].Weight)
+		})
+	default:
+		err = fmt.Errorf("fl: runner %T streams no results: the engine needs an EachRunner or a StalenessRunner", e.runner)
+	}
+	if err != nil {
+		return err
+	}
+	if acc.Folded() == 0 {
+		return nil
 	}
 	return e.install(t, r, acc, uploads)
+}
+
+// runInJobOrder runs jobs on er and hands each result to fold in job order,
+// never arrival order — which is what keeps streaming aggregation
+// bit-identical to the batch WeightedAverage — buffering only the results
+// that completed ahead of their turn. A round with no jobs never reaches
+// the runner.
+func runInJobOrder(er EachRunner, jobs []Job, fold func(i int, res Result) error) error {
+	if len(jobs) == 0 {
+		return nil
+	}
+	next := 0
+	buffered := make(map[int]Result)
+	err := er.RunEach(jobs, func(i int, res Result) error {
+		if i != next {
+			buffered[i] = res
+			return nil
+		}
+		if err := fold(i, res); err != nil {
+			return err
+		}
+		for next++; ; next++ {
+			res, ok := buffered[next]
+			if !ok {
+				break
+			}
+			delete(buffered, next)
+			if err := fold(next, res); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if next != len(jobs) {
+		return fmt.Errorf("fl: runner completed %d of %d jobs", next, len(jobs))
+	}
+	return nil
 }
 
 // roundJobs is round phase 1 (serial): fix the round's participant set and
@@ -555,53 +570,6 @@ func (e *Engine) roundJobs(t, r int) []Job {
 		})
 	}
 	return jobs
-}
-
-// runRoundAsync is the bounded-staleness round: the runner decides which
-// results report now and which lag into a later round, and the engine
-// aggregates whatever was admitted — tracking each result's round of
-// origin and using its staleness-discounted weight. The task's last round
-// drains the runner, so no result crosses a task boundary. A round that
-// admits nothing (all results lagging) leaves the global untouched, like a
-// round where every client dropped out.
-func (e *Engine) runRoundAsync(sr StalenessRunner, t, r int, jobs []Job) error {
-	acc := NewAccumulator()
-	var uploads []Upload
-	admit := func(tr TaggedResult) error {
-		if tr.Origin < 0 || tr.Origin > r {
-			return fmt.Errorf("fl: round %d admitted a result from round %d", r, tr.Origin)
-		}
-		if err := acc.Fold(tr.Result.Dict, tr.Weight); err != nil {
-			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
-		}
-		if tr.Result.Upload != nil {
-			uploads = append(uploads, tr.Result.Upload)
-		}
-		return nil
-	}
-	drain := r == e.cfg.Rounds-1
-	// Prefer the streaming admission path: admitted results fold into the
-	// accumulator one at a time, in the runner's (Origin, job-order)
-	// admission order, instead of buffering the whole admitted set.
-	if ssr, ok := sr.(StreamStalenessRunner); ok {
-		if err := ssr.RunRoundStream(t, r, jobs, drain, admit); err != nil {
-			return err
-		}
-	} else {
-		admitted, err := sr.RunRound(t, r, jobs, drain)
-		if err != nil {
-			return err
-		}
-		for _, tr := range admitted {
-			if err := admit(tr); err != nil {
-				return err
-			}
-		}
-	}
-	if acc.Folded() == 0 {
-		return nil
-	}
-	return e.install(t, r, acc, uploads)
 }
 
 // install is round phase 3's tail (serial): finalize the streaming FedAvg
@@ -658,6 +626,7 @@ func (e *Engine) shardSpec(c *client, task int) ShardSpec {
 	return ShardSpec{
 		Dataset:        e.family.Name,
 		Image:          e.family.Size,
+		Classes:        e.family.Classes,
 		Domain:         e.domains[task],
 		Task:           task,
 		TrainPerDomain: e.cfg.TrainPerDomain,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -437,6 +438,56 @@ func TestEngineDropoutSkipsClients(t *testing.T) {
 	}
 	if alg.stats.trainCalls == 0 {
 		t.Fatal("dropout skipped every client at p=0.5")
+	}
+}
+
+// strictRunner is an EachRunner that refuses an empty job list.
+type strictRunner struct{ LocalRunner }
+
+func (s *strictRunner) RunEach(jobs []Job, done func(int, Result) error) error {
+	if len(jobs) == 0 {
+		return fmt.Errorf("runner called with no jobs")
+	}
+	return s.LocalRunner.RunEach(jobs, done)
+}
+
+// TestEngineEmptyRoundLeavesGlobalUntouched: a round whose every selected
+// client dropped out never reaches the runner, installs nothing and skips
+// the server hook.
+func TestEngineEmptyRoundLeavesGlobalUntouched(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.DropoutProb = 1 - 1e-12
+	alg := newFakeAlg()
+	eng, err := NewEngineWithRunner(cfg, alg, &strictRunner{LocalRunner{Alg: alg, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(family, family.Domains[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if alg.stats.trainCalls != 0 || alg.stats.rounds != 0 || alg.w.T.At(0) != 0 {
+		t.Fatalf("empty rounds trained %d clients, ran %d server rounds, moved w to %v",
+			alg.stats.trainCalls, alg.stats.rounds, alg.w.T.At(0))
+	}
+}
+
+// TestEngineRejectsBatchOnlyRunner: the engine folds results as they
+// stream in, so a runner offering only the collected Run is refused.
+func TestEngineRejectsBatchOnlyRunner(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), &scriptRunner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(family, family.Domains[:1]); err == nil || !strings.Contains(err.Error(), "EachRunner") {
+		t.Fatalf("run error = %v, want the runner refused", err)
 	}
 }
 

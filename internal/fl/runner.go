@@ -36,8 +36,11 @@ type Result struct {
 }
 
 // Runner executes all of one round's local-training jobs and returns their
-// results in job order. The contract every implementation must honour for
-// the engine's determinism guarantee:
+// results in job order. The engine itself only drives runners that stream
+// their results (EachRunner, StalenessRunner); Run is the collected form
+// for everything else — AsyncRunner over an in-process Inner, tools, tests.
+// The contract every implementation must honour for the engine's
+// determinism guarantee:
 //
 //   - results[i] corresponds to jobs[i], regardless of execution order or
 //     placement;
@@ -51,11 +54,11 @@ type Runner interface {
 	Run(jobs []Job) ([]Result, error)
 }
 
-// EachRunner is a Runner that can additionally stream per-job results as
-// they complete (LocalRunner.RunEach, the transport Runner). The engine
-// prefers it over Run for synchronous rounds: acks fold into the streaming
-// FedAvg Accumulator as they arrive instead of buffering every client's
-// full state dict until the round ends.
+// EachRunner is a Runner that streams per-job results as they complete
+// (LocalRunner, transport.Pipeline). It is what the engine's synchronous
+// round runs on: acks fold into the streaming FedAvg Accumulator as they
+// arrive instead of buffering every client's full state dict until the
+// round ends.
 type EachRunner interface {
 	Runner
 	// RunEach fires done(i, results[i]) once per job, in completion order
@@ -78,7 +81,8 @@ type EachRunner interface {
 //   - Discard(round, i) drops the result (a staleness-bound drop) without
 //     blocking, whether or not it has arrived yet.
 //
-// Run remains the plain barrier form (Dispatch + Await all, in job order).
+// Run remains the collected synchronous form (Dispatch + Await all, in job
+// order).
 type Dispatcher interface {
 	Runner
 	Dispatch(task, round int, jobs []Job) error
@@ -140,9 +144,12 @@ func ClientSeed(seed int64, clientID, task, round int) int64 {
 // shard's coordinates inside the deterministic quantity-shift partition.
 // Materialize reconstructs the exact shard the engine partitioned.
 type ShardSpec struct {
-	// Dataset and Image identify the synthetic family (data.NewFamily).
+	// Dataset and Image identify the synthetic family (data.NewFamily);
+	// Classes is the family's class count (Family.WithClassLimit), which
+	// scaled-down presets cut below the dataset's own.
 	Dataset string
 	Image   int
+	Classes int
 	// Domain is the task's domain name; Task its incremental index.
 	Domain string
 	Task   int
@@ -166,6 +173,9 @@ type ShardSpec struct {
 // shard the coordinator's engine holds.
 func (s ShardSpec) Materialize() (*data.Dataset, error) {
 	family, err := data.NewFamily(s.Dataset, s.Image)
+	if err == nil {
+		family, err = family.WithClassLimit(s.Classes)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fl: shard spec family: %w", err)
 	}

@@ -203,7 +203,7 @@ func TestAsyncRunnerPipelinedDispatcher(t *testing.T) {
 		Staleness: 1,
 		Delay:     delayByClient(map[int]int{1: 1, 9: 2}),
 	}
-	admitted, err := ar.RunRound(0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20), asyncJob(9, 0, 5)}, false)
+	admitted, err := collectRound(ar, 0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20), asyncJob(9, 0, 5)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAsyncRunnerPipelinedDispatcher(t *testing.T) {
 		t.Fatalf("pending=%d dropped=%d after round 0, want 1/1", ar.Pending(), ar.Dropped())
 	}
 
-	admitted, err = ar.RunRound(0, 1, []Job{asyncJob(3, 1, 40)}, true)
+	admitted, err = collectRound(ar, 0, 1, []Job{asyncJob(3, 1, 40)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

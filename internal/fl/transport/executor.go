@@ -20,12 +20,12 @@ import (
 // fl.LocalRunner worker pool the in-process engine uses — Spawn replicas,
 // per-job seeded RNGs — acknowledging each job the moment it completes.
 // Per-job acks are what let the coordinator salvage a crashing worker's
-// finished work and re-queue only the rest. Under any non-full codec
-// (protocol v5) each ack carries the trained state as a lossless patch
-// against the round's broadcast base instead of the full dict: the base is
-// exactly what this executor's tracker holds after applying the frame, and
-// exactly what the coordinator mirrors for this worker, so the upload
-// reconstructs bit for bit.
+// finished work and re-queue only the rest. Every ack carries the trained
+// state as a wire.Patch: under any non-full codec a lossless diff against
+// the round's broadcast base — exactly what this executor's tracker holds
+// after applying the frame, and exactly what the coordinator mirrors for
+// this worker, so the upload reconstructs bit for bit — and under the full
+// codec a complete snapshot.
 //
 // The algorithm must be constructed exactly as the coordinator's (same
 // method, model config, task horizon and construction seed): broadcast
@@ -89,9 +89,8 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	if e.ExpectCodec != "" && b.Frame.Kind != wire.KindNone && b.Frame.Patch.Codec != e.ExpectCodec {
 		return fmt.Errorf("transport: coordinator broadcasts codec %q, worker pinned to %q", b.Frame.Patch.Codec, e.ExpectCodec)
 	}
-	// Resolve the upload direction's codec from the round codec: nil keeps
-	// the legacy full-state upload (full codec), lossy broadcast codecs
-	// fall back to the lossless delta.
+	// Resolve the upload direction's codec from the round codec: lossy
+	// broadcast codecs fall back to the lossless delta.
 	upCodec, err := wire.ForUpload(b.Codec)
 	if err != nil {
 		return fmt.Errorf("broadcast codec: %w", err)
@@ -127,7 +126,7 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 // live stream's state — the frame tracker and the coordinator's mirror
 // never saw the detour.
 func (e *Executor) handleReplay(b Broadcast, upCodec wire.Codec, emit func(JobResult) error) error {
-	dict, err := FromWire(b.Replay.State)
+	dict, err := wire.Decode(nil, &b.Replay.Patch)
 	if err != nil {
 		return fmt.Errorf("replay state: %w", err)
 	}
@@ -196,28 +195,21 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[stri
 		if e.Straggle != nil {
 			e.Straggle(jobs[i].Spec)
 		}
-		jr := JobResult{Index: i}
-		if upCodec != nil && base != nil {
-			// Diff the trained replica against the round's broadcast base —
-			// exactly the dict the coordinator mirrors for this worker once
-			// the round stream completes, so the patch reconstructs there
-			// bit for bit. A worker that somehow executes jobs with no
-			// installed state (nothing guarantees it today, but the
-			// fallback is cheap) uploads the full form instead.
-			p, err := upCodec.Encode(base, res.Dict)
-			if err != nil {
-				return fmt.Errorf("job %d upload state: %w", i, err)
-			}
-			jr.Patch = p
-		} else {
-			jr.State = ToWire(res.Dict)
+		// Diff the trained replica against the round's broadcast base —
+		// exactly the dict the coordinator mirrors for this worker, so the
+		// patch reconstructs there bit for bit. Every codec encodes a nil
+		// base (a worker executing jobs with no installed state) as a full
+		// snapshot, which the coordinator counts as an upload fallback.
+		p, err := upCodec.Encode(base, res.Dict)
+		if err != nil {
+			return fmt.Errorf("job %d upload state: %w", i, err)
 		}
+		jr := JobResult{Index: i, Patch: p}
 		if res.Upload != nil {
 			uc, ok := e.alg.(fl.UploadCoder)
 			if !ok {
 				return fmt.Errorf("%s produced an upload it cannot encode", e.alg.Name())
 			}
-			var err error
 			jr.Upload, err = uc.EncodeUpload(res.Upload)
 			if err != nil {
 				return fmt.Errorf("job %d upload: %w", i, err)

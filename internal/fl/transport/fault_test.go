@@ -6,8 +6,8 @@
 //
 // That equality is the whole correctness argument: jobs are placement-free
 // deterministic computations, so the survivor re-executing the dead
-// worker's unfinished jobs — rederiving their shards and reloading the
-// broadcast state — must reproduce byte-identical results. Crashing inside
+// worker's unfinished jobs — rederiving their shards and training against
+// the replayed round state — must reproduce byte-identical results. Crashing inside
 // task 1 additionally pins the wire-state path: by then EWC has
 // consolidated Fisher/anchor maps and LwF has snapshotted its distillation
 // teacher, so the re-executed job only matches if that server-side state
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"reffil/internal/data"
 	"reffil/internal/experiments"
@@ -34,10 +33,10 @@ var localMatrixCache sync.Map
 
 // localReference returns the synchronous LocalRunner accuracy matrix for
 // the method under crossRunnerConfig, computing it at most once per
-// (method, family, domains) fixture.
+// (method, family, class count, domains) fixture.
 func localReference(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
 	t.Helper()
-	key := fmt.Sprintf("%s/%s/%d", method, family.Name, len(domains))
+	key := fmt.Sprintf("%s/%s/%d/%d", method, family.Name, family.Classes, len(domains))
 	if mat, ok := localMatrixCache.Load(key); ok {
 		return mat.([][]float64)
 	}
@@ -62,70 +61,17 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 	defer coord.Close()
 
-	newAlg := func() fl.Algorithm {
-		alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-
 	// Worker slot 0: the killer. It executes jobs through a real Executor,
 	// but in the crash round it severs the connection after its first ack.
-	killErr := make(chan error, 1)
-	{
-		ex, err := transport.NewExecutor(newAlg(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := transport.Dial(coord.Addr(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			defer w.Close()
-			killErr <- w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-				if b.Task != crashTask || b.Round != crashRound {
-					return ex.Handle(b, emit)
-				}
-				return ex.Handle(b, func(jr transport.JobResult) error {
-					if err := emit(jr); err != nil {
-						return err
-					}
-					if err := w.Close(); err != nil {
-						return err
-					}
-					return fmt.Errorf("injected crash after first ack of task %d round %d", b.Task, b.Round)
-				})
-			})
-		}()
-		if err := coord.Accept(1, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	killErr := serveCrashing(t, coord, method, family, len(domains), 0, crashTask, crashRound, nil)
 	// Worker slot 1: a normal executor — the survivor.
-	surviveErr := make(chan error, 1)
-	{
-		ex, err := transport.NewExecutor(newAlg(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := transport.Dial(coord.Addr(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			defer w.Close()
-			surviveErr <- w.Serve(ex.Handle)
-		}()
-		if err := coord.Accept(1, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
+	surviveErr, _ := dialServe(t, coord, method, family, len(domains), 1)
 
-	alg := newAlg()
-	runner, err := transport.NewRunner(coord, alg)
+	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +94,14 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 	if codec != "" {
 		// The whole crashed-and-requeued run — including the survivor's
-		// re-executions, which diff against the survivor's own base — must
-		// have used delta-encoded uploads throughout (protocol v5).
+		// re-executions, which diff against the replayed origin-round state
+		// — must have used base-relative uploads throughout.
 		requireAllPatchUploads(t, runner.Stats())
 	}
-	if err := <-killErr; err == nil {
-		t.Fatal("killed worker's Serve returned nil — the crash was never injected")
+	if err := <-killErr; err != nil {
+		t.Fatal(err)
 	}
+	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +119,15 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 // RefFiL crashing in task 0 covers the prompt-upload path under re-queue.
 //
 // The delta-codec cases re-run the crash under delta broadcast *and*
-// delta-encoded uploads (protocol v5): the coordinator drops the dead
-// worker's base tracking, the survivor's follow-up broadcast for the same
-// round carries no state (it is already at the round's version), the
-// survivor's re-executed jobs upload patches against the survivor's *own*
-// base — which the coordinator mirrors per slot, so the reconstruction is
-// exact — and, for LwF, the teacher payload it loaded at task start must
-// serve the re-executed job unchanged. Bit-identical matrices prove the
+// delta-encoded uploads: the coordinator drops the dead worker's base
+// tracking, the survivor receives the unfinished jobs as a Replay carrying
+// the round's retained state (and, for LwF, the round's teacher payload)
+// out of band, uploads patches diffed against that replayed state — which
+// the coordinator still holds, so the reconstruction is exact — and then
+// restores its own stream state. Bit-identical matrices prove the
 // re-queue/delta interaction loses nothing in either wire direction; the
-// runs additionally assert every upload was a patch (no silent full-state
-// fallback).
+// runs additionally assert every upload was a base-relative patch (no
+// silent full-snapshot fallback).
 func TestFaultInjectionCrashMidRound(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

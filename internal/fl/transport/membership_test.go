@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +100,67 @@ func dialServe(t *testing.T, coord *transport.Coordinator, method string, family
 	return done, trained
 }
 
+// serveCrashing dials worker id with a fresh Executor for method and serves
+// it on a background goroutine, severing the connection right after the
+// worker's first ack of round (crashTask, crashRound). If redial is nil —
+// or returns false once the crash has happened — the worker stays dead;
+// otherwise it dials again with the same Executor (and shard cache),
+// exactly as fedworker -rejoin does, and serves on. The channel reports a
+// crash that was never injected, a failed re-dial, or the final Serve's
+// error.
+func serveCrashing(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int, redial func() bool) <-chan error {
+	t.Helper()
+	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), nTasks, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := transport.NewExecutor(alg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := transport.Dial(coord.Addr(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+			if b.Task != crashTask || b.Round != crashRound {
+				return ex.Handle(b, emit)
+			}
+			return ex.Handle(b, func(jr transport.JobResult) error {
+				if err := emit(jr); err != nil {
+					return err
+				}
+				if err := w.Close(); err != nil {
+					return err
+				}
+				return fmt.Errorf("injected crash after first ack of task %d round %d", b.Task, b.Round)
+			})
+		})
+		_ = w.Close()
+		if err == nil {
+			done <- fmt.Errorf("worker %d's Serve returned nil — the crash was never injected", id)
+			return
+		}
+		if redial == nil || !redial() {
+			done <- nil
+			return
+		}
+		w2, err := transport.Dial(coord.Addr(), id)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer w2.Close()
+		done <- w2.Serve(ex.Handle)
+	}()
+	if err := coord.Accept(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
 // TestLateJoinMidRun admits a second worker between rounds of a running
 // federation: the engine's checkpoint hook (which fires synchronously
 // after every installed round, before the next dispatch) dials worker 1
@@ -125,7 +187,7 @@ func TestLateJoinMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +216,7 @@ func TestLateJoinMidRun(t *testing.T) {
 	if lateTrained == nil || lateTrained.Load() == 0 {
 		t.Fatal("late joiner trained no jobs — it was never dispatched to")
 	}
+	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,64 +258,18 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			}
 			defer coord.Close()
 
-			newAlg := func() fl.Algorithm {
-				alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return alg
-			}
-
 			// Worker slot 0: crashes after its first ack of round (0,0),
 			// then re-dials with the same Executor and serves on.
-			rejoinErr := make(chan error, 1)
-			{
-				ex, err := transport.NewExecutor(newAlg(), 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := transport.Dial(coord.Addr(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				go func() {
-					err := w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-						if b.Task != 0 || b.Round != 0 {
-							return ex.Handle(b, emit)
-						}
-						return ex.Handle(b, func(jr transport.JobResult) error {
-							if err := emit(jr); err != nil {
-								return err
-							}
-							if err := w.Close(); err != nil {
-								return err
-							}
-							return fmt.Errorf("injected crash after first ack")
-						})
-					})
-					_ = w.Close()
-					if err == nil {
-						rejoinErr <- fmt.Errorf("crashed worker's first Serve returned nil")
-						return
-					}
-					w2, err := transport.Dial(coord.Addr(), 0)
-					if err != nil {
-						rejoinErr <- err
-						return
-					}
-					defer w2.Close()
-					rejoinErr <- w2.Serve(ex.Handle)
-				}()
-				if err := coord.Accept(1, 10*time.Second); err != nil {
-					t.Fatal(err)
-				}
-			}
+			rejoinErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 0, func() bool { return true })
 
 			// Worker slot 1: a normal executor, alive throughout.
 			surviveErr, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 
-			alg := newAlg()
-			runner, err := transport.NewRunner(coord, alg)
+			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := transport.NewPipeline(coord, alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,6 +301,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if codec != "" {
 				requireAllPatchUploads(t, runner.Stats())
 			}
+			_ = runner.Close()
 			if err := coord.Shutdown(); err != nil {
 				t.Fatal(err)
 			}
@@ -354,7 +372,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +395,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Minute {
 		t.Fatalf("run took %v — wedge detection did not bound the wait", elapsed)
 	}
+	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +409,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 // a federation is killed mid-run — the engine aborts right after the
 // checkpoint at (task 1, round 1) persists, the coordinator closes, the
 // workers lose their connections — and a completely fresh process
-// (coordinator, runner, algorithm, engine, workers) resumes from the
+// (coordinator, pipeline, algorithm, engine, workers) resumes from the
 // snapshot. The resumed run's matrix must equal the uninterrupted local
 // reference bit for bit.
 func TestCoordinatorResumeOverTCP(t *testing.T) {
@@ -420,7 +439,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
 		w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 		alg := newAlg()
-		runner, err := transport.NewRunner(coord, alg)
+		runner, err := transport.NewPipeline(coord, alg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,6 +457,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		if _, err := eng.Run(family, domains); !errors.Is(err, errKilled) {
 			t.Fatalf("phase-1 run returned %v, want the injected kill", err)
 		}
+		_ = runner.Close()
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +479,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 	w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
 	w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 	alg := newAlg()
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,6 +493,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		t.Fatalf("resumed run failed: %v", err)
 	}
 	requireSameMatrix(t, "resumed", want, mat.A)
+	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,6 +502,97 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 	}
 	if err := <-w1; err != nil {
 		t.Fatalf("resumed worker 1: %v", err)
+	}
+}
+
+// TestJoinWaitSoleWorkerRedial covers the moment elastic membership exists
+// for: the only worker crashes mid-round, so its unfinished jobs have no
+// survivor to re-queue on. With JoinWait set the coordinator waits for the
+// re-dial — the worker keeps its Executor across the reconnect, as
+// fedworker -rejoin does — replays the stranded jobs onto the fresh slot,
+// and the run finishes bit-identical to the local reference; with JoinWait
+// zero the same crash fails the run at once.
+func TestJoinWaitSoleWorkerRedial(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	want := localReference(t, "reffil", family, domains)
+
+	for _, tc := range []struct {
+		name     string
+		joinWait time.Duration
+	}{
+		{"rejoin_within_window", 30 * time.Second},
+		{"fail_fast", 0},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := transport.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+
+			// The sole worker crashes after its first ack of round (0,1). It
+			// stays away until the coordinator has seen the death, and a
+			// little longer, so the stranded jobs really meet an empty
+			// federation; without a window there is nothing to re-join.
+			workerErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 1, func() bool {
+				for coord.NumLive() > 0 {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if tc.joinWait == 0 {
+					return false
+				}
+				time.Sleep(100 * time.Millisecond)
+				return true
+			})
+
+			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := transport.NewPipeline(coord, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.UseCodec("delta"); err != nil {
+				t.Fatal(err)
+			}
+			runner.JoinWait = tc.joinWait
+			eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mat, err := eng.Run(family, domains)
+			if tc.joinWait == 0 {
+				if err == nil || !strings.Contains(err.Error(), "no live workers") {
+					t.Fatalf("run error = %v, want a no-live-workers failure", err)
+				}
+				_ = runner.Close()
+				if err := <-workerErr; err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("run with sole-worker crash-and-redial failed: %v", err)
+			}
+			requireSameMatrix(t, "sole-worker redial", want, mat.A)
+			if live, ever := coord.NumLive(), coord.NumWorkers(); live != 1 || ever != 2 {
+				t.Fatalf("workers live/ever = %d/%d, want 1/2 (crashed slot + re-dialed slot)", live, ever)
+			}
+			requireAllPatchUploads(t, runner.Stats())
+			_ = runner.Close()
+			if err := coord.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-workerErr; err != nil {
+				t.Fatalf("re-joined worker: %v", err)
+			}
+		})
 	}
 }
 

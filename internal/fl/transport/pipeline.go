@@ -12,40 +12,61 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Pipeline is the pipelined transport runner (protocol v6): it decouples
-// the barrier Runner's dispatch and collection paths so the coordinator can
-// broadcast round r+1 while round r's acks are still in flight. Each worker
-// slot gets an independent send queue and a dedicated collector goroutine;
-// the wire Tracker mirror for a slot advances at send time — per slot, not
-// per completed round — so successive delta frames chain correctly even
-// when several rounds' acks are outstanding on one connection.
+// Pipeline is the transport-backed round runner: it fans one round's jobs
+// out across the coordinator's live workers over TCP and collects the
+// per-job acks as they stream in, so an fl.Engine built on it runs every
+// paper scenario multi-node with the same mechanics — and the same numbers
+// — as the in-process pool. Dispatch and collection are decoupled, so the
+// coordinator can broadcast round r+1 while round r's acks are still in
+// flight: each worker slot gets an independent send queue and a dedicated
+// collector goroutine, and the wire Tracker mirror for a slot advances at
+// send time — per slot, not per completed round — so successive delta
+// frames chain correctly even when several rounds' acks are outstanding on
+// one connection.
 //
-// Pipeline implements three engine-facing contracts:
+// Per round every live worker receives a versioned wire.Frame: under the
+// default full codec the complete state dict plus the method's encoded
+// wire state (fl.WireStater); under the delta codecs (UseCodec) per-key
+// diffs against the base version the slot's mirror holds, with the
+// wire-state payload re-sent only when its bytes change, and a full
+// snapshot for workers with no usable base. Uploads come back as
+// wire.Patch too (wire.ForUpload), reconstructed against the per-slot state
+// previewed when the frame was built. Jobs are assigned round-robin by
+// worker slot; assignment never affects results: each job is a
+// self-contained deterministic computation (see fl.Runner), so any
+// placement produces the same accuracy matrix — and under any lossless
+// codec, the same bits.
 //
+// Pipeline implements two engine-facing contracts:
+//
+//   - fl.Runner / fl.EachRunner: RunEach is the synchronous round —
+//     Dispatch immediately followed by Await of every job in order. Used
+//     directly it stays bit-identical to the in-process engine.
 //   - fl.Dispatcher: Dispatch fans a round out and returns as soon as the
 //     broadcasts are on the wire; Await blocks for one job's result;
-//     Discard drops one. This is the pipelined path: fl.AsyncRunner leaves
-//     results its Delay policy marks as lagging in flight on the transport
-//     — the worker computes them while later rounds dispatch — and awaits
-//     them only at their admission round, turning simulated staleness into
-//     real wall-clock overlap.
-//   - fl.Runner / fl.EachRunner: Run and RunEach are the barrier form —
-//     Dispatch immediately followed by Await of every job in order. Used
-//     directly (no AsyncRunner), Pipeline behaves exactly like the barrier
-//     Runner and stays bit-identical to the in-process engine.
+//     Discard drops one. fl.AsyncRunner leaves results its Delay policy
+//     marks as lagging in flight on the transport — the worker computes
+//     them while later rounds dispatch — and awaits them only at their
+//     admission round, turning simulated staleness into real wall-clock
+//     overlap.
 //
-// Re-queue-on-death must handle a dead worker holding jobs from several
-// live rounds: each queued batch remembers its origin round, and the
-// unfinished jobs re-queue on survivors as Replay broadcasts carrying the
-// origin round's retained state out of band (the survivor's own version
-// stream may already be past — or not yet at — that round). Replays do not
-// touch the survivor's tracker mirror.
+// With Requeue set, a worker connection dying no longer fails the run: the
+// dead worker's acknowledged results are kept and its unfinished jobs are
+// redistributed round-robin over the survivors. A dead worker may hold jobs
+// from several live rounds: each queued batch remembers its origin round,
+// and the unfinished jobs re-queue as Replay broadcasts carrying the origin
+// round's retained state out of band (the survivor's own version stream may
+// already be past — or not yet at — that round). Replays do not touch the
+// survivor's tracker mirror. Only connection failures re-queue; an error
+// the worker itself reports is deterministic and fails the run (re-running
+// the job elsewhere would fail identically). A dead worker's base-version
+// tracking is dropped with it, so a re-dial starts from a full snapshot.
 //
 // Determinism: job results are identified by (round, job index), and the
-// engine folds them in job-index order regardless of arrival order, so a
-// Pipeline run admits exactly the results a barrier run would, in the same
-// order, with the same bits — AsyncRunner{S:0} over a Pipeline matches the
-// synchronous local engine bit for bit.
+// engine folds them in job-index order regardless of arrival order, so the
+// same results are admitted in the same order with the same bits whatever
+// the wall-clock schedule — AsyncRunner{S:0} over a Pipeline, and the
+// Pipeline on its own, match the synchronous local engine bit for bit.
 type Pipeline struct {
 	coord *Coordinator
 	alg   fl.Algorithm
@@ -59,19 +80,20 @@ type Pipeline struct {
 	// OnDispatch, when non-nil, fires after a round's broadcasts are all on
 	// the wire (tests use it to observe overlap deterministically).
 	OnDispatch func(task, round int)
-	// JoinWait, when positive, is how long Dispatch waits for the
-	// coordinator's background accept loop to admit a worker (elastic
-	// membership, v7) when no slot is live, before failing the round. Zero
-	// keeps the fail-fast behaviour.
+	// JoinWait, when positive, is how long a moment with no live workers —
+	// at Dispatch, or when the last live worker dies holding jobs — waits
+	// for the coordinator's background accept loop to admit a (re-)joining
+	// worker (elastic membership, v7) before failing the run. Zero keeps
+	// the fail-fast behaviour.
 	JoinWait time.Duration
 	// Telemetry, when non-nil, receives round observations, per-worker ack
 	// latencies, death and requeue events. Set before the first Dispatch;
 	// nil (the default) keeps the hot path allocation-free.
 	Telemetry *telemetry.Sink
 
-	// tmu guards enc, started, trackers and stats (same discipline as the
-	// barrier Runner). Never acquired while holding mu's critical work —
-	// the only nesting is mu→tmu in finishRound.
+	// tmu guards enc, started, trackers and stats; tracker structs are only
+	// mutated under it. Lock order is mu → tmu (finishRound), never the
+	// reverse.
 	tmu      sync.Mutex
 	enc      *wire.Encoder
 	trackers map[int]*wire.Tracker
@@ -88,8 +110,7 @@ type Pipeline struct {
 	fatal   error
 	closed  bool
 	// startIn/startOut snapshot the coordinator's byte counters at the
-	// first dispatch, so Stats can report exact cumulative totals even
-	// though overlapping rounds make per-round byte splits approximate.
+	// first dispatch: the zero point of the cumulative byte totals.
 	startIn, startOut int64
 	everStarted       bool
 }
@@ -106,18 +127,22 @@ type flight struct {
 }
 
 // roundFlight is the coordinator-side state of one dispatched round, kept
-// until its last ack lands: the canonical state (for replays after worker
-// deaths), the wire-state payload, and the round's statistics. Memory is
-// bounded by the staleness window — at most S+1 rounds are in flight.
+// until its last ack lands: the codec it was dispatched under, the
+// canonical state (for replays after worker deaths), the wire-state
+// payload, and the round's statistics. Memory is bounded by the staleness
+// window — at most S+1 rounds are in flight.
 type roundFlight struct {
 	task, round int
+	codec       string
 	dict        map[string]*tensor.Tensor
 	payload     []byte
 	remaining   int
 	rs          RoundStats
 	start       time.Time
-	overlapFrom time.Time // zero until a later round dispatches
-	lastAck     time.Time
+	// startIn/startOut are the coordinator's byte counters at dispatch.
+	startIn, startOut int64
+	overlapFrom       time.Time // zero until a later round dispatches
+	lastAck           time.Time
 }
 
 // batch is one broadcast's worth of jobs queued on a worker slot, FIFO: the
@@ -140,8 +165,12 @@ type slotState struct {
 	dead       bool
 }
 
-// NewPipeline wraps a coordinator and the engine's algorithm instance, like
-// NewRunner but for pipelined rounds. Re-queueing starts enabled.
+// NewPipeline wraps a coordinator and the engine's algorithm instance. The
+// algorithm must be the same instance the fl.Engine aggregates into —
+// Dispatch reads its Global() state and wire state at each round's start.
+// Re-queueing starts enabled; clear Requeue for fail-fast rounds. The codec
+// starts as "full" (complete snapshots); call UseCodec before the first
+// round to switch to delta broadcast.
 func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("transport: pipeline needs a coordinator")
@@ -167,8 +196,11 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	return p, nil
 }
 
-// UseCodec selects the broadcast codec by registry name (full|delta|topk),
-// before the first dispatch only — exactly like Runner.UseCodec.
+// UseCodec selects the broadcast codec by registry name (full|delta|topk).
+// It must be called before the first dispatch: switching codecs mid-run
+// would invalidate the per-worker base tracking. The started check and the
+// encoder swap hold tmu so a UseCodec racing a Dispatch can never slip a
+// new encoder under a round in flight.
 func (p *Pipeline) UseCodec(name string) error {
 	codec, err := wire.New(name)
 	if err != nil {
@@ -195,23 +227,10 @@ func (p *Pipeline) Codec() string {
 }
 
 // Stats returns the cumulative wire accounting across completed rounds.
-// Byte totals are exact socket deltas since the first dispatch; the
-// per-round byte split in RoundStats is approximate under overlap (a
-// round's collection window carries other rounds' traffic too).
 func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	ever := p.everStarted
-	startIn, startOut := p.startIn, p.startOut
-	p.mu.Unlock()
 	p.tmu.Lock()
-	st := p.stats
-	p.tmu.Unlock()
-	if ever {
-		in, out := p.coord.BytesTransferred()
-		st.UploadBytes = in - startIn
-		st.BroadcastBytes = out - startOut
-	}
-	return st
+	defer p.tmu.Unlock()
+	return p.stats
 }
 
 // Close wakes every blocked Await with an error and stops the collectors
@@ -232,6 +251,18 @@ func (p *Pipeline) failLocked(err error) {
 		p.fatal = err
 	}
 	p.cond.Broadcast()
+}
+
+// liveOrJoined returns the live worker slots; when there are none it first
+// waits up to JoinWait for the coordinator's accept loop to admit a
+// (re-)joining worker, whose fresh slot full-snapshots (elastic
+// membership). Callers must not hold mu or tmu.
+func (p *Pipeline) liveOrJoined() []int {
+	live := p.coord.liveSlots()
+	if len(live) == 0 && p.JoinWait > 0 && p.coord.AwaitLive(1, p.JoinWait) == nil {
+		live = p.coord.liveSlots()
+	}
+	return live
 }
 
 // slotFor returns (creating if needed) slot's state. Callers must hold mu.
@@ -273,14 +304,7 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	enc.SetRound(nn.StateDict(p.alg.Global()), payload)
 	start := time.Now()
 
-	live := p.coord.liveSlots()
-	if len(live) == 0 && p.JoinWait > 0 {
-		// Elastic membership: wait out a re-dial instead of failing the
-		// dispatch (the freshly admitted slot full-snapshots).
-		if err := p.coord.AwaitLive(1, p.JoinWait); err == nil {
-			live = p.coord.liveSlots()
-		}
-	}
+	live := p.liveOrJoined()
 	if len(live) == 0 {
 		return fmt.Errorf("transport: no live workers to dispatch round %d", round)
 	}
@@ -301,24 +325,25 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 		p.mu.Unlock()
 		return fmt.Errorf("transport: round %d is already in flight", round)
 	}
-	if !p.everStarted {
-		p.everStarted = true
-		p.startIn, p.startOut = p.coord.BytesTransferred()
-	}
 	rf := &roundFlight{
-		task: task, round: round,
+		task: task, round: round, codec: codecName,
 		dict: enc.Dict(), payload: payload,
 		remaining: len(jobs),
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
 		start:     start,
+	}
+	rf.startIn, rf.startOut = p.coord.BytesTransferred()
+	if !p.everStarted {
+		p.everStarted = true
+		p.startIn, p.startOut = rf.startIn, rf.startOut
 	}
 	p.rounds[round] = rf
 	for i := range jobs {
 		p.flights[flightKey{round, i}] = &flight{}
 	}
 	// Every older round still collecting now overlaps this dispatch: the
-	// time from here to its last ack is wall-clock the barrier would have
-	// serialized.
+	// time from here to its last ack is wall-clock a synchronous schedule
+	// would have serialized.
 	for r0, old := range p.rounds {
 		if r0 != round && old.overlapFrom.IsZero() {
 			old.overlapFrom = start
@@ -505,19 +530,24 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			return
 		}
-		if jr.Patch != nil {
-			rf.rs.PatchUploads++
-		} else {
+		if jr.Patch == nil {
+			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, b.round, jr.Index))
+			p.mu.Unlock()
+			return
+		}
+		if jr.Patch.Full {
 			rf.rs.StateUploads++
-			if p.Codec() != wire.CodecFull {
+			if rf.codec != wire.CodecFull {
 				rf.rs.UploadFallbacks++
 			}
+		} else {
+			rf.rs.PatchUploads++
 		}
 		fl0, open := p.flights[key]
 		if open && !fl0.done {
-			// Decode under mu: wire.Decode and FromWire are pure, but the
-			// method's DecodeUpload is not documented concurrency-safe, and
-			// decode cost is dwarfed by training.
+			// Decode under mu: wire.Decode is pure, but the method's
+			// DecodeUpload is not documented concurrency-safe, and decode
+			// cost is dwarfed by training.
 			res, err := decodeResult(p.alg, jr, b.base)
 			if err != nil {
 				p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, b.round, jr.Index, err))
@@ -542,54 +572,51 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 		}
 		b.acked++
 		var finished *RoundStats
-		var finStart time.Time
-		var baseIn, baseOut int64
 		if rf.remaining == 0 {
-			finished = p.finishRound(b.round, rf)
-			finStart = rf.start
-			baseIn, baseOut = p.startIn, p.startOut
+			finished = p.finishRound(rf)
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		if finished != nil {
-			if p.Telemetry != nil {
-				// Mirror the cumulative socket totals, not a per-round split:
-				// under overlap a round's collection window carries other
-				// rounds' traffic too (see Stats).
-				in, out := p.coord.BytesTransferred()
-				p.Telemetry.ObserveRound(finished.observation(finStart, true, out-baseOut, in-baseIn))
-			}
-			if p.OnRound != nil {
-				p.OnRound(*finished)
-			}
+		if finished != nil && p.OnRound != nil {
+			p.OnRound(*finished)
 		}
 	}
 }
 
 // finishRound finalizes a round whose last ack landed: compute its overlap
-// span, fold its statistics into the cumulative totals, and release its
-// retained state. Called with mu held; the returned stats are delivered to
+// span and byte window, fold its statistics into the cumulative totals,
+// report it to telemetry and release its retained state. Called with mu
+// held — which also orders the cumulative byte totals when two rounds
+// finish on different collectors; the returned stats are delivered to
 // OnRound outside the lock.
-func (p *Pipeline) finishRound(round int, rf *roundFlight) *RoundStats {
+func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	if !rf.overlapFrom.IsZero() && rf.lastAck.After(rf.overlapFrom) {
 		rf.rs.OverlapNanos = rf.lastAck.Sub(rf.overlapFrom).Nanoseconds()
 	}
-	delete(p.rounds, round)
+	in, out := p.coord.BytesTransferred()
+	rf.rs.BroadcastBytes, rf.rs.UploadBytes = out-rf.startOut, in-rf.startIn
+	totalBroadcast, totalUpload := out-p.startOut, in-p.startIn
+	delete(p.rounds, rf.round)
 	rs := rf.rs
 	p.tmu.Lock()
 	p.stats.add(rs)
+	p.stats.BroadcastBytes, p.stats.UploadBytes = totalBroadcast, totalUpload
 	p.tmu.Unlock()
+	if p.Telemetry != nil {
+		p.Telemetry.ObserveRound(rs.observation(rf.start, totalBroadcast, totalUpload))
+	}
 	return &rs
 }
 
 // workerDied handles a slot's connection death: drop its base tracking,
 // and re-queue every unfinished job in its queued batches — grouped by
 // origin round, oldest first — onto the survivors as Replay broadcasts.
-// Safe to call repeatedly and from collectors and dispatchers alike: each
-// call drains whatever the slot's queue holds (a sendBatch that lost the
-// race with an earlier death appends its batch to the dead slot's queue
-// and then routes here), so no batch is ever stranded. Callers must not
-// hold mu or tmu.
+// When the dead slot was the last live one, wait up to JoinWait for a
+// (re-)joining worker and replay onto its fresh slot. Safe to call
+// repeatedly and from collectors and dispatchers alike: each call drains
+// whatever the slot's queue holds (a sendBatch that lost the race with an
+// earlier death appends its batch to the dead slot's queue and then routes
+// here), so no batch is ever stranded. Callers must not hold mu or tmu.
 func (p *Pipeline) workerDied(slot int) {
 	p.coord.markDead(slot)
 	p.tmu.Lock()
@@ -646,21 +673,30 @@ func (p *Pipeline) workerDied(slot int) {
 		p.mu.Unlock()
 		return
 	}
-	survivors := p.coord.liveSlots()
-	if len(survivors) == 0 {
-		p.failLocked(fmt.Errorf("transport: no live workers with jobs unfinished"))
-		p.mu.Unlock()
-		return
-	}
+	p.mu.Unlock()
+
+	// The redo jobs now belong to this call alone — their batches left the
+	// dead slot's queue — so the wait for a survivor can run unlocked.
+	survivors := p.liveOrJoined()
+
 	// Build one replay plan per (origin round, survivor) pair while the
 	// round state is pinned under mu; send outside it.
-	codecName := p.Codec()
 	type replaySend struct {
 		slot int
 		b    *batch
 		bc   Broadcast
 	}
 	var sends []replaySend
+	p.mu.Lock()
+	if p.closed || p.fatal != nil {
+		p.mu.Unlock()
+		return
+	}
+	if len(survivors) == 0 {
+		p.failLocked(fmt.Errorf("transport: no live workers with jobs unfinished"))
+		p.mu.Unlock()
+		return
+	}
 	for _, rd := range redos {
 		rf := p.rounds[rd.round]
 		if rf == nil {
@@ -668,9 +704,15 @@ func (p *Pipeline) workerDied(slot int) {
 			p.mu.Unlock()
 			return
 		}
+		snapshot, err := wire.Full{}.Encode(nil, rf.dict)
+		if err != nil {
+			p.failLocked(fmt.Errorf("transport: encoding round %d replay state: %w", rd.round, err))
+			p.mu.Unlock()
+			return
+		}
 		rf.rs.Attempts++
 		p.Telemetry.Requeued(rf.task, rd.round, len(rd.keys))
-		replay := &Replay{State: ToWire(rf.dict)}
+		replay := &Replay{Patch: *snapshot}
 		if len(rf.payload) > 0 {
 			// Always ship the origin round's wire state: the survivor's own
 			// payload version may be ahead of or behind this round's, and
@@ -699,7 +741,7 @@ func (p *Pipeline) workerDied(slot int) {
 				bc: Broadcast{
 					Task:   rf.task,
 					Round:  rd.round,
-					Codec:  codecName,
+					Codec:  rf.codec,
 					Jobs:   specs,
 					Replay: replay,
 				},
@@ -763,9 +805,7 @@ func (p *Pipeline) Discard(round, index int) {
 	fl0.discard = true
 }
 
-// Run implements fl.Runner: the barrier form — dispatch, then await every
-// job in order. Behaviorally identical to the barrier Runner (and
-// bit-identical under any lossless codec).
+// Run implements fl.Runner: RunEach collected into a slice.
 func (p *Pipeline) Run(jobs []fl.Job) ([]fl.Result, error) {
 	results := make([]fl.Result, len(jobs))
 	err := p.RunEach(jobs, func(i int, res fl.Result) error {
@@ -778,8 +818,8 @@ func (p *Pipeline) Run(jobs []fl.Job) ([]fl.Result, error) {
 	return results, nil
 }
 
-// RunEach implements fl.EachRunner: dispatch, then await and hand over
-// each job in job order (the engine's fold order).
+// RunEach implements fl.EachRunner, the synchronous round: dispatch, then
+// await and hand over each job in job order (the engine's fold order).
 func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
 	if len(jobs) == 0 {
 		return nil
@@ -798,6 +838,51 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 		}
 	}
 	return nil
+}
+
+// uploadBase previews the state dict the worker holding tracker state t
+// will hold after applying f — the base its upload patches diff against.
+// For a lossless codec at the current version that is the canonical round
+// dict itself (bit-identical by the definition of lossless, and shared
+// rather than re-decoded); for lossy codecs the frame's patch is replayed
+// exactly as the worker will replay it. KindNone frames leave the worker on
+// whatever base it already holds.
+func uploadBase(enc *wire.Encoder, t *wire.Tracker, f *wire.Frame) (map[string]*tensor.Tensor, error) {
+	if f.Kind == wire.KindNone {
+		return t.Dict, nil
+	}
+	if enc.Codec().Lossless() && f.Version == enc.Version() {
+		return enc.Dict(), nil
+	}
+	base := t.Dict
+	if f.Kind == wire.KindFull {
+		base = nil
+	}
+	return wire.Decode(base, &f.Patch)
+}
+
+// decodeResult converts one acked JobResult into an fl.Result. base is the
+// broadcast base the sending worker diffed its upload patch against — its
+// post-frame state, previewed per slot when the frame was built, or, for a
+// replay, the origin round's state. collect never calls it concurrently
+// (the method's DecodeUpload is not documented concurrency-safe).
+func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
+	dict, err := wire.Decode(base, jr.Patch)
+	if err != nil {
+		return fl.Result{}, fmt.Errorf("upload patch: %w", err)
+	}
+	var up fl.Upload
+	if len(jr.Upload) > 0 {
+		uc, ok := alg.(fl.UploadCoder)
+		if !ok {
+			return fl.Result{}, fmt.Errorf("worker sent an upload but %s cannot decode uploads", alg.Name())
+		}
+		up, err = uc.DecodeUpload(jr.Upload)
+		if err != nil {
+			return fl.Result{}, fmt.Errorf("upload: %w", err)
+		}
+	}
+	return fl.Result{Dict: dict, Upload: up}, nil
 }
 
 var (

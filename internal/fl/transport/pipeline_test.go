@@ -1,5 +1,6 @@
-// Pipelined-transport acceptance gates: the Pipeline must preserve the
-// barrier path's bit-identity at staleness 0 for every method, and the
+// Pipelined-round acceptance gates: AsyncRunner over the Pipeline must stay
+// bit-identical to the synchronous engine at staleness 0 for every method,
+// real in-flight lag must admit exactly what simulated lag admits, and the
 // re-queue-on-death machinery must survive the hard case pipelining
 // creates — a worker dying while it holds jobs from two live rounds.
 package transport_test
@@ -7,7 +8,6 @@ package transport_test
 import (
 	"encoding/gob"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,83 +19,12 @@ import (
 )
 
 // runTCPPipelined executes the full task sequence over loopback TCP with
-// the pipelined transport: engine → AsyncRunner(staleness) → Pipeline →
+// rounds pipelined: engine → AsyncRunner(staleness) → Pipeline →
 // gob-over-TCP workers. delay is the AsyncRunner's straggler policy (nil =
-// no lag); straggle, when non-nil, maps a worker id to a pre-ack hook on
-// that worker's Executor.
-func runTCPPipelined(t *testing.T, method string, family *data.Family, domains []string, nWorkers, staleness int, delay func(round int, spec fl.JobSpec) int, straggle map[int]func(fl.JobSpec), codec string) ([][]float64, transport.Stats) {
+// no lag).
+func runTCPPipelined(t *testing.T, method string, family *data.Family, domains []string, staleness int, delay func(round int, spec fl.JobSpec) int) ([][]float64, transport.Stats) {
 	t.Helper()
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	var wg sync.WaitGroup
-	workerErr := make([]error, nWorkers)
-	for id := 0; id < nWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex, err := transport.NewExecutor(alg, 1)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex.Straggle = straggle[id]
-			w, err := transport.Dial(coord.Addr(), id)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			defer w.Close()
-			workerErr[id] = w.Serve(ex.Handle)
-		}(id)
-	}
-	if err := coord.Accept(nWorkers, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != "" {
-		if err := pl.UseCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runner := &fl.AsyncRunner{Inner: pl, Staleness: staleness, Delay: delay}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for id, err := range workerErr {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
-	return mat.A, pl.Stats()
+	return runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta", wrap: asyncOver(staleness, delay)})
 }
 
 // TestPipelinedStalenessZeroMatchesSync is the pipelining acceptance gate:
@@ -122,32 +51,62 @@ func TestPipelinedStalenessZeroMatchesSync(t *testing.T) {
 		method := method
 		t.Run(method, func(t *testing.T) {
 			local := localReference(t, method, family, domains)
-			piped, stats := runTCPPipelined(t, method, family, domains, 2, 0, nil, nil, "delta")
+			piped, stats := runTCPPipelined(t, method, family, domains, 0, nil)
 			requireSameMatrix(t, "pipelined(S=0)", local, piped)
 			requireAllPatchUploads(t, stats)
 		})
 	}
 }
 
-// TestPipelinedStalenessOneMatchesBarrierAsync pins the other half of the
+// TestPipelinedStalenessOneMatchesSimulatedLag pins the other half of the
 // equivalence: with a staleness window and deterministic stragglers, the
 // pipelined path — lagging results left in flight on the wire, awaited at
-// admission — must admit exactly what the barrier AsyncRunner admits when
-// it simulates the same delays over the synchronous transport, so the two
-// matrices are bit-identical even though their wall-clock schedules are
-// completely different.
-func TestPipelinedStalenessOneMatchesBarrierAsync(t *testing.T) {
+// admission — must admit exactly what the AsyncRunner admits when it
+// simulates the same delays in-process (every job trained inside its own
+// round on a LocalRunner, lagging results merely withheld), so "real
+// in-flight lag ≡ simulated lag": the two matrices are bit-identical even
+// though their wall-clock schedules are completely different.
+func TestPipelinedStalenessOneMatchesSimulatedLag(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
 	delay := fl.StragglerDelay(crossRunnerConfig().Seed, 0.33, 1)
-	barrier := runTCP(t, "lwf", family, domains, 2, func(inner fl.Runner) fl.Runner {
-		return &fl.AsyncRunner{Inner: inner, Staleness: 1, Delay: delay}
-	})
-	piped, _ := runTCPPipelined(t, "lwf", family, domains, 2, 1, delay, nil, "delta")
-	requireSameMatrix(t, "pipelined(S=1)", barrier, piped)
+	// RunRound consults the policy serially, so a plain counter is safe.
+	lagged := 0
+	counting := func(round int, spec fl.JobSpec) int {
+		d := delay(round, spec)
+		if d > 0 {
+			lagged++
+		}
+		return d
+	}
+
+	alg, err := experiments.NewMethodFromFlag("lwf", model.DefaultConfig(family.Classes), len(domains), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := crossRunnerConfig()
+	simulated := &fl.AsyncRunner{
+		Inner:     &fl.LocalRunner{Alg: alg, Workers: cfg.Workers},
+		Staleness: 1,
+		Delay:     counting,
+	}
+	eng, err := fl.NewEngineWithRunner(cfg, alg, simulated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run(family, domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lagged == 0 {
+		t.Fatal("straggler schedule lagged nothing — this degenerated to the S=0 test")
+	}
+
+	piped, _ := runTCPPipelined(t, "lwf", family, domains, 1, delay)
+	requireSameMatrix(t, "pipelined(S=1)", want.A, piped)
 }
 
 // TestPipelinedWorkerDeathTwoLiveRounds is the fault-injection gate for
@@ -179,7 +138,7 @@ func TestPipelinedWorkerDeathTwoLiveRounds(t *testing.T) {
 	// Reference: the identical staleness schedule over the pipelined
 	// transport with no crash. Re-queued jobs are deterministic re-executions
 	// against the origin round's state, so the crashed run must match it.
-	want, _ := runTCPPipelined(t, "reffil", family, domains, 2, 1, lagAll, nil, "delta")
+	want, _ := runTCPPipelined(t, "reffil", family, domains, 1, lagAll)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {

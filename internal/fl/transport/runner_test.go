@@ -1,5 +1,5 @@
 // Cross-runner determinism coverage: the acceptance gate for the pluggable
-// round Runner. For every method the in-process LocalRunner and a real TCP
+// round runner. For every method the in-process LocalRunner and a real TCP
 // fan-out over 127.0.0.1 must produce identical accuracy matrices for the
 // same (dataset, domain, seed, workers) — the networked path runs the same
 // engine, derives the same shards from specs, and trains the same replicas.
@@ -12,6 +12,7 @@ package transport_test
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
+	"reffil/internal/telemetry"
 )
 
 // crossRunnerConfig is deliberately tiny: enough tasks/rounds/clients to
@@ -88,36 +90,44 @@ func runLocalAsync(t *testing.T, method string, family *data.Family, domains []s
 	return mat.A
 }
 
-// runTCP executes the same sequence with a transport Runner over loopback:
-// nWorkers goroutine "machines", each speaking only gob-over-TCP through an
-// Executor around its own independently constructed algorithm instance.
-// wrap, when non-nil, layers another runner (e.g. fl.AsyncRunner) over the
-// transport runner.
-func runTCP(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner) [][]float64 {
-	return runTCPCodec(t, method, family, domains, nWorkers, wrap, "")
+// tcpRun configures one loopback federation for runTCPWith.
+type tcpRun struct {
+	// workers is the number of goroutine "machines".
+	workers int
+	// codec is the broadcast codec ("" keeps the Pipeline's default full
+	// snapshots); workers are pinned to it (the fedworker -codec guard), so
+	// a frame from any other codec would fail the run.
+	codec string
+	// wrap, when non-nil, layers another runner (e.g. fl.AsyncRunner) over
+	// the transport Pipeline.
+	wrap func(fl.Runner) fl.Runner
+	// straggle, when non-nil, maps a worker id to a pre-ack hook on that
+	// worker's Executor.
+	straggle map[int]func(fl.JobSpec)
+	// sink and onRound, when non-nil, are attached wherever the fedserver
+	// wires them: coordinator, pipeline and engine; the pipeline's OnRound.
+	sink    *telemetry.Sink
+	onRound func(transport.RoundStats)
 }
 
-// runTCPCodec is runTCP with an explicit broadcast codec ("" keeps the
-// Runner's default full snapshots).
-func runTCPCodec(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner, codec string) [][]float64 {
-	mat, _ := runTCPCodecStats(t, method, family, domains, nWorkers, wrap, codec)
-	return mat
-}
-
-// runTCPCodecStats additionally returns the transport Runner's cumulative
+// runTCPWith executes the same sequence as runLocal over loopback TCP:
+// engine → (wrap →) transport.Pipeline → workers, each speaking only
+// gob-over-TCP through an Executor around its own independently constructed
+// algorithm instance. It returns the matrix and the Pipeline's cumulative
 // wire accounting, so tests can assert which upload/broadcast paths a run
 // actually exercised.
-func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner, codec string) ([][]float64, transport.Stats) {
+func runTCPWith(t *testing.T, method string, family *data.Family, domains []string, opt tcpRun) ([][]float64, transport.Stats) {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	coord.SetTelemetry(opt.sink)
 
 	var wg sync.WaitGroup
-	workerErr := make([]error, nWorkers)
-	for id := 0; id < nWorkers; id++ {
+	workerErr := make([]error, opt.workers)
+	for id := 0; id < opt.workers; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -131,9 +141,8 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 				workerErr[id] = err
 				return
 			}
-			// Pin the worker to the codec under test (the fedworker -codec
-			// guard): a frame from any other codec would fail the run.
-			ex.ExpectCodec = codec
+			ex.ExpectCodec = opt.codec
+			ex.Straggle = opt.straggle[id]
 			w, err := transport.Dial(coord.Addr(), id)
 			if err != nil {
 				workerErr[id] = err
@@ -143,7 +152,7 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 			workerErr[id] = w.Serve(ex.Handle)
 		}(id)
 	}
-	if err := coord.Accept(nWorkers, 10*time.Second); err != nil {
+	if err := coord.Accept(opt.workers, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,25 +160,30 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := transport.NewRunner(coord, alg)
+	pl, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codec != "" {
-		if err := tr.UseCodec(codec); err != nil {
+	pl.Telemetry, pl.OnRound = opt.sink, opt.onRound
+	if opt.codec != "" {
+		if err := pl.UseCodec(opt.codec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var runner fl.Runner = tr
-	if wrap != nil {
-		runner = wrap(runner)
+	var runner fl.Runner = pl
+	if opt.wrap != nil {
+		runner = opt.wrap(runner)
 	}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.Telemetry = opt.sink
 	mat, err := eng.Run(family, domains)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
@@ -181,7 +195,15 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 			t.Fatalf("worker %d: %v", id, err)
 		}
 	}
-	return mat.A, tr.Stats()
+	return mat.A, pl.Stats()
+}
+
+// asyncOver returns a tcpRun.wrap layering an fl.AsyncRunner with the given
+// window and straggler policy (nil = no lag) over the transport.
+func asyncOver(staleness int, delay func(round int, spec fl.JobSpec) int) func(fl.Runner) fl.Runner {
+	return func(inner fl.Runner) fl.Runner {
+		return &fl.AsyncRunner{Inner: inner, Staleness: staleness, Delay: delay}
+	}
 }
 
 // TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
@@ -201,7 +223,7 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 		method := method
 		t.Run(method, func(t *testing.T) {
 			local := runLocal(t, method, family, domains)
-			remote := runTCP(t, method, family, domains, 2, nil)
+			remote, _ := runTCPWith(t, method, family, domains, tcpRun{workers: 2})
 			// Only the lower triangle is recorded (task i is evaluated on
 			// domains 0..i); the rest stays NaN.
 			requireSameMatrix(t, "TCP", local, remote)
@@ -248,9 +270,10 @@ func TestAsyncStalenessZeroMatchesSync(t *testing.T) {
 	}
 }
 
-// TestAsyncOverTCPStalenessZero stacks the layers the fedserver CLI
-// stacks — engine → AsyncRunner(S=0) → transport Runner → TCP workers —
-// and requires the result to stay bit-identical to the plain local run.
+// TestAsyncOverTCPStalenessZero stacks the layers the fedserver CLI stacks
+// under -staleness — engine → AsyncRunner → transport Pipeline → TCP
+// workers — at S=0 under the full codec, and requires the result to stay
+// bit-identical to the plain local run.
 func TestAsyncOverTCPStalenessZero(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -258,64 +281,171 @@ func TestAsyncOverTCPStalenessZero(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	local := runLocal(t, "reffil", family, domains)
-	remote := runTCP(t, "reffil", family, domains, 2, func(inner fl.Runner) fl.Runner {
-		return &fl.AsyncRunner{Inner: inner, Staleness: 0}
-	})
+	remote, _ := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, wrap: asyncOver(0, nil)})
 	requireSameMatrix(t, "async-over-TCP(S=0)", local, remote)
 }
 
 // TestShardSpecMaterializeMatchesPartition pins the data-derivation
 // contract: a worker materializing a ShardSpec must recover exactly the
-// shard the engine partitioned, for every slot of the partition.
+// shard the engine partitioned, for every slot of the partition — also
+// when the run's family is class-limited below the dataset's own class
+// count (experiments.ScaleSmoke keeps 6 of PACS's 7).
 func TestShardSpecMaterializeMatchesPartition(t *testing.T) {
 	const (
 		seed     = int64(41)
 		task     = 1
 		learners = 3
 	)
+	full, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, err := experiments.ScaleSmoke.Family("pacs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limited.Classes >= full.Classes {
+		t.Fatalf("smoke family keeps %d of %d classes — not class-limited", limited.Classes, full.Classes)
+	}
+	for _, family := range []*data.Family{full, limited} {
+		train, _, err := family.Generate(family.Domains[task], 30, 10, fl.TaskSeed(seed, task))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := data.PartitionQuantityShift(train, learners, 0.5,
+			rand.New(rand.NewSource(fl.PartitionSeed(seed, task))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, want := range shards {
+			want.SetTask(task)
+			got, err := fl.ShardSpec{
+				Dataset:        family.Name,
+				Image:          family.Size,
+				Classes:        family.Classes,
+				Domain:         family.Domains[task],
+				Task:           task,
+				TrainPerDomain: 30,
+				TestPerDomain:  10,
+				GenSeed:        fl.TaskSeed(seed, task),
+				Learners:       learners,
+				Index:          idx,
+				Alpha:          0.5,
+				PartSeed:       fl.PartitionSeed(seed, task),
+			}.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("%d classes, shard %d: materialized %d examples, engine holds %d", family.Classes, idx, got.Len(), want.Len())
+			}
+			for i := range want.Examples {
+				w, g := want.Examples[i], got.Examples[i]
+				if w.Y != g.Y || w.Task != g.Task {
+					t.Fatalf("%d classes, shard %d example %d: label/task mismatch", family.Classes, idx, i)
+				}
+				if !w.X.AllClose(g.X, 0) {
+					t.Fatalf("%d classes, shard %d example %d: pixel data diverged", family.Classes, idx, i)
+				}
+			}
+		}
+	}
+}
+
+// TestClassLimitedFamilyOverTCP runs a class-limited family (the smoke
+// preset's) end to end: workers rebuild their shards from ShardSpecs, so
+// the spec must carry the class limit for the TCP matrix to equal the
+// in-process one.
+func TestClassLimitedFamilyOverTCP(t *testing.T) {
+	family, err := experiments.ScaleSmoke.Family("pacs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	local := runLocal(t, "reffil", family, domains)
+	remote, stats := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, codec: "delta"})
+	requireSameMatrix(t, "TCP(class-limited)", local, remote)
+	requireAllPatchUploads(t, stats)
+}
+
+// TestFullCodecUploadsArePatchSnapshots pins the one tensor wire form on
+// the path that used to ship a gob map instead: under the full codec every
+// ack a real Executor emits carries its trained state as a
+// wire.Patch{Full: true}, the coordinator counts each as a StateUpload —
+// none as a fallback — and the run stays bit-identical to the local one.
+func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, _, err := family.Generate(family.Domains[task], 30, 10, fl.TaskSeed(seed, task))
+	domains := family.Domains[:2]
+	want := localReference(t, "finetune", family, domains)
+
+	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := data.PartitionQuantityShift(train, learners, 0.5,
-		rand.New(rand.NewSource(fl.PartitionSeed(seed, task))))
+	defer coord.Close()
+	alg, err := experiments.NewMethodFromFlag("finetune", model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx, want := range shards {
-		want.SetTask(task)
-		got, err := fl.ShardSpec{
-			Dataset:        "pacs",
-			Image:          16,
-			Domain:         family.Domains[task],
-			Task:           task,
-			TrainPerDomain: 30,
-			TestPerDomain:  10,
-			GenSeed:        fl.TaskSeed(seed, task),
-			Learners:       learners,
-			Index:          idx,
-			Alpha:          0.5,
-			PartSeed:       fl.PartitionSeed(seed, task),
-		}.Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("shard %d: materialized %d examples, engine holds %d", idx, got.Len(), want.Len())
-		}
-		for i := range want.Examples {
-			w, g := want.Examples[i], got.Examples[i]
-			if w.Y != g.Y || w.Task != g.Task {
-				t.Fatalf("shard %d example %d: label/task mismatch", idx, i)
-			}
-			if !w.X.AllClose(g.X, 0) {
-				t.Fatalf("shard %d example %d: pixel data diverged", idx, i)
-			}
-		}
+	ex, err := transport.NewExecutor(alg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := transport.Dial(coord.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acks, snapshots atomic.Int64
+	served := make(chan error, 1)
+	go func() {
+		defer w.Close()
+		served <- w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+			return ex.Handle(b, func(jr transport.JobResult) error {
+				acks.Add(1)
+				if jr.Patch != nil && jr.Patch.Full && len(jr.Patch.Dense) > 0 && len(jr.Patch.Packed) == 0 {
+					snapshots.Add(1)
+				}
+				return emit(jr)
+			})
+		})
+	}()
+	if err := coord.Accept(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	coordAlg, err := experiments.NewMethodFromFlag("finetune", model.DefaultConfig(family.Classes), len(domains), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := transport.NewPipeline(coord, coordAlg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), coordAlg, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := eng.Run(family, domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatrix(t, "TCP(full)", want, mat.A)
+	_ = pl.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	stats := pl.Stats()
+	if n := acks.Load(); n == 0 || snapshots.Load() != n {
+		t.Fatalf("%d of %d acks were full wire.Patch snapshots", snapshots.Load(), n)
+	}
+	if stats.StateUploads != acks.Load() || stats.PatchUploads != 0 || stats.UploadFallbacks != 0 {
+		t.Fatalf("full-codec upload counts %+v, want %d state uploads and nothing else", stats, acks.Load())
 	}
 }
 
@@ -349,27 +479,21 @@ func TestCodecDeterminism(t *testing.T) {
 		method := method
 		t.Run(method, func(t *testing.T) {
 			local := localReference(t, method, family, domains)
-			delta, stats := runTCPCodecStats(t, method, family, domains, 2, nil, "delta")
+			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta"})
 			requireSameMatrix(t, "TCP(delta)", local, delta)
 			requireAllPatchUploads(t, stats)
 		})
 	}
 
 	t.Run("async_S1_stragglers", func(t *testing.T) {
-		wrap := func(inner fl.Runner) fl.Runner {
-			return &fl.AsyncRunner{
-				Inner:     inner,
-				Staleness: 1,
-				Delay:     fl.StragglerDelay(crossRunnerConfig().Seed, 0.33, 1),
-			}
-		}
-		full, fullStats := runTCPCodecStats(t, "lwf", family, domains, 2, wrap, "full")
-		delta, deltaStats := runTCPCodecStats(t, "lwf", family, domains, 2, wrap, "delta")
+		wrap := asyncOver(1, fl.StragglerDelay(crossRunnerConfig().Seed, 0.33, 1))
+		full, fullStats := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 2, codec: "full", wrap: wrap})
+		delta, deltaStats := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 2, codec: "delta", wrap: wrap})
 		requireSameMatrix(t, "async delta vs async full", full, delta)
-		// The full run is the legacy upload baseline, the delta run must be
-		// all patches — and it must land the identical matrix above.
-		if fullStats.PatchUploads != 0 || fullStats.StateUploads == 0 {
-			t.Fatalf("full-codec run uploads: %+v, want legacy full-state uploads only", fullStats)
+		// The full run is the snapshot-upload baseline, the delta run must
+		// be all patches — and it must land the identical matrix above.
+		if fullStats.PatchUploads != 0 || fullStats.StateUploads == 0 || fullStats.UploadFallbacks != 0 {
+			t.Fatalf("full-codec run uploads: %+v, want full-snapshot uploads only, none a fallback", fullStats)
 		}
 		requireAllPatchUploads(t, deltaStats)
 	})
@@ -381,7 +505,7 @@ func TestCodecDeterminism(t *testing.T) {
 func requireAllPatchUploads(t *testing.T, stats transport.Stats) {
 	t.Helper()
 	if stats.PatchUploads == 0 {
-		t.Fatal("delta-codec run produced no patch uploads — the v5 upload path never engaged")
+		t.Fatal("delta-codec run produced no patch uploads — the base-relative upload path never engaged")
 	}
 	if stats.StateUploads != 0 || stats.UploadFallbacks != 0 {
 		t.Fatalf("delta-codec run uploads: %+v, want patches only", stats)
@@ -399,7 +523,7 @@ func TestTopKCodecRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	mat := runTCPCodec(t, "finetune", family, domains, 2, nil, "topk")
+	mat, _ := runTCPWith(t, "finetune", family, domains, tcpRun{workers: 2, codec: "topk"})
 	for i := range mat {
 		for j := 0; j <= i; j++ {
 			if mat[i][j] < 0 || mat[i][j] > 1 {

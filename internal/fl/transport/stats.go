@@ -6,19 +6,18 @@ import (
 	"reffil/internal/telemetry"
 )
 
-// Stats aggregates the Runner's wire accounting: the evidence that delta
+// Stats aggregates the Pipeline's wire accounting: the evidence that delta
 // broadcast actually saves bytes. Byte counts are raw TCP bytes measured at
 // the coordinator's sockets (gob framing, job specs and acks included), so
 // they reflect what a real network would carry, not just tensor payloads.
-// Cumulative totals are exact; the per-round split of UploadBytes can
-// shift by a few buffered bytes between runs (gob decoders read ahead of
-// the frame boundary), so compare upload numbers across rounds, not byte
-// for byte.
+// Cumulative totals are exact socket deltas; the per-round split in
+// RoundStats is approximate (see there).
 type Stats struct {
-	// Rounds is how many round dispatches (Runner.Run calls) completed.
+	// Rounds is how many dispatched rounds completed.
 	Rounds int64
 	// BroadcastBytes / UploadBytes are coordinator→worker and
-	// worker→coordinator TCP bytes.
+	// worker→coordinator TCP bytes between the first dispatch and the most
+	// recent round completion.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
@@ -33,22 +32,22 @@ type Stats struct {
 	// connections, and re-queued work on a survivor that never saw the
 	// state.
 	Fallbacks int64
-	// PatchUploads / StateUploads count acked job results by upload kind
-	// (v5): delta-encoded patches against the round's broadcast base vs
-	// legacy full state dicts (every upload under the full codec).
+	// PatchUploads / StateUploads count acked job results by upload kind:
+	// patches diffed against the round's broadcast base vs full-snapshot
+	// patches (every upload under the full codec).
 	PatchUploads int64
 	StateUploads int64
 	// UploadFallbacks counts StateUploads that happened under a non-full
 	// codec: the worker held no base to diff against, so it fell back to
-	// the full form.
+	// a full snapshot.
 	UploadFallbacks int64
 }
 
-// add accumulates one completed round.
+// add accumulates one completed round's counts. The byte totals are not
+// summed from the per-round windows, which overlap; Pipeline.finishRound
+// sets them from the socket counters.
 func (s *Stats) add(rs RoundStats) {
 	s.Rounds++
-	s.BroadcastBytes += rs.BroadcastBytes
-	s.UploadBytes += rs.UploadBytes
 	s.FullFrames += rs.FullFrames
 	s.DeltaFrames += rs.DeltaFrames
 	s.IdleFrames += rs.IdleFrames
@@ -59,15 +58,19 @@ func (s *Stats) add(rs RoundStats) {
 }
 
 // RoundStats is one completed round dispatch's slice of the accounting,
-// delivered through Runner.OnRound.
+// delivered through Pipeline.OnRound.
 type RoundStats struct {
 	// Task and Round identify the dispatch.
 	Task, Round int
 	// Attempts is how many broadcast waves the round took (1 + re-queue
 	// attempts after worker deaths).
 	Attempts int
-	// BroadcastBytes / UploadBytes are this round's TCP bytes in each
-	// direction.
+	// BroadcastBytes / UploadBytes are the TCP bytes that moved in each
+	// direction between this round's dispatch and its last ack. With one
+	// round in flight at a time that is the round's own traffic (give or
+	// take the few bytes gob decoders read ahead of a frame boundary, and
+	// the workers' closing Done frames, which trail the last ack); when
+	// rounds overlap the window carries the other rounds' traffic too.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// Frame counts by state kind, as in Stats.
@@ -80,10 +83,8 @@ type RoundStats struct {
 	StateUploads    int64
 	UploadFallbacks int64
 	// DispatchNanos is the wall-clock span of the round's dispatch path —
-	// frame building plus broadcast sends. Under the pipelined runner this
-	// is all the coordinator pays before it can move on to the next round;
-	// under the barrier Runner the whole round (training included) sits
-	// inside its Run call and dispatch is only the send phase.
+	// frame building plus broadcast sends: all the coordinator pays before
+	// it can move on to the next round.
 	DispatchNanos int64
 	// FirstAckNanos / LastAckNanos are the wall-clock latencies from
 	// dispatch start to the round's first and last job ack. Zero when the
@@ -91,15 +92,14 @@ type RoundStats struct {
 	FirstAckNanos int64
 	LastAckNanos  int64
 	// OverlapNanos is how much of this round's collection span ran after a
-	// later round had already been dispatched — the wall-clock time the
-	// pipelined runner reclaimed from the barrier. Always zero under the
-	// barrier Runner, where no later round dispatches until this one
-	// completes.
+	// later round had already been dispatched — the wall-clock time
+	// pipelining reclaimed. Zero for synchronous rounds (staleness 0),
+	// where no later round dispatches until this one completes.
 	OverlapNanos int64
 }
 
 // OverlapRatio is OverlapNanos as a fraction of the round's full dispatch-
-// to-last-ack span: 0 for barrier rounds, approaching 1 when nearly the
+// to-last-ack span: 0 for synchronous rounds, approaching 1 when nearly the
 // whole collection ran concurrently with later rounds.
 func (rs RoundStats) OverlapRatio() float64 {
 	if rs.LastAckNanos <= 0 {
@@ -110,13 +110,12 @@ func (rs RoundStats) OverlapRatio() float64 {
 
 // observation converts one completed round into the telemetry record. Byte
 // totals are the *cumulative* socket counters at completion rather than the
-// per-round split: the pipelined runner cannot attribute socket bytes to a
-// single in-flight round, and mirroring the running totals makes the
-// /metrics byte counters reconcile exactly with Stats for both runners.
-func (rs RoundStats) observation(start time.Time, pipelined bool, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
+// per-round split: socket bytes cannot be attributed to a single in-flight
+// round, and mirroring the running totals makes the /metrics byte counters
+// reconcile exactly with Stats.
+func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
 	return telemetry.RoundObservation{
-		Task: rs.Task, Round: rs.Round, Attempts: rs.Attempts,
-		Pipelined: pipelined, Start: start,
+		Task: rs.Task, Round: rs.Round, Attempts: rs.Attempts, Start: start,
 		DispatchNanos: rs.DispatchNanos,
 		FirstAckNanos: rs.FirstAckNanos,
 		LastAckNanos:  rs.LastAckNanos,

@@ -16,131 +16,18 @@ import (
 	"time"
 
 	"reffil/internal/data"
-	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
-	"reffil/internal/model"
 	"reffil/internal/telemetry"
 )
 
-// telemetryRunOpts configures one instrumented loopback federation.
-type telemetryRunOpts struct {
-	pipelined bool
-	staleness int
-	delay     func(round int, spec fl.JobSpec) int
-	straggle  map[int]func(fl.JobSpec) // worker id -> pre-ack hook
-	codec     string
-	sink      *telemetry.Sink
-	onRound   func(transport.RoundStats)
-}
-
-// runTCPTelemetry executes the full task sequence over loopback TCP with a
-// telemetry sink and/or an OnRound observer attached at every layer the
-// fedserver wires them into: coordinator, round runner, and engine.
-func runTCPTelemetry(t *testing.T, family *data.Family, domains []string, nWorkers int, opt telemetryRunOpts) transport.Stats {
-	t.Helper()
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.SetTelemetry(opt.sink)
-
-	var wg sync.WaitGroup
-	workerErr := make([]error, nWorkers)
-	for id := 0; id < nWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex, err := transport.NewExecutor(alg, 1)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex.Straggle = opt.straggle[id]
-			w, err := transport.Dial(coord.Addr(), id)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			defer w.Close()
-			workerErr[id] = w.Serve(ex.Handle)
-		}(id)
-	}
-	if err := coord.Accept(nWorkers, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr interface {
-		fl.Runner
-		UseCodec(string) error
-		Stats() transport.Stats
-	}
-	closeTransport := func() {}
-	if opt.pipelined {
-		pl, err := transport.NewPipeline(coord, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.Telemetry = opt.sink
-		pl.OnRound = opt.onRound
-		closeTransport = func() { _ = pl.Close() }
-		tr = pl
-	} else {
-		br, err := transport.NewRunner(coord, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br.Telemetry = opt.sink
-		br.OnRound = opt.onRound
-		tr = br
-	}
-	if opt.codec != "" {
-		if err := tr.UseCodec(opt.codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var runner fl.Runner = tr
-	if opt.pipelined || opt.staleness > 0 {
-		runner = &fl.AsyncRunner{Inner: tr, Staleness: opt.staleness, Delay: opt.delay, Telemetry: opt.sink}
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Telemetry = opt.sink
-	if _, err := eng.Run(family, domains); err != nil {
-		t.Fatal(err)
-	}
-	closeTransport()
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for id, err := range workerErr {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
-	return tr.Stats()
-}
-
 // TestRoundStatsTiming pins the PR-7 wall-clock fields with bounded
-// inequalities rather than exact values: on a barrier run where every
+// inequalities rather than exact values: on a synchronous run where every
 // worker really sleeps before each ack, the first ack cannot arrive before
-// the sleep has elapsed, acks are ordered, and a barrier round — which by
-// construction never runs concurrently with a successor — reports zero
-// overlap. A pipelined lag-all run with a slow worker must then show the
-// opposite: some round's collection genuinely overlapped later rounds.
+// the sleep has elapsed, acks are ordered, and a synchronous round — which
+// never runs concurrently with a successor — reports zero overlap. A
+// lag-all S=1 run with a slow worker must then show the opposite: some
+// round's collection genuinely overlapped later rounds.
 func TestRoundStatsTiming(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -157,7 +44,8 @@ func TestRoundStatsTiming(t *testing.T) {
 		mu.Unlock()
 	}
 
-	runTCPTelemetry(t, family, domains, 2, telemetryRunOpts{
+	runTCPWith(t, "reffil", family, domains, tcpRun{
+		workers: 2,
 		straggle: map[int]func(fl.JobSpec){
 			0: func(fl.JobSpec) { time.Sleep(sleep) },
 			1: func(fl.JobSpec) { time.Sleep(sleep) },
@@ -178,23 +66,22 @@ func TestRoundStatsTiming(t *testing.T) {
 			t.Errorf("task %d round %d: FirstAckNanos %d > LastAckNanos %d", rs.Task, rs.Round, rs.FirstAckNanos, rs.LastAckNanos)
 		}
 		if rs.OverlapNanos != 0 {
-			t.Errorf("task %d round %d: barrier round reports OverlapNanos %d, want 0", rs.Task, rs.Round, rs.OverlapNanos)
+			t.Errorf("task %d round %d: synchronous round reports OverlapNanos %d, want 0", rs.Task, rs.Round, rs.OverlapNanos)
 		}
 		if r := rs.OverlapRatio(); r < 0 || r > 1 {
 			t.Errorf("task %d round %d: OverlapRatio %v outside [0, 1]", rs.Task, rs.Round, r)
 		}
 	}
 
-	// Pipelined S=1, every result lagging one round, worker 1 genuinely
+	// S=1, every result lagging one round, worker 1 genuinely
 	// slow: round r+1 dispatches while round r's acks are still in flight,
 	// so at least one round's collection window must overlap a successor.
 	mu.Lock()
 	rounds = nil
 	mu.Unlock()
-	runTCPTelemetry(t, family, domains, 2, telemetryRunOpts{
-		pipelined: true,
-		staleness: 1,
-		delay:     func(int, fl.JobSpec) int { return 1 },
+	runTCPWith(t, "reffil", family, domains, tcpRun{
+		workers: 2,
+		wrap:    asyncOver(1, func(int, fl.JobSpec) int { return 1 }),
 		straggle: map[int]func(fl.JobSpec){
 			1: func(fl.JobSpec) { time.Sleep(60 * time.Millisecond) },
 		},
@@ -213,7 +100,7 @@ func TestRoundStatsTiming(t *testing.T) {
 		}
 	}
 	if !overlapped {
-		t.Errorf("pipelined lag-all run with a slow worker reported no overlapping round in %d rounds", len(rounds))
+		t.Errorf("lag-all run with a slow worker reported no overlapping round in %d rounds", len(rounds))
 	}
 }
 
@@ -237,7 +124,7 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 	}
 	sink := telemetry.NewSink(reg, trc)
 
-	stats := runTCPTelemetry(t, family, domains, 2, telemetryRunOpts{codec: "delta", sink: sink})
+	_, stats := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, codec: "delta", sink: sink})
 	sink.Close()
 
 	snap := reg.Snapshot()

@@ -3,10 +3,10 @@
 // workers over TCP, workers derive each job's shard locally, train, and
 // stream back one acknowledged result per job, and the coordinator
 // aggregates. Messages are gob-encoded and versioned; tensors cross the
-// wire as shape+data pairs and datasets never cross it at all (see
+// wire only inside wire.Patch and datasets never cross it at all (see
 // fl.ShardSpec).
 //
-// The package plugs into the engine through Runner (the coordinator side
+// The package plugs into the engine through Pipeline (the coordinator side
 // of fl.Runner) and Executor (the worker side): the full fl.Engine — the
 // client-increment strategy, per-round selection, dropout, FedAvg and the
 // method's server hooks — drives a real federation exactly as it drives
@@ -25,17 +25,17 @@
 // versioned wire.Frame — a codec-encoded state patch against the base
 // version the coordinator knows this worker holds, plus the wire-state
 // payload only when its bytes changed (see internal/fl/wire). Every
-// connection is byte-counted, so the Runner can prove the savings
+// connection is byte-counted, so the Pipeline can prove the savings
 // (Stats/RoundStats).
 //
 // Since protocol v5 uploads are delta-encoded too: under any non-full
 // codec a worker answers each job with a lossless wire.Patch diffed
 // against the round's broadcast base — the state both ends already hold —
 // and the coordinator reconstructs it against the base it mirrors for that
-// slot. Re-queued jobs diff against the *survivor's* own base, which the
-// coordinator mirrors equally, so crash-mid-round stays bit-identical. The
-// lossy topk codec is restricted to the broadcast direction; its uploads
-// fall back to the lossless delta.
+// slot. Re-queued jobs train and diff against the origin round's state,
+// which the coordinator retains and ships as a Replay, so crash-mid-round
+// stays bit-identical. The lossy topk codec is restricted to the broadcast
+// direction; its uploads fall back to the lossless delta.
 //
 // Since protocol v7 membership is elastic: every connection opens with a
 // Hello/HelloAck handshake (worker id, pinned codec, heartbeat interval)
@@ -60,7 +60,6 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/telemetry"
-	"reffil/internal/tensor"
 )
 
 // ProtocolVersion tags every Broadcast and Update. Both ends reject frames
@@ -79,8 +78,7 @@ import (
 // v5 delta-encodes the upload direction: broadcasts carry the round's
 // codec name, and under any non-full codec workers answer each job with a
 // wire.Patch diffed against the round's broadcast base instead of the full
-// state dict (JobResult.Patch vs the legacy JobResult.State). The lossy
-// topk codec is broadcast-only — its uploads fall back to the lossless
+// state dict (JobResult.Patch). The lossy topk codec is broadcast-only — its uploads fall back to the lossless
 // delta — so FedAvg inputs are never approximated.
 //
 // v6 adds pipelined rounds: the coordinator may broadcast round r+1 while
@@ -98,42 +96,15 @@ import (
 // instead of surfacing mid-round. Workers that advertise a heartbeat
 // interval stream Pong updates on it, letting the coordinator bound
 // wedged-worker detection with a per-slot read deadline.
-const ProtocolVersion = 7
-
-// WireTensor is the serialized form of a tensor.
-type WireTensor struct {
-	Shape []int
-	Data  []float64
-}
-
-// ToWire converts a state dict for transmission.
-func ToWire(dict map[string]*tensor.Tensor) map[string]WireTensor {
-	out := make(map[string]WireTensor, len(dict))
-	//fedvet:ignore maporder map-to-map conversion is order-insensitive; gob encodes the result through the codec's sorted-key path
-	for k, v := range dict {
-		out[k] = WireTensor{Shape: v.Shape(), Data: append([]float64(nil), v.Data()...)}
-	}
-	return out
-}
-
-// FromWire reconstructs a state dict from its wire form.
-func FromWire(w map[string]WireTensor) (map[string]*tensor.Tensor, error) {
-	out := make(map[string]*tensor.Tensor, len(w))
-	for k, v := range w {
-		n := 1
-		for _, d := range v.Shape {
-			if d < 0 {
-				return nil, fmt.Errorf("transport: entry %q has negative dim %d", k, d)
-			}
-			n *= d
-		}
-		if n != len(v.Data) {
-			return nil, fmt.Errorf("transport: entry %q shape %v does not fit %d values", k, v.Shape, len(v.Data))
-		}
-		out[k] = tensor.FromSlice(append([]float64(nil), v.Data...), v.Shape...)
-	}
-	return out, nil
-}
+//
+// v8 leaves one tensor wire form: every state dict that crosses a socket —
+// broadcast frames, job uploads under every codec (full-codec uploads and
+// no-base fallbacks are Patch{Full: true} snapshots), and replay state —
+// is a wire.Patch, so JobResult.State, Replay.State and the gob
+// shape+data map they carried are gone. fl.ShardSpec also gained the
+// family's class count, so workers of a class-limited run materialize the
+// shard the coordinator partitioned.
+const ProtocolVersion = 8
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
 // assignment. A round normally sends one broadcast per worker; when a
@@ -180,8 +151,9 @@ type Broadcast struct {
 // purpose — the origin round's state may predate or postdate whatever the
 // survivor's tracker holds, so no delta base is guaranteed to exist.
 type Replay struct {
-	// State is the origin round's full global state dict.
-	State map[string]WireTensor
+	// Patch is the origin round's global state dict as a full snapshot
+	// (Patch.Full is set; the survivor decodes it against no base).
+	Patch wire.Patch
 	// Payload is the origin round's method wire state; HasPayload marks
 	// that the survivor must load it (its own payload version differs from
 	// the origin round's). After the replay the survivor restores the
@@ -190,21 +162,18 @@ type Replay struct {
 	HasPayload bool
 }
 
-// JobResult is one executed job's acknowledged reply. Exactly one of State
-// and Patch carries the trained state (the FedAvg payload).
+// JobResult is one executed job's acknowledged reply.
 type JobResult struct {
 	// Index is the job's position in the broadcast's Jobs list; the
 	// coordinator validates it when mapping results back to round order.
 	Index int
-	// State is the trained replica's full state dict in the legacy wire
-	// form. Since v5 it is sent only under the full codec — the byte-
-	// accounting baseline — or when the worker holds no base to diff
-	// against (which the coordinator counts as an upload fallback).
-	State map[string]WireTensor
-	// Patch is the delta-encoded upload (v5): the trained replica's state
-	// diffed against the round's broadcast base — the dict both ends
-	// already hold, the worker in its receive tracker and the coordinator
-	// in its per-slot mirror — with a lossless codec (wire.ForUpload).
+	// Patch is the trained replica's state (the FedAvg payload), encoded
+	// with the round's upload codec (wire.ForUpload): under any non-full
+	// codec a lossless diff against the round's broadcast base — the dict
+	// both ends already hold, the worker in its receive tracker and the
+	// coordinator in its per-slot mirror; under the full codec, or when the
+	// worker holds no base (which the coordinator counts as an upload
+	// fallback), a complete snapshot with Patch.Full set.
 	Patch *wire.Patch
 	// Upload is the method-specific upload, encoded by fl.UploadCoder
 	// (empty when the method uploads nothing).
@@ -274,7 +243,7 @@ type HelloAck struct {
 
 // Coordinator runs the server side of a federation. Worker connections
 // that fail are marked dead and skipped from then on — the round layer
-// (Runner) decides whether a death fails the round or re-queues work.
+// (Pipeline) decides whether a death fails the round or re-queues work.
 type Coordinator struct {
 	ln net.Listener
 	mu sync.Mutex
@@ -298,7 +267,7 @@ type Coordinator struct {
 	closed bool
 	// bytesOut/bytesIn count the raw TCP bytes the coordinator has written
 	// to / read from workers across all connections — the ground truth the
-	// Runner's per-round byte accounting snapshots.
+	// Pipeline's byte accounting snapshots.
 	bytesOut atomic.Int64
 	bytesIn  atomic.Int64
 	// tel records membership telemetry (joins, live-worker gauge, wedge
@@ -496,7 +465,7 @@ func (c *Coordinator) waitJoin(timeout time.Duration, ok func() bool) error {
 // SetTelemetry attaches a telemetry sink (nil-safe: a nil sink keeps
 // telemetry off). The coordinator reports membership events through it —
 // join handshakes, the live-worker gauge, and heartbeat wedge detections;
-// round-level signals come from the Runner/Pipeline layer instead.
+// round-level signals come from the Pipeline layer instead.
 func (c *Coordinator) SetTelemetry(s *telemetry.Sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

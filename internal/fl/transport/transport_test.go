@@ -19,48 +19,9 @@ import (
 	"reffil/internal/tensor"
 )
 
-func TestWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	dict := map[string]*tensor.Tensor{
-		"w":      tensor.RandN(rng, 1, 3, 4),
-		"b":      tensor.RandN(rng, 1, 4),
-		"scalar": tensor.Scalar(2.5),
-	}
-	back, err := FromWire(ToWire(dict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(dict) {
-		t.Fatalf("round trip lost entries: %d vs %d", len(back), len(dict))
-	}
-	for k, v := range dict {
-		if !back[k].AllClose(v, 0) {
-			t.Fatalf("entry %q corrupted in round trip", k)
-		}
-	}
-}
-
-func TestFromWireValidation(t *testing.T) {
-	if _, err := FromWire(map[string]WireTensor{"x": {Shape: []int{2}, Data: []float64{1}}}); err == nil {
-		t.Fatal("shape/data mismatch must error")
-	}
-	if _, err := FromWire(map[string]WireTensor{"x": {Shape: []int{-1}, Data: nil}}); err == nil {
-		t.Fatal("negative dim must error")
-	}
-}
-
-func TestToWireCopiesData(t *testing.T) {
-	src := tensor.FromSlice([]float64{1, 2}, 2)
-	w := ToWire(map[string]*tensor.Tensor{"x": src})
-	src.Set(99, 0)
-	if w["x"].Data[0] != 1 {
-		t.Fatal("ToWire must copy, not alias")
-	}
-}
-
-// wireAlg is the minimal coordinator-side fl.Algorithm for Runner tests: a
-// single scalar parameter. The Runner only reads Global()'s state dict and
-// the algorithm's name; training happens in the tests' scripted worker
+// wireAlg is the minimal coordinator-side fl.Algorithm for Pipeline tests: a
+// single scalar parameter. The Pipeline only reads Global()'s state dict
+// and the algorithm's name; training happens in the tests' scripted worker
 // handlers, never through LocalTrain.
 type wireAlg struct {
 	w      *autograd.Value
@@ -131,10 +92,10 @@ func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 
 // perturbHandler returns a streaming handler that "trains" each assigned
 // job by adding delta(clientID) to every broadcast weight and acks it. It
-// maintains the worker-side frame tracker and follows the v5 upload
-// policy — patch uploads against the broadcast base under any non-full
-// codec, legacy full state otherwise — so it works under every codec
-// (full snapshots, per-key deltas, idle frames).
+// maintains the worker-side frame tracker, trains replay broadcasts against
+// the replay's own snapshot without touching that tracker, and follows the
+// upload policy (wire.ForUpload against the state it trained from), so it
+// works under every codec (full snapshots, per-key deltas, idle frames).
 func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	return perturbKeysHandler(nil, delta)
 }
@@ -145,15 +106,24 @@ func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) 
 func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	var tr wire.Tracker
 	return func(b Broadcast, emit func(JobResult) error) error {
-		if _, _, _, err := tr.Apply(&b.Frame); err != nil {
-			return err
+		var base map[string]*tensor.Tensor
+		if b.Replay != nil {
+			var err error
+			if base, err = wire.Decode(nil, &b.Replay.Patch); err != nil {
+				return err
+			}
+		} else {
+			if _, _, _, err := tr.Apply(&b.Frame); err != nil {
+				return err
+			}
+			base = tr.Dict
 		}
 		upCodec, err := wire.ForUpload(b.Codec)
 		if err != nil {
 			return err
 		}
 		for k, spec := range b.Jobs {
-			state := cloneDict(tr.Dict)
+			state := cloneDict(base)
 			for name, v := range state {
 				if keys != nil {
 					hit := false
@@ -169,17 +139,11 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 					d[j] += delta(spec.ClientID)
 				}
 			}
-			jr := JobResult{Index: k}
-			if upCodec != nil && tr.Dict != nil {
-				p, err := upCodec.Encode(tr.Dict, state)
-				if err != nil {
-					return err
-				}
-				jr.Patch = p
-			} else {
-				jr.State = ToWire(state)
+			p, err := upCodec.Encode(base, state)
+			if err != nil {
+				return err
 			}
-			if err := emit(jr); err != nil {
+			if err := emit(JobResult{Index: k, Patch: p}); err != nil {
 				return err
 			}
 		}
@@ -227,10 +191,10 @@ func fakeCoordHandshake(t *testing.T, conn net.Conn) (*gob.Encoder, *gob.Decoder
 	return enc, dec
 }
 
-// TestRunnerStreamsPerJobAcks drives the v3 flow end to end over loopback:
+// TestPipelineStreamsPerJobAcks drives the v3 flow end to end over loopback:
 // three jobs fan out over two workers, each worker streams one ack per job
-// plus a Done frame, and the Runner maps the acks back into job order.
-func TestRunnerStreamsPerJobAcks(t *testing.T) {
+// plus a Done frame, and the Pipeline maps the acks back into job order.
+func TestPipelineStreamsPerJobAcks(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +207,7 @@ func TestRunnerStreamsPerJobAcks(t *testing.T) {
 	)
 
 	alg := newWireAlg(100)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +220,7 @@ func TestRunnerStreamsPerJobAcks(t *testing.T) {
 			t.Fatalf("job %d result = %v, want %v", i, got, want)
 		}
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +231,10 @@ func TestRunnerStreamsPerJobAcks(t *testing.T) {
 	}
 }
 
-// TestRunnerIdleWorkerStaysInLockstep runs a round with fewer jobs than
+// TestPipelineIdleWorkerStaysInLockstep runs a round with fewer jobs than
 // workers: the idle worker must receive an empty broadcast, answer with a
 // bare Done, and stay live for the next round.
-func TestRunnerIdleWorkerStaysInLockstep(t *testing.T) {
+func TestPipelineIdleWorkerStaysInLockstep(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +244,7 @@ func TestRunnerIdleWorkerStaysInLockstep(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +260,7 @@ func TestRunnerIdleWorkerStaysInLockstep(t *testing.T) {
 	if got := coord.NumLive(); got != 2 {
 		t.Fatalf("live workers = %d, want 2", got)
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +290,12 @@ func killAfterFirstAck(w *Worker, inner func(Broadcast, func(JobResult) error) e
 	}
 }
 
-// TestRunnerRequeuesDeadWorkerJobs is the transport-level fault-injection
+// TestPipelineRequeuesDeadWorkerJobs is the transport-level fault-injection
 // test: worker 0 dies after acking the first of its two jobs, and the
 // round must still complete — the acked result kept, the unfinished job
 // re-queued on the survivor — with exactly the results an uncrashed run
 // would produce. A follow-up round must then run entirely on the survivor.
-func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
+func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +309,7 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
 	)
 
-	r, err := NewRunner(coord, newWireAlg(100))
+	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +346,7 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 			t.Fatalf("follow-up job %d result = %v, want %v", i, got, want)
 		}
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -388,9 +355,9 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 	}
 }
 
-// TestRunnerFailsFastWithoutRequeue pins the opt-out: with Requeue off, a
+// TestPipelineFailsFastWithoutRequeue pins the opt-out: with Requeue off, a
 // worker death mid-round fails the round instead of re-queueing.
-func TestRunnerFailsFastWithoutRequeue(t *testing.T) {
+func TestPipelineFailsFastWithoutRequeue(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +369,7 @@ func TestRunnerFailsFastWithoutRequeue(t *testing.T) {
 		},
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +378,7 @@ func TestRunnerFailsFastWithoutRequeue(t *testing.T) {
 		t.Fatalf("run error = %v, want a re-queue-disabled failure", err)
 	}
 	<-done[0]
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +387,9 @@ func TestRunnerFailsFastWithoutRequeue(t *testing.T) {
 	}
 }
 
-// TestRunnerFailsWhenAllWorkersDie: with every worker dead mid-round there
+// TestPipelineFailsWhenAllWorkersDie: with every worker dead mid-round there
 // is nowhere to re-queue, and the round must fail rather than spin.
-func TestRunnerFailsWhenAllWorkersDie(t *testing.T) {
+func TestPipelineFailsWhenAllWorkersDie(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +400,7 @@ func TestRunnerFailsWhenAllWorkersDie(t *testing.T) {
 			return w.Serve(killAfterFirstAck(w, perturbHandler(func(id int) float64 { return float64(id) })))
 		},
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +479,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		{
 			Version:  ProtocolVersion,
 			WorkerID: 1,
-			Results: []JobResult{{
-				Index:  0,
-				State:  ToWire(map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)}),
-				Upload: []byte{1, 2},
-			}},
+			Results:  []JobResult{{Index: 0, Patch: dense, Upload: []byte{1, 2}}},
 		},
 		{
 			Version:  ProtocolVersion,
@@ -594,7 +558,7 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 }
 
 // TestCoordinatorRejectsVersionMismatch connects a raw gob stream posing
-// as an old-protocol worker: the Runner's round must fail instead of
+// as an old-protocol worker: the Pipeline's round must fail instead of
 // consuming its acks.
 func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
@@ -631,7 +595,7 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	if err := coord.Accept(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,13 +607,13 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-func TestRunnerWithoutWorkers(t *testing.T) {
+func TestPipelineWithoutWorkers(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +633,7 @@ func TestAcceptTimeout(t *testing.T) {
 	}
 }
 
-// TestMultiRoundFederation runs five engine-free rounds through the Runner
+// TestMultiRoundFederation runs five engine-free rounds through the Pipeline
 // with the aggregate fed back between rounds, checking the round stream
 // framing survives reuse of the same connections.
 func TestMultiRoundFederation(t *testing.T) {
@@ -682,7 +646,7 @@ func TestMultiRoundFederation(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 	)
 	alg := newWireAlg(0)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,6 +662,7 @@ func TestMultiRoundFederation(t *testing.T) {
 	if got := alg.w.T.At(0); got != 5 {
 		t.Fatalf("after 5 rounds w = %v, want 5", got)
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -706,14 +671,14 @@ func TestMultiRoundFederation(t *testing.T) {
 	}
 }
 
-// TestRunnerDeltaStats drives the byte accounting end to end: an algorithm
+// TestPipelineDeltaStats drives the byte accounting end to end: an algorithm
 // whose state is one trainable scalar plus a large frozen buffer runs two
 // rounds under the delta codec, with workers that "train" only the scalar.
 // Round one must ship full snapshots (fresh workers — counted as
 // fallbacks) but already collect patch uploads; round two per-key deltas
 // that skip the frozen buffer entirely — in both directions — with the
 // measured TCP bytes collapsing accordingly.
-func TestRunnerDeltaStats(t *testing.T) {
+func TestPipelineDeltaStats(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -726,22 +691,26 @@ func TestRunnerDeltaStats(t *testing.T) {
 
 	const frozenElems = 1 << 12
 	alg := newWireAlg(100).withFrozenBuffer(frozenElems)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
-	var rounds []RoundStats
-	r.OnRound = func(rs RoundStats) { rounds = append(rounds, rs) }
+	// OnRound fires on a collector goroutine once the round's last ack has
+	// landed, possibly after Run has returned.
+	roundDone := make(chan RoundStats, 1)
+	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
 	if _, err := r.Run(wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err != nil { // switching codec mid-run must be rejected
+	first := <-roundDone
+	if _, err := r.Run(wireJobs(1)); err != nil {
 		t.Fatal(err)
 	}
+	<-roundDone
 	if err := r.UseCodec("full"); err == nil {
 		t.Fatal("switching codec after the first round must error")
 	}
@@ -751,11 +720,8 @@ func TestRunnerDeltaStats(t *testing.T) {
 	if _, err := r.Run(wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
+	third := <-roundDone
 
-	if len(rounds) != 3 {
-		t.Fatalf("OnRound fired %d times, want 3", len(rounds))
-	}
-	first, third := rounds[0], rounds[2]
 	if first.FullFrames != 2 || first.Fallbacks != 2 || first.DeltaFrames != 0 {
 		t.Fatalf("round 1 frames: %+v, want 2 full-snapshot fallbacks", first)
 	}
@@ -768,7 +734,7 @@ func TestRunnerDeltaStats(t *testing.T) {
 		t.Fatalf("delta round broadcast %d bytes vs full round %d — deltas saved nothing",
 			third.BroadcastBytes, first.BroadcastBytes)
 	}
-	// v5: every ack under the delta codec is a patch upload — the workers
+	// Every ack under the delta codec is a base-relative patch — the workers
 	// receive state before their first job, so the no-base fallback never
 	// fires. The trained scalar is a one-key patch; the frozen buffer must
 	// drop out of the uploads exactly as it drops out of the broadcasts.
@@ -789,6 +755,7 @@ func TestRunnerDeltaStats(t *testing.T) {
 		t.Fatalf("patch uploads %d bytes vs %d broadcast — upload deltas saved nothing",
 			stats.UploadBytes, stats.BroadcastBytes)
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -857,7 +824,7 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Hammer the paths a straggling round goroutine would hit while Close
-	// runs (one sender and one receiver per connection, as the Runner
+	// runs (one sender and one receiver per connection, as the Pipeline
 	// guarantees); under -race this also proves the locking.
 	wg.Add(3)
 	go func() {
@@ -917,7 +884,7 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 	done := acceptInOrder(t, coord,
 		func(w *Worker) error { return w.Serve(perturbHandler(func(int) float64 { return 1 })) },
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,6 +914,7 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 	if err := r.UseCodec("full"); err == nil {
 		t.Fatal("UseCodec after the first round must error")
 	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -955,55 +923,45 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 	}
 }
 
-// TestRequeueFullSnapshotForBaselessSurvivor pins the re-queue/delta
+// TestReplayLeavesSurvivorMirrorUntouched pins the re-queue/delta
 // interaction: jobs re-queued onto a survivor that never saw any state
-// version (it was idle when the round's delta broadcast went out) must
-// arrive with a full snapshot, not a diff against a base it does not hold.
-// Workers 0 and 1 die on receiving their state broadcast; idle worker 2
-// inherits both jobs and must observe frame kinds [none, full].
-func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
+// version (it was idle when the round's delta broadcast went out) arrive
+// as Replay broadcasts carrying the origin round's state as a full
+// wire.Patch snapshot, and neither the survivor's frame stream nor the
+// coordinator's mirror of it moves — so the survivor's next live frame is
+// the full-snapshot fallback of a worker with no base. Workers 0 and 1 die
+// on receiving their state broadcast; idle worker 2 inherits both jobs.
+func TestReplayLeavesSurvivorMirrorUntouched(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	// killOnState closes the connection as soon as a broadcast carries
-	// state, before acking anything.
-	killOnState := func(w *Worker) func(Broadcast, func(JobResult) error) error {
-		return func(b Broadcast, emit func(JobResult) error) error {
-			if err := w.Close(); err != nil {
-				return err
-			}
-			return nil
-		}
+	// killOnBroadcast closes the connection on the first broadcast, before
+	// acking anything.
+	killOnBroadcast := func(w *Worker) error {
+		return w.Serve(func(Broadcast, func(JobResult) error) error { return w.Close() })
 	}
-	kinds := make(chan wire.Kind, 8)
-	recording := func(inner func(Broadcast, func(JobResult) error) error) func(Broadcast, func(JobResult) error) error {
-		return func(b Broadcast, emit func(JobResult) error) error {
-			kinds <- b.Frame.Kind
+	seen := make(chan Broadcast, 8)
+	survivor := func(w *Worker) error {
+		inner := perturbHandler(func(id int) float64 { return float64(id) })
+		return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
+			seen <- b
 			return inner(b, emit)
-		}
+		})
 	}
-	var survivorHandler func(*Worker) error
-	survivorHandler = func(w *Worker) error {
-		return w.Serve(recording(perturbHandler(func(id int) float64 { return float64(id) })))
-	}
-	done := acceptInOrder(t, coord,
-		func(w *Worker) error { return w.Serve(killOnState(w)) },
-		func(w *Worker) error { return w.Serve(killOnState(w)) },
-		survivorHandler,
-	)
+	done := acceptInOrder(t, coord, killOnBroadcast, killOnBroadcast, survivor)
 
-	r, err := NewRunner(coord, newWireAlg(100))
+	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
-	var rounds []RoundStats
-	r.OnRound = func(rs RoundStats) { rounds = append(rounds, rs) }
+	roundDone := make(chan RoundStats, 1)
+	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
 	// Two jobs over three workers: slots 0 and 1 get one each, slot 2 idles.
 	results, err := r.Run(wireJobs(1, 2))
@@ -1018,14 +976,29 @@ func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers = %d, want 1", got)
 	}
-	if len(rounds) != 1 || rounds[0].Attempts != 2 {
-		t.Fatalf("round stats %+v, want one round with 2 attempts", rounds)
+	if rs := <-roundDone; rs.Attempts < 2 || rs.IdleFrames != 1 {
+		t.Fatalf("round stats %+v, want re-queue attempts and 1 idle frame", rs)
 	}
-	// Attempt 1: full to slots 0 and 1, none to idle slot 2. Attempt 2: a
-	// full-snapshot fallback to slot 2, which has no base.
-	if rounds[0].FullFrames != 3 || rounds[0].IdleFrames != 1 || rounds[0].Fallbacks != 3 {
-		t.Fatalf("frame counts %+v, want 3 full (all fallbacks) and 1 idle", rounds[0])
+	r.tmu.Lock()
+	mirror := *r.trackers[2]
+	r.tmu.Unlock()
+	if mirror.Version != 0 || mirror.Dict != nil {
+		t.Fatalf("survivor mirror moved to version %d during the replays", mirror.Version)
 	}
+
+	// The next live round must treat the survivor as the baseless worker
+	// its mirror says it is.
+	results, err = r.Run(wireJobs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[0].Dict["w"].At(0); got != 103 {
+		t.Fatalf("follow-up result = %v, want 103", got)
+	}
+	if rs := <-roundDone; rs.FullFrames != 1 || rs.Fallbacks != 1 {
+		t.Fatalf("follow-up round stats %+v, want one full-snapshot fallback", rs)
+	}
+	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -1034,12 +1007,21 @@ func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	if err := <-done[2]; err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
-	close(kinds)
-	var got []wire.Kind
-	for k := range kinds {
-		got = append(got, k)
+	close(seen)
+	var got []Broadcast
+	for b := range seen {
+		got = append(got, b)
 	}
-	if len(got) != 2 || got[0] != wire.KindNone || got[1] != wire.KindFull {
-		t.Fatalf("survivor observed frame kinds %v, want [none full]", got)
+	if len(got) < 3 || got[0].Replay != nil || got[0].Frame.Kind != wire.KindNone {
+		t.Fatalf("survivor saw %d broadcasts, want an idle frame first then replays", len(got))
+	}
+	last := len(got) - 1
+	for i, b := range got[1:last] {
+		if b.Replay == nil || !b.Replay.Patch.Full || len(b.Replay.Patch.Dense) == 0 {
+			t.Fatalf("broadcast %d to the survivor is not a full wire.Patch replay: %+v", i+1, b)
+		}
+	}
+	if got[last].Replay != nil || got[last].Frame.Kind != wire.KindFull {
+		t.Fatalf("survivor's next live frame: replay=%v kind=%v, want a full frame", got[last].Replay != nil, got[last].Frame.Kind)
 	}
 }

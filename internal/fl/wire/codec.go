@@ -60,16 +60,17 @@ func New(name string) (Codec, error) {
 func Names() []string { return []string{CodecFull, CodecDelta, CodecTopK} }
 
 // ForUpload resolves the codec for the worker→coordinator direction under
-// the named broadcast codec (protocol v5). The full codec — and an empty
-// name, for safety — returns nil: uploads stay legacy full-state snapshots,
-// the baseline the byte accounting measures against. Lossless codecs encode
-// uploads directly. Lossy codecs fall back to the lossless delta: a lossy
-// broadcast only degrades what a worker trains *from*, but a lossy upload
-// would silently approximate the FedAvg inputs themselves, so topk is
-// restricted to the broadcast direction by design.
+// the named broadcast codec. It never returns a nil codec: every upload is
+// a Patch. The full codec — and an empty name, for safety — uploads
+// complete snapshots (Full), the baseline the byte accounting measures
+// against. Lossless codecs encode uploads directly. Lossy codecs fall back
+// to the lossless delta: a lossy broadcast only degrades what a worker
+// trains *from*, but a lossy upload would silently approximate the FedAvg
+// inputs themselves, so topk is restricted to the broadcast direction by
+// design.
 func ForUpload(broadcast string) (Codec, error) {
-	if broadcast == "" || broadcast == CodecFull {
-		return nil, nil
+	if broadcast == "" {
+		return Full{}, nil
 	}
 	c, err := New(broadcast)
 	if err != nil {
@@ -81,7 +82,7 @@ func ForUpload(broadcast string) (Codec, error) {
 	return c, nil
 }
 
-// Full is the legacy behavior: every patch is a complete snapshot.
+// Full ships every patch as a complete snapshot.
 type Full struct{}
 
 // Name implements Codec.

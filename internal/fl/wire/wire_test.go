@@ -560,3 +560,26 @@ func TestEncoderFullCodecResendsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestForUploadPolicy pins the upload-direction policy: every broadcast
+// codec resolves to a lossless upload codec — never nil, so every upload is
+// a Patch — and an unknown name is an error.
+func TestForUploadPolicy(t *testing.T) {
+	for broadcast, want := range map[string]string{
+		"":         CodecFull,
+		CodecFull:  CodecFull,
+		CodecDelta: CodecDelta,
+		CodecTopK:  CodecDelta, // lossy codecs are broadcast-only
+	} {
+		c, err := ForUpload(broadcast)
+		if err != nil {
+			t.Fatalf("ForUpload(%q): %v", broadcast, err)
+		}
+		if c == nil || c.Name() != want || !c.Lossless() {
+			t.Fatalf("ForUpload(%q) = %v, want the lossless %q codec", broadcast, c, want)
+		}
+	}
+	if _, err := ForUpload("gzip"); err == nil {
+		t.Fatal("unknown broadcast codec must error")
+	}
+}

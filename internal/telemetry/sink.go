@@ -31,16 +31,14 @@ func NewRunID(seed int64, start time.Time) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// RoundObservation is the per-round record handed to Sink.ObserveRound by
-// both transports once a round fully completes. Timing fields mirror
+// RoundObservation is the per-round record the transport hands to
+// Sink.ObserveRound once a round fully completes. Timing fields mirror
 // transport.RoundStats; byte totals are the coordinator's *cumulative*
-// socket counters at completion (not per-round deltas) because the
-// pipelined transport cannot attribute socket bytes to a single in-flight
-// round — the byte counters on /metrics therefore reconcile exactly with
-// transport.Stats for both runners.
+// socket counters at completion (not per-round deltas) because socket
+// bytes cannot be attributed to a single in-flight round — the byte
+// counters on /metrics therefore reconcile exactly with transport.Stats.
 type RoundObservation struct {
 	Task, Round, Attempts int
-	Pipelined             bool
 	Start                 time.Time
 
 	DispatchNanos, FirstAckNanos, LastAckNanos, OverlapNanos int64
@@ -122,7 +120,7 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 	s.dispatchHist = reg.Histogram("fed_round_dispatch_seconds", "Time from round start until the last broadcast finished sending.", DefSecondsBuckets)
 	s.firstAckHist = reg.Histogram("fed_round_first_ack_seconds", "Time from round start to the first job ack.", DefSecondsBuckets)
 	s.lastAckHist = reg.Histogram("fed_round_last_ack_seconds", "Time from round start to the final job ack.", DefSecondsBuckets)
-	s.overlapHist = reg.Histogram("fed_round_overlap_ratio", "Fraction of a pipelined round's wall clock overlapped with successor rounds.", LinearBuckets(0.1, 0.1, 10))
+	s.overlapHist = reg.Histogram("fed_round_overlap_ratio", "Fraction of a round's wall clock overlapped with successor rounds (0 for synchronous rounds).", LinearBuckets(0.1, 0.1, 10))
 	s.workersLive = reg.Gauge("fed_workers_live", "Currently live worker connections.")
 	s.joins = reg.Counter("fed_worker_joins_total", "Worker join handshakes accepted (includes rejoins).")
 	s.deaths = reg.Counter("fed_worker_deaths_total", "Workers that died mid-round (send/recv failure).")
@@ -213,9 +211,7 @@ func (s *Sink) ObserveRound(o RoundObservation) {
 	s.dispatchHist.Observe(float64(o.DispatchNanos) / 1e9)
 	s.firstAckHist.Observe(float64(o.FirstAckNanos) / 1e9)
 	s.lastAckHist.Observe(float64(o.LastAckNanos) / 1e9)
-	if o.Pipelined {
-		s.overlapHist.Observe(o.OverlapRatio)
-	}
+	s.overlapHist.Observe(o.OverlapRatio)
 
 	if s.tracer != nil {
 		wall := time.Duration(o.LastAckNanos)

@@ -18,7 +18,7 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 		TotalBroadcastBytes: 1000, TotalUploadBytes: 500,
 	})
 	s.ObserveRound(RoundObservation{
-		Task: 0, Round: 2, Attempts: 2, Start: time.Now(), Pipelined: true,
+		Task: 0, Round: 2, Attempts: 2, Start: time.Now(),
 		LastAckNanos: 8e6, OverlapNanos: 4e6, OverlapRatio: 0.5,
 		DeltaFrames: 3, PatchUploads: 3,
 		TotalBroadcastBytes: 1800, TotalUploadBytes: 900,
@@ -36,7 +36,7 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 		`fed_uploads_total{kind="patch"}`:  6,
 		`fed_uploads_total{kind="state"}`:  1,
 		"fed_round_last_ack_seconds_count": 2,
-		"fed_round_overlap_ratio_count":    1, // only the pipelined round
+		"fed_round_overlap_ratio_count":    2,
 	}
 	for name, want := range checks {
 		if got := snap[name]; got != want {
