@@ -30,12 +30,9 @@
 // each worker's last-acked base version — and, since v5, receives each
 // job's trained state back as a lossless patch against the round's
 // broadcast base instead of the full dict — re-sending the wire state
-// (e.g. LwF's teacher, a full model) only when its bytes change. "topk"
-// additionally sparsifies each broadcast key to its largest-magnitude
-// element changes (lossy); it is broadcast-only — its uploads fall back to
-// the lossless delta, so FedAvg inputs are never approximated. full and
-// delta produce bit-identical accuracy matrices; per-round byte savings
-// are logged.
+// (e.g. LwF's teacher, a full model) only when its bytes change. Both
+// codecs are exact and produce bit-identical accuracy matrices; per-round
+// byte savings are logged.
 //
 // Membership is elastic (protocol v7): the coordinator admits worker dials
 // for its whole lifetime, so -workers/-min-workers only gate the start of
@@ -144,7 +141,7 @@ func run() error {
 		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight, lagging ones staying in flight on the wire while later rounds dispatch (0 = synchronous rounds, bit-identical to the local engine)")
 		straggler = flag.Float64("straggler", 0, "per-(round,client) probability of lagging 1..S rounds (deterministic simulation; requires -staleness >= 1)")
 		requeue   = flag.Bool("requeue", true, "re-queue a dead worker's unfinished jobs on the survivors instead of failing the round")
-		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; full and delta are bit-identical)")
+		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
 		wireLog   = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables profiling)")
 

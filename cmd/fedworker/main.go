@@ -16,8 +16,7 @@
 // method's wire state re-sent only when it changes. In the same
 // configuration the worker answers each job with a lossless patch of its
 // trained state against the round's broadcast base instead of the full
-// dict (uploads are never lossy: under -codec topk they fall back to the
-// lossless delta). -codec optionally pins which codec this worker accepts.
+// dict. -codec optionally pins which codec this worker accepts.
 //
 // Membership is elastic (protocol v7): dials are bounded (-dial-timeout)
 // and retried with exponential backoff (-dial-retries/-dial-backoff), the
@@ -217,8 +216,8 @@ func run() error {
 
 	// The re-join loop: serve until the coordinator says Done (clean exit)
 	// or the connection is lost. The Executor survives re-dials, so its
-	// shard cache is retained; its wire tracker is refreshed by the full
-	// snapshot the coordinator sends a freshly admitted slot.
+	// shard cache is retained; its stream state is reset, because the
+	// coordinator admits a re-dial into a fresh slot it holds no state for.
 	for attempt := 0; ; attempt++ {
 		w, err := dial()
 		if err != nil {
@@ -234,5 +233,6 @@ func run() error {
 			return err
 		}
 		wlog.Event("rejoin", telemetry.F("error", err.Error()), telemetry.F("attempt", attempt+1), telemetry.F("max", *rejoin))
+		ex.ResetStream()
 	}
 }

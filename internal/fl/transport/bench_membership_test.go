@@ -11,7 +11,7 @@ import (
 // loopback: one iteration is a worker's Dial (TCP connect + Hello +
 // HelloAck) plus the coordinator observing the admission (Accept). This is
 // the latency a mid-run joiner adds before it can receive its first
-// broadcast; BENCH_membership.json records the measured number.
+// broadcast.
 func BenchmarkJoinAdmission(b *testing.B) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {

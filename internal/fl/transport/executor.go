@@ -78,6 +78,18 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 	return &Executor{alg: alg, workers: workers, shards: make(map[fl.ShardSpec]*data.Dataset)}, nil
 }
 
+// ResetStream forgets the frame stream of a lost connection; call it before
+// serving a re-dialed one. A re-dial is admitted into a fresh slot whose
+// coordinator-side mirror starts at version 0 with no payload, so the
+// tracker and cached payload of the old stream would reject the new slot's
+// first frame whenever it is a bare KindNone (the slot is idle that round)
+// or skips an unchanged payload. The shard cache is kept: shards do not
+// depend on the connection.
+func (e *Executor) ResetStream() {
+	e.tracker = wire.Tracker{}
+	e.payload, e.payloadSet = nil, false
+}
+
 // Handle executes one broadcast's job assignment, emitting each job's
 // result as it completes (completion order; the coordinator maps acks by
 // their Index). Pass it to Worker.Serve, whose emit already serializes
@@ -89,8 +101,6 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	if e.ExpectCodec != "" && b.Frame.Kind != wire.KindNone && b.Frame.Patch.Codec != e.ExpectCodec {
 		return fmt.Errorf("transport: coordinator broadcasts codec %q, worker pinned to %q", b.Frame.Patch.Codec, e.ExpectCodec)
 	}
-	// Resolve the upload direction's codec from the round codec: lossy
-	// broadcast codecs fall back to the lossless delta.
 	upCodec, err := wire.ForUpload(b.Codec)
 	if err != nil {
 		return fmt.Errorf("broadcast codec: %w", err)

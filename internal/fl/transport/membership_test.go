@@ -104,8 +104,8 @@ func dialServe(t *testing.T, coord *transport.Coordinator, method string, family
 // it on a background goroutine, severing the connection right after the
 // worker's first ack of round (crashTask, crashRound). If redial is nil —
 // or returns false once the crash has happened — the worker stays dead;
-// otherwise it dials again with the same Executor (and shard cache),
-// exactly as fedworker -rejoin does, and serves on. The channel reports a
+// otherwise it resets the Executor's stream state and dials again with it
+// (shard cache kept), exactly as fedworker -rejoin does, and serves on. The channel reports a
 // crash that was never injected, a failed re-dial, or the final Serve's
 // error.
 func serveCrashing(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int, redial func() bool) <-chan error {
@@ -147,6 +147,7 @@ func serveCrashing(t *testing.T, coord *transport.Coordinator, method string, fa
 			done <- nil
 			return
 		}
+		ex.ResetStream()
 		w2, err := transport.Dial(coord.Addr(), id)
 		if err != nil {
 			done <- err
@@ -230,26 +231,33 @@ func TestLateJoinMidRun(t *testing.T) {
 
 // TestDeadWorkerRedialRejoins kills a worker mid-round and has the same
 // process re-dial: the crashed slot stays dead, the re-dial is admitted
-// into a brand-new slot whose first broadcast is a full snapshot, and the
-// worker — retaining its Executor and shard cache across the reconnect,
-// exactly as fedworker -rejoin does — serves the rest of the run. The
-// engine's checkpoint hook gates the next round on the re-admission so the
-// re-joined worker deterministically participates. The delta variant
-// additionally requires every upload (including the re-joined slot's,
-// whose base is the post-rejoin full snapshot) to be a patch.
+// into a brand-new slot the coordinator holds no state for, and the worker
+// — retaining its Executor and shard cache across the reconnect, exactly as
+// fedworker -rejoin does — serves the rest of the run. The engine's
+// checkpoint hook gates the next round on the re-admission so the re-joined
+// worker deterministically participates. With one survivor the fresh slot
+// is handed jobs at once, so its first frame is a full snapshot; the delta
+// variant additionally requires every upload (including the re-joined
+// slot's, whose base is that snapshot) to be a patch. With three survivors
+// the round's three jobs go to them and the fresh slot — the highest index
+// — is idle: its first frame is a bare KindNone at version 0, which an
+// Executor still holding the dead connection's tracker rejects, failing the
+// run (Executor.ResetStream).
 func TestDeadWorkerRedialRejoins(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	for _, codec := range []string{"", "delta"} {
-		codec := codec
-		name := "default"
-		if codec != "" {
-			name = codec
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, codec string
+		survivors   int
+	}{
+		{"default", "", 1},
+		{"delta", "delta", 1},
+		{"delta_idle_fresh_slot", "delta", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			want := localReference(t, "reffil", family, domains)
 
 			coord, err := transport.Listen("127.0.0.1:0")
@@ -262,8 +270,11 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			// then re-dials with the same Executor and serves on.
 			rejoinErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 0, func() bool { return true })
 
-			// Worker slot 1: a normal executor, alive throughout.
-			surviveErr, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
+			// The survivors: normal executors, alive throughout.
+			surviveErr := make([]<-chan error, tc.survivors)
+			for i := range surviveErr {
+				surviveErr[i], _ = dialServe(t, coord, "reffil", family, len(domains), 1+i)
+			}
 
 			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
 			if err != nil {
@@ -273,8 +284,8 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if codec != "" {
-				if err := runner.UseCodec(codec); err != nil {
+			if tc.codec != "" {
+				if err := runner.UseCodec(tc.codec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -286,7 +297,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 				if st.NextTask == 0 && st.NextRound == 1 {
 					// Hold round (0,1) until the crashed worker's re-dial
 					// is admitted, so it deterministically rejoins the fan-out.
-					return coord.AwaitLive(2, 10*time.Second)
+					return coord.AwaitLive(tc.survivors+1, 10*time.Second)
 				}
 				return nil
 			}
@@ -295,10 +306,10 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 				t.Fatalf("run with crash-and-redial failed: %v", err)
 			}
 			requireSameMatrix(t, "crash-and-redial", want, mat.A)
-			if got := coord.NumLive(); got != 2 {
-				t.Fatalf("live workers after re-join = %d, want 2 (survivor + re-dialed)", got)
+			if got := coord.NumLive(); got != tc.survivors+1 {
+				t.Fatalf("live workers after re-join = %d, want %d (survivors + re-dialed)", got, tc.survivors+1)
 			}
-			if codec != "" {
+			if tc.codec != "" {
 				requireAllPatchUploads(t, runner.Stats())
 			}
 			_ = runner.Close()
@@ -308,8 +319,10 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if err := <-rejoinErr; err != nil {
 				t.Fatalf("re-joined worker: %v", err)
 			}
-			if err := <-surviveErr; err != nil {
-				t.Fatalf("surviving worker: %v", err)
+			for i, ch := range surviveErr {
+				if err := <-ch; err != nil {
+					t.Fatalf("surviving worker %d: %v", 1+i, err)
+				}
 			}
 		})
 	}

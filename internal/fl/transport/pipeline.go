@@ -26,16 +26,15 @@ import (
 //
 // Per round every live worker receives a versioned wire.Frame: under the
 // default full codec the complete state dict plus the method's encoded
-// wire state (fl.WireStater); under the delta codecs (UseCodec) per-key
+// wire state (fl.WireStater); under the delta codec (UseCodec) per-key
 // diffs against the base version the slot's mirror holds, with the
 // wire-state payload re-sent only when its bytes change, and a full
 // snapshot for workers with no usable base. Uploads come back as
-// wire.Patch too (wire.ForUpload), reconstructed against the per-slot state
-// previewed when the frame was built. Jobs are assigned round-robin by
-// worker slot; assignment never affects results: each job is a
-// self-contained deterministic computation (see fl.Runner), so any
-// placement produces the same accuracy matrix — and under any lossless
-// codec, the same bits.
+// wire.Patch too (wire.ForUpload), reconstructed against the state the
+// slot's mirror holds once the frame is built. Jobs are assigned
+// round-robin by worker slot; assignment never affects results: each job is
+// a self-contained deterministic computation (see fl.Runner), and every
+// codec is exact, so any placement under any codec produces the same bits.
 //
 // Pipeline implements two engine-facing contracts:
 //
@@ -196,7 +195,7 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	return p, nil
 }
 
-// UseCodec selects the broadcast codec by registry name (full|delta|topk).
+// UseCodec selects the broadcast codec by registry name (full|delta).
 // It must be called before the first dispatch: switching codecs mid-run
 // would invalidate the per-worker base tracking. The started check and the
 // encoder swap hold tmu so a UseCodec racing a Dispatch can never slip a
@@ -385,16 +384,11 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 			p.tmu.Unlock()
 			return fmt.Errorf("transport: encoding frame for worker %d: %w", slot, err)
 		}
-		base, err := uploadBase(enc, t, f)
-		if err != nil {
-			p.tmu.Unlock()
-			return fmt.Errorf("transport: previewing worker %d state: %w", slot, err)
-		}
-		if err := enc.AckDecoded(t, f, base); err != nil {
+		if err := enc.Advance(t, f); err != nil {
 			p.tmu.Unlock()
 			return fmt.Errorf("transport: advancing worker %d mirror: %w", slot, err)
 		}
-		outs = append(outs, outbound{slot: slot, frame: f, base: base, idxs: assign[slot]})
+		outs = append(outs, outbound{slot: slot, frame: f, base: t.Dict, idxs: assign[slot]})
 	}
 	p.tmu.Unlock()
 
@@ -840,31 +834,10 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 	return nil
 }
 
-// uploadBase previews the state dict the worker holding tracker state t
-// will hold after applying f — the base its upload patches diff against.
-// For a lossless codec at the current version that is the canonical round
-// dict itself (bit-identical by the definition of lossless, and shared
-// rather than re-decoded); for lossy codecs the frame's patch is replayed
-// exactly as the worker will replay it. KindNone frames leave the worker on
-// whatever base it already holds.
-func uploadBase(enc *wire.Encoder, t *wire.Tracker, f *wire.Frame) (map[string]*tensor.Tensor, error) {
-	if f.Kind == wire.KindNone {
-		return t.Dict, nil
-	}
-	if enc.Codec().Lossless() && f.Version == enc.Version() {
-		return enc.Dict(), nil
-	}
-	base := t.Dict
-	if f.Kind == wire.KindFull {
-		base = nil
-	}
-	return wire.Decode(base, &f.Patch)
-}
-
 // decodeResult converts one acked JobResult into an fl.Result. base is the
 // broadcast base the sending worker diffed its upload patch against — its
-// post-frame state, previewed per slot when the frame was built, or, for a
-// replay, the origin round's state. collect never calls it concurrently
+// post-frame state, the slot mirror's dict once the frame was built, or,
+// for a replay, the origin round's state. collect never calls it concurrently
 // (the method's DecodeUpload is not documented concurrency-safe).
 func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
 	dict, err := wire.Decode(base, jr.Patch)

@@ -34,8 +34,7 @@
 // and the coordinator reconstructs it against the base it mirrors for that
 // slot. Re-queued jobs train and diff against the origin round's state,
 // which the coordinator retains and ships as a Replay, so crash-mid-round
-// stays bit-identical. The lossy topk codec is restricted to the broadcast
-// direction; its uploads fall back to the lossless delta.
+// stays bit-identical.
 //
 // Since protocol v7 membership is elastic: every connection opens with a
 // Hello/HelloAck handshake (worker id, pinned codec, heartbeat interval)
@@ -78,8 +77,7 @@ import (
 // v5 delta-encodes the upload direction: broadcasts carry the round's
 // codec name, and under any non-full codec workers answer each job with a
 // wire.Patch diffed against the round's broadcast base instead of the full
-// state dict (JobResult.Patch). The lossy topk codec is broadcast-only — its uploads fall back to the lossless
-// delta — so FedAvg inputs are never approximated.
+// state dict (JobResult.Patch).
 //
 // v6 adds pipelined rounds: the coordinator may broadcast round r+1 while
 // round r's acks are still streaming in, and a dead worker's unfinished

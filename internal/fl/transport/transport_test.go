@@ -411,12 +411,19 @@ func TestPipelineFailsWhenAllWorkersDie(t *testing.T) {
 }
 
 // TestBroadcastRoundTrip pins the v4 wire framing: a Broadcast carrying a
-// versioned delta frame (dense and sparse patch parts, payload bytes) and
-// per-client job specs, and the per-job ack plus Done updates, must gob
-// round-trip without loss.
+// versioned delta frame (packed patch, payload bytes) and per-client job
+// specs, and the per-job ack plus Done updates, must gob round-trip without
+// loss.
 func TestBroadcastRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dense, err := wire.Delta{}.Encode(nil, map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch, err := wire.Delta{}.Encode(
+		map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)},
+		map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,16 +431,12 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		Version: ProtocolVersion,
 		Task:    1,
 		Round:   4,
-		Codec:   wire.CodecTopK,
+		Codec:   wire.CodecDelta,
 		Frame: wire.Frame{
-			Kind:        wire.KindDelta,
-			BaseVersion: 3,
-			Version:     4,
-			Patch: wire.Patch{
-				Codec:  wire.CodecTopK,
-				Dense:  dense.Dense,
-				Sparse: []wire.SparseEntry{{Key: "b", Idx: []int64{0, 5}, Val: []float64{1.5, -2.5}}},
-			},
+			Kind:           wire.KindDelta,
+			BaseVersion:    3,
+			Version:        4,
+			Patch:          *patch,
 			PayloadVersion: 2,
 			HasPayload:     true,
 			Payload:        []byte{9, 8, 7},
@@ -468,13 +471,6 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		t.Fatalf("broadcast round trip diverged:\n got %+v\nwant %+v", gotB, b)
 	}
 
-	patch, err := wire.Delta{}.Encode(
-		map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)},
-		map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, u := range []Update{
 		{
 			Version:  ProtocolVersion,

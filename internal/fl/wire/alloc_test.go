@@ -52,12 +52,11 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make(map[string]*tensor.Tensor, len(keys))
-	patched := make(map[string]bool, len(keys))
-	if err := unpackDelta(base, packed, out, patched); err != nil { // warm the pools
+	if err := unpackDelta(base, packed, out); err != nil { // warm the pools
 		t.Fatal(err)
 	}
 	// Per-key decoded tensors (the result — 8 keys × {struct, data, shape}),
-	// the key/span tables, and the decompressor's per-dynamic-block Huffman
+	// the key/span tables and the listed-twice set, and the decompressor's per-dynamic-block Huffman
 	// tables (flate-internal, scales with the stream's block count, ~60 for
 	// this payload); the name buffer is reused across keys and the plane
 	// buffer is pooled. Pre-pool this path also allocated the 8×N plane
@@ -67,10 +66,7 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 		for k := range out {
 			delete(out, k)
 		}
-		for k := range patched {
-			delete(patched, k)
-		}
-		if err := unpackDelta(base, packed, out, patched); err != nil {
+		if err := unpackDelta(base, packed, out); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > maxAllocs {

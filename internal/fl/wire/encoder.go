@@ -31,11 +31,9 @@ type Encoder struct {
 	dict           map[string]*tensor.Tensor
 	payloadVersion uint64
 	payload        []byte
-	// patches caches this round's encoded patches by base version. Shared
-	// across workers only where identical versions imply identical dicts:
-	// always for the base-independent full snapshot (key 0), and for deltas
-	// only under a lossless codec (under a lossy codec two workers at the
-	// same version can hold different states).
+	// patches caches this round's encoded patches by base version (0 = the
+	// base-independent full snapshot). Every codec is exact, so two workers
+	// at the same version hold the same dict and can share one patch.
 	patches map[uint64]*Patch
 }
 
@@ -73,13 +71,6 @@ func (e *Encoder) Dict() map[string]*tensor.Tensor {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.dict
-}
-
-// Version returns the current state version.
-func (e *Encoder) Version() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.version
 }
 
 // PayloadVersion returns the current payload version.
@@ -135,63 +126,38 @@ func (e *Encoder) FrameFor(t *Tracker, active bool) (*Frame, error) {
 	return f, nil
 }
 
-// patchFor encodes (and, where versions imply identical bases, caches) the
-// patch from the given base up to the current state. Called with e.mu held.
+// patchFor encodes, once per base version, the patch from the given base up
+// to the current state. Called with e.mu held.
 func (e *Encoder) patchFor(baseV uint64, base map[string]*tensor.Tensor) (*Patch, error) {
-	cacheable := baseV == 0 || e.codec.Lossless()
-	if cacheable {
-		if p, ok := e.patches[baseV]; ok {
-			return p, nil
-		}
+	if p, ok := e.patches[baseV]; ok {
+		return p, nil
 	}
 	p, err := e.codec.Encode(base, e.dict)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		e.patches[baseV] = p
-	}
+	e.patches[baseV] = p
 	return p, nil
 }
 
-// Ack advances the coordinator-side tracker for a worker that confirmed
-// processing f (its round stream completed) — the coordinator-end mirror of
-// the worker's Tracker.Apply, with the same version-mismatch rejection. For
-// lossless codecs at the current version the decode is skipped and the
-// tracker shares the canonical dict; lossy codecs replay the exact patch so
-// the mirror matches what the worker actually reconstructed.
-func (e *Encoder) Ack(t *Tracker, f *Frame) error {
-	e.mu.Lock()
-	lossless := e.codec.Lossless()
-	dict, version := e.dict, e.version
-	e.mu.Unlock()
-	if f.Kind != KindNone && lossless && f.Version == version {
-		// Validate exactly as Apply would, then shortcut the decode.
-		if err := t.Validate(f); err != nil {
-			return err
-		}
-		t.Dict, t.Version = dict, f.Version
-		if f.HasPayload {
-			t.PayloadVersion = f.PayloadVersion
-		}
-		return nil
-	}
-	_, _, _, err := t.Apply(f)
-	return err
-}
-
-// AckDecoded advances the tracker like Ack, but installs an already-decoded
-// post-frame dict instead of replaying the patch. The caller guarantees
-// decoded is exactly what the receiver reconstructed — the Runner passes
-// the per-slot preview it computed at frame-build time (its uploadBase),
-// which replayed the very same patch — so the lossy-codec mirror pays one
-// decode per frame instead of two. Validation is identical to Apply's.
-func (e *Encoder) AckDecoded(t *Tracker, f *Frame, decoded map[string]*tensor.Tensor) error {
+// Advance moves t — the coordinator's mirror of one worker's Tracker — past
+// f, the frame FrameFor just built for it, with the same version-mismatch
+// rejection the worker's Tracker.Apply performs. Nothing is decoded: every
+// codec is exact, so a worker that applies a state frame for the current
+// version holds the canonical round dict, and the mirror shares it. After
+// Advance, t.Dict is the base the worker's upload patches diff against.
+func (e *Encoder) Advance(t *Tracker, f *Frame) error {
 	if err := t.Validate(f); err != nil {
 		return err
 	}
 	if f.Kind != KindNone {
-		t.Dict, t.Version = decoded, f.Version
+		e.mu.Lock()
+		dict, version := e.dict, e.version
+		e.mu.Unlock()
+		if f.Version != version {
+			return fmt.Errorf("wire: advancing past a frame for version %d, encoder holds %d", f.Version, version)
+		}
+		t.Dict, t.Version = dict, version
 	}
 	if f.HasPayload {
 		t.PayloadVersion = f.PayloadVersion

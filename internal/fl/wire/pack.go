@@ -342,11 +342,9 @@ func unshufflePlanes(planes []byte, spans []span, total int) {
 }
 
 // unpackDelta applies a packed payload against base, writing each decoded
-// key's new tensor into out and marking it in patched. A key already
-// patched by another part of the same Patch, absent from the base, or
-// shaped differently than the base is rejected — the same validation the
-// dense overlay and sparse entries get.
-func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*tensor.Tensor, patched map[string]bool) error {
+// key's new tensor into out. A key listed twice, absent from the base, or
+// shaped differently than the base is rejected.
+func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*tensor.Tensor) error {
 	rd := bytes.NewReader(packed)
 	count, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -364,6 +362,7 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 		n     int
 	}
 	keys := make([]packKey, 0, count)
+	seen := make(map[string]bool, count)
 	var nameBuf []byte
 	total := 0
 	for i := uint64(0); i < count; i++ {
@@ -409,10 +408,10 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 		if !ok {
 			return fmt.Errorf("wire: packed patch updates unknown key %q", name)
 		}
-		if patched[name] {
-			return fmt.Errorf("wire: key %q appears in more than one patch part", name)
+		if seen[name] {
+			return fmt.Errorf("wire: packed patch lists key %q twice", name)
 		}
-		patched[name] = true
+		seen[name] = true
 		if bt.Size() != n {
 			return fmt.Errorf("wire: packed entry %q has %d elements, base holds %d", name, n, bt.Size())
 		}

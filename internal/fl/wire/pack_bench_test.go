@@ -51,8 +51,7 @@ func BenchmarkUnpackDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := make(map[string]*tensor.Tensor, len(keys))
-		patched := make(map[string]bool, len(keys))
-		if err := unpackDelta(base, packed, out, patched); err != nil {
+		if err := unpackDelta(base, packed, out); err != nil {
 			b.Fatal(err)
 		}
 	}

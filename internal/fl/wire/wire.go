@@ -9,15 +9,14 @@
 // The package has three moving parts:
 //
 //   - Codec (codec.go): the pluggable patch encoder. Full reproduces the
-//     legacy every-round snapshot, Delta ships only the keys whose bits
-//     changed (dense per-key payload in the checkpoint format), and
-//     DeltaTopK additionally sparsifies each changed key to its
-//     largest-magnitude element changes.
+//     legacy every-round snapshot; Delta ships only the keys whose bits
+//     changed, base-relative packed (pack.go). Both are exact.
 //   - Frame/Patch/Tracker (this file): the versioned wire framing and the
-//     receiver-side state machine. Both ends run the same Tracker logic —
-//     the worker applies frames as they arrive, the coordinator mirrors the
-//     application when the worker's round stream completes — so version
-//     mismatches are rejected symmetrically instead of silently diverging.
+//     receiver-side state machine. Both ends run the same Tracker checks —
+//     the worker applies frames as they arrive (Apply), the coordinator
+//     advances its mirror of the worker as it sends them (Encoder.Advance)
+//     — so version mismatches are rejected symmetrically instead of
+//     silently diverging.
 //   - Encoder (encoder.go): the coordinator-side frame builder. It versions
 //     the round state and the method wire-state payload separately, so
 //     payloads that only change at task boundaries (LwF's distillation
@@ -37,11 +36,9 @@
 // practice, not just in type: workers diff each trained replica against the
 // round's broadcast base (their Tracker's dict) and upload a Patch instead
 // of a full state dict, and the coordinator reconstructs it against the
-// mirrored base it tracks for that worker. ForUpload is the direction
-// policy — lossless codecs encode uploads directly, the lossy topk falls
-// back to the lossless delta so FedAvg inputs are never approximated — and
-// pack.go is the base-relative packed encoding the delta codec ships both
-// directions' changed keys in.
+// mirrored base it tracks for that worker. ForUpload names the upload codec
+// for a broadcast codec, and pack.go is the base-relative packed encoding
+// the delta codec ships both directions' changed keys in.
 package wire
 
 import (
@@ -63,24 +60,23 @@ type Patch struct {
 	// Full marks a base-independent snapshot: Dense carries every key and
 	// the receiver's base (if any) is ignored.
 	Full bool
-	// Dense holds complete tensors for changed keys — or all keys when Full
-	// — serialized in the checkpoint binary format (sorted keys, validated
-	// sizes on load).
+	// Dense holds the complete tensors of a Full patch, serialized in the
+	// checkpoint binary format (sorted keys, validated sizes on load); empty
+	// otherwise.
 	Dense []byte
-	// Sparse carries per-key scatter updates (DeltaTopK): flat element
-	// positions and their new values. A key never appears in more than one
-	// of Dense, Sparse and Packed.
+	// Sparse is reserved: no codec sets it and Decode rejects a patch that
+	// carries any. The field and SparseEntry stay declared only because the
+	// benchmark's patch-size probe (benchmark/probe.go) ranges over them.
 	Sparse []SparseEntry
-	// Packed holds base-relative packed tensors (protocol v5, see pack.go):
-	// each changed element's bits XORed against the base, byte-shuffled
-	// into significance planes and DEFLATE-compressed. Exactly invertible —
-	// lossless bit for bit — but decodable only against the base the
-	// encoder diffed, so Full patches never carry it.
+	// Packed holds the changed keys of a non-Full patch as base-relative
+	// packed tensors (see pack.go): each element's bits XORed against the
+	// base, byte-shuffled into significance planes and DEFLATE-compressed.
+	// Exactly invertible — lossless bit for bit — but decodable only
+	// against the base the encoder diffed, so Full patches never carry it.
 	Packed []byte
 }
 
-// SparseEntry is one key's sparse update: set Val[i] at flat position
-// Idx[i] of the base tensor, leaving every other element unchanged.
+// SparseEntry is the element type of the reserved Patch.Sparse field.
 type SparseEntry struct {
 	Key string
 	Idx []int64
@@ -188,9 +184,9 @@ func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadCha
 
 // Validate checks f against the tracker's versions without mutating
 // anything. It is the single source of the frame invariants: Apply runs it
-// before applying, and the coordinator's Encoder.Ack mirror runs exactly
-// the same checks before its lossless shortcut — tightening an invariant
-// here tightens both ends of the connection at once.
+// before applying on the worker, and the coordinator's Encoder.Advance runs
+// exactly the same checks on its mirror — tightening an invariant here
+// tightens both ends of the connection at once.
 func (t *Tracker) Validate(f *Frame) error {
 	switch f.Kind {
 	case KindNone:
@@ -221,19 +217,26 @@ func (t *Tracker) Validate(f *Frame) error {
 }
 
 // Decode applies a patch to a base state dict and returns the resulting
-// dict. Full patches ignore base (which may be nil); delta patches require
-// one and share its tensors for unchanged keys, so the result must be
-// treated as immutable alongside the base. Decode is codec-agnostic: a
-// patch is self-describing.
+// dict. Exactly two forms can arrive: a full snapshot (every key in Dense;
+// base is ignored and may be nil) or a packed delta against a base (changed
+// keys in Packed, possibly none; the result shares the base's tensors for
+// unchanged keys and must be treated as immutable alongside it). Anything
+// else — sparse entries, dense bytes on a non-full patch, packed bytes on a
+// full one — is rejected: no codec emits it, so it is corruption or a peer
+// speaking another protocol. Decode is codec-agnostic: a patch is
+// self-describing.
 func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
+	if len(p.Sparse) > 0 {
+		return nil, fmt.Errorf("wire: patch carries %d sparse entries", len(p.Sparse))
+	}
 	if p.Full {
-		if len(p.Sparse) > 0 {
-			return nil, fmt.Errorf("wire: full patch carries %d sparse entries", len(p.Sparse))
-		}
 		if len(p.Packed) > 0 {
 			return nil, fmt.Errorf("wire: full patch carries %d packed bytes", len(p.Packed))
 		}
 		return checkpoint.Load(bytes.NewReader(p.Dense))
+	}
+	if len(p.Dense) > 0 {
+		return nil, fmt.Errorf("wire: delta patch carries %d dense bytes", len(p.Dense))
 	}
 	if base == nil {
 		return nil, fmt.Errorf("wire: delta patch without a base state")
@@ -243,59 +246,10 @@ func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor
 	for k, v := range base {
 		out[k] = v
 	}
-	patched := make(map[string]bool, len(p.Sparse))
-	if len(p.Dense) > 0 {
-		over, err := checkpoint.Load(bytes.NewReader(p.Dense))
-		if err != nil {
-			return nil, fmt.Errorf("wire: dense overlay: %w", err)
-		}
-		//fedvet:ignore maporder keyed overlay writes into a map; per-key replacement is order-insensitive
-		for k, v := range over {
-			bt, ok := base[k]
-			if !ok {
-				return nil, fmt.Errorf("wire: patch updates unknown key %q", k)
-			}
-			if v.Size() != bt.Size() {
-				return nil, fmt.Errorf("wire: patch entry %q has %d elements, base holds %d", k, v.Size(), bt.Size())
-			}
-			out[k] = v
-			patched[k] = true
-		}
-	}
 	if len(p.Packed) > 0 {
-		if err := unpackDelta(base, p.Packed, out, patched); err != nil {
+		if err := unpackDelta(base, p.Packed, out); err != nil {
 			return nil, err
 		}
-	}
-	for _, se := range p.Sparse {
-		bt, ok := base[se.Key]
-		if !ok {
-			return nil, fmt.Errorf("wire: sparse patch updates unknown key %q", se.Key)
-		}
-		if patched[se.Key] {
-			return nil, fmt.Errorf("wire: key %q appears in more than one patch part", se.Key)
-		}
-		patched[se.Key] = true
-		if len(se.Idx) != len(se.Val) {
-			return nil, fmt.Errorf("wire: sparse entry %q has %d indices for %d values", se.Key, len(se.Idx), len(se.Val))
-		}
-		nt := bt.Clone()
-		d := nt.Data()
-		seen := make(map[int64]struct{}, len(se.Idx))
-		for i, ix := range se.Idx {
-			if ix < 0 || int(ix) >= len(d) {
-				return nil, fmt.Errorf("wire: sparse entry %q index %d outside %d elements", se.Key, ix, len(d))
-			}
-			if _, dup := seen[ix]; dup {
-				// Last-write-wins would silently mask an encoder bug or a
-				// corrupted frame; a well-formed entry lists each position
-				// at most once.
-				return nil, fmt.Errorf("wire: sparse entry %q repeats index %d", se.Key, ix)
-			}
-			seen[ix] = struct{}{}
-			d[ix] = se.Val[i]
-		}
-		out[se.Key] = nt
 	}
 	return out, nil
 }

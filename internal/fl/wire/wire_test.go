@@ -79,19 +79,21 @@ func gobCycle(t *testing.T, p *Patch) *Patch {
 	return &out
 }
 
-// TestCodecRoundTrip is the codec property test: for every lossless codec
-// (full, delta, and topk at ratio 1) and a spread of random (base, next)
-// pairs — identical dicts (the empty diff), every key changed, a sparse
-// scatter of changed elements, and no base at all — Decode(base,
-// Encode(base, next)) must reproduce next bit for bit, including across a
-// gob cycle of the patch.
+// TestCodecRoundTrip is the codec property test: for every codec in the
+// registry (iterated from Names, so registry and test cannot drift) and a
+// spread of random (base, next) pairs — identical dicts (the empty diff),
+// every key changed, a sparse scatter of changed elements, and no base at
+// all — Decode(base, Encode(base, next)) must reproduce next bit for bit,
+// including across a gob cycle of the patch.
 func TestCodecRoundTrip(t *testing.T) {
-	codecs := []Codec{Full{}, Delta{}, DeltaTopK{Ratio: 1}}
-	for _, c := range codecs {
-		c := c
-		t.Run(c.Name(), func(t *testing.T) {
-			if !c.Lossless() {
-				t.Fatalf("codec %s must be lossless in this configuration", c.Name())
+	for _, name := range Names() {
+		c, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			if c.Name() != name {
+				t.Fatalf("New(%q) built codec %q", name, c.Name())
 			}
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20; trial++ {
@@ -246,7 +248,7 @@ func TestPackedDeltaRawPlanesRoundTrip(t *testing.T) {
 
 // TestPackedDeltaRejectsCorrupt covers the unpack-side validation edges:
 // truncated header, unknown key, element-count mismatch against the base,
-// and a key appearing in both the dense and packed parts.
+// and a key listed twice.
 func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	base := randDict(rng)
@@ -270,15 +272,12 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	if _, err := Decode(short, p); err == nil {
 		t.Fatal("packed element-count mismatch against the base must error")
 	}
-	dense, err := encodeDense(map[string]*tensor.Tensor{"lin.b": next["lin.b"]})
+	twice, err := packDelta(base, next, []string{"lin.b", "lin.b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(base, &Patch{Codec: CodecDelta, Dense: dense, Packed: p.Packed}); err == nil {
-		t.Fatal("key in both dense and packed parts must error")
-	}
-	if _, err := Decode(base, &Patch{Codec: CodecDelta, Full: true, Packed: p.Packed}); err == nil {
-		t.Fatal("full patch carrying packed bytes must error")
+	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: twice}); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("key listed twice in the packed part: %v", err)
 	}
 }
 
@@ -305,128 +304,60 @@ func TestDeltaSharesUnchangedTensors(t *testing.T) {
 	}
 }
 
-// TestTopKKeepsLargestChanges drives the sparsifier below ratio 1: only the
-// largest-magnitude changes survive, everything else stays at the base
-// value, and the kept positions match next exactly.
-func TestTopKKeepsLargestChanges(t *testing.T) {
-	base := map[string]*tensor.Tensor{"w": tensor.New(10)}
-	next := map[string]*tensor.Tensor{"w": tensor.New(10)}
-	nd := next["w"].Data()
-	// Changes of magnitude 1..10 at positions 0..9.
-	for i := range nd {
-		nd[i] = float64(i + 1)
-	}
-	c := DeltaTopK{Ratio: 0.3} // keep ceil(0.3*10) = 3 largest changes
-	p, err := c.Encode(base, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sparse) != 1 {
-		t.Fatalf("expected one sparse entry, got %+v", p)
-	}
-	se := p.Sparse[0]
-	if len(se.Idx) != 3 {
-		t.Fatalf("kept %d elements, want 3", len(se.Idx))
-	}
-	for i, want := range []int64{7, 8, 9} {
-		if se.Idx[i] != want {
-			t.Fatalf("kept positions %v, want [7 8 9]", se.Idx)
-		}
-	}
-	got, err := c.Decode(base, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := got["w"].Data()
-	for i := 0; i < 7; i++ {
-		if gd[i] != 0 {
-			t.Fatalf("position %d should keep the base value, got %v", i, gd[i])
-		}
-	}
-	for i := 7; i < 10; i++ {
-		if gd[i] != float64(i+1) {
-			t.Fatalf("kept position %d = %v, want %v", i, gd[i], float64(i+1))
-		}
-	}
-}
-
-// TestTopKDenseFallbackPerKey: when sparse pairs would cost at least the
-// dense tensor (≥ half the elements kept), the key ships densely.
-func TestTopKDenseFallbackPerKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 4)}
-	next := map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 4)}
-	p, err := DeltaTopK{Ratio: 1}.Encode(base, next) // all 4 elements changed
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sparse) != 0 {
-		t.Fatalf("fully changed tiny key must ship densely, got sparse %+v", p.Sparse)
-	}
-	got, err := Decode(base, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDict(t, "dense fallback", next, got)
-}
-
-// TestDecodeRejectsCorruptPatches covers the decode-side validation edges.
+// TestDecodeRejectsCorruptPatches covers the decode-side validation edges:
+// only a full snapshot or a packed delta against a base can arrive, so every
+// other shape — including the ones the retired sparsifying codec used to
+// emit — is hostile.
 func TestDecodeRejectsCorruptPatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	base := randDict(rng)
-	if _, err := Decode(nil, &Patch{Codec: CodecDelta}); err == nil {
-		t.Fatal("delta patch without base must error")
-	}
-	if _, err := Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{{Key: "nope", Idx: []int64{0}, Val: []float64{1}}}}); err == nil {
-		t.Fatal("sparse update of unknown key must error")
-	}
-	if _, err := Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{{Key: "lin.b", Idx: []int64{99}, Val: []float64{1}}}}); err == nil {
-		t.Fatal("out-of-range sparse index must error")
-	}
-	if _, err := Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{{Key: "lin.b", Idx: []int64{0, 1}, Val: []float64{1}}}}); err == nil {
-		t.Fatal("index/value length mismatch must error")
-	}
-	if _, err := Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{{Key: "lin.b", Idx: []int64{3, 0, 3}, Val: []float64{1, 2, 3}}}}); err == nil {
-		t.Fatal("duplicate sparse index must error, not last-write-win")
-	}
-}
-
-// TestSparseEntryEdgeCases pins the accepted-but-unusual sparse shapes: an
-// entry with no indices is a no-op that still yields a fresh (non-aliased)
-// tensor, and out-of-order indices apply correctly — values pair with their
-// positions, not with an assumed ascending order.
-func TestSparseEntryEdgeCases(t *testing.T) {
-	base := map[string]*tensor.Tensor{"w": tensor.FromSlice([]float64{10, 11, 12, 13}, 4)}
-
-	got, err := Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{{Key: "w"}}})
-	if err != nil {
-		t.Fatalf("empty-Idx entry must decode: %v", err)
-	}
-	if got["w"] == base["w"] {
-		t.Fatal("a patched key must not alias the base tensor, even for a no-op entry")
-	}
-	requireSameDict(t, "empty idx", base, got)
-
-	got, err = Decode(base, &Patch{Codec: CodecTopK, Sparse: []SparseEntry{
-		{Key: "w", Idx: []int64{3, 0}, Val: []float64{-3, -0.5}},
-	}})
+	next := cloneDict(base)
+	mutate(rng, next, 1, "lin.b")
+	full, err := Full{}.Encode(nil, next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{-0.5, 11, 12, -3}
-	for i, w := range want {
-		if got["w"].Data()[i] != w {
-			t.Fatalf("out-of-order apply: element %d = %v, want %v", i, got["w"].Data()[i], w)
+	delta, err := Delta{}.Encode(base, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := []SparseEntry{{Key: "lin.b", Idx: []int64{0}, Val: []float64{1}}}
+	for _, tc := range []struct {
+		name string
+		base map[string]*tensor.Tensor
+		p    Patch
+		want string
+	}{
+		{"delta patch without base", nil, Patch{Codec: CodecDelta}, "without a base"},
+		{"sparse entries on a delta patch", base, Patch{Codec: CodecDelta, Sparse: sparse}, "sparse"},
+		{"sparse entries beside packed bytes", base, Patch{Codec: CodecDelta, Packed: delta.Packed, Sparse: sparse}, "sparse"},
+		{"sparse entries on a full patch", nil, Patch{Codec: CodecFull, Full: true, Dense: full.Dense, Sparse: sparse}, "sparse"},
+		{"non-full patch carrying dense bytes", base, Patch{Codec: CodecDelta, Dense: full.Dense}, "dense"},
+		{"non-full patch carrying dense and packed bytes", base, Patch{Codec: CodecDelta, Dense: full.Dense, Packed: delta.Packed}, "dense"},
+		{"full patch carrying packed bytes", base, Patch{Codec: CodecDelta, Full: true, Dense: full.Dense, Packed: delta.Packed}, "packed"},
+	} {
+		if _, err := Decode(tc.base, &tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a rejection naming %q", tc.name, err, tc.want)
 		}
+	}
+	// The same rejection holds on both ends of a connection: a worker's
+	// Tracker.Apply decodes through Decode, so a frame carrying sparse
+	// entries leaves the tracker untouched.
+	var tr Tracker
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindFull, Version: 1, Patch: Patch{Codec: CodecFull, Full: true, Dense: full.Dense, Sparse: sparse}}); err == nil {
+		t.Fatal("Tracker.Apply accepted a patch carrying sparse entries")
+	}
+	if tr.Version != 0 || tr.Dict != nil {
+		t.Fatalf("rejected frame mutated the tracker: version %d", tr.Version)
 	}
 }
 
 // TestTrackerVersionMismatch drives the receiver state machine through the
 // version-mismatch rejections: a delta against the wrong base, a delta with
 // no base at all, a no-op frame for a version the receiver does not hold,
-// and a silently skewed payload version. The same Apply logic runs on both
-// ends of the connection (the Encoder.Ack mirror delegates to it), so these
-// rejections hold symmetrically.
+// and a silently skewed payload version. Apply and the coordinator's
+// Encoder.Advance both run Tracker.Validate, so these rejections hold
+// symmetrically.
 func TestTrackerVersionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dict := randDict(rng)
@@ -462,8 +393,9 @@ func TestTrackerVersionMismatch(t *testing.T) {
 
 // TestEncoderVersionsAndPayloadSkipping drives a coordinator/worker pair
 // through three rounds: the payload is re-sent only when its bytes change,
-// deltas chain across rounds, and Encoder.Ack keeps the coordinator's
-// mirror tracker in lockstep with the worker's.
+// deltas chain across rounds, and Encoder.Advance — which decodes nothing —
+// keeps the coordinator's mirror tracker in lockstep with what the worker
+// reconstructs from the frame.
 func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	enc, err := NewEncoder(Delta{})
@@ -501,7 +433,7 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 		if _, _, _, err := workerView.Apply(f); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Ack(coordView, f); err != nil {
+		if err := enc.Advance(coordView, f); err != nil {
 			t.Fatal(err)
 		}
 		if coordView.Version != workerView.Version || coordView.PayloadVersion != workerView.PayloadVersion {
@@ -545,7 +477,8 @@ func TestEncoderFullCodecResendsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Tracker{}
+	tr := &Tracker{}       // coordinator's mirror of the worker
+	var workerView Tracker // the worker's own tracker
 	enc.SetRound(randDict(rng), []byte("payload"))
 	for i := 0; i < 2; i++ {
 		f, err := enc.FrameFor(tr, i == 0)
@@ -555,28 +488,31 @@ func TestEncoderFullCodecResendsEverything(t *testing.T) {
 		if f.Kind != KindFull || !f.HasPayload {
 			t.Fatalf("full-codec frame %d: kind %v hasPayload %v", i, f.Kind, f.HasPayload)
 		}
-		if err := enc.Ack(tr, f); err != nil {
+		if _, _, _, err := workerView.Apply(f); err != nil {
 			t.Fatal(err)
 		}
+		if err := enc.Advance(tr, f); err != nil {
+			t.Fatal(err)
+		}
+		requireSameDict(t, "mirror", workerView.Dict, tr.Dict)
 	}
 }
 
-// TestForUploadPolicy pins the upload-direction policy: every broadcast
-// codec resolves to a lossless upload codec — never nil, so every upload is
-// a Patch — and an unknown name is an error.
+// TestForUploadPolicy pins the upload-direction policy: an unnamed broadcast
+// codec uploads full snapshots, a named one uploads with itself — never
+// nil, so every upload is a Patch — and an unknown name is an error.
 func TestForUploadPolicy(t *testing.T) {
 	for broadcast, want := range map[string]string{
 		"":         CodecFull,
 		CodecFull:  CodecFull,
 		CodecDelta: CodecDelta,
-		CodecTopK:  CodecDelta, // lossy codecs are broadcast-only
 	} {
 		c, err := ForUpload(broadcast)
 		if err != nil {
 			t.Fatalf("ForUpload(%q): %v", broadcast, err)
 		}
-		if c == nil || c.Name() != want || !c.Lossless() {
-			t.Fatalf("ForUpload(%q) = %v, want the lossless %q codec", broadcast, c, want)
+		if c == nil || c.Name() != want {
+			t.Fatalf("ForUpload(%q) = %v, want the %q codec", broadcast, c, want)
 		}
 	}
 	if _, err := ForUpload("gzip"); err == nil {

@@ -8,8 +8,7 @@ import (
 // BenchmarkTelemetryOverhead measures the instrumented-vs-off cost of the
 // per-round and per-ack hot paths: the no-op (nil sink) branch that every
 // call site pays when telemetry is disabled, the enabled metric
-// primitives, and the full ObserveRound/ObserveAck fan-out. Recorded in
-// BENCH_telemetry.json (1-CPU container — see the caveat there).
+// primitives, and the full ObserveRound/ObserveAck fan-out.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	obs := RoundObservation{
 		Task: 0, Round: 3, Attempts: 1, Start: time.Now(),

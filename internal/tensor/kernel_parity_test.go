@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-// The tests in this file pin the repo's kernel determinism contract: the
-// cache-blocked kernels (and the parallel MatVec) must be bit-for-bit
-// identical to the serial, unblocked reference loops at any worker count —
-// tiling the j/output axis reorders which independent elements are computed
-// when, never how any one element accumulates over the shared dimension p.
-// Shapes deliberately include widths below blockJ (the unblocked fast
-// path), exact multiples, and odd tile remainders.
+// The tests in this file pin the repo's kernel determinism contract: every
+// matmul kernel must be bit-for-bit identical to a serial, untiled reference
+// loop at any worker count — fanning rows or batch elements out, and tiling
+// the j/output axis (MatMulT1, MatMulT2), reorder which independent elements
+// are computed when, never how any one element accumulates over the shared
+// dimension p. Shapes deliberately include widths below blockJ, exact
+// multiples, and odd tile remainders; the n > blockJ shapes are the
+// reference anchors any future tiling of MatMul or BatchMatMul must still
+// meet.
 
 // randOperand draws a (rows, cols) matrix with exact zeros sprinkled in so
 // the kernels' av == 0 skip path is exercised by every comparison.
@@ -55,7 +57,7 @@ func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, g
 	check("workers=max", f())
 }
 
-// kernelShapes cover n < blockJ (unblocked path), n == blockJ, one element
+// kernelShapes cover n < blockJ (a single tile), n == blockJ, one element
 // over, an odd remainder, an exact two-tile width, and a ragged third tile.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
@@ -142,51 +144,5 @@ func TestBatchMatMulBlockedMatchesSerial(t *testing.T) {
 		serialAndParallel(t, func() *Tensor { return BatchMatMul(a, b) }, func(name string, got *Tensor) {
 			requireBitIdentical(t, name, got, want)
 		})
-	}
-}
-
-func TestMatVecParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, s := range kernelShapes {
-		a := randOperand(rng, s.m, s.k)
-		v := randOperand(rng, 1, s.k).Reshape(s.k)
-		want := New(s.m)
-		for i := 0; i < s.m; i++ {
-			ai := a.data[i*s.k : (i+1)*s.k]
-			sum := 0.0
-			for p := range ai {
-				sum += ai[p] * v.data[p]
-			}
-			want.data[i] = sum
-		}
-		serialAndParallel(t, func() *Tensor { return MatVec(a, v) }, func(name string, got *Tensor) {
-			requireBitIdentical(t, name, got, want)
-		})
-	}
-}
-
-// TestMatMulSteadyStateAllocs pins the zero-scratch steady state of the
-// blocked MatMul: once matmulPanels is warm, a call allocates only the
-// output tensor and the two closure headers internal/parallel fan-out
-// needs — never the k×n packing panel (a fresh copy of B per call before
-// this PR). GOMAXPROCS is pinned to 1 so helper-goroutine bookkeeping
-// doesn't blur the count.
-func TestMatMulSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are calibrated for uninstrumented builds")
-	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	rng := rand.New(rand.NewSource(46))
-	const m, k, n = 16, 32, 2*blockJ + 5
-	a := randOperand(rng, m, k)
-	b := randOperand(rng, k, n)
-	MatMul(a, b) // warm the panel pool
-	// Output tensor (struct, data slice, shape slice) + the two parallel.For
-	// closures. The panel (k*n floats — the dominant pre-pool cost) must not
-	// appear.
-	const maxAllocs = 6
-	if allocs := testing.AllocsPerRun(20, func() { MatMul(a, b) }); allocs > maxAllocs {
-		t.Errorf("blocked MatMul steady state: %v allocs/op, want <= %d (panel scratch must come from the pool)", allocs, maxAllocs)
 	}
 }

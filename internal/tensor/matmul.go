@@ -12,8 +12,8 @@ import (
 // not pay fan-out overhead.
 const minChunkOps = parallel.DefaultChunkOps
 
-// blockJ is the output-column tile width of the blocked matmul kernels. The
-// j axis is the only one that may be tiled: every output element's value is
+// blockJ is the output-column tile width of MatMulT1 and MatMulT2. The j
+// axis is the only one that may be tiled: every output element's value is
 // a sum over the shared dimension p, and the repo's determinism contract
 // (bit-identical results at any worker count and any tiling) requires that
 // per-element summation order to stay exactly the serial kernel's ascending
@@ -22,14 +22,9 @@ const minChunkOps = parallel.DefaultChunkOps
 // Tiling p would split each element's sum into per-tile partials and change
 // the floating-point result, so no kernel here does it.
 //
-// 128 columns keep one B panel row (128×8 B = one KiB) prefetch-friendly and
-// a whole k-row panel inside L2 for the k values these models use, while
-// staying wide enough that the per-tile loop overhead is noise.
+// 128 columns keep a tile's B rows inside L2 for the k values these models
+// use, while staying wide enough that the per-tile loop overhead is noise.
 const blockJ = 128
-
-// matmulPanels pools the packed B panels of the blocked kernels so steady
-// state matmul performs no scratch allocations.
-var matmulPanels parallel.ScratchPool[float64]
 
 // MatMul multiplies two 2-D tensors: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -42,50 +37,10 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	grain := parallel.GrainForCost(2*k*n, minChunkOps)
-	if n <= blockJ {
-		// One tile: packing would be a pure extra pass over B, and the
-		// unpacked kernel already streams B rows sequentially.
-		parallel.For(m, grain, func(lo, hi int) {
-			matmulRows(out.data, a.data, b.data, lo, hi, k, n)
-		})
-		return out
-	}
-	pb := matmulPanels.Get(k * n)
-	panels := *pb
-	packPanels(panels, b.data, k, n)
-	parallel.For(m, grain, func(lo, hi int) {
-		matmulRowsBlocked(out.data, a.data, panels, lo, hi, k, n)
+	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
+		matmulRows(out.data, a.data, b.data, lo, hi, k, n)
 	})
-	matmulPanels.Put(pb)
 	return out
-}
-
-// packPanels copies B (k,n) into j-tile-major panels: tile t holds columns
-// [t*blockJ, t*blockJ+tw) as k contiguous rows of width tw at panel offset
-// t*blockJ*k. Only the last tile may be ragged, so the offsets line up and
-// the whole packing is exactly k*n floats. Tiles are independent, so the
-// copy fans out over internal/parallel.
-func packPanels(panels, b []float64, k, n int) {
-	nt := (n + blockJ - 1) / blockJ
-	parallel.For(nt, parallel.GrainForCost(k*blockJ, minChunkOps), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			packPanel(panels, b, k, n, t)
-		}
-	})
-}
-
-// packPanel packs tile t of B (k,n); see packPanels for the layout.
-func packPanel(panels, b []float64, k, n, t int) {
-	j0 := t * blockJ
-	tw := n - j0
-	if tw > blockJ {
-		tw = blockJ
-	}
-	dst := panels[j0*k : j0*k+k*tw]
-	for p := 0; p < k; p++ {
-		copy(dst[p*tw:(p+1)*tw], b[p*n+j0:p*n+j0+tw])
-	}
 }
 
 // matmulRows computes rows [lo,hi) of C = A(m,k) * B(k,n) into c, which must
@@ -110,52 +65,6 @@ func matmulRows(c, a, b []float64, lo, hi, k, n int) {
 			}
 		}
 	}
-}
-
-// matmulRowsBlocked is matmulRows over B pre-packed into blockJ-wide panels
-// (see packPanels). Processing one panel across all rows of the chunk keeps
-// the panel (k*blockJ floats) resident in cache instead of re-streaming all
-// of B once per output row. The inner accumulation is unchanged: for every
-// output element, p ascends 0..k-1 with the same zero-skip as matmulRows, so
-// results are bit-identical to the unblocked kernel.
-func matmulRowsBlocked(c, a, panels []float64, lo, hi, k, n int) {
-	for j0 := 0; j0 < n; j0 += blockJ {
-		tw := n - j0
-		if tw > blockJ {
-			tw = blockJ
-		}
-		panel := panels[j0*k : j0*k+k*tw]
-		for i := lo; i < hi; i++ {
-			ci := c[i*n+j0 : i*n+j0+tw]
-			ai := a[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				av := ai[p]
-				//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-				if av == 0 {
-					continue
-				}
-				bp := panel[p*tw : (p+1)*tw]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// matmulKernel computes the full C = A(m,k) * B(k,n) serially into c, which
-// must be zeroed, using panels as packing scratch when the width calls for
-// the blocked kernel (batched callers parallelize over the batch axis
-// instead and pass a reusable panel buffer).
-func matmulKernel(c, a, b []float64, m, k, n int, panels []float64) {
-	if n <= blockJ {
-		matmulRows(c, a, b, 0, m, k, n)
-		return
-	}
-	for t := 0; t < (n+blockJ-1)/blockJ; t++ {
-		packPanel(panels, b, k, n, t)
-	}
-	matmulRowsBlocked(c, a, panels, 0, m, k, n)
 }
 
 // MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n) without
@@ -239,8 +148,8 @@ func MatMulT2(a, b *Tensor) *Tensor {
 
 // BatchMatMul multiplies two 3-D tensors batch-wise:
 // (B,m,k) x (B,k,n) -> (B,m,n). Batch elements are independent, so the
-// batch axis is the parallel axis; each chunk reuses one pooled panel buffer
-// across its batch elements for the blocked per-element kernel.
+// batch axis is the parallel axis and each element runs the serial row
+// kernel.
 func BatchMatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 3 || b.NDim() != 3 {
 		panic(fmt.Sprintf("tensor: BatchMatMul needs 3-D operands, got %v and %v", a.shape, b.shape))
@@ -254,44 +163,9 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 	}
 	n := b.shape[2]
 	out := New(bs, m, n)
-	blocked := n > blockJ
 	parallel.For(bs, parallel.GrainForCost(2*m*k*n, minChunkOps), func(lo, hi int) {
-		var panels []float64
-		var pb *[]float64
-		if blocked {
-			pb = matmulPanels.Get(k * n)
-			panels = *pb
-		}
 		for i := lo; i < hi; i++ {
-			matmulKernel(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, panels)
-		}
-		if blocked {
-			matmulPanels.Put(pb)
-		}
-	})
-	return out
-}
-
-// MatVec multiplies a 2-D tensor (m,k) by a vector (k,) -> (m,). Output
-// rows are independent dot products, so the row axis fans out over
-// internal/parallel like the other kernels.
-func MatVec(a, v *Tensor) *Tensor {
-	if a.NDim() != 2 || v.NDim() != 1 {
-		panic(fmt.Sprintf("tensor: MatVec needs (2-D, 1-D), got %v and %v", a.shape, v.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	if v.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x %v", a.shape, v.shape))
-	}
-	out := New(m)
-	parallel.For(m, parallel.GrainForCost(2*k, minChunkOps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.data[i*k : (i+1)*k]
-			s := 0.0
-			for p := range ai {
-				s += ai[p] * v.data[p]
-			}
-			out.data[i] = s
+			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 		}
 	})
 	return out

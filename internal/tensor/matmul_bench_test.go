@@ -2,57 +2,21 @@ package tensor
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// Kernel microbenchmarks behind BENCH_kernels.json. GOMAXPROCS is pinned to
-// 1 in the serial sub-benchmarks so the blocked-vs-unblocked comparison
-// isolates the cache effects of j-tiling and B-panel packing from
-// parallel fan-out (the 1-CPU CI container cannot show fan-out anyway);
-// the parallel variants run at the machine's width. Shapes are
-// training-scale for this repo's models: the classifier matmul is
-// (batch, feature) x (feature, classes), the attention/backbone matmuls run
-// a few hundred wide.
+// Kernel microbenchmarks. Shapes are training-scale for this repo's models:
+// the classifier matmul is (batch, feature) x (feature, classes), the
+// attention/backbone matmuls run a few hundred wide.
 
-func benchPair(m, k, n int) (*Tensor, *Tensor) {
-	rng := rand.New(rand.NewSource(9))
-	return RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-}
-
-// BenchmarkMatMulBlocked prices MatMul on a width that engages the blocked
-// kernel (n > blockJ), against the unblocked row kernel on the same data.
-func BenchmarkMatMulBlocked(b *testing.B) {
+func BenchmarkMatMul(b *testing.B) {
 	const m, k, n = 128, 384, 512
-	x, y := benchPair(m, k, n)
-	b.Run("unblocked", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		out := New(m, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range out.data {
-				out.data[j] = 0
-			}
-			matmulRows(out.data, x.data, y.data, 0, m, k, n)
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MatMul(x, y)
-		}
-	})
-	b.Run("blocked-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MatMul(x, y)
-		}
-	})
+	rng := rand.New(rand.NewSource(9))
+	x, y := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMul(x, y)
+	}
 }
 
 func BenchmarkMatMulT1(b *testing.B) {
@@ -75,22 +39,12 @@ func BenchmarkMatMulT2(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchMatMulBlocked(b *testing.B) {
+func BenchmarkBatchMatMul(b *testing.B) {
 	const bs, m, k, n = 8, 64, 96, 192
 	rng := rand.New(rand.NewSource(12))
 	x, y := RandN(rng, 1, bs, m, k), RandN(rng, 1, bs, k, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BatchMatMul(x, y)
-	}
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	const m, k = 512, 384
-	rng := rand.New(rand.NewSource(13))
-	x, v := RandN(rng, 1, m, k), RandN(rng, 1, k)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatVec(x, v)
 	}
 }

@@ -185,16 +185,6 @@ func TestBatchMatMul(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	v := FromSlice([]float64{5, 6}, 2)
-	got := MatVec(a, v)
-	want := FromSlice([]float64{17, 39}, 2)
-	if !got.AllClose(want, 1e-12) {
-		t.Fatalf("MatVec = %v, want %v", got, want)
-	}
-}
-
 func TestReshapeInference(t *testing.T) {
 	x := New(2, 3, 4)
 	y := x.Reshape(4, -1)

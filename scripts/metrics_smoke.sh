@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Metrics-endpoint smoke test: run the TCP federation demo with -metrics,
-# scrape the Prometheus page while the process lingers, and check that the
-# round counter and the broadcast byte counter are nonzero — i.e. the
-# telemetry subsystem is wired into the live transport, not just compiled.
+# Metrics-endpoint smoke test: run a real fedserver with -metrics and two
+# fedworkers over loopback, scrape the Prometheus page while the run is in
+# progress, and check that the round counter and the broadcast byte counter
+# are nonzero — i.e. the telemetry subsystem is wired into the live
+# transport, not just compiled.
 #
 # Usage: scripts/metrics_smoke.sh
 # Exits nonzero (with the captured log) on any failure.
@@ -10,25 +11,35 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 work=$(mktemp -d)
-pid=""
 cleanup() {
-	[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+	# shellcheck disable=SC2046
+	kill $(jobs -p) >/dev/null 2>&1 || true
+	wait >/dev/null 2>&1 || true
 	rm -rf "$work"
 }
 trap cleanup EXIT
 
-go build -o "$work/tcp_federation" ./examples/tcp_federation
+go build -o "$work/fedserver" ./cmd/fedserver
+go build -o "$work/fedworker" ./cmd/fedworker
 
-"$work/tcp_federation" -metrics 127.0.0.1:0 -metrics-linger 60s >"$work/run.log" 2>&1 &
+addr=127.0.0.1:7463
+common=(-method reffil -dataset pacs -tasks 2 -seed 3)
+
+"$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" -rounds 5 -codec delta \
+	-metrics 127.0.0.1:0 >"$work/run.log" 2>&1 &
 pid=$!
+for id in 0 1; do
+	"$work/fedworker" -addr "$addr" -id "$id" "${common[@]}" -dial-retries 20 -dial-backoff 200ms \
+		>"$work/worker-$id.log" 2>&1 &
+done
 
-# The demo prints "metrics listening on http://ADDR/metrics" once the
+# fedserver prints "metrics listening on http://ADDR/metrics" once the
 # registry server has bound its ephemeral port.
 url=""
 for _ in $(seq 1 100); do
 	url=$(sed -n 's/^metrics listening on \(http:[^ ]*\)$/\1/p' "$work/run.log" | head -n1)
 	[ -n "$url" ] && break
-	kill -0 "$pid" 2>/dev/null || { echo "FAIL: demo exited before serving metrics"; cat "$work/run.log"; exit 1; }
+	kill -0 "$pid" 2>/dev/null || { echo "FAIL: fedserver exited before serving metrics"; cat "$work/run.log"; exit 1; }
 	sleep 0.2
 done
 [ -n "$url" ] || { echo "FAIL: no metrics address in log"; cat "$work/run.log"; exit 1; }
@@ -41,8 +52,8 @@ scrape() {
 	fi
 }
 
-# Poll until the instrumented run has completed at least one round; the
-# demo's first federation finishes in well under this bound.
+# Poll until the instrumented run has completed at least one round: the
+# first of its ten rounds lands seconds before the server exits.
 ok=0
 for _ in $(seq 1 300); do
 	if scrape >"$work/metrics.txt" 2>/dev/null &&
