@@ -24,19 +24,17 @@
 // late with 1/(1+k)-discounted FedAvg weight; -straggler simulates lagging
 // clients deterministically.
 //
-// -codec selects the wire format (protocol v5): "full" rebroadcasts the
-// complete state and method wire state every round and receives full state
-// dicts back (the legacy baseline), "delta" ships per-key diffs against
-// each worker's last-acked base version — and, since v5, receives each
-// job's trained state back as a lossless patch against the round's
-// broadcast base instead of the full dict — re-sending the wire state
-// (e.g. LwF's teacher, a full model) only when its bytes change. Both
-// codecs are exact and produce bit-identical accuracy matrices; per-round
-// byte savings are logged.
+// -codec selects the wire format: "full" rebroadcasts the complete state
+// and method wire state every round and receives full state dicts back,
+// "delta" ships per-key diffs against each worker's last-acked base
+// version, receives each job's trained state back as a lossless patch
+// against the round's broadcast base, and re-sends the wire state (e.g.
+// LwF's teacher, a full model) only when its bytes change. Both codecs are
+// exact and produce bit-identical accuracy matrices; per-round byte savings
+// are logged.
 //
-// Membership is elastic (protocol v7): the coordinator admits worker dials
-// for its whole lifetime, so -workers/-min-workers only gate the start of
-// the run — a worker that dies can re-dial (fedworker -rejoin) and a fresh
+// Membership is elastic: the coordinator admits worker dials for its whole
+// lifetime, so -workers only gates the start of the run — a worker that dies can re-dial (fedworker -rejoin) and a fresh
 // worker can join mid-run, each entering a new slot that receives a full
 // state snapshot on its next broadcast. -heartbeat-timeout bounds how long
 // a silently wedged worker (connection open, nothing flowing) can stall a
@@ -116,7 +114,7 @@ func visitedFlags() map[string]string {
 func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
-		workers = flag.Int("workers", 2, "number of fedworkers to wait for")
+		workers = flag.Int("workers", 2, "number of fedworkers to wait for before the run starts; later dials are admitted mid-run")
 		method  = flag.String("method", "reffil", "method: "+strings.Join(experiments.MethodFlags(), "|"))
 		dataset = flag.String("dataset", "pacs", "dataset family")
 		tasks   = flag.Int("tasks", 2, "incremental tasks (0 = all of the family's domains)")
@@ -133,10 +131,9 @@ func run() error {
 		ckpt    = flag.String("checkpoint", "", "path to write the final global model")
 		timeout = flag.Duration("accept-timeout", 60*time.Second, "worker accept timeout")
 
-		minWorkers = flag.Int("min-workers", 0, "minimum workers required before the run starts (0 = -workers); late dials are admitted mid-run either way")
-		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "declare a heartbeating worker dead after this long without traffic (0 = 4x the worker's advertised -heartbeat interval)")
-		joinWait   = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
+		hbTimeout = flag.Duration("heartbeat-timeout", 0, "declare a heartbeating worker dead after this long without traffic (0 = 4x the worker's advertised -heartbeat interval)")
+		joinWait  = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
+		ckptDir   = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
 
 		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight, lagging ones staying in flight on the wire while later rounds dispatch (0 = synchronous rounds, bit-identical to the local engine)")
 		straggler = flag.Float64("straggler", 0, "per-(round,client) probability of lagging 1..S rounds (deterministic simulation; requires -staleness >= 1)")
@@ -227,12 +224,8 @@ func run() error {
 	defer coord.Close()
 	coord.SetHeartbeatTimeout(*hbTimeout)
 	coord.SetTelemetry(sink)
-	need := *workers
-	if *minWorkers > 0 {
-		need = *minWorkers
-	}
-	wlog.Event("listening", telemetry.F("addr", coord.Addr()), telemetry.F("waiting_for", need))
-	if err := coord.Accept(need, *timeout); err != nil {
+	wlog.Event("listening", telemetry.F("addr", coord.Addr()), telemetry.F("waiting_for", *workers))
+	if err := coord.Accept(*workers, *timeout); err != nil {
 		return err
 	}
 	wlog.Event("workers_connected")

@@ -1,7 +1,6 @@
-// Command fedvet is the determinism & concurrency contract checker for
-// this repository. It bundles the internal/analysis suite — maporder,
-// seededrand, wallclock, lockedenc, floatbits — behind the standard
-// cmd/go vet-tool protocol.
+// Command fedvet is the determinism contract checker for this repository.
+// It bundles the internal/analysis suite — maporder, seededrand, wallclock,
+// floatbits — behind the standard cmd/go vet-tool protocol.
 //
 // Two ways to run it:
 //

@@ -10,15 +10,15 @@
 // unfinished jobs here in a follow-up broadcast for the same round; jobs
 // are placement-free, so re-execution yields the identical result.
 //
-// Broadcast state arrives as versioned wire frames (protocol v5): a full
-// snapshot the first time, then — under the fedserver's -codec delta —
-// per-key diffs against the state this worker already holds, with the
-// method's wire state re-sent only when it changes. In the same
-// configuration the worker answers each job with a lossless patch of its
-// trained state against the round's broadcast base instead of the full
-// dict. -codec optionally pins which codec this worker accepts.
+// Broadcast state arrives as versioned wire frames: a full snapshot the
+// first time, then — under the fedserver's -codec delta — per-key diffs
+// against the state this worker already holds, with the method's wire state
+// re-sent only when it changes. In the same configuration the worker
+// answers each job with a lossless patch of its trained state against the
+// round's broadcast base instead of the full dict. The worker follows
+// whichever codec each broadcast names.
 //
-// Membership is elastic (protocol v7): dials are bounded (-dial-timeout)
+// Membership is elastic: dials are bounded (-dial-timeout)
 // and retried with exponential backoff (-dial-retries/-dial-backoff), the
 // worker streams liveness heartbeats (-heartbeat) so a wedged process is
 // detected within a bounded interval instead of on a read error, and
@@ -54,7 +54,6 @@ import (
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
-	"reffil/internal/fl/wire"
 	"reffil/internal/model"
 	"reffil/internal/profiling"
 	"reffil/internal/telemetry"
@@ -84,7 +83,6 @@ func run() error {
 		tasks   = flag.Int("tasks", 2, "incremental tasks (must match fedserver; 0 = all domains)")
 		seed    = flag.Int64("seed", 1, "shared run seed (must match fedserver)")
 		jobs    = flag.Int("jobs", 0, "concurrent jobs per round (0 = NumCPU)")
-		codec   = flag.String("codec", "", "pin the accepted broadcast codec ("+strings.Join(wire.Names(), "|")+"); empty accepts whatever the coordinator sends")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables profiling)")
 
 		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -staleness S -straggler p so admission anticipates the lag)")
@@ -144,7 +142,7 @@ func run() error {
 	}
 	sink.StartRun(telemetry.Manifest{
 		RunID: runID, Role: "fedworker",
-		Method: *method, Dataset: *dataset, Codec: *codec,
+		Method: *method, Dataset: *dataset,
 		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
 		Flags: visitedFlags(),
 	})
@@ -165,12 +163,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *codec != "" {
-		if _, err := wire.New(*codec); err != nil {
-			return err
-		}
-		ex.ExpectCodec = *codec
-	}
 	if *straggle > 0 {
 		// The straggler sleep is stop-aware: the first SIGINT/SIGTERM cancels
 		// any in-progress (possibly many-second) simulated lag immediately —
@@ -189,7 +181,7 @@ func run() error {
 		ex.Straggle = func(spec fl.JobSpec) { sleep(stop, spec.Round, spec) }
 	}
 
-	opts := transport.DialOptions{Timeout: *dialTimeout, Codec: *codec, Heartbeat: *heartbeat}
+	opts := transport.DialOptions{Timeout: *dialTimeout, Heartbeat: *heartbeat}
 	dial := func() (*transport.Worker, error) {
 		w, err := transport.DialWith(*addr, *id, opts)
 		for backoff, attempt := *dialBackoff, 0; err != nil && attempt < *dialRetries; attempt++ {

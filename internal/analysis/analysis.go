@@ -1,6 +1,6 @@
 // Package analysis is the first-party static-analysis framework behind
-// fedvet, the checker that turns this repository's determinism and
-// concurrency contracts into executable law.
+// fedvet, the checker that turns this repository's determinism contracts
+// into executable law.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers read like standard vet checks, but it

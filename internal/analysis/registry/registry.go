@@ -7,7 +7,6 @@ package registry
 import (
 	"reffil/internal/analysis"
 	"reffil/internal/analysis/floatbits"
-	"reffil/internal/analysis/lockedenc"
 	"reffil/internal/analysis/maporder"
 	"reffil/internal/analysis/seededrand"
 	"reffil/internal/analysis/wallclock"
@@ -17,7 +16,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		floatbits.Analyzer,
-		lockedenc.Analyzer,
 		maporder.Analyzer,
 		seededrand.Analyzer,
 		wallclock.Analyzer,

@@ -6,12 +6,7 @@
 // the analyzers pass their unit tests.
 package lintsmoke
 
-import (
-	"encoding/gob"
-	"sync"
-
-	"reffil/internal/tensor"
-)
+import "reffil/internal/tensor"
 
 // SumDirect trips maporder: a raw range over a tensor map feeding a float
 // accumulation.
@@ -26,21 +21,4 @@ func SumDirect(m map[string]*tensor.Tensor) float64 {
 // Converged trips floatbits: raw float equality in non-test code.
 func Converged(prev, next float64) bool {
 	return prev == next
-}
-
-// stream trips lockedenc at the declaration: the shared encoder field
-// binds no guarding mutex.
-type stream struct {
-	enc *gob.Encoder
-}
-
-// boundStream trips lockedenc at the use: the field is bound to sendMu but
-// send never takes the lock.
-type boundStream struct {
-	sendMu sync.Mutex
-	enc    *gob.Encoder // fedvet:guards sendMu
-}
-
-func (b *boundStream) send(v any) error {
-	return b.enc.Encode(v)
 }

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -180,24 +179,20 @@ func (f *FedEWC) Predict(x *tensor.Tensor) ([]int, error) {
 // "ref/" prefixes (empty before the first OnTaskEnd).
 func (f *FedEWC) EncodeWireState() ([]byte, error) {
 	dict := make(map[string]*tensor.Tensor, 2*len(f.fisher))
-	//fedvet:ignore maporder map-to-map rekey is order-insensitive; checkpoint.Save sorts keys before encoding
+	//fedvet:ignore maporder map-to-map rekey is order-insensitive; checkpoint.Marshal sorts keys before encoding
 	for k, v := range f.fisher {
 		dict["fisher/"+k] = v
 	}
-	//fedvet:ignore maporder map-to-map rekey is order-insensitive; checkpoint.Save sorts keys before encoding
+	//fedvet:ignore maporder map-to-map rekey is order-insensitive; checkpoint.Marshal sorts keys before encoding
 	for k, v := range f.ref {
 		dict["ref/"+k] = v
 	}
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, dict); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return checkpoint.Marshal(dict)
 }
 
 // LoadWireState implements fl.WireStater.
 func (f *FedEWC) LoadWireState(b []byte) error {
-	dict, err := checkpoint.Load(bytes.NewReader(b))
+	dict, err := checkpoint.Unmarshal(b)
 	if err != nil {
 		return err
 	}

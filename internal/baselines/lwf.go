@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"bytes"
 	"math/rand"
 
 	"reffil/internal/autograd"
@@ -113,18 +112,14 @@ func (f *FedLwF) EncodeWireState() ([]byte, error) {
 	if f.teacher != nil {
 		dict = nn.StateDict(f.teacher)
 	}
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, dict); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return checkpoint.Marshal(dict)
 }
 
 // LoadWireState implements fl.WireStater: reconstruct the teacher from the
 // broadcast state dict, so a networked worker distills from exactly the
 // snapshot the coordinator froze at task start.
 func (f *FedLwF) LoadWireState(b []byte) error {
-	dict, err := checkpoint.Load(bytes.NewReader(b))
+	dict, err := checkpoint.Unmarshal(b)
 	if err != nil {
 		return err
 	}

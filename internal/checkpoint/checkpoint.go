@@ -6,6 +6,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -33,49 +34,61 @@ const (
 	maxElems = 1 << 22
 )
 
+// chunkBytes sizes the scratch buffer every encode or decode call stages its
+// header fields and tensor data through: a tensor moves in chunks of
+// chunkBytes/8 elements, never one element per I/O call. A name is the
+// largest header field, so the buffer is exactly that long.
+const chunkBytes = maxNameLen
+
+// writer and reader are what the format needs of a stream; *bufio.Writer and
+// *bytes.Buffer, *bufio.Reader and *bytes.Reader provide them.
+type writer interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+type reader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// writeFloats writes vs as little-endian Float64bits through scratch.
+func writeFloats(w io.Writer, scratch []byte, vs []float64) error {
+	for len(vs) > 0 {
+		n := min(len(vs), len(scratch)/8)
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(scratch[8*i:], math.Float64bits(v))
+		}
+		if _, err := w.Write(scratch[:8*n]); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
+}
+
+// readFloats fills dst from little-endian Float64bits read through scratch.
+func readFloats(r io.Reader, scratch []byte, dst []float64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(scratch)/8)
+		if _, err := io.ReadFull(r, scratch[:8*n]); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8*i:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
+}
+
 // Save writes a state dict to w. Entries are sorted by name so the output
 // is deterministic for identical state.
 func Save(w io.Writer, dict map[string]*tensor.Tensor) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return fmt.Errorf("checkpoint: writing header: %w", err)
-	}
-	names := make([]string, 0, len(dict))
-	for name := range dict {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
-		return fmt.Errorf("checkpoint: writing count: %w", err)
-	}
-	for _, name := range names {
-		if len(name) == 0 || len(name) > maxNameLen {
-			return fmt.Errorf("checkpoint: invalid tensor name length %d", len(name))
-		}
-		t := dict[name]
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return err
-		}
-		shape := t.Shape()
-		if len(shape) > maxDims {
-			return fmt.Errorf("checkpoint: tensor %q has rank %d > %d", name, len(shape), maxDims)
-		}
-		if err := bw.WriteByte(byte(len(shape))); err != nil {
-			return err
-		}
-		for _, d := range shape {
-			if err := binary.Write(bw, binary.LittleEndian, int64(d)); err != nil {
-				return err
-			}
-		}
-		for _, v := range t.Data() {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
-		}
+	if err := save(bw, dict, sortedNames(dict)); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("checkpoint: flushing: %w", err)
@@ -83,59 +96,127 @@ func Save(w io.Writer, dict map[string]*tensor.Tensor) error {
 	return nil
 }
 
+// Marshal returns the bytes Save would write, in one exactly-sized slice.
+func Marshal(dict map[string]*tensor.Tensor) ([]byte, error) {
+	names := sortedNames(dict)
+	size := len(magic) + 4
+	for _, name := range names {
+		t := dict[name]
+		size += 2 + len(name) + 1 + 8*t.NDim() + 8*t.Size()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := save(buf, dict, names); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func sortedNames(dict map[string]*tensor.Tensor) []string {
+	names := make([]string, 0, len(dict))
+	for name := range dict {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
+	if _, err := w.Write(magic[:]); err != nil {
+		return fmt.Errorf("checkpoint: writing header: %w", err)
+	}
+	scratch := make([]byte, chunkBytes)
+	binary.LittleEndian.PutUint32(scratch, uint32(len(names)))
+	if _, err := w.Write(scratch[:4]); err != nil {
+		return fmt.Errorf("checkpoint: writing count: %w", err)
+	}
+	for _, name := range names {
+		if len(name) == 0 || len(name) > maxNameLen {
+			return fmt.Errorf("checkpoint: invalid tensor name length %d", len(name))
+		}
+		t := dict[name]
+		rank := t.NDim()
+		if rank > maxDims {
+			return fmt.Errorf("checkpoint: tensor %q has rank %d > %d", name, rank, maxDims)
+		}
+		binary.LittleEndian.PutUint16(scratch, uint16(len(name)))
+		if _, err := w.Write(scratch[:2]); err != nil {
+			return err
+		}
+		if _, err := w.WriteString(name); err != nil {
+			return err
+		}
+		if err := w.WriteByte(byte(rank)); err != nil {
+			return err
+		}
+		for i := 0; i < rank; i++ {
+			binary.LittleEndian.PutUint64(scratch[8*i:], uint64(t.Dim(i)))
+		}
+		if _, err := w.Write(scratch[:8*rank]); err != nil {
+			return err
+		}
+		if err := writeFloats(w, scratch, t.Data()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Load reads a state dict from r, validating the header and every size
 // field before allocating.
 func Load(r io.Reader) (map[string]*tensor.Tensor, error) {
-	br := bufio.NewReader(r)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
+	return load(bufio.NewReader(r))
+}
+
+// Unmarshal decodes a state dict from the bytes Marshal or Save produced.
+func Unmarshal(b []byte) (map[string]*tensor.Tensor, error) {
+	return load(bytes.NewReader(b))
+}
+
+func load(r reader) (map[string]*tensor.Tensor, error) {
+	scratch := make([]byte, chunkBytes)
+	if _, err := io.ReadFull(r, scratch[:len(magic)]); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading header: %w", err)
 	}
-	if got != magic {
+	if got := [8]byte(scratch[:len(magic)]); got != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint, or unsupported version)", got)
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading count: %w", err)
 	}
+	count := binary.LittleEndian.Uint32(scratch)
 	// Never pre-size from an untrusted count: a corrupted header must not
 	// translate into a giant allocation. Entries grow the map as they are
 	// actually parsed.
-	hint := int(count)
-	if hint > 1024 {
-		hint = 1024
-	}
-	dict := make(map[string]*tensor.Tensor, hint)
+	dict := make(map[string]*tensor.Tensor, min(int(count), 1024))
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+		if _, err := io.ReadFull(r, scratch[:2]); err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %d name length: %w", i, err)
 		}
-		if nameLen == 0 || int(nameLen) > maxNameLen {
+		nameLen := int(binary.LittleEndian.Uint16(scratch))
+		if nameLen == 0 || nameLen > maxNameLen {
 			return nil, fmt.Errorf("checkpoint: entry %d has invalid name length %d", i, nameLen)
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
+		if _, err := io.ReadFull(r, scratch[:nameLen]); err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %d name: %w", i, err)
 		}
-		name := string(nameBuf)
+		name := string(scratch[:nameLen])
 		if _, dup := dict[name]; dup {
 			return nil, fmt.Errorf("checkpoint: duplicate entry %q", name)
 		}
-		ndim, err := br.ReadByte()
+		ndim, err := r.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %q rank: %w", name, err)
 		}
 		if int(ndim) > maxDims {
 			return nil, fmt.Errorf("checkpoint: entry %q has rank %d > %d", name, ndim, maxDims)
 		}
+		if _, err := io.ReadFull(r, scratch[:8*int(ndim)]); err != nil {
+			return nil, fmt.Errorf("checkpoint: entry %q dims: %w", name, err)
+		}
 		shape := make([]int, ndim)
 		elems := 1
 		for d := range shape {
-			var dim int64
-			if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-				return nil, fmt.Errorf("checkpoint: entry %q dim %d: %w", name, d, err)
-			}
+			dim := int64(binary.LittleEndian.Uint64(scratch[8*d:]))
 			if dim < 0 || dim > maxElems {
 				return nil, fmt.Errorf("checkpoint: entry %q has invalid dim %d", name, dim)
 			}
@@ -146,23 +227,19 @@ func Load(r io.Reader) (map[string]*tensor.Tensor, error) {
 			}
 		}
 		t := tensor.New(shape...)
-		buf := t.Data()
-		for j := range buf {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, fmt.Errorf("checkpoint: entry %q data: %w", name, err)
-			}
-			buf[j] = math.Float64frombits(bits)
+		if err := readFloats(r, scratch, t.Data()); err != nil {
+			return nil, fmt.Errorf("checkpoint: entry %q data: %w", name, err)
 		}
 		dict[name] = t
 	}
 	return dict, nil
 }
 
-// SaveFile atomically writes a state dict to path.
-func SaveFile(path string, dict map[string]*tensor.Tensor) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+// writeFileAtomic writes path through a temp file in the same directory and
+// a rename, so a process killed mid-write leaves the previous file intact,
+// never a torn one.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
@@ -171,7 +248,7 @@ func SaveFile(path string, dict map[string]*tensor.Tensor) (err error) {
 			_ = os.Remove(tmp.Name())
 		}
 	}()
-	if err = Save(tmp, dict); err != nil {
+	if err = write(tmp); err != nil {
 		_ = tmp.Close()
 		return err
 	}
@@ -182,6 +259,11 @@ func SaveFile(path string, dict map[string]*tensor.Tensor) (err error) {
 		return fmt.Errorf("checkpoint: installing %s: %w", path, err)
 	}
 	return nil
+}
+
+// SaveFile atomically writes a state dict to path.
+func SaveFile(path string, dict map[string]*tensor.Tensor) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return Save(w, dict) })
 }
 
 // LoadFile reads a state dict from path.

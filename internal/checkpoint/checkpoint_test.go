@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"os"
@@ -213,5 +214,86 @@ func TestDuplicateEntryRejected(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("duplicate entries must error")
+	}
+}
+
+// goldenDict and goldenHex pin the byte format: the hex is what Save wrote
+// for this dict before tensors moved through a chunk buffer.
+func goldenDict() map[string]*tensor.Tensor {
+	return map[string]*tensor.Tensor{
+		"w":    tensor.FromSlice([]float64{1, math.Copysign(0, -1), math.NaN(), 0.5, -2.25, math.Inf(1)}, 2, 3),
+		"bias": tensor.FromSlice([]float64{1e-300, -1e300}, 2),
+		"s":    tensor.Scalar(math.Pi),
+		"none": tensor.New(0, 4),
+	}
+}
+
+const goldenHex = "52464c434b5054310400000004006269617301020000000000000059f3f8c21f6ea5019c7500883ce437fe" +
+	"04006e6f6e65020000000000000000040000000000000001007300182d4454fb210940" +
+	"0100770202000000000000000300000000000000000000000000f03f0000000000000080010000000000f87f" +
+	"000000000000e03f00000000000002c0000000000000f07f"
+
+func TestFormatMatchesGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, goldenDict()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Save wrote\n%x\nwant\n%x", buf.Bytes(), want)
+	}
+	got, err := Marshal(goldenDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Marshal wrote\n%x\nwant\n%x", got, want)
+	}
+	if cap(got) != len(want) {
+		t.Fatalf("Marshal allocated %d bytes for a %d-byte encoding", cap(got), len(want))
+	}
+	back, err := Unmarshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range goldenDict() {
+		if !back[name].EqualBits(v) {
+			t.Fatalf("entry %q decoded as %v, want %v", name, back[name], v)
+		}
+	}
+	if len(back) != len(goldenDict()) {
+		t.Fatalf("decoded %d entries, want %d", len(back), len(goldenDict()))
+	}
+}
+
+// TestAllocsIndependentOfElementCount is the regression test for the
+// per-element binary.Write/Read calls: a 64x larger tensor must cost the
+// same number of allocations to encode and to decode.
+func TestAllocsIndependentOfElementCount(t *testing.T) {
+	allocs := func(elems int) (marshal, unmarshal float64) {
+		dict := map[string]*tensor.Tensor{"w": tensor.Ones(elems)}
+		enc, err := Marshal(dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		marshal = testing.AllocsPerRun(10, func() {
+			if _, err := Marshal(dict); err != nil {
+				t.Fatal(err)
+			}
+		})
+		unmarshal = testing.AllocsPerRun(10, func() {
+			if _, err := Unmarshal(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return marshal, unmarshal
+	}
+	smallM, smallU := allocs(1 << 10)
+	largeM, largeU := allocs(1 << 16)
+	if smallM != largeM || smallU != largeU {
+		t.Fatalf("allocations grow with element count: Marshal %v -> %v, Unmarshal %v -> %v", smallM, largeM, smallU, largeU)
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"path/filepath"
 
 	"reffil/internal/tensor"
 )
@@ -74,7 +72,7 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	if err := binary.Write(bw, binary.LittleEndian, rs.Seed); err != nil {
 		return err
 	}
-	if rs.NextTask < 0 || rs.NextTask > maxTasks || rs.NextRound < 0 {
+	if rs.NextTask < 0 || rs.NextTask > maxTasks || rs.NextRound < 0 || rs.NextRound > maxTasks {
 		return fmt.Errorf("checkpoint: invalid resume position task %d round %d", rs.NextTask, rs.NextRound)
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(rs.NextTask)); err != nil {
@@ -89,6 +87,7 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(rs.Matrix))); err != nil {
 		return err
 	}
+	scratch := make([]byte, chunkBytes)
 	for _, row := range rs.Matrix {
 		if len(row) > maxTasks {
 			return fmt.Errorf("checkpoint: matrix row with %d cells exceeds %d", len(row), maxTasks)
@@ -96,10 +95,8 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 		if err := binary.Write(bw, binary.LittleEndian, uint32(len(row))); err != nil {
 			return err
 		}
-		for _, v := range row {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
+		if err := writeFloats(bw, scratch, row); err != nil {
+			return err
 		}
 	}
 	hasPayload := byte(0)
@@ -173,6 +170,7 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 		return nil, fmt.Errorf("checkpoint: matrix with %d rows exceeds %d", rows, maxTasks)
 	}
 	rs.Matrix = make([][]float64, rows)
+	scratch := make([]byte, chunkBytes)
 	for i := range rs.Matrix {
 		var cols uint32
 		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
@@ -182,12 +180,8 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 			return nil, fmt.Errorf("checkpoint: matrix row %d with %d cells exceeds %d", i, cols, maxTasks)
 		}
 		row := make([]float64, cols)
-		for j := range row {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, fmt.Errorf("checkpoint: matrix cell (%d,%d): %w", i, j, err)
-			}
-			row[j] = math.Float64frombits(bits)
+		if err := readFloats(br, scratch, row); err != nil {
+			return nil, fmt.Errorf("checkpoint: matrix row %d cells: %w", i, err)
 		}
 		rs.Matrix[i] = row
 	}
@@ -215,28 +209,8 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 
 // SaveRunStateFile atomically writes a run snapshot to path: a coordinator
 // killed mid-write leaves the previous snapshot intact, never a torn file.
-func SaveRunStateFile(path string, rs *RunState) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".runckpt-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if err = SaveRunState(tmp, rs); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing temp file: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: installing %s: %w", path, err)
-	}
-	return nil
+func SaveRunStateFile(path string, rs *RunState) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return SaveRunState(w, rs) })
 }
 
 // LoadRunStateFile reads a run snapshot from path.

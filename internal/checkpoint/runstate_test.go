@@ -157,6 +157,20 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 		t.Fatal("out-of-range resume task must refuse to serialize")
 	}
 	rs.NextTask = 0
+	// LoadRunState rejects rounds beyond the bound, so SaveRunState must not
+	// write a snapshot the run could never resume from.
+	rs.NextRound = maxTasks + 1
+	if err := SaveRunState(&bytes.Buffer{}, rs); err == nil {
+		t.Fatal("out-of-range resume round must refuse to serialize")
+	}
+	rs.NextRound = maxTasks
+	var buf bytes.Buffer
+	if err := SaveRunState(&buf, rs); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadRunState(&buf); err != nil || got.NextRound != maxTasks {
+		t.Fatalf("largest saveable round must load back: %v", err)
+	}
 	rs.Payload = make([]byte, maxPayload+1)
 	if err := SaveRunState(&bytes.Buffer{}, rs); err == nil {
 		t.Fatal("oversized payload must refuse to serialize")

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"reffil/internal/autograd"
+	"reffil/internal/checkpoint"
 	"reffil/internal/data"
 	"reffil/internal/fl"
 	"reffil/internal/tensor"
@@ -479,6 +482,121 @@ func TestRefFiLServerRoundRejectsBadUpload(t *testing.T) {
 	}
 	if err := r.ServerRound(0, 0, []fl.Upload{42}); err == nil {
 		t.Fatal("wrong upload type must error")
+	}
+}
+
+// TestRefFiLWireRoundTrip moves the server's bank and task counter, and a
+// client's prompt upload, through their checkpoint-dict byte forms: the
+// bytes are deterministic, the receiver ends up bit-identical, and every
+// malformed dict is rejected.
+func TestRefFiLWireRoundTrip(t *testing.T) {
+	cfg := DefaultConfig(7, 4)
+	dim := cfg.Model.TokenDim
+	server, err := New(cfg, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := trainOnce(t, server, fl.GroupNew, 0)
+	if err := server.ServerRound(0, 0, []fl.Upload{up, up}); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.OnTaskStart(2); err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := server.EncodeWireState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := server.EncodeWireState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state, again) {
+		t.Fatal("wire state must encode to the same bytes every call")
+	}
+	worker, err := New(cfg, rand.New(rand.NewSource(15)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := worker.LoadWireState(state); err != nil {
+		t.Fatal(err)
+	}
+	if worker.curTask != 2 {
+		t.Fatalf("task counter %d, want 2", worker.curTask)
+	}
+	classes := server.Bank().Classes()
+	if got := worker.Bank().Classes(); !reflect.DeepEqual(got, classes) {
+		t.Fatalf("bank classes %v, want %v", got, classes)
+	}
+	for _, k := range classes {
+		if !worker.Bank().ClassPrompts(k).EqualBits(server.Bank().ClassPrompts(k)) {
+			t.Fatalf("class %d prompts changed in transit", k)
+		}
+	}
+
+	enc, err := worker.EncodeUpload(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc2, err := worker.EncodeUpload(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, enc2) {
+		t.Fatal("upload must encode to the same bytes every call")
+	}
+	back, err := server.DecodeUpload(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, up) {
+		t.Fatalf("upload decoded as %v, want %v", back, up)
+	}
+
+	marshal := func(dict map[string]*tensor.Tensor) []byte {
+		t.Helper()
+		b, err := checkpoint.Marshal(dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	task := tensor.FromSlice([]float64{1}, 1)
+	badStates := map[string]map[string]*tensor.Tensor{
+		"no task counter":     {"bank/0": tensor.New(2, dim)},
+		"two-element counter": {"task": tensor.New(2)},
+		"fractional counter":  {"task": tensor.FromSlice([]float64{1.5}, 1)},
+		"negative counter":    {"task": tensor.FromSlice([]float64{-1}, 1)},
+		"unknown key":         {"task": task, "teacher/w": tensor.New(2, dim)},
+		"non-canonical class": {"task": task, "bank/01": tensor.New(2, dim)},
+		"wrong width":         {"task": task, "bank/0": tensor.New(2, dim+1)},
+		"zero rows":           {"task": task, "bank/0": tensor.New(0, dim)},
+		"flat matrix":         {"task": task, "bank/0": tensor.New(2 * dim)},
+	}
+	for name, dict := range badStates {
+		if err := worker.LoadWireState(marshal(dict)); err == nil {
+			t.Errorf("wire state with %s must be rejected", name)
+		}
+	}
+	if err := worker.LoadWireState(state[:len(state)-1]); err == nil {
+		t.Error("truncated wire state must be rejected")
+	}
+	if worker.curTask != 2 || !reflect.DeepEqual(worker.Bank().Classes(), classes) {
+		t.Fatal("a rejected wire state must leave the receiver untouched")
+	}
+	badUploads := map[string]map[string]*tensor.Tensor{
+		"unknown key": {"bank/0": tensor.New(dim)},
+		"wrong width": {"0": tensor.New(dim + 1)},
+		"a matrix":    {"0": tensor.New(1, dim)},
+	}
+	for name, dict := range badUploads {
+		if _, err := server.DecodeUpload(marshal(dict)); err == nil {
+			t.Errorf("upload with %s must be rejected", name)
+		}
+	}
+	if _, err := server.EncodeUpload(42); err == nil {
+		t.Error("wrong upload type must not encode")
 	}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"reffil/internal/autograd"
+	"reffil/internal/checkpoint"
 	"reffil/internal/data"
 	"reffil/internal/fl"
 	"reffil/internal/model"
@@ -379,80 +381,105 @@ func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
 	return tensor.ArgmaxRows(logits.T), nil
 }
 
-// wireState is RefFiL's gob-encoded server-side state beyond Global():
-// the current task counter (which parameterizes the DPCL temperature
-// decay) and the clustered prompt bank, flattened per class.
-type wireState struct {
-	CurTask int
-	Classes []int
-	// Rows[i] is class Classes[i]'s representative count; Data[i] its
-	// (Rows[i], dim) matrix flattened row-major.
-	Rows []int
-	Data [][]float64
+// RefFiL's server-side state beyond Global() travels as a checkpoint dict:
+// the task counter (which parameterizes the DPCL temperature decay) as a
+// one-element tensor, and the clustered prompt bank as one (representatives,
+// dim) matrix per class.
+const (
+	wireTaskKey    = "task"
+	wireBankPrefix = "bank/"
+)
+
+// parseClass parses a class index exactly as strconv.Itoa spells it, so two
+// entry names can never land on one class.
+func parseClass(s string) (int, error) {
+	k, err := strconv.Atoi(s)
+	if err != nil || strconv.Itoa(k) != s {
+		return 0, fmt.Errorf("core: %q is not a class index", s)
+	}
+	return k, nil
 }
 
 // EncodeWireState implements fl.WireStater: the task counter plus the
 // clustered global prompt bank, so a networked worker's GPL and DPCL
 // losses see exactly the server's Eq. 7-8 state.
 func (r *RefFiL) EncodeWireState() ([]byte, error) {
-	ws := wireState{CurTask: r.curTask}
+	dict := map[string]*tensor.Tensor{wireTaskKey: tensor.FromSlice([]float64{float64(r.curTask)}, 1)}
 	for _, k := range r.bank.Classes() {
-		m := r.bank.byClass[k]
-		ws.Classes = append(ws.Classes, k)
-		ws.Rows = append(ws.Rows, m.Dim(0))
-		ws.Data = append(ws.Data, append([]float64(nil), m.Data()...))
+		dict[wireBankPrefix+strconv.Itoa(k)] = r.bank.byClass[k]
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ws); err != nil {
-		return nil, fmt.Errorf("core: encoding wire state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return checkpoint.Marshal(dict)
 }
 
 // LoadWireState implements fl.WireStater.
 func (r *RefFiL) LoadWireState(b []byte) error {
-	var ws wireState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ws); err != nil {
+	dict, err := checkpoint.Unmarshal(b)
+	if err != nil {
 		return fmt.Errorf("core: decoding wire state: %w", err)
 	}
-	if len(ws.Classes) != len(ws.Rows) || len(ws.Classes) != len(ws.Data) {
-		return fmt.Errorf("core: wire state with %d classes, %d row counts, %d matrices",
-			len(ws.Classes), len(ws.Rows), len(ws.Data))
+	task, ok := dict[wireTaskKey]
+	if !ok || task.Size() != 1 {
+		return fmt.Errorf("core: wire state without a one-element %q tensor", wireTaskKey)
 	}
+	curTask := int(task.Data()[0])
+	if curTask < 0 || math.Float64bits(float64(curTask)) != math.Float64bits(task.Data()[0]) {
+		return fmt.Errorf("core: wire state task counter %v is not a task index", task.Data()[0])
+	}
+	delete(dict, wireTaskKey)
 	bank := NewPromptBank(r.bank.dim)
-	for i, k := range ws.Classes {
-		rows, flat := ws.Rows[i], ws.Data[i]
-		if rows <= 0 || rows*bank.dim != len(flat) {
-			return fmt.Errorf("core: wire state class %d has %d values for %d rows of width %d",
-				k, len(flat), rows, bank.dim)
+	//fedvet:ignore maporder filling a map from a map is order-insensitive
+	for name, m := range dict {
+		class, ok := strings.CutPrefix(name, wireBankPrefix)
+		if !ok {
+			return fmt.Errorf("core: unexpected wire-state entry %q", name)
 		}
-		bank.byClass[k] = tensor.FromSlice(append([]float64(nil), flat...), rows, bank.dim)
+		k, err := parseClass(class)
+		if err != nil {
+			return err
+		}
+		if m.NDim() != 2 || m.Dim(0) <= 0 || m.Dim(1) != bank.dim {
+			return fmt.Errorf("core: wire state class %d has shape %v, want (rows > 0, %d)", k, m.Shape(), bank.dim)
+		}
+		bank.byClass[k] = m
 	}
 	r.bank = bank
-	r.curTask = ws.CurTask
+	r.curTask = curTask
 	return nil
 }
 
-// EncodeUpload implements fl.UploadCoder for the Eq. 5 local prompt group.
+// EncodeUpload implements fl.UploadCoder for the Eq. 5 local prompt group:
+// a checkpoint dict of one d-vector per class.
 func (r *RefFiL) EncodeUpload(up fl.Upload) ([]byte, error) {
 	pu, ok := up.(*PromptUpload)
 	if !ok {
 		return nil, fmt.Errorf("core: cannot encode upload of type %T", up)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pu); err != nil {
-		return nil, fmt.Errorf("core: encoding upload: %w", err)
+	dict := make(map[string]*tensor.Tensor, len(pu.ByClass))
+	for k, vec := range pu.ByClass {
+		dict[strconv.Itoa(k)] = tensor.FromSlice(vec, len(vec))
 	}
-	return buf.Bytes(), nil
+	return checkpoint.Marshal(dict)
 }
 
 // DecodeUpload implements fl.UploadCoder.
 func (r *RefFiL) DecodeUpload(b []byte) (fl.Upload, error) {
-	var pu PromptUpload
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&pu); err != nil {
+	dict, err := checkpoint.Unmarshal(b)
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding upload: %w", err)
 	}
-	return &pu, nil
+	pu := &PromptUpload{ByClass: make(map[int][]float64, len(dict))}
+	//fedvet:ignore maporder filling a map from a map is order-insensitive
+	for name, vec := range dict {
+		k, err := parseClass(name)
+		if err != nil {
+			return nil, err
+		}
+		if vec.NDim() != 1 || vec.Dim(0) != r.bank.dim {
+			return nil, fmt.Errorf("core: upload class %d has shape %v, want (%d)", k, vec.Shape(), r.bank.dim)
+		}
+		pu.ByClass[k] = vec.Data()
+	}
+	return pu, nil
 }
 
 var _ fl.Algorithm = (*RefFiL)(nil)

@@ -1,0 +1,148 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"reffil/internal/core"
+	"reffil/internal/fl"
+	"reffil/internal/metrics"
+	"reffil/internal/nn"
+	"reffil/internal/tensor"
+)
+
+var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json from this run's hashes")
+
+const (
+	ledgerPath = "testdata/ledger.json"
+	ledgerSeed = 11
+)
+
+// ledgerEntry is one run's absolute output: Float64bits hashes of the
+// accuracy matrix and of the final global state dict.
+type ledgerEntry struct {
+	Matrix string `json:"matrix"`
+	State  string `json:"state"`
+}
+
+type ledgerRow struct {
+	label, method, dataset string
+	mutate                 func(*core.Config)
+}
+
+// ledgerRows are every method on two families plus Table VII's component
+// ablations (the mutate path) on one.
+func ledgerRows() []ledgerRow {
+	var rows []ledgerRow
+	for _, ds := range []string{"officecaltech10", "pacs"} {
+		for _, m := range MethodNames {
+			rows = append(rows, ledgerRow{label: ds + "/" + m, method: m, dataset: ds})
+		}
+	}
+	for _, r := range TableVIIRows() {
+		rows = append(rows, ledgerRow{
+			label: "officecaltech10/ablation/" + r.Label, method: "RefFiL", dataset: "officecaltech10",
+			mutate: func(c *core.Config) {
+				c.EnableCDAP, c.EnableGPL, c.EnableDPCL = r.CDAP, r.GPL, r.DPCL
+			},
+		})
+	}
+	return rows
+}
+
+// TestGoldenLedger pins the numbers every method produces at smoke scale
+// against a committed file. The other determinism tests compare two runs of
+// the same commit; this one compares against the past, so a step-level
+// change that moves both sides together still shows up. Regenerate with
+// `go test ./internal/experiments -run TestGoldenLedger -update` and review
+// the diff as "this change moved the science".
+func TestGoldenLedger(t *testing.T) {
+	got := make(map[string]ledgerEntry)
+	for _, row := range ledgerRows() {
+		alg, family, domains, engCfg, err := buildRun(row.method, row.dataset, ScaleSmoke, OrderA, NoOverrides, ledgerSeed, row.mutate)
+		if err != nil {
+			t.Fatalf("%s: %v", row.label, err)
+		}
+		eng, err := fl.NewEngine(engCfg, alg)
+		if err != nil {
+			t.Fatalf("%s: %v", row.label, err)
+		}
+		mat, err := eng.Run(family, domains)
+		if err != nil {
+			t.Fatalf("%s: %v", row.label, err)
+		}
+		got[row.label] = ledgerEntry{Matrix: hashMatrix(mat), State: hashState(nn.StateDict(alg.Global()))}
+	}
+
+	if *updateLedger {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(ledgerPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ledgerPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	raw, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	want := make(map[string]ledgerEntry)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", ledgerPath, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d rows, this run produced %d", ledgerPath, len(want), len(got))
+	}
+	for _, row := range ledgerRows() {
+		if got[row.label] != want[row.label] {
+			t.Errorf("%s: got %+v, ledger has %+v", row.label, got[row.label], want[row.label])
+		}
+	}
+}
+
+// hashMatrix and hashState duplicate benchmark/run.go's definitions (the
+// benchmark directory is a frozen instrument) so ledger and benchmark hashes
+// are comparable.
+func hashMatrix(mat *metrics.Matrix) string {
+	h := sha256.New()
+	var b [8]byte
+	for t := 0; t < mat.T; t++ {
+		for i := 0; i <= t; i++ {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(mat.A[t][i]))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func hashState(dict map[string]*tensor.Tensor) string {
+	names := make([]string, 0, len(dict))
+	for name := range dict {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	var b [8]byte
+	for _, name := range names {
+		h.Write([]byte(name))
+		for _, v := range dict[name].Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}

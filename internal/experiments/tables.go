@@ -80,31 +80,20 @@ var NoOverrides = Overrides{TransferFrac: -1}
 // RunOne executes one method on one dataset family at the given scale and
 // domain order, returning the paper's metrics.
 func RunOne(method, dataset string, scale Scale, order Order, ov Overrides, seed int64, progress func(string)) (Result, error) {
-	alg, family, domains, engCfg, err := buildRun(method, dataset, scale, order, ov, seed, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	eng, err := fl.NewEngine(engCfg, alg)
-	if err != nil {
-		return Result{}, err
-	}
-	eng.Progress = progress
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		return Result{}, fmt.Errorf("experiments: %s on %s: %w", method, dataset, err)
-	}
-	sum, err := mat.Summarize()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Method: method, Dataset: dataset, Domains: domains, Summary: sum}, nil
+	return run(method, method, dataset, scale, order, ov, seed, nil, progress)
 }
 
 // RunVariant executes a RefFiL configuration variant (ablations,
-// temperature sweeps) on one dataset.
+// temperature sweeps) on one dataset; the result is labelled, not named
+// after the method.
 func RunVariant(label, dataset string, scale Scale, order Order, seed int64,
 	mutate func(*core.Config), progress func(string)) (Result, error) {
-	alg, family, domains, engCfg, err := buildRun("RefFiL", dataset, scale, order, NoOverrides, seed, mutate)
+	return run(label, "RefFiL", dataset, scale, order, NoOverrides, seed, mutate, progress)
+}
+
+func run(label, method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
+	mutate func(*core.Config), progress func(string)) (Result, error) {
+	alg, family, domains, engCfg, err := buildRun(method, dataset, scale, order, ov, seed, mutate)
 	if err != nil {
 		return Result{}, err
 	}

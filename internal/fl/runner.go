@@ -100,7 +100,7 @@ type Dispatcher interface {
 // and workers load each new version before training so that their
 // replicas match the server's Spawn replicas exactly. EncodeWireState
 // must therefore be deterministic for unchanged state: equal state, equal
-// bytes (checkpoint and gob encodings of the same values qualify).
+// bytes (the checkpoint dict form, which sorts its keys, qualifies).
 // Algorithms whose mutable state is entirely inside Global() need not
 // implement it.
 type WireStater interface {

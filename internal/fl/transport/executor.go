@@ -57,10 +57,6 @@ type Executor struct {
 	// retains the payload version, not the bytes.
 	payload    []byte
 	payloadSet bool
-	// ExpectCodec, when non-empty, pins the codec this worker accepts:
-	// state patches produced by any other codec are rejected (the
-	// fedworker -codec flag).
-	ExpectCodec string
 	// Straggle, when non-nil, runs before each job's ack is emitted — the
 	// worker-side straggler simulation (fl.StragglerSleep): a real
 	// wall-clock sleep that makes this worker's acks physically late, which
@@ -95,12 +91,6 @@ func (e *Executor) ResetStream() {
 // their Index). Pass it to Worker.Serve, whose emit already serializes
 // onto the connection.
 func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
-	if e.ExpectCodec != "" && b.Codec != "" && b.Codec != e.ExpectCodec {
-		return fmt.Errorf("transport: coordinator runs codec %q, worker pinned to %q", b.Codec, e.ExpectCodec)
-	}
-	if e.ExpectCodec != "" && b.Frame.Kind != wire.KindNone && b.Frame.Patch.Codec != e.ExpectCodec {
-		return fmt.Errorf("transport: coordinator broadcasts codec %q, worker pinned to %q", b.Frame.Patch.Codec, e.ExpectCodec)
-	}
 	upCodec, err := wire.ForUpload(b.Codec)
 	if err != nil {
 		return fmt.Errorf("broadcast codec: %w", err)

@@ -82,7 +82,7 @@ type Pipeline struct {
 	// JoinWait, when positive, is how long a moment with no live workers —
 	// at Dispatch, or when the last live worker dies holding jobs — waits
 	// for the coordinator's background accept loop to admit a (re-)joining
-	// worker (elastic membership, v7) before failing the run. Zero keeps
+	// worker (elastic membership) before failing the run. Zero keeps
 	// the fail-fast behaviour.
 	JoinWait time.Duration
 	// Telemetry, when non-nil, receives round observations, per-worker ack

@@ -141,7 +141,6 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 				workerErr[id] = err
 				return
 			}
-			ex.ExpectCodec = opt.codec
 			ex.Straggle = opt.straggle[id]
 			w, err := transport.Dial(coord.Addr(), id)
 			if err != nil {

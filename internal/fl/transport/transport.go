@@ -2,9 +2,10 @@
 // (fedserver) broadcasts global model state plus per-client job framing to
 // workers over TCP, workers derive each job's shard locally, train, and
 // stream back one acknowledged result per job, and the coordinator
-// aggregates. Messages are gob-encoded and versioned; tensors cross the
-// wire only inside wire.Patch and datasets never cross it at all (see
-// fl.ShardSpec).
+// aggregates. encoding/gob is the message envelope and nothing else: every
+// tensor inside a message is already bytes — a wire.Patch, or a method
+// payload in the checkpoint dict format — and datasets never cross the wire
+// at all (see fl.ShardSpec).
 //
 // The package plugs into the engine through Pipeline (the coordinator side
 // of fl.Runner) and Executor (the worker side): the full fl.Engine — the
@@ -13,38 +14,28 @@
 // the in-process worker pool, with bit-identical accuracy matrices for the
 // same seed.
 //
-// Since protocol v3 the round is fault-tolerant: workers acknowledge each
-// job as it finishes, so when a worker's connection dies mid-round the
-// coordinator keeps the acknowledged results and re-queues only the dead
-// worker's unfinished jobs on the survivors (every job is a placement-free
-// deterministic computation, so re-execution elsewhere returns the exact
-// result the dead worker would have produced).
+// Membership is elastic. Every connection opens with a Hello/HelloAck
+// handshake against an accept loop that runs for the coordinator's whole
+// lifetime, so a fresh or restarted worker can dial mid-run; it is admitted
+// into a brand-new slot whose first frame is a full snapshot. Workers that
+// advertise a heartbeat stream Pong updates on it and the coordinator reads
+// their slots under a deadline, so a silently wedged worker is detected
+// within a bounded interval.
 //
-// Since protocol v4 the broadcast is delta-encoded: instead of the full
-// state dict plus the method's full wire state, each broadcast carries a
-// versioned wire.Frame — a codec-encoded state patch against the base
-// version the coordinator knows this worker holds, plus the wire-state
-// payload only when its bytes changed (see internal/fl/wire). Every
-// connection is byte-counted, so the Pipeline can prove the savings
-// (Stats/RoundStats).
+// Broadcasts are delta-encoded: each carries a versioned wire.Frame — a
+// codec-encoded state patch against the base version the coordinator knows
+// this worker holds, plus the method's wire-state payload only when its
+// bytes changed (see internal/fl/wire). Uploads are too: under the delta
+// codec a worker answers each job with a lossless wire.Patch diffed against
+// the round's broadcast base, which the coordinator mirrors per slot. Every
+// connection is byte-counted (Stats/RoundStats).
 //
-// Since protocol v5 uploads are delta-encoded too: under any non-full
-// codec a worker answers each job with a lossless wire.Patch diffed
-// against the round's broadcast base — the state both ends already hold —
-// and the coordinator reconstructs it against the base it mirrors for that
-// slot. Re-queued jobs train and diff against the origin round's state,
-// which the coordinator retains and ships as a Replay, so crash-mid-round
-// stays bit-identical.
-//
-// Since protocol v7 membership is elastic: every connection opens with a
-// Hello/HelloAck handshake (worker id, pinned codec, heartbeat interval)
-// against a background accept loop that runs for the coordinator's whole
-// lifetime, so a fresh or restarted worker can dial — or re-dial — mid-run
-// and is admitted into a brand-new slot whose first frame is a full
-// snapshot. Workers that advertise a heartbeat stream Pong updates on it;
-// the coordinator reads those slots under a deadline, so a silently wedged
-// worker (connection open, nothing flowing) is detected within a bounded
-// interval instead of stalling the round until a read error.
+// Rounds are fault-tolerant and may overlap: workers acknowledge each job as
+// it finishes, so when a connection dies the coordinator keeps the
+// acknowledged results and re-queues only the unfinished jobs on survivors
+// (every job is a placement-free deterministic computation). A job whose
+// round the survivor's frame stream has already passed travels with a
+// Replay — the origin round's state, out of band.
 package transport
 
 import (
@@ -61,48 +52,18 @@ import (
 	"reffil/internal/telemetry"
 )
 
-// ProtocolVersion tags every Broadcast and Update. Both ends reject frames
-// from a different version instead of mis-decoding them: gob is
-// self-describing enough to decode across incompatible semantic revisions
-// of the message structs, so the guard has to be explicit.
+// ProtocolVersion tags every message. Both ends reject a different version
+// — at the handshake, and again on every Broadcast and Update — instead of
+// mis-decoding it: gob is self-describing enough to decode across
+// incompatible revisions of the message structs, so the guard has to be
+// explicit. Bump it whenever a message struct or the bytes inside one change
+// meaning.
 //
-// v3 replaced the one-update-per-round reply with per-job ack streaming
-// (each job's result is its own Update, closed by a Done frame), the
-// framing that makes survivor re-queue possible.
-//
-// v4 replaced the raw State/Payload broadcast fields with the versioned
-// delta frame of internal/fl/wire: per-worker base-version tracking,
-// pluggable codecs, and payload-on-change wire-state semantics.
-//
-// v5 delta-encodes the upload direction: broadcasts carry the round's
-// codec name, and under any non-full codec workers answer each job with a
-// wire.Patch diffed against the round's broadcast base instead of the full
-// state dict (JobResult.Patch).
-//
-// v6 adds pipelined rounds: the coordinator may broadcast round r+1 while
-// round r's acks are still streaming in, and a dead worker's unfinished
-// jobs from an already-superseded round are re-queued on survivors via a
-// Broadcast.Replay — an ephemeral snapshot of the origin round's state
-// that the survivor trains against without disturbing its own versioned
-// frame stream.
-//
-// v7 makes membership elastic: a worker opens every connection with a
-// Hello{WorkerID, Codec, Heartbeat} frame, and the coordinator — whose
-// accept loop now runs in the background for its whole lifetime — answers
-// with a HelloAck{Slot} after admitting the connection into a fresh,
-// append-only slot. Version mismatches are rejected at the handshake
-// instead of surfacing mid-round. Workers that advertise a heartbeat
-// interval stream Pong updates on it, letting the coordinator bound
-// wedged-worker detection with a per-slot read deadline.
-//
-// v8 leaves one tensor wire form: every state dict that crosses a socket —
-// broadcast frames, job uploads under every codec (full-codec uploads and
-// no-base fallbacks are Patch{Full: true} snapshots), and replay state —
-// is a wire.Patch, so JobResult.State, Replay.State and the gob
-// shape+data map they carried are gone. fl.ShardSpec also gained the
-// family's class count, so workers of a class-limited run materialize the
-// shard the coordinator partitioned.
-const ProtocolVersion = 8
+// v9: the messages are Hello{Version, WorkerID, Heartbeat} / HelloAck,
+// Broadcast{Frame, Codec, Jobs, Replay, Done} and Update{Results, Done,
+// Error, Pong}; every state dict in them is a wire.Patch, and every method
+// payload (fl.WireStater, fl.UploadCoder) is a checkpoint dict.
+const ProtocolVersion = 9
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
 // assignment. A round normally sends one broadcast per worker; when a
@@ -120,8 +81,8 @@ type Broadcast struct {
 	// maps, RefFiL's clustered prompt bank) — included only when its bytes
 	// changed since this worker last loaded it.
 	Frame wire.Frame
-	// Codec is the coordinator's broadcast codec registry name (v5).
-	// Workers derive the upload encoding from it (wire.ForUpload): under
+	// Codec is the coordinator's broadcast codec registry name. Workers
+	// derive the upload encoding from it (wire.ForUpload): under
 	// any non-full codec they diff each job's trained state against the
 	// round's broadcast base instead of uploading it whole.
 	Codec string
@@ -130,7 +91,7 @@ type Broadcast struct {
 	// worker derives its data shard from. Workers with no jobs reply with
 	// a bare Done update.
 	Jobs []fl.JobSpec
-	// Replay, when non-nil, marks a pipelined re-queue broadcast (v6): a
+	// Replay, when non-nil, marks a pipelined re-queue broadcast: a
 	// dead worker's unfinished jobs from round (Task, Round) re-executed on
 	// a survivor whose own frame stream has already moved past that round.
 	// It carries the origin round's state out of band — the survivor trains
@@ -198,13 +159,13 @@ type Update struct {
 	// errors are deterministic, so re-queueing the job elsewhere would
 	// fail identically.
 	Error string
-	// Pong marks a liveness heartbeat (v7): sent on a timer by workers that
+	// Pong marks a liveness heartbeat: sent on a timer by workers that
 	// advertised a heartbeat interval in their Hello, consumed inside the
 	// coordinator's receive loop without ever surfacing to the round layer.
 	Pong bool
 }
 
-// Hello is the first frame on every worker connection (v7): the membership
+// Hello is the first frame on every worker connection: the membership
 // handshake. The coordinator's background accept loop admits the
 // connection into a fresh slot and answers with a HelloAck, so workers can
 // join — or re-join — at any point in a run.
@@ -215,10 +176,6 @@ type Hello struct {
 	// WorkerID is the worker's self-reported id (for logs and stats; slots
 	// are assigned by the coordinator).
 	WorkerID int
-	// Codec, when non-empty, names the broadcast codec this worker is
-	// pinned to accept (Executor.ExpectCodec). Advisory: recorded per slot
-	// for observability, enforced worker-side.
-	Codec string
 	// Heartbeat, when positive, is the interval on which this worker will
 	// stream Pong updates. The coordinator arms a read deadline on the slot
 	// (SetHeartbeatTimeout, default 4x this interval), so a silently wedged
@@ -275,15 +232,11 @@ type Coordinator struct {
 
 type wireConn struct {
 	conn net.Conn
-	// The coordinator's mu serializes every sender on this stream: round
-	// broadcasts, HelloAck admission replies, and shutdown Done frames.
-	enc  *gob.Encoder // fedvet:guards mu
+	enc  *gob.Encoder
 	dec  *gob.Decoder
 	dead bool
-	// id/codec/heartbeat are the Hello metadata the slot was admitted with
-	// (v7); immutable after admission.
-	id        int
-	codec     string
+	// heartbeat is the interval the slot's Hello advertised; immutable after
+	// admission.
 	heartbeat time.Duration
 }
 
@@ -328,7 +281,7 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // a port-scanning or wedged dialer cannot pin coordinator resources.
 const helloTimeout = 10 * time.Second
 
-// acceptLoop admits workers for the coordinator's whole lifetime (v7):
+// acceptLoop admits workers for the coordinator's whole lifetime:
 // membership is elastic, so accepting is a background activity rather than
 // a startup phase. Each connection handshakes on its own goroutine — a
 // stalled dialer never blocks other joins. The loop exits when Close
@@ -343,14 +296,14 @@ func (c *Coordinator) acceptLoop() {
 	}
 }
 
-// admit runs the v7 join handshake on a fresh connection: decode the
+// admit runs the join handshake on a fresh connection: decode the
 // worker's Hello under a deadline, reject version mismatches before they
 // can mis-decode a round frame, then append a brand-new slot and answer
 // with its HelloAck. Slots are append-only — a re-dialing worker gets a
 // fresh slot whose lack of a base version makes its first frame a full
 // snapshot, so re-joins are state-correct by construction. The HelloAck is
-// encoded under mu, before the slot becomes visible to send/recv, so the
-// handshake never races a round broadcast on the same gob stream.
+// encoded under mu, before the slot becomes visible to send/recv, so it
+// always precedes the slot's first Broadcast on the stream.
 func (c *Coordinator) admit(conn net.Conn) {
 	cc := countedConn{Conn: conn, in: &c.bytesIn, out: &c.bytesOut}
 	w := &wireConn{conn: cc, enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}
@@ -361,13 +314,12 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	if h.Version != ProtocolVersion {
-		//fedvet:ignore lockedenc pre-admission: this handshake goroutine owns the conn exclusively until the slot is appended to workers
 		_ = w.enc.Encode(HelloAck{Version: ProtocolVersion, Error: fmt.Sprintf("coordinator speaks protocol v%d, worker %d dialed with v%d", ProtocolVersion, h.WorkerID, h.Version)})
 		_ = conn.Close()
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	w.id, w.codec, w.heartbeat = h.WorkerID, h.Codec, h.Heartbeat
+	w.heartbeat = h.Heartbeat
 	c.mu.Lock()
 	if c.closed {
 		// Close ran while this handshake was in flight: the coordinator's
@@ -499,17 +451,6 @@ func (c *Coordinator) SetHeartbeatTimeout(d time.Duration) {
 	c.heartbeatTimeout = d
 }
 
-// WorkerInfo reports the Hello metadata a slot was admitted with.
-func (c *Coordinator) WorkerInfo(slot int) (id int, codec string, heartbeat time.Duration, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || slot < 0 || slot >= len(c.workers) {
-		return 0, "", 0, false
-	}
-	w := c.workers[slot]
-	return w.id, w.codec, w.heartbeat, true
-}
-
 // NumWorkers returns how many workers have ever connected.
 func (c *Coordinator) NumWorkers() int {
 	c.mu.Lock()
@@ -581,7 +522,6 @@ func (c *Coordinator) send(slot int, b Broadcast) error {
 		return err
 	}
 	b.Version = ProtocolVersion
-	//fedvet:ignore lockedenc post-admission sends are serialized by the single round-dispatch goroutine per stream; admit excludes the handshake by encoding HelloAck under mu before the slot becomes visible
 	if err := w.enc.Encode(b); err != nil {
 		c.markDead(slot)
 		return fmt.Errorf("transport: sending to worker %d: %w", slot, err)
@@ -680,7 +620,7 @@ func (c *Coordinator) Close() error {
 type Worker struct {
 	id   int
 	conn net.Conn
-	enc  *gob.Encoder // fedvet:guards sendMu
+	enc  *gob.Encoder
 	dec  *gob.Decoder
 	// sendMu serializes outgoing updates: Serve's job acks and final
 	// frames interleave with the heartbeat goroutine's Pong frames on the
@@ -697,9 +637,6 @@ type DialOptions struct {
 	// no bound — a half-open coordinator then hangs the worker forever, so
 	// deployments should set it (cmd/fedworker defaults to 10s).
 	Timeout time.Duration
-	// Codec, when non-empty, is advertised in the Hello as the broadcast
-	// codec this worker is pinned to accept.
-	Codec string
 	// Heartbeat, when positive, starts a background goroutine streaming
 	// Pong updates on this interval, so the coordinator can bound its
 	// wedged-worker detection with a read deadline. It runs independently
@@ -713,7 +650,7 @@ func Dial(addr string, id int) (*Worker, error) {
 	return DialWith(addr, id, DialOptions{})
 }
 
-// DialWith connects a worker to the coordinator and runs the v7 join
+// DialWith connects a worker to the coordinator and runs the join
 // handshake — send Hello, await HelloAck — so version mismatches and
 // rejections surface here, at dial time, instead of mid-round.
 func DialWith(addr string, id int, opts DialOptions) (*Worker, error) {
@@ -726,8 +663,7 @@ func DialWith(addr string, id int, opts DialOptions) (*Worker, error) {
 	if opts.Timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(opts.Timeout))
 	}
-	//fedvet:ignore lockedenc handshake send before Serve and the heartbeat goroutine exist; the dialing goroutine owns the conn exclusively here
-	if err := w.enc.Encode(Hello{Version: ProtocolVersion, WorkerID: id, Codec: opts.Codec, Heartbeat: opts.Heartbeat}); err != nil {
+	if err := w.enc.Encode(Hello{Version: ProtocolVersion, WorkerID: id, Heartbeat: opts.Heartbeat}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: worker %d hello: %w", id, err)
 	}

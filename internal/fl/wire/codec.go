@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -114,11 +113,11 @@ func (Delta) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tenso
 // fullPatch snapshots next — every key, in the checkpoint format — under the
 // given codec name.
 func fullPatch(codec string, next map[string]*tensor.Tensor) (*Patch, error) {
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, next); err != nil {
+	dense, err := checkpoint.Marshal(next)
+	if err != nil {
 		return nil, fmt.Errorf("wire: encoding full snapshot: %w", err)
 	}
-	return &Patch{Codec: codec, Full: true, Dense: buf.Bytes()}, nil
+	return &Patch{Codec: codec, Full: true, Dense: dense}, nil
 }
 
 // sortedKeys returns the dict's keys in ascending order.

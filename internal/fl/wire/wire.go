@@ -32,8 +32,8 @@
 // against their actual base — or sends a full snapshot if they never had
 // one.
 //
-// Since transport protocol v5 the codec layer is direction-agnostic in
-// practice, not just in type: workers diff each trained replica against the
+// The codec layer is direction-agnostic in practice, not just in type:
+// workers diff each trained replica against the
 // round's broadcast base (their Tracker's dict) and upload a Patch instead
 // of a full state dict, and the coordinator reconstructs it against the
 // mirrored base it tracks for that worker. ForUpload names the upload codec
@@ -42,7 +42,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 
 	"reffil/internal/checkpoint"
@@ -55,7 +54,7 @@ import (
 // that produced it.
 type Patch struct {
 	// Codec names the codec that produced the patch (a registry name, see
-	// Names), recorded so receivers can pin the codec they accept.
+	// Names). Informational: Decode goes by Full, Dense and Packed alone.
 	Codec string
 	// Full marks a base-independent snapshot: Dense carries every key and
 	// the receiver's base (if any) is ignored.
@@ -233,7 +232,7 @@ func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor
 		if len(p.Packed) > 0 {
 			return nil, fmt.Errorf("wire: full patch carries %d packed bytes", len(p.Packed))
 		}
-		return checkpoint.Load(bytes.NewReader(p.Dense))
+		return checkpoint.Unmarshal(p.Dense)
 	}
 	if len(p.Dense) > 0 {
 		return nil, fmt.Errorf("wire: delta patch carries %d dense bytes", len(p.Dense))
