@@ -1,9 +1,9 @@
 // Command fedserver is the coordinator of a real networked federation. It
 // runs the full fl.Engine — the paper's client-increment strategy,
 // per-round participant selection, dropout, FedAvg weighted by local
-// dataset size, and the method's server hooks — over the TCP transport
-// Runner, so every paper scenario that runs single-process runs multi-node
-// with bit-identical accuracy matrices for the same seed.
+// dataset size, and the method's server hooks — on transport.Pipeline, so
+// every paper scenario that runs single-process runs multi-node with
+// bit-identical accuracy matrices for the same seed.
 //
 // Start the server, then one fedworker per machine (workers and server
 // must agree on -method, -dataset, -tasks and -seed; any worker count
@@ -17,12 +17,10 @@
 // broadcasts (dataset, domain, seed, partition slot), so no training data
 // ever crosses the wire — only model state, wire state and job framing.
 //
-// Rounds are fault-tolerant by default (-requeue): a worker that dies
-// mid-round has its unfinished jobs re-queued on the survivors and the run
-// continues on the remaining pool. -staleness S switches the engine to
-// bounded-staleness async rounds where results may report up to S rounds
-// late with 1/(1+k)-discounted FedAvg weight; -straggler simulates lagging
-// clients deterministically.
+// Rounds are synchronous (the paper's Algorithm 1) and fault-tolerant: a
+// worker that dies mid-round has its unfinished jobs re-queued on the
+// survivors and the run continues on the remaining pool, with the same
+// final numbers.
 //
 // -codec selects the wire format: "full" rebroadcasts the complete state
 // and method wire state every round and receives full state dicts back,
@@ -34,25 +32,29 @@
 // are logged.
 //
 // Membership is elastic: the coordinator admits worker dials for its whole
-// lifetime, so -workers only gates the start of the run — a worker that dies can re-dial (fedworker -rejoin) and a fresh
-// worker can join mid-run, each entering a new slot that receives a full
-// state snapshot on its next broadcast. -heartbeat-timeout bounds how long
-// a silently wedged worker (connection open, nothing flowing) can stall a
-// round before its jobs re-queue. -checkpoint-dir makes the coordinator
-// itself restartable: the engine snapshots resumable run state after every
-// round and every task, and a restarted fedserver pointed at the same
-// directory resumes the run — with the same flags and re-dialed workers,
-// the final accuracy matrix is bit-identical to an uninterrupted run (see
-// README "Elastic membership & resume").
+// lifetime, so -workers only gates the start of the run. A worker that dies
+// can re-dial (fedworker -rejoin) and a fresh worker can join mid-run, each
+// entering a new slot that receives a full state snapshot on its next
+// broadcast; -join-wait is how long a round with no live worker waits for
+// such a dial. -heartbeat-timeout bounds how long a silently wedged worker
+// (connection open, nothing flowing) can stall a round before its jobs
+// re-queue.
+//
+// -checkpoint-dir makes the coordinator itself restartable: the engine
+// snapshots resumable run state after every round and every task, and a
+// restarted fedserver pointed at the same directory resumes the run — with
+// the same flags and re-dialed workers, the final accuracy matrix is
+// bit-identical to an uninterrupted run (see README "Elastic membership &
+// resume").
 //
 // -pprof ADDR serves the net/http/pprof endpoints for live CPU/heap
 // profiling of a running coordinator (see README "Performance").
 //
 // -metrics ADDR serves a Prometheus /metrics page (round, byte,
-// frame-kind, liveness, admission and checkpoint series that reconcile
-// with the wire totals); -trace FILE records the round/job lifecycle as a
-// Chrome trace-event file loadable in Perfetto. Both are off by default
-// and cost nothing when disabled (see README "Observability").
+// frame-kind, liveness, fold and checkpoint series that reconcile with the
+// wire totals); -trace FILE records the round/job lifecycle as a Chrome
+// trace-event file loadable in Perfetto. Both are off by default and cost
+// nothing when disabled (see README "Observability").
 package main
 
 import (
@@ -135,9 +137,6 @@ func run() error {
 		joinWait  = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
 
-		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight, lagging ones staying in flight on the wire while later rounds dispatch (0 = synchronous rounds, bit-identical to the local engine)")
-		straggler = flag.Float64("straggler", 0, "per-(round,client) probability of lagging 1..S rounds (deterministic simulation; requires -staleness >= 1)")
-		requeue   = flag.Bool("requeue", true, "re-queue a dead worker's unfinished jobs on the survivors instead of failing the round")
 		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
 		wireLog   = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables profiling)")
@@ -146,12 +145,6 @@ func run() error {
 		traceFile   = flag.String("trace", "", "record the round/job lifecycle as a Chrome trace-event file at this path (load in Perfetto; empty disables tracing)")
 	)
 	flag.Parse()
-	if *straggler > 0 && *staleness < 1 {
-		return fmt.Errorf("-straggler %v needs -staleness >= 1: a lagging result with window 0 is always dropped", *straggler)
-	}
-	if *ckptDir != "" && *staleness > 0 {
-		return fmt.Errorf("-checkpoint-dir needs -staleness 0: mid-task snapshots under a staleness window omit in-flight results, so a resume would not be bit-identical")
-	}
 	// Telemetry is strictly opt-in: with both flags empty sink stays nil
 	// and every instrumentation point below is a nil-receiver no-op, so
 	// hot paths stay allocation-free and outputs bit-identical.
@@ -240,14 +233,12 @@ func run() error {
 			telemetry.F("attempts", rs.Attempts),
 			telemetry.F("dispatch_ms", fmt.Sprintf("%.1f", float64(rs.DispatchNanos)/1e6)),
 			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),
-			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)),
-			telemetry.F("overlap_pct", fmt.Sprintf("%.0f", rs.OverlapRatio()*100)))
+			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)))
 	}
 	tr, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		return err
 	}
-	tr.Requeue = *requeue
 	tr.JoinWait = *joinWait
 	tr.Telemetry = sink
 	if *wireLog {
@@ -255,19 +246,6 @@ func run() error {
 	}
 	if err := tr.UseCodec(*codec); err != nil {
 		return err
-	}
-	// With a staleness window the engine runs bounded-staleness rounds:
-	// lagging results report into later rounds of the same task with
-	// 1/(1+k)-discounted weight. At -staleness 0 the AsyncRunner wrapper is
-	// bypassed entirely and rounds stay synchronous.
-	var runner fl.Runner = tr
-	if *staleness > 0 {
-		runner = &fl.AsyncRunner{
-			Inner:     tr,
-			Staleness: *staleness,
-			Delay:     fl.StragglerDelay(*seed, *straggler, *staleness),
-			Telemetry: sink,
-		}
 	}
 	cfg := fl.Config{
 		Rounds:            *rounds,
@@ -284,7 +262,7 @@ func run() error {
 		EvalBatch:         25,
 		Seed:              *seed,
 	}
-	eng, err := fl.NewEngineWithRunner(cfg, alg, runner)
+	eng, err := fl.NewEngineWithRunner(cfg, alg, tr)
 	if err != nil {
 		return err
 	}
@@ -342,9 +320,6 @@ func run() error {
 		return err
 	}
 
-	if ar, ok := runner.(*fl.AsyncRunner); ok {
-		fmt.Printf("async rounds: staleness window %d, %d results dropped beyond the bound\n", ar.Staleness, ar.Dropped())
-	}
 	st := tr.Stats()
 	fmt.Printf("wire totals (codec %s): %d rounds, broadcast %s (%s/round), uploads %s (%s/round, %d patch/%d full, %d fallbacks), frames %d full/%d delta/%d idle, %d full-snapshot fallbacks\n",
 		tr.Codec(), st.Rounds, fmtBytes(st.BroadcastBytes), fmtBytes(perRound(st.BroadcastBytes, st.Rounds)),

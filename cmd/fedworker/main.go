@@ -45,14 +45,11 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"reffil/internal/data"
 	"reffil/internal/experiments"
-	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
 	"reffil/internal/profiling"
@@ -84,10 +81,6 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "shared run seed (must match fedserver)")
 		jobs    = flag.Int("jobs", 0, "concurrent jobs per round (0 = NumCPU)")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables profiling)")
-
-		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -staleness S -straggler p so admission anticipates the lag)")
-		straggleMax  = flag.Int("straggle-max", 1, "maximum lag in rounds for a straggling job (match fedserver -staleness)")
-		straggleUnit = flag.Duration("straggle-unit", 200*time.Millisecond, "real wall-clock sleep per lag round")
 
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "TCP dial + join handshake timeout (0 = unbounded, hangs forever on a half-open coordinator)")
 		dialRetries = flag.Int("dial-retries", 5, "retry a failed dial this many times before giving up")
@@ -162,23 +155,6 @@ func run() error {
 	ex, err := transport.NewExecutor(alg, *jobs)
 	if err != nil {
 		return err
-	}
-	if *straggle > 0 {
-		// The straggler sleep is stop-aware: the first SIGINT/SIGTERM cancels
-		// any in-progress (possibly many-second) simulated lag immediately —
-		// a dead coordinator must not leave this worker sleeping out a delay
-		// nobody is waiting for — and a second signal kills the process as
-		// usual (signal.Stop restores the default handler).
-		stop := make(chan struct{})
-		sigs := make(chan os.Signal, 1)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigs
-			close(stop)
-			signal.Stop(sigs)
-		}()
-		sleep := fl.StragglerSleep(*seed, *straggle, *straggleMax, *straggleUnit)
-		ex.Straggle = func(spec fl.JobSpec) { sleep(stop, spec.Round, spec) }
 	}
 
 	opts := transport.DialOptions{Timeout: *dialTimeout, Heartbeat: *heartbeat}

@@ -167,9 +167,15 @@ func Load(r io.Reader) (map[string]*tensor.Tensor, error) {
 	return load(bufio.NewReader(r))
 }
 
-// Unmarshal decodes a state dict from the bytes Marshal or Save produced.
+// Unmarshal decodes a state dict from the bytes Marshal or Save produced,
+// all of them: bytes left over after the last entry are an error.
 func Unmarshal(b []byte) (map[string]*tensor.Tensor, error) {
-	return load(bytes.NewReader(b))
+	r := bytes.NewReader(b)
+	dict, err := load(r)
+	if err == nil && r.Len() != 0 {
+		return nil, fmt.Errorf("checkpoint: %d bytes after the last entry", r.Len())
+	}
+	return dict, err
 }
 
 func load(r reader) (map[string]*tensor.Tensor, error) {
@@ -188,6 +194,7 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 	// translate into a giant allocation. Entries grow the map as they are
 	// actually parsed.
 	dict := make(map[string]*tensor.Tensor, min(int(count), 1024))
+	prev := ""
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(r, scratch[:2]); err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %d name length: %w", i, err)
@@ -200,9 +207,12 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 			return nil, fmt.Errorf("checkpoint: entry %d name: %w", i, err)
 		}
 		name := string(scratch[:nameLen])
-		if _, dup := dict[name]; dup {
-			return nil, fmt.Errorf("checkpoint: duplicate entry %q", name)
+		// Save sorts, so equal state has exactly one encoding; an entry out
+		// of order — a duplicate included — is not one Save wrote.
+		if name <= prev {
+			return nil, fmt.Errorf("checkpoint: entry %q after %q: names must ascend", name, prev)
 		}
+		prev = name
 		ndim, err := r.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %q rank: %w", name, err)

@@ -206,13 +206,13 @@ type client struct {
 }
 
 // Engine runs federated domain-incremental learning over a task sequence.
-// Round execution is delegated to a pluggable Runner, so the same
+// Round execution is delegated to a pluggable EachRunner, so the same
 // federation mechanics drive an in-process worker pool and a TCP fan-out
 // across machines.
 type Engine struct {
 	cfg     Config
 	alg     Algorithm
-	runner  Runner
+	runner  EachRunner
 	rng     *rand.Rand
 	clients []*client
 	// family/domains describe the data of the current Run, for job specs.
@@ -225,10 +225,8 @@ type Engine struct {
 	// Checkpoint, when non-nil, receives a resumable snapshot after every
 	// installed round and after every completed task — every state Run can
 	// later be resumed from via Resume. Returning an error aborts the run.
-	// Snapshots sit at round-install boundaries, so under a bounded-
-	// staleness runner with S>0 mid-task snapshots omit in-flight results;
-	// task-boundary snapshots (NextRound == 0) are always exact because the
-	// admission queue drains at task end.
+	// Rounds are synchronous, so nothing is in flight at a snapshot: every
+	// one of them resumes bit-identically.
 	Checkpoint func(ResumeState) error
 	// Resume, when non-nil, fast-forwards Run to the snapshot's position
 	// before executing: completed tasks replay their RNG draws (client
@@ -250,11 +248,10 @@ func NewEngine(cfg Config, alg Algorithm) (*Engine, error) {
 }
 
 // NewEngineWithRunner builds an engine that executes each round's jobs on
-// the given Runner, which must stream its results: an EachRunner or a
-// StalenessRunner (see runRound). A networked runner must train replicas of
-// the same algorithm instance (see transport.NewPipeline). A nil runner
-// selects the in-process LocalRunner over cfg.Workers.
-func NewEngineWithRunner(cfg Config, alg Algorithm, runner Runner) (*Engine, error) {
+// the given runner. A networked runner must train replicas of the same
+// algorithm instance (see transport.NewPipeline). A nil runner selects the
+// in-process LocalRunner over cfg.Workers.
+func NewEngineWithRunner(cfg Config, alg Algorithm, runner EachRunner) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -445,7 +442,7 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 
 // runRound performs one communication round of Algorithm 1: random
 // selection, local training on isolated model replicas via the configured
-// Runner, FedAvg in selection order, and the method's server-side hook.
+// runner, FedAvg in selection order, and the method's server-side hook.
 //
 // Determinism at any worker count — and across runner implementations —
 // rests on three invariants: every draw on the engine RNG (selection,
@@ -455,49 +452,27 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 // selection order regardless of which worker finished first.
 //
 // Phases 2 and 3 interleave (parallel training, serial folding): each
-// result folds into the streaming FedAvg accumulator the moment the runner
-// hands it over, so the engine holds the running sums plus only the
-// results that completed out of order — not every selected client's full
-// dict until the round ends. Two kinds of runner feed the fold. An
-// EachRunner runs the synchronous round: every job reports into its own
-// round, folded in job order with its own weight. A StalenessRunner runs
-// the bounded-staleness round: it decides which results report now and
-// which lag into a later round of the same task, and hands over whatever
-// it admits in (Origin, job-order) sequence with a staleness-discounted
-// weight; the task's last round drains it, so no result crosses a task
-// boundary. With a staleness bound of 0 the two are bit-identical.
+// result folds into the streaming FedAvg accumulator — in job order, with
+// the job's own weight — as soon as the runner has handed over every result
+// before it, so the engine holds the running sums plus only the results
+// that completed out of order, not every selected client's full dict until
+// the round ends.
 //
-// A round that folds nothing — every selected client dropped out, or every
-// result is lagging — leaves the global untouched.
+// A round that folds nothing — every selected client dropped out — leaves
+// the global untouched.
 func (e *Engine) runRound(t, r int) error {
 	jobs := e.roundJobs(t, r)
 	acc := NewAccumulator()
 	var uploads []Upload
-	fold := func(res Result, weight float64) error {
-		if err := acc.Fold(res.Dict, weight); err != nil {
+	err := runInJobOrder(e.runner, jobs, func(i int, res Result) error {
+		if err := acc.Fold(res.Dict, jobs[i].Weight); err != nil {
 			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
 		}
 		if res.Upload != nil {
 			uploads = append(uploads, res.Upload)
 		}
 		return nil
-	}
-	var err error
-	switch runner := e.runner.(type) {
-	case StalenessRunner:
-		err = runner.RunRound(t, r, jobs, r == e.cfg.Rounds-1, func(tr TaggedResult) error {
-			if tr.Origin < 0 || tr.Origin > r {
-				return fmt.Errorf("fl: round %d admitted a result from round %d", r, tr.Origin)
-			}
-			return fold(tr.Result, tr.Weight)
-		})
-	case EachRunner:
-		err = runInJobOrder(runner, jobs, func(i int, res Result) error {
-			return fold(res, jobs[i].Weight)
-		})
-	default:
-		err = fmt.Errorf("fl: runner %T streams no results: the engine needs an EachRunner or a StalenessRunner", e.runner)
-	}
+	})
 	if err != nil {
 		return err
 	}

@@ -117,3 +117,54 @@ func TestWorkersDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// reversedRunner is the whole runner contract and nothing else: it has a
+// RunEach and no Run. It trains the jobs one at a time in reverse job order
+// — each on a Spawn replica, as the contract demands — so every result but
+// the last reaches the engine ahead of its turn.
+type reversedRunner struct{ alg fl.Algorithm }
+
+func (r reversedRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
+	one := &fl.LocalRunner{Alg: r.alg, Workers: 1}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		err := one.RunEach(jobs[i:i+1], func(_ int, res fl.Result) error { return done(i, res) })
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEngineRunsOnRunEachAlone pins the one-runner-contract claim: RunEach
+// is all the engine asks of a runner, and a runner that completes jobs in
+// the opposite of job order still lands the LocalRunner matrix exactly,
+// because the engine folds in job order whatever the completion order.
+func TestEngineRunsOnRunEachAlone(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	run := func(runner func(fl.Algorithm) fl.EachRunner) [][]float64 {
+		alg := newParallelTestMethod(t, "RefFiL", family.Classes, len(domains))
+		eng, err := fl.NewEngineWithRunner(parallelTestConfig(2), alg, runner(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := eng.Run(family, domains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mat.A
+	}
+	want := run(func(alg fl.Algorithm) fl.EachRunner { return &fl.LocalRunner{Alg: alg, Workers: 2} })
+	got := run(func(alg fl.Algorithm) fl.EachRunner { return reversedRunner{alg} })
+	for i := range want {
+		for j := 0; j <= i; j++ {
+			if want[i][j] != got[i][j] {
+				t.Fatalf("accuracy matrix diverged at [%d][%d]: LocalRunner %v vs RunEach-only runner %v",
+					i, j, want[i][j], got[i][j])
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -472,22 +471,6 @@ func TestEngineEmptyRoundLeavesGlobalUntouched(t *testing.T) {
 	if alg.stats.trainCalls != 0 || alg.stats.rounds != 0 || alg.w.T.At(0) != 0 {
 		t.Fatalf("empty rounds trained %d clients, ran %d server rounds, moved w to %v",
 			alg.stats.trainCalls, alg.stats.rounds, alg.w.T.At(0))
-	}
-}
-
-// TestEngineRejectsBatchOnlyRunner: the engine folds results as they
-// stream in, so a runner offering only the collected Run is refused.
-func TestEngineRejectsBatchOnlyRunner(t *testing.T) {
-	family, err := data.NewFamily("pacs", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), &scriptRunner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(family, family.Domains[:1]); err == nil || !strings.Contains(err.Error(), "EachRunner") {
-		t.Fatalf("run error = %v, want the runner refused", err)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 // Job is one selected client's unit of work for a communication round: the
-// engine fixes every input before the fan-out, so any Runner — in-process
-// or networked — executes an identical, self-contained computation.
+// engine fixes every input before the fan-out, so any EachRunner —
+// in-process or networked — executes an identical, self-contained
+// computation.
 type Job struct {
 	// Ctx is the fully materialized local context (shard included). It is
 	// what in-process runners consume; it never crosses a network.
@@ -28,66 +29,33 @@ type Job struct {
 	Weight float64
 }
 
-// Result is what a Runner hands back for one Job: the trained replica's
+// Result is what an EachRunner hands back for one Job: the trained replica's
 // state dict (the client's FedAvg payload) and the method-specific upload.
 type Result struct {
 	Dict   map[string]*tensor.Tensor
 	Upload Upload
 }
 
-// Runner executes all of one round's local-training jobs and returns their
-// results in job order. The engine itself only drives runners that stream
-// their results (EachRunner, StalenessRunner); Run is the collected form
-// for everything else — AsyncRunner over an in-process Inner, tools, tests.
-// The contract every implementation must honour for the engine's
-// determinism guarantee:
+// EachRunner executes all of one round's local-training jobs and streams
+// each job's result back as it completes (LocalRunner in process,
+// transport.Pipeline over TCP): acks fold into the streaming FedAvg
+// Accumulator as they arrive instead of buffering every client's full state
+// dict until the round ends. The contract every implementation must honour
+// for the engine's determinism guarantee:
 //
-//   - results[i] corresponds to jobs[i], regardless of execution order or
-//     placement;
+//   - done(i, res) reports the result of jobs[i], regardless of execution
+//     order or placement;
 //   - each job trains an isolated replica of the algorithm's current global
 //     state (Spawn semantics), seeded only by its own Spec/Ctx;
 //   - no job observes another job's mutations.
 //
 // Under those rules the in-process worker pool and a TCP fan-out across
 // machines produce identical accuracy matrices for the same seed.
-type Runner interface {
-	Run(jobs []Job) ([]Result, error)
-}
-
-// EachRunner is a Runner that streams per-job results as they complete
-// (LocalRunner, transport.Pipeline). It is what the engine's synchronous
-// round runs on: acks fold into the streaming FedAvg Accumulator as they
-// arrive instead of buffering every client's full state dict until the
-// round ends.
 type EachRunner interface {
-	Runner
-	// RunEach fires done(i, results[i]) once per job, in completion order
-	// (not job order); done calls are serialized. An error from done cancels
-	// the remaining jobs like a training error.
+	// RunEach fires done(i, result of jobs[i]) once per job, in completion
+	// order (not job order); done calls are serialized. An error from done
+	// cancels the remaining jobs like a training error.
 	RunEach(jobs []Job, done func(i int, res Result) error) error
-}
-
-// Dispatcher is a Runner whose fan-out and collection are decoupled — the
-// transport Pipeline. Dispatch sends a round's jobs without waiting for
-// results, so the AsyncRunner can start round r+1 on idle workers while
-// round r's stragglers are still training; Await blocks until one job's
-// result arrives. The contract:
-//
-//   - Dispatch(task, round, jobs) returns as soon as the round's broadcasts
-//     are on the wire; at most one Dispatch per (task, round);
-//   - every dispatched job must be settled exactly once, by Await or
-//     Discard — Await(round, i) blocks until job i of that round's dispatch
-//     completes and consumes the result;
-//   - Discard(round, i) drops the result (a staleness-bound drop) without
-//     blocking, whether or not it has arrived yet.
-//
-// Run remains the collected synchronous form (Dispatch + Await all, in job
-// order).
-type Dispatcher interface {
-	Runner
-	Dispatch(task, round int, jobs []Job) error
-	Await(round, index int) (Result, error)
-	Discard(round, index int)
 }
 
 // WireStater is implemented by algorithms whose LocalTrain reads
@@ -246,7 +214,7 @@ func (j JobSpec) NewLocalContext(ds *data.Dataset) *LocalContext {
 }
 
 // LocalRunner trains each job on an isolated Spawn replica of Alg across an
-// in-process worker pool. It is the engine's default Runner and also the
+// in-process worker pool. It is the engine's default runner and also the
 // execution core of networked federation workers (a fedworker handling a
 // multi-job broadcast runs its slice of the round through the same pool).
 type LocalRunner struct {
@@ -257,26 +225,13 @@ type LocalRunner struct {
 	Workers int
 }
 
-// Run implements Runner. The first error wins; remaining jobs are drained.
-func (lr *LocalRunner) Run(jobs []Job) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	err := lr.RunEach(jobs, func(i int, res Result) error {
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEach is the streaming form of Run: done(i, results[i]) fires once per
+// RunEach implements EachRunner: done(i, result of jobs[i]) fires once per
 // job as it completes — in completion order, not job order — so callers
 // can forward per-job acknowledgements (the transport executor streams
 // each finished job back to the coordinator this way, which is what makes
 // survivor re-queue placement bookkeeping possible). done calls are
-// serialized under an internal lock; an error returned from done cancels
-// the remaining jobs exactly like a training error.
+// serialized under an internal lock; an error returned from done — or the
+// first training error — cancels the remaining jobs.
 func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) error {
 	if lr.Alg == nil {
 		return fmt.Errorf("fl: local runner has no algorithm")
@@ -356,7 +311,4 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 	return firstErr
 }
 
-var (
-	_ Runner     = (*LocalRunner)(nil)
-	_ EachRunner = (*LocalRunner)(nil)
-)
+var _ EachRunner = (*LocalRunner)(nil)

@@ -52,18 +52,11 @@ type Executor struct {
 	tracker wire.Tracker
 	// payload caches the wire-state bytes the live frame stream last loaded
 	// (payloadSet marks that any were). A replay broadcast may overwrite
-	// the algorithm's wire state with an origin round's payload; the cache
+	// the algorithm's wire state with the replayed round's payload; the cache
 	// is what restores the stream's state afterwards — wire.Tracker only
 	// retains the payload version, not the bytes.
 	payload    []byte
 	payloadSet bool
-	// Straggle, when non-nil, runs before each job's ack is emitted — the
-	// worker-side straggler simulation (fl.StragglerSleep): a real
-	// wall-clock sleep that makes this worker's acks physically late, which
-	// is what the pipelined coordinator overlaps. Acks are serialized, so a
-	// straggling job delays every later ack of the same broadcast — the
-	// whole worker is slow, as a real straggler would be.
-	Straggle func(spec fl.JobSpec)
 }
 
 // NewExecutor builds an executor over the worker's algorithm instance.
@@ -120,8 +113,8 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	return e.runJobs(b.Jobs, upCodec, e.tracker.Dict, emit)
 }
 
-// handleReplay executes a pipelined re-queue broadcast (Broadcast.Replay):
-// install the origin round's state out of band, train the jobs against it
+// handleReplay executes a re-queue broadcast (Broadcast.Replay): install
+// the round's retained state out of band, train the jobs against it
 // with upload patches diffed against that same state, then restore the
 // live stream's state — the frame tracker and the coordinator's mirror
 // never saw the detour.
@@ -176,7 +169,7 @@ func (e *Executor) handleReplay(b Broadcast, upCodec wire.Codec, emit func(JobRe
 // runJobs materializes and trains the broadcast's job slice through the
 // local worker pool, emitting one ack per job in completion order. base is
 // the state dict upload patches diff against — the round's broadcast base,
-// or a replay's origin-round state.
+// or a replay's out-of-band copy of it.
 func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[string]*tensor.Tensor, emit func(JobResult) error) error {
 	jobs := make([]fl.Job, len(specs))
 	for i, spec := range specs {
@@ -192,9 +185,6 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[stri
 	pool := &fl.LocalRunner{Alg: e.alg, Workers: e.workers}
 	// RunEach serializes done calls, so emit never runs concurrently.
 	return pool.RunEach(jobs, func(i int, res fl.Result) error {
-		if e.Straggle != nil {
-			e.Straggle(jobs[i].Spec)
-		}
 		// Diff the trained replica against the round's broadcast base —
 		// exactly the dict the coordinator mirrors for this worker, so the
 		// patch reconstructs there bit for bit. Every codec encodes a nil

@@ -13,16 +13,11 @@ import (
 )
 
 // Pipeline is the transport-backed round runner: it fans one round's jobs
-// out across the coordinator's live workers over TCP and collects the
-// per-job acks as they stream in, so an fl.Engine built on it runs every
-// paper scenario multi-node with the same mechanics — and the same numbers
-// — as the in-process pool. Dispatch and collection are decoupled, so the
-// coordinator can broadcast round r+1 while round r's acks are still in
-// flight: each worker slot gets an independent send queue and a dedicated
-// collector goroutine, and the wire Tracker mirror for a slot advances at
-// send time — per slot, not per completed round — so successive delta
-// frames chain correctly even when several rounds' acks are outstanding on
-// one connection.
+// out across the coordinator's live workers over TCP and hands the per-job
+// acks back as they stream in, so an fl.Engine built on it runs every paper
+// scenario multi-node with the same mechanics — and the same numbers — as
+// the in-process pool. Rounds are synchronous, exactly one is in flight:
+// RunEach returns when its last job has been handed over.
 //
 // Per round every live worker receives a versioned wire.Frame: under the
 // default full codec the complete state dict plus the method's encoded
@@ -33,61 +28,44 @@ import (
 // wire.Patch too (wire.ForUpload), reconstructed against the state the
 // slot's mirror holds once the frame is built. Jobs are assigned
 // round-robin by worker slot; assignment never affects results: each job is
-// a self-contained deterministic computation (see fl.Runner), and every
+// a self-contained deterministic computation (see fl.EachRunner), and every
 // codec is exact, so any placement under any codec produces the same bits.
 //
-// Pipeline implements two engine-facing contracts:
+// Each worker slot has a FIFO queue of the broadcasts it has yet to answer
+// and a dedicated collector goroutine. The queue outlives a round: a
+// worker's closing Done frame trails its last ack, so it usually arrives
+// after the next round's broadcast is already queued behind it.
 //
-//   - fl.Runner / fl.EachRunner: RunEach is the synchronous round —
-//     Dispatch immediately followed by Await of every job in order. Used
-//     directly it stays bit-identical to the in-process engine.
-//   - fl.Dispatcher: Dispatch fans a round out and returns as soon as the
-//     broadcasts are on the wire; Await blocks for one job's result;
-//     Discard drops one. fl.AsyncRunner leaves results its Delay policy
-//     marks as lagging in flight on the transport — the worker computes
-//     them while later rounds dispatch — and awaits them only at their
-//     admission round, turning simulated staleness into real wall-clock
-//     overlap.
+// A worker connection dying does not fail the run: the dead worker's
+// acknowledged results are kept and its unfinished jobs are redistributed
+// round-robin over the survivors as Replay broadcasts, which carry the
+// round's retained state out of band — a survivor may never have seen it
+// (an idle slot, a fresh joiner) — and do not touch the survivor's tracker
+// mirror. Only connection failures re-queue; an error the worker itself
+// reports is deterministic and fails the run (re-running the job elsewhere
+// would fail identically). A dead worker's base-version tracking is
+// dropped with it, so a re-dial starts from a full snapshot.
 //
-// With Requeue set, a worker connection dying no longer fails the run: the
-// dead worker's acknowledged results are kept and its unfinished jobs are
-// redistributed round-robin over the survivors. A dead worker may hold jobs
-// from several live rounds: each queued batch remembers its origin round,
-// and the unfinished jobs re-queue as Replay broadcasts carrying the origin
-// round's retained state out of band (the survivor's own version stream may
-// already be past — or not yet at — that round). Replays do not touch the
-// survivor's tracker mirror. Only connection failures re-queue; an error
-// the worker itself reports is deterministic and fails the run (re-running
-// the job elsewhere would fail identically). A dead worker's base-version
-// tracking is dropped with it, so a re-dial starts from a full snapshot.
-//
-// Determinism: job results are identified by (round, job index), and the
-// engine folds them in job-index order regardless of arrival order, so the
-// same results are admitted in the same order with the same bits whatever
-// the wall-clock schedule — AsyncRunner{S:0} over a Pipeline, and the
-// Pipeline on its own, match the synchronous local engine bit for bit.
+// Determinism: a result is identified by its job index and the engine folds
+// in job-index order regardless of arrival order, so the same results are
+// folded in the same order with the same bits whatever the wall-clock
+// schedule — the Pipeline matches the in-process engine bit for bit.
 type Pipeline struct {
 	coord *Coordinator
 	alg   fl.Algorithm
-	// Requeue enables survivor re-queue of a dead worker's unfinished jobs
-	// (Replay broadcasts). When false, a worker death fails the run.
-	Requeue bool
 	// OnRound, when non-nil, receives each round's wire statistics once its
 	// last ack lands. Called from a collector goroutine, outside the
-	// pipeline's locks; rounds can complete out of dispatch order.
+	// pipeline's locks, possibly after RunEach has returned.
 	OnRound func(RoundStats)
-	// OnDispatch, when non-nil, fires after a round's broadcasts are all on
-	// the wire (tests use it to observe overlap deterministically).
-	OnDispatch func(task, round int)
 	// JoinWait, when positive, is how long a moment with no live workers —
-	// at Dispatch, or when the last live worker dies holding jobs — waits
-	// for the coordinator's background accept loop to admit a (re-)joining
-	// worker (elastic membership) before failing the run. Zero keeps
-	// the fail-fast behaviour.
+	// at a round's start, or when the last live worker dies holding jobs —
+	// waits for the coordinator's background accept loop to admit a
+	// (re-)joining worker (elastic membership) before failing the run. Zero
+	// keeps the fail-fast behaviour.
 	JoinWait time.Duration
 	// Telemetry, when non-nil, receives round observations, per-worker ack
-	// latencies, death and requeue events. Set before the first Dispatch;
-	// nil (the default) keeps the hot path allocation-free.
+	// latencies, death and requeue events. Set before the first round; nil
+	// (the default) keeps the hot path allocation-free.
 	Telemetry *telemetry.Sink
 
 	// tmu guards enc, started, trackers and stats; tracker structs are only
@@ -99,58 +77,50 @@ type Pipeline struct {
 	stats    Stats
 	started  bool
 
-	// mu guards the flight table, per-round state, per-slot queues and the
-	// fatal flag; cond (on mu) wakes Await when a flight settles.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	flights map[flightKey]*flight
-	rounds  map[int]*roundFlight
-	slots   map[int]*slotState
-	fatal   error
-	closed  bool
+	// mu guards the round in flight, per-slot queues and the fatal flag;
+	// cond (on mu) wakes await when a job settles.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	cur    *roundFlight
+	slots  map[int]*slotState
+	fatal  error
+	closed bool
 	// startIn/startOut snapshot the coordinator's byte counters at the
-	// first dispatch: the zero point of the cumulative byte totals.
+	// first round's dispatch: the zero point of the cumulative byte totals.
 	startIn, startOut int64
 	everStarted       bool
 }
 
-// flightKey identifies one dispatched job: its round and its index in that
-// round's job list.
-type flightKey struct{ round, index int }
-
 // flight is one dispatched job's settlement state.
 type flight struct {
-	res     fl.Result
-	done    bool
-	discard bool
+	res  fl.Result
+	done bool
 }
 
-// roundFlight is the coordinator-side state of one dispatched round, kept
-// until its last ack lands: the codec it was dispatched under, the
-// canonical state (for replays after worker deaths), the wire-state
-// payload, and the round's statistics. Memory is bounded by the staleness
-// window — at most S+1 rounds are in flight.
+// roundFlight is the coordinator-side state of the round in flight: the
+// codec it was dispatched under, the canonical state (for replays after
+// worker deaths), the wire-state payload, one flight per job and the
+// round's statistics.
 type roundFlight struct {
 	task, round int
 	codec       string
 	dict        map[string]*tensor.Tensor
 	payload     []byte
+	jobs        []flight
 	remaining   int
 	rs          RoundStats
 	start       time.Time
 	// startIn/startOut are the coordinator's byte counters at dispatch.
 	startIn, startOut int64
-	overlapFrom       time.Time // zero until a later round dispatches
-	lastAck           time.Time
 }
 
 // batch is one broadcast's worth of jobs queued on a worker slot, FIFO: the
 // worker answers broadcasts in order, so the head batch is the one whose
 // acks arrive next.
 type batch struct {
-	round int
+	rf    *roundFlight
 	specs []fl.JobSpec
-	keys  []flightKey
+	idxs  []int                     // specs[k] is job idxs[k] of rf
 	base  map[string]*tensor.Tensor // upload-decode base for this broadcast
 	acked int
 }
@@ -165,9 +135,8 @@ type slotState struct {
 }
 
 // NewPipeline wraps a coordinator and the engine's algorithm instance. The
-// algorithm must be the same instance the fl.Engine aggregates into —
-// Dispatch reads its Global() state and wire state at each round's start.
-// Re-queueing starts enabled; clear Requeue for fail-fast rounds. The codec
+// algorithm must be the same instance the fl.Engine aggregates into — each
+// round reads its Global() state and wire state at dispatch. The codec
 // starts as "full" (complete snapshots); call UseCodec before the first
 // round to switch to delta broadcast.
 func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
@@ -184,11 +153,8 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	p := &Pipeline{
 		coord:    coord,
 		alg:      alg,
-		Requeue:  true,
 		enc:      enc,
 		trackers: make(map[int]*wire.Tracker),
-		flights:  make(map[flightKey]*flight),
-		rounds:   make(map[int]*roundFlight),
 		slots:    make(map[int]*slotState),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -196,9 +162,9 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 }
 
 // UseCodec selects the broadcast codec by registry name (full|delta).
-// It must be called before the first dispatch: switching codecs mid-run
+// It must be called before the first round: switching codecs mid-run
 // would invalidate the per-worker base tracking. The started check and the
-// encoder swap hold tmu so a UseCodec racing a Dispatch can never slip a
+// encoder swap hold tmu so a UseCodec racing a RunEach can never slip a
 // new encoder under a round in flight.
 func (p *Pipeline) UseCodec(name string) error {
 	codec, err := wire.New(name)
@@ -232,8 +198,8 @@ func (p *Pipeline) Stats() Stats {
 	return p.stats
 }
 
-// Close wakes every blocked Await with an error and stops the collectors
-// from reporting further deaths. Call it before Coordinator.Shutdown/Close
+// Close fails a round waiting for results and stops the collectors from
+// reporting further deaths. Call it before Coordinator.Shutdown/Close
 // when tearing a run down.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
@@ -274,21 +240,19 @@ func (p *Pipeline) slotFor(slot int) *slotState {
 	return st
 }
 
-// Dispatch implements fl.Dispatcher: build and send one broadcast per live
+// dispatch is RunEach's first half: build and send one broadcast per live
 // worker — every live slot gets a frame each round, idle ones a bare
 // KindNone, keeping all workers in lockstep with the version stream — and
-// return as soon as the sends complete. Results arrive asynchronously;
-// settle each job with Await or Discard.
-func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
-	if len(jobs) == 0 {
-		return nil
-	}
+// return the round as soon as the sends complete. Results arrive on the
+// collectors; await hands them over.
+func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
+	task, round := jobs[0].Spec.Task, jobs[0].Spec.Round
 	var payload []byte
 	if ws, ok := p.alg.(fl.WireStater); ok {
 		var err error
 		payload, err = ws.EncodeWireState()
 		if err != nil {
-			return fmt.Errorf("transport: encoding wire state: %w", err)
+			return nil, fmt.Errorf("transport: encoding wire state: %w", err)
 		}
 	}
 	p.tmu.Lock()
@@ -297,36 +261,37 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	p.tmu.Unlock()
 	codecName := enc.Codec().Name()
 	// StateDict clones, so the canonical dict is immune to the engine
-	// mutating the global during later aggregation. The dict is retained in
-	// the roundFlight until the round's last ack: it is the replay state if
-	// a worker dies holding this round's jobs.
+	// mutating the global during aggregation. The dict is retained in the
+	// roundFlight: it is the replay state if a worker dies holding this
+	// round's jobs.
 	enc.SetRound(nn.StateDict(p.alg.Global()), payload)
 	start := time.Now()
 
 	live := p.liveOrJoined()
 	if len(live) == 0 {
-		return fmt.Errorf("transport: no live workers to dispatch round %d", round)
+		return nil, fmt.Errorf("transport: no live workers to dispatch round %d", round)
 	}
 
-	// Register the round and its flights before anything hits the wire:
-	// acks can start arriving the moment the first send completes.
+	// Register the round before anything hits the wire: acks can start
+	// arriving the moment the first send completes.
 	p.mu.Lock()
 	if p.fatal != nil {
 		err := p.fatal
 		p.mu.Unlock()
-		return err
+		return nil, err
 	}
 	if p.closed {
 		p.mu.Unlock()
-		return fmt.Errorf("transport: dispatch on a closed pipeline")
+		return nil, fmt.Errorf("transport: dispatch on a closed pipeline")
 	}
-	if _, dup := p.rounds[round]; dup {
+	if p.cur != nil {
 		p.mu.Unlock()
-		return fmt.Errorf("transport: round %d is already in flight", round)
+		return nil, fmt.Errorf("transport: round %d is still in flight", p.cur.round)
 	}
 	rf := &roundFlight{
 		task: task, round: round, codec: codecName,
 		dict: enc.Dict(), payload: payload,
+		jobs:      make([]flight, len(jobs)),
 		remaining: len(jobs),
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
 		start:     start,
@@ -336,18 +301,7 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 		p.everStarted = true
 		p.startIn, p.startOut = rf.startIn, rf.startOut
 	}
-	p.rounds[round] = rf
-	for i := range jobs {
-		p.flights[flightKey{round, i}] = &flight{}
-	}
-	// Every older round still collecting now overlaps this dispatch: the
-	// time from here to its last ack is wall-clock a synchronous schedule
-	// would have serialized.
-	for r0, old := range p.rounds {
-		if r0 != round && old.overlapFrom.IsZero() {
-			old.overlapFrom = start
-		}
-	}
+	p.cur = rf
 	p.mu.Unlock()
 
 	// Round-robin the jobs over the live slots; a job's position in its
@@ -359,11 +313,10 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	}
 
 	// Build every slot's frame and advance its mirror at send time, under
-	// tmu so a concurrent worker death (dropTracker) cannot race the
-	// tracker structs. The mirror must advance now — not at round
-	// completion — because the next round's frame for this slot is built
-	// before this round's acks are in, and it must diff against the state
-	// the worker will hold after this frame.
+	// tmu so a concurrent worker death (workerDied) cannot race the
+	// tracker structs. The mirror advances now — not at round completion —
+	// so it holds exactly the state the worker will hold after this frame:
+	// the base this round's upload patches are decoded against.
 	type outbound struct {
 		slot  int
 		frame *wire.Frame
@@ -382,11 +335,11 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 		f, err := enc.FrameFor(t, active)
 		if err != nil {
 			p.tmu.Unlock()
-			return fmt.Errorf("transport: encoding frame for worker %d: %w", slot, err)
+			return nil, fmt.Errorf("transport: encoding frame for worker %d: %w", slot, err)
 		}
 		if err := enc.Advance(t, f); err != nil {
 			p.tmu.Unlock()
-			return fmt.Errorf("transport: advancing worker %d mirror: %w", slot, err)
+			return nil, fmt.Errorf("transport: advancing worker %d mirror: %w", slot, err)
 		}
 		outs = append(outs, outbound{slot: slot, frame: f, base: t.Dict, idxs: assign[slot]})
 	}
@@ -394,12 +347,10 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 
 	for _, o := range outs {
 		specs := make([]fl.JobSpec, len(o.idxs))
-		keys := make([]flightKey, len(o.idxs))
 		for k, ji := range o.idxs {
 			specs[k] = jobs[ji].Spec
-			keys[k] = flightKey{round, ji}
 		}
-		b := &batch{round: round, specs: specs, keys: keys, base: o.base}
+		b := &batch{rf: rf, specs: specs, idxs: o.idxs, base: o.base}
 		bc := Broadcast{Task: task, Round: round, Frame: *o.frame, Codec: codecName, Jobs: specs}
 		p.mu.Lock()
 		switch o.frame.Kind {
@@ -422,13 +373,9 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	}
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	rf.rs.DispatchNanos = time.Since(start).Nanoseconds()
-	err := p.fatal
-	p.mu.Unlock()
-	if p.OnDispatch != nil && err == nil {
-		p.OnDispatch(task, round)
-	}
-	return err
+	return rf, p.fatal
 }
 
 // sendBatch enqueues b on the slot and sends its broadcast, holding the
@@ -462,8 +409,8 @@ func (p *Pipeline) sendBatch(slot int, b *batch, bc Broadcast) error {
 }
 
 // collect is slot's dedicated receive loop: it decodes acks against the
-// head batch of the slot's queue, settles flights, and finalizes rounds
-// whose last ack landed. One collector runs per slot for the pipeline's
+// head batch of the slot's queue, settles flights, and finalizes the round
+// when its last ack lands. One collector runs per slot for the pipeline's
 // lifetime; it exits on worker death or pipeline close.
 func (p *Pipeline) collect(slot int, st *slotState) {
 	for {
@@ -497,8 +444,8 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 		}
 		b := st.queue[0]
 		if u.Done {
-			if b.acked != len(b.keys) {
-				p.failLocked(fmt.Errorf("transport: worker %d closed round %d's stream with %d of %d acks", slot, b.round, b.acked, len(b.keys)))
+			if b.acked != len(b.idxs) {
+				p.failLocked(fmt.Errorf("transport: worker %d closed round %d's stream with %d of %d acks", slot, b.rf.round, b.acked, len(b.idxs)))
 				p.mu.Unlock()
 				return
 			}
@@ -512,20 +459,19 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			return
 		}
 		jr := u.Results[0]
-		if jr.Index < 0 || jr.Index >= len(b.keys) {
-			p.failLocked(fmt.Errorf("transport: worker %d acked job slot %d of %d", slot, jr.Index, len(b.keys)))
+		if jr.Index < 0 || jr.Index >= len(b.idxs) {
+			p.failLocked(fmt.Errorf("transport: worker %d acked job slot %d of %d", slot, jr.Index, len(b.idxs)))
 			p.mu.Unlock()
 			return
 		}
-		key := b.keys[jr.Index]
-		rf := p.rounds[b.round]
-		if rf == nil {
-			p.failLocked(fmt.Errorf("transport: worker %d acked job %d of settled round %d", slot, jr.Index, b.round))
+		rf := b.rf
+		if rf != p.cur {
+			p.failLocked(fmt.Errorf("transport: worker %d acked job %d of settled round %d", slot, jr.Index, rf.round))
 			p.mu.Unlock()
 			return
 		}
 		if jr.Patch == nil {
-			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, b.round, jr.Index))
+			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, rf.round, jr.Index))
 			p.mu.Unlock()
 			return
 		}
@@ -537,26 +483,18 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 		} else {
 			rf.rs.PatchUploads++
 		}
-		fl0, open := p.flights[key]
-		if open && !fl0.done {
+		if fl0 := &rf.jobs[b.idxs[jr.Index]]; !fl0.done {
 			// Decode under mu: wire.Decode is pure, but the method's
 			// DecodeUpload is not documented concurrency-safe, and decode
 			// cost is dwarfed by training.
 			res, err := decodeResult(p.alg, jr, b.base)
 			if err != nil {
-				p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, b.round, jr.Index, err))
+				p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
 				p.mu.Unlock()
 				return
 			}
-			fl0.done = true
-			if fl0.discard {
-				delete(p.flights, key)
-			} else {
-				fl0.res = res
-			}
-			now := time.Now()
-			rf.lastAck = now
-			nanos := now.Sub(rf.start).Nanoseconds()
+			fl0.res, fl0.done = res, true
+			nanos := time.Since(rf.start).Nanoseconds()
 			if rf.rs.FirstAckNanos == 0 {
 				rf.rs.FirstAckNanos = nanos
 			}
@@ -577,20 +515,15 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 	}
 }
 
-// finishRound finalizes a round whose last ack landed: compute its overlap
-// span and byte window, fold its statistics into the cumulative totals,
-// report it to telemetry and release its retained state. Called with mu
-// held — which also orders the cumulative byte totals when two rounds
-// finish on different collectors; the returned stats are delivered to
-// OnRound outside the lock.
+// finishRound finalizes the round in flight once its last ack landed:
+// compute its byte window, fold its statistics into the cumulative totals,
+// report it to telemetry and make room for the next round. Called with mu
+// held; the returned stats are delivered to OnRound outside the lock.
 func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
-	if !rf.overlapFrom.IsZero() && rf.lastAck.After(rf.overlapFrom) {
-		rf.rs.OverlapNanos = rf.lastAck.Sub(rf.overlapFrom).Nanoseconds()
-	}
 	in, out := p.coord.BytesTransferred()
 	rf.rs.BroadcastBytes, rf.rs.UploadBytes = out-rf.startOut, in-rf.startIn
 	totalBroadcast, totalUpload := out-p.startOut, in-p.startIn
-	delete(p.rounds, rf.round)
+	p.cur = nil
 	rs := rf.rs
 	p.tmu.Lock()
 	p.stats.add(rs)
@@ -602,26 +535,21 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	return &rs
 }
 
-// workerDied handles a slot's connection death: drop its base tracking,
-// and re-queue every unfinished job in its queued batches — grouped by
-// origin round, oldest first — onto the survivors as Replay broadcasts.
-// When the dead slot was the last live one, wait up to JoinWait for a
-// (re-)joining worker and replay onto its fresh slot. Safe to call
-// repeatedly and from collectors and dispatchers alike: each call drains
-// whatever the slot's queue holds (a sendBatch that lost the race with an
-// earlier death appends its batch to the dead slot's queue and then routes
-// here), so no batch is ever stranded. Callers must not hold mu or tmu.
+// workerDied handles a slot's connection death: drop its base tracking, and
+// re-queue every unfinished job of the round in flight that its queued
+// batches hold onto the survivors as Replay broadcasts. When the dead slot
+// was the last live one, wait up to JoinWait for a (re-)joining worker and
+// replay onto its fresh slot. Safe to call repeatedly and from collectors
+// and dispatch alike: each call drains whatever the slot's queue holds (a
+// sendBatch that lost the race with an earlier death appends its batch to
+// the dead slot's queue and then routes here), so no batch is ever
+// stranded. Callers must not hold mu or tmu.
 func (p *Pipeline) workerDied(slot int) {
 	p.coord.markDead(slot)
 	p.tmu.Lock()
 	delete(p.trackers, slot)
 	p.tmu.Unlock()
 
-	type redo struct {
-		round int
-		specs []fl.JobSpec
-		keys  []flightKey
-	}
 	p.mu.Lock()
 	st := p.slotFor(slot)
 	if p.closed || p.fatal != nil {
@@ -634,53 +562,36 @@ func (p *Pipeline) workerDied(slot int) {
 		p.Telemetry.WorkerDead(slot)
 	}
 	st.dead = true
-	// Collect the unfinished jobs per origin round, preserving batch order
-	// (batches are FIFO, so rounds come out oldest first — the admission
-	// order the engine expects is by origin round).
-	var redos []redo
+	// Batches of earlier rounds were fully acked — only their Done frames
+	// were outstanding — so the unfinished jobs all belong to the round in
+	// flight.
+	rf := p.cur
+	var specs []fl.JobSpec
+	var idxs []int
 	for _, b := range st.queue {
-		var specs []fl.JobSpec
-		var keys []flightKey
-		for k, key := range b.keys {
-			if fl0, open := p.flights[key]; open && !fl0.done {
-				specs = append(specs, b.specs[k])
-				keys = append(keys, key)
-			}
-		}
-		if len(specs) == 0 {
+		if b.rf != rf {
 			continue
 		}
-		if n := len(redos); n > 0 && redos[n-1].round == b.round {
-			redos[n-1].specs = append(redos[n-1].specs, specs...)
-			redos[n-1].keys = append(redos[n-1].keys, keys...)
-		} else {
-			redos = append(redos, redo{round: b.round, specs: specs, keys: keys})
+		for k, ji := range b.idxs {
+			if !rf.jobs[ji].done {
+				specs = append(specs, b.specs[k])
+				idxs = append(idxs, ji)
+			}
 		}
 	}
 	st.queue = nil
-	if len(redos) == 0 {
-		p.mu.Unlock()
-		return
-	}
-	if !p.Requeue {
-		p.failLocked(fmt.Errorf("transport: worker %d died with jobs unfinished (re-queue disabled)", slot))
-		p.mu.Unlock()
-		return
-	}
 	p.mu.Unlock()
+	if len(idxs) == 0 {
+		return
+	}
 
 	// The redo jobs now belong to this call alone — their batches left the
-	// dead slot's queue — so the wait for a survivor can run unlocked.
+	// dead slot's queue, so the round cannot finish under it — and the wait
+	// for a survivor can run unlocked.
 	survivors := p.liveOrJoined()
 
-	// Build one replay plan per (origin round, survivor) pair while the
-	// round state is pinned under mu; send outside it.
-	type replaySend struct {
-		slot int
-		b    *batch
-		bc   Broadcast
-	}
-	var sends []replaySend
+	// Deal the jobs round-robin into one replay batch per survivor while
+	// the round state is pinned under mu; send outside it.
 	p.mu.Lock()
 	if p.closed || p.fatal != nil {
 		p.mu.Unlock()
@@ -691,139 +602,75 @@ func (p *Pipeline) workerDied(slot int) {
 		p.mu.Unlock()
 		return
 	}
-	for _, rd := range redos {
-		rf := p.rounds[rd.round]
-		if rf == nil {
-			p.failLocked(fmt.Errorf("transport: worker %d died holding jobs of settled round %d", slot, rd.round))
-			p.mu.Unlock()
-			return
+	snapshot, err := wire.Full{}.Encode(nil, rf.dict)
+	if err != nil {
+		p.failLocked(fmt.Errorf("transport: encoding round %d replay state: %w", rf.round, err))
+		p.mu.Unlock()
+		return
+	}
+	rf.rs.Attempts++
+	p.Telemetry.Requeued(rf.task, rf.round, len(idxs))
+	replay := &Replay{Patch: *snapshot}
+	if len(rf.payload) > 0 {
+		// Always ship the round's wire state: the survivor may never have
+		// loaded it (a fresh joiner), and it restores its stream payload
+		// after the replay either way.
+		replay.Payload, replay.HasPayload = rf.payload, true
+	}
+	batches := make([]*batch, min(len(survivors), len(idxs)))
+	for k, ji := range idxs {
+		s := k % len(survivors)
+		if batches[s] == nil {
+			batches[s] = &batch{rf: rf, base: rf.dict}
 		}
-		snapshot, err := wire.Full{}.Encode(nil, rf.dict)
-		if err != nil {
-			p.failLocked(fmt.Errorf("transport: encoding round %d replay state: %w", rd.round, err))
-			p.mu.Unlock()
-			return
-		}
-		rf.rs.Attempts++
-		p.Telemetry.Requeued(rf.task, rd.round, len(rd.keys))
-		replay := &Replay{Patch: *snapshot}
-		if len(rf.payload) > 0 {
-			// Always ship the origin round's wire state: the survivor's own
-			// payload version may be ahead of or behind this round's, and
-			// it restores its stream payload after the replay either way.
-			replay.Payload, replay.HasPayload = rf.payload, true
-		}
-		perSlot := make(map[int][]int, len(survivors))
-		for k := range rd.keys {
-			s := survivors[k%len(survivors)]
-			perSlot[s] = append(perSlot[s], k)
-		}
-		for _, s := range survivors {
-			idxs := perSlot[s]
-			if len(idxs) == 0 {
-				continue
-			}
-			specs := make([]fl.JobSpec, len(idxs))
-			keys := make([]flightKey, len(idxs))
-			for k, ix := range idxs {
-				specs[k] = rd.specs[ix]
-				keys[k] = rd.keys[ix]
-			}
-			sends = append(sends, replaySend{
-				slot: s,
-				b:    &batch{round: rd.round, specs: specs, keys: keys, base: rf.dict},
-				bc: Broadcast{
-					Task:   rf.task,
-					Round:  rd.round,
-					Codec:  rf.codec,
-					Jobs:   specs,
-					Replay: replay,
-				},
-			})
-		}
+		batches[s].specs = append(batches[s].specs, specs[k])
+		batches[s].idxs = append(batches[s].idxs, ji)
 	}
 	p.mu.Unlock()
 
-	for _, rs := range sends {
-		if err := p.sendBatch(rs.slot, rs.b, rs.bc); err != nil {
+	for s, b := range batches {
+		bc := Broadcast{Task: rf.task, Round: rf.round, Codec: rf.codec, Jobs: b.specs, Replay: replay}
+		if err := p.sendBatch(survivors[s], b, bc); err != nil {
 			// The survivor died too; recurse — its queue (our batch
 			// included) re-queues on whoever is left.
-			p.workerDied(rs.slot)
+			p.workerDied(survivors[s])
 		}
 	}
 }
 
-// Await implements fl.Dispatcher: block until job index of the given
-// round's dispatch settles, then consume and return its result. Each
-// dispatched job must be awaited (or discarded) exactly once.
-func (p *Pipeline) Await(round, index int) (fl.Result, error) {
-	key := flightKey{round, index}
+// await is RunEach's second half: block until job index of rf settles, then
+// consume and return its result.
+func (p *Pipeline) await(rf *roundFlight, index int) (fl.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.fatal != nil {
 			return fl.Result{}, p.fatal
 		}
-		fl0, ok := p.flights[key]
-		if !ok {
-			return fl.Result{}, fmt.Errorf("transport: job %d of round %d was already settled", index, round)
-		}
-		if fl0.done {
+		if fl0 := &rf.jobs[index]; fl0.done {
 			res := fl0.res
-			delete(p.flights, key)
+			fl0.res = fl.Result{}
 			return res, nil
 		}
 		if p.closed {
-			return fl.Result{}, fmt.Errorf("transport: pipeline closed with job %d of round %d in flight", index, round)
+			return fl.Result{}, fmt.Errorf("transport: pipeline closed with job %d of round %d in flight", index, rf.round)
 		}
 		p.cond.Wait()
 	}
 }
 
-// Discard implements fl.Dispatcher: drop one dispatched job's result —
-// the staleness bound discarded it — without blocking. The job still
-// counts toward its round's completion; only the decoded result is
-// released (or never stored).
-func (p *Pipeline) Discard(round, index int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := flightKey{round, index}
-	fl0, ok := p.flights[key]
-	if !ok {
-		return
-	}
-	if fl0.done {
-		delete(p.flights, key)
-		return
-	}
-	fl0.discard = true
-}
-
-// Run implements fl.Runner: RunEach collected into a slice.
-func (p *Pipeline) Run(jobs []fl.Job) ([]fl.Result, error) {
-	results := make([]fl.Result, len(jobs))
-	err := p.RunEach(jobs, func(i int, res fl.Result) error {
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEach implements fl.EachRunner, the synchronous round: dispatch, then
-// await and hand over each job in job order (the engine's fold order).
+// RunEach implements fl.EachRunner: dispatch the round, then await and hand
+// over each job in job order (the engine's fold order).
 func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	task, round := jobs[0].Spec.Task, jobs[0].Spec.Round
-	if err := p.Dispatch(task, round, jobs); err != nil {
+	rf, err := p.dispatch(jobs)
+	if err != nil {
 		return err
 	}
 	for i := range jobs {
-		res, err := p.Await(round, i)
+		res, err := p.await(rf, i)
 		if err != nil {
 			return err
 		}
@@ -837,7 +684,7 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 // decodeResult converts one acked JobResult into an fl.Result. base is the
 // broadcast base the sending worker diffed its upload patch against — its
 // post-frame state, the slot mirror's dict once the frame was built, or,
-// for a replay, the origin round's state. collect never calls it concurrently
+// for a replay, the round's retained state. collect never calls it concurrently
 // (the method's DecodeUpload is not documented concurrency-safe).
 func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
 	dict, err := wire.Decode(base, jr.Patch)
@@ -858,8 +705,4 @@ func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor
 	return fl.Result{Dict: dict, Upload: up}, nil
 }
 
-var (
-	_ fl.Runner     = (*Pipeline)(nil)
-	_ fl.EachRunner = (*Pipeline)(nil)
-	_ fl.Dispatcher = (*Pipeline)(nil)
-)
+var _ fl.EachRunner = (*Pipeline)(nil)

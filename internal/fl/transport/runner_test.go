@@ -65,45 +65,16 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 	return mat.A
 }
 
-// runLocalAsync executes the full task sequence on an AsyncRunner layered
-// over the in-process runner with the given staleness window (and no
-// delays — the bit-identity contract under test).
-func runLocalAsync(t *testing.T, method string, family *data.Family, domains []string, staleness int) [][]float64 {
-	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := crossRunnerConfig()
-	runner := &fl.AsyncRunner{
-		Inner:     &fl.LocalRunner{Alg: alg, Workers: cfg.Workers},
-		Staleness: staleness,
-	}
-	eng, err := fl.NewEngineWithRunner(cfg, alg, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mat.A
-}
-
 // tcpRun configures one loopback federation for runTCPWith.
 type tcpRun struct {
 	// workers is the number of goroutine "machines".
 	workers int
 	// codec is the broadcast codec ("" keeps the Pipeline's default full
-	// snapshots); workers are pinned to it (the fedworker -codec guard), so
-	// a frame from any other codec would fail the run.
+	// snapshots); workers follow whichever codec each broadcast names.
 	codec string
-	// wrap, when non-nil, layers another runner (e.g. fl.AsyncRunner) over
-	// the transport Pipeline.
-	wrap func(fl.Runner) fl.Runner
-	// straggle, when non-nil, maps a worker id to a pre-ack hook on that
-	// worker's Executor.
-	straggle map[int]func(fl.JobSpec)
+	// ackDelay, when positive, makes every worker sleep this long before
+	// it sends each ack: slow workers, built from the test side.
+	ackDelay time.Duration
 	// sink and onRound, when non-nil, are attached wherever the fedserver
 	// wires them: coordinator, pipeline and engine; the pipeline's OnRound.
 	sink    *telemetry.Sink
@@ -111,7 +82,7 @@ type tcpRun struct {
 }
 
 // runTCPWith executes the same sequence as runLocal over loopback TCP:
-// engine → (wrap →) transport.Pipeline → workers, each speaking only
+// engine → transport.Pipeline → workers, each speaking only
 // gob-over-TCP through an Executor around its own independently constructed
 // algorithm instance. It returns the matrix and the Pipeline's cumulative
 // wire accounting, so tests can assert which upload/broadcast paths a run
@@ -141,14 +112,18 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 				workerErr[id] = err
 				return
 			}
-			ex.Straggle = opt.straggle[id]
 			w, err := transport.Dial(coord.Addr(), id)
 			if err != nil {
 				workerErr[id] = err
 				return
 			}
 			defer w.Close()
-			workerErr[id] = w.Serve(ex.Handle)
+			workerErr[id] = w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+				return ex.Handle(b, func(jr transport.JobResult) error {
+					time.Sleep(opt.ackDelay)
+					return emit(jr)
+				})
+			})
 		}(id)
 	}
 	if err := coord.Accept(opt.workers, 10*time.Second); err != nil {
@@ -169,11 +144,7 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 			t.Fatal(err)
 		}
 	}
-	var runner fl.Runner = pl
-	if opt.wrap != nil {
-		runner = opt.wrap(runner)
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +166,6 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		}
 	}
 	return mat.A, pl.Stats()
-}
-
-// asyncOver returns a tcpRun.wrap layering an fl.AsyncRunner with the given
-// window and straggler policy (nil = no lag) over the transport.
-func asyncOver(staleness int, delay func(round int, spec fl.JobSpec) int) func(fl.Runner) fl.Runner {
-	return func(inner fl.Runner) fl.Runner {
-		return &fl.AsyncRunner{Inner: inner, Staleness: staleness, Delay: delay}
-	}
 }
 
 // TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
@@ -242,46 +205,6 @@ func requireSameMatrix(t *testing.T, label string, want, got [][]float64) {
 			}
 		}
 	}
-}
-
-// TestAsyncStalenessZeroMatchesSync is the async acceptance gate: an
-// fl.AsyncRunner with staleness window 0 (and no delays) layered over the
-// same in-process pool must reproduce the synchronous LocalRunner's
-// accuracy matrices exactly (==) for all six -method algorithms — the
-// bounded-staleness bookkeeping degenerates to the synchronous round.
-func TestAsyncStalenessZeroMatchesSync(t *testing.T) {
-	family, err := data.NewFamily("pacs", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domains := family.Domains[:2]
-	methods := experiments.MethodFlags()
-	if testing.Short() {
-		methods = []string{"reffil", "lwf"}
-	}
-	for _, method := range methods {
-		method := method
-		t.Run(method, func(t *testing.T) {
-			local := runLocal(t, method, family, domains)
-			async := runLocalAsync(t, method, family, domains, 0)
-			requireSameMatrix(t, "async(S=0)", local, async)
-		})
-	}
-}
-
-// TestAsyncOverTCPStalenessZero stacks the layers the fedserver CLI stacks
-// under -staleness — engine → AsyncRunner → transport Pipeline → TCP
-// workers — at S=0 under the full codec, and requires the result to stay
-// bit-identical to the plain local run.
-func TestAsyncOverTCPStalenessZero(t *testing.T) {
-	family, err := data.NewFamily("pacs", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domains := family.Domains[:2]
-	local := runLocal(t, "reffil", family, domains)
-	remote, _ := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, wrap: asyncOver(0, nil)})
-	requireSameMatrix(t, "async-over-TCP(S=0)", local, remote)
 }
 
 // TestShardSpecMaterializeMatchesPartition pins the data-derivation
@@ -451,7 +374,7 @@ func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 // TestCodecDeterminism is the delta acceptance gate for both wire
 // directions: with the "delta" codec — per-key diffs against each worker's
 // acked base version on broadcast, per-job patch uploads against the
-// round's broadcast base on the way back (protocol v5), wire-state payload
+// round's broadcast base on the way back, wire-state payload
 // sent only when its bytes change — every method's loopback-TCP accuracy
 // matrix must equal the synchronous in-process reference exactly (==).
 // Combined with TestCrossRunnerDeterminism (full codec == local), this
@@ -459,11 +382,6 @@ func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 // changes how bytes move, never what arrives. Each delta run must also
 // prove it exercised the upload-patch path — every ack a patch, no silent
 // fallback to full-state uploads.
-//
-// The async sub-test stacks the layers under churn: an fl.AsyncRunner with
-// staleness window 1 and deterministic stragglers over the TCP transport,
-// run once per codec. Lagging results make the matrices legitimately differ
-// from the synchronous run, but full vs delta must still agree bit for bit.
 func TestCodecDeterminism(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -483,19 +401,6 @@ func TestCodecDeterminism(t *testing.T) {
 			requireAllPatchUploads(t, stats)
 		})
 	}
-
-	t.Run("async_S1_stragglers", func(t *testing.T) {
-		wrap := asyncOver(1, fl.StragglerDelay(crossRunnerConfig().Seed, 0.33, 1))
-		full, fullStats := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 2, codec: "full", wrap: wrap})
-		delta, deltaStats := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 2, codec: "delta", wrap: wrap})
-		requireSameMatrix(t, "async delta vs async full", full, delta)
-		// The full run is the snapshot-upload baseline, the delta run must
-		// be all patches — and it must land the identical matrix above.
-		if fullStats.PatchUploads != 0 || fullStats.StateUploads == 0 || fullStats.UploadFallbacks != 0 {
-			t.Fatalf("full-codec run uploads: %+v, want full-snapshot uploads only, none a fallback", fullStats)
-		}
-		requireAllPatchUploads(t, deltaStats)
-	})
 }
 
 // requireAllPatchUploads asserts a delta-codec run delta-encoded every

@@ -13,7 +13,7 @@ import (
 // Cumulative totals are exact socket deltas; the per-round split in
 // RoundStats is approximate (see there).
 type Stats struct {
-	// Rounds is how many dispatched rounds completed.
+	// Rounds is how many rounds completed.
 	Rounds int64
 	// BroadcastBytes / UploadBytes are coordinator→worker and
 	// worker→coordinator TCP bytes between the first dispatch and the most
@@ -44,8 +44,9 @@ type Stats struct {
 }
 
 // add accumulates one completed round's counts. The byte totals are not
-// summed from the per-round windows, which overlap; Pipeline.finishRound
-// sets them from the socket counters.
+// summed from the per-round windows, which miss what moves between rounds
+// (the workers' closing Done frames); Pipeline.finishRound sets them from
+// the socket counters.
 func (s *Stats) add(rs RoundStats) {
 	s.Rounds++
 	s.FullFrames += rs.FullFrames
@@ -57,20 +58,19 @@ func (s *Stats) add(rs RoundStats) {
 	s.UploadFallbacks += rs.UploadFallbacks
 }
 
-// RoundStats is one completed round dispatch's slice of the accounting,
-// delivered through Pipeline.OnRound.
+// RoundStats is one completed round's slice of the accounting, delivered
+// through Pipeline.OnRound.
 type RoundStats struct {
-	// Task and Round identify the dispatch.
+	// Task and Round identify the round.
 	Task, Round int
 	// Attempts is how many broadcast waves the round took (1 + re-queue
 	// attempts after worker deaths).
 	Attempts int
 	// BroadcastBytes / UploadBytes are the TCP bytes that moved in each
-	// direction between this round's dispatch and its last ack. With one
-	// round in flight at a time that is the round's own traffic (give or
-	// take the few bytes gob decoders read ahead of a frame boundary, and
-	// the workers' closing Done frames, which trail the last ack); when
-	// rounds overlap the window carries the other rounds' traffic too.
+	// direction between this round's dispatch and its last ack: the round's
+	// own traffic, give or take the few bytes gob decoders read ahead of a
+	// frame boundary and the workers' closing Done frames, which trail the
+	// last ack.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// Frame counts by state kind, as in Stats.
@@ -83,35 +83,19 @@ type RoundStats struct {
 	StateUploads    int64
 	UploadFallbacks int64
 	// DispatchNanos is the wall-clock span of the round's dispatch path —
-	// frame building plus broadcast sends: all the coordinator pays before
-	// it can move on to the next round.
+	// frame building plus broadcast sends.
 	DispatchNanos int64
 	// FirstAckNanos / LastAckNanos are the wall-clock latencies from
 	// dispatch start to the round's first and last job ack. Zero when the
 	// round had no jobs.
 	FirstAckNanos int64
 	LastAckNanos  int64
-	// OverlapNanos is how much of this round's collection span ran after a
-	// later round had already been dispatched — the wall-clock time
-	// pipelining reclaimed. Zero for synchronous rounds (staleness 0),
-	// where no later round dispatches until this one completes.
-	OverlapNanos int64
-}
-
-// OverlapRatio is OverlapNanos as a fraction of the round's full dispatch-
-// to-last-ack span: 0 for synchronous rounds, approaching 1 when nearly the
-// whole collection ran concurrently with later rounds.
-func (rs RoundStats) OverlapRatio() float64 {
-	if rs.LastAckNanos <= 0 {
-		return 0
-	}
-	return float64(rs.OverlapNanos) / float64(rs.LastAckNanos)
 }
 
 // observation converts one completed round into the telemetry record. Byte
 // totals are the *cumulative* socket counters at completion rather than the
-// per-round split: socket bytes cannot be attributed to a single in-flight
-// round, and mirroring the running totals makes the /metrics byte counters
+// per-round split: the per-round windows miss what moves between rounds,
+// and mirroring the running totals makes the /metrics byte counters
 // reconcile exactly with Stats.
 func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
 	return telemetry.RoundObservation{
@@ -119,8 +103,6 @@ func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload in
 		DispatchNanos: rs.DispatchNanos,
 		FirstAckNanos: rs.FirstAckNanos,
 		LastAckNanos:  rs.LastAckNanos,
-		OverlapNanos:  rs.OverlapNanos,
-		OverlapRatio:  rs.OverlapRatio(),
 		FullFrames:    rs.FullFrames, DeltaFrames: rs.DeltaFrames,
 		IdleFrames: rs.IdleFrames, Fallbacks: rs.Fallbacks,
 		PatchUploads: rs.PatchUploads, StateUploads: rs.StateUploads,

@@ -7,8 +7,8 @@
 // payload in the checkpoint dict format — and datasets never cross the wire
 // at all (see fl.ShardSpec).
 //
-// The package plugs into the engine through Pipeline (the coordinator side
-// of fl.Runner) and Executor (the worker side): the full fl.Engine — the
+// The package plugs into the engine through Pipeline (the coordinator's
+// fl.EachRunner) and Executor (the worker side): the full fl.Engine — the
 // client-increment strategy, per-round selection, dropout, FedAvg and the
 // method's server hooks — drives a real federation exactly as it drives
 // the in-process worker pool, with bit-identical accuracy matrices for the
@@ -30,12 +30,13 @@
 // the round's broadcast base, which the coordinator mirrors per slot. Every
 // connection is byte-counted (Stats/RoundStats).
 //
-// Rounds are fault-tolerant and may overlap: workers acknowledge each job as
-// it finishes, so when a connection dies the coordinator keeps the
+// Rounds are synchronous and fault-tolerant: workers acknowledge each job
+// as it finishes, so when a connection dies the coordinator keeps the
 // acknowledged results and re-queues only the unfinished jobs on survivors
-// (every job is a placement-free deterministic computation). A job whose
-// round the survivor's frame stream has already passed travels with a
-// Replay — the origin round's state, out of band.
+// (every job is a placement-free deterministic computation). Re-queued jobs
+// travel with a Replay — the round's state, out of band — because a
+// survivor's frame stream need not hold it: an idle slot or a fresh joiner
+// has no state version at all.
 package transport
 
 import (
@@ -91,31 +92,30 @@ type Broadcast struct {
 	// worker derives its data shard from. Workers with no jobs reply with
 	// a bare Done update.
 	Jobs []fl.JobSpec
-	// Replay, when non-nil, marks a pipelined re-queue broadcast: a
-	// dead worker's unfinished jobs from round (Task, Round) re-executed on
-	// a survivor whose own frame stream has already moved past that round.
-	// It carries the origin round's state out of band — the survivor trains
-	// Jobs against it and diffs upload patches against it, but its Frame
-	// tracker and the coordinator's mirror stay untouched, so the live
-	// version stream is unaffected. Frame is ignored when Replay is set.
+	// Replay, when non-nil, marks a re-queue broadcast: a dead worker's
+	// unfinished jobs from round (Task, Round) re-executed on a survivor
+	// whose own frame stream need not hold that round's state. It carries
+	// the state out of band — the survivor trains Jobs against it and diffs
+	// upload patches against it, but its Frame tracker and the
+	// coordinator's mirror stay untouched, so the live version stream is
+	// unaffected. Frame is ignored when Replay is set.
 	Replay *Replay
 	// Done tells workers to exit their serve loop.
 	Done bool
 }
 
-// Replay is the ephemeral origin-round state attached to a pipelined
-// re-queue broadcast: the exact global state dict the dead worker trained
-// against, plus that round's method wire state when the survivor may hold
-// a different version. Replays bypass the versioned delta machinery on
-// purpose — the origin round's state may predate or postdate whatever the
-// survivor's tracker holds, so no delta base is guaranteed to exist.
+// Replay is the ephemeral round state attached to a re-queue broadcast: the
+// exact global state dict the dead worker trained against, plus the round's
+// method wire state when there is any. Replays bypass the versioned delta
+// machinery on purpose — the survivor's tracker may hold no state version
+// at all (an idle slot, a fresh joiner), so no delta base is guaranteed to
+// exist.
 type Replay struct {
-	// Patch is the origin round's global state dict as a full snapshot
+	// Patch is the round's global state dict as a full snapshot
 	// (Patch.Full is set; the survivor decodes it against no base).
 	Patch wire.Patch
-	// Payload is the origin round's method wire state; HasPayload marks
-	// that the survivor must load it (its own payload version differs from
-	// the origin round's). After the replay the survivor restores the
+	// Payload is the round's method wire state; HasPayload marks that the
+	// survivor must load it. After the replay the survivor restores the
 	// payload its live stream had loaded.
 	Payload    []byte
 	HasPayload bool
@@ -198,7 +198,7 @@ type HelloAck struct {
 
 // Coordinator runs the server side of a federation. Worker connections
 // that fail are marked dead and skipped from then on — the round layer
-// (Pipeline) decides whether a death fails the round or re-queues work.
+// (Pipeline) re-queues their unfinished work.
 type Coordinator struct {
 	ln net.Listener
 	mu sync.Mutex
@@ -374,16 +374,7 @@ func (c *Coordinator) AwaitLive(n int, timeout time.Duration) error {
 	if c.closed {
 		return fmt.Errorf("transport: awaiting workers on a closed coordinator")
 	}
-	live := func() bool {
-		cnt := 0
-		for _, w := range c.workers {
-			if !w.dead {
-				cnt++
-			}
-		}
-		return cnt >= n
-	}
-	if err := c.waitJoin(timeout, live); err != nil {
+	if err := c.waitJoin(timeout, func() bool { return c.liveLocked() >= n }); err != nil {
 		return fmt.Errorf("transport: awaiting %d live workers: %w", n, err)
 	}
 	return nil

@@ -80,6 +80,20 @@ func wireJobs(clients ...int) []fl.Job {
 	return jobs
 }
 
+// runCollected runs one round on r and collects the streamed results into
+// job order.
+func runCollected(r fl.EachRunner, jobs []fl.Job) ([]fl.Result, error) {
+	results := make([]fl.Result, len(jobs))
+	err := r.RunEach(jobs, func(i int, res fl.Result) error {
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
 // cloneDict deep-copies a state dict (tracker dicts share tensors across
 // versions, so handlers must copy before perturbing).
 func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
@@ -211,7 +225,7 @@ func TestPipelineStreamsPerJobAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := r.Run(wireJobs(1, 2, 3))
+	results, err := runCollected(r, wireJobs(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +263,7 @@ func TestPipelineIdleWorkerStaysInLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		results, err := r.Run(wireJobs(7))
+		results, err := runCollected(r, wireJobs(7))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -313,13 +327,10 @@ func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Requeue {
-		t.Fatal("re-queue must default on")
-	}
 	// Round-robin over 2 workers: slot 0 (the killer) gets jobs 0 and 2,
 	// slot 1 gets job 1. Job 0 is acked before the crash; job 2 must be
 	// re-queued onto slot 1.
-	results, err := r.Run(wireJobs(1, 2, 3))
+	results, err := runCollected(r, wireJobs(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +348,7 @@ func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 	}
 
 	// Survivor-only follow-up round.
-	results, err = r.Run(wireJobs(4, 5))
+	results, err = runCollected(r, wireJobs(4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,38 +357,6 @@ func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 			t.Fatalf("follow-up job %d result = %v, want %v", i, got, want)
 		}
 	}
-	_ = r.Close()
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done[1]; err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
-}
-
-// TestPipelineFailsFastWithoutRequeue pins the opt-out: with Requeue off, a
-// worker death mid-round fails the round instead of re-queueing.
-func TestPipelineFailsFastWithoutRequeue(t *testing.T) {
-	coord, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	done := acceptInOrder(t, coord,
-		func(w *Worker) error {
-			return w.Serve(killAfterFirstAck(w, perturbHandler(func(id int) float64 { return float64(id) })))
-		},
-		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
-	)
-	r, err := NewPipeline(coord, newWireAlg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Requeue = false
-	if _, err := r.Run(wireJobs(1, 2, 3)); err == nil || !strings.Contains(err.Error(), "re-queue disabled") {
-		t.Fatalf("run error = %v, want a re-queue-disabled failure", err)
-	}
-	<-done[0]
 	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -404,9 +383,50 @@ func TestPipelineFailsWhenAllWorkersDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1, 2)); err == nil || !strings.Contains(err.Error(), "no live workers") {
+	if _, err := runCollected(r, wireJobs(1, 2)); err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("run error = %v, want a no-live-workers failure", err)
 	}
+	<-done[0]
+}
+
+// TestPipelineCloseFailsWaitingRound: a round blocked on a worker that
+// never acks must fail — not hang — when the pipeline is closed under it.
+func TestPipelineCloseFailsWaitingRound(t *testing.T) {
+	coord, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	received := make(chan struct{})
+	release := make(chan struct{})
+	done := acceptInOrder(t, coord, func(w *Worker) error {
+		return w.Serve(func(Broadcast, func(JobResult) error) error {
+			close(received)
+			<-release
+			return nil
+		})
+	})
+	r, err := NewPipeline(coord, newWireAlg(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundErr := make(chan error, 1)
+	go func() {
+		_, err := runCollected(r, wireJobs(1))
+		roundErr <- err
+	}()
+	<-received
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-roundErr; err == nil || !strings.Contains(err.Error(), "pipeline closed") {
+		t.Fatalf("round error = %v, want a pipeline-closed failure", err)
+	}
+	if _, err := runCollected(r, wireJobs(2)); err == nil {
+		t.Fatal("a round on a closed pipeline must error")
+	}
+	close(release)
+	_ = coord.Close()
 	<-done[0]
 }
 
@@ -595,7 +615,7 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err == nil || !strings.Contains(err.Error(), "protocol") {
+	if _, err := runCollected(r, wireJobs(1)); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("round error = %v, want a protocol version rejection", err)
 	}
 	if err := <-done; err != nil {
@@ -613,7 +633,7 @@ func TestPipelineWithoutWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err == nil {
+	if _, err := runCollected(r, wireJobs(1)); err == nil {
 		t.Fatal("round with no workers must error")
 	}
 }
@@ -647,7 +667,7 @@ func TestMultiRoundFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		results, err := r.Run(wireJobs(1))
+		results, err := runCollected(r, wireJobs(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,11 +719,11 @@ func TestPipelineDeltaStats(t *testing.T) {
 	roundDone := make(chan RoundStats, 1)
 	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
-	if _, err := r.Run(wireJobs(1, 2)); err != nil {
+	if _, err := runCollected(r, wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	first := <-roundDone
-	if _, err := r.Run(wireJobs(1)); err != nil {
+	if _, err := runCollected(r, wireJobs(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-roundDone
@@ -713,7 +733,7 @@ func TestPipelineDeltaStats(t *testing.T) {
 	// Round 3: only the scalar changed since round 2 — the delta must skip
 	// the frozen buffer.
 	alg.w.T.Data()[0] = 42
-	if _, err := r.Run(wireJobs(1, 2)); err != nil {
+	if _, err := runCollected(r, wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	third := <-roundDone
@@ -901,7 +921,7 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 3; round++ {
-		if _, err := r.Run(wireJobs(1)); err != nil {
+		if _, err := runCollected(r, wireJobs(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -960,7 +980,7 @@ func TestReplayLeavesSurvivorMirrorUntouched(t *testing.T) {
 	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
 	// Two jobs over three workers: slots 0 and 1 get one each, slot 2 idles.
-	results, err := r.Run(wireJobs(1, 2))
+	results, err := runCollected(r, wireJobs(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -984,7 +1004,7 @@ func TestReplayLeavesSurvivorMirrorUntouched(t *testing.T) {
 
 	// The next live round must treat the survivor as the baseless worker
 	// its mirror says it is.
-	results, err = r.Run(wireJobs(3))
+	results, err = runCollected(r, wireJobs(3))
 	if err != nil {
 		t.Fatal(err)
 	}

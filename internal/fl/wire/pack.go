@@ -456,8 +456,11 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 			return fmt.Errorf("wire: packed planes longer than the %d declared elements", total)
 		}
 		release()
-	} else if rd.Len() != 0 {
-		return fmt.Errorf("wire: packed planes longer than the %d declared elements", total)
+	}
+	// bytes.Reader is an io.ByteReader, so the inflater read not one byte
+	// past its final block: anything left is not part of the payload.
+	if rd.Len() != 0 {
+		return fmt.Errorf("wire: %d bytes after the packed planes", rd.Len())
 	}
 
 	spans := make([]span, len(keys))

@@ -247,8 +247,8 @@ func TestPackedDeltaRawPlanesRoundTrip(t *testing.T) {
 }
 
 // TestPackedDeltaRejectsCorrupt covers the unpack-side validation edges:
-// truncated header, unknown key, element-count mismatch against the base,
-// and a key listed twice.
+// truncated header, trailing byte, unknown key, element-count mismatch
+// against the base, and a key listed twice.
 func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	base := randDict(rng)
@@ -260,6 +260,9 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: p.Packed[:3]}); err == nil {
 		t.Fatal("truncated packed payload must error")
+	}
+	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: append(p.Packed[:len(p.Packed):len(p.Packed)], 0)}); err == nil {
+		t.Fatal("a byte after the packed planes must error")
 	}
 	stranger := map[string]*tensor.Tensor{"other": tensor.RandN(rng, 1, 4)}
 	if _, err := Decode(stranger, p); err == nil {

@@ -26,9 +26,6 @@ func TestNilSinkAllocs(t *testing.T) {
 		s.SetLiveWorkers(2)
 		s.WedgeDetected(0)
 		s.Requeued(0, 1, 2)
-		s.ResultAdmitted(1, 0, 1, 0.5)
-		s.ResultDropped(1)
-		s.QueueDepth(1)
 		s.Installed(0, 1, 2, 3, 4, time.Millisecond)
 		s.CheckpointWritten(0, 1, 100, time.Millisecond)
 		s.WorkerRound(0, 1, 2, time.Millisecond)

@@ -34,15 +34,13 @@ func NewRunID(seed int64, start time.Time) string {
 // RoundObservation is the per-round record the transport hands to
 // Sink.ObserveRound once a round fully completes. Timing fields mirror
 // transport.RoundStats; byte totals are the coordinator's *cumulative*
-// socket counters at completion (not per-round deltas) because socket
-// bytes cannot be attributed to a single in-flight round — the byte
-// counters on /metrics therefore reconcile exactly with transport.Stats.
+// socket counters at completion (not per-round deltas), so the byte
+// counters on /metrics reconcile exactly with transport.Stats.
 type RoundObservation struct {
 	Task, Round, Attempts int
 	Start                 time.Time
 
-	DispatchNanos, FirstAckNanos, LastAckNanos, OverlapNanos int64
-	OverlapRatio                                             float64
+	DispatchNanos, FirstAckNanos, LastAckNanos int64
 
 	FullFrames, DeltaFrames, IdleFrames, Fallbacks int64
 	PatchUploads, StateUploads, UploadFallbacks    int64
@@ -59,42 +57,36 @@ type Sink struct {
 	reg    *Registry
 	tracer *Tracer
 
-	rounds        *Counter
-	attempts      *Counter
-	bcastBytes    *Counter
-	upBytes       *Counter
-	fullFrames    *Counter
-	deltaFrames   *Counter
-	idleFrames    *Counter
-	fallbacks     *Counter
-	patchUploads  *Counter
-	stateUploads  *Counter
-	upFallbacks   *Counter
-	dispatchHist  *Histogram
-	firstAckHist  *Histogram
-	lastAckHist   *Histogram
-	overlapHist   *Histogram
-	workersLive   *Gauge
-	joins         *Counter
-	deaths        *Counter
-	wedges        *Counter
-	requeuedJobs  *Counter
-	queueDepth    *Gauge
-	admitted      *Counter
-	droppedRes    *Counter
-	stalenessHist *Histogram
-	weightMass    *Gauge
-	folds         *Counter
-	unanKeys      *Counter
-	brokenKeys    *Counter
-	installs      *Counter
-	installHist   *Histogram
-	ckpts         *Counter
-	ckptBytes     *Counter
-	ckptHist      *Histogram
-	wRounds       *Counter
-	wJobs         *Counter
-	wRoundHist    *Histogram
+	rounds       *Counter
+	attempts     *Counter
+	bcastBytes   *Counter
+	upBytes      *Counter
+	fullFrames   *Counter
+	deltaFrames  *Counter
+	idleFrames   *Counter
+	fallbacks    *Counter
+	patchUploads *Counter
+	stateUploads *Counter
+	upFallbacks  *Counter
+	dispatchHist *Histogram
+	firstAckHist *Histogram
+	lastAckHist  *Histogram
+	workersLive  *Gauge
+	joins        *Counter
+	deaths       *Counter
+	wedges       *Counter
+	requeuedJobs *Counter
+	folds        *Counter
+	unanKeys     *Counter
+	brokenKeys   *Counter
+	installs     *Counter
+	installHist  *Histogram
+	ckpts        *Counter
+	ckptBytes    *Counter
+	ckptHist     *Histogram
+	wRounds      *Counter
+	wJobs        *Counter
+	wRoundHist   *Histogram
 
 	mu      sync.Mutex
 	ackHist map[int]*Histogram // per-worker ack latency, keyed by slot
@@ -120,17 +112,11 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 	s.dispatchHist = reg.Histogram("fed_round_dispatch_seconds", "Time from round start until the last broadcast finished sending.", DefSecondsBuckets)
 	s.firstAckHist = reg.Histogram("fed_round_first_ack_seconds", "Time from round start to the first job ack.", DefSecondsBuckets)
 	s.lastAckHist = reg.Histogram("fed_round_last_ack_seconds", "Time from round start to the final job ack.", DefSecondsBuckets)
-	s.overlapHist = reg.Histogram("fed_round_overlap_ratio", "Fraction of a round's wall clock overlapped with successor rounds (0 for synchronous rounds).", LinearBuckets(0.1, 0.1, 10))
 	s.workersLive = reg.Gauge("fed_workers_live", "Currently live worker connections.")
 	s.joins = reg.Counter("fed_worker_joins_total", "Worker join handshakes accepted (includes rejoins).")
 	s.deaths = reg.Counter("fed_worker_deaths_total", "Workers that died mid-round (send/recv failure).")
 	s.wedges = reg.Counter("fed_worker_wedges_total", "Wedged workers detected by heartbeat read deadlines.")
 	s.requeuedJobs = reg.Counter("fed_requeued_jobs_total", "Jobs re-queued onto survivors after a worker death.")
-	s.queueDepth = reg.Gauge("fed_async_admission_queue_depth", "Results currently deferred in the bounded-staleness admission queue.")
-	s.admitted = reg.Counter("fed_async_admitted_total", "Results admitted into a fold (including deferred ones).")
-	s.droppedRes = reg.Counter("fed_async_dropped_total", "Results dropped for exceeding the staleness window.")
-	s.stalenessHist = reg.Histogram("fed_async_staleness_rounds", "Staleness k (rounds late) of admitted results.", []float64{0, 1, 2, 3, 4, 8})
-	s.weightMass = reg.Gauge("fed_async_weight_mass_total", "Cumulative discounted weight mass admitted into folds.")
 	s.folds = reg.Counter("fed_folds_total", "Results folded into streaming weighted averages.")
 	s.unanKeys = reg.Counter("fed_fold_unanimous_keys_total", "State-dict keys still bit-identically unanimous at install.")
 	s.brokenKeys = reg.Counter("fed_fold_broken_keys_total", "State-dict keys whose unanimity broke during folding.")
@@ -191,8 +177,7 @@ func (s *Sink) StartRun(m Manifest) {
 }
 
 // ObserveRound folds one completed round into the metric set and draws it
-// as a span on the "rounds" trace track (tid = round number, so pipelined
-// rounds that overlap in time stack as separate rows in Perfetto).
+// as a span on the "rounds" trace track (tid = round number).
 func (s *Sink) ObserveRound(o RoundObservation) {
 	if s == nil {
 		return
@@ -211,7 +196,6 @@ func (s *Sink) ObserveRound(o RoundObservation) {
 	s.dispatchHist.Observe(float64(o.DispatchNanos) / 1e9)
 	s.firstAckHist.Observe(float64(o.FirstAckNanos) / 1e9)
 	s.lastAckHist.Observe(float64(o.LastAckNanos) / 1e9)
-	s.overlapHist.Observe(o.OverlapRatio)
 
 	if s.tracer != nil {
 		wall := time.Duration(o.LastAckNanos)
@@ -220,7 +204,6 @@ func (s *Sink) ObserveRound(o RoundObservation) {
 			Arg{Key: "task", Val: o.Task}, Arg{Key: "round", Val: o.Round},
 			Arg{Key: "attempts", Val: o.Attempts},
 			Arg{Key: "first_ack_ms", Val: float64(o.FirstAckNanos) / 1e6},
-			Arg{Key: "overlap_ratio", Val: o.OverlapRatio},
 		)
 		s.tracer.Span("dispatch", int64(o.Round), fmt.Sprintf("dispatch r%d", o.Round),
 			o.Start, time.Duration(o.DispatchNanos))
@@ -297,40 +280,6 @@ func (s *Sink) Requeued(task, round, jobs int) {
 	s.requeuedJobs.Add(int64(jobs))
 	s.tracer.Instant("rounds", int64(round), "requeue",
 		Arg{Key: "task", Val: task}, Arg{Key: "round", Val: round}, Arg{Key: "jobs", Val: jobs})
-}
-
-// ResultAdmitted records one result entering a fold: its origin round,
-// staleness k, and the 1/(1+k) discounted weight it carries.
-func (s *Sink) ResultAdmitted(round, origin, staleness int, weight float64) {
-	if s == nil {
-		return
-	}
-	s.admitted.Inc()
-	s.stalenessHist.Observe(float64(staleness))
-	s.weightMass.Add(weight)
-	if s.tracer != nil && staleness > 0 {
-		s.tracer.Instant("rounds", int64(round), "late_admit",
-			Arg{Key: "origin", Val: origin}, Arg{Key: "staleness", Val: staleness},
-			Arg{Key: "weight", Val: weight})
-	}
-}
-
-// ResultDropped records a result discarded for exceeding the window.
-func (s *Sink) ResultDropped(round int) {
-	if s == nil {
-		return
-	}
-	s.droppedRes.Inc()
-	s.tracer.Instant("rounds", int64(round), "stale_drop", Arg{Key: "round", Val: round})
-}
-
-// QueueDepth tracks the admission queue's deferred-result count.
-func (s *Sink) QueueDepth(n int) {
-	if s == nil {
-		return
-	}
-	s.queueDepth.Set(float64(n))
-	s.tracer.Value("rounds", "admission_queue_depth", float64(n))
 }
 
 // Installed records one aggregate install: fold count, unanimity

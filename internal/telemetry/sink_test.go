@@ -19,8 +19,8 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 	})
 	s.ObserveRound(RoundObservation{
 		Task: 0, Round: 2, Attempts: 2, Start: time.Now(),
-		LastAckNanos: 8e6, OverlapNanos: 4e6, OverlapRatio: 0.5,
-		DeltaFrames: 3, PatchUploads: 3,
+		LastAckNanos: 8e6,
+		DeltaFrames:  3, PatchUploads: 3,
 		TotalBroadcastBytes: 1800, TotalUploadBytes: 900,
 	})
 
@@ -36,7 +36,6 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 		`fed_uploads_total{kind="patch"}`:  6,
 		`fed_uploads_total{kind="state"}`:  1,
 		"fed_round_last_ack_seconds_count": 2,
-		"fed_round_overlap_ratio_count":    2,
 	}
 	for name, want := range checks {
 		if got := snap[name]; got != want {
@@ -61,7 +60,7 @@ func TestSinkPerWorkerAckHistograms(t *testing.T) {
 	}
 }
 
-func TestSinkMembershipAndAsync(t *testing.T) {
+func TestSinkMembership(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSink(reg, nil)
 	s.WorkerJoined(0, 100, 1)
@@ -70,24 +69,14 @@ func TestSinkMembershipAndAsync(t *testing.T) {
 	s.SetLiveWorkers(1)
 	s.WedgeDetected(1)
 	s.Requeued(0, 2, 3)
-	s.ResultAdmitted(2, 2, 0, 1.0)
-	s.ResultAdmitted(3, 2, 1, 0.5)
-	s.ResultDropped(4)
-	s.QueueDepth(2)
 
 	snap := reg.Snapshot()
 	checks := map[string]float64{
-		"fed_worker_joins_total":           2,
-		"fed_worker_deaths_total":          1,
-		"fed_workers_live":                 1,
-		"fed_worker_wedges_total":          1,
-		"fed_requeued_jobs_total":          3,
-		"fed_async_admitted_total":         2,
-		"fed_async_dropped_total":          1,
-		"fed_async_admission_queue_depth":  2,
-		"fed_async_staleness_rounds_count": 2,
-		"fed_async_staleness_rounds_sum":   1,
-		"fed_async_weight_mass_total":      1.5,
+		"fed_worker_joins_total":  2,
+		"fed_worker_deaths_total": 1,
+		"fed_workers_live":        1,
+		"fed_worker_wedges_total": 1,
+		"fed_requeued_jobs_total": 3,
 	}
 	for name, want := range checks {
 		if got := snap[name]; got != want {
@@ -172,9 +161,6 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.SetLiveWorkers(1)
 	s.WedgeDetected(0)
 	s.Requeued(0, 0, 1)
-	s.ResultAdmitted(0, 0, 0, 1)
-	s.ResultDropped(0)
-	s.QueueDepth(0)
 	s.Installed(0, 0, 1, 1, 0, time.Second)
 	s.CheckpointWritten(0, 0, 1, time.Second)
 	s.WorkerRound(0, 0, 1, time.Second)

@@ -14,8 +14,7 @@ import (
 // one event object per line — loadable directly in Perfetto
 // (ui.perfetto.dev) or chrome://tracing. Tracks (named with the
 // process_name metadata event) group related rows: the "rounds" track uses
-// tid=round so overlapping pipelined rounds render as separate stacked
-// spans, making overlap and straggler gaps visually inspectable.
+// tid=round, one row per round.
 //
 // The format is the JSON Array variant of the trace-event spec: a `[`
 // header, then one complete event per line with a trailing comma. Close

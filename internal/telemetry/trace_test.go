@@ -33,7 +33,7 @@ func TestTracerProducesValidJSON(t *testing.T) {
 	tr := NewTracer(&buf)
 	start := time.Now()
 	tr.Span("rounds", 3, "task 0 round 3", start, 40*time.Millisecond,
-		Arg{Key: "task", Val: 0}, Arg{Key: "overlap_ratio", Val: 0.25})
+		Arg{Key: "task", Val: 0}, Arg{Key: "first_ack_ms", Val: 0.25})
 	tr.Instant("membership", 1, "join", Arg{Key: "slot", Val: 1})
 	tr.Value("membership", "workers_live", 2)
 	tr.Meta("manifest", Arg{Key: "method", Val: "reffil"}, Arg{Key: "seed", Val: int64(7)})
@@ -64,7 +64,7 @@ func TestTracerProducesValidJSON(t *testing.T) {
 	if span.Dur != 40000 {
 		t.Errorf("span dur = %d micros, want 40000", span.Dur)
 	}
-	if span.Args["overlap_ratio"] != 0.25 {
+	if span.Args["first_ack_ms"] != 0.25 {
 		t.Errorf("span args = %v", span.Args)
 	}
 	if cnt.Args["value"] != 2.0 {
