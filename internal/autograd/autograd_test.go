@@ -110,7 +110,7 @@ func TestGradCheckUnaryOps(t *testing.T) {
 		{"relu", []*Value{x}, func() (*Value, error) { return Sum(ReLU(x)), nil }},
 		{"tanh", []*Value{x}, func() (*Value, error) { return Sum(Tanh(x)), nil }},
 		{"exp", []*Value{x}, func() (*Value, error) { return Sum(Exp(x)), nil }},
-		{"square", []*Value{x}, func() (*Value, error) { return Sum(Square(x)), nil }},
+		{"square", []*Value{x}, func() (*Value, error) { return Sum(square(x)), nil }},
 		{"log", []*Value{pos}, func() (*Value, error) { return Sum(Log(pos)), nil }},
 		{"sqrt", []*Value{pos}, func() (*Value, error) { return Sum(Sqrt(pos)), nil }},
 		{"neg", []*Value{x}, func() (*Value, error) { return Sum(Neg(x)), nil }},
@@ -130,11 +130,11 @@ func TestGradCheckSumMeanAxis(t *testing.T) {
 	x := randParam(rng, 2, 3, 2)
 	for axis := 0; axis < 3; axis++ {
 		axis := axis
-		f := func() (*Value, error) { return Sum(Square(SumAxis(x, axis))), nil }
+		f := func() (*Value, error) { return Sum(square(SumAxis(x, axis))), nil }
 		if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
 			t.Fatalf("SumAxis %d: %v", axis, err)
 		}
-		g := func() (*Value, error) { return Sum(Square(MeanAxis(x, axis))), nil }
+		g := func() (*Value, error) { return Sum(square(MeanAxis(x, axis))), nil }
 		if err := GradCheck(g, []*Value{x}, gcEps, gcTol); err != nil {
 			t.Fatalf("MeanAxis %d: %v", axis, err)
 		}
@@ -145,7 +145,7 @@ func TestGradCheckMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randParam(rng, 3, 4)
 	b := randParam(rng, 4, 2)
-	f := func() (*Value, error) { return Sum(Square(MatMul(a, b))), nil }
+	f := func() (*Value, error) { return Sum(square(MatMul(a, b))), nil }
 	if err := GradCheck(f, []*Value{a, b}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGradCheckBatchMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randParam(rng, 2, 3, 4)
 	b := randParam(rng, 2, 4, 2)
-	f := func() (*Value, error) { return Sum(Square(BatchMatMul(a, b))), nil }
+	f := func() (*Value, error) { return Sum(square(BatchMatMul(a, b))), nil }
 	if err := GradCheck(f, []*Value{a, b}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGradCheckLinear(t *testing.T) {
 	x := randParam(rng, 2, 3)
 	w := randParam(rng, 3, 4)
 	b := randParam(rng, 4)
-	f := func() (*Value, error) { return Mean(Square(Linear(x, w, b))), nil }
+	f := func() (*Value, error) { return Mean(square(Linear(x, w, b))), nil }
 	if err := GradCheck(f, []*Value{x, w, b}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestGradCheckShapeOps(t *testing.T) {
 		name string
 		f    func() (*Value, error)
 	}{
-		{"reshape", func() (*Value, error) { return Sum(Square(Reshape(x, 6, 4))), nil }},
-		{"permute", func() (*Value, error) { return Sum(Square(Permute(x, 2, 0, 1))), nil }},
-		{"concat", func() (*Value, error) { return Sum(Square(Concat(1, x, y))), nil }},
-		{"narrow", func() (*Value, error) { return Sum(Square(Narrow(x, 2, 1, 3))), nil }},
-		{"stack", func() (*Value, error) { return Sum(Square(Stack(x, y))), nil }},
+		{"reshape", func() (*Value, error) { return Sum(square(Reshape(x, 6, 4))), nil }},
+		{"permute", func() (*Value, error) { return Sum(square(Permute(x, 2, 0, 1))), nil }},
+		{"concat", func() (*Value, error) { return Sum(square(Concat(1, x, y))), nil }},
+		{"narrow", func() (*Value, error) { return Sum(square(Narrow(x, 2, 1, 3))), nil }},
+		{"stack", func() (*Value, error) { return Sum(square(Stack(x, y))), nil }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -199,7 +199,7 @@ func TestGradCheckEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	table := randParam(rng, 5, 3)
 	ids := []int{0, 2, 2, 4}
-	f := func() (*Value, error) { return Sum(Square(Embedding(table, ids))), nil }
+	f := func() (*Value, error) { return Sum(square(Embedding(table, ids))), nil }
 	if err := GradCheck(f, []*Value{table}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestGradCheckConv2D(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return Mean(Square(y)), nil
+				return Mean(square(y)), nil
 			}
 			if err := GradCheck(f, []*Value{x, w, b}, gcEps, gcTol); err != nil {
 				t.Fatal(err)
@@ -256,7 +256,7 @@ func TestGradCheckMaxPool(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Sum(Square(y)), nil
+		return Sum(square(y)), nil
 	}
 	if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestGradCheckGlobalAvgPool(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Sum(Square(y)), nil
+		return Sum(square(y)), nil
 	}
 	if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestGradCheckLayerNorm(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Mean(Square(y)), nil
+		return Mean(square(y)), nil
 	}
 	if err := GradCheck(f, []*Value{x, gamma, beta}, gcEps, 1e-4); err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestGradCheckBatchNormTraining(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Mean(Square(y)), nil
+		return Mean(square(y)), nil
 	}
 	if err := GradCheck(f, []*Value{x, gamma, beta}, gcEps, 1e-4); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestGradCheckBatchNormEval(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Mean(Square(y)), nil
+		return Mean(square(y)), nil
 	}
 	if err := GradCheck(f, []*Value{x, gamma, beta}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestBatchNormUpdatesRunningStats(t *testing.T) {
 func TestGradCheckSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	x := randParam(rng, 3, 4)
-	f := func() (*Value, error) { return Sum(Square(Softmax(x))), nil }
+	f := func() (*Value, error) { return Sum(square(Softmax(x))), nil }
 	if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestGradCheckCosineSimToConst(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Sum(Square(s)), nil
+		return Sum(square(s)), nil
 	}
 	if err := GradCheck(f, []*Value{u}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestGradCheckCosineSimPairs(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Sum(Square(s)), nil
+		return Sum(square(s)), nil
 	}
 	if err := GradCheck(f, []*Value{u}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -628,7 +628,7 @@ func TestGradCheckBroadcastBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	v := randParam(rng, 1, 2, 3)
 	f := func() (*Value, error) {
-		return Sum(Square(BroadcastBatch(v, 4))), nil
+		return Sum(square(BroadcastBatch(v, 4))), nil
 	}
 	if err := GradCheck(f, []*Value{v}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -657,3 +657,6 @@ func TestTopoSortHandlesDiamond(t *testing.T) {
 		t.Fatalf("diamond grad = %v, want 8", got)
 	}
 }
+
+// square is v² as a tape op, for scalarizing gradient checks.
+func square(v *Value) *Value { return Mul(v, v) }

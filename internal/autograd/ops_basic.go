@@ -144,18 +144,6 @@ func Log(a *Value) *Value {
 	return node
 }
 
-// Square returns a² elementwise.
-func Square(a *Value) *Value {
-	out := tensor.Mul(a.T, a.T)
-	node := newNode(out, "square", nil, a)
-	node.back = func() {
-		g := tensor.Mul(node.Grad, a.T)
-		g.ScaleInPlace(2)
-		accumulate(a, g)
-	}
-	return node
-}
-
 // Sum reduces all elements to a scalar.
 func Sum(a *Value) *Value {
 	out := tensor.Scalar(a.T.Sum())
@@ -198,9 +186,6 @@ func MeanAxis(a *Value, axis int) *Value {
 	s := SumAxis(a, axis)
 	return Scale(s, 1/float64(a.T.Dim(axis)))
 }
-
-// MeanRows averages a 2-D (B,d) value across rows into (d,).
-func MeanRows(a *Value) *Value { return MeanAxis(a, 0) }
 
 func keepDimShape(shape []int, axis int) []int {
 	out := append([]int(nil), shape...)

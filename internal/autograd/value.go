@@ -56,9 +56,6 @@ func (v *Value) CloneLeaf() *Value { return NewLeaf(v.T.Clone(), v.requiresGrad)
 // Shape returns the shape of the node's tensor.
 func (v *Value) Shape() []int { return v.T.Shape() }
 
-// Op returns the name of the operation that produced this node.
-func (v *Value) Op() string { return v.op }
-
 // EnsureGrad materializes and returns the gradient tensor.
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {

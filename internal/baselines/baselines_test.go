@@ -38,32 +38,31 @@ func localCtx(t *testing.T, task int, group fl.Group) *fl.LocalContext {
 // allMethods builds one instance of every baseline.
 func allMethods(t *testing.T) []fl.Algorithm {
 	t.Helper()
-	hy := DefaultHyper()
-	ft, err := NewFinetune(testModelCfg(), hy, rand.New(rand.NewSource(1)))
+	ft, err := NewFinetune(testModelCfg(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lwf, err := NewFedLwF(testModelCfg(), hy, rand.New(rand.NewSource(2)))
+	lwf, err := NewFedLwF(testModelCfg(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ewc, err := NewFedEWC(testModelCfg(), hy, rand.New(rand.NewSource(3)))
+	ewc, err := NewFedEWC(testModelCfg(), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2p, err := NewFedL2P(testModelCfg(), DefaultL2PConfig(false), hy, rand.New(rand.NewSource(4)))
+	l2p, err := NewFedL2P(testModelCfg(), false, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2pPool, err := NewFedL2P(testModelCfg(), DefaultL2PConfig(true), hy, rand.New(rand.NewSource(5)))
+	l2pPool, err := NewFedL2P(testModelCfg(), true, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewFedDualPrompt(testModelCfg(), DefaultDualPromptConfig(4, false), hy, rand.New(rand.NewSource(6)))
+	dp, err := NewFedDualPrompt(testModelCfg(), 4, false, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpPool, err := NewFedDualPrompt(testModelCfg(), DefaultDualPromptConfig(4, true), hy, rand.New(rand.NewSource(7)))
+	dpPool, err := NewFedDualPrompt(testModelCfg(), 4, true, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,28 +140,29 @@ func TestAllMethodsParamNamesUnique(t *testing.T) {
 }
 
 func TestLwFTeacherSnapshot(t *testing.T) {
-	lwf, err := NewFedLwF(testModelCfg(), DefaultHyper(), rand.New(rand.NewSource(9)))
+	alg, err := NewFedLwF(testModelCfg(), rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lwf.OnTaskStart(0); err != nil {
+	if err := alg.OnTaskStart(0); err != nil {
 		t.Fatal(err)
 	}
-	if lwf.teacher != nil {
+	reg := alg.reg.(*lwf)
+	if reg.teacher != nil {
 		t.Fatal("task 0 must not snapshot a teacher")
 	}
-	if err := lwf.OnTaskStart(1); err != nil {
+	if err := alg.OnTaskStart(1); err != nil {
 		t.Fatal(err)
 	}
-	if lwf.teacher == nil {
+	if reg.teacher == nil {
 		t.Fatal("task 1 must snapshot a teacher")
 	}
 	// Teacher must be frozen in time: training the student must not move it.
-	before := nn.StateDict(lwf.teacher)
-	if _, err := lwf.LocalTrain(localCtx(t, 1, fl.GroupNew)); err != nil {
+	before := nn.StateDict(reg.teacher)
+	if _, err := alg.LocalTrain(localCtx(t, 1, fl.GroupNew)); err != nil {
 		t.Fatal(err)
 	}
-	after := nn.StateDict(lwf.teacher)
+	after := nn.StateDict(reg.teacher)
 	for k := range before {
 		if !before[k].AllClose(after[k], 0) {
 			t.Fatalf("teacher entry %q moved during student training", k)
@@ -171,11 +171,12 @@ func TestLwFTeacherSnapshot(t *testing.T) {
 }
 
 func TestEWCConsolidation(t *testing.T) {
-	ewc, err := NewFedEWC(testModelCfg(), DefaultHyper(), rand.New(rand.NewSource(10)))
+	alg, err := NewFedEWC(testModelCfg(), rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ewc.fisher != nil {
+	reg := alg.reg.(*ewc)
+	if reg.fisher != nil {
 		t.Fatal("fresh EWC must have no Fisher")
 	}
 	family, err := data.NewFamily("pacs", 16)
@@ -186,15 +187,15 @@ func TestEWCConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ewc.OnTaskEnd(0, sample); err != nil {
+	if err := alg.OnTaskEnd(0, sample); err != nil {
 		t.Fatal(err)
 	}
-	if ewc.fisher == nil {
+	if reg.fisher == nil {
 		t.Fatal("OnTaskEnd must build Fisher information")
 	}
 	// Fisher entries must be non-negative and not all zero.
 	total := 0.0
-	for name, f := range ewc.fisher {
+	for name, f := range reg.fisher {
 		for _, v := range f.Data() {
 			if v < 0 {
 				t.Fatalf("negative Fisher value in %q", name)
@@ -207,11 +208,11 @@ func TestEWCConsolidation(t *testing.T) {
 	}
 	// Online consolidation: a second task adds importance.
 	firstTotal := total
-	if err := ewc.OnTaskEnd(1, sample); err != nil {
+	if err := alg.OnTaskEnd(1, sample); err != nil {
 		t.Fatal(err)
 	}
 	total = 0.0
-	for _, f := range ewc.fisher {
+	for _, f := range reg.fisher {
 		for _, v := range f.Data() {
 			total += v
 		}
@@ -225,11 +226,11 @@ func TestEWCPenaltyAnchorsWeights(t *testing.T) {
 	// After consolidation, training with a huge lambda must keep weights
 	// closer to the anchor than training without the penalty.
 	run := func(lambda float64) float64 {
-		ewc, err := NewFedEWC(testModelCfg(), DefaultHyper(), rand.New(rand.NewSource(11)))
+		alg, err := NewFedEWC(testModelCfg(), rand.New(rand.NewSource(11)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ewc.Lambda = lambda
+		alg.reg.(*ewc).lambda = lambda
 		family, err := data.NewFamily("pacs", 16)
 		if err != nil {
 			t.Fatal(err)
@@ -238,18 +239,18 @@ func TestEWCPenaltyAnchorsWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ewc.OnTaskEnd(0, sample); err != nil {
+		if err := alg.OnTaskEnd(0, sample); err != nil {
 			t.Fatal(err)
 		}
 		anchor := make(map[string]*tensor.Tensor)
-		for _, p := range ewc.backbone.Params() {
+		for _, p := range alg.backbone.Params() {
 			anchor[p.Name] = p.Value.T.Clone()
 		}
-		if _, err := ewc.LocalTrain(localCtx(t, 1, fl.GroupNew)); err != nil {
+		if _, err := alg.LocalTrain(localCtx(t, 1, fl.GroupNew)); err != nil {
 			t.Fatal(err)
 		}
 		drift := 0.0
-		for _, p := range ewc.backbone.Params() {
+		for _, p := range alg.backbone.Params() {
 			diff := tensor.Sub(p.Value.T, anchor[p.Name])
 			drift += diff.L2Norm()
 		}
@@ -281,15 +282,12 @@ func TestL2PPoolSelectionShapes(t *testing.T) {
 			t.Fatal("top-2 selection repeated a slot")
 		}
 	}
-	prompts, keysSel, flat := pool.gather(selected)
+	prompts, keysSel := pool.gather(selected)
 	if prompts.T.Dim(0) != 4 || prompts.T.Dim(1) != 6 || prompts.T.Dim(2) != 8 {
 		t.Fatalf("gathered prompts shape %v", prompts.T.Shape())
 	}
 	if keysSel.T.Dim(0) != 8 {
 		t.Fatalf("gathered keys rows %d, want 8", keysSel.T.Dim(0))
-	}
-	if len(flat) != 8 {
-		t.Fatalf("flat ids %d, want 8", len(flat))
 	}
 }
 
@@ -342,14 +340,14 @@ func TestKeyPullLossDecreasesWithAlignment(t *testing.T) {
 	selected := [][]int{{0}}
 	// Misaligned key.
 	copy(pool.keys.T.Data()[0:4], []float64{0, 1, 0, 0})
-	_, keysSel, _ := pool.gather(selected)
+	_, keysSel := pool.gather(selected)
 	lossMis, err := pool.keyPullLoss(keysSel, queries, selected)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Aligned key.
 	copy(pool.keys.T.Data()[0:4], []float64{1, 0, 0, 0})
-	_, keysSel2, _ := pool.gather(selected)
+	_, keysSel2 := pool.gather(selected)
 	lossAligned, err := pool.keyPullLoss(keysSel2, queries, selected)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +359,7 @@ func TestKeyPullLossDecreasesWithAlignment(t *testing.T) {
 }
 
 func TestDualPromptTaskCapacity(t *testing.T) {
-	dp, err := NewFedDualPrompt(testModelCfg(), DefaultDualPromptConfig(2, false), DefaultHyper(), rand.New(rand.NewSource(16)))
+	dp, err := NewFedDualPrompt(testModelCfg(), 2, false, rand.New(rand.NewSource(16)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +367,7 @@ func TestDualPromptTaskCapacity(t *testing.T) {
 		t.Fatal("task beyond expert capacity must error")
 	}
 	// Pool variant has no task capacity limit.
-	dpPool, err := NewFedDualPrompt(testModelCfg(), DefaultDualPromptConfig(2, true), DefaultHyper(), rand.New(rand.NewSource(17)))
+	dpPool, err := NewFedDualPrompt(testModelCfg(), 2, true, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +377,7 @@ func TestDualPromptTaskCapacity(t *testing.T) {
 }
 
 func TestDualPromptUsesTaskExpertDuringTraining(t *testing.T) {
-	dp, err := NewFedDualPrompt(testModelCfg(), DefaultDualPromptConfig(4, false), DefaultHyper(), rand.New(rand.NewSource(18)))
+	dp, err := NewFedDualPrompt(testModelCfg(), 4, false, rand.New(rand.NewSource(18)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +388,10 @@ func TestDualPromptUsesTaskExpertDuringTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Training with explicit task ids must error on out-of-range ids.
-	if _, _, err := dp.assemble(tokens, []int{0, 9}, true); err == nil {
+	if _, _, err := dp.prompts.promptsFor(tokens, []int{0, 9}); err == nil {
 		t.Fatal("out-of-range task id must error")
 	}
-	prompts, pull, err := dp.assemble(tokens, []int{0, 3}, true)
+	prompts, pull, err := dp.prompts.promptsFor(tokens, []int{0, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +410,7 @@ func TestBaselineLearnsToyTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ft, err := NewFinetune(testModelCfg(), DefaultHyper(), rand.New(rand.NewSource(20)))
+	ft, err := NewFinetune(testModelCfg(), rand.New(rand.NewSource(20)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,94 @@ import (
 	"reffil/internal/tensor"
 )
 
+// promptSource is the extra trainable state of the prompt-based methods
+// and the rule that turns a batch into prompt tokens: a prompt shared by
+// every sample (L2P's single prompt, DualPrompt's General prompt), a
+// key-matched pool (L2P†'s pool, DualPrompt's Experts), or both, shared
+// first.
+type promptSource struct {
+	sharedName string
+	shared     *autograd.Value // (1, L, d); nil without a shared prompt
+	pool       *promptPool     // nil without a pool
+	// topN is how many pool slots key matching selects per sample.
+	topN int
+	// byTask is DualPrompt's one-Expert-per-task layout: training selects
+	// slot = task id, so the pool's slot count bounds the task horizon.
+	byTask bool
+}
+
+func newSharedPrompt(rng *rand.Rand, lp, dim int) *autograd.Value {
+	return autograd.Param(tensor.RandN(rng, 0.02, 1, lp, dim))
+}
+
+// clone returns a deep copy for a per-client replica: all prompt state is
+// trainable.
+func (s *promptSource) clone() *promptSource {
+	c := *s
+	if s.shared != nil {
+		c.shared = s.shared.CloneLeaf()
+	}
+	if s.pool != nil {
+		c.pool = s.pool.clone()
+	}
+	return &c
+}
+
+// params lists the trainable state, shared prompt first.
+func (s *promptSource) params() []nn.Param {
+	var ps []nn.Param
+	if s.shared != nil {
+		ps = append(ps, nn.Param{Name: s.sharedName, Value: s.shared})
+	}
+	if s.pool != nil {
+		ps = append(ps, s.pool.params()...)
+	}
+	return ps
+}
+
+// taskStart rejects a task the per-task Expert table has no slot for.
+func (s *promptSource) taskStart(task int) error {
+	if s.byTask && task >= s.pool.slots {
+		return fmt.Errorf("baselines: task %d exceeds DualPrompt expert capacity %d", task, s.pool.slots)
+	}
+	return nil
+}
+
+// promptsFor builds the prompt tokens for a batch's token sequence and,
+// when pool keys take part, the key-pull loss term (nil otherwise). taskIDs
+// is nil at inference, where selection is always by key matching.
+func (s *promptSource) promptsFor(tokens *autograd.Value, taskIDs []int) (prompts, pull *autograd.Value, err error) {
+	bs := tokens.T.Dim(0)
+	if s.pool != nil {
+		queries := meanPatchQuery(tokens)
+		var selected [][]int
+		if s.byTask && taskIDs != nil {
+			selected = make([][]int, bs)
+			for i, id := range taskIDs {
+				if id < 0 || id >= s.pool.slots {
+					return nil, nil, fmt.Errorf("baselines: task id %d outside expert table [0,%d)", id, s.pool.slots)
+				}
+				selected[i] = []int{id}
+			}
+		} else {
+			selected = s.pool.selectTop(queries, s.topN)
+		}
+		var keysSel *autograd.Value
+		prompts, keysSel = s.pool.gather(selected)
+		if pull, err = s.pool.keyPullLoss(keysSel, queries, selected); err != nil {
+			return nil, nil, err
+		}
+	}
+	if s.shared == nil {
+		return prompts, pull, nil
+	}
+	shared := autograd.BroadcastBatch(s.shared, bs)
+	if prompts == nil {
+		return shared, nil, nil
+	}
+	return autograd.Concat(1, shared, prompts), pull, nil
+}
+
 // promptPool is the shared machinery of L2P-style methods: a table of
 // prompt slots with learnable keys, selected per sample by cosine matching
 // between a query feature and the keys.
@@ -110,17 +198,17 @@ func (p *promptPool) selectTop(queries *tensor.Tensor, topN int) [][]int {
 // gather assembles per-sample prompt tokens (B, topN*lp, d) from the
 // selected slot ids and returns the selected keys (B*topN, d) for the
 // key-pull loss. Gradients flow into both pool and keys.
-func (p *promptPool) gather(selected [][]int) (prompts, keysSel *autograd.Value, flatIDs []int) {
+func (p *promptPool) gather(selected [][]int) (prompts, keysSel *autograd.Value) {
 	bs := len(selected)
 	topN := len(selected[0])
-	flatIDs = make([]int, 0, bs*topN)
+	flatIDs := make([]int, 0, bs*topN)
 	for _, ids := range selected {
 		flatIDs = append(flatIDs, ids...)
 	}
 	rows := autograd.Embedding(p.pool, flatIDs) // (B*topN, lp*d)
 	prompts = autograd.Reshape(rows, bs, topN*p.lp, p.dim)
 	keysSel = autograd.Embedding(p.keys, flatIDs)
-	return prompts, keysSel, flatIDs
+	return prompts, keysSel
 }
 
 // keyPullLoss pulls the selected keys toward their queries:

@@ -152,11 +152,11 @@ func TestSaveLoadModuleRestoresPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.RandN(rng, 1, 2, 3, 16, 16)
-	p1, err := src.Predict(x, nil)
+	p1, err := src.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := dst.Predict(x, nil)
+	p2, err := dst.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,20 +87,11 @@ func (g *CDAP) Dim() int { return g.dim }
 // MaxTasks returns the key-table capacity.
 func (g *CDAP) MaxTasks() int { return g.maxTasks }
 
-// Generate produces instance-level prompts (B, p, d) from a token sequence
-// I (B, n+1, d) and per-sample task ids.
-func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value, error) {
+// adapt is the key-independent part of Eq. 4, CCDA(MLP(LN(I)ᵀ))ᵀ: (B, p, d)
+// from a token sequence I (B, n+1, d).
+func (g *CDAP) adapt(tokens *autograd.Value) (*autograd.Value, error) {
 	if tokens.T.NDim() != 3 || tokens.T.Dim(1) != g.tokens || tokens.T.Dim(2) != g.dim {
 		return nil, fmt.Errorf("core: CDAP wants (B,%d,%d) tokens, got %v", g.tokens, g.dim, tokens.T.Shape())
-	}
-	bs := tokens.T.Dim(0)
-	if len(taskIDs) != bs {
-		return nil, fmt.Errorf("core: CDAP has %d task ids for batch %d", len(taskIDs), bs)
-	}
-	for _, id := range taskIDs {
-		if id < 0 || id >= g.maxTasks {
-			return nil, fmt.Errorf("core: task id %d outside key table [0,%d)", id, g.maxTasks)
-		}
 	}
 	// LN(I) then transpose to (B, d, n+1).
 	normed, err := g.ln.Forward(tokens)
@@ -111,7 +102,25 @@ func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value,
 	// MLP over the position axis: (B, d, n+1) -> (B, d, p), back to (B, p, d).
 	projected := autograd.Permute(g.mlp.Forward(tr), 0, 2, 1)
 	// CCDA: globally transferable linear layer on the token width.
-	adapted := g.ccda.Forward(projected)
+	return g.ccda.Forward(projected), nil
+}
+
+// Generate produces instance-level prompts (B, p, d) from a token sequence
+// I (B, n+1, d) and per-sample task ids.
+func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value, error) {
+	adapted, err := g.adapt(tokens)
+	if err != nil {
+		return nil, err
+	}
+	bs := tokens.T.Dim(0)
+	if len(taskIDs) != bs {
+		return nil, fmt.Errorf("core: CDAP has %d task ids for batch %d", len(taskIDs), bs)
+	}
+	for _, id := range taskIDs {
+		if id < 0 || id >= g.maxTasks {
+			return nil, fmt.Errorf("core: task id %d outside key table [0,%d)", id, g.maxTasks)
+		}
+	}
 	// FiLM conditioning on the task key: [α_v, λ_v] = φ(v).
 	v := autograd.Embedding(g.keys, taskIDs) // (B, keyDim)
 	affine := g.phi.Forward(v)               // (B, 2d)
@@ -121,11 +130,10 @@ func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value,
 	return autograd.Add(autograd.Mul(autograd.AddScalar(alpha, 1), adapted), lambda), nil
 }
 
-// MeanKeyIDs returns the task-id list for task-agnostic inference: the
-// paper uses the task ID only during training, so prediction conditions the
-// generator on a fixed pseudo-task (the first key). InferencePrompts below
-// instead averages the key embeddings of all seen tasks, which is the
-// task-agnostic analogue.
+// InferenceKey returns the key embedding (keyDim) for task-agnostic
+// inference: the paper uses the task ID only during training, so prediction
+// conditions the generator on the mean of the key embeddings of the
+// tasksSeen tasks met so far. Pass it to GenerateWithKey.
 func (g *CDAP) InferenceKey(tasksSeen int) (*tensor.Tensor, error) {
 	if tasksSeen <= 0 || tasksSeen > g.maxTasks {
 		return nil, fmt.Errorf("core: tasksSeen %d outside [1,%d]", tasksSeen, g.maxTasks)
@@ -141,17 +149,11 @@ func (g *CDAP) InferenceKey(tasksSeen int) (*tensor.Tensor, error) {
 // GenerateWithKey produces prompts with an explicit key embedding (1,keyDim)
 // shared across the batch: the task-agnostic inference path.
 func (g *CDAP) GenerateWithKey(tokens *autograd.Value, key *tensor.Tensor) (*autograd.Value, error) {
-	if tokens.T.NDim() != 3 || tokens.T.Dim(1) != g.tokens || tokens.T.Dim(2) != g.dim {
-		return nil, fmt.Errorf("core: CDAP wants (B,%d,%d) tokens, got %v", g.tokens, g.dim, tokens.T.Shape())
-	}
-	bs := tokens.T.Dim(0)
-	normed, err := g.ln.Forward(tokens)
+	adapted, err := g.adapt(tokens)
 	if err != nil {
 		return nil, err
 	}
-	tr := autograd.Permute(normed, 0, 2, 1)
-	projected := autograd.Permute(g.mlp.Forward(tr), 0, 2, 1)
-	adapted := g.ccda.Forward(projected)
+	bs := tokens.T.Dim(0)
 	v := autograd.Constant(key.Reshape(1, key.Size()))
 	affine := g.phi.Forward(v) // (1, 2d)
 	alpha := autograd.BroadcastBatch(autograd.Reshape(autograd.Narrow(affine, 1, 0, g.dim), 1, 1, g.dim), bs)

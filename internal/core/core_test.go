@@ -115,7 +115,7 @@ func TestCDAPGradCheck(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return autograd.Mean(autograd.Square(p)), nil
+		return autograd.Mean(autograd.Mul(p, p)), nil
 	}
 	if err := autograd.GradCheck(f, inputs, 1e-5, 1e-4); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestPromptBankCapsRepresentatives(t *testing.T) {
 	if err := bank.Update(uploads, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := bank.ClassPrompts(0).Dim(0); got > 2 {
+	if got := bank.byClass[0].Dim(0); got > 2 {
 		t.Fatalf("class 0 has %d representatives, budget 2", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestPromptBankUpdateNoClustering(t *testing.T) {
 	if err := bank.UpdateNoClustering(uploads); err != nil {
 		t.Fatal(err)
 	}
-	reps := bank.ClassPrompts(0)
+	reps := bank.byClass[0]
 	if reps.Dim(0) != 1 {
 		t.Fatalf("no-clustering bank keeps %d representatives, want 1", reps.Dim(0))
 	}
@@ -253,7 +253,7 @@ func TestRefFiLDisableClusteringEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range r.Bank().Classes() {
-		if r.Bank().ClassPrompts(k).Dim(0) != 1 {
+		if r.Bank().byClass[k].Dim(0) != 1 {
 			t.Fatal("no-clustering bank must hold exactly one prompt per class")
 		}
 	}
@@ -284,7 +284,7 @@ func TestPromptBankMeanPerClass(t *testing.T) {
 		t.Fatalf("mean rows = %d, want 1", mean.Dim(0))
 	}
 	// Mean of representatives of class 0; if both kept, (0.5, 0.5).
-	reps := bank.ClassPrompts(0)
+	reps := bank.byClass[0]
 	wantX := tensor.MeanAxis(reps, 0, false)
 	if !tensor.Row(mean, 0).AllClose(wantX, 1e-12) {
 		t.Fatal("MeanPerClass disagrees with representative average")
@@ -530,7 +530,7 @@ func TestRefFiLWireRoundTrip(t *testing.T) {
 		t.Fatalf("bank classes %v, want %v", got, classes)
 	}
 	for _, k := range classes {
-		if !worker.Bank().ClassPrompts(k).EqualBits(server.Bank().ClassPrompts(k)) {
+		if !worker.Bank().byClass[k].EqualBits(server.Bank().byClass[k]) {
 			t.Fatalf("class %d prompts changed in transit", k)
 		}
 	}

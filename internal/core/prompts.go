@@ -85,9 +85,6 @@ func (b *PromptBank) Classes() []int {
 	return out
 }
 
-// ClassPrompts returns the (N_k, d) representatives for a class, or nil.
-func (b *PromptBank) ClassPrompts(class int) *tensor.Tensor { return b.byClass[class] }
-
 // Update performs the server-side global prompt clustering of Eq. 7–8:
 // uploads are grouped per class, clustered with FINCH, and reduced to at
 // most maxPerClass medoid representatives per class.

@@ -13,7 +13,6 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/model"
 	"reffil/internal/nn"
-	"reffil/internal/opt"
 	"reffil/internal/tensor"
 )
 
@@ -72,9 +71,9 @@ func DefaultConfig(classes, maxTasks int) Config {
 		EnableCDAP:          true,
 		EnableGPL:           true,
 		EnableDPCL:          true,
-		Momentum:            0.9,
-		WeightDecay:         1e-4,
-		ClipNorm:            5,
+		Momentum:            fl.Momentum,
+		WeightDecay:         fl.WeightDecay,
+		ClipNorm:            fl.ClipNorm,
 	}
 }
 
@@ -194,30 +193,40 @@ func (r *RefFiL) OnTaskStart(task int) error {
 // OnTaskEnd implements fl.Algorithm.
 func (r *RefFiL) OnTaskEnd(task int, sample *data.Dataset) error { return nil }
 
-// promptVectors returns the per-sample d-dimensional prompt vectors u_i
-// used for uploads and DPCL: the mean of the generated prompt tokens when
-// CDAP is on, otherwise the mean of the token sequence (a prototype in the
-// FPL sense), plus the prompt token matrix itself when CDAP is enabled.
+// promptVectors returns the prompt token matrix CDAP generates for the batch
+// (nil with CDAP off) and, when prompts are shared — nothing reads them
+// otherwise — the per-sample d-dimensional prompt vectors u_i used for
+// uploads and DPCL: the mean of the generated prompt tokens when CDAP is
+// on, otherwise the mean of the token sequence (a prototype in the FPL
+// sense).
 func (r *RefFiL) promptVectors(tokens *autograd.Value, taskIDs []int) (u, localPrompts *autograd.Value, err error) {
+	source := tokens
 	if r.gen != nil {
-		p, err := r.gen.Generate(tokens, taskIDs)
-		if err != nil {
+		if localPrompts, err = r.gen.Generate(tokens, taskIDs); err != nil {
 			return nil, nil, err
 		}
-		return autograd.MeanAxis(p, 1), p, nil
+		source = localPrompts
 	}
-	return autograd.MeanAxis(tokens, 1), nil, nil
+	if !r.cfg.sharesPrompts() {
+		return nil, localPrompts, nil
+	}
+	return autograd.MeanAxis(source, 1), localPrompts, nil
+}
+
+// crossEntropy is L_CE of the backbone's prediction with the given prompts.
+func (r *RefFiL) crossEntropy(tokens, prompts *autograd.Value, y []int) (*autograd.Value, error) {
+	logits, err := r.backbone.Classify(tokens, prompts)
+	if err != nil {
+		return nil, err
+	}
+	return autograd.SoftmaxCrossEntropy(logits, y)
 }
 
 // LocalTrain implements fl.Algorithm: Algorithm 1's participant side.
 func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
-	params := r.Global().Params()
-	sgd, err := opt.NewSGD(params, ctx.LR, r.cfg.Momentum, r.cfg.WeightDecay)
-	if err != nil {
-		return nil, err
-	}
 	tau := r.cfg.Tau
 	if r.cfg.UseTemperatureDecay {
+		var err error
 		tau, err = DecayedTemperature(r.cfg.Tau, r.cfg.TauMin, r.cfg.Gamma, r.cfg.Beta, r.curTask+1)
 		if err != nil {
 			return nil, err
@@ -232,26 +241,20 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 		bankFlat  *tensor.Tensor
 		bankClass []int
 		meanG     *tensor.Tensor
+		acc       *lpgAccumulator
 	)
-	if r.cfg.sharesPrompts() && !r.bank.Empty() {
-		bankFlat, bankClass = r.bank.Flatten()
-		meanG = r.bank.MeanPerClass()
-	}
-
-	var acc *lpgAccumulator
 	if r.cfg.sharesPrompts() {
 		acc = newLPGAccumulator(r.cfg.Model.TokenDim)
+		if !r.bank.Empty() {
+			bankFlat, bankClass = r.bank.Flatten()
+			meanG = r.bank.MeanPerClass()
+		}
 	}
 
 	nnCtx := &nn.Ctx{Train: true}
-	for epoch := 0; epoch < ctx.Epochs; epoch++ {
-		lastEpoch := epoch == ctx.Epochs-1
-		batches, err := data.Batches(ctx.Data, ctx.BatchSize, ctx.Rng)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range batches {
-			sgd.ZeroGrad()
+	d := r.cfg.Model.TokenDim
+	err := ctx.SGD(r.Global().Params(), r.cfg.Momentum, r.cfg.WeightDecay, r.cfg.ClipNorm,
+		func(epoch int, b data.Batch) (*autograd.Value, error) {
 			tokens, err := r.backbone.Tokens(nnCtx, autograd.Constant(b.X))
 			if err != nil {
 				return nil, err
@@ -261,15 +264,7 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 				return nil, err
 			}
 			// L_CE (Eq. 13): classify with local prompts.
-			seqL, err := r.backbone.WithPrompts(tokens, localPrompts)
-			if err != nil {
-				return nil, err
-			}
-			logitsL, err := r.backbone.Head(seqL)
-			if err != nil {
-				return nil, err
-			}
-			loss, err := autograd.SoftmaxCrossEntropy(logitsL, b.Y)
+			loss, err := r.crossEntropy(tokens, localPrompts, b.Y)
 			if err != nil {
 				return nil, err
 			}
@@ -277,15 +272,7 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 			if r.cfg.EnableGPL && meanG != nil {
 				gp := autograd.BroadcastBatch(
 					autograd.Constant(meanG.Reshape(1, meanG.Dim(0), meanG.Dim(1))), b.X.Dim(0))
-				seqG, err := r.backbone.WithPrompts(tokens, gp)
-				if err != nil {
-					return nil, err
-				}
-				logitsG, err := r.backbone.Head(seqG)
-				if err != nil {
-					return nil, err
-				}
-				gpl, err := autograd.SoftmaxCrossEntropy(logitsG, b.Y)
+				gpl, err := r.crossEntropy(tokens, gp, b.Y)
 				if err != nil {
 					return nil, err
 				}
@@ -298,10 +285,8 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 					return nil, err
 				}
 				positives := make([][]int, len(b.Y))
-				d := r.cfg.Model.TokenDim
 				for i, y := range b.Y {
-					ui := u.T.Data()[i*d : (i+1)*d]
-					positives[i] = selectPositives(ui, bankFlat, bankClass, y, numPos)
+					positives[i] = selectPositives(u.T.Data()[i*d:(i+1)*d], bankFlat, bankClass, y, numPos)
 				}
 				dpcl, err := autograd.InfoNCE(sims, positives, tau)
 				if err != nil {
@@ -309,24 +294,16 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 				}
 				loss = autograd.Add(loss, dpcl)
 			}
-			if err := autograd.Backward(loss); err != nil {
-				return nil, err
-			}
-			if r.cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(params, r.cfg.ClipNorm)
-			}
-			sgd.Step()
 			// Algorithm 1 lines 26–27: collect prompts in the final epoch.
-			if lastEpoch && acc != nil {
-				d := r.cfg.Model.TokenDim
+			if acc != nil && epoch == ctx.Epochs-1 {
 				for i, y := range b.Y {
 					acc.add(y, u.T.Data()[i*d:(i+1)*d])
 				}
 			}
-		}
-	}
-	if acc == nil {
-		return nil, nil
+			return loss, nil
+		})
+	if err != nil || acc == nil {
+		return nil, err
 	}
 	return acc.finish(), nil
 }
@@ -370,11 +347,7 @@ func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
 			return nil, err
 		}
 	}
-	seq, err := r.backbone.WithPrompts(tokens, prompts)
-	if err != nil {
-		return nil, err
-	}
-	logits, err := r.backbone.Head(seq)
+	logits, err := r.backbone.Classify(tokens, prompts)
 	if err != nil {
 		return nil, err
 	}

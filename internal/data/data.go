@@ -40,15 +40,6 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Examples) }
 
-// Labels returns the label of every example in order.
-func (d *Dataset) Labels() []int {
-	out := make([]int, len(d.Examples))
-	for i, ex := range d.Examples {
-		out[i] = ex.Y
-	}
-	return out
-}
-
 // Merge returns a dataset holding the examples of all inputs, in order.
 func Merge(name string, ds ...*Dataset) *Dataset {
 	out := &Dataset{Name: name}

@@ -251,41 +251,6 @@ func TestPrintersRenderPaperLayouts(t *testing.T) {
 	}
 }
 
-func TestWriteResultsCSV(t *testing.T) {
-	res := map[string]Result{
-		"b/RefFiL":   {Method: "RefFiL", Dataset: "b", Summary: summaryOf(0.5, 0.4, []float64{0.5, 0.4})},
-		"a/Finetune": {Method: "Finetune", Dataset: "a", Summary: summaryOf(0.3, 0.2, []float64{0.3, 0.2})},
-	}
-	var sb strings.Builder
-	if err := WriteResultsCSV(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 rows:\n%s", len(lines), sb.String())
-	}
-	if !strings.HasPrefix(lines[0], "label,method,dataset") {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	// Sorted labels: a/... before b/...
-	if !strings.HasPrefix(lines[1], "a/Finetune") || !strings.HasPrefix(lines[2], "b/RefFiL") {
-		t.Fatalf("rows not sorted:\n%s", sb.String())
-	}
-	if !strings.Contains(lines[2], "0.5000;0.4000") {
-		t.Fatalf("task accuracies malformed: %q", lines[2])
-	}
-}
-
-func TestFlattenComparison(t *testing.T) {
-	mc := MainComparison{
-		"pacs": {"RefFiL": {Method: "RefFiL", Dataset: "pacs"}},
-	}
-	flat := FlattenComparison(mc)
-	if _, ok := flat["pacs/RefFiL"]; !ok {
-		t.Fatalf("flatten missing key: %v", flat)
-	}
-}
-
 // summaryOf builds a metrics.Summary for printer tests.
 func summaryOf(avg, last float64, taskAcc []float64) metrics.Summary {
 	return metrics.Summary{Avg: avg, Last: last, FGT: 0.1, BwT: -0.1, TaskAcc: taskAcc}

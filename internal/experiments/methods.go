@@ -32,22 +32,21 @@ var MethodNames = []string{
 // init) deterministic per method.
 func NewMethod(name string, modelCfg model.Config, maxTasks int, seed int64) (fl.Algorithm, error) {
 	rng := rand.New(rand.NewSource(seed))
-	hy := baselines.DefaultHyper()
 	switch name {
 	case "Finetune":
-		return baselines.NewFinetune(modelCfg, hy, rng)
+		return baselines.NewFinetune(modelCfg, rng)
 	case "FedLwF":
-		return baselines.NewFedLwF(modelCfg, hy, rng)
+		return baselines.NewFedLwF(modelCfg, rng)
 	case "FedEWC":
-		return baselines.NewFedEWC(modelCfg, hy, rng)
+		return baselines.NewFedEWC(modelCfg, rng)
 	case "FedL2P":
-		return baselines.NewFedL2P(modelCfg, baselines.DefaultL2PConfig(false), hy, rng)
+		return baselines.NewFedL2P(modelCfg, false, rng)
 	case "FedL2P+pool":
-		return baselines.NewFedL2P(modelCfg, baselines.DefaultL2PConfig(true), hy, rng)
+		return baselines.NewFedL2P(modelCfg, true, rng)
 	case "FedDualPrompt":
-		return baselines.NewFedDualPrompt(modelCfg, baselines.DefaultDualPromptConfig(maxTasks, false), hy, rng)
+		return baselines.NewFedDualPrompt(modelCfg, maxTasks, false, rng)
 	case "FedDualPrompt+pool":
-		return baselines.NewFedDualPrompt(modelCfg, baselines.DefaultDualPromptConfig(maxTasks, true), hy, rng)
+		return baselines.NewFedDualPrompt(modelCfg, maxTasks, true, rng)
 	case "RefFiL":
 		cfg := core.DefaultConfig(modelCfg.Classes, maxTasks)
 		cfg.Model = modelCfg

@@ -44,22 +44,21 @@ func newParallelTestMethod(t *testing.T, name string, classes, maxTasks int) fl.
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	modelCfg := model.DefaultConfig(classes)
-	hy := baselines.DefaultHyper()
 	var (
 		alg fl.Algorithm
 		err error
 	)
 	switch name {
 	case "Finetune":
-		alg, err = baselines.NewFinetune(modelCfg, hy, rng)
+		alg, err = baselines.NewFinetune(modelCfg, rng)
 	case "FedLwF":
-		alg, err = baselines.NewFedLwF(modelCfg, hy, rng)
+		alg, err = baselines.NewFedLwF(modelCfg, rng)
 	case "FedEWC":
-		alg, err = baselines.NewFedEWC(modelCfg, hy, rng)
+		alg, err = baselines.NewFedEWC(modelCfg, rng)
 	case "FedL2P+pool":
-		alg, err = baselines.NewFedL2P(modelCfg, baselines.DefaultL2PConfig(true), hy, rng)
+		alg, err = baselines.NewFedL2P(modelCfg, true, rng)
 	case "FedDualPrompt":
-		alg, err = baselines.NewFedDualPrompt(modelCfg, baselines.DefaultDualPromptConfig(maxTasks, false), hy, rng)
+		alg, err = baselines.NewFedDualPrompt(modelCfg, maxTasks, false, rng)
 	case "RefFiL":
 		cfg := core.DefaultConfig(classes, maxTasks)
 		cfg.Model = modelCfg

@@ -1,0 +1,52 @@
+package fl
+
+import (
+	"reffil/internal/autograd"
+	"reffil/internal/data"
+	"reffil/internal/nn"
+	"reffil/internal/opt"
+)
+
+// Momentum, WeightDecay and ClipNorm are the paper's local-SGD setup, the
+// one every method trains with.
+const (
+	Momentum    = 0.9
+	WeightDecay = 1e-4
+	ClipNorm    = 5.0
+)
+
+// SGD is the local-training loop every method shares: ctx.Epochs passes over
+// ctx.Data in shuffled minibatches of ctx.BatchSize drawn from ctx.Rng, each
+// step zeroing the gradients of params, differentiating the scalar that loss
+// builds for the batch, clipping the global gradient norm to clipNorm (0
+// disables clipping) and applying one SGD update at ctx.LR. A method is what
+// its loss closure adds to cross-entropy; epoch lets it act on the last pass
+// (RefFiL collects its Eq. 5 prompt groups there).
+func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm float64,
+	loss func(epoch int, b data.Batch) (*autograd.Value, error)) error {
+	sgd, err := opt.NewSGD(params, ctx.LR, momentum, weightDecay)
+	if err != nil {
+		return err
+	}
+	for epoch := 0; epoch < ctx.Epochs; epoch++ {
+		batches, err := data.Batches(ctx.Data, ctx.BatchSize, ctx.Rng)
+		if err != nil {
+			return err
+		}
+		for _, b := range batches {
+			sgd.ZeroGrad()
+			l, err := loss(epoch, b)
+			if err != nil {
+				return err
+			}
+			if err := autograd.Backward(l); err != nil {
+				return err
+			}
+			if clipNorm > 0 {
+				opt.ClipGradNorm(params, clipNorm)
+			}
+			sgd.Step()
+		}
+	}
+	return nil
+}

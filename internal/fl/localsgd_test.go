@@ -1,0 +1,129 @@
+package fl
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"reffil/internal/autograd"
+	"reffil/internal/data"
+	"reffil/internal/nn"
+	"reffil/internal/tensor"
+)
+
+// indexedDataset holds n one-element examples whose value is their index, so
+// a batch's contents identify which examples it drew, in which order.
+func indexedDataset(n int) *data.Dataset {
+	ds := &data.Dataset{Name: "indexed"}
+	for i := 0; i < n; i++ {
+		ds.Examples = append(ds.Examples, data.Example{X: tensor.FromSlice([]float64{float64(i)}, 1), Y: i})
+	}
+	return ds
+}
+
+// TestLocalSGDLoop drives the shared loop on the toy quadratic 50·‖w‖²,
+// whose gradient norm (100·‖w‖) sits far above the clip bound.
+func TestLocalSGDLoop(t *testing.T) {
+	const (
+		n, batch, epochs = 7, 3, 2
+		lr, clip         = 0.1, 0.5
+		seed             = 5
+	)
+	w := autograd.Param(tensor.FromSlice([]float64{3, -4, 12}, 3))
+	params := []nn.Param{{Name: "w", Value: w}}
+	ctx := &LocalContext{Data: indexedDataset(n), Epochs: epochs, BatchSize: batch, LR: lr, Rng: rand.New(rand.NewSource(seed))}
+
+	// The batches the loop must see: data.Batches over a mirror of ctx.Rng,
+	// once per epoch.
+	var want []data.Batch
+	mirror := rand.New(rand.NewSource(seed))
+	for e := 0; e < epochs; e++ {
+		bs, err := data.Batches(ctx.Data, batch, mirror)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, bs...)
+	}
+	if len(want) != epochs*3 { // ⌈7/3⌉ = 3
+		t.Fatalf("reference has %d batches, want %d", len(want), epochs*3)
+	}
+
+	calls := 0
+	var before *tensor.Tensor
+	checkStep := func() {
+		if before == nil {
+			return
+		}
+		if step := tensor.Sub(w.T, before).L2Norm(); step > lr*clip*(1+1e-12) || step < lr*clip*(1-1e-12) {
+			t.Errorf("call %d: step norm %v, want the clip bound lr·clip = %v", calls, step, lr*clip)
+		}
+	}
+	err := ctx.SGD(params, 0, 0, clip, func(epoch int, b data.Batch) (*autograd.Value, error) {
+		if calls >= len(want) {
+			t.Fatalf("loss called more than %d times", len(want))
+		}
+		if epoch != calls/3 {
+			t.Errorf("call %d: epoch %d, want %d", calls, epoch, calls/3)
+		}
+		if !b.X.EqualBits(want[calls].X) {
+			t.Errorf("call %d: batch %v, data.Batches order has %v", calls, b.X.Data(), want[calls].X.Data())
+		}
+		if w.Grad != nil && w.Grad.L2Norm() != 0 {
+			t.Errorf("call %d: gradient %v not zeroed", calls, w.Grad.Data())
+		}
+		checkStep()
+		before = w.T.Clone()
+		calls++
+		return autograd.Scale(autograd.Sum(autograd.Mul(w, w)), 50), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(want) {
+		t.Fatalf("loss called %d times, want epochs × ⌈n/batch⌉ = %d", calls, len(want))
+	}
+	checkStep()
+}
+
+// TestLocalSGDStopsOnError: an error from the loss closure or from Backward
+// ends the loop at that batch, before any update, and is returned.
+func TestLocalSGDStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		fail func(w *autograd.Value) (*autograd.Value, error)
+		is   error
+	}{
+		{"loss", func(*autograd.Value) (*autograd.Value, error) { return nil, boom }, boom},
+		// A non-scalar root is Backward's error.
+		{"backward", func(w *autograd.Value) (*autograd.Value, error) { return autograd.Mul(w, w), nil }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := autograd.Param(tensor.FromSlice([]float64{1, 2}, 2))
+			ctx := &LocalContext{Data: indexedDataset(6), Epochs: 3, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(1))}
+			calls := 0
+			var atFailure *tensor.Tensor
+			err := ctx.SGD([]nn.Param{{Name: "w", Value: w}}, Momentum, WeightDecay, ClipNorm,
+				func(int, data.Batch) (*autograd.Value, error) {
+					calls++
+					if calls == 4 {
+						atFailure = w.T.Clone()
+						return tc.fail(w)
+					}
+					return autograd.Sum(autograd.Mul(w, w)), nil
+				})
+			if err == nil {
+				t.Fatal("loop swallowed the error")
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("returned %v, want %v", err, tc.is)
+			}
+			if calls != 4 {
+				t.Fatalf("loss called %d times, want the loop to stop at call 4", calls)
+			}
+			if !w.T.EqualBits(atFailure) {
+				t.Fatal("parameters moved after the failing batch")
+			}
+		})
+	}
+}

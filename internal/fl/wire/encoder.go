@@ -73,13 +73,6 @@ func (e *Encoder) Dict() map[string]*tensor.Tensor {
 	return e.dict
 }
 
-// PayloadVersion returns the current payload version.
-func (e *Encoder) PayloadVersion() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.payloadVersion
-}
-
 // FrameFor builds the frame for a worker whose receive state is t. active
 // says whether the worker has jobs in this broadcast: inactive workers get
 // a bare KindNone frame (no state, no payload — their versions simply lag),

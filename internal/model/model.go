@@ -133,26 +133,23 @@ func (b *Backbone) Tokens(ctx *nn.Ctx, x *autograd.Value) (*autograd.Value, erro
 	return autograd.Concat(1, cls, patches), nil
 }
 
-// WithPrompts inserts prompt tokens (B,p,d) between the CLS token and the
-// patch tokens of a sequence I (B,n+1,d). A nil prompts returns I unchanged.
-func (b *Backbone) WithPrompts(tokens, prompts *autograd.Value) (*autograd.Value, error) {
-	if prompts == nil {
-		return tokens, nil
+// Classify is Eq. 2–3 on a token sequence I (B,n+1,d): insert prompt tokens
+// (B,p,d) between the CLS token and the patch tokens (nil prompts leave I
+// unchanged), run the attention block, and classify from the output CLS
+// token.
+func (b *Backbone) Classify(tokens, prompts *autograd.Value) (*autograd.Value, error) {
+	seq := tokens
+	if prompts != nil {
+		if prompts.T.NDim() != 3 || prompts.T.Dim(0) != tokens.T.Dim(0) || prompts.T.Dim(2) != b.Cfg.TokenDim {
+			return nil, fmt.Errorf("model: prompts shape %v incompatible with tokens %v", prompts.T.Shape(), tokens.T.Shape())
+		}
+		if p := prompts.T.Dim(1); p > b.Cfg.MaxPromptTokens {
+			return nil, fmt.Errorf("model: %d prompt tokens exceed budget %d", p, b.Cfg.MaxPromptTokens)
+		}
+		cls := autograd.Narrow(tokens, 1, 0, 1)
+		rest := autograd.Narrow(tokens, 1, 1, tokens.T.Dim(1))
+		seq = autograd.Concat(1, cls, prompts, rest)
 	}
-	if prompts.T.NDim() != 3 || prompts.T.Dim(0) != tokens.T.Dim(0) || prompts.T.Dim(2) != b.Cfg.TokenDim {
-		return nil, fmt.Errorf("model: prompts shape %v incompatible with tokens %v", prompts.T.Shape(), tokens.T.Shape())
-	}
-	if p := prompts.T.Dim(1); p > b.Cfg.MaxPromptTokens {
-		return nil, fmt.Errorf("model: %d prompt tokens exceed budget %d", p, b.Cfg.MaxPromptTokens)
-	}
-	cls := autograd.Narrow(tokens, 1, 0, 1)
-	rest := autograd.Narrow(tokens, 1, 1, tokens.T.Dim(1))
-	return autograd.Concat(1, cls, prompts, rest), nil
-}
-
-// Head runs the attention block on a (possibly prompt-extended) token
-// sequence and classifies from the output CLS token, per Eq. 2–3.
-func (b *Backbone) Head(seq *autograd.Value) (*autograd.Value, error) {
 	out, err := b.Attn.Forward(seq)
 	if err != nil {
 		return nil, fmt.Errorf("model: attention: %w", err)
@@ -168,24 +165,12 @@ func (b *Backbone) Forward(ctx *nn.Ctx, x, prompts *autograd.Value) (*autograd.V
 	if err != nil {
 		return nil, err
 	}
-	seq, err := b.WithPrompts(tokens, prompts)
-	if err != nil {
-		return nil, err
-	}
-	return b.Head(seq)
+	return b.Classify(tokens, prompts)
 }
 
-// Predict returns argmax class predictions for a batch in eval mode,
-// with optional constant prompt tokens (p,d) shared across the batch.
-func (b *Backbone) Predict(x *tensor.Tensor, sharedPrompts *tensor.Tensor) ([]int, error) {
-	ctx := &nn.Ctx{Train: false}
-	xv := autograd.Constant(x)
-	var prompts *autograd.Value
-	if sharedPrompts != nil {
-		p := sharedPrompts.Reshape(1, sharedPrompts.Dim(0), sharedPrompts.Dim(1))
-		prompts = autograd.BroadcastBatch(autograd.Constant(p), x.Dim(0))
-	}
-	logits, err := b.Forward(ctx, xv, prompts)
+// Predict returns argmax class predictions for a batch in eval mode.
+func (b *Backbone) Predict(x *tensor.Tensor) ([]int, error) {
+	logits, err := b.Forward(&nn.Ctx{Train: false}, autograd.Constant(x), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -111,17 +111,17 @@ func TestWithPromptsValidation(t *testing.T) {
 	}
 	// Wrong batch.
 	bad := autograd.Constant(tensor.RandN(rng, 1, 3, 2, 32))
-	if _, err := b.WithPrompts(tokens, bad); err == nil {
+	if _, err := b.Classify(tokens, bad); err == nil {
 		t.Fatal("batch mismatch must error")
 	}
 	// Wrong width.
 	bad2 := autograd.Constant(tensor.RandN(rng, 1, 2, 2, 16))
-	if _, err := b.WithPrompts(tokens, bad2); err == nil {
+	if _, err := b.Classify(tokens, bad2); err == nil {
 		t.Fatal("token width mismatch must error")
 	}
 	// Budget exceeded.
 	bad3 := autograd.Constant(tensor.RandN(rng, 1, 2, 17, 32))
-	if _, err := b.WithPrompts(tokens, bad3); err == nil {
+	if _, err := b.Classify(tokens, bad3); err == nil {
 		t.Fatal("prompt budget overflow must error")
 	}
 }
@@ -130,7 +130,7 @@ func TestPredictMatchesForward(t *testing.T) {
 	b := newTestBackbone(t, 5)
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.RandN(rng, 1, 4, 3, 16, 16)
-	pred, err := b.Predict(x, nil)
+	pred, err := b.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +143,6 @@ func TestPredictMatchesForward(t *testing.T) {
 		if pred[i] != want[i] {
 			t.Fatalf("Predict disagrees with Forward at %d", i)
 		}
-	}
-}
-
-func TestPredictWithSharedPrompts(t *testing.T) {
-	b := newTestBackbone(t, 5)
-	rng := rand.New(rand.NewSource(7))
-	x := tensor.RandN(rng, 1, 2, 3, 16, 16)
-	prompts := tensor.RandN(rng, 0.1, 3, 32)
-	if _, err := b.Predict(x, prompts); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -215,11 +205,11 @@ func TestStateDictRoundTripThroughBackbone(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.RandN(rng, 1, 2, 3, 16, 16)
-	p1, err := b1.Predict(x, nil)
+	p1, err := b1.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := b2.Predict(x, nil)
+	p2, err := b2.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,15 +106,6 @@ func ZeroGrads(m Module) {
 	}
 }
 
-// NumParams returns the total number of trainable scalars in a module.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.T.Size()
-	}
-	return n
-}
-
 // Modules combines several modules into one (e.g. a backbone plus a prompt
 // generator aggregated together by FedAvg).
 type Modules []Module

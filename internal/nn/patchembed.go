@@ -32,9 +32,6 @@ func NewPatchEmbed(name string, rng *rand.Rand, inC, dim, maxTokens int) *PatchE
 	}
 }
 
-// Dim returns the token width.
-func (p *PatchEmbed) Dim() int { return p.dim }
-
 // Clone returns a deep copy sharing no tensors with p. The projection stays
 // frozen in the clone.
 func (p *PatchEmbed) Clone() *PatchEmbed {

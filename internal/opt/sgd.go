@@ -1,6 +1,6 @@
 // Package opt provides the stochastic gradient descent optimizer used by
 // all methods in the reproduction (the paper trains every method with SGD),
-// plus learning-rate schedules and gradient clipping.
+// plus gradient clipping.
 package opt
 
 import (
@@ -40,12 +40,6 @@ func NewSGD(params []nn.Param, lr, momentum, weightDecay float64) (*SGD, error) 
 		velocity:    make([]*tensor.Tensor, len(params)),
 	}, nil
 }
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
-// SetLR updates the learning rate (used by schedules).
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // Step applies one update using the gradients accumulated on the parameters.
 // Parameters with no gradient are skipped.
@@ -102,27 +96,4 @@ func ClipGradNorm(params []nn.Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// StepDecay returns a learning-rate schedule that multiplies the base rate
-// by gamma every stepSize calls.
-func StepDecay(base float64, stepSize int, gamma float64) func(step int) float64 {
-	return func(step int) float64 {
-		if stepSize <= 0 {
-			return base
-		}
-		return base * math.Pow(gamma, float64(step/stepSize))
-	}
-}
-
-// CosineDecay returns a cosine-annealed schedule from base to floor over
-// total steps.
-func CosineDecay(base, floor float64, total int) func(step int) float64 {
-	return func(step int) float64 {
-		if total <= 0 || step >= total {
-			return floor
-		}
-		frac := float64(step) / float64(total)
-		return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*frac))
-	}
 }

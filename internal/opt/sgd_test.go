@@ -50,7 +50,8 @@ func TestSGDMinimizesQuadratic(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		sgd.ZeroGrad()
-		loss := autograd.Sum(autograd.Square(autograd.AddScalar(x, -3)))
+		d := autograd.AddScalar(x, -3)
+		loss := autograd.Sum(autograd.Mul(d, d))
 		if err := autograd.Backward(loss); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,8 @@ func TestSGDMomentumAcceleratesConvergence(t *testing.T) {
 		}
 		for i := 0; i < 30; i++ {
 			sgd.ZeroGrad()
-			loss := autograd.Sum(autograd.Square(autograd.AddScalar(x, -3)))
+			d := autograd.AddScalar(x, -3)
+			loss := autograd.Sum(autograd.Mul(d, d))
 			if err := autograd.Backward(loss); err != nil {
 				t.Fatal(err)
 			}
@@ -138,42 +140,6 @@ func TestClipGradNormNoopBelowThreshold(t *testing.T) {
 	ClipGradNorm(ps, 10)
 	if got := ps[0].Value.Grad.At(0); got != 0.5 {
 		t.Fatalf("clip modified gradient below threshold: %v", got)
-	}
-}
-
-func TestStepDecaySchedule(t *testing.T) {
-	sched := StepDecay(1.0, 10, 0.5)
-	if got := sched(0); got != 1.0 {
-		t.Fatalf("sched(0) = %v", got)
-	}
-	if got := sched(10); got != 0.5 {
-		t.Fatalf("sched(10) = %v", got)
-	}
-	if got := sched(25); got != 0.25 {
-		t.Fatalf("sched(25) = %v", got)
-	}
-}
-
-func TestCosineDecaySchedule(t *testing.T) {
-	sched := CosineDecay(1.0, 0.1, 100)
-	if got := sched(0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("sched(0) = %v, want 1", got)
-	}
-	if got := sched(100); got != 0.1 {
-		t.Fatalf("sched(100) = %v, want 0.1", got)
-	}
-	mid := sched(50)
-	if mid <= 0.1 || mid >= 1 {
-		t.Fatalf("sched(50) = %v, want strictly between floor and base", mid)
-	}
-	// Monotone non-increasing.
-	prev := math.Inf(1)
-	for s := 0; s <= 100; s += 5 {
-		v := sched(s)
-		if v > prev+1e-12 {
-			t.Fatalf("cosine schedule increased at step %d", s)
-		}
-		prev = v
 	}
 }
 

@@ -26,7 +26,7 @@ func F(key string, val any) Field { return Field{Key: key, Val: val} }
 //
 // A nil *Logger no-ops on every method.
 type Logger struct {
-	mu     *sync.Mutex
+	mu     sync.Mutex
 	w      io.Writer
 	bound  []Field
 	Tracer *Tracer
@@ -34,18 +34,7 @@ type Logger struct {
 
 // NewLogger builds a Logger writing to w with the given bound fields.
 func NewLogger(w io.Writer, bound ...Field) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, bound: bound}
-}
-
-// With returns a child logger sharing w and the write lock, with extra
-// bound fields appended.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := &Logger{mu: l.mu, w: l.w, Tracer: l.Tracer}
-	child.bound = append(append([]Field(nil), l.bound...), fields...)
-	return child
+	return &Logger{w: w, bound: bound}
 }
 
 // appendVal renders a field value; strings needing quoting get %q.

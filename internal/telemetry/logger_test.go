@@ -31,16 +31,6 @@ func TestLoggerQuotesAwkwardStrings(t *testing.T) {
 	}
 }
 
-func TestLoggerWith(t *testing.T) {
-	var buf bytes.Buffer
-	log := NewLogger(&buf, F("run", "r1"))
-	child := log.With(F("slot", 2))
-	child.Event("ack")
-	if got := buf.String(); got != "evt=ack run=r1 slot=2\n" {
-		t.Fatalf("child line = %q", got)
-	}
-}
-
 func TestLoggerMirrorsIntoTrace(t *testing.T) {
 	var lbuf, tbuf bytes.Buffer
 	tr := NewTracer(&tbuf)
@@ -68,25 +58,20 @@ func TestLoggerMirrorsIntoTrace(t *testing.T) {
 func TestNilLogger(t *testing.T) {
 	var log *Logger
 	log.Event("anything", F("k", "v"))
-	if child := log.With(F("x", 1)); child != nil {
-		t.Fatal("nil logger With must return nil")
-	}
 }
 
 func TestLoggerConcurrentWriters(t *testing.T) {
 	var buf bytes.Buffer
 	log := NewLogger(&buf)
-	a := log.With(F("w", 1))
-	b := log.With(F("w", 2))
 	var wg sync.WaitGroup
-	for _, l := range []*Logger{a, b} {
+	for w := 1; w <= 2; w++ {
 		wg.Add(1)
-		go func(l *Logger) {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Event("tick", F("i", i))
+				log.Event("tick", F("w", w), F("i", i))
 			}
-		}(l)
+		}(w)
 	}
 	wg.Wait()
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")

@@ -150,15 +150,6 @@ func (h *Histogram) Sum() float64 {
 // ack latency, checkpoint writes.
 var DefSecondsBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// LinearBuckets returns n buckets of the given width starting at start.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // metricKind discriminates the exposition TYPE of a registered series.
 type metricKind int
 

@@ -207,13 +207,3 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		t.Errorf("hist count = %d, want 8000", h.Count())
 	}
 }
-
-func TestLinearBuckets(t *testing.T) {
-	got := LinearBuckets(0.1, 0.1, 3)
-	want := []float64{0.1, 0.2, 0.3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("LinearBuckets = %v, want %v", got, want)
-		}
-	}
-}

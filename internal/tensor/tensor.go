@@ -206,17 +206,6 @@ func (t *Tensor) HasNaN() bool {
 	return false
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // L2Norm returns the Euclidean norm of all elements.
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
