@@ -9,13 +9,13 @@ import (
 // Add returns a + b with numpy broadcasting.
 func Add(a, b *Value) *Value {
 	out := tensor.Add(a.T, b.T)
-	node := newNode(out, "add", nil, a, b)
+	node := newNode(out, "add", a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(node.Grad, a.T.Shape()))
+			accumulate(a, reduceGrad(node.Grad, a.T))
 		}
 		if b.requiresGrad {
-			accumulate(b, tensor.ReduceTo(node.Grad, b.T.Shape()))
+			accumulate(b, reduceGrad(node.Grad, b.T))
 		}
 	}
 	return node
@@ -24,15 +24,13 @@ func Add(a, b *Value) *Value {
 // Sub returns a - b with broadcasting.
 func Sub(a, b *Value) *Value {
 	out := tensor.Sub(a.T, b.T)
-	node := newNode(out, "sub", nil, a, b)
+	node := newNode(out, "sub", a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(node.Grad, a.T.Shape()))
+			accumulate(a, reduceGrad(node.Grad, a.T))
 		}
 		if b.requiresGrad {
-			g := tensor.ReduceTo(node.Grad, b.T.Shape())
-			g.ScaleInPlace(-1)
-			accumulate(b, g)
+			accumulateTemp(b, tensor.Scale(reduceGrad(node.Grad, b.T), -1))
 		}
 	}
 	return node
@@ -41,13 +39,13 @@ func Sub(a, b *Value) *Value {
 // Mul returns the elementwise product with broadcasting.
 func Mul(a, b *Value) *Value {
 	out := tensor.Mul(a.T, b.T)
-	node := newNode(out, "mul", nil, a, b)
+	node := newNode(out, "mul", a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(tensor.Mul(node.Grad, b.T), a.T.Shape()))
+			accumulateTemp(a, reduceTemp(tensor.Mul(node.Grad, b.T), a.T))
 		}
 		if b.requiresGrad {
-			accumulate(b, tensor.ReduceTo(tensor.Mul(node.Grad, a.T), b.T.Shape()))
+			accumulateTemp(b, reduceTemp(tensor.Mul(node.Grad, a.T), b.T))
 		}
 	}
 	return node
@@ -56,16 +54,16 @@ func Mul(a, b *Value) *Value {
 // Div returns the elementwise quotient with broadcasting.
 func Div(a, b *Value) *Value {
 	out := tensor.Div(a.T, b.T)
-	node := newNode(out, "div", nil, a, b)
+	node := newNode(out, "div", a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(tensor.Div(node.Grad, b.T), a.T.Shape()))
+			accumulateTemp(a, reduceTemp(tensor.Div(node.Grad, b.T), a.T))
 		}
 		if b.requiresGrad {
 			// d/db (a/b) = -a/b².
 			g := tensor.Mul(node.Grad, tensor.Div(out, b.T))
 			g.ScaleInPlace(-1)
-			accumulate(b, tensor.ReduceTo(g, b.T.Shape()))
+			accumulateTemp(b, reduceTemp(g, b.T))
 		}
 	}
 	return node
@@ -73,16 +71,16 @@ func Div(a, b *Value) *Value {
 
 // Scale returns alpha * a.
 func Scale(a *Value, alpha float64) *Value {
-	node := newNode(tensor.Scale(a.T, alpha), "scale", nil, a)
+	node := newNode(tensor.Scale(a.T, alpha), "scale", a)
 	node.back = func() {
-		accumulate(a, tensor.Scale(node.Grad, alpha))
+		accumulateTemp(a, tensor.Scale(node.Grad, alpha))
 	}
 	return node
 }
 
 // AddScalar returns a + c.
 func AddScalar(a *Value, c float64) *Value {
-	node := newNode(tensor.AddScalar(a.T, c), "addScalar", nil, a)
+	node := newNode(tensor.AddScalar(a.T, c), "addScalar", a)
 	node.back = func() {
 		accumulate(a, node.Grad)
 	}
@@ -95,16 +93,16 @@ func Neg(a *Value) *Value { return Scale(a, -1) }
 // ReLU returns max(0, a) elementwise.
 func ReLU(a *Value) *Value {
 	out := tensor.ReLU(a.T)
-	node := newNode(out, "relu", nil, a)
+	node := newNode(out, "relu", a)
 	node.back = func() {
-		g := tensor.New(a.T.Shape()...)
+		g := out.Arena().NewLike(a.T)
 		ad, gd, od := a.T.Data(), node.Grad.Data(), g.Data()
 		for i := range ad {
 			if ad[i] > 0 {
 				od[i] = gd[i]
 			}
 		}
-		accumulate(a, g)
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -112,14 +110,14 @@ func ReLU(a *Value) *Value {
 // Tanh returns tanh(a) elementwise.
 func Tanh(a *Value) *Value {
 	out := tensor.Tanh(a.T)
-	node := newNode(out, "tanh", nil, a)
+	node := newNode(out, "tanh", a)
 	node.back = func() {
-		g := tensor.New(a.T.Shape()...)
+		g := out.Arena().ScratchLike(a.T)
 		od, gd, dd := out.Data(), node.Grad.Data(), g.Data()
 		for i := range od {
 			dd[i] = gd[i] * (1 - od[i]*od[i])
 		}
-		accumulate(a, g)
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -127,9 +125,9 @@ func Tanh(a *Value) *Value {
 // Exp returns e^a elementwise.
 func Exp(a *Value) *Value {
 	out := tensor.Exp(a.T)
-	node := newNode(out, "exp", nil, a)
+	node := newNode(out, "exp", a)
 	node.back = func() {
-		accumulate(a, tensor.Mul(node.Grad, out))
+		accumulateTemp(a, tensor.Mul(node.Grad, out))
 	}
 	return node
 }
@@ -137,20 +135,21 @@ func Exp(a *Value) *Value {
 // Log returns ln(a) elementwise; a must be strictly positive.
 func Log(a *Value) *Value {
 	out := tensor.Log(a.T)
-	node := newNode(out, "log", nil, a)
+	node := newNode(out, "log", a)
 	node.back = func() {
-		accumulate(a, tensor.Div(node.Grad, a.T))
+		accumulateTemp(a, tensor.Div(node.Grad, a.T))
 	}
 	return node
 }
 
 // Sum reduces all elements to a scalar.
 func Sum(a *Value) *Value {
-	out := tensor.Scalar(a.T.Sum())
-	node := newNode(out, "sum", nil, a)
+	out := a.T.Arena().Scalar(a.T.Sum())
+	node := newNode(out, "sum", a)
 	node.back = func() {
-		g := tensor.Full(node.Grad.Item(), a.T.Shape()...)
-		accumulate(a, g)
+		g := out.Arena().ScratchLike(a.T)
+		g.Fill(node.Grad.Item())
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -158,11 +157,12 @@ func Sum(a *Value) *Value {
 // Mean reduces all elements to their scalar mean.
 func Mean(a *Value) *Value {
 	n := float64(a.T.Size())
-	out := tensor.Scalar(a.T.Sum() / n)
-	node := newNode(out, "mean", nil, a)
+	out := a.T.Arena().Scalar(a.T.Sum() / n)
+	node := newNode(out, "mean", a)
 	node.back = func() {
-		g := tensor.Full(node.Grad.Item()/n, a.T.Shape()...)
-		accumulate(a, g)
+		g := out.Arena().ScratchLike(a.T)
+		g.Fill(node.Grad.Item() / n)
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -170,13 +170,14 @@ func Mean(a *Value) *Value {
 // SumAxis sums along an axis, dropping it.
 func SumAxis(a *Value, axis int) *Value {
 	out := tensor.SumAxis(a.T, axis, false)
-	node := newNode(out, "sumAxis", nil, a)
+	node := newNode(out, "sumAxis", a)
 	node.back = func() {
-		shape := a.T.Shape()
-		keep := node.Grad.Reshape(keepDimShape(shape, axis)...)
+		keep := node.Grad.Reshape(keepDimShape(a.T.Shape(), axis)...)
 		// Broadcast the kept-dim gradient back across the reduced axis.
-		g := tensor.Mul(keep, tensor.Ones(shape...))
-		accumulate(a, g)
+		ones := out.Arena().ScratchLike(a.T)
+		ones.Fill(1)
+		accumulateTemp(a, tensor.Mul(keep, ones))
+		ones.Release()
 	}
 	return node
 }
@@ -187,23 +188,23 @@ func MeanAxis(a *Value, axis int) *Value {
 	return Scale(s, 1/float64(a.T.Dim(axis)))
 }
 
+// keepDimShape sets shape[axis] to 1 in place.
 func keepDimShape(shape []int, axis int) []int {
-	out := append([]int(nil), shape...)
-	out[axis] = 1
-	return out
+	shape[axis] = 1
+	return shape
 }
 
 // Sqrt returns the elementwise square root; a must be non-negative.
 func Sqrt(a *Value) *Value {
 	out := tensor.Sqrt(a.T)
-	node := newNode(out, "sqrt", nil, a)
+	node := newNode(out, "sqrt", a)
 	node.back = func() {
-		g := tensor.New(a.T.Shape()...)
+		g := out.Arena().ScratchLike(a.T)
 		od, gd, dd := out.Data(), node.Grad.Data(), g.Data()
 		for i := range od {
 			dd[i] = gd[i] / (2 * math.Max(od[i], 1e-12))
 		}
-		accumulate(a, g)
+		accumulateTemp(a, g)
 	}
 	return node
 }

@@ -12,14 +12,6 @@ import (
 // images cheaper than this in aggregate stay on the calling goroutine.
 const convChunkOps = parallel.DefaultChunkOps
 
-// colBufs pools the per-image im2col column matrices. A forward pass draws
-// one buffer per image and retains it for the backward pass (the weight
-// gradient re-reads the columns); back() returns the buffers once the
-// gradients are computed. Buffers drawn by a tape that is never
-// backpropagated (a no-grad forward) are simply dropped for the GC to
-// collect — sync.Pool makes that safe, it just forgoes the reuse.
-var colBufs parallel.ScratchPool[float64]
-
 // gwPartials caps how many weight-gradient partial accumulators Conv2D's
 // backward materializes at once. A fixed, machine-independent count keeps
 // the reduction order deterministic and bounds extra memory to
@@ -28,8 +20,10 @@ const gwPartials = 8
 
 // Conv2D convolves x (B,C,H,W) with weights w (O,C,kh,kw) and optional bias
 // b (O,), using the given stride and zero padding. The forward pass uses
-// im2col + matmul; the per-sample column matrices are cached for backward.
-// Batch images are independent, so both passes fan the per-image im2col and
+// im2col + matmul; the per-sample column matrices are kept for backward (the
+// weight gradient re-reads them) and, like every other temporary here, are
+// drawn from x's arena, whose Reset reclaims them whether or not the tape is
+// ever backpropagated. Batch images are independent, so both passes fan the per-image im2col and
 // matmul work out over the batch axis; the weight gradient is reduced
 // serially in batch order to keep results bit-identical to serial execution.
 func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
@@ -52,18 +46,19 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 	p := geom.OutH * geom.OutW
 	wMat := w.T.Reshape(o, k)
 
-	out := tensor.New(bs, o, geom.OutH, geom.OutW)
-	cols := make([][]float64, bs)
-	bufs := make([]*[]float64, bs)
+	ar := tensor.ArenaOf(x.T, w.T)
+	out := ar.New(bs, o, geom.OutH, geom.OutW)
+	cols := make([]*tensor.Tensor, bs)
 	imgLen := c * h * wd
 	imgGrain := parallel.GrainForCost(2*o*k*p, convChunkOps)
 	parallel.For(bs, imgGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			bufs[i] = colBufs.Get(k * p)
-			cols[i] = *bufs[i]
-			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], cols[i])
-			colT := tensor.FromSlice(cols[i], k, p)
-			res := tensor.MatMul(wMat, colT)
+			cols[i] = ar.Scratch(k, p) // Im2col writes every position
+			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], cols[i].Data())
+			// out is zeroed and images are row-disjoint, so the product
+			// accumulates straight into this image's slice of it.
+			res := out.View(i*o*p, o, p)
+			tensor.MatMulInto(res, wMat, cols[i])
 			if b != nil {
 				rd := res.Data()
 				for ch := 0; ch < o; ch++ {
@@ -74,11 +69,10 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					}
 				}
 			}
-			copy(out.Data()[i*o*p:(i+1)*o*p], res.Data())
 		}
 	})
 
-	node := newNode(out, "conv2d", nil, x, w, b)
+	node := newNode(out, "conv2d", x, w, b)
 	node.back = func() {
 		if w.requiresGrad {
 			// Weight-gradient partials are accumulated over a fixed number
@@ -99,15 +93,15 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 			partials := make([]*tensor.Tensor, nChunks)
 			parallel.For(nChunks, 1, func(clo, chi int) {
 				for c := clo; c < chi; c++ {
-					acc := tensor.New(o, k)
+					acc := ar.New(o, k)
 					hi := (c + 1) * per
 					if hi > bs {
 						hi = bs
 					}
 					for i := c * per; i < hi; i++ {
-						dOut := tensor.FromSlice(node.Grad.Data()[i*o*p:(i+1)*o*p], o, p)
-						colT := tensor.FromSlice(cols[i], k, p)
-						acc.AddInPlace(tensor.MatMulT2(dOut, colT))
+						gi := tensor.MatMulT2(node.Grad.View(i*o*p, o, p), cols[i])
+						acc.AddInPlace(gi)
+						gi.Release()
 					}
 					partials[c] = acc
 				}
@@ -117,9 +111,12 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 				gw.AddInPlace(part)
 			}
 			accumulate(w, gw.Reshape(w.T.Shape()...))
+			for _, part := range partials {
+				part.Release()
+			}
 		}
 		if b != nil && b.requiresGrad {
-			gb := tensor.New(o)
+			gb := ar.New(o)
 			gd := node.Grad.Data()
 			for i := 0; i < bs; i++ {
 				for ch := 0; ch < o; ch++ {
@@ -131,28 +128,18 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					gb.Data()[ch] += s
 				}
 			}
-			accumulate(b, gb)
+			accumulateTemp(b, gb)
 		}
 		if x.requiresGrad {
-			gx := tensor.New(x.T.Shape()...)
+			gx := ar.NewLike(x.T)
 			parallel.For(bs, imgGrain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					dOut := tensor.FromSlice(node.Grad.Data()[i*o*p:(i+1)*o*p], o, p)
-					dCols := tensor.MatMulT1(wMat, dOut) // (k,p)
+					dCols := tensor.MatMulT1(wMat, node.Grad.View(i*o*p, o, p)) // (k,p)
 					geom.Col2im(dCols.Data(), gx.Data()[i*imgLen:(i+1)*imgLen])
+					dCols.Release()
 				}
 			})
-			accumulate(x, gx)
-		}
-		// The column matrices are dead once the gradients above are
-		// computed; return them to the pool. Backward visits each node at
-		// most once per tape, so nothing reads cols after this (a hypothetical
-		// second Backward over the same tape would nil-panic loudly here
-		// rather than silently reuse recycled buffers).
-		for i := range cols {
-			cols[i] = nil
-			colBufs.Put(bufs[i])
-			bufs[i] = nil
+			accumulateTemp(x, gx)
 		}
 	}
 	return node, nil
@@ -169,7 +156,7 @@ func MaxPool2D(x *Value, size int) (*Value, error) {
 		return nil, fmt.Errorf("autograd: MaxPool2D size %d does not divide %dx%d", size, h, w)
 	}
 	oh, ow := h/size, w/size
-	out := tensor.New(bs, c, oh, ow)
+	out := x.T.Arena().Scratch(bs, c, oh, ow)
 	argmax := make([]int, bs*c*oh*ow)
 	xd := x.T.Data()
 	od := out.Data()
@@ -194,14 +181,14 @@ func MaxPool2D(x *Value, size int) (*Value, error) {
 			}
 		}
 	}
-	node := newNode(out, "maxpool2d", nil, x)
+	node := newNode(out, "maxpool2d", x)
 	node.back = func() {
-		g := tensor.New(x.T.Shape()...)
+		g := out.Arena().NewLike(x.T)
 		gd, ng := g.Data(), node.Grad.Data()
 		for oi, src := range argmax {
 			gd[src] += ng[oi]
 		}
-		accumulate(x, g)
+		accumulateTemp(x, g)
 	}
 	return node, nil
 }
@@ -213,7 +200,7 @@ func GlobalAvgPool(x *Value) (*Value, error) {
 	}
 	bs, c, h, w := x.T.Dim(0), x.T.Dim(1), x.T.Dim(2), x.T.Dim(3)
 	hw := h * w
-	out := tensor.New(bs, c)
+	out := x.T.Arena().Scratch(bs, c)
 	xd := x.T.Data()
 	for bc := 0; bc < bs*c; bc++ {
 		s := 0.0
@@ -222,9 +209,9 @@ func GlobalAvgPool(x *Value) (*Value, error) {
 		}
 		out.Data()[bc] = s / float64(hw)
 	}
-	node := newNode(out, "globalAvgPool", nil, x)
+	node := newNode(out, "globalAvgPool", x)
 	node.back = func() {
-		g := tensor.New(x.T.Shape()...)
+		g := out.Arena().ScratchLike(x.T)
 		gd, ng := g.Data(), node.Grad.Data()
 		inv := 1 / float64(hw)
 		for bc := 0; bc < bs*c; bc++ {
@@ -234,7 +221,7 @@ func GlobalAvgPool(x *Value) (*Value, error) {
 				plane[i] = v
 			}
 		}
-		accumulate(x, g)
+		accumulateTemp(x, g)
 	}
 	return node, nil
 }

@@ -10,11 +10,11 @@ import (
 // Softmax applies softmax along the last axis as a differentiable op.
 func Softmax(x *Value) *Value {
 	out := tensor.Softmax(x.T)
-	node := newNode(out, "softmax", nil, x)
+	node := newNode(out, "softmax", x)
 	node.back = func() {
 		d := x.T.Dim(x.T.NDim() - 1)
 		rows := x.T.Size() / d
-		g := tensor.New(x.T.Shape()...)
+		g := out.Arena().ScratchLike(x.T)
 		od, ng, gd := out.Data(), node.Grad.Data(), g.Data()
 		for r := 0; r < rows; r++ {
 			dot := 0.0
@@ -25,7 +25,7 @@ func Softmax(x *Value) *Value {
 				gd[r*d+i] = od[r*d+i] * (ng[r*d+i] - dot)
 			}
 		}
-		accumulate(x, g)
+		accumulateTemp(x, g)
 	}
 	return node
 }
@@ -52,16 +52,17 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) (*Value, error) {
 		loss -= math.Log(math.Max(p, 1e-300))
 	}
 	loss /= float64(bs)
-	node := newNode(tensor.Scalar(loss), "softmaxCE", nil, logits)
+	node := newNode(probs.Arena().Scalar(loss), "softmaxCE", logits)
 	node.back = func() {
 		up := node.Grad.Item() / float64(bs)
-		g := probs.Clone()
+		g := probs.Arena().ScratchLike(probs)
+		g.CopyFrom(probs)
 		gd := g.Data()
 		for i, y := range labels {
 			gd[i*k+y]--
 		}
 		g.ScaleInPlace(up)
-		accumulate(logits, g)
+		accumulateTemp(logits, g)
 	}
 	return node, nil
 }
@@ -76,7 +77,7 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 	if temperature <= 0 {
 		return nil, fmt.Errorf("autograd: DistillLoss temperature must be positive, got %v", temperature)
 	}
-	bs, k := student.T.Dim(0), student.T.Dim(1)
+	bs := student.T.Dim(0)
 	p := tensor.Softmax(tensor.Scale(teacher, 1/temperature))
 	q := tensor.Softmax(tensor.Scale(student.T, 1/temperature))
 	loss := 0.0
@@ -87,17 +88,17 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 		}
 	}
 	loss = loss / float64(bs) * temperature * temperature
-	node := newNode(tensor.Scalar(loss), "distill", nil, student)
+	node := newNode(q.Arena().Scalar(loss), "distill", student)
 	node.back = func() {
 		// dL/dz_student = T * (q - p) / B (the T² scale cancels one 1/T
 		// from the softened softmax derivative).
 		up := node.Grad.Item() * temperature / float64(bs)
-		g := tensor.New(bs, k)
+		g := q.Arena().ScratchLike(q)
 		gd := g.Data()
 		for i := range gd {
 			gd[i] = up * (qd[i] - pd[i])
 		}
-		accumulate(student, g)
+		accumulateTemp(student, g)
 	}
 	return node, nil
 }
@@ -112,7 +113,8 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 	const eps = 1e-12
 	bs, d := u.T.Dim(0), u.T.Dim(1)
 	n := p.Dim(0)
-	uNorm := make([]float64, bs)
+	ar := tensor.ArenaOf(u.T, p)
+	uNorm := ar.Scratch(bs).Data()
 	for i := 0; i < bs; i++ {
 		s := 0.0
 		for _, v := range u.T.Data()[i*d : (i+1)*d] {
@@ -120,7 +122,7 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 		}
 		uNorm[i] = math.Max(math.Sqrt(s), eps)
 	}
-	pNorm := make([]float64, n)
+	pNorm := ar.Scratch(n).Data()
 	for j := 0; j < n; j++ {
 		s := 0.0
 		for _, v := range p.Data()[j*d : (j+1)*d] {
@@ -128,7 +130,7 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 		}
 		pNorm[j] = math.Max(math.Sqrt(s), eps)
 	}
-	out := tensor.New(bs, n)
+	out := ar.Scratch(bs, n)
 	for i := 0; i < bs; i++ {
 		ui := u.T.Data()[i*d : (i+1)*d]
 		for j := 0; j < n; j++ {
@@ -140,9 +142,9 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 			out.Set(dot/(uNorm[i]*pNorm[j]), i, j)
 		}
 	}
-	node := newNode(out, "cosineSim", nil, u)
+	node := newNode(out, "cosineSim", u)
 	node.back = func() {
-		g := tensor.New(bs, d)
+		g := ar.New(bs, d)
 		for i := 0; i < bs; i++ {
 			ui := u.T.Data()[i*d : (i+1)*d]
 			gi := g.Data()[i*d : (i+1)*d]
@@ -161,7 +163,7 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 				}
 			}
 		}
-		accumulate(u, g)
+		accumulateTemp(u, g)
 	}
 	return node, nil
 }
@@ -175,9 +177,10 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 	}
 	const eps = 1e-12
 	m, d := u.T.Dim(0), u.T.Dim(1)
-	out := tensor.New(m)
-	uNorm := make([]float64, m)
-	vNorm := make([]float64, m)
+	ar := tensor.ArenaOf(u.T, v)
+	out := ar.Scratch(m)
+	uNorm := ar.Scratch(m).Data()
+	vNorm := ar.Scratch(m).Data()
 	for i := 0; i < m; i++ {
 		ui := u.T.Data()[i*d : (i+1)*d]
 		vi := v.Data()[i*d : (i+1)*d]
@@ -191,9 +194,9 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 		vNorm[i] = math.Max(math.Sqrt(sv), eps)
 		out.Set(dot/(uNorm[i]*vNorm[i]), i)
 	}
-	node := newNode(out, "cosineSimPairs", nil, u)
+	node := newNode(out, "cosineSimPairs", u)
 	node.back = func() {
-		g := tensor.New(m, d)
+		g := ar.New(m, d) // rows with a zero upstream gradient are skipped
 		for i := 0; i < m; i++ {
 			gi := node.Grad.At(i)
 			//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
@@ -210,7 +213,7 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 				row[t] = gi * (vi[t]*inv - si*ui[t]*invU2)
 			}
 		}
-		accumulate(u, g)
+		accumulateTemp(u, g)
 	}
 	return node, nil
 }
@@ -249,13 +252,15 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 	}
 	if active == 0 {
 		// Degenerate batch: contribute zero loss with zero gradient.
-		return Scale(Sum(Mul(sims, NewLeaf(tensor.New(bs, n), false))), 0), nil
+		return Scale(Sum(Mul(sims, NewLeaf(sims.T.Arena().New(bs, n), false))), 0), nil
 	}
 
 	// softAll[i][j] = softmax over the full row of s/τ,
 	// softPos restricted to the positive subset.
-	softAll := tensor.New(bs, n)
-	softPos := tensor.New(bs, n)
+	ar := sims.T.Arena()
+	softAll := ar.New(bs, n)
+	softPos := ar.New(bs, n)
+	exps := ar.Scratch(n).Data() // rewritten in full by every active row
 	loss := 0.0
 	for i := 0; i < bs; i++ {
 		if len(positives[i]) == 0 {
@@ -268,7 +273,6 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 				maxV = v / tau
 			}
 		}
-		exps := make([]float64, n)
 		denom, num := 0.0, 0.0
 		for j, v := range row {
 			e := math.Exp(v/tau - maxV)
@@ -288,10 +292,10 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 	}
 	loss /= float64(active)
 
-	node := newNode(tensor.Scalar(loss), "infoNCE", nil, sims)
+	node := newNode(ar.Scalar(loss), "infoNCE", sims)
 	node.back = func() {
 		up := node.Grad.Item() / (tau * float64(active))
-		g := tensor.New(bs, n)
+		g := ar.New(bs, n) // rows without positives stay zero
 		for i := 0; i < bs; i++ {
 			if len(positives[i]) == 0 {
 				continue
@@ -304,7 +308,7 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 				g.Set(up*d, i, j)
 			}
 		}
-		accumulate(sims, g)
+		accumulateTemp(sims, g)
 	}
 	return node, nil
 }
@@ -321,15 +325,18 @@ func L2Penalty(x *Value, w, ref *tensor.Tensor) (*Value, error) {
 		dv := xd[i] - rd[i]
 		loss += 0.5 * wd[i] * dv * dv
 	}
-	node := newNode(tensor.Scalar(loss), "l2penalty", nil, x)
+	// x is typically a parameter, a heap leaf: a w or ref wrapped into the
+	// step's arena is what puts the penalty's tensors there.
+	ar := tensor.ArenaOf(x.T, w, ref)
+	node := newNode(ar.Scalar(loss), "l2penalty", x)
 	node.back = func() {
 		up := node.Grad.Item()
-		g := tensor.New(x.T.Shape()...)
+		g := ar.ScratchLike(x.T)
 		gd := g.Data()
 		for i := range xd {
 			gd[i] = up * wd[i] * (xd[i] - rd[i])
 		}
-		accumulate(x, g)
+		accumulateTemp(x, g)
 	}
 	return node, nil
 }

@@ -8,15 +8,15 @@ import (
 // MatMul multiplies 2-D values: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.T, b.T)
-	node := newNode(out, "matmul", nil, a, b)
+	node := newNode(out, "matmul", a, b)
 	node.back = func() {
 		if a.requiresGrad {
 			// dA = dC · Bᵀ
-			accumulate(a, tensor.MatMulT2(node.Grad, b.T))
+			accumulateTemp(a, tensor.MatMulT2(node.Grad, b.T))
 		}
 		if b.requiresGrad {
 			// dB = Aᵀ · dC
-			accumulate(b, tensor.MatMulT1(a.T, node.Grad))
+			accumulateTemp(b, tensor.MatMulT1(a.T, node.Grad))
 		}
 	}
 	return node
@@ -25,44 +25,36 @@ func MatMul(a, b *Value) *Value {
 // BatchMatMul multiplies 3-D values batch-wise: (B,m,k) x (B,k,n) -> (B,m,n).
 func BatchMatMul(a, b *Value) *Value {
 	out := tensor.BatchMatMul(a.T, b.T)
-	node := newNode(out, "batchMatmul", nil, a, b)
+	node := newNode(out, "batchMatmul", a, b)
 	node.back = func() {
 		bs := a.T.Dim(0)
 		m, k := a.T.Dim(1), a.T.Dim(2)
 		n := b.T.Dim(2)
 		grain := parallel.GrainForCost(2*m*k*n, parallel.DefaultChunkOps)
 		if a.requiresGrad {
-			ga := tensor.New(a.T.Shape()...)
+			ga := out.Arena().ScratchLike(a.T) // every batch element is copied in below
 			parallel.For(bs, grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					dC := sliceBatch(node.Grad, i, m, n)
-					bi := sliceBatch(b.T, i, k, n)
-					gi := tensor.MatMulT2(dC, bi)
+					gi := tensor.MatMulT2(node.Grad.View(i*m*n, m, n), b.T.View(i*k*n, k, n))
 					copy(ga.Data()[i*m*k:(i+1)*m*k], gi.Data())
+					gi.Release()
 				}
 			})
-			accumulate(a, ga)
+			accumulateTemp(a, ga)
 		}
 		if b.requiresGrad {
-			gb := tensor.New(b.T.Shape()...)
+			gb := out.Arena().ScratchLike(b.T)
 			parallel.For(bs, grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					dC := sliceBatch(node.Grad, i, m, n)
-					ai := sliceBatch(a.T, i, m, k)
-					gi := tensor.MatMulT1(ai, dC)
+					gi := tensor.MatMulT1(a.T.View(i*m*k, m, k), node.Grad.View(i*m*n, m, n))
 					copy(gb.Data()[i*k*n:(i+1)*k*n], gi.Data())
+					gi.Release()
 				}
 			})
-			accumulate(b, gb)
+			accumulateTemp(b, gb)
 		}
 	}
 	return node
-}
-
-// sliceBatch views batch element i of a (B,r,c) tensor as an (r,c) tensor
-// without copying.
-func sliceBatch(t *tensor.Tensor, i, r, c int) *tensor.Tensor {
-	return tensor.FromSlice(t.Data()[i*r*c:(i+1)*r*c], r, c)
 }
 
 // Linear computes x·W + b for x (B,in), W (in,out) and optional bias b (out).

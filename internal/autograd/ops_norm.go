@@ -15,9 +15,11 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 		return nil, fmt.Errorf("autograd: LayerNorm affine shapes %v/%v, want (%d,)", gamma.T.Shape(), beta.T.Shape(), d)
 	}
 	rows := x.T.Size() / d
-	out := tensor.New(x.T.Shape()...)
-	xhat := make([]float64, x.T.Size())
-	invStd := make([]float64, rows)
+	// The loop below writes every element of all three.
+	ar := x.T.Arena()
+	out := ar.ScratchLike(x.T)
+	xhat := ar.ScratchLike(x.T).Data()
+	invStd := ar.Scratch(rows).Data()
 	xd, od := x.T.Data(), out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
 	for r := 0; r < rows; r++ {
@@ -40,29 +42,29 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 			od[r*d+i] = gd[i]*xh + bd[i]
 		}
 	}
-	node := newNode(out, "layernorm", nil, x, gamma, beta)
+	node := newNode(out, "layernorm", x, gamma, beta)
 	node.back = func() {
 		ng := node.Grad.Data()
 		if gamma.requiresGrad {
-			gg := tensor.New(d)
+			gg := ar.New(d)
 			for r := 0; r < rows; r++ {
 				for i := 0; i < d; i++ {
 					gg.Data()[i] += ng[r*d+i] * xhat[r*d+i]
 				}
 			}
-			accumulate(gamma, gg)
+			accumulateTemp(gamma, gg)
 		}
 		if beta.requiresGrad {
-			gb := tensor.New(d)
+			gb := ar.New(d)
 			for r := 0; r < rows; r++ {
 				for i := 0; i < d; i++ {
 					gb.Data()[i] += ng[r*d+i]
 				}
 			}
-			accumulate(beta, gb)
+			accumulateTemp(beta, gb)
 		}
 		if x.requiresGrad {
-			gx := tensor.New(x.T.Shape()...)
+			gx := ar.ScratchLike(x.T)
 			gxd := gx.Data()
 			df := float64(d)
 			for r := 0; r < rows; r++ {
@@ -80,7 +82,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 					gxd[r*d+i] = is * (dxh - sumDxhat/df - xhat[r*d+i]*sumDxhatXhat/df)
 				}
 			}
-			accumulate(x, gx)
+			accumulateTemp(x, gx)
 		}
 	}
 	return node, nil
@@ -110,8 +112,10 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 	n := bs * h * w
 	hw := h * w
 	xd := x.T.Data()
-	mean := make([]float64, c)
-	variance := make([]float64, c)
+	// Every side buffer below is written in full before it is read.
+	ar := x.T.Arena()
+	mean := ar.Scratch(c).Data()
+	variance := ar.Scratch(c).Data()
 	if training {
 		for ch := 0; ch < c; ch++ {
 			s := 0.0
@@ -145,12 +149,12 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 		copy(variance, stats.Var.Data())
 	}
 
-	invStd := make([]float64, c)
+	invStd := ar.Scratch(c).Data()
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+stats.Eps)
 	}
-	out := tensor.New(x.T.Shape()...)
-	xhat := make([]float64, x.T.Size())
+	out := ar.ScratchLike(x.T)
+	xhat := ar.ScratchLike(x.T).Data()
 	od := out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
 	for b := 0; b < bs; b++ {
@@ -164,11 +168,11 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 		}
 	}
 
-	node := newNode(out, "batchnorm2d", nil, x, gamma, beta)
+	node := newNode(out, "batchnorm2d", x, gamma, beta)
 	node.back = func() {
 		ng := node.Grad.Data()
 		if gamma.requiresGrad {
-			gg := tensor.New(c)
+			gg := ar.New(c)
 			for b := 0; b < bs; b++ {
 				for ch := 0; ch < c; ch++ {
 					base := (b*c + ch) * hw
@@ -179,10 +183,10 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					gg.Data()[ch] += s
 				}
 			}
-			accumulate(gamma, gg)
+			accumulateTemp(gamma, gg)
 		}
 		if beta.requiresGrad {
-			gb := tensor.New(c)
+			gb := ar.New(c)
 			for b := 0; b < bs; b++ {
 				for ch := 0; ch < c; ch++ {
 					base := (b*c + ch) * hw
@@ -193,10 +197,10 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					gb.Data()[ch] += s
 				}
 			}
-			accumulate(beta, gb)
+			accumulateTemp(beta, gb)
 		}
 		if x.requiresGrad {
-			gx := tensor.New(x.T.Shape()...)
+			gx := ar.ScratchLike(x.T)
 			gxd := gx.Data()
 			if !training {
 				// Eval mode: out is an affine function of x.
@@ -209,7 +213,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 						}
 					}
 				}
-				accumulate(x, gx)
+				accumulateTemp(x, gx)
 				return
 			}
 			nf := float64(n)
@@ -232,7 +236,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					}
 				}
 			}
-			accumulate(x, gx)
+			accumulateTemp(x, gx)
 		}
 	}
 	return node, nil

@@ -6,10 +6,11 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Reshape returns a view of a with a new shape (sizes must match).
+// Reshape returns a view of a with a new shape (sizes must match): the
+// result shares a's elements.
 func Reshape(a *Value, shape ...int) *Value {
-	out := a.T.Clone().Reshape(shape...)
-	node := newNode(out, "reshape", nil, a)
+	out := a.T.Reshape(shape...)
+	node := newNode(out, "reshape", a)
 	node.back = func() {
 		accumulate(a, node.Grad.Reshape(a.T.Shape()...))
 	}
@@ -19,13 +20,13 @@ func Reshape(a *Value, shape ...int) *Value {
 // Permute reorders the axes of a.
 func Permute(a *Value, perm ...int) *Value {
 	out := tensor.Permute(a.T, perm...)
-	node := newNode(out, "permute", nil, a)
+	node := newNode(out, "permute", a)
 	inverse := make([]int, len(perm))
 	for i, p := range perm {
 		inverse[p] = i
 	}
 	node.back = func() {
-		accumulate(a, tensor.Permute(node.Grad, inverse...))
+		accumulateTemp(a, tensor.Permute(node.Grad, inverse...))
 	}
 	return node
 }
@@ -40,13 +41,13 @@ func Concat(axis int, vs ...*Value) *Value {
 		ts[i] = v.T
 	}
 	out := tensor.Concat(axis, ts...)
-	node := newNode(out, "concat", nil, vs...)
+	node := newNode(out, "concat", vs...)
 	node.back = func() {
 		off := 0
 		for _, v := range vs {
 			width := v.T.Dim(axis)
 			if v.requiresGrad {
-				accumulate(v, tensor.Narrow(node.Grad, axis, off, off+width))
+				accumulateTemp(v, tensor.Narrow(node.Grad, axis, off, off+width))
 			}
 			off += width
 		}
@@ -57,11 +58,11 @@ func Concat(axis int, vs ...*Value) *Value {
 // Narrow slices a along axis from start (inclusive) to end (exclusive).
 func Narrow(a *Value, axis, start, end int) *Value {
 	out := tensor.Narrow(a.T, axis, start, end)
-	node := newNode(out, "narrow", nil, a)
+	node := newNode(out, "narrow", a)
 	node.back = func() {
-		g := tensor.New(a.T.Shape()...)
+		g := out.Arena().NewLike(a.T)
 		tensor.NarrowAddInPlace(g, axis, start, node.Grad)
-		accumulate(a, g)
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -73,12 +74,13 @@ func Stack(vs ...*Value) *Value {
 		ts[i] = v.T
 	}
 	out := tensor.Stack(ts...)
-	node := newNode(out, "stack", nil, vs...)
+	node := newNode(out, "stack", vs...)
 	node.back = func() {
 		for i, v := range vs {
 			if v.requiresGrad {
-				g := tensor.Narrow(node.Grad, 0, i, i+1).Reshape(v.T.Shape()...)
-				accumulate(v, g)
+				g := tensor.Narrow(node.Grad, 0, i, i+1)
+				accumulate(v, g.Reshape(v.T.Shape()...))
+				g.Release()
 			}
 		}
 	}
@@ -95,14 +97,14 @@ func BroadcastBatch(a *Value, b int) *Value {
 	}
 	shape := a.T.Shape()
 	shape[0] = b
-	out := tensor.New(shape...)
+	out := a.T.Arena().Scratch(shape...)
 	per := a.T.Size()
 	for i := 0; i < b; i++ {
 		copy(out.Data()[i*per:(i+1)*per], a.T.Data())
 	}
-	node := newNode(out, "broadcastBatch", nil, a)
+	node := newNode(out, "broadcastBatch", a)
 	node.back = func() {
-		g := tensor.New(a.T.Shape()...)
+		g := out.Arena().NewLike(a.T)
 		gd := g.Data()
 		src := node.Grad.Data()
 		for i := 0; i < b; i++ {
@@ -110,7 +112,7 @@ func BroadcastBatch(a *Value, b int) *Value {
 				gd[j] += src[i*per+j]
 			}
 		}
-		accumulate(a, g)
+		accumulateTemp(a, g)
 	}
 	return node
 }
@@ -119,13 +121,13 @@ func BroadcastBatch(a *Value, b int) *Value {
 // (len(ids), d). Gradients scatter-add back into the table rows.
 func Embedding(table *Value, ids []int) *Value {
 	d := table.T.Dim(1)
-	out := tensor.New(len(ids), d)
+	out := table.T.Arena().Scratch(len(ids), d)
 	for i, id := range ids {
 		copy(out.Data()[i*d:(i+1)*d], table.T.Data()[id*d:(id+1)*d])
 	}
-	node := newNode(out, "embedding", nil, table)
+	node := newNode(out, "embedding", table)
 	node.back = func() {
-		g := tensor.New(table.T.Shape()...)
+		g := out.Arena().NewLike(table.T)
 		for i, id := range ids {
 			dst := g.Data()[id*d : (id+1)*d]
 			src := node.Grad.Data()[i*d : (i+1)*d]
@@ -133,7 +135,7 @@ func Embedding(table *Value, ids []int) *Value {
 				dst[j] += v
 			}
 		}
-		accumulate(table, g)
+		accumulateTemp(table, g)
 	}
 	return node
 }

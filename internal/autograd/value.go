@@ -26,7 +26,9 @@ type Value struct {
 	Grad *tensor.Tensor
 
 	requiresGrad bool
-	parents      []*Value
+	// visited marks the node during Backward's topological sort.
+	visited bool
+	parents []*Value
 	// back propagates this node's Grad into its parents' Grads.
 	back func()
 	op   string
@@ -56,10 +58,13 @@ func (v *Value) CloneLeaf() *Value { return NewLeaf(v.T.Clone(), v.requiresGrad)
 // Shape returns the shape of the node's tensor.
 func (v *Value) Shape() []int { return v.T.Shape() }
 
-// EnsureGrad materializes and returns the gradient tensor.
+// EnsureGrad materializes and returns the gradient tensor. A gradient lives
+// where its value lives: a leaf built over a heap tensor — every parameter —
+// keeps a heap Grad across steps, an interior node whose T was drawn from an
+// arena gets a Grad that dies with it at the arena's Reset.
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {
-		v.Grad = tensor.New(v.T.Shape()...)
+		v.Grad = v.T.Arena().NewLike(v.T)
 	}
 	return v.Grad
 }
@@ -71,9 +76,10 @@ func (v *Value) ZeroGrad() {
 	}
 }
 
-// newNode constructs an interior tape node. The node requires grad if any
-// parent does; back is only invoked during Backward when it does.
-func newNode(t *tensor.Tensor, op string, back func(), parents ...*Value) *Value {
+// newNode constructs an interior tape node; the op assigns its back
+// closure. The node requires grad if any parent does, and Backward only
+// visits nodes that do.
+func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
 	req := false
 	for _, p := range parents {
 		if p != nil && p.requiresGrad {
@@ -81,14 +87,30 @@ func newNode(t *tensor.Tensor, op string, back func(), parents ...*Value) *Value
 			break
 		}
 	}
-	v := &Value{T: t, requiresGrad: req, parents: parents, op: op}
-	if req {
-		v.back = back
-	}
-	return v
+	return &Value{T: t, requiresGrad: req, parents: parents, op: op}
 }
 
-// accumulate adds g into p.Grad when p participates in backprop.
+// reduceGrad sums g down to like's shape, inverting a broadcast. When
+// nothing was broadcast it is g itself, which callers only read.
+func reduceGrad(g, like *tensor.Tensor) *tensor.Tensor {
+	if g.SameShape(like) {
+		return g
+	}
+	return tensor.ReduceTo(g, like.Shape())
+}
+
+// reduceTemp is reduceGrad for a temporary the caller owns: the result is
+// again one, and a g that had to be summed down has gone back to its arena.
+func reduceTemp(g, like *tensor.Tensor) *tensor.Tensor {
+	r := reduceGrad(g, like)
+	if r != g {
+		g.Release()
+	}
+	return r
+}
+
+// accumulate adds g into p.Grad when p participates in backprop. g is only
+// read: it may be the node's own Grad or a view of it.
 func accumulate(p *Value, g *tensor.Tensor) {
 	if p == nil || !p.requiresGrad {
 		return
@@ -96,10 +118,18 @@ func accumulate(p *Value, g *tensor.Tensor) {
 	p.EnsureGrad().AddInPlace(g)
 }
 
+// accumulateTemp is accumulate for a g the calling closure computed for this
+// one call and nothing else references: once added, it goes back to its
+// arena. Never pass it a node's Grad.
+func accumulateTemp(p *Value, g *tensor.Tensor) {
+	accumulate(p, g)
+	g.Release()
+}
+
 // Backward runs reverse-mode differentiation from root, which must hold a
 // single element (a scalar loss). Gradients accumulate into the Grad fields
-// of all reachable nodes that require them; call ZeroGrad on parameters
-// between steps.
+// of all reachable leaves that require them; call ZeroGrad on parameters
+// between steps. Interior nodes' gradients are consumed on the way.
 func Backward(root *Value) error {
 	if root.T.Size() != 1 {
 		return fmt.Errorf("autograd: Backward root must be scalar, got shape %v", root.T.Shape())
@@ -113,6 +143,10 @@ func Backward(root *Value) error {
 		n := order[i]
 		if n.back != nil && n.Grad != nil {
 			n.back()
+			// An interior gradient has been passed on in full; nothing
+			// reads it again, so its buffer serves the nodes still to come.
+			n.Grad.Release()
+			n.Grad = nil
 		}
 	}
 	return nil
@@ -120,29 +154,33 @@ func Backward(root *Value) error {
 
 // topoSort returns nodes reachable from root that require grad, in
 // topological order (parents before children). Iterative DFS keeps deep
-// tapes from overflowing the goroutine stack.
+// tapes from overflowing the goroutine stack. The visit mark lives on the
+// nodes — a tape belongs to one goroutine, as its Grads already demand — and
+// is cleared before returning.
 func topoSort(root *Value) []*Value {
 	var order []*Value
-	visited := make(map[*Value]bool)
 	type frame struct {
 		node *Value
 		next int
 	}
 	stack := []frame{{node: root}}
-	visited[root] = true
+	root.visited = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next < len(f.node.parents) {
 			p := f.node.parents[f.next]
 			f.next++
-			if p != nil && p.requiresGrad && !visited[p] {
-				visited[p] = true
+			if p != nil && p.requiresGrad && !p.visited {
+				p.visited = true
 				stack = append(stack, frame{node: p})
 			}
 			continue
 		}
 		order = append(order, f.node)
 		stack = stack[:len(stack)-1]
+	}
+	for _, n := range order {
+		n.visited = false
 	}
 	return order
 }

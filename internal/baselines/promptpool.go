@@ -217,7 +217,7 @@ func (p *promptPool) keyPullLoss(keysSel *autograd.Value, queries *tensor.Tensor
 	topN := len(selected[0])
 	bs := len(selected)
 	d := queries.Dim(1)
-	rep := tensor.New(bs*topN, d)
+	rep := queries.Arena().Scratch(bs*topN, d) // every row is copied in below
 	for i := 0; i < bs; i++ {
 		q := queries.Data()[i*d : (i+1)*d]
 		for j := 0; j < topN; j++ {

@@ -179,7 +179,9 @@ func (e *ewc) penalise(loss *autograd.Value, student []nn.Param, _ *tensor.Tenso
 		if !ok {
 			continue
 		}
-		pen, err := autograd.L2Penalty(p.Value, tensor.Scale(fi, e.lambda), e.ref[p.Name])
+		// Wrapping the Fisher map into the step's arena puts λ·F and the
+		// penalty's own tensors there.
+		pen, err := autograd.L2Penalty(p.Value, tensor.Scale(loss.T.Arena().Wrap(fi), e.lambda), e.ref[p.Name])
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,131 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"reffil/internal/data"
+	"reffil/internal/fl"
+	"reffil/internal/tensor"
+)
+
+// stepRig is a RefFiL replica on the paper path — model.DefaultConfig, B=8,
+// the prompt bank populated so L_CE, L_GPL and L_DPCL all run — whose local
+// updates draw from one arena, as a LocalRunner worker slot's do.
+type stepRig struct {
+	r     *RefFiL
+	train *data.Dataset
+	arena tensor.Arena
+	seed  int64
+}
+
+func newStepRig(tb testing.TB) *stepRig {
+	tb.Helper()
+	r, err := New(DefaultConfig(7, 4), rand.New(rand.NewSource(21)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	train, _, err := family.Generate(family.Domains[0], 128, 7, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	train.SetTask(0)
+	if err := r.OnTaskStart(0); err != nil {
+		tb.Fatal(err)
+	}
+	s := &stepRig{r: r, train: train}
+	// One update and a server round fill the bank.
+	if err := r.ServerRound(0, 0, []fl.Upload{s.update(tb, 16)}); err != nil {
+		tb.Fatal(err)
+	}
+	if r.Bank().Empty() {
+		tb.Fatal("bank still empty")
+	}
+	return s
+}
+
+// update runs one client update over the first n examples: ⌈n/8⌉ optimiser
+// steps, the last on the n%8 tail.
+func (s *stepRig) update(tb testing.TB, n int) fl.Upload {
+	tb.Helper()
+	rep, err := s.r.Spawn()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.seed++
+	up, err := rep.LocalTrain(&fl.LocalContext{
+		Group:     fl.GroupNew,
+		Data:      &data.Dataset{Name: "prefix", Examples: s.train.Examples[:n]},
+		Epochs:    1,
+		BatchSize: 8,
+		LR:        0.02,
+		Rng:       rand.New(rand.NewSource(s.seed)),
+		Arena:     &s.arena,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return up
+}
+
+// allocated returns the bytes f allocates, by MemStats.TotalAlloc.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLocalTrainStepAllocation is the allocation gate of the paper path: once
+// the arena is warm, a further optimiser step allocates only the tape's small
+// objects and its minibatch — about 0.4 MB where the heap-allocated step took
+// 17 MB.
+func TestLocalTrainStepAllocation(t *testing.T) {
+	s := newStepRig(t)
+	s.update(t, 16) // two warm-up steps
+	const short, long = 2, 12
+	a := allocated(func() { s.update(t, 8*short) })
+	b := allocated(func() { s.update(t, 8*long) })
+	perStep := float64(b-a) / (long - short)
+	t.Logf("%.0f KB per further step; arena holds %.1f MB", perStep/1024, float64(s.arena.Retained())/(1<<20))
+	if perStep > 1.5*(1<<20) {
+		t.Errorf("a warm training step allocates %.2f MB, want at most 1.5 MB", perStep/(1<<20))
+	}
+}
+
+// TestArenaRetentionAcrossTailBatches: quantity-shift shards give nearly
+// every update a different tail-batch size. The arena must serve those from
+// the buffers of the full batch, not hoard one step footprint per size.
+func TestArenaRetentionAcrossTailBatches(t *testing.T) {
+	s := newStepRig(t)
+	s.arena = tensor.Arena{} // the rig's set-up update already warmed it
+	s.update(t, 8)
+	first := s.arena.Retained()
+	for i := 0; i < 10; i++ {
+		s.update(t, 16+1+i%7)
+	}
+	after := s.arena.Retained()
+	t.Logf("arena holds %.1f MB after the first full-batch step, %.1f MB after ten updates with tails 1…7",
+		float64(first)/(1<<20), float64(after)/(1<<20))
+	if float64(after) > 1.5*float64(first) {
+		t.Errorf("arena grew from %d to %d bytes over tail batches, want at most 1.5×", first, after)
+	}
+}
+
+// BenchmarkLocalTrainStep reports B/op and allocs/op of one warm optimiser
+// step (one full-batch client update per iteration).
+func BenchmarkLocalTrainStep(b *testing.B) {
+	s := newStepRig(b)
+	s.update(b, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.update(b, 8)
+	}
+}

@@ -270,8 +270,10 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 			}
 			// L_GPL (Eq. 12): classify with the generalized global prompt.
 			if r.cfg.EnableGPL && meanG != nil {
+				// Wrapped into the step's arena (b.X's) so the tiled copy
+				// is drawn there too.
 				gp := autograd.BroadcastBatch(
-					autograd.Constant(meanG.Reshape(1, meanG.Dim(0), meanG.Dim(1))), b.X.Dim(0))
+					autograd.Constant(b.X.Arena().Wrap(meanG).Reshape(1, meanG.Dim(0), meanG.Dim(1))), b.X.Dim(0))
 				gpl, err := r.crossEntropy(tokens, gp, b.Y)
 				if err != nil {
 					return nil, err

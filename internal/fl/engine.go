@@ -61,6 +61,11 @@ type LocalContext struct {
 	LR        float64
 	// Rng is the client's deterministic randomness source.
 	Rng *rand.Rand
+	// Arena, when non-nil, is the step-scoped allocator the runner's
+	// training goroutine lends this job: SGD draws each step's tensors
+	// from it and resets it after every optimiser step. Nil trains on the
+	// heap, with the same results.
+	Arena *tensor.Arena
 }
 
 // Upload is the method-specific payload a client sends beside its weights
@@ -641,15 +646,23 @@ func (e *Engine) clientData(c *client) *data.Dataset {
 	return cur
 }
 
-// evaluate runs the algorithm's Predict over a test set.
+// evaluate runs the algorithm's Predict over a test set. Each batch is
+// wrapped into an arena, so the forward pass computed from it is drawn there
+// and reclaimed for the next batch once its predictions (plain ints) are
+// out. The arena lives for this call only: evaluation batches are larger
+// than training ones, and buffers kept between the evaluation stages would
+// sit in the live heap — and, doubled by the collector's pacing, in the
+// resident set — through every round in between.
 func (e *Engine) evaluate(ds *data.Dataset) (float64, error) {
 	batches, err := data.EvalBatches(ds, e.cfg.EvalBatch)
 	if err != nil {
 		return 0, err
 	}
+	var arena tensor.Arena
 	var pred, labels []int
 	for _, b := range batches {
-		p, err := e.alg.Predict(b.X)
+		p, err := e.alg.Predict(arena.Wrap(b.X))
+		arena.Reset()
 		if err != nil {
 			return 0, err
 		}

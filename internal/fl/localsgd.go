@@ -22,12 +22,21 @@ const (
 // disables clipping) and applying one SGD update at ctx.LR. A method is what
 // its loss closure adds to cross-entropy; epoch lets it act on the last pass
 // (RefFiL collects its Eq. 5 prompt groups there).
+//
+// The batch handed to loss is wrapped into ctx.Arena, so every tensor the
+// step computes from it — the forward pass, the tape's gradients, backward's
+// temporaries — is drawn from the arena, which is reset after the update.
+// Nothing loss builds may therefore outlive its step, except as a copy
+// (Clone, or plain numbers as RefFiL's prompt collection takes). Parameters,
+// their gradients and the optimiser's velocities are heap tensors and never
+// in the arena.
 func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm float64,
 	loss func(epoch int, b data.Batch) (*autograd.Value, error)) error {
 	sgd, err := opt.NewSGD(params, ctx.LR, momentum, weightDecay)
 	if err != nil {
 		return err
 	}
+	defer ctx.Arena.Reset() // a step that fails still hands its tensors back
 	for epoch := 0; epoch < ctx.Epochs; epoch++ {
 		batches, err := data.Batches(ctx.Data, ctx.BatchSize, ctx.Rng)
 		if err != nil {
@@ -35,6 +44,7 @@ func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm 
 		}
 		for _, b := range batches {
 			sgd.ZeroGrad()
+			b.X = ctx.Arena.Wrap(b.X)
 			l, err := loss(epoch, b)
 			if err != nil {
 				return err
@@ -46,6 +56,7 @@ func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm 
 				opt.ClipGradNorm(params, clipNorm)
 			}
 			sgd.Step()
+			ctx.Arena.Reset()
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"reffil/internal/autograd"
@@ -125,5 +126,99 @@ func TestLocalSGDStopsOnError(t *testing.T) {
 				t.Fatal("parameters moved after the failing batch")
 			}
 		})
+	}
+}
+
+// TestLocalSGDStepsInTheArena: each batch reaches the loss wrapped into
+// ctx.Arena, what the step draws there is taken back after its update — the
+// next step's draw gets the same buffer — and a failing step hands its
+// tensors back too.
+func TestLocalSGDStepsInTheArena(t *testing.T) {
+	boom := errors.New("boom")
+	w := autograd.Param(tensor.FromSlice([]float64{1, 2}, 2))
+	arena := new(tensor.Arena)
+	ctx := &LocalContext{Data: indexedDataset(6), Epochs: 2, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(1)), Arena: arena}
+	drawn := map[*tensor.Tensor]int{}
+	calls := 0
+	err := ctx.SGD([]nn.Param{{Name: "w", Value: w}}, Momentum, WeightDecay, ClipNorm,
+		func(_ int, b data.Batch) (*autograd.Value, error) {
+			if b.X.Arena() != arena {
+				t.Errorf("call %d: the batch was not wrapped into ctx.Arena", calls)
+			}
+			calls++
+			drawn[arena.New(1000)]++
+			if calls == 5 {
+				return nil, boom
+			}
+			loss := autograd.Sum(autograd.Mul(autograd.Mul(w, w), autograd.Constant(b.X.Reshape(2))))
+			if loss.T.Arena() != arena {
+				t.Errorf("call %d: the loss was not computed in ctx.Arena", calls)
+			}
+			return loss, nil
+		})
+	if !errors.Is(err, boom) {
+		t.Fatalf("returned %v, want %v", err, boom)
+	}
+	if len(drawn) != 1 || calls != 5 {
+		t.Fatalf("%d steps drew %d distinct 1000-element tensors, want the one buffer reused by all 5", calls, len(drawn))
+	}
+	if w.Grad.Arena() != nil {
+		t.Fatal("a parameter's gradient was drawn from the step arena")
+	}
+	if again := arena.New(1000); drawn[again] == 0 {
+		t.Fatal("the failing step's tensors were not handed back")
+	}
+}
+
+// arenaAlg is a fakeAlg that records the arena each job was lent.
+type arenaAlg struct {
+	fakeAlg
+	mu   *sync.Mutex
+	lent map[*tensor.Arena]int
+}
+
+func (a *arenaAlg) Spawn() (Algorithm, error) {
+	return &arenaAlg{fakeAlg: fakeAlg{w: a.w.CloneLeaf(), stats: a.stats}, mu: a.mu, lent: a.lent}, nil
+}
+
+func (a *arenaAlg) LocalTrain(ctx *LocalContext) (Upload, error) {
+	a.mu.Lock()
+	a.lent[ctx.Arena]++
+	a.mu.Unlock()
+	return a.fakeAlg.LocalTrain(ctx)
+}
+
+// TestLocalRunnerKeepsOneArenaPerWorker: every job is lent an arena, there
+// are never more than training goroutines, and every arena ever lent is back
+// in the runner after the round, for the next round to borrow — which is why
+// the runner must be kept.
+func TestLocalRunnerKeepsOneArenaPerWorker(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		alg := &arenaAlg{fakeAlg: *newFakeAlg(), mu: new(sync.Mutex), lent: map[*tensor.Arena]int{}}
+		lr := &LocalRunner{Alg: alg, Workers: workers}
+		jobs := make([]Job, 6)
+		for i := range jobs {
+			jobs[i] = Job{Ctx: &LocalContext{ClientID: i}}
+		}
+		for round := 0; round < 3; round++ {
+			if err := lr.RunEach(jobs, func(int, Result) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if alg.lent[nil] != 0 {
+				t.Fatalf("workers=%d round %d: a job was lent no arena", workers, round)
+			}
+			if len(lr.arenas) > workers {
+				t.Fatalf("workers=%d round %d: the runner holds %d arenas", workers, round, len(lr.arenas))
+			}
+			kept := map[*tensor.Arena]bool{}
+			for _, a := range lr.arenas {
+				kept[a] = true
+			}
+			for a := range alg.lent {
+				if !kept[a] {
+					t.Fatalf("workers=%d round %d: an arena that was lent is not back in the runner", workers, round)
+				}
+			}
+		}
 	}
 }

@@ -223,6 +223,32 @@ type LocalRunner struct {
 	// Workers caps concurrent jobs; 0 means runtime.NumCPU(), 1 is the
 	// sequential path. Results are identical at every worker count.
 	Workers int
+
+	// arenas are the idle step arenas, one per training goroutine that has
+	// ever run: a goroutine borrows one for the jobs it executes and lends
+	// it to each through LocalContext.Arena, so the buffers a step needs
+	// are allocated once per worker slot, not once per step, client or
+	// round. Keep the runner to keep them.
+	mu     sync.Mutex
+	arenas []*tensor.Arena
+}
+
+// borrowArena takes an idle arena, or a new one when every arena is out.
+func (lr *LocalRunner) borrowArena() *tensor.Arena {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	if n := len(lr.arenas); n > 0 {
+		a := lr.arenas[n-1]
+		lr.arenas = lr.arenas[:n-1]
+		return a
+	}
+	return new(tensor.Arena)
+}
+
+func (lr *LocalRunner) returnArena(a *tensor.Arena) {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lr.arenas = append(lr.arenas, a)
 }
 
 // RunEach implements EachRunner: done(i, result of jobs[i]) fires once per
@@ -245,11 +271,12 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 	}
 
 	var doneMu sync.Mutex
-	runJob := func(i int) error {
+	runJob := func(i int, arena *tensor.Arena) error {
 		job := jobs[i]
 		if job.Ctx == nil {
 			return fmt.Errorf("fl: job %d has no local context", i)
 		}
+		job.Ctx.Arena = arena
 		rep, err := lr.Alg.Spawn()
 		if err != nil {
 			return fmt.Errorf("fl: spawning replica for client %d: %w", job.Ctx.ClientID, err)
@@ -265,8 +292,10 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 	}
 
 	if workers <= 1 {
+		arena := lr.borrowArena()
+		defer lr.returnArena(arena)
 		for i := range jobs {
-			if err := runJob(i); err != nil {
+			if err := runJob(i, arena); err != nil {
 				return err
 			}
 		}
@@ -290,13 +319,15 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			arena := lr.borrowArena()
+			defer lr.returnArena(arena)
 			for i := range next {
 				// Once any client fails the round is lost; drain the
 				// remaining jobs without paying for their local epochs.
 				if failed.Load() {
 					continue
 				}
-				if err := runJob(i); err != nil {
+				if err := runJob(i, arena); err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 				}

@@ -40,9 +40,9 @@ import (
 // against a base this worker does not hold is rejected, not guessed at.
 type Executor struct {
 	alg fl.Algorithm
-	// workers caps concurrent jobs per broadcast (fl.LocalRunner
-	// semantics: 0 means NumCPU).
-	workers int
+	// pool runs every broadcast's jobs. It is kept for the executor's life
+	// because it owns the training goroutines' step arenas.
+	pool *fl.LocalRunner
 	// shards caches materialized shards across rounds: a client's shard of
 	// one task is immutable, and re-deriving it every round would regenerate
 	// the domain dataset each time.
@@ -60,11 +60,17 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor over the worker's algorithm instance.
+// workers caps concurrent jobs per broadcast (fl.LocalRunner semantics: 0
+// means NumCPU).
 func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("transport: executor needs an algorithm")
 	}
-	return &Executor{alg: alg, workers: workers, shards: make(map[fl.ShardSpec]*data.Dataset)}, nil
+	return &Executor{
+		alg:    alg,
+		pool:   &fl.LocalRunner{Alg: alg, Workers: workers},
+		shards: make(map[fl.ShardSpec]*data.Dataset),
+	}, nil
 }
 
 // ResetStream forgets the frame stream of a lost connection; call it before
@@ -182,9 +188,8 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[stri
 	if len(jobs) == 0 {
 		return nil
 	}
-	pool := &fl.LocalRunner{Alg: e.alg, Workers: e.workers}
 	// RunEach serializes done calls, so emit never runs concurrently.
-	return pool.RunEach(jobs, func(i int, res fl.Result) error {
+	return e.pool.RunEach(jobs, func(i int, res fl.Result) error {
 		// Diff the trained replica against the round's broadcast base —
 		// exactly the dict the coordinator mirrors for this worker, so the
 		// patch reconstructs there bit for bit. Every codec encodes a nil

@@ -51,8 +51,8 @@ func (p *PatchEmbed) Forward(fm *autograd.Value) (*autograd.Value, error) {
 	// (B,C,H,W) -> (B,H,W,C) -> (B, n, C) -> project -> (B, n, dim)
 	tokens := autograd.Reshape(autograd.Permute(fm, 0, 2, 3, 1), b, n, c)
 	tokens = p.proj.Forward(tokens)
-	pos := tensor.Narrow(p.pos, 0, 0, n).Reshape(1, n, p.dim)
-	return autograd.Add(tokens, autograd.Constant(pos)), nil
+	// The first n rows of the row-major table are contiguous: a view.
+	return autograd.Add(tokens, autograd.Constant(p.pos.View(0, 1, n, p.dim))), nil
 }
 
 // Params implements Module: the tokenizer is frozen, so none.

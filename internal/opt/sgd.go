@@ -42,28 +42,39 @@ func NewSGD(params []nn.Param, lr, momentum, weightDecay float64) (*SGD, error) 
 }
 
 // Step applies one update using the gradients accumulated on the parameters.
-// Parameters with no gradient are skipped.
+// Parameters with no gradient are skipped. Weight decay, momentum and the
+// update run as one pass per element, in the order and with the roundings of
+// the three tensor passes they replace (g += wd·w; v = mom·v + g; w += -lr·v)
+// and without their per-step copy of every gradient; the gradients themselves
+// are left as they were.
 func (s *SGD) Step() {
 	for i, p := range s.params {
-		g := p.Value.Grad
-		if g == nil {
+		if p.Value.Grad == nil {
 			continue
 		}
-		w := p.Value.T
-		if s.weightDecay > 0 {
-			g = g.Clone()
-			g.AddScaledInPlace(s.weightDecay, w)
+		g, w := p.Value.Grad.Data(), p.Value.T.Data()
+		if len(g) != len(w) {
+			panic(fmt.Sprintf("opt: %s has %d gradient elements for %d weights", p.Name, len(g), len(w)))
 		}
+		var v []float64
 		if s.momentum > 0 {
 			if s.velocity[i] == nil {
-				s.velocity[i] = tensor.New(w.Shape()...)
+				s.velocity[i] = tensor.New(p.Value.T.Shape()...)
 			}
-			v := s.velocity[i]
-			v.ScaleInPlace(s.momentum)
-			v.AddInPlace(g)
-			g = v
+			v = s.velocity[i].Data()
 		}
-		w.AddScaledInPlace(-s.lr, g)
+		for j, gj := range g {
+			if s.weightDecay > 0 {
+				gj += s.weightDecay * w[j]
+			}
+			if v != nil {
+				// The conversion rounds the product as the separate
+				// scaling pass did, so no platform fuses it with the add.
+				gj = float64(v[j]*s.momentum) + gj
+				v[j] = gj
+			}
+			w[j] += -s.lr * gj
+		}
 	}
 }
 

@@ -172,3 +172,48 @@ func TestSGDTrainsTinyNetwork(t *testing.T) {
 		t.Fatalf("training loss did not decrease: %v -> %v", first, last)
 	}
 }
+
+// threePassStep is the optimiser step as three tensor passes, the form Step
+// fused: decay into a copy of the gradient, fold that into the velocity,
+// apply the velocity. It is the Float64bits reference for Step.
+func threePassStep(w, g, vel *tensor.Tensor, lr, momentum, weightDecay float64) {
+	if weightDecay > 0 {
+		g = g.Clone()
+		g.AddScaledInPlace(weightDecay, w)
+	}
+	if momentum > 0 {
+		vel.ScaleInPlace(momentum)
+		vel.AddInPlace(g)
+		g = vel
+	}
+	w.AddScaledInPlace(-lr, g)
+}
+
+func TestStepMatchesThreePassReference(t *testing.T) {
+	const lr, steps = 0.05, 4
+	for _, hp := range []struct{ momentum, weightDecay float64 }{{0, 0}, {0.9, 0}, {0, 1e-4}, {0.9, 1e-4}} {
+		rng := rand.New(rand.NewSource(9))
+		p := nn.Param{Name: "w", Value: autograd.Param(tensor.RandN(rng, 1, 5, 7))}
+		ref, vel := p.Value.T.Clone(), tensor.New(5, 7)
+		sgd, err := NewSGD([]nn.Param{p}, lr, hp.momentum, hp.weightDecay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < steps; s++ {
+			g := tensor.RandN(rng, 1, 5, 7)
+			g.Data()[s] = 0 // exact zeros meet the decay and momentum terms too
+			p.Value.EnsureGrad().CopyFrom(g)
+			sgd.Step()
+			threePassStep(ref, g, vel, lr, hp.momentum, hp.weightDecay)
+			if !p.Value.T.EqualBits(ref) {
+				t.Fatalf("momentum %v, decay %v, step %d: fused update differs from the three-pass form", hp.momentum, hp.weightDecay, s)
+			}
+			if !p.Value.Grad.EqualBits(g) {
+				t.Fatalf("momentum %v, decay %v, step %d: Step changed the gradient", hp.momentum, hp.weightDecay, s)
+			}
+			if hp.momentum > 0 && !sgd.velocity[0].EqualBits(vel) {
+				t.Fatalf("momentum %v, decay %v, step %d: velocity differs from the three-pass form", hp.momentum, hp.weightDecay, s)
+			}
+		}
+	}
+}

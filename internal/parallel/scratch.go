@@ -2,17 +2,18 @@ package parallel
 
 import "sync"
 
-// ScratchPool is a concurrency-safe arena of reusable []T buffers for kernel
-// temporaries: matmul packing panels, im2col column matrices, wire-codec
+// ScratchPool is a concurrency-safe pool of reusable []T buffers for
+// temporaries that live within one call, such as the wire codec's
 // significance planes. It exists so hot paths that need a sized buffer per
 // call stop allocating (and, for large buffers, stop paying the make()
-// zeroing pass) once the pool is warm.
+// zeroing pass) once the pool is warm. (Tensors a training step creates come
+// from tensor.Arena instead, which takes them back at the end of the step.)
 //
 // Get hands out a *[]T so that Put can return the very same header to the
 // pool without boxing a fresh one — the steady state is zero allocations.
 // Buffer contents are arbitrary on Get: every element must be written before
-// it is read, which all current users guarantee by construction (packing
-// copies, Im2col writes every position, plane shuffles assign before or-ing).
+// it is read, which its user guarantees by construction (plane shuffles
+// assign before or-ing).
 // Determinism is unaffected: a pooled buffer never carries observable state
 // between uses.
 type ScratchPool[T any] struct {

@@ -1,0 +1,206 @@
+package tensor
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+)
+
+// Arena is a step-scoped tensor allocator: it hands out whole tensors —
+// header, shape slice and data together — and takes every one of them back
+// in a single Reset, so a computation whose shapes repeat (a training step,
+// an evaluation batch) stops allocating once the arena is warm.
+//
+// A tensor drawn from an arena remembers it, and every kernel of this
+// package that allocates its result draws it from its operands' arena, so
+// whatever is computed from an arena tensor is an arena tensor too: seed a
+// computation with Wrap and all of it lives in the arena. The lifetime rule
+// follows: nothing drawn since the last Reset — nor any view of it — may be
+// used after the next one, or after its own Release. Clone is the way out;
+// it always copies to the heap, as does New.
+//
+// A nil *Arena is the heap: every method works on it and allocates exactly
+// what New would, so code written against an arena runs unchanged without
+// one.
+//
+// Free tensors are kept per data capacity, and a request is served by the
+// smallest free capacity that holds it, so a batch smaller than the one that
+// warmed the arena reuses that batch's buffers instead of growing a second
+// set. Draws are synchronised (kernels draw from parallel.For chunks);
+// which buffer serves which draw is therefore not deterministic, and never
+// observable: New zeroes, and Scratch is for results whose every element is
+// written before it is read.
+type Arena struct {
+	mu sync.Mutex
+	// caps lists the distinct data capacities ever allocated, ascending;
+	// free[i] holds the idle tensors of capacity caps[i].
+	caps []int
+	free [][]*Tensor
+	// live are the tensors drawn since the last Reset; a tensor's slot is
+	// its index here plus one, and Release leaves a nil behind.
+	live     []*Tensor
+	retained int
+}
+
+// poison, when set, overwrites every buffer Reset reclaims. Tests set it
+// (export_test.go) to prove nothing is read across a Reset.
+var poison func([]float64)
+
+// sizeOf returns the element count of shape, rejecting negative dimensions.
+func sizeOf(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			// shapeString keeps shape from escaping through the format
+			// arguments, so callers' variadic shapes stay on their stacks.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %s", d, shapeString(shape)))
+		}
+		n *= d
+	}
+	return n
+}
+
+// New returns a zero-filled tensor of the given shape drawn from a.
+func (a *Arena) New(shape ...int) *Tensor { return a.draw(shape, true) }
+
+// Scratch returns a tensor of the given shape drawn from a whose contents
+// are unspecified: the caller must write every element before reading any.
+func (a *Arena) Scratch(shape ...int) *Tensor { return a.draw(shape, false) }
+
+// NewLike is New with t's shape, read in place.
+func (a *Arena) NewLike(t *Tensor) *Tensor { return a.draw(t.shape, true) }
+
+// ScratchLike is Scratch with t's shape, read in place.
+func (a *Arena) ScratchLike(t *Tensor) *Tensor { return a.draw(t.shape, false) }
+
+// Scalar returns a 0-dimensional tensor holding v drawn from a.
+func (a *Arena) Scalar(v float64) *Tensor {
+	t := a.draw(nil, false)
+	t.data[0] = v
+	return t
+}
+
+// Wrap returns a view of t that belongs to a — same elements, no copy — so
+// that everything computed from it is drawn from a. The view itself is not
+// reclaimed by Reset: t keeps owning its data.
+func (a *Arena) Wrap(t *Tensor) *Tensor {
+	if a == nil {
+		return t
+	}
+	return &Tensor{shape: t.shape, data: t.data, ar: a}
+}
+
+func (a *Arena) draw(shape []int, zero bool) *Tensor {
+	n := sizeOf(shape)
+	if a == nil {
+		return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	}
+	a.mu.Lock()
+	i := sort.SearchInts(a.caps, n)
+	for i < len(a.caps) && len(a.free[i]) == 0 {
+		i++
+	}
+	var t *Tensor
+	if i < len(a.caps) {
+		last := len(a.free[i]) - 1
+		t = a.free[i][last]
+		a.free[i][last] = nil
+		a.free[i] = a.free[i][:last]
+	} else {
+		t = &Tensor{data: make([]float64, n), ar: a}
+		a.bucket(n)
+		a.retained += 8 * n
+		zero = false
+	}
+	a.live = append(a.live, t)
+	t.slot = len(a.live)
+	a.mu.Unlock()
+
+	t.shape = append(t.shape[:0], shape...)
+	t.data = t.data[:n]
+	if zero {
+		clear(t.data)
+	}
+	return t
+}
+
+// bucket returns the index of capacity c in caps, inserting it if new.
+func (a *Arena) bucket(c int) int {
+	i := sort.SearchInts(a.caps, c)
+	if i == len(a.caps) || a.caps[i] != c {
+		a.caps = append(a.caps, 0)
+		copy(a.caps[i+1:], a.caps[i:])
+		a.caps[i] = c
+		a.free = append(a.free, nil)
+		copy(a.free[i+1:], a.free[i:])
+		a.free[i] = nil
+	}
+	return i
+}
+
+// reclaim moves a live tensor to the free list. Callers hold a.mu.
+func (a *Arena) reclaim(t *Tensor) {
+	if poison != nil {
+		poison(t.data[:cap(t.data)])
+	}
+	a.live[t.slot-1] = nil
+	t.slot = 0
+	b := a.bucket(cap(t.data))
+	a.free[b] = append(a.free[b], t)
+}
+
+// Reset takes back every tensor drawn since the last Reset. They, and all
+// views of them, are dead from here on.
+func (a *Arena) Reset() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, t := range a.live {
+		if t != nil {
+			a.reclaim(t)
+		}
+	}
+	a.live = a.live[:0]
+}
+
+// Release hands t back to the arena it was drawn from ahead of the next
+// Reset, for a temporary the caller knows to be dead: the next draw may
+// reuse it, which keeps an arena's footprint near the computation's live
+// set instead of its total. On a heap tensor, a view, or a tensor already
+// handed back it does nothing.
+func (t *Tensor) Release() {
+	if t == nil || t.slot == 0 {
+		return
+	}
+	t.ar.mu.Lock()
+	defer t.ar.mu.Unlock()
+	t.ar.reclaim(t)
+}
+
+// Retained returns the bytes of tensor data the arena holds, live or free.
+// It grows only when a draw finds no free buffer large enough.
+func (a *Arena) Retained() int {
+	if a == nil {
+		return 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.retained
+}
+
+// Arena returns the arena t was drawn from or wrapped into, nil for a heap
+// tensor.
+func (t *Tensor) Arena() *Arena { return t.ar }
+
+// ArenaOf returns the arena of the first operand that has one: where a
+// result computed from these operands is drawn from.
+func ArenaOf(ts ...*Tensor) *Arena {
+	for _, t := range ts {
+		if t != nil && t.ar != nil {
+			return t.ar
+		}
+	}
+	return nil
+}

@@ -36,11 +36,22 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto adds a·b into out, which must be (m,n): pass it zeroed for the
+// plain product. It is MatMul for a caller that already owns the result's
+// storage (Conv2D multiplies straight into its output's image slice).
+func MatMulInto(out, a, b *Tensor) {
+	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[0] || len(out.data) != a.shape[0]*b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulInto shapes %v x %v -> %v", a.shape, b.shape, out.shape))
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		matmulRows(out.data, a.data, b.data, lo, hi, k, n)
 	})
-	return out
 }
 
 // matmulRows computes rows [lo,hi) of C = A(m,k) * B(k,n) into c, which must
@@ -82,7 +93,7 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		for j0 := 0; j0 < n; j0 += blockJ {
 			tw := n - j0
@@ -122,7 +133,7 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := ArenaOf(a, b).Scratch(m, n) // every element is assigned below
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		for j0 := 0; j0 < n; j0 += blockJ {
 			j1 := j0 + blockJ
@@ -162,7 +173,7 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: BatchMatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	n := b.shape[2]
-	out := New(bs, m, n)
+	out := ArenaOf(a, b).New(bs, m, n)
 	parallel.For(bs, parallel.GrainForCost(2*m*k*n, minChunkOps), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)

@@ -76,8 +76,9 @@ func broadcastStridesInto(dst, shape, out []int) []int {
 // binaryOp applies f elementwise with numpy broadcasting.
 func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	// Fast path: identical shapes.
+	ar := ArenaOf(a, b)
 	if a.SameShape(b) {
-		out := New(a.shape...)
+		out := ar.ScratchLike(a)
 		for i := range out.data {
 			out.data[i] = f(a.data[i], b.data[i])
 		}
@@ -87,7 +88,7 @@ func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	if err != nil {
 		panic(err.Error())
 	}
-	out := New(outShape...)
+	out := ar.Scratch(outShape...)
 	sc := bcPool.Get().(*bcScratch)
 	sa := broadcastStridesInto(sized(&sc.sa, len(outShape)), a.shape, outShape)
 	sb := broadcastStridesInto(sized(&sc.sb, len(outShape)), b.shape, outShape)
@@ -129,7 +130,8 @@ func Div(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float6
 
 // ReduceTo sums t down to the given target shape, inverting a broadcast.
 // It is the gradient counterpart of broadcasting: summing over the axes that
-// were expanded. The target shape must be broadcastable to t's shape.
+// were expanded. The target shape must be broadcastable to t's shape. When
+// the shapes already match the result is a heap copy of t.
 func ReduceTo(t *Tensor, shape []int) *Tensor {
 	if len(shape) == len(t.shape) {
 		same := true
@@ -143,7 +145,7 @@ func ReduceTo(t *Tensor, shape []int) *Tensor {
 			return t.Clone()
 		}
 	}
-	out := New(shape...)
+	out := t.ar.New(shape...)
 	sc := bcPool.Get().(*bcScratch)
 	strides := broadcastStridesInto(sized(&sc.sa, len(t.shape)), shape, t.shape)
 	idx := sized(&sc.idx, len(t.shape))
@@ -196,23 +198,25 @@ func (t *Tensor) ScaleInPlace(alpha float64) {
 
 // Scale returns alpha * t.
 func Scale(t *Tensor, alpha float64) *Tensor {
-	out := t.Clone()
-	out.ScaleInPlace(alpha)
+	out := t.ar.ScratchLike(t)
+	for i, v := range t.data {
+		out.data[i] = v * alpha
+	}
 	return out
 }
 
 // AddScalar returns t + c.
 func AddScalar(t *Tensor, c float64) *Tensor {
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] += c
+	out := t.ar.ScratchLike(t)
+	for i, v := range t.data {
+		out.data[i] = v + c
 	}
 	return out
 }
 
 // Apply returns f applied elementwise.
 func Apply(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.shape...)
+	out := t.ar.ScratchLike(t)
 	for i, v := range t.data {
 		out.data[i] = f(v)
 	}

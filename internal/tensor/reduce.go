@@ -57,7 +57,7 @@ func SumAxis(t *Tensor, axis int, keepDim bool) *Tensor {
 		panic(fmt.Sprintf("tensor: SumAxis axis %d out of range for %v", axis, t.shape))
 	}
 	outer, dim, inner := axisSpans(t.shape, axis)
-	out := New(reducedShape(t.shape, axis, keepDim)...)
+	out := t.ar.New(reducedShape(t.shape, axis, keepDim)...)
 	for o := 0; o < outer; o++ {
 		for j := 0; j < dim; j++ {
 			src := t.data[(o*dim+j)*inner : (o*dim+j+1)*inner]
@@ -83,7 +83,7 @@ func MaxAxis(t *Tensor, axis int, keepDim bool) (*Tensor, []int) {
 		panic(fmt.Sprintf("tensor: MaxAxis axis %d out of range for %v", axis, t.shape))
 	}
 	outer, dim, inner := axisSpans(t.shape, axis)
-	out := New(reducedShape(t.shape, axis, keepDim)...)
+	out := t.ar.Scratch(reducedShape(t.shape, axis, keepDim)...)
 	idx := make([]int, outer*inner)
 	for o := 0; o < outer; o++ {
 		for i := 0; i < inner; i++ {
@@ -121,7 +121,7 @@ func Softmax(t *Tensor) *Tensor {
 	}
 	n := t.shape[t.NDim()-1]
 	rows := len(t.data) / n
-	out := New(t.shape...)
+	out := t.ar.ScratchLike(t)
 	for r := 0; r < rows; r++ {
 		src := t.data[r*n : (r+1)*n]
 		dst := out.data[r*n : (r+1)*n]
@@ -151,7 +151,7 @@ func LogSumExpRows(t *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: LogSumExpRows needs 2-D, got %v", t.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	out := New(m)
+	out := t.ar.Scratch(m)
 	for r := 0; r < m; r++ {
 		src := t.data[r*n : (r+1)*n]
 		maxV := math.Inf(-1)

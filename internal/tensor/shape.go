@@ -28,7 +28,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if known != len(t.data) {
 		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes size", t.shape, shape))
 	}
-	return &Tensor{shape: shape, data: t.data}
+	return &Tensor{shape: shape, data: t.data, ar: t.ar}
 }
 
 // Flatten returns a 1-D view of t's data.
@@ -40,7 +40,7 @@ func Transpose(t *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose needs 2-D, got %v", t.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
+	out := t.ar.Scratch(n, m)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		for j, v := range row {
@@ -64,7 +64,7 @@ func Permute(t *Tensor, perm ...int) *Tensor {
 		seen[p] = true
 		outShape[i] = t.shape[p]
 	}
-	out := New(outShape...)
+	out := t.ar.Scratch(outShape...)
 	inStrides := t.Strides()
 	// Iterate the output in order, mapping each output index to the input.
 	idx := make([]int, len(outShape))
@@ -113,7 +113,7 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 		}
 		outShape[axis] += t.shape[axis]
 	}
-	out := New(outShape...)
+	out := ArenaOf(ts...).Scratch(outShape...)
 	// outer = product of dims before axis, inner = product after.
 	outer, inner := 1, 1
 	for i := 0; i < axis; i++ {
@@ -145,7 +145,7 @@ func Narrow(t *Tensor, axis, start, end int) *Tensor {
 	}
 	outShape := t.Shape()
 	outShape[axis] = end - start
-	out := New(outShape...)
+	out := t.ar.Scratch(outShape...)
 	outer, inner := 1, 1
 	for i := 0; i < axis; i++ {
 		outer *= t.shape[i]
@@ -192,7 +192,7 @@ func Stack(ts ...*Tensor) *Tensor {
 		panic("tensor: Stack of no tensors")
 	}
 	shape := append([]int{len(ts)}, ts[0].shape...)
-	out := New(shape...)
+	out := ArenaOf(ts...).Scratch(shape...)
 	n := ts[0].Size()
 	for i, t := range ts {
 		if !t.SameShape(ts[0]) {
@@ -209,7 +209,7 @@ func Row(t *Tensor, i int) *Tensor {
 		panic(fmt.Sprintf("tensor: Row needs 2-D, got %v", t.shape))
 	}
 	n := t.shape[1]
-	out := New(n)
+	out := t.ar.Scratch(n)
 	copy(out.data, t.data[i*n:(i+1)*n])
 	return out
 }

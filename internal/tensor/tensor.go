@@ -5,7 +5,8 @@
 //
 // Tensors are always contiguous in row-major (C) order. Operations return
 // freshly allocated tensors unless the method name says otherwise (e.g.
-// AddInPlace). Shape mismatches are programming errors, not runtime
+// AddInPlace) — from the heap, or from the Arena their operands were drawn
+// from (see Arena). Shape mismatches are programming errors, not runtime
 // conditions, so kernels panic with a descriptive message rather than
 // returning errors; all exported entry points in higher-level packages
 // validate their inputs before reaching these kernels.
@@ -22,20 +23,16 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float64
+	// ar is the arena the tensor belongs to; nil for a heap tensor. slot is
+	// non-zero while the arena owns the tensor and it is drawn (see
+	// Arena.live); views and wrapped tensors belong without being owned.
+	ar   *Arena
+	slot int
 }
 
 // New returns a zero-filled tensor with the given shape. A tensor with no
 // dimensions is a scalar holding one element.
-func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
-}
+func New(shape ...int) *Tensor { return (*Arena)(nil).draw(shape, true) }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly, not copied; the caller must not alias it afterwards.
@@ -45,9 +42,17 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (want %d)", len(data), shapeString(shape), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
+}
+
+// View returns a tensor of the given shape over t's elements starting at
+// flat offset lo — no copy. It belongs to t's arena and lives as long as t.
+func (t *Tensor) View(lo int, shape ...int) *Tensor {
+	v := FromSlice(t.data[lo:lo+sizeOf(shape)], shape...)
+	v.ar = t.ar
+	return v
 }
 
 // Scalar returns a 0-dimensional tensor holding v.
