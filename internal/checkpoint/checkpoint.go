@@ -98,13 +98,22 @@ func Save(w io.Writer, dict map[string]*tensor.Tensor) error {
 
 // Marshal returns the bytes Save would write, in one exactly-sized slice.
 func Marshal(dict map[string]*tensor.Tensor) ([]byte, error) {
+	return AppendMarshal(nil, dict)
+}
+
+// AppendMarshal appends the bytes Save would write to dst and returns the
+// extended slice; when dst lacks the room, the new slice has exactly enough.
+func AppendMarshal(dst []byte, dict map[string]*tensor.Tensor) ([]byte, error) {
 	names := sortedNames(dict)
 	size := len(magic) + 4
 	for _, name := range names {
 		t := dict[name]
 		size += 2 + len(name) + 1 + 8*t.NDim() + 8*t.Size()
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	buf := bytes.NewBuffer(dst)
 	if err := save(buf, dict, names); err != nil {
 		return nil, err
 	}

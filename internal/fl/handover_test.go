@@ -1,0 +1,113 @@
+package fl_test
+
+import (
+	"testing"
+
+	"reffil/internal/data"
+	"reffil/internal/fl"
+	"reffil/internal/nn"
+	"reffil/internal/tensor"
+)
+
+// spyAlg records the replica each Spawn hands out.
+type spyAlg struct {
+	fl.Algorithm
+	last fl.Algorithm
+}
+
+func (s *spyAlg) Spawn() (fl.Algorithm, error) {
+	rep, err := s.Algorithm.Spawn()
+	s.last = rep
+	return rep, err
+}
+
+// cloningRunner is LocalRunner as it was before the hand-over: every result
+// dict is replaced by clones before done sees it.
+type cloningRunner struct{ inner *fl.LocalRunner }
+
+func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
+	return r.inner.RunEach(jobs, func(i int, res fl.Result) error {
+		clones := make(map[string]*tensor.Tensor, len(res.Dict))
+		for name, v := range res.Dict {
+			clones[name] = v.Clone()
+		}
+		res.Dict = clones
+		return done(i, res)
+	})
+}
+
+// TestLocalRunnerHandsOverReplicaState pins the move LocalRunner makes: a
+// result's dict holds the trained replica's own parameter and buffer
+// tensors, not copies — and engine runs that fold those tensors land on
+// exactly the matrix and final state of runs that fold StateDict clones.
+func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+
+	spy := &spyAlg{Algorithm: newParallelTestMethod(t, "RefFiL", family.Classes, len(domains))}
+	train, _, err := family.Generate(domains[0], 8, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]fl.Job, 2)
+	for i := range jobs {
+		spec := fl.JobSpec{ClientID: i, Epochs: 1, BatchSize: 4, LR: 0.05, RngSeed: int64(i)}
+		jobs[i] = fl.Job{Ctx: spec.NewLocalContext(train)}
+	}
+	lr := &fl.LocalRunner{Alg: spy, Workers: 1}
+	if err := lr.RunEach(jobs, func(i int, res fl.Result) error {
+		g := spy.last.Global()
+		if want := len(g.Params()) + len(g.Buffers()); len(res.Dict) != want {
+			t.Fatalf("job %d: result holds %d tensors, the replica %d", i, len(res.Dict), want)
+		}
+		for _, p := range g.Params() {
+			if res.Dict[p.Name] != p.Value.T {
+				t.Fatalf("job %d: parameter %q is not the replica's own tensor", i, p.Name)
+			}
+		}
+		for _, b := range g.Buffers() {
+			if res.Dict[b.Name] != b.T {
+				t.Fatalf("job %d: buffer %q is not the replica's own tensor", i, b.Name)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range []string{"RefFiL", "FedLwF"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(runner func(fl.Algorithm) fl.EachRunner) ([][]float64, map[string]*tensor.Tensor) {
+				alg := newParallelTestMethod(t, name, family.Classes, len(domains))
+				eng, err := fl.NewEngineWithRunner(parallelTestConfig(2), alg, runner(alg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mat, err := eng.Run(family, domains)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mat.A, nn.StateDict(alg.Global())
+			}
+			moved, movedState := run(func(alg fl.Algorithm) fl.EachRunner { return &fl.LocalRunner{Alg: alg, Workers: 2} })
+			cloned, clonedState := run(func(alg fl.Algorithm) fl.EachRunner {
+				return cloningRunner{&fl.LocalRunner{Alg: alg, Workers: 2}}
+			})
+			for i := range cloned {
+				for j := 0; j <= i; j++ {
+					if moved[i][j] != cloned[i][j] {
+						t.Fatalf("accuracy matrix diverged at [%d][%d]: hand-over %v vs clones %v", i, j, moved[i][j], cloned[i][j])
+					}
+				}
+			}
+			for key, want := range clonedState {
+				if !movedState[key].EqualBits(want) {
+					t.Fatalf("final state %q differs between hand-over and clones", key)
+				}
+			}
+		})
+	}
+}

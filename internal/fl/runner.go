@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"reffil/internal/data"
-	"reffil/internal/nn"
 	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
@@ -31,6 +30,8 @@ type Job struct {
 
 // Result is what an EachRunner hands back for one Job: the trained replica's
 // state dict (the client's FedAvg payload) and the method-specific upload.
+// The dict is the receiver's to keep but not to write: LocalRunner hands
+// over the replica's own tensors.
 type Result struct {
 	Dict   map[string]*tensor.Tensor
 	Upload Upload
@@ -285,7 +286,17 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		if err != nil {
 			return fmt.Errorf("fl: client %d local training: %w", job.Ctx.ClientID, err)
 		}
-		res := Result{Dict: nn.StateDict(rep.Global()), Upload: up}
+		// The replica is dropped after done, so its own tensors are handed
+		// over instead of StateDict clones: Spawn deep-copies, and nothing
+		// done feeds them to (the fold, an upload encoder) writes them.
+		g := rep.Global()
+		res := Result{Dict: make(map[string]*tensor.Tensor), Upload: up}
+		for _, p := range g.Params() {
+			res.Dict[p.Name] = p.Value.T
+		}
+		for _, b := range g.Buffers() {
+			res.Dict[b.Name] = b.T
+		}
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		return done(i, res)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -52,12 +51,12 @@ func BenchmarkHeartbeatDetection(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				if err := enc.Encode(Hello{Version: ProtocolVersion, Heartbeat: 10 * time.Millisecond}); err != nil {
+				enc, dec := frameWriter{w: conn}, frameReader{r: conn}
+				if err := enc.writeHello(Hello{Version: ProtocolVersion, Heartbeat: 10 * time.Millisecond}); err != nil {
 					b.Fatal(err)
 				}
-				var ack HelloAck
-				if err := dec.Decode(&ack); err != nil || ack.Error != "" {
+				ack, err := dec.readHelloAck()
+				if err != nil || ack.Error != "" {
 					b.Fatalf("join failed: %v %q", err, ack.Error)
 				}
 				go func() {

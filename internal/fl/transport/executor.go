@@ -54,9 +54,14 @@ type Executor struct {
 	// (payloadSet marks that any were). A replay broadcast may overwrite
 	// the algorithm's wire state with the replayed round's payload; the cache
 	// is what restores the stream's state afterwards — wire.Tracker only
-	// retains the payload version, not the bytes.
+	// retains the payload version, not the bytes. It is Tracker.Apply's
+	// copy, never an alias of the connection's read buffer.
 	payload    []byte
 	payloadSet bool
+	// upload is the storage every upload patch is packed into. RunEach
+	// serializes done, and emit has written an ack to the connection when
+	// it returns, so one buffer serves every job at any -jobs count.
+	upload wire.Buffer
 }
 
 // NewExecutor builds an executor over the worker's algorithm instance.
@@ -88,7 +93,9 @@ func (e *Executor) ResetStream() {
 // Handle executes one broadcast's job assignment, emitting each job's
 // result as it completes (completion order; the coordinator maps acks by
 // their Index). Pass it to Worker.Serve, whose emit already serializes
-// onto the connection.
+// onto the connection. A JobResult's patch aliases the executor's upload
+// buffer, which the next job overwrites: emit must be done with it when it
+// returns.
 func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	upCodec, err := wire.ForUpload(b.Codec)
 	if err != nil {
@@ -195,10 +202,14 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[stri
 		// patch reconstructs there bit for bit. Every codec encodes a nil
 		// base (a worker executing jobs with no installed state) as a full
 		// snapshot, which the coordinator counts as an upload fallback.
-		p, err := upCodec.Encode(base, res.Dict)
+		p, err := e.upload.Encode(upCodec, base, res.Dict)
 		if err != nil {
 			return fmt.Errorf("job %d upload state: %w", i, err)
 		}
+		defer func() {
+			poison(p.Dense[:cap(p.Dense)])
+			poison(p.Packed[:cap(p.Packed)])
+		}()
 		jr := JobResult{Index: i, Patch: p}
 		if res.Upload != nil {
 			uc, ok := e.alg.(fl.UploadCoder)

@@ -1,0 +1,25 @@
+package transport
+
+import "io"
+
+// PoisonReusedBuffers makes every connection overwrite its read buffer with
+// 0xFF once the message in it is consumed (when the next frame is read), and
+// every Executor overwrite its upload buffer once the ack holding it is sent,
+// until the returned function is called. A message field or upload patch
+// kept past its lifetime then reads 0xFF instead of silently reusing bytes.
+func PoisonReusedBuffers() (restore func()) {
+	poisonReused.Store(true)
+	return func() { poisonReused.Store(false) }
+}
+
+// WriteHello writes h onto w as one frame, and ReadHelloAck reads the reply:
+// the join handshake as a raw endpoint that speaks nothing else runs it.
+func WriteHello(w io.Writer, h Hello) error {
+	fw := frameWriter{w: w}
+	return fw.writeHello(h)
+}
+
+func ReadHelloAck(r io.Reader) (HelloAck, error) {
+	fr := frameReader{r: r}
+	return fr.readHelloAck()
+}

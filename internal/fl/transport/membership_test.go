@@ -10,7 +10,6 @@
 package transport_test
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -26,7 +25,7 @@ import (
 	"reffil/internal/model"
 )
 
-// rawHello dials the coordinator with a raw gob endpoint, runs the v7 join
+// rawHello dials the coordinator with a raw frame endpoint, runs the join
 // handshake with the given Hello, and returns the coordinator's HelloAck;
 // the connection is closed before returning.
 func rawHello(t *testing.T, addr string, h transport.Hello) transport.HelloAck {
@@ -54,12 +53,12 @@ func rawDialHello(t *testing.T, addr string, h transport.Hello) (net.Conn, trans
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(conn).Encode(h); err != nil {
+	if err := transport.WriteHello(conn, h); err != nil {
 		_ = conn.Close()
 		t.Fatal(err)
 	}
-	var ack transport.HelloAck
-	if err := gob.NewDecoder(conn).Decode(&ack); err != nil {
+	ack, err := transport.ReadHelloAck(conn)
+	if err != nil {
 		_ = conn.Close()
 		t.Fatal(err)
 	}
@@ -329,7 +328,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 }
 
 // TestHeartbeatDetectsWedgedWorker wedges a worker without killing it: a
-// raw gob endpoint that advertises a heartbeat in its Hello, keeps reading
+// raw frame endpoint that advertises a heartbeat in its Hello, keeps reading
 // broadcasts, but never acks a job nor sends a pong. Pre-v7 the
 // coordinator would block in recv forever — no read error ever arrives.
 // With heartbeats the slot's read deadline expires within the configured

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -345,6 +346,11 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	}
 	p.tmu.Unlock()
 
+	// Idle slots' frames go out first. A round's byte window (finishRound)
+	// closes at its last ack, and every broadcast is counted before it is
+	// written, so a frame sent ahead of the last job-carrying one is always
+	// inside the window; an idle frame sent after it could miss it.
+	sort.SliceStable(outs, func(i, j int) bool { return len(outs[i].idxs) == 0 && len(outs[j].idxs) > 0 })
 	for _, o := range outs {
 		specs := make([]fl.JobSpec, len(o.idxs))
 		for k, ji := range o.idxs {
@@ -453,12 +459,7 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			continue
 		}
-		if len(u.Results) != 1 {
-			p.failLocked(fmt.Errorf("transport: worker %d ack carries %d results, want 1", slot, len(u.Results)))
-			p.mu.Unlock()
-			return
-		}
-		jr := u.Results[0]
+		jr := u.Results[0] // an ack frame carries exactly one result
 		if jr.Index < 0 || jr.Index >= len(b.idxs) {
 			p.failLocked(fmt.Errorf("transport: worker %d acked job slot %d of %d", slot, jr.Index, len(b.idxs)))
 			p.mu.Unlock()

@@ -21,7 +21,9 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
+	"reffil/internal/nn"
 	"reffil/internal/telemetry"
+	"reffil/internal/tensor"
 )
 
 // crossRunnerConfig is deliberately tiny: enough tasks/rounds/clients to
@@ -79,11 +81,14 @@ type tcpRun struct {
 	// wires them: coordinator, pipeline and engine; the pipeline's OnRound.
 	sink    *telemetry.Sink
 	onRound func(transport.RoundStats)
+	// global, when non-nil, receives a copy of the coordinator's final
+	// global state dict.
+	global *map[string]*tensor.Tensor
 }
 
 // runTCPWith executes the same sequence as runLocal over loopback TCP:
 // engine → transport.Pipeline → workers, each speaking only
-// gob-over-TCP through an Executor around its own independently constructed
+// frames over TCP through an Executor around its own independently constructed
 // algorithm instance. It returns the matrix and the Pipeline's cumulative
 // wire accounting, so tests can assert which upload/broadcast paths a run
 // actually exercised.
@@ -152,6 +157,9 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 	mat, err := eng.Run(family, domains)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if opt.global != nil {
+		*opt.global = nn.StateDict(alg.Global())
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
@@ -291,7 +299,7 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 }
 
 // TestFullCodecUploadsArePatchSnapshots pins the one tensor wire form on
-// the path that used to ship a gob map instead: under the full codec every
+// the full-codec upload path: under the full codec every
 // ack a real Executor emits carries its trained state as a
 // wire.Patch{Full: true}, the coordinator counts each as a StateUpload —
 // none as a fallback — and the run stays bit-identical to the local one.
@@ -400,6 +408,27 @@ func TestCodecDeterminism(t *testing.T) {
 			requireSameMatrix(t, "TCP(delta)", local, delta)
 			requireAllPatchUploads(t, stats)
 		})
+	}
+}
+
+// TestDeltaStatsAreDeterministic runs one delta federation twice — four
+// workers for three jobs a round, so one slot idles every round — and
+// requires the two runs' Stats to be equal, byte counts included: the
+// counts are whole frames of round traffic, none of which can race a
+// round's last ack.
+func TestDeltaStatsAreDeterministic(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	_, first := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 4, codec: "delta"})
+	_, second := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 4, codec: "delta"})
+	if first != second {
+		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
+	}
+	if first.IdleFrames == 0 || first.BroadcastBytes == 0 || first.UploadBytes == 0 {
+		t.Fatalf("degenerate run: %+v", first)
 	}
 }
 

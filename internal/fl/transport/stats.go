@@ -7,17 +7,16 @@ import (
 )
 
 // Stats aggregates the Pipeline's wire accounting: the evidence that delta
-// broadcast actually saves bytes. Byte counts are raw TCP bytes measured at
-// the coordinator's sockets (gob framing, job specs and acks included), so
-// they reflect what a real network would carry, not just tensor payloads.
-// Cumulative totals are exact socket deltas; the per-round split in
-// RoundStats is approximate (see there).
+// broadcast actually saves bytes. Byte counts are whole frames at the
+// coordinator's sockets — every broadcast written and every ack read,
+// headers and job specs included (Coordinator.BytesTransferred) — so they
+// reflect what a real network carries for the rounds, not just tensor
+// payloads, and two runs of the same federation report the same counts.
 type Stats struct {
 	// Rounds is how many rounds completed.
 	Rounds int64
-	// BroadcastBytes / UploadBytes are coordinator→worker and
-	// worker→coordinator TCP bytes between the first dispatch and the most
-	// recent round completion.
+	// BroadcastBytes / UploadBytes are the broadcast and ack frame bytes
+	// between the first dispatch and the most recent round completion.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
@@ -43,10 +42,8 @@ type Stats struct {
 	UploadFallbacks int64
 }
 
-// add accumulates one completed round's counts. The byte totals are not
-// summed from the per-round windows, which miss what moves between rounds
-// (the workers' closing Done frames); Pipeline.finishRound sets them from
-// the socket counters.
+// add accumulates one completed round's counts; Pipeline.finishRound sets
+// the byte totals from the coordinator's counters.
 func (s *Stats) add(rs RoundStats) {
 	s.Rounds++
 	s.FullFrames += rs.FullFrames
@@ -66,11 +63,8 @@ type RoundStats struct {
 	// Attempts is how many broadcast waves the round took (1 + re-queue
 	// attempts after worker deaths).
 	Attempts int
-	// BroadcastBytes / UploadBytes are the TCP bytes that moved in each
-	// direction between this round's dispatch and its last ack: the round's
-	// own traffic, give or take the few bytes gob decoders read ahead of a
-	// frame boundary and the workers' closing Done frames, which trail the
-	// last ack.
+	// BroadcastBytes / UploadBytes are the round's own traffic: its
+	// broadcasts (re-queue broadcasts included) and its acks.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// Frame counts by state kind, as in Stats.
@@ -93,10 +87,8 @@ type RoundStats struct {
 }
 
 // observation converts one completed round into the telemetry record. Byte
-// totals are the *cumulative* socket counters at completion rather than the
-// per-round split: the per-round windows miss what moves between rounds,
-// and mirroring the running totals makes the /metrics byte counters
-// reconcile exactly with Stats.
+// totals are the cumulative counters at completion, so the /metrics byte
+// counters reconcile exactly with Stats.
 func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
 	return telemetry.RoundObservation{
 		Task: rs.Task, Round: rs.Round, Attempts: rs.Attempts, Start: start,

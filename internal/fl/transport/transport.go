@@ -2,10 +2,12 @@
 // (fedserver) broadcasts global model state plus per-client job framing to
 // workers over TCP, workers derive each job's shard locally, train, and
 // stream back one acknowledged result per job, and the coordinator
-// aggregates. encoding/gob is the message envelope and nothing else: every
+// aggregates. Every message is one length-prefixed binary frame (frame.go):
+// a fixed header with a hard length bound, then explicit fields. Every
 // tensor inside a message is already bytes — a wire.Patch, or a method
-// payload in the checkpoint dict format — and datasets never cross the wire
-// at all (see fl.ShardSpec).
+// payload in the checkpoint dict format — which the frame writes from, and
+// reads into, buffers that already exist; datasets never cross the wire at
+// all (see fl.ShardSpec).
 //
 // The package plugs into the engine through Pipeline (the coordinator's
 // fl.EachRunner) and Executor (the worker side): the full fl.Engine — the
@@ -40,7 +42,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -53,18 +54,19 @@ import (
 	"reffil/internal/telemetry"
 )
 
-// ProtocolVersion tags every message. Both ends reject a different version
-// — at the handshake, and again on every Broadcast and Update — instead of
-// mis-decoding it: gob is self-describing enough to decode across
-// incompatible revisions of the message structs, so the guard has to be
-// explicit. Bump it whenever a message struct or the bytes inside one change
-// meaning.
+// ProtocolVersion is stamped in every frame header. Both ends reject a
+// different version — at the handshake, and again on every Broadcast and
+// Update — without reading the frame's body, which another revision may lay
+// out differently. Bump it whenever the frame layout, a message's fields or
+// the bytes inside one change meaning; the golden frames in frame_test.go
+// fail until the bump is made.
 //
-// v9: the messages are Hello{Version, WorkerID, Heartbeat} / HelloAck,
-// Broadcast{Frame, Codec, Jobs, Replay, Done} and Update{Results, Done,
-// Error, Pong}; every state dict in them is a wire.Patch, and every method
-// payload (fl.WireStater, fl.UploadCoder) is a checkpoint dict.
-const ProtocolVersion = 9
+// v10: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
+// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Codec, Frame, Jobs,
+// Replay}, and an Update as one of ack{WorkerID, JobResult}, done{WorkerID,
+// Error} or pong{WorkerID}; every state dict in them is a wire.Patch, and
+// every method payload (fl.WireStater, fl.UploadCoder) is a checkpoint dict.
+const ProtocolVersion = 10
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
 // assignment. A round normally sends one broadcast per worker; when a
@@ -220,11 +222,12 @@ type Coordinator struct {
 	// indexing a nil workers slice (Close may race a straggling round
 	// goroutine's send/recv/markDead).
 	closed bool
-	// bytesOut/bytesIn count the raw TCP bytes the coordinator has written
-	// to / read from workers across all connections — the ground truth the
-	// Pipeline's byte accounting snapshots.
-	bytesOut atomic.Int64
-	bytesIn  atomic.Int64
+	// sentBytes/ackBytes count the round traffic across all connections:
+	// broadcast frames written (counted before their first byte goes out)
+	// and ack frames read, headers included — what the Pipeline's byte
+	// accounting snapshots.
+	sentBytes atomic.Int64
+	ackBytes  atomic.Int64
 	// tel records membership telemetry (joins, live-worker gauge, wedge
 	// detections). Nil — the default — disables it; see SetTelemetry.
 	tel *telemetry.Sink
@@ -232,31 +235,14 @@ type Coordinator struct {
 
 type wireConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	// out serializes sends; in is read by one goroutine at a time (the
+	// handshake, then the slot's collector).
+	out  frameWriter
+	in   frameReader
 	dead bool
 	// heartbeat is the interval the slot's Hello advertised; immutable after
 	// admission.
 	heartbeat time.Duration
-}
-
-// countedConn wraps a worker connection so every byte moved in either
-// direction lands in the coordinator's counters.
-type countedConn struct {
-	net.Conn
-	in, out *atomic.Int64
-}
-
-func (c countedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.in.Add(int64(n))
-	return n, err
-}
-
-func (c countedConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.out.Add(int64(n))
-	return n, err
 }
 
 // Listen starts a coordinator on addr (e.g. "127.0.0.1:0") and its
@@ -305,16 +291,15 @@ func (c *Coordinator) acceptLoop() {
 // encoded under mu, before the slot becomes visible to send/recv, so it
 // always precedes the slot's first Broadcast on the stream.
 func (c *Coordinator) admit(conn net.Conn) {
-	cc := countedConn{Conn: conn, in: &c.bytesIn, out: &c.bytesOut}
-	w := &wireConn{conn: cc, enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}
+	w := &wireConn{conn: conn, out: frameWriter{w: conn}, in: frameReader{r: conn}}
 	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-	var h Hello
-	if err := w.dec.Decode(&h); err != nil {
+	h, err := w.in.readHello()
+	if err != nil {
 		_ = conn.Close()
 		return
 	}
 	if h.Version != ProtocolVersion {
-		_ = w.enc.Encode(HelloAck{Version: ProtocolVersion, Error: fmt.Sprintf("coordinator speaks protocol v%d, worker %d dialed with v%d", ProtocolVersion, h.WorkerID, h.Version)})
+		_ = w.out.writeHelloAck(HelloAck{Version: ProtocolVersion, Error: fmt.Sprintf("coordinator speaks protocol v%d, worker dialed with v%d", ProtocolVersion, h.Version)})
 		_ = conn.Close()
 		return
 	}
@@ -331,7 +316,7 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	slot := len(c.workers)
-	if err := w.enc.Encode(HelloAck{Version: ProtocolVersion, Slot: slot}); err != nil {
+	if err := w.out.writeHelloAck(HelloAck{Version: ProtocolVersion, Slot: slot}); err != nil {
 		c.mu.Unlock()
 		_ = conn.Close()
 		return
@@ -454,10 +439,13 @@ func (c *Coordinator) NumLive() int {
 	return len(c.liveSlots())
 }
 
-// BytesTransferred reports the cumulative raw TCP bytes read from workers
-// (uploads) and written to them (broadcasts) since the coordinator started.
+// BytesTransferred reports the cumulative round traffic since the
+// coordinator started: ack frames read from workers (uploads) and broadcast
+// frames written to them, headers included. The handshake, heartbeats and
+// the workers' closing Done frames are not counted: they move no state, and
+// when a Done frame arrives relative to a round's last ack is a race.
 func (c *Coordinator) BytesTransferred() (in, out int64) {
-	return c.bytesIn.Load(), c.bytesOut.Load()
+	return c.ackBytes.Load(), c.sentBytes.Load()
 }
 
 // liveSlots returns the slot indices of workers not marked dead.
@@ -513,7 +501,7 @@ func (c *Coordinator) send(slot int, b Broadcast) error {
 		return err
 	}
 	b.Version = ProtocolVersion
-	if err := w.enc.Encode(b); err != nil {
+	if err := w.out.writeBroadcast(&b, &c.sentBytes); err != nil {
 		c.markDead(slot)
 		return fmt.Errorf("transport: sending to worker %d: %w", slot, err)
 	}
@@ -535,13 +523,15 @@ func (c *Coordinator) readTimeout(w *wireConn) time.Duration {
 	return 4 * w.heartbeat
 }
 
-// recv decodes one round update from the given worker slot, consuming Pong
+// recv reads one round update from the given worker slot, consuming Pong
 // heartbeats internally. Slots whose Hello advertised a heartbeat read
 // under a deadline (re-armed per frame, so each Pong proves liveness): a
 // wedged worker — connection open, nothing flowing — is marked dead when
 // the deadline fires, within a bounded interval, instead of stalling the
 // round until a read error that may never come. A failed decode marks the
-// worker dead; a recv after Close errors without touching anything.
+// worker dead; a recv after Close errors without touching anything. The
+// update's byte fields alias the slot's read buffer: the caller is done
+// with them before its next recv.
 func (c *Coordinator) recv(slot int) (Update, error) {
 	w, err := c.slot(slot)
 	if err != nil {
@@ -552,8 +542,8 @@ func (c *Coordinator) recv(slot int) (Update, error) {
 		if timeout > 0 {
 			_ = w.conn.SetReadDeadline(time.Now().Add(timeout))
 		}
-		var u Update
-		if err := w.dec.Decode(&u); err != nil {
+		u, n, err := w.in.readUpdate()
+		if err != nil {
 			// A deadline-fired decode on a heartbeating slot is the wedge
 			// detector going off: the connection is open but nothing flowed
 			// for the bounded interval.
@@ -566,6 +556,9 @@ func (c *Coordinator) recv(slot int) (Update, error) {
 		}
 		if u.Pong {
 			continue
+		}
+		if len(u.Results) > 0 {
+			c.ackBytes.Add(int64(n))
 		}
 		if timeout > 0 {
 			_ = w.conn.SetReadDeadline(time.Time{})
@@ -611,12 +604,11 @@ func (c *Coordinator) Close() error {
 type Worker struct {
 	id   int
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	// sendMu serializes outgoing updates: Serve's job acks and final
-	// frames interleave with the heartbeat goroutine's Pong frames on the
-	// one gob stream.
-	sendMu sync.Mutex
+	// out serializes outgoing updates: Serve's job acks and final frames
+	// interleave with the heartbeat goroutine's Pong frames on the one
+	// stream. in is read by Serve alone.
+	out frameWriter
+	in  frameReader
 	// stop ends the heartbeat goroutine; stopOnce makes Close idempotent.
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -650,16 +642,16 @@ func DialWith(addr string, id int, opts DialOptions) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	w := &Worker{id: id, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), stop: make(chan struct{})}
+	w := &Worker{id: id, conn: conn, out: frameWriter{w: conn}, in: frameReader{r: conn}, stop: make(chan struct{})}
 	if opts.Timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(opts.Timeout))
 	}
-	if err := w.enc.Encode(Hello{Version: ProtocolVersion, WorkerID: id, Heartbeat: opts.Heartbeat}); err != nil {
+	if err := w.out.writeHello(Hello{Version: ProtocolVersion, WorkerID: id, Heartbeat: opts.Heartbeat}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: worker %d hello: %w", id, err)
 	}
-	var ack HelloAck
-	if err := w.dec.Decode(&ack); err != nil {
+	ack, err := w.in.readHelloAck()
+	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: worker %d awaiting hello ack: %w", id, err)
 	}
@@ -678,11 +670,9 @@ func DialWith(addr string, id int, opts DialOptions) (*Worker, error) {
 	return w, nil
 }
 
-// send serializes one update onto the shared gob stream.
+// send writes one update onto the shared stream.
 func (w *Worker) send(u Update) error {
-	w.sendMu.Lock()
-	defer w.sendMu.Unlock()
-	return w.enc.Encode(u)
+	return w.out.writeUpdate(&u)
 }
 
 // heartbeatLoop streams Pong updates until Close or a send failure.
@@ -712,11 +702,13 @@ func (w *Worker) heartbeatLoop(interval time.Duration) {
 // The version gate runs before anything else is honored, including Done: a
 // mismatched-version coordinator must not be able to silently shut a
 // worker down (Shutdown stamps Done frames with the version like every
-// other send).
+// other send). A broadcast's byte fields alias the connection's read buffer,
+// which the next broadcast overwrites: handle is done with them when it
+// returns, and emit is done with a JobResult when it returns.
 func (w *Worker) Serve(handle func(b Broadcast, emit func(JobResult) error) error) error {
 	for {
-		var b Broadcast
-		if err := w.dec.Decode(&b); err != nil {
+		b, err := w.in.readBroadcast()
+		if err != nil {
 			return fmt.Errorf("transport: worker %d receive: %w", w.id, err)
 		}
 		var fatal error

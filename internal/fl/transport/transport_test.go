@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"reflect"
@@ -188,18 +187,16 @@ func acceptInOrder(t *testing.T, coord *Coordinator, serve ...func(w *Worker) er
 	return done
 }
 
-// fakeCoordHandshake answers a dialing Worker's v7 Hello on a raw test
-// listener connection, returning the connection's gob streams for the
-// round frames (gob streams are stateful, so the handshake and the rounds
-// must share them).
-func fakeCoordHandshake(t *testing.T, conn net.Conn) (*gob.Encoder, *gob.Decoder) {
+// fakeCoordHandshake answers a dialing Worker's Hello on a raw test
+// listener connection, returning the connection's frame writer and reader
+// for the round messages.
+func fakeCoordHandshake(t *testing.T, conn net.Conn) (*frameWriter, *frameReader) {
 	t.Helper()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var h Hello
-	if err := dec.Decode(&h); err != nil {
+	enc, dec := &frameWriter{w: conn}, &frameReader{r: conn}
+	if _, err := dec.readHello(); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(HelloAck{Version: ProtocolVersion}); err != nil {
+	if err := enc.writeHelloAck(HelloAck{Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	return enc, dec
@@ -430,10 +427,10 @@ func TestPipelineCloseFailsWaitingRound(t *testing.T) {
 	<-done[0]
 }
 
-// TestBroadcastRoundTrip pins the v4 wire framing: a Broadcast carrying a
+// TestBroadcastRoundTrip pins the frame codec: a Broadcast carrying a
 // versioned delta frame (packed patch, payload bytes) and per-client job
-// specs, and the per-job ack plus Done updates, must gob round-trip without
-// loss.
+// specs, a replay broadcast, and the per-job ack, Done and Pong updates must
+// round-trip through one frame stream without loss.
 func TestBroadcastRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dense, err := wire.Delta{}.Encode(nil, map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)})
@@ -479,16 +476,23 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			},
 		}},
 	}
+	replay := Broadcast{
+		Version: ProtocolVersion, Task: 1, Round: 4, Codec: wire.CodecDelta, Jobs: b.Jobs,
+		Replay: &Replay{Patch: *dense, Payload: bytes.Repeat([]byte{5}, 2*spliceMin), HasPayload: true},
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		t.Fatal(err)
-	}
-	var gotB Broadcast
-	if err := gob.NewDecoder(&buf).Decode(&gotB); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b, gotB) {
-		t.Fatalf("broadcast round trip diverged:\n got %+v\nwant %+v", gotB, b)
+	enc, dec := frameWriter{w: &buf}, frameReader{r: &buf}
+	for _, want := range []Broadcast{b, replay, {Version: ProtocolVersion, Done: true}} {
+		if err := enc.writeBroadcast(&want, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.readBroadcast()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("broadcast round trip diverged:\n got %+v\nwant %+v", got, want)
+		}
 	}
 
 	for _, u := range []Update{
@@ -503,23 +507,27 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			Results:  []JobResult{{Index: 2, Patch: patch}},
 		},
 		{Version: ProtocolVersion, WorkerID: 1, Done: true},
+		{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "local training failed"},
+		{Version: ProtocolVersion, WorkerID: 3, Pong: true},
 	} {
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(u); err != nil {
+		if err := enc.writeUpdate(&u); err != nil {
 			t.Fatal(err)
 		}
-		var gotU Update
-		if err := gob.NewDecoder(&buf).Decode(&gotU); err != nil {
+		got, _, err := dec.readUpdate()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(u, gotU) {
-			t.Fatalf("update round trip diverged:\n got %+v\nwant %+v", gotU, u)
+		if !reflect.DeepEqual(u, got) {
+			t.Fatalf("update round trip diverged:\n got %+v\nwant %+v", got, u)
 		}
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left on the stream after the last frame", buf.Len())
 	}
 }
 
 // TestWorkerRejectsVersionMismatch drives a Worker.Serve loop from a raw
-// gob stream posing as a future-protocol coordinator: the worker must
+// frame stream posing as a future-protocol coordinator: the worker must
 // report the mismatch on its final frame and terminate Serve with an
 // error rather than interpreting the broadcast.
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
@@ -550,11 +558,11 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := fakeCoordHandshake(t, conn)
-	if err := enc.Encode(Broadcast{Version: ProtocolVersion + 1}); err != nil {
+	if err := enc.writeBroadcast(&Broadcast{Version: ProtocolVersion + 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var u Update
-	if err := dec.Decode(&u); err != nil {
+	u, _, err := dec.readUpdate()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Error == "" || !strings.Contains(u.Error, "protocol") {
@@ -573,7 +581,7 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsVersionMismatch connects a raw gob stream posing
+// TestCoordinatorRejectsVersionMismatch connects a raw frame stream posing
 // as an old-protocol worker: the Pipeline's round must fail instead of
 // consuming its acks.
 func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
@@ -591,22 +599,20 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		if err := enc.Encode(Hello{Version: ProtocolVersion, WorkerID: 0}); err != nil {
+		enc, dec := frameWriter{w: conn}, frameReader{r: conn}
+		if err := enc.writeHello(Hello{Version: ProtocolVersion, WorkerID: 0}); err != nil {
 			done <- err
 			return
 		}
-		var ack HelloAck
-		if err := dec.Decode(&ack); err != nil {
+		if _, err := dec.readHelloAck(); err != nil {
 			done <- err
 			return
 		}
-		var b Broadcast
-		if err := dec.Decode(&b); err != nil {
+		if _, err := dec.readBroadcast(); err != nil {
 			done <- err
 			return
 		}
-		done <- enc.Encode(Update{Version: ProtocolVersion - 1, Done: true})
+		done <- enc.writeUpdate(&Update{Version: ProtocolVersion - 1, Done: true})
 	}()
 	if err := coord.Accept(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -810,11 +816,11 @@ func TestWorkerChecksVersionBeforeDone(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := fakeCoordHandshake(t, conn)
-	if err := enc.Encode(Broadcast{Version: ProtocolVersion + 1, Done: true}); err != nil {
+	if err := enc.writeBroadcast(&Broadcast{Version: ProtocolVersion + 1, Done: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var u Update
-	if err := dec.Decode(&u); err != nil {
+	u, _, err := dec.readUpdate()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Error == "" || !strings.Contains(u.Error, "protocol") {
@@ -948,6 +954,19 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 // the full-snapshot fallback of a worker with no base. Workers 0 and 1 die
 // on receiving their state broadcast; idle worker 2 inherits both jobs.
 func TestReplayLeavesSurvivorMirrorUntouched(t *testing.T) {
+	replayOntoIdleSurvivor(t)
+}
+
+// TestPoisonedBuffersLeaveReplayUntouched runs the replay scenario with
+// every reused buffer poisoned once its contents are consumed (see
+// PoisonReusedBuffers): the replays, the survivor's mirror and the results
+// must be exactly those of the unpoisoned run.
+func TestPoisonedBuffersLeaveReplayUntouched(t *testing.T) {
+	defer PoisonReusedBuffers()()
+	replayOntoIdleSurvivor(t)
+}
+
+func replayOntoIdleSurvivor(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

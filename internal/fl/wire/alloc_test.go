@@ -24,7 +24,7 @@ func TestPackDeltaSteadyStateAllocs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	base, next, keys := benchDicts(8, 4096)
-	if _, err := packDelta(base, next, keys); err != nil { // warm the pools
+	if _, err := packDelta(nil, base, next, keys); err != nil { // warm the pools
 		t.Fatal(err)
 	}
 	// Output bytes.Buffer growth doublings + the span table + the fan-out
@@ -32,7 +32,7 @@ func TestPackDeltaSteadyStateAllocs(t *testing.T) {
 	// path was ~270 KiB and a ~1.2 MB flate.Writer per call.
 	const maxAllocs = 30
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := packDelta(base, next, keys); err != nil {
+		if _, err := packDelta(nil, base, next, keys); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > maxAllocs {
@@ -47,7 +47,7 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	base, next, keys := benchDicts(8, 4096)
-	packed, err := packDelta(base, next, keys)
+	packed, err := packDelta(nil, base, next, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

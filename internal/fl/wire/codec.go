@@ -32,6 +32,10 @@ type Codec interface {
 	// Decode applies a patch produced by this codec; equivalent to the
 	// package-level Decode.
 	Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error)
+	// appendEncode is Encode with the patch's bytes appended to dst: Encode
+	// passes nil, a Buffer its own storage. It keeps the registry's codecs
+	// the only implementations.
+	appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error)
 }
 
 // New resolves a codec registry name.
@@ -60,6 +64,30 @@ func ForUpload(broadcast string) (Codec, error) {
 	return New(broadcast)
 }
 
+// Buffer is a reusable encode target for a sender that ships one patch at a
+// time, such as a worker's uploads: Encode writes the patch's bytes into
+// storage the Buffer keeps across calls, so once the storage has grown to
+// the largest patch, encoding allocates no payload bytes. The zero value is
+// ready to use.
+type Buffer struct{ b []byte }
+
+// Encode is c.Encode(base, next) into the buffer's storage. The patch it
+// returns aliases that storage and is valid until the next Encode.
+func (u *Buffer) Encode(c Codec, base, next map[string]*tensor.Tensor) (*Patch, error) {
+	p, err := c.appendEncode(u.b[:0], base, next)
+	if err != nil {
+		return nil, err
+	}
+	out := p.Packed
+	if p.Full {
+		out = p.Dense
+	}
+	if cap(out) > cap(u.b) {
+		u.b = out[:0]
+	}
+	return p, nil
+}
+
 // Full ships every patch as a complete snapshot.
 type Full struct{}
 
@@ -67,8 +95,12 @@ type Full struct{}
 func (Full) Name() string { return CodecFull }
 
 // Encode implements Codec: base is ignored.
-func (Full) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
-	return fullPatch(CodecFull, next)
+func (f Full) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
+	return f.appendEncode(nil, base, next)
+}
+
+func (Full) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
+	return fullPatch(CodecFull, dst, next)
 }
 
 // Decode implements Codec.
@@ -88,9 +120,13 @@ func (Delta) Name() string { return CodecDelta }
 
 // Encode implements Codec. A nil or structurally incompatible base (key set
 // or element counts differ) falls back to a full snapshot.
-func (Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
+func (d Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
+	return d.appendEncode(nil, base, next)
+}
+
+func (Delta) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
 	if !compatible(base, next) {
-		return fullPatch(CodecDelta, next)
+		return fullPatch(CodecDelta, dst, next)
 	}
 	keys := sortedKeys(next)
 	changed := changedKeys(keys, base, next)
@@ -98,7 +134,7 @@ func (Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
 		// A pure no-change patch: Decode returns a copy of the base.
 		return &Patch{Codec: CodecDelta}, nil
 	}
-	packed, err := packDelta(base, next, changed)
+	packed, err := packDelta(dst, base, next, changed)
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +146,10 @@ func (Delta) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tenso
 	return Decode(base, p)
 }
 
-// fullPatch snapshots next — every key, in the checkpoint format — under the
-// given codec name.
-func fullPatch(codec string, next map[string]*tensor.Tensor) (*Patch, error) {
-	dense, err := checkpoint.Marshal(next)
+// fullPatch snapshots next — every key, in the checkpoint format, appended
+// to dst — under the given codec name.
+func fullPatch(codec string, dst []byte, next map[string]*tensor.Tensor) (*Patch, error) {
+	dense, err := checkpoint.AppendMarshal(dst, next)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encoding full snapshot: %w", err)
 	}

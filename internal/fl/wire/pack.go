@@ -53,7 +53,8 @@ import (
 // is computed into a stack buffer and immediately scattered into its 8
 // plane segments while still cache-hot, instead of one strided 8-way write
 // per element. The DEFLATE coders and the plane buffers come from pools,
-// so steady-state packing allocates nothing but the output bytes.
+// and the output goes into storage the caller may keep across calls
+// (Buffer), so steady-state packing need allocate nothing at all.
 
 // packLevel is the DEFLATE effort. The payload is zero runs in the high
 // planes and incompressible noise in the low ones, so higher levels buy
@@ -134,12 +135,13 @@ func spanAt(spans []span, i int) int {
 	return sort.Search(len(spans), func(s int) bool { return spans[s].off+len(spans[s].base) > i })
 }
 
-// packDelta encodes next's tensors for the given keys relative to base.
-// Every key must exist in both dicts with identical element counts (the
-// caller diffs compatible dicts). An empty key list is not an error, but
-// callers should prefer an empty Packed field for it.
-func packDelta(base, next map[string]*tensor.Tensor, keys []string) ([]byte, error) {
-	var buf bytes.Buffer
+// packDelta appends the packed encoding of next's tensors for the given keys,
+// relative to base, to dst and returns the extended slice. Every key must
+// exist in both dicts with identical element counts (the caller diffs
+// compatible dicts). An empty key list is not an error, but callers should
+// prefer an empty Packed field for it.
+func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
 	var scratch [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(scratch[:], v)
@@ -206,7 +208,7 @@ func packDelta(base, next map[string]*tensor.Tensor, keys []string) ([]byte, err
 		}
 	}
 	if rawMask != 0xff {
-		fw, err := getFlateWriter(&buf)
+		fw, err := getFlateWriter(buf)
 		if err != nil {
 			return nil, fmt.Errorf("wire: packing: %w", err)
 		}

@@ -35,7 +35,7 @@ func BenchmarkPackDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := packDelta(base, next, keys); err != nil {
+		if _, err := packDelta(nil, base, next, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func BenchmarkPackDelta(b *testing.B) {
 
 func BenchmarkUnpackDelta(b *testing.B) {
 	base, next, keys := benchDicts(32, 8192)
-	packed, err := packDelta(base, next, keys)
+	packed, err := packDelta(nil, base, next, keys)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -42,6 +42,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 
 	"reffil/internal/checkpoint"
@@ -157,7 +158,9 @@ type Tracker struct {
 // payload to load (nil unless payloadChanged), and whether it did. Any
 // version mismatch — a no-op frame for a version the tracker does not
 // hold, a delta against a different base, or a silent payload skew — is
-// rejected before the tracker mutates.
+// rejected before the tracker mutates. Nothing Apply returns or keeps
+// aliases f: the payload is a copy and the state is decoded into new
+// tensors, so f's bytes may live in a buffer the transport reuses.
 func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadChanged bool, err error) {
 	// Validate everything before mutating anything.
 	if err := t.Validate(f); err != nil {
@@ -175,7 +178,7 @@ func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadCha
 	}
 	if f.HasPayload {
 		t.PayloadVersion = f.PayloadVersion
-		payload = f.Payload
+		payload = bytes.Clone(f.Payload)
 		payloadChanged = true
 	}
 	return stateChanged, payload, payloadChanged, nil

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
@@ -65,26 +64,11 @@ func requireSameDict(t *testing.T, label string, want, got map[string]*tensor.Te
 	}
 }
 
-// gobCycle round-trips a patch through gob, as the transport does.
-func gobCycle(t *testing.T, p *Patch) *Patch {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	var out Patch
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return &out
-}
-
 // TestCodecRoundTrip is the codec property test: for every codec in the
 // registry (iterated from Names, so registry and test cannot drift) and a
 // spread of random (base, next) pairs — identical dicts (the empty diff),
 // every key changed, a sparse scatter of changed elements, and no base at
-// all — Decode(base, Encode(base, next)) must reproduce next bit for bit,
-// including across a gob cycle of the patch.
+// all — Decode(base, Encode(base, next)) must reproduce next bit for bit.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		c, err := New(name)
@@ -116,7 +100,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				if base == nil && !p.Full {
 					t.Fatalf("%s: encoding without a base must produce a full patch", c.Name())
 				}
-				got, err := c.Decode(base, gobCycle(t, p))
+				got, err := c.Decode(base, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,14 +110,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// patchBytes measures a patch as the transport would ship it.
+// patchBytes measures a patch as a transport frame lays it out: the codec
+// name, the Full flag and the two planes, each length-prefixed.
 func patchBytes(t *testing.T, p *Patch) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Len()
+	return 4 + len(p.Codec) + 1 + 4 + len(p.Dense) + 4 + len(p.Packed)
 }
 
 // TestDeltaEmptyDiffIsTiny pins the point of the delta codec: an unchanged
@@ -141,7 +122,7 @@ func patchBytes(t *testing.T, p *Patch) int {
 func TestDeltaEmptyDiffIsTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := randDict(rng)
-	base["big.w"] = tensor.RandN(rng, 1, 64, 64) // amortize gob framing overhead
+	base["big.w"] = tensor.RandN(rng, 1, 64, 64) // amortize the framing overhead
 	full, err := Full{}.Encode(nil, base)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +220,7 @@ func TestPackedDeltaRawPlanesRoundTrip(t *testing.T) {
 	if got := patchBytes(t, p); got > rawBytes+rawBytes/8 {
 		t.Fatalf("noise-heavy packed delta is %d bytes for %d raw bytes — incompressible planes must ship raw", got, rawBytes)
 	}
-	got, err := Decode(base, gobCycle(t, p))
+	got, err := Decode(base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +256,7 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	if _, err := Decode(short, p); err == nil {
 		t.Fatal("packed element-count mismatch against the base must error")
 	}
-	twice, err := packDelta(base, next, []string{"lin.b", "lin.b"})
+	twice, err := packDelta(nil, base, next, []string{"lin.b", "lin.b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,5 +501,45 @@ func TestForUploadPolicy(t *testing.T) {
 	}
 	if _, err := ForUpload("gzip"); err == nil {
 		t.Fatal("unknown broadcast codec must error")
+	}
+}
+
+// TestBufferEncodeMatchesEncode pins Buffer against the codecs it wraps:
+// for both codecs, and for a full fallback under delta, Buffer.Encode
+// yields exactly the patch Encode does, and a second patch of the same size
+// is written into the storage the first one grew rather than a new slice.
+func TestBufferEncodeMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := randDict(rng)
+	next := cloneDict(base)
+	mutate(rng, next, 1, "conv.w", "lin.w", "lin.b", "scalar")
+	for _, tc := range []struct {
+		c    Codec
+		base map[string]*tensor.Tensor
+	}{{Full{}, base}, {Delta{}, base}, {Delta{}, nil}} {
+		var buf Buffer
+		want, err := tc.c.Encode(tc.base, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for i := 0; i < 2; i++ {
+			got, err := buf.Encode(tc.c, tc.base, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Codec != want.Codec || got.Full != want.Full || !bytes.Equal(got.Dense, want.Dense) || !bytes.Equal(got.Packed, want.Packed) {
+				t.Fatalf("%s (base %v): Buffer.Encode differs from Encode", tc.c.Name(), tc.base != nil)
+			}
+			out := got.Packed
+			if got.Full {
+				out = got.Dense
+			}
+			if i == 0 {
+				first = out
+			} else if &out[0] != &first[0] {
+				t.Fatalf("%s (base %v): the second patch did not reuse the buffer", tc.c.Name(), tc.base != nil)
+			}
+		}
 	}
 }
