@@ -47,21 +47,21 @@
 // bit-identical to an uninterrupted run (see README "Elastic membership &
 // resume").
 //
-// -pprof ADDR serves the net/http/pprof endpoints for live CPU/heap
-// profiling of a running coordinator (see README "Performance").
-//
 // -metrics ADDR serves a Prometheus /metrics page (round, byte,
 // frame-kind, liveness, fold and checkpoint series that reconcile with the
-// wire totals); -trace FILE records the round/job lifecycle as a Chrome
-// trace-event file loadable in Perfetto. Both are off by default and cost
-// nothing when disabled (see README "Observability").
+// wire totals) and, beside it, the net/http/pprof endpoints for live
+// CPU/heap profiling of a running coordinator; -trace FILE records the
+// round/job lifecycle as a Chrome trace-event file loadable in Perfetto.
+// Both are off by default and cost nothing when disabled (see README
+// "Observability").
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	// Register the /debug/pprof handlers that -metrics serves.
+	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,7 +74,6 @@ import (
 	"reffil/internal/fl/transport"
 	"reffil/internal/fl/wire"
 	"reffil/internal/model"
-	"reffil/internal/profiling"
 	"reffil/internal/telemetry"
 )
 
@@ -137,11 +136,10 @@ func run() error {
 		joinWait  = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
 
-		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
-		wireLog   = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables profiling)")
+		codec   = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
+		wireLog = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
 
-		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page on this address (e.g. localhost:9090; also mounted on the -pprof server; empty disables metrics)")
+		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the /debug/pprof endpoints on this address (e.g. localhost:9090; empty disables both)")
 		traceFile   = flag.String("trace", "", "record the round/job lifecycle as a Chrome trace-event file at this path (load in Perfetto; empty disables tracing)")
 	)
 	flag.Parse()
@@ -158,8 +156,6 @@ func run() error {
 		var trc *telemetry.Tracer
 		if *metricsAddr != "" {
 			reg = telemetry.NewRegistry()
-			// DefaultServeMux too, so a -pprof server scrapes at /metrics.
-			http.Handle("/metrics", reg.Handler())
 		}
 		if *traceFile != "" {
 			var err error
@@ -176,13 +172,6 @@ func run() error {
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID))
 	wlog.Tracer = sink.Tracer()
 
-	if *pprofAddr != "" {
-		bound, err := profiling.Serve(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", bound)
-	}
 	if *metricsAddr != "" {
 		bound, err := reg.Serve(*metricsAddr)
 		if err != nil {

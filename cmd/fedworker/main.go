@@ -31,19 +31,18 @@
 // the construction seed fixes the initial weights on both sides. See
 // cmd/fedserver for the full deployment recipe.
 //
-// -pprof ADDR serves the net/http/pprof endpoints for live CPU/heap
-// profiling of a running worker — the side where the kernel hot paths
-// (local training) actually burn (see README "Performance").
-//
 // -metrics ADDR serves a Prometheus /metrics page with this worker's
-// round/job counters; -trace FILE records its round lifecycle as a Chrome
+// round/job counters and, beside it, the net/http/pprof endpoints for live
+// CPU/heap profiling — the worker is where the kernel hot paths (local
+// training) burn; -trace FILE records its round lifecycle as a Chrome
 // trace-event file. Both are off by default (see README "Observability").
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
+	// Register the /debug/pprof handlers that -metrics serves.
+	_ "net/http/pprof"
 	"os"
 	"strings"
 	"time"
@@ -52,7 +51,6 @@ import (
 	"reffil/internal/experiments"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
-	"reffil/internal/profiling"
 	"reffil/internal/telemetry"
 )
 
@@ -80,7 +78,6 @@ func run() error {
 		tasks   = flag.Int("tasks", 2, "incremental tasks (must match fedserver; 0 = all domains)")
 		seed    = flag.Int64("seed", 1, "shared run seed (must match fedserver)")
 		jobs    = flag.Int("jobs", 0, "concurrent jobs per round (0 = NumCPU)")
-		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables profiling)")
 
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "TCP dial + join handshake timeout (0 = unbounded, hangs forever on a half-open coordinator)")
 		dialRetries = flag.Int("dial-retries", 5, "retry a failed dial this many times before giving up")
@@ -88,7 +85,7 @@ func run() error {
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "stream liveness heartbeats to the coordinator on this interval so wedge detection is bounded (0 disables)")
 		rejoin      = flag.Int("rejoin", 0, "re-dial and re-join a lost coordinator up to this many times (0 = exit on first disconnect)")
 
-		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page on this address (also mounted on the -pprof server; empty disables metrics)")
+		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the /debug/pprof endpoints on this address (empty disables both)")
 		traceFile   = flag.String("trace", "", "record this worker's round lifecycle as a Chrome trace-event file at this path (empty disables tracing)")
 	)
 	flag.Parse()
@@ -104,7 +101,6 @@ func run() error {
 		var trc *telemetry.Tracer
 		if *metricsAddr != "" {
 			reg = telemetry.NewRegistry()
-			http.Handle("/metrics", reg.Handler())
 		}
 		if *traceFile != "" {
 			var err error
@@ -119,13 +115,6 @@ func run() error {
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID), telemetry.F("worker", *id))
 	wlog.Tracer = sink.Tracer()
 
-	if *pprof != "" {
-		bound, err := profiling.Serve(*pprof)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("worker %d: pprof listening on http://%s/debug/pprof/\n", *id, bound)
-	}
 	if *metricsAddr != "" {
 		bound, err := reg.Serve(*metricsAddr)
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 
 // DeterministicPkgs lists the path fragments (segment-matched, module
 // prefix ignored) whose packages carry the seeded-randomness contract.
-// internal/fl covers wire and transport by prefix; telemetry, profiling
-// and parallel are out — they never influence model state.
+// internal/fl covers wire and transport by prefix; telemetry and parallel
+// are out — they never influence model state.
 var DeterministicPkgs = []string{
 	"internal/fl",
 	"internal/nn",

@@ -4,8 +4,8 @@
 // same bytes on every run, so time.Now/Since/Until have no business there —
 // a timestamp that leaks into state, an encoded frame, or a checkpoint
 // breaks cross-runner and resume bit-identity. Timing-by-design packages
-// (internal/fl/transport's RoundStats and deadlines, internal/telemetry,
-// internal/profiling) are allowlisted; inside the scoped packages a
+// (internal/fl/transport's RoundStats and deadlines, internal/telemetry)
+// are allowlisted; inside the scoped packages a
 // deliberate, state-free timing read (e.g. a telemetry observation) must
 // carry a //fedvet:ignore wallclock <reason> annotation.
 package wallclock
@@ -28,7 +28,6 @@ var ScopedPkgs = []string{
 var AllowlistedPkgs = []string{
 	"internal/fl/transport",
 	"internal/telemetry",
-	"internal/profiling",
 }
 
 // banned are the time package functions that read the wall clock.
@@ -44,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag time.Now/Since/Until inside the deterministic round/fold/encode packages " +
 		"(internal/fl engine+accumulator, internal/fl/wire, internal/checkpoint): wall-clock values " +
 		"that reach state, frames, or checkpoints break bit-identity; timing-by-design packages " +
-		"(transport, telemetry, profiling) are allowlisted",
+		"(transport, telemetry) are allowlisted",
 	Run: run,
 }
 

@@ -7,7 +7,6 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/nn"
-	"reffil/internal/tensor"
 )
 
 // Executor is the worker side of a networked federation round: given a
@@ -33,11 +32,12 @@ import (
 // architecture or frozen-initialization mismatch would diverge.
 //
 // A broadcast carries no placement history: a job that another worker
-// started before dying re-executes here from the spec alone and — every
-// job being a self-contained deterministic computation — produces the
-// byte-identical result. The frame's version checks guarantee the replayed
-// job trains against exactly the state the coordinator intended: a delta
-// against a base this worker does not hold is rejected, not guessed at.
+// started before dying arrives here as one more broadcast of the round,
+// re-executes from the spec alone and — every job being a self-contained
+// deterministic computation — produces the byte-identical result. The
+// frame's version checks guarantee the re-queued job trains against exactly
+// the state the coordinator intended: a delta against a base this worker
+// does not hold is rejected, not guessed at.
 type Executor struct {
 	alg fl.Algorithm
 	// pool runs every broadcast's jobs. It is kept for the executor's life
@@ -50,14 +50,6 @@ type Executor struct {
 	// tracker is this worker's receive-side state machine: the state
 	// version/dict and payload version currently installed.
 	tracker wire.Tracker
-	// payload caches the wire-state bytes the live frame stream last loaded
-	// (payloadSet marks that any were). A replay broadcast may overwrite
-	// the algorithm's wire state with the replayed round's payload; the cache
-	// is what restores the stream's state afterwards — wire.Tracker only
-	// retains the payload version, not the bytes. It is Tracker.Apply's
-	// copy, never an alias of the connection's read buffer.
-	payload    []byte
-	payloadSet bool
 	// upload is the storage every upload patch is packed into. RunEach
 	// serializes done, and emit has written an ack to the connection when
 	// it returns, so one buffer serves every job at any -jobs count.
@@ -81,13 +73,12 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 // ResetStream forgets the frame stream of a lost connection; call it before
 // serving a re-dialed one. A re-dial is admitted into a fresh slot whose
 // coordinator-side mirror starts at version 0 with no payload, so the
-// tracker and cached payload of the old stream would reject the new slot's
-// first frame whenever it is a bare KindNone (the slot is idle that round)
-// or skips an unchanged payload. The shard cache is kept: shards do not
-// depend on the connection.
+// tracker of the old stream would reject the new slot's first frame
+// whenever it is a bare KindNone (the slot is idle that round) or skips an
+// unchanged payload. The shard cache is kept: shards do not depend on the
+// connection.
 func (e *Executor) ResetStream() {
 	e.tracker = wire.Tracker{}
-	e.payload, e.payloadSet = nil, false
 }
 
 // Handle executes one broadcast's job assignment, emitting each job's
@@ -95,14 +86,12 @@ func (e *Executor) ResetStream() {
 // their Index). Pass it to Worker.Serve, whose emit already serializes
 // onto the connection. A JobResult's patch aliases the executor's upload
 // buffer, which the next job overwrites: emit must be done with it when it
-// returns.
+// returns. A broadcast whose codec name does not resolve fails, and Serve
+// reports the error to the coordinator.
 func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
-	upCodec, err := wire.ForUpload(b.Codec)
+	upCodec, err := wire.New(b.Codec)
 	if err != nil {
 		return fmt.Errorf("broadcast codec: %w", err)
-	}
-	if b.Replay != nil {
-		return e.handleReplay(b, upCodec, emit)
 	}
 	stateChanged, payload, payloadChanged, err := e.tracker.Apply(&b.Frame)
 	if err != nil {
@@ -121,69 +110,13 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 		} else if len(payload) > 0 {
 			return fmt.Errorf("%s received %d bytes of wire state it cannot load", e.alg.Name(), len(payload))
 		}
-		e.payload, e.payloadSet = payload, true
 	}
-	return e.runJobs(b.Jobs, upCodec, e.tracker.Dict, emit)
-}
-
-// handleReplay executes a re-queue broadcast (Broadcast.Replay): install
-// the round's retained state out of band, train the jobs against it
-// with upload patches diffed against that same state, then restore the
-// live stream's state — the frame tracker and the coordinator's mirror
-// never saw the detour.
-func (e *Executor) handleReplay(b Broadcast, upCodec wire.Codec, emit func(JobResult) error) error {
-	dict, err := wire.Decode(nil, &b.Replay.Patch)
-	if err != nil {
-		return fmt.Errorf("replay state: %w", err)
-	}
-	if err := nn.LoadStateDict(e.alg.Global(), dict); err != nil {
-		return fmt.Errorf("installing replay state: %w", err)
-	}
-	ws, isWS := e.alg.(fl.WireStater)
-	if b.Replay.HasPayload {
-		if !isWS {
-			if len(b.Replay.Payload) > 0 {
-				return fmt.Errorf("%s received %d bytes of replay wire state it cannot load", e.alg.Name(), len(b.Replay.Payload))
-			}
-		} else {
-			// The restore target must exist before the overwrite: a worker
-			// that never loaded a stream payload restores its constructed
-			// wire state (EncodeWireState is deterministic, so the
-			// round-trip is exact).
-			if !e.payloadSet {
-				init, err := ws.EncodeWireState()
-				if err != nil {
-					return fmt.Errorf("snapshotting wire state for replay: %w", err)
-				}
-				e.payload, e.payloadSet = init, true
-			}
-			if err := ws.LoadWireState(b.Replay.Payload); err != nil {
-				return fmt.Errorf("installing replay wire state: %w", err)
-			}
-		}
-	}
-	jobErr := e.runJobs(b.Jobs, upCodec, dict, emit)
-	// Restore the stream's state even when a job failed: the error is
-	// reported on the final frame, and a recoverable coordinator must find
-	// this worker where the version stream says it is.
-	if e.tracker.Dict != nil {
-		if err := nn.LoadStateDict(e.alg.Global(), e.tracker.Dict); err != nil && jobErr == nil {
-			jobErr = fmt.Errorf("restoring stream state after replay: %w", err)
-		}
-	}
-	if b.Replay.HasPayload && isWS {
-		if err := ws.LoadWireState(e.payload); err != nil && jobErr == nil {
-			jobErr = fmt.Errorf("restoring wire state after replay: %w", err)
-		}
-	}
-	return jobErr
+	return e.runJobs(b.Jobs, upCodec, emit)
 }
 
 // runJobs materializes and trains the broadcast's job slice through the
-// local worker pool, emitting one ack per job in completion order. base is
-// the state dict upload patches diff against — the round's broadcast base,
-// or a replay's out-of-band copy of it.
-func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[string]*tensor.Tensor, emit func(JobResult) error) error {
+// local worker pool, emitting one ack per job in completion order.
+func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, emit func(JobResult) error) error {
 	jobs := make([]fl.Job, len(specs))
 	for i, spec := range specs {
 		ds, err := e.dataset(spec)
@@ -202,7 +135,7 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, base map[stri
 		// patch reconstructs there bit for bit. Every codec encodes a nil
 		// base (a worker executing jobs with no installed state) as a full
 		// snapshot, which the coordinator counts as an upload fallback.
-		p, err := e.upload.Encode(upCodec, base, res.Dict)
+		p, err := e.upload.Encode(upCodec, e.tracker.Dict, res.Dict)
 		if err != nil {
 			return fmt.Errorf("job %d upload state: %w", i, err)
 		}

@@ -7,17 +7,19 @@
 // That equality is the whole correctness argument: jobs are placement-free
 // deterministic computations, so the survivor re-executing the dead
 // worker's unfinished jobs — rederiving their shards and training against
-// the replayed round state — must reproduce byte-identical results. Crashing inside
-// task 1 additionally pins the wire-state path: by then EWC has
-// consolidated Fisher/anchor maps and LwF has snapshotted its distillation
-// teacher, so the re-executed job only matches if that server-side state
-// round-trips correctly to the worker that never ran the job before.
+// the round state its re-queue frame brought it to — must reproduce
+// byte-identical results. Crashing inside task 1 additionally pins the
+// wire-state path: by then EWC has consolidated Fisher/anchor maps and LwF
+// has snapshotted its distillation teacher, so the re-executed job only
+// matches if that server-side state round-trips correctly to the worker
+// that never ran the job before.
 package transport_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"reffil/internal/data"
 	"reffil/internal/experiments"
@@ -53,7 +55,13 @@ func localReference(t *testing.T, method string, family *data.Family, domains []
 // jobs over two workers, third) job, guaranteeing the crash strands at
 // least one unfinished job for the survivor to pick up. codec selects the
 // broadcast codec ("" = the default full snapshots).
-func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string) [][]float64 {
+//
+// With idleHeir the federation has four workers instead, so at three jobs a
+// round slot 3 idles in every round: slots 0–2 sever their connections on
+// receiving the crash round's jobs, before acking any, and every one of
+// those jobs ends up on slot 3, whose first re-queue frame has to bring it
+// from no state at all to the round's state and payload.
+func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) [][]float64 {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -61,11 +69,19 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 	defer coord.Close()
 
-	// Worker slot 0: the killer. It executes jobs through a real Executor,
-	// but in the crash round it severs the connection after its first ack.
-	killErr := serveCrashing(t, coord, method, family, len(domains), 0, crashTask, crashRound, nil)
-	// Worker slot 1: a normal executor — the survivor.
-	surviveErr, _ := dialServe(t, coord, method, family, len(domains), 1)
+	var killErrs []<-chan error
+	if idleHeir {
+		for id := 0; id < 3; id++ {
+			killErrs = append(killErrs, serveDyingOnJobs(t, coord, method, family, len(domains), id, crashTask, crashRound))
+		}
+	} else {
+		// Worker slot 0: the killer. It executes jobs through a real
+		// Executor, but in the crash round it severs the connection after
+		// its first ack.
+		killErrs = append(killErrs, serveCrashing(t, coord, method, family, len(domains), 0, crashTask, crashRound, nil))
+	}
+	// The last slot: a normal executor — the survivor.
+	surviveErr, trained := dialServe(t, coord, method, family, len(domains), len(killErrs))
 
 	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
@@ -94,12 +110,17 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 	if codec != "" {
 		// The whole crashed-and-requeued run — including the survivor's
-		// re-executions, which diff against the replayed origin-round state
-		// — must have used base-relative uploads throughout.
+		// re-executions, which diff against the state their re-queue frames
+		// brought it to — must have used base-relative uploads throughout.
 		requireAllPatchUploads(t, runner.Stats())
 	}
-	if err := <-killErr; err != nil {
-		t.Fatal(err)
+	if trained.Load() == 0 {
+		t.Fatal("the survivor trained no jobs")
+	}
+	for _, killErr := range killErrs {
+		if err := <-killErr; err != nil {
+			t.Fatal(err)
+		}
 	}
 	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
@@ -119,52 +140,92 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 // RefFiL crashing in task 0 covers the prompt-upload path under re-queue.
 //
 // The delta-codec cases re-run the crash under delta broadcast *and*
-// delta-encoded uploads: the coordinator drops the dead worker's base
-// tracking, the survivor receives the unfinished jobs as a Replay carrying
-// the round's retained state (and, for LwF, the round's teacher payload)
-// out of band, uploads patches diffed against that replayed state — which
-// the coordinator still holds, so the reconstruction is exact — and then
-// restores its own stream state. Bit-identical matrices prove the
-// re-queue/delta interaction loses nothing in either wire direction; the
-// runs additionally assert every upload was a base-relative patch (no
-// silent full-snapshot fallback).
+// delta-encoded uploads: the survivor receives the unfinished jobs as one
+// more frame of the round, built against the coordinator's mirror of it,
+// and uploads patches diffed against the state that frame leaves it at —
+// the mirror's dict, so the reconstruction is exact. Bit-identical matrices
+// prove the re-queue/delta interaction loses nothing in either wire
+// direction; the runs additionally assert every upload was a base-relative
+// patch (no silent full-snapshot fallback). The idle-heir case hands LwF's
+// task-1 jobs to a worker that idled through every earlier round, so its
+// re-queue frame must carry the full state and the teacher payload.
 func TestFaultInjectionCrashMidRound(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	cases := []struct {
+	type crashCase struct {
 		method     string
 		crashTask  int
 		crashRound int
 		codec      string
-	}{
-		{"reffil", 0, 1, ""},
-		{"ewc", 1, 0, ""},
-		{"lwf", 1, 0, ""},
-		{"reffil", 0, 1, "delta"},
-		{"ewc", 1, 0, "delta"},
-		{"lwf", 1, 0, "delta"},
+		idleHeir   bool
+	}
+	cases := []crashCase{
+		{"reffil", 0, 1, "", false},
+		{"ewc", 1, 0, "", false},
+		{"lwf", 1, 0, "", false},
+		{"reffil", 0, 1, "delta", false},
+		{"ewc", 1, 0, "delta", false},
+		{"lwf", 1, 0, "delta", false},
+		{"lwf", 1, 0, "delta", true},
 	}
 	if testing.Short() {
-		cases = []struct {
-			method     string
-			crashTask  int
-			crashRound int
-			codec      string
-		}{{"reffil", 0, 1, ""}, {"lwf", 1, 0, "delta"}}
+		cases = []crashCase{{"reffil", 0, 1, "", false}, {"lwf", 1, 0, "delta", false}}
 	}
 	for _, tc := range cases {
-		tc := tc
 		name := fmt.Sprintf("%s/task%d_round%d", tc.method, tc.crashTask, tc.crashRound)
 		if tc.codec != "" {
 			name += "/" + tc.codec
 		}
+		if tc.idleHeir {
+			name += "/idle_heir"
+		}
 		t.Run(name, func(t *testing.T) {
 			want := localReference(t, tc.method, family, domains)
-			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec)
+			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
 			requireSameMatrix(t, "crashed-and-requeued", want, got)
 		})
 	}
+}
+
+// serveDyingOnJobs dials worker id with a fresh Executor and serves it on a
+// background goroutine until the broadcast of round (crashTask, crashRound)
+// that carries jobs: then it severs the connection without acking any. The
+// channel reports a crash that was never injected.
+func serveDyingOnJobs(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int) <-chan error {
+	t.Helper()
+	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), nTasks, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := transport.NewExecutor(alg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := transport.Dial(coord.Addr(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+			if b.Task == crashTask && b.Round == crashRound && len(b.Jobs) > 0 {
+				_ = w.Close()
+				return fmt.Errorf("injected crash on task %d round %d's jobs", b.Task, b.Round)
+			}
+			return ex.Handle(b, emit)
+		})
+		_ = w.Close()
+		if err == nil {
+			done <- fmt.Errorf("worker %d's Serve returned nil — the crash was never injected", id)
+			return
+		}
+		done <- nil
+	}()
+	if err := coord.Accept(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return done
 }

@@ -267,9 +267,8 @@ func (fw *frameWriter) writeHelloAck(a HelloAck) error {
 
 // writeBroadcast lays a Broadcast out as Task, Round, Done, Codec; the
 // Frame's Kind, BaseVersion, Version, Patch, PayloadVersion, HasPayload and
-// Payload; the job count and each JobSpec; and a flag saying whether a
-// Replay follows, which is its Patch, Payload and HasPayload. sent counts
-// the frame (see finish).
+// Payload; then the job count and each JobSpec. sent counts the frame (see
+// finish).
 func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -290,22 +289,15 @@ func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	for i := range b.Jobs {
 		fw.job(&b.Jobs[i])
 	}
-	fw.flag(b.Replay != nil)
-	if r := b.Replay; r != nil {
-		fw.patch(&r.Patch)
-		fw.bytes(r.Payload)
-		fw.flag(r.HasPayload)
-	}
 	return fw.finish(msgBroadcast, b.Version, sent)
 }
 
-// patch lays a wire.Patch out as Codec, Full, Dense, Packed. The reserved
-// Sparse field has no wire form.
+// patch lays a wire.Patch out as Full, Dense, Packed. The reserved Sparse
+// field has no wire form.
 func (fw *frameWriter) patch(p *wire.Patch) {
 	if len(p.Sparse) > 0 {
 		fw.fail("a patch with %d sparse entries has no wire form", len(p.Sparse))
 	}
-	fw.str(p.Codec, maxNameLen)
 	fw.flag(p.Full)
 	fw.bytes(p.Dense)
 	fw.bytes(p.Packed)
@@ -588,7 +580,6 @@ func (d *frameDecoder) count(max, minLen int) int {
 }
 
 func (d *frameDecoder) patch(p *wire.Patch) {
-	p.Codec = d.str(maxNameLen)
 	p.Full = d.flag()
 	p.Dense = d.bytes()
 	p.Packed = d.bytes()
@@ -671,13 +662,6 @@ func decodeBroadcast(body []byte) (Broadcast, error) {
 	}
 	for i := range b.Jobs {
 		d.job(&b.Jobs[i])
-	}
-	if d.flag() {
-		r := &Replay{}
-		d.patch(&r.Patch)
-		r.Payload = d.bytes()
-		r.HasPayload = d.flag()
-		b.Replay = r
 	}
 	return b, d.end(msgBroadcast)
 }

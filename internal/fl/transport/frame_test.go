@@ -14,7 +14,7 @@ import (
 )
 
 // goldenVersion is the protocol revision goldenMessages pins.
-const goldenVersion = 10
+const goldenVersion = 11
 
 // goldenMessage is one small message of each type and the frame it must
 // encode to, byte for byte, under goldenVersion.
@@ -29,7 +29,7 @@ func goldenMessages() []goldenMessage {
 		Version: ProtocolVersion, Task: 1, Round: 2, Codec: wire.CodecDelta,
 		Frame: wire.Frame{
 			Kind: wire.KindDelta, BaseVersion: 3, Version: 4,
-			Patch:          wire.Patch{Codec: wire.CodecDelta, Packed: []byte{0xaa, 0xbb}},
+			Patch:          wire.Patch{Packed: []byte{0xaa, 0xbb}},
 			PayloadVersion: 5, HasPayload: true, Payload: []byte{9},
 		},
 		Jobs: []fl.JobSpec{{
@@ -43,35 +43,34 @@ func goldenMessages() []goldenMessage {
 		}},
 	}
 	ack := Update{Version: ProtocolVersion, WorkerID: 1, Results: []JobResult{{
-		Index: 0, Patch: &wire.Patch{Codec: wire.CodecDelta, Packed: []byte{1, 2, 3}}, Upload: []byte{4},
+		Index: 0, Patch: &wire.Patch{Packed: []byte{1, 2, 3}}, Upload: []byte{4},
 	}}}
 	return []goldenMessage{
 		{"hello", func(fw *frameWriter) error {
 			return fw.writeHello(Hello{Version: ProtocolVersion, WorkerID: 3, Heartbeat: 250 * time.Millisecond})
-		}, "52464c570a000100" + "06000000" + "06" + "80cab5ee01"},
+		}, "52464c570b000100" + "06000000" + "06" + "80cab5ee01"},
 		{"hello-ack", func(fw *frameWriter) error {
 			return fw.writeHelloAck(HelloAck{Version: ProtocolVersion, Slot: 2, Error: "no"})
-		}, "52464c570a000200" + "04000000" + "04" + "026e6f"},
+		}, "52464c570b000200" + "04000000" + "04" + "026e6f"},
 		{"broadcast", func(fw *frameWriter) error { return fw.writeBroadcast(&b, nil) },
-			"52464c570a000300" + "4b000000" +
+			"52464c570b000300" + "44000000" +
 				"02" + "04" + "00" + "0564656c7461" + // Task, Round, Done, Codec
 				"02" + "03" + "04" + // Kind, BaseVersion, Version
-				"0564656c7461" + "00" + "00" + "02aabb" + // Patch: Codec, Full, Dense, Packed
+				"00" + "00" + "02aabb" + // Patch: Full, Dense, Packed
 				"05" + "01" + "0109" + // PayloadVersion, HasPayload, Payload
 				"01" + // one job: ClientID … BatchSize, LR, RngSeed, one shard
 				"0e" + "02" + "02" + "04" + "04" + "02" + "10" + "000000000000e03f" + "01" + "01" +
 				"0470616373" + "20" + "0e" + "0570686f746f" + "02" + "30" + "18" + "d20f" + // Dataset … GenSeed
-				"08" + "04" + "000000000000e03f" + "03" + // Learners, Index, Alpha, PartSeed
-				"00"}, // no Replay
+				"08" + "04" + "000000000000e03f" + "03"}, // Learners, Index, Alpha, PartSeed
 		{"ack", func(fw *frameWriter) error { return fw.writeUpdate(&ack) },
-			"52464c570a000400" + "11000000" + "02" + "00" + "01" +
-				"0564656c7461" + "00" + "00" + "03010203" + "0104"},
+			"52464c570b000400" + "0b000000" + "02" + "00" + "01" +
+				"00" + "00" + "03010203" + "0104"},
 		{"done", func(fw *frameWriter) error {
 			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "boom"})
-		}, "52464c570a000500" + "06000000" + "02" + "04626f6f6d"},
+		}, "52464c570b000500" + "06000000" + "02" + "04626f6f6d"},
 		{"pong", func(fw *frameWriter) error {
 			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Pong: true})
-		}, "52464c570a000600" + "01000000" + "02"},
+		}, "52464c570b000600" + "01000000" + "02"},
 	}
 }
 
@@ -116,7 +115,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 	packed := make([]byte, patchLen)
 	rand.New(rand.NewSource(1)).Read(packed)
 	u := Update{Version: ProtocolVersion, WorkerID: 1, Results: []JobResult{{
-		Patch: &wire.Patch{Codec: wire.CodecDelta, Packed: packed}, Upload: make([]byte, 1024),
+		Patch: &wire.Patch{Packed: packed}, Upload: make([]byte, 1024),
 	}}}
 	var frame bytes.Buffer
 	if err := (&frameWriter{w: &frame}).writeUpdate(&u); err != nil {

@@ -521,8 +521,8 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 // for: the only worker crashes mid-round, so its unfinished jobs have no
 // survivor to re-queue on. With JoinWait set the coordinator waits for the
 // re-dial — the worker keeps its Executor across the reconnect, as
-// fedworker -rejoin does — replays the stranded jobs onto the fresh slot,
-// and the run finishes bit-identical to the local reference; with JoinWait
+// fedworker -rejoin does — re-queues the stranded jobs onto the fresh slot
+// behind a full snapshot, and the run finishes bit-identical to the local reference; with JoinWait
 // zero the same crash fails the run at once.
 func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)

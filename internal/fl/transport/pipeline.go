@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,8 +25,8 @@ import (
 // diffs against the base version the slot's mirror holds, with the
 // wire-state payload re-sent only when its bytes change, and a full
 // snapshot for workers with no usable base. Uploads come back as
-// wire.Patch too (wire.ForUpload), reconstructed against the state the
-// slot's mirror holds once the frame is built. Jobs are assigned
+// wire.Patch too, under the broadcast's codec, reconstructed against the
+// state the slot's mirror holds once the frame is built. Jobs are assigned
 // round-robin by worker slot; assignment never affects results: each job is
 // a self-contained deterministic computation (see fl.EachRunner), and every
 // codec is exact, so any placement under any codec produces the same bits.
@@ -39,13 +38,15 @@ import (
 //
 // A worker connection dying does not fail the run: the dead worker's
 // acknowledged results are kept and its unfinished jobs are redistributed
-// round-robin over the survivors as Replay broadcasts, which carry the
-// round's retained state out of band — a survivor may never have seen it
-// (an idle slot, a fresh joiner) — and do not touch the survivor's tracker
-// mirror. Only connection failures re-queue; an error the worker itself
-// reports is deterministic and fails the run (re-running the job elsewhere
-// would fail identically). A dead worker's base-version tracking is
-// dropped with it, so a re-dial starts from a full snapshot.
+// round-robin over the survivors, each batch as one more broadcast of the
+// round built like the dispatch's: against the survivor's mirror, from the
+// round state the encoder still holds. A survivor already at the round's
+// version gets a frame with no state, an idle one the delta (and payload)
+// it lags by, a fresh joiner a full snapshot. Only connection failures
+// re-queue; an error the worker itself reports is deterministic and fails
+// the run (re-running the job elsewhere would fail identically). A dead
+// worker's mirror dies with its slot, so a re-dial starts from a full
+// snapshot.
 //
 // Determinism: a result is identified by its job index and the engine folds
 // in job-index order regardless of arrival order, so the same results are
@@ -69,14 +70,12 @@ type Pipeline struct {
 	// (the default) keeps the hot path allocation-free.
 	Telemetry *telemetry.Sink
 
-	// tmu guards enc, started, trackers and stats; tracker structs are only
-	// mutated under it. Lock order is mu → tmu (finishRound), never the
-	// reverse.
-	tmu      sync.Mutex
-	enc      *wire.Encoder
-	trackers map[int]*wire.Tracker
-	stats    Stats
-	started  bool
+	// tmu guards enc, started and stats. Lock order is mu → tmu
+	// (finishRound), never the reverse.
+	tmu     sync.Mutex
+	enc     *wire.Encoder
+	stats   Stats
+	started bool
 
 	// mu guards the round in flight, per-slot queues and the fatal flag;
 	// cond (on mu) wakes await when a job settles.
@@ -99,14 +98,13 @@ type flight struct {
 }
 
 // roundFlight is the coordinator-side state of the round in flight: the
-// codec it was dispatched under, the canonical state (for replays after
-// worker deaths), the wire-state payload, one flight per job and the
-// round's statistics.
+// encoder it was dispatched from — which holds the round's state and
+// payload until the next dispatch, so re-queues frame against it too — and
+// its codec, one flight per job and the round's statistics.
 type roundFlight struct {
 	task, round int
+	enc         *wire.Encoder
 	codec       string
-	dict        map[string]*tensor.Tensor
-	payload     []byte
 	jobs        []flight
 	remaining   int
 	rs          RoundStats
@@ -127,9 +125,12 @@ type batch struct {
 }
 
 // slotState is one worker slot's send/collect machinery. sendMu serializes
-// enqueue+send pairs so wire order always matches queue order.
+// sendBatch — frame, mirror advance, enqueue, send — so the mirror and the
+// queue follow wire order; tracker, the coordinator's mirror of the
+// worker's wire.Tracker, is only touched under it.
 type slotState struct {
 	sendMu     sync.Mutex
+	tracker    wire.Tracker
 	queue      []*batch
 	collecting bool
 	dead       bool
@@ -152,11 +153,10 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		coord:    coord,
-		alg:      alg,
-		enc:      enc,
-		trackers: make(map[int]*wire.Tracker),
-		slots:    make(map[int]*slotState),
+		coord: coord,
+		alg:   alg,
+		enc:   enc,
+		slots: make(map[int]*slotState),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p, nil
@@ -260,11 +260,8 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	p.started = true
 	enc := p.enc
 	p.tmu.Unlock()
-	codecName := enc.Codec().Name()
-	// StateDict clones, so the canonical dict is immune to the engine
-	// mutating the global during aggregation. The dict is retained in the
-	// roundFlight: it is the replay state if a worker dies holding this
-	// round's jobs.
+	// StateDict clones, so the round's dict is immune to the engine
+	// mutating the global during aggregation.
 	enc.SetRound(nn.StateDict(p.alg.Global()), payload)
 	start := time.Now()
 
@@ -290,8 +287,7 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 		return nil, fmt.Errorf("transport: round %d is still in flight", p.cur.round)
 	}
 	rf := &roundFlight{
-		task: task, round: round, codec: codecName,
-		dict: enc.Dict(), payload: payload,
+		task: task, round: round, enc: enc, codec: enc.Codec().Name(),
 		jobs:      make([]flight, len(jobs)),
 		remaining: len(jobs),
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
@@ -307,75 +303,33 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 
 	// Round-robin the jobs over the live slots; a job's position in its
 	// slot's spec list is the Index its ack will carry.
-	assign := make(map[int][]int, len(live))
+	batches := make([]*batch, len(live))
+	for i := range batches {
+		batches[i] = &batch{rf: rf}
+	}
 	for k := range jobs {
-		slot := live[k%len(live)]
-		assign[slot] = append(assign[slot], k)
+		b := batches[k%len(live)]
+		b.specs = append(b.specs, jobs[k].Spec)
+		b.idxs = append(b.idxs, k)
 	}
-
-	// Build every slot's frame and advance its mirror at send time, under
-	// tmu so a concurrent worker death (workerDied) cannot race the
-	// tracker structs. The mirror advances now — not at round completion —
-	// so it holds exactly the state the worker will hold after this frame:
-	// the base this round's upload patches are decoded against.
-	type outbound struct {
-		slot  int
-		frame *wire.Frame
-		base  map[string]*tensor.Tensor
-		idxs  []int
+	send := func(i int) {
+		if err := p.sendBatch(live[i], batches[i]); err != nil {
+			// The slot died: its queued jobs (this batch included)
+			// re-queue on the survivors.
+			p.workerDied(live[i])
+		}
 	}
-	outs := make([]outbound, 0, len(live))
-	p.tmu.Lock()
-	for _, slot := range live {
-		t, ok := p.trackers[slot]
-		if !ok {
-			t = &wire.Tracker{}
-			p.trackers[slot] = t
-		}
-		active := len(assign[slot]) > 0
-		f, err := enc.FrameFor(t, active)
-		if err != nil {
-			p.tmu.Unlock()
-			return nil, fmt.Errorf("transport: encoding frame for worker %d: %w", slot, err)
-		}
-		if err := enc.Advance(t, f); err != nil {
-			p.tmu.Unlock()
-			return nil, fmt.Errorf("transport: advancing worker %d mirror: %w", slot, err)
-		}
-		outs = append(outs, outbound{slot: slot, frame: f, base: t.Dict, idxs: assign[slot]})
+	// Idle slots — those past the last job — go first. A round's byte
+	// window (finishRound) closes at its last ack, and every broadcast is
+	// counted before it is written, so a frame sent ahead of the last
+	// job-carrying one is always inside the window; an idle frame sent
+	// after it could miss it.
+	active := min(len(jobs), len(live))
+	for i := active; i < len(live); i++ {
+		send(i)
 	}
-	p.tmu.Unlock()
-
-	// Idle slots' frames go out first. A round's byte window (finishRound)
-	// closes at its last ack, and every broadcast is counted before it is
-	// written, so a frame sent ahead of the last job-carrying one is always
-	// inside the window; an idle frame sent after it could miss it.
-	sort.SliceStable(outs, func(i, j int) bool { return len(outs[i].idxs) == 0 && len(outs[j].idxs) > 0 })
-	for _, o := range outs {
-		specs := make([]fl.JobSpec, len(o.idxs))
-		for k, ji := range o.idxs {
-			specs[k] = jobs[ji].Spec
-		}
-		b := &batch{rf: rf, specs: specs, idxs: o.idxs, base: o.base}
-		bc := Broadcast{Task: task, Round: round, Frame: *o.frame, Codec: codecName, Jobs: specs}
-		p.mu.Lock()
-		switch o.frame.Kind {
-		case wire.KindFull:
-			rf.rs.FullFrames++
-			if codecName != wire.CodecFull {
-				rf.rs.Fallbacks++
-			}
-		case wire.KindDelta:
-			rf.rs.DeltaFrames++
-		case wire.KindNone:
-			rf.rs.IdleFrames++
-		}
-		p.mu.Unlock()
-		if err := p.sendBatch(o.slot, b, bc); err != nil {
-			// The slot died on send: its tracker is gone and its queued
-			// jobs (this batch included) re-queue on the survivors.
-			p.workerDied(o.slot)
-		}
+	for i := 0; i < active; i++ {
+		send(i)
 	}
 
 	p.mu.Lock()
@@ -384,34 +338,60 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	return rf, p.fatal
 }
 
-// sendBatch enqueues b on the slot and sends its broadcast, holding the
-// slot's sendMu across both so wire order always matches queue order (a
-// concurrent replay send cannot interleave). The batch is enqueued before
-// the send: if the send fails, workerDied finds it in the queue and
-// re-queues its jobs.
-func (p *Pipeline) sendBatch(slot int, b *batch, bc Broadcast) error {
+// sendBatch sends b to the slot as one broadcast of b's round: it builds
+// the slot's frame — a bare KindNone when b has no jobs, otherwise whatever
+// brings the worker from its mirrored state to the round's — advances the
+// mirror past it, enqueues b and writes the frame, all under the slot's
+// sendMu. Dispatch and re-queues can both send to a slot while a round is
+// in flight; holding sendMu from frame to send makes the mirror advance in
+// exactly the order the frames reach the wire, so each frame is built
+// against the state the worker will hold when it arrives. b's upload base
+// is the mirror's dict once its frame is built. The batch is enqueued
+// before the send: if the slot is dead or the send fails, the returned
+// error routes the caller into workerDied, which finds the batch in the
+// queue and re-queues its jobs. A frame that cannot be built fails the run.
+func (p *Pipeline) sendBatch(slot int, b *batch) error {
+	rf := b.rf
 	p.mu.Lock()
 	st := p.slotFor(slot)
 	p.mu.Unlock()
 	st.sendMu.Lock()
 	defer st.sendMu.Unlock()
+	f, err := rf.enc.FrameFor(&st.tracker, len(b.idxs) > 0)
+	if err == nil {
+		err = rf.enc.Advance(&st.tracker, f)
+	}
 	p.mu.Lock()
+	if err != nil {
+		p.failLocked(fmt.Errorf("transport: framing round %d for worker %d: %w", rf.round, slot, err))
+		p.mu.Unlock()
+		return nil
+	}
+	b.base = st.tracker.Dict
+	st.queue = append(st.queue, b)
 	if st.dead {
-		// Too late: the slot died while this batch was being prepared. Put
-		// the batch in the queue anyway and let workerDied's caller — or
-		// the death that already ran — re-queue it; returning an error
-		// routes the caller into workerDied, which handles both cases.
-		st.queue = append(st.queue, b)
+		// The slot died while this batch was being prepared; the death
+		// that ran, or the one the caller runs next, re-queues it.
 		p.mu.Unlock()
 		return fmt.Errorf("transport: worker %d is dead", slot)
 	}
-	st.queue = append(st.queue, b)
+	switch f.Kind {
+	case wire.KindFull:
+		rf.rs.FullFrames++
+		if rf.codec != wire.CodecFull {
+			rf.rs.Fallbacks++
+		}
+	case wire.KindDelta:
+		rf.rs.DeltaFrames++
+	case wire.KindNone:
+		rf.rs.IdleFrames++
+	}
 	if !st.collecting {
 		st.collecting = true
 		go p.collect(slot, st)
 	}
 	p.mu.Unlock()
-	return p.coord.send(slot, bc)
+	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Codec: rf.codec, Frame: *f, Jobs: b.specs})
 }
 
 // collect is slot's dedicated receive loop: it decodes acks against the
@@ -536,21 +516,17 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	return &rs
 }
 
-// workerDied handles a slot's connection death: drop its base tracking, and
-// re-queue every unfinished job of the round in flight that its queued
-// batches hold onto the survivors as Replay broadcasts. When the dead slot
-// was the last live one, wait up to JoinWait for a (re-)joining worker and
-// replay onto its fresh slot. Safe to call repeatedly and from collectors
-// and dispatch alike: each call drains whatever the slot's queue holds (a
-// sendBatch that lost the race with an earlier death appends its batch to
-// the dead slot's queue and then routes here), so no batch is ever
-// stranded. Callers must not hold mu or tmu.
+// workerDied handles a slot's connection death: re-queue every unfinished
+// job of the round in flight that its queued batches hold onto the
+// survivors, one batch per survivor sent like any other (sendBatch). When
+// the dead slot was the last live one, wait up to JoinWait for a
+// (re-)joining worker and re-queue onto its fresh slot. Safe to call
+// repeatedly and from collectors and dispatch alike: each call drains
+// whatever the slot's queue holds (a sendBatch that lost the race with an
+// earlier death appends its batch to the dead slot's queue and then routes
+// here), so no batch is ever stranded. Callers must not hold mu or tmu.
 func (p *Pipeline) workerDied(slot int) {
 	p.coord.markDead(slot)
-	p.tmu.Lock()
-	delete(p.trackers, slot)
-	p.tmu.Unlock()
-
 	p.mu.Lock()
 	st := p.slotFor(slot)
 	if p.closed || p.fatal != nil {
@@ -587,12 +563,11 @@ func (p *Pipeline) workerDied(slot int) {
 	}
 
 	// The redo jobs now belong to this call alone — their batches left the
-	// dead slot's queue, so the round cannot finish under it — and the wait
-	// for a survivor can run unlocked.
+	// dead slot's queue, so the round cannot finish under it, and no next
+	// round can replace the encoder's state — and the wait for a survivor
+	// can run unlocked.
 	survivors := p.liveOrJoined()
 
-	// Deal the jobs round-robin into one replay batch per survivor while
-	// the round state is pinned under mu; send outside it.
 	p.mu.Lock()
 	if p.closed || p.fatal != nil {
 		p.mu.Unlock()
@@ -603,35 +578,22 @@ func (p *Pipeline) workerDied(slot int) {
 		p.mu.Unlock()
 		return
 	}
-	snapshot, err := wire.Full{}.Encode(nil, rf.dict)
-	if err != nil {
-		p.failLocked(fmt.Errorf("transport: encoding round %d replay state: %w", rf.round, err))
-		p.mu.Unlock()
-		return
-	}
 	rf.rs.Attempts++
 	p.Telemetry.Requeued(rf.task, rf.round, len(idxs))
-	replay := &Replay{Patch: *snapshot}
-	if len(rf.payload) > 0 {
-		// Always ship the round's wire state: the survivor may never have
-		// loaded it (a fresh joiner), and it restores its stream payload
-		// after the replay either way.
-		replay.Payload, replay.HasPayload = rf.payload, true
-	}
+	p.mu.Unlock()
+
+	// Deal the jobs round-robin into one batch per survivor.
 	batches := make([]*batch, min(len(survivors), len(idxs)))
 	for k, ji := range idxs {
 		s := k % len(survivors)
 		if batches[s] == nil {
-			batches[s] = &batch{rf: rf, base: rf.dict}
+			batches[s] = &batch{rf: rf}
 		}
 		batches[s].specs = append(batches[s].specs, specs[k])
 		batches[s].idxs = append(batches[s].idxs, ji)
 	}
-	p.mu.Unlock()
-
 	for s, b := range batches {
-		bc := Broadcast{Task: rf.task, Round: rf.round, Codec: rf.codec, Jobs: b.specs, Replay: replay}
-		if err := p.sendBatch(survivors[s], b, bc); err != nil {
+		if err := p.sendBatch(survivors[s], b); err != nil {
 			// The survivor died too; recurse — its queue (our batch
 			// included) re-queues on whoever is left.
 			p.workerDied(survivors[s])
@@ -684,9 +646,9 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 
 // decodeResult converts one acked JobResult into an fl.Result. base is the
 // broadcast base the sending worker diffed its upload patch against — its
-// post-frame state, the slot mirror's dict once the frame was built, or,
-// for a replay, the round's retained state. collect never calls it concurrently
-// (the method's DecodeUpload is not documented concurrency-safe).
+// post-frame state, the slot mirror's dict once the frame was built.
+// collect never calls it concurrently (the method's DecodeUpload is not
+// documented concurrency-safe).
 func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
 	dict, err := wire.Decode(base, jr.Patch)
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // upload buffer once its ack is sent, a delta federation of RefFiL and of
 // FedLwF — whose wire-state payloads change at task boundaries — must give
 // the same matrix, final state and byte counts as an unpoisoned one; and a
-// worker crash with re-dial, whose re-queued jobs replay on a survivor that
-// then restores its stream's wire state, must still land the local matrix.
+// worker crash with re-dial, whose re-queued jobs run on a survivor brought
+// to the round's state by their frame, must still land the local matrix.
 // Any field kept past its message, or an upload kept past its send, would
 // read 0xFF instead.
 func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {

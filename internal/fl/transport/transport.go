@@ -35,10 +35,11 @@
 // Rounds are synchronous and fault-tolerant: workers acknowledge each job
 // as it finishes, so when a connection dies the coordinator keeps the
 // acknowledged results and re-queues only the unfinished jobs on survivors
-// (every job is a placement-free deterministic computation). Re-queued jobs
-// travel with a Replay — the round's state, out of band — because a
-// survivor's frame stream need not hold it: an idle slot or a fresh joiner
-// has no state version at all.
+// (every job is a placement-free deterministic computation). A re-queue is
+// one more broadcast on the survivor's frame stream: exactly one round is in
+// flight, so the coordinator's encoder still holds that round's state, and
+// the survivor's frame brings it from whatever version it holds — none, when
+// it is current; a delta or a full snapshot, when it idled or just joined.
 package transport
 
 import (
@@ -61,17 +62,19 @@ import (
 // the bytes inside one change meaning; the golden frames in frame_test.go
 // fail until the bump is made.
 //
-// v10: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
-// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Codec, Frame, Jobs,
-// Replay}, and an Update as one of ack{WorkerID, JobResult}, done{WorkerID,
-// Error} or pong{WorkerID}; every state dict in them is a wire.Patch, and
-// every method payload (fl.WireStater, fl.UploadCoder) is a checkpoint dict.
-const ProtocolVersion = 10
+// v11: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
+// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Codec, Frame, Jobs},
+// and an Update as one of ack{WorkerID, JobResult}, done{WorkerID, Error}
+// or pong{WorkerID}; every state dict in them is a wire.Patch{Full, Dense,
+// Packed}, and every method payload (fl.WireStater, fl.UploadCoder) is a
+// checkpoint dict.
+const ProtocolVersion = 11
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
 // assignment. A round normally sends one broadcast per worker; when a
 // worker dies mid-round, survivors receive a follow-up broadcast for the
-// same (Task, Round) carrying the re-queued jobs.
+// same (Task, Round) carrying the re-queued jobs, its Frame built against
+// the survivor's state like any other.
 type Broadcast struct {
 	// Version is the wire protocol revision; stamped by the coordinator,
 	// checked by workers.
@@ -84,43 +87,18 @@ type Broadcast struct {
 	// maps, RefFiL's clustered prompt bank) — included only when its bytes
 	// changed since this worker last loaded it.
 	Frame wire.Frame
-	// Codec is the coordinator's broadcast codec registry name. Workers
-	// derive the upload encoding from it (wire.ForUpload): under
-	// any non-full codec they diff each job's trained state against the
-	// round's broadcast base instead of uploading it whole.
+	// Codec is the coordinator's broadcast codec registry name, and the
+	// codec workers upload with: under any non-full codec they diff each
+	// job's trained state against the round's broadcast base instead of
+	// uploading it whole.
 	Codec string
 	// Jobs frames the local-training jobs assigned to this worker for the
 	// round: client id, group, round, and the domain/seed coordinates the
 	// worker derives its data shard from. Workers with no jobs reply with
 	// a bare Done update.
 	Jobs []fl.JobSpec
-	// Replay, when non-nil, marks a re-queue broadcast: a dead worker's
-	// unfinished jobs from round (Task, Round) re-executed on a survivor
-	// whose own frame stream need not hold that round's state. It carries
-	// the state out of band — the survivor trains Jobs against it and diffs
-	// upload patches against it, but its Frame tracker and the
-	// coordinator's mirror stay untouched, so the live version stream is
-	// unaffected. Frame is ignored when Replay is set.
-	Replay *Replay
 	// Done tells workers to exit their serve loop.
 	Done bool
-}
-
-// Replay is the ephemeral round state attached to a re-queue broadcast: the
-// exact global state dict the dead worker trained against, plus the round's
-// method wire state when there is any. Replays bypass the versioned delta
-// machinery on purpose — the survivor's tracker may hold no state version
-// at all (an idle slot, a fresh joiner), so no delta base is guaranteed to
-// exist.
-type Replay struct {
-	// Patch is the round's global state dict as a full snapshot
-	// (Patch.Full is set; the survivor decodes it against no base).
-	Patch wire.Patch
-	// Payload is the round's method wire state; HasPayload marks that the
-	// survivor must load it. After the replay the survivor restores the
-	// payload its live stream had loaded.
-	Payload    []byte
-	HasPayload bool
 }
 
 // JobResult is one executed job's acknowledged reply.
@@ -129,7 +107,7 @@ type JobResult struct {
 	// coordinator validates it when mapping results back to round order.
 	Index int
 	// Patch is the trained replica's state (the FedAvg payload), encoded
-	// with the round's upload codec (wire.ForUpload): under any non-full
+	// with the codec the broadcast names: under any non-full
 	// codec a lossless diff against the round's broadcast base — the dict
 	// both ends already hold, the worker in its receive tracker and the
 	// coordinator in its per-slot mirror; under the full codec, or when the

@@ -105,10 +105,9 @@ func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 
 // perturbHandler returns a streaming handler that "trains" each assigned
 // job by adding delta(clientID) to every broadcast weight and acks it. It
-// maintains the worker-side frame tracker, trains replay broadcasts against
-// the replay's own snapshot without touching that tracker, and follows the
-// upload policy (wire.ForUpload against the state it trained from), so it
-// works under every codec (full snapshots, per-key deltas, idle frames).
+// maintains the worker-side frame tracker and uploads with the broadcast's
+// codec against the state it trained from, so it works under every codec
+// (full snapshots, per-key deltas, idle frames).
 func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	return perturbKeysHandler(nil, delta)
 }
@@ -119,19 +118,11 @@ func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) 
 func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	var tr wire.Tracker
 	return func(b Broadcast, emit func(JobResult) error) error {
-		var base map[string]*tensor.Tensor
-		if b.Replay != nil {
-			var err error
-			if base, err = wire.Decode(nil, &b.Replay.Patch); err != nil {
-				return err
-			}
-		} else {
-			if _, _, _, err := tr.Apply(&b.Frame); err != nil {
-				return err
-			}
-			base = tr.Dict
+		if _, _, _, err := tr.Apply(&b.Frame); err != nil {
+			return err
 		}
-		upCodec, err := wire.ForUpload(b.Codec)
+		base := tr.Dict
+		upCodec, err := wire.New(b.Codec)
 		if err != nil {
 			return err
 		}
@@ -429,7 +420,8 @@ func TestPipelineCloseFailsWaitingRound(t *testing.T) {
 
 // TestBroadcastRoundTrip pins the frame codec: a Broadcast carrying a
 // versioned delta frame (packed patch, payload bytes) and per-client job
-// specs, a replay broadcast, and the per-job ack, Done and Pong updates must
+// specs, a re-queue broadcast to an idle survivor (full snapshot and a
+// spliced payload), and the per-job ack, Done and Pong updates must
 // round-trip through one frame stream without loss.
 func TestBroadcastRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -476,13 +468,16 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			},
 		}},
 	}
-	replay := Broadcast{
+	requeue := Broadcast{
 		Version: ProtocolVersion, Task: 1, Round: 4, Codec: wire.CodecDelta, Jobs: b.Jobs,
-		Replay: &Replay{Patch: *dense, Payload: bytes.Repeat([]byte{5}, 2*spliceMin), HasPayload: true},
+		Frame: wire.Frame{
+			Kind: wire.KindFull, Version: 4, Patch: *dense,
+			PayloadVersion: 2, HasPayload: true, Payload: bytes.Repeat([]byte{5}, 2*spliceMin),
+		},
 	}
 	var buf bytes.Buffer
 	enc, dec := frameWriter{w: &buf}, frameReader{r: &buf}
-	for _, want := range []Broadcast{b, replay, {Version: ProtocolVersion, Done: true}} {
+	for _, want := range []Broadcast{b, requeue, {Version: ProtocolVersion, Done: true}} {
 		if err := enc.writeBroadcast(&want, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -578,6 +573,53 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	case <-handled:
 		t.Fatal("handler ran despite version mismatch")
 	default:
+	}
+}
+
+// TestExecutorRejectsUnknownCodec pins the upload-codec policy: a worker
+// uploads with the codec its broadcast names, so a broadcast that names
+// none, or one the worker does not know, fails the Executor, and Serve
+// reports that to the coordinator on the stream's final frame.
+func TestExecutorRejectsUnknownCodec(t *testing.T) {
+	for _, codec := range []string{"", "gzip"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		ex, err := NewExecutor(newWireAlg(1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() {
+			w, err := Dial(ln.Addr().String(), 0)
+			if err != nil {
+				serveErr <- err
+				return
+			}
+			defer w.Close()
+			serveErr <- w.Serve(ex.Handle)
+		}()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		enc, dec := fakeCoordHandshake(t, conn)
+		if err := enc.writeBroadcast(&Broadcast{Version: ProtocolVersion, Codec: codec}, nil); err != nil {
+			t.Fatal(err)
+		}
+		u, _, err := dec.readUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !u.Done || !strings.Contains(u.Error, "unknown codec") {
+			t.Fatalf("codec %q: final frame done=%v error %q, want an unknown-codec report", codec, u.Done, u.Error)
+		}
+		if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "unknown codec") {
+			t.Fatalf("codec %q: Serve returned %v, want the unknown-codec error", codec, err)
+		}
 	}
 }
 
@@ -945,48 +987,61 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 	}
 }
 
-// TestReplayLeavesSurvivorMirrorUntouched pins the re-queue/delta
-// interaction: jobs re-queued onto a survivor that never saw any state
-// version (it was idle when the round's delta broadcast went out) arrive
-// as Replay broadcasts carrying the origin round's state as a full
-// wire.Patch snapshot, and neither the survivor's frame stream nor the
-// coordinator's mirror of it moves — so the survivor's next live frame is
-// the full-snapshot fallback of a worker with no base. Workers 0 and 1 die
-// on receiving their state broadcast; idle worker 2 inherits both jobs.
-func TestReplayLeavesSurvivorMirrorUntouched(t *testing.T) {
-	replayOntoIdleSurvivor(t)
+// TestRequeueAdvancesSurvivorMirror pins the re-queue/delta interaction:
+// jobs re-queued onto a survivor are broadcasts of the round in flight like
+// any other, framed against the survivor's mirror, which advances with them.
+// Three workers die holding jobs, one after another, and the idle worker 3
+// inherits twice: its first re-queue frame is a full snapshot (it never held
+// a state version), its second carries no state (it now holds the round's),
+// and its next live frame is a delta from the round's version rather than a
+// fallback. Worker 2 dies on its dispatch frame, workers 0 and 1 on the
+// re-queue frame each receives after it, so the order of deaths and of the
+// survivor's frames is fixed.
+func TestRequeueAdvancesSurvivorMirror(t *testing.T) {
+	requeueOntoIdleSurvivor(t)
 }
 
-// TestPoisonedBuffersLeaveReplayUntouched runs the replay scenario with
+// TestPoisonedRequeueAdvancesSurvivorMirror runs the re-queue scenario with
 // every reused buffer poisoned once its contents are consumed (see
-// PoisonReusedBuffers): the replays, the survivor's mirror and the results
+// PoisonReusedBuffers): the frames, the survivor's mirror and the results
 // must be exactly those of the unpoisoned run.
-func TestPoisonedBuffersLeaveReplayUntouched(t *testing.T) {
+func TestPoisonedRequeueAdvancesSurvivorMirror(t *testing.T) {
 	defer PoisonReusedBuffers()()
-	replayOntoIdleSurvivor(t)
+	requeueOntoIdleSurvivor(t)
 }
 
-func replayOntoIdleSurvivor(t *testing.T) {
+func requeueOntoIdleSurvivor(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	// killOnBroadcast closes the connection on the first broadcast, before
-	// acking anything.
-	killOnBroadcast := func(w *Worker) error {
-		return w.Serve(func(Broadcast, func(JobResult) error) error { return w.Close() })
+	// dieOnBroadcast reads n broadcasts without answering any, then closes
+	// the connection.
+	dieOnBroadcast := func(n int) func(w *Worker) error {
+		return func(w *Worker) error {
+			for i := 0; i < n; i++ {
+				if _, err := w.in.readBroadcast(); err != nil {
+					return err
+				}
+			}
+			return w.Close()
+		}
 	}
-	seen := make(chan Broadcast, 8)
+	type seenFrame struct {
+		kind wire.Kind
+		jobs int
+	}
+	seen := make(chan seenFrame, 8)
 	survivor := func(w *Worker) error {
 		inner := perturbHandler(func(id int) float64 { return float64(id) })
 		return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
-			seen <- b
+			seen <- seenFrame{b.Frame.Kind, len(b.Jobs)}
 			return inner(b, emit)
 		})
 	}
-	done := acceptInOrder(t, coord, killOnBroadcast, killOnBroadcast, survivor)
+	done := acceptInOrder(t, coord, dieOnBroadcast(2), dieOnBroadcast(2), dieOnBroadcast(1), survivor)
 
 	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
@@ -998,12 +1053,14 @@ func replayOntoIdleSurvivor(t *testing.T) {
 	roundDone := make(chan RoundStats, 1)
 	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
-	// Two jobs over three workers: slots 0 and 1 get one each, slot 2 idles.
-	results, err := runCollected(r, wireJobs(1, 2))
+	// Three jobs over four workers: slots 0–2 get one each, slot 3 idles.
+	// Slot 2's job re-queues onto slot 0, slot 0's two onto slots 1 and 3,
+	// slot 1's two onto slot 3.
+	results, err := runCollected(r, wireJobs(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []float64{101, 102} {
+	for i, want := range []float64{101, 102, 103} {
 		if got := results[i].Dict["w"].At(0); got != want {
 			t.Fatalf("job %d result = %v, want %v", i, got, want)
 		}
@@ -1011,52 +1068,51 @@ func replayOntoIdleSurvivor(t *testing.T) {
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers = %d, want 1", got)
 	}
-	if rs := <-roundDone; rs.Attempts < 2 || rs.IdleFrames != 1 {
-		t.Fatalf("round stats %+v, want re-queue attempts and 1 idle frame", rs)
+	rs := <-roundDone
+	// Full frames: three at dispatch, one to the idle survivor. Frames
+	// without state: the survivor's idle one, then one to each worker
+	// already at the round's version (slots 0, 1 and 3).
+	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.Fallbacks != 4 || rs.IdleFrames != 4 || rs.DeltaFrames != 0 {
+		t.Fatalf("round stats %+v, want 4 attempts, 4 full frames (all fallbacks), 4 without state, no delta", rs)
 	}
-	r.tmu.Lock()
-	mirror := *r.trackers[2]
-	r.tmu.Unlock()
-	if mirror.Version != 0 || mirror.Dict != nil {
-		t.Fatalf("survivor mirror moved to version %d during the replays", mirror.Version)
+	r.mu.Lock()
+	st := r.slots[3]
+	r.mu.Unlock()
+	st.sendMu.Lock()
+	mirror := st.tracker
+	st.sendMu.Unlock()
+	if mirror.Version != 1 || mirror.Dict == nil {
+		t.Fatalf("survivor mirror at version %d after the re-queues, want the round's version 1", mirror.Version)
 	}
 
-	// The next live round must treat the survivor as the baseless worker
-	// its mirror says it is.
-	results, err = runCollected(r, wireJobs(3))
+	// The next live round must treat the survivor as the current worker its
+	// mirror says it is.
+	results, err = runCollected(r, wireJobs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results[0].Dict["w"].At(0); got != 103 {
-		t.Fatalf("follow-up result = %v, want 103", got)
+	if got := results[0].Dict["w"].At(0); got != 104 {
+		t.Fatalf("follow-up result = %v, want 104", got)
 	}
-	if rs := <-roundDone; rs.FullFrames != 1 || rs.Fallbacks != 1 {
-		t.Fatalf("follow-up round stats %+v, want one full-snapshot fallback", rs)
+	if rs := <-roundDone; rs.DeltaFrames != 1 || rs.FullFrames != 0 || rs.Fallbacks != 0 {
+		t.Fatalf("follow-up round stats %+v, want one delta frame and no fallback", rs)
 	}
 	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	<-done[0]
-	<-done[1]
-	if err := <-done[2]; err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
-	close(seen)
-	var got []Broadcast
-	for b := range seen {
-		got = append(got, b)
-	}
-	if len(got) < 3 || got[0].Replay != nil || got[0].Frame.Kind != wire.KindNone {
-		t.Fatalf("survivor saw %d broadcasts, want an idle frame first then replays", len(got))
-	}
-	last := len(got) - 1
-	for i, b := range got[1:last] {
-		if b.Replay == nil || !b.Replay.Patch.Full || len(b.Replay.Patch.Dense) == 0 {
-			t.Fatalf("broadcast %d to the survivor is not a full wire.Patch replay: %+v", i+1, b)
+	for i, ch := range done {
+		if err := <-ch; err != nil {
+			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if got[last].Replay != nil || got[last].Frame.Kind != wire.KindFull {
-		t.Fatalf("survivor's next live frame: replay=%v kind=%v, want a full frame", got[last].Replay != nil, got[last].Frame.Kind)
+	close(seen)
+	var got []seenFrame
+	for f := range seen {
+		got = append(got, f)
+	}
+	want := []seenFrame{{wire.KindNone, 0}, {wire.KindFull, 1}, {wire.KindNone, 2}, {wire.KindDelta, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("survivor saw frames %+v, want idle, full re-queue, stateless re-queue, delta", got)
 	}
 }

@@ -24,7 +24,7 @@ const (
 // coordinator against the base it knows the worker holds and decoded on the
 // worker; upload patches go the other way.
 type Codec interface {
-	// Name is the registry name stamped into produced patches.
+	// Name is the codec's registry name.
 	Name() string
 	// Encode produces a patch that transforms base into next. A nil base
 	// must yield a full snapshot.
@@ -51,18 +51,6 @@ func New(name string) (Codec, error) {
 
 // Names lists the registry codec names in flag order.
 func Names() []string { return []string{CodecFull, CodecDelta} }
-
-// ForUpload resolves the codec for the worker→coordinator direction under
-// the named broadcast codec. It never returns a nil codec: every upload is
-// a Patch. An empty name — a broadcast that names no codec — uploads
-// complete snapshots (Full), the baseline the byte accounting measures
-// against; any other name resolves to the codec it names.
-func ForUpload(broadcast string) (Codec, error) {
-	if broadcast == "" {
-		return Full{}, nil
-	}
-	return New(broadcast)
-}
 
 // Buffer is a reusable encode target for a sender that ships one patch at a
 // time, such as a worker's uploads: Encode writes the patch's bytes into
@@ -100,7 +88,7 @@ func (f Full) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
 }
 
 func (Full) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
-	return fullPatch(CodecFull, dst, next)
+	return fullPatch(dst, next)
 }
 
 // Decode implements Codec.
@@ -126,19 +114,19 @@ func (d Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
 
 func (Delta) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
 	if !compatible(base, next) {
-		return fullPatch(CodecDelta, dst, next)
+		return fullPatch(dst, next)
 	}
 	keys := sortedKeys(next)
 	changed := changedKeys(keys, base, next)
 	if len(changed) == 0 {
 		// A pure no-change patch: Decode returns a copy of the base.
-		return &Patch{Codec: CodecDelta}, nil
+		return &Patch{}, nil
 	}
 	packed, err := packDelta(dst, base, next, changed)
 	if err != nil {
 		return nil, err
 	}
-	return &Patch{Codec: CodecDelta, Packed: packed}, nil
+	return &Patch{Packed: packed}, nil
 }
 
 // Decode implements Codec.
@@ -146,14 +134,14 @@ func (Delta) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tenso
 	return Decode(base, p)
 }
 
-// fullPatch snapshots next — every key, in the checkpoint format, appended
-// to dst — under the given codec name.
-func fullPatch(codec string, dst []byte, next map[string]*tensor.Tensor) (*Patch, error) {
+// fullPatch snapshots next: every key, in the checkpoint format, appended
+// to dst.
+func fullPatch(dst []byte, next map[string]*tensor.Tensor) (*Patch, error) {
 	dense, err := checkpoint.AppendMarshal(dst, next)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encoding full snapshot: %w", err)
 	}
-	return &Patch{Codec: codec, Full: true, Dense: dense}, nil
+	return &Patch{Full: true, Dense: dense}, nil
 }
 
 // sortedKeys returns the dict's keys in ascending order.

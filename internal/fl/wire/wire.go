@@ -35,10 +35,10 @@
 // The codec layer is direction-agnostic in practice, not just in type:
 // workers diff each trained replica against the
 // round's broadcast base (their Tracker's dict) and upload a Patch instead
-// of a full state dict, and the coordinator reconstructs it against the
-// mirrored base it tracks for that worker. ForUpload names the upload codec
-// for a broadcast codec, and pack.go is the base-relative packed encoding
-// the delta codec ships both directions' changed keys in.
+// of a full state dict, with the codec the broadcast names, and the
+// coordinator reconstructs it against the mirrored base it tracks for that
+// worker. pack.go is the base-relative packed encoding the delta codec
+// ships both directions' changed keys in.
 package wire
 
 import (
@@ -54,9 +54,6 @@ import (
 // Decode needs only the patch and the receiver's base dict, not the codec
 // that produced it.
 type Patch struct {
-	// Codec names the codec that produced the patch (a registry name, see
-	// Names). Informational: Decode goes by Full, Dense and Packed alone.
-	Codec string
 	// Full marks a base-independent snapshot: Dense carries every key and
 	// the receiver's base (if any) is ignored.
 	Full bool

@@ -110,11 +110,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// patchBytes measures a patch as a transport frame lays it out: the codec
-// name, the Full flag and the two planes, each length-prefixed.
+// patchBytes measures a patch as a transport frame lays it out: the Full
+// flag and the two planes, each length-prefixed.
 func patchBytes(t *testing.T, p *Patch) int {
 	t.Helper()
-	return 4 + len(p.Codec) + 1 + 4 + len(p.Dense) + 4 + len(p.Packed)
+	return 1 + 4 + len(p.Dense) + 4 + len(p.Packed)
 }
 
 // TestDeltaEmptyDiffIsTiny pins the point of the delta codec: an unchanged
@@ -239,10 +239,10 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: p.Packed[:3]}); err == nil {
+	if _, err := Decode(base, &Patch{Packed: p.Packed[:3]}); err == nil {
 		t.Fatal("truncated packed payload must error")
 	}
-	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: append(p.Packed[:len(p.Packed):len(p.Packed)], 0)}); err == nil {
+	if _, err := Decode(base, &Patch{Packed: append(p.Packed[:len(p.Packed):len(p.Packed)], 0)}); err == nil {
 		t.Fatal("a byte after the packed planes must error")
 	}
 	stranger := map[string]*tensor.Tensor{"other": tensor.RandN(rng, 1, 4)}
@@ -260,7 +260,7 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(base, &Patch{Codec: CodecDelta, Packed: twice}); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := Decode(base, &Patch{Packed: twice}); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("key listed twice in the packed part: %v", err)
 	}
 }
@@ -312,13 +312,13 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 		p    Patch
 		want string
 	}{
-		{"delta patch without base", nil, Patch{Codec: CodecDelta}, "without a base"},
-		{"sparse entries on a delta patch", base, Patch{Codec: CodecDelta, Sparse: sparse}, "sparse"},
-		{"sparse entries beside packed bytes", base, Patch{Codec: CodecDelta, Packed: delta.Packed, Sparse: sparse}, "sparse"},
-		{"sparse entries on a full patch", nil, Patch{Codec: CodecFull, Full: true, Dense: full.Dense, Sparse: sparse}, "sparse"},
-		{"non-full patch carrying dense bytes", base, Patch{Codec: CodecDelta, Dense: full.Dense}, "dense"},
-		{"non-full patch carrying dense and packed bytes", base, Patch{Codec: CodecDelta, Dense: full.Dense, Packed: delta.Packed}, "dense"},
-		{"full patch carrying packed bytes", base, Patch{Codec: CodecDelta, Full: true, Dense: full.Dense, Packed: delta.Packed}, "packed"},
+		{"delta patch without base", nil, Patch{}, "without a base"},
+		{"sparse entries on a delta patch", base, Patch{Sparse: sparse}, "sparse"},
+		{"sparse entries beside packed bytes", base, Patch{Packed: delta.Packed, Sparse: sparse}, "sparse"},
+		{"sparse entries on a full patch", nil, Patch{Full: true, Dense: full.Dense, Sparse: sparse}, "sparse"},
+		{"non-full patch carrying dense bytes", base, Patch{Dense: full.Dense}, "dense"},
+		{"non-full patch carrying dense and packed bytes", base, Patch{Dense: full.Dense, Packed: delta.Packed}, "dense"},
+		{"full patch carrying packed bytes", base, Patch{Full: true, Dense: full.Dense, Packed: delta.Packed}, "packed"},
 	} {
 		if _, err := Decode(tc.base, &tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want a rejection naming %q", tc.name, err, tc.want)
@@ -328,7 +328,7 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 	// Tracker.Apply decodes through Decode, so a frame carrying sparse
 	// entries leaves the tracker untouched.
 	var tr Tracker
-	if _, _, _, err := tr.Apply(&Frame{Kind: KindFull, Version: 1, Patch: Patch{Codec: CodecFull, Full: true, Dense: full.Dense, Sparse: sparse}}); err == nil {
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindFull, Version: 1, Patch: Patch{Full: true, Dense: full.Dense, Sparse: sparse}}); err == nil {
 		t.Fatal("Tracker.Apply accepted a patch carrying sparse entries")
 	}
 	if tr.Version != 0 || tr.Dict != nil {
@@ -351,7 +351,7 @@ func TestTrackerVersionMismatch(t *testing.T) {
 	}
 
 	var tr Tracker
-	if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 1, Version: 2, Patch: Patch{Codec: CodecDelta}}); err == nil || !strings.Contains(err.Error(), "no state") {
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 1, Version: 2, Patch: Patch{}}); err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Fatalf("delta with no base: %v", err)
 	}
 	if _, _, _, err := tr.Apply(&Frame{Kind: KindNone, Version: 3}); err == nil || !strings.Contains(err.Error(), "version") {
@@ -363,7 +363,7 @@ func TestTrackerVersionMismatch(t *testing.T) {
 	if tr.Version != 1 || tr.Dict == nil {
 		t.Fatalf("tracker after full frame: %+v", tr.Version)
 	}
-	if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 5, Version: 6, Patch: Patch{Codec: CodecDelta}}); err == nil || !strings.Contains(err.Error(), "base version") {
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 5, Version: 6, Patch: Patch{}}); err == nil || !strings.Contains(err.Error(), "base version") {
 		t.Fatalf("delta against wrong base: %v", err)
 	}
 	if _, _, _, err := tr.Apply(&Frame{Kind: KindNone, Version: 1, PayloadVersion: 9}); err == nil || !strings.Contains(err.Error(), "payload version") {
@@ -482,28 +482,6 @@ func TestEncoderFullCodecResendsEverything(t *testing.T) {
 	}
 }
 
-// TestForUploadPolicy pins the upload-direction policy: an unnamed broadcast
-// codec uploads full snapshots, a named one uploads with itself — never
-// nil, so every upload is a Patch — and an unknown name is an error.
-func TestForUploadPolicy(t *testing.T) {
-	for broadcast, want := range map[string]string{
-		"":         CodecFull,
-		CodecFull:  CodecFull,
-		CodecDelta: CodecDelta,
-	} {
-		c, err := ForUpload(broadcast)
-		if err != nil {
-			t.Fatalf("ForUpload(%q): %v", broadcast, err)
-		}
-		if c == nil || c.Name() != want {
-			t.Fatalf("ForUpload(%q) = %v, want the %q codec", broadcast, c, want)
-		}
-	}
-	if _, err := ForUpload("gzip"); err == nil {
-		t.Fatal("unknown broadcast codec must error")
-	}
-}
-
 // TestBufferEncodeMatchesEncode pins Buffer against the codecs it wraps:
 // for both codecs, and for a full fallback under delta, Buffer.Encode
 // yields exactly the patch Encode does, and a second patch of the same size
@@ -528,7 +506,7 @@ func TestBufferEncodeMatchesEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Codec != want.Codec || got.Full != want.Full || !bytes.Equal(got.Dense, want.Dense) || !bytes.Equal(got.Packed, want.Packed) {
+			if got.Full != want.Full || !bytes.Equal(got.Dense, want.Dense) || !bytes.Equal(got.Packed, want.Packed) {
 				t.Fatalf("%s (base %v): Buffer.Encode differs from Encode", tc.c.Name(), tc.base != nil)
 			}
 			out := got.Packed

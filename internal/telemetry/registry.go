@@ -375,9 +375,10 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Serve binds addr and serves /metrics (plus the process's
-// /debug/pprof endpoints via http.DefaultServeMux, so one scrape address
-// covers both) in a background goroutine for the life of the process. It
-// returns the bound address, useful with ephemeral ports ("127.0.0.1:0").
+// /debug/pprof endpoints via http.DefaultServeMux, where a binary that
+// imports net/http/pprof has them registered, so one address covers both)
+// in a background goroutine for the life of the process. It returns the
+// bound address, useful with ephemeral ports ("127.0.0.1:0").
 func (r *Registry) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

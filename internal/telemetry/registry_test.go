@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	_ "net/http/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +171,41 @@ func TestHandlerServesMetrics(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "fed_rounds_total 12") {
 		t.Errorf("body missing counter:\n%s", sb.String())
+	}
+}
+
+// TestServeExposesPprofEndpoints pins the one profiling surface of the
+// binaries: the -metrics address serves the pprof endpoints beside
+// /metrics.
+func TestServeExposesPprofEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("fed_rounds_total", "Rounds.").Add(3)
+	addr, err := reg.Serve("localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"/metrics":                  "fed_rounds_total 3",
+		"/debug/pprof/heap?debug=1": "heap profile",
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("%s: status %d, body %.80q, want %q in it", path, resp.StatusCode, body, want)
+		}
+	}
+}
+
+func TestServeRejectsBadAddress(t *testing.T) {
+	if _, err := NewRegistry().Serve("localhost:-1"); err == nil {
+		t.Fatal("expected an error for an invalid address")
 	}
 }
 
