@@ -31,7 +31,7 @@ import (
 // arrival order).
 //
 // Unanimity short-circuit: a key on which every folded dict agrees bit for
-// bit finalizes to an exact copy of that value instead of the accumulated
+// bit finalizes to the first dict's own tensor instead of the accumulated
 // sum — the weighted average of identical values is exactly that value,
 // while the floating-point normalization would perturb it by an ulp per
 // round. This keeps frozen parameters bit-stable across rounds (prompt
@@ -41,10 +41,11 @@ import (
 // first fold that disagrees allocates the accumulator and replays the
 // earlier (bit-identical) contributions from the retained first dict.
 //
-// Folded dicts are borrowed, not copied: the accumulator retains the first
-// folded dict until Finalize, and every folded dict must stay immutable for
-// the accumulator's lifetime (engine results are fresh per job, so this
-// costs nothing in practice).
+// Folded dicts are borrowed, not copied. A later dict is read only during
+// its Fold. The first is retained: Fold replays it when a key's unanimity
+// breaks, and Finalize's result may alias its tensors. So the first folded
+// dict must stay unwritten for as long as the result is read — the engine
+// releases it only after loading the aggregate into the global model.
 //
 // An Accumulator is not safe for concurrent Folds; the per-key work inside
 // one Fold is sharded across internal/parallel exactly like the batch path.
@@ -159,9 +160,10 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 }
 
 // Finalize normalizes the fold into the aggregate dict: accumulated keys
-// are scaled by 1/total in place, unanimous keys come back as exact copies
-// of the agreed value. The accumulator must not be reused afterwards (the
-// returned tensors are its accumulators).
+// are scaled by 1/total in place, unanimous keys come back as the first
+// folded dict's tensors, uncopied. The result may therefore alias the first
+// folded dict; read it, never write it. The accumulator must not be reused
+// afterwards (the other returned tensors are its accumulators).
 func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 	if len(a.weights) == 0 {
 		return nil, fmt.Errorf("fl: no client updates to aggregate")
@@ -175,7 +177,7 @@ func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 	parallel.For(len(a.names), grain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			if a.unanimous[k] {
-				a.accs[k] = a.first[a.names[k]].Clone()
+				a.accs[k] = a.first[a.names[k]]
 			} else {
 				a.accs[k].ScaleInPlace(inv)
 			}
@@ -197,8 +199,8 @@ func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 // result is bit-identical to the streaming fold at any worker count — the
 // per-key accumulation order over clients is fixed, and the key shards
 // internal/parallel distributes are independent. Keys on which every client
-// agrees bit for bit short-circuit to an exact copy of the unanimous value
-// (see Accumulator).
+// agrees bit for bit short-circuit to the unanimous value itself: the result
+// may alias dicts[0]'s tensors (see Accumulator).
 func WeightedAverage(dicts []map[string]*tensor.Tensor, weights []float64) (map[string]*tensor.Tensor, error) {
 	if len(dicts) == 0 {
 		return nil, fmt.Errorf("fl: no client updates to aggregate")

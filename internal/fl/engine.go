@@ -463,18 +463,29 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 // that completed out of order, not every selected client's full dict until
 // the round ends.
 //
+// Each result is released as soon as it is folded, except the first: the
+// accumulator borrows that one, and the aggregate may alias it, until
+// install has loaded the aggregate into the global.
+//
 // A round that folds nothing — every selected client dropped out — leaves
 // the global untouched.
 func (e *Engine) runRound(t, r int) error {
 	jobs := e.roundJobs(t, r)
 	acc := NewAccumulator()
 	var uploads []Upload
+	var first Result
+	defer func() { first.release() }()
 	err := runInJobOrder(e.runner, jobs, func(i int, res Result) error {
 		if err := acc.Fold(res.Dict, jobs[i].Weight); err != nil {
 			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
 		}
 		if res.Upload != nil {
 			uploads = append(uploads, res.Upload)
+		}
+		if i == 0 {
+			first = res
+		} else {
+			res.release()
 		}
 		return nil
 	})

@@ -649,8 +649,8 @@ func TestWeightedAverageUnanimousKeyExact(t *testing.T) {
 			t.Fatalf("unanimous key drifted at element %d: %v vs %v", i, got["frozen"].Data()[i], v)
 		}
 	}
-	if got["frozen"] == dicts[0]["frozen"] {
-		t.Fatal("unanimous key must be copied, not aliased to a client's tensor")
+	if got["frozen"] != dicts[0]["frozen"] {
+		t.Fatal("unanimous key must be the first client's own tensor, not a copy")
 	}
 	// The trained key must genuinely be averaged, not copied from client 0.
 	same := true

@@ -1,6 +1,7 @@
 package fl_test
 
 import (
+	"math"
 	"testing"
 
 	"reffil/internal/data"
@@ -22,7 +23,9 @@ func (s *spyAlg) Spawn() (fl.Algorithm, error) {
 }
 
 // cloningRunner is LocalRunner as it was before the hand-over: every result
-// dict is replaced by clones before done sees it.
+// dict is replaced by clones before done sees it. Releasing a result fills
+// its clones with NaN, the way a networked runner's next decode overwrites
+// them, so an engine that read a dict after releasing it would diverge.
 type cloningRunner struct{ inner *fl.LocalRunner }
 
 func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
@@ -32,6 +35,11 @@ func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) er
 			clones[name] = v.Clone()
 		}
 		res.Dict = clones
+		res.Release = func() {
+			for _, v := range clones {
+				v.Fill(math.NaN())
+			}
+		}
 		return done(i, res)
 	})
 }
@@ -39,7 +47,8 @@ func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) er
 // TestLocalRunnerHandsOverReplicaState pins the move LocalRunner makes: a
 // result's dict holds the trained replica's own parameter and buffer
 // tensors, not copies — and engine runs that fold those tensors land on
-// exactly the matrix and final state of runs that fold StateDict clones.
+// exactly the matrix and final state of runs that fold StateDict clones
+// the engine hands back, poisoned, once it is done with them.
 func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

@@ -30,11 +30,24 @@ type Job struct {
 
 // Result is what an EachRunner hands back for one Job: the trained replica's
 // state dict (the client's FedAvg payload) and the method-specific upload.
-// The dict is the receiver's to keep but not to write: LocalRunner hands
-// over the replica's own tensors.
+// The dict is the receiver's to read, never to write: LocalRunner hands over
+// the replica's own tensors, and a networked runner the tensors it decoded
+// the upload into.
 type Result struct {
 	Dict   map[string]*tensor.Tensor
 	Upload Upload
+	// Release, when non-nil, hands the storage behind Dict back to the
+	// runner, which decodes a later result into it. The receiver calls it at
+	// most once, when it reads Dict no more. LocalRunner leaves it nil:
+	// nothing reuses a dropped replica.
+	Release func()
+}
+
+// release calls r.Release, if the runner set one.
+func (r Result) release() {
+	if r.Release != nil {
+		r.Release()
+	}
 }
 
 // EachRunner executes all of one round's local-training jobs and streams

@@ -28,7 +28,7 @@ func randDict(rng *rand.Rand, sizes map[string]int) map[string]*tensor.Tensor {
 // both equal an independently computed serial reference (sum w_i*d_i in
 // fold order, then one multiply by 1/total), and a key on which every
 // client agrees bit for bit — unanimity breaks and re-forms mid-stream
-// are exercised elsewhere — comes back as an exact, unaliased copy.
+// are exercised elsewhere — comes back as the first folded dict's tensor.
 func TestStreamingFoldMatchesWeightedAverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const clients = 5
@@ -96,13 +96,11 @@ func TestStreamingFoldMatchesWeightedAverage(t *testing.T) {
 			t.Fatalf("batch frozen[%d] = %x, want the unanimous bits %x", i, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
-	// Copy, not alias: mutating the aggregate must not reach into any
-	// client's (borrowed) dict.
-	stream["frozen"].Data()[0]++
-	for c := range dicts {
-		if math.Float64bits(dicts[c]["frozen"].Data()[0]) != math.Float64bits(frozen.Data()[0]) {
-			t.Fatalf("finalized unanimous key aliases client %d's dict", c)
-		}
+	// Alias, not copy: the unanimous key is the first folded dict's own
+	// tensor in both forms — the engine loads the aggregate before it
+	// releases that dict, so a clone per round would buy nothing.
+	if stream["frozen"] != dicts[0]["frozen"] || batch["frozen"] != dicts[0]["frozen"] {
+		t.Fatal("finalized unanimous key is a copy, not the first folded dict's tensor")
 	}
 }
 

@@ -3,10 +3,12 @@ package transport
 import "io"
 
 // PoisonReusedBuffers makes every connection overwrite its read buffer with
-// 0xFF once the message in it is consumed (when the next frame is read), and
+// 0xFF once the message in it is consumed (when the next frame is read),
 // every Executor overwrite its upload buffer once the ack holding it is sent,
-// until the returned function is called. A message field or upload patch
-// kept past its lifetime then reads 0xFF instead of silently reusing bytes.
+// and every Pipeline fill a decode buffer's tensors with NaN bits once the
+// result decoded into it is released, until the returned function is
+// called. A message field, upload patch or result dict kept past its
+// lifetime then reads 0xFF or NaN instead of silently reusing storage.
 func PoisonReusedBuffers() (restore func()) {
 	poisonReused.Store(true)
 	return func() { poisonReused.Store(false) }

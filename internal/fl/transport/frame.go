@@ -12,6 +12,7 @@ import (
 
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
+	"reffil/internal/tensor"
 )
 
 // Every message on a worker connection is one frame: a fixed 12-byte header
@@ -39,7 +40,8 @@ import (
 // body into one buffer per connection that it reuses across frames; the
 // byte fields of a decoded message alias that buffer until the next frame is
 // read, so whatever must outlive the message is copied out before then
-// (wire.Decode, checkpoint.Unmarshal and wire.Tracker.Apply all do).
+// (wire.DecodeBuffer.Decode, checkpoint.Unmarshal and wire.Tracker.Apply all
+// do).
 
 var frameMagic = [4]byte{'R', 'F', 'L', 'W'}
 
@@ -108,16 +110,33 @@ func (t msgType) String() string {
 }
 
 // poisonReused, set by tests through export_test.go, makes every reused
-// buffer be overwritten with 0xFF the moment its contents stop being valid:
-// a connection's read buffer when the next frame is read, an Executor's
-// upload buffer once the ack holding it is sent. A retained alias then reads
-// 0xFF instead of the bytes it expected.
+// buffer be overwritten with 0xFF bytes the moment its contents stop being
+// valid: a connection's read buffer when the next frame is read, an
+// Executor's upload buffer once the ack holding it is sent, a Pipeline's
+// decode buffer once the result decoded into it is released. A retained
+// alias then reads 0xFF bytes — NaN, as float64 — instead of the values it
+// expected.
 var poisonReused atomic.Bool
 
 func poison(b []byte) {
 	if poisonReused.Load() {
 		for i := range b {
 			b[i] = 0xFF
+		}
+	}
+}
+
+// poisonDecoded poisons the tensors of a released upload dict that are not
+// its base's: those its decode buffer owns, which the next decode
+// overwrites.
+func poisonDecoded(dict, base map[string]*tensor.Tensor) {
+	if !poisonReused.Load() {
+		return
+	}
+	//fedvet:ignore maporder every tensor gets the same fill, in any order
+	for k, t := range dict {
+		if t != base[k] {
+			t.Fill(math.Float64frombits(^uint64(0)))
 		}
 	}
 }

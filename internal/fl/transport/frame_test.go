@@ -147,13 +147,15 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 	}
 
 	var fw *frameWriter
+	// The peer's read buffer is allocated here, not in its goroutine: a
+	// goroutine scheduled late would allocate it inside the measured window.
+	buf := make([]byte, 64<<10)
 	sent := bytesPerRun(func(c net.Conn) error {
 		if fw == nil {
 			fw = &frameWriter{w: c}
 		}
 		return fw.writeUpdate(&u)
 	}, func(c net.Conn) {
-		buf := make([]byte, 64<<10)
 		for {
 			if _, err := c.Read(buf); err != nil {
 				return

@@ -26,10 +26,12 @@ import (
 // wire-state payload re-sent only when its bytes change, and a full
 // snapshot for workers with no usable base. Uploads come back as
 // wire.Patch too, under the broadcast's codec, reconstructed against the
-// state the slot's mirror holds once the frame is built. Jobs are assigned
-// round-robin by worker slot; assignment never affects results: each job is
-// a self-contained deterministic computation (see fl.EachRunner), and every
-// codec is exact, so any placement under any codec produces the same bits.
+// state the slot's mirror holds once the frame is built, into a
+// wire.DecodeBuffer that the result's fl.Result.Release hands back for a
+// later ack. Jobs are assigned round-robin by worker slot; assignment never
+// affects results: each job is a self-contained deterministic computation
+// (see fl.EachRunner), and every codec is exact, so any placement under any
+// codec produces the same bits.
 //
 // Each worker slot has a FIFO queue of the broadcasts it has yet to answer
 // and a dedicated collector goroutine. The queue outlives a round: a
@@ -85,6 +87,11 @@ type Pipeline struct {
 	slots  map[int]*slotState
 	fatal  error
 	closed bool
+	// free holds the idle upload decode buffers. Each ack is decoded into
+	// one taken from here (or a new one when it is empty), and its result's
+	// Release puts it back, so the list never outgrows the number of results
+	// the engine held at once.
+	free []*wire.DecodeBuffer
 	// startIn/startOut snapshot the coordinator's byte counters at the
 	// first round's dispatch: the zero point of the cumulative byte totals.
 	startIn, startOut int64
@@ -464,30 +471,35 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 		} else {
 			rf.rs.PatchUploads++
 		}
+		var finished *RoundStats
 		if fl0 := &rf.jobs[b.idxs[jr.Index]]; !fl0.done {
-			// Decode under mu: wire.Decode is pure, but the method's
-			// DecodeUpload is not documented concurrency-safe, and decode
-			// cost is dwarfed by training.
-			res, err := decodeResult(p.alg, jr, b.base)
+			res, err := p.decodeResult(jr, b.base)
+			if p.closed {
+				p.mu.Unlock()
+				return
+			}
 			if err != nil {
 				p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
 				p.mu.Unlock()
 				return
 			}
-			fl0.res, fl0.done = res, true
-			nanos := time.Since(rf.start).Nanoseconds()
-			if rf.rs.FirstAckNanos == 0 {
-				rf.rs.FirstAckNanos = nanos
+			// A re-queued copy of the job can settle it while this ack
+			// decodes; this result and its buffer are then dropped.
+			if !fl0.done {
+				fl0.res, fl0.done = res, true
+				nanos := time.Since(rf.start).Nanoseconds()
+				if rf.rs.FirstAckNanos == 0 {
+					rf.rs.FirstAckNanos = nanos
+				}
+				rf.rs.LastAckNanos = nanos
+				rf.remaining--
+				p.Telemetry.ObserveAck(slot, time.Duration(nanos))
+				if rf.remaining == 0 {
+					finished = p.finishRound(rf)
+				}
 			}
-			rf.rs.LastAckNanos = nanos
-			rf.remaining--
-			p.Telemetry.ObserveAck(slot, time.Duration(nanos))
 		}
 		b.acked++
-		var finished *RoundStats
-		if rf.remaining == 0 {
-			finished = p.finishRound(rf)
-		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 		if finished != nil && p.OnRound != nil {
@@ -644,28 +656,50 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 	return nil
 }
 
-// decodeResult converts one acked JobResult into an fl.Result. base is the
-// broadcast base the sending worker diffed its upload patch against — its
-// post-frame state, the slot mirror's dict once the frame was built.
-// collect never calls it concurrently (the method's DecodeUpload is not
-// documented concurrency-safe).
-func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
-	dict, err := wire.Decode(base, jr.Patch)
+// decodeResult converts one acked JobResult into an fl.Result, decoding the
+// upload patch into a buffer from the free list. base is the broadcast base
+// the sending worker diffed its patch against — its post-frame state, the
+// slot mirror's dict once the frame was built — so the result's unchanged
+// keys point at the encoder's round dict and its changed keys at the
+// buffer's tensors. The result's Release hands the buffer back for a later
+// ack to overwrite.
+//
+// Called with mu held, and returns with it held, but releases it while the
+// patch decodes: the ack's bytes are the collector's until its next recv
+// and base is immutable, and an engine waiting on mu behind a decode would
+// leave every result decoded meanwhile holding a buffer. The method's
+// DecodeUpload, not documented concurrency-safe, runs under mu.
+func (p *Pipeline) decodeResult(jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
+	var buf *wire.DecodeBuffer
+	if n := len(p.free); n > 0 {
+		buf, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		buf = new(wire.DecodeBuffer)
+	}
+	p.mu.Unlock()
+	dict, err := buf.Decode(base, jr.Patch)
+	p.mu.Lock()
 	if err != nil {
 		return fl.Result{}, fmt.Errorf("upload patch: %w", err)
 	}
 	var up fl.Upload
 	if len(jr.Upload) > 0 {
-		uc, ok := alg.(fl.UploadCoder)
+		uc, ok := p.alg.(fl.UploadCoder)
 		if !ok {
-			return fl.Result{}, fmt.Errorf("worker sent an upload but %s cannot decode uploads", alg.Name())
+			return fl.Result{}, fmt.Errorf("worker sent an upload but %s cannot decode uploads", p.alg.Name())
 		}
 		up, err = uc.DecodeUpload(jr.Upload)
 		if err != nil {
 			return fl.Result{}, fmt.Errorf("upload: %w", err)
 		}
 	}
-	return fl.Result{Dict: dict, Upload: up}, nil
+	release := func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		poisonDecoded(dict, base)
+		p.free = append(p.free, buf)
+	}
+	return fl.Result{Dict: dict, Upload: up, Release: release}, nil
 }
 
 var _ fl.EachRunner = (*Pipeline)(nil)

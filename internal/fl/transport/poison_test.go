@@ -13,15 +13,18 @@ import (
 )
 
 // TestPoisonedBuffersLeaveRunsBitIdentical is the lifetime gate for the
-// transport's two reused buffers. With every connection's read buffer
-// overwritten by 0xFF once its message is consumed, and every Executor's
-// upload buffer once its ack is sent, a delta federation of RefFiL and of
-// FedLwF — whose wire-state payloads change at task boundaries — must give
-// the same matrix, final state and byte counts as an unpoisoned one; and a
-// worker crash with re-dial, whose re-queued jobs run on a survivor brought
-// to the round's state by their frame, must still land the local matrix.
-// Any field kept past its message, or an upload kept past its send, would
-// read 0xFF instead.
+// transport's three reused buffers. With every connection's read buffer
+// overwritten by 0xFF once its message is consumed, every Executor's upload
+// buffer once its ack is sent, and every Pipeline decode buffer's tensors
+// once the engine releases the result decoded into them, a delta federation
+// of RefFiL and of FedLwF — whose wire-state payloads change at task
+// boundaries — must give the same matrix, final state and byte counts as an
+// unpoisoned one; and a worker crash with re-dial, whose re-queued jobs run
+// on a survivor brought to the round's state by their frame, must still land
+// the local matrix. Any field kept past its message, an upload kept past its
+// send, or a result read past its release — the engine's first result
+// included, whose tensors the aggregate may alias until it is installed —
+// would read 0xFF or NaN instead.
 func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -818,6 +819,78 @@ func TestPipelineDeltaStats(t *testing.T) {
 	if stats.UploadBytes*10 >= stats.BroadcastBytes {
 		t.Fatalf("patch uploads %d bytes vs %d broadcast — upload deltas saved nothing",
 			stats.UploadBytes, stats.BroadcastBytes)
+	}
+	_ = r.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range done {
+		if err := <-ch; err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+}
+
+// TestPipelineRecyclesDecodeBuffers runs four delta rounds of three jobs
+// over two workers. Round 1 holds every result until the round ends, so it
+// leaves one decode buffer per job; later rounds release each result as soon
+// as it is read, as the engine does. The free list must never hold more
+// buffers than a round has jobs, and from round 2 on every upload must land
+// in a tensor round 1 decoded into, with this round's values.
+func TestPipelineRecyclesDecodeBuffers(t *testing.T) {
+	coord, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	train := func(w *Worker) error {
+		return w.Serve(perturbHandler(func(id int) float64 { return float64(id) }))
+	}
+	done := acceptInOrder(t, coord, train, train)
+	alg := newWireAlg(0)
+	r, err := NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.UseCodec("delta"); err != nil {
+		t.Fatal(err)
+	}
+	jobs := wireJobs(1, 2, 3)
+	decoded := make(map[*tensor.Tensor]bool)
+	for round := 0; round < 4; round++ {
+		alg.w.T.Data()[0] = float64(10 * round)
+		var held []fl.Result
+		err := r.RunEach(jobs, func(i int, res fl.Result) error {
+			w := res.Dict["w"]
+			if round > 0 && !decoded[w] {
+				return fmt.Errorf("round %d job %d: upload decoded into a new tensor", round, i)
+			}
+			decoded[w] = true
+			if got, want := w.At(0), float64(10*round+jobs[i].Spec.ClientID); got != want {
+				return fmt.Errorf("round %d job %d: w = %v, want %v", round, i, got, want)
+			}
+			if round == 0 {
+				held = append(held, res)
+			} else {
+				res.Release()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range held {
+			res.Release()
+		}
+		r.mu.Lock()
+		free := len(r.free)
+		r.mu.Unlock()
+		if free > len(jobs) {
+			t.Fatalf("round %d: %d idle decode buffers for %d jobs", round, free, len(jobs))
+		}
+	}
+	if len(decoded) != len(jobs) {
+		t.Fatalf("uploads were decoded into %d tensors, want one per job (%d)", len(decoded), len(jobs))
 	}
 	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {

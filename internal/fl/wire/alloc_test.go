@@ -3,19 +3,16 @@ package wire
 import (
 	"runtime"
 	"testing"
-
-	"reffil/internal/tensor"
 )
 
 // These gates pin the pooled steady state of the packed-delta hot path:
-// once the plane buffers and DEFLATE coder state are warm, packDelta and
-// unpackDelta allocate only what they must hand to the caller — the output
-// byte buffer on pack, the per-key decoded tensors on unpack — never the
-// 8×N plane scratch (64 B/element before this PR) or a fresh ~1 MB
-// flate.Writer. GOMAXPROCS is pinned to 1 so internal/parallel helper
-// bookkeeping doesn't blur the counts, and race-instrumented builds skip
-// the gates (the race runtime adds its own per-call allocations; the
-// functional pack tests still run under -race).
+// once the plane buffers and DEFLATE coder state are warm, packDelta
+// allocates only the output byte buffer it hands to the caller, and a
+// DecodeBuffer not even the decoded tensors — never the 8×N plane scratch
+// (64 B/element) or a fresh ~1 MB flate.Writer. GOMAXPROCS is pinned to 1
+// so internal/parallel helper bookkeeping doesn't blur the counts, and
+// race-instrumented builds skip the gates (the race runtime adds its own
+// per-call allocations; the functional pack tests still run under -race).
 
 func TestPackDeltaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -40,6 +37,13 @@ func TestPackDeltaSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestUnpackDeltaSteadyStateAllocs gates decoding by bytes: once a
+// DecodeBuffer has decoded the payload, decoding it again writes into the
+// buffer's tensors, so what is left is the header bookkeeping (key and span
+// tables, names, shapes, the listed-twice set) and the decompressor's
+// per-dynamic-block Huffman tables — a few KiB. The 256 KiB of decoded
+// tensors a fresh decode allocates for this payload, or the 256 KiB plane
+// scratch without the pool, would each break the gate.
 func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are calibrated for uninstrumented builds")
@@ -51,25 +55,23 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]*tensor.Tensor, len(keys))
-	if err := unpackDelta(base, packed, out); err != nil { // warm the pools
+	p := &Patch{Packed: packed}
+	var buf DecodeBuffer
+	if _, err := buf.Decode(base, p); err != nil { // warm the pools and the buffer
 		t.Fatal(err)
 	}
-	// Per-key decoded tensors (the result — 8 keys × {struct, data, shape}),
-	// the key/span tables and the listed-twice set, and the decompressor's per-dynamic-block Huffman
-	// tables (flate-internal, scales with the stream's block count, ~60 for
-	// this payload); the name buffer is reused across keys and the plane
-	// buffer is pooled. Pre-pool this path also allocated the 8×N plane
-	// scratch (256 KiB here) and a fresh flate reader per call.
-	const maxAllocs = 150
-	if allocs := testing.AllocsPerRun(20, func() {
-		for k := range out {
-			delete(out, k)
-		}
-		if err := unpackDelta(base, packed, out); err != nil {
+	const runs, maxBytes = 20, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := buf.Decode(base, p); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > maxAllocs {
-		t.Errorf("unpackDelta steady state: %v allocs/op, want <= %d (planes and flate state must come from the pools)", allocs, maxAllocs)
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("DecodeBuffer.Decode of 8 × 4096 elements: %d B/op", got)
+	if got >= maxBytes {
+		t.Errorf("DecodeBuffer.Decode steady state: %d B/op, want < %d (the decoded tensors must be the buffer's, planes and flate state the pools')", got, maxBytes)
 	}
 }

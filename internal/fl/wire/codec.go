@@ -107,7 +107,7 @@ type Delta struct{}
 func (Delta) Name() string { return CodecDelta }
 
 // Encode implements Codec. A nil or structurally incompatible base (key set
-// or element counts differ) falls back to a full snapshot.
+// or shapes differ) falls back to a full snapshot.
 func (d Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
 	return d.appendEncode(nil, base, next)
 }
@@ -155,15 +155,16 @@ func sortedKeys(dict map[string]*tensor.Tensor) []string {
 }
 
 // compatible reports whether base can serve as a diffing base for next:
-// identical key sets with identical element counts.
+// identical key sets with identical shapes. A delta never reshapes a key,
+// which is what lets a receiver decode it into the base's own tensors.
 func compatible(base, next map[string]*tensor.Tensor) bool {
 	if base == nil || len(base) != len(next) {
 		return false
 	}
-	//fedvet:ignore maporder pure key-set and size predicate; the boolean result is order-insensitive
+	//fedvet:ignore maporder pure key-set and shape predicate; the boolean result is order-insensitive
 	for k, n := range next {
 		b, ok := base[k]
-		if !ok || b.Size() != n.Size() {
+		if !ok || !b.SameShape(n) {
 			return false
 		}
 	}

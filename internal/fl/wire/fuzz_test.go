@@ -9,16 +9,18 @@ import (
 	"reffil/internal/tensor"
 )
 
-// FuzzDecode holds Decode to three properties on arbitrary patch bytes
+// FuzzDecode holds Decode to four properties on arbitrary patch bytes
 // against a fixed base: it never panics; it allocates no more than the
 // header bounds allow (one tensor of at most maxPackElems elements, beyond
-// memory proportional to the input and the base); and whatever it accepts
-// re-encodes to the same bytes. For a full patch that is the input itself —
-// the dict form has one encoding per dict. A packed delta has many (any
-// valid DEFLATE stream, any raw-plane mask, unchanged keys listed), so
-// there the codec's own encoding of the decoded dict must be a fixed point:
-// it decodes to the same bits and re-encodes to the same bytes, and equals
-// the input whenever the input is what the codec wrote (the seeds).
+// memory proportional to the input and the base); a DecodeBuffer reused
+// across inputs accepts exactly what it accepts, with the same bits; and
+// whatever it accepts re-encodes to the same bytes. For a full patch that
+// is the input itself — the dict form has one encoding per dict. A packed
+// delta has many (any valid DEFLATE stream, any raw-plane mask, unchanged
+// keys listed), so there the codec's own encoding of the decoded dict must
+// be a fixed point: it decodes to the same bits and re-encodes to the same
+// bytes, and equals the input whenever the input is what the codec wrote
+// (the seeds).
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(17))
 	base := randDict(rng)
@@ -47,6 +49,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(false, []byte(nil), delta.Packed)
 	f.Add(false, []byte(nil), delta.Packed[:len(delta.Packed)-2])
 
+	// One buffer decodes every input after Decode has: whatever shapes the
+	// earlier inputs left in it, it must reach the same verdict and the same
+	// bits.
+	var buf DecodeBuffer
 	f.Fuzz(func(t *testing.T, isFull bool, dense, packed []byte) {
 		in := &Patch{Full: isFull, Dense: dense, Packed: packed}
 		var before, after runtime.MemStats
@@ -57,9 +63,14 @@ func FuzzDecode(f *testing.F) {
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*maxPackElems+64*size+1<<20); alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", size, alloc, bound)
 		}
+		reused, bufErr := buf.Decode(base, in)
+		if (err == nil) != (bufErr == nil) {
+			t.Fatalf("Decode error %v, DecodeBuffer.Decode error %v", err, bufErr)
+		}
 		if err != nil {
 			return
 		}
+		requireSameDict(t, "reused buffer", got, reused)
 		if isFull {
 			re, err := Full{}.Encode(nil, got)
 			if err != nil {

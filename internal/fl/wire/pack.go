@@ -53,8 +53,9 @@ import (
 // is computed into a stack buffer and immediately scattered into its 8
 // plane segments while still cache-hot, instead of one strided 8-way write
 // per element. The DEFLATE coders and the plane buffers come from pools,
-// and the output goes into storage the caller may keep across calls
-// (Buffer), so steady-state packing need allocate nothing at all.
+// and both directions write into storage the caller keeps across calls:
+// packing into a Buffer's bytes, unpacking into a DecodeBuffer's or a
+// Tracker's tensors. So neither allocates its output in the steady state.
 
 // packLevel is the DEFLATE effort. The payload is zero runs in the high
 // planes and incompressible noise in the low ones, so higher levels buy
@@ -343,10 +344,20 @@ func unshufflePlanes(planes []byte, spans []span, total int) {
 	})
 }
 
-// unpackDelta applies a packed payload against base, writing each decoded
-// key's new tensor into out. A key listed twice, absent from the base, or
-// shaped differently than the base is rejected.
-func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*tensor.Tensor) error {
+// storageFunc supplies the tensor a decode writes one changed key into,
+// given the base's tensor for the key: a tensor of the same shape that the
+// caller owns. It may return the base tensor itself, which decodes in place
+// — the XOR against the base is elementwise, so each element is read before
+// it is overwritten.
+type storageFunc func(base *tensor.Tensor) *tensor.Tensor
+
+// unpackDelta applies a packed payload against base: each decoded key's new
+// values are written into the tensor storage supplies for it, and out maps
+// the key to that tensor. A key listed twice, absent from the base, or
+// shaped differently than the base is rejected. Every check runs before
+// storage is asked for anything, so a rejected payload writes no tensor and
+// no entry of out.
+func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*tensor.Tensor, storage storageFunc) error {
 	rd := bytes.NewReader(packed)
 	count, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -359,9 +370,8 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 		return fmt.Errorf("wire: packed key count %d exceeds payload capacity", count)
 	}
 	type packKey struct {
-		name  string
-		shape []int
-		n     int
+		name string
+		base *tensor.Tensor
 	}
 	keys := make([]packKey, 0, count)
 	seen := make(map[string]bool, count)
@@ -414,10 +424,10 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 			return fmt.Errorf("wire: packed patch lists key %q twice", name)
 		}
 		seen[name] = true
-		if bt.Size() != n {
-			return fmt.Errorf("wire: packed entry %q has %d elements, base holds %d", name, n, bt.Size())
+		if !hasShape(bt, shape) {
+			return fmt.Errorf("wire: packed entry %q has shape %v, base holds %v", name, shape, bt.Shape())
 		}
-		keys = append(keys, packKey{name: name, shape: shape, n: n})
+		keys = append(keys, packKey{name: name, base: bt})
 		total += n
 	}
 
@@ -451,11 +461,13 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 				return fmt.Errorf("wire: packed plane %d: %w", p, err)
 			}
 		}
-		// The stream must end exactly where the header said it would.
+		// The stream must end exactly where the header said it would, with
+		// its final block: a stream cut after the last plane byte is as
+		// truncated as one cut before it.
 		var extra [1]byte
-		if n, _ := fr.Read(extra[:]); n != 0 {
+		if n, err := fr.Read(extra[:]); n != 0 || err != io.EOF {
 			release()
-			return fmt.Errorf("wire: packed planes longer than the %d declared elements", total)
+			return fmt.Errorf("wire: packed planes do not end after the %d declared elements", total)
 		}
 		release()
 	}
@@ -468,11 +480,24 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 	spans := make([]span, len(keys))
 	off := 0
 	for i, pk := range keys {
-		data := make([]float64, pk.n)
-		spans[i] = span{off: off, base: base[pk.name].Data(), data: data}
-		out[pk.name] = tensor.FromSlice(data, pk.shape...)
-		off += pk.n
+		dst := storage(pk.base)
+		spans[i] = span{off: off, base: pk.base.Data(), data: dst.Data()}
+		out[pk.name] = dst
+		off += pk.base.Size()
 	}
 	unshufflePlanes(planes, spans, total)
 	return nil
+}
+
+// hasShape reports whether t has exactly the given shape.
+func hasShape(t *tensor.Tensor, shape []int) bool {
+	if t.NDim() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return false
+		}
+	}
+	return true
 }

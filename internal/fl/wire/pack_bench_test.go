@@ -47,11 +47,12 @@ func BenchmarkUnpackDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	p := &Patch{Packed: packed}
+	var buf DecodeBuffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := make(map[string]*tensor.Tensor, len(keys))
-		if err := unpackDelta(base, packed, out); err != nil {
+		if _, err := buf.Decode(base, p); err != nil {
 			b.Fatal(err)
 		}
 	}

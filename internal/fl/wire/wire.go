@@ -16,7 +16,9 @@
 //     the worker applies frames as they arrive (Apply), the coordinator
 //     advances its mirror of the worker as it sends them (Encoder.Advance)
 //     — so version mismatches are rejected symmetrically instead of
-//     silently diverging.
+//     silently diverging. Decoding writes into tensors that already exist:
+//     the worker's Tracker into its own dict, the coordinator into a
+//     DecodeBuffer per upload it is folding.
 //   - Encoder (encoder.go): the coordinator-side frame builder. It versions
 //     the round state and the method wire-state payload separately, so
 //     payloads that only change at task boundaries (LwF's distillation
@@ -44,6 +46,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"reffil/internal/checkpoint"
 	"reffil/internal/tensor"
@@ -139,8 +142,11 @@ type Frame struct {
 // runs one Tracker per connection; the coordinator mirrors one per worker
 // so it always knows which base each worker holds.
 //
-// Dict tensors are shared across versions for unchanged keys — treat every
-// tensor reachable from Dict as immutable.
+// A tracker that Applies frames owns Dict: each delta is decoded into the
+// tensors Dict already holds, so a caller that needs a version's values past
+// the next Apply copies them (nn.LoadStateDict does). A coordinator mirror
+// never Applies. Encoder.Advance points its Dict at the encoder's round
+// dict, which is shared and immutable.
 type Tracker struct {
 	// Version is the state version currently held (0 = no state yet).
 	Version uint64
@@ -155,9 +161,12 @@ type Tracker struct {
 // payload to load (nil unless payloadChanged), and whether it did. Any
 // version mismatch — a no-op frame for a version the tracker does not
 // hold, a delta against a different base, or a silent payload skew — is
-// rejected before the tracker mutates. Nothing Apply returns or keeps
-// aliases f: the payload is a copy and the state is decoded into new
-// tensors, so f's bytes may live in a buffer the transport reuses.
+// rejected before the tracker mutates, and so is a patch that does not
+// decode: a full snapshot decodes into new tensors that replace Dict, a
+// delta into Dict's own tensors only once every check has passed. Nothing
+// Apply returns or keeps aliases f: the payload is a copy and the state is
+// decoded out of the patch bytes, so f's bytes may live in a buffer the
+// transport reuses.
 func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadChanged bool, err error) {
 	// Validate everything before mutating anything.
 	if err := t.Validate(f); err != nil {
@@ -165,7 +174,7 @@ func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadCha
 	}
 
 	if f.Kind != KindNone {
-		dict, err := Decode(t.Dict, &f.Patch)
+		dict, err := decode(t.Dict, &f.Patch, t.Dict, inPlace)
 		if err != nil {
 			return false, nil, false, err
 		}
@@ -215,6 +224,10 @@ func (t *Tracker) Validate(f *Frame) error {
 	return nil
 }
 
+// inPlace is the storage a tracker decodes a delta into: the base tensor
+// itself, which is the one Dict holds.
+func inPlace(base *tensor.Tensor) *tensor.Tensor { return base }
+
 // Decode applies a patch to a base state dict and returns the resulting
 // dict. Exactly two forms can arrive: a full snapshot (every key in Dense;
 // base is ignored and may be nil) or a packed delta against a base (changed
@@ -223,8 +236,47 @@ func (t *Tracker) Validate(f *Frame) error {
 // else — sparse entries, dense bytes on a non-full patch, packed bytes on a
 // full one — is rejected: no codec emits it, so it is corruption or a peer
 // speaking another protocol. Decode is codec-agnostic: a patch is
-// self-describing.
+// self-describing. It is DecodeBuffer.Decode on a buffer of its own, so every
+// changed key lands in a new tensor.
 func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
+	var d DecodeBuffer
+	return d.Decode(base, p)
+}
+
+// DecodeBuffer is a reusable decode target for a receiver that reads one
+// decoded dict at a time from it, such as the coordinator folding an upload:
+// Decode writes the changed keys of a packed delta into tensors drawn from
+// the buffer's arena, which takes them all back at the next Decode. So once
+// the buffer has decoded its largest set of changed keys, decoding
+// allocates no tensor storage, and what it keeps is that one set — not one
+// tensor for every key that ever changed, and no reference to a base. The
+// zero value is ready to use; a DecodeBuffer must not be copied after first
+// use.
+type DecodeBuffer struct {
+	arena tensor.Arena
+}
+
+// Decode is the package-level Decode into the buffer's storage. It never
+// writes into base: keys the patch leaves unchanged point at base's
+// tensors, and changed keys at the buffer's own, so base must not be an
+// earlier result of the same buffer. The changed keys' tensors, and anything
+// a kernel computed from them (which draws from the same arena), are valid
+// until the next Decode. A full snapshot decodes into new tensors.
+func (d *DecodeBuffer) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
+	d.arena.Reset()
+	out := make(map[string]*tensor.Tensor, len(base))
+	maps.Copy(out, base)
+	// Scratch storage suffices: unpacking writes every element of a changed
+	// key before anything reads one.
+	return decode(base, p, out, d.arena.ScratchLike)
+}
+
+// decode is the one decode path behind Decode, DecodeBuffer.Decode and
+// Tracker.Apply. It rejects every patch form no codec emits, decodes a full
+// snapshot into a new dict, and unpacks a packed delta against base into out
+// — which the caller has already pointed at base's tensors, or which is base
+// itself — writing each changed key into the tensor storage supplies.
+func decode(base map[string]*tensor.Tensor, p *Patch, out map[string]*tensor.Tensor, storage storageFunc) (map[string]*tensor.Tensor, error) {
 	if len(p.Sparse) > 0 {
 		return nil, fmt.Errorf("wire: patch carries %d sparse entries", len(p.Sparse))
 	}
@@ -240,13 +292,8 @@ func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor
 	if base == nil {
 		return nil, fmt.Errorf("wire: delta patch without a base state")
 	}
-	out := make(map[string]*tensor.Tensor, len(base))
-	//fedvet:ignore maporder map-to-map copy is order-insensitive
-	for k, v := range base {
-		out[k] = v
-	}
 	if len(p.Packed) > 0 {
-		if err := unpackDelta(base, p.Packed, out); err != nil {
+		if err := unpackDelta(base, p.Packed, out, storage); err != nil {
 			return nil, err
 		}
 	}

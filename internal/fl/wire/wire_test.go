@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -229,7 +230,9 @@ func TestPackedDeltaRawPlanesRoundTrip(t *testing.T) {
 
 // TestPackedDeltaRejectsCorrupt covers the unpack-side validation edges:
 // truncated header, trailing byte, unknown key, element-count mismatch
-// against the base, and a key listed twice.
+// against the base, a shape mismatch at equal element count, and a key
+// listed twice. The codec never writes the shape mismatch: it encodes
+// against a base of another shape as a full snapshot.
 func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	base := randDict(rng)
@@ -255,6 +258,16 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(short, p); err == nil {
 		t.Fatal("packed element-count mismatch against the base must error")
+	}
+	reshaped := map[string]*tensor.Tensor{
+		"conv.w": base["conv.w"], "lin.w": base["lin.w"], "scalar": base["scalar"],
+		"lin.b": tensor.RandN(rng, 1, 4, 4), // lin.b's 16 elements, another shape
+	}
+	if _, err := Decode(reshaped, p); err == nil || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("packed shape mismatch against the base: %v", err)
+	}
+	if q, err := (Delta{}).Encode(reshaped, next); err != nil || !q.Full {
+		t.Fatalf("encoding against a base of another shape must fall back to a full snapshot (err %v)", err)
 	}
 	twice, err := packDelta(nil, base, next, []string{"lin.b", "lin.b"})
 	if err != nil {
@@ -286,6 +299,193 @@ func TestDeltaSharesUnchangedTensors(t *testing.T) {
 	if got["lin.b"] == base["lin.b"] {
 		t.Fatal("changed key must not alias the base tensor")
 	}
+}
+
+// manyKeyDict builds a base dict of 16 differently shaped keys, enough for
+// patches whose changed-key sets differ in more than one key.
+func manyKeyDict(rng *rand.Rand) (map[string]*tensor.Tensor, []string) {
+	d := make(map[string]*tensor.Tensor, 16)
+	var keys []string
+	for i := 0; i < 16; i++ {
+		k := fmt.Sprintf("layer%02d.w", i)
+		d[k] = tensor.RandN(rng, 1, 1+i%3, 8+i)
+		keys = append(keys, k)
+	}
+	return d, keys
+}
+
+// snapshotDict records what a dict holds: its tensors' identities and a
+// deep copy of their bits.
+func snapshotDict(d map[string]*tensor.Tensor) (map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
+	ptrs := make(map[string]*tensor.Tensor, len(d))
+	for k, v := range d {
+		ptrs[k] = v
+	}
+	return ptrs, cloneDict(d)
+}
+
+// requireUnchanged asserts d still holds exactly the tensors and bits a
+// snapshotDict took.
+func requireUnchanged(t *testing.T, label string, d, ptrs, bits map[string]*tensor.Tensor) {
+	t.Helper()
+	if len(d) != len(ptrs) {
+		t.Fatalf("%s: dict has %d keys, had %d", label, len(d), len(ptrs))
+	}
+	for k, p := range ptrs {
+		if d[k] != p {
+			t.Fatalf("%s: key %q points at another tensor", label, k)
+		}
+	}
+	requireSameDict(t, label, bits, d)
+}
+
+// TestDecodeBufferMatchesDecode reuses one DecodeBuffer across patches
+// whose changed-key sets differ — every key, then 8 of 16, then every key
+// again, then a full snapshot, then a delta once more — and holds each
+// result to Decode's bits. The base keeps every tensor and every bit
+// throughout, unchanged keys point at it, and after the first decode every
+// changed key is written into a tensor the buffer already holds.
+func TestDecodeBufferMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	base, keys := manyKeyDict(rng)
+	basePtrs, baseBits := snapshotDict(base)
+	next := func(changed []string) map[string]*tensor.Tensor {
+		n := cloneDict(base)
+		mutate(rng, n, 1, changed...)
+		return n
+	}
+	delta := func(changed []string) *Patch {
+		p, err := Delta{}.Encode(base, next(changed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	full, err := Full{}.Encode(nil, next(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name    string
+		p       *Patch
+		changed []string
+	}{
+		{"every key", delta(keys), keys},
+		{"8 keys", delta(keys[4:12]), keys[4:12]},
+		{"every key again", delta(keys), keys},
+		{"full snapshot", full, nil},
+		{"every key after the snapshot", delta(keys), keys},
+	}
+	var buf DecodeBuffer
+	owned := make(map[*tensor.Tensor]bool) // what the first, largest decode drew
+	for i, s := range steps {
+		want, err := Decode(base, s.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := buf.Decode(base, s.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDict(t, s.name, want, got)
+		requireUnchanged(t, s.name+": base", base, basePtrs, baseBits)
+		if s.p.Full {
+			continue
+		}
+		isChanged := make(map[string]bool)
+		for _, k := range s.changed {
+			isChanged[k] = true
+			if i == 0 {
+				owned[got[k]] = true
+			} else if !owned[got[k]] {
+				t.Fatalf("%s: key %q decoded into a new tensor, not one the buffer holds", s.name, k)
+			}
+		}
+		for _, k := range keys {
+			if (got[k] == base[k]) == isChanged[k] {
+				t.Fatalf("%s: key %q points at the base: %v, changed: %v", s.name, k, got[k] == base[k], isChanged[k])
+			}
+		}
+	}
+}
+
+// TestApplyRejectsWithoutWriting drives a tracker that decodes in place
+// through five corrupt deltas — a plane stream cut inside its planes or
+// before its final block, a byte after the planes, a key the tracker does
+// not hold, and a key of another size — and requires each to leave the
+// tracker's version, its dict's tensors and every bit in them as they were.
+// A valid delta after them still lands, in place.
+func TestApplyRejectsWithoutWriting(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	state := randDict(rng)
+	full, err := Full{}.Encode(nil, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Tracker
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindFull, Version: 1, Patch: *full}); err != nil {
+		t.Fatal(err)
+	}
+	next := cloneDict(state)
+	mutate(rng, next, 1, "conv.w", "lin.w", "lin.b", "scalar")
+	valid, err := Delta{}.Encode(state, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The planes of these small keys all go through DEFLATE, so cutting the
+	// payload short cuts the compressed stream: in the middle of the plane
+	// bytes, or after them but before the stream's final block.
+	truncated := valid.Packed[:len(valid.Packed)/2]
+	unterminated := valid.Packed[:len(valid.Packed)-4]
+	trailing := append(valid.Packed[:len(valid.Packed):len(valid.Packed)], 0)
+	withStranger := cloneDict(state)
+	withStranger["stranger"] = tensor.RandN(rng, 1, 4)
+	strangerNext := cloneDict(withStranger)
+	mutate(rng, strangerNext, 1, "lin.b", "stranger")
+	unknown, err := packDelta(nil, withStranger, strangerNext, []string{"lin.b", "stranger"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resized := cloneDict(state)
+	resized["lin.w"] = tensor.RandN(rng, 1, 4, 4)
+	resizedNext := cloneDict(resized)
+	mutate(rng, resizedNext, 1, "lin.b", "lin.w")
+	wrongSize, err := packDelta(nil, resized, resizedNext, []string{"lin.b", "lin.w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ptrs, bits := snapshotDict(tr.Dict)
+	for _, tc := range []struct {
+		name   string
+		packed []byte
+	}{
+		{"truncated plane stream", truncated},
+		{"plane stream without its final block", unterminated},
+		{"trailing byte", trailing},
+		{"unknown key", unknown},
+		{"wrong-size key", wrongSize},
+	} {
+		if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 1, Version: 2, Patch: Patch{Packed: tc.packed}}); err == nil {
+			t.Fatalf("%s: Apply accepted a corrupt delta", tc.name)
+		}
+		if tr.Version != 1 {
+			t.Fatalf("%s: rejected delta moved the tracker to version %d", tc.name, tr.Version)
+		}
+		requireUnchanged(t, tc.name, tr.Dict, ptrs, bits)
+	}
+	if _, _, _, err := tr.Apply(&Frame{Kind: KindDelta, BaseVersion: 1, Version: 2, Patch: *valid}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Version != 2 {
+		t.Fatalf("valid delta left the tracker at version %d", tr.Version)
+	}
+	for k, p := range ptrs {
+		if tr.Dict[k] != p {
+			t.Fatalf("key %q was decoded into a new tensor, not in place", k)
+		}
+	}
+	requireSameDict(t, "applied in place", next, tr.Dict)
 }
 
 // TestDecodeRejectsCorruptPatches covers the decode-side validation edges:
@@ -325,8 +525,8 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 		}
 	}
 	// The same rejection holds on both ends of a connection: a worker's
-	// Tracker.Apply decodes through Decode, so a frame carrying sparse
-	// entries leaves the tracker untouched.
+	// Tracker.Apply decodes through Decode's path, so a frame carrying
+	// sparse entries leaves the tracker untouched.
 	var tr Tracker
 	if _, _, _, err := tr.Apply(&Frame{Kind: KindFull, Version: 1, Patch: Patch{Full: true, Dense: full.Dense, Sparse: sparse}}); err == nil {
 		t.Fatal("Tracker.Apply accepted a patch carrying sparse entries")
