@@ -173,7 +173,7 @@ func run() error {
 
 	// The re-join loop: serve until the coordinator says Done (clean exit)
 	// or the connection is lost. The Executor survives re-dials, so its
-	// shard cache is retained; its stream state is reset, because the
+	// partition cache is retained; its stream state is reset, because the
 	// coordinator admits a re-dial into a fresh slot it holds no state for.
 	for attempt := 0; ; attempt++ {
 		w, err := dial()

@@ -1,10 +1,46 @@
 package autograd
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"reffil/internal/tensor"
 )
+
+// TestConv2DReleasesColumnsWithoutWeightGrad: with w frozen, Conv2D gives the
+// output of the path that keeps columns for backward bit for bit, and its
+// arena ends up holding the output plus one image's columns, where the
+// keeping path holds every image's.
+func TestConv2DReleasesColumnsWithoutWeightGrad(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one image at a time
+	const bs, c, hw, o, kk = 5, 3, 8, 4, 3
+	rng := rand.New(rand.NewSource(7))
+	x := tensor.RandN(rng, 1, bs, c, hw, hw)
+	w := Param(tensor.RandN(rng, 1, o, c, kk, kk))
+	b := Param(tensor.RandN(rng, 1, o))
+
+	var keeping, releasing tensor.Arena
+	want, err := Conv2D(Constant(keeping.Wrap(x)), w, b, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetRequiresGrad(false)
+	got, err := Conv2D(Constant(releasing.Wrap(x)), w, b, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.T.EqualBits(want.T) {
+		t.Fatal("the releasing path's output differs from the keeping path's")
+	}
+	outBytes, colBytes := 8*got.T.Size(), 8*c*kk*kk*hw*hw
+	if n := releasing.Retained(); n > outBytes+colBytes {
+		t.Errorf("frozen w: arena holds %d bytes, want at most the output's %d plus one image's columns %d", n, outBytes, colBytes)
+	}
+	if n := keeping.Retained(); n < outBytes+bs*colBytes {
+		t.Errorf("trainable w: arena holds %d bytes, want the output's %d plus %d images' columns %d each", n, outBytes, bs, colBytes)
+	}
+}
 
 func TestReshapeIsAView(t *testing.T) {
 	x := Param(tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3))

@@ -20,12 +20,16 @@ const gwPartials = 8
 
 // Conv2D convolves x (B,C,H,W) with weights w (O,C,kh,kw) and optional bias
 // b (O,), using the given stride and zero padding. The forward pass uses
-// im2col + matmul; the per-sample column matrices are kept for backward (the
-// weight gradient re-reads them) and, like every other temporary here, are
-// drawn from x's arena, whose Reset reclaims them whether or not the tape is
-// ever backpropagated. Batch images are independent, so both passes fan the per-image im2col and
-// matmul work out over the batch axis; the weight gradient is reduced
-// serially in batch order to keep results bit-identical to serial execution.
+// im2col + matmul. Only the weight gradient re-reads an image's column
+// matrix, so the columns are kept for backward when w requires grad and
+// released right after their image's matmul when it does not — an
+// evaluation forward then holds one image's columns at a time, not the
+// batch's. Like every other temporary here they are drawn from x's arena,
+// whose Reset reclaims kept columns whether or not the tape is ever
+// backpropagated. Batch images are independent, so both passes fan the
+// per-image im2col and matmul work out over the batch axis; the weight
+// gradient is reduced serially in batch order to keep results bit-identical
+// to serial execution.
 func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 	if x.T.NDim() != 4 || w.T.NDim() != 4 {
 		return nil, fmt.Errorf("autograd: Conv2D wants 4-D x and w, got %v and %v", x.T.Shape(), w.T.Shape())
@@ -48,17 +52,26 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 
 	ar := tensor.ArenaOf(x.T, w.T)
 	out := ar.New(bs, o, geom.OutH, geom.OutW)
-	cols := make([]*tensor.Tensor, bs)
+	keep := w.requiresGrad
+	var cols []*tensor.Tensor
+	if keep {
+		cols = make([]*tensor.Tensor, bs)
+	}
 	imgLen := c * h * wd
 	imgGrain := parallel.GrainForCost(2*o*k*p, convChunkOps)
 	parallel.For(bs, imgGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols[i] = ar.Scratch(k, p) // Im2col writes every position
-			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], cols[i].Data())
+			col := ar.Scratch(k, p) // Im2col writes every position
+			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], col.Data())
 			// out is zeroed and images are row-disjoint, so the product
 			// accumulates straight into this image's slice of it.
 			res := out.View(i*o*p, o, p)
-			tensor.MatMulInto(res, wMat, cols[i])
+			tensor.MatMulInto(res, wMat, col)
+			if keep {
+				cols[i] = col
+			} else {
+				col.Release()
+			}
 			if b != nil {
 				rd := res.Data()
 				for ch := 0; ch < o; ch++ {
@@ -74,7 +87,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 
 	node := newNode(out, "conv2d", x, w, b)
 	node.back = func() {
-		if w.requiresGrad {
+		if keep {
 			// Weight-gradient partials are accumulated over a fixed number
 			// of batch chunks computed concurrently, then reduced in chunk
 			// order. The chunk boundaries depend only on the batch size —

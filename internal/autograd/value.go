@@ -49,6 +49,17 @@ func Constant(t *tensor.Tensor) *Value { return NewLeaf(t, false) }
 // RequiresGrad reports whether gradients flow into this node.
 func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 
+// SetRequiresGrad makes a leaf trainable or constant in place. It decides
+// what the ops built on the leaf from then on record for backward; nodes
+// built before keep what they recorded. Interior nodes derive the flag from
+// their parents, so it panics on one.
+func (v *Value) SetRequiresGrad(req bool) {
+	if v.op != "leaf" {
+		panic(fmt.Sprintf("autograd: SetRequiresGrad on interior %s node", v.op))
+	}
+	v.requiresGrad = req
+}
+
 // CloneLeaf returns a fresh leaf holding a deep copy of the value's tensor,
 // preserving trainability. The clone shares no storage with the original and
 // carries no gradient or tape history — it is the building block for the

@@ -157,6 +157,26 @@ func TestLwFTeacherSnapshot(t *testing.T) {
 	if reg.teacher == nil {
 		t.Fatal("task 1 must snapshot a teacher")
 	}
+	// Nothing differentiates the teacher, here or on a worker that loads it
+	// from the wire: its parameters are constants.
+	payload, err := alg.EncodeWireState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := NewFedLwF(testModelCfg(), rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := worker.LoadWireState(payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, teacher := range []*lwf{reg, worker.reg.(*lwf)} {
+		for _, p := range teacher.teacher.Params() {
+			if p.Value.RequiresGrad() {
+				t.Fatalf("teacher parameter %s requires grad", p.Name)
+			}
+		}
+	}
 	// Teacher must be frozen in time: training the student must not move it.
 	before := nn.StateDict(reg.teacher)
 	if _, err := alg.LocalTrain(localCtx(t, 1, fl.GroupNew)); err != nil {

@@ -44,17 +44,21 @@ const (
 )
 
 // taskStart snapshots the global model as the distillation teacher before
-// any new-domain training overwrites it.
+// any new-domain training overwrites it. Nothing ever differentiates the
+// teacher, so its parameters are frozen for good (nn.Freeze): its forward
+// pass records no backward state and Conv2D drops its columns at once.
 func (l *lwf) taskStart(task int, global *model.Backbone) {
 	if task > 0 {
 		l.teacher = global.Clone()
+		nn.Freeze(l.teacher)
 	}
 }
 
 func (l *lwf) taskEnd(*model.Backbone, *data.Dataset) error { return nil }
 
 // penalise adds the distillation term. The teacher's eval-mode forward pass
-// mutates nothing, so concurrent replicas distill from the same instance.
+// mutates nothing — its parameters are frozen leaves — so concurrent
+// replicas distill from the same instance.
 func (l *lwf) penalise(loss *autograd.Value, _ []nn.Param, x *tensor.Tensor, logits *autograd.Value) (*autograd.Value, error) {
 	if l.teacher == nil {
 		return loss, nil
@@ -81,7 +85,7 @@ func (l *lwf) wireState() map[string]*tensor.Tensor {
 
 // loadWireState reconstructs the teacher from the broadcast state dict, so
 // a networked worker distills from exactly the snapshot the coordinator
-// froze at task start.
+// froze at task start — frozen here too.
 func (l *lwf) loadWireState(dict map[string]*tensor.Tensor, global *model.Backbone) error {
 	if len(dict) == 0 {
 		l.teacher = nil
@@ -89,6 +93,7 @@ func (l *lwf) loadWireState(dict map[string]*tensor.Tensor, global *model.Backbo
 	}
 	if l.teacher == nil {
 		l.teacher = global.Clone()
+		nn.Freeze(l.teacher)
 	}
 	return nn.LoadStateDict(l.teacher, dict)
 }

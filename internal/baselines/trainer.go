@@ -241,13 +241,16 @@ func (t *Trainer) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 func (t *Trainer) ServerRound(task, round int, uploads []fl.Upload) error { return nil }
 
 // Predict implements fl.Algorithm: the same prompt machinery runs at
-// inference (key matching needs no task id).
+// inference (key matching needs no task id), with the parameters read as
+// constants (nn.Inference, whose contract applies).
 func (t *Trainer) Predict(x *tensor.Tensor) ([]int, error) {
-	logits, _, err := t.forward(&nn.Ctx{Train: false}, x, nil)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ArgmaxRows(logits.T), nil
+	return nn.Inference(t, func() ([]int, error) {
+		logits, _, err := t.forward(&nn.Ctx{Train: false}, x, nil)
+		if err != nil {
+			return nil, err
+		}
+		return tensor.ArgmaxRows(logits.T), nil
+	})
 }
 
 // Regularised is a Trainer whose regulariser holds server-side state outside

@@ -331,29 +331,30 @@ func (r *RefFiL) ServerRound(task, round int, uploads []fl.Upload) error {
 
 // Predict implements fl.Algorithm. The task ID is training-only (paper
 // §IV), so inference conditions the generator on the mean of all task keys
-// seen so far; without CDAP the plain token sequence is classified.
+// seen so far; without CDAP the plain token sequence is classified. The
+// parameters are read as constants (nn.Inference, whose contract applies).
 func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
-	nnCtx := &nn.Ctx{Train: false}
-	tokens, err := r.backbone.Tokens(nnCtx, autograd.Constant(x))
-	if err != nil {
-		return nil, err
-	}
-	var prompts *autograd.Value
-	if r.gen != nil {
-		key, err := r.gen.InferenceKey(r.curTask + 1)
+	return nn.Inference(r.Global(), func() ([]int, error) {
+		tokens, err := r.backbone.Tokens(&nn.Ctx{Train: false}, autograd.Constant(x))
 		if err != nil {
 			return nil, err
 		}
-		prompts, err = r.gen.GenerateWithKey(tokens, key)
+		var prompts *autograd.Value
+		if r.gen != nil {
+			key, err := r.gen.InferenceKey(r.curTask + 1)
+			if err != nil {
+				return nil, err
+			}
+			if prompts, err = r.gen.GenerateWithKey(tokens, key); err != nil {
+				return nil, err
+			}
+		}
+		logits, err := r.backbone.Classify(tokens, prompts)
 		if err != nil {
 			return nil, err
 		}
-	}
-	logits, err := r.backbone.Classify(tokens, prompts)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ArgmaxRows(logits.T), nil
+		return tensor.ArgmaxRows(logits.T), nil
+	})
 }
 
 // RefFiL's server-side state beyond Global() travels as a checkpoint dict:

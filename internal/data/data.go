@@ -66,53 +66,62 @@ type Batch struct {
 }
 
 // Batches shuffles the dataset with rng and splits it into minibatches of
-// at most batchSize examples. The final short batch is kept.
+// at most batchSize examples, collated onto the heap. The final short batch
+// is kept.
 func Batches(ds *Dataset, batchSize int, rng *rand.Rand) ([]Batch, error) {
-	if batchSize <= 0 {
-		return nil, fmt.Errorf("data: batch size must be positive, got %d", batchSize)
-	}
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("data: cannot batch empty dataset %q", ds.Name)
-	}
-	idx := rng.Perm(ds.Len())
-	var out []Batch
-	for start := 0; start < len(idx); start += batchSize {
-		end := start + batchSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		out = append(out, collate(ds, idx[start:end]))
-	}
-	return out, nil
+	return collateAll(ds, batchSize, rng)
 }
 
 // EvalBatches splits the dataset into batches in order, without shuffling.
 func EvalBatches(ds *Dataset, batchSize int) ([]Batch, error) {
+	return collateAll(ds, batchSize, nil)
+}
+
+func collateAll(ds *Dataset, batchSize int, rng *rand.Rand) ([]Batch, error) {
+	spans, err := BatchIndices(ds, batchSize, rng)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Batch, len(spans))
+	for i, idx := range spans {
+		out[i] = Collate(nil, ds, idx)
+	}
+	return out, nil
+}
+
+// BatchIndices is Batches without the collation: the example indices of
+// each minibatch, shuffled by one rng.Perm — in order when rng is nil — so
+// a caller can collate each batch just before it uses it (see Collate).
+func BatchIndices(ds *Dataset, batchSize int, rng *rand.Rand) ([][]int, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("data: batch size must be positive, got %d", batchSize)
 	}
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("data: cannot batch empty dataset %q", ds.Name)
 	}
-	var out []Batch
-	for start := 0; start < ds.Len(); start += batchSize {
-		end := start + batchSize
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, end-start)
+	var idx []int
+	if rng != nil {
+		idx = rng.Perm(ds.Len())
+	} else {
+		idx = make([]int, ds.Len())
 		for i := range idx {
-			idx[i] = start + i
+			idx[i] = i
 		}
-		out = append(out, collate(ds, idx))
 	}
-	return out, nil
+	spans := make([][]int, 0, (len(idx)+batchSize-1)/batchSize)
+	for start := 0; start < len(idx); start += batchSize {
+		spans = append(spans, idx[start:min(start+batchSize, len(idx))])
+	}
+	return spans, nil
 }
 
-func collate(ds *Dataset, idx []int) Batch {
+// Collate gathers the examples at idx, which must share one shape, into a
+// batch whose X — (len(idx), example shape...) — is drawn from ar, or from
+// the heap when ar is nil. An arena batch dies at ar's next Reset like
+// everything else drawn there.
+func Collate(ar *tensor.Arena, ds *Dataset, idx []int) Batch {
 	first := ds.Examples[idx[0]].X
-	shape := append([]int{len(idx)}, first.Shape()...)
-	x := tensor.New(shape...)
+	x := ar.Scratch(append([]int{len(idx)}, first.Shape()...)...) // every element is copied below
 	y := make([]int, len(idx))
 	task := make([]int, len(idx))
 	per := first.Size()

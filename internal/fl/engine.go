@@ -422,7 +422,7 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 	// Partition the new domain among clients currently on task t. The
 	// partition RNG is derived from (seed, task) — not the engine's ambient
 	// stream — so a remote worker handed a ShardSpec re-runs the identical
-	// partition from the spec alone.
+	// partition from the spec alone, through the same split.
 	var learners []*client
 	for _, c := range e.clients {
 		if c.task == t {
@@ -432,13 +432,11 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 	if len(learners) == 0 {
 		return fmt.Errorf("fl: task %d has no learners", t)
 	}
-	prng := rand.New(rand.NewSource(PartitionSeed(e.cfg.Seed, t)))
-	shards, err := data.PartitionQuantityShift(train, len(learners), e.cfg.Alpha, prng)
+	shards, err := e.taskSpec(t, len(learners)).split(train)
 	if err != nil {
-		return fmt.Errorf("fl: partitioning task %d: %w", t, err)
+		return err
 	}
 	for i, c := range learners {
-		shards[i].SetTask(t)
 		c.shards[t] = shards[i]
 		c.partRefs[t] = shardRef{learners: len(learners), index: i}
 	}
@@ -614,6 +612,14 @@ func (e *Engine) jobSpec(c *client, t, r int) JobSpec {
 // shardSpec describes client c's shard of the given task's partition.
 func (e *Engine) shardSpec(c *client, task int) ShardSpec {
 	ref := c.partRefs[task]
+	spec := e.taskSpec(task, ref.learners)
+	spec.Index = ref.index
+	return spec
+}
+
+// taskSpec describes the given task's partition among learners clients, at
+// slot 0.
+func (e *Engine) taskSpec(task, learners int) ShardSpec {
 	return ShardSpec{
 		Dataset:        e.family.Name,
 		Image:          e.family.Size,
@@ -623,8 +629,7 @@ func (e *Engine) shardSpec(c *client, task int) ShardSpec {
 		TrainPerDomain: e.cfg.TrainPerDomain,
 		TestPerDomain:  e.cfg.TestPerDomain,
 		GenSeed:        TaskSeed(e.cfg.Seed, task),
-		Learners:       ref.learners,
-		Index:          ref.index,
+		Learners:       learners,
 		Alpha:          e.cfg.Alpha,
 		PartSeed:       PartitionSeed(e.cfg.Seed, task),
 	}
@@ -658,21 +663,22 @@ func (e *Engine) clientData(c *client) *data.Dataset {
 }
 
 // evaluate runs the algorithm's Predict over a test set. Each batch is
-// wrapped into an arena, so the forward pass computed from it is drawn there
-// and reclaimed for the next batch once its predictions (plain ints) are
-// out. The arena lives for this call only: evaluation batches are larger
-// than training ones, and buffers kept between the evaluation stages would
-// sit in the live heap — and, doubled by the collector's pacing, in the
-// resident set — through every round in between.
+// collated into an arena, so it and the forward pass computed from it are
+// drawn there and reclaimed for the next batch once its predictions (plain
+// ints) are out. The arena lives for this call only: evaluation batches are
+// larger than training ones, and buffers kept between the evaluation stages
+// would sit in the live heap — and, doubled by the collector's pacing, in
+// the resident set — through every round in between.
 func (e *Engine) evaluate(ds *data.Dataset) (float64, error) {
-	batches, err := data.EvalBatches(ds, e.cfg.EvalBatch)
+	batches, err := data.BatchIndices(ds, e.cfg.EvalBatch, nil)
 	if err != nil {
 		return 0, err
 	}
 	var arena tensor.Arena
 	var pred, labels []int
-	for _, b := range batches {
-		p, err := e.alg.Predict(arena.Wrap(b.X))
+	for _, idx := range batches {
+		b := data.Collate(&arena, ds, idx)
+		p, err := e.alg.Predict(b.X)
 		arena.Reset()
 		if err != nil {
 			return 0, err

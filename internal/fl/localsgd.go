@@ -23,13 +23,14 @@ const (
 // its loss closure adds to cross-entropy; epoch lets it act on the last pass
 // (RefFiL collects its Eq. 5 prompt groups there).
 //
-// The batch handed to loss is wrapped into ctx.Arena, so every tensor the
-// step computes from it — the forward pass, the tape's gradients, backward's
-// temporaries — is drawn from the arena, which is reset after the update.
-// Nothing loss builds may therefore outlive its step, except as a copy
-// (Clone, or plain numbers as RefFiL's prompt collection takes). Parameters,
-// their gradients and the optimiser's velocities are heap tensors and never
-// in the arena.
+// Each epoch shuffles with one ctx.Rng.Perm, exactly as data.Batches does,
+// and each batch is collated into ctx.Arena just before its step, so every
+// tensor the step holds — the batch, the forward pass, the tape's
+// gradients, backward's temporaries — is drawn from the arena, which is
+// reset after the update. Nothing loss builds may therefore outlive its
+// step, except as a copy (Clone, or plain numbers as RefFiL's prompt
+// collection takes). Parameters, their gradients and the optimiser's
+// velocities are heap tensors and never in the arena.
 func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm float64,
 	loss func(epoch int, b data.Batch) (*autograd.Value, error)) error {
 	sgd, err := opt.NewSGD(params, ctx.LR, momentum, weightDecay)
@@ -38,14 +39,13 @@ func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm 
 	}
 	defer ctx.Arena.Reset() // a step that fails still hands its tensors back
 	for epoch := 0; epoch < ctx.Epochs; epoch++ {
-		batches, err := data.Batches(ctx.Data, ctx.BatchSize, ctx.Rng)
+		batches, err := data.BatchIndices(ctx.Data, ctx.BatchSize, ctx.Rng)
 		if err != nil {
 			return err
 		}
-		for _, b := range batches {
+		for _, idx := range batches {
 			sgd.ZeroGrad()
-			b.X = ctx.Arena.Wrap(b.X)
-			l, err := loss(epoch, b)
+			l, err := loss(epoch, data.Collate(ctx.Arena, ctx.Data, idx))
 			if err != nil {
 				return err
 			}

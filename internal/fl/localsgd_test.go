@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,8 +67,9 @@ func TestLocalSGDLoop(t *testing.T) {
 		if epoch != calls/3 {
 			t.Errorf("call %d: epoch %d, want %d", calls, epoch, calls/3)
 		}
-		if !b.X.EqualBits(want[calls].X) {
-			t.Errorf("call %d: batch %v, data.Batches order has %v", calls, b.X.Data(), want[calls].X.Data())
+		if !b.X.EqualBits(want[calls].X) || !slices.Equal(b.Y, want[calls].Y) || !slices.Equal(b.Task, want[calls].Task) {
+			t.Errorf("call %d: batch %v labels %v, data.Batches has %v labels %v",
+				calls, b.X.Data(), b.Y, want[calls].X.Data(), want[calls].Y)
 		}
 		if w.Grad != nil && w.Grad.L2Norm() != 0 {
 			t.Errorf("call %d: gradient %v not zeroed", calls, w.Grad.Data())
@@ -129,21 +131,28 @@ func TestLocalSGDStopsOnError(t *testing.T) {
 	}
 }
 
-// TestLocalSGDStepsInTheArena: each batch reaches the loss wrapped into
-// ctx.Arena, what the step draws there is taken back after its update — the
-// next step's draw gets the same buffer — and a failing step hands its
-// tensors back too.
+// TestLocalSGDStepsInTheArena: each batch reaches the loss collated into
+// ctx.Arena — drawn from it, not wrapped — what the step draws there is taken
+// back after its update — the next step's draw gets the same buffer — a
+// failing step hands its tensors back too, and a second SGD call on the warm
+// arena draws no new buffer, for its batches or anything else.
 func TestLocalSGDStepsInTheArena(t *testing.T) {
 	boom := errors.New("boom")
 	w := autograd.Param(tensor.FromSlice([]float64{1, 2}, 2))
+	params := []nn.Param{{Name: "w", Value: w}}
 	arena := new(tensor.Arena)
 	ctx := &LocalContext{Data: indexedDataset(6), Epochs: 2, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(1)), Arena: arena}
 	drawn := map[*tensor.Tensor]int{}
 	calls := 0
-	err := ctx.SGD([]nn.Param{{Name: "w", Value: w}}, Momentum, WeightDecay, ClipNorm,
+	err := ctx.SGD(params, Momentum, WeightDecay, ClipNorm,
 		func(_ int, b data.Batch) (*autograd.Value, error) {
 			if b.X.Arena() != arena {
-				t.Errorf("call %d: the batch was not wrapped into ctx.Arena", calls)
+				t.Errorf("call %d: the batch is not in ctx.Arena", calls)
+			}
+			// The batch is the step's first draw: a wrapped batch would
+			// leave the fresh arena empty.
+			if calls == 0 && arena.Retained() != 8*b.X.Size() {
+				t.Errorf("the first batch left %d bytes in the arena, want its own %d", arena.Retained(), 8*b.X.Size())
 			}
 			calls++
 			drawn[arena.New(1000)]++
@@ -167,6 +176,19 @@ func TestLocalSGDStepsInTheArena(t *testing.T) {
 	}
 	if again := arena.New(1000); drawn[again] == 0 {
 		t.Fatal("the failing step's tensors were not handed back")
+	}
+	arena.Reset()
+
+	warm := arena.Retained()
+	ctx = &LocalContext{Data: indexedDataset(6), Epochs: 2, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(2)), Arena: arena}
+	err = ctx.SGD(params, Momentum, WeightDecay, ClipNorm, func(_ int, b data.Batch) (*autograd.Value, error) {
+		return autograd.Sum(autograd.Mul(autograd.Mul(w, w), autograd.Constant(b.X.Reshape(2)))), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arena.Retained() != warm {
+		t.Fatalf("a second SGD call grew the warm arena from %d to %d bytes", warm, arena.Retained())
 	}
 }
 

@@ -124,7 +124,8 @@ func ClientSeed(seed int64, clientID, task, round int) int64 {
 // ShardSpec pinpoints one client's training shard of one task without
 // carrying any data: dataset family, domain, generation seed, and the
 // shard's coordinates inside the deterministic quantity-shift partition.
-// Materialize reconstructs the exact shard the engine partitioned.
+// Partition reconstructs the exact partition the engine made, Materialize
+// the one shard.
 type ShardSpec struct {
 	// Dataset and Image identify the synthetic family (data.NewFamily);
 	// Classes is the family's class count (Family.WithClassLimit), which
@@ -149,11 +150,12 @@ type ShardSpec struct {
 	PartSeed int64
 }
 
-// Materialize regenerates the shard described by the spec: generate the
-// domain's training set, re-run the quantity-shift partition, take this
-// client's slot and tag it with the task index — byte-identical to the
-// shard the coordinator's engine holds.
-func (s ShardSpec) Materialize() (*data.Dataset, error) {
+// Partition regenerates the whole partition the spec's shard belongs to:
+// generate the domain's training set, re-run the quantity-shift partition
+// and tag every shard with the task index — byte-identical to the shards
+// the coordinator's engine holds. Index plays no part, so one call serves
+// every client of the task.
+func (s ShardSpec) Partition() ([]*data.Dataset, error) {
 	family, err := data.NewFamily(s.Dataset, s.Image)
 	if err == nil {
 		family, err = family.WithClassLimit(s.Classes)
@@ -165,16 +167,41 @@ func (s ShardSpec) Materialize() (*data.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fl: shard spec generate %s/%s: %w", s.Dataset, s.Domain, err)
 	}
+	return s.split(train)
+}
+
+// split partitions a task's generated training set among its learners and
+// tags each shard with the task: the one derivation of shards from a domain,
+// which the engine runs on the set it generated and Partition on the one it
+// regenerates.
+func (s ShardSpec) split(train *data.Dataset) ([]*data.Dataset, error) {
 	shards, err := data.PartitionQuantityShift(train, s.Learners, s.Alpha, rand.New(rand.NewSource(s.PartSeed)))
 	if err != nil {
-		return nil, fmt.Errorf("fl: shard spec partition: %w", err)
+		return nil, fmt.Errorf("fl: partitioning task %d: %w", s.Task, err)
 	}
-	if s.Index < 0 || s.Index >= len(shards) {
-		return nil, fmt.Errorf("fl: shard index %d outside partition of %d", s.Index, len(shards))
+	for _, sh := range shards {
+		sh.SetTask(s.Task)
 	}
-	sh := shards[s.Index]
-	sh.SetTask(s.Task)
-	return sh, nil
+	return shards, nil
+}
+
+// ShardOf returns the spec's slot of part, a partition its Partition built,
+// and an error — never a panic — when Index lies outside it.
+func (s ShardSpec) ShardOf(part []*data.Dataset) (*data.Dataset, error) {
+	if s.Index < 0 || s.Index >= len(part) {
+		return nil, fmt.Errorf("fl: shard index %d outside partition of %d", s.Index, len(part))
+	}
+	return part[s.Index], nil
+}
+
+// Materialize regenerates the one shard the spec describes:
+// Partition()[Index].
+func (s ShardSpec) Materialize() (*data.Dataset, error) {
+	part, err := s.Partition()
+	if err != nil {
+		return nil, err
+	}
+	return s.ShardOf(part)
 }
 
 // JobSpec is the wire form of one client's job: identity, group, round,

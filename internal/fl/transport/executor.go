@@ -43,10 +43,11 @@ type Executor struct {
 	// pool runs every broadcast's jobs. It is kept for the executor's life
 	// because it owns the training goroutines' step arenas.
 	pool *fl.LocalRunner
-	// shards caches materialized shards across rounds: a client's shard of
-	// one task is immutable, and re-deriving it every round would regenerate
-	// the domain dataset each time.
-	shards map[fl.ShardSpec]*data.Dataset
+	// partitions caches each task's partition across rounds, keyed by a
+	// shard spec with Index zeroed: a task's shards are immutable, and one
+	// generation of the domain serves every client of the task, where
+	// materializing each shard would regenerate the domain once per client.
+	partitions map[fl.ShardSpec][]*data.Dataset
 	// tracker is this worker's receive-side state machine: the state
 	// version/dict and payload version currently installed.
 	tracker wire.Tracker
@@ -64,9 +65,9 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 		return nil, fmt.Errorf("transport: executor needs an algorithm")
 	}
 	return &Executor{
-		alg:    alg,
-		pool:   &fl.LocalRunner{Alg: alg, Workers: workers},
-		shards: make(map[fl.ShardSpec]*data.Dataset),
+		alg:        alg,
+		pool:       &fl.LocalRunner{Alg: alg, Workers: workers},
+		partitions: make(map[fl.ShardSpec][]*data.Dataset),
 	}, nil
 }
 
@@ -75,8 +76,8 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 // coordinator-side mirror starts at version 0 with no payload, so the
 // tracker of the old stream would reject the new slot's first frame
 // whenever it is a bare KindNone (the slot is idle that round) or skips an
-// unchanged payload. The shard cache is kept: shards do not depend on the
-// connection.
+// unchanged payload. The partition cache is kept: partitions do not depend
+// on the connection.
 func (e *Executor) ResetStream() {
 	e.tracker = wire.Tracker{}
 }
@@ -158,18 +159,24 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, emit func(Job
 	})
 }
 
-// dataset materializes (or fetches from cache) the job's local dataset.
+// dataset assembles the job's local dataset from its shards' partitions,
+// partitioning a task's domain only the first time any job names it.
 func (e *Executor) dataset(spec fl.JobSpec) (*data.Dataset, error) {
 	shards := make([]*data.Dataset, len(spec.Shards))
 	for i, s := range spec.Shards {
-		sh, ok := e.shards[s]
+		key := s
+		key.Index = 0
+		part, ok := e.partitions[key]
 		if !ok {
 			var err error
-			sh, err = s.Materialize()
-			if err != nil {
+			if part, err = s.Partition(); err != nil {
 				return nil, err
 			}
-			e.shards[s] = sh
+			e.partitions[key] = part
+		}
+		sh, err := s.ShardOf(part)
+		if err != nil {
+			return nil, err
 		}
 		shards[i] = sh
 	}

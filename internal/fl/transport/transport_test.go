@@ -624,6 +624,86 @@ func TestExecutorRejectsUnknownCodec(t *testing.T) {
 	}
 }
 
+// TestExecutorPartitionsEachTaskOnce: one executor asked for every shard of
+// a task partitions the domain once. Each shard is Float64bits-equal to the
+// one the engine derives (generate, partition, tag); together the shards hold
+// each example tensor of one generation exactly once, and asking again hands
+// back the same tensors. An index outside the partition is an error on the
+// warm cache, not a panic.
+func TestExecutorPartitionsEachTaskOnce(t *testing.T) {
+	const (
+		task     = 1
+		learners = 4
+		seed     = int64(23)
+	)
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fl.ShardSpec{
+		Dataset: family.Name, Image: family.Size, Classes: family.Classes,
+		Domain: family.Domains[task], Task: task,
+		TrainPerDomain: 40, TestPerDomain: 8, GenSeed: fl.TaskSeed(seed, task),
+		Learners: learners, Alpha: 0.5, PartSeed: fl.PartitionSeed(seed, task),
+	}
+	train, _, err := family.Generate(spec.Domain, spec.TrainPerDomain, spec.TestPerDomain, spec.GenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := data.PartitionQuantityShift(train, learners, spec.Alpha, rand.New(rand.NewSource(spec.PartSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(newWireAlg(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(index int) fl.JobSpec {
+		s := spec
+		s.Index = index
+		return fl.JobSpec{ClientID: index, Shards: []fl.ShardSpec{s}}
+	}
+
+	generated := map[*tensor.Tensor]bool{}
+	for idx, w := range want {
+		w.SetTask(task)
+		got, err := ex.dataset(job(idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != w.Len() {
+			t.Fatalf("shard %d: %d examples, the engine's has %d", idx, got.Len(), w.Len())
+		}
+		for i, e := range got.Examples {
+			if e.Y != w.Examples[i].Y || e.Task != task || !e.X.EqualBits(w.Examples[i].X) {
+				t.Fatalf("shard %d example %d differs from the engine's", idx, i)
+			}
+			if generated[e.X] {
+				t.Fatalf("shard %d example %d: tensor already in another shard", idx, i)
+			}
+			generated[e.X] = true
+		}
+		again, err := ex.dataset(job(idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range again.Examples {
+			if e.X != got.Examples[i].X {
+				t.Fatalf("shard %d example %d: asking again regenerated the tensor", idx, i)
+			}
+		}
+	}
+	if len(generated) != spec.TrainPerDomain || len(ex.partitions) != 1 {
+		t.Fatalf("%d example tensors in %d cached partitions, want the %d of one generation in one",
+			len(generated), len(ex.partitions), spec.TrainPerDomain)
+	}
+	for _, bad := range []int{-1, learners} {
+		if _, err := ex.dataset(job(bad)); err == nil {
+			t.Fatalf("index %d of a %d-way partition was accepted", bad, learners)
+		}
+	}
+}
+
 // TestCoordinatorRejectsVersionMismatch connects a raw frame stream posing
 // as an old-protocol worker: the Pipeline's round must fail instead of
 // consuming its acks.

@@ -168,13 +168,16 @@ func (b *Backbone) Forward(ctx *nn.Ctx, x, prompts *autograd.Value) (*autograd.V
 	return b.Classify(tokens, prompts)
 }
 
-// Predict returns argmax class predictions for a batch in eval mode.
+// Predict returns argmax class predictions for a batch in eval mode, with
+// the parameters read as constants (nn.Inference, whose contract applies).
 func (b *Backbone) Predict(x *tensor.Tensor) ([]int, error) {
-	logits, err := b.Forward(&nn.Ctx{Train: false}, autograd.Constant(x), nil)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ArgmaxRows(logits.T), nil
+	return nn.Inference(b, func() ([]int, error) {
+		logits, err := b.Forward(&nn.Ctx{Train: false}, autograd.Constant(x), nil)
+		if err != nil {
+			return nil, err
+		}
+		return tensor.ArgmaxRows(logits.T), nil
+	})
 }
 
 // Params implements nn.Module over the whole backbone.

@@ -144,6 +144,12 @@ func TestPredictMatchesForward(t *testing.T) {
 			t.Fatalf("Predict disagrees with Forward at %d", i)
 		}
 	}
+	// Predict reads the parameters as constants only for its own call.
+	for _, p := range b.Params() {
+		if !p.Value.RequiresGrad() || p.Value.Grad != nil {
+			t.Fatalf("after Predict, %s requires grad %v with Grad %v; want restored and untouched", p.Name, p.Value.RequiresGrad(), p.Value.Grad)
+		}
+	}
 }
 
 func TestBackboneTrainsOnToyTask(t *testing.T) {

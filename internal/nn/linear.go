@@ -12,6 +12,10 @@ type Linear struct {
 	name string
 	W    *autograd.Value // (in, out)
 	B    *autograd.Value // (out,) or nil
+	// frozen is set by Freeze. It, not W's flag, decides whether the weights
+	// are parameters or buffers, so marking the leaves constant for a while
+	// (Inference) leaves the state dict's layout alone.
+	frozen bool
 }
 
 // NewLinear builds a He-initialized linear layer. Pass bias=false for
@@ -43,6 +47,7 @@ func NewLinearXavier(name string, rng *rand.Rand, in, out int, bias bool) *Linea
 // Freeze marks the layer's parameters as non-trainable (used by the frozen
 // tokenizer). Frozen parameters still appear in the state dict.
 func (l *Linear) Freeze() {
+	l.frozen = true
 	l.W = autograd.Constant(l.W.T)
 	if l.B != nil {
 		l.B = autograd.Constant(l.B.T)
@@ -52,7 +57,7 @@ func (l *Linear) Freeze() {
 // Clone returns a deep copy sharing no tensors with l. Frozen layers stay
 // frozen.
 func (l *Linear) Clone() *Linear {
-	c := &Linear{name: l.name, W: l.W.CloneLeaf()}
+	c := &Linear{name: l.name, W: l.W.CloneLeaf(), frozen: l.frozen}
 	if l.B != nil {
 		c.B = l.B.CloneLeaf()
 	}
@@ -75,7 +80,7 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 
 // Params implements Module.
 func (l *Linear) Params() []Param {
-	if !l.W.RequiresGrad() {
+	if l.frozen {
 		return nil
 	}
 	ps := []Param{{Name: l.name + ".w", Value: l.W}}
@@ -88,7 +93,7 @@ func (l *Linear) Params() []Param {
 // Buffers implements Module. Frozen weights are exposed as buffers so they
 // still travel in the state dict.
 func (l *Linear) Buffers() []Buffer {
-	if l.W.RequiresGrad() {
+	if !l.frozen {
 		return nil
 	}
 	bs := []Buffer{{Name: l.name + ".w", T: l.W.T}}

@@ -99,6 +99,39 @@ func LoadStateDict(m Module, dict map[string]*tensor.Tensor) error {
 	return nil
 }
 
+// Inference runs f with every parameter of m read as a constant: each
+// parameter leaf is marked as not requiring grad for the call and restored
+// on return, so the forward passes f runs record no backward state for the
+// parameters (Conv2D then releases each image's columns at once) and leave
+// every Grad as it was. The flags live on m's own parameters, so the call
+// must not overlap anything else that uses them — Spawn, which clones the
+// flags, LocalTrain, or another Inference on m — on any goroutine. The
+// engine evaluates serially between rounds, which satisfies this.
+func Inference[T any](m Module, f func() (T, error)) (T, error) {
+	ps := m.Params()
+	req := make([]bool, len(ps))
+	for i, p := range ps {
+		req[i] = p.Value.RequiresGrad()
+		p.Value.SetRequiresGrad(false)
+	}
+	defer func() {
+		for i, p := range ps {
+			p.Value.SetRequiresGrad(req[i])
+		}
+	}()
+	return f()
+}
+
+// Freeze marks every parameter of m as not requiring grad for good, for a
+// module that is only ever run forward (LwF's distillation teacher). Only
+// the leaves' flags change: m's Params and Buffers, and so its state dict,
+// keep their layout.
+func Freeze(m Module) {
+	for _, p := range m.Params() {
+		p.Value.SetRequiresGrad(false)
+	}
+}
+
 // ZeroGrads clears accumulated gradients on all of a module's parameters.
 func ZeroGrads(m Module) {
 	for _, p := range m.Params() {

@@ -68,6 +68,34 @@ func TestLinearFreeze(t *testing.T) {
 	}
 }
 
+// TestFreezeKeepsLayout: nn.Freeze, and Inference while it runs, only flip
+// the parameter leaves' flags — a Linear keeps its weights as parameters, so
+// the state dict a frozen module (LwF's teacher) encodes has every key.
+func TestFreezeKeepsLayout(t *testing.T) {
+	m := NewMLP("m", rand.New(rand.NewSource(4)), 3, 4, 2)
+	want := len(StateDict(m))
+	inside, err := Inference(m, func() (int, error) {
+		for _, p := range m.Params() {
+			if p.Value.RequiresGrad() {
+				t.Errorf("%s requires grad inside Inference", p.Name)
+			}
+		}
+		return len(StateDict(m)), nil
+	})
+	if err != nil || inside != want {
+		t.Fatalf("state dict has %d keys inside Inference (err %v), %d outside", inside, err, want)
+	}
+	Freeze(m)
+	if got := len(StateDict(m)); got != want || len(m.Params()) != 4 {
+		t.Fatalf("frozen: %d state-dict keys and %d params, want %d and 4", got, len(m.Params()), want)
+	}
+	for _, p := range m.Params() {
+		if p.Value.RequiresGrad() {
+			t.Fatalf("%s still requires grad after Freeze", p.Name)
+		}
+	}
+}
+
 func TestMLPGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP("m", rng, 3, 5, 2)

@@ -8,14 +8,10 @@ import (
 )
 
 // The tests in this file pin the repo's kernel determinism contract: every
-// matmul kernel must be bit-for-bit identical to a serial, untiled reference
-// loop at any worker count — fanning rows or batch elements out, and tiling
-// the j/output axis (MatMulT1, MatMulT2), reorder which independent elements
-// are computed when, never how any one element accumulates over the shared
-// dimension p. Shapes deliberately include widths below blockJ, exact
-// multiples, and odd tile remainders; the n > blockJ shapes are the
-// reference anchors any future tiling of MatMul or BatchMatMul must still
-// meet.
+// matmul kernel must be bit-for-bit identical to a serial reference loop at
+// any worker count — fanning rows or batch elements out reorders which
+// independent elements are computed when, never how any one element
+// accumulates over the shared dimension p.
 
 // randOperand draws a (rows, cols) matrix with exact zeros sprinkled in so
 // the kernels' av == 0 skip path is exercised by every comparison.
@@ -57,16 +53,16 @@ func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, g
 	check("workers=max", f())
 }
 
-// kernelShapes cover n < blockJ (a single tile), n == blockJ, one element
-// over, an odd remainder, an exact two-tile width, and a ragged third tile.
+// kernelShapes range from a single element to widths of a few hundred
+// columns, with odd and ragged sizes on every axis.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
-	{17, 33, blockJ},
-	{4, 9, blockJ + 1},
-	{5, 21, blockJ + 37},
-	{2, 16, 2 * blockJ},
-	{7, 11, 2*blockJ + 53},
+	{17, 33, 128},
+	{4, 9, 129},
+	{5, 21, 165},
+	{2, 16, 256},
+	{7, 11, 309},
 }
 
 func TestMatMulBlockedMatchesSerial(t *testing.T) {

@@ -12,20 +12,6 @@ import (
 // not pay fan-out overhead.
 const minChunkOps = parallel.DefaultChunkOps
 
-// blockJ is the output-column tile width of MatMulT1 and MatMulT2. The j
-// axis is the only one that may be tiled: every output element's value is
-// a sum over the shared dimension p, and the repo's determinism contract
-// (bit-identical results at any worker count and any tiling) requires that
-// per-element summation order to stay exactly the serial kernel's ascending
-// p. Tiling j (or i) only reorders *which* independent elements are computed
-// when — never how any one element accumulates — so it is always safe.
-// Tiling p would split each element's sum into per-tile partials and change
-// the floating-point result, so no kernel here does it.
-//
-// 128 columns keep a tile's B rows inside L2 for the k values these models
-// use, while staying wide enough that the per-tile loop overhead is noise.
-const blockJ = 128
-
 // MatMul multiplies two 2-D tensors: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
@@ -79,11 +65,10 @@ func matmulRows(c, a, b []float64, lo, hi, k, n int) {
 }
 
 // MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n) without
-// materializing the transpose. Output rows are partitioned across workers
-// and the output columns are tiled blockJ wide; within a tile the
-// shared-dimension loop stays outermost so B rows stream sequentially, the
-// output tile stays cache-resident across the whole p sweep, and the
-// accumulation order per element matches the serial kernel exactly.
+// materializing the transpose. Output rows are partitioned across workers;
+// the shared-dimension loop stays outermost so A and B rows stream
+// sequentially, and each element accumulates over ascending p exactly as
+// the serial kernel does.
 func MatMulT1(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT1 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -95,24 +80,18 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	}
 	out := ArenaOf(a, b).New(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for j0 := 0; j0 < n; j0 += blockJ {
-			tw := n - j0
-			if tw > blockJ {
-				tw = blockJ
-			}
-			for p := 0; p < k; p++ {
-				ap := a.data[p*m : (p+1)*m]
-				bp := b.data[p*n+j0 : p*n+j0+tw]
-				for i := lo; i < hi; i++ {
-					av := ap[i]
-					//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-					if av == 0 {
-						continue
-					}
-					ci := out.data[i*n+j0 : i*n+j0+tw]
-					for j, bv := range bp {
-						ci[j] += av * bv
-					}
+		for p := 0; p < k; p++ {
+			ap := a.data[p*m : (p+1)*m]
+			bp := b.data[p*n : (p+1)*n]
+			for i := lo; i < hi; i++ {
+				av := ap[i]
+				//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
+				if av == 0 {
+					continue
+				}
+				ci := out.data[i*n : (i+1)*n]
+				for j, bv := range bp {
+					ci[j] += av * bv
 				}
 			}
 		}
@@ -121,9 +100,8 @@ func MatMulT1(a, b *Tensor) *Tensor {
 }
 
 // MatMulT2 computes a·bᵀ for a (m,k) and b (n,k) -> (m,n) without
-// materializing the transpose. The output columns are tiled blockJ wide so
-// the tile's B rows (tw*k floats) stay cache-resident across every A row of
-// the chunk; each element is still one uninterrupted dot product over p.
+// materializing the transpose: each element is one uninterrupted dot
+// product over p.
 func MatMulT2(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -135,22 +113,16 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	}
 	out := ArenaOf(a, b).Scratch(m, n) // every element is assigned below
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for j0 := 0; j0 < n; j0 += blockJ {
-			j1 := j0 + blockJ
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.data[i*k : (i+1)*k]
-				ci := out.data[i*n : (i+1)*n]
-				for j := j0; j < j1; j++ {
-					bj := b.data[j*k : (j+1)*k]
-					s := 0.0
-					for p := range ai {
-						s += ai[p] * bj[p]
-					}
-					ci[j] = s
+		for i := lo; i < hi; i++ {
+			ai := a.data[i*k : (i+1)*k]
+			ci := out.data[i*n : (i+1)*n]
+			for j := range ci {
+				bj := b.data[j*k : (j+1)*k]
+				s := 0.0
+				for p := range ai {
+					s += ai[p] * bj[p]
 				}
+				ci[j] = s
 			}
 		}
 	})
