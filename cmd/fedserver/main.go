@@ -5,13 +5,18 @@
 // every paper scenario that runs single-process runs multi-node with
 // bit-identical accuracy matrices for the same seed.
 //
-// Start the server, then one fedworker per machine (workers and server
-// must agree on -method, -dataset, -tasks and -seed; any worker count
-// works, jobs are fanned out round-robin):
+// A run is named by -method, -dataset, -scale and -seed, exactly as in
+// cmd/reffil: the method is one of the paper's eight table names, and the
+// scale preset (smoke, mini, paper) fixes the rounds, epochs, client pool,
+// data volume and backbone, over the family's domains in the paper's order
+// A. The accuracy-matrix block printed at the end is the one reffil prints
+// for the same four flags, byte for byte. Start the server, then one
+// fedworker per machine with the same four flags (any worker count works,
+// jobs are fanned out round-robin):
 //
-//	fedserver -addr 127.0.0.1:7000 -workers 2 -method reffil -dataset pacs -tasks 2 -seed 1
-//	fedworker -addr 127.0.0.1:7000 -id 0 -method reffil -dataset pacs -tasks 2 -seed 1 &
-//	fedworker -addr 127.0.0.1:7000 -id 1 -method reffil -dataset pacs -tasks 2 -seed 1 &
+//	fedserver -addr 127.0.0.1:7000 -workers 2 -method RefFiL -dataset pacs -scale mini -seed 1
+//	fedworker -addr 127.0.0.1:7000 -id 0 -method RefFiL -dataset pacs -scale mini -seed 1 &
+//	fedworker -addr 127.0.0.1:7000 -id 1 -method RefFiL -dataset pacs -scale mini -seed 1 &
 //
 // Workers derive their data shards from the job specs the server
 // broadcasts (dataset, domain, seed, partition slot), so no training data
@@ -28,17 +33,18 @@
 // version, receives each job's trained state back as a lossless patch
 // against the round's broadcast base, and re-sends the wire state (e.g.
 // LwF's teacher, a full model) only when its bytes change. Both codecs are
-// exact and produce bit-identical accuracy matrices; per-round byte savings
-// are logged.
+// exact and produce bit-identical accuracy matrices; every round's bytes and
+// frame kinds are logged.
 //
 // Membership is elastic: the coordinator admits worker dials for its whole
 // lifetime, so -workers only gates the start of the run. A worker that dies
 // can re-dial (fedworker -rejoin) and a fresh worker can join mid-run, each
 // entering a new slot that receives a full state snapshot on its next
 // broadcast; -join-wait is how long a round with no live worker waits for
-// such a dial. -heartbeat-timeout bounds how long a silently wedged worker
-// (connection open, nothing flowing) can stall a round before its jobs
-// re-queue.
+// such a dial. A worker that advertises a heartbeat (fedworker -heartbeat)
+// is declared dead after 4x that interval without traffic, so a silently
+// wedged worker (connection open, nothing flowing) stalls a round for at
+// most that long before its jobs re-queue.
 //
 // -checkpoint-dir makes the coordinator itself restartable: the engine
 // snapshots resumable run state after every round and every task, and a
@@ -68,12 +74,10 @@ import (
 	"time"
 
 	"reffil/internal/checkpoint"
-	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/fl/wire"
-	"reffil/internal/model"
 	"reffil/internal/telemetry"
 )
 
@@ -116,33 +120,30 @@ func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
 		workers = flag.Int("workers", 2, "number of fedworkers to wait for before the run starts; later dials are admitted mid-run")
-		method  = flag.String("method", "reffil", "method: "+strings.Join(experiments.MethodFlags(), "|"))
-		dataset = flag.String("dataset", "pacs", "dataset family")
-		tasks   = flag.Int("tasks", 2, "incremental tasks (0 = all of the family's domains)")
-		rounds  = flag.Int("rounds", 3, "communication rounds per task")
-		epochs  = flag.Int("epochs", 1, "local epochs per selected client")
-		batch   = flag.Int("batch", 8, "local batch size")
-		lr      = flag.Float64("lr", 0.05, "local learning rate")
-		clients = flag.Int("clients", 4, "initial participant pool size")
-		sel     = flag.Int("select", 3, "participants selected per round")
-		inc     = flag.Int("inc", 1, "new participants joining per task")
-		train   = flag.Int("train-per-domain", 48, "training samples per domain")
-		test    = flag.Int("test-per-domain", 24, "test samples per domain")
+		method  = flag.String("method", "RefFiL", "method ("+strings.Join(experiments.MethodNames, ", ")+"; must match workers)")
+		dataset = flag.String("dataset", "pacs", "dataset family (digitsfive, officecaltech10, pacs, feddomainnet; must match workers)")
+		scaleF  = flag.String("scale", "mini", "run scale (smoke, mini, paper; must match workers)")
 		seed    = flag.Int64("seed", 1, "shared run seed (must match workers)")
 		ckpt    = flag.String("checkpoint", "", "path to write the final global model")
 		timeout = flag.Duration("accept-timeout", 60*time.Second, "worker accept timeout")
 
-		hbTimeout = flag.Duration("heartbeat-timeout", 0, "declare a heartbeating worker dead after this long without traffic (0 = 4x the worker's advertised -heartbeat interval)")
-		joinWait  = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
+		joinWait = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
 
-		codec   = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
-		wireLog = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
+		codec = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
 
 		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the /debug/pprof endpoints on this address (e.g. localhost:9090; empty disables both)")
 		traceFile   = flag.String("trace", "", "record the round/job lifecycle as a Chrome trace-event file at this path (load in Perfetto; empty disables tracing)")
 	)
 	flag.Parse()
+	scale, err := experiments.ParseScale(*scaleF)
+	if err != nil {
+		return err
+	}
+	alg, family, domains, cfg, err := experiments.BuildRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil)
+	if err != nil {
+		return err
+	}
 	// Telemetry is strictly opt-in: with both flags empty sink stays nil
 	// and every instrumentation point below is a nil-receiver no-op, so
 	// hot paths stay allocation-free and outputs bit-identical.
@@ -158,7 +159,6 @@ func run() error {
 			reg = telemetry.NewRegistry()
 		}
 		if *traceFile != "" {
-			var err error
 			trc, err = telemetry.CreateTrace(*traceFile)
 			if err != nil {
 				return err
@@ -186,25 +186,11 @@ func run() error {
 		Flags: visitedFlags(),
 	})
 
-	family, err := data.NewFamily(*dataset, 16)
-	if err != nil {
-		return err
-	}
-	domains := family.Domains
-	if *tasks > 0 && *tasks < len(domains) {
-		domains = domains[:*tasks]
-	}
-	alg, err := experiments.NewMethodFromFlag(*method, model.DefaultConfig(family.Classes), len(domains), *seed)
-	if err != nil {
-		return err
-	}
-
 	coord, err := transport.Listen(*addr)
 	if err != nil {
 		return err
 	}
 	defer coord.Close()
-	coord.SetHeartbeatTimeout(*hbTimeout)
 	coord.SetTelemetry(sink)
 	wlog.Event("listening", telemetry.F("addr", coord.Addr()), telemetry.F("waiting_for", *workers))
 	if err := coord.Accept(*workers, *timeout); err != nil {
@@ -212,7 +198,13 @@ func run() error {
 	}
 	wlog.Event("workers_connected")
 
-	onRound := func(rs transport.RoundStats) {
+	tr, err := transport.NewPipeline(coord, alg)
+	if err != nil {
+		return err
+	}
+	tr.JoinWait = *joinWait
+	tr.Telemetry = sink
+	tr.OnRound = func(rs transport.RoundStats) {
 		wlog.Event("wire_round",
 			telemetry.F("task", rs.Task), telemetry.F("round", rs.Round),
 			telemetry.F("broadcast", fmtBytes(rs.BroadcastBytes)), telemetry.F("uploads", fmtBytes(rs.UploadBytes)),
@@ -224,32 +216,8 @@ func run() error {
 			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),
 			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)))
 	}
-	tr, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		return err
-	}
-	tr.JoinWait = *joinWait
-	tr.Telemetry = sink
-	if *wireLog {
-		tr.OnRound = onRound
-	}
 	if err := tr.UseCodec(*codec); err != nil {
 		return err
-	}
-	cfg := fl.Config{
-		Rounds:            *rounds,
-		Epochs:            *epochs,
-		BatchSize:         *batch,
-		LR:                *lr,
-		InitialClients:    *clients,
-		SelectPerRound:    *sel,
-		ClientsPerTaskInc: *inc,
-		TransferFrac:      0.8,
-		Alpha:             0.5,
-		TrainPerDomain:    *train,
-		TestPerDomain:     *test,
-		EvalBatch:         25,
-		Seed:              *seed,
 	}
 	eng, err := fl.NewEngineWithRunner(cfg, alg, tr)
 	if err != nil {
@@ -315,13 +283,10 @@ func run() error {
 		fmtBytes(st.UploadBytes), fmtBytes(perRound(st.UploadBytes, st.Rounds)),
 		st.PatchUploads, st.StateUploads, st.UploadFallbacks,
 		st.FullFrames, st.DeltaFrames, st.IdleFrames, st.Fallbacks)
-	fmt.Printf("\naccuracy matrix (%s on %s, %d tasks, %d workers):\n", alg.Name(), family.Name, len(domains), *workers)
-	mat.FprintTriangle(os.Stdout)
-	sum, err := mat.Summarize()
-	if err != nil {
+	fmt.Println()
+	if err := experiments.PrintMatrix(os.Stdout, *method, *dataset, mat); err != nil {
 		return err
 	}
-	fmt.Printf("Avg %.2f%%  Last %.2f%%  FGT %.2f  BwT %.2f\n", sum.Avg*100, sum.Last*100, sum.FGT, sum.BwT)
 
 	if *ckpt != "" {
 		if err := checkpoint.SaveModule(*ckpt, alg.Global()); err != nil {

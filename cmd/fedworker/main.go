@@ -27,8 +27,9 @@
 // snapshot, so a restarted worker (or a restarted, resuming fedserver)
 // continues the run bit-identically.
 //
-// -method, -dataset, -tasks and -seed must match the fedserver's flags:
-// the construction seed fixes the initial weights on both sides. See
+// -method, -dataset, -scale and -seed must match the fedserver's flags: the
+// worker builds its method through the same experiments.BuildRun, so the
+// backbone, task horizon and initial weights equal the coordinator's. See
 // cmd/fedserver for the full deployment recipe.
 //
 // -metrics ADDR serves a Prometheus /metrics page with this worker's
@@ -47,10 +48,8 @@ import (
 	"strings"
 	"time"
 
-	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl/transport"
-	"reffil/internal/model"
 	"reffil/internal/telemetry"
 )
 
@@ -73,9 +72,9 @@ func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "coordinator address")
 		id      = flag.Int("id", 0, "worker id (0-based, for logs)")
-		method  = flag.String("method", "reffil", "method: "+strings.Join(experiments.MethodFlags(), "|")+" (must match fedserver)")
-		dataset = flag.String("dataset", "pacs", "dataset family (must match fedserver)")
-		tasks   = flag.Int("tasks", 2, "incremental tasks (must match fedserver; 0 = all domains)")
+		method  = flag.String("method", "RefFiL", "method ("+strings.Join(experiments.MethodNames, ", ")+"; must match fedserver)")
+		dataset = flag.String("dataset", "pacs", "dataset family (digitsfive, officecaltech10, pacs, feddomainnet; must match fedserver)")
+		scaleF  = flag.String("scale", "mini", "run scale (smoke, mini, paper; must match fedserver)")
 		seed    = flag.Int64("seed", 1, "shared run seed (must match fedserver)")
 		jobs    = flag.Int("jobs", 0, "concurrent jobs per round (0 = NumCPU)")
 
@@ -89,6 +88,14 @@ func run() error {
 		traceFile   = flag.String("trace", "", "record this worker's round lifecycle as a Chrome trace-event file at this path (empty disables tracing)")
 	)
 	flag.Parse()
+	scale, err := experiments.ParseScale(*scaleF)
+	if err != nil {
+		return err
+	}
+	alg, _, _, _, err := experiments.BuildRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil)
+	if err != nil {
+		return err
+	}
 	// Telemetry is strictly opt-in: with both flags empty sink stays nil and
 	// every instrumentation point below is a nil-receiver no-op.
 	var (
@@ -103,7 +110,6 @@ func run() error {
 			reg = telemetry.NewRegistry()
 		}
 		if *traceFile != "" {
-			var err error
 			trc, err = telemetry.CreateTrace(*traceFile)
 			if err != nil {
 				return err
@@ -129,18 +135,6 @@ func run() error {
 		Flags: visitedFlags(),
 	})
 
-	family, err := data.NewFamily(*dataset, 16)
-	if err != nil {
-		return err
-	}
-	maxTasks := len(family.Domains)
-	if *tasks > 0 && *tasks < maxTasks {
-		maxTasks = *tasks
-	}
-	alg, err := experiments.NewMethodFromFlag(*method, model.DefaultConfig(family.Classes), maxTasks, *seed)
-	if err != nil {
-		return err
-	}
 	ex, err := transport.NewExecutor(alg, *jobs)
 	if err != nil {
 		return err
@@ -180,7 +174,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		wlog.Event("connected", telemetry.F("addr", *addr), telemetry.F("method", alg.Name()), telemetry.F("dataset", family.Name))
+		wlog.Event("connected", telemetry.F("addr", *addr), telemetry.F("method", alg.Name()), telemetry.F("dataset", *dataset))
 		err = w.Serve(handle)
 		_ = w.Close()
 		if err == nil {

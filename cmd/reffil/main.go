@@ -1,6 +1,6 @@
 // Command reffil runs one federated domain-incremental learning experiment:
 // a single method on a single dataset family at a chosen scale, printing
-// per-task progress and the paper's summary metrics.
+// per-task progress, the accuracy matrix and the paper's summary metrics.
 //
 // Usage:
 //
@@ -68,14 +68,5 @@ func run() error {
 	}
 	fmt.Printf("\nmethod=%s dataset=%s order=%s scale=%s seed=%d\n", res.Method, res.Dataset, order, scale, *seed)
 	fmt.Printf("domains: %s\n", strings.Join(res.Domains, " -> "))
-	fmt.Print("per-task accuracy (a_ii):")
-	for i, a := range res.Summary.TaskAcc {
-		fmt.Printf(" %s=%.2f%%", res.Domains[i], a*100)
-	}
-	fmt.Println()
-	fmt.Printf("Avg  = %.2f%%\n", res.Summary.Avg*100)
-	fmt.Printf("Last = %.2f%%\n", res.Summary.Last*100)
-	fmt.Printf("FGT  = %.3f\n", res.Summary.FGT)
-	fmt.Printf("BwT  = %.3f\n", res.Summary.BwT)
-	return nil
+	return experiments.PrintMatrix(os.Stdout, res.Method, res.Dataset, res.Matrix)
 }

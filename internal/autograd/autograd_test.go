@@ -248,44 +248,6 @@ func TestConv2DValidation(t *testing.T) {
 	}
 }
 
-func TestGradCheckMaxPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := randParam(rng, 2, 2, 4, 4)
-	f := func() (*Value, error) {
-		y, err := MaxPool2D(x, 2)
-		if err != nil {
-			return nil, err
-		}
-		return Sum(square(y)), nil
-	}
-	if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxPoolValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	x := randParam(rng, 1, 1, 5, 5)
-	if _, err := MaxPool2D(x, 2); err == nil {
-		t.Fatal("non-divisible pooling must error")
-	}
-}
-
-func TestGradCheckGlobalAvgPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	x := randParam(rng, 2, 3, 4, 4)
-	f := func() (*Value, error) {
-		y, err := GlobalAvgPool(x)
-		if err != nil {
-			return nil, err
-		}
-		return Sum(square(y)), nil
-	}
-	if err := GradCheck(f, []*Value{x}, gcEps, gcTol); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGradCheckLayerNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	x := randParam(rng, 3, 5)

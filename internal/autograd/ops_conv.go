@@ -2,7 +2,6 @@ package autograd
 
 import (
 	"fmt"
-	"math"
 
 	"reffil/internal/parallel"
 	"reffil/internal/tensor"
@@ -154,87 +153,6 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 			})
 			accumulateTemp(x, gx)
 		}
-	}
-	return node, nil
-}
-
-// MaxPool2D applies non-overlapping max pooling with the given square
-// kernel/stride over x (B,C,H,W). H and W must be divisible by size.
-func MaxPool2D(x *Value, size int) (*Value, error) {
-	if x.T.NDim() != 4 {
-		return nil, fmt.Errorf("autograd: MaxPool2D wants 4-D input, got %v", x.T.Shape())
-	}
-	bs, c, h, w := x.T.Dim(0), x.T.Dim(1), x.T.Dim(2), x.T.Dim(3)
-	if h%size != 0 || w%size != 0 {
-		return nil, fmt.Errorf("autograd: MaxPool2D size %d does not divide %dx%d", size, h, w)
-	}
-	oh, ow := h/size, w/size
-	out := x.T.Arena().Scratch(bs, c, oh, ow)
-	argmax := make([]int, bs*c*oh*ow)
-	xd := x.T.Data()
-	od := out.Data()
-	for bc := 0; bc < bs*c; bc++ {
-		plane := xd[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				bestIdx := 0
-				for dy := 0; dy < size; dy++ {
-					for dx := 0; dx < size; dx++ {
-						idx := (oy*size+dy)*w + ox*size + dx
-						if plane[idx] > best {
-							best = plane[idx]
-							bestIdx = idx
-						}
-					}
-				}
-				oi := bc*oh*ow + oy*ow + ox
-				od[oi] = best
-				argmax[oi] = bc*h*w + bestIdx
-			}
-		}
-	}
-	node := newNode(out, "maxpool2d", x)
-	node.back = func() {
-		g := out.Arena().NewLike(x.T)
-		gd, ng := g.Data(), node.Grad.Data()
-		for oi, src := range argmax {
-			gd[src] += ng[oi]
-		}
-		accumulateTemp(x, g)
-	}
-	return node, nil
-}
-
-// GlobalAvgPool averages x (B,C,H,W) over its spatial dimensions -> (B,C).
-func GlobalAvgPool(x *Value) (*Value, error) {
-	if x.T.NDim() != 4 {
-		return nil, fmt.Errorf("autograd: GlobalAvgPool wants 4-D input, got %v", x.T.Shape())
-	}
-	bs, c, h, w := x.T.Dim(0), x.T.Dim(1), x.T.Dim(2), x.T.Dim(3)
-	hw := h * w
-	out := x.T.Arena().Scratch(bs, c)
-	xd := x.T.Data()
-	for bc := 0; bc < bs*c; bc++ {
-		s := 0.0
-		for _, v := range xd[bc*hw : (bc+1)*hw] {
-			s += v
-		}
-		out.Data()[bc] = s / float64(hw)
-	}
-	node := newNode(out, "globalAvgPool", x)
-	node.back = func() {
-		g := out.Arena().ScratchLike(x.T)
-		gd, ng := g.Data(), node.Grad.Data()
-		inv := 1 / float64(hw)
-		for bc := 0; bc < bs*c; bc++ {
-			v := ng[bc] * inv
-			plane := gd[bc*hw : (bc+1)*hw]
-			for i := range plane {
-				plane[i] = v
-			}
-		}
-		accumulateTemp(x, g)
 	}
 	return node, nil
 }

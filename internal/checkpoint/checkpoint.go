@@ -170,21 +170,34 @@ func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
 	return nil
 }
 
-// Load reads a state dict from r, validating the header and every size
-// field before allocating.
+// Load reads a state dict from r to its end, validating the header and
+// every size field before allocating: bytes after the last entry are an
+// error.
 func Load(r io.Reader) (map[string]*tensor.Tensor, error) {
-	return load(bufio.NewReader(r))
+	return loadAll(bufio.NewReader(r))
 }
 
 // Unmarshal decodes a state dict from the bytes Marshal or Save produced,
-// all of them: bytes left over after the last entry are an error.
+// all of them, as Load does.
 func Unmarshal(b []byte) (map[string]*tensor.Tensor, error) {
-	r := bytes.NewReader(b)
+	return loadAll(bytes.NewReader(b))
+}
+
+// loadAll is load followed by a check that r is exhausted, so a dict has
+// exactly one encoding and a file with anything appended is not a checkpoint.
+func loadAll(r reader) (map[string]*tensor.Tensor, error) {
 	dict, err := load(r)
-	if err == nil && r.Len() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d bytes after the last entry", r.Len())
+	if err != nil {
+		return nil, err
 	}
-	return dict, err
+	switch _, err := r.ReadByte(); err {
+	case io.EOF:
+		return dict, nil
+	case nil:
+		return nil, fmt.Errorf("checkpoint: bytes after the last entry")
+	default:
+		return nil, fmt.Errorf("checkpoint: reading past the last entry: %w", err)
+	}
 }
 
 func load(r reader) (map[string]*tensor.Tensor, error) {

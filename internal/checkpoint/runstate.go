@@ -124,8 +124,9 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	return nil
 }
 
-// LoadRunState reads a resumable run snapshot from r, validating every
-// size field before allocating.
+// LoadRunState reads a resumable run snapshot from r to its end, validating
+// every size field before allocating. The global state dict is the last
+// field, read by Load, so bytes after it are an error.
 func LoadRunState(r io.Reader) (*RunState, error) {
 	br := bufio.NewReader(r)
 	var got [8]byte

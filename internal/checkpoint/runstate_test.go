@@ -176,3 +176,36 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 		t.Fatal("oversized payload must refuse to serialize")
 	}
 }
+
+// TestFilesRejectTrailingBytes appends one byte to a saved model file and to
+// a saved run-state file: neither may load, since a file with anything after
+// its last entry is not one Save wrote.
+func TestFilesRejectTrailingBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	dir := t.TempDir()
+	model, run := filepath.Join(dir, "model.ckpt"), filepath.Join(dir, "run.ckpt")
+	if err := SaveFile(model, sampleDict(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveRunStateFile(run, sampleRunState(rng)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{model, run} {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := LoadFile(model); err == nil {
+		t.Fatal("a model file with a trailing byte loaded")
+	}
+	if _, err := LoadRunStateFile(run); err == nil {
+		t.Fatal("a run-state file with a trailing byte loaded")
+	}
+}

@@ -120,6 +120,14 @@ func TestRunOneSmoke(t *testing.T) {
 		if res.Summary.Avg < 0 || res.Summary.Avg > 1 {
 			t.Fatalf("Avg %v out of range", res.Summary.Avg)
 		}
+		var sb strings.Builder
+		if err := PrintMatrix(&sb, res.Method, res.Dataset, res.Matrix); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+		if len(lines) != 6 || lines[0] != "accuracy matrix ("+m+" on officecaltech10, 4 tasks):" || !strings.HasPrefix(lines[5], "Avg ") {
+			t.Fatalf("matrix block malformed:\n%s", sb.String())
+		}
 	}
 }
 

@@ -5,7 +5,24 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"reffil/internal/metrics"
 )
+
+// PrintMatrix renders one run's accuracy-matrix block: a header naming the
+// method, dataset and task count, the recorded lower triangle, and the
+// Avg/Last/FGT/BwT line. cmd/reffil and cmd/fedserver both print it, so an
+// in-process and a networked run of the same flags compare byte for byte.
+func PrintMatrix(w io.Writer, method, dataset string, mat *metrics.Matrix) error {
+	sum, err := mat.Summarize()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "accuracy matrix (%s on %s, %d tasks):\n", method, dataset, mat.T)
+	mat.FprintTriangle(w)
+	_, err = fmt.Fprintf(w, "Avg %.2f%%  Last %.2f%%  FGT %.3f  BwT %.3f\n", sum.Avg*100, sum.Last*100, sum.FGT, sum.BwT)
+	return err
+}
 
 // PrintSummaryTable renders the Tables I/II layout: one row per method,
 // Avg/Last (in percent) per dataset, with ∆ columns relative to RefFiL.

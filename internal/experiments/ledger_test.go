@@ -68,7 +68,7 @@ func TestGoldenLedger(t *testing.T) {
 	got := make(map[string]ledgerEntry)
 	sums := make(map[string]metrics.Summary)
 	for _, row := range ledgerRows() {
-		alg, family, domains, engCfg, err := buildRun(row.method, row.dataset, ScaleSmoke, OrderA, NoOverrides, ledgerSeed, row.mutate)
+		alg, family, domains, engCfg, err := BuildRun(row.method, row.dataset, ScaleSmoke, OrderA, NoOverrides, ledgerSeed, row.mutate)
 		if err != nil {
 			t.Fatalf("%s: %v", row.label, err)
 		}

@@ -56,37 +56,6 @@ func NewMethod(name string, modelCfg model.Config, maxTasks int, seed int64) (fl
 	}
 }
 
-// methodFlags maps the shell-friendly -method flag values used by
-// cmd/fedserver and cmd/fedworker to the table names above. The networked
-// path runs the pool-deactivated L2P/DualPrompt variants — the paper's
-// default fair comparison.
-var methodFlags = map[string]string{
-	"finetune":   "Finetune",
-	"lwf":        "FedLwF",
-	"ewc":        "FedEWC",
-	"l2p":        "FedL2P",
-	"dualprompt": "FedDualPrompt",
-	"reffil":     "RefFiL",
-}
-
-// MethodFlags lists the -method values accepted by NewMethodFromFlag, in a
-// stable order for usage strings.
-func MethodFlags() []string {
-	return []string{"reffil", "finetune", "lwf", "ewc", "l2p", "dualprompt"}
-}
-
-// NewMethodFromFlag constructs a method from its CLI flag name. Coordinator
-// and workers of one federation must call it with identical arguments: the
-// construction seed fixes the initial weights, and broadcast state only
-// covers what FedAvg aggregates.
-func NewMethodFromFlag(flag string, modelCfg model.Config, maxTasks int, seed int64) (fl.Algorithm, error) {
-	name, ok := methodFlags[flag]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown method flag %q (want one of %v)", flag, MethodFlags())
-	}
-	return NewMethod(name, modelCfg, maxTasks, seed)
-}
-
 // NewRefFiLVariant constructs a RefFiL ablation (Table VII) or temperature
 // variant (Table VIII).
 func NewRefFiLVariant(modelCfg model.Config, maxTasks int, seed int64, mutate func(*core.Config)) (fl.Algorithm, error) {

@@ -36,11 +36,13 @@ func (o Order) Domains(f *data.Family) []string {
 	return append([]string(nil), f.Domains...)
 }
 
-// Result is the outcome of one (method, dataset) federated run.
+// Result is the outcome of one (method, dataset) federated run: the
+// accuracy matrix and the summary computed from it.
 type Result struct {
 	Method  string
 	Dataset string
 	Domains []string
+	Matrix  *metrics.Matrix
 	Summary metrics.Summary
 }
 
@@ -93,7 +95,7 @@ func RunVariant(label, dataset string, scale Scale, order Order, seed int64,
 
 func run(label, method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
 	mutate func(*core.Config), progress func(string)) (Result, error) {
-	alg, family, domains, engCfg, err := buildRun(method, dataset, scale, order, ov, seed, mutate)
+	alg, family, domains, engCfg, err := BuildRun(method, dataset, scale, order, ov, seed, mutate)
 	if err != nil {
 		return Result{}, err
 	}
@@ -110,11 +112,16 @@ func run(label, method, dataset string, scale Scale, order Order, ov Overrides, 
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Method: label, Dataset: dataset, Domains: domains, Summary: sum}, nil
+	return Result{Method: label, Dataset: dataset, Domains: domains, Matrix: mat, Summary: sum}, nil
 }
 
-// buildRun assembles the algorithm, dataset and engine config for one run.
-func buildRun(method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
+// BuildRun assembles the algorithm, dataset family, domain sequence and
+// engine config of one run: everything RunOne needs besides a runner. The
+// networked CLIs build from it too, so (method, dataset, scale, seed) name
+// the same run everywhere, and a coordinator and its workers that pass the
+// same arguments construct the same initial weights. mutate, when non-nil,
+// makes the method a RefFiL variant (see NewRefFiLVariant).
+func BuildRun(method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
 	mutate func(*core.Config)) (fl.Algorithm, *data.Family, []string, fl.Config, error) {
 	family, err := scale.Family(dataset)
 	if err != nil {

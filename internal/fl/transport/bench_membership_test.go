@@ -33,10 +33,11 @@ func BenchmarkJoinAdmission(b *testing.B) {
 
 // BenchmarkHeartbeatDetection measures how long the coordinator takes to
 // unmask a wedged worker — socket open, broadcasts drained, nothing ever
-// sent back — for several configured timeouts. One iteration is
-// send-then-recv against a fresh wedged slot; recv must return with the
-// deadline error, so ns/op ≈ the detection latency (configured timeout
-// plus scheduling overhead). Pre-v7 this recv blocked forever.
+// sent back — for several timeouts, each reached by advertising a heartbeat
+// of a quarter of it. One iteration is send-then-recv against a fresh wedged
+// slot; recv must return with the deadline error, so ns/op ≈ the detection
+// latency (the timeout plus scheduling overhead). Pre-v7 this recv blocked
+// forever.
 func BenchmarkHeartbeatDetection(b *testing.B) {
 	for _, timeout := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond} {
 		b.Run(timeout.String(), func(b *testing.B) {
@@ -46,13 +47,12 @@ func BenchmarkHeartbeatDetection(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				coord.SetHeartbeatTimeout(timeout)
 				conn, err := net.Dial("tcp", coord.Addr())
 				if err != nil {
 					b.Fatal(err)
 				}
 				enc, dec := frameWriter{w: conn}, frameReader{r: conn}
-				if err := enc.writeHello(Hello{Version: ProtocolVersion, Heartbeat: 10 * time.Millisecond}); err != nil {
+				if err := enc.writeHello(Hello{Version: ProtocolVersion, Heartbeat: timeout / 4}); err != nil {
 					b.Fatal(err)
 				}
 				ack, err := dec.readHelloAck()

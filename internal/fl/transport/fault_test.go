@@ -83,7 +83,7 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	// The last slot: a normal executor — the survivor.
 	surviveErr, trained := dialServe(t, coord, method, family, len(domains), len(killErrs))
 
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,19 +163,19 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 		idleHeir   bool
 	}
 	cases := []crashCase{
-		{"reffil", 0, 1, "", false},
-		{"ewc", 1, 0, "", false},
-		{"lwf", 1, 0, "", false},
-		{"reffil", 0, 1, "delta", false},
-		{"ewc", 1, 0, "delta", false},
-		{"lwf", 1, 0, "delta", false},
-		{"lwf", 1, 0, "delta", true},
+		{"RefFiL", 0, 1, "", false},
+		{"FedEWC", 1, 0, "", false},
+		{"FedLwF", 1, 0, "", false},
+		{"RefFiL", 0, 1, "delta", false},
+		{"FedEWC", 1, 0, "delta", false},
+		{"FedLwF", 1, 0, "delta", false},
+		{"FedLwF", 1, 0, "delta", true},
 	}
 	if testing.Short() {
-		cases = []crashCase{{"reffil", 0, 1, "", false}, {"lwf", 1, 0, "delta", false}}
+		cases = []crashCase{{"RefFiL", 0, 1, "", false}, {"FedLwF", 1, 0, "delta", false}}
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s/task%d_round%d", tc.method, tc.crashTask, tc.crashRound)
+		name := fmt.Sprintf("%s/task%d_round%d", short(tc.method), tc.crashTask, tc.crashRound)
 		if tc.codec != "" {
 			name += "/" + tc.codec
 		}
@@ -196,7 +196,7 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 // channel reports a crash that was never injected.
 func serveDyingOnJobs(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int) <-chan error {
 	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), nTasks, 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), nTasks, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

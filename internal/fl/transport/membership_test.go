@@ -70,7 +70,7 @@ func rawDialHello(t *testing.T, addr string, h transport.Hello) (net.Conn, trans
 // jobs it trained.
 func dialServe(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id int) (<-chan error, *atomic.Int64) {
 	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), nTasks, 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), nTasks, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func dialServe(t *testing.T, coord *transport.Coordinator, method string, family
 // error.
 func serveCrashing(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int, redial func() bool) <-chan error {
 	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), nTasks, 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), nTasks, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestLateJoinMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "reffil", family, domains)
+	want := localReference(t, "RefFiL", family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -181,9 +181,9 @@ func TestLateJoinMidRun(t *testing.T) {
 	}
 	defer coord.Close()
 
-	firstDone, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
+	firstDone, _ := dialServe(t, coord, "RefFiL", family, len(domains), 0)
 
-	alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLateJoinMidRun(t *testing.T) {
 		if st.NextTask == 0 && st.NextRound == 1 && lateDone == nil {
 			// Round (0,0) just installed; admit the late joiner before
 			// round (0,1) dispatches.
-			lateDone, lateTrained = dialServe(t, coord, "reffil", family, len(domains), 1)
+			lateDone, lateTrained = dialServe(t, coord, "RefFiL", family, len(domains), 1)
 		}
 		return nil
 	}
@@ -257,7 +257,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 		{"delta_idle_fresh_slot", "delta", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := localReference(t, "reffil", family, domains)
+			want := localReference(t, "RefFiL", family, domains)
 
 			coord, err := transport.Listen("127.0.0.1:0")
 			if err != nil {
@@ -267,15 +267,15 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 
 			// Worker slot 0: crashes after its first ack of round (0,0),
 			// then re-dials with the same Executor and serves on.
-			rejoinErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 0, func() bool { return true })
+			rejoinErr := serveCrashing(t, coord, "RefFiL", family, len(domains), 0, 0, 0, func() bool { return true })
 
 			// The survivors: normal executors, alive throughout.
 			surviveErr := make([]<-chan error, tc.survivors)
 			for i := range surviveErr {
-				surviveErr[i], _ = dialServe(t, coord, "reffil", family, len(domains), 1+i)
+				surviveErr[i], _ = dialServe(t, coord, "RefFiL", family, len(domains), 1+i)
 			}
 
-			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+			alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,8 +331,8 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 // raw frame endpoint that advertises a heartbeat in its Hello, keeps reading
 // broadcasts, but never acks a job nor sends a pong. Pre-v7 the
 // coordinator would block in recv forever — no read error ever arrives.
-// With heartbeats the slot's read deadline expires within the configured
-// timeout, the worker is marked dead, its jobs re-queue on the survivor,
+// With heartbeats the slot's read deadline expires within 4x the advertised
+// interval, the worker is marked dead, its jobs re-queue on the survivor,
 // and the run completes bit-identically.
 func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
@@ -340,28 +340,27 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "reffil", family, domains)
+	want := localReference(t, "RefFiL", family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	coord.SetHeartbeatTimeout(300 * time.Millisecond)
 
 	// Worker slot 0: the survivor, dialed first for deterministic slots.
-	surviveErr, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
+	surviveErr, _ := dialServe(t, coord, "RefFiL", family, len(domains), 0)
 
-	// Worker slot 1: the wedge — a raw endpoint that advertises a
-	// heartbeat in its Hello and then never writes a single frame: no
-	// acks, no pongs, no close. Only the advertised-heartbeat deadline can
-	// unmask it.
+	// Worker slot 1: the wedge — a raw endpoint that advertises a 75 ms
+	// heartbeat in its Hello, so the coordinator reads its slot under a
+	// 300 ms deadline, and then never writes a single frame: no acks, no
+	// pongs, no close. Only that deadline can unmask it.
 	wedgeDone := make(chan struct{})
 	{
 		conn := rawJoin(t, coord.Addr(), transport.Hello{
 			Version:   transport.ProtocolVersion,
 			WorkerID:  1,
-			Heartbeat: 25 * time.Millisecond,
+			Heartbeat: 75 * time.Millisecond,
 		})
 		go func() {
 			defer close(wedgeDone)
@@ -380,7 +379,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 		}
 	}
 
-	alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +429,11 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "reffil", family, domains)
+	want := localReference(t, "RefFiL", family, domains)
 	errKilled := errors.New("injected coordinator kill")
 
 	newAlg := func() fl.Algorithm {
-		alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+		alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,8 +447,8 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
-		w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
+		w0, _ := dialServe(t, coord, "RefFiL", family, len(domains), 0)
+		w1, _ := dialServe(t, coord, "RefFiL", family, len(domains), 1)
 		alg := newAlg()
 		runner, err := transport.NewPipeline(coord, alg)
 		if err != nil {
@@ -488,8 +487,8 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
-	w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
+	w0, _ := dialServe(t, coord, "RefFiL", family, len(domains), 0)
+	w1, _ := dialServe(t, coord, "RefFiL", family, len(domains), 1)
 	alg := newAlg()
 	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
@@ -530,7 +529,7 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "reffil", family, domains)
+	want := localReference(t, "RefFiL", family, domains)
 
 	for _, tc := range []struct {
 		name     string
@@ -551,7 +550,7 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 			// stays away until the coordinator has seen the death, and a
 			// little longer, so the stranded jobs really meet an empty
 			// federation; without a window there is nothing to re-join.
-			workerErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 1, func() bool {
+			workerErr := serveCrashing(t, coord, "RefFiL", family, len(domains), 0, 0, 1, func() bool {
 				for coord.NumLive() > 0 {
 					time.Sleep(5 * time.Millisecond)
 				}
@@ -562,7 +561,7 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 				return true
 			})
 
-			alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+			alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,8 +31,8 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	for _, method := range []string{"reffil", "lwf"} {
-		t.Run(method, func(t *testing.T) {
+	for _, method := range []string{"RefFiL", "FedLwF"} {
+		t.Run(short(method), func(t *testing.T) {
 			var cleanState, poisonedState map[string]*tensor.Tensor
 			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta", global: &cleanState})
 			restore := transport.PoisonReusedBuffers()
@@ -50,16 +50,16 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 		})
 	}
 	t.Run("redial", func(t *testing.T) {
-		want := localReference(t, "reffil", family, domains)
+		want := localReference(t, "RefFiL", family, domains)
 		defer transport.PoisonReusedBuffers()()
 		coord, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer coord.Close()
-		rejoinErr := serveCrashing(t, coord, "reffil", family, len(domains), 0, 0, 0, func() bool { return true })
-		surviveErr, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
-		alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+		rejoinErr := serveCrashing(t, coord, "RefFiL", family, len(domains), 0, 0, 0, func() bool { return true })
+		surviveErr, _ := dialServe(t, coord, "RefFiL", family, len(domains), 1)
+		alg, err := experiments.NewMethod("RefFiL", model.DefaultConfig(family.Classes), len(domains), 7)
 		if err != nil {
 			t.Fatal(err)
 		}

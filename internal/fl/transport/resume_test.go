@@ -24,7 +24,7 @@ import (
 // every checkpoint the engine emits.
 func captureSnapshots(t *testing.T, method string, family *data.Family, domains []string) []fl.ResumeState {
 	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if loaded.Method != method || loaded.Seed != rs.Seed {
 		t.Fatalf("run-state header round-trip: got (%s,%d), want (%s,%d)", loaded.Method, loaded.Seed, method, rs.Seed)
 	}
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 
-	methods := []string{"reffil", "ewc", "lwf", "finetune"}
+	methods := []string{"RefFiL", "FedEWC", "FedLwF", "Finetune"}
 	if testing.Short() {
-		methods = []string{"reffil"}
+		methods = []string{"RefFiL"}
 	}
 	for _, method := range methods {
 		method := method
-		t.Run(method, func(t *testing.T) {
+		t.Run(short(method), func(t *testing.T) {
 			want := localReference(t, method, family, domains)
 			snaps := captureSnapshots(t, method, family, domains)
 			// 2 tasks x 2 rounds emit (0,1),(0,2),(1,0),(1,1),(1,2),(2,0).
@@ -119,7 +119,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 			for _, snap := range snaps {
 				snap := snap
-				if method != "reffil" && !(snap.NextTask == 1 || snap.NextTask == 2 && snap.NextRound == 0) {
+				if method != "RefFiL" && !(snap.NextTask == 1 || snap.NextTask == 2 && snap.NextRound == 0) {
 					continue // the reffil sweep covers the method-agnostic points
 				}
 				t.Run(fmt.Sprintf("task%d_round%d", snap.NextTask, snap.NextRound), func(t *testing.T) {

@@ -11,6 +11,7 @@ package transport_test
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,7 +53,7 @@ func crossRunnerConfig() fl.Config {
 // runLocal executes the full task sequence on the in-process runner.
 func runLocal(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
 	t.Helper()
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+			alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 			if err != nil {
 				workerErr[id] = err
 				return
@@ -135,7 +136,7 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		t.Fatal(err)
 	}
 
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,21 +178,21 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 }
 
 // TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
-// matrices from the local and loopback-TCP runners for all six -method
-// algorithms.
+// matrices from the local and loopback-TCP runners for all eight methods of
+// the paper's tables.
 func TestCrossRunnerDeterminism(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	methods := experiments.MethodFlags()
+	methods := experiments.MethodNames
 	if testing.Short() {
-		methods = []string{"reffil", "lwf"}
+		methods = []string{"RefFiL", "FedLwF"}
 	}
 	for _, method := range methods {
 		method := method
-		t.Run(method, func(t *testing.T) {
+		t.Run(short(method), func(t *testing.T) {
 			local := runLocal(t, method, family, domains)
 			remote, _ := runTCPWith(t, method, family, domains, tcpRun{workers: 2})
 			// Only the lower triangle is recorded (task i is evaluated on
@@ -199,6 +200,12 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 			requireSameMatrix(t, "TCP", local, remote)
 		})
 	}
+}
+
+// short is a method's subtest name: its table name in lowercase, without
+// the "Fed" prefix (FedLwF → lwf, FedL2P+pool → l2p+pool).
+func short(method string) string {
+	return strings.ToLower(strings.TrimPrefix(method, "Fed"))
 }
 
 // requireSameMatrix asserts exact (==) equality on the recorded lower
@@ -292,8 +299,8 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	local := runLocal(t, "reffil", family, domains)
-	remote, stats := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, codec: "delta"})
+	local := runLocal(t, "RefFiL", family, domains)
+	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, codec: "delta"})
 	requireSameMatrix(t, "TCP(class-limited)", local, remote)
 	requireAllPatchUploads(t, stats)
 }
@@ -309,14 +316,14 @@ func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "finetune", family, domains)
+	want := localReference(t, "Finetune", family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	alg, err := experiments.NewMethodFromFlag("finetune", model.DefaultConfig(family.Classes), len(domains), 7)
+	alg, err := experiments.NewMethod("Finetune", model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +353,7 @@ func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coordAlg, err := experiments.NewMethodFromFlag("finetune", model.DefaultConfig(family.Classes), len(domains), 7)
+	coordAlg, err := experiments.NewMethod("Finetune", model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +393,7 @@ func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
 // sent only when its bytes change — every method's loopback-TCP accuracy
 // matrix must equal the synchronous in-process reference exactly (==).
 // Combined with TestCrossRunnerDeterminism (full codec == local), this
-// proves codec full == codec delta for all six methods: the delta path
+// proves codec full == codec delta for all eight methods: the delta path
 // changes how bytes move, never what arrives. Each delta run must also
 // prove it exercised the upload-patch path — every ack a patch, no silent
 // fallback to full-state uploads.
@@ -396,13 +403,13 @@ func TestCodecDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	methods := experiments.MethodFlags()
+	methods := experiments.MethodNames
 	if testing.Short() {
-		methods = []string{"reffil", "lwf"}
+		methods = []string{"RefFiL", "FedLwF"}
 	}
 	for _, method := range methods {
 		method := method
-		t.Run(method, func(t *testing.T) {
+		t.Run(short(method), func(t *testing.T) {
 			local := localReference(t, method, family, domains)
 			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta"})
 			requireSameMatrix(t, "TCP(delta)", local, delta)
@@ -422,8 +429,8 @@ func TestDeltaStatsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	_, first := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 4, codec: "delta"})
-	_, second := runTCPWith(t, "lwf", family, domains, tcpRun{workers: 4, codec: "delta"})
+	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, codec: "delta"})
+	_, second := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, codec: "delta"})
 	if first != second {
 		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
 	}

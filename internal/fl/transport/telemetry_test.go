@@ -34,7 +34,7 @@ func TestRoundStatsTiming(t *testing.T) {
 
 	var mu sync.Mutex
 	var rounds []transport.RoundStats
-	runTCPWith(t, "reffil", family, domains, tcpRun{
+	runTCPWith(t, "RefFiL", family, domains, tcpRun{
 		workers:  2,
 		ackDelay: sleep,
 		onRound: func(rs transport.RoundStats) {
@@ -79,7 +79,7 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 	}
 	sink := telemetry.NewSink(reg, trc)
 
-	_, stats := runTCPWith(t, "reffil", family, domains, tcpRun{workers: 2, codec: "delta", sink: sink})
+	_, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, codec: "delta", sink: sink})
 	sink.Close()
 
 	snap := reg.Snapshot()

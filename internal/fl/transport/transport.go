@@ -157,9 +157,9 @@ type Hello struct {
 	// are assigned by the coordinator).
 	WorkerID int
 	// Heartbeat, when positive, is the interval on which this worker will
-	// stream Pong updates. The coordinator arms a read deadline on the slot
-	// (SetHeartbeatTimeout, default 4x this interval), so a silently wedged
-	// worker is detected within a bounded interval.
+	// stream Pong updates. The coordinator arms a read deadline of 4x this
+	// interval on the slot, so a silently wedged worker is detected within a
+	// bounded interval.
 	Heartbeat time.Duration
 }
 
@@ -193,9 +193,6 @@ type Coordinator struct {
 	// the background that ordering is routine.
 	joined   int
 	accepted int
-	// heartbeatTimeout overrides the read deadline for slots whose Hello
-	// advertised a heartbeat; zero means 4x the advertised interval.
-	heartbeatTimeout time.Duration
 	// closed marks the coordinator shut down: slot lookups error instead of
 	// indexing a nil workers slice (Close may race a straggling round
 	// goroutine's send/recv/markDead).
@@ -395,16 +392,6 @@ func (c *Coordinator) liveLocked() int {
 	return n
 }
 
-// SetHeartbeatTimeout overrides how long the coordinator waits for traffic
-// (acks or Pong heartbeats) from a heartbeating worker before declaring it
-// dead. Zero restores the default of 4x the worker's advertised interval.
-// Slots whose Hello advertised no heartbeat read without a deadline.
-func (c *Coordinator) SetHeartbeatTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heartbeatTimeout = d
-}
-
 // NumWorkers returns how many workers have ever connected.
 func (c *Coordinator) NumWorkers() int {
 	c.mu.Lock()
@@ -486,21 +473,6 @@ func (c *Coordinator) send(slot int, b Broadcast) error {
 	return nil
 }
 
-// readTimeout returns the read deadline for a slot: zero (no deadline) for
-// workers that advertised no heartbeat, otherwise the configured override
-// or 4x the advertised interval.
-func (c *Coordinator) readTimeout(w *wireConn) time.Duration {
-	if w.heartbeat <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.heartbeatTimeout > 0 {
-		return c.heartbeatTimeout
-	}
-	return 4 * w.heartbeat
-}
-
 // recv reads one round update from the given worker slot, consuming Pong
 // heartbeats internally. Slots whose Hello advertised a heartbeat read
 // under a deadline (re-armed per frame, so each Pong proves liveness): a
@@ -515,7 +487,8 @@ func (c *Coordinator) recv(slot int) (Update, error) {
 	if err != nil {
 		return Update{}, err
 	}
-	timeout := c.readTimeout(w)
+	// A slot that advertised no heartbeat reads without a deadline.
+	timeout := 4 * w.heartbeat
 	for {
 		if timeout > 0 {
 			_ = w.conn.SetReadDeadline(time.Now().Add(timeout))

@@ -217,7 +217,6 @@ func TestKernelsDrawFromOperandArena(t *testing.T) {
 		"MeanAxis":     func(w func(*Tensor) *Tensor) *Tensor { return MeanAxis(w(b234), 2, false) },
 		"MaxAxis":      func(w func(*Tensor) *Tensor) *Tensor { out, _ := MaxAxis(w(b234), 1, false); return out },
 		"Softmax":      func(w func(*Tensor) *Tensor) *Tensor { return Softmax(w(m23)) },
-		"LogSumExp":    func(w func(*Tensor) *Tensor) *Tensor { return LogSumExpRows(w(m23)) },
 		"ReshapeView":  func(w func(*Tensor) *Tensor) *Tensor { return Scale(w(m23).Reshape(3, 2), 1) },
 		"View":         func(w func(*Tensor) *Tensor) *Tensor { return Scale(w(b234).View(12, 3, 4), 1) },
 	}

@@ -144,27 +144,3 @@ func Softmax(t *Tensor) *Tensor {
 	}
 	return out
 }
-
-// LogSumExpRows returns, for a 2-D tensor, the log-sum-exp of each row.
-func LogSumExpRows(t *Tensor) *Tensor {
-	if t.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: LogSumExpRows needs 2-D, got %v", t.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := t.ar.Scratch(m)
-	for r := 0; r < m; r++ {
-		src := t.data[r*n : (r+1)*n]
-		maxV := math.Inf(-1)
-		for _, v := range src {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum := 0.0
-		for _, v := range src {
-			sum += math.Exp(v - maxV)
-		}
-		out.data[r] = maxV + math.Log(sum)
-	}
-	return out
-}

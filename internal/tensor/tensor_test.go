@@ -322,15 +322,6 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 }
 
-func TestLogSumExpMatchesNaive(t *testing.T) {
-	x := FromSlice([]float64{0.5, -1, 2}, 1, 3)
-	got := LogSumExpRows(x).At(0)
-	want := math.Log(math.Exp(0.5) + math.Exp(-1) + math.Exp(2))
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogSumExp = %v, want %v", got, want)
-	}
-}
-
 func TestIm2colCol2imIdentityOnOnes(t *testing.T) {
 	// With a 1x1 kernel, stride 1 and no padding, im2col is the identity.
 	g, err := NewConvGeom(2, 3, 3, 1, 1, 1, 0)

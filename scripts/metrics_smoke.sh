@@ -23,9 +23,9 @@ go build -o "$work/fedserver" ./cmd/fedserver
 go build -o "$work/fedworker" ./cmd/fedworker
 
 addr=127.0.0.1:7463
-common=(-method reffil -dataset pacs -tasks 2 -seed 3)
+common=(-method RefFiL -dataset pacs -scale mini -seed 3)
 
-"$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" -rounds 5 -codec delta \
+"$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" -codec delta \
 	-metrics 127.0.0.1:0 >"$work/run.log" 2>&1 &
 pid=$!
 for id in 0 1; do
@@ -53,7 +53,7 @@ scrape() {
 }
 
 # Poll until the instrumented run has completed at least one round: the
-# first of its ten rounds lands seconds before the server exits.
+# first of its twenty rounds lands seconds before the server exits.
 ok=0
 for _ in $(seq 1 300); do
 	if scrape >"$work/metrics.txt" 2>/dev/null &&
