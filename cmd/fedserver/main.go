@@ -51,7 +51,8 @@
 // restarted fedserver pointed at the same directory resumes the run — with
 // the same flags and re-dialed workers, the final accuracy matrix is
 // bit-identical to an uninterrupted run (see README "Elastic membership &
-// resume").
+// resume"). A snapshot written under another -method, -dataset, -scale or
+// -seed is refused.
 //
 // -metrics ADDR serves a Prometheus /metrics page (round, byte,
 // frame-kind, liveness, fold and checkpoint series that reconcile with the
@@ -144,6 +145,29 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Resume if a snapshot exists (a fresh directory starts a fresh run),
+	// and refuse someone else's run before waiting for any worker.
+	var (
+		ckptPath string
+		resume   *checkpoint.RunState
+	)
+	if *ckptDir != "" {
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			return fmt.Errorf("creating -checkpoint-dir: %w", err)
+		}
+		ckptPath = filepath.Join(*ckptDir, "run.ckpt")
+		rs, err := checkpoint.LoadRunStateFile(ckptPath)
+		switch {
+		case err == nil:
+			if rs.Method != *method || rs.Dataset != *dataset || rs.Scale != *scaleF || rs.Seed != *seed {
+				return fmt.Errorf("%s was written by -method %s -dataset %s -scale %s -seed %d, not -method %s -dataset %s -scale %s -seed %d",
+					ckptPath, rs.Method, rs.Dataset, rs.Scale, rs.Seed, *method, *dataset, *scaleF, *seed)
+			}
+			resume = rs
+		case !errors.Is(err, os.ErrNotExist):
+			return err
+		}
+	}
 	// Telemetry is strictly opt-in: with both flags empty sink stays nil
 	// and every instrumentation point below is a nil-receiver no-op, so
 	// hot paths stay allocation-free and outputs bit-identical.
@@ -226,33 +250,24 @@ func run() error {
 	eng.Progress = func(msg string) { fmt.Println(msg) }
 	eng.Telemetry = sink
 
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("creating -checkpoint-dir: %w", err)
+	if resume != nil {
+		eng.Resume = &fl.ResumeState{
+			NextTask:   resume.NextTask,
+			NextRound:  resume.NextRound,
+			Matrix:     resume.Matrix,
+			Global:     resume.Global,
+			Payload:    resume.Payload,
+			HasPayload: resume.HasPayload,
 		}
-		path := filepath.Join(*ckptDir, "run.ckpt")
-		// Resume if a snapshot exists (a fresh directory starts a fresh run);
-		// guard against resuming someone else's run.
-		if rs, err := checkpoint.LoadRunStateFile(path); err == nil {
-			if rs.Method != *method || rs.Seed != *seed {
-				return fmt.Errorf("%s was written by -method %s -seed %d, not -method %s -seed %d", path, rs.Method, rs.Seed, *method, *seed)
-			}
-			eng.Resume = &fl.ResumeState{
-				NextTask:   rs.NextTask,
-				NextRound:  rs.NextRound,
-				Matrix:     rs.Matrix,
-				Global:     rs.Global,
-				Payload:    rs.Payload,
-				HasPayload: rs.HasPayload,
-			}
-			fmt.Printf("resuming from %s at task %d round %d\n", path, rs.NextTask, rs.NextRound)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
+		fmt.Printf("resuming from %s at task %d round %d\n", ckptPath, resume.NextTask, resume.NextRound)
+	}
+	if ckptPath != "" {
 		eng.Checkpoint = func(st fl.ResumeState) error {
 			begin := time.Now()
-			err := checkpoint.SaveRunStateFile(path, &checkpoint.RunState{
+			err := checkpoint.SaveRunStateFile(ckptPath, &checkpoint.RunState{
 				Method:     *method,
+				Dataset:    *dataset,
+				Scale:      *scaleF,
 				Seed:       *seed,
 				NextTask:   st.NextTask,
 				NextRound:  st.NextRound,
@@ -263,7 +278,7 @@ func run() error {
 			})
 			if err == nil && sink != nil {
 				var bytes int64
-				if fi, serr := os.Stat(path); serr == nil {
+				if fi, serr := os.Stat(ckptPath); serr == nil {
 					bytes = fi.Size()
 				}
 				sink.CheckpointWritten(st.NextTask, st.NextRound, bytes, time.Since(begin))

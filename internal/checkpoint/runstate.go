@@ -11,8 +11,9 @@ import (
 )
 
 // runMagic identifies run-state checkpoint files (coordinator resume); the
-// trailing digits are the format version.
-var runMagic = [8]byte{'R', 'F', 'L', 'R', 'U', 'N', '0', '1'}
+// trailing digits are the format version. Version 02 added the dataset and
+// scale to the header.
+var runMagic = [8]byte{'R', 'F', 'L', 'R', 'U', 'N', '0', '2'}
 
 const (
 	// maxTasks bounds the serialized accuracy matrix.
@@ -26,13 +27,18 @@ const (
 // run's accuracy matrix bit for bit: the resume position, the accuracy
 // rows recorded so far, the global model state and the method's wire-state
 // payload (fl.WireStater — LwF's teacher, EWC's Fisher/anchor maps,
-// RefFiL's prompt bank). Method and Seed guard against resuming with a
-// mismatched configuration; everything derivable from (method, seed, task
-// index) — datasets, shards, client pools, RNG draws — is reconstructed by
-// the engine's fast-forward replay instead of being serialized.
+// RefFiL's prompt bank). Method, Dataset, Scale and Seed guard against
+// resuming with a mismatched configuration; everything derivable from them
+// and the task index — datasets, shards, client pools, RNG draws — is
+// reconstructed by the engine's fast-forward replay instead of being
+// serialized.
 type RunState struct {
 	// Method is the algorithm flag the run was started with.
 	Method string
+	// Dataset and Scale are the run's -dataset and -scale flags. Either may
+	// be empty, from a writer that does not name them.
+	Dataset string
+	Scale   string
 	// Seed is the shared run seed.
 	Seed int64
 	// NextTask/NextRound are the resume position: the first round the
@@ -53,21 +59,27 @@ type RunState struct {
 }
 
 // SaveRunState writes a resumable run snapshot to w. The layout is the
-// header (magic, method, seed, position, matrix, payload) followed by the
-// global state dict in the standard checkpoint format.
+// header (magic; method, dataset and scale, each a uint16 length and its
+// bytes; seed, position, matrix, payload) followed by the global state dict
+// in the standard checkpoint format.
 func SaveRunState(w io.Writer, rs *RunState) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(runMagic[:]); err != nil {
 		return fmt.Errorf("checkpoint: writing run header: %w", err)
 	}
-	if len(rs.Method) == 0 || len(rs.Method) > maxNameLen {
-		return fmt.Errorf("checkpoint: invalid method name length %d", len(rs.Method))
+	if len(rs.Method) == 0 {
+		return fmt.Errorf("checkpoint: empty run method")
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(rs.Method))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(rs.Method); err != nil {
-		return err
+	for _, f := range runNames(rs) {
+		if len(*f.v) > maxNameLen {
+			return fmt.Errorf("checkpoint: run %s of %d bytes exceeds %d", f.what, len(*f.v), maxNameLen)
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint16(len(*f.v))); err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(*f.v); err != nil {
+			return err
+		}
 	}
 	if err := binary.Write(bw, binary.LittleEndian, rs.Seed); err != nil {
 		return err
@@ -137,18 +149,23 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 		return nil, fmt.Errorf("checkpoint: bad run-state magic %q (not a run checkpoint, or unsupported version)", got)
 	}
 	rs := &RunState{}
-	var methodLen uint16
-	if err := binary.Read(br, binary.LittleEndian, &methodLen); err != nil {
-		return nil, fmt.Errorf("checkpoint: run method length: %w", err)
+	for _, f := range runNames(rs) {
+		var n uint16
+		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+			return nil, fmt.Errorf("checkpoint: run %s length: %w", f.what, err)
+		}
+		if int(n) > maxNameLen {
+			return nil, fmt.Errorf("checkpoint: run %s of %d bytes exceeds %d", f.what, n, maxNameLen)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return nil, fmt.Errorf("checkpoint: run %s: %w", f.what, err)
+		}
+		*f.v = string(buf)
 	}
-	if methodLen == 0 || int(methodLen) > maxNameLen {
-		return nil, fmt.Errorf("checkpoint: invalid run method length %d", methodLen)
+	if rs.Method == "" {
+		return nil, fmt.Errorf("checkpoint: empty run method")
 	}
-	methodBuf := make([]byte, methodLen)
-	if _, err := io.ReadFull(br, methodBuf); err != nil {
-		return nil, fmt.Errorf("checkpoint: run method: %w", err)
-	}
-	rs.Method = string(methodBuf)
 	if err := binary.Read(br, binary.LittleEndian, &rs.Seed); err != nil {
 		return nil, fmt.Errorf("checkpoint: run seed: %w", err)
 	}
@@ -206,6 +223,17 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 		return nil, err
 	}
 	return rs, nil
+}
+
+// runName is one of the run header's name fields.
+type runName struct {
+	what string
+	v    *string
+}
+
+// runNames lists the header's name fields in their serialized order.
+func runNames(rs *RunState) [3]runName {
+	return [3]runName{{"method", &rs.Method}, {"dataset", &rs.Dataset}, {"scale", &rs.Scale}}
 }
 
 // SaveRunStateFile atomically writes a run snapshot to path: a coordinator

@@ -2,16 +2,20 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func sampleRunState(rng *rand.Rand) *RunState {
 	return &RunState{
-		Method:    "reffil",
+		Method:    "RefFiL",
+		Dataset:   "pacs",
+		Scale:     "mini",
 		Seed:      -7,
 		NextTask:  1,
 		NextRound: 2,
@@ -44,8 +48,9 @@ func TestRunStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Method != rs.Method || got.Seed != rs.Seed {
-		t.Fatalf("header round trip: got (%s,%d), want (%s,%d)", got.Method, got.Seed, rs.Method, rs.Seed)
+	if got.Method != rs.Method || got.Dataset != rs.Dataset || got.Scale != rs.Scale || got.Seed != rs.Seed {
+		t.Fatalf("header round trip: got (%s,%s,%s,%d), want (%s,%s,%s,%d)",
+			got.Method, got.Dataset, got.Scale, got.Seed, rs.Method, rs.Dataset, rs.Scale, rs.Seed)
 	}
 	if got.NextTask != rs.NextTask || got.NextRound != rs.NextRound {
 		t.Fatalf("position round trip: got (%d,%d), want (%d,%d)", got.NextTask, got.NextRound, rs.NextTask, rs.NextRound)
@@ -83,6 +88,24 @@ func TestRunStateRoundTrip(t *testing.T) {
 				t.Fatalf("tensor %q element %d = %v, want %v", name, i, b[i], a[i])
 			}
 		}
+	}
+}
+
+// TestRunStateEmptyDatasetAndScale round-trips a snapshot from a writer that
+// names neither its dataset nor its scale: both come back empty.
+func TestRunStateEmptyDatasetAndScale(t *testing.T) {
+	rs := sampleRunState(rand.New(rand.NewSource(17)))
+	rs.Dataset, rs.Scale = "", ""
+	var buf bytes.Buffer
+	if err := SaveRunState(&buf, rs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadRunState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Method != rs.Method || got.Dataset != "" || got.Scale != "" || got.Seed != rs.Seed {
+		t.Fatalf("header round trip: got (%q,%q,%q,%d), want (%q,\"\",\"\",%d)", got.Method, got.Dataset, got.Scale, got.Seed, rs.Method, rs.Seed)
 	}
 }
 
@@ -174,6 +197,25 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 	rs.Payload = make([]byte, maxPayload+1)
 	if err := SaveRunState(&bytes.Buffer{}, rs); err == nil {
 		t.Fatal("oversized payload must refuse to serialize")
+	}
+	rs.Payload = nil
+	for _, name := range []*string{&rs.Method, &rs.Dataset, &rs.Scale} {
+		saved := *name
+		*name = strings.Repeat("x", maxNameLen+1)
+		if err := SaveRunState(&bytes.Buffer{}, rs); err == nil {
+			t.Fatalf("a %d-byte header name must refuse to serialize", len(*name))
+		}
+		*name = saved
+	}
+	// A dataset length past the bound is rejected by its length, even with
+	// that many bytes present behind it.
+	hostile := append([]byte{}, runMagic[:]...)
+	hostile = binary.LittleEndian.AppendUint16(hostile, uint16(len(rs.Method)))
+	hostile = append(hostile, rs.Method...)
+	hostile = binary.LittleEndian.AppendUint16(hostile, maxNameLen+1)
+	hostile = append(hostile, strings.Repeat("x", maxNameLen+1)...)
+	if _, err := LoadRunState(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), "dataset of 4097 bytes exceeds") {
+		t.Fatalf("hostile dataset length: got %v, want the dataset length refused", err)
 	}
 }
 

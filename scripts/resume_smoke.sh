@@ -4,7 +4,8 @@
 # with an accuracy-matrix block equal — byte for byte — to the one the
 # in-process reffil CLI prints for the same four run flags. The workers are
 # started once with -rejoin and survive the coordinator's death by
-# re-dialing, exactly as a real deployment would.
+# re-dialing, exactly as a real deployment would. Finally a restart under
+# another -dataset must be refused: the snapshot belongs to another run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,5 +75,14 @@ if ! diff -u "$work/reference.matrix" "$work/resumed.matrix"; then
     exit 1
 fi
 
-echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil"
+# --- Negative restart: the snapshot is a pacs run, so officecaltech10 must
+# be refused before anything runs, with all four run flags named. ---------
+mismatch=("$work/fedserver" -addr "$addr" -workers 2 -method RefFiL -dataset officecaltech10 -scale mini -seed 3 -checkpoint-dir "$ckpt_dir")
+if "${mismatch[@]}" >"$work/mismatch.log" 2>&1; then
+    echo "restart under another -dataset was not refused:"; cat "$work/mismatch.log"; exit 1
+fi
+grep -q -- "-method RefFiL -dataset pacs -scale mini -seed 3, not -method RefFiL -dataset officecaltech10 -scale mini -seed 3" "$work/mismatch.log" \
+    || { echo "mismatched restart failed for another reason:"; cat "$work/mismatch.log"; exit 1; }
+
+echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil; a restart under another -dataset was refused"
 cat "$work/resumed.matrix"
