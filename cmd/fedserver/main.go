@@ -27,14 +27,12 @@
 // survivors and the run continues on the remaining pool, with the same
 // final numbers.
 //
-// -codec selects the wire format: "full" rebroadcasts the complete state
-// and method wire state every round and receives full state dicts back,
-// "delta" ships per-key diffs against each worker's last-acked base
-// version, receives each job's trained state back as a lossless patch
-// against the round's broadcast base, and re-sends the wire state (e.g.
-// LwF's teacher, a full model) only when its bytes change. Both codecs are
-// exact and produce bit-identical accuracy matrices; every round's bytes and
-// frame kinds are logged.
+// The wire format is lossless and ships what changed: broadcasts carry
+// per-key diffs against each worker's last-acked base version (a full
+// snapshot when it holds none), each job's trained state comes back as a
+// patch against the round's broadcast base, and the method wire state (e.g.
+// LwF's teacher, a full model) is re-sent only when its bytes change. Every
+// round's bytes and frame kinds are logged.
 //
 // Membership is elastic: the coordinator admits worker dials for its whole
 // lifetime, so -workers only gates the start of the run. A worker that dies
@@ -78,7 +76,6 @@ import (
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
-	"reffil/internal/fl/wire"
 	"reffil/internal/telemetry"
 )
 
@@ -130,8 +127,6 @@ func run() error {
 
 		joinWait = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for resumable run-state checkpoints, written after every round and task; if a run checkpoint already exists there the run resumes from it")
-
-		codec = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; both are exact, so results are bit-identical)")
 
 		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the /debug/pprof endpoints on this address (e.g. localhost:9090; empty disables both)")
 		traceFile   = flag.String("trace", "", "record the round/job lifecycle as a Chrome trace-event file at this path (load in Perfetto; empty disables tracing)")
@@ -205,7 +200,7 @@ func run() error {
 	}
 	sink.StartRun(telemetry.Manifest{
 		RunID: runID, Role: "fedserver",
-		Method: *method, Dataset: *dataset, Codec: *codec,
+		Method: *method, Dataset: *dataset,
 		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
 		Flags: visitedFlags(),
 	})
@@ -232,16 +227,13 @@ func run() error {
 		wlog.Event("wire_round",
 			telemetry.F("task", rs.Task), telemetry.F("round", rs.Round),
 			telemetry.F("broadcast", fmtBytes(rs.BroadcastBytes)), telemetry.F("uploads", fmtBytes(rs.UploadBytes)),
-			telemetry.F("patch", rs.PatchUploads), telemetry.F("full_up", rs.StateUploads),
+			telemetry.F("patch", rs.PatchUploads),
 			telemetry.F("full", rs.FullFrames), telemetry.F("delta", rs.DeltaFrames), telemetry.F("idle", rs.IdleFrames),
 			telemetry.F("fallbacks", rs.Fallbacks), telemetry.F("upload_fallbacks", rs.UploadFallbacks),
 			telemetry.F("attempts", rs.Attempts),
 			telemetry.F("dispatch_ms", fmt.Sprintf("%.1f", float64(rs.DispatchNanos)/1e6)),
 			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),
 			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)))
-	}
-	if err := tr.UseCodec(*codec); err != nil {
-		return err
 	}
 	eng, err := fl.NewEngineWithRunner(cfg, alg, tr)
 	if err != nil {
@@ -293,11 +285,11 @@ func run() error {
 	}
 
 	st := tr.Stats()
-	fmt.Printf("wire totals (codec %s): %d rounds, broadcast %s (%s/round), uploads %s (%s/round, %d patch/%d full, %d fallbacks), frames %d full/%d delta/%d idle, %d full-snapshot fallbacks\n",
-		tr.Codec(), st.Rounds, fmtBytes(st.BroadcastBytes), fmtBytes(perRound(st.BroadcastBytes, st.Rounds)),
+	fmt.Printf("wire totals: %d rounds, broadcast %s (%s/round), uploads %s (%s/round, %d patch, %d fallbacks), frames %d full/%d delta/%d idle\n",
+		st.Rounds, fmtBytes(st.BroadcastBytes), fmtBytes(perRound(st.BroadcastBytes, st.Rounds)),
 		fmtBytes(st.UploadBytes), fmtBytes(perRound(st.UploadBytes, st.Rounds)),
-		st.PatchUploads, st.StateUploads, st.UploadFallbacks,
-		st.FullFrames, st.DeltaFrames, st.IdleFrames, st.Fallbacks)
+		st.PatchUploads, st.UploadFallbacks,
+		st.FullFrames, st.DeltaFrames, st.IdleFrames)
 	fmt.Println()
 	if err := experiments.PrintMatrix(os.Stdout, *method, *dataset, mat); err != nil {
 		return err

@@ -11,12 +11,10 @@
 // are placement-free, so re-execution yields the identical result.
 //
 // Broadcast state arrives as versioned wire frames: a full snapshot the
-// first time, then — under the fedserver's -codec delta — per-key diffs
-// against the state this worker already holds, with the method's wire state
-// re-sent only when it changes. In the same configuration the worker
-// answers each job with a lossless patch of its trained state against the
-// round's broadcast base instead of the full dict. The worker follows
-// whichever codec each broadcast names.
+// first time, then per-key diffs against the state this worker already
+// holds, with the method's wire state re-sent only when it changes. The
+// worker answers each job with a lossless patch of its trained state
+// against the round's broadcast base instead of the full dict.
 //
 // Membership is elastic: dials are bounded (-dial-timeout)
 // and retried with exponential backoff (-dial-retries/-dial-backoff), the

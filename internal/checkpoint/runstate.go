@@ -207,7 +207,10 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: payload flag: %w", err)
 	}
-	rs.HasPayload = hasPayload != 0
+	if hasPayload > 1 {
+		return nil, fmt.Errorf("checkpoint: payload flag byte %d", hasPayload)
+	}
+	rs.HasPayload = hasPayload == 1
 	var payloadLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &payloadLen); err != nil {
 		return nil, fmt.Errorf("checkpoint: payload length: %w", err)
@@ -215,8 +218,12 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 	if payloadLen > maxPayload {
 		return nil, fmt.Errorf("checkpoint: payload of %d bytes exceeds %d", payloadLen, maxPayload)
 	}
-	rs.Payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, rs.Payload); err != nil {
+	// The payload grows as its bytes arrive: a declared length never sizes
+	// an allocation.
+	if rs.Payload, err = io.ReadAll(io.LimitReader(br, int64(payloadLen))); err == nil && len(rs.Payload) < int(payloadLen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: payload: %w", err)
 	}
 	if rs.Global, err = Load(br); err != nil {

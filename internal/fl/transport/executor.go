@@ -20,11 +20,10 @@ import (
 // per-job seeded RNGs — acknowledging each job the moment it completes.
 // Per-job acks are what let the coordinator salvage a crashing worker's
 // finished work and re-queue only the rest. Every ack carries the trained
-// state as a wire.Patch: under any non-full codec a lossless diff against
-// the round's broadcast base — exactly what this executor's tracker holds
-// after applying the frame, and exactly what the coordinator mirrors for
-// this worker, so the upload reconstructs bit for bit — and under the full
-// codec a complete snapshot.
+// state as a wire.Patch: a lossless diff against the round's broadcast base
+// — exactly what this executor's tracker holds after applying the frame,
+// and exactly what the coordinator mirrors for this worker, so the upload
+// reconstructs bit for bit.
 //
 // The algorithm must be constructed exactly as the coordinator's (same
 // method, model config, task horizon and construction seed): broadcast
@@ -87,13 +86,8 @@ func (e *Executor) ResetStream() {
 // their Index). Pass it to Worker.Serve, whose emit already serializes
 // onto the connection. A JobResult's patch aliases the executor's upload
 // buffer, which the next job overwrites: emit must be done with it when it
-// returns. A broadcast whose codec name does not resolve fails, and Serve
-// reports the error to the coordinator.
+// returns.
 func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
-	upCodec, err := wire.New(b.Codec)
-	if err != nil {
-		return fmt.Errorf("broadcast codec: %w", err)
-	}
 	stateChanged, payload, payloadChanged, err := e.tracker.Apply(&b.Frame)
 	if err != nil {
 		return fmt.Errorf("broadcast frame: %w", err)
@@ -112,12 +106,12 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 			return fmt.Errorf("%s received %d bytes of wire state it cannot load", e.alg.Name(), len(payload))
 		}
 	}
-	return e.runJobs(b.Jobs, upCodec, emit)
+	return e.runJobs(b.Jobs, emit)
 }
 
 // runJobs materializes and trains the broadcast's job slice through the
 // local worker pool, emitting one ack per job in completion order.
-func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, emit func(JobResult) error) error {
+func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error {
 	jobs := make([]fl.Job, len(specs))
 	for i, spec := range specs {
 		ds, err := e.dataset(spec)
@@ -133,10 +127,10 @@ func (e *Executor) runJobs(specs []fl.JobSpec, upCodec wire.Codec, emit func(Job
 	return e.pool.RunEach(jobs, func(i int, res fl.Result) error {
 		// Diff the trained replica against the round's broadcast base —
 		// exactly the dict the coordinator mirrors for this worker, so the
-		// patch reconstructs there bit for bit. Every codec encodes a nil
-		// base (a worker executing jobs with no installed state) as a full
+		// patch reconstructs there bit for bit. A nil base (a worker
+		// executing jobs with no installed state) encodes as a full
 		// snapshot, which the coordinator counts as an upload fallback.
-		p, err := e.upload.Encode(upCodec, e.tracker.Dict, res.Dict)
+		p, err := e.upload.Encode(e.tracker.Dict, res.Dict)
 		if err != nil {
 			return fmt.Errorf("job %d upload state: %w", i, err)
 		}

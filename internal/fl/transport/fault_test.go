@@ -53,15 +53,14 @@ func localReference(t *testing.T, method string, family *data.Family, domains []
 // at a time so the killer deterministically occupies slot 0 — the slot
 // that round-robin assignment hands the round's first (and, with three
 // jobs over two workers, third) job, guaranteeing the crash strands at
-// least one unfinished job for the survivor to pick up. codec selects the
-// broadcast codec ("" = the default full snapshots).
+// least one unfinished job for the survivor to pick up.
 //
 // With idleHeir the federation has four workers instead, so at three jobs a
 // round slot 3 idles in every round: slots 0–2 sever their connections on
 // receiving the crash round's jobs, before acking any, and every one of
 // those jobs ends up on slot 3, whose first re-queue frame has to bring it
 // from no state at all to the round's state and payload.
-func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) [][]float64 {
+func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, idleHeir bool) [][]float64 {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -91,11 +90,6 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codec != "" {
-		if err := runner.UseCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-	}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +102,10 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers after crash = %d, want 1", got)
 	}
-	if codec != "" {
-		// The whole crashed-and-requeued run — including the survivor's
-		// re-executions, which diff against the state their re-queue frames
-		// brought it to — must have used base-relative uploads throughout.
-		requireAllPatchUploads(t, runner.Stats())
-	}
+	// The whole crashed-and-requeued run — including the survivor's
+	// re-executions, which diff against the state their re-queue frames
+	// brought it to — must have used base-relative uploads throughout.
+	requireAllPatchUploads(t, runner.Stats())
 	if trained.Load() == 0 {
 		t.Fatal("the survivor trained no jobs")
 	}
@@ -139,14 +131,13 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 // that never trained them before — the re-queue path's wire-state gate.
 // RefFiL crashing in task 0 covers the prompt-upload path under re-queue.
 //
-// The delta-codec cases re-run the crash under delta broadcast *and*
-// delta-encoded uploads: the survivor receives the unfinished jobs as one
-// more frame of the round, built against the coordinator's mirror of it,
-// and uploads patches diffed against the state that frame leaves it at —
-// the mirror's dict, so the reconstruction is exact. Bit-identical matrices
-// prove the re-queue/delta interaction loses nothing in either wire
-// direction; the runs additionally assert every upload was a base-relative
-// patch (no silent full-snapshot fallback). The idle-heir case hands LwF's
+// The survivor receives the unfinished jobs as one more frame of the round,
+// built against the coordinator's mirror of it, and uploads patches diffed
+// against the state that frame leaves it at — the mirror's dict, so the
+// reconstruction is exact. Bit-identical matrices prove the re-queue/delta
+// interaction loses nothing in either wire direction; the runs additionally
+// assert every upload was a base-relative patch (no silent full-snapshot
+// fallback). The idle-heir case hands LwF's
 // task-1 jobs to a worker that idled through every earlier round, so its
 // re-queue frame must carry the full state and the teacher payload.
 func TestFaultInjectionCrashMidRound(t *testing.T) {
@@ -159,32 +150,25 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 		method     string
 		crashTask  int
 		crashRound int
-		codec      string
 		idleHeir   bool
 	}
 	cases := []crashCase{
-		{"RefFiL", 0, 1, "", false},
-		{"FedEWC", 1, 0, "", false},
-		{"FedLwF", 1, 0, "", false},
-		{"RefFiL", 0, 1, "delta", false},
-		{"FedEWC", 1, 0, "delta", false},
-		{"FedLwF", 1, 0, "delta", false},
-		{"FedLwF", 1, 0, "delta", true},
+		{"RefFiL", 0, 1, false},
+		{"FedEWC", 1, 0, false},
+		{"FedLwF", 1, 0, false},
+		{"FedLwF", 1, 0, true},
 	}
 	if testing.Short() {
-		cases = []crashCase{{"RefFiL", 0, 1, "", false}, {"FedLwF", 1, 0, "delta", false}}
+		cases = []crashCase{{"RefFiL", 0, 1, false}, {"FedLwF", 1, 0, false}}
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/task%d_round%d", short(tc.method), tc.crashTask, tc.crashRound)
-		if tc.codec != "" {
-			name += "/" + tc.codec
-		}
 		if tc.idleHeir {
 			name += "/idle_heir"
 		}
 		t.Run(name, func(t *testing.T) {
 			want := localReference(t, tc.method, family, domains)
-			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
+			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.idleHeir)
 			requireSameMatrix(t, "crashed-and-requeued", want, got)
 		})
 	}

@@ -59,7 +59,7 @@ const (
 
 	// Field bounds, checked by the writer and again by the reader before
 	// anything is allocated.
-	maxNameLen  = 4096    // codec, dataset and domain names
+	maxNameLen  = 4096    // dataset and domain names
 	maxErrorLen = 1 << 16 // a worker's error report
 	maxJobs     = 1 << 16 // JobSpecs in one broadcast
 	maxShards   = 64      // ShardSpecs in one JobSpec
@@ -284,8 +284,7 @@ func (fw *frameWriter) writeHelloAck(a HelloAck) error {
 	return fw.finish(msgHelloAck, a.Version, nil)
 }
 
-// writeBroadcast lays a Broadcast out as Task, Round, Done, Codec; the
-// Frame's Kind, BaseVersion, Version, Patch, PayloadVersion, HasPayload and
+// writeBroadcast lays a Broadcast out as Task, Round, Done; the Frame's Kind, BaseVersion, Version, Patch, PayloadVersion, HasPayload and
 // Payload; then the job count and each JobSpec. sent counts the frame (see
 // finish).
 func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
@@ -295,7 +294,6 @@ func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	fw.varint(int64(b.Task))
 	fw.varint(int64(b.Round))
 	fw.flag(b.Done)
-	fw.str(b.Codec, maxNameLen)
 	f := &b.Frame
 	fw.u8(byte(f.Kind))
 	fw.uvarint(f.BaseVersion)
@@ -665,7 +663,6 @@ func decodeBroadcast(body []byte) (Broadcast, error) {
 	b.Task = int(d.varint())
 	b.Round = int(d.varint())
 	b.Done = d.flag()
-	b.Codec = d.str(maxNameLen)
 	f := &b.Frame
 	if f.Kind = wire.Kind(d.u8()); f.Kind > wire.KindDelta {
 		d.fail("unknown frame kind %d", f.Kind)

@@ -14,7 +14,7 @@ import (
 )
 
 // goldenVersion is the protocol revision goldenMessages pins.
-const goldenVersion = 11
+const goldenVersion = 12
 
 // goldenMessage is one small message of each type and the frame it must
 // encode to, byte for byte, under goldenVersion.
@@ -26,7 +26,7 @@ type goldenMessage struct {
 
 func goldenMessages() []goldenMessage {
 	b := Broadcast{
-		Version: ProtocolVersion, Task: 1, Round: 2, Codec: wire.CodecDelta,
+		Version: ProtocolVersion, Task: 1, Round: 2,
 		Frame: wire.Frame{
 			Kind: wire.KindDelta, BaseVersion: 3, Version: 4,
 			Patch:          wire.Patch{Packed: []byte{0xaa, 0xbb}},
@@ -48,13 +48,13 @@ func goldenMessages() []goldenMessage {
 	return []goldenMessage{
 		{"hello", func(fw *frameWriter) error {
 			return fw.writeHello(Hello{Version: ProtocolVersion, WorkerID: 3, Heartbeat: 250 * time.Millisecond})
-		}, "52464c570b000100" + "06000000" + "06" + "80cab5ee01"},
+		}, "52464c570c000100" + "06000000" + "06" + "80cab5ee01"},
 		{"hello-ack", func(fw *frameWriter) error {
 			return fw.writeHelloAck(HelloAck{Version: ProtocolVersion, Slot: 2, Error: "no"})
-		}, "52464c570b000200" + "04000000" + "04" + "026e6f"},
+		}, "52464c570c000200" + "04000000" + "04" + "026e6f"},
 		{"broadcast", func(fw *frameWriter) error { return fw.writeBroadcast(&b, nil) },
-			"52464c570b000300" + "44000000" +
-				"02" + "04" + "00" + "0564656c7461" + // Task, Round, Done, Codec
+			"52464c570c000300" + "3e000000" +
+				"02" + "04" + "00" + // Task, Round, Done
 				"02" + "03" + "04" + // Kind, BaseVersion, Version
 				"00" + "00" + "02aabb" + // Patch: Full, Dense, Packed
 				"05" + "01" + "0109" + // PayloadVersion, HasPayload, Payload
@@ -63,14 +63,14 @@ func goldenMessages() []goldenMessage {
 				"0470616373" + "20" + "0e" + "0570686f746f" + "02" + "30" + "18" + "d20f" + // Dataset … GenSeed
 				"08" + "04" + "000000000000e03f" + "03"}, // Learners, Index, Alpha, PartSeed
 		{"ack", func(fw *frameWriter) error { return fw.writeUpdate(&ack) },
-			"52464c570b000400" + "0b000000" + "02" + "00" + "01" +
+			"52464c570c000400" + "0b000000" + "02" + "00" + "01" +
 				"00" + "00" + "03010203" + "0104"},
 		{"done", func(fw *frameWriter) error {
 			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "boom"})
-		}, "52464c570b000500" + "06000000" + "02" + "04626f6f6d"},
+		}, "52464c570c000500" + "06000000" + "02" + "04626f6f6d"},
 		{"pong", func(fw *frameWriter) error {
 			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Pong: true})
-		}, "52464c570b000600" + "01000000" + "02"},
+		}, "52464c570c000600" + "01000000" + "02"},
 	}
 }
 

@@ -235,9 +235,9 @@ func TestLateJoinMidRun(t *testing.T) {
 // fedworker -rejoin does — serves the rest of the run. The engine's
 // checkpoint hook gates the next round on the re-admission so the re-joined
 // worker deterministically participates. With one survivor the fresh slot
-// is handed jobs at once, so its first frame is a full snapshot; the delta
-// variant additionally requires every upload (including the re-joined
-// slot's, whose base is that snapshot) to be a patch. With three survivors
+// is handed jobs at once, so its first frame is a full snapshot, and every
+// upload (including the re-joined slot's, whose base is that snapshot) must
+// be a patch. With three survivors
 // the round's three jobs go to them and the fresh slot — the highest index
 // — is idle: its first frame is a bare KindNone at version 0, which an
 // Executor still holding the dead connection's tracker rejects, failing the
@@ -249,12 +249,11 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	for _, tc := range []struct {
-		name, codec string
-		survivors   int
+		name      string
+		survivors int
 	}{
-		{"default", "", 1},
-		{"delta", "delta", 1},
-		{"delta_idle_fresh_slot", "delta", 3},
+		{"default", 1},
+		{"idle_fresh_slot", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := localReference(t, "RefFiL", family, domains)
@@ -283,11 +282,6 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.codec != "" {
-				if err := runner.UseCodec(tc.codec); err != nil {
-					t.Fatal(err)
-				}
-			}
 			eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 			if err != nil {
 				t.Fatal(err)
@@ -308,9 +302,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if got := coord.NumLive(); got != tc.survivors+1 {
 				t.Fatalf("live workers after re-join = %d, want %d (survivors + re-dialed)", got, tc.survivors+1)
 			}
-			if tc.codec != "" {
-				requireAllPatchUploads(t, runner.Stats())
-			}
+			requireAllPatchUploads(t, runner.Stats())
 			_ = runner.Close()
 			if err := coord.Shutdown(); err != nil {
 				t.Fatal(err)
@@ -567,9 +559,6 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 			}
 			runner, err := transport.NewPipeline(coord, alg)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := runner.UseCodec("delta"); err != nil {
 				t.Fatal(err)
 			}
 			runner.JoinWait = tc.joinWait

@@ -19,19 +19,17 @@ import (
 // the in-process pool. Rounds are synchronous, exactly one is in flight:
 // RunEach returns when its last job has been handed over.
 //
-// Per round every live worker receives a versioned wire.Frame: under the
-// default full codec the complete state dict plus the method's encoded
-// wire state (fl.WireStater); under the delta codec (UseCodec) per-key
-// diffs against the base version the slot's mirror holds, with the
-// wire-state payload re-sent only when its bytes change, and a full
-// snapshot for workers with no usable base. Uploads come back as
-// wire.Patch too, under the broadcast's codec, reconstructed against the
-// state the slot's mirror holds once the frame is built, into a
+// Per round every live worker receives a versioned wire.Frame: per-key
+// diffs against the base version the slot's mirror holds, with the method's
+// encoded wire state (fl.WireStater) re-sent only when its bytes change, a
+// full snapshot for workers with no usable base, and no state at all for
+// workers without jobs. Uploads come back as wire.Patch too, reconstructed
+// against the state the slot's mirror holds once the frame is built, into a
 // wire.DecodeBuffer that the result's fl.Result.Release hands back for a
 // later ack. Jobs are assigned round-robin by worker slot; assignment never
 // affects results: each job is a self-contained deterministic computation
-// (see fl.EachRunner), and every codec is exact, so any placement under any
-// codec produces the same bits.
+// (see fl.EachRunner), and the wire format is exact, so any placement
+// produces the same bits.
 //
 // Each worker slot has a FIFO queue of the broadcasts it has yet to answer
 // and a dedicated collector goroutine. The queue outlives a round: a
@@ -72,15 +70,12 @@ type Pipeline struct {
 	// (the default) keeps the hot path allocation-free.
 	Telemetry *telemetry.Sink
 
-	// tmu guards enc, started and stats. Lock order is mu → tmu
-	// (finishRound), never the reverse.
-	tmu     sync.Mutex
-	enc     *wire.Encoder
-	stats   Stats
-	started bool
+	// enc holds the round in flight's state and payload until the next
+	// dispatch, so re-queues frame against it too.
+	enc wire.Encoder
 
-	// mu guards the round in flight, per-slot queues and the fatal flag;
-	// cond (on mu) wakes await when a job settles.
+	// mu guards the round in flight, per-slot queues, the fatal flag and
+	// the cumulative stats; cond (on mu) wakes await when a job settles.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cur    *roundFlight
@@ -91,7 +86,8 @@ type Pipeline struct {
 	// one taken from here (or a new one when it is empty), and its result's
 	// Release puts it back, so the list never outgrows the number of results
 	// the engine held at once.
-	free []*wire.DecodeBuffer
+	free  []*wire.DecodeBuffer
+	stats Stats
 	// startIn/startOut snapshot the coordinator's byte counters at the
 	// first round's dispatch: the zero point of the cumulative byte totals.
 	startIn, startOut int64
@@ -104,14 +100,10 @@ type flight struct {
 	done bool
 }
 
-// roundFlight is the coordinator-side state of the round in flight: the
-// encoder it was dispatched from — which holds the round's state and
-// payload until the next dispatch, so re-queues frame against it too — and
-// its codec, one flight per job and the round's statistics.
+// roundFlight is the coordinator-side state of the round in flight: one
+// flight per job and the round's statistics.
 type roundFlight struct {
 	task, round int
-	enc         *wire.Encoder
-	codec       string
 	jobs        []flight
 	remaining   int
 	rs          RoundStats
@@ -145,9 +137,7 @@ type slotState struct {
 
 // NewPipeline wraps a coordinator and the engine's algorithm instance. The
 // algorithm must be the same instance the fl.Engine aggregates into — each
-// round reads its Global() state and wire state at dispatch. The codec
-// starts as "full" (complete snapshots); call UseCodec before the first
-// round to switch to delta broadcast.
+// round reads its Global() state and wire state at dispatch.
 func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("transport: pipeline needs a coordinator")
@@ -155,54 +145,27 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("transport: pipeline needs an algorithm")
 	}
-	enc, err := wire.NewEncoder(wire.Full{})
-	if err != nil {
-		return nil, err
-	}
 	p := &Pipeline{
 		coord: coord,
 		alg:   alg,
-		enc:   enc,
 		slots: make(map[int]*slotState),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p, nil
 }
 
-// UseCodec selects the broadcast codec by registry name (full|delta).
-// It must be called before the first round: switching codecs mid-run
-// would invalidate the per-worker base tracking. The started check and the
-// encoder swap hold tmu so a UseCodec racing a RunEach can never slip a
-// new encoder under a round in flight.
+// UseCodec accepts only wire.CodecDelta, the wire format the Pipeline
+// always speaks, and changes nothing. It exists for the benchmark, which
+// names the codec it runs (benchmark/run.go).
 func (p *Pipeline) UseCodec(name string) error {
-	codec, err := wire.New(name)
-	if err != nil {
-		return err
-	}
-	enc, err := wire.NewEncoder(codec)
-	if err != nil {
-		return err
-	}
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
-	if p.started {
-		return fmt.Errorf("transport: cannot switch codec after the first round")
-	}
-	p.enc = enc
-	return nil
-}
-
-// Codec returns the active codec's registry name.
-func (p *Pipeline) Codec() string {
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
-	return p.enc.Codec().Name()
+	_, err := wire.New(name)
+	return err
 }
 
 // Stats returns the cumulative wire accounting across completed rounds.
 func (p *Pipeline) Stats() Stats {
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.stats
 }
 
@@ -229,7 +192,7 @@ func (p *Pipeline) failLocked(err error) {
 // liveOrJoined returns the live worker slots; when there are none it first
 // waits up to JoinWait for the coordinator's accept loop to admit a
 // (re-)joining worker, whose fresh slot full-snapshots (elastic
-// membership). Callers must not hold mu or tmu.
+// membership). Callers must not hold mu.
 func (p *Pipeline) liveOrJoined() []int {
 	live := p.coord.liveSlots()
 	if len(live) == 0 && p.JoinWait > 0 && p.coord.AwaitLive(1, p.JoinWait) == nil {
@@ -263,13 +226,9 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 			return nil, fmt.Errorf("transport: encoding wire state: %w", err)
 		}
 	}
-	p.tmu.Lock()
-	p.started = true
-	enc := p.enc
-	p.tmu.Unlock()
 	// StateDict clones, so the round's dict is immune to the engine
 	// mutating the global during aggregation.
-	enc.SetRound(nn.StateDict(p.alg.Global()), payload)
+	p.enc.SetRound(nn.StateDict(p.alg.Global()), payload)
 	start := time.Now()
 
 	live := p.liveOrJoined()
@@ -294,7 +253,7 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 		return nil, fmt.Errorf("transport: round %d is still in flight", p.cur.round)
 	}
 	rf := &roundFlight{
-		task: task, round: round, enc: enc, codec: enc.Codec().Name(),
+		task: task, round: round,
 		jobs:      make([]flight, len(jobs)),
 		remaining: len(jobs),
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
@@ -364,9 +323,9 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 	p.mu.Unlock()
 	st.sendMu.Lock()
 	defer st.sendMu.Unlock()
-	f, err := rf.enc.FrameFor(&st.tracker, len(b.idxs) > 0)
+	f, err := p.enc.FrameFor(&st.tracker, len(b.idxs) > 0)
 	if err == nil {
-		err = rf.enc.Advance(&st.tracker, f)
+		err = p.enc.Advance(&st.tracker, f)
 	}
 	p.mu.Lock()
 	if err != nil {
@@ -384,10 +343,9 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 	}
 	switch f.Kind {
 	case wire.KindFull:
+		// A full snapshot is always a fallback: the worker had no usable base.
 		rf.rs.FullFrames++
-		if rf.codec != wire.CodecFull {
-			rf.rs.Fallbacks++
-		}
+		rf.rs.Fallbacks++
 	case wire.KindDelta:
 		rf.rs.DeltaFrames++
 	case wire.KindNone:
@@ -398,7 +356,7 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 		go p.collect(slot, st)
 	}
 	p.mu.Unlock()
-	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Codec: rf.codec, Frame: *f, Jobs: b.specs})
+	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: b.specs})
 }
 
 // collect is slot's dedicated receive loop: it decodes acks against the
@@ -464,10 +422,7 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			return
 		}
 		if jr.Patch.Full {
-			rf.rs.StateUploads++
-			if rf.codec != wire.CodecFull {
-				rf.rs.UploadFallbacks++
-			}
+			rf.rs.UploadFallbacks++
 		} else {
 			rf.rs.PatchUploads++
 		}
@@ -518,10 +473,8 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	totalBroadcast, totalUpload := out-p.startOut, in-p.startIn
 	p.cur = nil
 	rs := rf.rs
-	p.tmu.Lock()
 	p.stats.add(rs)
 	p.stats.BroadcastBytes, p.stats.UploadBytes = totalBroadcast, totalUpload
-	p.tmu.Unlock()
 	if p.Telemetry != nil {
 		p.Telemetry.ObserveRound(rs.observation(rf.start, totalBroadcast, totalUpload))
 	}
@@ -536,7 +489,7 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 // repeatedly and from collectors and dispatch alike: each call drains
 // whatever the slot's queue holds (a sendBatch that lost the race with an
 // earlier death appends its batch to the dead slot's queue and then routes
-// here), so no batch is ever stranded. Callers must not hold mu or tmu.
+// here), so no batch is ever stranded. Callers must not hold mu.
 func (p *Pipeline) workerDied(slot int) {
 	p.coord.markDead(slot)
 	p.mu.Lock()

@@ -16,7 +16,7 @@ import (
 // transport's three reused buffers. With every connection's read buffer
 // overwritten by 0xFF once its message is consumed, every Executor's upload
 // buffer once its ack is sent, and every Pipeline decode buffer's tensors
-// once the engine releases the result decoded into them, a delta federation
+// once the engine releases the result decoded into them, a federation
 // of RefFiL and of FedLwF — whose wire-state payloads change at task
 // boundaries — must give the same matrix, final state and byte counts as an
 // unpoisoned one; and a worker crash with re-dial, whose re-queued jobs run
@@ -34,9 +34,9 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 	for _, method := range []string{"RefFiL", "FedLwF"} {
 		t.Run(short(method), func(t *testing.T) {
 			var cleanState, poisonedState map[string]*tensor.Tensor
-			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta", global: &cleanState})
+			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, global: &cleanState})
 			restore := transport.PoisonReusedBuffers()
-			poisoned, poisonedStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta", global: &poisonedState})
+			poisoned, poisonedStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, global: &poisonedState})
 			restore()
 			requireSameMatrix(t, "poisoned", clean, poisoned)
 			for key, want := range cleanState {
@@ -67,9 +67,6 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runner.UseCodec("delta"); err != nil {
-			t.Fatal(err)
-		}
 		eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 		if err != nil {
 			t.Fatal(err)
@@ -85,9 +82,7 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 			t.Fatalf("poisoned crash-and-redial run failed: %v", err)
 		}
 		requireSameMatrix(t, "poisoned crash-and-redial", want, mat.A)
-		if st := runner.Stats(); st.Rounds == 0 || st.StateUploads != 0 {
-			t.Fatalf("unexpected stats %+v", st)
-		}
+		requireAllPatchUploads(t, runner.Stats())
 		_ = runner.Close()
 		if err := coord.Shutdown(); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,9 +71,6 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 type tcpRun struct {
 	// workers is the number of goroutine "machines".
 	workers int
-	// codec is the broadcast codec ("" keeps the Pipeline's default full
-	// snapshots); workers follow whichever codec each broadcast names.
-	codec string
 	// ackDelay, when positive, makes every worker sleep this long before
 	// it sends each ack: slow workers, built from the test side.
 	ackDelay time.Duration
@@ -145,11 +141,6 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		t.Fatal(err)
 	}
 	pl.Telemetry, pl.OnRound = opt.sink, opt.onRound
-	if opt.codec != "" {
-		if err := pl.UseCodec(opt.codec); err != nil {
-			t.Fatal(err)
-		}
-	}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, pl)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +170,13 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 
 // TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
 // matrices from the local and loopback-TCP runners for all eight methods of
-// the paper's tables.
+// the paper's tables. The TCP run exercises both wire directions: per-key
+// diffs against each worker's acked base version on broadcast, per-job patch
+// uploads against the round's broadcast base on the way back, and wire-state
+// payload sent only when its bytes change. The delta path changes how bytes
+// move, never what arrives. Each run must also prove it exercised the
+// upload-patch path — every ack a patch, no silent fallback to full-state
+// uploads.
 func TestCrossRunnerDeterminism(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -193,11 +190,12 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 	for _, method := range methods {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
-			local := runLocal(t, method, family, domains)
-			remote, _ := runTCPWith(t, method, family, domains, tcpRun{workers: 2})
+			local := localReference(t, method, family, domains)
+			remote, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2})
 			// Only the lower triangle is recorded (task i is evaluated on
 			// domains 0..i); the rest stays NaN.
 			requireSameMatrix(t, "TCP", local, remote)
+			requireAllPatchUploads(t, stats)
 		})
 	}
 }
@@ -300,125 +298,12 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	local := runLocal(t, "RefFiL", family, domains)
-	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, codec: "delta"})
+	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2})
 	requireSameMatrix(t, "TCP(class-limited)", local, remote)
 	requireAllPatchUploads(t, stats)
 }
 
-// TestFullCodecUploadsArePatchSnapshots pins the one tensor wire form on
-// the full-codec upload path: under the full codec every
-// ack a real Executor emits carries its trained state as a
-// wire.Patch{Full: true}, the coordinator counts each as a StateUpload —
-// none as a fallback — and the run stays bit-identical to the local one.
-func TestFullCodecUploadsArePatchSnapshots(t *testing.T) {
-	family, err := data.NewFamily("pacs", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domains := family.Domains[:2]
-	want := localReference(t, "Finetune", family, domains)
-
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	alg, err := experiments.NewMethod("Finetune", model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := transport.NewExecutor(alg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := transport.Dial(coord.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acks, snapshots atomic.Int64
-	served := make(chan error, 1)
-	go func() {
-		defer w.Close()
-		served <- w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-			return ex.Handle(b, func(jr transport.JobResult) error {
-				acks.Add(1)
-				if jr.Patch != nil && jr.Patch.Full && len(jr.Patch.Dense) > 0 && len(jr.Patch.Packed) == 0 {
-					snapshots.Add(1)
-				}
-				return emit(jr)
-			})
-		})
-	}()
-	if err := coord.Accept(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	coordAlg, err := experiments.NewMethod("Finetune", model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := transport.NewPipeline(coord, coordAlg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), coordAlg, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameMatrix(t, "TCP(full)", want, mat.A)
-	_ = pl.Close()
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	stats := pl.Stats()
-	if n := acks.Load(); n == 0 || snapshots.Load() != n {
-		t.Fatalf("%d of %d acks were full wire.Patch snapshots", snapshots.Load(), n)
-	}
-	if stats.StateUploads != acks.Load() || stats.PatchUploads != 0 || stats.UploadFallbacks != 0 {
-		t.Fatalf("full-codec upload counts %+v, want %d state uploads and nothing else", stats, acks.Load())
-	}
-}
-
-// TestCodecDeterminism is the delta acceptance gate for both wire
-// directions: with the "delta" codec — per-key diffs against each worker's
-// acked base version on broadcast, per-job patch uploads against the
-// round's broadcast base on the way back, wire-state payload
-// sent only when its bytes change — every method's loopback-TCP accuracy
-// matrix must equal the synchronous in-process reference exactly (==).
-// Combined with TestCrossRunnerDeterminism (full codec == local), this
-// proves codec full == codec delta for all eight methods: the delta path
-// changes how bytes move, never what arrives. Each delta run must also
-// prove it exercised the upload-patch path — every ack a patch, no silent
-// fallback to full-state uploads.
-func TestCodecDeterminism(t *testing.T) {
-	family, err := data.NewFamily("pacs", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domains := family.Domains[:2]
-	methods := experiments.MethodNames
-	if testing.Short() {
-		methods = []string{"RefFiL", "FedLwF"}
-	}
-	for _, method := range methods {
-		method := method
-		t.Run(short(method), func(t *testing.T) {
-			local := localReference(t, method, family, domains)
-			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, codec: "delta"})
-			requireSameMatrix(t, "TCP(delta)", local, delta)
-			requireAllPatchUploads(t, stats)
-		})
-	}
-}
-
-// TestDeltaStatsAreDeterministic runs one delta federation twice — four
+// TestDeltaStatsAreDeterministic runs one federation twice — four
 // workers for three jobs a round, so one slot idles every round — and
 // requires the two runs' Stats to be equal, byte counts included: the
 // counts are whole frames of round traffic, none of which can race a
@@ -429,8 +314,8 @@ func TestDeltaStatsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, codec: "delta"})
-	_, second := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, codec: "delta"})
+	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4})
+	_, second := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4})
 	if first != second {
 		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
 	}
@@ -439,15 +324,15 @@ func TestDeltaStatsAreDeterministic(t *testing.T) {
 	}
 }
 
-// requireAllPatchUploads asserts a delta-codec run delta-encoded every
-// upload: under any non-full codec the worker always holds the round's
-// base by the time it trains, so the full-state fallback must never fire.
+// requireAllPatchUploads asserts a run delta-encoded every upload: the
+// worker always holds the round's base by the time it trains, so the
+// full-state fallback must never fire.
 func requireAllPatchUploads(t *testing.T, stats transport.Stats) {
 	t.Helper()
 	if stats.PatchUploads == 0 {
-		t.Fatal("delta-codec run produced no patch uploads — the base-relative upload path never engaged")
+		t.Fatal("run produced no patch uploads — the base-relative upload path never engaged")
 	}
-	if stats.StateUploads != 0 || stats.UploadFallbacks != 0 {
-		t.Fatalf("delta-codec run uploads: %+v, want patches only", stats)
+	if stats.UploadFallbacks != 0 {
+		t.Fatalf("run uploads: %+v, want patches only", stats)
 	}
 }

@@ -26,19 +26,16 @@ type Stats struct {
 	FullFrames  int64
 	DeltaFrames int64
 	IdleFrames  int64
-	// Fallbacks counts full snapshots a non-full codec was forced into
-	// because the target worker had no usable base version: fresh
-	// connections, and re-queued work on a survivor that never saw the
-	// state.
+	// Fallbacks counts the full snapshots sent because the target worker
+	// had no usable base version: fresh connections, and re-queued work on
+	// a survivor that never saw the state. Every full frame is one, so it
+	// always equals FullFrames.
 	Fallbacks int64
-	// PatchUploads / StateUploads count acked job results by upload kind:
-	// patches diffed against the round's broadcast base vs full-snapshot
-	// patches (every upload under the full codec).
+	// PatchUploads counts acked job results diffed against the round's
+	// broadcast base.
 	PatchUploads int64
-	StateUploads int64
-	// UploadFallbacks counts StateUploads that happened under a non-full
-	// codec: the worker held no base to diff against, so it fell back to
-	// a full snapshot.
+	// UploadFallbacks counts acked job results sent as full snapshots: the
+	// worker held no base to diff against.
 	UploadFallbacks int64
 }
 
@@ -51,7 +48,6 @@ func (s *Stats) add(rs RoundStats) {
 	s.IdleFrames += rs.IdleFrames
 	s.Fallbacks += rs.Fallbacks
 	s.PatchUploads += rs.PatchUploads
-	s.StateUploads += rs.StateUploads
 	s.UploadFallbacks += rs.UploadFallbacks
 }
 
@@ -74,7 +70,6 @@ type RoundStats struct {
 	Fallbacks   int64
 	// Upload counts by kind, as in Stats.
 	PatchUploads    int64
-	StateUploads    int64
 	UploadFallbacks int64
 	// DispatchNanos is the wall-clock span of the round's dispatch path —
 	// frame building plus broadcast sends.
@@ -97,8 +92,7 @@ func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload in
 		LastAckNanos:  rs.LastAckNanos,
 		FullFrames:    rs.FullFrames, DeltaFrames: rs.DeltaFrames,
 		IdleFrames: rs.IdleFrames, Fallbacks: rs.Fallbacks,
-		PatchUploads: rs.PatchUploads, StateUploads: rs.StateUploads,
-		UploadFallbacks:     rs.UploadFallbacks,
+		PatchUploads: rs.PatchUploads, UploadFallbacks: rs.UploadFallbacks,
 		TotalBroadcastBytes: totalBroadcast,
 		TotalUploadBytes:    totalUpload,
 	}

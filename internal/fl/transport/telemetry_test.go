@@ -79,7 +79,7 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 	}
 	sink := telemetry.NewSink(reg, trc)
 
-	_, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, codec: "delta", sink: sink})
+	_, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, sink: sink})
 	sink.Close()
 
 	snap := reg.Snapshot()
@@ -91,7 +91,6 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 		`fed_frames_total{kind="delta"}`:  stats.DeltaFrames,
 		`fed_frames_total{kind="idle"}`:   stats.IdleFrames,
 		`fed_uploads_total{kind="patch"}`: stats.PatchUploads,
-		`fed_uploads_total{kind="state"}`: stats.StateUploads,
 		"fed_frame_fallbacks_total":       stats.Fallbacks,
 		"fed_upload_fallbacks_total":      stats.UploadFallbacks,
 	}

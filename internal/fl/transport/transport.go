@@ -25,12 +25,12 @@
 // within a bounded interval.
 //
 // Broadcasts are delta-encoded: each carries a versioned wire.Frame — a
-// codec-encoded state patch against the base version the coordinator knows
-// this worker holds, plus the method's wire-state payload only when its
-// bytes changed (see internal/fl/wire). Uploads are too: under the delta
-// codec a worker answers each job with a lossless wire.Patch diffed against
-// the round's broadcast base, which the coordinator mirrors per slot. Every
-// connection is byte-counted (Stats/RoundStats).
+// state patch against the base version the coordinator knows this worker
+// holds, or a full snapshot when it holds none, plus the method's
+// wire-state payload only when its bytes changed (see internal/fl/wire).
+// Uploads are too: a worker answers each job with a lossless wire.Patch
+// diffed against the round's broadcast base, which the coordinator mirrors
+// per slot. Every connection is byte-counted (Stats/RoundStats).
 //
 // Rounds are synchronous and fault-tolerant: workers acknowledge each job
 // as it finishes, so when a connection dies the coordinator keeps the
@@ -62,13 +62,13 @@ import (
 // the bytes inside one change meaning; the golden frames in frame_test.go
 // fail until the bump is made.
 //
-// v11: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
-// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Codec, Frame, Jobs},
-// and an Update as one of ack{WorkerID, JobResult}, done{WorkerID, Error}
-// or pong{WorkerID}; every state dict in them is a wire.Patch{Full, Dense,
+// v12: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
+// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Frame, Jobs}, and an
+// Update as one of ack{WorkerID, JobResult}, done{WorkerID, Error} or
+// pong{WorkerID}; every state dict in them is a wire.Patch{Full, Dense,
 // Packed}, and every method payload (fl.WireStater, fl.UploadCoder) is a
-// checkpoint dict.
-const ProtocolVersion = 11
+// checkpoint dict. v11 also carried the broadcast's codec name.
+const ProtocolVersion = 12
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
 // assignment. A round normally sends one broadcast per worker; when a
@@ -80,18 +80,13 @@ type Broadcast struct {
 	// checked by workers.
 	Version     int
 	Task, Round int
-	// Frame is the versioned state update: a codec-encoded patch against
-	// the base version this worker last acknowledged (or a full snapshot
+	// Frame is the versioned state update: a patch against the base
+	// version this worker last acknowledged (or a full snapshot
 	// when it has none), plus the method's wire-state payload
 	// (fl.WireStater: LwF's distillation teacher, EWC's Fisher/anchor
 	// maps, RefFiL's clustered prompt bank) — included only when its bytes
 	// changed since this worker last loaded it.
 	Frame wire.Frame
-	// Codec is the coordinator's broadcast codec registry name, and the
-	// codec workers upload with: under any non-full codec they diff each
-	// job's trained state against the round's broadcast base instead of
-	// uploading it whole.
-	Codec string
 	// Jobs frames the local-training jobs assigned to this worker for the
 	// round: client id, group, round, and the domain/seed coordinates the
 	// worker derives its data shard from. Workers with no jobs reply with
@@ -106,13 +101,12 @@ type JobResult struct {
 	// Index is the job's position in the broadcast's Jobs list; the
 	// coordinator validates it when mapping results back to round order.
 	Index int
-	// Patch is the trained replica's state (the FedAvg payload), encoded
-	// with the codec the broadcast names: under any non-full
-	// codec a lossless diff against the round's broadcast base — the dict
-	// both ends already hold, the worker in its receive tracker and the
-	// coordinator in its per-slot mirror; under the full codec, or when the
-	// worker holds no base (which the coordinator counts as an upload
-	// fallback), a complete snapshot with Patch.Full set.
+	// Patch is the trained replica's state (the FedAvg payload): a lossless
+	// diff against the round's broadcast base — the dict both ends already
+	// hold, the worker in its receive tracker and the coordinator in its
+	// per-slot mirror — or, when the worker holds no base (which the
+	// coordinator counts as an upload fallback), a complete snapshot with
+	// Patch.Full set.
 	Patch *wire.Patch
 	// Upload is the method-specific upload, encoded by fl.UploadCoder
 	// (empty when the method uploads nothing).

@@ -106,9 +106,9 @@ func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 
 // perturbHandler returns a streaming handler that "trains" each assigned
 // job by adding delta(clientID) to every broadcast weight and acks it. It
-// maintains the worker-side frame tracker and uploads with the broadcast's
-// codec against the state it trained from, so it works under every codec
-// (full snapshots, per-key deltas, idle frames).
+// maintains the worker-side frame tracker and uploads patches against the
+// state it trained from, so it works under every frame kind (full
+// snapshots, per-key deltas, idle frames).
 func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	return perturbKeysHandler(nil, delta)
 }
@@ -123,10 +123,6 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 			return err
 		}
 		base := tr.Dict
-		upCodec, err := wire.New(b.Codec)
-		if err != nil {
-			return err
-		}
 		for k, spec := range b.Jobs {
 			state := cloneDict(base)
 			for name, v := range state {
@@ -144,7 +140,7 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 					d[j] += delta(spec.ClientID)
 				}
 			}
-			p, err := upCodec.Encode(base, state)
+			p, err := wire.Delta{}.Encode(base, state)
 			if err != nil {
 				return err
 			}
@@ -441,7 +437,6 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		Version: ProtocolVersion,
 		Task:    1,
 		Round:   4,
-		Codec:   wire.CodecDelta,
 		Frame: wire.Frame{
 			Kind:           wire.KindDelta,
 			BaseVersion:    3,
@@ -470,7 +465,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		}},
 	}
 	requeue := Broadcast{
-		Version: ProtocolVersion, Task: 1, Round: 4, Codec: wire.CodecDelta, Jobs: b.Jobs,
+		Version: ProtocolVersion, Task: 1, Round: 4, Jobs: b.Jobs,
 		Frame: wire.Frame{
 			Kind: wire.KindFull, Version: 4, Patch: *dense,
 			PayloadVersion: 2, HasPayload: true, Payload: bytes.Repeat([]byte{5}, 2*spliceMin),
@@ -574,53 +569,6 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	case <-handled:
 		t.Fatal("handler ran despite version mismatch")
 	default:
-	}
-}
-
-// TestExecutorRejectsUnknownCodec pins the upload-codec policy: a worker
-// uploads with the codec its broadcast names, so a broadcast that names
-// none, or one the worker does not know, fails the Executor, and Serve
-// reports that to the coordinator on the stream's final frame.
-func TestExecutorRejectsUnknownCodec(t *testing.T) {
-	for _, codec := range []string{"", "gzip"} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		ex, err := NewExecutor(newWireAlg(1), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveErr := make(chan error, 1)
-		go func() {
-			w, err := Dial(ln.Addr().String(), 0)
-			if err != nil {
-				serveErr <- err
-				return
-			}
-			defer w.Close()
-			serveErr <- w.Serve(ex.Handle)
-		}()
-		conn, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		enc, dec := fakeCoordHandshake(t, conn)
-		if err := enc.writeBroadcast(&Broadcast{Version: ProtocolVersion, Codec: codec}, nil); err != nil {
-			t.Fatal(err)
-		}
-		u, _, err := dec.readUpdate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !u.Done || !strings.Contains(u.Error, "unknown codec") {
-			t.Fatalf("codec %q: final frame done=%v error %q, want an unknown-codec report", codec, u.Done, u.Error)
-		}
-		if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "unknown codec") {
-			t.Fatalf("codec %q: Serve returned %v, want the unknown-codec error", codec, err)
-		}
 	}
 }
 
@@ -818,7 +766,7 @@ func TestMultiRoundFederation(t *testing.T) {
 
 // TestPipelineDeltaStats drives the byte accounting end to end: an algorithm
 // whose state is one trainable scalar plus a large frozen buffer runs two
-// rounds under the delta codec, with workers that "train" only the scalar.
+// rounds, with workers that "train" only the scalar.
 // Round one must ship full snapshots (fresh workers — counted as
 // fallbacks) but already collect patch uploads; round two per-key deltas
 // that skip the frozen buffer entirely — in both directions — with the
@@ -857,7 +805,7 @@ func TestPipelineDeltaStats(t *testing.T) {
 	}
 	<-roundDone
 	if err := r.UseCodec("full"); err == nil {
-		t.Fatal("switching codec after the first round must error")
+		t.Fatal(`UseCodec("full") must error: delta is the only wire format`)
 	}
 	// Round 3: only the scalar changed since round 2 — the delta must skip
 	// the frozen buffer.
@@ -879,18 +827,18 @@ func TestPipelineDeltaStats(t *testing.T) {
 		t.Fatalf("delta round broadcast %d bytes vs full round %d — deltas saved nothing",
 			third.BroadcastBytes, first.BroadcastBytes)
 	}
-	// Every ack under the delta codec is a base-relative patch — the workers
+	// Every ack is a base-relative patch — the workers
 	// receive state before their first job, so the no-base fallback never
 	// fires. The trained scalar is a one-key patch; the frozen buffer must
 	// drop out of the uploads exactly as it drops out of the broadcasts.
-	if first.PatchUploads != 2 || first.StateUploads != 0 || first.UploadFallbacks != 0 {
+	if first.PatchUploads != 2 || first.UploadFallbacks != 0 {
 		t.Fatalf("round 1 uploads: %+v, want 2 patch uploads", first)
 	}
 	stats := r.Stats()
 	if stats.Rounds != 3 || stats.FullFrames != 2 || stats.DeltaFrames < 3 {
 		t.Fatalf("cumulative stats: %+v", stats)
 	}
-	if stats.PatchUploads != 5 || stats.StateUploads != 0 {
+	if stats.PatchUploads != 5 || stats.UploadFallbacks != 0 {
 		t.Fatalf("cumulative upload counts: %+v, want 5 patch uploads", stats)
 	}
 	// Five full-state uploads would carry the ~32 KiB buffer five times;
@@ -911,7 +859,7 @@ func TestPipelineDeltaStats(t *testing.T) {
 	}
 }
 
-// TestPipelineRecyclesDecodeBuffers runs four delta rounds of three jobs
+// TestPipelineRecyclesDecodeBuffers runs four rounds of three jobs
 // over two workers. Round 1 holds every result until the round ends, so it
 // leaves one decode buffer per job; later rounds release each result as soon
 // as it is read, as the engine does. The free list must never hold more
@@ -930,9 +878,6 @@ func TestPipelineRecyclesDecodeBuffers(t *testing.T) {
 	alg := newWireAlg(0)
 	r, err := NewPipeline(coord, alg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
 	jobs := wireJobs(1, 2, 3)
@@ -1088,58 +1033,6 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 	}
 }
 
-// TestUseCodecConcurrentWithRun is the -race regression for the
-// started/enc guard: UseCodec racing Run must either install the codec
-// before the round pins its encoder or fail with the started error —
-// never tear the encoder out from under a round in flight.
-func TestUseCodecConcurrentWithRun(t *testing.T) {
-	coord, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	done := acceptInOrder(t, coord,
-		func(w *Worker) error { return w.Serve(perturbHandler(func(int) float64 { return 1 })) },
-	)
-	r, err := NewPipeline(coord, newWireAlg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	raceDone := make(chan struct{})
-	go func() {
-		defer close(raceDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = r.UseCodec("delta") // errors once the run has started
-			r.Codec()
-			r.Stats()
-		}
-	}()
-	for round := 0; round < 3; round++ {
-		if _, err := runCollected(r, wireJobs(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	<-raceDone
-	if err := r.UseCodec("full"); err == nil {
-		t.Fatal("UseCodec after the first round must error")
-	}
-	_ = r.Close()
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done[0]; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRequeueAdvancesSurvivorMirror pins the re-queue/delta interaction:
 // jobs re-queued onto a survivor are broadcasts of the round in flight like
 // any other, framed against the survivor's mirror, which advances with them.
@@ -1198,9 +1091,6 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 
 	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
 	roundDone := make(chan RoundStats, 1)

@@ -3,54 +3,24 @@ package wire
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"reffil/internal/checkpoint"
 	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
-// Codec registry names (the -codec flag values).
-const (
-	CodecFull  = "full"
-	CodecDelta = "delta"
-)
+// CodecDelta is the wire format's one name, the only one New accepts.
+const CodecDelta = "delta"
 
-// Codec turns a (base, next) state-dict pair into a Patch and back. Every
-// codec is exact: Decode(base, Encode(base, next)) reproduces next bit for
-// bit, which is what lets the sender of a patch know the receiver's
-// resulting state without decoding it (Encoder.Advance) and keeps accuracy
-// matrices identical across codecs. Broadcast patches are encoded on the
-// coordinator against the base it knows the worker holds and decoded on the
-// worker; upload patches go the other way.
-type Codec interface {
-	// Name is the codec's registry name.
-	Name() string
-	// Encode produces a patch that transforms base into next. A nil base
-	// must yield a full snapshot.
-	Encode(base, next map[string]*tensor.Tensor) (*Patch, error)
-	// Decode applies a patch produced by this codec; equivalent to the
-	// package-level Decode.
-	Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error)
-	// appendEncode is Encode with the patch's bytes appended to dst: Encode
-	// passes nil, a Buffer its own storage. It keeps the registry's codecs
-	// the only implementations.
-	appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error)
-}
-
-// New resolves a codec registry name.
-func New(name string) (Codec, error) {
-	switch name {
-	case CodecFull:
-		return Full{}, nil
-	case CodecDelta:
-		return Delta{}, nil
+// New returns the Delta codec, the only one there is, and rejects any other
+// name. It exists for the benchmark, which names the codec it measures
+// (benchmark/probe.go); product code calls Delta and Buffer directly.
+func New(name string) (Delta, error) {
+	if name != CodecDelta {
+		return Delta{}, fmt.Errorf("wire: unknown codec %q (the wire format is %q)", name, CodecDelta)
 	}
-	return nil, fmt.Errorf("wire: unknown codec %q (have %s)", name, strings.Join(Names(), "|"))
+	return Delta{}, nil
 }
-
-// Names lists the registry codec names in flag order.
-func Names() []string { return []string{CodecFull, CodecDelta} }
 
 // Buffer is a reusable encode target for a sender that ships one patch at a
 // time, such as a worker's uploads: Encode writes the patch's bytes into
@@ -59,10 +29,10 @@ func Names() []string { return []string{CodecFull, CodecDelta} }
 // ready to use.
 type Buffer struct{ b []byte }
 
-// Encode is c.Encode(base, next) into the buffer's storage. The patch it
+// Encode is Delta.Encode(base, next) into the buffer's storage. The patch it
 // returns aliases that storage and is valid until the next Encode.
-func (u *Buffer) Encode(c Codec, base, next map[string]*tensor.Tensor) (*Patch, error) {
-	p, err := c.appendEncode(u.b[:0], base, next)
+func (u *Buffer) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
+	p, err := appendEncode(u.b[:0], base, next)
 	if err != nil {
 		return nil, err
 	}
@@ -76,43 +46,33 @@ func (u *Buffer) Encode(c Codec, base, next map[string]*tensor.Tensor) (*Patch, 
 	return p, nil
 }
 
-// Full ships every patch as a complete snapshot.
-type Full struct{}
+// Delta turns a (base, next) state-dict pair into a Patch and back, shipping
+// only the keys whose bits changed, base-relative packed ("changed keys +
+// packed payload", see pack.go: per-element XOR against the base,
+// significance-plane shuffled, DEFLATE-compressed). It is exact:
+// Decode(base, Encode(base, next)) reproduces next bit for bit, which is what
+// lets the sender of a patch know the receiver's resulting state without
+// decoding it (Encoder.Advance). Broadcast patches are encoded on the
+// coordinator against the base it knows the worker holds and decoded on the
+// worker; upload patches go the other way.
+type Delta struct{}
 
-// Name implements Codec.
-func (Full) Name() string { return CodecFull }
-
-// Encode implements Codec: base is ignored.
-func (f Full) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
-	return f.appendEncode(nil, base, next)
+// Encode produces a patch that transforms base into next. A nil or
+// structurally incompatible base (key set or shapes differ) falls back to a
+// full snapshot.
+func (Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
+	return appendEncode(nil, base, next)
 }
 
-func (Full) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
-	return fullPatch(dst, next)
-}
-
-// Decode implements Codec.
-func (Full) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
+// Decode is the package-level Decode, as a method for the benchmark's probe
+// (benchmark/probe.go), which decodes through the codec New returns.
+func (Delta) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
 	return Decode(base, p)
 }
 
-// Delta ships only the keys whose bits changed, base-relative packed
-// ("changed keys + packed payload", see pack.go: per-element XOR against
-// the base, significance-plane shuffled, DEFLATE-compressed). Exact:
-// unchanged keys are taken from the base, changed keys reconstruct bit for
-// bit from the base and the packed XOR words.
-type Delta struct{}
-
-// Name implements Codec.
-func (Delta) Name() string { return CodecDelta }
-
-// Encode implements Codec. A nil or structurally incompatible base (key set
-// or shapes differ) falls back to a full snapshot.
-func (d Delta) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
-	return d.appendEncode(nil, base, next)
-}
-
-func (Delta) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
+// appendEncode is Delta.Encode with the patch's bytes appended to dst:
+// Encode passes nil, a Buffer its own storage.
+func appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Patch, error) {
 	if !compatible(base, next) {
 		return fullPatch(dst, next)
 	}
@@ -127,11 +87,6 @@ func (Delta) appendEncode(dst []byte, base, next map[string]*tensor.Tensor) (*Pa
 		return nil, err
 	}
 	return &Patch{Packed: packed}, nil
-}
-
-// Decode implements Codec.
-func (Delta) Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
-	return Decode(base, p)
 }
 
 // fullPatch snapshots next: every key, in the checkpoint format, appended

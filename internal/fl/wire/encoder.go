@@ -11,42 +11,24 @@ import (
 // Encoder is the coordinator-side frame builder: it holds the current
 // round's canonical state dict and wire-state payload under monotone
 // versions, and builds one Frame per worker against whatever base version
-// that worker's Tracker holds.
+// that worker's Tracker holds. The zero value is ready to use.
 //
 // Versioning: the state version advances on every SetRound (aggregation
 // changes the global every round); the payload version advances only when
 // the payload bytes differ from the previous round's — which is what stops
 // LwF's teacher (a full model) from crossing the wire more than once per
 // task.
-//
-// The full codec is special-cased to reproduce the legacy wire behavior
-// exactly: every targeted worker receives the complete state and the
-// complete payload every round, idle or not — the baseline the byte
-// accounting measures delta codecs against.
 type Encoder struct {
-	codec Codec
-
 	mu             sync.Mutex
 	version        uint64
 	dict           map[string]*tensor.Tensor
 	payloadVersion uint64
 	payload        []byte
 	// patches caches this round's encoded patches by base version (0 = the
-	// base-independent full snapshot). Every codec is exact, so two workers
-	// at the same version hold the same dict and can share one patch.
+	// base-independent full snapshot). Delta is exact, so two workers at the
+	// same version hold the same dict and can share one patch.
 	patches map[uint64]*Patch
 }
-
-// NewEncoder builds an encoder over the given codec.
-func NewEncoder(codec Codec) (*Encoder, error) {
-	if codec == nil {
-		return nil, fmt.Errorf("wire: encoder needs a codec")
-	}
-	return &Encoder{codec: codec}, nil
-}
-
-// Codec returns the encoder's codec.
-func (e *Encoder) Codec() Codec { return e.codec }
 
 // SetRound installs the round's canonical state dict and encoded wire-state
 // payload, advancing the state version (and the payload version iff the
@@ -84,16 +66,6 @@ func (e *Encoder) FrameFor(t *Tracker, active bool) (*Frame, error) {
 		return nil, fmt.Errorf("wire: FrameFor before SetRound")
 	}
 	f := &Frame{Kind: KindNone, Version: t.Version, PayloadVersion: t.PayloadVersion}
-	if e.codec.Name() == CodecFull {
-		// Legacy framing: complete state + payload on every broadcast.
-		p, err := e.patchFor(0, nil)
-		if err != nil {
-			return nil, err
-		}
-		f.Kind, f.Patch, f.Version = KindFull, *p, e.version
-		f.HasPayload, f.Payload, f.PayloadVersion = true, e.payload, e.payloadVersion
-		return f, nil
-	}
 	if !active {
 		return f, nil
 	}
@@ -125,7 +97,7 @@ func (e *Encoder) patchFor(baseV uint64, base map[string]*tensor.Tensor) (*Patch
 	if p, ok := e.patches[baseV]; ok {
 		return p, nil
 	}
-	p, err := e.codec.Encode(base, e.dict)
+	p, err := Delta{}.Encode(base, e.dict)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +107,8 @@ func (e *Encoder) patchFor(baseV uint64, base map[string]*tensor.Tensor) (*Patch
 
 // Advance moves t — the coordinator's mirror of one worker's Tracker — past
 // f, the frame FrameFor just built for it, with the same version-mismatch
-// rejection the worker's Tracker.Apply performs. Nothing is decoded: every
-// codec is exact, so a worker that applies a state frame for the current
+// rejection the worker's Tracker.Apply performs. Nothing is decoded: Delta
+// is exact, so a worker that applies a state frame for the current
 // version holds the canonical round dict, and the mirror shares it. After
 // Advance, t.Dict is the base the worker's upload patches diff against.
 func (e *Encoder) Advance(t *Tracker, f *Frame) error {

@@ -29,7 +29,7 @@ func FuzzDecode(f *testing.F) {
 	next["lin.b"].Data()[3] += 0.125
 	next["scalar"].Data()[0] = -next["scalar"].Data()[0]
 
-	full, err := Full{}.Encode(nil, next)
+	full, err := Delta{}.Encode(nil, next)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		requireSameDict(t, "reused buffer", got, reused)
 		if isFull {
-			re, err := Full{}.Encode(nil, got)
+			re, err := Delta{}.Encode(nil, got)
 			if err != nil {
 				t.Fatalf("accepted snapshot does not re-encode: %v", err)
 			}

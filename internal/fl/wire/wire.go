@@ -8,9 +8,9 @@
 //
 // The package has three moving parts:
 //
-//   - Codec (codec.go): the pluggable patch encoder. Full reproduces the
-//     legacy every-round snapshot; Delta ships only the keys whose bits
-//     changed, base-relative packed (pack.go). Both are exact.
+//   - Delta (codec.go): the one patch encoder. It ships only the keys whose
+//     bits changed, base-relative packed (pack.go), and a full snapshot when
+//     the receiver has no usable base. It is exact.
 //   - Frame/Patch/Tracker (this file): the versioned wire framing and the
 //     receiver-side state machine. Both ends run the same Tracker checks —
 //     the worker applies frames as they arrive (Apply), the coordinator
@@ -34,13 +34,11 @@
 // against their actual base — or sends a full snapshot if they never had
 // one.
 //
-// The codec layer is direction-agnostic in practice, not just in type:
-// workers diff each trained replica against the
+// Delta is direction-agnostic: workers diff each trained replica against the
 // round's broadcast base (their Tracker's dict) and upload a Patch instead
-// of a full state dict, with the codec the broadcast names, and the
-// coordinator reconstructs it against the mirrored base it tracks for that
-// worker. pack.go is the base-relative packed encoding the delta codec
-// ships both directions' changed keys in.
+// of a full state dict, and the coordinator reconstructs it against the
+// mirrored base it tracks for that worker. pack.go is the base-relative
+// packed encoding both directions' changed keys travel in.
 package wire
 
 import (
@@ -52,10 +50,9 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Patch is one codec-encoded state update: the wire form of "what changed
-// between a base state dict and the next one". A patch is self-describing —
-// Decode needs only the patch and the receiver's base dict, not the codec
-// that produced it.
+// Patch is one encoded state update: the wire form of "what changed between
+// a base state dict and the next one". A patch is self-describing — Decode
+// needs only the patch and the receiver's base dict.
 type Patch struct {
 	// Full marks a base-independent snapshot: Dense carries every key and
 	// the receiver's base (if any) is ignored.
@@ -64,8 +61,8 @@ type Patch struct {
 	// checkpoint binary format (sorted keys, validated sizes on load); empty
 	// otherwise.
 	Dense []byte
-	// Sparse is reserved: no codec sets it and Decode rejects a patch that
-	// carries any. The field and SparseEntry stay declared only because the
+	// Sparse is reserved: Delta never sets it and Decode rejects a patch
+	// that carries any. The field and SparseEntry stay declared only because the
 	// benchmark's patch-size probe (benchmark/probe.go) ranges over them.
 	Sparse []SparseEntry
 	// Packed holds the changed keys of a non-Full patch as base-relative
@@ -123,7 +120,7 @@ type Frame struct {
 	// frame. For KindNone it echoes the version the receiver is expected to
 	// already hold (a cheap drift check).
 	Version uint64
-	// Patch is the codec-encoded state update; zero when Kind is KindNone.
+	// Patch is the encoded state update; zero when Kind is KindNone.
 	Patch Patch
 	// PayloadVersion versions the method wire-state payload. When
 	// HasPayload is false it echoes the receiver's expected current payload
@@ -234,10 +231,9 @@ func inPlace(base *tensor.Tensor) *tensor.Tensor { return base }
 // keys in Packed, possibly none; the result shares the base's tensors for
 // unchanged keys and must be treated as immutable alongside it). Anything
 // else — sparse entries, dense bytes on a non-full patch, packed bytes on a
-// full one — is rejected: no codec emits it, so it is corruption or a peer
-// speaking another protocol. Decode is codec-agnostic: a patch is
-// self-describing. It is DecodeBuffer.Decode on a buffer of its own, so every
-// changed key lands in a new tensor.
+// full one — is rejected: Delta never emits it, so it is corruption or a peer
+// speaking another protocol. It is DecodeBuffer.Decode on a buffer of its
+// own, so every changed key lands in a new tensor.
 func Decode(base map[string]*tensor.Tensor, p *Patch) (map[string]*tensor.Tensor, error) {
 	var d DecodeBuffer
 	return d.Decode(base, p)
@@ -272,7 +268,7 @@ func (d *DecodeBuffer) Decode(base map[string]*tensor.Tensor, p *Patch) (map[str
 }
 
 // decode is the one decode path behind Decode, DecodeBuffer.Decode and
-// Tracker.Apply. It rejects every patch form no codec emits, decodes a full
+// Tracker.Apply. It rejects every patch form Delta never emits, decodes a full
 // snapshot into a new dict, and unpacks a packed delta against base into out
 // — which the caller has already pointed at base's tensors, or which is base
 // itself — writing each changed key into the tensor storage supplies.

@@ -65,47 +65,53 @@ func requireSameDict(t *testing.T, label string, want, got map[string]*tensor.Te
 	}
 }
 
-// TestCodecRoundTrip is the codec property test: for every codec in the
-// registry (iterated from Names, so registry and test cannot drift) and a
-// spread of random (base, next) pairs — identical dicts (the empty diff),
-// every key changed, a sparse scatter of changed elements, and no base at
-// all — Decode(base, Encode(base, next)) must reproduce next bit for bit.
+// TestCodecRoundTrip is the codec property test: over a spread of random
+// (base, next) pairs, Decode(base, Encode(base, next)) must reproduce next
+// bit for bit. The "delta" cases diff against a base — identical dicts (the
+// empty diff), every key changed, a sparse scatter of changed elements —
+// and the "full" cases have no base, so Encode must fall back to a full
+// snapshot. New resolves the one codec name and no other.
 func TestCodecRoundTrip(t *testing.T) {
-	for _, name := range Names() {
-		c, err := New(name)
-		if err != nil {
-			t.Fatal(err)
+	c, err := New(CodecDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New("full"); err == nil {
+		t.Fatal(`New("full") resolved a codec that no longer exists`)
+	}
+	for _, withBase := range []bool{true, false} {
+		name := "delta"
+		if !withBase {
+			name = "full"
 		}
 		t.Run(name, func(t *testing.T) {
-			if c.Name() != name {
-				t.Fatalf("New(%q) built codec %q", name, c.Name())
-			}
 			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 20; trial++ {
+			for trial := 0; trial < 15; trial++ {
 				base := randDict(rng)
 				next := cloneDict(base)
-				switch trial % 4 {
+				switch trial % 3 {
 				case 0:
 					// empty diff: next == base
 				case 1:
 					mutate(rng, next, 1, "conv.w", "lin.w", "lin.b", "scalar")
 				case 2:
 					mutate(rng, next, 0.2, "lin.w")
-				case 3:
-					base = nil // no base: must fall back to a full snapshot
+				}
+				if !withBase {
+					base = nil
 				}
 				p, err := c.Encode(base, next)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if base == nil && !p.Full {
-					t.Fatalf("%s: encoding without a base must produce a full patch", c.Name())
+				if p.Full != !withBase {
+					t.Fatalf("trial %d: patch Full = %v with base %v", trial, p.Full, withBase)
 				}
 				got, err := c.Decode(base, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameDict(t, c.Name(), next, got)
+				requireSameDict(t, name, next, got)
 			}
 		})
 	}
@@ -124,7 +130,7 @@ func TestDeltaEmptyDiffIsTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := randDict(rng)
 	base["big.w"] = tensor.RandN(rng, 1, 64, 64) // amortize the framing overhead
-	full, err := Full{}.Encode(nil, base)
+	full, err := Delta{}.Encode(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +367,7 @@ func TestDecodeBufferMatchesDecode(t *testing.T) {
 		}
 		return p
 	}
-	full, err := Full{}.Encode(nil, next(keys))
+	full, err := Delta{}.Encode(nil, next(keys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +424,7 @@ func TestDecodeBufferMatchesDecode(t *testing.T) {
 func TestApplyRejectsWithoutWriting(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	state := randDict(rng)
-	full, err := Full{}.Encode(nil, state)
+	full, err := Delta{}.Encode(nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +503,7 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 	base := randDict(rng)
 	next := cloneDict(base)
 	mutate(rng, next, 1, "lin.b")
-	full, err := Full{}.Encode(nil, next)
+	full, err := Delta{}.Encode(nil, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +551,7 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 func TestTrackerVersionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dict := randDict(rng)
-	full, err := Full{}.Encode(nil, dict)
+	full, err := Delta{}.Encode(nil, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,10 +588,7 @@ func TestTrackerVersionMismatch(t *testing.T) {
 // reconstructs from the frame.
 func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	enc, err := NewEncoder(Delta{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var enc Encoder
 	coordView := &Tracker{} // coordinator's mirror of the worker
 	var workerView Tracker  // the worker's own tracker
 
@@ -642,7 +645,7 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// When the idle worker later gets work with no base, it falls back to a
-	// full snapshot even under the delta codec.
+	// full snapshot.
 	f, err = enc.FrameFor(idle, true)
 	if err != nil {
 		t.Fatal(err)
@@ -652,62 +655,33 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 	}
 }
 
-// TestEncoderFullCodecResendsEverything pins the legacy baseline: under the
-// full codec every frame carries the whole state and the whole payload,
-// even for a worker already at the current version.
-func TestEncoderFullCodecResendsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	enc, err := NewEncoder(Full{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &Tracker{}       // coordinator's mirror of the worker
-	var workerView Tracker // the worker's own tracker
-	enc.SetRound(randDict(rng), []byte("payload"))
-	for i := 0; i < 2; i++ {
-		f, err := enc.FrameFor(tr, i == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Kind != KindFull || !f.HasPayload {
-			t.Fatalf("full-codec frame %d: kind %v hasPayload %v", i, f.Kind, f.HasPayload)
-		}
-		if _, _, _, err := workerView.Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Advance(tr, f); err != nil {
-			t.Fatal(err)
-		}
-		requireSameDict(t, "mirror", workerView.Dict, tr.Dict)
-	}
-}
-
-// TestBufferEncodeMatchesEncode pins Buffer against the codecs it wraps:
-// for both codecs, and for a full fallback under delta, Buffer.Encode
-// yields exactly the patch Encode does, and a second patch of the same size
-// is written into the storage the first one grew rather than a new slice.
+// TestBufferEncodeMatchesEncode pins Buffer against the codec it wraps:
+// for a delta against a base and for the full snapshot without one,
+// Buffer.Encode yields exactly the patch Delta.Encode does, and a second
+// patch of the same size is written into the storage the first one grew
+// rather than a new slice.
 func TestBufferEncodeMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := randDict(rng)
 	next := cloneDict(base)
 	mutate(rng, next, 1, "conv.w", "lin.w", "lin.b", "scalar")
-	for _, tc := range []struct {
-		c    Codec
-		base map[string]*tensor.Tensor
-	}{{Full{}, base}, {Delta{}, base}, {Delta{}, nil}} {
+	for _, base := range []map[string]*tensor.Tensor{base, nil} {
 		var buf Buffer
-		want, err := tc.c.Encode(tc.base, next)
+		want, err := Delta{}.Encode(base, next)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want.Full != (base == nil) {
+			t.Fatalf("base %v: patch Full = %v", base != nil, want.Full)
+		}
 		var first []byte
 		for i := 0; i < 2; i++ {
-			got, err := buf.Encode(tc.c, tc.base, next)
+			got, err := buf.Encode(base, next)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Full != want.Full || !bytes.Equal(got.Dense, want.Dense) || !bytes.Equal(got.Packed, want.Packed) {
-				t.Fatalf("%s (base %v): Buffer.Encode differs from Encode", tc.c.Name(), tc.base != nil)
+				t.Fatalf("base %v: Buffer.Encode differs from Encode", base != nil)
 			}
 			out := got.Packed
 			if got.Full {
@@ -716,7 +690,7 @@ func TestBufferEncodeMatchesEncode(t *testing.T) {
 			if i == 0 {
 				first = out
 			} else if &out[0] != &first[0] {
-				t.Fatalf("%s (base %v): the second patch did not reuse the buffer", tc.c.Name(), tc.base != nil)
+				t.Fatalf("base %v: the second patch did not reuse the buffer", base != nil)
 			}
 		}
 	}

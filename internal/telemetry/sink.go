@@ -17,7 +17,6 @@ type Manifest struct {
 	Role     string // "fedserver", "fedworker", "example"
 	Method   string
 	Dataset  string
-	Codec    string
 	Seed     int64
 	Protocol int
 	Start    time.Time
@@ -43,7 +42,7 @@ type RoundObservation struct {
 	DispatchNanos, FirstAckNanos, LastAckNanos int64
 
 	FullFrames, DeltaFrames, IdleFrames, Fallbacks int64
-	PatchUploads, StateUploads, UploadFallbacks    int64
+	PatchUploads, UploadFallbacks                  int64
 
 	TotalBroadcastBytes, TotalUploadBytes int64
 }
@@ -66,7 +65,6 @@ type Sink struct {
 	idleFrames   *Counter
 	fallbacks    *Counter
 	patchUploads *Counter
-	stateUploads *Counter
 	upFallbacks  *Counter
 	dispatchHist *Histogram
 	firstAckHist *Histogram
@@ -107,7 +105,6 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 	s.idleFrames = reg.Counter(`fed_frames_total{kind="idle"}`, "Broadcast frames sent by kind.")
 	s.fallbacks = reg.Counter("fed_frame_fallbacks_total", "Broadcasts that fell back to a full snapshot.")
 	s.patchUploads = reg.Counter(`fed_uploads_total{kind="patch"}`, "Result uploads received by kind.")
-	s.stateUploads = reg.Counter(`fed_uploads_total{kind="state"}`, "Result uploads received by kind.")
 	s.upFallbacks = reg.Counter("fed_upload_fallbacks_total", "Uploads that fell back to full state dicts.")
 	s.dispatchHist = reg.Histogram("fed_round_dispatch_seconds", "Time from round start until the last broadcast finished sending.", DefSecondsBuckets)
 	s.firstAckHist = reg.Histogram("fed_round_first_ack_seconds", "Time from round start to the first job ack.", DefSecondsBuckets)
@@ -154,15 +151,14 @@ func (s *Sink) StartRun(m Manifest) {
 	if s == nil {
 		return
 	}
-	name := fmt.Sprintf(`fed_build_info{run_id=%q,role=%q,method=%q,dataset=%q,codec=%q,seed="%d",protocol="%d"}`,
-		m.RunID, m.Role, m.Method, m.Dataset, m.Codec, m.Seed, m.Protocol)
+	name := fmt.Sprintf(`fed_build_info{run_id=%q,role=%q,method=%q,dataset=%q,seed="%d",protocol="%d"}`,
+		m.RunID, m.Role, m.Method, m.Dataset, m.Seed, m.Protocol)
 	s.reg.Gauge(name, "Constant gauge carrying the run manifest as labels.").Set(1)
 
 	args := []Arg{
 		{Key: "run_id", Val: m.RunID}, {Key: "role", Val: m.Role},
 		{Key: "method", Val: m.Method}, {Key: "dataset", Val: m.Dataset},
-		{Key: "codec", Val: m.Codec}, {Key: "seed", Val: m.Seed},
-		{Key: "protocol", Val: m.Protocol},
+		{Key: "seed", Val: m.Seed}, {Key: "protocol", Val: m.Protocol},
 		{Key: "start", Val: m.Start.Format(time.RFC3339Nano)},
 	}
 	keys := make([]string, 0, len(m.Flags))
@@ -191,7 +187,6 @@ func (s *Sink) ObserveRound(o RoundObservation) {
 	s.idleFrames.Add(o.IdleFrames)
 	s.fallbacks.Add(o.Fallbacks)
 	s.patchUploads.Add(o.PatchUploads)
-	s.stateUploads.Add(o.StateUploads)
 	s.upFallbacks.Add(o.UploadFallbacks)
 	s.dispatchHist.Observe(float64(o.DispatchNanos) / 1e9)
 	s.firstAckHist.Observe(float64(o.FirstAckNanos) / 1e9)

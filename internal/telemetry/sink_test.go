@@ -14,7 +14,7 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 		Task: 0, Round: 1, Attempts: 1, Start: time.Now(),
 		DispatchNanos: 2e6, FirstAckNanos: 5e6, LastAckNanos: 9e6,
 		FullFrames: 2, DeltaFrames: 1, Fallbacks: 1,
-		PatchUploads: 3, StateUploads: 1,
+		PatchUploads: 3, UploadFallbacks: 1,
 		TotalBroadcastBytes: 1000, TotalUploadBytes: 500,
 	})
 	s.ObserveRound(RoundObservation{
@@ -34,7 +34,7 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 		`fed_frames_total{kind="delta"}`:   4,
 		"fed_frame_fallbacks_total":        1,
 		`fed_uploads_total{kind="patch"}`:  6,
-		`fed_uploads_total{kind="state"}`:  1,
+		"fed_upload_fallbacks_total":       1,
 		"fed_round_last_ack_seconds_count": 2,
 	}
 	for name, want := range checks {
@@ -120,7 +120,7 @@ func TestSinkManifestExposition(t *testing.T) {
 	s := NewSink(reg, tr)
 	s.StartRun(Manifest{
 		RunID: "abc123", Role: "fedserver", Method: "reffil", Dataset: "pacs",
-		Codec: "delta", Seed: 7, Protocol: 7, Start: time.Now(),
+		Seed: 7, Protocol: 7, Start: time.Now(),
 		Flags: map[string]string{"rounds": "3", "pipeline": "1"},
 	})
 
@@ -129,7 +129,7 @@ func TestSinkManifestExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `fed_build_info{run_id="abc123",role="fedserver",method="reffil",dataset="pacs",codec="delta",seed="7",protocol="7"} 1`) {
+	if !strings.Contains(out, `fed_build_info{run_id="abc123",role="fedserver",method="reffil",dataset="pacs",seed="7",protocol="7"} 1`) {
 		t.Errorf("build_info gauge missing:\n%s", out)
 	}
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Metrics-endpoint smoke test: run a real fedserver with -metrics and two
 # fedworkers over loopback, scrape the Prometheus page while the run is in
-# progress, and check that the round counter and the broadcast byte counter
-# are nonzero — i.e. the telemetry subsystem is wired into the live
-# transport, not just compiled.
+# progress, and check that the round counter, the broadcast byte counter and
+# the delta-frame counter are nonzero — i.e. the telemetry subsystem is wired
+# into the live transport, not just compiled, and broadcasts after the first
+# round ship diffs rather than snapshots.
 #
 # Usage: scripts/metrics_smoke.sh
 # Exits nonzero (with the captured log) on any failure.
@@ -25,7 +26,7 @@ go build -o "$work/fedworker" ./cmd/fedworker
 addr=127.0.0.1:7463
 common=(-method RefFiL -dataset pacs -scale mini -seed 3)
 
-"$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" -codec delta \
+"$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" \
 	-metrics 127.0.0.1:0 >"$work/run.log" 2>&1 &
 pid=$!
 for id in 0 1; do
@@ -52,13 +53,15 @@ scrape() {
 	fi
 }
 
-# Poll until the instrumented run has completed at least one round: the
-# first of its twenty rounds lands seconds before the server exits.
+# Poll until the instrumented run has sent a delta frame: the first round's
+# broadcasts are full snapshots to fresh workers, so that is the second of
+# its twenty rounds, which lands seconds before the server exits.
 ok=0
 for _ in $(seq 1 300); do
 	if scrape >"$work/metrics.txt" 2>/dev/null &&
 		grep -Eq '^fed_rounds_total [1-9]' "$work/metrics.txt" &&
-		grep -Eq '^fed_broadcast_bytes_total [1-9]' "$work/metrics.txt"; then
+		grep -Eq '^fed_broadcast_bytes_total [1-9]' "$work/metrics.txt" &&
+		grep -Eq '^fed_frames_total\{kind="delta"\} [1-9]' "$work/metrics.txt"; then
 		ok=1
 		break
 	fi
@@ -66,7 +69,7 @@ for _ in $(seq 1 300); do
 	sleep 0.2
 done
 if [ "$ok" != 1 ]; then
-	echo "FAIL: /metrics never showed nonzero fed_rounds_total and fed_broadcast_bytes_total"
+	echo "FAIL: /metrics never showed nonzero fed_rounds_total, fed_broadcast_bytes_total and fed_frames_total{kind=\"delta\"}"
 	echo "--- last scrape ---"
 	cat "$work/metrics.txt" 2>/dev/null || true
 	echo "--- run log ---"
@@ -75,4 +78,4 @@ if [ "$ok" != 1 ]; then
 fi
 
 echo "metrics smoke OK:"
-grep -E '^fed_(rounds_total|broadcast_bytes_total|upload_bytes_total) ' "$work/metrics.txt"
+grep -E '^fed_(rounds_total|broadcast_bytes_total|upload_bytes_total|frames_total\{kind="delta"\}) ' "$work/metrics.txt"

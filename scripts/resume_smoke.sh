@@ -4,8 +4,11 @@
 # with an accuracy-matrix block equal — byte for byte — to the one the
 # in-process reffil CLI prints for the same four run flags. The workers are
 # started once with -rejoin and survive the coordinator's death by
-# re-dialing, exactly as a real deployment would. Finally a restart under
-# another -dataset must be refused: the snapshot belongs to another run.
+# re-dialing, exactly as a real deployment would. The restart hands the
+# workers fresh slots, so the resumed server's first broadcasts are full
+# snapshots; its wire totals must still show delta frames after them. Finally
+# a restart under another -dataset must be refused: the snapshot belongs to
+# another run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,6 +69,8 @@ wait $! || { echo "resumed run failed:"; cat "$work/resumed.log"; exit 1; }
 
 grep -q "resuming from" "$work/resumed.log" \
     || { echo "restarted server did not resume from the checkpoint:"; cat "$work/resumed.log"; exit 1; }
+grep -Eq '^wire totals: .* frames [0-9]+ full/[1-9][0-9]* delta/' "$work/resumed.log" \
+    || { echo "resumed server sent no delta frames:"; grep '^wire totals' "$work/resumed.log"; exit 1; }
 
 matrix_of "$work/reference.log" >"$work/reference.matrix"
 matrix_of "$work/resumed.log" >"$work/resumed.matrix"
@@ -84,5 +89,6 @@ fi
 grep -q -- "-method RefFiL -dataset pacs -scale mini -seed 3, not -method RefFiL -dataset officecaltech10 -scale mini -seed 3" "$work/mismatch.log" \
     || { echo "mismatched restart failed for another reason:"; cat "$work/mismatch.log"; exit 1; }
 
-echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil; a restart under another -dataset was refused"
+echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil, shipping delta frames; a restart under another -dataset was refused"
+grep '^wire totals' "$work/resumed.log"
 cat "$work/resumed.matrix"
