@@ -53,14 +53,15 @@ func localReference(t *testing.T, method string, family *data.Family, domains []
 // at a time so the killer deterministically occupies slot 0 — the slot
 // that round-robin assignment hands the round's first (and, with three
 // jobs over two workers, third) job, guaranteeing the crash strands at
-// least one unfinished job for the survivor to pick up.
+// least one unfinished job for the survivor to pick up. codec, when set, is
+// named through the Pipeline's UseCodec first, as the benchmark does.
 //
 // With idleHeir the federation has four workers instead, so at three jobs a
 // round slot 3 idles in every round: slots 0–2 sever their connections on
 // receiving the crash round's jobs, before acking any, and every one of
 // those jobs ends up on slot 3, whose first re-queue frame has to bring it
 // from no state at all to the round's state and payload.
-func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, idleHeir bool) [][]float64 {
+func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) [][]float64 {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -89,6 +90,11 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if codec != "" {
+		if err := runner.UseCodec(codec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 	if err != nil {
@@ -137,7 +143,9 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 // reconstruction is exact. Bit-identical matrices prove the re-queue/delta
 // interaction loses nothing in either wire direction; the runs additionally
 // assert every upload was a base-relative patch (no silent full-snapshot
-// fallback). The idle-heir case hands LwF's
+// fallback). The cases suffixed /delta configure the runner as the
+// benchmark does, naming the codec through UseCodec, and must recover to the
+// same matrix. The idle-heir case hands LwF's
 // task-1 jobs to a worker that idled through every earlier round, so its
 // re-queue frame must carry the full state and the teacher payload.
 func TestFaultInjectionCrashMidRound(t *testing.T) {
@@ -150,25 +158,32 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 		method     string
 		crashTask  int
 		crashRound int
+		codec      string
 		idleHeir   bool
 	}
 	cases := []crashCase{
-		{"RefFiL", 0, 1, false},
-		{"FedEWC", 1, 0, false},
-		{"FedLwF", 1, 0, false},
-		{"FedLwF", 1, 0, true},
+		{"RefFiL", 0, 1, "", false},
+		{"FedEWC", 1, 0, "", false},
+		{"FedLwF", 1, 0, "", false},
+		{"RefFiL", 0, 1, "delta", false},
+		{"FedEWC", 1, 0, "delta", false},
+		{"FedLwF", 1, 0, "delta", false},
+		{"FedLwF", 1, 0, "", true},
 	}
 	if testing.Short() {
-		cases = []crashCase{{"RefFiL", 0, 1, false}, {"FedLwF", 1, 0, false}}
+		cases = []crashCase{{"RefFiL", 0, 1, "", false}, {"FedLwF", 1, 0, "delta", false}}
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/task%d_round%d", short(tc.method), tc.crashTask, tc.crashRound)
+		if tc.codec != "" {
+			name += "/" + tc.codec
+		}
 		if tc.idleHeir {
 			name += "/idle_heir"
 		}
 		t.Run(name, func(t *testing.T) {
 			want := localReference(t, tc.method, family, domains)
-			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.idleHeir)
+			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
 			requireSameMatrix(t, "crashed-and-requeued", want, got)
 		})
 	}

@@ -237,7 +237,9 @@ func TestLateJoinMidRun(t *testing.T) {
 // worker deterministically participates. With one survivor the fresh slot
 // is handed jobs at once, so its first frame is a full snapshot, and every
 // upload (including the re-joined slot's, whose base is that snapshot) must
-// be a patch. With three survivors
+// be a patch. The delta case names the codec through UseCodec, as the
+// benchmark does, and keeps two survivors, so the round after the re-join
+// hands one job to each of the three live slots. With three survivors
 // the round's three jobs go to them and the fresh slot — the highest index
 // — is idle: its first frame is a bare KindNone at version 0, which an
 // Executor still holding the dead connection's tracker rejects, failing the
@@ -249,11 +251,12 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	for _, tc := range []struct {
-		name      string
-		survivors int
+		name, codec string
+		survivors   int
 	}{
-		{"default", 1},
-		{"idle_fresh_slot", 3},
+		{"default", "", 1},
+		{"delta", "delta", 2},
+		{"idle_fresh_slot", "", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := localReference(t, "RefFiL", family, domains)
@@ -281,6 +284,11 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			runner, err := transport.NewPipeline(coord, alg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.codec != "" {
+				if err := runner.UseCodec(tc.codec); err != nil {
+					t.Fatal(err)
+				}
 			}
 			eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 			if err != nil {

@@ -71,6 +71,9 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 type tcpRun struct {
 	// workers is the number of goroutine "machines".
 	workers int
+	// codec, when set, is named through Pipeline.UseCodec before the run,
+	// as the benchmark configures its Pipeline.
+	codec string
 	// ackDelay, when positive, makes every worker sleep this long before
 	// it sends each ack: slow workers, built from the test side.
 	ackDelay time.Duration
@@ -141,6 +144,11 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		t.Fatal(err)
 	}
 	pl.Telemetry, pl.OnRound = opt.sink, opt.onRound
+	if opt.codec != "" {
+		if err := pl.UseCodec(opt.codec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, pl)
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +309,41 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2})
 	requireSameMatrix(t, "TCP(class-limited)", local, remote)
 	requireAllPatchUploads(t, stats)
+}
+
+// TestCodecDeterminism runs every method of the paper's tables the way the
+// benchmark configures its Pipeline — the "delta" codec named through
+// UseCodec — over four workers, so with three jobs a round one slot idles in
+// every round and the broadcasts mix full, delta and idle frames. Each
+// method's accuracy matrix must equal the in-process reference exactly (==),
+// every upload must be a patch, and no slot may need more than the one full
+// snapshot its fresh connection costs.
+func TestCodecDeterminism(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	methods := experiments.MethodNames
+	if testing.Short() {
+		methods = []string{"RefFiL", "FedLwF"}
+	}
+	const workers = 4
+	for _, method := range methods {
+		method := method
+		t.Run(short(method), func(t *testing.T) {
+			local := localReference(t, method, family, domains)
+			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: workers, codec: "delta"})
+			requireSameMatrix(t, "TCP(delta)", local, delta)
+			requireAllPatchUploads(t, stats)
+			if stats.IdleFrames == 0 {
+				t.Fatalf("four workers for three jobs sent no idle frames: %+v", stats)
+			}
+			if stats.Fallbacks > workers {
+				t.Fatalf("%d full-snapshot fallbacks over %d fresh slots: %+v", stats.Fallbacks, workers, stats)
+			}
+		})
+	}
 }
 
 // TestDeltaStatsAreDeterministic runs one federation twice — four
