@@ -229,7 +229,7 @@ func run() error {
 			telemetry.F("broadcast", fmtBytes(rs.BroadcastBytes)), telemetry.F("uploads", fmtBytes(rs.UploadBytes)),
 			telemetry.F("patch", rs.PatchUploads),
 			telemetry.F("full", rs.FullFrames), telemetry.F("delta", rs.DeltaFrames), telemetry.F("idle", rs.IdleFrames),
-			telemetry.F("fallbacks", rs.Fallbacks), telemetry.F("upload_fallbacks", rs.UploadFallbacks),
+			telemetry.F("upload_fallbacks", rs.UploadFallbacks),
 			telemetry.F("attempts", rs.Attempts),
 			telemetry.F("dispatch_ms", fmt.Sprintf("%.1f", float64(rs.DispatchNanos)/1e6)),
 			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),

@@ -4,8 +4,8 @@
 // same bytes on every run, so time.Now/Since/Until have no business there —
 // a timestamp that leaks into state, an encoded frame, or a checkpoint
 // breaks cross-runner and resume bit-identity. Timing-by-design packages
-// (internal/fl/transport's RoundStats and deadlines, internal/telemetry)
-// are allowlisted; inside the scoped packages a
+// (internal/fl/transport's round timing and deadlines, internal/telemetry
+// and its round record) are allowlisted; inside the scoped packages a
 // deliberate, state-free timing read (e.g. a telemetry observation) must
 // carry a //fedvet:ignore wallclock <reason> annotation.
 package wallclock

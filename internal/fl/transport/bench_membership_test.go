@@ -71,10 +71,10 @@ func BenchmarkHeartbeatDetection(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if err := coord.send(ack.Slot, Broadcast{}); err != nil {
+				if err := coord.send(ack.Slot, Broadcast{}, nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := coord.recv(ack.Slot); err == nil {
+				if _, _, err := coord.recv(ack.Slot); err == nil {
 					b.Fatal("recv on a wedged slot returned a frame")
 				}
 				b.StopTimer()

@@ -25,3 +25,21 @@ func ReadHelloAck(r io.Reader) (HelloAck, error) {
 	fr := frameReader{r: r}
 	return fr.readHelloAck()
 }
+
+// SumRounds adds up round records field by field, as the Stats of a run
+// made of exactly those rounds must read.
+func SumRounds(rounds []RoundStats) Stats {
+	var s Stats
+	for _, rs := range rounds {
+		s.Rounds++
+		s.BroadcastBytes += rs.BroadcastBytes
+		s.UploadBytes += rs.UploadBytes
+		s.FullFrames += rs.FullFrames
+		s.DeltaFrames += rs.DeltaFrames
+		s.IdleFrames += rs.IdleFrames
+		s.Fallbacks += rs.FullFrames
+		s.PatchUploads += rs.PatchUploads
+		s.UploadFallbacks += rs.UploadFallbacks
+	}
+	return s
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reffil/internal/fl"
@@ -88,10 +89,6 @@ type Pipeline struct {
 	// the engine held at once.
 	free  []*wire.DecodeBuffer
 	stats Stats
-	// startIn/startOut snapshot the coordinator's byte counters at the
-	// first round's dispatch: the zero point of the cumulative byte totals.
-	startIn, startOut int64
-	everStarted       bool
 }
 
 // flight is one dispatched job's settlement state.
@@ -107,9 +104,9 @@ type roundFlight struct {
 	jobs        []flight
 	remaining   int
 	rs          RoundStats
-	start       time.Time
-	// startIn/startOut are the coordinator's byte counters at dispatch.
-	startIn, startOut int64
+	// sent counts the round's broadcast bytes as the frame writer writes
+	// them, outside mu; finishRound moves it into rs.
+	sent atomic.Int64
 }
 
 // batch is one broadcast's worth of jobs queued on a worker slot, FIFO: the
@@ -256,13 +253,7 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 		task: task, round: round,
 		jobs:      make([]flight, len(jobs)),
 		remaining: len(jobs),
-		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
-		start:     start,
-	}
-	rf.startIn, rf.startOut = p.coord.BytesTransferred()
-	if !p.everStarted {
-		p.everStarted = true
-		p.startIn, p.startOut = rf.startIn, rf.startOut
+		rs:        RoundStats{Task: task, Round: round, Attempts: 1, Start: start},
 	}
 	p.cur = rf
 	p.mu.Unlock()
@@ -285,10 +276,10 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 			p.workerDied(live[i])
 		}
 	}
-	// Idle slots — those past the last job — go first. A round's byte
-	// window (finishRound) closes at its last ack, and every broadcast is
+	// Idle slots — those past the last job — go first. finishRound reads
+	// the round's broadcast count at its last ack, and every broadcast is
 	// counted before it is written, so a frame sent ahead of the last
-	// job-carrying one is always inside the window; an idle frame sent
+	// job-carrying one is always in the round's count; an idle frame sent
 	// after it could miss it.
 	active := min(len(jobs), len(live))
 	for i := active; i < len(live); i++ {
@@ -345,7 +336,6 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 	case wire.KindFull:
 		// A full snapshot is always a fallback: the worker had no usable base.
 		rf.rs.FullFrames++
-		rf.rs.Fallbacks++
 	case wire.KindDelta:
 		rf.rs.DeltaFrames++
 	case wire.KindNone:
@@ -356,7 +346,7 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 		go p.collect(slot, st)
 	}
 	p.mu.Unlock()
-	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: b.specs})
+	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: b.specs}, &rf.sent)
 }
 
 // collect is slot's dedicated receive loop: it decodes acks against the
@@ -365,7 +355,7 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 // lifetime; it exits on worker death or pipeline close.
 func (p *Pipeline) collect(slot int, st *slotState) {
 	for {
-		u, err := p.coord.recv(slot)
+		u, n, err := p.coord.recv(slot)
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -421,6 +411,9 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			return
 		}
+		// Only accepted acks are round traffic: a Done frame may land after
+		// the round's last ack, so counting it would race finishRound.
+		rf.rs.UploadBytes += int64(n)
 		if jr.Patch.Full {
 			rf.rs.UploadFallbacks++
 		} else {
@@ -442,7 +435,7 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			// decodes; this result and its buffer are then dropped.
 			if !fl0.done {
 				fl0.res, fl0.done = res, true
-				nanos := time.Since(rf.start).Nanoseconds()
+				nanos := time.Since(rf.rs.Start).Nanoseconds()
 				if rf.rs.FirstAckNanos == 0 {
 					rf.rs.FirstAckNanos = nanos
 				}
@@ -464,20 +457,16 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 }
 
 // finishRound finalizes the round in flight once its last ack landed:
-// compute its byte window, fold its statistics into the cumulative totals,
-// report it to telemetry and make room for the next round. Called with mu
-// held; the returned stats are delivered to OnRound outside the lock.
+// close its broadcast count, fold its statistics into the cumulative
+// totals, report it to telemetry and make room for the next round. Called
+// with mu held; the returned stats are delivered to OnRound outside the
+// lock.
 func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
-	in, out := p.coord.BytesTransferred()
-	rf.rs.BroadcastBytes, rf.rs.UploadBytes = out-rf.startOut, in-rf.startIn
-	totalBroadcast, totalUpload := out-p.startOut, in-p.startIn
+	rf.rs.BroadcastBytes = rf.sent.Load()
 	p.cur = nil
 	rs := rf.rs
 	p.stats.add(rs)
-	p.stats.BroadcastBytes, p.stats.UploadBytes = totalBroadcast, totalUpload
-	if p.Telemetry != nil {
-		p.Telemetry.ObserveRound(rs.observation(rf.start, totalBroadcast, totalUpload))
-	}
+	p.Telemetry.ObserveRound(rs)
 	return &rs
 }
 

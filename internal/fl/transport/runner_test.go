@@ -350,20 +350,35 @@ func TestCodecDeterminism(t *testing.T) {
 // workers for three jobs a round, so one slot idles every round — and
 // requires the two runs' Stats to be equal, byte counts included: the
 // counts are whole frames of round traffic, none of which can race a
-// round's last ack.
+// round's last ack. The values are pinned too, so a change to which frames
+// the accounting counts fails here, and the run's OnRound records must sum
+// to its Stats field by field.
 func TestDeltaStatsAreDeterministic(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4})
+	rounds := make(chan transport.RoundStats, 64)
+	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, onRound: func(rs transport.RoundStats) { rounds <- rs }})
 	_, second := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4})
 	if first != second {
 		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
 	}
-	if first.IdleFrames == 0 || first.BroadcastBytes == 0 || first.UploadBytes == 0 {
-		t.Fatalf("degenerate run: %+v", first)
+	want := transport.Stats{
+		Rounds: 4, BroadcastBytes: 3105679, UploadBytes: 2212550,
+		FullFrames: 3, DeltaFrames: 9, IdleFrames: 4, Fallbacks: 3,
+		PatchUploads: 12, UploadFallbacks: 0,
+	}
+	if first != want {
+		t.Fatalf("run Stats:\n%+v\nwant\n%+v", first, want)
+	}
+	var records []transport.RoundStats
+	for range first.Rounds {
+		records = append(records, <-rounds)
+	}
+	if sum := transport.SumRounds(records); sum != first {
+		t.Fatalf("OnRound records sum to\n%+v\nStats reads\n%+v", sum, first)
 	}
 }
 

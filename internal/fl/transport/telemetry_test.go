@@ -61,8 +61,8 @@ func TestRoundStatsTiming(t *testing.T) {
 
 // TestTelemetryReconcilesWithStats is the /metrics acceptance gate: after
 // an instrumented run, the registry's counters must equal the transport's
-// own cumulative Stats field for field — rounds, socket bytes both ways,
-// frame kinds, upload kinds, and fallbacks — and the trace file must be
+// own cumulative Stats field for field — rounds, frame bytes both ways,
+// frame kinds, upload kinds and upload fallbacks — and the trace file must be
 // strictly valid JSON containing the round spans.
 func TestTelemetryReconcilesWithStats(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
@@ -91,7 +91,6 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 		`fed_frames_total{kind="delta"}`:  stats.DeltaFrames,
 		`fed_frames_total{kind="idle"}`:   stats.IdleFrames,
 		`fed_uploads_total{kind="patch"}`: stats.PatchUploads,
-		"fed_frame_fallbacks_total":       stats.Fallbacks,
 		"fed_upload_fallbacks_total":      stats.UploadFallbacks,
 	}
 	for name, exp := range want {

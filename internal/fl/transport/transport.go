@@ -30,7 +30,7 @@
 // wire-state payload only when its bytes changed (see internal/fl/wire).
 // Uploads are too: a worker answers each job with a lossless wire.Patch
 // diffed against the round's broadcast base, which the coordinator mirrors
-// per slot. Every connection is byte-counted (Stats/RoundStats).
+// per slot. The Pipeline counts every round's frames (Stats/RoundStats).
 //
 // Rounds are synchronous and fault-tolerant: workers acknowledge each job
 // as it finishes, so when a connection dies the coordinator keeps the
@@ -191,12 +191,6 @@ type Coordinator struct {
 	// indexing a nil workers slice (Close may race a straggling round
 	// goroutine's send/recv/markDead).
 	closed bool
-	// sentBytes/ackBytes count the round traffic across all connections:
-	// broadcast frames written (counted before their first byte goes out)
-	// and ack frames read, headers included — what the Pipeline's byte
-	// accounting snapshots.
-	sentBytes atomic.Int64
-	ackBytes  atomic.Int64
 	// tel records membership telemetry (joins, live-worker gauge, wedge
 	// detections). Nil — the default — disables it; see SetTelemetry.
 	tel *telemetry.Sink
@@ -398,15 +392,6 @@ func (c *Coordinator) NumLive() int {
 	return len(c.liveSlots())
 }
 
-// BytesTransferred reports the cumulative round traffic since the
-// coordinator started: ack frames read from workers (uploads) and broadcast
-// frames written to them, headers included. The handshake, heartbeats and
-// the workers' closing Done frames are not counted: they move no state, and
-// when a Done frame arrives relative to a round's last ack is a race.
-func (c *Coordinator) BytesTransferred() (in, out int64) {
-	return c.ackBytes.Load(), c.sentBytes.Load()
-}
-
 // liveSlots returns the slot indices of workers not marked dead.
 func (c *Coordinator) liveSlots() []int {
 	c.mu.Lock()
@@ -452,15 +437,16 @@ func (c *Coordinator) slot(i int) (*wireConn, error) {
 }
 
 // send encodes b — stamped with ProtocolVersion — to the given worker
-// slot. A failed send marks the worker dead; a send after Close errors
-// without touching anything.
-func (c *Coordinator) send(slot int, b Broadcast) error {
+// slot, adding the frame's size to sent (when non-nil) before its first
+// byte goes out. A failed send marks the worker dead; a send after Close
+// errors without touching anything.
+func (c *Coordinator) send(slot int, b Broadcast, sent *atomic.Int64) error {
 	w, err := c.slot(slot)
 	if err != nil {
 		return err
 	}
 	b.Version = ProtocolVersion
-	if err := w.out.writeBroadcast(&b, &c.sentBytes); err != nil {
+	if err := w.out.writeBroadcast(&b, sent); err != nil {
 		c.markDead(slot)
 		return fmt.Errorf("transport: sending to worker %d: %w", slot, err)
 	}
@@ -475,11 +461,12 @@ func (c *Coordinator) send(slot int, b Broadcast) error {
 // round until a read error that may never come. A failed decode marks the
 // worker dead; a recv after Close errors without touching anything. The
 // update's byte fields alias the slot's read buffer: the caller is done
-// with them before its next recv.
-func (c *Coordinator) recv(slot int) (Update, error) {
+// with them before its next recv. The int is the update's frame size,
+// header included.
+func (c *Coordinator) recv(slot int) (Update, int, error) {
 	w, err := c.slot(slot)
 	if err != nil {
-		return Update{}, err
+		return Update{}, 0, err
 	}
 	// A slot that advertised no heartbeat reads without a deadline.
 	timeout := 4 * w.heartbeat
@@ -497,18 +484,15 @@ func (c *Coordinator) recv(slot int) (Update, error) {
 				c.telemetrySink().WedgeDetected(slot)
 			}
 			c.markDead(slot)
-			return Update{}, fmt.Errorf("transport: receiving from worker %d: %w", slot, err)
+			return Update{}, 0, fmt.Errorf("transport: receiving from worker %d: %w", slot, err)
 		}
 		if u.Pong {
 			continue
 		}
-		if len(u.Results) > 0 {
-			c.ackBytes.Add(int64(n))
-		}
 		if timeout > 0 {
 			_ = w.conn.SetReadDeadline(time.Time{})
 		}
-		return u, nil
+		return u, n, nil
 	}
 }
 
@@ -518,7 +502,7 @@ func (c *Coordinator) recv(slot int) (Update, error) {
 func (c *Coordinator) Shutdown() error {
 	var firstErr error
 	for _, slot := range c.liveSlots() {
-		if err := c.send(slot, Broadcast{Done: true}); err != nil && firstErr == nil {
+		if err := c.send(slot, Broadcast{Done: true}, nil); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -312,6 +312,8 @@ func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := make(chan RoundStats, 2)
+	r.OnRound = func(rs RoundStats) { rounds <- rs }
 	// Round-robin over 2 workers: slot 0 (the killer) gets jobs 0 and 2,
 	// slot 1 gets job 1. Job 0 is acked before the crash; job 2 must be
 	// re-queued onto slot 1.
@@ -341,6 +343,15 @@ func TestPipelineRequeuesDeadWorkerJobs(t *testing.T) {
 		if got := results[i].Dict["w"].At(0); got != want {
 			t.Fatalf("follow-up job %d result = %v, want %v", i, got, want)
 		}
+	}
+	// The crashed round took a re-queue wave and counted its frames both
+	// ways; the two rounds' records sum to the cumulative Stats.
+	crashed, followUp := <-rounds, <-rounds
+	if crashed.Attempts != 2 || crashed.BroadcastBytes == 0 || crashed.UploadBytes == 0 {
+		t.Fatalf("crashed round stats %+v, want 2 attempts and bytes both ways", crashed)
+	}
+	if sum, st := SumRounds([]RoundStats{crashed, followUp}), r.Stats(); sum != st {
+		t.Fatalf("round records sum to\n%+v\nStats reads\n%+v", sum, st)
 	}
 	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
@@ -815,7 +826,7 @@ func TestPipelineDeltaStats(t *testing.T) {
 	}
 	third := <-roundDone
 
-	if first.FullFrames != 2 || first.Fallbacks != 2 || first.DeltaFrames != 0 {
+	if first.FullFrames != 2 || first.DeltaFrames != 0 {
 		t.Fatalf("round 1 frames: %+v, want 2 full-snapshot fallbacks", first)
 	}
 	if third.DeltaFrames != 2 || third.FullFrames != 0 {
@@ -992,13 +1003,13 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = coord.send(0, Broadcast{Done: true})
+			_ = coord.send(0, Broadcast{Done: true}, nil)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_, _ = coord.recv(0)
+			_, _, _ = coord.recv(0)
 		}
 	}()
 	go func() {
@@ -1017,10 +1028,10 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 	if err := coord.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := coord.send(0, Broadcast{}); err == nil || !strings.Contains(err.Error(), "closed") {
+	if err := coord.send(0, Broadcast{}, nil); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("send after Close = %v, want a closed-coordinator error", err)
 	}
-	if _, err := coord.recv(0); err == nil || !strings.Contains(err.Error(), "closed") {
+	if _, _, err := coord.recv(0); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("recv after Close = %v, want a closed-coordinator error", err)
 	}
 	coord.markDead(0) // must not panic
@@ -1115,7 +1126,7 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	// Full frames: three at dispatch, one to the idle survivor. Frames
 	// without state: the survivor's idle one, then one to each worker
 	// already at the round's version (slots 0, 1 and 3).
-	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.Fallbacks != 4 || rs.IdleFrames != 4 || rs.DeltaFrames != 0 {
+	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.IdleFrames != 4 || rs.DeltaFrames != 0 {
 		t.Fatalf("round stats %+v, want 4 attempts, 4 full frames (all fallbacks), 4 without state, no delta", rs)
 	}
 	r.mu.Lock()
@@ -1137,7 +1148,7 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	if got := results[0].Dict["w"].At(0); got != 104 {
 		t.Fatalf("follow-up result = %v, want 104", got)
 	}
-	if rs := <-roundDone; rs.DeltaFrames != 1 || rs.FullFrames != 0 || rs.Fallbacks != 0 {
+	if rs := <-roundDone; rs.DeltaFrames != 1 || rs.FullFrames != 0 {
 		t.Fatalf("follow-up round stats %+v, want one delta frame and no fallback", rs)
 	}
 	_ = r.Close()

@@ -14,7 +14,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		Task: 0, Round: 3, Attempts: 1, Start: time.Now(),
 		DispatchNanos: 2e6, FirstAckNanos: 5e6, LastAckNanos: 9e6,
 		DeltaFrames: 2, PatchUploads: 4,
-		TotalBroadcastBytes: 1 << 20, TotalUploadBytes: 1 << 19,
+		BroadcastBytes: 1 << 20, UploadBytes: 1 << 19,
 	}
 
 	b.Run("ObserveRound/noop", func(b *testing.B) {

@@ -45,15 +45,6 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// Set overwrites the value. It exists for counters that mirror an external
-// cumulative total (the coordinator's socket byte counters), which stay
-// monotonic at the source; fresh counters should use Inc/Add.
-func (c *Counter) Set(v int64) {
-	if c != nil {
-		c.v.Store(v)
-	}
-}
-
 // Value reads the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -30,21 +30,37 @@ func NewRunID(seed int64, start time.Time) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// RoundObservation is the per-round record the transport hands to
-// Sink.ObserveRound once a round fully completes. Timing fields mirror
-// transport.RoundStats; byte totals are the coordinator's *cumulative*
-// socket counters at completion (not per-round deltas), so the byte
-// counters on /metrics reconcile exactly with transport.Stats.
+// RoundObservation is one completed round's wire accounting and timing: the
+// transport's round record (transport.RoundStats is this type), delivered
+// once per round to the Pipeline's OnRound, its cumulative Stats and
+// Sink.ObserveRound. Every count is the round's own, so summing the rounds
+// gives the run's totals.
 type RoundObservation struct {
-	Task, Round, Attempts int
-	Start                 time.Time
-
-	DispatchNanos, FirstAckNanos, LastAckNanos int64
-
-	FullFrames, DeltaFrames, IdleFrames, Fallbacks int64
-	PatchUploads, UploadFallbacks                  int64
-
-	TotalBroadcastBytes, TotalUploadBytes int64
+	// Task and Round identify the round.
+	Task, Round int
+	// Attempts is how many broadcast waves the round took (1 + re-queue
+	// attempts after worker deaths).
+	Attempts int
+	// Start is when the round's dispatch began.
+	Start time.Time
+	// BroadcastBytes / UploadBytes are the round's own traffic, whole frames
+	// headers included: its broadcasts (re-queue broadcasts included) and
+	// its acks.
+	BroadcastBytes, UploadBytes int64
+	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
+	// kind: complete snapshots (each a fallback: the worker had no usable
+	// base), per-key diffs, and frames carrying no state at all.
+	FullFrames, DeltaFrames, IdleFrames int64
+	// PatchUploads / UploadFallbacks count acked job results diffed against
+	// the broadcast base and sent as full snapshots.
+	PatchUploads, UploadFallbacks int64
+	// DispatchNanos is the wall-clock span of the round's dispatch path —
+	// frame building plus broadcast sends.
+	DispatchNanos int64
+	// FirstAckNanos / LastAckNanos are the wall-clock latencies from
+	// dispatch start to the round's first and last job ack. Zero when the
+	// round had no jobs.
+	FirstAckNanos, LastAckNanos int64
 }
 
 // Sink is the single facade instrumented layers talk to: it owns a metric
@@ -63,7 +79,6 @@ type Sink struct {
 	fullFrames   *Counter
 	deltaFrames  *Counter
 	idleFrames   *Counter
-	fallbacks    *Counter
 	patchUploads *Counter
 	upFallbacks  *Counter
 	dispatchHist *Histogram
@@ -98,12 +113,11 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 
 	s.rounds = reg.Counter("fed_rounds_total", "Completed federation rounds.")
 	s.attempts = reg.Counter("fed_round_attempts_total", "Round attempts including requeue retries.")
-	s.bcastBytes = reg.Counter("fed_broadcast_bytes_total", "Cumulative bytes written to worker sockets.")
-	s.upBytes = reg.Counter("fed_upload_bytes_total", "Cumulative bytes read from worker sockets.")
+	s.bcastBytes = reg.Counter("fed_broadcast_bytes_total", "Broadcast frame bytes of completed rounds.")
+	s.upBytes = reg.Counter("fed_upload_bytes_total", "Ack frame bytes of completed rounds.")
 	s.fullFrames = reg.Counter(`fed_frames_total{kind="full"}`, "Broadcast frames sent by kind.")
 	s.deltaFrames = reg.Counter(`fed_frames_total{kind="delta"}`, "Broadcast frames sent by kind.")
 	s.idleFrames = reg.Counter(`fed_frames_total{kind="idle"}`, "Broadcast frames sent by kind.")
-	s.fallbacks = reg.Counter("fed_frame_fallbacks_total", "Broadcasts that fell back to a full snapshot.")
 	s.patchUploads = reg.Counter(`fed_uploads_total{kind="patch"}`, "Result uploads received by kind.")
 	s.upFallbacks = reg.Counter("fed_upload_fallbacks_total", "Uploads that fell back to full state dicts.")
 	s.dispatchHist = reg.Histogram("fed_round_dispatch_seconds", "Time from round start until the last broadcast finished sending.", DefSecondsBuckets)
@@ -180,12 +194,11 @@ func (s *Sink) ObserveRound(o RoundObservation) {
 	}
 	s.rounds.Inc()
 	s.attempts.Add(int64(o.Attempts))
-	s.bcastBytes.Set(o.TotalBroadcastBytes)
-	s.upBytes.Set(o.TotalUploadBytes)
+	s.bcastBytes.Add(o.BroadcastBytes)
+	s.upBytes.Add(o.UploadBytes)
 	s.fullFrames.Add(o.FullFrames)
 	s.deltaFrames.Add(o.DeltaFrames)
 	s.idleFrames.Add(o.IdleFrames)
-	s.fallbacks.Add(o.Fallbacks)
 	s.patchUploads.Add(o.PatchUploads)
 	s.upFallbacks.Add(o.UploadFallbacks)
 	s.dispatchHist.Observe(float64(o.DispatchNanos) / 1e9)

@@ -13,26 +13,25 @@ func TestSinkRecordsRoundObservation(t *testing.T) {
 	s.ObserveRound(RoundObservation{
 		Task: 0, Round: 1, Attempts: 1, Start: time.Now(),
 		DispatchNanos: 2e6, FirstAckNanos: 5e6, LastAckNanos: 9e6,
-		FullFrames: 2, DeltaFrames: 1, Fallbacks: 1,
+		FullFrames: 2, DeltaFrames: 1,
 		PatchUploads: 3, UploadFallbacks: 1,
-		TotalBroadcastBytes: 1000, TotalUploadBytes: 500,
+		BroadcastBytes: 1000, UploadBytes: 500,
 	})
 	s.ObserveRound(RoundObservation{
 		Task: 0, Round: 2, Attempts: 2, Start: time.Now(),
 		LastAckNanos: 8e6,
 		DeltaFrames:  3, PatchUploads: 3,
-		TotalBroadcastBytes: 1800, TotalUploadBytes: 900,
+		BroadcastBytes: 800, UploadBytes: 400,
 	})
 
 	snap := reg.Snapshot()
 	checks := map[string]float64{
 		"fed_rounds_total":                 2,
 		"fed_round_attempts_total":         3,
-		"fed_broadcast_bytes_total":        1800, // cumulative mirror, not a sum
+		"fed_broadcast_bytes_total":        1800, // the rounds' sum
 		"fed_upload_bytes_total":           900,
 		`fed_frames_total{kind="full"}`:    2,
 		`fed_frames_total{kind="delta"}`:   4,
-		"fed_frame_fallbacks_total":        1,
 		`fed_uploads_total{kind="patch"}`:  6,
 		"fed_upload_fallbacks_total":       1,
 		"fed_round_last_ack_seconds_count": 2,

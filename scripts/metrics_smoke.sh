@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Metrics-endpoint smoke test: run a real fedserver with -metrics and two
 # fedworkers over loopback, scrape the Prometheus page while the run is in
-# progress, and check that the round counter, the broadcast byte counter and
-# the delta-frame counter are nonzero — i.e. the telemetry subsystem is wired
-# into the live transport, not just compiled, and broadcasts after the first
-# round ship diffs rather than snapshots.
+# progress, and check that the round counter, both byte counters and the
+# delta-frame counter are nonzero — i.e. the telemetry subsystem is wired
+# into the live transport, not just compiled: broadcasts are counted where
+# their frames are written, uploads where the collector accepts each ack,
+# and broadcasts after the first round ship diffs rather than snapshots. The
+# page must not carry fed_frame_fallbacks_total: every full frame is a
+# fallback, so fed_frames_total{kind="full"} is that count.
 #
 # Usage: scripts/metrics_smoke.sh
 # Exits nonzero (with the captured log) on any failure.
@@ -61,6 +64,7 @@ for _ in $(seq 1 300); do
 	if scrape >"$work/metrics.txt" 2>/dev/null &&
 		grep -Eq '^fed_rounds_total [1-9]' "$work/metrics.txt" &&
 		grep -Eq '^fed_broadcast_bytes_total [1-9]' "$work/metrics.txt" &&
+		grep -Eq '^fed_upload_bytes_total [1-9]' "$work/metrics.txt" &&
 		grep -Eq '^fed_frames_total\{kind="delta"\} [1-9]' "$work/metrics.txt"; then
 		ok=1
 		break
@@ -69,11 +73,17 @@ for _ in $(seq 1 300); do
 	sleep 0.2
 done
 if [ "$ok" != 1 ]; then
-	echo "FAIL: /metrics never showed nonzero fed_rounds_total, fed_broadcast_bytes_total and fed_frames_total{kind=\"delta\"}"
+	echo "FAIL: /metrics never showed nonzero fed_rounds_total, fed_broadcast_bytes_total, fed_upload_bytes_total and fed_frames_total{kind=\"delta\"}"
 	echo "--- last scrape ---"
 	cat "$work/metrics.txt" 2>/dev/null || true
 	echo "--- run log ---"
 	cat "$work/run.log"
+	exit 1
+fi
+
+if grep -q 'fed_frame_fallbacks_total' "$work/metrics.txt"; then
+	echo "FAIL: /metrics still carries fed_frame_fallbacks_total"
+	cat "$work/metrics.txt"
 	exit 1
 fi
 
