@@ -243,31 +243,14 @@ func run() error {
 	eng.Telemetry = sink
 
 	if resume != nil {
-		eng.Resume = &fl.ResumeState{
-			NextTask:   resume.NextTask,
-			NextRound:  resume.NextRound,
-			Matrix:     resume.Matrix,
-			Global:     resume.Global,
-			Payload:    resume.Payload,
-			HasPayload: resume.HasPayload,
-		}
+		eng.Resume = resume
 		fmt.Printf("resuming from %s at task %d round %d\n", ckptPath, resume.NextTask, resume.NextRound)
 	}
 	if ckptPath != "" {
 		eng.Checkpoint = func(st fl.ResumeState) error {
 			begin := time.Now()
-			err := checkpoint.SaveRunStateFile(ckptPath, &checkpoint.RunState{
-				Method:     *method,
-				Dataset:    *dataset,
-				Scale:      *scaleF,
-				Seed:       *seed,
-				NextTask:   st.NextTask,
-				NextRound:  st.NextRound,
-				Matrix:     st.Matrix,
-				Global:     st.Global,
-				Payload:    st.Payload,
-				HasPayload: st.HasPayload,
-			})
+			st.Method, st.Dataset, st.Scale, st.Seed = *method, *dataset, *scaleF, *seed
+			err := checkpoint.SaveRunStateFile(ckptPath, &st)
 			if err == nil && sink != nil {
 				var bytes int64
 				if fi, serr := os.Stat(ckptPath); serr == nil {

@@ -1,10 +1,6 @@
 package autograd
 
-import (
-	"math"
-
-	"reffil/internal/tensor"
-)
+import "reffil/internal/tensor"
 
 // Add returns a + b with numpy broadcasting.
 func Add(a, b *Value) *Value {
@@ -21,21 +17,6 @@ func Add(a, b *Value) *Value {
 	return node
 }
 
-// Sub returns a - b with broadcasting.
-func Sub(a, b *Value) *Value {
-	out := tensor.Sub(a.T, b.T)
-	node := newNode(out, "sub", a, b)
-	node.back = func() {
-		if a.requiresGrad {
-			accumulate(a, reduceGrad(node.Grad, a.T))
-		}
-		if b.requiresGrad {
-			accumulateTemp(b, tensor.Scale(reduceGrad(node.Grad, b.T), -1))
-		}
-	}
-	return node
-}
-
 // Mul returns the elementwise product with broadcasting.
 func Mul(a, b *Value) *Value {
 	out := tensor.Mul(a.T, b.T)
@@ -46,24 +27,6 @@ func Mul(a, b *Value) *Value {
 		}
 		if b.requiresGrad {
 			accumulateTemp(b, reduceTemp(tensor.Mul(node.Grad, a.T), b.T))
-		}
-	}
-	return node
-}
-
-// Div returns the elementwise quotient with broadcasting.
-func Div(a, b *Value) *Value {
-	out := tensor.Div(a.T, b.T)
-	node := newNode(out, "div", a, b)
-	node.back = func() {
-		if a.requiresGrad {
-			accumulateTemp(a, reduceTemp(tensor.Div(node.Grad, b.T), a.T))
-		}
-		if b.requiresGrad {
-			// d/db (a/b) = -a/b².
-			g := tensor.Mul(node.Grad, tensor.Div(out, b.T))
-			g.ScaleInPlace(-1)
-			accumulateTemp(b, reduceTemp(g, b.T))
 		}
 	}
 	return node
@@ -103,41 +66,6 @@ func ReLU(a *Value) *Value {
 			}
 		}
 		accumulateTemp(a, g)
-	}
-	return node
-}
-
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Value) *Value {
-	out := tensor.Tanh(a.T)
-	node := newNode(out, "tanh", a)
-	node.back = func() {
-		g := out.Arena().ScratchLike(a.T)
-		od, gd, dd := out.Data(), node.Grad.Data(), g.Data()
-		for i := range od {
-			dd[i] = gd[i] * (1 - od[i]*od[i])
-		}
-		accumulateTemp(a, g)
-	}
-	return node
-}
-
-// Exp returns e^a elementwise.
-func Exp(a *Value) *Value {
-	out := tensor.Exp(a.T)
-	node := newNode(out, "exp", a)
-	node.back = func() {
-		accumulateTemp(a, tensor.Mul(node.Grad, out))
-	}
-	return node
-}
-
-// Log returns ln(a) elementwise; a must be strictly positive.
-func Log(a *Value) *Value {
-	out := tensor.Log(a.T)
-	node := newNode(out, "log", a)
-	node.back = func() {
-		accumulateTemp(a, tensor.Div(node.Grad, a.T))
 	}
 	return node
 }
@@ -192,19 +120,4 @@ func MeanAxis(a *Value, axis int) *Value {
 func keepDimShape(shape []int, axis int) []int {
 	shape[axis] = 1
 	return shape
-}
-
-// Sqrt returns the elementwise square root; a must be non-negative.
-func Sqrt(a *Value) *Value {
-	out := tensor.Sqrt(a.T)
-	node := newNode(out, "sqrt", a)
-	node.back = func() {
-		g := out.Arena().ScratchLike(a.T)
-		od, gd, dd := out.Data(), node.Grad.Data(), g.Data()
-		for i := range od {
-			dd[i] = gd[i] / (2 * math.Max(od[i], 1e-12))
-		}
-		accumulateTemp(a, g)
-	}
-	return node
 }

@@ -31,9 +31,6 @@ func Permute(a *Value, perm ...int) *Value {
 	return node
 }
 
-// Transpose swaps the axes of a 2-D value.
-func Transpose(a *Value) *Value { return Permute(a, 1, 0) }
-
 // Concat concatenates values along the given axis.
 func Concat(axis int, vs ...*Value) *Value {
 	ts := make([]*tensor.Tensor, len(vs))
@@ -63,26 +60,6 @@ func Narrow(a *Value, axis, start, end int) *Value {
 		g := out.Arena().NewLike(a.T)
 		tensor.NarrowAddInPlace(g, axis, start, node.Grad)
 		accumulateTemp(a, g)
-	}
-	return node
-}
-
-// Stack stacks equally shaped values along a new leading axis.
-func Stack(vs ...*Value) *Value {
-	ts := make([]*tensor.Tensor, len(vs))
-	for i, v := range vs {
-		ts[i] = v.T
-	}
-	out := tensor.Stack(ts...)
-	node := newNode(out, "stack", vs...)
-	node.back = func() {
-		for i, v := range vs {
-			if v.requiresGrad {
-				g := tensor.Narrow(node.Grad, 0, i, i+1)
-				accumulate(v, g.Reshape(v.T.Shape()...))
-				g.Release()
-			}
-		}
 	}
 	return node
 }

@@ -4,9 +4,9 @@
 // that requires them.
 //
 // The op set is exactly what the RefFiL reproduction needs: broadcast
-// arithmetic, matrix products, convolution, pooling, normalization layers,
-// attention building blocks, fused classification/distillation/contrastive
-// losses, and embedding lookups. Every op's backward pass is validated
+// arithmetic, ReLU, reductions, matrix products, convolution, normalization
+// layers, attention building blocks, fused classification/distillation/
+// contrastive losses, and embedding lookups. Every op's backward pass is validated
 // against finite differences in the package tests (see GradCheck).
 package autograd
 

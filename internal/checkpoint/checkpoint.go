@@ -268,10 +268,13 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 }
 
 // writeFileAtomic writes path through a temp file in the same directory and
-// a rename, so a process killed mid-write leaves the previous file intact,
-// never a torn one.
+// a rename. The temp file is synced before it is renamed and the directory
+// after, so once it returns nil path holds the new bytes even across a
+// machine crash; a process or machine killed mid-write leaves the previous
+// file intact, never a torn one.
 func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
@@ -284,13 +287,25 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 		_ = tmp.Close()
 		return err
 	}
+	if err = tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("checkpoint: syncing temp file: %w", err)
+	}
 	if err = tmp.Close(); err != nil {
 		return fmt.Errorf("checkpoint: closing temp file: %w", err)
 	}
 	if err = os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("checkpoint: installing %s: %w", path, err)
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
+	}
+	if err = d.Sync(); err != nil {
+		_ = d.Close()
+		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
+	}
+	return d.Close()
 }
 
 // SaveFile atomically writes a state dict to path.

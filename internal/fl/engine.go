@@ -144,11 +144,11 @@ type Config struct {
 	// Seed drives all engine-level randomness.
 	Seed int64
 	// Workers caps how many selected clients train concurrently within one
-	// communication round. 0 means runtime.NumCPU(); 1 reproduces the
-	// sequential engine. Results are identical at every worker count: all
-	// engine randomness is drawn before the fan-out, each client trains an
-	// isolated replica under its own seeded RNG, and updates aggregate in
-	// selection order.
+	// communication round. 0 means runtime.NumCPU(); 1 trains one job at a
+	// time. Results are identical at every worker count: all engine
+	// randomness is drawn before the fan-out, each client trains an isolated
+	// replica under its own seeded RNG, and updates aggregate in selection
+	// order.
 	Workers int
 }
 
@@ -202,9 +202,8 @@ type client struct {
 	task int
 	// group for the current stage.
 	group Group
-	// shards maps task index -> this client's training shard.
-	shards map[int]*data.Dataset
-	// partRefs maps task index -> the shard's partition coordinates.
+	// partRefs maps task index -> the client's shard coordinates in that
+	// task's partition.
 	partRefs map[int]shardRef
 	// joined is the stage at which the client entered the pool.
 	joined int
@@ -223,6 +222,9 @@ type Engine struct {
 	// family/domains describe the data of the current Run, for job specs.
 	family  *data.Family
 	domains []string
+	// parts builds each round's jobs from their specs, seeded with every
+	// task's partition as advanceClients splits it.
+	parts Partitions
 	// testSets[i] is task i's held-out evaluation set.
 	testSets []*data.Dataset
 	// Progress, when non-nil, receives a line per round (for CLIs).
@@ -281,13 +283,14 @@ func (e *Engine) Run(family *data.Family, domains []string) (*metrics.Matrix, er
 		return nil, err
 	}
 	e.clients = nil
+	e.parts = Partitions{}
 	e.family = family
 	e.domains = domains
 	e.testSets = make([]*data.Dataset, len(domains))
 
 	resume := e.Resume
 	if resume != nil {
-		if err := resume.validate(len(domains), e.cfg.Rounds); err != nil {
+		if err := validateResume(resume, len(domains), e.cfg.Rounds); err != nil {
 			return nil, err
 		}
 	}
@@ -309,7 +312,9 @@ func (e *Engine) Run(family *data.Family, domains []string) (*metrics.Matrix, er
 			// their effects live inside the snapshot installed at the
 			// resume point.
 			for r := 0; r < e.cfg.Rounds; r++ {
-				e.roundJobs(t, r)
+				if _, err := e.roundJobs(t, r); err != nil {
+					return nil, err
+				}
 			}
 			if err := copyResumeRow(mat, resume, t); err != nil {
 				return nil, err
@@ -320,7 +325,9 @@ func (e *Engine) Run(family *data.Family, domains []string) (*metrics.Matrix, er
 		if resume != nil && t == resume.NextTask {
 			startRound = resume.NextRound
 			for r := 0; r < startRound; r++ {
-				e.roundJobs(t, r)
+				if _, err := e.roundJobs(t, r); err != nil {
+					return nil, err
+				}
 			}
 			if err := e.installResume(resume); err != nil {
 				return nil, err
@@ -390,7 +397,6 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 				id:       i,
 				task:     0,
 				group:    GroupNew,
-				shards:   make(map[int]*data.Dataset),
 				partRefs: make(map[int]shardRef),
 				joined:   0,
 			})
@@ -413,7 +419,6 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 				id:       len(e.clients),
 				task:     t,
 				group:    GroupNew,
-				shards:   make(map[int]*data.Dataset),
 				partRefs: make(map[int]shardRef),
 				joined:   t,
 			})
@@ -432,12 +437,13 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 	if len(learners) == 0 {
 		return fmt.Errorf("fl: task %d has no learners", t)
 	}
-	shards, err := e.taskSpec(t, len(learners)).split(train)
+	spec := e.taskSpec(t, len(learners))
+	shards, err := spec.split(train)
 	if err != nil {
 		return err
 	}
+	e.parts.put(spec, shards)
 	for i, c := range learners {
-		c.shards[t] = shards[i]
 		c.partRefs[t] = shardRef{learners: len(learners), index: i}
 	}
 	return nil
@@ -468,12 +474,15 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 // A round that folds nothing — every selected client dropped out — leaves
 // the global untouched.
 func (e *Engine) runRound(t, r int) error {
-	jobs := e.roundJobs(t, r)
+	jobs, err := e.roundJobs(t, r)
+	if err != nil {
+		return err
+	}
 	acc := NewAccumulator()
 	var uploads []Upload
 	var first Result
 	defer func() { first.release() }()
-	err := runInJobOrder(e.runner, jobs, func(i int, res Result) error {
+	err = runInJobOrder(e.runner, jobs, func(i int, res Result) error {
 		if err := acc.Fold(res.Dict, jobs[i].Weight); err != nil {
 			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
 		}
@@ -539,26 +548,25 @@ func runInJobOrder(er EachRunner, jobs []Job, fold func(i int, res Result) error
 // roundJobs is round phase 1 (serial): fix the round's participant set and
 // all per-client inputs. Every draw on the engine RNG happens here, in
 // selection order, before any fan-out; the global model is only read,
-// never written.
-func (e *Engine) roundJobs(t, r int) []Job {
+// never written. Each job is built from its spec, as a networked worker
+// builds it.
+func (e *Engine) roundJobs(t, r int) ([]Job, error) {
 	selected := e.selectClients()
 	jobs := make([]Job, 0, len(selected))
 	for _, c := range selected {
-		ds := e.clientData(c)
-		if ds == nil || ds.Len() == 0 {
+		job, err := e.parts.Job(e.jobSpec(c, t, r))
+		if err != nil {
+			return nil, err
+		}
+		if job.Ctx.Data.Len() == 0 {
 			continue
 		}
 		if e.cfg.DropoutProb > 0 && e.rng.Float64() < e.cfg.DropoutProb {
 			continue // client failed to report back this round
 		}
-		spec := e.jobSpec(c, t, r)
-		jobs = append(jobs, Job{
-			Ctx:    spec.NewLocalContext(ds),
-			Spec:   spec,
-			Weight: float64(ds.Len()),
-		})
+		jobs = append(jobs, job)
 	}
-	return jobs
+	return jobs, nil
 }
 
 // install is round phase 3's tail (serial): finalize the streaming FedAvg
@@ -587,7 +595,9 @@ func (e *Engine) install(t, r int, acc *Accumulator, uploads []Upload) error {
 }
 
 // jobSpec builds the wire-serializable description of client c's job for
-// round r of task t, mirroring clientData's shard selection.
+// round r of task t: its current shard, prepended with its previous-task
+// shard for In-between clients that learned the previous task (Algorithm 1
+// line 17).
 func (e *Engine) jobSpec(c *client, t, r int) JobSpec {
 	spec := JobSpec{
 		ClientID:   c.id,
@@ -601,7 +611,7 @@ func (e *Engine) jobSpec(c *client, t, r int) JobSpec {
 		RngSeed:    ClientSeed(e.cfg.Seed, c.id, t, r),
 	}
 	if c.group == GroupInBetween {
-		if _, ok := c.shards[c.task-1]; ok {
+		if _, ok := c.partRefs[c.task-1]; ok {
 			spec.Shards = append(spec.Shards, e.shardSpec(c, c.task-1))
 		}
 	}
@@ -647,19 +657,6 @@ func (e *Engine) selectClients() []*client {
 		out = append(out, e.clients[i])
 	}
 	return out
-}
-
-// clientData returns the dataset a client trains on this stage: its current
-// shard, prepended with its previous-task shard for In-between clients
-// (Algorithm 1 line 17).
-func (e *Engine) clientData(c *client) *data.Dataset {
-	cur := c.shards[c.task]
-	if c.group == GroupInBetween {
-		if prev, ok := c.shards[c.task-1]; ok {
-			return data.Merge(fmt.Sprintf("client%d/both", c.id), prev, cur)
-		}
-	}
-	return cur
 }
 
 // evaluate runs the algorithm's Predict over a test set. Each batch is

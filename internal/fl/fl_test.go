@@ -586,6 +586,11 @@ func TestEngineTaskTagsMatchShards(t *testing.T) {
 			}
 		}
 	}
+	// The job builder keeps one partition per task, however many clients
+	// hold a slot of it.
+	if n := len(eng.parts.byTask); n != 3 {
+		t.Fatalf("%d cached partitions after a 3-task run, want one per task", n)
+	}
 }
 
 func TestEngineRejectsEmptyDomains(t *testing.T) {

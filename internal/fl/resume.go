@@ -3,50 +3,40 @@
 // of those states (Engine.Resume), reproducing the uninterrupted run's
 // accuracy matrix bit for bit.
 //
-// The snapshot is deliberately small: resume position, recorded accuracy
-// rows, the global model dict and the method's wire-state payload — the
-// same state a worker needs to train a round (fl.WireStater), which is the
-// invariant the transport already maintains. Everything else — datasets,
-// client pools, shards, and every RNG draw — is a deterministic function
-// of (seed, task, round), so a resumed engine *replays* it: it re-runs
-// client advancement and re-makes the selection/dropout draws for every
-// completed round, discarding the results, until its ambient RNG stream
-// sits exactly where the original run's did at the snapshot.
+// The snapshot is the run-state file's own record, checkpoint.RunState: the
+// engine fills the resume position, the recorded accuracy rows, the global
+// model dict and the method's wire-state payload — the same state a worker
+// needs to train a round (fl.WireStater), which is the invariant the
+// transport already maintains — and whoever writes the file stamps the run's
+// method, dataset, scale and seed on it. Everything else — datasets, client
+// pools, shards, and every RNG draw — is a deterministic function of (seed,
+// task, round), so a resumed engine *replays* it: it re-runs client
+// advancement and re-makes the selection/dropout draws for every completed
+// round, discarding the results, until its ambient RNG stream sits exactly
+// where the original run's did at the snapshot.
 package fl
 
 import (
 	"fmt"
 
+	"reffil/internal/checkpoint"
 	"reffil/internal/metrics"
 	"reffil/internal/nn"
-	"reffil/internal/tensor"
 )
 
 // ResumeState is one resumable snapshot of a run, produced by the engine's
 // Checkpoint hook after every installed round and every completed task,
-// and consumed by Engine.Resume in a fresh process.
-type ResumeState struct {
-	// NextTask/NextRound are the first round the resumed run executes.
-	// NextRound ranges [0, Rounds]: 0 means the snapshot sits at a task
-	// boundary (the previous task fully evaluated, OnTaskStart not yet
-	// run), Rounds means the task's rounds all completed but its task-end
-	// hook and evaluation are still pending. NextTask may equal the task
-	// count, marking a finished run.
-	NextTask  int
-	NextRound int
-	// Matrix holds the accuracy rows recorded before the snapshot
-	// (metrics.Matrix.A layout; unevaluated cells NaN).
-	Matrix [][]float64
-	// Global is the aggregated global model state dict at the snapshot.
-	Global map[string]*tensor.Tensor
-	// Payload is the method's encoded wire state (fl.WireStater) at the
-	// snapshot; HasPayload marks the method carries one.
-	Payload    []byte
-	HasPayload bool
-}
+// and consumed by Engine.Resume in a fresh process. Its NextRound ranges
+// [0, Rounds]: 0 means the snapshot sits at a task boundary (the previous
+// task fully evaluated, OnTaskStart not yet run), Rounds means the task's
+// rounds all completed but its task-end hook and evaluation are still
+// pending. NextTask may equal the task count, marking a finished run. The
+// engine reads none of the run-identity fields (Method, Dataset, Scale,
+// Seed) and leaves them empty.
+type ResumeState = checkpoint.RunState
 
-// validate bounds the resume position against the run's shape.
-func (rs *ResumeState) validate(tasks, rounds int) error {
+// validateResume bounds the resume position against the run's shape.
+func validateResume(rs *ResumeState, tasks, rounds int) error {
 	if rs.NextTask < 0 || rs.NextTask > tasks {
 		return fmt.Errorf("fl: resume task %d out of range [0,%d]", rs.NextTask, tasks)
 	}

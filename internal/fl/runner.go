@@ -20,9 +20,10 @@ type Job struct {
 	// Ctx is the fully materialized local context (shard included). It is
 	// what in-process runners consume; it never crosses a network.
 	Ctx *LocalContext
-	// Spec is the wire-serializable description of the same work: remote
-	// runners ship it to workers, which re-derive the shard and RNG from
-	// the spec and must reproduce Ctx bit-for-bit.
+	// Spec is the wire-serializable description of the same work, which
+	// Ctx was built from (Partitions.Job): remote runners ship it to
+	// workers, which rebuild the job from it through their own Partitions
+	// and so reproduce Ctx bit-for-bit.
 	Spec JobSpec
 	// Weight is the client's FedAvg weight (its local dataset size).
 	Weight float64
@@ -185,9 +186,9 @@ func (s ShardSpec) split(train *data.Dataset) ([]*data.Dataset, error) {
 	return shards, nil
 }
 
-// ShardOf returns the spec's slot of part, a partition its Partition built,
+// shardOf returns the spec's slot of part, a partition its Partition built,
 // and an error — never a panic — when Index lies outside it.
-func (s ShardSpec) ShardOf(part []*data.Dataset) (*data.Dataset, error) {
+func (s ShardSpec) shardOf(part []*data.Dataset) (*data.Dataset, error) {
 	if s.Index < 0 || s.Index >= len(part) {
 		return nil, fmt.Errorf("fl: shard index %d outside partition of %d", s.Index, len(part))
 	}
@@ -201,7 +202,7 @@ func (s ShardSpec) Materialize() (*data.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.ShardOf(part)
+	return s.shardOf(part)
 }
 
 // JobSpec is the wire form of one client's job: identity, group, round,
@@ -228,18 +229,62 @@ type JobSpec struct {
 	Shards []ShardSpec
 }
 
-// MergeShards combines a client's materialized shards into its local
-// training set, mirroring the engine's In-between concatenation
-// (Algorithm 1 line 17).
-func MergeShards(clientID int, shards []*data.Dataset) *data.Dataset {
-	if len(shards) == 1 {
-		return shards[0]
+// Partitions builds clients' jobs from their specs: the one derivation of a
+// client's local training set, shared by the engine and networked workers.
+// It keeps each task's partition, keyed by the task's ShardSpec with Index
+// zeroed: a task's shards are immutable, and one generation of the domain
+// serves every client of the task, where materializing each shard would
+// regenerate the domain once per client. The zero value is ready to use; it
+// is not safe for concurrent use.
+type Partitions struct {
+	byTask map[ShardSpec][]*data.Dataset
+}
+
+// put records part as the partition s's task was split into.
+func (p *Partitions) put(s ShardSpec, part []*data.Dataset) {
+	if p.byTask == nil {
+		p.byTask = make(map[ShardSpec][]*data.Dataset)
 	}
-	return data.Merge(fmt.Sprintf("client%d/both", clientID), shards...)
+	s.Index = 0
+	p.byTask[s] = part
+}
+
+// Job builds the job spec describes: each shard is taken from its task's
+// partition — regenerated through ShardSpec.Partition the first time any
+// job names the task — and the shards are merged in order into the client's
+// local training set (In-between clients: previous task, then current;
+// Algorithm 1 line 17), which also weights the job.
+func (p *Partitions) Job(spec JobSpec) (Job, error) {
+	if len(spec.Shards) == 0 {
+		return Job{}, fmt.Errorf("fl: job spec for client %d carries no shards", spec.ClientID)
+	}
+	shards := make([]*data.Dataset, len(spec.Shards))
+	for i, s := range spec.Shards {
+		key := s
+		key.Index = 0
+		part, ok := p.byTask[key]
+		if !ok {
+			var err error
+			if part, err = s.Partition(); err != nil {
+				return Job{}, err
+			}
+			p.put(key, part)
+		}
+		sh, err := s.shardOf(part)
+		if err != nil {
+			return Job{}, err
+		}
+		shards[i] = sh
+	}
+	ds := shards[0]
+	if len(shards) > 1 {
+		ds = data.Merge(fmt.Sprintf("client%d/both", spec.ClientID), shards...)
+	}
+	return Job{Ctx: spec.NewLocalContext(ds), Spec: spec, Weight: float64(ds.Len())}, nil
 }
 
 // NewLocalContext assembles the LocalContext for this spec over an already
-// materialized dataset (see Materialize/MergeShards).
+// materialized dataset (see Partitions.Job).
 func (j JobSpec) NewLocalContext(ds *data.Dataset) *LocalContext {
 	return &LocalContext{
 		ClientID:   j.ClientID,
@@ -261,8 +306,8 @@ func (j JobSpec) NewLocalContext(ds *data.Dataset) *LocalContext {
 type LocalRunner struct {
 	// Alg is the parent algorithm replicas are spawned from.
 	Alg Algorithm
-	// Workers caps concurrent jobs; 0 means runtime.NumCPU(), 1 is the
-	// sequential path. Results are identical at every worker count.
+	// Workers caps concurrent jobs; 0 means runtime.NumCPU(), 1 trains one
+	// job at a time. Results are identical at every worker count.
 	Workers int
 
 	// arenas are the idle step arenas, one per training goroutine that has
@@ -340,17 +385,6 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		return done(i, res)
-	}
-
-	if workers <= 1 {
-		arena := lr.borrowArena()
-		defer lr.returnArena(arena)
-		for i := range jobs {
-			if err := runJob(i, arena); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	// Reserve kernel-helper tokens for the pool workers so the matmul/conv

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"reffil/internal/data"
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/nn"
@@ -14,10 +13,11 @@ import (
 // local algorithm instance — a full snapshot, a per-key diff against the
 // state it already holds, or nothing at all when it is already current —
 // loads the method wire state only when the frame carries new payload
-// bytes, derives each assigned job's data shard from its spec (no data
-// crosses the wire), and runs its slice of the round through the same
-// fl.LocalRunner worker pool the in-process engine uses — Spawn replicas,
-// per-job seeded RNGs — acknowledging each job the moment it completes.
+// bytes, builds each assigned job from its spec through fl.Partitions, the
+// builder the in-process engine uses (no data crosses the wire), and runs
+// its slice of the round through the same fl.LocalRunner worker pool the
+// engine uses — Spawn replicas, per-job seeded RNGs — acknowledging each
+// job the moment it completes.
 // Per-job acks are what let the coordinator salvage a crashing worker's
 // finished work and re-queue only the rest. Every ack carries the trained
 // state as a wire.Patch: a lossless diff against the round's broadcast base
@@ -42,11 +42,9 @@ type Executor struct {
 	// pool runs every broadcast's jobs. It is kept for the executor's life
 	// because it owns the training goroutines' step arenas.
 	pool *fl.LocalRunner
-	// partitions caches each task's partition across rounds, keyed by a
-	// shard spec with Index zeroed: a task's shards are immutable, and one
-	// generation of the domain serves every client of the task, where
-	// materializing each shard would regenerate the domain once per client.
-	partitions map[fl.ShardSpec][]*data.Dataset
+	// parts builds every broadcast's jobs, keeping each task's partition
+	// across rounds.
+	parts fl.Partitions
 	// tracker is this worker's receive-side state machine: the state
 	// version/dict and payload version currently installed.
 	tracker wire.Tracker
@@ -63,11 +61,7 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("transport: executor needs an algorithm")
 	}
-	return &Executor{
-		alg:        alg,
-		pool:       &fl.LocalRunner{Alg: alg, Workers: workers},
-		partitions: make(map[fl.ShardSpec][]*data.Dataset),
-	}, nil
+	return &Executor{alg: alg, pool: &fl.LocalRunner{Alg: alg, Workers: workers}}, nil
 }
 
 // ResetStream forgets the frame stream of a lost connection; call it before
@@ -75,8 +69,8 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 // coordinator-side mirror starts at version 0 with no payload, so the
 // tracker of the old stream would reject the new slot's first frame
 // whenever it is a bare KindNone (the slot is idle that round) or skips an
-// unchanged payload. The partition cache is kept: partitions do not depend
-// on the connection.
+// unchanged payload. The job builder's partitions are kept: they do not
+// depend on the connection.
 func (e *Executor) ResetStream() {
 	e.tracker = wire.Tracker{}
 }
@@ -109,16 +103,16 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	return e.runJobs(b.Jobs, emit)
 }
 
-// runJobs materializes and trains the broadcast's job slice through the
-// local worker pool, emitting one ack per job in completion order.
+// runJobs builds and trains the broadcast's job slice through the local
+// worker pool, emitting one ack per job in completion order.
 func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error {
 	jobs := make([]fl.Job, len(specs))
 	for i, spec := range specs {
-		ds, err := e.dataset(spec)
+		job, err := e.parts.Job(spec)
 		if err != nil {
 			return fmt.Errorf("job %d (client %d): %w", i, spec.ClientID, err)
 		}
-		jobs[i] = fl.Job{Ctx: spec.NewLocalContext(ds), Spec: spec, Weight: float64(ds.Len())}
+		jobs[i] = job
 	}
 	if len(jobs) == 0 {
 		return nil
@@ -151,31 +145,4 @@ func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error
 		}
 		return emit(jr)
 	})
-}
-
-// dataset assembles the job's local dataset from its shards' partitions,
-// partitioning a task's domain only the first time any job names it.
-func (e *Executor) dataset(spec fl.JobSpec) (*data.Dataset, error) {
-	shards := make([]*data.Dataset, len(spec.Shards))
-	for i, s := range spec.Shards {
-		key := s
-		key.Index = 0
-		part, ok := e.partitions[key]
-		if !ok {
-			var err error
-			if part, err = s.Partition(); err != nil {
-				return nil, err
-			}
-			e.partitions[key] = part
-		}
-		sh, err := s.ShardOf(part)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = sh
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("job spec for client %d carries no shards", spec.ClientID)
-	}
-	return fl.MergeShards(spec.ClientID, shards), nil
 }

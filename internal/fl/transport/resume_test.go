@@ -48,25 +48,16 @@ func captureSnapshots(t *testing.T, method string, family *data.Family, domains 
 func resumeFrom(t *testing.T, method string, family *data.Family, domains []string, snap fl.ResumeState) [][]float64 {
 	t.Helper()
 	var buf bytes.Buffer
-	rs := &checkpoint.RunState{
-		Method:     method,
-		Seed:       crossRunnerConfig().Seed,
-		NextTask:   snap.NextTask,
-		NextRound:  snap.NextRound,
-		Matrix:     snap.Matrix,
-		Global:     snap.Global,
-		Payload:    snap.Payload,
-		HasPayload: snap.HasPayload,
-	}
-	if err := checkpoint.SaveRunState(&buf, rs); err != nil {
+	snap.Method, snap.Seed = method, crossRunnerConfig().Seed
+	if err := checkpoint.SaveRunState(&buf, &snap); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := checkpoint.LoadRunState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Method != method || loaded.Seed != rs.Seed {
-		t.Fatalf("run-state header round-trip: got (%s,%d), want (%s,%d)", loaded.Method, loaded.Seed, method, rs.Seed)
+	if loaded.Method != method || loaded.Seed != snap.Seed {
+		t.Fatalf("run-state header round-trip: got (%s,%d), want (%s,%d)", loaded.Method, loaded.Seed, method, snap.Seed)
 	}
 	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
@@ -76,14 +67,7 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Resume = &fl.ResumeState{
-		NextTask:   loaded.NextTask,
-		NextRound:  loaded.NextRound,
-		Matrix:     loaded.Matrix,
-		Global:     loaded.Global,
-		Payload:    loaded.Payload,
-		HasPayload: loaded.HasPayload,
-	}
+	eng.Resume = loaded
 	mat, err := eng.Run(family, domains)
 	if err != nil {
 		t.Fatalf("resume from (%d,%d) failed: %v", snap.NextTask, snap.NextRound, err)

@@ -10,6 +10,7 @@
 package transport_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -232,7 +233,9 @@ func requireSameMatrix(t *testing.T, label string, want, got [][]float64) {
 // contract: a worker materializing a ShardSpec must recover exactly the
 // shard the engine partitioned, for every slot of the partition — also
 // when the run's family is class-limited below the dataset's own class
-// count (experiments.ScaleSmoke keeps 6 of PACS's 7).
+// count (experiments.ScaleSmoke keeps 6 of PACS's 7). An In-between
+// client's two-shard job, built through a cold fl.Partitions, must equal
+// the merge of the engine's task-0 and task-1 shards.
 func TestShardSpecMaterializeMatchesPartition(t *testing.T) {
 	const (
 		seed     = int64(41)
@@ -250,19 +253,41 @@ func TestShardSpecMaterializeMatchesPartition(t *testing.T) {
 	if limited.Classes >= full.Classes {
 		t.Fatalf("smoke family keeps %d of %d classes — not class-limited", limited.Classes, full.Classes)
 	}
+	requireSame := func(what string, want, got *data.Dataset) {
+		t.Helper()
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: materialized %d examples, engine holds %d", what, got.Len(), want.Len())
+		}
+		for i := range want.Examples {
+			w, g := want.Examples[i], got.Examples[i]
+			if w.Y != g.Y || w.Task != g.Task {
+				t.Fatalf("%s example %d: label/task mismatch", what, i)
+			}
+			if !w.X.EqualBits(g.X) {
+				t.Fatalf("%s example %d: pixel data diverged", what, i)
+			}
+		}
+	}
 	for _, family := range []*data.Family{full, limited} {
-		train, _, err := family.Generate(family.Domains[task], 30, 10, fl.TaskSeed(seed, task))
-		if err != nil {
-			t.Fatal(err)
+		// engineShards splits a task's domain as the engine does: generate,
+		// partition, tag.
+		engineShards := func(task int) []*data.Dataset {
+			train, _, err := family.Generate(family.Domains[task], 30, 10, fl.TaskSeed(seed, task))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards, err := data.PartitionQuantityShift(train, learners, 0.5,
+				rand.New(rand.NewSource(fl.PartitionSeed(seed, task))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range shards {
+				sh.SetTask(task)
+			}
+			return shards
 		}
-		shards, err := data.PartitionQuantityShift(train, learners, 0.5,
-			rand.New(rand.NewSource(fl.PartitionSeed(seed, task))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx, want := range shards {
-			want.SetTask(task)
-			got, err := fl.ShardSpec{
+		spec := func(task, idx int) fl.ShardSpec {
+			return fl.ShardSpec{
 				Dataset:        family.Name,
 				Image:          family.Size,
 				Classes:        family.Classes,
@@ -275,23 +300,25 @@ func TestShardSpecMaterializeMatchesPartition(t *testing.T) {
 				Index:          idx,
 				Alpha:          0.5,
 				PartSeed:       fl.PartitionSeed(seed, task),
-			}.Materialize()
+			}
+		}
+		shards := engineShards(task)
+		for idx, want := range shards {
+			got, err := spec(task, idx).Materialize()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != want.Len() {
-				t.Fatalf("%d classes, shard %d: materialized %d examples, engine holds %d", family.Classes, idx, got.Len(), want.Len())
-			}
-			for i := range want.Examples {
-				w, g := want.Examples[i], got.Examples[i]
-				if w.Y != g.Y || w.Task != g.Task {
-					t.Fatalf("%d classes, shard %d example %d: label/task mismatch", family.Classes, idx, i)
-				}
-				if !w.X.AllClose(g.X, 0) {
-					t.Fatalf("%d classes, shard %d example %d: pixel data diverged", family.Classes, idx, i)
-				}
-			}
+			requireSame(fmt.Sprintf("%d classes, shard %d", family.Classes, idx), want, got)
 		}
+
+		var parts fl.Partitions
+		job, err := parts.Job(fl.JobSpec{ClientID: 1, Group: fl.GroupInBetween,
+			Shards: []fl.ShardSpec{spec(0, 0), spec(task, 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := data.Merge("", engineShards(0)[0], shards[1])
+		requireSame(fmt.Sprintf("%d classes, In-between job", family.Classes), want, job.Ctx.Data)
 	}
 }
 

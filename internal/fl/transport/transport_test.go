@@ -588,7 +588,8 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 // one the engine derives (generate, partition, tag); together the shards hold
 // each example tensor of one generation exactly once, and asking again hands
 // back the same tensors. An index outside the partition is an error on the
-// warm cache, not a panic.
+// warm cache, not a panic. (TestEngineTaskTagsMatchShards in package fl
+// counts the cached partitions.)
 func TestExecutorPartitionsEachTaskOnce(t *testing.T) {
 	const (
 		task     = 1
@@ -626,10 +627,11 @@ func TestExecutorPartitionsEachTaskOnce(t *testing.T) {
 	generated := map[*tensor.Tensor]bool{}
 	for idx, w := range want {
 		w.SetTask(task)
-		got, err := ex.dataset(job(idx))
+		gotJob, err := ex.parts.Job(job(idx))
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := gotJob.Ctx.Data
 		if got.Len() != w.Len() {
 			t.Fatalf("shard %d: %d examples, the engine's has %d", idx, got.Len(), w.Len())
 		}
@@ -642,22 +644,21 @@ func TestExecutorPartitionsEachTaskOnce(t *testing.T) {
 			}
 			generated[e.X] = true
 		}
-		again, err := ex.dataset(job(idx))
+		again, err := ex.parts.Job(job(idx))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, e := range again.Examples {
+		for i, e := range again.Ctx.Data.Examples {
 			if e.X != got.Examples[i].X {
 				t.Fatalf("shard %d example %d: asking again regenerated the tensor", idx, i)
 			}
 		}
 	}
-	if len(generated) != spec.TrainPerDomain || len(ex.partitions) != 1 {
-		t.Fatalf("%d example tensors in %d cached partitions, want the %d of one generation in one",
-			len(generated), len(ex.partitions), spec.TrainPerDomain)
+	if len(generated) != spec.TrainPerDomain {
+		t.Fatalf("%d example tensors, want the %d of one generation", len(generated), spec.TrainPerDomain)
 	}
 	for _, bad := range []int{-1, learners} {
-		if _, err := ex.dataset(job(bad)); err == nil {
+		if _, err := ex.parts.Job(job(bad)); err == nil {
 			t.Fatalf("index %d of a %d-way partition was accepted", bad, learners)
 		}
 	}

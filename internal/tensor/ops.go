@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -125,9 +124,6 @@ func Sub(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float6
 // Mul returns the elementwise product with broadcasting.
 func Mul(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float64 { return x * y }) }
 
-// Div returns the elementwise quotient with broadcasting.
-func Div(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float64 { return x / y }) }
-
 // ReduceTo sums t down to the given target shape, inverting a broadcast.
 // It is the gradient counterpart of broadcasting: summing over the axes that
 // were expanded. The target shape must be broadcastable to t's shape. When
@@ -222,21 +218,6 @@ func Apply(t *Tensor, f func(float64) float64) *Tensor {
 	}
 	return out
 }
-
-// Neg returns -t.
-func Neg(t *Tensor) *Tensor { return Scale(t, -1) }
-
-// Exp returns e^t elementwise.
-func Exp(t *Tensor) *Tensor { return Apply(t, math.Exp) }
-
-// Log returns the natural log elementwise.
-func Log(t *Tensor) *Tensor { return Apply(t, math.Log) }
-
-// Sqrt returns the square root elementwise.
-func Sqrt(t *Tensor) *Tensor { return Apply(t, math.Sqrt) }
-
-// Tanh returns tanh elementwise.
-func Tanh(t *Tensor) *Tensor { return Apply(t, math.Tanh) }
 
 // ReLU returns max(0, x) elementwise.
 func ReLU(t *Tensor) *Tensor {

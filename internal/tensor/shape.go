@@ -186,23 +186,6 @@ func NarrowAddInPlace(t *Tensor, axis, start int, src *Tensor) {
 	}
 }
 
-// Stack stacks equally shaped tensors along a new leading axis.
-func Stack(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Stack of no tensors")
-	}
-	shape := append([]int{len(ts)}, ts[0].shape...)
-	out := ArenaOf(ts...).Scratch(shape...)
-	n := ts[0].Size()
-	for i, t := range ts {
-		if !t.SameShape(ts[0]) {
-			panic(fmt.Sprintf("tensor: Stack shape mismatch %v vs %v", ts[0].shape, t.shape))
-		}
-		copy(out.data[i*n:(i+1)*n], t.data)
-	}
-	return out
-}
-
 // Row returns a copy of row i of a 2-D tensor as a 1-D tensor.
 func Row(t *Tensor, i int) *Tensor {
 	if t.NDim() != 2 {

@@ -113,9 +113,6 @@ func TestSubDiv(t *testing.T) {
 	if got := Sub(a, b); !got.AllClose(FromSlice([]float64{2, 6}, 2), 0) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Div(a, b); !got.AllClose(FromSlice([]float64{2, 3}, 2), 0) {
-		t.Fatalf("Div = %v", got)
-	}
 }
 
 func TestReduceToInvertsBroadcast(t *testing.T) {
@@ -251,16 +248,6 @@ func TestNarrowAddInPlace(t *testing.T) {
 	want := FromSlice([]float64{0, 1, 1, 0, 0, 1, 1, 0}, 2, 4)
 	if !dst.AllClose(want, 0) {
 		t.Fatalf("NarrowAddInPlace = %v, want %v", dst, want)
-	}
-}
-
-func TestStack(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{3, 4}, 2)
-	got := Stack(a, b)
-	want := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	if !got.AllClose(want, 0) {
-		t.Fatalf("Stack = %v, want %v", got, want)
 	}
 }
 
