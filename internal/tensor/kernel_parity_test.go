@@ -8,34 +8,123 @@ import (
 )
 
 // The tests in this file pin the repo's kernel determinism contract: every
-// matmul kernel must be bit-for-bit identical to a serial reference loop at
-// any worker count — fanning rows or batch elements out reorders which
-// independent elements are computed when, never how any one element
-// accumulates over the shared dimension p.
+// matmul kernel must be bit-for-bit identical to a naive triple loop at any
+// worker count. Tiling the output or fanning rows or batch elements out
+// reorders which independent elements are computed when, never how any one
+// element accumulates over the shared dimension p.
 
-// randOperand draws a (rows, cols) matrix with exact zeros sprinkled in so
-// the kernels' av == 0 skip path is exercised by every comparison.
-func randOperand(rng *rand.Rand, rows, cols int) *Tensor {
-	t := RandN(rng, 1, rows, cols)
-	d := t.Data()
-	for i := 0; i < len(d); i += 7 {
-		d[i] = 0
+// kernelShapes are (m,k,n) for an (m,k)·(k,n) product: the census shapes
+// the paper model runs (censusShapes, matmul_bench_test.go) and the tile's
+// ragged edges: m = 1 and odd m (a 1-row tail), n ∈ {1,3,5} and n % 4 ≠ 0
+// (a 1-column tail), k = 1, and widths of a few hundred columns.
+var kernelShapes = append([]shape{
+	{1, 1, 1},
+	{1, 7, 5},
+	{1, 13, 9},
+	{2, 3, 1},
+	{3, 1, 4},
+	{3, 5, 7},
+	{5, 1, 3},
+	{5, 6, 5},
+	{4, 9, 129},
+	{5, 21, 165},
+	{2, 16, 256},
+	{7, 11, 309},
+	{17, 33, 128},
+}, censusShapes...)
+
+// operands draws a logical A (m,k) and B (k,n), row-major, with values that
+// exercise every branch of the kernels' per-(i,p) chain:
+//   - exact zeros every 7th element of A and B (the zero-skip);
+//   - −0 in A and in B;
+//   - when m ≥ 2 and k ≥ 2, A(0,1) is zero while A(1,1) is not: a zero in only
+//     one row of a tile's row pair;
+//   - when k ≥ 2, A's column 0 is zero on every row, and B's row 0 holds +Inf,
+//     −Inf and NaN. The zero-skipping kernels must leave every output finite;
+//     MatMulT2, which skips nothing, turns those columns into NaN, exactly as
+//     its reference does.
+func operands(rng *rand.Rand, m, k, n int) (a, b []float64) {
+	a, b = RandN(rng, 1, m, k).Data(), RandN(rng, 1, k, n).Data()
+	for i := 0; i < len(a); i += 7 {
+		a[i] = 0
+	}
+	for i := 3; i < len(b); i += 7 {
+		b[i] = 0
+	}
+	for i := 5; i < len(a); i += 11 {
+		a[i] = math.Copysign(0, -1)
+	}
+	for i := 2; i < len(b); i += 11 {
+		b[i] = math.Copysign(0, -1)
+	}
+	if k < 2 {
+		return a, b
+	}
+	if m >= 2 {
+		a[1], a[k+1] = 0, 1.5
+	}
+	for i := 0; i < m; i++ {
+		a[i*k] = 0
+	}
+	b[0], b[n/2], b[n-1] = math.Inf(1), math.Inf(-1), math.NaN()
+	return a, b
+}
+
+// reference is the definition every kernel is held to: element (i,j) of
+// A(m,k)·B(k,n) starts at init[i*n+j] and adds A(i,p)·B(p,j) over ascending
+// p, skipping p where A(i,p) is exactly zero when skip is set.
+func reference(init, a, b []float64, m, k, n int, skip bool) []float64 {
+	c := make([]float64, m*n)
+	copy(c, init)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c[i*n+j]
+			for p := 0; p < k; p++ {
+				if skip && a[i*k+p] == 0 {
+					continue
+				}
+				s += a[i*k+p] * b[p*n+j]
+			}
+			c[i*n+j] = s
+		}
+	}
+	return c
+}
+
+// transposed returns the (cols,rows) row-major transpose of a (rows,cols)
+// row-major matrix.
+func transposed(x []float64, rows, cols int) []float64 {
+	t := make([]float64, len(x))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			t[c*rows+r] = x[r*cols+c]
+		}
 	}
 	return t
 }
 
 // requireBitIdentical fails unless got and want hold exactly the same bit
 // patterns ("==" would conflate -0.0 with +0.0 and miss NaN payloads).
-func requireBitIdentical(t *testing.T, name string, got, want *Tensor) {
+func requireBitIdentical(t *testing.T, name string, got, want []float64) {
 	t.Helper()
-	g, w := got.Data(), want.Data()
-	if len(g) != len(w) {
-		t.Fatalf("%s: size mismatch: got %d elements, want %d", name, len(g), len(w))
+	if len(got) != len(want) {
+		t.Fatalf("%s: size mismatch: got %d elements, want %d", name, len(got), len(want))
 	}
-	for i := range g {
-		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: element %d differs bitwise: got %v (%#x), want %v (%#x)",
-				name, i, g[i], math.Float64bits(g[i]), w[i], math.Float64bits(w[i]))
+				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// requireFinite fails if any element is ±Inf or NaN: a zero-skipping kernel
+// fed operands() must never add the non-finite B values under A's zeros.
+func requireFinite(t *testing.T, name string, got []float64) {
+	t.Helper()
+	for i, v := range got {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("%s: element %d is %v: a skipped product was added", name, i, v)
 		}
 	}
 }
@@ -44,36 +133,39 @@ func requireBitIdentical(t *testing.T, name string, got, want *Tensor) {
 // is the Workers=1 configuration: internal/parallel caps each For call at
 // the live GOMAXPROCS) and once at the machine's full width, and hands both
 // results to check.
-func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, got *Tensor)) {
+func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, got []float64)) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	serial := f()
 	runtime.GOMAXPROCS(prev)
-	check("workers=1", serial)
-	check("workers=max", f())
-}
-
-// kernelShapes range from a single element to widths of a few hundred
-// columns, with odd and ragged sizes on every axis.
-var kernelShapes = []struct{ m, k, n int }{
-	{1, 1, 1},
-	{3, 5, 7},
-	{17, 33, 128},
-	{4, 9, 129},
-	{5, 21, 165},
-	{2, 16, 256},
-	{7, 11, 309},
+	check("workers=1", serial.Data())
+	check("workers=max", f().Data())
 }
 
 func TestMatMulBlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, s := range kernelShapes {
-		a := randOperand(rng, s.m, s.k)
-		b := randOperand(rng, s.k, s.n)
-		want := New(s.m, s.n)
-		matmulRows(want.data, a.data, b.data, 0, s.m, s.k, s.n)
-		serialAndParallel(t, func() *Tensor { return MatMul(a, b) }, func(name string, got *Tensor) {
+		a, b := operands(rng, s.m, s.k, s.n)
+		at, bt := FromSlice(a, s.m, s.k), FromSlice(b, s.k, s.n)
+		want := reference(nil, a, b, s.m, s.k, s.n, true)
+		serialAndParallel(t, func() *Tensor { return MatMul(at, bt) }, func(name string, got []float64) {
 			requireBitIdentical(t, name, got, want)
+			requireFinite(t, name, got)
+		})
+
+		// MatMulInto adds into out: each chain starts at out's value, −0
+		// included (−0 + +0 is +0, so a chain that started at 0 would differ).
+		init := RandN(rng, 1, s.m, s.n).Data()
+		for i := 1; i < len(init); i += 5 {
+			init[i] = math.Copysign(0, -1)
+		}
+		want = reference(init, a, b, s.m, s.k, s.n, true)
+		serialAndParallel(t, func() *Tensor {
+			out := FromSlice(append([]float64(nil), init...), s.m, s.n)
+			MatMulInto(out, at, bt)
+			return out
+		}, func(name string, got []float64) {
+			requireBitIdentical(t, "MatMulInto "+name, got, want)
 		})
 	}
 }
@@ -81,25 +173,12 @@ func TestMatMulBlockedMatchesSerial(t *testing.T) {
 func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range kernelShapes {
-		a := randOperand(rng, s.k, s.m)
-		b := randOperand(rng, s.k, s.n)
-		want := New(s.m, s.n)
-		for p := 0; p < s.k; p++ {
-			ap := a.data[p*s.m : (p+1)*s.m]
-			bp := b.data[p*s.n : (p+1)*s.n]
-			for i := 0; i < s.m; i++ {
-				av := ap[i]
-				if av == 0 {
-					continue
-				}
-				ci := want.data[i*s.n : (i+1)*s.n]
-				for j := range bp {
-					ci[j] += av * bp[j]
-				}
-			}
-		}
-		serialAndParallel(t, func() *Tensor { return MatMulT1(a, b) }, func(name string, got *Tensor) {
+		a, b := operands(rng, s.m, s.k, s.n)
+		at, bt := FromSlice(transposed(a, s.m, s.k), s.k, s.m), FromSlice(b, s.k, s.n)
+		want := reference(nil, a, b, s.m, s.k, s.n, true)
+		serialAndParallel(t, func() *Tensor { return MatMulT1(at, bt) }, func(name string, got []float64) {
 			requireBitIdentical(t, name, got, want)
+			requireFinite(t, name, got)
 		})
 	}
 }
@@ -107,21 +186,10 @@ func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
 func TestMatMulT2BlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, s := range kernelShapes {
-		a := randOperand(rng, s.m, s.k)
-		b := randOperand(rng, s.n, s.k)
-		want := New(s.m, s.n)
-		for i := 0; i < s.m; i++ {
-			ai := a.data[i*s.k : (i+1)*s.k]
-			for j := 0; j < s.n; j++ {
-				bj := b.data[j*s.k : (j+1)*s.k]
-				sum := 0.0
-				for p := range ai {
-					sum += ai[p] * bj[p]
-				}
-				want.data[i*s.n+j] = sum
-			}
-		}
-		serialAndParallel(t, func() *Tensor { return MatMulT2(a, b) }, func(name string, got *Tensor) {
+		a, b := operands(rng, s.m, s.k, s.n)
+		at, bt := FromSlice(a, s.m, s.k), FromSlice(transposed(b, s.k, s.n), s.n, s.k)
+		want := reference(nil, a, b, s.m, s.k, s.n, false)
+		serialAndParallel(t, func() *Tensor { return MatMulT2(at, bt) }, func(name string, got []float64) {
 			requireBitIdentical(t, name, got, want)
 		})
 	}
@@ -131,14 +199,16 @@ func TestBatchMatMulBlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, s := range kernelShapes {
 		const bs = 3
-		a := randOperand(rng, bs*s.m, s.k).Reshape(bs, s.m, s.k)
-		b := randOperand(rng, bs*s.k, s.n).Reshape(bs, s.k, s.n)
-		want := New(bs, s.m, s.n)
-		for i := 0; i < bs; i++ {
-			matmulRows(want.data[i*s.m*s.n:(i+1)*s.m*s.n], a.data[i*s.m*s.k:(i+1)*s.m*s.k], b.data[i*s.k*s.n:(i+1)*s.k*s.n], 0, s.m, s.k, s.n)
+		var a, b, want []float64
+		for e := 0; e < bs; e++ {
+			ae, be := operands(rng, s.m, s.k, s.n)
+			a, b = append(a, ae...), append(b, be...)
+			want = append(want, reference(nil, ae, be, s.m, s.k, s.n, true)...)
 		}
-		serialAndParallel(t, func() *Tensor { return BatchMatMul(a, b) }, func(name string, got *Tensor) {
+		at, bt := FromSlice(a, bs, s.m, s.k), FromSlice(b, bs, s.k, s.n)
+		serialAndParallel(t, func() *Tensor { return BatchMatMul(at, bt) }, func(name string, got []float64) {
 			requireBitIdentical(t, name, got, want)
+			requireFinite(t, name, got)
 		})
 	}
 }

@@ -36,39 +36,98 @@ func MatMulInto(out, a, b *Tensor) {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		matmulRows(out.data, a.data, b.data, lo, hi, k, n)
+		matmulRows(out.data, a.data, b.data, lo, hi, k, n, k, 1)
 	})
 }
 
-// matmulRows computes rows [lo,hi) of C = A(m,k) * B(k,n) into c, which must
-// be zeroed. The loop order (i,p,j) streams B rows sequentially, which is
-// the cache friendly order for row-major storage. Each output row depends
-// only on its own A row and all of B, so disjoint row ranges are safe to
-// compute concurrently and the per-element accumulation order is identical
-// at any chunking.
-func matmulRows(c, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-			if av == 0 {
-				continue
+// matmulRows (MatMul, MatMulInto, BatchMatMul, MatMulT1) and matmulT2Rows
+// (MatMulT2) share one loop nest: a register tile of 2 output rows × 4
+// output columns held in locals across the whole shared dimension p. The
+// tile's 8 sums are independent chains, so they overlap instead of each
+// waiting on the last add, and an output is loaded and stored once rather
+// than once per p. An odd last row runs a 1×4 tile and the n%4 columns left
+// over run one element at a time, each the same chain. Only the loop nest
+// around the chains is chosen for speed: every output element still sees the
+// same operations in the same order (ascending p), so results are
+// bit-identical at any tile edge and any parallel.For chunking.
+
+// nonzero is the zero-skip test of MatMul and MatMulT1: a product whose A
+// operand is ±0 is not added, which also keeps an Inf or NaN in B under a
+// zero in A out of the sum.
+func nonzero(v float64) bool {
+	//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
+	return v != 0
+}
+
+// matmulRows adds rows [lo,hi) of A·B into c, an (m,n) row-major matrix. B is
+// (k,n) row-major; A's element (i,p) is a[i*ri+p*rp], so ri=k, rp=1 reads a
+// row-major (m,k) A and ri=1, rp=m reads the (k,m) A of MatMulT1. Element
+// (i,j) is the chain c(i,j) += A(i,p)·B(p,j) over ascending p, skipping each
+// p where A(i,p) is zero. Rows are independent, so disjoint row ranges are
+// safe to compute concurrently.
+func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			c0, c1 := c[i*n+j:i*n+j+4], c[(i+1)*n+j:(i+1)*n+j+4]
+			c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
+			c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
+			ia, ib := i*ri, j
+			for end := ia + k*rp; ia != end; ia += rp {
+				bp := b[ib : ib+4 : ib+4]
+				if a0 := a[ia]; nonzero(a0) {
+					c00 += a0 * bp[0]
+					c01 += a0 * bp[1]
+					c02 += a0 * bp[2]
+					c03 += a0 * bp[3]
+				}
+				if a1 := a[ia+ri]; nonzero(a1) {
+					c10 += a1 * bp[0]
+					c11 += a1 * bp[1]
+					c12 += a1 * bp[2]
+					c13 += a1 * bp[3]
+				}
+				ib += n
 			}
-			bp := b[p*n : (p+1)*n]
-			for j := range bp {
-				ci[j] += av * bp[j]
+			c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+			c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
+		}
+		if i < hi {
+			ci := c[i*n+j : i*n+j+4]
+			c0, c1, c2, c3 := ci[0], ci[1], ci[2], ci[3]
+			ia, ib := i*ri, j
+			for end := ia + k*rp; ia != end; ia += rp {
+				if av := a[ia]; nonzero(av) {
+					bp := b[ib : ib+4 : ib+4]
+					c0 += av * bp[0]
+					c1 += av * bp[1]
+					c2 += av * bp[2]
+					c3 += av * bp[3]
+				}
+				ib += n
 			}
+			ci[0], ci[1], ci[2], ci[3] = c0, c1, c2, c3
+		}
+	}
+	for ; j < n; j++ {
+		for i := lo; i < hi; i++ {
+			s := c[i*n+j]
+			ia, ib := i*ri, j
+			for end := ia + k*rp; ia != end; ia += rp {
+				if av := a[ia]; nonzero(av) {
+					s += av * b[ib]
+				}
+				ib += n
+			}
+			c[i*n+j] = s
 		}
 	}
 }
 
 // MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n) without
-// materializing the transpose. Output rows are partitioned across workers;
-// the shared-dimension loop stays outermost so A and B rows stream
-// sequentially, and each element accumulates over ascending p exactly as
-// the serial kernel does.
+// materializing the transpose: matmulRows reads A down its columns. Output
+// rows are partitioned across workers.
 func MatMulT1(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT1 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -80,28 +139,15 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	}
 	out := ArenaOf(a, b).New(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for p := 0; p < k; p++ {
-			ap := a.data[p*m : (p+1)*m]
-			bp := b.data[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := ap[i]
-				//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-				if av == 0 {
-					continue
-				}
-				ci := out.data[i*n : (i+1)*n]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
-			}
-		}
+		matmulRows(out.data, a.data, b.data, lo, hi, k, n, 1, m)
 	})
 	return out
 }
 
 // MatMulT2 computes a·bᵀ for a (m,k) and b (n,k) -> (m,n) without
-// materializing the transpose: each element is one uninterrupted dot
-// product over p.
+// materializing the transpose. Element (i,j) is the dot product of row i of
+// a and row j of b: a sum that starts at 0 and adds every product over
+// ascending p, with no zero-skip. Output rows are partitioned across workers.
 func MatMulT2(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -113,26 +159,71 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	}
 	out := ArenaOf(a, b).Scratch(m, n) // every element is assigned below
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.data[i*k : (i+1)*k]
-			ci := out.data[i*n : (i+1)*n]
-			for j := range ci {
-				bj := b.data[j*k : (j+1)*k]
-				s := 0.0
-				for p := range ai {
-					s += ai[p] * bj[p]
-				}
-				ci[j] = s
-			}
-		}
+		matmulT2Rows(out.data, a.data, b.data, lo, hi, k, n)
 	})
 	return out
 }
 
+// matmulT2Rows assigns rows [lo,hi) of a·bᵀ into c (m,n) for a (m,k) and
+// b (n,k), tiled like matmulRows. Both operands are read along their rows,
+// so every chain streams contiguous memory.
+func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b0 := b[j*k : (j+1)*k]
+		b1 := b[(j+1)*k : (j+2)*k]
+		b2 := b[(j+2)*k : (j+3)*k]
+		b3 := b[(j+3)*k : (j+4)*k]
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			a0 := a[i*k : (i+1)*k]
+			a1 := a[(i+1)*k : (i+2)*k]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
+			}
+			c0, c1 := c[i*n+j:i*n+j+4], c[(i+1)*n+j:(i+1)*n+j+4]
+			c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
+			c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
+		}
+		if i < hi {
+			ai := a[i*k : (i+1)*k]
+			var s0, s1, s2, s3 float64
+			for p, x := range ai {
+				s0 += x * b0[p]
+				s1 += x * b1[p]
+				s2 += x * b2[p]
+				s3 += x * b3[p]
+			}
+			ci := c[i*n+j : i*n+j+4]
+			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
+		}
+	}
+	for ; j < n; j++ {
+		bj := b[j*k : (j+1)*k]
+		for i := lo; i < hi; i++ {
+			s := 0.0
+			for p, x := range a[i*k : (i+1)*k] {
+				s += x * bj[p]
+			}
+			c[i*n+j] = s
+		}
+	}
+}
+
 // BatchMatMul multiplies two 3-D tensors batch-wise:
 // (B,m,k) x (B,k,n) -> (B,m,n). Batch elements are independent, so the
-// batch axis is the parallel axis and each element runs the serial row
-// kernel.
+// batch axis is the parallel axis and each element runs matmulRows over all
+// of its rows.
 func BatchMatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 3 || b.NDim() != 3 {
 		panic(fmt.Sprintf("tensor: BatchMatMul needs 3-D operands, got %v and %v", a.shape, b.shape))
@@ -148,7 +239,7 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 	out := ArenaOf(a, b).New(bs, m, n)
 	parallel.For(bs, parallel.GrainForCost(2*m*k*n, minChunkOps), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
+			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1)
 		}
 	})
 	return out
