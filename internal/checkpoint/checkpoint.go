@@ -23,22 +23,23 @@ import (
 // version.
 var magic = [8]byte{'R', 'F', 'L', 'C', 'K', 'P', 'T', '1'}
 
+// Bounds on one tensor entry, shared by this format and the wire's packed
+// deltas: a corrupt or hostile header must never trigger a huge allocation.
 const (
-	// maxNameLen bounds serialized tensor names.
-	maxNameLen = 4096
-	// maxDims bounds tensor rank.
-	maxDims = 16
-	// maxElems bounds a single tensor's element count (4M elems = 32 MiB),
-	// protecting Load against corrupt or hostile headers: a flipped dim
-	// byte must never trigger a multi-gigabyte allocation.
-	maxElems = 1 << 22
+	// MaxNameLen bounds serialized tensor names.
+	MaxNameLen = 4096
+	// MaxDims bounds tensor rank.
+	MaxDims = 16
+	// MaxElems bounds a single tensor's element count (4M elems = 32 MiB):
+	// a flipped dim byte must never trigger a multi-gigabyte allocation.
+	MaxElems = 1 << 22
 )
 
 // chunkBytes sizes the scratch buffer every encode or decode call stages its
 // header fields and tensor data through: a tensor moves in chunks of
 // chunkBytes/8 elements, never one element per I/O call. A name is the
 // largest header field, so the buffer is exactly that long.
-const chunkBytes = maxNameLen
+const chunkBytes = MaxNameLen
 
 // writer and reader are what the format needs of a stream; *bufio.Writer and
 // *bytes.Buffer, *bufio.Reader and *bytes.Reader provide them.
@@ -139,13 +140,13 @@ func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
 		return fmt.Errorf("checkpoint: writing count: %w", err)
 	}
 	for _, name := range names {
-		if len(name) == 0 || len(name) > maxNameLen {
+		if len(name) == 0 || len(name) > MaxNameLen {
 			return fmt.Errorf("checkpoint: invalid tensor name length %d", len(name))
 		}
 		t := dict[name]
 		rank := t.NDim()
-		if rank > maxDims {
-			return fmt.Errorf("checkpoint: tensor %q has rank %d > %d", name, rank, maxDims)
+		if rank > MaxDims {
+			return fmt.Errorf("checkpoint: tensor %q has rank %d > %d", name, rank, MaxDims)
 		}
 		binary.LittleEndian.PutUint16(scratch, uint16(len(name)))
 		if _, err := w.Write(scratch[:2]); err != nil {
@@ -222,7 +223,7 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 			return nil, fmt.Errorf("checkpoint: entry %d name length: %w", i, err)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(scratch))
-		if nameLen == 0 || nameLen > maxNameLen {
+		if nameLen == 0 || nameLen > MaxNameLen {
 			return nil, fmt.Errorf("checkpoint: entry %d has invalid name length %d", i, nameLen)
 		}
 		if _, err := io.ReadFull(r, scratch[:nameLen]); err != nil {
@@ -239,8 +240,8 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %q rank: %w", name, err)
 		}
-		if int(ndim) > maxDims {
-			return nil, fmt.Errorf("checkpoint: entry %q has rank %d > %d", name, ndim, maxDims)
+		if int(ndim) > MaxDims {
+			return nil, fmt.Errorf("checkpoint: entry %q has rank %d > %d", name, ndim, MaxDims)
 		}
 		if _, err := io.ReadFull(r, scratch[:8*int(ndim)]); err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %q dims: %w", name, err)
@@ -249,12 +250,12 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 		elems := 1
 		for d := range shape {
 			dim := int64(binary.LittleEndian.Uint64(scratch[8*d:]))
-			if dim < 0 || dim > maxElems {
+			if dim < 0 || dim > MaxElems {
 				return nil, fmt.Errorf("checkpoint: entry %q has invalid dim %d", name, dim)
 			}
 			shape[d] = int(dim)
 			elems *= int(dim)
-			if elems > maxElems {
+			if elems > MaxElems {
 				return nil, fmt.Errorf("checkpoint: entry %q exceeds element budget", name)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // FuzzUnmarshal holds the parser to three properties on arbitrary bytes: it
 // never panics; it allocates no more than the header bounds allow — one
-// tensor of at most maxElems elements whose data turns out to be missing,
+// tensor of at most MaxElems elements whose data turns out to be missing,
 // beyond memory proportional to the input; and whatever it accepts is the
 // canonical encoding, so re-encoding the decoded dict gives the input back
 // byte for byte. The seed corpus (the golden bytes, and under
@@ -36,7 +37,7 @@ func FuzzUnmarshal(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		dict, err := Unmarshal(b)
 		runtime.ReadMemStats(&after)
-		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*maxElems+64*len(b)+1<<20); got > bound {
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*MaxElems+64*len(b)+1<<20); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), got, bound)
 		}
 		if err != nil {
@@ -54,43 +55,46 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzLoadRunState holds the run-state parser to FuzzUnmarshal's three
 // properties: it never panics; it allocates no more than the header bounds
-// allow — one global tensor of at most maxElems elements whose data turns
+// allow — one global tensor of at most MaxElems elements whose data turns
 // out to be missing, beyond memory proportional to the input; and whatever
-// it accepts is canonical, so SaveRunState writes it back byte for byte. The
-// seeds are a valid snapshot, the snapshot cut short, one whose dataset name
-// is a byte past maxNameLen, one with a byte appended, and a header that
-// declares a maxPayload-byte payload and ends; under testdata/fuzz is the
-// input that once made the parser allocate a declared payload up front and
-// accept a payload flag other than 0 or 1.
+// it accepts is canonical, so SaveRunState writes it back byte for byte.
+// Each input is a snapshot without its checksum trailer, and the fuzz
+// function appends the right one: otherwise nearly every mutation would die
+// at the checksum and the parser behind it would go unfuzzed. The seeds are
+// a valid snapshot, the snapshot cut short, one whose dataset name is a byte
+// past MaxNameLen, one with a byte appended, and a header that declares a
+// maxPayload-byte payload and ends; under testdata/fuzz is an RFLRUN02
+// input, once the one that made that format's parser allocate a declared
+// payload up front and accept a payload flag other than 0 or 1, which must
+// now fail at its magic.
 func FuzzLoadRunState(f *testing.F) {
 	var snapshot bytes.Buffer
 	if err := SaveRunState(&snapshot, sampleRunState(rand.New(rand.NewSource(18)))); err != nil {
 		f.Fatal(err)
 	}
-	valid := snapshot.Bytes()
+	valid := snapshot.Bytes()[:snapshot.Len()-crc32.Size]
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	oversized := append([]byte(nil), runMagic[:]...)
-	oversized = binary.LittleEndian.AppendUint16(oversized, 1)
-	oversized = append(oversized, 'm')
-	oversized = binary.LittleEndian.AppendUint16(oversized, maxNameLen+1)
-	oversized = append(oversized, bytes.Repeat([]byte("x"), maxNameLen+1)...)
+	oversized = append(oversized, 1, 'm')
+	oversized = binary.AppendUvarint(oversized, MaxNameLen+1)
+	oversized = append(oversized, bytes.Repeat([]byte("x"), MaxNameLen+1)...)
 	f.Add(oversized)
 	f.Add(append(append([]byte(nil), valid...), 0))
-	// Method "m", no dataset or scale, seed, position, no matrix rows, then
-	// a payload flag and a payload length of maxPayload with no bytes behind.
+	// Method "m", no dataset or scale, seed 0, position (0, 0), no matrix
+	// rows, then a payload flag and a payload length of maxPayload with no
+	// bytes behind.
 	missing := append([]byte(nil), runMagic[:]...)
-	missing = append(missing, 1, 0, 'm', 0, 0, 0, 0)
-	missing = append(missing, make([]byte, 8+4+4+4)...)
-	missing = append(missing, 1)
-	missing = binary.LittleEndian.AppendUint32(missing, maxPayload)
+	missing = append(missing, 1, 'm', 0, 0, 0, 0, 0, 0, 1)
+	missing = binary.AppendUvarint(missing, maxPayload)
 	f.Add(missing)
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := sealed(body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rs, err := LoadRunState(bytes.NewReader(b))
 		runtime.ReadMemStats(&after)
-		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*maxElems+64*len(b)+1<<20); got > bound {
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*MaxElems+64*len(b)+1<<20); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), got, bound)
 		}
 		if err != nil {
@@ -104,4 +108,9 @@ func FuzzLoadRunState(f *testing.F) {
 			t.Fatalf("accepted input is not canonical:\n in %x\nout %x", b, re.Bytes())
 		}
 	})
+}
+
+// sealed returns body followed by its run-state checksum trailer.
+func sealed(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
 }

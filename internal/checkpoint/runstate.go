@@ -2,18 +2,25 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
+	"reffil/internal/binfmt"
 	"reffil/internal/tensor"
 )
 
 // runMagic identifies run-state checkpoint files (coordinator resume); the
 // trailing digits are the format version. Version 02 added the dataset and
-// scale to the header.
-var runMagic = [8]byte{'R', 'F', 'L', 'R', 'U', 'N', '0', '2'}
+// scale to the header; version 03 moved the header onto binfmt fields and
+// added the checksum trailer.
+var runMagic = [8]byte{'R', 'F', 'L', 'R', 'U', 'N', '0', '3'}
+
+// castagnoli is the CRC-32C table of the run-state trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	// maxTasks bounds the serialized accuracy matrix.
@@ -59,188 +66,114 @@ type RunState struct {
 }
 
 // SaveRunState writes a resumable run snapshot to w. The layout is the
-// header (magic; method, dataset and scale, each a uint16 length and its
-// bytes; seed, position, matrix, payload) followed by the global state dict
-// in the standard checkpoint format.
+// magic; the header in binfmt fields — method, dataset and scale (strings
+// of at most MaxNameLen bytes), seed, resume task and round, the matrix
+// (a row count, then per row a cell count and its float64s), the payload
+// flag and the payload; the global state dict in the standard checkpoint
+// format; and a trailer, the CRC-32C (Castagnoli) of every byte before it,
+// big endian.
 func SaveRunState(w io.Writer, rs *RunState) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(runMagic[:]); err != nil {
-		return fmt.Errorf("checkpoint: writing run header: %w", err)
-	}
-	if len(rs.Method) == 0 {
+	if rs.Method == "" {
 		return fmt.Errorf("checkpoint: empty run method")
-	}
-	for _, f := range runNames(rs) {
-		if len(*f.v) > maxNameLen {
-			return fmt.Errorf("checkpoint: run %s of %d bytes exceeds %d", f.what, len(*f.v), maxNameLen)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(*f.v))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(*f.v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, rs.Seed); err != nil {
-		return err
 	}
 	if rs.NextTask < 0 || rs.NextTask > maxTasks || rs.NextRound < 0 || rs.NextRound > maxTasks {
 		return fmt.Errorf("checkpoint: invalid resume position task %d round %d", rs.NextTask, rs.NextRound)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(rs.NextTask)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(rs.NextRound)); err != nil {
-		return err
-	}
-	if len(rs.Matrix) > maxTasks {
-		return fmt.Errorf("checkpoint: matrix with %d rows exceeds %d", len(rs.Matrix), maxTasks)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(rs.Matrix))); err != nil {
-		return err
-	}
-	scratch := make([]byte, chunkBytes)
-	for _, row := range rs.Matrix {
-		if len(row) > maxTasks {
-			return fmt.Errorf("checkpoint: matrix row with %d cells exceeds %d", len(row), maxTasks)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(row))); err != nil {
-			return err
-		}
-		if err := writeFloats(bw, scratch, row); err != nil {
-			return err
-		}
-	}
-	hasPayload := byte(0)
-	if rs.HasPayload {
-		hasPayload = 1
-	}
-	if err := bw.WriteByte(hasPayload); err != nil {
-		return err
-	}
 	if len(rs.Payload) > maxPayload {
 		return fmt.Errorf("checkpoint: payload of %d bytes exceeds %d", len(rs.Payload), maxPayload)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(rs.Payload))); err != nil {
-		return err
+	hw := binfmt.Writer{Buf: append([]byte(nil), runMagic[:]...)}
+	hw.String(rs.Method, MaxNameLen)
+	hw.String(rs.Dataset, MaxNameLen)
+	hw.String(rs.Scale, MaxNameLen)
+	hw.Varint(rs.Seed)
+	hw.Uvarint(uint64(rs.NextTask))
+	hw.Uvarint(uint64(rs.NextRound))
+	hw.Count(len(rs.Matrix), maxTasks)
+	for _, row := range rs.Matrix {
+		hw.Count(len(row), maxTasks)
+		for _, v := range row {
+			hw.F64(v)
+		}
+	}
+	hw.Flag(rs.HasPayload)
+	// The payload's bytes follow from the caller's slice, not a copy.
+	hw.Uvarint(uint64(len(rs.Payload)))
+	if err := hw.Err(); err != nil {
+		return fmt.Errorf("checkpoint: run state: %w", err)
+	}
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
+	if _, err := bw.Write(hw.Buf); err != nil {
+		return fmt.Errorf("checkpoint: writing run header: %w", err)
 	}
 	if _, err := bw.Write(rs.Payload); err != nil {
-		return err
+		return fmt.Errorf("checkpoint: writing run payload: %w", err)
 	}
-	if err := Save(bw, rs.Global); err != nil {
+	if err := save(bw, rs.Global, sortedNames(rs.Global)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flushing run state: %w", err)
+		return fmt.Errorf("checkpoint: writing run state: %w", err)
+	}
+	if _, err := w.Write(sum.Sum(nil)); err != nil {
+		return fmt.Errorf("checkpoint: writing run state checksum: %w", err)
 	}
 	return nil
 }
 
-// LoadRunState reads a resumable run snapshot from r to its end, validating
-// every size field before allocating. The global state dict is the last
-// field, read by Load, so bytes after it are an error.
+// LoadRunState reads a resumable run snapshot from r to its end. It checks
+// the magic and then the checksum before it decodes anything, and every
+// size field before it allocates; bytes after the global dict are an error.
 func LoadRunState(r io.Reader) (*RunState, error) {
-	br := bufio.NewReader(r)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading run header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: reading run state: %w", err)
 	}
-	if got != runMagic {
+	if len(b) < len(runMagic)+crc32.Size {
+		return nil, fmt.Errorf("checkpoint: run state of %d bytes is shorter than its header", len(b))
+	}
+	if got := [8]byte(b); got != runMagic {
 		return nil, fmt.Errorf("checkpoint: bad run-state magic %q (not a run checkpoint, or unsupported version)", got)
 	}
-	rs := &RunState{}
-	for _, f := range runNames(rs) {
-		var n uint16
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("checkpoint: run %s length: %w", f.what, err)
-		}
-		if int(n) > maxNameLen {
-			return nil, fmt.Errorf("checkpoint: run %s of %d bytes exceeds %d", f.what, n, maxNameLen)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("checkpoint: run %s: %w", f.what, err)
-		}
-		*f.v = string(buf)
+	body, trailer := b[:len(b)-crc32.Size], b[len(b)-crc32.Size:]
+	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(trailer); got != want {
+		return nil, fmt.Errorf("checkpoint: run state checksum %08x, trailer says %08x", got, want)
 	}
-	if rs.Method == "" {
-		return nil, fmt.Errorf("checkpoint: empty run method")
+	d := binfmt.NewReader(body[len(runMagic):])
+	rs := &RunState{
+		Method:  d.String(MaxNameLen),
+		Dataset: d.String(MaxNameLen),
+		Scale:   d.String(MaxNameLen),
+		Seed:    d.Varint(),
 	}
-	if err := binary.Read(br, binary.LittleEndian, &rs.Seed); err != nil {
-		return nil, fmt.Errorf("checkpoint: run seed: %w", err)
+	if task, round := d.Uvarint(), d.Uvarint(); task > maxTasks || round > maxTasks {
+		d.Fail("invalid resume position task %d round %d", task, round)
+	} else {
+		rs.NextTask, rs.NextRound = int(task), int(round)
 	}
-	var nextTask, nextRound uint32
-	if err := binary.Read(br, binary.LittleEndian, &nextTask); err != nil {
-		return nil, fmt.Errorf("checkpoint: resume task: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nextRound); err != nil {
-		return nil, fmt.Errorf("checkpoint: resume round: %w", err)
-	}
-	if nextTask > maxTasks || nextRound > maxTasks {
-		return nil, fmt.Errorf("checkpoint: invalid resume position task %d round %d", nextTask, nextRound)
-	}
-	rs.NextTask, rs.NextRound = int(nextTask), int(nextRound)
-	var rows uint32
-	if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-		return nil, fmt.Errorf("checkpoint: matrix rows: %w", err)
-	}
-	if rows > maxTasks {
-		return nil, fmt.Errorf("checkpoint: matrix with %d rows exceeds %d", rows, maxTasks)
-	}
-	rs.Matrix = make([][]float64, rows)
-	scratch := make([]byte, chunkBytes)
+	rs.Matrix = make([][]float64, d.Count(maxTasks, 1))
 	for i := range rs.Matrix {
-		var cols uint32
-		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
-			return nil, fmt.Errorf("checkpoint: matrix row %d: %w", i, err)
-		}
-		if cols > maxTasks {
-			return nil, fmt.Errorf("checkpoint: matrix row %d with %d cells exceeds %d", i, cols, maxTasks)
-		}
-		row := make([]float64, cols)
-		if err := readFloats(br, scratch, row); err != nil {
-			return nil, fmt.Errorf("checkpoint: matrix row %d cells: %w", i, err)
+		row := make([]float64, d.Count(maxTasks, 8))
+		for j := range row {
+			row[j] = d.F64()
 		}
 		rs.Matrix[i] = row
 	}
-	hasPayload, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: payload flag: %w", err)
+	rs.HasPayload = d.Flag()
+	// Cloned, so the snapshot does not keep the whole file alive.
+	rs.Payload = bytes.Clone(d.Bytes(maxPayload))
+	if rs.Method == "" {
+		d.Fail("empty run method")
 	}
-	if hasPayload > 1 {
-		return nil, fmt.Errorf("checkpoint: payload flag byte %d", hasPayload)
+	dict := d.Rest()
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("checkpoint: run state: %w", err)
 	}
-	rs.HasPayload = hasPayload == 1
-	var payloadLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &payloadLen); err != nil {
-		return nil, fmt.Errorf("checkpoint: payload length: %w", err)
-	}
-	if payloadLen > maxPayload {
-		return nil, fmt.Errorf("checkpoint: payload of %d bytes exceeds %d", payloadLen, maxPayload)
-	}
-	// The payload grows as its bytes arrive: a declared length never sizes
-	// an allocation.
-	if rs.Payload, err = io.ReadAll(io.LimitReader(br, int64(payloadLen))); err == nil && len(rs.Payload) < int(payloadLen) {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: payload: %w", err)
-	}
-	if rs.Global, err = Load(br); err != nil {
+	if rs.Global, err = Unmarshal(dict); err != nil {
 		return nil, err
 	}
 	return rs, nil
-}
-
-// runName is one of the run header's name fields.
-type runName struct {
-	what string
-	v    *string
-}
-
-// runNames lists the header's name fields in their serialized order.
-func runNames(rs *RunState) [3]runName {
-	return [3]runName{{"method", &rs.Method}, {"dataset", &rs.Dataset}, {"scale", &rs.Scale}}
 }
 
 // SaveRunStateFile atomically writes a run snapshot to path: a coordinator

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"reffil/internal/tensor"
 )
 
 func sampleRunState(rng *rand.Rand) *RunState {
@@ -148,6 +150,19 @@ func TestRunStateRejectsBadMagic(t *testing.T) {
 	if _, err := LoadRunState(bytes.NewReader([]byte("NOTARUN0 plus junk"))); err == nil {
 		t.Fatal("bad run-state magic must error")
 	}
+	// A snapshot of the previous format is refused at its magic, checksum
+	// or not.
+	var old bytes.Buffer
+	if err := SaveRunState(&old, sampleRunState(rand.New(rand.NewSource(13)))); err != nil {
+		t.Fatal(err)
+	}
+	v2 := old.Bytes()[:old.Len()-4]
+	copy(v2, "RFLRUN02")
+	for _, b := range [][]byte{v2, sealed(v2)} {
+		if _, err := LoadRunState(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "bad run-state magic") {
+			t.Fatalf("an RFLRUN02 snapshot: got %v, want the bad-magic error", err)
+		}
+	}
 	// A plain dict checkpoint is not a run state either.
 	var buf bytes.Buffer
 	if err := Save(&buf, sampleDict(rand.New(rand.NewSource(13)))); err != nil {
@@ -201,21 +216,62 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 	rs.Payload = nil
 	for _, name := range []*string{&rs.Method, &rs.Dataset, &rs.Scale} {
 		saved := *name
-		*name = strings.Repeat("x", maxNameLen+1)
+		*name = strings.Repeat("x", MaxNameLen+1)
 		if err := SaveRunState(&bytes.Buffer{}, rs); err == nil {
 			t.Fatalf("a %d-byte header name must refuse to serialize", len(*name))
 		}
 		*name = saved
 	}
 	// A dataset length past the bound is rejected by its length, even with
-	// that many bytes present behind it.
+	// that many bytes present behind it and a checksum that matches.
 	hostile := append([]byte{}, runMagic[:]...)
-	hostile = binary.LittleEndian.AppendUint16(hostile, uint16(len(rs.Method)))
+	hostile = binary.AppendUvarint(hostile, uint64(len(rs.Method)))
 	hostile = append(hostile, rs.Method...)
-	hostile = binary.LittleEndian.AppendUint16(hostile, maxNameLen+1)
-	hostile = append(hostile, strings.Repeat("x", maxNameLen+1)...)
-	if _, err := LoadRunState(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), "dataset of 4097 bytes exceeds") {
+	hostile = binary.AppendUvarint(hostile, MaxNameLen+1)
+	hostile = append(hostile, strings.Repeat("x", MaxNameLen+1)...)
+	if _, err := LoadRunState(bytes.NewReader(sealed(hostile))); err == nil || !strings.Contains(err.Error(), "string of 4097 bytes exceeds") {
 		t.Fatalf("hostile dataset length: got %v, want the dataset length refused", err)
+	}
+}
+
+// TestRunStateDetectsDamage takes a small snapshot and damages it every way
+// a disk or a torn copy can: each single bit flipped, at every byte offset;
+// every truncation; one byte appended. Each must fail to load with an
+// error, the flips included where they land in a float's mantissa, which
+// the parse alone would accept.
+func TestRunStateDetectsDamage(t *testing.T) {
+	rs := &RunState{
+		Method: "FedLwF", Dataset: "pacs", Scale: "smoke", Seed: 3, NextTask: 1,
+		Matrix:     [][]float64{{0.5}},
+		Global:     map[string]*tensor.Tensor{"w": tensor.FromSlice([]float64{1.5, -2}, 2)},
+		Payload:    []byte{7},
+		HasPayload: true,
+	}
+	var buf bytes.Buffer
+	if err := SaveRunState(&buf, rs); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := LoadRunState(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	damaged := make([]byte, len(good))
+	for i := range good {
+		for bit := 0; bit < 8; bit++ {
+			copy(damaged, good)
+			damaged[i] ^= 1 << bit
+			if _, err := LoadRunState(bytes.NewReader(damaged)); err == nil {
+				t.Fatalf("bit %d of byte %d flipped: the snapshot loaded", bit, i)
+			}
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		if _, err := LoadRunState(bytes.NewReader(good[:n])); err == nil {
+			t.Fatalf("cut to %d of %d bytes: the snapshot loaded", n, len(good))
+		}
+	}
+	if _, err := LoadRunState(bytes.NewReader(append(good[:len(good):len(good)], 0))); err == nil {
+		t.Fatal("a byte appended: the snapshot loaded")
 	}
 }
 

@@ -49,8 +49,9 @@ type Config struct {
 	// ablation of §IV's "Global Prompts Clustering" motivation.
 	DisableClustering bool
 
-	// Momentum, WeightDecay and ClipNorm parameterize local SGD.
-	Momentum, WeightDecay, ClipNorm float64
+	// Momentum and WeightDecay parameterize local SGD; the gradient clip is
+	// fl.ClipNorm, as for every method.
+	Momentum, WeightDecay float64
 }
 
 // DefaultConfig returns the paper-default RefFiL configuration at mini
@@ -73,7 +74,6 @@ func DefaultConfig(classes, maxTasks int) Config {
 		EnableDPCL:          true,
 		Momentum:            fl.Momentum,
 		WeightDecay:         fl.WeightDecay,
-		ClipNorm:            fl.ClipNorm,
 	}
 }
 
@@ -92,9 +92,6 @@ func (c Config) Validate() error {
 		if _, err := DecayedTemperature(c.Tau, c.TauMin, c.Gamma, c.Beta, 1); err != nil {
 			return err
 		}
-	}
-	if c.ClipNorm < 0 {
-		return fmt.Errorf("core: ClipNorm must be non-negative, got %v", c.ClipNorm)
 	}
 	return nil
 }
@@ -253,7 +250,7 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 
 	nnCtx := &nn.Ctx{Train: true}
 	d := r.cfg.Model.TokenDim
-	err := ctx.SGD(r.Global().Params(), r.cfg.Momentum, r.cfg.WeightDecay, r.cfg.ClipNorm,
+	err := ctx.SGD(r.Global().Params(), r.cfg.Momentum, r.cfg.WeightDecay, fl.ClipNorm,
 		func(epoch int, b data.Batch) (*autograd.Value, error) {
 			tokens, err := r.backbone.Tokens(nnCtx, autograd.Constant(b.X))
 			if err != nil {

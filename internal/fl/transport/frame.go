@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"reffil/internal/binfmt"
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/tensor"
@@ -25,13 +26,13 @@ import (
 //	7       1     reserved, zero
 //	8       4     body length in bytes, at most the type's bound
 //
-// In a body, an integer is a minimal little-endian base-128 varint (zigzag
-// for signed ones), a float64 its 8 IEEE bits little endian, a bool one byte
-// 0 or 1, and a string or byte slice a varint length followed by its bytes.
-// Each message's write method lists its fields in wire order. Magic and
-// version lead every revision of the header, so a reader that finds another
-// version reads no further: it reports the mismatch instead of guessing at
-// the body.
+// A body is binfmt fields — the codec packed-delta headers and run
+// snapshots share: an integer is a minimal varint (zigzag for signed ones),
+// a float64 its 8 IEEE bits little endian, a bool one byte 0 or 1, and a
+// string or byte slice a varint length followed by its bytes. Each message's
+// write method lists its fields in wire order. Magic and version lead every
+// revision of the header, so a reader that finds another version reads no
+// further: it reports the mismatch instead of guessing at the body.
 //
 // Neither side copies a payload into a second slice. A sender stages the
 // header and the small fields in a buffer it reuses and writes every large
@@ -142,81 +143,39 @@ func poisonDecoded(dict, base map[string]*tensor.Tensor) {
 }
 
 // frameWriter writes frames onto one connection. The header and the small
-// fields are staged in buf, reused across frames; byte fields of spliceMin
-// bytes or more are spliced in — written from the caller's slice — so the
-// frame goes out as one gathered write. mu keeps each frame one
-// uninterrupted run of bytes on the stream.
+// fields are staged in the embedded Writer's Buf, reused across frames; byte
+// fields of spliceMin bytes or more are spliced in — written from the
+// caller's slice — so the frame goes out as one gathered write. mu keeps
+// each frame one uninterrupted run of bytes on the stream.
 type frameWriter struct {
-	mu      sync.Mutex
-	w       io.Writer
-	buf     []byte
+	mu sync.Mutex
+	w  io.Writer
+	binfmt.Writer
 	splices []splice
 	// vec gathers the frame's pieces; out is vec as WriteTo consumes it.
 	vec, out net.Buffers
-	err      error
 }
 
-// splice is a byte field written after buf[:at].
+// splice is a byte field written after Buf[:at].
 type splice struct {
 	at int
 	b  []byte
 }
 
-func (fw *frameWriter) fail(format string, args ...any) {
-	if fw.err == nil {
-		fw.err = fmt.Errorf("transport: "+format, args...)
-	}
-}
-
-func (fw *frameWriter) u8(v byte)        { fw.buf = append(fw.buf, v) }
-func (fw *frameWriter) uvarint(v uint64) { fw.buf = binary.AppendUvarint(fw.buf, v) }
-func (fw *frameWriter) varint(v int64)   { fw.buf = binary.AppendVarint(fw.buf, v) }
-func (fw *frameWriter) f64(v float64) {
-	fw.buf = binary.LittleEndian.AppendUint64(fw.buf, math.Float64bits(v))
-}
-
-func (fw *frameWriter) flag(v bool) {
-	if v {
-		fw.u8(1)
-	} else {
-		fw.u8(0)
-	}
-}
-
-func (fw *frameWriter) str(s string, max int) {
-	if len(s) > max {
-		fw.fail("string of %d bytes exceeds %d", len(s), max)
-		return
-	}
-	fw.uvarint(uint64(len(s)))
-	fw.buf = append(fw.buf, s...)
-}
-
+// bytes writes a byte field, splicing it in from b when it is long. Bytes
+// refuses one past maxFrameLen.
 func (fw *frameWriter) bytes(b []byte) {
-	if len(b) > maxFrameLen {
-		fw.fail("byte field of %d bytes exceeds %d", len(b), maxFrameLen)
+	if len(b) < spliceMin || len(b) > maxFrameLen {
+		fw.Bytes(b, maxFrameLen)
 		return
 	}
-	fw.uvarint(uint64(len(b)))
-	if len(b) < spliceMin {
-		fw.buf = append(fw.buf, b...)
-		return
-	}
-	fw.splices = append(fw.splices, splice{at: len(fw.buf), b: b})
-}
-
-func (fw *frameWriter) count(n, max int) {
-	if n > max {
-		fw.fail("%d entries exceed %d", n, max)
-		return
-	}
-	fw.uvarint(uint64(n))
+	fw.Uvarint(uint64(len(b)))
+	fw.splices = append(fw.splices, splice{at: len(fw.Buf), b: b})
 }
 
 // begin starts a frame; the caller holds mu.
 func (fw *frameWriter) begin() {
-	fw.buf = append(fw.buf[:0], make([]byte, frameHeaderLen)...)
-	fw.err = nil
+	fw.Reset(append(fw.Buf[:0], make([]byte, frameHeaderLen)...))
 }
 
 // finish fills in the header of the staged frame and writes it. sent, when
@@ -227,20 +186,20 @@ func (fw *frameWriter) finish(t msgType, version int, sent *atomic.Int64) error 
 		clear(fw.splices)
 		fw.splices = fw.splices[:0]
 	}()
-	if fw.err != nil {
-		return fw.err
+	if err := fw.Err(); err != nil {
+		return fmt.Errorf("transport: %w", err)
 	}
 	if version < 0 || version > math.MaxUint16 {
 		return fmt.Errorf("transport: protocol version %d does not fit the header", version)
 	}
-	n := len(fw.buf) - frameHeaderLen
+	n := len(fw.Buf) - frameHeaderLen
 	for _, s := range fw.splices {
 		n += len(s.b)
 	}
 	if n > maxBody[t] {
 		return fmt.Errorf("transport: %v body of %d bytes exceeds %d", t, n, maxBody[t])
 	}
-	h := fw.buf[:frameHeaderLen]
+	h := fw.Buf[:frameHeaderLen]
 	copy(h, frameMagic[:])
 	binary.LittleEndian.PutUint16(h[4:], uint16(version))
 	h[6], h[7] = byte(t), 0
@@ -249,16 +208,16 @@ func (fw *frameWriter) finish(t msgType, version int, sent *atomic.Int64) error 
 		sent.Add(int64(frameHeaderLen + n))
 	}
 	if len(fw.splices) == 0 {
-		_, err := fw.w.Write(fw.buf)
+		_, err := fw.w.Write(fw.Buf)
 		return err
 	}
 	fw.vec = fw.vec[:0]
 	prev := 0
 	for _, s := range fw.splices {
-		fw.vec = append(fw.vec, fw.buf[prev:s.at], s.b)
+		fw.vec = append(fw.vec, fw.Buf[prev:s.at], s.b)
 		prev = s.at
 	}
-	fw.vec = append(fw.vec, fw.buf[prev:])
+	fw.vec = append(fw.vec, fw.Buf[prev:])
 	fw.out = fw.vec
 	_, err := fw.out.WriteTo(fw.w)
 	return err
@@ -269,8 +228,8 @@ func (fw *frameWriter) writeHello(h Hello) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.begin()
-	fw.varint(int64(h.WorkerID))
-	fw.varint(int64(h.Heartbeat))
+	fw.Varint(int64(h.WorkerID))
+	fw.Varint(int64(h.Heartbeat))
 	return fw.finish(msgHello, h.Version, nil)
 }
 
@@ -279,8 +238,8 @@ func (fw *frameWriter) writeHelloAck(a HelloAck) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.begin()
-	fw.varint(int64(a.Slot))
-	fw.str(a.Error, maxErrorLen)
+	fw.Varint(int64(a.Slot))
+	fw.String(a.Error, maxErrorLen)
 	return fw.finish(msgHelloAck, a.Version, nil)
 }
 
@@ -291,18 +250,18 @@ func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.begin()
-	fw.varint(int64(b.Task))
-	fw.varint(int64(b.Round))
-	fw.flag(b.Done)
+	fw.Varint(int64(b.Task))
+	fw.Varint(int64(b.Round))
+	fw.Flag(b.Done)
 	f := &b.Frame
-	fw.u8(byte(f.Kind))
-	fw.uvarint(f.BaseVersion)
-	fw.uvarint(f.Version)
+	fw.U8(byte(f.Kind))
+	fw.Uvarint(f.BaseVersion)
+	fw.Uvarint(f.Version)
 	fw.patch(&f.Patch)
-	fw.uvarint(f.PayloadVersion)
-	fw.flag(f.HasPayload)
+	fw.Uvarint(f.PayloadVersion)
+	fw.Flag(f.HasPayload)
 	fw.bytes(f.Payload)
-	fw.count(len(b.Jobs), maxJobs)
+	fw.Count(len(b.Jobs), maxJobs)
 	for i := range b.Jobs {
 		fw.job(&b.Jobs[i])
 	}
@@ -313,9 +272,9 @@ func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 // field has no wire form.
 func (fw *frameWriter) patch(p *wire.Patch) {
 	if len(p.Sparse) > 0 {
-		fw.fail("a patch with %d sparse entries has no wire form", len(p.Sparse))
+		fw.Fail("a patch with %d sparse entries has no wire form", len(p.Sparse))
 	}
-	fw.flag(p.Full)
+	fw.Flag(p.Full)
 	fw.bytes(p.Dense)
 	fw.bytes(p.Packed)
 }
@@ -325,30 +284,30 @@ func (fw *frameWriter) patch(p *wire.Patch) {
 // Dataset, Image, Classes, Domain, Task, TrainPerDomain, TestPerDomain,
 // GenSeed, Learners, Index, Alpha, PartSeed.
 func (fw *frameWriter) job(j *fl.JobSpec) {
-	fw.varint(int64(j.ClientID))
-	fw.varint(int64(j.Task))
-	fw.varint(int64(j.ClientTask))
-	fw.varint(int64(j.Group))
-	fw.varint(int64(j.Round))
-	fw.varint(int64(j.Epochs))
-	fw.varint(int64(j.BatchSize))
-	fw.f64(j.LR)
-	fw.varint(j.RngSeed)
-	fw.count(len(j.Shards), maxShards)
+	fw.Varint(int64(j.ClientID))
+	fw.Varint(int64(j.Task))
+	fw.Varint(int64(j.ClientTask))
+	fw.Varint(int64(j.Group))
+	fw.Varint(int64(j.Round))
+	fw.Varint(int64(j.Epochs))
+	fw.Varint(int64(j.BatchSize))
+	fw.F64(j.LR)
+	fw.Varint(j.RngSeed)
+	fw.Count(len(j.Shards), maxShards)
 	for i := range j.Shards {
 		s := &j.Shards[i]
-		fw.str(s.Dataset, maxNameLen)
-		fw.varint(int64(s.Image))
-		fw.varint(int64(s.Classes))
-		fw.str(s.Domain, maxNameLen)
-		fw.varint(int64(s.Task))
-		fw.varint(int64(s.TrainPerDomain))
-		fw.varint(int64(s.TestPerDomain))
-		fw.varint(s.GenSeed)
-		fw.varint(int64(s.Learners))
-		fw.varint(int64(s.Index))
-		fw.f64(s.Alpha)
-		fw.varint(s.PartSeed)
+		fw.String(s.Dataset, maxNameLen)
+		fw.Varint(int64(s.Image))
+		fw.Varint(int64(s.Classes))
+		fw.String(s.Domain, maxNameLen)
+		fw.Varint(int64(s.Task))
+		fw.Varint(int64(s.TrainPerDomain))
+		fw.Varint(int64(s.TestPerDomain))
+		fw.Varint(s.GenSeed)
+		fw.Varint(int64(s.Learners))
+		fw.Varint(int64(s.Index))
+		fw.F64(s.Alpha)
+		fw.Varint(s.PartSeed)
 	}
 }
 
@@ -359,25 +318,25 @@ func (fw *frameWriter) writeUpdate(u *Update) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.begin()
-	fw.varint(int64(u.WorkerID))
+	fw.Varint(int64(u.WorkerID))
 	var t msgType
 	switch {
-	case u.Pong && !u.Done && len(u.Results) == 0 && u.Error == "":
+	case u.Pong && !u.Done && u.Ack == nil && u.Error == "":
 		t = msgPong
-	case u.Done && !u.Pong && len(u.Results) == 0:
+	case u.Done && !u.Pong && u.Ack == nil:
 		t = msgDone
-		fw.str(u.Error, maxErrorLen)
-	case !u.Done && !u.Pong && len(u.Results) == 1 && u.Error == "":
+		fw.String(u.Error, maxErrorLen)
+	case !u.Done && !u.Pong && u.Ack != nil && u.Error == "":
 		t = msgAck
-		jr := &u.Results[0]
-		fw.varint(int64(jr.Index))
-		fw.flag(jr.Patch != nil)
+		jr := u.Ack
+		fw.Varint(int64(jr.Index))
+		fw.Flag(jr.Patch != nil)
 		if jr.Patch != nil {
 			fw.patch(jr.Patch)
 		}
 		fw.bytes(jr.Upload)
 	default:
-		return fmt.Errorf("transport: an update is one ack, one done frame or one pong (done %v, pong %v, %d results)", u.Done, u.Pong, len(u.Results))
+		return fmt.Errorf("transport: an update is one ack, one done frame or one pong (done %v, pong %v, ack %v)", u.Done, u.Pong, u.Ack != nil)
 	}
 	return fw.finish(t, u.Version, nil)
 }
@@ -492,216 +451,108 @@ func (fr *frameReader) readUpdate() (Update, int, error) {
 	return u, frameHeaderLen + len(body), err
 }
 
-// frameDecoder reads a body's fields in order. The first failure sticks:
-// later reads return zero values, and end reports it.
-type frameDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *frameDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *frameDecoder) take(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("field of %d bytes with %d left in the body", n, len(d.b))
-		return nil
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *frameDecoder) u8() byte {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// uvarint reads a varint, rejecting one longer than its value needs: every
-// value has exactly one encoding.
-func (d *frameDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	switch {
-	case n == 0:
-		d.fail("body ends inside a varint")
-	case n < 0:
-		d.fail("varint overflows 64 bits")
-	case n > 1 && d.b[n-1] == 0:
-		d.fail("varint is not minimally encoded")
-	default:
-		d.b = d.b[n:]
-		return v
-	}
-	return 0
-}
-
-// varint reads a zigzag-encoded signed varint (binary.AppendVarint).
-func (d *frameDecoder) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *frameDecoder) f64() float64 {
-	if b := d.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
-
-func (d *frameDecoder) flag() bool {
-	v := d.u8()
-	if v > 1 {
-		d.fail("flag byte %d", v)
-	}
-	return v == 1
-}
-
-func (d *frameDecoder) str(max int) string {
-	n := d.uvarint()
-	if n > uint64(max) {
-		d.fail("string of %d bytes exceeds %d", n, max)
-		return ""
-	}
-	return string(d.take(n))
-}
-
-// bytes returns a byte field aliasing the body; an empty field is nil.
-func (d *frameDecoder) bytes() []byte {
-	n := d.uvarint()
-	if n == 0 {
-		return nil
-	}
-	return d.take(n)
-}
-
-// count reads an entry count, rejecting one above max or one the rest of
-// the body cannot hold at minLen bytes an entry.
-func (d *frameDecoder) count(max, minLen int) int {
-	n := d.uvarint()
-	if n > uint64(max) || n*uint64(minLen) > uint64(len(d.b)) {
-		d.fail("count %d exceeds its bound", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *frameDecoder) patch(p *wire.Patch) {
-	p.Full = d.flag()
-	p.Dense = d.bytes()
-	p.Packed = d.bytes()
-}
-
-func (d *frameDecoder) job(j *fl.JobSpec) {
-	j.ClientID = int(d.varint())
-	j.Task = int(d.varint())
-	j.ClientTask = int(d.varint())
-	j.Group = fl.Group(d.varint())
-	j.Round = int(d.varint())
-	j.Epochs = int(d.varint())
-	j.BatchSize = int(d.varint())
-	j.LR = d.f64()
-	j.RngSeed = d.varint()
-	if n := d.count(maxShards, minShardLen); n > 0 {
-		j.Shards = make([]fl.ShardSpec, n)
-	}
-	for i := range j.Shards {
-		s := &j.Shards[i]
-		s.Dataset = d.str(maxNameLen)
-		s.Image = int(d.varint())
-		s.Classes = int(d.varint())
-		s.Domain = d.str(maxNameLen)
-		s.Task = int(d.varint())
-		s.TrainPerDomain = int(d.varint())
-		s.TestPerDomain = int(d.varint())
-		s.GenSeed = d.varint()
-		s.Learners = int(d.varint())
-		s.Index = int(d.varint())
-		s.Alpha = d.f64()
-		s.PartSeed = d.varint()
-	}
-}
-
-// end reports the first failure, or bytes left after the last field.
-func (d *frameDecoder) end(t msgType) error {
-	if d.err == nil && len(d.b) > 0 {
-		d.fail("%d bytes after the last field", len(d.b))
-	}
-	if d.err != nil {
-		return fmt.Errorf("transport: %v frame: %w", t, d.err)
+// end reports a body's first failure, or bytes left after its last field.
+func end(t msgType, d *binfmt.Reader) error {
+	if err := d.End(); err != nil {
+		return fmt.Errorf("transport: %v frame: %w", t, err)
 	}
 	return nil
 }
 
+func readPatch(d *binfmt.Reader, p *wire.Patch) {
+	p.Full = d.Flag()
+	p.Dense = d.Bytes(maxFrameLen)
+	p.Packed = d.Bytes(maxFrameLen)
+}
+
+func readJob(d *binfmt.Reader, j *fl.JobSpec) {
+	j.ClientID = int(d.Varint())
+	j.Task = int(d.Varint())
+	j.ClientTask = int(d.Varint())
+	j.Group = fl.Group(d.Varint())
+	j.Round = int(d.Varint())
+	j.Epochs = int(d.Varint())
+	j.BatchSize = int(d.Varint())
+	j.LR = d.F64()
+	j.RngSeed = d.Varint()
+	if n := d.Count(maxShards, minShardLen); n > 0 {
+		j.Shards = make([]fl.ShardSpec, n)
+	}
+	for i := range j.Shards {
+		s := &j.Shards[i]
+		s.Dataset = d.String(maxNameLen)
+		s.Image = int(d.Varint())
+		s.Classes = int(d.Varint())
+		s.Domain = d.String(maxNameLen)
+		s.Task = int(d.Varint())
+		s.TrainPerDomain = int(d.Varint())
+		s.TestPerDomain = int(d.Varint())
+		s.GenSeed = d.Varint()
+		s.Learners = int(d.Varint())
+		s.Index = int(d.Varint())
+		s.Alpha = d.F64()
+		s.PartSeed = d.Varint()
+	}
+}
+
 func decodeHello(body []byte) (Hello, error) {
-	d := frameDecoder{b: body}
-	h := Hello{Version: ProtocolVersion, WorkerID: int(d.varint())}
-	h.Heartbeat = time.Duration(d.varint())
-	return h, d.end(msgHello)
+	d := binfmt.NewReader(body)
+	h := Hello{Version: ProtocolVersion, WorkerID: int(d.Varint())}
+	h.Heartbeat = time.Duration(d.Varint())
+	return h, end(msgHello, &d)
 }
 
 func decodeHelloAck(body []byte) (HelloAck, error) {
-	d := frameDecoder{b: body}
-	a := HelloAck{Version: ProtocolVersion, Slot: int(d.varint())}
-	a.Error = d.str(maxErrorLen)
-	return a, d.end(msgHelloAck)
+	d := binfmt.NewReader(body)
+	a := HelloAck{Version: ProtocolVersion, Slot: int(d.Varint())}
+	a.Error = d.String(maxErrorLen)
+	return a, end(msgHelloAck, &d)
 }
 
 func decodeBroadcast(body []byte) (Broadcast, error) {
-	d := frameDecoder{b: body}
+	d := binfmt.NewReader(body)
 	b := Broadcast{Version: ProtocolVersion}
-	b.Task = int(d.varint())
-	b.Round = int(d.varint())
-	b.Done = d.flag()
+	b.Task = int(d.Varint())
+	b.Round = int(d.Varint())
+	b.Done = d.Flag()
 	f := &b.Frame
-	if f.Kind = wire.Kind(d.u8()); f.Kind > wire.KindDelta {
-		d.fail("unknown frame kind %d", f.Kind)
+	if f.Kind = wire.Kind(d.U8()); f.Kind > wire.KindDelta {
+		d.Fail("unknown frame kind %d", f.Kind)
 	}
-	f.BaseVersion = d.uvarint()
-	f.Version = d.uvarint()
-	d.patch(&f.Patch)
-	f.PayloadVersion = d.uvarint()
-	f.HasPayload = d.flag()
-	f.Payload = d.bytes()
-	if n := d.count(maxJobs, minJobLen); n > 0 {
+	f.BaseVersion = d.Uvarint()
+	f.Version = d.Uvarint()
+	readPatch(&d, &f.Patch)
+	f.PayloadVersion = d.Uvarint()
+	f.HasPayload = d.Flag()
+	f.Payload = d.Bytes(maxFrameLen)
+	if n := d.Count(maxJobs, minJobLen); n > 0 {
 		b.Jobs = make([]fl.JobSpec, n)
 	}
 	for i := range b.Jobs {
-		d.job(&b.Jobs[i])
+		readJob(&d, &b.Jobs[i])
 	}
-	return b, d.end(msgBroadcast)
+	return b, end(msgBroadcast, &d)
 }
 
 func decodeUpdate(t msgType, body []byte) (Update, error) {
 	if t != msgAck && t != msgDone && t != msgPong {
 		return Update{}, fmt.Errorf("transport: expected an update, got a %v frame", t)
 	}
-	d := frameDecoder{b: body}
-	u := Update{Version: ProtocolVersion, WorkerID: int(d.varint())}
+	d := binfmt.NewReader(body)
+	u := Update{Version: ProtocolVersion, WorkerID: int(d.Varint())}
 	switch t {
 	case msgAck:
-		jr := JobResult{Index: int(d.varint())}
-		if d.flag() {
-			jr.Patch = new(wire.Patch)
-			d.patch(jr.Patch)
+		u.Ack = &JobResult{Index: int(d.Varint())}
+		if d.Flag() {
+			u.Ack.Patch = new(wire.Patch)
+			readPatch(&d, u.Ack.Patch)
 		}
-		jr.Upload = d.bytes()
-		u.Results = []JobResult{jr}
+		u.Ack.Upload = d.Bytes(maxFrameLen)
 	case msgDone:
 		u.Done = true
-		u.Error = d.str(maxErrorLen)
+		u.Error = d.String(maxErrorLen)
 	case msgPong:
 		u.Pong = true
 	}
-	return u, d.end(t)
+	return u, end(t, &d)
 }

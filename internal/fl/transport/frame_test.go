@@ -42,9 +42,9 @@ func goldenMessages() []goldenMessage {
 			}},
 		}},
 	}
-	ack := Update{Version: ProtocolVersion, WorkerID: 1, Results: []JobResult{{
+	ack := Update{Version: ProtocolVersion, WorkerID: 1, Ack: &JobResult{
 		Index: 0, Patch: &wire.Patch{Packed: []byte{1, 2, 3}}, Upload: []byte{4},
-	}}}
+	}}
 	return []goldenMessage{
 		{"hello", func(fw *frameWriter) error {
 			return fw.writeHello(Hello{Version: ProtocolVersion, WorkerID: 3, Heartbeat: 250 * time.Millisecond})
@@ -114,9 +114,9 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 	)
 	packed := make([]byte, patchLen)
 	rand.New(rand.NewSource(1)).Read(packed)
-	u := Update{Version: ProtocolVersion, WorkerID: 1, Results: []JobResult{{
+	u := Update{Version: ProtocolVersion, WorkerID: 1, Ack: &JobResult{
 		Patch: &wire.Patch{Packed: packed}, Upload: make([]byte, 1024),
-	}}}
+	}}
 	var frame bytes.Buffer
 	if err := (&frameWriter{w: &frame}).writeUpdate(&u); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 			fr = &frameReader{r: c}
 		}
 		got, _, err := fr.readUpdate()
-		if err == nil && !bytes.Equal(got.Results[0].Patch.Packed, packed) {
+		if err == nil && !bytes.Equal(got.Ack.Patch.Packed, packed) {
 			t.Fatal("received patch differs from the one sent")
 		}
 		return err

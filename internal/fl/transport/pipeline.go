@@ -394,7 +394,7 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			continue
 		}
-		jr := u.Results[0] // an ack frame carries exactly one result
+		jr := u.Ack
 		if jr.Index < 0 || jr.Index >= len(b.idxs) {
 			p.failLocked(fmt.Errorf("transport: worker %d acked job slot %d of %d", slot, jr.Index, len(b.idxs)))
 			p.mu.Unlock()
@@ -611,7 +611,7 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 // and base is immutable, and an engine waiting on mu behind a decode would
 // leave every result decoded meanwhile holding a buffer. The method's
 // DecodeUpload, not documented concurrency-safe, runs under mu.
-func (p *Pipeline) decodeResult(jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
+func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
 	var buf *wire.DecodeBuffer
 	if n := len(p.free); n > 0 {
 		buf, p.free = p.free[n-1], p.free[:n-1]

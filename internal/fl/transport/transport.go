@@ -123,9 +123,9 @@ type Update struct {
 	// Version is stamped by the worker and checked by the coordinator.
 	Version  int
 	WorkerID int
-	// Results holds exactly one entry on an ack frame, none on the final
-	// Done frame.
-	Results []JobResult
+	// Ack is the one job result an ack frame carries; nil on the final
+	// Done frame and on a pong.
+	Ack *JobResult
 	// Done marks the end of this worker's reply stream for the broadcast.
 	Done bool
 	// Error reports a worker-side failure for the round. It rides on the
@@ -649,7 +649,7 @@ func (w *Worker) Serve(handle func(b Broadcast, emit func(JobResult) error) erro
 			return nil
 		} else {
 			emit := func(jr JobResult) error {
-				return w.send(Update{WorkerID: w.id, Version: ProtocolVersion, Results: []JobResult{jr}})
+				return w.send(Update{WorkerID: w.id, Version: ProtocolVersion, Ack: &jr})
 			}
 			if err := handle(b, emit); err != nil {
 				fatal = fmt.Errorf("transport: worker %d handler: %w", w.id, err)

@@ -501,12 +501,12 @@ func TestBroadcastRoundTrip(t *testing.T) {
 		{
 			Version:  ProtocolVersion,
 			WorkerID: 1,
-			Results:  []JobResult{{Index: 0, Patch: dense, Upload: []byte{1, 2}}},
+			Ack:      &JobResult{Index: 0, Patch: dense, Upload: []byte{1, 2}},
 		},
 		{
 			Version:  ProtocolVersion,
 			WorkerID: 0,
-			Results:  []JobResult{{Index: 2, Patch: patch}},
+			Ack:      &JobResult{Index: 2, Patch: patch},
 		},
 		{Version: ProtocolVersion, WorkerID: 1, Done: true},
 		{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "local training failed"},

@@ -6,12 +6,13 @@ import (
 	"runtime"
 	"testing"
 
+	"reffil/internal/checkpoint"
 	"reffil/internal/tensor"
 )
 
 // FuzzDecode holds Decode to four properties on arbitrary patch bytes
 // against a fixed base: it never panics; it allocates no more than the
-// header bounds allow (one tensor of at most maxPackElems elements, beyond
+// header bounds allow (one tensor of at most checkpoint.MaxElems elements, beyond
 // memory proportional to the input and the base); a DecodeBuffer reused
 // across inputs accepts exactly what it accepts, with the same bits; and
 // whatever it accepts re-encodes to the same bytes. For a full patch that
@@ -60,7 +61,7 @@ func FuzzDecode(f *testing.F) {
 		got, err := Decode(base, in)
 		runtime.ReadMemStats(&after)
 		size := len(dense) + len(packed)
-		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*maxPackElems+64*size+1<<20); alloc > bound {
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*checkpoint.MaxElems+64*size+1<<20); alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", size, alloc, bound)
 		}
 		reused, bufErr := buf.Decode(base, in)

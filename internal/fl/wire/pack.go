@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"reffil/internal/binfmt"
+	"reffil/internal/checkpoint"
 	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
@@ -23,14 +26,17 @@ import (
 // sign, the exponent and every leading mantissa bit the two values agree
 // on. Packing therefore stores, for the changed keys in order:
 //
-//	uvarint key count
-//	per key: uvarint name length, name bytes,
-//	         uvarint rank, rank × uvarint dims
+//	key count
+//	per key: name (a string of at most checkpoint.MaxNameLen bytes),
+//	         rank, rank × dims
 //	1 raw-mask byte: bit p set = plane p is stored raw, clear = deflated
 //	raw planes, ascending p, N bytes each, uncompressed
 //	one flate stream of the deflated planes, ascending p (absent when every
 //	plane is raw): for the N elements across all listed keys, plane p holds
 //	byte p (big endian, most significant first) of XOR(base bits, next bits)
+//
+// The key header is binfmt fields (every integer a minimal varint), under
+// the checkpoint format's name, rank and element bounds.
 //
 // The plane shuffle groups the near-zero high-order XOR bytes into long
 // zero runs that DEFLATE collapses. The low-order mantissa planes of
@@ -71,14 +77,6 @@ import (
 // almost nothing: on the LwF steady state, level 6 shaves under 1% more
 // bytes than level 1 at more than 3× the encode time. BestSpeed wins.
 const packLevel = flate.BestSpeed
-
-// Bounds mirrored from the checkpoint format: a corrupt or hostile header
-// must never trigger a huge allocation.
-const (
-	maxPackNameLen = 4096
-	maxPackDims    = 16
-	maxPackElems   = 1 << 22
-)
 
 // planeBlock is the element count of one fused XOR+shuffle block: the block
 // of XOR words (8 KiB) lives in a stack buffer that stays L1-resident while
@@ -153,11 +151,6 @@ func spanAt(spans []span, i int) int {
 // prefer an empty Packed field for it.
 func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) ([]byte, error) {
 	buf := bytes.NewBuffer(dst)
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
 	total := 0
 	spans := make([]span, 0, len(keys))
 	for _, k := range keys {
@@ -168,16 +161,16 @@ func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) 
 		if bt.Size() != nt.Size() {
 			return nil, fmt.Errorf("wire: packing key %q with %d elements against base of %d", k, nt.Size(), bt.Size())
 		}
-		if nt.Size() > maxPackElems {
+		if nt.Size() > checkpoint.MaxElems {
 			// Enforce the decode-side bound symmetrically at encode time: a
 			// clear local error beats a remote rejection mid-round.
-			return nil, fmt.Errorf("wire: packing key %q with %d elements exceeds %d", k, nt.Size(), maxPackElems)
+			return nil, fmt.Errorf("wire: packing key %q with %d elements exceeds %d", k, nt.Size(), checkpoint.MaxElems)
 		}
-		if len(k) == 0 || len(k) > maxPackNameLen {
+		if len(k) == 0 || len(k) > checkpoint.MaxNameLen {
 			return nil, fmt.Errorf("wire: packing invalid key name length %d", len(k))
 		}
-		if nt.NDim() > maxPackDims {
-			return nil, fmt.Errorf("wire: packing key %q of rank %d > %d", k, nt.NDim(), maxPackDims)
+		if nt.NDim() > checkpoint.MaxDims {
+			return nil, fmt.Errorf("wire: packing key %q of rank %d > %d", k, nt.NDim(), checkpoint.MaxDims)
 		}
 		spans = append(spans, span{off: total, base: bt.Data(), data: nt.Data()})
 		total += nt.Size()
@@ -202,17 +195,18 @@ func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) 
 	// planes as-is plus the deflated zero-heavy planes, which compress well
 	// below the 2×total this over-reserves for them.
 	buf.Grow(64 + 24*len(keys) + rawBytes + 2*total)
-	putUvarint(uint64(len(keys)))
+	hw := binfmt.Writer{Buf: buf.AvailableBuffer()}
+	hw.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		nt := next[k]
-		putUvarint(uint64(len(k)))
-		buf.WriteString(k)
-		putUvarint(uint64(nt.NDim()))
+		hw.String(k, checkpoint.MaxNameLen)
+		hw.Uvarint(uint64(nt.NDim()))
 		for d := 0; d < nt.NDim(); d++ {
-			putUvarint(uint64(nt.Dim(d)))
+			hw.Uvarint(uint64(nt.Dim(d)))
 		}
 	}
-	buf.WriteByte(rawMask)
+	hw.U8(rawMask)
+	buf.Write(hw.Buf)
 	for p := 0; p < 8; p++ {
 		if rawMask&(1<<p) != 0 {
 			buf.Write(planes[p*total : (p+1)*total])
@@ -446,82 +440,51 @@ type storageFunc func(base *tensor.Tensor) *tensor.Tensor
 // storage is asked for anything, so a rejected payload writes no tensor and
 // no entry of out.
 func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*tensor.Tensor, storage storageFunc) error {
-	rd := bytes.NewReader(packed)
-	count, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("wire: packed key count: %w", err)
-	}
+	d := binfmt.NewReader(packed)
 	// The smallest well-formed entry (1-byte name length, 1-byte name,
-	// rank 0) is 3 bytes, so a count the remaining payload cannot possibly
-	// hold is rejected before it sizes any allocation.
-	if count > uint64(rd.Len())/3 {
-		return fmt.Errorf("wire: packed key count %d exceeds payload capacity", count)
-	}
+	// rank 0) is 3 bytes; the count has no bound but the bytes left.
+	count := d.Count(math.MaxInt, 3)
 	type packKey struct {
 		name string
 		base *tensor.Tensor
 	}
 	keys := make([]packKey, 0, count)
 	seen := make(map[string]bool, count)
-	var nameBuf []byte
+	var shape [checkpoint.MaxDims]int
 	total := 0
-	for i := uint64(0); i < count; i++ {
-		nameLen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("wire: packed entry %d name length: %w", i, err)
-		}
-		if nameLen == 0 || nameLen > maxPackNameLen {
-			return fmt.Errorf("wire: packed entry %d has invalid name length %d", i, nameLen)
-		}
-		if int(nameLen) > cap(nameBuf) {
-			nameBuf = make([]byte, nameLen)
-		}
-		nameBuf = nameBuf[:nameLen]
-		if _, err := io.ReadFull(rd, nameBuf); err != nil {
-			return fmt.Errorf("wire: packed entry %d name: %w", i, err)
-		}
-		name := string(nameBuf)
-		rank, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("wire: packed entry %q rank: %w", name, err)
-		}
-		if rank > maxPackDims {
-			return fmt.Errorf("wire: packed entry %q has rank %d > %d", name, rank, maxPackDims)
-		}
-		shape := make([]int, rank)
+	for i := 0; i < count && d.Err() == nil; i++ {
+		name := d.String(checkpoint.MaxNameLen)
+		dims := shape[:d.Count(checkpoint.MaxDims, 1)]
 		n := 1
-		for d := range shape {
-			dim, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return fmt.Errorf("wire: packed entry %q dim %d: %w", name, d, err)
+		for k := range dims {
+			dim := d.Uvarint()
+			if dim > checkpoint.MaxElems || n*int(dim) > checkpoint.MaxElems {
+				d.Fail("packed entry %q exceeds %d elements", name, checkpoint.MaxElems)
 			}
-			if dim > maxPackElems {
-				return fmt.Errorf("wire: packed entry %q dim %d = %d too large", name, d, dim)
-			}
-			shape[d] = int(dim)
-			n *= int(dim)
-			if n > maxPackElems {
-				return fmt.Errorf("wire: packed entry %q exceeds %d elements", name, maxPackElems)
-			}
+			dims[k] = int(dim)
+			n *= dims[k]
+		}
+		if d.Err() != nil {
+			break
 		}
 		bt, ok := base[name]
-		if !ok {
+		switch {
+		case name == "":
+			return fmt.Errorf("wire: packed entry %d has an empty name", i)
+		case !ok:
 			return fmt.Errorf("wire: packed patch updates unknown key %q", name)
-		}
-		if seen[name] {
+		case seen[name]:
 			return fmt.Errorf("wire: packed patch lists key %q twice", name)
+		case !hasShape(bt, dims):
+			return fmt.Errorf("wire: packed entry %q has shape %v, base holds %v", name, slices.Clone(dims), bt.Shape())
 		}
 		seen[name] = true
-		if !hasShape(bt, shape) {
-			return fmt.Errorf("wire: packed entry %q has shape %v, base holds %v", name, shape, bt.Shape())
-		}
 		keys = append(keys, packKey{name: name, base: bt})
 		total += n
 	}
-
-	rawMask, err := rd.ReadByte()
-	if err != nil {
-		return fmt.Errorf("wire: packed raw-plane mask: %w", err)
+	rawMask := d.U8()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("wire: packed header: %w", err)
 	}
 	pb := planeBufs.Get(8 * total)
 	planes := *pb
@@ -530,10 +493,12 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 		if rawMask&(1<<p) == 0 {
 			continue
 		}
-		if _, err := io.ReadFull(rd, planes[p*total:(p+1)*total]); err != nil {
-			return fmt.Errorf("wire: packed raw plane %d: %w", p, err)
-		}
+		copy(planes[p*total:(p+1)*total], d.Next(uint64(total)))
 	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("wire: packed raw planes: %w", err)
+	}
+	rd := bytes.NewReader(d.Rest())
 	if rawMask != 0xff {
 		fr := getFlateReader(rd)
 		release := func() {

@@ -235,9 +235,9 @@ func TestPackedDeltaRawPlanesRoundTrip(t *testing.T) {
 }
 
 // TestPackedDeltaRejectsCorrupt covers the unpack-side validation edges:
-// truncated header, trailing byte, unknown key, element-count mismatch
-// against the base, a shape mismatch at equal element count, and a key
-// listed twice. The codec never writes the shape mismatch: it encodes
+// truncated header, trailing byte, a padded varint, unknown key,
+// element-count mismatch against the base, a shape mismatch at equal element
+// count, and a key listed twice. The codec never writes the shape mismatch: it encodes
 // against a base of another shape as a full snapshot.
 func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -253,6 +253,15 @@ func TestPackedDeltaRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(base, &Patch{Packed: append(p.Packed[:len(p.Packed):len(p.Packed)], 0)}); err == nil {
 		t.Fatal("a byte after the packed planes must error")
+	}
+	// The key count 1 as the two-byte varint 0x81 0x00: the same value, but
+	// not its one encoding.
+	if p.Packed[0] != 1 {
+		t.Fatalf("packed key count byte is %#x, want 1", p.Packed[0])
+	}
+	padded := append([]byte{0x81, 0x00}, p.Packed[1:]...)
+	if _, err := Decode(base, &Patch{Packed: padded}); err == nil || !strings.Contains(err.Error(), "minimally") {
+		t.Fatalf("a padded key-count varint: got %v, want it refused", err)
 	}
 	stranger := map[string]*tensor.Tensor{"other": tensor.RandN(rng, 1, 4)}
 	if _, err := Decode(stranger, p); err == nil {
