@@ -40,10 +40,16 @@ var kernelShapes = append([]shape{
 //   - when m ≥ 2 and k ≥ 2, A(0,1) is zero while A(1,1) is not: a zero in only
 //     one row of a tile's row pair;
 //   - when k ≥ 2, A's column 0 is zero on every row, and B's row 0 holds +Inf,
-//     −Inf and NaN. The zero-skipping kernels must leave every output finite;
-//     MatMulT2, which skips nothing, turns those columns into NaN, exactly as
-//     its reference does.
-func operands(rng *rand.Rand, m, k, n int) (a, b []float64) {
+//     −Inf and NaN. The zero-skipping kernels must leave those out of every
+//     sum; MatMulT2, which skips nothing, turns those columns into NaN,
+//     exactly as its reference does;
+//   - when k ≥ 2, A's last rows (down to row 1) hold NaN, NaN, +Inf and −Inf,
+//     one to a row, in column k−1: not zero, so every kernel must add them.
+//     Two NaN rows put a NaN in both rows of a tile's row pair.
+//
+// Rows [0, clean) of A hold no NaN or Inf, so a zero-skipping kernel's
+// output rows there must be finite.
+func operands(rng *rand.Rand, m, k, n int) (a, b []float64, clean int) {
 	a, b = RandN(rng, 1, m, k).Data(), RandN(rng, 1, k, n).Data()
 	for i := 0; i < len(a); i += 7 {
 		a[i] = 0
@@ -58,7 +64,7 @@ func operands(rng *rand.Rand, m, k, n int) (a, b []float64) {
 		b[i] = math.Copysign(0, -1)
 	}
 	if k < 2 {
-		return a, b
+		return a, b, m
 	}
 	if m >= 2 {
 		a[1], a[k+1] = 0, 1.5
@@ -67,28 +73,53 @@ func operands(rng *rand.Rand, m, k, n int) (a, b []float64) {
 		a[i*k] = 0
 	}
 	b[0], b[n/2], b[n-1] = math.Inf(1), math.Inf(-1), math.NaN()
-	return a, b
+	clean = m
+	for _, v := range []float64{math.NaN(), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if clean == 1 {
+			break
+		}
+		clean--
+		a[clean*k+k-1] = v
+	}
+	return a, b, clean
 }
 
 // reference is the definition every kernel is held to: element (i,j) of
 // A(m,k)·B(k,n) starts at init[i*n+j] and adds A(i,p)·B(p,j) over ascending
 // p, skipping p where A(i,p) is exactly zero when skip is set.
-func reference(init, a, b []float64, m, k, n int, skip bool) []float64 {
-	c := make([]float64, m*n)
+//
+// unpinned marks the elements whose chain had two NaNs with different
+// payloads meet in one multiply or add. x86 returns the first operand's
+// payload there, and Go does not fix the operand order: it may commute
+// either operation, and a -race build of this very loop orders an add
+// differently from a plain one. Such an element is held to being NaN, not to
+// a payload.
+func reference(init, a, b []float64, m, k, n int, skip bool) (c []float64, unpinned []bool) {
+	c, unpinned = make([]float64, m*n), make([]bool, m*n)
 	copy(c, init)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s := c[i*n+j]
 			for p := 0; p < k; p++ {
-				if skip && a[i*k+p] == 0 {
+				x, y := a[i*k+p], b[p*n+j]
+				if skip && x == 0 {
 					continue
 				}
-				s += a[i*k+p] * b[p*n+j]
+				xy := x * y
+				if nanClash(x, y) || nanClash(s, xy) {
+					unpinned[i*n+j] = true
+				}
+				s += xy
 			}
 			c[i*n+j] = s
 		}
 	}
-	return c
+	return c, unpinned
+}
+
+// nanClash reports whether u and v are NaNs with different payloads.
+func nanClash(u, v float64) bool {
+	return math.IsNaN(u) && math.IsNaN(v) && math.Float64bits(u) != math.Float64bits(v)
 }
 
 // transposed returns the (cols,rows) row-major transpose of a (rows,cols)
@@ -104,13 +135,17 @@ func transposed(x []float64, rows, cols int) []float64 {
 }
 
 // requireBitIdentical fails unless got and want hold exactly the same bit
-// patterns ("==" would conflate -0.0 with +0.0 and miss NaN payloads).
-func requireBitIdentical(t *testing.T, name string, got, want []float64) {
+// patterns ("==" would conflate -0.0 with +0.0 and miss NaN payloads),
+// except that an element reference marks unpinned need only be NaN in both.
+func requireBitIdentical(t *testing.T, name string, got, want []float64, unpinned []bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: size mismatch: got %d elements, want %d", name, len(got), len(want))
 	}
 	for i := range got {
+		if unpinned[i] && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: element %d differs bitwise: got %v (%#x), want %v (%#x)",
 				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
@@ -118,14 +153,39 @@ func requireBitIdentical(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// requireFinite fails if any element is ±Inf or NaN: a zero-skipping kernel
-// fed operands() must never add the non-finite B values under A's zeros.
-func requireFinite(t *testing.T, name string, got []float64) {
+// requireFinite fails if any of the first rows×n elements is ±Inf or NaN: a
+// zero-skipping kernel fed operands() must never add the non-finite B values
+// under A's zeros.
+func requireFinite(t *testing.T, name string, got []float64, rows, n int) {
 	t.Helper()
-	for i, v := range got {
+	for i, v := range got[:rows*n] {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatalf("%s: element %d is %v: a skipped product was added", name, i, v)
 		}
+	}
+}
+
+// bothTiles runs f as two subtests or sub-benchmarks: "avx" with the AVX
+// tiles, skipped on a host without AVX, and "go" with them forced off. It
+// restores useAVX afterwards.
+func bothTiles[T interface {
+	testing.TB
+	Run(name string, f func(T)) bool
+}](tb T, f func(T)) {
+	hostAVX := useAVX
+	defer func() { useAVX = hostAVX }()
+	for _, avx := range []bool{true, false} {
+		name := "go"
+		if avx {
+			name = "avx"
+		}
+		tb.Run(name, func(tb T) {
+			if avx && !hostAVX {
+				tb.Skip("host has no AVX")
+			}
+			useAVX = avx
+			f(tb)
+		})
 	}
 }
 
@@ -143,72 +203,85 @@ func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, g
 }
 
 func TestMatMulBlockedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, s := range kernelShapes {
-		a, b := operands(rng, s.m, s.k, s.n)
-		at, bt := FromSlice(a, s.m, s.k), FromSlice(b, s.k, s.n)
-		want := reference(nil, a, b, s.m, s.k, s.n, true)
-		serialAndParallel(t, func() *Tensor { return MatMul(at, bt) }, func(name string, got []float64) {
-			requireBitIdentical(t, name, got, want)
-			requireFinite(t, name, got)
-		})
+	bothTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, s := range kernelShapes {
+			a, b, clean := operands(rng, s.m, s.k, s.n)
+			at, bt := FromSlice(a, s.m, s.k), FromSlice(b, s.k, s.n)
+			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, true)
+			serialAndParallel(t, func() *Tensor { return MatMul(at, bt) }, func(name string, got []float64) {
+				requireBitIdentical(t, name, got, want, unpinned)
+				requireFinite(t, name, got, clean, s.n)
+			})
 
-		// MatMulInto adds into out: each chain starts at out's value, −0
-		// included (−0 + +0 is +0, so a chain that started at 0 would differ).
-		init := RandN(rng, 1, s.m, s.n).Data()
-		for i := 1; i < len(init); i += 5 {
-			init[i] = math.Copysign(0, -1)
+			// MatMulInto adds into out: each chain starts at out's value, −0
+			// included (−0 + +0 is +0, so a chain that started at 0 would differ).
+			init := RandN(rng, 1, s.m, s.n).Data()
+			for i := 1; i < len(init); i += 5 {
+				init[i] = math.Copysign(0, -1)
+			}
+			want, unpinned = reference(init, a, b, s.m, s.k, s.n, true)
+			serialAndParallel(t, func() *Tensor {
+				out := FromSlice(append([]float64(nil), init...), s.m, s.n)
+				MatMulInto(out, at, bt)
+				return out
+			}, func(name string, got []float64) {
+				requireBitIdentical(t, "MatMulInto "+name, got, want, unpinned)
+			})
 		}
-		want = reference(init, a, b, s.m, s.k, s.n, true)
-		serialAndParallel(t, func() *Tensor {
-			out := FromSlice(append([]float64(nil), init...), s.m, s.n)
-			MatMulInto(out, at, bt)
-			return out
-		}, func(name string, got []float64) {
-			requireBitIdentical(t, "MatMulInto "+name, got, want)
-		})
-	}
+	})
 }
 
 func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, s := range kernelShapes {
-		a, b := operands(rng, s.m, s.k, s.n)
-		at, bt := FromSlice(transposed(a, s.m, s.k), s.k, s.m), FromSlice(b, s.k, s.n)
-		want := reference(nil, a, b, s.m, s.k, s.n, true)
-		serialAndParallel(t, func() *Tensor { return MatMulT1(at, bt) }, func(name string, got []float64) {
-			requireBitIdentical(t, name, got, want)
-			requireFinite(t, name, got)
-		})
-	}
+	bothTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for _, s := range kernelShapes {
+			a, b, clean := operands(rng, s.m, s.k, s.n)
+			at, bt := FromSlice(transposed(a, s.m, s.k), s.k, s.m), FromSlice(b, s.k, s.n)
+			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, true)
+			serialAndParallel(t, func() *Tensor { return MatMulT1(at, bt) }, func(name string, got []float64) {
+				requireBitIdentical(t, name, got, want, unpinned)
+				requireFinite(t, name, got, clean, s.n)
+			})
+		}
+	})
 }
 
 func TestMatMulT2BlockedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, s := range kernelShapes {
-		a, b := operands(rng, s.m, s.k, s.n)
-		at, bt := FromSlice(a, s.m, s.k), FromSlice(transposed(b, s.k, s.n), s.n, s.k)
-		want := reference(nil, a, b, s.m, s.k, s.n, false)
-		serialAndParallel(t, func() *Tensor { return MatMulT2(at, bt) }, func(name string, got []float64) {
-			requireBitIdentical(t, name, got, want)
-		})
-	}
+	bothTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		for _, s := range kernelShapes {
+			a, b, _ := operands(rng, s.m, s.k, s.n)
+			at, bt := FromSlice(a, s.m, s.k), FromSlice(transposed(b, s.k, s.n), s.n, s.k)
+			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, false)
+			serialAndParallel(t, func() *Tensor { return MatMulT2(at, bt) }, func(name string, got []float64) {
+				requireBitIdentical(t, name, got, want, unpinned)
+			})
+		}
+	})
 }
 
 func TestBatchMatMulBlockedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, s := range kernelShapes {
-		const bs = 3
-		var a, b, want []float64
-		for e := 0; e < bs; e++ {
-			ae, be := operands(rng, s.m, s.k, s.n)
-			a, b = append(a, ae...), append(b, be...)
-			want = append(want, reference(nil, ae, be, s.m, s.k, s.n, true)...)
+	bothTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		for _, s := range kernelShapes {
+			const bs = 3
+			var a, b, want []float64
+			var unpinned []bool
+			var clean [bs]int
+			for e := range bs {
+				ae, be, ce := operands(rng, s.m, s.k, s.n)
+				a, b, clean[e] = append(a, ae...), append(b, be...), ce
+				we, ue := reference(nil, ae, be, s.m, s.k, s.n, true)
+				want, unpinned = append(want, we...), append(unpinned, ue...)
+			}
+			at, bt := FromSlice(a, bs, s.m, s.k), FromSlice(b, bs, s.k, s.n)
+			serialAndParallel(t, func() *Tensor { return BatchMatMul(at, bt) }, func(name string, got []float64) {
+				requireBitIdentical(t, name, got, want, unpinned)
+				for e, ce := range clean {
+					requireFinite(t, name, got[e*s.m*s.n:], ce, s.n)
+				}
+			})
 		}
-		at, bt := FromSlice(a, bs, s.m, s.k), FromSlice(b, bs, s.k, s.n)
-		serialAndParallel(t, func() *Tensor { return BatchMatMul(at, bt) }, func(name string, got []float64) {
-			requireBitIdentical(t, name, got, want)
-			requireFinite(t, name, got)
-		})
-	}
+	})
 }

@@ -50,6 +50,13 @@ func MatMulInto(out, a, b *Tensor) {
 // around the chains is chosen for speed: every output element still sees the
 // same operations in the same order (ascending p), so results are
 // bit-identical at any tile edge and any parallel.For chunking.
+//
+// On amd64 hosts with AVX (useAVX) the full 2×4 tiles run in assembly
+// instead (matmul_amd64.s): one call per pair of rows covers every full
+// 4-column block, two blocks at a time while it can, in YMM registers. It
+// keeps every chain: a separately rounded multiply then an add per p, and
+// the same zero test as nonzero, so it is bit-identical to the Go tiles it
+// replaces. The odd-row tile and the n%4 columns stay in Go.
 
 // nonzero is the zero-skip test of MatMul and MatMulT1: a product whose A
 // operand is ±0 is not added, which also keeps an Inf or NaN in B under a
@@ -66,9 +73,18 @@ func nonzero(v float64) bool {
 // p where A(i,p) is zero. Rows are independent, so disjoint row ranges are
 // safe to compute concurrently.
 func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
+	tiled := lo // the AVX tiles cover rows [lo,tiled) but their n%4 columns
+	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
+		// The AVX tiles read through raw pointers: touch each operand's
+		// furthest element once, so short slices panic as the Go tiles would.
+		_, _, _ = c[hi*n-1], a[(hi-1)*ri+(k-1)*rp], b[k*n-1]
+		for ; tiled+1 < hi; tiled += 2 {
+			rowsPairAVX(&c[tiled*n], &a[tiled*ri], &b[0], k, n, ri, rp)
+		}
+	}
 	j := 0
 	for ; j+4 <= n; j += 4 {
-		i := lo
+		i := tiled
 		for ; i+1 < hi; i += 2 {
 			c0, c1 := c[i*n+j:i*n+j+4], c[(i+1)*n+j:(i+1)*n+j+4]
 			c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
@@ -168,13 +184,20 @@ func MatMulT2(a, b *Tensor) *Tensor {
 // b (n,k), tiled like matmulRows. Both operands are read along their rows,
 // so every chain streams contiguous memory.
 func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
+	tiled := lo
+	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
+		_, _, _ = c[hi*n-1], a[hi*k-1], b[n*k-1] // as in matmulRows
+		for ; tiled+1 < hi; tiled += 2 {
+			t2PairAVX(&c[tiled*n], &a[tiled*k], &b[0], k, n)
+		}
+	}
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		b0 := b[j*k : (j+1)*k]
 		b1 := b[(j+1)*k : (j+2)*k]
 		b2 := b[(j+2)*k : (j+3)*k]
 		b3 := b[(j+3)*k : (j+4)*k]
-		i := lo
+		i := tiled
 		for ; i+1 < hi; i += 2 {
 			a0 := a[i*k : (i+1)*k]
 			a1 := a[(i+1)*k : (i+2)*k]

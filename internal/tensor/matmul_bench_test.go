@@ -25,16 +25,19 @@ var censusShapes = []shape{
 	{9, 9, 8},
 }
 
-// benchShapes runs kernel once per census shape as a sub-benchmark named
-// m×k×n; operands draws the two inputs for one shape.
+// benchShapes runs kernel once per census shape and tile path as a
+// sub-benchmark named m×k×n/avx or m×k×n/go (bothTiles), so the two tiles'
+// ratio is one command away; operands draws the two inputs for one shape.
 func benchShapes(b *testing.B, seed int64, operands func(rng *rand.Rand, m, k, n int) (x, y *Tensor), kernel func(x, y *Tensor) *Tensor) {
 	for _, s := range censusShapes {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			x, y := operands(rand.New(rand.NewSource(seed)), s.m, s.k, s.n)
-			b.ReportAllocs()
-			for b.Loop() {
-				kernel(x, y)
-			}
+			bothTiles(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					kernel(x, y)
+				}
+			})
 		})
 	}
 }
@@ -64,8 +67,10 @@ func BenchmarkBatchMatMul(b *testing.B) {
 	const bs, m, k, n = 16, 24, 8, 24
 	rng := rand.New(rand.NewSource(12))
 	x, y := RandN(rng, 1, bs, m, k), RandN(rng, 1, bs, k, n)
-	b.ReportAllocs()
-	for b.Loop() {
-		BatchMatMul(x, y)
-	}
+	bothTiles(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			BatchMatMul(x, y)
+		}
+	})
 }
