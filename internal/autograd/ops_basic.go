@@ -58,13 +58,8 @@ func ReLU(a *Value) *Value {
 	out := tensor.ReLU(a.T)
 	node := newNode(out, "relu", a)
 	node.back = func() {
-		g := out.Arena().NewLike(a.T)
-		ad, gd, od := a.T.Data(), node.Grad.Data(), g.Data()
-		for i := range ad {
-			if ad[i] > 0 {
-				od[i] = gd[i]
-			}
-		}
+		g := out.Arena().ScratchLike(a.T) // PositiveMask writes every element
+		tensor.PositiveMask(g.Data(), node.Grad.Data(), a.T.Data())
 		accumulateTemp(a, g)
 	}
 	return node

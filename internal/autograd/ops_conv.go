@@ -111,9 +111,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 						hi = bs
 					}
 					for i := c * per; i < hi; i++ {
-						gi := tensor.MatMulT2(node.Grad.View(i*o*p, o, p), cols[i])
-						acc.AddInPlace(gi)
-						gi.Release()
+						tensor.MatMulT2Into(acc, node.Grad.View(i*o*p, o, p), cols[i])
 					}
 					partials[c] = acc
 				}
@@ -145,11 +143,11 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 		if x.requiresGrad {
 			gx := ar.NewLike(x.T)
 			parallel.For(bs, imgGrain, func(lo, hi int) {
+				buf := ar.Scratch(geom.GradBlockLen())
 				for i := lo; i < hi; i++ {
-					dCols := tensor.MatMulT1(wMat, node.Grad.View(i*o*p, o, p)) // (k,p)
-					geom.Col2im(dCols.Data(), gx.Data()[i*imgLen:(i+1)*imgLen])
-					dCols.Release()
+					geom.InputGrad(gx.Data()[i*imgLen:(i+1)*imgLen], wMat.Data(), node.Grad.Data()[i*o*p:(i+1)*o*p], buf.Data())
 				}
+				buf.Release()
 			})
 			accumulateTemp(x, gx)
 		}

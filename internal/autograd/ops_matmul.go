@@ -32,12 +32,10 @@ func BatchMatMul(a, b *Value) *Value {
 		n := b.T.Dim(2)
 		grain := parallel.GrainForCost(2*m*k*n, parallel.DefaultChunkOps)
 		if a.requiresGrad {
-			ga := out.Arena().ScratchLike(a.T) // every batch element is copied in below
+			ga := out.Arena().NewLike(a.T) // each element's block is added into once, from +0
 			parallel.For(bs, grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					gi := tensor.MatMulT2(node.Grad.View(i*m*n, m, n), b.T.View(i*k*n, k, n))
-					copy(ga.Data()[i*m*k:(i+1)*m*k], gi.Data())
-					gi.Release()
+					tensor.MatMulT2Into(ga.View(i*m*k, m, k), node.Grad.View(i*m*n, m, n), b.T.View(i*k*n, k, n))
 				}
 			})
 			accumulateTemp(a, ga)

@@ -137,13 +137,14 @@ func transposed(x []float64, rows, cols int) []float64 {
 // requireBitIdentical fails unless got and want hold exactly the same bit
 // patterns ("==" would conflate -0.0 with +0.0 and miss NaN payloads),
 // except that an element reference marks unpinned need only be NaN in both.
+// A nil unpinned pins every element.
 func requireBitIdentical(t *testing.T, name string, got, want []float64, unpinned []bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: size mismatch: got %d elements, want %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if unpinned[i] && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+		if unpinned != nil && unpinned[i] && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 			continue
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -163,26 +163,35 @@ func MatMulT1(a, b *Tensor) *Tensor {
 // MatMulT2 computes a·bᵀ for a (m,k) and b (n,k) -> (m,n) without
 // materializing the transpose. Element (i,j) is the dot product of row i of
 // a and row j of b: a sum that starts at 0 and adds every product over
-// ascending p, with no zero-skip. Output rows are partitioned across workers.
+// ascending p, with no zero-skip. It is MatMulT2Into a zeroed output: a chain
+// that starts at +0 is never −0, so +0 plus the chain has the chain's bits.
 func MatMulT2(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 needs 2-D operands, got %v and %v", a.shape, b.shape))
 	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT2 inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	out := ArenaOf(a, b).Scratch(m, n) // every element is assigned below
-	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		matmulT2Rows(out.data, a.data, b.data, lo, hi, k, n)
-	})
+	out := ArenaOf(a, b).New(a.shape[0], b.shape[0])
+	MatMulT2Into(out, a, b)
 	return out
 }
 
-// matmulT2Rows assigns rows [lo,hi) of a·bᵀ into c (m,n) for a (m,k) and
-// b (n,k), tiled like matmulRows. Both operands are read along their rows,
-// so every chain streams contiguous memory.
+// MatMulT2Into adds a·bᵀ into out, which must be (m,n): element (i,j)
+// becomes out(i,j) + the dot product of MatMulT2, with out's value as the
+// first operand of that one add, as AddInPlace has it. Conv2D sums its
+// per-image weight gradients this way without a temporary per image.
+func MatMulT2Into(out, a, b *Tensor) {
+	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[1] || len(out.data) != a.shape[0]*b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulT2Into shapes %v x %vᵀ -> %v", a.shape, b.shape, out.shape))
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
+		matmulT2Rows(out.data, a.data, b.data, lo, hi, k, n)
+	})
+}
+
+// matmulT2Rows adds rows [lo,hi) of a·bᵀ into c (m,n) for a (m,k) and
+// b (n,k), tiled like matmulRows. Each dot product is a chain of its own
+// that starts at 0, added into c once at the end as c + chain. Both operands
+// are read along their rows, so every chain streams contiguous memory.
 func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 	tiled := lo
 	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
@@ -215,8 +224,8 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 				s13 += x1 * y3
 			}
 			c0, c1 := c[i*n+j:i*n+j+4], c[(i+1)*n+j:(i+1)*n+j+4]
-			c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
-			c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
+			c0[0], c0[1], c0[2], c0[3] = c0[0]+s00, c0[1]+s01, c0[2]+s02, c0[3]+s03
+			c1[0], c1[1], c1[2], c1[3] = c1[0]+s10, c1[1]+s11, c1[2]+s12, c1[3]+s13
 		}
 		if i < hi {
 			ai := a[i*k : (i+1)*k]
@@ -228,7 +237,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 				s3 += x * b3[p]
 			}
 			ci := c[i*n+j : i*n+j+4]
-			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
+			ci[0], ci[1], ci[2], ci[3] = ci[0]+s0, ci[1]+s1, ci[2]+s2, ci[3]+s3
 		}
 	}
 	for ; j < n; j++ {
@@ -238,7 +247,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 			for p, x := range a[i*k : (i+1)*k] {
 				s += x * bj[p]
 			}
-			c[i*n+j] = s
+			c[i*n+j] += s
 		}
 	}
 }

@@ -15,8 +15,8 @@ func cpuHasAVX() bool
 func rowsPairAVX(c, a, b *float64, k, n, ri, rp int)
 
 // t2PairAVX runs matmulT2Rows's 2×4 tiles for one pair of rows, across every
-// full 4-column block: c points at output row i, a at A's row i and b at B's
-// row 0. k must be at least 1.
+// full 4-column block, adding each dot product into c: c points at output
+// row i, a at A's row i and b at B's row 0. k must be at least 1.
 //
 //go:noescape
 func t2PairAVX(c, a, b *float64, k, n int)

@@ -183,9 +183,11 @@ rowsdone:
 
 // func t2PairAVX(c, a, b *float64, k, n int)
 //
-// Assigns rows i and i+1 of A·Bᵀ to c and c+n. a points at A's row i (row
+// Adds rows i and i+1 of A·Bᵀ into c and c+n. a points at A's row i (row
 // i+1 is k further on), b at B's row 0. Each chain starts at +0 and adds
-// every product: nothing is skipped. Output column j's values are B's row j,
+// every product: nothing is skipped. The finished chain is added to c's
+// element with c as the first operand (VADDPD chain, c, c), the operand
+// order of AddInPlace, so a NaN already in c keeps its payload. Output column j's values are B's row j,
 // so the 2×8 tile transposes 4×4 blocks of eight B rows in registers and
 // gathers the k%4 steps left over one at a time; the 2×4 tile gathers every
 // step.
@@ -245,10 +247,18 @@ t28step:
 	JNE  t28step
 
 t28done:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y4, 32(DI)
-	VMOVUPD Y1, (DI)(R8*1)
-	VMOVUPD Y5, 32(DI)(R8*1)
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VMOVUPD (DI)(R8*1), Y10
+	VMOVUPD 32(DI)(R8*1), Y11
+	VADDPD  Y0, Y8, Y8
+	VADDPD  Y4, Y9, Y9
+	VADDPD  Y1, Y10, Y10
+	VADDPD  Y5, Y11, Y11
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, (DI)(R8*1)
+	VMOVUPD Y11, 32(DI)(R8*1)
 	ADDQ    $64, DI
 	LEAQ    (AX)(R9*8), AX
 	SUBQ    $2, BX
@@ -275,8 +285,12 @@ t24step:
 	ADDQ         $8, DX
 	DECQ         CX
 	JNE          t24step
-	VMOVUPD      Y0, (DI)
-	VMOVUPD      Y1, (DI)(R8*1)
+	VMOVUPD      (DI), Y8
+	VMOVUPD      (DI)(R8*1), Y9
+	VADDPD       Y0, Y8, Y8
+	VADDPD       Y1, Y9, Y9
+	VMOVUPD      Y8, (DI)
+	VMOVUPD      Y9, (DI)(R8*1)
 
 t2done:
 	VZEROUPPER

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -115,8 +117,44 @@ func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	return out
 }
 
-// Add returns a + b with broadcasting.
-func Add(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float64 { return x + y }) }
+// Add returns a + b with broadcasting. When b broadcasts to a's shape by
+// repeating its elements end to end (equal shapes, a residual sum; or a
+// position table of shape (1,n,d) over a (B,n,d) batch) it runs as direct
+// loops; any other broadcast takes binaryOp's strided walk. Each output is
+// the one add a[·] + b[·].
+func Add(a, b *Tensor) *Tensor {
+	if !tiles(b.shape, a.shape) {
+		return binaryOp(a, b, func(x, y float64) float64 { return x + y })
+	}
+	out := ArenaOf(a, b).ScratchLike(a)
+	if n := len(b.data); n > 0 {
+		for off := 0; off < len(a.data); off += n {
+			ao, oo := a.data[off:off+n], out.data[off:off+n]
+			for i, y := range b.data {
+				oo[i] = ao[i] + y
+			}
+		}
+	}
+	return out
+}
+
+// tiles reports whether shape s broadcast to shape t is s's elements
+// repeated end to end with t as the result's shape: s has no more axes than
+// t, and without its leading 1s it equals t's trailing axes.
+func tiles(s, t []int) bool {
+	if len(s) > len(t) {
+		return false
+	}
+	for len(s) > 0 && s[0] == 1 {
+		s = s[1:]
+	}
+	for i, d := range s {
+		if t[len(t)-len(s)+i] != d {
+			return false
+		}
+	}
+	return true
+}
 
 // Sub returns a - b with broadcasting.
 func Sub(a, b *Tensor) *Tensor { return binaryOp(a, b, func(x, y float64) float64 { return x - y }) }
@@ -210,23 +248,27 @@ func AddScalar(t *Tensor, c float64) *Tensor {
 	return out
 }
 
-// Apply returns f applied elementwise.
-func Apply(t *Tensor, f func(float64) float64) *Tensor {
+// ReLU returns max(0, x) elementwise: x where x > 0, else +0 (NaN and −0
+// included). It masks bits instead of branching on the sign.
+func ReLU(t *Tensor) *Tensor {
 	out := t.ar.ScratchLike(t)
-	for i, v := range t.data {
-		out.data[i] = f(v)
-	}
+	PositiveMask(out.data, t.data, t.data)
 	return out
 }
 
-// ReLU returns max(0, x) elementwise.
-func ReLU(t *Tensor) *Tensor {
-	return Apply(t, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
+// PositiveMask writes dst[i] = src[i] where x[i] > 0 and +0 elsewhere, for
+// equal-length slices. x > 0 holds exactly when x's bits minus one are below
+// +Inf's bits as unsigned integers: the positive subnormals, normals and +Inf
+// pass, and ±0, every negative and every NaN fail. The borrow of that
+// subtraction is the mask, so there is no branch to mispredict. ReLU's
+// forward pass masks x by itself, and its backward pass masks the gradient
+// by the input.
+func PositiveMask(dst, src, x []float64) {
+	src, x = src[:len(dst)], x[:len(dst)]
+	for i, v := range x {
+		_, below := bits.Sub64(math.Float64bits(v)-1, 0x7ff0000000000000, 0)
+		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & -below)
+	}
 }
 
 // Dot returns the inner product of two equally-sized tensors viewed as flat
