@@ -9,8 +9,9 @@
 // cmd/reffil: the method is one of the paper's eight table names, and the
 // scale preset (smoke, mini, paper) fixes the rounds, epochs, client pool,
 // data volume and backbone, over the family's domains in the paper's order
-// A. The accuracy-matrix block printed at the end is the one reffil prints
-// for the same four flags, byte for byte. Start the server, then one
+// A. The accuracy-matrix block printed at the end, with its closing state
+// hash of the final weights, is the one reffil prints for the same four
+// flags, byte for byte. Start the server, then one
 // fedworker per machine with the same four flags (any worker count works,
 // jobs are fanned out round-robin):
 //
@@ -47,10 +48,14 @@
 // -checkpoint-dir makes the coordinator itself restartable: the engine
 // snapshots resumable run state after every round and every task, and a
 // restarted fedserver pointed at the same directory resumes the run — with
-// the same flags and re-dialed workers, the final accuracy matrix is
-// bit-identical to an uninterrupted run (see README "Elastic membership &
-// resume"). A snapshot written under another -method, -dataset, -scale or
-// -seed is refused.
+// the same flags and re-dialed workers, the final accuracy matrix and
+// weights are bit-identical to an uninterrupted run (see README "Elastic
+// membership and resume"). A snapshot written under another -method,
+// -dataset, -scale or -seed is refused before any worker is awaited. The
+// snapshot written after the last task holds the final global model; it is
+// the only model file the coordinator writes. Building, resuming and
+// snapshotting the run is experiments.NewRun and Run.Execute, as for
+// cmd/reffil; this command adds the network.
 //
 // -metrics ADDR serves a Prometheus /metrics page (round, byte,
 // frame-kind, liveness, fold and checkpoint series that reconcile with the
@@ -62,19 +67,15 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	// Register the /debug/pprof handlers that -metrics serves.
 	_ "net/http/pprof"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"reffil/internal/checkpoint"
 	"reffil/internal/experiments"
-	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/telemetry"
 )
@@ -106,14 +107,6 @@ func perRound(total, rounds int64) int64 {
 	return total / rounds
 }
 
-// visitedFlags returns the explicitly set command-line flags, for the run
-// manifest in the trace header.
-func visitedFlags() map[string]string {
-	m := make(map[string]string)
-	flag.Visit(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
-	return m
-}
-
 func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
@@ -122,7 +115,6 @@ func run() error {
 		dataset = flag.String("dataset", "pacs", "dataset family (digitsfive, officecaltech10, pacs, feddomainnet; must match workers)")
 		scaleF  = flag.String("scale", "mini", "run scale (smoke, mini, paper; must match workers)")
 		seed    = flag.Int64("seed", 1, "shared run seed (must match workers)")
-		ckpt    = flag.String("checkpoint", "", "path to write the final global model")
 		timeout = flag.Duration("accept-timeout", 60*time.Second, "worker accept timeout")
 
 		joinWait = flag.Duration("join-wait", 0, "when a round has no live workers, wait this long for a (re-)join before failing (0 = fail fast)")
@@ -136,74 +128,30 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	alg, family, domains, cfg, err := experiments.BuildRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil)
+	// A snapshot of another run is refused here, before any worker is
+	// awaited.
+	r, err := experiments.NewRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil, *ckptDir)
 	if err != nil {
 		return err
 	}
-	// Resume if a snapshot exists (a fresh directory starts a fresh run),
-	// and refuse someone else's run before waiting for any worker.
-	var (
-		ckptPath string
-		resume   *checkpoint.RunState
-	)
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("creating -checkpoint-dir: %w", err)
-		}
-		ckptPath = filepath.Join(*ckptDir, "run.ckpt")
-		rs, err := checkpoint.LoadRunStateFile(ckptPath)
-		switch {
-		case err == nil:
-			if rs.Method != *method || rs.Dataset != *dataset || rs.Scale != *scaleF || rs.Seed != *seed {
-				return fmt.Errorf("%s was written by -method %s -dataset %s -scale %s -seed %d, not -method %s -dataset %s -scale %s -seed %d",
-					ckptPath, rs.Method, rs.Dataset, rs.Scale, rs.Seed, *method, *dataset, *scaleF, *seed)
-			}
-			resume = rs
-		case !errors.Is(err, os.ErrNotExist):
-			return err
-		}
-	}
-	// Telemetry is strictly opt-in: with both flags empty sink stays nil
-	// and every instrumentation point below is a nil-receiver no-op, so
-	// hot paths stay allocation-free and outputs bit-identical.
-	var (
-		reg  *telemetry.Registry
-		sink *telemetry.Sink
-	)
 	startTime := time.Now()
 	runID := telemetry.NewRunID(*seed, startTime)
-	if *metricsAddr != "" || *traceFile != "" {
-		var trc *telemetry.Tracer
-		if *metricsAddr != "" {
-			reg = telemetry.NewRegistry()
-		}
-		if *traceFile != "" {
-			trc, err = telemetry.CreateTrace(*traceFile)
-			if err != nil {
-				return err
-			}
-		}
-		sink = telemetry.NewSink(reg, trc)
-		defer sink.Close()
+	sink, bound, err := telemetry.Start(*metricsAddr, *traceFile, telemetry.Manifest{
+		RunID: runID, Role: "fedserver",
+		Method: *method, Dataset: *dataset,
+		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
+	})
+	if err != nil {
+		return err
+	}
+	defer sink.Close()
+	if bound != "" {
+		fmt.Printf("metrics listening on http://%s/metrics\n", bound)
 	}
 	// One structured logger for the wire/lifecycle lines, sharing the run
 	// id — and, when tracing, the timeline — with the telemetry sink.
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID))
 	wlog.Tracer = sink.Tracer()
-
-	if *metricsAddr != "" {
-		bound, err := reg.Serve(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("metrics listening on http://%s/metrics\n", bound)
-	}
-	sink.StartRun(telemetry.Manifest{
-		RunID: runID, Role: "fedserver",
-		Method: *method, Dataset: *dataset,
-		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
-		Flags: visitedFlags(),
-	})
 
 	coord, err := transport.Listen(*addr)
 	if err != nil {
@@ -217,7 +165,7 @@ func run() error {
 	}
 	wlog.Event("workers_connected")
 
-	tr, err := transport.NewPipeline(coord, alg)
+	tr, err := transport.NewPipeline(coord, r.Alg)
 	if err != nil {
 		return err
 	}
@@ -235,34 +183,7 @@ func run() error {
 			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),
 			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)))
 	}
-	eng, err := fl.NewEngineWithRunner(cfg, alg, tr)
-	if err != nil {
-		return err
-	}
-	eng.Progress = func(msg string) { fmt.Println(msg) }
-	eng.Telemetry = sink
-
-	if resume != nil {
-		eng.Resume = resume
-		fmt.Printf("resuming from %s at task %d round %d\n", ckptPath, resume.NextTask, resume.NextRound)
-	}
-	if ckptPath != "" {
-		eng.Checkpoint = func(st fl.ResumeState) error {
-			begin := time.Now()
-			st.Method, st.Dataset, st.Scale, st.Seed = *method, *dataset, *scaleF, *seed
-			err := checkpoint.SaveRunStateFile(ckptPath, &st)
-			if err == nil && sink != nil {
-				var bytes int64
-				if fi, serr := os.Stat(ckptPath); serr == nil {
-					bytes = fi.Size()
-				}
-				sink.CheckpointWritten(st.NextTask, st.NextRound, bytes, time.Since(begin))
-			}
-			return err
-		}
-	}
-
-	mat, err := eng.Run(family, domains)
+	res, err := r.Execute(tr, func(msg string) { fmt.Println(msg) }, sink)
 	if err != nil {
 		return err
 	}
@@ -274,15 +195,8 @@ func run() error {
 		st.PatchUploads, st.UploadFallbacks,
 		st.FullFrames, st.DeltaFrames, st.IdleFrames)
 	fmt.Println()
-	if err := experiments.PrintMatrix(os.Stdout, *method, *dataset, mat); err != nil {
+	if err := experiments.PrintMatrix(os.Stdout, res); err != nil {
 		return err
-	}
-
-	if *ckpt != "" {
-		if err := checkpoint.SaveModule(*ckpt, alg.Global()); err != nil {
-			return err
-		}
-		fmt.Println("saved global model to", *ckpt)
 	}
 	// Closed before the worker goodbye: collectors must stop treating the
 	// connection teardown Shutdown triggers as worker deaths. The goodbye is

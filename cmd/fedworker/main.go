@@ -26,7 +26,7 @@
 // continues the run bit-identically.
 //
 // -method, -dataset, -scale and -seed must match the fedserver's flags: the
-// worker builds its method through the same experiments.BuildRun, so the
+// worker builds its method through the same experiments.NewRun, so the
 // backbone, task horizon and initial weights equal the coordinator's. See
 // cmd/fedserver for the full deployment recipe.
 //
@@ -50,14 +50,6 @@ import (
 	"reffil/internal/fl/transport"
 	"reffil/internal/telemetry"
 )
-
-// visitedFlags returns the explicitly set command-line flags, for the run
-// manifest in the trace header.
-func visitedFlags() map[string]string {
-	m := make(map[string]string)
-	flag.Visit(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
-	return m
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -90,50 +82,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	alg, _, _, _, err := experiments.BuildRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil)
+	r, err := experiments.NewRun(*method, *dataset, scale, experiments.OrderA, experiments.NoOverrides, *seed, nil, "")
 	if err != nil {
 		return err
 	}
-	// Telemetry is strictly opt-in: with both flags empty sink stays nil and
-	// every instrumentation point below is a nil-receiver no-op.
-	var (
-		reg  *telemetry.Registry
-		sink *telemetry.Sink
-	)
 	startTime := time.Now()
 	runID := telemetry.NewRunID(*seed, startTime)
-	if *metricsAddr != "" || *traceFile != "" {
-		var trc *telemetry.Tracer
-		if *metricsAddr != "" {
-			reg = telemetry.NewRegistry()
-		}
-		if *traceFile != "" {
-			trc, err = telemetry.CreateTrace(*traceFile)
-			if err != nil {
-				return err
-			}
-		}
-		sink = telemetry.NewSink(reg, trc)
-		defer sink.Close()
+	sink, bound, err := telemetry.Start(*metricsAddr, *traceFile, telemetry.Manifest{
+		RunID: runID, Role: "fedworker",
+		Method: *method, Dataset: *dataset,
+		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
+	})
+	if err != nil {
+		return err
+	}
+	defer sink.Close()
+	if bound != "" {
+		fmt.Printf("worker %d: metrics listening on http://%s/metrics\n", *id, bound)
 	}
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID), telemetry.F("worker", *id))
 	wlog.Tracer = sink.Tracer()
 
-	if *metricsAddr != "" {
-		bound, err := reg.Serve(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("worker %d: metrics listening on http://%s/metrics\n", *id, bound)
-	}
-	sink.StartRun(telemetry.Manifest{
-		RunID: runID, Role: "fedworker",
-		Method: *method, Dataset: *dataset,
-		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
-		Flags: visitedFlags(),
-	})
-
-	ex, err := transport.NewExecutor(alg, *jobs)
+	ex, err := transport.NewExecutor(r.Alg, *jobs)
 	if err != nil {
 		return err
 	}
@@ -172,7 +142,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		wlog.Event("connected", telemetry.F("addr", *addr), telemetry.F("method", alg.Name()), telemetry.F("dataset", *dataset))
+		wlog.Event("connected", telemetry.F("addr", *addr), telemetry.F("method", r.Alg.Name()), telemetry.F("dataset", *dataset))
 		err = w.Serve(handle)
 		_ = w.Close()
 		if err == nil {

@@ -1,6 +1,7 @@
 // Command reffil runs one federated domain-incremental learning experiment:
 // a single method on a single dataset family at a chosen scale, printing
-// per-task progress, the accuracy matrix and the paper's summary metrics.
+// per-task progress, the accuracy matrix, the paper's summary metrics and
+// the final weights' state hash.
 //
 // Usage:
 //
@@ -68,5 +69,5 @@ func run() error {
 	}
 	fmt.Printf("\nmethod=%s dataset=%s order=%s scale=%s seed=%d\n", res.Method, res.Dataset, order, scale, *seed)
 	fmt.Printf("domains: %s\n", strings.Join(res.Domains, " -> "))
-	return experiments.PrintMatrix(os.Stdout, res.Method, res.Dataset, res.Matrix)
+	return experiments.PrintMatrix(os.Stdout, res)
 }

@@ -1,7 +1,11 @@
-// Package checkpoint persists model state dicts to disk in a compact,
-// versioned binary format, so long federated runs (the paper-scale preset
-// trains for hours on CPU) can be stopped, resumed and shipped between
-// machines. Files are written atomically (temp file + rename).
+// Package checkpoint is the byte form of model state: a compact, versioned
+// tensor-dict encoding (Save, Marshal), and the run snapshot built on it
+// (SaveRunStateFile), so long federated runs (the paper-scale preset trains
+// for hours on CPU) can be stopped and resumed. The dict form travels inside
+// run snapshots and wire-state payloads; the run snapshot is the only file
+// on disk, and the one a finished run leaves holds its final global model.
+// Snapshots are written atomically (temp file + rename) and carry a
+// checksum.
 package checkpoint
 
 import (
@@ -11,11 +15,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"reffil/internal/nn"
 	"reffil/internal/tensor"
 )
 
@@ -266,75 +267,4 @@ func load(r reader) (map[string]*tensor.Tensor, error) {
 		dict[name] = t
 	}
 	return dict, nil
-}
-
-// writeFileAtomic writes path through a temp file in the same directory and
-// a rename. The temp file is synced before it is renamed and the directory
-// after, so once it returns nil path holds the new bytes even across a
-// machine crash; a process or machine killed mid-write leaves the previous
-// file intact, never a torn one.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("checkpoint: syncing temp file: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing temp file: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: installing %s: %w", path, err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
-	}
-	if err = d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
-	}
-	return d.Close()
-}
-
-// SaveFile atomically writes a state dict to path.
-func SaveFile(path string, dict map[string]*tensor.Tensor) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return Save(w, dict) })
-}
-
-// LoadFile reads a state dict from path.
-func LoadFile(path string) (map[string]*tensor.Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// SaveModule checkpoints a module's full state (parameters + buffers).
-func SaveModule(path string, m nn.Module) error {
-	return SaveFile(path, nn.StateDict(m))
-}
-
-// LoadModule restores a module's state from a checkpoint; the module's
-// structure must match the file exactly.
-func LoadModule(path string, m nn.Module) error {
-	dict, err := LoadFile(path)
-	if err != nil {
-		return err
-	}
-	return nn.LoadStateDict(m, dict)
 }

@@ -5,11 +5,8 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"reffil/internal/model"
 	"reffil/internal/tensor"
 )
 
@@ -100,90 +97,6 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("hostile dims must be rejected")
-	}
-}
-
-func TestSaveFileAtomicAndLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.ckpt")
-	rng := rand.New(rand.NewSource(4))
-	dict := sampleDict(rng)
-	if err := SaveFile(path, dict); err != nil {
-		t.Fatal(err)
-	}
-	// No temp litter.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want just the checkpoint", len(entries))
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back["layer.w"].AllClose(dict["layer.w"], 0) {
-		t.Fatal("file round trip corrupted data")
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
-func TestSaveLoadModuleRestoresPredictions(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src, err := model.New(model.DefaultConfig(5), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "backbone.ckpt")
-	if err := SaveModule(path, src); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := model.New(model.DefaultConfig(5), rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadModule(path, dst); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.RandN(rng, 1, 2, 3, 16, 16)
-	p1, err := src.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := dst.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("checkpoint round trip changed predictions")
-		}
-	}
-}
-
-func TestLoadModuleStructureMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	src, err := model.New(model.DefaultConfig(5), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "backbone.ckpt")
-	if err := SaveModule(path, src); err != nil {
-		t.Fatal(err)
-	}
-	// A backbone with a different class count must refuse the checkpoint.
-	other, err := model.New(model.DefaultConfig(7), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadModule(path, other); err == nil {
-		t.Fatal("structure mismatch must error")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"reffil/internal/binfmt"
 	"reffil/internal/tensor"
@@ -176,10 +177,45 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 	return rs, nil
 }
 
-// SaveRunStateFile atomically writes a run snapshot to path: a coordinator
-// killed mid-write leaves the previous snapshot intact, never a torn file.
-func SaveRunStateFile(path string, rs *RunState) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveRunState(w, rs) })
+// SaveRunStateFile writes a run snapshot to path through a temp file in the
+// same directory and a rename. The temp file is synced before it is renamed
+// and the directory after, so once it returns nil path holds the new bytes
+// even across a machine crash; a process or machine killed mid-write leaves
+// the previous snapshot intact, never a torn one.
+func SaveRunStateFile(path string, rs *RunState) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	if err != nil {
+		return fmt.Errorf("checkpoint: creating temp file: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp.Name())
+		}
+	}()
+	if err = SaveRunState(tmp, rs); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err = tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("checkpoint: syncing temp file: %w", err)
+	}
+	if err = tmp.Close(); err != nil {
+		return fmt.Errorf("checkpoint: closing temp file: %w", err)
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("checkpoint: installing %s: %w", path, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
+	}
+	if err = d.Sync(); err != nil {
+		_ = d.Close()
+		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
+	}
+	return d.Close()
 }
 
 // LoadRunStateFile reads a run snapshot from path.

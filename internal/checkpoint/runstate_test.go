@@ -275,33 +275,32 @@ func TestRunStateDetectsDamage(t *testing.T) {
 	}
 }
 
-// TestFilesRejectTrailingBytes appends one byte to a saved model file and to
-// a saved run-state file: neither may load, since a file with anything after
-// its last entry is not one Save wrote.
+// TestFilesRejectTrailingBytes appends one byte to a saved model dict and to
+// a saved run-state file: neither may load, since bytes after the last entry
+// are not something Save wrote.
 func TestFilesRejectTrailingBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	dir := t.TempDir()
-	model, run := filepath.Join(dir, "model.ckpt"), filepath.Join(dir, "run.ckpt")
-	if err := SaveFile(model, sampleDict(rng)); err != nil {
+	var model bytes.Buffer
+	if err := Save(&model, sampleDict(rng)); err != nil {
 		t.Fatal(err)
 	}
+	model.WriteByte(0)
+	if _, err := Load(&model); err == nil {
+		t.Fatal("a model dict with a trailing byte loaded")
+	}
+	run := filepath.Join(t.TempDir(), "run.ckpt")
 	if err := SaveRunStateFile(run, sampleRunState(rng)); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{model, run} {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte{0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	f, err := os.OpenFile(run, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadFile(model); err == nil {
-		t.Fatal("a model file with a trailing byte loaded")
+	if _, err := f.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := LoadRunStateFile(run); err == nil {
 		t.Fatal("a run-state file with a trailing byte loaded")

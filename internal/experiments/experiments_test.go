@@ -121,11 +121,12 @@ func TestRunOneSmoke(t *testing.T) {
 			t.Fatalf("Avg %v out of range", res.Summary.Avg)
 		}
 		var sb strings.Builder
-		if err := PrintMatrix(&sb, res.Method, res.Dataset, res.Matrix); err != nil {
+		if err := PrintMatrix(&sb, res); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-		if len(lines) != 6 || lines[0] != "accuracy matrix ("+m+" on officecaltech10, 4 tasks):" || !strings.HasPrefix(lines[5], "Avg ") {
+		if len(lines) != 7 || lines[0] != "accuracy matrix ("+m+" on officecaltech10, 4 tasks):" ||
+			!strings.HasPrefix(lines[5], "Avg ") || lines[6] != "state "+res.State || len(res.State) != 16 {
 			t.Fatalf("matrix block malformed:\n%s", sb.String())
 		}
 	}

@@ -5,22 +5,18 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
-
-	"reffil/internal/metrics"
 )
 
 // PrintMatrix renders one run's accuracy-matrix block: a header naming the
-// method, dataset and task count, the recorded lower triangle, and the
-// Avg/Last/FGT/BwT line. cmd/reffil and cmd/fedserver both print it, so an
-// in-process and a networked run of the same flags compare byte for byte.
-func PrintMatrix(w io.Writer, method, dataset string, mat *metrics.Matrix) error {
-	sum, err := mat.Summarize()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "accuracy matrix (%s on %s, %d tasks):\n", method, dataset, mat.T)
+// method, dataset and task count, the recorded lower triangle, the
+// Avg/Last/FGT/BwT line and the final global model's state hash.
+// cmd/reffil and cmd/fedserver both print it, so an in-process and a
+// networked run of the same flags compare byte for byte, weights included.
+func PrintMatrix(w io.Writer, res Result) error {
+	sum, mat := res.Summary, res.Matrix
+	fmt.Fprintf(w, "accuracy matrix (%s on %s, %d tasks):\n", res.Method, res.Dataset, mat.T)
 	mat.FprintTriangle(w)
-	_, err = fmt.Fprintf(w, "Avg %.2f%%  Last %.2f%%  FGT %.3f  BwT %.3f\n", sum.Avg*100, sum.Last*100, sum.FGT, sum.BwT)
+	_, err := fmt.Fprintf(w, "Avg %.2f%%  Last %.2f%%  FGT %.3f  BwT %.3f\nstate %s\n", sum.Avg*100, sum.Last*100, sum.FGT, sum.BwT, res.State)
 	return err
 }
 

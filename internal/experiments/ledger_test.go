@@ -1,22 +1,14 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"reffil/internal/core"
-	"reffil/internal/fl"
 	"reffil/internal/metrics"
-	"reffil/internal/nn"
-	"reffil/internal/tensor"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite the golden files under testdata/ from this run")
@@ -68,22 +60,16 @@ func TestGoldenLedger(t *testing.T) {
 	got := make(map[string]ledgerEntry)
 	sums := make(map[string]metrics.Summary)
 	for _, row := range ledgerRows() {
-		alg, family, domains, engCfg, err := BuildRun(row.method, row.dataset, ScaleSmoke, OrderA, NoOverrides, ledgerSeed, row.mutate)
+		r, err := NewRun(row.method, row.dataset, ScaleSmoke, OrderA, NoOverrides, ledgerSeed, row.mutate, "")
 		if err != nil {
 			t.Fatalf("%s: %v", row.label, err)
 		}
-		eng, err := fl.NewEngine(engCfg, alg)
+		res, err := r.Execute(nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", row.label, err)
 		}
-		mat, err := eng.Run(family, domains)
-		if err != nil {
-			t.Fatalf("%s: %v", row.label, err)
-		}
-		got[row.label] = ledgerEntry{Matrix: hashMatrix(mat), State: hashState(nn.StateDict(alg.Global()))}
-		if sums[row.label], err = mat.Summarize(); err != nil {
-			t.Fatalf("%s: %v", row.label, err)
-		}
+		got[row.label] = ledgerEntry{Matrix: metrics.HashMatrix(res.Matrix), State: res.State}
+		sums[row.label] = res.Summary
 	}
 	checkPaperOrderings(t, sums)
 	// RefFiL with all three components off is federated finetuning: the two
@@ -163,37 +149,4 @@ func checkPaperOrderings(t *testing.T, sums map[string]metrics.Summary) {
 			t.Errorf("%s is %v (%v vs %v), recorded as %v", c.claim, got, c.left, c.right, c.holds)
 		}
 	}
-}
-
-// hashMatrix and hashState duplicate benchmark/run.go's definitions (the
-// benchmark directory is a frozen instrument) so ledger and benchmark hashes
-// are comparable.
-func hashMatrix(mat *metrics.Matrix) string {
-	h := sha256.New()
-	var b [8]byte
-	for t := 0; t < mat.T; t++ {
-		for i := 0; i <= t; i++ {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(mat.A[t][i]))
-			h.Write(b[:])
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-func hashState(dict map[string]*tensor.Tensor) string {
-	names := make([]string, 0, len(dict))
-	for name := range dict {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	var b [8]byte
-	for _, name := range names {
-		h.Write([]byte(name))
-		for _, v := range dict[name].Data() {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }

@@ -1,12 +1,19 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"time"
 
+	"reffil/internal/checkpoint"
 	"reffil/internal/core"
 	"reffil/internal/data"
 	"reffil/internal/fl"
 	"reffil/internal/metrics"
+	"reffil/internal/nn"
+	"reffil/internal/telemetry"
 )
 
 // Order selects the domain sequence: OrderA is the paper's default
@@ -37,13 +44,15 @@ func (o Order) Domains(f *data.Family) []string {
 }
 
 // Result is the outcome of one (method, dataset) federated run: the
-// accuracy matrix and the summary computed from it.
+// accuracy matrix, the summary computed from it, and the final global
+// model's metrics.HashState.
 type Result struct {
 	Method  string
 	Dataset string
 	Domains []string
 	Matrix  *metrics.Matrix
 	Summary metrics.Summary
+	State   string
 }
 
 // Overrides tweaks the engine configuration for special table setups
@@ -82,7 +91,11 @@ var NoOverrides = Overrides{TransferFrac: -1}
 // RunOne executes one method on one dataset family at the given scale and
 // domain order, returning the paper's metrics.
 func RunOne(method, dataset string, scale Scale, order Order, ov Overrides, seed int64, progress func(string)) (Result, error) {
-	return run(method, method, dataset, scale, order, ov, seed, nil, progress)
+	r, err := NewRun(method, dataset, scale, order, ov, seed, nil, "")
+	if err != nil {
+		return Result{}, err
+	}
+	return r.Execute(nil, progress, nil)
 }
 
 // RunVariant executes a RefFiL configuration variant (ablations,
@@ -90,57 +103,128 @@ func RunOne(method, dataset string, scale Scale, order Order, ov Overrides, seed
 // after the method.
 func RunVariant(label, dataset string, scale Scale, order Order, seed int64,
 	mutate func(*core.Config), progress func(string)) (Result, error) {
-	return run(label, "RefFiL", dataset, scale, order, NoOverrides, seed, mutate, progress)
-}
-
-func run(label, method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
-	mutate func(*core.Config), progress func(string)) (Result, error) {
-	alg, family, domains, engCfg, err := BuildRun(method, dataset, scale, order, ov, seed, mutate)
+	r, err := NewRun("RefFiL", dataset, scale, order, NoOverrides, seed, mutate, "")
 	if err != nil {
 		return Result{}, err
 	}
-	eng, err := fl.NewEngine(engCfg, alg)
+	res, err := r.Execute(nil, progress, nil)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %w", label, err)
+	}
+	res.Method = label
+	return res, nil
+}
+
+// Run is one named federated run, built and not yet executed. Every entry
+// point builds its run here — reffil and the table harness, fedserver, and
+// fedworker for the algorithm alone — so (method, dataset, scale, seed) name
+// the same run everywhere, and a coordinator and its workers that pass the
+// same arguments construct the same initial weights.
+type Run struct {
+	// Alg is the run's algorithm: the model a networked runner trains
+	// replicas of, and whose global weights Execute reports.
+	Alg fl.Algorithm
+
+	method, dataset string
+	scale           Scale
+	seed            int64
+	family          *data.Family
+	domains         []string
+	cfg             fl.Config
+	// snapshot is the run-state file Execute keeps current, empty when the
+	// run keeps none; resume is the snapshot found there, nil for a fresh
+	// start.
+	snapshot string
+	resume   *fl.ResumeState
+}
+
+// NewRun assembles the algorithm, dataset family, domain sequence and engine
+// config of one run. mutate, when non-nil, makes the method a RefFiL variant
+// (see NewRefFiLVariant).
+//
+// dir, when non-empty, is the run's snapshot directory: NewRun creates it
+// and loads its run.ckpt, which Execute then resumes from and keeps
+// current. A missing file is a fresh start; a snapshot another (method,
+// dataset, scale, seed) wrote is refused, and so is one that does not load.
+func NewRun(method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
+	mutate func(*core.Config), dir string) (*Run, error) {
+	family, err := scale.Family(dataset)
+	if err != nil {
+		return nil, err
+	}
+	r := &Run{method: method, dataset: dataset, scale: scale, seed: seed, family: family, domains: order.Domains(family)}
+	modelCfg := scale.ModelConfig(family.Classes)
+	if mutate != nil {
+		r.Alg, err = NewRefFiLVariant(modelCfg, len(r.domains), seed, mutate)
+	} else {
+		r.Alg, err = NewMethod(method, modelCfg, len(r.domains), seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.cfg = scale.EngineConfig(dataset, seed)
+	ov.apply(&r.cfg)
+	if dir == "" {
+		return r, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("creating snapshot directory: %w", err)
+	}
+	r.snapshot = filepath.Join(dir, "run.ckpt")
+	rs, err := checkpoint.LoadRunStateFile(r.snapshot)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return r, nil
+	case err != nil:
+		return nil, err
+	}
+	if rs.Method != method || rs.Dataset != dataset || rs.Scale != scale.String() || rs.Seed != seed {
+		return nil, fmt.Errorf("%s was written by -method %s -dataset %s -scale %s -seed %d, not -method %s -dataset %s -scale %s -seed %d",
+			r.snapshot, rs.Method, rs.Dataset, rs.Scale, rs.Seed, method, dataset, scale, seed)
+	}
+	r.resume = rs
+	return r, nil
+}
+
+// Execute runs r on runner (nil selects the in-process LocalRunner),
+// reporting progress lines to progress and observations to sink; either may
+// be nil. A run with a snapshot directory resumes from the snapshot NewRun
+// found there, and rewrites it, stamped with the run's identity, after
+// every round and every task.
+func (r *Run) Execute(runner fl.EachRunner, progress func(string), sink *telemetry.Sink) (Result, error) {
+	eng, err := fl.NewEngineWithRunner(r.cfg, r.Alg, runner)
 	if err != nil {
 		return Result{}, err
 	}
 	eng.Progress = progress
-	mat, err := eng.Run(family, domains)
+	eng.Telemetry = sink
+	eng.Resume = r.resume
+	if r.resume != nil && progress != nil {
+		progress(fmt.Sprintf("resuming from %s at task %d round %d", r.snapshot, r.resume.NextTask, r.resume.NextRound))
+	}
+	if r.snapshot != "" {
+		eng.Checkpoint = func(st fl.ResumeState) error {
+			begin := time.Now()
+			st.Method, st.Dataset, st.Scale, st.Seed = r.method, r.dataset, r.scale.String(), r.seed
+			if err := checkpoint.SaveRunStateFile(r.snapshot, &st); err != nil {
+				return err
+			}
+			if fi, err := os.Stat(r.snapshot); err == nil {
+				sink.CheckpointWritten(st.NextTask, st.NextRound, fi.Size(), time.Since(begin))
+			}
+			return nil
+		}
+	}
+	mat, err := eng.Run(r.family, r.domains)
 	if err != nil {
-		return Result{}, fmt.Errorf("experiments: %s on %s: %w", label, dataset, err)
+		return Result{}, fmt.Errorf("experiments: %s on %s: %w", r.method, r.dataset, err)
 	}
 	sum, err := mat.Summarize()
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Method: label, Dataset: dataset, Domains: domains, Matrix: mat, Summary: sum}, nil
-}
-
-// BuildRun assembles the algorithm, dataset family, domain sequence and
-// engine config of one run: everything RunOne needs besides a runner. The
-// networked CLIs build from it too, so (method, dataset, scale, seed) name
-// the same run everywhere, and a coordinator and its workers that pass the
-// same arguments construct the same initial weights. mutate, when non-nil,
-// makes the method a RefFiL variant (see NewRefFiLVariant).
-func BuildRun(method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
-	mutate func(*core.Config)) (fl.Algorithm, *data.Family, []string, fl.Config, error) {
-	family, err := scale.Family(dataset)
-	if err != nil {
-		return nil, nil, nil, fl.Config{}, err
-	}
-	domains := order.Domains(family)
-	modelCfg := scale.ModelConfig(family.Classes)
-	var alg fl.Algorithm
-	if mutate != nil {
-		alg, err = NewRefFiLVariant(modelCfg, len(domains), seed, mutate)
-	} else {
-		alg, err = NewMethod(method, modelCfg, len(domains), seed)
-	}
-	if err != nil {
-		return nil, nil, nil, fl.Config{}, err
-	}
-	engCfg := scale.EngineConfig(dataset, seed)
-	ov.apply(&engCfg)
-	return alg, family, domains, engCfg, nil
+	state := metrics.HashState(nn.StateDict(r.Alg.Global()))
+	return Result{Method: r.method, Dataset: r.dataset, Domains: r.domains, Matrix: mat, Summary: sum, State: state}, nil
 }
 
 // MainComparison holds the Tables I–IV results: dataset -> method -> Result.

@@ -28,23 +28,36 @@ import (
 	"reffil/internal/model"
 )
 
-// localMatrixCache memoizes runLocal per (method, family, domain count):
+// localRunCache memoizes runLocal per (method, family, domain count):
 // several tests in this package compare against the same synchronous
 // in-process reference under crossRunnerConfig.
-var localMatrixCache sync.Map
+var localRunCache sync.Map
 
-// localReference returns the synchronous LocalRunner accuracy matrix for
-// the method under crossRunnerConfig, computing it at most once per
-// (method, family, class count, domains) fixture.
-func localReference(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
+// localRun is what the in-process reference run leaves: its accuracy matrix
+// and its final weights and wire state.
+type localRun struct {
+	A     [][]float64
+	final finalState
+}
+
+// localRunOf returns the synchronous LocalRunner run of the method under
+// crossRunnerConfig, computing it at most once per (method, family, class
+// count, domains) fixture.
+func localRunOf(t *testing.T, method string, family *data.Family, domains []string) localRun {
 	t.Helper()
 	key := fmt.Sprintf("%s/%s/%d/%d", method, family.Name, family.Classes, len(domains))
-	if mat, ok := localMatrixCache.Load(key); ok {
-		return mat.([][]float64)
+	if run, ok := localRunCache.Load(key); ok {
+		return run.(localRun)
 	}
-	mat := runLocal(t, method, family, domains)
-	localMatrixCache.Store(key, mat)
-	return mat
+	run := runLocal(t, method, family, domains)
+	localRunCache.Store(key, run)
+	return run
+}
+
+// localReference returns the reference run's accuracy matrix.
+func localReference(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
+	t.Helper()
+	return localRunOf(t, method, family, domains).A
 }
 
 // runTCPWithCrash runs the full task sequence over loopback TCP with two

@@ -421,15 +421,15 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 // checkpoint at (task 1, round 1) persists, the coordinator closes, the
 // workers lose their connections — and a completely fresh process
 // (coordinator, pipeline, algorithm, engine, workers) resumes from the
-// snapshot. The resumed run's matrix must equal the uninterrupted local
-// reference bit for bit.
+// snapshot. The resumed run's matrix, final weights and wire state must
+// equal the uninterrupted local reference's bit for bit.
 func TestCoordinatorResumeOverTCP(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "RefFiL", family, domains)
+	want := localRunOf(t, "RefFiL", family, domains)
 	errKilled := errors.New("injected coordinator kill")
 
 	newAlg := func() fl.Algorithm {
@@ -503,7 +503,8 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)
 	}
-	requireSameMatrix(t, "resumed", want, mat.A)
+	requireSameMatrix(t, "resumed", want.A, mat.A)
+	requireSameFinal(t, "resumed", want.final, finalOf(t, alg))
 	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func crossRunnerConfig() fl.Config {
 }
 
 // runLocal executes the full task sequence on the in-process runner.
-func runLocal(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
+func runLocal(t *testing.T, method string, family *data.Family, domains []string) localRun {
 	t.Helper()
 	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
 	if err != nil {
@@ -65,7 +65,7 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mat.A
+	return localRun{A: mat.A, final: finalOf(t, alg)}
 }
 
 // tcpRun configures one loopback federation for runTCPWith.
@@ -332,7 +332,7 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	local := runLocal(t, "RefFiL", family, domains)
+	local := runLocal(t, "RefFiL", family, domains).A
 	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2})
 	requireSameMatrix(t, "TCP(class-limited)", local, remote)
 	requireAllPatchUploads(t, stats)

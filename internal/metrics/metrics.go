@@ -4,9 +4,17 @@
 package metrics
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
+	"maps"
 	"math"
+	"slices"
+
+	"reffil/internal/tensor"
 )
 
 // Matrix is the continual-learning accuracy matrix: A[t][i] is the accuracy
@@ -166,4 +174,35 @@ func Accuracy(pred, labels []int) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(pred)), nil
+}
+
+// HashMatrix fingerprints a run's accuracies: the first 8 bytes of the
+// SHA-256 of the lower triangle's Float64bits, row by row, in hex. Two runs
+// with equal hashes recorded the same accuracies bit for bit.
+func HashMatrix(mat *Matrix) string {
+	h := sha256.New()
+	for t := 0; t < mat.T; t++ {
+		hashFloats(h, mat.A[t][:t+1])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// HashState fingerprints a state dict the same way: every name in sorted
+// order, each followed by its elements' Float64bits. Two models with equal
+// hashes hold the same weights bit for bit.
+func HashState(dict map[string]*tensor.Tensor) string {
+	h := sha256.New()
+	for _, name := range slices.Sorted(maps.Keys(dict)) {
+		h.Write([]byte(name))
+		hashFloats(h, dict[name].Data())
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func hashFloats(h hash.Hash, vs []float64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
 }

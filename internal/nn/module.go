@@ -58,7 +58,7 @@ func StateDict(m Module) map[string]*tensor.Tensor {
 
 // LoadStateDict copies tensors from the dict into the module's parameters
 // and buffers. Every entry in the module must be present with a matching
-// size; extra dict entries are an error too, so silent drift is impossible.
+// shape; extra dict entries are an error too, so silent drift is impossible.
 func LoadStateDict(m Module, dict map[string]*tensor.Tensor) error {
 	used := make(map[string]bool, len(dict))
 	apply := func(name string, dst *tensor.Tensor) error {
@@ -66,7 +66,7 @@ func LoadStateDict(m Module, dict map[string]*tensor.Tensor) error {
 		if !ok {
 			return fmt.Errorf("nn: state dict missing entry %q", name)
 		}
-		if src.Size() != dst.Size() {
+		if !src.SameShape(dst) {
 			return fmt.Errorf("nn: state dict entry %q has %d elements, want %d", name, src.Size(), dst.Size())
 		}
 		dst.CopyFrom(src)

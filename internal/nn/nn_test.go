@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"reffil/internal/autograd"
@@ -411,6 +412,23 @@ func TestLoadStateDictRejectsMissingAndUnknown(t *testing.T) {
 	}
 	if err := LoadStateDict(r, dict); err == nil {
 		t.Fatal("missing entry must error")
+	}
+	// An entry of the right size in another shape: the stem's weight with
+	// its axes reversed.
+	dict = StateDict(r)
+	stem := r.Params()[0]
+	shape := stem.Value.T.Shape()
+	slices.Reverse(shape)
+	dict[stem.Name] = tensor.New(shape...)
+	if dict[stem.Name].SameShape(stem.Value.T) {
+		t.Fatalf("reversing %v left its shape unchanged", shape)
+	}
+	if err := LoadStateDict(r, dict); err == nil {
+		t.Fatalf("entry %q of shape %v loaded into %v", stem.Name, shape, stem.Value.T.Shape())
+	}
+	// A dict of a narrower backbone: the same keys, other sizes.
+	if err := LoadStateDict(r, StateDict(NewResNet10("r", rng, 2))); err == nil {
+		t.Fatal("a narrower backbone's state dict loaded")
 	}
 }
 

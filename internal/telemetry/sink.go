@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -151,14 +152,6 @@ func (s *Sink) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Registry exposes the sink's registry (nil-safe).
-func (s *Sink) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // StartRun records the manifest: a fed_build_info constant gauge whose
 // labels carry the run identity, and a trace Meta event with every flag.
 func (s *Sink) StartRun(m Manifest) {
@@ -184,6 +177,39 @@ func (s *Sink) StartRun(m Manifest) {
 		args = append(args, Arg{Key: "flag." + k, Val: m.Flags[k]})
 	}
 	s.tracer.Meta("manifest", args...)
+}
+
+// Start is the telemetry start-up of a networked process, from its -metrics
+// and -trace flags. With both empty it starts nothing and returns a nil
+// Sink, on which every instrumentation point is a no-op. Otherwise it builds
+// the sink, records m as the run manifest with the command line's
+// explicitly set flags, and, when metricsAddr is set, serves /metrics and
+// /debug/pprof there and returns the bound address.
+func Start(metricsAddr, traceFile string, m Manifest) (s *Sink, bound string, err error) {
+	if metricsAddr == "" && traceFile == "" {
+		return nil, "", nil
+	}
+	var trc *Tracer
+	if traceFile != "" {
+		if trc, err = CreateTrace(traceFile); err != nil {
+			return nil, "", err
+		}
+	}
+	var reg *Registry
+	if metricsAddr != "" {
+		reg = NewRegistry()
+	}
+	s = NewSink(reg, trc)
+	m.Flags = make(map[string]string)
+	flag.Visit(func(f *flag.Flag) { m.Flags[f.Name] = f.Value.String() })
+	s.StartRun(m)
+	if metricsAddr != "" {
+		if bound, err = reg.Serve(metricsAddr); err != nil {
+			_ = s.Close()
+			return nil, "", err
+		}
+	}
+	return s, bound, nil
 }
 
 // ObserveRound folds one completed round into the metric set and draws it

@@ -2,6 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +154,44 @@ func TestSinkManifestExposition(t *testing.T) {
 	}
 }
 
+// TestStartFromFlags is the networked mains' start-up: with -metrics and
+// -trace empty it starts nothing and returns a nil sink; with both set the
+// manifest reaches the served /metrics page and the trace file.
+func TestStartFromFlags(t *testing.T) {
+	m := Manifest{RunID: "abc123", Role: "fedworker", Method: "reffil", Dataset: "pacs", Seed: 7, Start: time.Now()}
+	s, bound, err := Start("", "", m)
+	if s != nil || bound != "" || err != nil {
+		t.Fatalf("disabled start gave (%v, %q, %v), want a nil sink", s, bound, err)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	s, bound, err = Start("127.0.0.1:0", trace, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + bound + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(page), `fed_build_info{run_id="abc123",role="fedworker",`) {
+		t.Errorf("/metrics has no manifest gauge:\n%s", page)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"manifest"`) {
+		t.Errorf("trace file has no manifest event:\n%s", raw)
+	}
+}
+
 func TestNilSinkIsSafe(t *testing.T) {
 	var s *Sink
 	s.StartRun(Manifest{})
@@ -163,8 +205,8 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.Installed(0, 0, 1, 1, 0, time.Second)
 	s.CheckpointWritten(0, 0, 1, time.Second)
 	s.WorkerRound(0, 0, 1, time.Second)
-	if s.Tracer() != nil || s.Registry() != nil {
-		t.Fatal("nil sink accessors must return nil")
+	if s.Tracer() != nil {
+		t.Fatal("a nil sink's tracer must be nil")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

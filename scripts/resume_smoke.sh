@@ -2,7 +2,8 @@
 # Resume smoke test: SIGKILL a checkpointing fedserver mid-run, restart it
 # with the identical command line, and require the resumed run to complete
 # with an accuracy-matrix block equal — byte for byte — to the one the
-# in-process reffil CLI prints for the same four run flags. The workers are
+# in-process reffil CLI prints for the same four run flags, its closing
+# `state <hash>` line of the final weights included. The workers are
 # started once with -rejoin and survive the coordinator's death by
 # re-dialing, exactly as a real deployment would. The restart hands the
 # workers fresh slots, so the resumed server's first broadcasts are full
@@ -35,8 +36,8 @@ start_workers() { # $1 = coordinator address
     done
 }
 
-matrix_of() { # $1 = run log; prints the matrix + summary block
-    sed -n '/^accuracy matrix/,/^Avg /p' "$1"
+matrix_of() { # $1 = run log; prints the matrix, summary and state block
+    sed -n '/^accuracy matrix/,/^state /p' "$1"
 }
 
 # --- Reference: the same run, in process. ---------------------------------
@@ -74,9 +75,10 @@ grep -Eq '^wire totals: .* frames [0-9]+ full/[1-9][0-9]* delta/' "$work/resumed
 
 matrix_of "$work/reference.log" >"$work/reference.matrix"
 matrix_of "$work/resumed.log" >"$work/resumed.matrix"
-[ -s "$work/reference.matrix" ] || { echo "reference printed no matrix"; cat "$work/reference.log"; exit 1; }
+grep -q '^state [0-9a-f]\{16\}$' "$work/reference.matrix" \
+    || { echo "reference printed no matrix block ending in a state line"; cat "$work/reference.log"; exit 1; }
 if ! diff -u "$work/reference.matrix" "$work/resumed.matrix"; then
-    echo "resumed matrix diverged from the in-process reference"
+    echo "resumed matrix or final weights diverged from the in-process reference"
     exit 1
 fi
 
@@ -89,6 +91,6 @@ fi
 grep -q -- "-method RefFiL -dataset pacs -scale mini -seed 3, not -method RefFiL -dataset officecaltech10 -scale mini -seed 3" "$work/mismatch.log" \
     || { echo "mismatched restart failed for another reason:"; cat "$work/mismatch.log"; exit 1; }
 
-echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil, shipping delta frames; a restart under another -dataset was refused"
+echo "resume smoke passed: SIGKILLed run resumed bit-identically to reffil, weights included, shipping delta frames; a restart under another -dataset was refused"
 grep '^wire totals' "$work/resumed.log"
 cat "$work/resumed.matrix"
