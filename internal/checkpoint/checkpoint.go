@@ -1,15 +1,16 @@
 // Package checkpoint is the byte form of model state: a compact, versioned
-// tensor-dict encoding (Save, Marshal), and the run snapshot built on it
-// (SaveRunStateFile), so long federated runs (the paper-scale preset trains
-// for hours on CPU) can be stopped and resumed. The dict form travels inside
-// run snapshots and wire-state payloads; the run snapshot is the only file
-// on disk, and the one a finished run leaves holds its final global model.
-// Snapshots are written atomically (temp file + rename) and carry a
-// checksum.
+// tensor-dict encoding (Marshal, Unmarshal), and the run snapshot built on it
+// (SaveRunStateFile, LoadRunStateFile), so long federated runs (the
+// paper-scale preset trains for hours on CPU) can be stopped and resumed.
+// The dict form travels inside run snapshots and wire-state payloads; the
+// run snapshot is the only file on disk, and the one a finished run leaves
+// holds its final global model. Snapshots are written atomically (temp file
+// + rename) and carry a checksum. Encoding streams through a small staging
+// buffer; decoding parses the bytes in place, and every tensor entry on
+// either side passes CheckEntry, the bounds the wire's packed deltas share.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -17,15 +18,17 @@ import (
 	"math"
 	"sort"
 
+	"reffil/internal/binfmt"
 	"reffil/internal/tensor"
 )
 
-// magic identifies checkpoint files; the trailing digit is the format
+// magic opens the tensor-dict form; the trailing digit is the format
 // version.
 var magic = [8]byte{'R', 'F', 'L', 'C', 'K', 'P', 'T', '1'}
 
 // Bounds on one tensor entry, shared by this format and the wire's packed
-// deltas: a corrupt or hostile header must never trigger a huge allocation.
+// deltas (see CheckEntry): a corrupt or hostile header must never trigger a
+// huge allocation.
 const (
 	// MaxNameLen bounds serialized tensor names.
 	MaxNameLen = 4096
@@ -36,23 +39,44 @@ const (
 	MaxElems = 1 << 22
 )
 
-// chunkBytes sizes the scratch buffer every encode or decode call stages its
-// header fields and tensor data through: a tensor moves in chunks of
-// chunkBytes/8 elements, never one element per I/O call. A name is the
-// largest header field, so the buffer is exactly that long.
-const chunkBytes = MaxNameLen
+// CheckEntry checks one tensor entry against the bounds every tensor-dict
+// form shares — a name of 1 to MaxNameLen bytes, a rank of at most MaxDims,
+// no negative dim and at most MaxElems elements — and returns its element
+// count. dim(i) is the size of axis i, so an encoder passes a tensor's Dim
+// method and nothing is copied: the check allocates only when it fails.
+func CheckEntry(name string, rank int, dim func(i int) int) (int, error) {
+	if len(name) == 0 || len(name) > MaxNameLen {
+		return 0, fmt.Errorf("invalid tensor name length %d", len(name))
+	}
+	if rank > MaxDims {
+		return 0, fmt.Errorf("tensor %q has rank %d > %d", name, rank, MaxDims)
+	}
+	elems := 1
+	for i := 0; i < rank; i++ {
+		d := dim(i)
+		if d < 0 || d > MaxElems {
+			return 0, fmt.Errorf("tensor %q has invalid dim %d", name, d)
+		}
+		// Both factors are at most MaxElems, so the product cannot overflow.
+		elems *= d
+		if elems > MaxElems {
+			return 0, fmt.Errorf("tensor %q exceeds the budget of %d elements", name, MaxElems)
+		}
+	}
+	return elems, nil
+}
 
-// writer and reader are what the format needs of a stream; *bufio.Writer and
-// *bytes.Buffer, *bufio.Reader and *bytes.Reader provide them.
+// chunkBytes sizes the scratch buffer an encode stages its fixed-width
+// fields and tensor data through: a tensor moves in chunks of chunkBytes/8
+// elements, never one element per write.
+const chunkBytes = 4 << 10
+
+// writer is what the encoder needs of a stream; *bufio.Writer and
+// *bytes.Buffer provide it.
 type writer interface {
 	io.Writer
 	io.ByteWriter
 	io.StringWriter
-}
-
-type reader interface {
-	io.Reader
-	io.ByteReader
 }
 
 // writeFloats writes vs as little-endian Float64bits through scratch.
@@ -70,47 +94,19 @@ func writeFloats(w io.Writer, scratch []byte, vs []float64) error {
 	return nil
 }
 
-// readFloats fills dst from little-endian Float64bits read through scratch.
-func readFloats(r io.Reader, scratch []byte, dst []float64) error {
-	for len(dst) > 0 {
-		n := min(len(dst), len(scratch)/8)
-		if _, err := io.ReadFull(r, scratch[:8*n]); err != nil {
-			return err
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8*i:]))
-		}
-		dst = dst[n:]
-	}
-	return nil
-}
-
-// Save writes a state dict to w. Entries are sorted by name so the output
-// is deterministic for identical state.
-func Save(w io.Writer, dict map[string]*tensor.Tensor) error {
-	bw := bufio.NewWriter(w)
-	if err := save(bw, dict, sortedNames(dict)); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flushing: %w", err)
-	}
-	return nil
-}
-
-// Marshal returns the bytes Save would write, in one exactly-sized slice.
+// Marshal encodes a state dict in one exactly-sized slice. Entries are
+// sorted by name, so equal state encodes to equal bytes.
 func Marshal(dict map[string]*tensor.Tensor) ([]byte, error) {
 	return AppendMarshal(nil, dict)
 }
 
-// AppendMarshal appends the bytes Save would write to dst and returns the
-// extended slice; when dst lacks the room, the new slice has exactly enough.
+// AppendMarshal appends the bytes Marshal would return to dst and returns
+// the extended slice; when dst lacks the room, the new slice has exactly
+// enough.
 func AppendMarshal(dst []byte, dict map[string]*tensor.Tensor) ([]byte, error) {
-	names := sortedNames(dict)
-	size := len(magic) + 4
-	for _, name := range names {
-		t := dict[name]
-		size += 2 + len(name) + 1 + 8*t.NDim() + 8*t.Size()
+	names, size, err := layout(dict)
+	if err != nil {
+		return nil, err
 	}
 	if cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
@@ -122,15 +118,26 @@ func AppendMarshal(dst []byte, dict map[string]*tensor.Tensor) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func sortedNames(dict map[string]*tensor.Tensor) []string {
+// layout returns dict's names in encoding order and the size of its
+// encoding, refusing any entry CheckEntry refuses before a byte is written.
+func layout(dict map[string]*tensor.Tensor) ([]string, int, error) {
 	names := make([]string, 0, len(dict))
 	for name := range dict {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names
+	size := len(magic) + 4
+	for _, name := range names {
+		t := dict[name]
+		if _, err := CheckEntry(name, t.NDim(), t.Dim); err != nil {
+			return nil, 0, fmt.Errorf("checkpoint: %w", err)
+		}
+		size += 2 + len(name) + 1 + 8*t.NDim() + 8*t.Size()
+	}
+	return names, size, nil
 }
 
+// save writes dict's entries in the order layout gave.
 func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
 	if _, err := w.Write(magic[:]); err != nil {
 		return fmt.Errorf("checkpoint: writing header: %w", err)
@@ -141,14 +148,8 @@ func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
 		return fmt.Errorf("checkpoint: writing count: %w", err)
 	}
 	for _, name := range names {
-		if len(name) == 0 || len(name) > MaxNameLen {
-			return fmt.Errorf("checkpoint: invalid tensor name length %d", len(name))
-		}
 		t := dict[name]
 		rank := t.NDim()
-		if rank > MaxDims {
-			return fmt.Errorf("checkpoint: tensor %q has rank %d > %d", name, rank, MaxDims)
-		}
 		binary.LittleEndian.PutUint16(scratch, uint16(len(name)))
 		if _, err := w.Write(scratch[:2]); err != nil {
 			return err
@@ -172,99 +173,68 @@ func save(w writer, dict map[string]*tensor.Tensor, names []string) error {
 	return nil
 }
 
-// Load reads a state dict from r to its end, validating the header and
-// every size field before allocating: bytes after the last entry are an
-// error.
-func Load(r io.Reader) (map[string]*tensor.Tensor, error) {
-	return loadAll(bufio.NewReader(r))
-}
+// minEntry is the fewest bytes an entry takes: a one-byte name, then rank 0
+// and its one element, or rank 1 and a zero dim.
+const minEntry = 2 + 1 + 1 + 8
 
-// Unmarshal decodes a state dict from the bytes Marshal or Save produced,
-// all of them, as Load does.
+// Unmarshal decodes a state dict from the bytes Marshal produced, all of
+// them, parsing b in place. Every size field is checked against the bounds
+// and against the bytes left before anything is sized by it, names must
+// ascend, and bytes after the last entry are an error, so whatever decodes
+// re-encodes to b.
 func Unmarshal(b []byte) (map[string]*tensor.Tensor, error) {
-	return loadAll(bytes.NewReader(b))
-}
-
-// loadAll is load followed by a check that r is exhausted, so a dict has
-// exactly one encoding and a file with anything appended is not a checkpoint.
-func loadAll(r reader) (map[string]*tensor.Tensor, error) {
-	dict, err := load(r)
-	if err != nil {
-		return nil, err
+	r := binfmt.NewReader(b)
+	head := r.Next(uint64(len(magic) + 4))
+	if head == nil {
+		return nil, fmt.Errorf("checkpoint: header: %w", r.Err())
 	}
-	switch _, err := r.ReadByte(); err {
-	case io.EOF:
-		return dict, nil
-	case nil:
-		return nil, fmt.Errorf("checkpoint: bytes after the last entry")
-	default:
-		return nil, fmt.Errorf("checkpoint: reading past the last entry: %w", err)
-	}
-}
-
-func load(r reader) (map[string]*tensor.Tensor, error) {
-	scratch := make([]byte, chunkBytes)
-	if _, err := io.ReadFull(r, scratch[:len(magic)]); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading header: %w", err)
-	}
-	if got := [8]byte(scratch[:len(magic)]); got != magic {
+	if got := [8]byte(head); got != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint, or unsupported version)", got)
 	}
-	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading count: %w", err)
+	count := binary.LittleEndian.Uint32(head[len(magic):])
+	if left := len(b) - len(head); uint64(count) > uint64(left/minEntry) {
+		return nil, fmt.Errorf("checkpoint: %d entries cannot fit in %d bytes", count, left)
 	}
-	count := binary.LittleEndian.Uint32(scratch)
-	// Never pre-size from an untrusted count: a corrupted header must not
-	// translate into a giant allocation. Entries grow the map as they are
-	// actually parsed.
-	dict := make(map[string]*tensor.Tensor, min(int(count), 1024))
+	dict := make(map[string]*tensor.Tensor, count)
 	prev := ""
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, scratch[:2]); err != nil {
-			return nil, fmt.Errorf("checkpoint: entry %d name length: %w", i, err)
+	for i := range int(count) {
+		var name string
+		if n := r.Next(2); n != nil {
+			name = string(r.Next(uint64(binary.LittleEndian.Uint16(n))))
 		}
-		nameLen := int(binary.LittleEndian.Uint16(scratch))
-		if nameLen == 0 || nameLen > MaxNameLen {
-			return nil, fmt.Errorf("checkpoint: entry %d has invalid name length %d", i, nameLen)
+		rank := int(r.U8())
+		dims := r.Next(uint64(8 * rank))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("checkpoint: entry %d: %w", i, err)
 		}
-		if _, err := io.ReadFull(r, scratch[:nameLen]); err != nil {
-			return nil, fmt.Errorf("checkpoint: entry %d name: %w", i, err)
+		dim := func(d int) int { return int(binary.LittleEndian.Uint64(dims[8*d:])) }
+		elems, err := CheckEntry(name, rank, dim)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: entry %d: %w", i, err)
 		}
-		name := string(scratch[:nameLen])
-		// Save sorts, so equal state has exactly one encoding; an entry out
-		// of order — a duplicate included — is not one Save wrote.
+		// Marshal sorts, so equal state has exactly one encoding; an entry
+		// out of order — a duplicate included — is not one Marshal wrote.
 		if name <= prev {
 			return nil, fmt.Errorf("checkpoint: entry %q after %q: names must ascend", name, prev)
 		}
 		prev = name
-		ndim, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: entry %q rank: %w", name, err)
-		}
-		if int(ndim) > MaxDims {
-			return nil, fmt.Errorf("checkpoint: entry %q has rank %d > %d", name, ndim, MaxDims)
-		}
-		if _, err := io.ReadFull(r, scratch[:8*int(ndim)]); err != nil {
-			return nil, fmt.Errorf("checkpoint: entry %q dims: %w", name, err)
-		}
-		shape := make([]int, ndim)
-		elems := 1
-		for d := range shape {
-			dim := int64(binary.LittleEndian.Uint64(scratch[8*d:]))
-			if dim < 0 || dim > MaxElems {
-				return nil, fmt.Errorf("checkpoint: entry %q has invalid dim %d", name, dim)
-			}
-			shape[d] = int(dim)
-			elems *= int(dim)
-			if elems > MaxElems {
-				return nil, fmt.Errorf("checkpoint: entry %q exceeds element budget", name)
-			}
-		}
-		t := tensor.New(shape...)
-		if err := readFloats(r, scratch, t.Data()); err != nil {
+		data := r.Next(8 * uint64(elems))
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("checkpoint: entry %q data: %w", name, err)
 		}
+		var shape [MaxDims]int
+		for d := range rank {
+			shape[d] = dim(d)
+		}
+		t := tensor.New(shape[:rank]...)
+		vs := t.Data()
+		for j := range vs {
+			vs[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+		}
 		dict[name] = t
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("checkpoint: after the last entry: %w", err)
 	}
 	return dict, nil
 }

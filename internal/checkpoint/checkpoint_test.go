@@ -2,9 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"reffil/internal/tensor"
@@ -22,11 +26,11 @@ func sampleDict(rng *rand.Rand) map[string]*tensor.Tensor {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dict := sampleDict(rng)
-	var buf bytes.Buffer
-	if err := Save(&buf, dict); err != nil {
+	enc, err := Marshal(dict)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := Unmarshal(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,42 +54,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	dict := sampleDict(rng)
-	var a, b bytes.Buffer
-	if err := Save(&a, dict); err != nil {
+	a, err := Marshal(dict)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(&b, dict); err != nil {
+	b, err := Marshal(dict)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("same dict must serialize identically")
 	}
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("NOTACKPT plus junk"))); err == nil {
+	if _, err := Unmarshal([]byte("NOTACKPT plus junk")); err == nil {
 		t.Fatal("bad magic must error")
 	}
 }
 
 func TestLoadRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var buf bytes.Buffer
-	if err := Save(&buf, sampleDict(rng)); err != nil {
+	full, err := Marshal(sampleDict(rng))
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 	// Every strict prefix must fail cleanly, never panic.
 	for _, cut := range []int{4, 8, 12, 20, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Unmarshal(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes must error", cut)
 		}
 	}
 }
 
 func TestLoadRejectsHostileHeader(t *testing.T) {
-	// Craft a header claiming a gigantic tensor; Load must refuse before
-	// allocating.
+	// Craft a header claiming a gigantic tensor; Unmarshal must refuse
+	// before allocating.
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	buf.Write([]byte{1, 0, 0, 0}) // count = 1
@@ -95,17 +99,74 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 	for i := 0; i < 2; i++ {      // dims: 2^40 each
 		buf.Write([]byte{0, 0, 0, 0, 0, 1, 0, 0})
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
 		t.Fatal("hostile dims must be rejected")
 	}
 }
 
+// TestUnmarshalRefusesMissingData decodes a 24-byte header that declares
+// one MaxElems-element tensor and carries none of its data: the refusal
+// comes from the bytes left, before the 32 MiB tensor is allocated.
+func TestUnmarshalRefusesMissingData(t *testing.T) {
+	b := append(append([]byte(nil), magic[:]...), 1, 0, 0, 0, 1, 0, 'x', 1)
+	b = binary.LittleEndian.AppendUint64(b, MaxElems)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a %d-byte header with no data behind it decoded", len(b))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("refusing a %d-byte input allocated %d B", len(b), got)
+	}
+}
+
+// TestMarshalRefusesOversizedEntries holds the encoder to the bounds the
+// decoder enforces: an entry Unmarshal would refuse is refused before a
+// byte is written, inside a run snapshot too.
+func TestMarshalRefusesOversizedEntries(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		dict map[string]*tensor.Tensor
+	}{
+		{"MaxElems+1 elements", map[string]*tensor.Tensor{"w": tensor.New(MaxElems + 1)}},
+		{"rank MaxDims+1", map[string]*tensor.Tensor{"w": tensor.New(slices.Repeat([]int{1}, MaxDims+1)...)}},
+		{"a long name", map[string]*tensor.Tensor{strings.Repeat("x", MaxNameLen+1): tensor.Scalar(1)}},
+	} {
+		if b, err := Marshal(tc.dict); err == nil {
+			t.Fatalf("%s: Marshal wrote %d bytes", tc.what, len(b))
+		}
+		rs := sampleRunState(rand.New(rand.NewSource(19)))
+		rs.Global = tc.dict
+		var buf bytes.Buffer
+		if err := SaveRunState(&buf, rs); err == nil || buf.Len() != 0 {
+			t.Fatalf("%s: SaveRunState wrote %d bytes (err %v)", tc.what, buf.Len(), err)
+		}
+	}
+}
+
+// TestCheckEntryAllocatesNothing: encoders check every key of every dict
+// they write, so a passing check may not allocate — not even the copy
+// Tensor.Shape makes.
+func TestCheckEntryAllocatesNothing(t *testing.T) {
+	w := tensor.New(3, 4, 5)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := CheckEntry("layer.w", w.NDim(), w.Dim); err != nil || n != w.Size() {
+			t.Fatalf("CheckEntry = (%d, %v), want (%d, nil)", n, err, w.Size())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CheckEntry allocated %v objects per call", allocs)
+	}
+}
+
 func TestEmptyDictRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, nil); err != nil {
+	enc, err := Marshal(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := Unmarshal(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +186,13 @@ func TestDuplicateEntryRejected(t *testing.T) {
 		buf.WriteByte(0) // rank 0 (scalar)
 		buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
 		t.Fatal("duplicate entries must error")
 	}
 }
 
-// goldenDict and goldenHex pin the byte format: the hex is what Save wrote
-// for this dict before tensors moved through a chunk buffer.
+// goldenDict and goldenHex pin the byte format: the hex is what the
+// encoder wrote for this dict before tensors moved through a chunk buffer.
 func goldenDict() map[string]*tensor.Tensor {
 	return map[string]*tensor.Tensor{
 		"w":    tensor.FromSlice([]float64{1, math.Copysign(0, -1), math.NaN(), 0.5, -2.25, math.Inf(1)}, 2, 3),
@@ -150,13 +211,6 @@ func TestFormatMatchesGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenHex)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Save(&buf, goldenDict()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("Save wrote\n%x\nwant\n%x", buf.Bytes(), want)
 	}
 	got, err := Marshal(goldenDict())
 	if err != nil {

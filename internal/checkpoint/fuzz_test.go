@@ -92,7 +92,7 @@ func FuzzLoadRunState(f *testing.F) {
 		b := sealed(body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rs, err := LoadRunState(bytes.NewReader(b))
+		rs, err := LoadRunState(b)
 		runtime.ReadMemStats(&after)
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*MaxElems+64*len(b)+1<<20); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), got, bound)

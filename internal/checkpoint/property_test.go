@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,8 +9,8 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Property: any randomly shaped state dict survives a Save/Load round trip
-// exactly.
+// Property: any randomly shaped state dict survives a Marshal/Unmarshal
+// round trip exactly.
 func TestQuickRoundTripArbitraryDicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -26,11 +25,11 @@ func TestQuickRoundTripArbitraryDicts(t *testing.T) {
 			}
 			dict[fmt.Sprintf("t%d", i)] = tensor.RandN(r, 1, shape...)
 		}
-		var buf bytes.Buffer
-		if err := Save(&buf, dict); err != nil {
+		enc, err := Marshal(dict)
+		if err != nil {
 			return false
 		}
-		back, err := Load(&buf)
+		back, err := Unmarshal(enc)
 		if err != nil || len(back) != len(dict) {
 			return false
 		}
@@ -48,19 +47,18 @@ func TestQuickRoundTripArbitraryDicts(t *testing.T) {
 	}
 }
 
-// Property: random byte corruption of a checkpoint never panics Load — it
-// either errors or (for data-section flips) yields a loadable dict.
+// Property: random byte corruption of a checkpoint never panics Unmarshal —
+// it either errors or (for data-section flips) yields a loadable dict.
 func TestQuickCorruptionNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	base := map[string]*tensor.Tensor{
 		"w": tensor.RandN(rng, 1, 4, 3),
 		"b": tensor.RandN(rng, 1, 3),
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, base); err != nil {
+	raw, err := Marshal(base)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	f := func(seed int64) (ok bool) {
 		defer func() {
 			if recover() != nil {
@@ -74,7 +72,7 @@ func TestQuickCorruptionNeverPanics(t *testing.T) {
 			pos := r.Intn(len(corrupted))
 			corrupted[pos] ^= byte(1 << r.Intn(8))
 		}
-		_, _ = Load(bytes.NewReader(corrupted))
+		_, _ = Unmarshal(corrupted)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rng}

@@ -83,6 +83,10 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	if len(rs.Payload) > maxPayload {
 		return fmt.Errorf("checkpoint: payload of %d bytes exceeds %d", len(rs.Payload), maxPayload)
 	}
+	names, _, err := layout(rs.Global)
+	if err != nil {
+		return err
+	}
 	hw := binfmt.Writer{Buf: append([]byte(nil), runMagic[:]...)}
 	hw.String(rs.Method, MaxNameLen)
 	hw.String(rs.Dataset, MaxNameLen)
@@ -111,7 +115,7 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	if _, err := bw.Write(rs.Payload); err != nil {
 		return fmt.Errorf("checkpoint: writing run payload: %w", err)
 	}
-	if err := save(bw, rs.Global, sortedNames(rs.Global)); err != nil {
+	if err := save(bw, rs.Global, names); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -123,14 +127,11 @@ func SaveRunState(w io.Writer, rs *RunState) error {
 	return nil
 }
 
-// LoadRunState reads a resumable run snapshot from r to its end. It checks
+// LoadRunState decodes a resumable run snapshot from b, all of it. It checks
 // the magic and then the checksum before it decodes anything, and every
 // size field before it allocates; bytes after the global dict are an error.
-func LoadRunState(r io.Reader) (*RunState, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading run state: %w", err)
-	}
+// The result shares no memory with b.
+func LoadRunState(b []byte) (*RunState, error) {
 	if len(b) < len(runMagic)+crc32.Size {
 		return nil, fmt.Errorf("checkpoint: run state of %d bytes is shorter than its header", len(b))
 	}
@@ -162,7 +163,7 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 		rs.Matrix[i] = row
 	}
 	rs.HasPayload = d.Flag()
-	// Cloned, so the snapshot does not keep the whole file alive.
+	// Cloned, so the snapshot does not keep b alive.
 	rs.Payload = bytes.Clone(d.Bytes(maxPayload))
 	if rs.Method == "" {
 		d.Fail("empty run method")
@@ -171,9 +172,11 @@ func LoadRunState(r io.Reader) (*RunState, error) {
 	if err := d.End(); err != nil {
 		return nil, fmt.Errorf("checkpoint: run state: %w", err)
 	}
-	if rs.Global, err = Unmarshal(dict); err != nil {
+	global, err := Unmarshal(dict)
+	if err != nil {
 		return nil, err
 	}
+	rs.Global = global
 	return rs, nil
 }
 
@@ -220,10 +223,9 @@ func SaveRunStateFile(path string, rs *RunState) (err error) {
 
 // LoadRunStateFile reads a run snapshot from path.
 func LoadRunStateFile(path string) (*RunState, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: opening %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", path, err)
 	}
-	defer f.Close()
-	return LoadRunState(f)
+	return LoadRunState(b)
 }

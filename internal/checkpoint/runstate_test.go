@@ -46,7 +46,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 	if err := SaveRunState(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadRunState(&buf)
+	got, err := LoadRunState(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunStateEmptyDatasetAndScale(t *testing.T) {
 	if err := SaveRunState(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadRunState(&buf)
+	got, err := LoadRunState(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRunStateFileRoundTrip(t *testing.T) {
 }
 
 func TestRunStateRejectsBadMagic(t *testing.T) {
-	if _, err := LoadRunState(bytes.NewReader([]byte("NOTARUN0 plus junk"))); err == nil {
+	if _, err := LoadRunState([]byte("NOTARUN0 plus junk")); err == nil {
 		t.Fatal("bad run-state magic must error")
 	}
 	// A snapshot of the previous format is refused at its magic, checksum
@@ -159,16 +159,16 @@ func TestRunStateRejectsBadMagic(t *testing.T) {
 	v2 := old.Bytes()[:old.Len()-4]
 	copy(v2, "RFLRUN02")
 	for _, b := range [][]byte{v2, sealed(v2)} {
-		if _, err := LoadRunState(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "bad run-state magic") {
+		if _, err := LoadRunState(b); err == nil || !strings.Contains(err.Error(), "bad run-state magic") {
 			t.Fatalf("an RFLRUN02 snapshot: got %v, want the bad-magic error", err)
 		}
 	}
 	// A plain dict checkpoint is not a run state either.
-	var buf bytes.Buffer
-	if err := Save(&buf, sampleDict(rand.New(rand.NewSource(13)))); err != nil {
+	dict, err := Marshal(sampleDict(rand.New(rand.NewSource(13))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRunState(&buf); err == nil {
+	if _, err := LoadRunState(dict); err == nil {
 		t.Fatal("dict checkpoint must not load as a run state")
 	}
 }
@@ -181,7 +181,7 @@ func TestRunStateRejectsTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{4, 9, 20, len(full) / 2, len(full) - 1} {
-		if _, err := LoadRunState(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadRunState(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes must error", cut)
 		}
 	}
@@ -206,7 +206,7 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 	if err := SaveRunState(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := LoadRunState(&buf); err != nil || got.NextRound != maxTasks {
+	if got, err := LoadRunState(buf.Bytes()); err != nil || got.NextRound != maxTasks {
 		t.Fatalf("largest saveable round must load back: %v", err)
 	}
 	rs.Payload = make([]byte, maxPayload+1)
@@ -229,7 +229,7 @@ func TestRunStateRejectsHostileSizes(t *testing.T) {
 	hostile = append(hostile, rs.Method...)
 	hostile = binary.AppendUvarint(hostile, MaxNameLen+1)
 	hostile = append(hostile, strings.Repeat("x", MaxNameLen+1)...)
-	if _, err := LoadRunState(bytes.NewReader(sealed(hostile))); err == nil || !strings.Contains(err.Error(), "string of 4097 bytes exceeds") {
+	if _, err := LoadRunState(sealed(hostile)); err == nil || !strings.Contains(err.Error(), "string of 4097 bytes exceeds") {
 		t.Fatalf("hostile dataset length: got %v, want the dataset length refused", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestRunStateDetectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if _, err := LoadRunState(bytes.NewReader(good)); err != nil {
+	if _, err := LoadRunState(good); err != nil {
 		t.Fatal(err)
 	}
 	damaged := make([]byte, len(good))
@@ -260,32 +260,31 @@ func TestRunStateDetectsDamage(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(damaged, good)
 			damaged[i] ^= 1 << bit
-			if _, err := LoadRunState(bytes.NewReader(damaged)); err == nil {
+			if _, err := LoadRunState(damaged); err == nil {
 				t.Fatalf("bit %d of byte %d flipped: the snapshot loaded", bit, i)
 			}
 		}
 	}
 	for n := 0; n < len(good); n++ {
-		if _, err := LoadRunState(bytes.NewReader(good[:n])); err == nil {
+		if _, err := LoadRunState(good[:n]); err == nil {
 			t.Fatalf("cut to %d of %d bytes: the snapshot loaded", n, len(good))
 		}
 	}
-	if _, err := LoadRunState(bytes.NewReader(append(good[:len(good):len(good)], 0))); err == nil {
+	if _, err := LoadRunState(append(good[:len(good):len(good)], 0)); err == nil {
 		t.Fatal("a byte appended: the snapshot loaded")
 	}
 }
 
-// TestFilesRejectTrailingBytes appends one byte to a saved model dict and to
-// a saved run-state file: neither may load, since bytes after the last entry
-// are not something Save wrote.
+// TestFilesRejectTrailingBytes appends one byte to a marshaled model dict
+// and to a saved run-state file: neither may load, since bytes after the
+// last entry are not something the encoder wrote.
 func TestFilesRejectTrailingBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	var model bytes.Buffer
-	if err := Save(&model, sampleDict(rng)); err != nil {
+	model, err := Marshal(sampleDict(rng))
+	if err != nil {
 		t.Fatal(err)
 	}
-	model.WriteByte(0)
-	if _, err := Load(&model); err == nil {
+	if _, err := Unmarshal(append(model, 0)); err == nil {
 		t.Fatal("a model dict with a trailing byte loaded")
 	}
 	run := filepath.Join(t.TempDir(), "run.ckpt")

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"reffil/internal/core"
 )
 
 // PrintMatrix renders one run's accuracy-matrix block: a header naming the
@@ -165,9 +167,9 @@ func PrintTemperatureTable(w io.Writer, title string, res map[string]Result) err
 		}
 		tauCol := "-"
 		if row.Decay {
-			t3 := row.Tau * (1 - (row.Gamma + 2*row.Beta))
-			if t3 < row.TauMin {
-				t3 = row.TauMin
+			t3, err := core.DecayedTemperature(row.Tau, row.TauMin, row.Gamma, row.Beta, 3)
+			if err != nil {
+				return err
 			}
 			tauCol = fmt.Sprintf("%.3f", t3)
 		}

@@ -122,8 +122,8 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 				a.errs[k] = fmt.Errorf("fl: client %d update missing entry %q", n, name)
 				continue
 			}
-			if src.Size() != first.Size() {
-				a.errs[k] = fmt.Errorf("fl: client %d entry %q has %d elements, want %d", n, name, src.Size(), first.Size())
+			if !src.SameShape(first) {
+				a.errs[k] = fmt.Errorf("fl: client %d entry %q has shape %v, want %v", n, name, src.Shape(), first.Shape())
 				continue
 			}
 			if a.unanimous[k] {

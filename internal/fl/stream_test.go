@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reffil/internal/tensor"
@@ -101,6 +102,26 @@ func TestStreamingFoldMatchesWeightedAverage(t *testing.T) {
 	// releases that dict, so a clone per round would buy nothing.
 	if stream["frozen"] != dicts[0]["frozen"] || batch["frozen"] != dicts[0]["frozen"] {
 		t.Fatal("finalized unanimous key is a copy, not the first folded dict's tensor")
+	}
+}
+
+// TestFoldRefusesReshapedEntry folds a (3,2) entry onto a (2,3) one: the
+// element counts agree, the shapes do not, and a fold that compared only
+// counts would average the two elementwise.
+func TestFoldRefusesReshapedEntry(t *testing.T) {
+	acc := NewAccumulator()
+	if err := acc.Fold(map[string]*tensor.Tensor{"w": tensor.New(2, 3)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	err := acc.Fold(map[string]*tensor.Tensor{"w": tensor.New(3, 2)}, 1)
+	if err == nil {
+		t.Fatal("a (3,2) entry folded onto a (2,3) one")
+	}
+	if !strings.Contains(err.Error(), "[3 2]") || !strings.Contains(err.Error(), "[2 3]") {
+		t.Fatalf("refusal %q does not name both shapes", err)
+	}
+	if acc.Folded() != 1 {
+		t.Fatalf("the refused update counted: %d folded", acc.Folded())
 	}
 }
 

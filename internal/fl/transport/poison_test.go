@@ -9,7 +9,6 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
-	"reffil/internal/tensor"
 )
 
 // TestPoisonedBuffersLeaveRunsBitIdentical is the lifetime gate for the
@@ -33,17 +32,13 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 	domains := family.Domains[:2]
 	for _, method := range []string{"RefFiL", "FedLwF"} {
 		t.Run(short(method), func(t *testing.T) {
-			var cleanState, poisonedState map[string]*tensor.Tensor
-			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, global: &cleanState})
+			var cleanState, poisonedState finalState
+			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &cleanState})
 			restore := transport.PoisonReusedBuffers()
-			poisoned, poisonedStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, global: &poisonedState})
+			poisoned, poisonedStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &poisonedState})
 			restore()
 			requireSameMatrix(t, "poisoned", clean, poisoned)
-			for key, want := range cleanState {
-				if !poisonedState[key].EqualBits(want) {
-					t.Fatalf("final state %q differs under poisoned buffers", key)
-				}
-			}
+			requireSameFinal(t, "poisoned", cleanState, poisonedState)
 			if cleanStats != poisonedStats {
 				t.Fatalf("stats differ under poisoned buffers:\n%+v\n%+v", cleanStats, poisonedStats)
 			}

@@ -58,7 +58,7 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if err := checkpoint.SaveRunState(&buf, &snap); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := checkpoint.LoadRunState(&buf)
+	loaded, err := checkpoint.LoadRunState(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

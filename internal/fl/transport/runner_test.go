@@ -22,9 +22,7 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
-	"reffil/internal/nn"
 	"reffil/internal/telemetry"
-	"reffil/internal/tensor"
 )
 
 // crossRunnerConfig is deliberately tiny: enough tasks/rounds/clients to
@@ -82,9 +80,9 @@ type tcpRun struct {
 	// wires them: coordinator, pipeline and engine; the pipeline's OnRound.
 	sink    *telemetry.Sink
 	onRound func(transport.RoundStats)
-	// global, when non-nil, receives a copy of the coordinator's final
-	// global state dict.
-	global *map[string]*tensor.Tensor
+	// final, when non-nil, receives the coordinator's final global state
+	// dict and wire state.
+	final *finalState
 }
 
 // runTCPWith executes the same sequence as runLocal over loopback TCP:
@@ -159,8 +157,8 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.global != nil {
-		*opt.global = nn.StateDict(alg.Global())
+	if opt.final != nil {
+		*opt.final = finalOf(t, alg)
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
@@ -199,11 +197,13 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 	for _, method := range methods {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
-			local := localReference(t, method, family, domains)
-			remote, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2})
+			local := localRunOf(t, method, family, domains)
+			var final finalState
+			remote, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &final})
 			// Only the lower triangle is recorded (task i is evaluated on
 			// domains 0..i); the rest stays NaN.
-			requireSameMatrix(t, "TCP", local, remote)
+			requireSameMatrix(t, "TCP", local.A, remote)
+			requireSameFinal(t, "TCP", local.final, final)
 			requireAllPatchUploads(t, stats)
 		})
 	}
@@ -332,9 +332,11 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	local := runLocal(t, "RefFiL", family, domains).A
-	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2})
-	requireSameMatrix(t, "TCP(class-limited)", local, remote)
+	local := runLocal(t, "RefFiL", family, domains)
+	var final finalState
+	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, final: &final})
+	requireSameMatrix(t, "TCP(class-limited)", local.A, remote)
+	requireSameFinal(t, "TCP(class-limited)", local.final, final)
 	requireAllPatchUploads(t, stats)
 }
 
@@ -359,9 +361,11 @@ func TestCodecDeterminism(t *testing.T) {
 	for _, method := range methods {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
-			local := localReference(t, method, family, domains)
-			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: workers, codec: "delta"})
-			requireSameMatrix(t, "TCP(delta)", local, delta)
+			local := localRunOf(t, method, family, domains)
+			var final finalState
+			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: workers, codec: "delta", final: &final})
+			requireSameMatrix(t, "TCP(delta)", local.A, delta)
+			requireSameFinal(t, "TCP(delta)", local.final, final)
 			requireAllPatchUploads(t, stats)
 			if stats.IdleFrames == 0 {
 				t.Fatalf("four workers for three jobs sent no idle frames: %+v", stats)

@@ -36,7 +36,7 @@ import (
 //	byte p (big endian, most significant first) of XOR(base bits, next bits)
 //
 // The key header is binfmt fields (every integer a minimal varint), under
-// the checkpoint format's name, rank and element bounds.
+// checkpoint.CheckEntry's name, rank and element bounds.
 //
 // The plane shuffle groups the near-zero high-order XOR bytes into long
 // zero runs that DEFLATE collapses. The low-order mantissa planes of
@@ -161,16 +161,10 @@ func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) 
 		if bt.Size() != nt.Size() {
 			return nil, fmt.Errorf("wire: packing key %q with %d elements against base of %d", k, nt.Size(), bt.Size())
 		}
-		if nt.Size() > checkpoint.MaxElems {
-			// Enforce the decode-side bound symmetrically at encode time: a
-			// clear local error beats a remote rejection mid-round.
-			return nil, fmt.Errorf("wire: packing key %q with %d elements exceeds %d", k, nt.Size(), checkpoint.MaxElems)
-		}
-		if len(k) == 0 || len(k) > checkpoint.MaxNameLen {
-			return nil, fmt.Errorf("wire: packing invalid key name length %d", len(k))
-		}
-		if nt.NDim() > checkpoint.MaxDims {
-			return nil, fmt.Errorf("wire: packing key %q of rank %d > %d", k, nt.NDim(), checkpoint.MaxDims)
+		// Enforce the decode-side bounds at encode time: a clear local
+		// error beats a remote rejection mid-round.
+		if _, err := checkpoint.CheckEntry(k, nt.NDim(), nt.Dim); err != nil {
+			return nil, fmt.Errorf("wire: packing: %w", err)
 		}
 		spans = append(spans, span{off: total, base: bt.Data(), data: nt.Data()})
 		total += nt.Size()
@@ -455,22 +449,20 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 	for i := 0; i < count && d.Err() == nil; i++ {
 		name := d.String(checkpoint.MaxNameLen)
 		dims := shape[:d.Count(checkpoint.MaxDims, 1)]
-		n := 1
 		for k := range dims {
-			dim := d.Uvarint()
-			if dim > checkpoint.MaxElems || n*int(dim) > checkpoint.MaxElems {
-				d.Fail("packed entry %q exceeds %d elements", name, checkpoint.MaxElems)
-			}
-			dims[k] = int(dim)
-			n *= dims[k]
+			// A value past math.MaxInt turns negative, which CheckEntry
+			// refuses.
+			dims[k] = int(d.Uvarint())
 		}
 		if d.Err() != nil {
 			break
 		}
+		n, err := checkpoint.CheckEntry(name, len(dims), func(k int) int { return dims[k] })
+		if err != nil {
+			return fmt.Errorf("wire: packed entry %d: %w", i, err)
+		}
 		bt, ok := base[name]
 		switch {
-		case name == "":
-			return fmt.Errorf("wire: packed entry %d has an empty name", i)
 		case !ok:
 			return fmt.Errorf("wire: packed patch updates unknown key %q", name)
 		case seen[name]:

@@ -67,7 +67,7 @@ func LoadStateDict(m Module, dict map[string]*tensor.Tensor) error {
 			return fmt.Errorf("nn: state dict missing entry %q", name)
 		}
 		if !src.SameShape(dst) {
-			return fmt.Errorf("nn: state dict entry %q has %d elements, want %d", name, src.Size(), dst.Size())
+			return fmt.Errorf("nn: state dict entry %q has shape %v, want %v", name, src.Shape(), dst.Shape())
 		}
 		dst.CopyFrom(src)
 		used[name] = true

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"reffil/internal/autograd"
@@ -423,8 +425,16 @@ func TestLoadStateDictRejectsMissingAndUnknown(t *testing.T) {
 	if dict[stem.Name].SameShape(stem.Value.T) {
 		t.Fatalf("reversing %v left its shape unchanged", shape)
 	}
-	if err := LoadStateDict(r, dict); err == nil {
+	err := LoadStateDict(r, dict)
+	if err == nil {
 		t.Fatalf("entry %q of shape %v loaded into %v", stem.Name, shape, stem.Value.T.Shape())
+	}
+	// Both shapes hold the same element count, so only the shapes tell the
+	// reader what is wrong.
+	for _, want := range []string{fmt.Sprint(shape), fmt.Sprint(stem.Value.T.Shape())} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not name shape %s", err, want)
+		}
 	}
 	// A dict of a narrower backbone: the same keys, other sizes.
 	if err := LoadStateDict(r, StateDict(NewResNet10("r", rng, 2))); err == nil {
