@@ -47,7 +47,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 	}
 	k := c * kh * kw
 	p := geom.OutH * geom.OutW
-	wMat := w.T.Reshape(o, k)
+	wMat := w.T.Data() // (o,k) row-major
 
 	ar := tensor.ArenaOf(x.T, w.T)
 	out := ar.New(bs, o, geom.OutH, geom.OutW)
@@ -64,18 +64,17 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], col.Data())
 			// out is zeroed and images are row-disjoint, so the product
 			// accumulates straight into this image's slice of it.
-			res := out.View(i*o*p, o, p)
-			tensor.MatMulInto(res, wMat, col)
+			res := out.Data()[i*o*p : (i+1)*o*p]
+			tensor.MulInto(res, wMat, col.Data(), o, k, p)
 			if keep {
 				cols[i] = col
 			} else {
 				col.Release()
 			}
 			if b != nil {
-				rd := res.Data()
 				for ch := 0; ch < o; ch++ {
 					bv := b.T.Data()[ch]
-					row := rd[ch*p : (ch+1)*p]
+					row := res[ch*p : (ch+1)*p]
 					for j := range row {
 						row[j] += bv
 					}
@@ -111,7 +110,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 						hi = bs
 					}
 					for i := c * per; i < hi; i++ {
-						tensor.MatMulT2Into(acc, node.Grad.View(i*o*p, o, p), cols[i])
+						tensor.MulT2Into(acc.Data(), node.Grad.Data()[i*o*p:(i+1)*o*p], cols[i].Data(), o, p, k)
 					}
 					partials[c] = acc
 				}
@@ -145,7 +144,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 			parallel.For(bs, imgGrain, func(lo, hi int) {
 				buf := ar.Scratch(geom.GradBlockLen())
 				for i := lo; i < hi; i++ {
-					geom.InputGrad(gx.Data()[i*imgLen:(i+1)*imgLen], wMat.Data(), node.Grad.Data()[i*o*p:(i+1)*o*p], buf.Data())
+					geom.InputGrad(gx.Data()[i*imgLen:(i+1)*imgLen], wMat, node.Grad.Data()[i*o*p:(i+1)*o*p], buf.Data())
 				}
 				buf.Release()
 			})

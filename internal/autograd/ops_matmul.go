@@ -23,6 +23,9 @@ func MatMul(a, b *Value) *Value {
 }
 
 // BatchMatMul multiplies 3-D values batch-wise: (B,m,k) x (B,k,n) -> (B,m,n).
+// Its backward runs the slice-level products on each element's sub-slices,
+// fanned out over the batch axis as the forward is, so it allocates per
+// batch, not per element.
 func BatchMatMul(a, b *Value) *Value {
 	out := tensor.BatchMatMul(a.T, b.T)
 	node := newNode(out, "batchMatmul", a, b)
@@ -30,23 +33,27 @@ func BatchMatMul(a, b *Value) *Value {
 		bs := a.T.Dim(0)
 		m, k := a.T.Dim(1), a.T.Dim(2)
 		n := b.T.Dim(2)
+		ad, bd, gd := a.T.Data(), b.T.Data(), node.Grad.Data()
 		grain := parallel.GrainForCost(2*m*k*n, parallel.DefaultChunkOps)
+		// Each element's block of a gradient is added into once, from +0.
 		if a.requiresGrad {
-			ga := out.Arena().NewLike(a.T) // each element's block is added into once, from +0
+			// dA = dC · Bᵀ
+			ga := out.Arena().NewLike(a.T)
+			gad := ga.Data()
 			parallel.For(bs, grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					tensor.MatMulT2Into(ga.View(i*m*k, m, k), node.Grad.View(i*m*n, m, n), b.T.View(i*k*n, k, n))
+					tensor.MulT2Into(gad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], bd[i*k*n:(i+1)*k*n], m, n, k)
 				}
 			})
 			accumulateTemp(a, ga)
 		}
 		if b.requiresGrad {
-			gb := out.Arena().ScratchLike(b.T)
+			// dB = Aᵀ · dC
+			gb := out.Arena().NewLike(b.T)
+			gbd := gb.Data()
 			parallel.For(bs, grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					gi := tensor.MatMulT1(a.T.View(i*m*k, m, k), node.Grad.View(i*m*n, m, n))
-					copy(gb.Data()[i*k*n:(i+1)*k*n], gi.Data())
-					gi.Release()
+					tensor.MulT1Into(gbd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], k, m, n)
 				}
 			})
 			accumulateTemp(b, gb)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"reffil/internal/checkpoint"
+	"reffil/internal/core"
 	"reffil/internal/metrics"
 	"reffil/internal/nn"
 	"reffil/internal/tensor"
@@ -106,6 +107,54 @@ func TestRunRefusesAnotherRunsSnapshot(t *testing.T) {
 				t.Fatalf("the refusal does not name both runs: %v", err)
 			}
 		})
+	}
+}
+
+// TestRunRefusesSnapshotDirForUnstampedSettings: a snapshot records only
+// (method, dataset, scale, seed), so NewRun refuses a snapshot directory for
+// a run that sets anything else — order B, a RefFiL variant, an override
+// other than Workers — before it touches the directory; Workers alone, which
+// never changes a result, is accepted.
+func TestRunRefusesSnapshotDirForUnstampedSettings(t *testing.T) {
+	workers := NoOverrides
+	workers.Workers = 2
+	selection := NoOverrides
+	selection.SelectPerRound = 1
+	transfer := NoOverrides
+	transfer.TransferFrac = 0.5
+	clients := NoOverrides
+	clients.InitialClients = 3
+	growth := NoOverrides
+	growth.ClientsPerTaskInc = 1
+	variant := func(c *core.Config) { c.Tau = 0.5 }
+	for _, tc := range []struct {
+		name   string
+		order  Order
+		ov     Overrides
+		mutate func(*core.Config)
+	}{
+		{"order B", OrderB, NoOverrides, nil},
+		{"variant", OrderA, NoOverrides, variant},
+		{"SelectPerRound", OrderA, selection, nil},
+		{"TransferFrac", OrderA, transfer, nil},
+		{"InitialClients", OrderA, clients, nil},
+		{"ClientsPerTaskInc", OrderA, growth, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "snapshots")
+			if _, err := NewRun("RefFiL", "pacs", ScaleSmoke, tc.order, tc.ov, 5, tc.mutate, dir); err == nil {
+				t.Fatal("a snapshot directory was accepted for a run its snapshot cannot name")
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the refused run touched its snapshot directory: %v", err)
+			}
+			if _, err := NewRun("RefFiL", "pacs", ScaleSmoke, tc.order, tc.ov, 5, tc.mutate, ""); err != nil {
+				t.Fatalf("without a snapshot directory: %v", err)
+			}
+		})
+	}
+	if _, err := NewRun("RefFiL", "pacs", ScaleSmoke, OrderA, workers, 5, nil, t.TempDir()); err != nil {
+		t.Fatalf("Workers alone: %v", err)
 	}
 }
 

@@ -146,8 +146,18 @@ type Run struct {
 // and loads its run.ckpt, which Execute then resumes from and keeps
 // current. A missing file is a fresh start; a snapshot another (method,
 // dataset, scale, seed) wrote is refused, and so is one that does not load.
+// A snapshot is stamped with those four alone, so a run that differs from
+// the scale's defaults in anything else — domain order B, a RefFiL variant,
+// overrides other than Workers — keeps none: NewRun refuses a dir for it
+// rather than resume one run from another's snapshot.
 func NewRun(method, dataset string, scale Scale, order Order, ov Overrides, seed int64,
 	mutate func(*core.Config), dir string) (*Run, error) {
+	if dir != "" {
+		ov.Workers = NoOverrides.Workers
+		if order != OrderA || mutate != nil || ov != NoOverrides {
+			return nil, fmt.Errorf("experiments: a snapshot directory needs domain order A, no variant and no overrides but Workers: a snapshot does not record them")
+		}
+	}
 	family, err := scale.Family(dataset)
 	if err != nil {
 		return nil, err

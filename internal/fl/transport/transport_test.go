@@ -1053,8 +1053,10 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 // a state version), its second carries no state (it now holds the round's),
 // and its next live frame is a delta from the round's version rather than a
 // fallback. Worker 2 dies on its dispatch frame, workers 0 and 1 on the
-// re-queue frame each receives after it, so the order of deaths and of the
-// survivor's frames is fixed.
+// re-queue frame each receives after it, and worker 1 only once the
+// survivor holds worker 0's re-queue: otherwise worker 1's death could deal
+// the survivor its two jobs before worker 0's death dealt it one. So the
+// order of deaths and of the survivor's frames is fixed.
 func TestRequeueAdvancesSurvivorMirror(t *testing.T) {
 	requeueOntoIdleSurvivor(t)
 }
@@ -1075,31 +1077,41 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// dieOnBroadcast reads n broadcasts without answering any, then closes
-	// the connection.
-	dieOnBroadcast := func(n int) func(w *Worker) error {
+	// dieOnBroadcast reads n broadcasts without answering any, waits for
+	// after to close, then closes the connection.
+	dieOnBroadcast := func(n int, after <-chan struct{}) func(w *Worker) error {
 		return func(w *Worker) error {
 			for i := 0; i < n; i++ {
 				if _, err := w.in.readBroadcast(); err != nil {
 					return err
 				}
 			}
+			<-after
 			return w.Close()
 		}
 	}
+	now := make(chan struct{})
+	close(now)
 	type seenFrame struct {
 		kind wire.Kind
 		jobs int
 	}
 	seen := make(chan seenFrame, 8)
+	// firstRequeue closes when the survivor receives its first re-queue,
+	// its second frame of the round.
+	firstRequeue := make(chan struct{})
 	survivor := func(w *Worker) error {
 		inner := perturbHandler(func(id int) float64 { return float64(id) })
+		frames := 0
 		return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
 			seen <- seenFrame{b.Frame.Kind, len(b.Jobs)}
+			if frames++; frames == 2 {
+				close(firstRequeue)
+			}
 			return inner(b, emit)
 		})
 	}
-	done := acceptInOrder(t, coord, dieOnBroadcast(2), dieOnBroadcast(2), dieOnBroadcast(1), survivor)
+	done := acceptInOrder(t, coord, dieOnBroadcast(2, now), dieOnBroadcast(2, firstRequeue), dieOnBroadcast(1, now), survivor)
 
 	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {

@@ -240,15 +240,17 @@ func TestKernelsDrawFromOperandArena(t *testing.T) {
 	}
 }
 
+// TestMatMulIntoAccumulates: MulInto on one element's sub-slice of a zeroed
+// batch writes MatMul's product there and nothing outside it.
 func TestMatMulIntoAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, b := RandN(rng, 1, 3, 4), RandN(rng, 1, 4, 5)
 	out := New(2, 3, 5)
-	MatMulInto(out.View(15, 3, 5), a, b)
+	MulInto(out.Data()[15:], a.Data(), b.Data(), 3, 4, 5)
 	if !allPlusZero(out.View(0, 3, 5)) {
-		t.Fatal("MatMulInto wrote outside its view")
+		t.Fatal("MulInto wrote outside its slice")
 	}
 	if !out.View(15, 3, 5).EqualBits(MatMul(a, b)) {
-		t.Fatal("MatMulInto into zeroed storage must equal MatMul")
+		t.Fatal("MulInto into zeroed storage must equal MatMul")
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -215,22 +216,46 @@ func TestMatMulBlockedMatchesSerial(t *testing.T) {
 				requireFinite(t, name, got, clean, s.n)
 			})
 
-			// MatMulInto adds into out: each chain starts at out's value, −0
-			// included (−0 + +0 is +0, so a chain that started at 0 would differ).
-			init := RandN(rng, 1, s.m, s.n).Data()
-			for i := 1; i < len(init); i += 5 {
-				init[i] = math.Copysign(0, -1)
-			}
+			// MulInto adds into c: each chain starts at c's value.
+			init := accumulatorInit(rng, s.m, s.n)
 			want, unpinned = reference(init, a, b, s.m, s.k, s.n, true)
-			serialAndParallel(t, func() *Tensor {
-				out := FromSlice(append([]float64(nil), init...), s.m, s.n)
-				MatMulInto(out, at, bt)
-				return out
-			}, func(name string, got []float64) {
-				requireBitIdentical(t, "MatMulInto "+name, got, want, unpinned)
-			})
+			got := append([]float64(nil), init...)
+			MulInto(got, a, b, s.m, s.k, s.n)
+			requireBitIdentical(t, fmt.Sprintf("MulInto %v", s), got, want, unpinned)
 		}
 	})
+}
+
+// accumulatorInit draws the (m,n) matrix a slice-level product adds into,
+// with −0 every 5th element: −0 + +0 is +0, so a chain that started at 0
+// instead of at c's value would differ there.
+func accumulatorInit(rng *rand.Rand, m, n int) []float64 {
+	init := RandN(rng, 1, m, n).Data()
+	for i := 1; i < len(init); i += 5 {
+		init[i] = math.Copysign(0, -1)
+	}
+	return init
+}
+
+// TestSliceProductsRefuseMismatchedLengths: MulInto, MulT1Into and MulT2Into
+// panic when a slice does not hold its (m,k,n) operand exactly.
+func TestSliceProductsRefuseMismatchedLengths(t *testing.T) {
+	a, b, c := make([]float64, 6), make([]float64, 12), make([]float64, 8)
+	for name, mul := range map[string]func(c, a, b []float64, m, k, n int){
+		"MulInto": MulInto, "MulT1Into": MulT1Into, "MulT2Into": MulT2Into,
+	} {
+		for _, bad := range [][3][]float64{{c[:7], a, b}, {c, a[:5], b}, {c, a, b[:11]}, {c, append(a, 0), b}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted lengths %d, %d -> %d for (2,3,4)", name, len(bad[1]), len(bad[2]), len(bad[0]))
+					}
+				}()
+				mul(bad[0], bad[1], bad[2], 2, 3, 4)
+			}()
+		}
+		mul(c, a, b, 2, 3, 4) // the exact lengths are accepted
+	}
 }
 
 func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
@@ -244,6 +269,13 @@ func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
 				requireBitIdentical(t, name, got, want, unpinned)
 				requireFinite(t, name, got, clean, s.n)
 			})
+
+			// MulT1Into adds into c: each chain starts at c's value.
+			init := accumulatorInit(rng, s.m, s.n)
+			want, unpinned = reference(init, a, b, s.m, s.k, s.n, true)
+			got := append([]float64(nil), init...)
+			MulT1Into(got, at.Data(), b, s.m, s.k, s.n)
+			requireBitIdentical(t, fmt.Sprintf("MulT1Into %v", s), got, want, unpinned)
 		}
 	})
 }

@@ -23,33 +23,59 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := ArenaOf(a, b).New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto adds a·b into out, which must be (m,n): pass it zeroed for the
-// plain product. It is MatMul for a caller that already owns the result's
-// storage (Conv2D multiplies straight into its output's image slice).
-func MatMulInto(out, a, b *Tensor) {
-	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[0] || len(out.data) != a.shape[0]*b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulInto shapes %v x %v -> %v", a.shape, b.shape, out.shape))
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		matmulRows(out.data, a.data, b.data, lo, hi, k, n, k, 1)
 	})
+	return out
 }
 
-// matmulRows (MatMul, MatMulInto, BatchMatMul, MatMulT1) and matmulT2Rows
-// (MatMulT2) share one loop nest: a register tile of 2 output rows × 4
-// output columns held in locals across the whole shared dimension p. The
-// tile's 8 sums are independent chains, so they overlap instead of each
-// waiting on the last add, and an output is loaded and stored once rather
-// than once per p. An odd last row runs a 1×4 tile and the n%4 columns left
-// over run one element at a time, each the same chain. Only the loop nest
-// around the chains is chosen for speed: every output element still sees the
-// same operations in the same order (ascending p), so results are
-// bit-identical at any tile edge and any parallel.For chunking.
+// MulInto, MulT1Into and MulT2Into are the slice-level entries of the three
+// products, for a caller that holds its operands as sub-slices of larger
+// storage (a batch element, an image's slice of a conv output): no tensor
+// header is built and nothing is allocated. Each adds its product into c, an
+// (m,n) row-major matrix — pass c zeroed for the plain product — and runs
+// every row on the calling goroutine: a caller looping over a batch fans the
+// batch out instead. Each panics unless the slice lengths match (m,k,n).
+
+// MulInto adds a·b into c for a (m,k) and b (k,n): MatMul's chains, each
+// starting at c's element.
+func MulInto(c, a, b []float64, m, k, n int) {
+	checkMul("MulInto", c, a, b, m, k, n)
+	matmulRows(c, a, b, 0, m, k, n, k, 1)
+}
+
+// MulT1Into adds aᵀ·b into c for a (k,m) and b (k,n): MatMulT1's chains,
+// each starting at c's element.
+func MulT1Into(c, a, b []float64, m, k, n int) {
+	checkMul("MulT1Into", c, a, b, m, k, n)
+	matmulRows(c, a, b, 0, m, k, n, 1, m)
+}
+
+// MulT2Into adds a·bᵀ into c for a (m,k) and b (n,k): element (i,j) becomes
+// c(i,j) + MatMulT2's dot product, with c's value as the first operand of
+// that one add, as AddInPlace has it.
+func MulT2Into(c, a, b []float64, m, k, n int) {
+	checkMul("MulT2Into", c, a, b, m, k, n)
+	matmulT2Rows(c, a, b, 0, m, k, n)
+}
+
+func checkMul(op string, c, a, b []float64, m, k, n int) {
+	if m < 0 || k < 0 || n < 0 || len(a) != m*k || len(b) != k*n || len(c) != m*n {
+		panic(fmt.Sprintf("tensor: %s of %d·%d elements -> %d does not fit (m,k,n) = (%d,%d,%d)", op, len(a), len(b), len(c), m, k, n))
+	}
+}
+
+// matmulRows (MatMul, BatchMatMul, MatMulT1, MulInto, MulT1Into) and
+// matmulT2Rows (MatMulT2, MulT2Into) share one loop nest: a register tile
+// of 2 output rows × 4 output columns held in locals across the whole
+// shared dimension p. The tile's 8 sums are independent chains, so they
+// overlap instead of each waiting on the last add, and an output is loaded
+// and stored once rather than once per p. An odd last row runs a 1×4 tile
+// and the n%4 columns left over run one element at a time, each the same
+// chain. Only the loop nest around the chains is chosen for speed: every
+// output element still sees the same operations in the same order
+// (ascending p), so results are bit-identical at any tile edge and any
+// parallel.For chunking.
 //
 // On amd64 hosts with AVX (useAVX) the full 2×4 tiles run in assembly
 // instead (matmul_amd64.s): one call per pair of rows covers every full
@@ -163,29 +189,19 @@ func MatMulT1(a, b *Tensor) *Tensor {
 // MatMulT2 computes a·bᵀ for a (m,k) and b (n,k) -> (m,n) without
 // materializing the transpose. Element (i,j) is the dot product of row i of
 // a and row j of b: a sum that starts at 0 and adds every product over
-// ascending p, with no zero-skip. It is MatMulT2Into a zeroed output: a chain
+// ascending p, with no zero-skip. It is MulT2Into a zeroed output: a chain
 // that starts at +0 is never −0, so +0 plus the chain has the chain's bits.
+// Output rows are partitioned across workers.
 func MatMulT2(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulT2 needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	out := ArenaOf(a, b).New(a.shape[0], b.shape[0])
-	MatMulT2Into(out, a, b)
-	return out
-}
-
-// MatMulT2Into adds a·bᵀ into out, which must be (m,n): element (i,j)
-// becomes out(i,j) + the dot product of MatMulT2, with out's value as the
-// first operand of that one add, as AddInPlace has it. Conv2D sums its
-// per-image weight gradients this way without a temporary per image.
-func MatMulT2Into(out, a, b *Tensor) {
-	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[1] || len(out.data) != a.shape[0]*b.shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulT2Into shapes %v x %vᵀ -> %v", a.shape, b.shape, out.shape))
+	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulT2 shapes %v x %vᵀ", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	out := ArenaOf(a, b).New(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		matmulT2Rows(out.data, a.data, b.data, lo, hi, k, n)
 	})
+	return out
 }
 
 // matmulT2Rows adds rows [lo,hi) of a·bᵀ into c (m,n) for a (m,k) and

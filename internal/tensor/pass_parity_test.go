@@ -8,7 +8,7 @@ import (
 )
 
 // The tests in this file hold the training step's data-movement passes —
-// the conv unfold and fold, the blocked input gradient, MatMulT2Into, ReLU
+// the conv unfold and fold, the blocked input gradient, MulT2Into, ReLU
 // and Add — to the straightforward code they replaced, kept here verbatim
 // as references, bit for bit.
 
@@ -238,9 +238,9 @@ func TestInputGradMatchesColumnFold(t *testing.T) {
 	})
 }
 
-// TestMatMulT2IntoMatchesAddInPlace: adding a·bᵀ into out is the same as
-// adding MatMulT2's product into it with AddInPlace, out's value first.
-// out is prefilled with −0 (−0 + +0 is +0, so a store would differ), NaN and
+// TestMatMulT2IntoMatchesAddInPlace: MulT2Into, adding a·bᵀ into out, is the
+// same as adding MatMulT2's product into it with AddInPlace, out's value
+// first. out is prefilled with −0 (−0 + +0 is +0, so a store would differ), NaN and
 // random values.
 func TestMatMulT2IntoMatchesAddInPlace(t *testing.T) {
 	bothTiles(t, func(t *testing.T) {
@@ -264,13 +264,9 @@ func TestMatMulT2IntoMatchesAddInPlace(t *testing.T) {
 			for i, v := range prod.Data() {
 				unpinned[i] = unpinned[i] || nanClash(init[i], v)
 			}
-			serialAndParallel(t, func() *Tensor {
-				out := FromSlice(append([]float64(nil), init...), s.m, s.n)
-				MatMulT2Into(out, at, bt)
-				return out
-			}, func(name string, got []float64) {
-				requireBitIdentical(t, fmt.Sprintf("%v %s", s, name), got, want.Data(), unpinned)
-			})
+			got := append([]float64(nil), init...)
+			MulT2Into(got, a, bt.Data(), s.m, s.k, s.n)
+			requireBitIdentical(t, fmt.Sprintf("%v", s), got, want.Data(), unpinned)
 		}
 	})
 }

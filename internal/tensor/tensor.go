@@ -10,6 +10,12 @@
 // conditions, so kernels panic with a descriptive message rather than
 // returning errors; all exported entry points in higher-level packages
 // validate their inputs before reaching these kernels.
+//
+// A View is a new tensor header over existing storage, and so a heap
+// allocation. Loops over the elements of a batch take sub-slices of Data
+// instead and call the slice-level products (MulInto, MulT1Into,
+// MulT2Into), which allocate nothing: a training step then allocates per
+// batch, not per image or batch element.
 package tensor
 
 import (
@@ -49,6 +55,8 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 
 // View returns a tensor of the given shape over t's elements starting at
 // flat offset lo — no copy. It belongs to t's arena and lives as long as t.
+// The header is a heap allocation even for an arena tensor; a per-element
+// loop slices Data instead (see the package doc).
 func (t *Tensor) View(lo int, shape ...int) *Tensor {
 	v := FromSlice(t.data[lo:lo+sizeOf(shape)], shape...)
 	v.ar = t.ar
@@ -125,14 +133,17 @@ func (t *Tensor) Set(v float64, idx ...int) {
 	t.data[t.offset(idx)] = v
 }
 
+// offset formats idx through shapeString, a copy, in its panics, so idx
+// does not escape and At's and Set's variadic indices stay on the caller's
+// stack.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong arity for shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %s has wrong arity for shape %v", shapeString(idx), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %s out of bounds for shape %v", shapeString(idx), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
