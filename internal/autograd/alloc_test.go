@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"reffil/internal/tensor"
@@ -63,3 +64,62 @@ func TestBatchLoopsAllocatePerBatch(t *testing.T) {
 		t.Errorf("Tensor.At and Set: %v allocations per call, want 0", got)
 	}
 }
+
+// mallocs returns the heap allocations f makes, by MemStats.Mallocs.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBackwardHandOffsAllocateNothing: on a warm arena, the backward of a
+// tape that passes its gradient through Add onto an interior Reshape, and
+// from there onto the interior node it views, allocates nothing — each
+// gradient changes hands and is re-shaped in place, where adding it into
+// zeros through a re-shaped view allocated the view and its shape. And
+// tensor.Reshape allocates the new header and its dimensions, 2 objects,
+// whether its caller passes its dimensions as arguments or as a slice.
+func TestBackwardHandOffsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // every parallel.For inline
+	rng := rand.New(rand.NewSource(13))
+	x := tensor.RandN(rng, 1, 3, 4, 5)
+	w, b := Param(tensor.RandN(rng, 1, 3, 4, 5)), Param(tensor.RandN(rng, 1, 6, 10))
+	var ar tensor.Arena
+	var backward uint64
+	for i := 0; i < 3; i++ { // the first pass warms the arena and the leaf Grads
+		h := Mul(Constant(ar.Wrap(x)), w)      // interior (3,4,5)
+		loss := Sum(Add(Reshape(h, 6, 10), b)) // Add's a is an interior Reshape
+		order := topoSort(loss)
+		n := mallocs(func() {
+			loss.EnsureGrad().Fill(1)
+			propagate(order)
+		})
+		if i > 0 {
+			backward += n
+		}
+		ar.Reset()
+	}
+	if backward != 0 {
+		t.Errorf("warm backward of Mul → Reshape → Add → Sum: %v allocations per step, want 0", float64(backward)/2)
+	}
+
+	y := tensor.New(3, 4)
+	dims := []int{2, 6}
+	for name, reshape := range map[string]func(){
+		"arguments": func() { reshaped = y.Reshape(6, 2) },
+		"slice":     func() { reshaped = y.Reshape(dims...) },
+		"inferred":  func() { reshaped = y.Reshape(-1, 3) },
+	} {
+		if got := testing.AllocsPerRun(100, reshape); got != 2 {
+			t.Errorf("tensor.Reshape with %s: %v allocations, want 2 (header and dimensions)", name, got)
+		}
+	}
+}
+
+// reshaped keeps Reshape's result alive, so the compiler cannot drop it.
+var reshaped *tensor.Tensor

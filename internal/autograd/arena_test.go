@@ -76,3 +76,48 @@ func TestBackwardConsumesInteriorGrads(t *testing.T) {
 		t.Fatalf("accumulated leaf grad = %v, want 5s", x.Grad)
 	}
 }
+
+// TestHandOffTakesOnlyLiveDraws: handOff gives a buffer to an interior node
+// with no Grad when the buffer is a live draw of that node's arena —
+// re-shaped in place to the node's shape — and to nothing else: not to a
+// leaf, not to a node that already has a Grad, and never a view, a Wrap, a
+// heap tensor, a released draw or another arena's draw.
+func TestHandOffTakesOnlyLiveDraws(t *testing.T) {
+	var ar, other tensor.Arena
+	interior := func() *Value { return Scale(Param(ar.Wrap(tensor.New(2, 3))), 2) }
+	draw := func() *tensor.Tensor { return ar.New(6) }
+
+	p, g := interior(), draw()
+	if !handOff(p, g) || p.Grad != g {
+		t.Fatal("a live draw of its arena was not handed to an interior node without a Grad")
+	}
+	if !g.SameShape(p.T) {
+		t.Fatalf("handed-over buffer has shape %v, want the node's %v", g.Shape(), p.T.Shape())
+	}
+	if handOff(p, draw()) {
+		t.Error("handed a buffer to a node that already has a Grad")
+	}
+	if handOff(Param(ar.New(2, 3)), draw()) {
+		t.Error("handed a buffer to a leaf")
+	}
+	for name, g := range map[string]*tensor.Tensor{
+		"view":          draw().Reshape(2, 3),
+		"Wrap":          ar.Wrap(tensor.New(6)),
+		"heap":          tensor.New(6),
+		"another arena": other.New(6),
+	} {
+		if p := interior(); handOff(p, g) || p.Grad != nil {
+			t.Errorf("handed a %s tensor over", name)
+		}
+	}
+	p = interior()
+	released := draw()
+	released.Release() // the next draw may serve it again: none comes
+	if handOff(p, released) || p.Grad != nil {
+		t.Error("handed a released tensor over")
+	}
+	heapNode := Scale(Param(tensor.New(2, 3)), 2)
+	if handOff(heapNode, tensor.New(2, 3)) {
+		t.Error("handed a buffer over on a heap tape")
+	}
+}

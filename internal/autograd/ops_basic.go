@@ -2,16 +2,22 @@ package autograd
 
 import "reffil/internal/tensor"
 
-// Add returns a + b with numpy broadcasting.
+// Add returns a + b with numpy broadcasting. Its backward adds its gradient
+// into b first, so that a, when it was not broadcast, can then take the
+// gradient over (see passOn).
 func Add(a, b *Value) *Value {
 	out := tensor.Add(a.T, b.T)
 	node := newNode(out, "add", a, b)
 	node.back = func() {
-		if a.requiresGrad {
-			accumulate(a, reduceGrad(node.Grad, a.T))
-		}
 		if b.requiresGrad {
 			accumulate(b, reduceGrad(node.Grad, b.T))
+		}
+		if a.requiresGrad {
+			if node.Grad.SameShape(a.T) {
+				passOn(node, a)
+			} else {
+				accumulate(a, reduceGrad(node.Grad, a.T))
+			}
 		}
 	}
 	return node
@@ -44,9 +50,7 @@ func Scale(a *Value, alpha float64) *Value {
 // AddScalar returns a + c.
 func AddScalar(a *Value, c float64) *Value {
 	node := newNode(tensor.AddScalar(a.T, c), "addScalar", a)
-	node.back = func() {
-		accumulate(a, node.Grad)
-	}
+	node.back = func() { passOn(node, a) }
 	return node
 }
 

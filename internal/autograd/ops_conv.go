@@ -115,14 +115,14 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					partials[c] = acc
 				}
 			})
+			// gw is (o,k), w (o,c,kh,kw): the same elements in the same
+			// order, which is all accumulating it needs.
 			gw := partials[0]
 			for _, part := range partials[1:] {
 				gw.AddInPlace(part)
-			}
-			accumulate(w, gw.Reshape(w.T.Shape()...))
-			for _, part := range partials {
 				part.Release()
 			}
+			accumulateTemp(w, gw)
 		}
 		if b != nil && b.requiresGrad {
 			gb := ar.New(o)

@@ -7,13 +7,13 @@ import (
 )
 
 // Reshape returns a view of a with a new shape (sizes must match): the
-// result shares a's elements.
+// result shares a's elements. Its backward passes its gradient on as it
+// is — handed over and re-shaped in place, or added element for element —
+// with no view of it in between.
 func Reshape(a *Value, shape ...int) *Value {
 	out := a.T.Reshape(shape...)
 	node := newNode(out, "reshape", a)
-	node.back = func() {
-		accumulate(a, node.Grad.Reshape(a.T.Shape()...))
-	}
+	node.back = func() { passOn(node, a) }
 	return node
 }
 

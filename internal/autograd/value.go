@@ -72,7 +72,11 @@ func (v *Value) Shape() []int { return v.T.Shape() }
 // EnsureGrad materializes and returns the gradient tensor. A gradient lives
 // where its value lives: a leaf built over a heap tensor — every parameter —
 // keeps a heap Grad across steps, an interior node whose T was drawn from an
-// arena gets a Grad that dies with it at the arena's Reset.
+// arena gets a Grad that dies with it at the arena's Reset. The buffer starts
+// at +0 for the first contribution to be added into. An interior node's
+// first contribution usually arrives as a buffer it can take over instead
+// (see handOff), so Backward draws zeros here only for leaves, for the
+// root, and where no hand-off applies.
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {
 		v.Grad = v.T.Arena().NewLike(v.T)
@@ -121,7 +125,8 @@ func reduceTemp(g, like *tensor.Tensor) *tensor.Tensor {
 }
 
 // accumulate adds g into p.Grad when p participates in backprop. g is only
-// read: it may be the node's own Grad or a view of it.
+// read: it may be the node's own Grad or a view of it. Into a p with no Grad
+// yet it adds into zeros; callers that can give g away use handOff first.
 func accumulate(p *Value, g *tensor.Tensor) {
 	if p == nil || !p.requiresGrad {
 		return
@@ -130,17 +135,72 @@ func accumulate(p *Value, g *tensor.Tensor) {
 }
 
 // accumulateTemp is accumulate for a g the calling closure computed for this
-// one call and nothing else references: once added, it goes back to its
-// arena. Never pass it a node's Grad.
+// one call and nothing else references. It becomes p's Grad when handOff
+// allows; otherwise, once added, it goes back to its arena. Never pass it a
+// node's Grad.
 func accumulateTemp(p *Value, g *tensor.Tensor) {
+	if handOff(p, g) {
+		return
+	}
 	accumulate(p, g)
 	g.Release()
+}
+
+// passOn passes node's own Grad on to p, which holds as many elements: p
+// takes the buffer over when handOff allows — node then holds none, and
+// Backward has nothing to release for it — and otherwise it is added into
+// p's Grad. Nothing of node's backward may read node.Grad after this.
+func passOn(node, p *Value) {
+	if handOff(p, node.Grad) {
+		node.Grad = nil
+		return
+	}
+	accumulate(p, node.Grad)
+}
+
+// handedOver, when set, sees every buffer handOff gives away before its new
+// holder does. Tests set it (export_test.go) to force the sign of the
+// buffer's zeros, proving that no leaf gradient depends on it.
+var handedOver func([]float64)
+
+// handOff makes g p's Grad — re-shaped in place to p's shape if it differs —
+// instead of adding it into a buffer of zeros, and reports whether it did.
+// The caller gives g up: p now holds it, and Backward releases it once p's
+// own backward has passed it on.
+//
+// It applies only to an interior p that requires grad and has no Grad yet,
+// and only to a g that EnsureGrad could have drawn for p: a live draw of
+// p.T's arena (Tensor.DrawnFrom), never a view, a Wrap or a heap tensor. So
+// a heap tape (GradCheck, EWC's Fisher pass) adds into zeros throughout.
+//
+// What it changes is the sign of zeros. Adding g into +0 turns every −0 of
+// g into +0; taken over, g keeps its −0s. Every backward is linear in its
+// upstream gradient, and a zero's sign reaches no nonzero value through
+// products and sums (x + ±0 = x for x ≠ 0; ±0 · y is a zero), so it can
+// only ever reach the sign of zeros downstream. Leaves never take a buffer
+// over: their Grads add into +0, which erases every zero's sign before
+// clipping or the optimiser reads them, so leaf gradients are bit for bit
+// those of the add-into-zeros tape.
+func handOff(p *Value, g *tensor.Tensor) bool {
+	if p == nil || !p.requiresGrad || p.Grad != nil || p.op == "leaf" || !g.DrawnFrom(p.T.Arena()) {
+		return false
+	}
+	if handedOver != nil {
+		handedOver(g.Data())
+	}
+	if !g.SameShape(p.T) {
+		g.ReshapeLike(p.T)
+	}
+	p.Grad = g
+	return true
 }
 
 // Backward runs reverse-mode differentiation from root, which must hold a
 // single element (a scalar loss). Gradients accumulate into the Grad fields
 // of all reachable leaves that require them; call ZeroGrad on parameters
-// between steps. Interior nodes' gradients are consumed on the way.
+// between steps. Interior nodes' gradients are consumed on the way: each is
+// released once its node's backward has run, unless that backward handed it
+// to a parent (see handOff), which then releases it in its turn.
 func Backward(root *Value) error {
 	if root.T.Size() != 1 {
 		return fmt.Errorf("autograd: Backward root must be scalar, got shape %v", root.T.Shape())
@@ -150,17 +210,24 @@ func Backward(root *Value) error {
 	}
 	order := topoSort(root)
 	root.EnsureGrad().Fill(1)
+	propagate(order)
+	return nil
+}
+
+// propagate runs the backward of every node of a topoSort order, children
+// before parents: the part of Backward that works on tensors.
+func propagate(order []*Value) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.back != nil && n.Grad != nil {
 			n.back()
 			// An interior gradient has been passed on in full; nothing
 			// reads it again, so its buffer serves the nodes still to come.
+			// A backward that handed it to a parent has left nil here.
 			n.Grad.Release()
 			n.Grad = nil
 		}
 	}
-	return nil
 }
 
 // topoSort returns nodes reachable from root that require grad, in

@@ -299,21 +299,33 @@ func TestSelectPositives(t *testing.T) {
 	}, 3, 2)
 	classes := []int{0, 0, 1}
 	u := []float64{1, 0.1}
-	pos := selectPositives(u, bank, classes, 0, 1)
+	pick := newPositivePicker(4, 2, len(classes))
+	pos := pick.selectPositives(u, bank, classes, 0, 1)
 	if len(pos) != 1 || pos[0] != 0 {
 		t.Fatalf("positives = %v, want [0]", pos)
 	}
-	pos2 := selectPositives(u, bank, classes, 0, 2)
-	if len(pos2) != 2 {
-		t.Fatalf("numPos=2 returned %v", pos2)
+	pos2 := pick.selectPositives(u, bank, classes, 0, 2)
+	if len(pos2) != 2 || pos2[0] != 0 || pos2[1] != 1 {
+		t.Fatalf("numPos=2 returned %v, want [0 1]", pos2)
 	}
 	// Class without candidates: empty.
-	if got := selectPositives(u, bank, classes, 7, 1); got != nil {
+	if got := pick.selectPositives(u, bank, classes, 7, 1); got != nil {
 		t.Fatalf("absent class returned %v", got)
 	}
 	// numPos larger than candidates clamps.
-	if got := selectPositives(u, bank, classes, 1, 5); len(got) != 1 {
+	if got := pick.selectPositives(u, bank, classes, 1, 5); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("clamping failed: %v", got)
+	}
+	// Later samples of the batch leave earlier results as they were.
+	if pos[0] != 0 || pos2[0] != 0 || pos2[1] != 1 {
+		t.Fatalf("earlier results changed to %v and %v", pos, pos2)
+	}
+	// A picker sized for its batch serves it without allocating.
+	if !raceEnabled {
+		pick = newPositivePicker(100, 2, len(classes))
+		if n := testing.AllocsPerRun(50, func() { pick.selectPositives(u, bank, classes, 0, 2) }); n != 0 {
+			t.Errorf("selectPositives allocates %v times per sample, want 0", n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"reffil/internal/finch"
@@ -204,16 +205,38 @@ func (b *PromptBank) MeanPerClass() *tensor.Tensor {
 	return out
 }
 
+// positivePicker selects the positive prompts of one batch's samples
+// (selectPositives) out of two buffers it reuses: the candidates of the
+// sample at hand, and every sample's chosen indices back to back.
+type positivePicker struct {
+	cands  []positiveCand
+	picked []int
+}
+
+// positiveCand is a bank row of the sample's class and its cosine
+// similarity to the sample's prompt vector.
+type positiveCand struct {
+	idx int
+	sim float64
+}
+
+// newPositivePicker sizes a picker for batch samples of numPos positives
+// each, chosen among bankRows bank rows, so that it never grows.
+func newPositivePicker(batch, numPos, bankRows int) *positivePicker {
+	return &positivePicker{
+		cands:  make([]positiveCand, 0, bankRows),
+		picked: make([]int, 0, batch*numPos),
+	}
+}
+
 // selectPositives chooses, for one sample of class `class` with prompt
 // vector u, the indices of its positive prompts among the flattened bank:
 // the numPos bank rows of the same class with the highest cosine
-// similarity to u (paper: 1 for Old/New clients, 2 for In-between).
-func selectPositives(u []float64, bank *tensor.Tensor, rowClass []int, class, numPos int) []int {
-	type cand struct {
-		idx int
-		sim float64
-	}
-	var cands []cand
+// similarity to u (paper: 1 for Old/New clients, 2 for In-between), or nil
+// when the bank holds none of the class. The result stays valid, and
+// unchanged, while the picker serves the rest of the batch.
+func (pp *positivePicker) selectPositives(u []float64, bank *tensor.Tensor, rowClass []int, class, numPos int) []int {
+	cands := pp.cands[:0]
 	d := len(u)
 	uNorm := 0.0
 	for _, v := range u {
@@ -231,20 +254,29 @@ func selectPositives(u []float64, bank *tensor.Tensor, rowClass []int, class, nu
 			n += v * v
 		}
 		n = math.Max(math.Sqrt(n), 1e-12)
-		cands = append(cands, cand{idx: i, sim: dot / (uNorm * n)})
+		cands = append(cands, positiveCand{idx: i, sim: dot / (uNorm * n)})
 	}
+	pp.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].sim > cands[b].sim })
-	if numPos > len(cands) {
-		numPos = len(cands)
+	// The same pdqsort as sort.Slice with the same less, so ties among
+	// equal similarities resolve as they always have.
+	slices.SortFunc(cands, func(a, b positiveCand) int {
+		switch {
+		case a.sim > b.sim:
+			return -1
+		case a.sim < b.sim:
+			return 1
+		}
+		return 0
+	})
+	numPos = min(numPos, len(cands))
+	start := len(pp.picked)
+	for _, c := range cands[:numPos] {
+		pp.picked = append(pp.picked, c.idx)
 	}
-	out := make([]int, numPos)
-	for i := 0; i < numPos; i++ {
-		out[i] = cands[i].idx
-	}
-	return out
+	return pp.picked[start:len(pp.picked):len(pp.picked)]
 }
 
 // DecayedTemperature implements Eq. 10:

@@ -284,8 +284,9 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 					return nil, err
 				}
 				positives := make([][]int, len(b.Y))
+				pick := newPositivePicker(len(b.Y), numPos, len(bankClass))
 				for i, y := range b.Y {
-					positives[i] = selectPositives(u.T.Data()[i*d:(i+1)*d], bankFlat, bankClass, y, numPos)
+					positives[i] = pick.selectPositives(u.T.Data()[i*d:(i+1)*d], bankFlat, bankClass, y, numPos)
 				}
 				dpcl, err := autograd.InfoNCE(sims, positives, tau)
 				if err != nil {

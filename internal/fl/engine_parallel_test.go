@@ -13,7 +13,9 @@ import (
 	"reffil/internal/core"
 	"reffil/internal/data"
 	"reffil/internal/fl"
+	"reffil/internal/metrics"
 	"reffil/internal/model"
+	"reffil/internal/nn"
 )
 
 // parallelTestConfig is deliberately tiny: enough rounds/clients to exercise
@@ -75,7 +77,8 @@ func newParallelTestMethod(t *testing.T, name string, classes, maxTasks int) fl.
 // TestWorkersDeterminism is the acceptance gate for the parallel round
 // scheduler: for a fixed seed, Workers=1 and Workers=4 engines must produce
 // identical accuracy matrices for every method, exactly (==, not within a
-// tolerance) — the kernels and scheduler are chunking-invariant by design.
+// tolerance), and final global states of the same hash — the kernels and
+// scheduler are chunking-invariant by design.
 func TestWorkersDeterminism(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -89,7 +92,7 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, name := range methods {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) [][]float64 {
+			run := func(workers int) ([][]float64, string) {
 				alg := newParallelTestMethod(t, name, family.Classes, len(domains))
 				eng, err := fl.NewEngine(parallelTestConfig(workers), alg)
 				if err != nil {
@@ -99,10 +102,13 @@ func TestWorkersDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return mat.A
+				return mat.A, metrics.HashState(nn.StateDict(alg.Global()))
 			}
-			seq := run(1)
-			par := run(4)
+			seq, seqState := run(1)
+			par, parState := run(4)
+			if seqState != parState {
+				t.Errorf("final global state diverged: Workers=1 hashes to %s, Workers=4 to %s", seqState, parState)
+			}
 			// Only the lower triangle is recorded (task i is evaluated on
 			// domains 0..i); the rest stays NaN.
 			for i := range seq {

@@ -54,12 +54,6 @@ func localRunOf(t *testing.T, method string, family *data.Family, domains []stri
 	return run
 }
 
-// localReference returns the reference run's accuracy matrix.
-func localReference(t *testing.T, method string, family *data.Family, domains []string) [][]float64 {
-	t.Helper()
-	return localRunOf(t, method, family, domains).A
-}
-
 // runTCPWithCrash runs the full task sequence over loopback TCP with two
 // workers, where worker slot 0 closes its connection right after acking
 // its first job of round (crashTask, crashRound). Workers are dialed one
@@ -74,7 +68,9 @@ func localReference(t *testing.T, method string, family *data.Family, domains []
 // receiving the crash round's jobs, before acking any, and every one of
 // those jobs ends up on slot 3, whose first re-queue frame has to bring it
 // from no state at all to the round's state and payload.
-func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) [][]float64 {
+//
+// It returns the run's matrix and final state.
+func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) localRun {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -140,12 +136,13 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	if err := <-surviveErr; err != nil {
 		t.Fatalf("surviving worker: %v", err)
 	}
-	return mat.A
+	return localRun{A: mat.A, final: finalOf(t, alg)}
 }
 
 // TestFaultInjectionCrashMidRound kills worker 0 mid-round and requires
 // the completed run's accuracy matrix to equal the uncrashed reference,
-// cell for cell. The task-1 crash points re-execute jobs that depend on
+// cell for cell, and its final weights and wire state to equal it bit for
+// bit. The task-1 crash points re-execute jobs that depend on
 // method wire state (EWC's Fisher/anchors, LwF's teacher) on a worker
 // that never trained them before — the re-queue path's wire-state gate.
 // RefFiL crashing in task 0 covers the prompt-upload path under re-queue.
@@ -195,9 +192,10 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 			name += "/idle_heir"
 		}
 		t.Run(name, func(t *testing.T) {
-			want := localReference(t, tc.method, family, domains)
+			want := localRunOf(t, tc.method, family, domains)
 			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
-			requireSameMatrix(t, "crashed-and-requeued", want, got)
+			requireSameMatrix(t, "crashed-and-requeued", want.A, got.A)
+			requireSameFinal(t, "crashed-and-requeued", want.final, got.final)
 		})
 	}
 }

@@ -173,7 +173,7 @@ func TestLateJoinMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "RefFiL", family, domains)
+	want := localRunOf(t, "RefFiL", family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -209,7 +209,8 @@ func TestLateJoinMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with mid-run join failed: %v", err)
 	}
-	requireSameMatrix(t, "late-join", want, mat.A)
+	requireSameMatrix(t, "late-join", want.A, mat.A)
+	requireSameFinal(t, "late-join", want.final, finalOf(t, alg))
 	if got := coord.NumLive(); got != 2 {
 		t.Fatalf("live workers after late join = %d, want 2", got)
 	}
@@ -259,7 +260,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 		{"idle_fresh_slot", "", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := localReference(t, "RefFiL", family, domains)
+			want := localRunOf(t, "RefFiL", family, domains)
 
 			coord, err := transport.Listen("127.0.0.1:0")
 			if err != nil {
@@ -306,7 +307,8 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run with crash-and-redial failed: %v", err)
 			}
-			requireSameMatrix(t, "crash-and-redial", want, mat.A)
+			requireSameMatrix(t, "crash-and-redial", want.A, mat.A)
+			requireSameFinal(t, "crash-and-redial", want.final, finalOf(t, alg))
 			if got := coord.NumLive(); got != tc.survivors+1 {
 				t.Fatalf("live workers after re-join = %d, want %d (survivors + re-dialed)", got, tc.survivors+1)
 			}
@@ -340,7 +342,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "RefFiL", family, domains)
+	want := localRunOf(t, "RefFiL", family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -396,7 +398,8 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with wedged worker failed instead of detecting it: %v", err)
 	}
-	requireSameMatrix(t, "wedged-worker", want, mat.A)
+	requireSameMatrix(t, "wedged-worker", want.A, mat.A)
+	requireSameFinal(t, "wedged-worker", want.final, finalOf(t, alg))
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers after wedge detection = %d, want 1", got)
 	}
@@ -530,7 +533,7 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localReference(t, "RefFiL", family, domains)
+	want := localRunOf(t, "RefFiL", family, domains)
 
 	for _, tc := range []struct {
 		name     string
@@ -589,7 +592,8 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run with sole-worker crash-and-redial failed: %v", err)
 			}
-			requireSameMatrix(t, "sole-worker redial", want, mat.A)
+			requireSameMatrix(t, "sole-worker redial", want.A, mat.A)
+			requireSameFinal(t, "sole-worker redial", want.final, finalOf(t, alg))
 			if live, ever := coord.NumLive(), coord.NumWorkers(); live != 1 || ever != 2 {
 				t.Fatalf("workers live/ever = %d/%d, want 1/2 (crashed slot + re-dialed slot)", live, ever)
 			}

@@ -45,7 +45,7 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 		})
 	}
 	t.Run("redial", func(t *testing.T) {
-		want := localReference(t, "RefFiL", family, domains)
+		want := localRunOf(t, "RefFiL", family, domains)
 		defer transport.PoisonReusedBuffers()()
 		coord, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
@@ -76,7 +76,8 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("poisoned crash-and-redial run failed: %v", err)
 		}
-		requireSameMatrix(t, "poisoned crash-and-redial", want, mat.A)
+		requireSameMatrix(t, "poisoned crash-and-redial", want.A, mat.A)
+		requireSameFinal(t, "poisoned crash-and-redial", want.final, finalOf(t, alg))
 		requireAllPatchUploads(t, runner.Stats())
 		_ = runner.Close()
 		if err := coord.Shutdown(); err != nil {

@@ -71,11 +71,16 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 	if x.T.NDim() == 2 {
 		return autograd.Linear(x, l.W, l.B)
 	}
-	shape := x.T.Shape()
 	flat := autograd.Reshape(x, -1, in)
 	out := autograd.Linear(flat, l.W, l.B)
-	outShape := append(shape[:len(shape)-1:len(shape)-1], l.W.T.Dim(1))
-	return autograd.Reshape(out, outShape...)
+	// x's leading dims and the output width, gathered on the stack, where
+	// they stay: Reshape copies the dims it is given.
+	var dims [8]int
+	outShape := dims[:0]
+	for i := 0; i < x.T.NDim()-1; i++ {
+		outShape = append(outShape, x.T.Dim(i))
+	}
+	return autograd.Reshape(out, append(outShape, l.W.T.Dim(1))...)
 }
 
 // Params implements Module.

@@ -179,6 +179,13 @@ func (t *Tensor) Release() {
 	t.ar.reclaim(t)
 }
 
+// DrawnFrom reports whether t is a live draw of a: drawn from it since its
+// last Reset and not yet Released — not a view, not a Wrap, not a heap
+// tensor. Such a tensor is its holder's alone, so it may change holders
+// (autograd hands gradient buffers over this way) or be re-shaped in place
+// (ReshapeLike). It is false for every tensor when a is nil.
+func (t *Tensor) DrawnFrom(a *Arena) bool { return a != nil && t.ar == a && t.slot != 0 }
+
 // Retained returns the bytes of tensor data the arena holds, live or free.
 // It grows only when a draw finds no free buffer large enough.
 func (a *Arena) Retained() int {

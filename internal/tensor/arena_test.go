@@ -154,6 +154,47 @@ func TestReleaseHandsBackBeforeReset(t *testing.T) {
 	}
 }
 
+// TestDrawnFromAndReshapeLike: only a live draw is DrawnFrom its arena, and
+// only it can be re-shaped in place; the in-place re-shape keeps the
+// elements and refuses a change of size.
+func TestDrawnFromAndReshapeLike(t *testing.T) {
+	var a, b Arena
+	x := a.New(2, 3)
+	if !x.DrawnFrom(&a) || x.DrawnFrom(&b) || x.DrawnFrom(nil) {
+		t.Fatal("a live draw must be DrawnFrom its own arena and no other")
+	}
+	for name, u := range map[string]*Tensor{"view": x.Reshape(3, 2), "Wrap": a.Wrap(New(6)), "heap": New(6)} {
+		if u.DrawnFrom(&a) {
+			t.Errorf("a %s tensor counts as a live draw", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ReshapeLike on a %s tensor did not panic", name)
+				}
+			}()
+			u.ReshapeLike(New(3, 2))
+		}()
+	}
+	x.Data()[5] = 7
+	x.ReshapeLike(New(3, 2))
+	if !sameShape(x, 3, 2) || x.At(2, 1) != 7 {
+		t.Fatalf("ReshapeLike gave shape %v with last element %v, want [3 2] and 7", x.Shape(), x.At(2, 1))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ReshapeLike to another size did not panic")
+			}
+		}()
+		x.ReshapeLike(New(4))
+	}()
+	x.Release()
+	if x.DrawnFrom(&a) {
+		t.Error("a released tensor still counts as a live draw")
+	}
+}
+
 func TestArenaConcurrentDraws(t *testing.T) {
 	var a Arena
 	const n = 64

@@ -3,15 +3,18 @@ package tensor
 import "fmt"
 
 // Reshape returns a tensor sharing t's data with a new shape of identical
-// total size. One dimension may be -1, in which case it is inferred.
+// total size. One dimension may be -1, in which case it is inferred. Past
+// its first line it reads and formats only its own copy of shape, so shape
+// does not escape and a caller's variadic dimensions stay on its stack: a
+// reshape allocates the new header and its dimensions, nothing more.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+	dims := append([]int(nil), shape...)
 	infer := -1
 	known := 1
-	for i, d := range shape {
+	for i, d := range dims {
 		if d == -1 {
 			if infer >= 0 {
-				panic(fmt.Sprintf("tensor: Reshape with multiple -1 dims %v", shape))
+				panic(fmt.Sprintf("tensor: Reshape with multiple -1 dims %v", dims))
 			}
 			infer = i
 		} else {
@@ -20,15 +23,28 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	if infer >= 0 {
 		if known == 0 || len(t.data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dim for Reshape %v -> %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dim for Reshape %v -> %v", t.shape, dims))
 		}
-		shape[infer] = len(t.data) / known
-		known *= shape[infer]
+		dims[infer] = len(t.data) / known
+		known *= dims[infer]
 	}
 	if known != len(t.data) {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes size", t.shape, shape))
+		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes size", t.shape, dims))
 	}
-	return &Tensor{shape: shape, data: t.data, ar: t.ar}
+	return &Tensor{shape: dims, data: t.data, ar: t.ar}
+}
+
+// ReshapeLike gives t like's shape in place; like must hold as many
+// elements. Only a live draw of an arena may be re-shaped (see DrawnFrom):
+// its shape slice is its own, where a view's or a Wrap's may be shared.
+func (t *Tensor) ReshapeLike(like *Tensor) {
+	if t.slot == 0 {
+		panic(fmt.Sprintf("tensor: ReshapeLike on %v, which is not a live arena draw", t.shape))
+	}
+	if len(t.data) != len(like.data) {
+		panic(fmt.Sprintf("tensor: ReshapeLike %v -> %v changes size", t.shape, like.shape))
+	}
+	t.shape = append(t.shape[:0], like.shape...)
 }
 
 // Flatten returns a 1-D view of t's data.
