@@ -9,9 +9,7 @@ import (
 )
 
 // warmAllocs runs step on an arena once to warm it, then reports the heap
-// allocations of one more step plus the Reset after it. testing.AllocsPerRun
-// runs at GOMAXPROCS=1, so every parallel.For runs its body inline and the
-// count is exact.
+// allocations of one more step plus the Reset after it.
 func warmAllocs(step func(ar *tensor.Arena)) float64 {
 	var ar tensor.Arena
 	return testing.AllocsPerRun(5, func() {
@@ -85,7 +83,6 @@ func TestBackwardHandOffsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // every parallel.For inline
 	rng := rand.New(rand.NewSource(13))
 	x := tensor.RandN(rng, 1, 3, 4, 5)
 	w, b := Param(tensor.RandN(rng, 1, 3, 4, 5)), Param(tensor.RandN(rng, 1, 6, 10))
@@ -123,3 +120,32 @@ func TestBackwardHandOffsAllocateNothing(t *testing.T) {
 
 // reshaped keeps Reshape's result alive, so the compiler cannot drop it.
 var reshaped *tensor.Tensor
+
+// TestKernelsAllocateNothingWhenWarm: on a warm arena, at the default
+// GOMAXPROCS, the four matmul kernels and tensor.Permute allocate nothing:
+// each runs on the goroutine that calls it, and its result comes from the
+// arena. (testing.AllocsPerRun would pin GOMAXPROCS to 1, so MemStats
+// counts here.)
+func TestKernelsAllocateNothingWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(17))
+	var ar tensor.Arena
+	a, at := ar.Wrap(tensor.RandN(rng, 1, 64, 48)), ar.Wrap(tensor.RandN(rng, 1, 48, 64))
+	b, bt := tensor.RandN(rng, 1, 48, 40), tensor.RandN(rng, 1, 40, 48)
+	ba, bb := ar.Wrap(tensor.RandN(rng, 1, 8, 32, 24)), tensor.RandN(rng, 1, 8, 24, 16)
+	for name, kernel := range map[string]func(){
+		"MatMul":      func() { tensor.MatMul(a, b) },
+		"MatMulT1":    func() { tensor.MatMulT1(at, b) },
+		"MatMulT2":    func() { tensor.MatMulT2(a, bt) },
+		"BatchMatMul": func() { tensor.BatchMatMul(ba, bb) },
+		"Permute":     func() { tensor.Permute(ba, 2, 0, 1) },
+	} {
+		kernel() // warms the arena
+		ar.Reset()
+		if n := mallocs(func() { kernel(); ar.Reset() }); n != 0 {
+			t.Errorf("%s on a warm arena: %d allocations, want 0", name, n)
+		}
+	}
+}

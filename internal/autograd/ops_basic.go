@@ -10,13 +10,13 @@ func Add(a, b *Value) *Value {
 	node := newNode(out, "add", a, b)
 	node.back = func() {
 		if b.requiresGrad {
-			accumulate(b, reduceGrad(node.Grad, b.T))
+			accumulateSum(b, node.Grad)
 		}
 		if a.requiresGrad {
 			if node.Grad.SameShape(a.T) {
 				passOn(node, a)
 			} else {
-				accumulate(a, reduceGrad(node.Grad, a.T))
+				accumulateSum(a, node.Grad)
 			}
 		}
 	}

@@ -3,18 +3,13 @@ package autograd
 import (
 	"fmt"
 
-	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
-// convChunkOps is the per-chunk work floor for parallel convolution: batch
-// images cheaper than this in aggregate stay on the calling goroutine.
-const convChunkOps = parallel.DefaultChunkOps
-
-// gwPartials caps how many weight-gradient partial accumulators Conv2D's
-// backward materializes at once. A fixed, machine-independent count keeps
-// the reduction order deterministic and bounds extra memory to
-// gwPartials*(outC*inC*kh*kw) floats regardless of batch size.
+// gwPartials is how many weight-gradient partial sums Conv2D's backward
+// splits the batch into. The count depends on nothing but the batch size,
+// and the partials are reduced in chunk order, which fixes the order every
+// weight gradient's adds run in.
 const gwPartials = 8
 
 // Conv2D convolves x (B,C,H,W) with weights w (O,C,kh,kw) and optional bias
@@ -25,10 +20,8 @@ const gwPartials = 8
 // evaluation forward then holds one image's columns at a time, not the
 // batch's. Like every other temporary here they are drawn from x's arena,
 // whose Reset reclaims kept columns whether or not the tape is ever
-// backpropagated. Batch images are independent, so both passes fan the
-// per-image im2col and matmul work out over the batch axis; the weight
-// gradient is reduced serially in batch order to keep results bit-identical
-// to serial execution.
+// backpropagated. Both passes loop over the batch one image at a time on
+// the calling goroutine.
 func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 	if x.T.NDim() != 4 || w.T.NDim() != 4 {
 		return nil, fmt.Errorf("autograd: Conv2D wants 4-D x and w, got %v and %v", x.T.Shape(), w.T.Shape())
@@ -57,64 +50,49 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 		cols = make([]*tensor.Tensor, bs)
 	}
 	imgLen := c * h * wd
-	imgGrain := parallel.GrainForCost(2*o*k*p, convChunkOps)
-	parallel.For(bs, imgGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			col := ar.Scratch(k, p) // Im2col writes every position
-			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], col.Data())
-			// out is zeroed and images are row-disjoint, so the product
-			// accumulates straight into this image's slice of it.
-			res := out.Data()[i*o*p : (i+1)*o*p]
-			tensor.MulInto(res, wMat, col.Data(), o, k, p)
-			if keep {
-				cols[i] = col
-			} else {
-				col.Release()
-			}
-			if b != nil {
-				for ch := 0; ch < o; ch++ {
-					bv := b.T.Data()[ch]
-					row := res[ch*p : (ch+1)*p]
-					for j := range row {
-						row[j] += bv
-					}
+	for i := 0; i < bs; i++ {
+		col := ar.Scratch(k, p) // Im2col writes every position
+		geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], col.Data())
+		// out is zeroed and images are row-disjoint, so the product
+		// accumulates straight into this image's slice of it.
+		res := out.Data()[i*o*p : (i+1)*o*p]
+		tensor.MulInto(res, wMat, col.Data(), o, k, p)
+		if keep {
+			cols[i] = col
+		} else {
+			col.Release()
+		}
+		if b != nil {
+			for ch := 0; ch < o; ch++ {
+				bv := b.T.Data()[ch]
+				row := res[ch*p : (ch+1)*p]
+				for j := range row {
+					row[j] += bv
 				}
 			}
 		}
-	})
+	}
 
 	node := newNode(out, "conv2d", x, w, b)
 	node.back = func() {
 		if keep {
-			// Weight-gradient partials are accumulated over a fixed number
-			// of batch chunks computed concurrently, then reduced in chunk
-			// order. The chunk boundaries depend only on the batch size —
-			// never on worker availability — so the reduction order (and
-			// the result, bitwise) is identical at any parallelism, while
-			// peak extra memory stays bounded at gwPartials (o,k) tensors
-			// instead of one per image.
-			nChunks := gwPartials
-			if nChunks > bs {
-				nChunks = bs
-			}
-			if nChunks < 1 {
-				nChunks = 1
-			}
+			// Each of a fixed number of batch chunks sums its images'
+			// products into a partial of its own, and the partials are
+			// reduced in chunk order. The chunk boundaries depend only on
+			// the batch size, so the adds run in one order at any batch,
+			// and the extra memory is at most gwPartials (o,k) tensors.
+			nChunks := max(min(gwPartials, bs), 1)
 			per := (bs + nChunks - 1) / nChunks
-			partials := make([]*tensor.Tensor, nChunks)
-			parallel.For(nChunks, 1, func(clo, chi int) {
-				for c := clo; c < chi; c++ {
-					acc := ar.New(o, k)
-					hi := (c + 1) * per
-					if hi > bs {
-						hi = bs
-					}
-					for i := c * per; i < hi; i++ {
-						tensor.MulT2Into(acc.Data(), node.Grad.Data()[i*o*p:(i+1)*o*p], cols[i].Data(), o, p, k)
-					}
-					partials[c] = acc
+			var chunks [gwPartials]*tensor.Tensor
+			partials := chunks[:nChunks]
+			for c := range partials {
+				acc := ar.New(o, k)
+				hi := min((c+1)*per, bs)
+				for i := c * per; i < hi; i++ {
+					tensor.MulT2Into(acc.Data(), node.Grad.Data()[i*o*p:(i+1)*o*p], cols[i].Data(), o, p, k)
 				}
-			})
+				partials[c] = acc
+			}
 			// gw is (o,k), w (o,c,kh,kw): the same elements in the same
 			// order, which is all accumulating it needs.
 			gw := partials[0]
@@ -141,13 +119,11 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 		}
 		if x.requiresGrad {
 			gx := ar.NewLike(x.T)
-			parallel.For(bs, imgGrain, func(lo, hi int) {
-				buf := ar.Scratch(geom.GradBlockLen())
-				for i := lo; i < hi; i++ {
-					geom.InputGrad(gx.Data()[i*imgLen:(i+1)*imgLen], wMat, node.Grad.Data()[i*o*p:(i+1)*o*p], buf.Data())
-				}
-				buf.Release()
-			})
+			buf := ar.Scratch(geom.GradBlockLen())
+			for i := 0; i < bs; i++ {
+				geom.InputGrad(gx.Data()[i*imgLen:(i+1)*imgLen], wMat, node.Grad.Data()[i*o*p:(i+1)*o*p], buf.Data())
+			}
+			buf.Release()
 			accumulateTemp(x, gx)
 		}
 	}

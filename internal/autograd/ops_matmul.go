@@ -1,9 +1,6 @@
 package autograd
 
-import (
-	"reffil/internal/parallel"
-	"reffil/internal/tensor"
-)
+import "reffil/internal/tensor"
 
 // MatMul multiplies 2-D values: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Value) *Value {
@@ -24,8 +21,7 @@ func MatMul(a, b *Value) *Value {
 
 // BatchMatMul multiplies 3-D values batch-wise: (B,m,k) x (B,k,n) -> (B,m,n).
 // Its backward runs the slice-level products on each element's sub-slices,
-// fanned out over the batch axis as the forward is, so it allocates per
-// batch, not per element.
+// so it allocates per batch, not per element.
 func BatchMatMul(a, b *Value) *Value {
 	out := tensor.BatchMatMul(a.T, b.T)
 	node := newNode(out, "batchMatmul", a, b)
@@ -34,28 +30,23 @@ func BatchMatMul(a, b *Value) *Value {
 		m, k := a.T.Dim(1), a.T.Dim(2)
 		n := b.T.Dim(2)
 		ad, bd, gd := a.T.Data(), b.T.Data(), node.Grad.Data()
-		grain := parallel.GrainForCost(2*m*k*n, parallel.DefaultChunkOps)
 		// Each element's block of a gradient is added into once, from +0.
 		if a.requiresGrad {
 			// dA = dC · Bᵀ
 			ga := out.Arena().NewLike(a.T)
 			gad := ga.Data()
-			parallel.For(bs, grain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					tensor.MulT2Into(gad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], bd[i*k*n:(i+1)*k*n], m, n, k)
-				}
-			})
+			for i := 0; i < bs; i++ {
+				tensor.MulT2Into(gad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], bd[i*k*n:(i+1)*k*n], m, n, k)
+			}
 			accumulateTemp(a, ga)
 		}
 		if b.requiresGrad {
 			// dB = Aᵀ · dC
 			gb := out.Arena().NewLike(b.T)
 			gbd := gb.Data()
-			parallel.For(bs, grain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					tensor.MulT1Into(gbd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], k, m, n)
-				}
-			})
+			for i := 0; i < bs; i++ {
+				tensor.MulT1Into(gbd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gd[i*m*n:(i+1)*m*n], k, m, n)
+			}
 			accumulateTemp(b, gb)
 		}
 	}

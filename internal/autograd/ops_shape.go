@@ -17,18 +17,38 @@ func Reshape(a *Value, shape ...int) *Value {
 	return node
 }
 
-// Permute reorders the axes of a.
+// Permute reorders the axes of a. Its backward permutes the gradient back
+// by the inverse permutation, which the closure holds by value for up to 8
+// axes, so that neither perm nor the inverse reaches the heap.
 func Permute(a *Value, perm ...int) *Value {
 	out := tensor.Permute(a.T, perm...)
 	node := newNode(out, "permute", a)
-	inverse := make([]int, len(perm))
-	for i, p := range perm {
-		inverse[p] = i
+	if len(perm) > 8 {
+		inv := make([]int, len(perm))
+		invert(inv, perm)
+		node.back = func() { accumulateTemp(a, tensor.Permute(node.Grad, inv...)) }
+		return node
 	}
+	r, inv := len(perm), inverse8(perm)
 	node.back = func() {
-		accumulateTemp(a, tensor.Permute(node.Grad, inverse...))
+		axes := inv // a copy: slicing the captured array would move it to the heap
+		accumulateTemp(a, tensor.Permute(node.Grad, axes[:r]...))
 	}
 	return node
+}
+
+// inverse8 returns the inverse of a permutation of at most 8 axes.
+func inverse8(perm []int) (inv [8]int) {
+	invert(inv[:], perm)
+	return inv
+}
+
+// invert writes the inverse of perm, which tensor.Permute has checked, into
+// inv.
+func invert(inv, perm []int) {
+	for i, p := range perm {
+		inv[p] = i
+	}
 }
 
 // Concat concatenates values along the given axis.

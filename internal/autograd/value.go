@@ -105,22 +105,16 @@ func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
 	return &Value{T: t, requiresGrad: req, parents: parents, op: op}
 }
 
-// reduceGrad sums g down to like's shape, inverting a broadcast. When
-// nothing was broadcast it is g itself, which callers only read.
-func reduceGrad(g, like *tensor.Tensor) *tensor.Tensor {
+// reduceTemp sums g, a temporary the caller owns, down to like's shape,
+// inverting a broadcast. The result is again a temporary: g itself when
+// nothing was broadcast, and otherwise a new one, g having gone back to its
+// arena.
+func reduceTemp(g, like *tensor.Tensor) *tensor.Tensor {
 	if g.SameShape(like) {
 		return g
 	}
-	return tensor.ReduceTo(g, like.Shape())
-}
-
-// reduceTemp is reduceGrad for a temporary the caller owns: the result is
-// again one, and a g that had to be summed down has gone back to its arena.
-func reduceTemp(g, like *tensor.Tensor) *tensor.Tensor {
-	r := reduceGrad(g, like)
-	if r != g {
-		g.Release()
-	}
+	r := tensor.ReduceLike(g, like)
+	g.Release()
 	return r
 }
 
@@ -132,6 +126,17 @@ func accumulate(p *Value, g *tensor.Tensor) {
 		return
 	}
 	p.EnsureGrad().AddInPlace(g)
+}
+
+// accumulateSum is accumulate for a g that may be p's value broadcast: g is
+// only read, and when it was broadcast, it is summed down to p's shape into
+// a temporary that goes to accumulateTemp.
+func accumulateSum(p *Value, g *tensor.Tensor) {
+	if g.SameShape(p.T) {
+		accumulate(p, g)
+		return
+	}
+	accumulateTemp(p, tensor.ReduceLike(g, p.T))
 }
 
 // accumulateTemp is accumulate for a g the calling closure computed for this

@@ -434,13 +434,13 @@ func TestBaselineLearnsToyTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(fl.Config{
+	eng, err := fl.NewEngineWithRunner(fl.Config{
 		Rounds: 3, Epochs: 2, BatchSize: 8, LR: 0.05,
 		InitialClients: 3, SelectPerRound: 3, ClientsPerTaskInc: 0,
 		TransferFrac: 0.8, Alpha: 0,
 		TrainPerDomain: 84, TestPerDomain: 28, EvalBatch: 14,
 		Seed: 7,
-	}, ft)
+	}, ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -689,13 +689,13 @@ func TestRefFiLEndToEndFederated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(fl.Config{
+	eng, err := fl.NewEngineWithRunner(fl.Config{
 		Rounds: 3, Epochs: 2, BatchSize: 8, LR: 0.05,
 		InitialClients: 4, SelectPerRound: 3, ClientsPerTaskInc: 1,
 		TransferFrac: 0.8, Alpha: 0.5,
 		TrainPerDomain: 84, TestPerDomain: 28, EvalBatch: 14,
 		Seed: 99,
-	}, r)
+	}, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ package fl
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
-	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
@@ -24,10 +24,8 @@ import (
 // is what lets the engine aggregate acks as they arrive instead of
 // buffering every selected client's full state until the round ends.
 //
-// Bit-identity contract: folding dicts 0..n-1 in order then finalizing is
-// exactly WeightedAverage(dicts, weights) — WeightedAverage is implemented
-// as this fold — so streaming and batch aggregation can never diverge. The
-// fold order must therefore be fixed (the engine folds in job order, never
+// Bit-identity contract: the result depends on the order dicts are folded
+// in, so the fold order must be fixed (the engine folds in job order, never
 // arrival order).
 //
 // Unanimity short-circuit: a key on which every folded dict agrees bit for
@@ -47,17 +45,14 @@ import (
 // dict must stay unwritten for as long as the result is read — the engine
 // releases it only after loading the aggregate into the global model.
 //
-// An Accumulator is not safe for concurrent Folds; the per-key work inside
-// one Fold is sharded across internal/parallel exactly like the batch path.
+// An Accumulator is not safe for concurrent Folds.
 type Accumulator struct {
-	names     []string // sorted key shard layout, fixed by the first fold
+	names     []string // sorted keys, fixed by the first fold
 	first     map[string]*tensor.Tensor
 	accs      []*tensor.Tensor // per key; nil while the key is unanimous
 	unanimous []bool
-	errs      []error
 	weights   []float64 // per folded dict, for unanimity-break replay
 	total     float64
-	elems     int // total elements across keys, for the chunk grain
 }
 
 // NewAccumulator returns an empty streaming FedAvg fold.
@@ -82,77 +77,50 @@ func (a *Accumulator) UnanimityStats() (unanimousKeys, brokenKeys int) {
 }
 
 // Fold adds one client's update with the given positive FedAvg weight.
-// Validation matches WeightedAverage: the first folded dict fixes the key
-// set and shapes, and every later dict must agree exactly.
+// The first folded dict fixes the key set and shapes, and every later dict
+// must agree exactly.
 func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 	n := len(a.weights)
 	if w <= 0 {
 		return fmt.Errorf("fl: non-positive aggregation weight %v for client %d", w, n)
 	}
 	if a.first == nil {
-		a.names = make([]string, 0, len(dict))
-		//fedvet:ignore maporder key materialization plus a commutative integer size sum; names are sorted on the next line
-		for name, t := range dict {
-			a.names = append(a.names, name)
-			a.elems += t.Size()
-		}
-		sort.Strings(a.names)
+		a.names = slices.Sorted(maps.Keys(dict))
 		a.first = dict
 		a.accs = make([]*tensor.Tensor, len(a.names))
 		a.unanimous = make([]bool, len(a.names))
 		for k := range a.unanimous {
 			a.unanimous[k] = true
 		}
-		a.errs = make([]error, len(a.names))
 	} else if len(dict) != len(a.first) {
 		return fmt.Errorf("fl: client %d update has %d entries, want %d", n, len(dict), len(a.first))
 	}
 
-	perKeyOps := 1
-	if len(a.names) > 0 {
-		perKeyOps = a.elems / len(a.names)
-	}
-	grain := parallel.GrainForCost(perKeyOps, parallel.DefaultChunkOps)
-	parallel.For(len(a.names), grain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			name := a.names[k]
-			first := a.first[name]
-			src, ok := dict[name]
-			if !ok {
-				a.errs[k] = fmt.Errorf("fl: client %d update missing entry %q", n, name)
-				continue
-			}
-			if !src.SameShape(first) {
-				a.errs[k] = fmt.Errorf("fl: client %d entry %q has shape %v, want %v", n, name, src.Shape(), first.Shape())
-				continue
-			}
-			if a.unanimous[k] {
-				if n == 0 || src.EqualBits(first) {
-					continue // still unanimous: no sum materialized
-				}
-				// First disagreement: materialize the sum and replay the
-				// earlier contributions. Each was bit-identical to first, so
-				// adding w_j*first in fold order reproduces the exact
-				// accumulation a non-unanimous key would have seen.
-				a.unanimous[k] = false
-				acc := tensor.New(first.Shape()...)
-				for j := 0; j < n; j++ {
-					acc.AddScaledInPlace(a.weights[j], first)
-				}
-				a.accs[k] = acc
-			}
-			a.accs[k].AddScaledInPlace(w, src)
+	for k, name := range a.names {
+		first := a.first[name]
+		src, ok := dict[name]
+		if !ok {
+			return fmt.Errorf("fl: client %d update missing entry %q", n, name)
 		}
-	})
-	var firstErr error
-	for k, err := range a.errs {
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if !src.SameShape(first) {
+			return fmt.Errorf("fl: client %d entry %q has shape %v, want %v", n, name, src.Shape(), first.Shape())
 		}
-		a.errs[k] = nil
-	}
-	if firstErr != nil {
-		return firstErr
+		if a.unanimous[k] {
+			if n == 0 || src.EqualBits(first) {
+				continue // still unanimous: no sum materialized
+			}
+			// First disagreement: materialize the sum and replay the
+			// earlier contributions. Each was bit-identical to first, so
+			// adding w_j*first in fold order reproduces the exact
+			// accumulation a non-unanimous key would have seen.
+			a.unanimous[k] = false
+			acc := tensor.New(first.Shape()...)
+			for j := 0; j < n; j++ {
+				acc.AddScaledInPlace(a.weights[j], first)
+			}
+			a.accs[k] = acc
+		}
+		a.accs[k].AddScaledInPlace(w, src)
 	}
 	a.weights = append(a.weights, w)
 	a.total += w
@@ -169,50 +137,14 @@ func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 		return nil, fmt.Errorf("fl: no client updates to aggregate")
 	}
 	inv := 1 / a.total
-	perKeyOps := 1
-	if len(a.names) > 0 {
-		perKeyOps = a.elems / len(a.names)
-	}
-	grain := parallel.GrainForCost(perKeyOps, parallel.DefaultChunkOps)
-	parallel.For(len(a.names), grain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if a.unanimous[k] {
-				a.accs[k] = a.first[a.names[k]]
-			} else {
-				a.accs[k].ScaleInPlace(inv)
-			}
-		}
-	})
 	out := make(map[string]*tensor.Tensor, len(a.names))
 	for k, name := range a.names {
+		if a.unanimous[k] {
+			a.accs[k] = a.first[name]
+		} else {
+			a.accs[k].ScaleInPlace(inv)
+		}
 		out[name] = a.accs[k]
 	}
 	return out, nil
-}
-
-// WeightedAverage computes the FedAvg aggregate of client state dicts:
-// sum_m (w_m / sum w) * dict_m, entry-wise. All dicts must share the same
-// keys and shapes; weights must be positive.
-//
-// It is the batch form of Accumulator: dicts fold in order 0, 1, 2, ...
-// (selection order) and the sum is normalized once at the end, so the
-// result is bit-identical to the streaming fold at any worker count — the
-// per-key accumulation order over clients is fixed, and the key shards
-// internal/parallel distributes are independent. Keys on which every client
-// agrees bit for bit short-circuit to the unanimous value itself: the result
-// may alias dicts[0]'s tensors (see Accumulator).
-func WeightedAverage(dicts []map[string]*tensor.Tensor, weights []float64) (map[string]*tensor.Tensor, error) {
-	if len(dicts) == 0 {
-		return nil, fmt.Errorf("fl: no client updates to aggregate")
-	}
-	if len(dicts) != len(weights) {
-		return nil, fmt.Errorf("fl: %d dicts but %d weights", len(dicts), len(weights))
-	}
-	acc := NewAccumulator()
-	for i, d := range dicts {
-		if err := acc.Fold(d, weights[i]); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Finalize()
 }

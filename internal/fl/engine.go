@@ -248,12 +248,6 @@ type Engine struct {
 	Telemetry *telemetry.Sink
 }
 
-// NewEngine validates the config and builds an engine for the algorithm
-// with the default in-process LocalRunner.
-func NewEngine(cfg Config, alg Algorithm) (*Engine, error) {
-	return NewEngineWithRunner(cfg, alg, nil)
-}
-
 // NewEngineWithRunner builds an engine that executes each round's jobs on
 // the given runner. A networked runner must train replicas of the same
 // algorithm instance (see transport.NewPipeline). A nil runner selects the
@@ -506,8 +500,8 @@ func (e *Engine) runRound(t, r int) error {
 }
 
 // runInJobOrder runs jobs on er and hands each result to fold in job order,
-// never arrival order — which is what keeps streaming aggregation
-// bit-identical to the batch WeightedAverage — buffering only the results
+// never arrival order — which is what keeps the aggregate bit-identical at
+// any worker count and on any runner — buffering only the results
 // that completed ahead of their turn. A round with no jobs never reaches
 // the runner.
 func runInJobOrder(er EachRunner, jobs []Job, fold func(i int, res Result) error) error {
@@ -685,22 +679,3 @@ func (e *Engine) evaluate(ds *data.Dataset) (float64, error) {
 	}
 	return metrics.Accuracy(pred, labels)
 }
-
-// ClientGroups returns the current pool composition (for tests and
-// diagnostics): counts of Old, In-between and New clients.
-func (e *Engine) ClientGroups() (old, between, new int) {
-	for _, c := range e.clients {
-		switch c.group {
-		case GroupOld:
-			old++
-		case GroupInBetween:
-			between++
-		case GroupNew:
-			new++
-		}
-	}
-	return old, between, new
-}
-
-// PoolSize returns the current participant count.
-func (e *Engine) PoolSize() int { return len(e.clients) }

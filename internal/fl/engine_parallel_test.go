@@ -94,7 +94,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := func(workers int) ([][]float64, string) {
 				alg := newParallelTestMethod(t, name, family.Classes, len(domains))
-				eng, err := fl.NewEngine(parallelTestConfig(workers), alg)
+				eng, err := fl.NewEngineWithRunner(parallelTestConfig(workers), alg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

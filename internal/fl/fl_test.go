@@ -16,7 +16,7 @@ import (
 func TestWeightedAverage(t *testing.T) {
 	d1 := map[string]*tensor.Tensor{"w": tensor.FromSlice([]float64{1, 2}, 2)}
 	d2 := map[string]*tensor.Tensor{"w": tensor.FromSlice([]float64{3, 6}, 2)}
-	avg, err := WeightedAverage([]map[string]*tensor.Tensor{d1, d2}, []float64{1, 3})
+	avg, err := weightedAverage([]map[string]*tensor.Tensor{d1, d2}, []float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestWeightedAverageIdentityOnEqualDicts(t *testing.T) {
 		}
 		return out
 	}
-	avg, err := WeightedAverage([]map[string]*tensor.Tensor{clone(), clone(), clone()}, []float64{1, 5, 2})
+	avg, err := weightedAverage([]map[string]*tensor.Tensor{clone(), clone(), clone()}, []float64{1, 5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWeightedAverageShardedMatchesSerial(t *testing.T) {
 		acc.ScaleInPlace(1 / total)
 		want[name] = acc
 	}
-	got, err := WeightedAverage(dicts, weights)
+	got, err := weightedAverage(dicts, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,21 +100,21 @@ func TestWeightedAverageShardedMatchesSerial(t *testing.T) {
 
 func TestWeightedAverageErrors(t *testing.T) {
 	d := map[string]*tensor.Tensor{"w": tensor.Ones(2)}
-	if _, err := WeightedAverage(nil, nil); err == nil {
+	if _, err := weightedAverage(nil, nil); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, err := WeightedAverage([]map[string]*tensor.Tensor{d}, []float64{1, 2}); err == nil {
+	if _, err := weightedAverage([]map[string]*tensor.Tensor{d}, []float64{1, 2}); err == nil {
 		t.Fatal("weight count mismatch must error")
 	}
-	if _, err := WeightedAverage([]map[string]*tensor.Tensor{d}, []float64{0}); err == nil {
+	if _, err := weightedAverage([]map[string]*tensor.Tensor{d}, []float64{0}); err == nil {
 		t.Fatal("zero weight must error")
 	}
 	d2 := map[string]*tensor.Tensor{"v": tensor.Ones(2)}
-	if _, err := WeightedAverage([]map[string]*tensor.Tensor{d, d2}, []float64{1, 1}); err == nil {
+	if _, err := weightedAverage([]map[string]*tensor.Tensor{d, d2}, []float64{1, 1}); err == nil {
 		t.Fatal("key mismatch must error")
 	}
 	d3 := map[string]*tensor.Tensor{"w": tensor.Ones(3)}
-	if _, err := WeightedAverage([]map[string]*tensor.Tensor{d, d3}, []float64{1, 1}); err == nil {
+	if _, err := weightedAverage([]map[string]*tensor.Tensor{d, d3}, []float64{1, 1}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
 }
@@ -250,7 +250,7 @@ func TestEngineRunMechanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := newFakeAlg()
-	eng, err := NewEngine(smallConfig(), alg)
+	eng, err := NewEngineWithRunner(smallConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestEngineRunMechanics(t *testing.T) {
 		t.Fatalf("server rounds = %d, want 6", alg.stats.rounds)
 	}
 	// Pool grows by ClientsPerTaskInc per new task.
-	if got := eng.PoolSize(); got != 6+2*2 {
+	if got := len(eng.clients); got != 6+2*2 {
 		t.Fatalf("pool size = %d, want 10", got)
 	}
 	// Matrix is complete.
@@ -278,20 +278,35 @@ func TestEngineRunMechanics(t *testing.T) {
 	}
 }
 
+// clientGroups counts the engine's Old, In-between and New clients.
+func clientGroups(e *Engine) (old, between, new int) {
+	for _, c := range e.clients {
+		switch c.group {
+		case GroupOld:
+			old++
+		case GroupInBetween:
+			between++
+		case GroupNew:
+			new++
+		}
+	}
+	return old, between, new
+}
+
 func TestEngineClientGroups(t *testing.T) {
 	family, err := data.NewFamily("officecaltech10", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alg := newFakeAlg()
-	eng, err := NewEngine(smallConfig(), alg)
+	eng, err := NewEngineWithRunner(smallConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(family, family.Domains[:2]); err != nil {
 		t.Fatal(err)
 	}
-	old, between, newC := eng.ClientGroups()
+	old, between, newC := clientGroups(eng)
 	// After task 1: 80% of 6 = 4 transitioned (Ub), 2 stayed (Uo),
 	// 2 joined (Un).
 	if old != 2 || between != 4 || newC != 2 {
@@ -310,7 +325,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	}
 	run := func() (float64, int) {
 		alg := newFakeAlg()
-		eng, err := NewEngine(smallConfig(), alg)
+		eng, err := NewEngineWithRunner(smallConfig(), alg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +357,7 @@ func TestEngineWorkersMatchSequential(t *testing.T) {
 		cfg.Workers = workers
 		cfg.DropoutProb = dropout
 		alg := newFakeAlg()
-		eng, err := NewEngine(cfg, alg)
+		eng, err := NewEngineWithRunner(cfg, alg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +418,7 @@ func TestEngineAggregationAveragesUpdates(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 3
 	alg := newFakeAlg()
-	eng, err := NewEngine(cfg, alg)
+	eng, err := NewEngineWithRunner(cfg, alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +439,7 @@ func TestEngineDropoutSkipsClients(t *testing.T) {
 	cfg.DropoutProb = 0.5
 	cfg.Rounds = 4
 	alg := newFakeAlg()
-	eng, err := NewEngine(cfg, alg)
+	eng, err := NewEngineWithRunner(cfg, alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +548,7 @@ func TestInBetweenClientsSeeBothTasks(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 4
 	cfg.SelectPerRound = 6
-	eng, err := NewEngine(cfg, alg)
+	eng, err := NewEngineWithRunner(cfg, alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +587,7 @@ func TestEngineTaskTagsMatchShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := newRecordingAlg()
-	eng, err := NewEngine(smallConfig(), alg)
+	eng, err := NewEngineWithRunner(smallConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +613,7 @@ func TestEngineRejectsEmptyDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(smallConfig(), newFakeAlg())
+	eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,10 +623,10 @@ func TestEngineRejectsEmptyDomains(t *testing.T) {
 }
 
 func TestNewEngineValidation(t *testing.T) {
-	if _, err := NewEngine(Config{}, newFakeAlg()); err == nil {
+	if _, err := NewEngineWithRunner(Config{}, newFakeAlg(), nil); err == nil {
 		t.Fatal("invalid config must error")
 	}
-	if _, err := NewEngine(smallConfig(), nil); err == nil {
+	if _, err := NewEngineWithRunner(smallConfig(), nil, nil); err == nil {
 		t.Fatal("nil algorithm must error")
 	}
 }
@@ -645,7 +660,7 @@ func TestWeightedAverageUnanimousKeyExact(t *testing.T) {
 		}
 		weights[c] = 0.3 + rng.Float64() // sums to something ≠ 1
 	}
-	got, err := WeightedAverage(dicts, weights)
+	got, err := weightedAverage(dicts, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

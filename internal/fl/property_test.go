@@ -23,7 +23,7 @@ func TestQuickWeightedAverageWithinHull(t *testing.T) {
 			dicts[i] = map[string]*tensor.Tensor{"w": tensor.RandN(r, 1, dim)}
 			weights[i] = 0.1 + r.Float64()*5
 		}
-		avg, err := WeightedAverage(dicts, weights)
+		avg, err := weightedAverage(dicts, weights)
 		if err != nil {
 			return false
 		}
@@ -66,11 +66,11 @@ func TestQuickWeightedAverageScaleInvariant(t *testing.T) {
 			w1[i] = 0.1 + r.Float64()*2
 			w2[i] = w1[i] * scale
 		}
-		a1, err := WeightedAverage(dicts, w1)
+		a1, err := weightedAverage(dicts, w1)
 		if err != nil {
 			return false
 		}
-		a2, err := WeightedAverage(dicts, w2)
+		a2, err := weightedAverage(dicts, w2)
 		if err != nil {
 			return false
 		}

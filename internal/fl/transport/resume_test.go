@@ -33,7 +33,7 @@ func captureSnapshots(t *testing.T, method string, family *data.Family, domains 
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(crossRunnerConfig(), alg)
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(crossRunnerConfig(), alg)
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(crossRunnerConfig(), alg)
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,21 @@
-// Package parallel is the shared chunked parallel-for runtime behind the
-// tensor kernels and the federated round scheduler.
+// Package parallel fans the wire codec's two sweeps over a whole state
+// dict — the significance planes and the per-key change scan — out over
+// the cores, and pools per-call scratch buffers (ScratchPool). The tensor
+// kernels, the FedAvg fold and the rest of a client's training run on the
+// goroutine that calls them: the client pool (fl.LocalRunner) is the one
+// level of parallelism there.
 //
 // Work over an index range is split into contiguous chunks that run on a
-// bounded set of helper goroutines. Two properties make the runtime safe to
-// use from the numeric kernels:
+// bounded set of helper goroutines:
 //
 //   - Determinism: chunks are disjoint, and each output index is produced by
 //     exactly one chunk using the same inner loop order as the serial code,
 //     so results are bit-for-bit identical at any worker count (including
 //     fully serial execution).
 //   - Bounded concurrency: helper goroutines are drawn from a global token
-//     pool sized to GOMAXPROCS. Nested parallel regions (an engine worker
-//     training a client whose matmuls also call For) degrade gracefully to
-//     serial execution instead of oversubscribing the machine.
+//     pool sized to the processor count. A nested region, or one that finds
+//     the pool drained, runs serially instead of oversubscribing the
+//     machine.
 package parallel
 
 import (
@@ -41,9 +44,8 @@ func maxHelpers() int {
 }
 
 // DefaultChunkOps is the scalar-operation budget below which a chunk of
-// numeric work is not worth a goroutine. The tensor and autograd kernels
-// derive their grains from it via GrainForCost; tune it in one place after
-// re-benchmarking on target hardware.
+// work is not worth a goroutine; GrainForCost derives a loop's grain from
+// it.
 const DefaultChunkOps = 1 << 15
 
 // For runs body over the half-open range [0, n), splitting it into at most
@@ -118,35 +120,9 @@ func runChunks(n, helpers int, release bool, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Reserve withdraws up to k helper tokens from the pool without blocking
-// and returns how many it got. A coarse-grained scheduler (the federated
-// engine's per-client worker pool) reserves its worker count so the
-// fine-grained kernel fan-out underneath cannot oversubscribe the machine;
-// pair every Reserve with a Release of the returned count.
-func Reserve(k int) int {
-	got := 0
-	for got < k {
-		select {
-		case tokens <- struct{}{}:
-			got++
-			continue
-		default:
-		}
-		break
-	}
-	return got
-}
-
-// Release returns k previously Reserved tokens to the pool.
-func Release(k int) {
-	for i := 0; i < k; i++ {
-		<-tokens
-	}
-}
-
 // GrainForCost converts a per-item cost estimate (in scalar operations) into
-// a chunk grain such that each chunk carries at least minChunkOps work.
-// Kernels use it so that small operands stay on the calling goroutine.
+// a chunk grain such that each chunk carries at least minChunkOps work, so
+// that small ranges stay on the calling goroutine.
 func GrainForCost(perItemOps, minChunkOps int) int {
 	if perItemOps <= 0 {
 		perItemOps = 1

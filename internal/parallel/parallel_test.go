@@ -153,26 +153,6 @@ func TestRunChunksDeterministicAtAnyHelperCount(t *testing.T) {
 	}
 }
 
-func TestReserveRelease(t *testing.T) {
-	cap := maxHelpers()
-	got := Reserve(cap + 5)
-	if got != cap {
-		t.Fatalf("Reserve over capacity returned %d, want pool size %d", got, cap)
-	}
-	// Pool drained: For must degrade to one serial chunk.
-	calls := 0
-	For(1<<20, 1, func(lo, hi int) { calls++ })
-	if calls != 1 {
-		t.Fatalf("For split into %d chunks with a drained pool, want 1", calls)
-	}
-	Release(got)
-	if again := Reserve(1); cap > 0 && again != 1 {
-		t.Fatalf("Reserve after Release returned %d, want 1", again)
-	} else {
-		Release(again)
-	}
-}
-
 func TestGrainForCost(t *testing.T) {
 	if g := GrainForCost(10, 1000); g != 100 {
 		t.Fatalf("GrainForCost(10, 1000) = %d, want 100", g)

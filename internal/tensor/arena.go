@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // Arena is a step-scoped tensor allocator: it hands out whole tensors —
@@ -26,16 +26,22 @@ import (
 // Free tensors are kept per data capacity, and a request is served by the
 // smallest free capacity that holds it, so a batch smaller than the one that
 // warmed the arena reuses that batch's buffers instead of growing a second
-// set. Draws are synchronised (kernels draw from parallel.For chunks);
-// which buffer serves which draw is therefore not deterministic, and never
-// observable: New zeroes, and Scratch is for results whose every element is
-// written before it is read.
+// set.
+//
+// An arena belongs to one goroutine at a time: it has no lock, and every
+// kernel runs on the goroutine that calls it, so a computation draws in one
+// fixed order. Reset returns the free lists to one order that depends only
+// on which buffers the arena holds, so once the arena stops growing, the
+// same step is served by the same buffers in the same order every time. An
+// arena that changes goroutines (a worker's, a decode buffer's) changes them
+// under the lock that hands its owner over.
 type Arena struct {
-	mu sync.Mutex
 	// caps lists the distinct data capacities ever allocated, ascending;
-	// free[i] holds the idle tensors of capacity caps[i].
-	caps []int
-	free [][]*Tensor
+	// owned[i] holds every tensor of capacity caps[i], in the order they
+	// were made, and free[i] the idle ones.
+	caps  []int
+	owned [][]*Tensor
+	free  [][]*Tensor
 	// live are the tensors drawn since the last Reset; a tensor's slot is
 	// its index here plus one, and Release leaves a nil behind.
 	live     []*Tensor
@@ -95,7 +101,6 @@ func (a *Arena) draw(shape []int, zero bool) *Tensor {
 	if a == nil {
 		return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
 	}
-	a.mu.Lock()
 	i := sort.SearchInts(a.caps, n)
 	for i < len(a.caps) && len(a.free[i]) == 0 {
 		i++
@@ -108,14 +113,13 @@ func (a *Arena) draw(shape []int, zero bool) *Tensor {
 		a.free[i] = a.free[i][:last]
 	} else {
 		t = &Tensor{data: make([]float64, n), ar: a}
-		a.bucket(n)
+		b := a.bucket(n)
+		a.owned[b] = append(a.owned[b], t)
 		a.retained += 8 * n
 		zero = false
 	}
 	a.live = append(a.live, t)
 	t.slot = len(a.live)
-	a.mu.Unlock()
-
 	t.shape = append(t.shape[:0], shape...)
 	t.data = t.data[:n]
 	if zero {
@@ -128,41 +132,42 @@ func (a *Arena) draw(shape []int, zero bool) *Tensor {
 func (a *Arena) bucket(c int) int {
 	i := sort.SearchInts(a.caps, c)
 	if i == len(a.caps) || a.caps[i] != c {
-		a.caps = append(a.caps, 0)
-		copy(a.caps[i+1:], a.caps[i:])
-		a.caps[i] = c
-		a.free = append(a.free, nil)
-		copy(a.free[i+1:], a.free[i:])
-		a.free[i] = nil
+		a.caps = slices.Insert(a.caps, i, c)
+		a.owned = slices.Insert(a.owned, i, nil)
+		a.free = slices.Insert(a.free, i, nil)
 	}
 	return i
 }
 
-// reclaim moves a live tensor to the free list. Callers hold a.mu.
-func (a *Arena) reclaim(t *Tensor) {
+// retire ends a live tensor's draw.
+func (a *Arena) retire(t *Tensor) {
 	if poison != nil {
 		poison(t.data[:cap(t.data)])
 	}
 	a.live[t.slot-1] = nil
 	t.slot = 0
-	b := a.bucket(cap(t.data))
-	a.free[b] = append(a.free[b], t)
 }
 
 // Reset takes back every tensor drawn since the last Reset. They, and all
-// views of them, are dead from here on.
+// views of them, are dead from here on. Every free list is rebuilt as its
+// owned list reversed, so the next draws take the oldest buffers first.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, t := range a.live {
 		if t != nil {
-			a.reclaim(t)
+			a.retire(t)
 		}
 	}
 	a.live = a.live[:0]
+	for i, owned := range a.owned {
+		free := a.free[i][:0]
+		for j := len(owned) - 1; j >= 0; j-- {
+			free = append(free, owned[j])
+		}
+		a.free[i] = free
+	}
 }
 
 // Release hands t back to the arena it was drawn from ahead of the next
@@ -174,9 +179,10 @@ func (t *Tensor) Release() {
 	if t == nil || t.slot == 0 {
 		return
 	}
-	t.ar.mu.Lock()
-	defer t.ar.mu.Unlock()
-	t.ar.reclaim(t)
+	a := t.ar
+	a.retire(t)
+	b := a.bucket(cap(t.data))
+	a.free[b] = append(a.free[b], t)
 }
 
 // DrawnFrom reports whether t is a live draw of a: drawn from it since its
@@ -192,8 +198,6 @@ func (a *Arena) Retained() int {
 	if a == nil {
 		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.retained
 }
 

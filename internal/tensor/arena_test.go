@@ -3,9 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"reffil/internal/parallel"
 )
 
 func allPlusZero(t *Tensor) bool {
@@ -195,29 +194,44 @@ func TestDrawnFromAndReshapeLike(t *testing.T) {
 	}
 }
 
-func TestArenaConcurrentDraws(t *testing.T) {
-	var a Arena
-	const n = 64
-	for step := 0; step < 3; step++ {
-		sums := make([]float64, n)
-		parallel.For(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := a.New(1 + i%7)
-				tmp := a.Scratch(32)
-				for j := range tmp.Data() {
-					tmp.Data()[j] = float64(i)
-				}
-				x.Data()[0] += tmp.Data()[31]
-				tmp.Release()
-				sums[i] = x.Data()[0]
-			}
-		})
-		for i, s := range sums {
-			if s != float64(i) {
-				t.Fatalf("step %d: chunk %d read %v from its own tensors, want %d", step, i, s, i)
-			}
+// TestArenaDrawOrderIsFixed: a warm arena serves two identical steps with
+// the same buffers in the same order, whatever was released mid-step, and
+// does not grow. Each step draws kernel results and temporaries of one
+// capacity, and releases a temporary drawn before a buffer that stays live
+// to the Reset: the pattern a backward pass makes.
+func TestArenaDrawOrderIsFixed(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := RandN(rng, 1, 6, 5), RandN(rng, 1, 5, 7)
+	ba, bb := RandN(rng, 1, 4, 6, 5), RandN(rng, 1, 4, 5, 3)
+	var ar Arena
+	step := func() []*float64 {
+		var got []*float64
+		draw := func(x *Tensor) *Tensor {
+			got = append(got, &x.data[0])
+			return x
 		}
-		a.Reset()
+		x := draw(MatMul(ar.Wrap(a), b))        // (6,7)
+		tmp := draw(ar.Scratch(6, 7))           // x's capacity
+		keep := draw(ar.New(7, 6))              // and again
+		tmp.Release()                           // while keep stays live
+		draw(MatMulT1(x, draw(ar.New(6, 7))))   // (7,7)
+		draw(MatMulT2(x, keep.Reshape(6, 7)))   // (6,6)
+		y := draw(BatchMatMul(ar.Wrap(ba), bb)) // (4,6,3)
+		draw(Permute(y, 2, 0, 1)).Release()     // y's capacity, released
+		draw(Add(y, draw(ar.Scratch(4, 6, 3)))) // reuses Permute's
+		ar.Reset()
+		return got
+	}
+	step() // warms the arena
+	warm := ar.Retained()
+	first := step()
+	for i := 0; i < 3; i++ {
+		if got := step(); !slices.Equal(got, first) {
+			t.Fatalf("warm step %d drew %v, the first warm step %v", i+2, got, first)
+		}
+	}
+	if ar.Retained() != warm {
+		t.Errorf("warm steps grew the arena from %d to %d bytes", warm, ar.Retained())
 	}
 }
 

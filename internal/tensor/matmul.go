@@ -1,16 +1,10 @@
 package tensor
 
-import (
-	"fmt"
+import "fmt"
 
-	"reffil/internal/parallel"
-)
-
-// minChunkOps is the scalar-operation budget below which a matmul chunk is
-// not worth a goroutine: kernels fall back to the calling goroutine for
-// anything smaller, so the tiny matmuls that dominate mini-scale training do
-// not pay fan-out overhead.
-const minChunkOps = parallel.DefaultChunkOps
+// Every kernel here runs on the goroutine that calls it. Parallelism lives
+// one level up, where clients train side by side (fl.LocalRunner's pool),
+// so a kernel never spawns a goroutine or allocates beyond its result.
 
 // MatMul multiplies two 2-D tensors: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -23,9 +17,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := ArenaOf(a, b).New(m, n)
-	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		matmulRows(out.data, a.data, b.data, lo, hi, k, n, k, 1)
-	})
+	matmulRows(out.data, a.data, b.data, 0, m, k, n, k, 1)
 	return out
 }
 
@@ -34,8 +26,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // storage (a batch element, an image's slice of a conv output): no tensor
 // header is built and nothing is allocated. Each adds its product into c, an
 // (m,n) row-major matrix — pass c zeroed for the plain product — and runs
-// every row on the calling goroutine: a caller looping over a batch fans the
-// batch out instead. Each panics unless the slice lengths match (m,k,n).
+// every row on the calling goroutine, as every kernel here does. Each panics unless the slice lengths match (m,k,n).
 
 // MulInto adds a·b into c for a (m,k) and b (k,n): MatMul's chains, each
 // starting at c's element.
@@ -74,8 +65,8 @@ func checkMul(op string, c, a, b []float64, m, k, n int) {
 // and the n%4 columns left over run one element at a time, each the same
 // chain. Only the loop nest around the chains is chosen for speed: every
 // output element still sees the same operations in the same order
-// (ascending p), so results are bit-identical at any tile edge and any
-// parallel.For chunking.
+// (ascending p), so results are bit-identical at any tile edge and for any
+// split of the rows into [lo,hi) ranges.
 //
 // On amd64 hosts with AVX (useAVX) the full 2×4 tiles run in assembly
 // instead (matmul_amd64.s): one call per pair of rows covers every full
@@ -96,8 +87,7 @@ func nonzero(v float64) bool {
 // (k,n) row-major; A's element (i,p) is a[i*ri+p*rp], so ri=k, rp=1 reads a
 // row-major (m,k) A and ri=1, rp=m reads the (k,m) A of MatMulT1. Element
 // (i,j) is the chain c(i,j) += A(i,p)·B(p,j) over ascending p, skipping each
-// p where A(i,p) is zero. Rows are independent, so disjoint row ranges are
-// safe to compute concurrently.
+// p where A(i,p) is zero.
 func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
 	tiled := lo // the AVX tiles cover rows [lo,tiled) but their n%4 columns
 	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
@@ -168,8 +158,7 @@ func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
 }
 
 // MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n) without
-// materializing the transpose: matmulRows reads A down its columns. Output
-// rows are partitioned across workers.
+// materializing the transpose: matmulRows reads A down its columns.
 func MatMulT1(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT1 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -180,9 +169,7 @@ func MatMulT1(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := ArenaOf(a, b).New(m, n)
-	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		matmulRows(out.data, a.data, b.data, lo, hi, k, n, 1, m)
-	})
+	matmulRows(out.data, a.data, b.data, 0, m, k, n, 1, m)
 	return out
 }
 
@@ -191,16 +178,13 @@ func MatMulT1(a, b *Tensor) *Tensor {
 // a and row j of b: a sum that starts at 0 and adds every product over
 // ascending p, with no zero-skip. It is MulT2Into a zeroed output: a chain
 // that starts at +0 is never −0, so +0 plus the chain has the chain's bits.
-// Output rows are partitioned across workers.
 func MatMulT2(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 || a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulT2 shapes %v x %vᵀ", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	out := ArenaOf(a, b).New(m, n)
-	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		matmulT2Rows(out.data, a.data, b.data, lo, hi, k, n)
-	})
+	matmulT2Rows(out.data, a.data, b.data, 0, m, k, n)
 	return out
 }
 
@@ -269,8 +253,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 }
 
 // BatchMatMul multiplies two 3-D tensors batch-wise:
-// (B,m,k) x (B,k,n) -> (B,m,n). Batch elements are independent, so the
-// batch axis is the parallel axis and each element runs matmulRows over all
+// (B,m,k) x (B,k,n) -> (B,m,n): each batch element runs matmulRows over all
 // of its rows.
 func BatchMatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 3 || b.NDim() != 3 {
@@ -285,10 +268,8 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 	}
 	n := b.shape[2]
 	out := ArenaOf(a, b).New(bs, m, n)
-	parallel.For(bs, parallel.GrainForCost(2*m*k*n, minChunkOps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1)
-		}
-	})
+	for i := 0; i < bs; i++ {
+		matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1)
+	}
 	return out
 }

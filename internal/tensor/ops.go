@@ -203,6 +203,9 @@ func ReduceTo(t *Tensor, shape []int) *Tensor {
 	return out
 }
 
+// ReduceLike is ReduceTo with like's shape, read in place.
+func ReduceLike(t, like *Tensor) *Tensor { return ReduceTo(t, like.shape) }
+
 // AddInPlace adds src into t elementwise. Shapes must match in total size.
 func (t *Tensor) AddInPlace(src *Tensor) {
 	if len(t.data) != len(src.data) {

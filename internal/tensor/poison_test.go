@@ -3,7 +3,6 @@ package tensor_test
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"reffil/internal/autograd"
@@ -28,7 +27,7 @@ func smokeRun(t *testing.T, method string) ([]float64, map[string]*tensor.Tensor
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngine(experiments.ScaleSmoke.EngineConfig("pacs", seed), alg)
+	eng, err := fl.NewEngineWithRunner(experiments.ScaleSmoke.EngineConfig("pacs", seed), alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,26 +136,27 @@ func (n *arenaNet) step(t *testing.T, x *tensor.Tensor, labels []int) {
 // TestPoisonedArenaStepsMatchHeapSteps trains the same net on the heap and from a
 // poisoned arena that is reset after every step, over full and tail batches:
 // gradients and running statistics agree bit for bit, every parameter's Grad
-// stays a heap tensor, and once warm the arena stops allocating.
-//
-// The footprint check runs at GOMAXPROCS=1. At full width, kernels draw from
-// concurrent parallel.For chunks, and which chunk draws first decides which
-// free buffer serves which request, so a later step's footprint can differ
-// from the warm one by the schedule alone. Serial draws come in one order,
-// so there the arena, warmed on the largest batch, must not grow by a byte.
+// stays a heap tensor, and once warm on the largest batch the arena does not
+// grow by a byte. Every kernel draws on the goroutine that calls it, so the
+// draws come in one order at any GOMAXPROCS. The parallel subtest trains two
+// nets side by side, each on its own arena, as the client pool's workers do.
 func TestPoisonedArenaStepsMatchHeapSteps(t *testing.T) {
 	defer tensor.PoisonReclaimed()()
 	batches := []int{6, 6, 6, 2, 5, 6} // the largest first: it warms the arena
-	t.Run("parallel", func(t *testing.T) { trainArenaAndHeap(t, batches, false) })
-	t.Run("serial", func(t *testing.T) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		trainArenaAndHeap(t, batches, true)
+	t.Run("parallel", func(t *testing.T) {
+		for _, name := range []string{"a", "b"} {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				trainArenaAndHeap(t, batches)
+			})
+		}
 	})
+	t.Run("serial", func(t *testing.T) { trainArenaAndHeap(t, batches) })
 }
 
-// trainArenaAndHeap runs TestPoisonedArenaStepsMatchHeapSteps's steps, and
-// with retention set checks that no step after the first grows the arena.
-func trainArenaAndHeap(t *testing.T, batches []int, retention bool) {
+// trainArenaAndHeap runs TestPoisonedArenaStepsMatchHeapSteps's steps and
+// checks that no step after the first grows the arena.
+func trainArenaAndHeap(t *testing.T, batches []int) {
 	heap, pooled := newArenaNet(rand.New(rand.NewSource(3))), newArenaNet(rand.New(rand.NewSource(3)))
 	rng := rand.New(rand.NewSource(4))
 	var a tensor.Arena
@@ -182,7 +182,6 @@ func trainArenaAndHeap(t *testing.T, batches []int, retention bool) {
 			t.Errorf("step %d: running statistics differ between arena and heap", step)
 		}
 		switch {
-		case !retention:
 		case step == 0:
 			warm = a.Retained()
 		case a.Retained() != warm:

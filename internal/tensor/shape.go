@@ -66,39 +66,51 @@ func Transpose(t *Tensor) *Tensor {
 	return out
 }
 
-// Permute returns a copy of t with axes reordered by perm.
+// permRank is the largest rank whose index arithmetic Permute keeps on its
+// stack; a tensor of higher rank allocates it.
+const permRank = 8
+
+// Permute returns a copy of t with axes reordered by perm. For ranks up to
+// permRank it allocates nothing but its result: perm is read in place, and
+// formatted through shapeString, so a caller's variadic axes do not escape.
 func Permute(t *Tensor, perm ...int) *Tensor {
-	if len(perm) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: Permute arity mismatch perm=%v shape=%v", perm, t.shape))
+	r := len(t.shape)
+	if len(perm) != r {
+		panic(fmt.Sprintf("tensor: Permute arity mismatch perm=%s shape=%s", shapeString(perm), shapeString(t.shape)))
 	}
-	seen := make([]bool, len(perm))
-	outShape := make([]int, len(perm))
+	var buf [3 * permRank]int
+	work := buf[:]
+	if r > permRank {
+		work = make([]int, 3*r)
+	}
+	// outShape[i] and strides[i] are the size and the input stride of output
+	// axis i; idx first marks the axes perm names, then counts the output.
+	outShape, strides, idx := work[:r], work[r:2*r], work[2*r:3*r]
 	for i, p := range perm {
-		if p < 0 || p >= len(perm) || seen[p] {
-			panic(fmt.Sprintf("tensor: invalid permutation %v", perm))
+		if p < 0 || p >= r || idx[p] != 0 {
+			panic(fmt.Sprintf("tensor: invalid permutation %s", shapeString(perm)))
 		}
-		seen[p] = true
+		idx[p] = 1
 		outShape[i] = t.shape[p]
+		strides[i] = 1
+		for _, d := range t.shape[p+1:] {
+			strides[i] *= d
+		}
 	}
+	clear(idx)
 	out := t.ar.Scratch(outShape...)
-	inStrides := t.Strides()
 	// Iterate the output in order, mapping each output index to the input.
-	idx := make([]int, len(outShape))
 	inOff := 0
-	permStrides := make([]int, len(perm))
-	for i, p := range perm {
-		permStrides[i] = inStrides[p]
-	}
 	for i := range out.data {
 		out.data[i] = t.data[inOff]
-		for ax := len(outShape) - 1; ax >= 0; ax-- {
+		for ax := r - 1; ax >= 0; ax-- {
 			idx[ax]++
-			inOff += permStrides[ax]
+			inOff += strides[ax]
 			if idx[ax] < outShape[ax] {
 				break
 			}
 			idx[ax] = 0
-			inOff -= permStrides[ax] * outShape[ax]
+			inOff -= strides[ax] * outShape[ax]
 		}
 	}
 	return out
