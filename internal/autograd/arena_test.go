@@ -2,7 +2,6 @@ package autograd
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"reffil/internal/tensor"
@@ -13,7 +12,6 @@ import (
 // arena ends up holding the output plus one image's columns, where the
 // keeping path holds every image's.
 func TestConv2DReleasesColumnsWithoutWeightGrad(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one image at a time
 	const bs, c, hw, o, kk = 5, 3, 8, 4, 3
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.RandN(rng, 1, bs, c, hw, hw)

@@ -125,7 +125,7 @@ func (e *ewc) taskEnd(global *model.Backbone, sample *data.Dataset) error {
 	for _, p := range params {
 		newFisher[p.Name] = tensor.New(p.Value.T.Shape()...)
 	}
-	batches, err := data.EvalBatches(sample, 16)
+	batches, err := data.BatchIndices(sample, 16, nil)
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,8 @@ func (e *ewc) taskEnd(global *model.Backbone, sample *data.Dataset) error {
 		batches = batches[:ewcFisherBatches]
 	}
 	nnCtx := &nn.Ctx{Train: false}
-	for _, b := range batches {
+	for _, idx := range batches {
+		b := data.Collate(nil, sample, idx)
 		nn.ZeroGrads(global)
 		logits, err := global.Forward(nnCtx, autograd.Constant(b.X), nil)
 		if err != nil {

@@ -69,15 +69,6 @@ type Batch struct {
 // at most batchSize examples, collated onto the heap. The final short batch
 // is kept.
 func Batches(ds *Dataset, batchSize int, rng *rand.Rand) ([]Batch, error) {
-	return collateAll(ds, batchSize, rng)
-}
-
-// EvalBatches splits the dataset into batches in order, without shuffling.
-func EvalBatches(ds *Dataset, batchSize int) ([]Batch, error) {
-	return collateAll(ds, batchSize, nil)
-}
-
-func collateAll(ds *Dataset, batchSize int, rng *rand.Rand) ([]Batch, error) {
 	spans, err := BatchIndices(ds, batchSize, rng)
 	if err != nil {
 		return nil, err

@@ -305,21 +305,24 @@ func TestBatchesValidation(t *testing.T) {
 	}
 }
 
-func TestEvalBatchesPreserveOrder(t *testing.T) {
+func TestBatchIndicesPreserveOrder(t *testing.T) {
 	f, _ := NewFamily("pacs", 12)
 	tr, _, _ := f.Generate("photo", 10, 7, 2)
-	bs, err := EvalBatches(tr, 4)
+	bs, err := BatchIndices(tr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	for _, b := range bs {
-		for _, y := range b.Y {
-			if y != tr.Examples[i].Y {
-				t.Fatal("eval batches must preserve dataset order")
+	for _, idx := range bs {
+		for _, j := range idx {
+			if j != i {
+				t.Fatal("batch indices without an rng must preserve dataset order")
 			}
 			i++
 		}
+	}
+	if i != tr.Len() {
+		t.Fatalf("batch indices cover %d of %d examples", i, tr.Len())
 	}
 }
 

@@ -50,11 +50,9 @@ func TestWeightedAverageIdentityOnEqualDicts(t *testing.T) {
 	}
 }
 
-// TestWeightedAverageShardedMatchesSerial pins the sharded reduction's
-// bit-identity contract: key-sharding across internal/parallel must yield
-// exactly (==, not within a tolerance) the serial per-key accumulation.
-// The reference below is the pre-sharding implementation; the many-key
-// dict drives chunk counts past one even at small grains.
+// TestWeightedAverageShardedMatchesSerial pins the fold's bit-identity
+// contract: weightedAverage must yield exactly (==, not within a tolerance)
+// the plain per-key accumulation below, over a many-key dict.
 func TestWeightedAverageShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const clients, keys = 7, 64

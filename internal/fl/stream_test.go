@@ -172,9 +172,8 @@ func TestAccumulatorStreamingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state allocates exactly the per-fold loop closure handed to
-	// internal/parallel plus the amortized growth of the weights slice. A
-	// per-client dict or per-key tensor clone would cost at least
+	// Steady state allocates only the amortized growth of the weights
+	// slice. A per-client dict or per-key tensor clone would cost at least
 	// len(sizes) allocations (and tens of kilobytes) per fold.
 	if avg >= 2 {
 		t.Fatalf("steady-state Fold allocates %.1f objects per client update, want < 2", avg)

@@ -9,24 +9,21 @@ import (
 // once the plane buffers and DEFLATE coder state are warm, packDelta
 // allocates only the output byte buffer it hands to the caller, and a
 // DecodeBuffer not even the decoded tensors — never the 8×N plane scratch
-// (64 B/element) or a fresh ~1 MB flate.Writer. GOMAXPROCS is pinned to 1
-// so internal/parallel helper bookkeeping doesn't blur the counts, and
-// race-instrumented builds skip the gates (the race runtime adds its own
-// per-call allocations; the functional pack tests still run under -race).
+// (64 B/element) or a fresh ~1 MB flate.Writer. Race-instrumented builds
+// skip the gates (the race runtime adds its own per-call allocations; the
+// functional pack tests still run under -race).
 
 func TestPackDeltaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are calibrated for uninstrumented builds")
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	base, next, keys := benchDicts(8, 4096)
 	if _, err := packDelta(nil, base, next, keys); err != nil { // warm the pools
 		t.Fatal(err)
 	}
-	// Output bytes.Buffer growth doublings + the span table + the fan-out
-	// closure. 8 keys × 4096 elements is 256 KiB of planes — pre-pool this
-	// path was ~270 KiB and a ~1.2 MB flate.Writer per call.
+	// Output bytes.Buffer growth doublings + the span table. 8 keys × 4096
+	// elements is 256 KiB of planes — pre-pool this path was ~270 KiB and a
+	// ~1.2 MB flate.Writer per call.
 	const maxAllocs = 30
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := packDelta(nil, base, next, keys); err != nil {
@@ -48,8 +45,6 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are calibrated for uninstrumented builds")
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	base, next, keys := benchDicts(8, 4096)
 	packed, err := packDelta(nil, base, next, keys)
 	if err != nil {
@@ -74,4 +69,51 @@ func TestUnpackDeltaSteadyStateAllocs(t *testing.T) {
 	if got >= maxBytes {
 		t.Errorf("DecodeBuffer.Decode steady state: %d B/op, want < %d (the decoded tensors must be the buffer's, planes and flate state the pools')", got, maxBytes)
 	}
+}
+
+// TestPlaneSweepsAllocateNothing: at the default GOMAXPROCS, the plane
+// sweeps allocate nothing and changedKeys only the slice it returns — each
+// runs on the goroutine that calls it. (testing.AllocsPerRun would pin
+// GOMAXPROCS to 1, so MemStats counts here.) The sweeps run over 3·2,730+5
+// elements in spans of 1 to 7, enough to cross several plane blocks.
+func TestPlaneSweepsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are calibrated for uninstrumented builds")
+	}
+	const runs = 100
+	spans, out, total := planeLayout(shortSpans(3*2730 + 5))
+	planes := make([]byte, 8*total)
+	if n := mallocs(runs, func() { shufflePlanes(planes, spans, total) }); n != 0 {
+		t.Errorf("shufflePlanes: %d allocations per call, want 0", n)
+	}
+	if n := mallocs(runs, func() { unshufflePlanes(planes, out, total) }); n != 0 {
+		t.Errorf("unshufflePlanes: %d allocations per call, want 0", n)
+	}
+
+	base, next, keys := benchDicts(64, 256)
+	for _, k := range keys[:32] {
+		next[k] = base[k].Clone()
+	}
+	var changed []string
+	if n := mallocs(runs, func() { changed = changedKeys(keys, base, next) }); n > 1 {
+		t.Errorf("changedKeys: %d allocations per call, want at most 1 (its result)", n)
+	}
+	if len(changed) != 32 {
+		t.Errorf("changedKeys found %d changed keys, want 32", len(changed))
+	}
+}
+
+// mallocs returns the heap allocations per call of f, counted over runs
+// calls. Above one P the runtime makes a few objects of its own now and then
+// (up to 8 in one window at -cpu 2 and 4), so the count starts after a
+// collection and is averaged over enough calls that those round away.
+func mallocs(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"reffil/internal/checkpoint"
-	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
@@ -129,20 +128,11 @@ func compatible(base, next map[string]*tensor.Tensor) bool {
 // changedKeys returns, in key order, the keys whose tensors are not
 // bit-identical between base and next (tensor.EqualBits: a 0 ↔ -0 flip or
 // a NaN payload change still counts as a change — the delta path must
-// never weaken the bit-identity guarantee). The per-key comparison fans
-// out over internal/parallel: keys are independent and the result order is
-// fixed by the sorted key list, so the output is deterministic at any
-// worker count.
+// never weaken the bit-identity guarantee).
 func changedKeys(keys []string, base, next map[string]*tensor.Tensor) []string {
-	changed := make([]bool, len(keys))
-	parallel.For(len(keys), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			changed[i] = !base[keys[i]].EqualBits(next[keys[i]])
-		}
-	})
 	out := make([]string, 0, len(keys))
-	for i, k := range keys {
-		if changed[i] {
+	for _, k := range keys {
+		if !base[k].EqualBits(next[k]) {
 			out = append(out, k)
 		}
 	}

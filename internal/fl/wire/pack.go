@@ -8,12 +8,10 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"reffil/internal/binfmt"
 	"reffil/internal/checkpoint"
-	"reffil/internal/parallel"
 	"reffil/internal/tensor"
 )
 
@@ -55,7 +53,7 @@ import (
 // against the round's broadcast base.
 //
 // Hot-path mechanics: the XOR and the plane shuffle are fused into one
-// block-wise sweep fanned over internal/parallel. Each block of XOR words is
+// block-wise sweep on the calling goroutine. Each block of XOR words is
 // computed into a stack buffer, and each group of 8 words in it is
 // transposed as an 8×8 byte matrix in registers (transpose8) and stored as
 // one 8-byte word per plane: 8 stores per group where a byte loop makes 64.
@@ -83,11 +81,6 @@ const packLevel = flate.BestSpeed
 // its 8 plane segments are written.
 const planeBlock = 1024
 
-// planeGrainOps prices one element of plane work (the XOR, a share of a
-// transpose, 8 byte moves) for the parallel grain computation. The price is
-// generous: chunks of at least 2,730 elements keep goroutine cost negligible.
-const planeGrainOps = 12
-
 // rawPlaneBits is the order-0 entropy threshold (bits/byte, of 8) above
 // which a plane is stored raw instead of deflated. At 7.6 bits/byte the
 // best possible order-0 ratio is ~95%, and DEFLATE BestSpeed on such noise
@@ -103,13 +96,28 @@ const rawPlaneBits = 7.6
 const rawPlaneMinLen = 1024
 
 var (
-	// planeBufs pools the 8×N significance-plane buffers.
-	planeBufs parallel.ScratchPool[byte]
+	// planeBufs pools the 8×N significance-plane buffers as *[]byte, so
+	// that putting one back boxes no fresh slice header.
+	planeBufs sync.Pool
 	// flateWriters and flateReaders pool the DEFLATE coder state (the
 	// writer alone is >1 MB of window and hash tables), reset per use.
 	flateWriters sync.Pool
 	flateReaders sync.Pool
 )
+
+// getPlanes returns a pooled plane buffer resliced to n bytes. Its contents
+// are unspecified: both sweeps write every byte before reading it.
+func getPlanes(n int) *[]byte {
+	b, _ := planeBufs.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
 
 // getFlateWriter returns a pooled DEFLATE writer reset to w.
 func getFlateWriter(w io.Writer) (*flate.Writer, error) {
@@ -137,11 +145,6 @@ type span struct {
 	off  int
 	base []float64
 	data []float64
-}
-
-// spanAt returns the index of the span containing flat element index i.
-func spanAt(spans []span, i int) int {
-	return sort.Search(len(spans), func(s int) bool { return spans[s].off+len(spans[s].base) > i })
 }
 
 // packDelta appends the packed encoding of next's tensors for the given keys,
@@ -172,7 +175,7 @@ func packDelta(dst []byte, base, next map[string]*tensor.Tensor, keys []string) 
 	// Significance planes of the XOR words: plane p of element i lands at
 	// planes[p*total+i], so each plane is one contiguous run of same-order
 	// bytes for the compressor.
-	pb := planeBufs.Get(8 * total)
+	pb := getPlanes(8 * total)
 	planes := *pb
 	defer planeBufs.Put(pb)
 	shufflePlanes(planes, spans, total)
@@ -268,9 +271,6 @@ func planeEntropy(plane []byte) float64 {
 	return bits
 }
 
-// planeGrain is the parallel.For grain of both plane sweeps.
-var planeGrain = parallel.GrainForCost(planeGrainOps, parallel.DefaultChunkOps)
-
 // transpose8 transposes the 8×8 byte matrix whose row r is word r read big
 // endian: output word p holds byte p (most significant first) of every input
 // word, in input order. Three mask-and-shift stages swap 4×4, then 2×2, then
@@ -308,23 +308,15 @@ func transpose8(w0, w1, w2, w3, w4, w5, w6, w7 uint64) (uint64, uint64, uint64, 
 }
 
 // shufflePlanes fills planes with the significance planes of the XOR of
-// every span's base and next data: the fused forward sweep. Disjoint element
-// ranges touch disjoint plane bytes, so the range fans out over
-// internal/parallel.
-func shufflePlanes(planes []byte, spans []span, total int) {
-	parallel.For(total, planeGrain, func(lo, hi int) { shuffleRange(planes, spans, total, lo, hi) })
-}
-
-// shuffleRange is shufflePlanes over the elements [lo, hi). Each planeBlock
+// every span's base and next data: the fused forward sweep. Each planeBlock
 // of XOR words is computed into a stack buffer, then every group of 8 words
 // is transposed in registers and stored as one 8-byte word per plane; a
-// block tail of fewer than 8 elements goes byte by byte. Groups count from
-// lo, which need not be a multiple of 8: a store lands at any byte offset.
-func shuffleRange(planes []byte, spans []span, total, lo, hi int) {
+// block tail of fewer than 8 elements goes byte by byte.
+func shufflePlanes(planes []byte, spans []span, total int) {
 	var tmp [planeBlock]uint64
-	si := spanAt(spans, lo)
-	for pos := lo; pos < hi; {
-		bhi := min(pos+planeBlock, hi)
+	si := 0
+	for pos := 0; pos < total; {
+		bhi := min(pos+planeBlock, total)
 		for j := pos; j < bhi; {
 			sp := &spans[si]
 			end := sp.off + len(sp.base)
@@ -366,22 +358,15 @@ func shuffleRange(planes []byte, spans []span, total, lo, hi int) {
 	}
 }
 
-// unshufflePlanes is the exact inverse sweep: it gathers each element's 8
-// plane bytes back into XOR words and writes base XOR word into each span's
-// output data. Same fan-out and determinism argument as shufflePlanes.
+// unshufflePlanes is the exact inverse sweep: per planeBlock, one 8-byte
+// load per plane and a transpose rebuild each group of 8 XOR words (a block
+// tail of fewer than 8 is gathered byte by byte), then base XOR word is
+// written into each span's output data.
 func unshufflePlanes(planes []byte, spans []span, total int) {
-	parallel.For(total, planeGrain, func(lo, hi int) { unshuffleRange(planes, spans, total, lo, hi) })
-}
-
-// unshuffleRange is unshufflePlanes over the elements [lo, hi): per
-// planeBlock, one 8-byte load per plane and a transpose rebuild each group
-// of 8 XOR words (a block tail of fewer than 8 is gathered byte by byte),
-// then the words are XORed into the spans' outputs.
-func unshuffleRange(planes []byte, spans []span, total, lo, hi int) {
 	var tmp [planeBlock]uint64
-	si := spanAt(spans, lo)
-	for pos := lo; pos < hi; {
-		bhi := min(pos+planeBlock, hi)
+	si := 0
+	for pos := 0; pos < total; {
+		bhi := min(pos+planeBlock, total)
 		nblk := bhi - pos
 		var src [8][]byte
 		for p := range src {
@@ -478,7 +463,7 @@ func unpackDelta(base map[string]*tensor.Tensor, packed []byte, out map[string]*
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("wire: packed header: %w", err)
 	}
-	pb := planeBufs.Get(8 * total)
+	pb := getPlanes(8 * total)
 	planes := *pb
 	defer planeBufs.Put(pb)
 	for p := 0; p < 8; p++ {

@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"reffil/internal/tensor"
@@ -203,16 +201,16 @@ func shortSpans(total int) []int {
 	return sizes
 }
 
-// requirePlanesMatch runs shuffle and unshuffle over one layout and holds
-// them to the reference kernels: identical plane bytes, and decoded outputs
-// bit-identical to the reference decode and to next.
-func requirePlanesMatch(t *testing.T, label string, sizes []int, shuffle, unshuffle func(planes []byte, spans []span, total int)) {
+// requirePlanesMatch runs shufflePlanes and unshufflePlanes over one layout
+// and holds them to the reference kernels: identical plane bytes, and
+// decoded outputs bit-identical to the reference decode and to next.
+func requirePlanesMatch(t *testing.T, label string, sizes []int) {
 	t.Helper()
 	spans, out, total := planeLayout(sizes)
 	want := make([]byte, 8*total)
 	refShufflePlanes(want, spans, total)
 	got := make([]byte, 8*total)
-	shuffle(got, spans, total)
+	shufflePlanes(got, spans, total)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: total %d: plane %d byte %d is %#02x, reference %#02x", label, total, i/total, i%total, got[i], want[i])
@@ -220,7 +218,7 @@ func requirePlanesMatch(t *testing.T, label string, sizes []int, shuffle, unshuf
 	}
 	_, refOut, _ := planeLayout(sizes)
 	refUnshufflePlanes(want, refOut, total)
-	unshuffle(want, out, total)
+	unshufflePlanes(want, out, total)
 	for s, sp := range spans {
 		for i, v := range out[s].data {
 			if math.Float64bits(v) != math.Float64bits(refOut[s].data[i]) || math.Float64bits(v) != math.Float64bits(sp.data[i]) {
@@ -235,46 +233,15 @@ func requirePlanesMatch(t *testing.T, label string, sizes []int, shuffle, unshuf
 //   - totals: shuffle and unshuffle at every total from 0 to 2·planeBlock+13,
 //     once as a single span and once as spans of 1 to 7 elements, so groups
 //     of 8 straddle span ends and every block tail length occurs;
-//   - chunk starts: the range split the way parallel.For chunks it, at every
-//     start offset within a group of 8 and around a block boundary, so a
-//     piece's groups count from an element that is not a multiple of 8;
-//   - GOMAXPROCS=2: both sweeps over more than two parallel.For grains, so
-//     (where a second CPU is free) two chunks run concurrently and the second
-//     starts partway through a group of 8; under -race this is also the
-//     kernels' data-race check;
 //   - gate: the 4-histogram entropy bit for bit, and so the raw/deflate
 //     decision, at lengths either side of rawPlaneMinLen and of every residue
 //     mod 4, over zero, skewed, near-threshold and uniform bytes.
 func TestPlaneKernelsMatchReference(t *testing.T) {
 	t.Run("totals", func(t *testing.T) {
 		for total := 0; total <= 2*planeBlock+13; total++ {
-			requirePlanesMatch(t, "one span", []int{total}, shufflePlanes, unshufflePlanes)
-			requirePlanesMatch(t, "short spans", shortSpans(total), shufflePlanes, unshufflePlanes)
+			requirePlanesMatch(t, "one span", []int{total})
+			requirePlanesMatch(t, "short spans", shortSpans(total))
 		}
-	})
-	t.Run("chunk starts", func(t *testing.T) {
-		const total = 2*planeBlock + 13
-		split := func(cut int, kernel func(planes []byte, spans []span, total, lo, hi int)) func([]byte, []span, int) {
-			return func(planes []byte, spans []span, total int) {
-				kernel(planes, spans, total, 0, cut)
-				kernel(planes, spans, total, cut, total)
-			}
-		}
-		for _, cut := range []int{1, 2, 3, 4, 5, 6, 7, 9, 15, planeBlock - 3, planeBlock + 5, total - 7, total - 1} {
-			label := fmt.Sprintf("cut at %d", cut)
-			requirePlanesMatch(t, label, []int{total}, split(cut, shuffleRange), split(cut, unshuffleRange))
-			requirePlanesMatch(t, label+", short spans", shortSpans(total), split(cut, shuffleRange), split(cut, unshuffleRange))
-		}
-	})
-	t.Run("GOMAXPROCS=2", func(t *testing.T) {
-		prev := runtime.GOMAXPROCS(2)
-		defer runtime.GOMAXPROCS(prev)
-		total := 3*planeGrain + 5
-		if half := (total + 1) / 2; half%8 == 0 {
-			t.Fatalf("second chunk starts at %d, a multiple of 8", half)
-		}
-		requirePlanesMatch(t, "parallel", []int{total}, shufflePlanes, unshufflePlanes)
-		requirePlanesMatch(t, "parallel, short spans", shortSpans(total), shufflePlanes, unshufflePlanes)
 	})
 	t.Run("gate", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))

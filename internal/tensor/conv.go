@@ -177,7 +177,7 @@ func (g ConvGeom) InputGrad(dx, w, dy, buf []float64) {
 		rows := block.InC * kk
 		cols := buf[:rows*p]
 		clear(cols)
-		matmulRows(cols, w[c0*kk:], dy, 0, rows, o, p, 1, k)
+		matmulRows(cols, w[c0*kk:], dy, rows, o, p, 1, k)
 		block.Col2im(cols, dx[c0*hw:(c0+block.InC)*hw])
 	}
 }

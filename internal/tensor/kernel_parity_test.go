@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
 // The tests in this file pin the repo's kernel determinism contract: every
-// matmul kernel must be bit-for-bit identical to a naive triple loop at any
-// worker count. Tiling the output or fanning rows or batch elements out
-// reorders which independent elements are computed when, never how any one
-// element accumulates over the shared dimension p.
+// matmul kernel must be bit-for-bit identical to a naive triple loop, on
+// the Go tiles and on the AVX ones. Tiling the output reorders which
+// independent elements are computed when, never how any one element
+// accumulates over the shared dimension p.
 
 // kernelShapes are (m,k,n) for an (m,k)·(k,n) product: the census shapes
 // the paper model runs (censusShapes, matmul_bench_test.go) and the tile's
@@ -191,19 +190,6 @@ func bothTiles[T interface {
 	}
 }
 
-// serialAndParallel runs f once with helper fan-out disabled (GOMAXPROCS=1
-// is the Workers=1 configuration: internal/parallel caps each For call at
-// the live GOMAXPROCS) and once at the machine's full width, and hands both
-// results to check.
-func serialAndParallel(t *testing.T, f func() *Tensor, check func(name string, got []float64)) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(1)
-	serial := f()
-	runtime.GOMAXPROCS(prev)
-	check("workers=1", serial.Data())
-	check("workers=max", f().Data())
-}
-
 func TestMatMulBlockedMatchesSerial(t *testing.T) {
 	bothTiles(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -211,15 +197,15 @@ func TestMatMulBlockedMatchesSerial(t *testing.T) {
 			a, b, clean := operands(rng, s.m, s.k, s.n)
 			at, bt := FromSlice(a, s.m, s.k), FromSlice(b, s.k, s.n)
 			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, true)
-			serialAndParallel(t, func() *Tensor { return MatMul(at, bt) }, func(name string, got []float64) {
-				requireBitIdentical(t, name, got, want, unpinned)
-				requireFinite(t, name, got, clean, s.n)
-			})
+			name := fmt.Sprintf("MatMul %v", s)
+			got := MatMul(at, bt).Data()
+			requireBitIdentical(t, name, got, want, unpinned)
+			requireFinite(t, name, got, clean, s.n)
 
 			// MulInto adds into c: each chain starts at c's value.
 			init := accumulatorInit(rng, s.m, s.n)
 			want, unpinned = reference(init, a, b, s.m, s.k, s.n, true)
-			got := append([]float64(nil), init...)
+			got = append([]float64(nil), init...)
 			MulInto(got, a, b, s.m, s.k, s.n)
 			requireBitIdentical(t, fmt.Sprintf("MulInto %v", s), got, want, unpinned)
 		}
@@ -265,15 +251,15 @@ func TestMatMulT1BlockedMatchesSerial(t *testing.T) {
 			a, b, clean := operands(rng, s.m, s.k, s.n)
 			at, bt := FromSlice(transposed(a, s.m, s.k), s.k, s.m), FromSlice(b, s.k, s.n)
 			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, true)
-			serialAndParallel(t, func() *Tensor { return MatMulT1(at, bt) }, func(name string, got []float64) {
-				requireBitIdentical(t, name, got, want, unpinned)
-				requireFinite(t, name, got, clean, s.n)
-			})
+			name := fmt.Sprintf("MatMulT1 %v", s)
+			got := MatMulT1(at, bt).Data()
+			requireBitIdentical(t, name, got, want, unpinned)
+			requireFinite(t, name, got, clean, s.n)
 
 			// MulT1Into adds into c: each chain starts at c's value.
 			init := accumulatorInit(rng, s.m, s.n)
 			want, unpinned = reference(init, a, b, s.m, s.k, s.n, true)
-			got := append([]float64(nil), init...)
+			got = append([]float64(nil), init...)
 			MulT1Into(got, at.Data(), b, s.m, s.k, s.n)
 			requireBitIdentical(t, fmt.Sprintf("MulT1Into %v", s), got, want, unpinned)
 		}
@@ -287,9 +273,7 @@ func TestMatMulT2BlockedMatchesSerial(t *testing.T) {
 			a, b, _ := operands(rng, s.m, s.k, s.n)
 			at, bt := FromSlice(a, s.m, s.k), FromSlice(transposed(b, s.k, s.n), s.n, s.k)
 			want, unpinned := reference(nil, a, b, s.m, s.k, s.n, false)
-			serialAndParallel(t, func() *Tensor { return MatMulT2(at, bt) }, func(name string, got []float64) {
-				requireBitIdentical(t, name, got, want, unpinned)
-			})
+			requireBitIdentical(t, fmt.Sprintf("MatMulT2 %v", s), MatMulT2(at, bt).Data(), want, unpinned)
 		}
 	})
 }
@@ -309,12 +293,12 @@ func TestBatchMatMulBlockedMatchesSerial(t *testing.T) {
 				want, unpinned = append(want, we...), append(unpinned, ue...)
 			}
 			at, bt := FromSlice(a, bs, s.m, s.k), FromSlice(b, bs, s.k, s.n)
-			serialAndParallel(t, func() *Tensor { return BatchMatMul(at, bt) }, func(name string, got []float64) {
-				requireBitIdentical(t, name, got, want, unpinned)
-				for e, ce := range clean {
-					requireFinite(t, name, got[e*s.m*s.n:], ce, s.n)
-				}
-			})
+			name := fmt.Sprintf("BatchMatMul %v", s)
+			got := BatchMatMul(at, bt).Data()
+			requireBitIdentical(t, name, got, want, unpinned)
+			for e, ce := range clean {
+				requireFinite(t, name, got[e*s.m*s.n:], ce, s.n)
+			}
 		}
 	})
 }

@@ -17,7 +17,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := ArenaOf(a, b).New(m, n)
-	matmulRows(out.data, a.data, b.data, 0, m, k, n, k, 1)
+	matmulRows(out.data, a.data, b.data, m, k, n, k, 1)
 	return out
 }
 
@@ -32,14 +32,14 @@ func MatMul(a, b *Tensor) *Tensor {
 // starting at c's element.
 func MulInto(c, a, b []float64, m, k, n int) {
 	checkMul("MulInto", c, a, b, m, k, n)
-	matmulRows(c, a, b, 0, m, k, n, k, 1)
+	matmulRows(c, a, b, m, k, n, k, 1)
 }
 
 // MulT1Into adds aᵀ·b into c for a (k,m) and b (k,n): MatMulT1's chains,
 // each starting at c's element.
 func MulT1Into(c, a, b []float64, m, k, n int) {
 	checkMul("MulT1Into", c, a, b, m, k, n)
-	matmulRows(c, a, b, 0, m, k, n, 1, m)
+	matmulRows(c, a, b, m, k, n, 1, m)
 }
 
 // MulT2Into adds a·bᵀ into c for a (m,k) and b (n,k): element (i,j) becomes
@@ -47,7 +47,7 @@ func MulT1Into(c, a, b []float64, m, k, n int) {
 // that one add, as AddInPlace has it.
 func MulT2Into(c, a, b []float64, m, k, n int) {
 	checkMul("MulT2Into", c, a, b, m, k, n)
-	matmulT2Rows(c, a, b, 0, m, k, n)
+	matmulT2Rows(c, a, b, m, k, n)
 }
 
 func checkMul(op string, c, a, b []float64, m, k, n int) {
@@ -65,8 +65,7 @@ func checkMul(op string, c, a, b []float64, m, k, n int) {
 // and the n%4 columns left over run one element at a time, each the same
 // chain. Only the loop nest around the chains is chosen for speed: every
 // output element still sees the same operations in the same order
-// (ascending p), so results are bit-identical at any tile edge and for any
-// split of the rows into [lo,hi) ranges.
+// (ascending p), so results are bit-identical at any tile edge.
 //
 // On amd64 hosts with AVX (useAVX) the full 2×4 tiles run in assembly
 // instead (matmul_amd64.s): one call per pair of rows covers every full
@@ -83,25 +82,25 @@ func nonzero(v float64) bool {
 	return v != 0
 }
 
-// matmulRows adds rows [lo,hi) of A·B into c, an (m,n) row-major matrix. B is
-// (k,n) row-major; A's element (i,p) is a[i*ri+p*rp], so ri=k, rp=1 reads a
+// matmulRows adds A·B into c, an (m,n) row-major matrix. B is (k,n)
+// row-major; A's element (i,p) is a[i*ri+p*rp], so ri=k, rp=1 reads a
 // row-major (m,k) A and ri=1, rp=m reads the (k,m) A of MatMulT1. Element
 // (i,j) is the chain c(i,j) += A(i,p)·B(p,j) over ascending p, skipping each
 // p where A(i,p) is zero.
-func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
-	tiled := lo // the AVX tiles cover rows [lo,tiled) but their n%4 columns
-	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
+func matmulRows(c, a, b []float64, m, k, n, ri, rp int) {
+	tiled := 0 // the AVX tiles cover rows [0,tiled) but their n%4 columns
+	if useAVX && k > 0 && n >= 4 && m >= 2 {
 		// The AVX tiles read through raw pointers: touch each operand's
 		// furthest element once, so short slices panic as the Go tiles would.
-		_, _, _ = c[hi*n-1], a[(hi-1)*ri+(k-1)*rp], b[k*n-1]
-		for ; tiled+1 < hi; tiled += 2 {
+		_, _, _ = c[m*n-1], a[(m-1)*ri+(k-1)*rp], b[k*n-1]
+		for ; tiled+1 < m; tiled += 2 {
 			rowsPairAVX(&c[tiled*n], &a[tiled*ri], &b[0], k, n, ri, rp)
 		}
 	}
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		i := tiled
-		for ; i+1 < hi; i += 2 {
+		for ; i+1 < m; i += 2 {
 			c0, c1 := c[i*n+j:i*n+j+4], c[(i+1)*n+j:(i+1)*n+j+4]
 			c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
 			c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
@@ -125,7 +124,7 @@ func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
 			c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
 			c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 		}
-		if i < hi {
+		if i < m {
 			ci := c[i*n+j : i*n+j+4]
 			c0, c1, c2, c3 := ci[0], ci[1], ci[2], ci[3]
 			ia, ib := i*ri, j
@@ -143,7 +142,7 @@ func matmulRows(c, a, b []float64, lo, hi, k, n, ri, rp int) {
 		}
 	}
 	for ; j < n; j++ {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			s := c[i*n+j]
 			ia, ib := i*ri, j
 			for end := ia + k*rp; ia != end; ia += rp {
@@ -169,7 +168,7 @@ func MatMulT1(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := ArenaOf(a, b).New(m, n)
-	matmulRows(out.data, a.data, b.data, 0, m, k, n, 1, m)
+	matmulRows(out.data, a.data, b.data, m, k, n, 1, m)
 	return out
 }
 
@@ -184,19 +183,19 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	out := ArenaOf(a, b).New(m, n)
-	matmulT2Rows(out.data, a.data, b.data, 0, m, k, n)
+	matmulT2Rows(out.data, a.data, b.data, m, k, n)
 	return out
 }
 
-// matmulT2Rows adds rows [lo,hi) of a·bᵀ into c (m,n) for a (m,k) and
-// b (n,k), tiled like matmulRows. Each dot product is a chain of its own
-// that starts at 0, added into c once at the end as c + chain. Both operands
-// are read along their rows, so every chain streams contiguous memory.
-func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
-	tiled := lo
-	if useAVX && k > 0 && n >= 4 && hi-lo >= 2 {
-		_, _, _ = c[hi*n-1], a[hi*k-1], b[n*k-1] // as in matmulRows
-		for ; tiled+1 < hi; tiled += 2 {
+// matmulT2Rows adds a·bᵀ into c (m,n) for a (m,k) and b (n,k), tiled like
+// matmulRows. Each dot product is a chain of its own that starts at 0, added
+// into c once at the end as c + chain. Both operands are read along their
+// rows, so every chain streams contiguous memory.
+func matmulT2Rows(c, a, b []float64, m, k, n int) {
+	tiled := 0
+	if useAVX && k > 0 && n >= 4 && m >= 2 {
+		_, _, _ = c[m*n-1], a[m*k-1], b[n*k-1] // as in matmulRows
+		for ; tiled+1 < m; tiled += 2 {
 			t2PairAVX(&c[tiled*n], &a[tiled*k], &b[0], k, n)
 		}
 	}
@@ -207,7 +206,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 		b2 := b[(j+2)*k : (j+3)*k]
 		b3 := b[(j+3)*k : (j+4)*k]
 		i := tiled
-		for ; i+1 < hi; i += 2 {
+		for ; i+1 < m; i += 2 {
 			a0 := a[i*k : (i+1)*k]
 			a1 := a[(i+1)*k : (i+2)*k]
 			var s00, s01, s02, s03, s10, s11, s12, s13 float64
@@ -227,7 +226,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 			c0[0], c0[1], c0[2], c0[3] = c0[0]+s00, c0[1]+s01, c0[2]+s02, c0[3]+s03
 			c1[0], c1[1], c1[2], c1[3] = c1[0]+s10, c1[1]+s11, c1[2]+s12, c1[3]+s13
 		}
-		if i < hi {
+		if i < m {
 			ai := a[i*k : (i+1)*k]
 			var s0, s1, s2, s3 float64
 			for p, x := range ai {
@@ -242,7 +241,7 @@ func matmulT2Rows(c, a, b []float64, lo, hi, k, n int) {
 	}
 	for ; j < n; j++ {
 		bj := b[j*k : (j+1)*k]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			s := 0.0
 			for p, x := range a[i*k : (i+1)*k] {
 				s += x * bj[p]
@@ -269,7 +268,7 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 	n := b.shape[2]
 	out := ArenaOf(a, b).New(bs, m, n)
 	for i := 0; i < bs; i++ {
-		matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1)
+		matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, k, 1)
 	}
 	return out
 }

@@ -150,17 +150,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Strides returns the row-major strides of the tensor's shape.
-func (t *Tensor) Strides() []int {
-	s := make([]int, len(t.shape))
-	acc := 1
-	for i := len(t.shape) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= t.shape[i]
-	}
-	return s
-}
-
 // Item returns the single element of a scalar or one-element tensor.
 func (t *Tensor) Item() float64 {
 	if len(t.data) != 1 {
