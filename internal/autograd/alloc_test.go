@@ -77,8 +77,9 @@ func mallocs(f func()) uint64 {
 // from there onto the interior node it views, allocates nothing — each
 // gradient changes hands and is re-shaped in place, where adding it into
 // zeros through a re-shaped view allocated the view and its shape. And
-// tensor.Reshape allocates the new header and its dimensions, 2 objects,
-// whether its caller passes its dimensions as arguments or as a slice.
+// tensor.Reshape of a heap tensor allocates the new header and its
+// dimensions, 2 objects, and of an arena tensor nothing, whether its caller
+// passes its dimensions as arguments or as a slice.
 func TestBackwardHandOffsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -105,15 +106,20 @@ func TestBackwardHandOffsAllocateNothing(t *testing.T) {
 		t.Errorf("warm backward of Mul → Reshape → Add → Sum: %v allocations per step, want 0", float64(backward)/2)
 	}
 
-	y := tensor.New(3, 4)
+	y, wrapped := tensor.New(3, 4), ar.Wrap(tensor.New(3, 4))
 	dims := []int{2, 6}
-	for name, reshape := range map[string]func(){
-		"arguments": func() { reshaped = y.Reshape(6, 2) },
-		"slice":     func() { reshaped = y.Reshape(dims...) },
-		"inferred":  func() { reshaped = y.Reshape(-1, 3) },
+	for name, reshape := range map[string]func(y *tensor.Tensor){
+		"arguments": func(y *tensor.Tensor) { reshaped = y.Reshape(6, 2) },
+		"slice":     func(y *tensor.Tensor) { reshaped = y.Reshape(dims...) },
+		"inferred":  func(y *tensor.Tensor) { reshaped = y.Reshape(-1, 3) },
 	} {
-		if got := testing.AllocsPerRun(100, reshape); got != 2 {
-			t.Errorf("tensor.Reshape with %s: %v allocations, want 2 (header and dimensions)", name, got)
+		if got := testing.AllocsPerRun(100, func() { reshape(y) }); got != 2 {
+			t.Errorf("tensor.Reshape of a heap tensor with %s: %v allocations, want 2 (header and dimensions)", name, got)
+		}
+		// The header is the arena's: the first, uncounted run draws it, and
+		// every Reset hands it back for the next.
+		if got := testing.AllocsPerRun(100, func() { reshape(wrapped); ar.Reset() }); got != 0 {
+			t.Errorf("tensor.Reshape of an arena tensor with %s: %v allocations, want 0", name, got)
 		}
 	}
 }
@@ -147,5 +153,44 @@ func TestKernelsAllocateNothingWhenWarm(t *testing.T) {
 		if n := mallocs(func() { kernel(); ar.Reset() }); n != 0 {
 			t.Errorf("%s on a warm arena: %d allocations, want 0", name, n)
 		}
+	}
+}
+
+// TestTapeOpsAllocateNothingButClosures: on a warm arena, at the default
+// GOMAXPROCS, a forward and backward through MatMul, Add, ReLU, Reshape,
+// Narrow, Mul of a View leaf and Sum allocate one object per op, its
+// backward closure, and nothing else: the tape's nodes, their parent lists,
+// the view headers and Backward's sort buffers all come from the arena. The
+// count is averaged over many steps, from after a collection, because above
+// one P the runtime makes a few objects of its own now and then.
+func TestTapeOpsAllocateNothingButClosures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(19))
+	var ar tensor.Arena
+	x := ar.Wrap(tensor.RandN(rng, 1, 6, 8))
+	w, b := Param(tensor.RandN(rng, 1, 8, 10)), Param(tensor.RandN(rng, 1, 10))
+	const ops, runs = 7, 100 // MatMul, Add, ReLU, Reshape, Narrow, Mul, Sum
+	step := func() {
+		h := ReLU(Add(MatMul(Param(x), w), b))  // (6,10)
+		h = Narrow(Reshape(h, 3, 20), 1, 5, 15) // (3,10)
+		if err := Backward(Sum(Mul(h, Constant(x.View(8, 3, 10))))); err != nil {
+			t.Fatal(err)
+		}
+		ar.Reset()
+	}
+	step() // warms the arena, its tape and the parameters' Grads
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	n := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("%d allocations per warm step", n)
+	if n > ops {
+		t.Errorf("warm forward and backward of %d ops: %d allocations per step, want at most %d (the closures)", ops, n, ops)
 	}
 }

@@ -99,7 +99,13 @@ func SumAxis(a *Value, axis int) *Value {
 	out := tensor.SumAxis(a.T, axis, false)
 	node := newNode(out, "sumAxis", a)
 	node.back = func() {
-		keep := node.Grad.Reshape(keepDimShape(a.T.Shape(), axis)...)
+		var dims [8]int // a's shape with axis kept as 1, gathered on the stack
+		shape := dims[:0]
+		for i := 0; i < a.T.NDim(); i++ {
+			shape = append(shape, a.T.Dim(i))
+		}
+		shape[axis] = 1
+		keep := node.Grad.Reshape(shape...)
 		// Broadcast the kept-dim gradient back across the reduced axis.
 		ones := out.Arena().ScratchLike(a.T)
 		ones.Fill(1)
@@ -113,10 +119,4 @@ func SumAxis(a *Value, axis int) *Value {
 func MeanAxis(a *Value, axis int) *Value {
 	s := SumAxis(a, axis)
 	return Scale(s, 1/float64(a.T.Dim(axis)))
-}
-
-// keepDimShape sets shape[axis] to 1 in place.
-func keepDimShape(shape []int, axis int) []int {
-	shape[axis] = 1
-	return shape
 }

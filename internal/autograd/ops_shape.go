@@ -92,8 +92,11 @@ func BroadcastBatch(a *Value, b int) *Value {
 	if a.T.NDim() < 1 || a.T.Dim(0) != 1 {
 		panic(fmt.Sprintf("autograd: BroadcastBatch wants leading dim 1, got %v", a.T.Shape()))
 	}
-	shape := a.T.Shape()
-	shape[0] = b
+	var dims [8]int // b and a's trailing dims, gathered on the stack
+	shape := append(dims[:0], b)
+	for i := 1; i < a.T.NDim(); i++ {
+		shape = append(shape, a.T.Dim(i))
+	}
 	out := a.T.Arena().Scratch(shape...)
 	per := a.T.Size()
 	for i := 0; i < b; i++ {

@@ -28,16 +28,73 @@ type Value struct {
 	requiresGrad bool
 	// visited marks the node during Backward's topological sort.
 	visited bool
+	// parents are the op's operands: a slice of inline when there are at
+	// most len(inline) of them, so that recording them allocates nothing.
 	parents []*Value
+	inline  [3]*Value
 	// back propagates this node's Grad into its parents' Grads.
 	back func()
 	op   string
 }
 
+// tape is the step-scoped state autograd keeps with an arena (see
+// tensor.Arena.Attachment): the nodes over the arena's tensors, in chunks of
+// tapeChunk so that a node never moves, and the buffers of Backward's
+// topological sort. The arena's Reset clears every node drawn, so a node
+// used after it panics on its nil tensor.
+type tape struct {
+	chunks [][]Value
+	n      int
+	order  []*Value
+	stack  []frame
+}
+
+const tapeChunk = 256
+
+func newTape() tensor.Attachment { return new(tape) }
+
+// tapeOf returns ar's tape, nil for the heap.
+func tapeOf(ar *tensor.Arena) *tape {
+	if ar == nil {
+		return nil
+	}
+	return ar.Attachment(newTape).(*tape)
+}
+
+// nodeOver returns a zero node for t: drawn from the tape of t's arena when
+// t has one, and from the heap otherwise.
+func nodeOver(t *tensor.Tensor) *Value {
+	tp := tapeOf(t.Arena())
+	if tp == nil {
+		return new(Value)
+	}
+	if tp.n == len(tp.chunks)*tapeChunk {
+		tp.chunks = append(tp.chunks, make([]Value, tapeChunk))
+	}
+	v := &tp.chunks[tp.n/tapeChunk][tp.n%tapeChunk]
+	tp.n++
+	return v
+}
+
+// Reset clears every node drawn since the last Reset and Backward's sort
+// buffers, dropping what they reference: tensors, gradients, closures.
+func (tp *tape) Reset() {
+	for i := 0; i < tp.n; i += tapeChunk {
+		clear(tp.chunks[i/tapeChunk][:min(tapeChunk, tp.n-i)])
+	}
+	tp.n = 0
+	clear(tp.order)
+	clear(tp.stack[:cap(tp.stack)])
+	tp.order = tp.order[:0]
+}
+
 // NewLeaf wraps a tensor as a tape leaf. Pass requiresGrad=true for
-// trainable parameters and false for data.
+// trainable parameters and false for data. A leaf over an arena tensor is
+// drawn from the arena like an interior node (see newNode) and dies with it.
 func NewLeaf(t *tensor.Tensor, requiresGrad bool) *Value {
-	return &Value{T: t, requiresGrad: requiresGrad, op: "leaf"}
+	v := nodeOver(t)
+	v.T, v.requiresGrad, v.op = t, requiresGrad, "leaf"
+	return v
 }
 
 // Param is shorthand for a trainable leaf.
@@ -93,7 +150,15 @@ func (v *Value) ZeroGrad() {
 
 // newNode constructs an interior tape node; the op assigns its back
 // closure. The node requires grad if any parent does, and Backward only
-// visits nodes that do.
+// visits nodes that do. Up to three parents are copied into the node, so a
+// caller's variadic list stays on its stack; more are copied to the heap.
+//
+// A node over an arena tensor is drawn from that arena (see tape), and so is
+// every view header Reshape and View give an arena tensor: both live exactly
+// as long as the step's buffers. The arena's Reset clears them — nil tensor,
+// nil data — so nothing may hold a node or a view across it; Clone the
+// tensor out. A node over a heap tensor is a heap object, as are all nodes
+// of a heap tape (GradCheck, EWC's Fisher pass).
 func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
 	req := false
 	for _, p := range parents {
@@ -102,7 +167,14 @@ func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
 			break
 		}
 	}
-	return &Value{T: t, requiresGrad: req, parents: parents, op: op}
+	v := nodeOver(t)
+	v.T, v.requiresGrad, v.op = t, req, op
+	if len(parents) <= len(v.inline) {
+		v.parents = v.inline[:copy(v.inline[:], parents)]
+	} else {
+		v.parents = append([]*Value(nil), parents...)
+	}
+	return v
 }
 
 // reduceTemp sums g, a temporary the caller owns, down to like's shape,
@@ -235,18 +307,28 @@ func propagate(order []*Value) {
 	}
 }
 
+// frame is a node on topoSort's DFS stack and the index of the next parent
+// to visit.
+type frame struct {
+	node *Value
+	next int
+}
+
 // topoSort returns nodes reachable from root that require grad, in
 // topological order (parents before children). Iterative DFS keeps deep
 // tapes from overflowing the goroutine stack. The visit mark lives on the
 // nodes — a tape belongs to one goroutine, as its Grads already demand — and
-// is cleared before returning.
+// is cleared before returning. On an arena tape the order and the DFS stack
+// are the tape's buffers, reused by every Backward until the arena's Reset:
+// the order is valid until the next topoSort on that arena.
 func topoSort(root *Value) []*Value {
 	var order []*Value
-	type frame struct {
-		node *Value
-		next int
+	var stack []frame
+	tp := tapeOf(root.T.Arena())
+	if tp != nil {
+		order, stack = tp.order[:0], tp.stack[:0]
 	}
-	stack := []frame{{node: root}}
+	stack = append(stack, frame{node: root})
 	root.visited = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -264,6 +346,9 @@ func topoSort(root *Value) []*Value {
 	}
 	for _, n := range order {
 		n.visited = false
+	}
+	if tp != nil {
+		tp.order, tp.stack = order, stack
 	}
 	return order
 }

@@ -123,7 +123,7 @@ func (e *ewc) taskEnd(global *model.Backbone, sample *data.Dataset) error {
 	params := global.Params()
 	newFisher := make(map[string]*tensor.Tensor, len(params))
 	for _, p := range params {
-		newFisher[p.Name] = tensor.New(p.Value.T.Shape()...)
+		newFisher[p.Name] = tensor.NewLike(p.Value.T)
 	}
 	batches, err := data.BatchIndices(sample, 16, nil)
 	if err != nil {

@@ -112,7 +112,12 @@ func BatchIndices(ds *Dataset, batchSize int, rng *rand.Rand) ([][]int, error) {
 // everything else drawn there.
 func Collate(ar *tensor.Arena, ds *Dataset, idx []int) Batch {
 	first := ds.Examples[idx[0]].X
-	x := ar.Scratch(append([]int{len(idx)}, first.Shape()...)...) // every element is copied below
+	var dims [8]int // the batch shape, gathered on the stack
+	shape := append(dims[:0], len(idx))
+	for i := 0; i < first.NDim(); i++ {
+		shape = append(shape, first.Dim(i))
+	}
+	x := ar.Scratch(shape...) // every element is copied below
 	y := make([]int, len(idx))
 	task := make([]int, len(idx))
 	per := first.Size()

@@ -114,7 +114,7 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 			// adding w_j*first in fold order reproduces the exact
 			// accumulation a non-unanimous key would have seen.
 			a.unanimous[k] = false
-			acc := tensor.New(first.Shape()...)
+			acc := tensor.NewLike(first)
 			for j := 0; j < n; j++ {
 				acc.AddScaledInPlace(a.weights[j], first)
 			}

@@ -181,8 +181,9 @@ func Accuracy(pred, labels []int) (float64, error) {
 // with equal hashes recorded the same accuracies bit for bit.
 func HashMatrix(mat *Matrix) string {
 	h := sha256.New()
+	var buf [hashChunk]byte
 	for t := 0; t < mat.T; t++ {
-		hashFloats(h, mat.A[t][:t+1])
+		hashFloats(h, &buf, mat.A[t][:t+1])
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
@@ -192,17 +193,27 @@ func HashMatrix(mat *Matrix) string {
 // hashes hold the same weights bit for bit.
 func HashState(dict map[string]*tensor.Tensor) string {
 	h := sha256.New()
+	var buf [hashChunk]byte
 	for _, name := range slices.Sorted(maps.Keys(dict)) {
 		h.Write([]byte(name))
-		hashFloats(h, dict[name].Data())
+		hashFloats(h, &buf, dict[name].Data())
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-func hashFloats(h hash.Hash, vs []float64) {
-	var b [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
+// hashChunk is the bytes hashFloats encodes before each Write.
+const hashChunk = 4096
+
+// hashFloats writes vs's Float64bits to h, little-endian, encoding them
+// through buf a chunk at a time: the bytes hashed are those of one Write
+// per element, in a Write per chunk.
+func hashFloats(h hash.Hash, buf *[hashChunk]byte, vs []float64) {
+	for len(vs) > 0 {
+		n := min(len(vs), hashChunk/8)
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		h.Write(buf[:8*n])
+		vs = vs[n:]
 	}
 }

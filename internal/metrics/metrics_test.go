@@ -1,8 +1,13 @@
 package metrics
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
+
+	"reffil/internal/tensor"
 )
 
 // fill records a full lower triangle from a row-major matrix literal.
@@ -183,5 +188,32 @@ func TestAccuracy(t *testing.T) {
 				t.Fatalf("Accuracy = %v, want %v", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestHashStateHashesEachElementsBits: HashState hashes each name followed
+// by its elements' little-endian Float64bits, as one Write per element did,
+// for tensors shorter than, equal to and longer than one encoding chunk.
+func TestHashStateHashesEachElementsBits(t *testing.T) {
+	dict := map[string]*tensor.Tensor{}
+	for name, n := range map[string]int{"a": 3, "b": hashChunk / 8, "c": 2*hashChunk/8 + 5} {
+		x := tensor.New(n)
+		for i := range x.Data() {
+			x.Data()[i] = math.Sin(float64(i)) * float64(len(name)+i)
+		}
+		dict[name] = x
+	}
+	dict["b"].Data()[7] = math.Copysign(0, -1)
+	h := sha256.New()
+	var b [8]byte
+	for _, name := range []string{"a", "b", "c"} {
+		h.Write([]byte(name))
+		for _, v := range dict[name].Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got, want := HashState(dict), hex.EncodeToString(h.Sum(nil)[:8]); got != want {
+		t.Errorf("HashState = %s, want %s", got, want)
 	}
 }

@@ -59,7 +59,7 @@ func (s *SGD) Step() {
 		var v []float64
 		if s.momentum > 0 {
 			if s.velocity[i] == nil {
-				s.velocity[i] = tensor.New(p.Value.T.Shape()...)
+				s.velocity[i] = tensor.NewLike(p.Value.T)
 			}
 			v = s.velocity[i].Data()
 		}

@@ -28,6 +28,15 @@ import (
 // warmed the arena reuses that batch's buffers instead of growing a second
 // set.
 //
+// The bookkeeping of a step lives there too. Reshape and View of an arena
+// or wrapped tensor draw their header, shape included, from a slab the arena
+// keeps, and a higher layer keeps its own step-scoped state with the arena
+// (Attachment): autograd draws there every tape node whose tensor belongs to
+// the arena. Reset takes all of it back with the buffers and clears it — a
+// view header's data and a node's tensor become nil — so a view or a node
+// used after the Reset that ended its step panics rather than reading what
+// the next step drew.
+//
 // An arena belongs to one goroutine at a time: it has no lock, and every
 // kernel runs on the goroutine that calls it, so a computation draws in one
 // fixed order. Reset returns the free lists to one order that depends only
@@ -46,7 +55,23 @@ type Arena struct {
 	// its index here plus one, and Release leaves a nil behind.
 	live     []*Tensor
 	retained int
+	// views holds the view headers drawn since the last Reset, the first
+	// nviews of them live, in chunks of viewChunk so that a header never
+	// moves; each keeps its shape's capacity across Resets.
+	views  [][]Tensor
+	nviews int
+	// att is the higher layer's step-scoped state (see Attachment).
+	att Attachment
 }
+
+// viewChunk is the number of view headers an arena allocates at a time.
+const viewChunk = 64
+
+// Attachment is step-scoped state that a higher layer keeps with an arena:
+// it lives exactly as long as the arena's draws, and the arena's Reset calls
+// its Reset once it has taken its tensors back. autograd keeps its tape
+// nodes and Backward's sort buffers in one.
+type Attachment interface{ Reset() }
 
 // poison, when set, overwrites every buffer Reset reclaims. Tests set it
 // (export_test.go) to prove nothing is read across a Reset.
@@ -86,9 +111,40 @@ func (a *Arena) Scalar(v float64) *Tensor {
 	return t
 }
 
+// Attachment returns the state a higher layer keeps with a, made by mk on
+// first use. An arena keeps one: the package that attaches it owns the slot.
+// A nil arena keeps none and returns nil.
+func (a *Arena) Attachment(mk func() Attachment) Attachment {
+	if a == nil {
+		return nil
+	}
+	if a.att == nil {
+		a.att = mk()
+	}
+	return a.att
+}
+
+// header returns a view header holding a copy of shape: drawn from a's slab,
+// or from the heap when a is nil. The caller sets its data. Shape is only
+// copied, so a caller's variadic dimensions stay on its stack.
+func (a *Arena) header(shape []int) *Tensor {
+	if a == nil {
+		return &Tensor{shape: append([]int(nil), shape...)}
+	}
+	if a.nviews == len(a.views)*viewChunk {
+		a.views = append(a.views, make([]Tensor, viewChunk))
+	}
+	h := &a.views[a.nviews/viewChunk][a.nviews%viewChunk]
+	a.nviews++
+	h.shape = append(h.shape[:0], shape...)
+	h.ar = a
+	return h
+}
+
 // Wrap returns a view of t that belongs to a — same elements, no copy — so
 // that everything computed from it is drawn from a. The view itself is not
-// reclaimed by Reset: t keeps owning its data.
+// reclaimed by Reset: t keeps owning its data. Reshape and View of it are,
+// like those of any arena tensor.
 func (a *Arena) Wrap(t *Tensor) *Tensor {
 	if a == nil {
 		return t
@@ -148,9 +204,11 @@ func (a *Arena) retire(t *Tensor) {
 	t.slot = 0
 }
 
-// Reset takes back every tensor drawn since the last Reset. They, and all
-// views of them, are dead from here on. Every free list is rebuilt as its
-// owned list reversed, so the next draws take the oldest buffers first.
+// Reset takes back every tensor drawn since the last Reset, every view
+// header and the attached state. They, and all views of them, are dead from
+// here on: a reclaimed view header holds no data. Every free list is rebuilt
+// as its owned list reversed, so the next draws take the oldest buffers
+// first.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
@@ -161,6 +219,14 @@ func (a *Arena) Reset() {
 		}
 	}
 	a.live = a.live[:0]
+	for i := 0; i < a.nviews; i++ {
+		h := &a.views[i/viewChunk][i%viewChunk]
+		h.shape, h.data = h.shape[:0], nil
+	}
+	a.nviews = 0
+	if a.att != nil {
+		a.att.Reset()
+	}
 	for i, owned := range a.owned {
 		free := a.free[i][:0]
 		for j := len(owned) - 1; j >= 0; j-- {

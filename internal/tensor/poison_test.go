@@ -189,3 +189,37 @@ func trainArenaAndHeap(t *testing.T, batches []int) {
 		}
 	}
 }
+
+// TestReclaimedViewsAndNodesPanic: Reset clears the view headers and tape
+// nodes it takes back, so a view or a node held past the Reset that ended
+// its step panics on first use, even once the next step has drawn the
+// buffer it viewed, instead of reading what that step wrote there.
+func TestReclaimedViewsAndNodesPanic(t *testing.T) {
+	defer tensor.PoisonReclaimed()()
+	var ar tensor.Arena
+	x := ar.New(4, 6)
+	view, reshaped := x.View(6, 3, 6), x.Reshape(6, 4)
+	leaf := autograd.Param(x)
+	node := autograd.Sum(autograd.Scale(leaf, 2))
+	ar.Reset()
+	next := ar.New(4, 6)
+	if &next.Data()[0] != &x.Data()[0] {
+		t.Fatal("the next step's draw does not reuse the reclaimed buffer")
+	}
+	next.Fill(1)
+	for name, use := range map[string]func(){
+		"View":          func() { _ = view.Data()[0] },
+		"Reshape":       func() { _ = reshaped.At(0, 0) },
+		"leaf":          func() { _ = leaf.T.Size() },
+		"interior node": func() { _ = autograd.Backward(node) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %s used after Reset did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}

@@ -3,12 +3,14 @@ package tensor
 import "fmt"
 
 // Reshape returns a tensor sharing t's data with a new shape of identical
-// total size. One dimension may be -1, in which case it is inferred. Past
-// its first line it reads and formats only its own copy of shape, so shape
-// does not escape and a caller's variadic dimensions stay on its stack: a
-// reshape allocates the new header and its dimensions, nothing more.
+// total size. One dimension may be -1, in which case it is inferred. It reads
+// and formats only its own copy of shape, so shape does not escape and a
+// caller's variadic dimensions stay on its stack. The new header is a view:
+// drawn, dimensions and all, from t's arena when t belongs to one, and
+// otherwise two heap objects, the header and its dimensions.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	dims := append([]int(nil), shape...)
+	v := t.ar.header(shape)
+	dims := v.shape
 	infer := -1
 	known := 1
 	for i, d := range dims {
@@ -31,7 +33,8 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if known != len(t.data) {
 		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes size", t.shape, dims))
 	}
-	return &Tensor{shape: dims, data: t.data, ar: t.ar}
+	v.data = t.data
+	return v
 }
 
 // ReshapeLike gives t like's shape in place; like must hold as many
@@ -117,7 +120,7 @@ func Permute(t *Tensor, perm ...int) *Tensor {
 }
 
 // Concat concatenates tensors along the given axis. All other dimensions
-// must match.
+// must match. Up to rank permRank the output shape is gathered on the stack.
 func Concat(axis int, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Concat of no tensors")
@@ -126,7 +129,8 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 	if axis < 0 || axis >= first.NDim() {
 		panic(fmt.Sprintf("tensor: Concat axis %d out of range for shape %v", axis, first.shape))
 	}
-	outShape := first.Shape()
+	var buf [permRank]int
+	outShape := append(buf[:0], first.shape...)
 	for _, t := range ts[1:] {
 		if t.NDim() != first.NDim() {
 			panic(fmt.Sprintf("tensor: Concat rank mismatch %v vs %v", first.shape, t.shape))
@@ -163,7 +167,8 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 }
 
 // Narrow returns a copy of the slice of t along axis from start (inclusive)
-// to end (exclusive).
+// to end (exclusive). Up to rank permRank the output shape is gathered on
+// the stack.
 func Narrow(t *Tensor, axis, start, end int) *Tensor {
 	if axis < 0 || axis >= t.NDim() {
 		panic(fmt.Sprintf("tensor: Narrow axis %d out of range for shape %v", axis, t.shape))
@@ -171,7 +176,8 @@ func Narrow(t *Tensor, axis, start, end int) *Tensor {
 	if start < 0 || end > t.shape[axis] || start > end {
 		panic(fmt.Sprintf("tensor: Narrow range [%d,%d) out of bounds for axis %d of %v", start, end, axis, t.shape))
 	}
-	outShape := t.Shape()
+	var buf [permRank]int
+	outShape := append(buf[:0], t.shape...)
 	outShape[axis] = end - start
 	out := t.ar.Scratch(outShape...)
 	outer, inner := 1, 1

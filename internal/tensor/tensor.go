@@ -11,11 +11,12 @@
 // returning errors; all exported entry points in higher-level packages
 // validate their inputs before reaching these kernels.
 //
-// A View is a new tensor header over existing storage, and so a heap
-// allocation. Loops over the elements of a batch take sub-slices of Data
-// instead and call the slice-level products (MulInto, MulT1Into,
-// MulT2Into), which allocate nothing: a training step then allocates per
-// batch, not per image or batch element.
+// A View is a new tensor header over existing storage: drawn from the
+// arena of an arena tensor, a heap allocation otherwise. Loops over the
+// elements of a batch take sub-slices of Data instead and call the
+// slice-level products (MulInto, MulT1Into, MulT2Into), which touch no
+// header at all: a training step then draws per batch, not per image or
+// batch element.
 package tensor
 
 import (
@@ -40,6 +41,9 @@ type Tensor struct {
 // dimensions is a scalar holding one element.
 func New(shape ...int) *Tensor { return (*Arena)(nil).draw(shape, true) }
 
+// NewLike is New with t's shape, read in place.
+func NewLike(t *Tensor) *Tensor { return (*Arena)(nil).draw(t.shape, true) }
+
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly, not copied; the caller must not alias it afterwards.
 func FromSlice(data []float64, shape ...int) *Tensor {
@@ -54,12 +58,13 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 }
 
 // View returns a tensor of the given shape over t's elements starting at
-// flat offset lo — no copy. It belongs to t's arena and lives as long as t.
-// The header is a heap allocation even for an arena tensor; a per-element
-// loop slices Data instead (see the package doc).
+// flat offset lo — no copy. It belongs to t's arena. Of an arena or wrapped
+// tensor, its header is drawn from that arena, like Reshape's, and dies at
+// the arena's next Reset; of a heap tensor, it is a heap allocation that
+// lives as long as t.
 func (t *Tensor) View(lo int, shape ...int) *Tensor {
-	v := FromSlice(t.data[lo:lo+sizeOf(shape)], shape...)
-	v.ar = t.ar
+	v := t.ar.header(shape)
+	v.data = t.data[lo : lo+sizeOf(v.shape)]
 	return v
 }
 
