@@ -40,6 +40,35 @@ func TestConv2DReleasesColumnsWithoutWeightGrad(t *testing.T) {
 	}
 }
 
+// TestBroadcastBatchDrawsFromTheBatchArena: a heap parameter tiled over an
+// arena batch is tiled into the batch's arena, its gradient summed there
+// too, and the parameter's Grad is the heap one of a heap batch, bit for bit.
+func TestBroadcastBatchDrawsFromTheBatchArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	v := Param(tensor.RandN(rng, 1, 1, 2, 3))
+	x := tensor.RandN(rng, 1, 4, 2, 3)
+	var ar tensor.Arena
+	tiled := BroadcastBatch(v, ar.Wrap(x))
+	if tiled.T.Arena() != &ar || tiled.T.Dim(0) != 4 {
+		t.Fatalf("tiled %v into arena %p, want 4 tiles in the batch's", tiled.T.Shape(), tiled.T.Arena())
+	}
+	if err := Backward(Sum(Mul(tiled, Constant(ar.Wrap(x))))); err != nil {
+		t.Fatal(err)
+	}
+	if v.Grad.Arena() != nil {
+		t.Fatal("the parameter's gradient was drawn from the batch's arena")
+	}
+	got := v.Grad.Clone()
+	ar.Reset()
+	v.Grad = nil
+	if err := Backward(Sum(Mul(BroadcastBatch(v, x), Constant(x)))); err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualBits(v.Grad) {
+		t.Fatal("the parameter's gradient through the arena tiles differs from the heap tiles'")
+	}
+}
+
 func TestReshapeIsAView(t *testing.T) {
 	x := Param(tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3))
 	y := Reshape(x, 3, 2)

@@ -576,7 +576,7 @@ func TestGradCheckBroadcastBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	v := randParam(rng, 1, 2, 3)
 	f := func() (*Value, error) {
-		return Sum(square(BroadcastBatch(v, 4))), nil
+		return Sum(square(BroadcastBatch(v, tensor.New(4)))), nil
 	}
 	if err := GradCheck(f, []*Value{v}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
@@ -585,7 +585,7 @@ func TestGradCheckBroadcastBatch(t *testing.T) {
 
 func TestBroadcastBatchTiles(t *testing.T) {
 	v := Constant(tensor.FromSlice([]float64{1, 2}, 1, 2))
-	out := BroadcastBatch(v, 3)
+	out := BroadcastBatch(v, tensor.New(3, 5))
 	want := tensor.FromSlice([]float64{1, 2, 1, 2, 1, 2}, 3, 2)
 	if !out.T.AllClose(want, 0) {
 		t.Fatalf("BroadcastBatch = %v, want %v", out.T, want)

@@ -42,11 +42,11 @@ func TestHandOffZeroSignsLeaveLeafGradsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var arena tensor.Arena
+			var arena, job tensor.Arena
 			if err := alg.OnTaskStart(0); err != nil {
 				t.Fatal(err)
 			}
-			_, up := localStep(t, alg, &arena, 0, train[0])
+			_, up := localStep(t, alg, &arena, &job, 0, train[0])
 			if err := alg.ServerRound(0, 0, []fl.Upload{up}); err != nil {
 				t.Fatal(err)
 			}
@@ -60,13 +60,13 @@ func TestHandOffZeroSignsLeaveLeafGradsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, _ := localStep(t, alg, &arena, 1, train[1])
+			want, _ := localStep(t, alg, &arena, &job, 1, train[1])
 			var negWritten, posWritten int
 			restore := autograd.ForceHandedOverZeros(negZero, &negWritten)
-			neg, _ := localStep(t, alg, &arena, 1, train[1])
+			neg, _ := localStep(t, alg, &arena, &job, 1, train[1])
 			restore()
 			restore = autograd.ForceHandedOverZeros(0, &posWritten)
-			pos, _ := localStep(t, alg, &arena, 1, train[1])
+			pos, _ := localStep(t, alg, &arena, &job, 1, train[1])
 			restore()
 
 			if negWritten == 0 {
@@ -88,19 +88,22 @@ func TestHandOffZeroSignsLeaveLeafGradsBitIdentical(t *testing.T) {
 }
 
 // localStep spawns a replica of alg and runs one client update of one
-// optimiser step over ds (BatchSize is its length) at the given task. It
-// returns a copy of every trainable parameter's gradient, in Params order,
-// and the update's upload.
-func localStep(t *testing.T, alg fl.Algorithm, arena *tensor.Arena, task int, ds *data.Dataset) ([]*tensor.Tensor, fl.Upload) {
+// optimiser step over ds (BatchSize is its length) at the given task, on a
+// step arena and a job arena lent as a LocalRunner slot lends them: the job
+// arena reset as the update starts. It returns a copy of every trainable
+// parameter's gradient — read after LocalTrain returns, from the job arena —
+// in Params order, and the update's upload.
+func localStep(t *testing.T, alg fl.Algorithm, arena, job *tensor.Arena, task int, ds *data.Dataset) ([]*tensor.Tensor, fl.Upload) {
 	t.Helper()
 	rep, err := alg.Spawn()
 	if err != nil {
 		t.Fatal(err)
 	}
+	job.Reset()
 	up, err := rep.LocalTrain(&fl.LocalContext{
 		Task: task, ClientTask: task, Group: fl.GroupInBetween, Data: ds,
 		Epochs: 1, BatchSize: len(ds.Examples), LR: 0.02,
-		Rng: rand.New(rand.NewSource(5)), Arena: arena,
+		Rng: rand.New(rand.NewSource(5)), Arena: arena, JobArena: job,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +112,9 @@ func localStep(t *testing.T, alg fl.Algorithm, arena *tensor.Arena, task int, ds
 	for _, p := range rep.Global().Params() {
 		if p.Value.Grad == nil {
 			t.Fatalf("parameter %s has no gradient after the step", p.Name)
+		}
+		if !p.Value.Grad.DrawnFrom(job) {
+			t.Fatalf("parameter %s's gradient is not a draw of the job arena", p.Name)
 		}
 		grads = append(grads, p.Value.Grad.Clone())
 	}

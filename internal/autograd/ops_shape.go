@@ -84,20 +84,23 @@ func Narrow(a *Value, axis, start, end int) *Value {
 	return node
 }
 
-// BroadcastBatch tiles a value with leading dimension 1 into b copies along
-// axis 0: (1, ...) -> (b, ...). The backward pass sums gradients over the
-// tiled axis, which is how shared prompts and CLS tokens receive gradient
-// from every batch element.
-func BroadcastBatch(a *Value, b int) *Value {
+// BroadcastBatch tiles a value with leading dimension 1 into one copy per
+// example of batch along axis 0: (1, ...) -> (batch.Dim(0), ...). The tiles,
+// and the backward pass's temporary, are drawn from batch's arena — or a's,
+// for a heap batch — so a parameter tiled over a step's batch lives with the
+// step. The backward pass sums gradients over the tiled axis, which is how
+// shared prompts and CLS tokens receive gradient from every batch element.
+func BroadcastBatch(a *Value, batch *tensor.Tensor) *Value {
 	if a.T.NDim() < 1 || a.T.Dim(0) != 1 {
 		panic(fmt.Sprintf("autograd: BroadcastBatch wants leading dim 1, got %v", a.T.Shape()))
 	}
+	b := batch.Dim(0)
 	var dims [8]int // b and a's trailing dims, gathered on the stack
 	shape := append(dims[:0], b)
 	for i := 1; i < a.T.NDim(); i++ {
 		shape = append(shape, a.T.Dim(i))
 	}
-	out := a.T.Arena().Scratch(shape...)
+	out := tensor.ArenaOf(batch, a.T).Scratch(shape...)
 	per := a.T.Size()
 	for i := 0; i < b; i++ {
 		copy(out.Data()[i*per:(i+1)*per], a.T.Data())

@@ -26,6 +26,9 @@ type Value struct {
 	Grad *tensor.Tensor
 
 	requiresGrad bool
+	// gradArena, set on a leaf by DrawGradFrom, is where EnsureGrad draws
+	// the leaf's Grad instead of where T lives.
+	gradArena *tensor.Arena
 	// visited marks the node during Backward's topological sort.
 	visited bool
 	// parents are the op's operands: a slice of inline when there are at
@@ -127,18 +130,40 @@ func (v *Value) CloneLeaf() *Value { return NewLeaf(v.T.Clone(), v.requiresGrad)
 func (v *Value) Shape() []int { return v.T.Shape() }
 
 // EnsureGrad materializes and returns the gradient tensor. A gradient lives
-// where its value lives: a leaf built over a heap tensor — every parameter —
-// keeps a heap Grad across steps, an interior node whose T was drawn from an
-// arena gets a Grad that dies with it at the arena's Reset. The buffer starts
-// at +0 for the first contribution to be added into. An interior node's
-// first contribution usually arrives as a buffer it can take over instead
-// (see handOff), so Backward draws zeros here only for leaves, for the
-// root, and where no hand-off applies.
+// where its value lives unless the leaf was bound elsewhere: an interior
+// node whose T was drawn from an arena gets a Grad that dies with it at the
+// arena's Reset; a leaf bound by DrawGradFrom — a parameter inside a local
+// training job — gets one drawn from that arena, which outlives every step
+// of the job; any other leaf over a heap tensor keeps a heap Grad. Only a
+// leaf that some step reaches gets a Grad at all, so the optimiser and
+// clipping still skip the parameters no step touched. The buffer starts at
+// +0 for the first contribution to be added into. An interior node's first
+// contribution usually arrives as a buffer it can take over instead (see
+// handOff), so Backward draws zeros here only for leaves, for the root, and
+// where no hand-off applies.
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {
-		v.Grad = v.T.Arena().NewLike(v.T)
+		ar := v.gradArena
+		if ar == nil {
+			ar = v.T.Arena()
+		}
+		v.Grad = ar.NewLike(v.T)
 	}
 	return v.Grad
+}
+
+// DrawGradFrom makes every later EnsureGrad of the leaf that finds no Grad
+// draw it from a; nil restores the default, where T lives. It decides only
+// where a missing Grad is drawn, never moves one that exists. The binder
+// owns a and must unbind the leaf before it lends a to anyone else: a Grad
+// drawn from a is valid until a's next Reset, and EnsureGrad never draws a
+// replacement for it. It panics on an interior node, whose Grad always lives
+// with its value.
+func (v *Value) DrawGradFrom(a *tensor.Arena) {
+	if v.op != "leaf" {
+		panic(fmt.Sprintf("autograd: DrawGradFrom on interior %s node", v.op))
+	}
+	v.gradArena = a
 }
 
 // ZeroGrad clears the accumulated gradient.

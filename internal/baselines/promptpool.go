@@ -92,7 +92,7 @@ func (s *promptSource) promptsFor(tokens *autograd.Value, taskIDs []int) (prompt
 	if s.shared == nil {
 		return prompts, pull, nil
 	}
-	shared := autograd.BroadcastBatch(s.shared, bs)
+	shared := autograd.BroadcastBatch(s.shared, tokens.T)
 	if prompts == nil {
 		return shared, nil, nil
 	}

@@ -7,6 +7,7 @@ import (
 
 	"reffil/internal/data"
 	"reffil/internal/fl"
+	"reffil/internal/nn"
 	"reffil/internal/tensor"
 )
 
@@ -135,5 +136,93 @@ func BenchmarkLocalTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.update(b, 8)
+	}
+}
+
+// slotSpy wraps an algorithm and the replicas it spawns; each replica's
+// LocalTrain records the job arena it was lent and its parameters, so a test
+// can look at a LocalRunner job from outside.
+type slotSpy struct {
+	fl.Algorithm
+	seen *slotSeen
+}
+
+type slotSeen struct {
+	jobArena *tensor.Arena
+	params   []nn.Param
+}
+
+func (s *slotSpy) Spawn() (fl.Algorithm, error) {
+	rep, err := s.Algorithm.Spawn()
+	return &slotSpy{Algorithm: rep, seen: s.seen}, err
+}
+
+func (s *slotSpy) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
+	s.seen.jobArena = ctx.JobArena
+	up, err := s.Algorithm.LocalTrain(ctx)
+	s.seen.params = s.Global().Params()
+	return up, err
+}
+
+// TestWarmSlotGradsAndVelocitiesAllocateNothing is the allocation gate of a
+// LocalRunner slot: the second of two RefFiL jobs run back to back on one
+// slot draws every gradient and velocity from the slot's warm job arena,
+// which does not grow. Beyond its replica's weights (Spawn's deep copy,
+// about 270 KB) the job allocates about 146 KB, less than one model-size
+// copy of its gradients (236 KB); with gradients and velocities drawn from
+// the heap it allocated 640 KB.
+func TestWarmSlotGradsAndVelocitiesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newStepRig(t)
+	spy := &slotSeen{}
+	lr := &fl.LocalRunner{Alg: &slotSpy{Algorithm: s.r, seen: spy}, Workers: 1}
+	job := func() error {
+		s.seed++
+		ctx := &fl.LocalContext{
+			Group:     fl.GroupNew,
+			Data:      &data.Dataset{Name: "prefix", Examples: s.train.Examples[:8]},
+			Epochs:    1,
+			BatchSize: 8,
+			LR:        0.02,
+			Rng:       rand.New(rand.NewSource(s.seed)),
+		}
+		return lr.RunEach([]fl.Job{{Ctx: ctx, Weight: 8}}, func(int, fl.Result) error { return nil })
+	}
+	if err := job(); err != nil {
+		t.Fatal(err)
+	}
+	cold := spy.jobArena.Retained()
+	var err error
+	bytes, _ := allocated(func() { err = job() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn, _ := allocated(func() {
+		if _, err := s.r.Spawn(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	gradBytes := 0
+	for _, p := range spy.params {
+		if p.Value.Grad == nil {
+			continue
+		}
+		if !p.Value.Grad.DrawnFrom(spy.jobArena) {
+			t.Errorf("parameter %s: the warm job's gradient is not a draw of the slot's job arena", p.Name)
+		}
+		gradBytes += 8 * p.Value.Grad.Size()
+	}
+	t.Logf("warm job: %.0f KB, of which Spawn %.0f KB; gradients %.0f KB; job arena %.0f KB",
+		float64(bytes)/1024, float64(spawn)/1024, float64(gradBytes)/1024, float64(spy.jobArena.Retained())/1024)
+	if spy.jobArena.Retained() != cold {
+		t.Errorf("the warm job grew the job arena from %d to %d bytes", cold, spy.jobArena.Retained())
+	}
+	if gradBytes == 0 {
+		t.Fatal("the job left no parameter with a gradient")
+	}
+	if rest := int(bytes) - int(spawn); rest >= gradBytes {
+		t.Errorf("beyond Spawn's copy the warm job allocates %d bytes, want less than its %d bytes of gradients", rest, gradBytes)
 	}
 }

@@ -133,31 +133,32 @@ func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value,
 // InferenceKey returns the key embedding (keyDim) for task-agnostic
 // inference: the paper uses the task ID only during training, so prediction
 // conditions the generator on the mean of the key embeddings of the
-// tasksSeen tasks met so far. Pass it to GenerateWithKey.
-func (g *CDAP) InferenceKey(tasksSeen int) (*tensor.Tensor, error) {
+// tasksSeen tasks met so far, drawn from ar with its temporaries. Pass it
+// to GenerateWithKey.
+func (g *CDAP) InferenceKey(ar *tensor.Arena, tasksSeen int) (*tensor.Tensor, error) {
 	if tasksSeen <= 0 || tasksSeen > g.maxTasks {
 		return nil, fmt.Errorf("core: tasksSeen %d outside [1,%d]", tasksSeen, g.maxTasks)
 	}
-	keyDim := g.keys.T.Dim(1)
-	out := tensor.New(keyDim)
+	keys := ar.Wrap(g.keys.T)
+	out := ar.New(keys.Dim(1))
 	for t := 0; t < tasksSeen; t++ {
-		out.AddScaledInPlace(1/float64(tasksSeen), tensor.Row(g.keys.T, t))
+		out.AddScaledInPlace(1/float64(tasksSeen), tensor.Row(keys, t))
 	}
 	return out, nil
 }
 
 // GenerateWithKey produces prompts with an explicit key embedding (1,keyDim)
-// shared across the batch: the task-agnostic inference path.
+// shared across the batch: the task-agnostic inference path. The key joins
+// the tokens' arena, so the affines computed from it are drawn there too.
 func (g *CDAP) GenerateWithKey(tokens *autograd.Value, key *tensor.Tensor) (*autograd.Value, error) {
 	adapted, err := g.adapt(tokens)
 	if err != nil {
 		return nil, err
 	}
-	bs := tokens.T.Dim(0)
-	v := autograd.Constant(key.Reshape(1, key.Size()))
+	v := autograd.Constant(tokens.T.Arena().Wrap(key).Reshape(1, key.Size()))
 	affine := g.phi.Forward(v) // (1, 2d)
-	alpha := autograd.BroadcastBatch(autograd.Reshape(autograd.Narrow(affine, 1, 0, g.dim), 1, 1, g.dim), bs)
-	lambda := autograd.BroadcastBatch(autograd.Reshape(autograd.Narrow(affine, 1, g.dim, 2*g.dim), 1, 1, g.dim), bs)
+	alpha := autograd.BroadcastBatch(autograd.Reshape(autograd.Narrow(affine, 1, 0, g.dim), 1, 1, g.dim), tokens.T)
+	lambda := autograd.BroadcastBatch(autograd.Reshape(autograd.Narrow(affine, 1, g.dim, 2*g.dim), 1, 1, g.dim), tokens.T)
 	return autograd.Add(autograd.Mul(autograd.AddScalar(alpha, 1), adapted), lambda), nil
 }
 

@@ -128,7 +128,7 @@ func TestCDAPInferenceKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := g.InferenceKey(2)
+	key, err := g.InferenceKey(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func TestCDAPInferenceKey(t *testing.T) {
 	if !key.AllClose(want, 1e-12) {
 		t.Fatal("inference key is not the mean of seen task keys")
 	}
-	if _, err := g.InferenceKey(0); err == nil {
+	if _, err := g.InferenceKey(nil, 0); err == nil {
 		t.Fatal("zero tasks seen must error")
 	}
-	if _, err := g.InferenceKey(9); err == nil {
+	if _, err := g.InferenceKey(nil, 9); err == nil {
 		t.Fatal("too many tasks must error")
 	}
 	// The task-agnostic path produces prompts of the right shape.

@@ -270,7 +270,7 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 				// Wrapped into the step's arena (b.X's) so the tiled copy
 				// is drawn there too.
 				gp := autograd.BroadcastBatch(
-					autograd.Constant(b.X.Arena().Wrap(meanG).Reshape(1, meanG.Dim(0), meanG.Dim(1))), b.X.Dim(0))
+					autograd.Constant(b.X.Arena().Wrap(meanG).Reshape(1, meanG.Dim(0), meanG.Dim(1))), b.X)
 				gpl, err := r.crossEntropy(tokens, gp, b.Y)
 				if err != nil {
 					return nil, err
@@ -339,7 +339,7 @@ func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
 		}
 		var prompts *autograd.Value
 		if r.gen != nil {
-			key, err := r.gen.InferenceKey(r.curTask + 1)
+			key, err := r.gen.InferenceKey(x.Arena(), r.curTask+1)
 			if err != nil {
 				return nil, err
 			}

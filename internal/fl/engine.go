@@ -66,6 +66,13 @@ type LocalContext struct {
 	// from it and resets it after every optimiser step. Nil trains on the
 	// heap, with the same results.
 	Arena *tensor.Arena
+	// JobArena, when non-nil, is the job-scoped allocator lent beside
+	// Arena: SGD draws the parameters' Grads and the optimiser's
+	// velocities from it, which outlive every step of the job. Whoever
+	// lends it resets it only once nothing reads the job's replica any
+	// more — LocalRunner, when the slot starts its next job. Nil keeps
+	// them on the heap, with the same results.
+	JobArena *tensor.Arena
 }
 
 // Upload is the method-specific payload a client sends beside its weights
@@ -281,6 +288,8 @@ func (e *Engine) Run(family *data.Family, domains []string) (*metrics.Matrix, er
 	e.family = family
 	e.domains = domains
 	e.testSets = make([]*data.Dataset, len(domains))
+	// One arena serves every evaluation of the run (see evaluate).
+	var evalArena tensor.Arena
 
 	resume := e.Resume
 	if resume != nil {
@@ -353,7 +362,7 @@ func (e *Engine) Run(family *data.Family, domains []string) (*metrics.Matrix, er
 			return nil, fmt.Errorf("fl: %s OnTaskEnd(%d): %w", e.alg.Name(), t, err)
 		}
 		for i := 0; i <= t; i++ {
-			acc, err := e.evaluate(e.testSets[i])
+			acc, err := e.evaluate(&evalArena, e.testSets[i])
 			if err != nil {
 				return nil, fmt.Errorf("fl: evaluating task %d after stage %d: %w", i, t, err)
 			}
@@ -654,21 +663,19 @@ func (e *Engine) selectClients() []*client {
 }
 
 // evaluate runs the algorithm's Predict over a test set. Each batch is
-// collated into an arena, so it and the forward pass computed from it are
+// collated into arena, so it and the forward pass computed from it are
 // drawn there and reclaimed for the next batch once its predictions (plain
-// ints) are out. The arena lives for this call only: evaluation batches are
-// larger than training ones, and buffers kept between the evaluation stages
-// would sit in the live heap — and, doubled by the collector's pacing, in
-// the resident set — through every round in between.
-func (e *Engine) evaluate(ds *data.Dataset) (float64, error) {
+// ints) are out. Run lends every call the same arena, so every evaluation
+// after the first draws the buffers the first one made: a warm pass draws
+// no tensor from the heap.
+func (e *Engine) evaluate(arena *tensor.Arena, ds *data.Dataset) (float64, error) {
 	batches, err := data.BatchIndices(ds, e.cfg.EvalBatch, nil)
 	if err != nil {
 		return 0, err
 	}
-	var arena tensor.Arena
 	var pred, labels []int
 	for _, idx := range batches {
-		b := data.Collate(&arena, ds, idx)
+		b := data.Collate(arena, ds, idx)
 		p, err := e.alg.Predict(b.X)
 		arena.Reset()
 		if err != nil {

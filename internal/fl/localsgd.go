@@ -29,14 +29,22 @@ const (
 // gradients, backward's temporaries — is drawn from the arena, which is
 // reset after the update. Nothing loss builds may therefore outlive its
 // step, except as a copy (Clone, or plain numbers as RefFiL's prompt
-// collection takes). Parameters, their gradients and the optimiser's
-// velocities are heap tensors and never in the arena.
+// collection takes).
+//
+// What outlives a step but not the job — each parameter's Grad, drawn the
+// first time a step reaches it, and the optimiser's velocities — is drawn
+// from ctx.JobArena (opt.SGD.DrawFrom), never from the step arena. The
+// parameters are unbound from it when SGD returns, and their Grads stay
+// readable until the job arena's next Reset. Parameters themselves are heap
+// tensors and in neither arena.
 func (ctx *LocalContext) SGD(params []nn.Param, momentum, weightDecay, clipNorm float64,
 	loss func(epoch int, b data.Batch) (*autograd.Value, error)) error {
 	sgd, err := opt.NewSGD(params, ctx.LR, momentum, weightDecay)
 	if err != nil {
 		return err
 	}
+	sgd.DrawFrom(ctx.JobArena)
+	defer sgd.DrawFrom(nil)
 	defer ctx.Arena.Reset() // a step that fails still hands its tensors back
 	for epoch := 0; epoch < ctx.Epochs; epoch++ {
 		batches, err := data.BatchIndices(ctx.Data, ctx.BatchSize, ctx.Rng)

@@ -135,7 +135,11 @@ func TestLocalSGDStopsOnError(t *testing.T) {
 // ctx.Arena — drawn from it, not wrapped — what the step draws there is taken
 // back after its update — the next step's draw gets the same buffer — a
 // failing step hands its tensors back too, and a second SGD call on the warm
-// arena draws no new buffer, for its batches or anything else.
+// arena draws no new buffer, for its batches or anything else. A parameter's
+// Grad and velocity are never step-arena draws: on the heap when no job
+// arena is lent, and drawn from ctx.JobArena when one is, the parameter
+// unbound from it on return and a warm job arena not growing either. Both
+// ways train bit for bit as the heap does.
 func TestLocalSGDStepsInTheArena(t *testing.T) {
 	boom := errors.New("boom")
 	w := autograd.Param(tensor.FromSlice([]float64{1, 2}, 2))
@@ -172,31 +176,74 @@ func TestLocalSGDStepsInTheArena(t *testing.T) {
 		t.Fatalf("%d steps drew %d distinct 1000-element tensors, want the one buffer reused by all 5", calls, len(drawn))
 	}
 	if w.Grad.Arena() != nil {
-		t.Fatal("a parameter's gradient was drawn from the step arena")
+		t.Fatal("with no job arena lent, a parameter's gradient was drawn from an arena")
 	}
 	if again := arena.New(1000); drawn[again] == 0 {
 		t.Fatal("the failing step's tensors were not handed back")
 	}
 	arena.Reset()
 
-	warm := arena.Retained()
-	ctx = &LocalContext{Data: indexedDataset(6), Epochs: 2, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(2)), Arena: arena}
-	err = ctx.SGD(params, Momentum, WeightDecay, ClipNorm, func(_ int, b data.Batch) (*autograd.Value, error) {
-		return autograd.Sum(autograd.Mul(autograd.Mul(w, w), autograd.Constant(b.X.Reshape(2)))), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The same updates from the same weights, once on the heap alone and
+	// once on the warm step arena with a job arena lent.
+	heapW := autograd.Param(w.T.Clone())
+	train := func(p *autograd.Value, step, job *tensor.Arena, seed int64) {
+		t.Helper()
+		ctx := &LocalContext{Data: indexedDataset(6), Epochs: 2, BatchSize: 2, LR: 0.1, Rng: rand.New(rand.NewSource(seed)), Arena: step, JobArena: job}
+		err := ctx.SGD([]nn.Param{{Name: "w", Value: p}}, Momentum, WeightDecay, ClipNorm, func(_ int, b data.Batch) (*autograd.Value, error) {
+			if step != nil && p.Grad != nil && p.Grad.Arena() == step {
+				t.Error("a parameter's gradient was drawn from the step arena")
+			}
+			return autograd.Sum(autograd.Mul(autograd.Mul(p, p), autograd.Constant(b.X.Reshape(2)))), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	warm := arena.Retained()
+	job := new(tensor.Arena)
+	w.Grad = nil // a fresh replica's parameter: no Grad yet
+	train(w, arena, job, 2)
+	train(heapW, nil, nil, 2)
 	if arena.Retained() != warm {
 		t.Fatalf("a second SGD call grew the warm arena from %d to %d bytes", warm, arena.Retained())
 	}
+	if !w.Grad.DrawnFrom(job) {
+		t.Fatal("with a job arena lent, the parameter's gradient was not drawn from it")
+	}
+	// Two elements of gradient and two of velocity: the velocity is the
+	// job arena's only other draw.
+	if job.Retained() != 8*(2+2) {
+		t.Fatalf("the job arena holds %d bytes, want the gradient's and the velocity's %d", job.Retained(), 8*(2+2))
+	}
+	if !w.T.EqualBits(heapW.T) || !w.Grad.EqualBits(heapW.Grad) {
+		t.Fatal("training from the arenas diverged from training on the heap")
+	}
+	kept := w.Grad
+	w.Grad = nil
+	if w.EnsureGrad().Arena() != nil {
+		t.Fatal("SGD returned with the parameter still bound to the job arena")
+	}
+
+	// The next job on the slot: the job arena is reset, and serves the same
+	// draws without growing.
+	job.Reset()
+	w.Grad = nil
+	train(w, arena, job, 3)
+	train(heapW, nil, nil, 3)
+	if job.Retained() != 8*(2+2) || w.Grad != kept {
+		t.Fatalf("the warm job arena grew to %d bytes or served the gradient a new buffer", job.Retained())
+	}
+	if !w.T.EqualBits(heapW.T) || !w.Grad.EqualBits(heapW.Grad) {
+		t.Fatal("training from the warm arenas diverged from training on the heap")
+	}
 }
 
-// arenaAlg is a fakeAlg that records the arena each job was lent.
+// arenaAlg is a fakeAlg that records the step and job arenas each job was
+// lent, as a pair.
 type arenaAlg struct {
 	fakeAlg
 	mu   *sync.Mutex
-	lent map[*tensor.Arena]int
+	lent map[[2]*tensor.Arena]int
 }
 
 func (a *arenaAlg) Spawn() (Algorithm, error) {
@@ -205,18 +252,19 @@ func (a *arenaAlg) Spawn() (Algorithm, error) {
 
 func (a *arenaAlg) LocalTrain(ctx *LocalContext) (Upload, error) {
 	a.mu.Lock()
-	a.lent[ctx.Arena]++
+	a.lent[[2]*tensor.Arena{ctx.Arena, ctx.JobArena}]++
 	a.mu.Unlock()
 	return a.fakeAlg.LocalTrain(ctx)
 }
 
-// TestLocalRunnerKeepsOneArenaPerWorker: every job is lent an arena, there
-// are never more than training goroutines, and every arena ever lent is back
-// in the runner after the round, for the next round to borrow — which is why
-// the runner must be kept.
+// TestLocalRunnerKeepsOneArenaPerWorker: every job is lent a step arena and
+// a job arena, always the same two together and never one arena as both;
+// there are never more pairs than training goroutines, and every arena ever
+// lent is back in the runner after the round, in the slot it was lent from,
+// for the next round to borrow — which is why the runner must be kept.
 func TestLocalRunnerKeepsOneArenaPerWorker(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		alg := &arenaAlg{fakeAlg: *newFakeAlg(), mu: new(sync.Mutex), lent: map[*tensor.Arena]int{}}
+		alg := &arenaAlg{fakeAlg: *newFakeAlg(), mu: new(sync.Mutex), lent: map[[2]*tensor.Arena]int{}}
 		lr := &LocalRunner{Alg: alg, Workers: workers}
 		jobs := make([]Job, 6)
 		for i := range jobs {
@@ -226,19 +274,25 @@ func TestLocalRunnerKeepsOneArenaPerWorker(t *testing.T) {
 			if err := lr.RunEach(jobs, func(int, Result) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
-			if alg.lent[nil] != 0 {
-				t.Fatalf("workers=%d round %d: a job was lent no arena", workers, round)
+			if len(lr.slots) > workers {
+				t.Fatalf("workers=%d round %d: the runner holds %d slots", workers, round, len(lr.slots))
 			}
-			if len(lr.arenas) > workers {
-				t.Fatalf("workers=%d round %d: the runner holds %d arenas", workers, round, len(lr.arenas))
+			kept := map[[2]*tensor.Arena]bool{}
+			for _, s := range lr.slots {
+				kept[[2]*tensor.Arena{&s.step, &s.job}] = true
 			}
-			kept := map[*tensor.Arena]bool{}
-			for _, a := range lr.arenas {
-				kept[a] = true
-			}
-			for a := range alg.lent {
-				if !kept[a] {
-					t.Fatalf("workers=%d round %d: an arena that was lent is not back in the runner", workers, round)
+			seen := map[*tensor.Arena]bool{}
+			for pair := range alg.lent {
+				step, job := pair[0], pair[1]
+				if step == nil || job == nil {
+					t.Fatalf("workers=%d round %d: a job was lent no step arena or no job arena", workers, round)
+				}
+				if step == job || seen[step] || seen[job] {
+					t.Fatalf("workers=%d round %d: an arena was lent in two roles or two pairs", workers, round)
+				}
+				seen[step], seen[job] = true, true
+				if !kept[pair] {
+					t.Fatalf("workers=%d round %d: a pair of arenas that was lent is not back in the runner", workers, round)
 				}
 			}
 		}

@@ -309,31 +309,37 @@ type LocalRunner struct {
 	// job at a time. Results are identical at every worker count.
 	Workers int
 
-	// arenas are the idle step arenas, one per training goroutine that has
+	// slots are the idle worker slots, one per training goroutine that has
 	// ever run: a goroutine borrows one for the jobs it executes and lends
-	// it to each through LocalContext.Arena, so the buffers a step needs
-	// are allocated once per worker slot, not once per step, client or
-	// round. Keep the runner to keep them.
-	mu     sync.Mutex
-	arenas []*tensor.Arena
+	// its two arenas to each through LocalContext, so the buffers a step
+	// needs, and the gradients and velocities a job needs, are allocated
+	// once per worker slot, not once per step, client or round. Keep the
+	// runner to keep them.
+	mu    sync.Mutex
+	slots []*slot
 }
 
-// borrowArena takes an idle arena, or a new one when every arena is out.
-func (lr *LocalRunner) borrowArena() *tensor.Arena {
+// slot is what one training goroutine owns: the step arena, reset by SGD
+// after every update, and the job arena, reset when the slot starts its next
+// job — so the job's replica, Grads included, stays readable until then.
+type slot struct{ step, job tensor.Arena }
+
+// borrowSlot takes an idle slot, or a new one when every slot is out.
+func (lr *LocalRunner) borrowSlot() *slot {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	if n := len(lr.arenas); n > 0 {
-		a := lr.arenas[n-1]
-		lr.arenas = lr.arenas[:n-1]
-		return a
+	if n := len(lr.slots); n > 0 {
+		s := lr.slots[n-1]
+		lr.slots = lr.slots[:n-1]
+		return s
 	}
-	return new(tensor.Arena)
+	return new(slot)
 }
 
-func (lr *LocalRunner) returnArena(a *tensor.Arena) {
+func (lr *LocalRunner) returnSlot(s *slot) {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	lr.arenas = append(lr.arenas, a)
+	lr.slots = append(lr.slots, s)
 }
 
 // RunEach implements EachRunner: done(i, result of jobs[i]) fires once per
@@ -356,12 +362,14 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 	}
 
 	var doneMu sync.Mutex
-	runJob := func(i int, arena *tensor.Arena) error {
+	runJob := func(i int, s *slot) error {
 		job := jobs[i]
 		if job.Ctx == nil {
 			return fmt.Errorf("fl: job %d has no local context", i)
 		}
-		job.Ctx.Arena = arena
+		// The slot's previous job, and its replica, are done with.
+		s.job.Reset()
+		job.Ctx.Arena, job.Ctx.JobArena = &s.step, &s.job
 		rep, err := lr.Alg.Spawn()
 		if err != nil {
 			return fmt.Errorf("fl: spawning replica for client %d: %w", job.Ctx.ClientID, err)
@@ -397,15 +405,15 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := lr.borrowArena()
-			defer lr.returnArena(arena)
+			s := lr.borrowSlot()
+			defer lr.returnSlot(s)
 			for i := range next {
 				// Once any client fails the round is lost; drain the
 				// remaining jobs without paying for their local epochs.
 				if failed.Load() {
 					continue
 				}
-				if err := runJob(i, arena); err != nil {
+				if err := runJob(i, s); err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 				}

@@ -128,8 +128,7 @@ func (b *Backbone) Tokens(ctx *nn.Ctx, x *autograd.Value) (*autograd.Value, erro
 	if err != nil {
 		return nil, fmt.Errorf("model: tokenizer: %w", err)
 	}
-	bs := x.T.Dim(0)
-	cls := autograd.BroadcastBatch(b.CLS, bs)
+	cls := autograd.BroadcastBatch(b.CLS, x.T)
 	return autograd.Concat(1, cls, patches), nil
 }
 

@@ -18,7 +18,12 @@ type SGD struct {
 	lr          float64
 	momentum    float64
 	weightDecay float64
-	velocity    []*tensor.Tensor // lazily allocated per parameter
+	// velocity holds each parameter's momentum buffer, drawn from arena the
+	// first time Step updates that parameter.
+	velocity []*tensor.Tensor
+	// arena is where s draws what outlives one step (see DrawFrom); nil is
+	// the heap.
+	arena *tensor.Arena
 }
 
 // NewSGD builds an optimizer over the given parameters.
@@ -41,6 +46,21 @@ func NewSGD(params []nn.Param, lr, momentum, weightDecay float64) (*SGD, error) 
 	}, nil
 }
 
+// DrawFrom makes s draw from a what outlives one step but not the caller's
+// job: the velocities, and — through autograd's DrawGradFrom — the Grad of
+// every parameter that has none yet, at the moment Backward first needs it.
+// Nil, the default, is the heap. Both are still drawn lazily, so a parameter
+// no step touches keeps a nil Grad and no velocity. Call DrawFrom(nil) once
+// the last step is done, so that no later EnsureGrad on a parameter draws
+// from an arena the caller no longer owns; what was drawn stays readable
+// until a's next Reset.
+func (s *SGD) DrawFrom(a *tensor.Arena) {
+	s.arena = a
+	for _, p := range s.params {
+		p.Value.DrawGradFrom(a)
+	}
+}
+
 // Step applies one update using the gradients accumulated on the parameters.
 // Parameters with no gradient are skipped. Weight decay, momentum and the
 // update run as one pass per element, in the order and with the roundings of
@@ -59,7 +79,7 @@ func (s *SGD) Step() {
 		var v []float64
 		if s.momentum > 0 {
 			if s.velocity[i] == nil {
-				s.velocity[i] = tensor.NewLike(p.Value.T)
+				s.velocity[i] = s.arena.NewLike(p.Value.T)
 			}
 			v = s.velocity[i].Data()
 		}

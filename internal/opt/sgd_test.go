@@ -217,3 +217,49 @@ func TestStepMatchesThreePassReference(t *testing.T) {
 		}
 	}
 }
+
+// TestDrawFromStaysLazy: bound to an arena, SGD draws a parameter's Grad and
+// velocity there only once a step reaches the parameter — one no step
+// touches keeps a nil Grad, no velocity, and its weights — and the updates
+// match the heap optimiser's bit for bit. Unbound, a parameter's next Grad
+// is a heap tensor again.
+func TestDrawFromStaysLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	init := []*tensor.Tensor{tensor.RandN(rng, 1, 3, 4), tensor.RandN(rng, 1, 6)}
+	train := func(ar *tensor.Arena) ([]nn.Param, *SGD) {
+		ps := []nn.Param{{Name: "used", Value: autograd.Param(init[0].Clone())}, {Name: "idle", Value: autograd.Param(init[1].Clone())}}
+		sgd, err := NewSGD(ps, 0.05, 0.9, 1e-4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sgd.DrawFrom(ar)
+		for s := 0; s < 3; s++ {
+			sgd.ZeroGrad()
+			if err := autograd.Backward(autograd.Sum(autograd.Mul(ps[0].Value, ps[0].Value))); err != nil {
+				t.Fatal(err)
+			}
+			sgd.Step()
+		}
+		sgd.DrawFrom(nil)
+		return ps, sgd
+	}
+	var ar tensor.Arena
+	got, sgd := train(&ar)
+	want, _ := train(nil)
+	used, idle := got[0].Value, got[1].Value
+	if !used.Grad.DrawnFrom(&ar) || !sgd.velocity[0].DrawnFrom(&ar) {
+		t.Fatal("the touched parameter's gradient or velocity was not drawn from the arena")
+	}
+	if ar.Retained() != 2*8*used.T.Size() {
+		t.Fatalf("the arena holds %d bytes, want one gradient and one velocity, %d", ar.Retained(), 2*8*used.T.Size())
+	}
+	if idle.Grad != nil || sgd.velocity[1] != nil || !idle.T.EqualBits(init[1]) {
+		t.Fatal("a parameter no step touched got a gradient, a velocity or an update")
+	}
+	if !used.T.EqualBits(want[0].Value.T) || !used.Grad.EqualBits(want[0].Value.Grad) {
+		t.Fatal("updates drawn from the arena differ from the heap optimiser's")
+	}
+	if idle.EnsureGrad().Arena() != nil {
+		t.Fatal("DrawFrom(nil) left a parameter bound to the arena")
+	}
+}
