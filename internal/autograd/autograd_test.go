@@ -185,7 +185,7 @@ func TestGradCheckEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	table := randParam(rng, 5, 3)
 	ids := []int{0, 2, 2, 4}
-	f := func() (*Value, error) { return Sum(square(Embedding(table, ids))), nil }
+	f := func() (*Value, error) { return Sum(square(Embedding(nil, table, ids))), nil }
 	if err := GradCheck(f, []*Value{table}, gcEps, gcTol); err != nil {
 		t.Fatal(err)
 	}

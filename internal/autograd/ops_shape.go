@@ -121,10 +121,13 @@ func BroadcastBatch(a *Value, batch *tensor.Tensor) *Value {
 }
 
 // Embedding gathers rows of table (V,d) at the given ids, producing
-// (len(ids), d). Gradients scatter-add back into the table rows.
-func Embedding(table *Value, ids []int) *Value {
+// (len(ids), d) drawn from ar, as is the table-sized gradient its backward
+// scatter-adds into; nil draws from the heap. A table is usually a heap
+// parameter, so the caller names the arena: a batch's, to keep the gather
+// and everything computed from it in the step arena.
+func Embedding(ar *tensor.Arena, table *Value, ids []int) *Value {
 	d := table.T.Dim(1)
-	out := table.T.Arena().Scratch(len(ids), d)
+	out := ar.Scratch(len(ids), d)
 	for i, id := range ids {
 		copy(out.Data()[i*d:(i+1)*d], table.T.Data()[id*d:(id+1)*d])
 	}

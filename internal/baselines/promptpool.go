@@ -205,9 +205,9 @@ func (p *promptPool) gather(selected [][]int) (prompts, keysSel *autograd.Value)
 	for _, ids := range selected {
 		flatIDs = append(flatIDs, ids...)
 	}
-	rows := autograd.Embedding(p.pool, flatIDs) // (B*topN, lp*d)
+	rows := autograd.Embedding(p.pool.T.Arena(), p.pool, flatIDs) // (B*topN, lp*d)
 	prompts = autograd.Reshape(rows, bs, topN*p.lp, p.dim)
-	keysSel = autograd.Embedding(p.keys, flatIDs)
+	keysSel = autograd.Embedding(p.keys.T.Arena(), p.keys, flatIDs)
 	return prompts, keysSel
 }
 

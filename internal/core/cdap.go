@@ -121,9 +121,11 @@ func (g *CDAP) Generate(tokens *autograd.Value, taskIDs []int) (*autograd.Value,
 			return nil, fmt.Errorf("core: task id %d outside key table [0,%d)", id, g.maxTasks)
 		}
 	}
-	// FiLM conditioning on the task key: [α_v, λ_v] = φ(v).
-	v := autograd.Embedding(g.keys, taskIDs) // (B, keyDim)
-	affine := g.phi.Forward(v)               // (B, 2d)
+	// FiLM conditioning on the task key: [α_v, λ_v] = φ(v), with the keys
+	// (B, keyDim) gathered into the tokens' arena, so that φ's affines
+	// (B, 2d) and everything after them are drawn there too.
+	v := autograd.Embedding(tokens.T.Arena(), g.keys, taskIDs)
+	affine := g.phi.Forward(v)
 	alpha := autograd.Reshape(autograd.Narrow(affine, 1, 0, g.dim), bs, 1, g.dim)
 	lambda := autograd.Reshape(autograd.Narrow(affine, 1, g.dim, 2*g.dim), bs, 1, g.dim)
 	// α_v ⊙ adapted + λ_v, broadcasting the affines over prompt positions.

@@ -534,8 +534,8 @@ func TestRefFiLWireRoundTrip(t *testing.T) {
 	if err := worker.LoadWireState(state); err != nil {
 		t.Fatal(err)
 	}
-	if worker.curTask != 2 {
-		t.Fatalf("task counter %d, want 2", worker.curTask)
+	if worker.server.task != 2 {
+		t.Fatalf("task counter %d, want 2", worker.server.task)
 	}
 	classes := server.Bank().Classes()
 	if got := worker.Bank().Classes(); !reflect.DeepEqual(got, classes) {
@@ -594,7 +594,7 @@ func TestRefFiLWireRoundTrip(t *testing.T) {
 	if err := worker.LoadWireState(state[:len(state)-1]); err == nil {
 		t.Error("truncated wire state must be rejected")
 	}
-	if worker.curTask != 2 || !reflect.DeepEqual(worker.Bank().Classes(), classes) {
+	if worker.server.task != 2 || !reflect.DeepEqual(worker.Bank().Classes(), classes) {
 		t.Fatal("a rejected wire state must leave the receiver untouched")
 	}
 	badUploads := map[string]map[string]*tensor.Tensor{

@@ -105,9 +105,20 @@ type RefFiL struct {
 	cfg      Config
 	backbone *model.Backbone
 	gen      *CDAP // nil when CDAP is disabled
-	bank     *PromptBank
-	// curTask is the current 0-based incremental stage.
-	curTask int
+	// server is the state LocalTrain reads beyond Global(), which a
+	// parent and all of its replicas share by pointer.
+	server *serverState
+}
+
+// serverState is RefFiL's server-side state outside Global(): the clustered
+// prompt bank and the task counter. Only the parent writes it — OnTaskStart,
+// ServerRound and LoadWireState, between rounds — and its replicas read it
+// through the shared pointer, so a replica a runner keeps across rounds
+// sees every change without being spawned again.
+type serverState struct {
+	bank *PromptBank
+	// task is the current 0-based incremental stage.
+	task int
 }
 
 // New builds RefFiL with the given configuration.
@@ -122,7 +133,7 @@ func New(cfg Config, rng *rand.Rand) (*RefFiL, error) {
 	r := &RefFiL{
 		cfg:      cfg,
 		backbone: backbone,
-		bank:     NewPromptBank(cfg.Model.TokenDim),
+		server:   &serverState{bank: NewPromptBank(cfg.Model.TokenDim)},
 	}
 	if cfg.EnableCDAP {
 		gen, err := NewCDAP("cdap", rng, backbone.NumPatches+1, cfg.Model.TokenDim,
@@ -158,19 +169,19 @@ func (r *RefFiL) Global() nn.Module {
 }
 
 // Bank exposes the server's clustered global prompts (for tests and tools).
-func (r *RefFiL) Bank() *PromptBank { return r.bank }
+func (r *RefFiL) Bank() *PromptBank { return r.server.bank }
 
 // Spawn implements fl.Algorithm: the backbone and CDAP generator are
 // deep-copied so concurrent clients train independent replicas, while the
-// server's prompt bank is shared by reference — local training only reads
-// it (Flatten, MeanPerClass) and it changes only in ServerRound, which runs
-// serially after all replicas have finished.
+// server state — prompt bank and task counter — is shared by pointer: local
+// training only reads it (Flatten, MeanPerClass, the temperature decay), and
+// it changes only in the task hooks, ServerRound and LoadWireState, which
+// run serially while no replica trains.
 func (r *RefFiL) Spawn() (fl.Algorithm, error) {
 	rep := &RefFiL{
 		cfg:      r.cfg,
 		backbone: r.backbone.Clone(),
-		bank:     r.bank,
-		curTask:  r.curTask,
+		server:   r.server,
 	}
 	if r.gen != nil {
 		rep.gen = r.gen.Clone()
@@ -183,7 +194,7 @@ func (r *RefFiL) OnTaskStart(task int) error {
 	if r.gen != nil && task >= r.cfg.MaxTasks {
 		return fmt.Errorf("core: task %d exceeds key table capacity %d", task, r.cfg.MaxTasks)
 	}
-	r.curTask = task
+	r.server.task = task
 	return nil
 }
 
@@ -224,7 +235,7 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 	tau := r.cfg.Tau
 	if r.cfg.UseTemperatureDecay {
 		var err error
-		tau, err = DecayedTemperature(r.cfg.Tau, r.cfg.TauMin, r.cfg.Gamma, r.cfg.Beta, r.curTask+1)
+		tau, err = DecayedTemperature(r.cfg.Tau, r.cfg.TauMin, r.cfg.Gamma, r.cfg.Beta, r.server.task+1)
 		if err != nil {
 			return nil, err
 		}
@@ -242,9 +253,9 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 	)
 	if r.cfg.sharesPrompts() {
 		acc = newLPGAccumulator(r.cfg.Model.TokenDim)
-		if !r.bank.Empty() {
-			bankFlat, bankClass = r.bank.Flatten()
-			meanG = r.bank.MeanPerClass()
+		if bank := r.server.bank; !bank.Empty() {
+			bankFlat, bankClass = bank.Flatten()
+			meanG = bank.MeanPerClass()
 		}
 	}
 
@@ -322,9 +333,9 @@ func (r *RefFiL) ServerRound(task, round int, uploads []fl.Upload) error {
 		groups = append(groups, pu)
 	}
 	if r.cfg.DisableClustering {
-		return r.bank.UpdateNoClustering(groups)
+		return r.server.bank.UpdateNoClustering(groups)
 	}
-	return r.bank.Update(groups, r.cfg.MaxPromptsPerClass)
+	return r.server.bank.Update(groups, r.cfg.MaxPromptsPerClass)
 }
 
 // Predict implements fl.Algorithm. The task ID is training-only (paper
@@ -339,7 +350,7 @@ func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
 		}
 		var prompts *autograd.Value
 		if r.gen != nil {
-			key, err := r.gen.InferenceKey(x.Arena(), r.curTask+1)
+			key, err := r.gen.InferenceKey(x.Arena(), r.server.task+1)
 			if err != nil {
 				return nil, err
 			}
@@ -378,14 +389,15 @@ func parseClass(s string) (int, error) {
 // clustered global prompt bank, so a networked worker's GPL and DPCL
 // losses see exactly the server's Eq. 7-8 state.
 func (r *RefFiL) EncodeWireState() ([]byte, error) {
-	dict := map[string]*tensor.Tensor{wireTaskKey: tensor.FromSlice([]float64{float64(r.curTask)}, 1)}
-	for _, k := range r.bank.Classes() {
-		dict[wireBankPrefix+strconv.Itoa(k)] = r.bank.byClass[k]
+	dict := map[string]*tensor.Tensor{wireTaskKey: tensor.FromSlice([]float64{float64(r.server.task)}, 1)}
+	for _, k := range r.server.bank.Classes() {
+		dict[wireBankPrefix+strconv.Itoa(k)] = r.server.bank.byClass[k]
 	}
 	return checkpoint.Marshal(dict)
 }
 
-// LoadWireState implements fl.WireStater.
+// LoadWireState implements fl.WireStater. The new bank and counter are
+// written through the shared server state, so every replica sees them.
 func (r *RefFiL) LoadWireState(b []byte) error {
 	dict, err := checkpoint.Unmarshal(b)
 	if err != nil {
@@ -400,7 +412,7 @@ func (r *RefFiL) LoadWireState(b []byte) error {
 		return fmt.Errorf("core: wire state task counter %v is not a task index", task.Data()[0])
 	}
 	delete(dict, wireTaskKey)
-	bank := NewPromptBank(r.bank.dim)
+	bank := NewPromptBank(r.server.bank.dim)
 	//fedvet:ignore maporder filling a map from a map is order-insensitive
 	for name, m := range dict {
 		class, ok := strings.CutPrefix(name, wireBankPrefix)
@@ -416,8 +428,7 @@ func (r *RefFiL) LoadWireState(b []byte) error {
 		}
 		bank.byClass[k] = m
 	}
-	r.bank = bank
-	r.curTask = curTask
+	r.server.bank, r.server.task = bank, curTask
 	return nil
 }
 
@@ -448,8 +459,8 @@ func (r *RefFiL) DecodeUpload(b []byte) (fl.Upload, error) {
 		if err != nil {
 			return nil, err
 		}
-		if vec.NDim() != 1 || vec.Dim(0) != r.bank.dim {
-			return nil, fmt.Errorf("core: upload class %d has shape %v, want (%d)", k, vec.Shape(), r.bank.dim)
+		if vec.NDim() != 1 || vec.Dim(0) != r.server.bank.dim {
+			return nil, fmt.Errorf("core: upload class %d has shape %v, want (%d)", k, vec.Shape(), r.server.bank.dim)
 		}
 		pu.ByClass[k] = vec.Data()
 	}

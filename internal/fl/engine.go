@@ -82,26 +82,38 @@ type Upload interface{}
 // Algorithm is one federated continual-learning method. The engine owns the
 // federation mechanics; the algorithm owns the model and losses.
 //
-// The contract is clone-based so that clients of one round can train
-// concurrently: the engine calls Spawn once per participating client to
-// obtain an isolated replica of the current global model, calls LocalTrain
-// on that replica (possibly on another goroutine), and reads the replica's
-// trained state back through StateDict(replica.Global()) as the client's
-// update. The parent algorithm's Global() is never touched between the
-// broadcast (implicit in Spawn) and aggregation, eliminating the old
-// broadcast/train/snapshot/restore choreography.
+// The contract is replica-based so that clients of one round can train
+// concurrently: each participating client trains an isolated replica of the
+// current global model (possibly on another goroutine), and the engine reads
+// the replica's trained Global() state back as the client's update. The
+// parent algorithm's Global() is never touched between the broadcast and
+// aggregation.
+//
+// A runner may keep a replica across rounds (LocalRunner pools them): it
+// spawns one only when none is idle, and otherwise copies the parent's
+// current Global() parameters and buffers into an idle replica in place.
+// That copy is a complete re-spawn because LocalTrain writes only the
+// receiver's Global(), and every other part of a replica is either fixed at
+// construction or shared with its parent by reference — so what the parent's
+// task hooks, ServerRound and LoadWireState change outside Global() must be
+// written through state the parent and its replicas share, never by
+// replacing a field of the parent alone.
 type Algorithm interface {
 	// Name identifies the method in reports.
 	Name() string
-	// Global returns the module holding all aggregated state.
+	// Global returns the module holding all aggregated state. Its parameter
+	// and buffer names, shapes and tensors are fixed for the algorithm's
+	// life: training and LoadStateDict write the tensors in place.
 	Global() nn.Module
 	// Spawn returns an isolated per-client replica: its Global() must share
 	// no tensors with the parent's (or any other replica's), holding a deep
-	// copy of the current global state. Read-only server-side state — frozen
-	// distillation teachers, Fisher anchors, the clustered prompt bank —
-	// may be shared by reference, since nothing mutates it during a round.
-	// Spawn must be safe to call concurrently with other Spawn calls and
-	// with LocalTrain running on previously spawned replicas.
+	// copy of the current global state. Server-side state outside Global()
+	// — frozen distillation teachers, Fisher anchors, the clustered prompt
+	// bank and task counter — is shared by reference, since nothing mutates
+	// it while replicas train, and a kept replica must see the parent's
+	// later changes to it. Spawn must be safe to call concurrently with
+	// other Spawn calls and with LocalTrain running on previously spawned
+	// replicas.
 	Spawn() (Algorithm, error)
 	// OnTaskStart runs before the first round of a task stage (e.g. LwF
 	// snapshots the previous global model as the distillation teacher).
@@ -110,9 +122,9 @@ type Algorithm interface {
 	// the stage's training data (e.g. EWC consolidates Fisher information).
 	OnTaskEnd(task int, sample *data.Dataset) error
 	// LocalTrain performs one client's local epochs, mutating the
-	// receiver's own Global() parameters in place. The engine always calls
-	// it on a Spawn replica; standalone federation workers (cmd/fedworker)
-	// call it directly on their local instance.
+	// receiver's own Global() parameters and buffers in place and nothing
+	// else of the receiver. Runners always call it on a replica, never on
+	// the parent.
 	LocalTrain(ctx *LocalContext) (Upload, error)
 	// ServerRound processes the round's uploads after FedAvg (RefFiL:
 	// FINCH prompt clustering, Eq. 7-8). Runs serially on the parent.

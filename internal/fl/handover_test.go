@@ -22,10 +22,12 @@ func (s *spyAlg) Spawn() (fl.Algorithm, error) {
 	return rep, err
 }
 
-// cloningRunner is LocalRunner as it was before the hand-over: every result
-// dict is replaced by clones before done sees it. Releasing a result fills
-// its clones with NaN, the way a networked runner's next decode overwrites
-// them, so an engine that read a dict after releasing it would diverge.
+// cloningRunner is LocalRunner as it was before the hand-over and the
+// replica pool: every result dict is replaced by clones before done sees it,
+// and no replica goes back to the pool, so every job trains a fresh Spawn.
+// Releasing a result fills its clones with NaN, the way a networked runner's
+// next decode overwrites them, so an engine that read a dict after
+// releasing it would diverge.
 type cloningRunner struct{ inner *fl.LocalRunner }
 
 func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
@@ -46,9 +48,10 @@ func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) er
 
 // TestLocalRunnerHandsOverReplicaState pins the move LocalRunner makes: a
 // result's dict holds the trained replica's own parameter and buffer
-// tensors, not copies — and engine runs that fold those tensors land on
-// exactly the matrix and final state of runs that fold StateDict clones
-// the engine hands back, poisoned, once it is done with them.
+// tensors, not copies — and engine runs that fold those tensors, training
+// pooled replicas, land on exactly the matrix and final state of runs that
+// fold StateDict clones of fresh Spawns, which the engine hands back,
+// poisoned, once it is done with them.
 func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

@@ -2,12 +2,16 @@ package fl
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"reffil/internal/data"
+	"reffil/internal/nn"
 	"reffil/internal/tensor"
 )
 
@@ -37,9 +41,12 @@ type Result struct {
 	Dict   map[string]*tensor.Tensor
 	Upload Upload
 	// Release, when non-nil, hands the storage behind Dict back to the
-	// runner, which decodes a later result into it. The receiver calls it at
-	// most once, when it reads Dict no more. LocalRunner leaves it nil:
-	// nothing reuses a dropped replica.
+	// runner for a later result: LocalRunner puts the replica back in its
+	// pool, to be brought to the next global and trained again, and a
+	// networked runner decodes a later upload into the same tensors. The
+	// receiver calls it at most once, when it reads Dict no more. A result
+	// never released costs the runner fresh storage (LocalRunner: a cold
+	// Spawn), never a wrong result. Upload is not part of that storage.
 	Release func()
 }
 
@@ -80,7 +87,7 @@ type EachRunner interface {
 // change — state that moves at task boundaries, like the teacher or the
 // Fisher maps, crosses the wire once per task instead of every round —
 // and workers load each new version before training so that their
-// replicas match the server's Spawn replicas exactly. EncodeWireState
+// replicas match the server's replicas exactly. EncodeWireState
 // must therefore be deterministic for unchanged state: equal state, equal
 // bytes (the checkpoint dict form, which sorts its keys, qualifies).
 // Algorithms whose mutable state is entirely inside Global() need not
@@ -298,10 +305,17 @@ func (j JobSpec) NewLocalContext(ds *data.Dataset) *LocalContext {
 	}
 }
 
-// LocalRunner trains each job on an isolated Spawn replica of Alg across an
+// LocalRunner trains each job on an isolated replica of Alg across an
 // in-process worker pool. It is the engine's default runner and also the
 // execution core of networked federation workers (a fedworker handling a
 // multi-job broadcast runs its slice of the round through the same pool).
+//
+// Replicas are pooled. A job takes an idle replica and copies Alg's current
+// Global() parameters and buffers into it in place; it calls Spawn only when
+// no replica is idle. Algorithm's contract (LocalTrain writes only Global();
+// everything else is fixed at construction or shared with the parent) makes
+// that copy a complete re-spawn. The job's Result hands over the replica's
+// own tensors, and its Release puts the replica back in the pool.
 type LocalRunner struct {
 	// Alg is the parent algorithm replicas are spawned from.
 	Alg Algorithm
@@ -313,15 +327,123 @@ type LocalRunner struct {
 	// ever run: a goroutine borrows one for the jobs it executes and lends
 	// its two arenas to each through LocalContext, so the buffers a step
 	// needs, and the gradients and velocities a job needs, are allocated
-	// once per worker slot, not once per step, client or round. Keep the
-	// runner to keep them.
-	mu    sync.Mutex
-	slots []*slot
+	// once per worker slot, not once per step, client or round. replicas
+	// are the released replicas, so the model's weights are copied once
+	// per replica, not once per job. Keep the runner to keep both.
+	mu       sync.Mutex
+	slots    []*slot
+	replicas []*replica
+}
+
+// replica is one Spawn of Alg that the runner keeps, with its Global()'s
+// parameters and the result dict naming its parameter and buffer tensors,
+// both built once: the tensors stay the replica's own for its whole life.
+type replica struct {
+	alg    Algorithm
+	params []nn.Param
+	dict   map[string]*tensor.Tensor
+}
+
+// poisonReleased, set by tests through export_test.go, makes every released
+// replica have its parameters and buffers filled with NaN bits before it
+// re-enters the pool. A result dict read after its Release then reads NaN
+// instead of the weights the next job's copy or training left there.
+var poisonReleased atomic.Bool
+
+// takeReplica returns an idle replica brought to the global state given as
+// params and buffers (Alg.Global()'s), or a cold Spawn when none is idle.
+func (lr *LocalRunner) takeReplica(params []nn.Param, buffers []nn.Buffer) (*replica, error) {
+	lr.mu.Lock()
+	if n := len(lr.replicas); n > 0 {
+		rep := lr.replicas[n-1]
+		lr.replicas = lr.replicas[:n-1]
+		lr.mu.Unlock()
+		return rep, rep.sync(params, buffers)
+	}
+	lr.mu.Unlock()
+	alg, err := lr.Alg.Spawn()
+	if err != nil {
+		return nil, err
+	}
+	g := alg.Global()
+	rep := &replica{alg: alg, params: g.Params(), dict: make(map[string]*tensor.Tensor)}
+	for _, p := range rep.params {
+		rep.dict[p.Name] = p.Value.T
+	}
+	for _, b := range g.Buffers() {
+		rep.dict[b.Name] = b.T
+	}
+	return rep, nil
+}
+
+// putReplica returns a released replica to the pool.
+func (lr *LocalRunner) putReplica(rep *replica) {
+	if poisonReleased.Load() {
+		//fedvet:ignore maporder every tensor gets the same fill, in any order
+		for _, t := range rep.dict {
+			t.Fill(math.Float64frombits(^uint64(0)))
+		}
+	}
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lr.replicas = append(lr.replicas, rep)
+}
+
+// sync copies the global parameters and buffers into the replica's own
+// tensors, pairing them by name and shape, and drops every parameter's
+// Grad. It checks the whole layout before it copies anything, so a replica
+// it refuses is left as it was. The Grads must go, not be zeroed: they were
+// drawn from the job arena of whichever slot trained the replica last,
+// which has been reset and may have handed those buffers to another job.
+func (r *replica) sync(params []nn.Param, buffers []nn.Buffer) error {
+	for _, p := range params {
+		if err := r.check(p.Name, p.Value.T); err != nil {
+			return err
+		}
+	}
+	for _, b := range buffers {
+		if err := r.check(b.Name, b.T); err != nil {
+			return err
+		}
+	}
+	if n := len(params) + len(buffers); n != len(r.dict) {
+		for _, name := range slices.Sorted(maps.Keys(r.dict)) {
+			if !slices.ContainsFunc(params, func(p nn.Param) bool { return p.Name == name }) &&
+				!slices.ContainsFunc(buffers, func(b nn.Buffer) bool { return b.Name == name }) {
+				return fmt.Errorf("fl: pooled replica holds %q, which the global model does not", name)
+			}
+		}
+		return fmt.Errorf("fl: pooled replica holds %d tensors, the global model names %d", len(r.dict), n)
+	}
+	for _, p := range params {
+		r.dict[p.Name].CopyFrom(p.Value.T)
+	}
+	for _, b := range buffers {
+		r.dict[b.Name].CopyFrom(b.T)
+	}
+	for _, p := range r.params {
+		p.Value.Grad = nil
+	}
+	return nil
+}
+
+// check refuses a global tensor the replica has no tensor of the same name
+// and shape for.
+func (r *replica) check(name string, src *tensor.Tensor) error {
+	dst, ok := r.dict[name]
+	if !ok {
+		return fmt.Errorf("fl: pooled replica has no %q to copy the global model's into", name)
+	}
+	if !dst.SameShape(src) {
+		return fmt.Errorf("fl: pooled replica's %q has shape %v, the global model's %v", name, dst.Shape(), src.Shape())
+	}
+	return nil
 }
 
 // slot is what one training goroutine owns: the step arena, reset by SGD
 // after every update, and the job arena, reset when the slot starts its next
-// job — so the job's replica, Grads included, stays readable until then.
+// job — so the Grads of the job's replica stay readable until then, or until
+// the next job to take that replica drops them.
 type slot struct{ step, job tensor.Arena }
 
 // borrowSlot takes an idle slot, or a new one when every slot is out.
@@ -361,34 +483,31 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 		workers = len(jobs)
 	}
 
+	// The parent's Global() is only read while the round runs, so its lists
+	// serve every job's copy.
+	global := lr.Alg.Global()
+	params, buffers := global.Params(), global.Buffers()
 	var doneMu sync.Mutex
 	runJob := func(i int, s *slot) error {
 		job := jobs[i]
 		if job.Ctx == nil {
 			return fmt.Errorf("fl: job %d has no local context", i)
 		}
-		// The slot's previous job, and its replica, are done with.
+		// The slot's previous job is done with its Grads and velocities.
 		s.job.Reset()
 		job.Ctx.Arena, job.Ctx.JobArena = &s.step, &s.job
-		rep, err := lr.Alg.Spawn()
+		rep, err := lr.takeReplica(params, buffers)
 		if err != nil {
-			return fmt.Errorf("fl: spawning replica for client %d: %w", job.Ctx.ClientID, err)
+			return fmt.Errorf("fl: taking a replica for client %d: %w", job.Ctx.ClientID, err)
 		}
-		up, err := rep.LocalTrain(job.Ctx)
+		up, err := rep.alg.LocalTrain(job.Ctx)
 		if err != nil {
 			return fmt.Errorf("fl: client %d local training: %w", job.Ctx.ClientID, err)
 		}
-		// The replica is dropped after done, so its own tensors are handed
-		// over instead of StateDict clones: Spawn deep-copies, and nothing
-		// done feeds them to (the fold, an upload encoder) writes them.
-		g := rep.Global()
-		res := Result{Dict: make(map[string]*tensor.Tensor), Upload: up}
-		for _, p := range g.Params() {
-			res.Dict[p.Name] = p.Value.T
-		}
-		for _, b := range g.Buffers() {
-			res.Dict[b.Name] = b.T
-		}
+		// The replica's own tensors are handed over instead of StateDict
+		// clones: nothing done feeds them to (the fold, an upload encoder)
+		// writes them, and no job takes the replica before it is released.
+		res := Result{Dict: rep.dict, Upload: up, Release: func() { lr.putReplica(rep) }}
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		return done(i, res)

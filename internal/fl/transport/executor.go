@@ -16,8 +16,9 @@ import (
 // bytes, builds each assigned job from its spec through fl.Partitions, the
 // builder the in-process engine uses (no data crosses the wire), and runs
 // its slice of the round through the same fl.LocalRunner worker pool the
-// engine uses — Spawn replicas, per-job seeded RNGs — acknowledging each
-// job the moment it completes.
+// engine uses — pooled replicas, per-job seeded RNGs — acknowledging each
+// job the moment it completes, and releasing each job's replica back to the
+// pool as soon as its upload patch is encoded.
 // Per-job acks are what let the coordinator salvage a crashing worker's
 // finished work and re-queue only the rest. Every ack carries the trained
 // state as a wire.Patch: a lossless diff against the round's broadcast base
@@ -40,7 +41,7 @@ import (
 type Executor struct {
 	alg fl.Algorithm
 	// pool runs every broadcast's jobs. It is kept for the executor's life
-	// because it owns the training goroutines' step arenas.
+	// because it owns the training goroutines' arenas and the replicas.
 	pool *fl.LocalRunner
 	// parts builds every broadcast's jobs, keeping each task's partition
 	// across rounds.
@@ -125,6 +126,11 @@ func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error
 		// executing jobs with no installed state) encodes as a full
 		// snapshot, which the coordinator counts as an upload fallback.
 		p, err := e.upload.Encode(e.tracker.Dict, res.Dict)
+		// The patch is the upload buffer's bytes, so the replica behind
+		// res.Dict goes back to the pool for the next job.
+		if res.Release != nil {
+			res.Release()
+		}
 		if err != nil {
 			return fmt.Errorf("job %d upload state: %w", i, err)
 		}
