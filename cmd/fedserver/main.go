@@ -11,9 +11,9 @@
 // data volume and backbone, over the family's domains in the paper's order
 // A. The accuracy-matrix block printed at the end, with its closing state
 // hash of the final weights, is the one reffil prints for the same four
-// flags, byte for byte. Start the server, then one
-// fedworker per machine with the same four flags (any worker count works,
-// jobs are fanned out round-robin):
+// flags, byte for byte. Start the server, then one fedworker per machine
+// with the same four flags (any worker count works: jobs are dealt
+// round-robin, and a worker dealt none in a round is sent nothing):
 //
 //	fedserver -addr 127.0.0.1:7000 -workers 2 -method RefFiL -dataset pacs -scale mini -seed 1
 //	fedworker -addr 127.0.0.1:7000 -id 0 -method RefFiL -dataset pacs -scale mini -seed 1 &

@@ -1,10 +1,6 @@
 package fl_test
 
 import (
-	"bytes"
-	"maps"
-	"math"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,59 +8,15 @@ import (
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
-	"reffil/internal/nn"
-	"reffil/internal/tensor"
 )
-
-// finalState is what a finished run leaves besides its matrix: the global
-// state dict and, for a method with wire state, the encoded wire state.
-type finalState struct {
-	global map[string]*tensor.Tensor
-	wire   []byte
-}
-
-func finalOf(t *testing.T, alg fl.Algorithm) finalState {
-	t.Helper()
-	st := finalState{global: nn.StateDict(alg.Global())}
-	if ws, ok := alg.(fl.WireStater); ok {
-		wire, err := ws.EncodeWireState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.wire = wire
-	}
-	return st
-}
-
-// requireSameFinal requires got to hold the reference's weights bit for bit
-// under the same keys, and the same wire-state bytes.
-func requireSameFinal(t *testing.T, label string, want, got finalState) {
-	t.Helper()
-	if len(got.global) != len(want.global) {
-		t.Fatalf("%s global state has %d keys, the reference %d", label, len(got.global), len(want.global))
-	}
-	for _, name := range slices.Sorted(maps.Keys(want.global)) {
-		w, g := want.global[name], got.global[name]
-		if g == nil || !g.SameShape(w) {
-			t.Fatalf("%s global state lacks %q or has another shape", label, name)
-		}
-		for i, v := range w.Data() {
-			if math.Float64bits(g.Data()[i]) != math.Float64bits(v) {
-				t.Fatalf("%s global %q[%d] = %v, reference %v", label, name, i, g.Data()[i], v)
-			}
-		}
-	}
-	if !bytes.Equal(got.wire, want.wire) {
-		t.Fatalf("%s wire state differs from the reference", label)
-	}
-}
 
 // runPooled runs method through the engine's LocalRunner or, with tcp, over
 // loopback TCP to two workers whose Executors each train on a LocalRunner of
 // one goroutine, and returns the matrix and the coordinator's final state.
-func runPooled(t *testing.T, method string, family *data.Family, domains []string, tcp bool) ([][]float64, finalState) {
+func runPooled(t *testing.T, method string, family *data.Family, domains []string, tcp bool) ([][]float64, fltest.Final) {
 	t.Helper()
 	newAlg := func() fl.Algorithm {
 		alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
@@ -83,7 +35,7 @@ func runPooled(t *testing.T, method string, family *data.Family, domains []strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mat.A, finalOf(t, alg)
+		return mat.A, fltest.FinalOf(t, alg)
 	}
 
 	coord, err := transport.Listen("127.0.0.1:0")
@@ -138,7 +90,7 @@ func runPooled(t *testing.T, method string, family *data.Family, domains []strin
 			t.Fatalf("worker %d: %v", id, err)
 		}
 	}
-	return mat.A, finalOf(t, alg)
+	return mat.A, fltest.FinalOf(t, alg)
 }
 
 // TestPoisonedReplicasLeaveRunsBitIdentical is the lifetime gate of the
@@ -173,7 +125,7 @@ func TestPoisonedReplicasLeaveRunsBitIdentical(t *testing.T) {
 						}
 					}
 				}
-				requireSameFinal(t, label, wantFinal, gotFinal)
+				fltest.RequireSameFinal(t, label, wantFinal, gotFinal)
 			}
 		})
 	}

@@ -17,8 +17,9 @@ import (
 // builder the in-process engine uses (no data crosses the wire), and runs
 // its slice of the round through the same fl.LocalRunner worker pool the
 // engine uses — pooled replicas, per-job seeded RNGs — acknowledging each
-// job the moment it completes, and releasing each job's replica back to the
-// pool as soon as its upload patch is encoded.
+// job under its index in the round the moment it completes, and releasing
+// each job's replica back to the pool as soon as its upload patch is
+// encoded. The index is the broadcast's: the pool sees only the specs.
 // Per-job acks are what let the coordinator salvage a crashing worker's
 // finished work and re-queue only the rest. Every ack carries the trained
 // state as a wire.Patch: a lossless diff against the round's broadcast base
@@ -69,19 +70,19 @@ func NewExecutor(alg fl.Algorithm, workers int) (*Executor, error) {
 // serving a re-dialed one. A re-dial is admitted into a fresh slot whose
 // coordinator-side mirror starts at version 0 with no payload, so the
 // tracker of the old stream would reject the new slot's first frame
-// whenever it is a bare KindNone (the slot is idle that round) or skips an
-// unchanged payload. The job builder's partitions are kept: they do not
-// depend on the connection.
+// whenever it skips a payload the old stream's version stamps disagree
+// with (a restarted coordinator's versions start over). The job builder's
+// partitions are kept: they do not depend on the connection.
 func (e *Executor) ResetStream() {
 	e.tracker = wire.Tracker{}
 }
 
-// Handle executes one broadcast's job assignment, emitting each job's
-// result as it completes (completion order; the coordinator maps acks by
-// their Index). Pass it to Worker.Serve, whose emit already serializes
-// onto the connection. A JobResult's patch aliases the executor's upload
-// buffer, which the next job overwrites: emit must be done with it when it
-// returns.
+// Handle executes one broadcast's job assignment through the local worker
+// pool, emitting each job's result as it completes (completion order; each
+// ack carries its job's Index in the round). Pass it to Worker.Serve, whose
+// emit already serializes onto the connection. A JobResult's patch aliases
+// the executor's upload buffer, which the next job overwrites: emit must be
+// done with it when it returns.
 func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 	stateChanged, payload, payloadChanged, err := e.tracker.Apply(&b.Frame)
 	if err != nil {
@@ -101,17 +102,13 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 			return fmt.Errorf("%s received %d bytes of wire state it cannot load", e.alg.Name(), len(payload))
 		}
 	}
-	return e.runJobs(b.Jobs, emit)
-}
-
-// runJobs builds and trains the broadcast's job slice through the local
-// worker pool, emitting one ack per job in completion order.
-func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error {
-	jobs := make([]fl.Job, len(specs))
-	for i, spec := range specs {
-		job, err := e.parts.Job(spec)
+	// done reads the job list, not b: capturing b would move it to the heap.
+	entries := b.Jobs
+	jobs := make([]fl.Job, len(entries))
+	for i, entry := range entries {
+		job, err := e.parts.Job(entry.Spec)
 		if err != nil {
-			return fmt.Errorf("job %d (client %d): %w", i, spec.ClientID, err)
+			return fmt.Errorf("job %d (client %d): %w", entry.Index, entry.Spec.ClientID, err)
 		}
 		jobs[i] = job
 	}
@@ -132,13 +129,13 @@ func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error
 			res.Release()
 		}
 		if err != nil {
-			return fmt.Errorf("job %d upload state: %w", i, err)
+			return fmt.Errorf("job %d upload state: %w", entries[i].Index, err)
 		}
 		defer func() {
 			poison(p.Dense[:cap(p.Dense)])
 			poison(p.Packed[:cap(p.Packed)])
 		}()
-		jr := JobResult{Index: i, Patch: p}
+		jr := JobResult{Index: entries[i].Index, Patch: p}
 		if res.Upload != nil {
 			uc, ok := e.alg.(fl.UploadCoder)
 			if !ok {
@@ -146,7 +143,7 @@ func (e *Executor) runJobs(specs []fl.JobSpec, emit func(JobResult) error) error
 			}
 			jr.Upload, err = uc.EncodeUpload(res.Upload)
 			if err != nil {
-				return fmt.Errorf("job %d upload: %w", i, err)
+				return fmt.Errorf("job %d upload: %w", entries[i].Index, err)
 			}
 		}
 		return emit(jr)

@@ -43,3 +43,19 @@ func SumRounds(rounds []RoundStats) Stats {
 	}
 	return s
 }
+
+// HoldDecodes makes every Pipeline collector call hold with the ack's job
+// index inside its decode of the ack — the pipeline's lock released, before
+// the patch decodes — until the returned function is called.
+func HoldDecodes(hold func(index int)) (restore func()) {
+	holdDecode.Store(&hold)
+	return func() { holdDecode.Store(nil) }
+}
+
+// Sever closes the coordinator's end of slot's connection without marking
+// the slot dead, so the next send to it fails as a broken connection's does.
+func (c *Coordinator) Sever(slot int) {
+	if w, err := c.slot(slot); err == nil {
+		_ = w.conn.Close()
+	}
+}

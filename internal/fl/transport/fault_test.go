@@ -17,6 +17,7 @@ package transport_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
 )
@@ -37,7 +39,7 @@ var localRunCache sync.Map
 // and its final weights and wire state.
 type localRun struct {
 	A     [][]float64
-	final finalState
+	final fltest.Final
 }
 
 // localRunOf returns the synchronous LocalRunner run of the method under
@@ -64,10 +66,11 @@ func localRunOf(t *testing.T, method string, family *data.Family, domains []stri
 // named through the Pipeline's UseCodec first, as the benchmark does.
 //
 // With idleHeir the federation has four workers instead, so at three jobs a
-// round slot 3 idles in every round: slots 0–2 sever their connections on
-// receiving the crash round's jobs, before acking any, and every one of
-// those jobs ends up on slot 3, whose first re-queue frame has to bring it
-// from no state at all to the round's state and payload.
+// round slot 3 is dealt no job, and sent no frame, in any round: slots 0–2
+// sever their connections on receiving the crash round's jobs, before
+// acking any, and every one of those jobs ends up on slot 3, whose first
+// re-queue frame — its first frame of the run — has to bring it from no
+// state at all to the round's state and payload.
 //
 // It returns the run's matrix and final state.
 func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) localRun {
@@ -136,7 +139,7 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	if err := <-surviveErr; err != nil {
 		t.Fatalf("surviving worker: %v", err)
 	}
-	return localRun{A: mat.A, final: finalOf(t, alg)}
+	return localRun{A: mat.A, final: fltest.FinalOf(t, alg)}
 }
 
 // TestFaultInjectionCrashMidRound kills worker 0 mid-round and requires
@@ -195,7 +198,7 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 			want := localRunOf(t, tc.method, family, domains)
 			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
 			requireSameMatrix(t, "crashed-and-requeued", want.A, got.A)
-			requireSameFinal(t, "crashed-and-requeued", want.final, got.final)
+			fltest.RequireSameFinal(t, "crashed-and-requeued", want.final, got.final)
 		})
 	}
 }
@@ -238,4 +241,147 @@ func serveDyingOnJobs(t *testing.T, coord *transport.Coordinator, method string,
 		t.Fatal(err)
 	}
 	return done
+}
+
+// TestDeathMidDecodeLeavesTheJobToTheDecode holds the invariant an ack that
+// names its job by index rests on — a job is settled only by a slot that
+// holds it — across a death during a decode. Three workers take one job
+// each of round (0,1). Slot 0's collector is held inside the decode of its
+// ack while the test severs slot 0's connection and kills slot 1 before it
+// acks. Slot 1's job is dealt to slot 0 first, whose send fails, so slot 0
+// dies while its ack decodes. The job being decoded stays with the decode:
+// slot 2 must be dealt slot 1's job alone, and the run must finish with the
+// matrix and final state of a clean run.
+func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
+	const method, crashTask, crashRound = "Finetune", 0, 1
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	want := localRunOf(t, method, family, domains)
+
+	coord, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	crash := func(b transport.Broadcast) bool { return b.Task == crashTask && b.Round == crashRound }
+	// serve dials worker id and serves it through handle, given the
+	// worker's Executor, on a background goroutine.
+	serve := func(id int, handle func(w *transport.Worker, ex *transport.Executor, b transport.Broadcast, emit func(transport.JobResult) error) error) <-chan error {
+		alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := transport.NewExecutor(alg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := transport.Dial(coord.Addr(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			defer w.Close()
+			done <- w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+				return handle(w, ex, b, emit)
+			})
+		}()
+		if err := coord.Accept(1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+
+	// crashJobs receives the job indices of each crash-round broadcast to
+	// slots 0 and 2, in order; kill releases slot 1's death.
+	crashJobs := [3]chan []int{make(chan []int, 4), nil, make(chan []int, 4)}
+	kill := make(chan struct{})
+	record := func(slot int, b transport.Broadcast) {
+		var idxs []int
+		for _, j := range b.Jobs {
+			idxs = append(idxs, j.Index)
+		}
+		crashJobs[slot] <- idxs
+	}
+	decoderErr := serve(0, func(_ *transport.Worker, ex *transport.Executor, b transport.Broadcast, emit func(transport.JobResult) error) error {
+		if crash(b) {
+			record(0, b)
+		}
+		return ex.Handle(b, emit)
+	})
+	dyingErr := serve(1, func(w *transport.Worker, ex *transport.Executor, b transport.Broadcast, emit func(transport.JobResult) error) error {
+		if !crash(b) {
+			return ex.Handle(b, emit)
+		}
+		<-kill
+		_ = w.Close()
+		return fmt.Errorf("injected crash on task %d round %d's jobs", b.Task, b.Round)
+	})
+	survivorErr := serve(2, func(_ *transport.Worker, ex *transport.Executor, b transport.Broadcast, emit func(transport.JobResult) error) error {
+		if crash(b) {
+			record(2, b)
+		}
+		return ex.Handle(b, emit)
+	})
+
+	var dispatched [3][]int
+	var requeued []int
+	var held sync.Once
+	defer transport.HoldDecodes(func(index int) {
+		if index != 0 || len(crashJobs[0]) == 0 {
+			return
+		}
+		held.Do(func() {
+			dispatched[0], dispatched[2] = <-crashJobs[0], <-crashJobs[2]
+			coord.Sever(0)
+			close(kill)
+			select {
+			case requeued = <-crashJobs[2]:
+			case <-time.After(10 * time.Second):
+			}
+		})
+	})()
+
+	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := transport.NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := eng.Run(family, domains)
+	if err != nil {
+		t.Fatalf("run with a death mid-decode failed: %v", err)
+	}
+	if !slices.Equal(dispatched[0], []int{0}) || !slices.Equal(dispatched[2], []int{2}) {
+		t.Fatalf("round (%d,%d) dealt slot 0 jobs %v and slot 2 jobs %v, want [0] and [2]", crashTask, crashRound, dispatched[0], dispatched[2])
+	}
+	if !slices.Equal(requeued, []int{1}) {
+		t.Fatalf("slot 2 was dealt jobs %v again, want only slot 1's job [1]: the job slot 0 was decoding must stay with the decode", requeued)
+	}
+	requireSameMatrix(t, "death mid-decode", want.A, mat.A)
+	fltest.RequireSameFinal(t, "death mid-decode", want.final, fltest.FinalOf(t, alg))
+	if got := coord.NumLive(); got != 1 {
+		t.Fatalf("live workers = %d, want 1", got)
+	}
+	_ = runner.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-survivorErr; err != nil {
+		t.Fatalf("surviving worker: %v", err)
+	}
+	for _, ch := range []<-chan error{decoderErr, dyingErr} {
+		if err := <-ch; err == nil {
+			t.Fatal("a worker that died returned nil from Serve")
+		}
+	}
 }

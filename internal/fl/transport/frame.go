@@ -64,17 +64,17 @@ const (
 	maxErrorLen = 1 << 16 // a worker's error report
 	maxJobs     = 1 << 16 // JobSpecs in one broadcast
 	maxShards   = 64      // ShardSpecs in one JobSpec
-	// minJobLen and minShardLen are the shortest encodings of a JobSpec and
-	// a ShardSpec (one-byte varints, 8-byte floats): a count the rest of the
-	// body cannot hold is rejected.
-	minJobLen   = 9 + 8
+	// minJobLen and minShardLen are the shortest encodings of a job entry
+	// (its index and JobSpec) and a ShardSpec (one-byte varints, 8-byte
+	// floats): a count the rest of the body cannot hold is rejected.
+	minJobLen   = 10 + 8
 	minShardLen = 11 + 8
 	// maxErrorField is the longest encoding of an error string.
 	maxErrorField = 3 + maxErrorLen
 )
 
 // msgType is a frame's message type. An Update travels as exactly one of
-// msgAck, msgDone and msgPong.
+// msgAck, msgFail and msgPong.
 type msgType uint8
 
 const (
@@ -82,7 +82,7 @@ const (
 	msgHelloAck
 	msgBroadcast
 	msgAck  // one JobResult
-	msgDone // the end of a reply stream, with the handler's error if any
+	msgFail // a worker-side failure: the handler's error or a version mismatch
 	msgPong // a liveness heartbeat
 )
 
@@ -94,13 +94,13 @@ var maxBody = [...]int{
 	msgHelloAck:  binary.MaxVarintLen64 + maxErrorField,
 	msgBroadcast: maxFrameLen,
 	msgAck:       maxFrameLen,
-	msgDone:      binary.MaxVarintLen64 + maxErrorField,
+	msgFail:      binary.MaxVarintLen64 + maxErrorField,
 	msgPong:      binary.MaxVarintLen64,
 }
 
 var msgNames = [...]string{
 	msgHello: "hello", msgHelloAck: "hello-ack", msgBroadcast: "broadcast",
-	msgAck: "ack", msgDone: "done", msgPong: "pong",
+	msgAck: "ack", msgFail: "fail", msgPong: "pong",
 }
 
 func (t msgType) String() string {
@@ -243,9 +243,9 @@ func (fw *frameWriter) writeHelloAck(a HelloAck) error {
 	return fw.finish(msgHelloAck, a.Version, nil)
 }
 
-// writeBroadcast lays a Broadcast out as Task, Round, Done; the Frame's Kind, BaseVersion, Version, Patch, PayloadVersion, HasPayload and
-// Payload; then the job count and each JobSpec. sent counts the frame (see
-// finish).
+// writeBroadcast lays a Broadcast out as Task, Round, Done; the Frame's Kind,
+// BaseVersion, Version, Patch, PayloadVersion, HasPayload and Payload; then
+// the job count and each job's Index and JobSpec. sent counts the frame.
 func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -263,7 +263,8 @@ func (fw *frameWriter) writeBroadcast(b *Broadcast, sent *atomic.Int64) error {
 	fw.bytes(f.Payload)
 	fw.Count(len(b.Jobs), maxJobs)
 	for i := range b.Jobs {
-		fw.job(&b.Jobs[i])
+		fw.Varint(int64(b.Jobs[i].Index))
+		fw.job(&b.Jobs[i].Spec)
 	}
 	return fw.finish(msgBroadcast, b.Version, sent)
 }
@@ -313,7 +314,7 @@ func (fw *frameWriter) job(j *fl.JobSpec) {
 
 // writeUpdate sends an Update as the one message it is. Every form starts
 // with WorkerID; an ack continues with Index, a flag saying whether a Patch
-// follows, the Patch, and Upload; a done frame with Error; a pong ends there.
+// follows, the Patch, and Upload; a fail frame with Error; a pong ends there.
 func (fw *frameWriter) writeUpdate(u *Update) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -321,12 +322,12 @@ func (fw *frameWriter) writeUpdate(u *Update) error {
 	fw.Varint(int64(u.WorkerID))
 	var t msgType
 	switch {
-	case u.Pong && !u.Done && u.Ack == nil && u.Error == "":
+	case u.Pong && u.Ack == nil && u.Error == "":
 		t = msgPong
-	case u.Done && !u.Pong && u.Ack == nil:
-		t = msgDone
+	case u.Error != "" && !u.Pong && u.Ack == nil:
+		t = msgFail
 		fw.String(u.Error, maxErrorLen)
-	case !u.Done && !u.Pong && u.Ack != nil && u.Error == "":
+	case !u.Pong && u.Ack != nil && u.Error == "":
 		t = msgAck
 		jr := u.Ack
 		fw.Varint(int64(jr.Index))
@@ -336,7 +337,7 @@ func (fw *frameWriter) writeUpdate(u *Update) error {
 		}
 		fw.bytes(jr.Upload)
 	default:
-		return fmt.Errorf("transport: an update is one ack, one done frame or one pong (done %v, pong %v, ack %v)", u.Done, u.Pong, u.Ack != nil)
+		return fmt.Errorf("transport: an update is one ack, one fail frame or one pong (error %v, pong %v, ack %v)", u.Error != "", u.Pong, u.Ack != nil)
 	}
 	return fw.finish(t, u.Version, nil)
 }
@@ -526,16 +527,17 @@ func decodeBroadcast(body []byte) (Broadcast, error) {
 	f.HasPayload = d.Flag()
 	f.Payload = d.Bytes(maxFrameLen)
 	if n := d.Count(maxJobs, minJobLen); n > 0 {
-		b.Jobs = make([]fl.JobSpec, n)
+		b.Jobs = make([]Job, n)
 	}
 	for i := range b.Jobs {
-		readJob(&d, &b.Jobs[i])
+		b.Jobs[i].Index = int(d.Varint())
+		readJob(&d, &b.Jobs[i].Spec)
 	}
 	return b, end(msgBroadcast, &d)
 }
 
 func decodeUpdate(t msgType, body []byte) (Update, error) {
-	if t != msgAck && t != msgDone && t != msgPong {
+	if t != msgAck && t != msgFail && t != msgPong {
 		return Update{}, fmt.Errorf("transport: expected an update, got a %v frame", t)
 	}
 	d := binfmt.NewReader(body)
@@ -548,9 +550,10 @@ func decodeUpdate(t msgType, body []byte) (Update, error) {
 			readPatch(&d, u.Ack.Patch)
 		}
 		u.Ack.Upload = d.Bytes(maxFrameLen)
-	case msgDone:
-		u.Done = true
-		u.Error = d.String(maxErrorLen)
+	case msgFail:
+		if u.Error = d.String(maxErrorLen); u.Error == "" {
+			d.Fail("a fail frame carries no error")
+		}
 	case msgPong:
 		u.Pong = true
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // goldenVersion is the protocol revision goldenMessages pins.
-const goldenVersion = 12
+const goldenVersion = 13
 
 // goldenMessage is one small message of each type and the frame it must
 // encode to, byte for byte, under goldenVersion.
@@ -32,7 +32,7 @@ func goldenMessages() []goldenMessage {
 			Patch:          wire.Patch{Packed: []byte{0xaa, 0xbb}},
 			PayloadVersion: 5, HasPayload: true, Payload: []byte{9},
 		},
-		Jobs: []fl.JobSpec{{
+		Jobs: []Job{{Index: 2, Spec: fl.JobSpec{
 			ClientID: 7, Task: 1, ClientTask: 1, Group: fl.GroupInBetween, Round: 2,
 			Epochs: 1, BatchSize: 8, LR: 0.5, RngSeed: -1,
 			Shards: []fl.ShardSpec{{
@@ -40,7 +40,7 @@ func goldenMessages() []goldenMessage {
 				TrainPerDomain: 24, TestPerDomain: 12, GenSeed: 1001,
 				Learners: 4, Index: 2, Alpha: 0.5, PartSeed: -2,
 			}},
-		}},
+		}}},
 	}
 	ack := Update{Version: ProtocolVersion, WorkerID: 1, Ack: &JobResult{
 		Index: 0, Patch: &wire.Patch{Packed: []byte{1, 2, 3}}, Upload: []byte{4},
@@ -48,29 +48,29 @@ func goldenMessages() []goldenMessage {
 	return []goldenMessage{
 		{"hello", func(fw *frameWriter) error {
 			return fw.writeHello(Hello{Version: ProtocolVersion, WorkerID: 3, Heartbeat: 250 * time.Millisecond})
-		}, "52464c570c000100" + "06000000" + "06" + "80cab5ee01"},
+		}, "52464c570d000100" + "06000000" + "06" + "80cab5ee01"},
 		{"hello-ack", func(fw *frameWriter) error {
 			return fw.writeHelloAck(HelloAck{Version: ProtocolVersion, Slot: 2, Error: "no"})
-		}, "52464c570c000200" + "04000000" + "04" + "026e6f"},
+		}, "52464c570d000200" + "04000000" + "04" + "026e6f"},
 		{"broadcast", func(fw *frameWriter) error { return fw.writeBroadcast(&b, nil) },
-			"52464c570c000300" + "3e000000" +
+			"52464c570d000300" + "3f000000" +
 				"02" + "04" + "00" + // Task, Round, Done
 				"02" + "03" + "04" + // Kind, BaseVersion, Version
 				"00" + "00" + "02aabb" + // Patch: Full, Dense, Packed
 				"05" + "01" + "0109" + // PayloadVersion, HasPayload, Payload
-				"01" + // one job: ClientID … BatchSize, LR, RngSeed, one shard
+				"01" + "04" + // one job, Index 2: ClientID … BatchSize, LR, RngSeed, one shard
 				"0e" + "02" + "02" + "04" + "04" + "02" + "10" + "000000000000e03f" + "01" + "01" +
 				"0470616373" + "20" + "0e" + "0570686f746f" + "02" + "30" + "18" + "d20f" + // Dataset … GenSeed
 				"08" + "04" + "000000000000e03f" + "03"}, // Learners, Index, Alpha, PartSeed
 		{"ack", func(fw *frameWriter) error { return fw.writeUpdate(&ack) },
-			"52464c570c000400" + "0b000000" + "02" + "00" + "01" +
+			"52464c570d000400" + "0b000000" + "02" + "00" + "01" +
 				"00" + "00" + "03010203" + "0104"},
-		{"done", func(fw *frameWriter) error {
-			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "boom"})
-		}, "52464c570c000500" + "06000000" + "02" + "04626f6f6d"},
+		{"fail", func(fw *frameWriter) error {
+			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Error: "boom"})
+		}, "52464c570d000500" + "06000000" + "02" + "04626f6f6d"},
 		{"pong", func(fw *frameWriter) error {
 			return fw.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Pong: true})
-		}, "52464c570c000600" + "01000000" + "02"},
+		}, "52464c570d000600" + "01000000" + "02"},
 	}
 }
 

@@ -2,7 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -74,4 +79,37 @@ func reencode(t msgType, body []byte) ([]byte, error) {
 		}
 	}
 	return out.Bytes(), err
+}
+
+// TestFuzzSeedsCarryTheProtocolVersion keeps FuzzReadFrame's corpus live: a
+// seed stamped with another version returns at the version check, so the
+// body decoders behind it would go unfuzzed. Every seed but foreign-version,
+// whose point is the other version, must carry ProtocolVersion.
+func TestFuzzSeedsCarryTheProtocolVersion(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadFrame")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		if !ok || header != "go test fuzz v1" || !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("seed %s is not one []byte value", e.Name())
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		if len(data) < 6 {
+			t.Fatalf("seed %s is too short to carry a version", e.Name())
+		}
+		v := int(binary.LittleEndian.Uint16([]byte(data[4:6])))
+		if foreign := e.Name() == "foreign-version"; foreign == (v == ProtocolVersion) {
+			t.Errorf("seed %s carries protocol v%d, ProtocolVersion is %d", e.Name(), v, ProtocolVersion)
+		}
+	}
 }

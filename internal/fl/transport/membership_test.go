@@ -21,6 +21,7 @@ import (
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
 )
@@ -210,7 +211,7 @@ func TestLateJoinMidRun(t *testing.T) {
 		t.Fatalf("run with mid-run join failed: %v", err)
 	}
 	requireSameMatrix(t, "late-join", want.A, mat.A)
-	requireSameFinal(t, "late-join", want.final, finalOf(t, alg))
+	fltest.RequireSameFinal(t, "late-join", want.final, fltest.FinalOf(t, alg))
 	if got := coord.NumLive(); got != 2 {
 		t.Fatalf("live workers after late join = %d, want 2", got)
 	}
@@ -242,9 +243,8 @@ func TestLateJoinMidRun(t *testing.T) {
 // benchmark does, and keeps two survivors, so the round after the re-join
 // hands one job to each of the three live slots. With three survivors
 // the round's three jobs go to them and the fresh slot — the highest index
-// — is idle: its first frame is a bare KindNone at version 0, which an
-// Executor still holding the dead connection's tracker rejects, failing the
-// run (Executor.ResetStream).
+// — is dealt none in any round, so it is sent no frame and the run
+// finishes on the survivors.
 func TestDeadWorkerRedialRejoins(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 				t.Fatalf("run with crash-and-redial failed: %v", err)
 			}
 			requireSameMatrix(t, "crash-and-redial", want.A, mat.A)
-			requireSameFinal(t, "crash-and-redial", want.final, finalOf(t, alg))
+			fltest.RequireSameFinal(t, "crash-and-redial", want.final, fltest.FinalOf(t, alg))
 			if got := coord.NumLive(); got != tc.survivors+1 {
 				t.Fatalf("live workers after re-join = %d, want %d (survivors + re-dialed)", got, tc.survivors+1)
 			}
@@ -399,7 +399,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 		t.Fatalf("run with wedged worker failed instead of detecting it: %v", err)
 	}
 	requireSameMatrix(t, "wedged-worker", want.A, mat.A)
-	requireSameFinal(t, "wedged-worker", want.final, finalOf(t, alg))
+	fltest.RequireSameFinal(t, "wedged-worker", want.final, fltest.FinalOf(t, alg))
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers after wedge detection = %d, want 1", got)
 	}
@@ -507,7 +507,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		t.Fatalf("resumed run failed: %v", err)
 	}
 	requireSameMatrix(t, "resumed", want.A, mat.A)
-	requireSameFinal(t, "resumed", want.final, finalOf(t, alg))
+	fltest.RequireSameFinal(t, "resumed", want.final, fltest.FinalOf(t, alg))
 	_ = runner.Close()
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -593,7 +593,7 @@ func TestJoinWaitSoleWorkerRedial(t *testing.T) {
 				t.Fatalf("run with sole-worker crash-and-redial failed: %v", err)
 			}
 			requireSameMatrix(t, "sole-worker redial", want.A, mat.A)
-			requireSameFinal(t, "sole-worker redial", want.final, finalOf(t, alg))
+			fltest.RequireSameFinal(t, "sole-worker redial", want.final, fltest.FinalOf(t, alg))
 			if live, ever := coord.NumLive(), coord.NumWorkers(); live != 1 || ever != 2 {
 				t.Fatalf("workers live/ever = %d/%d, want 1/2 (crashed slot + re-dialed slot)", live, ever)
 			}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,34 +21,38 @@ import (
 // the in-process pool. Rounds are synchronous, exactly one is in flight:
 // RunEach returns when its last job has been handed over.
 //
-// Per round every live worker receives a versioned wire.Frame: per-key
-// diffs against the base version the slot's mirror holds, with the method's
-// encoded wire state (fl.WireStater) re-sent only when its bytes change, a
-// full snapshot for workers with no usable base, and no state at all for
-// workers without jobs. Uploads come back as wire.Patch too, reconstructed
-// against the state the slot's mirror holds once the frame is built, into a
-// wire.DecodeBuffer that the result's fl.Result.Release hands back for a
-// later ack. Jobs are assigned round-robin by worker slot; assignment never
-// affects results: each job is a self-contained deterministic computation
-// (see fl.EachRunner), and the wire format is exact, so any placement
-// produces the same bits.
+// One function places jobs (deal): round-robin in job-index order over the
+// live slots, one broadcast per slot. Dispatch deals every job of the
+// round, a death the dead slot's unsettled jobs; a slot dealt no job is
+// sent nothing. Each broadcast carries a versioned wire.Frame built against
+// the base version the slot's mirror holds: per-key diffs, with the
+// method's encoded wire state (fl.WireStater) re-sent only when its bytes
+// change; a full snapshot for a slot with no usable base; no state for a
+// slot the round already reached. Uploads come back as wire.Patch too,
+// reconstructed against the state the slot's mirror holds once its frame
+// is built, into a wire.DecodeBuffer that the result's fl.Result.Release
+// hands back for a later ack. Placement never affects results: each job is
+// a self-contained deterministic computation (see fl.EachRunner), and the
+// wire format is exact.
 //
-// Each worker slot has a FIFO queue of the broadcasts it has yet to answer
-// and a dedicated collector goroutine. The queue outlives a round: a
-// worker's closing Done frame trails its last ack, so it usually arrives
-// after the next round's broadcast is already queued behind it.
+// Every job entry of a broadcast carries the job's index in the round, and
+// each ack echoes it, so a slot keeps only its mirror, the round's jobs it
+// holds unsettled, the upload-decode base of its latest frame, and a
+// collector goroutine that reads its acks. An index-only ack is sound only
+// under one invariant: a job is settled only by a slot that holds it, so a
+// live slot never holds a job of an earlier round. A collector takes a job
+// out of its slot's hold when it reads the job's ack, before the decode
+// releases the lock, so a death during the decode leaves the job to that
+// decode; and it drops anything it reads once its slot is dead, whose jobs
+// were dealt again at its death.
 //
-// A worker connection dying does not fail the run: the dead worker's
-// acknowledged results are kept and its unfinished jobs are redistributed
-// round-robin over the survivors, each batch as one more broadcast of the
-// round built like the dispatch's: against the survivor's mirror, from the
-// round state the encoder still holds. A survivor already at the round's
-// version gets a frame with no state, an idle one the delta (and payload)
-// it lags by, a fresh joiner a full snapshot. Only connection failures
-// re-queue; an error the worker itself reports is deterministic and fails
-// the run (re-running the job elsewhere would fail identically). A dead
-// worker's mirror dies with its slot, so a re-dial starts from a full
-// snapshot.
+// A worker connection dying does not fail the run: its acknowledged
+// results are kept and the jobs it holds are dealt over the survivors, as
+// more broadcasts of the round built from the round state the encoder
+// still holds. Only connection failures re-queue; an error the worker
+// itself reports is deterministic and fails the run (re-running the job
+// elsewhere would fail identically). A dead worker's mirror dies with its
+// slot, so a re-dial starts from a full snapshot.
 //
 // Determinism: a result is identified by its job index and the engine folds
 // in job-index order regardless of arrival order, so the same results are
@@ -75,8 +80,9 @@ type Pipeline struct {
 	// dispatch, so re-queues frame against it too.
 	enc wire.Encoder
 
-	// mu guards the round in flight, per-slot queues, the fatal flag and
-	// the cumulative stats; cond (on mu) wakes await when a job settles.
+	// mu guards the round in flight, the slots' holds and bases, the fatal
+	// flag and the cumulative stats; cond (on mu) wakes await when a job
+	// settles.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cur    *roundFlight
@@ -91,8 +97,9 @@ type Pipeline struct {
 	stats Stats
 }
 
-// flight is one dispatched job's settlement state.
+// flight is one job's spec and settlement state.
 type flight struct {
+	spec fl.JobSpec
 	res  fl.Result
 	done bool
 }
@@ -109,25 +116,19 @@ type roundFlight struct {
 	sent atomic.Int64
 }
 
-// batch is one broadcast's worth of jobs queued on a worker slot, FIFO: the
-// worker answers broadcasts in order, so the head batch is the one whose
-// acks arrive next.
-type batch struct {
-	rf    *roundFlight
-	specs []fl.JobSpec
-	idxs  []int                     // specs[k] is job idxs[k] of rf
-	base  map[string]*tensor.Tensor // upload-decode base for this broadcast
-	acked int
-}
-
 // slotState is one worker slot's send/collect machinery. sendMu serializes
-// sendBatch — frame, mirror advance, enqueue, send — so the mirror and the
-// queue follow wire order; tracker, the coordinator's mirror of the
-// worker's wire.Tracker, is only touched under it.
+// send — frame, mirror advance, hold, write — so the mirror follows wire
+// order; tracker, the coordinator's mirror of the worker's wire.Tracker, is
+// only touched under it. The other fields are guarded by the Pipeline's mu.
 type slotState struct {
-	sendMu     sync.Mutex
-	tracker    wire.Tracker
-	queue      []*batch
+	sendMu  sync.Mutex
+	tracker wire.Tracker
+	// held lists the jobs of the round in flight dealt to the slot whose
+	// acks its collector has not read.
+	held []int
+	// base is the upload-decode base of the slot's latest frame: the
+	// mirror's dict once the frame was built.
+	base       map[string]*tensor.Tensor
 	collecting bool
 	dead       bool
 }
@@ -186,18 +187,6 @@ func (p *Pipeline) failLocked(err error) {
 	p.cond.Broadcast()
 }
 
-// liveOrJoined returns the live worker slots; when there are none it first
-// waits up to JoinWait for the coordinator's accept loop to admit a
-// (re-)joining worker, whose fresh slot full-snapshots (elastic
-// membership). Callers must not hold mu.
-func (p *Pipeline) liveOrJoined() []int {
-	live := p.coord.liveSlots()
-	if len(live) == 0 && p.JoinWait > 0 && p.coord.AwaitLive(1, p.JoinWait) == nil {
-		live = p.coord.liveSlots()
-	}
-	return live
-}
-
 // slotFor returns (creating if needed) slot's state. Callers must hold mu.
 func (p *Pipeline) slotFor(slot int) *slotState {
 	st, ok := p.slots[slot]
@@ -208,9 +197,7 @@ func (p *Pipeline) slotFor(slot int) *slotState {
 	return st
 }
 
-// dispatch is RunEach's first half: build and send one broadcast per live
-// worker — every live slot gets a frame each round, idle ones a bare
-// KindNone, keeping all workers in lockstep with the version stream — and
+// dispatch is RunEach's first half: register the round, deal every job and
 // return the round as soon as the sends complete. Results arrive on the
 // collectors; await hands them over.
 func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
@@ -227,11 +214,6 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	// mutating the global during aggregation.
 	p.enc.SetRound(nn.StateDict(p.alg.Global()), payload)
 	start := time.Now()
-
-	live := p.liveOrJoined()
-	if len(live) == 0 {
-		return nil, fmt.Errorf("transport: no live workers to dispatch round %d", round)
-	}
 
 	// Register the round before anything hits the wire: acks can start
 	// arriving the moment the first send completes.
@@ -255,39 +237,15 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 		remaining: len(jobs),
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1, Start: start},
 	}
+	all := make([]int, len(jobs))
+	for k := range jobs {
+		rf.jobs[k].spec = jobs[k].Spec
+		all[k] = k
+	}
 	p.cur = rf
 	p.mu.Unlock()
 
-	// Round-robin the jobs over the live slots; a job's position in its
-	// slot's spec list is the Index its ack will carry.
-	batches := make([]*batch, len(live))
-	for i := range batches {
-		batches[i] = &batch{rf: rf}
-	}
-	for k := range jobs {
-		b := batches[k%len(live)]
-		b.specs = append(b.specs, jobs[k].Spec)
-		b.idxs = append(b.idxs, k)
-	}
-	send := func(i int) {
-		if err := p.sendBatch(live[i], batches[i]); err != nil {
-			// The slot died: its queued jobs (this batch included)
-			// re-queue on the survivors.
-			p.workerDied(live[i])
-		}
-	}
-	// Idle slots — those past the last job — go first. finishRound reads
-	// the round's broadcast count at its last ack, and every broadcast is
-	// counted before it is written, so a frame sent ahead of the last
-	// job-carrying one is always in the round's count; an idle frame sent
-	// after it could miss it.
-	active := min(len(jobs), len(live))
-	for i := active; i < len(live); i++ {
-		send(i)
-	}
-	for i := 0; i < active; i++ {
-		send(i)
-	}
+	p.deal(rf, all)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -295,26 +253,60 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	return rf, p.fatal
 }
 
-// sendBatch sends b to the slot as one broadcast of b's round: it builds
-// the slot's frame — a bare KindNone when b has no jobs, otherwise whatever
-// brings the worker from its mirrored state to the round's — advances the
-// mirror past it, enqueues b and writes the frame, all under the slot's
-// sendMu. Dispatch and re-queues can both send to a slot while a round is
-// in flight; holding sendMu from frame to send makes the mirror advance in
-// exactly the order the frames reach the wire, so each frame is built
-// against the state the worker will hold when it arrives. b's upload base
-// is the mirror's dict once its frame is built. The batch is enqueued
-// before the send: if the slot is dead or the send fails, the returned
-// error routes the caller into workerDied, which finds the batch in the
-// queue and re-queues its jobs. A frame that cannot be built fails the run.
-func (p *Pipeline) sendBatch(slot int, b *batch) error {
-	rf := b.rf
+// deal sends the round's jobs idxs round-robin, in the order given, over the
+// live slots, one broadcast per slot; a slot whose send fails goes to
+// workerDied, which deals the jobs it holds again. With no live slot it
+// first waits up to JoinWait for the coordinator's accept loop to admit a
+// (re-)joining worker, whose fresh slot full-snapshots (elastic
+// membership), and failing that fails the run. Every frame of a round
+// carries a job, so each is counted before the round's last ack can land.
+// Callers must not hold mu.
+func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
+	live := p.coord.liveSlots()
+	if len(live) == 0 && p.JoinWait > 0 && p.coord.AwaitLive(1, p.JoinWait) == nil {
+		live = p.coord.liveSlots()
+	}
+	p.mu.Lock()
+	if p.closed || p.fatal != nil {
+		p.mu.Unlock()
+		return
+	}
+	if len(live) == 0 {
+		p.failLocked(fmt.Errorf("transport: no live workers for %d jobs of round %d", len(idxs), rf.round))
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	for s := range min(len(live), len(idxs)) {
+		var share []int
+		for k := s; k < len(idxs); k += len(live) {
+			share = append(share, idxs[k])
+		}
+		if err := p.send(live[s], rf, share); err != nil {
+			p.workerDied(live[s])
+		}
+	}
+}
+
+// send sends the round's jobs idxs to the slot as one broadcast: it builds
+// the frame that brings the worker from its mirrored state to the round's,
+// advances the mirror past it, records the mirror's dict as the slot's
+// upload-decode base, adds idxs to the slot's hold and writes the frame, all
+// under the slot's sendMu. Dispatch and re-queues can both send to a slot
+// while a round is in flight; holding sendMu from frame to write makes the
+// mirror advance in exactly the order the frames reach the wire, so each
+// frame is built against the state the worker will hold when it arrives.
+// The jobs are held before the write: if the slot is dead or the write
+// fails, the returned error routes the caller into workerDied, which finds
+// them in the hold and deals them again. A frame that cannot be built fails
+// the run.
+func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
 	p.mu.Lock()
 	st := p.slotFor(slot)
 	p.mu.Unlock()
 	st.sendMu.Lock()
 	defer st.sendMu.Unlock()
-	f, err := p.enc.FrameFor(&st.tracker, len(b.idxs) > 0)
+	f, err := p.enc.FrameFor(&st.tracker)
 	if err == nil {
 		err = p.enc.Advance(&st.tracker, f)
 	}
@@ -324,11 +316,11 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 		p.mu.Unlock()
 		return nil
 	}
-	b.base = st.tracker.Dict
-	st.queue = append(st.queue, b)
+	st.base = st.tracker.Dict
+	st.held = append(st.held, idxs...)
 	if st.dead {
-		// The slot died while this batch was being prepared; the death
-		// that ran, or the one the caller runs next, re-queues it.
+		// The slot died while this send was being prepared; the death
+		// that ran, or the one the caller runs next, deals the jobs again.
 		p.mu.Unlock()
 		return fmt.Errorf("transport: worker %d is dead", slot)
 	}
@@ -341,23 +333,29 @@ func (p *Pipeline) sendBatch(slot int, b *batch) error {
 	case wire.KindNone:
 		rf.rs.IdleFrames++
 	}
+	jobs := make([]Job, len(idxs))
+	for k, ji := range idxs {
+		jobs[k] = Job{Index: ji, Spec: rf.jobs[ji].spec}
+	}
 	if !st.collecting {
 		st.collecting = true
 		go p.collect(slot, st)
 	}
 	p.mu.Unlock()
-	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: b.specs}, &rf.sent)
+	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: jobs}, &rf.sent)
 }
 
-// collect is slot's dedicated receive loop: it decodes acks against the
-// head batch of the slot's queue, settles flights, and finalizes the round
-// when its last ack lands. One collector runs per slot for the pipeline's
-// lifetime; it exits on worker death or pipeline close.
+// collect is slot's dedicated receive loop: it settles the job each ack
+// names, decoding the upload against the slot's base, and finalizes the
+// round when its last ack lands. One collector runs per slot for the
+// pipeline's lifetime; it exits on worker death or pipeline close.
 func (p *Pipeline) collect(slot int, st *slotState) {
 	for {
 		u, n, err := p.coord.recv(slot)
 		p.mu.Lock()
-		if p.closed {
+		if p.closed || st.dead {
+			// A dead slot's jobs were dealt again when it died: whatever
+			// it still reads settles nothing.
 			p.mu.Unlock()
 			return
 		}
@@ -378,31 +376,10 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			return
 		}
-		if len(st.queue) == 0 {
-			p.failLocked(fmt.Errorf("transport: worker %d sent an update with no broadcast outstanding", slot))
-			p.mu.Unlock()
-			return
-		}
-		b := st.queue[0]
-		if u.Done {
-			if b.acked != len(b.idxs) {
-				p.failLocked(fmt.Errorf("transport: worker %d closed round %d's stream with %d of %d acks", slot, b.rf.round, b.acked, len(b.idxs)))
-				p.mu.Unlock()
-				return
-			}
-			st.queue = st.queue[1:]
-			p.mu.Unlock()
-			continue
-		}
-		jr := u.Ack
-		if jr.Index < 0 || jr.Index >= len(b.idxs) {
-			p.failLocked(fmt.Errorf("transport: worker %d acked job slot %d of %d", slot, jr.Index, len(b.idxs)))
-			p.mu.Unlock()
-			return
-		}
-		rf := b.rf
-		if rf != p.cur {
-			p.failLocked(fmt.Errorf("transport: worker %d acked job %d of settled round %d", slot, jr.Index, rf.round))
+		jr, rf := u.Ack, p.cur
+		k := slices.Index(st.held, jr.Index)
+		if k < 0 {
+			p.failLocked(fmt.Errorf("transport: worker %d acked job %d, which it does not hold", slot, jr.Index))
 			p.mu.Unlock()
 			return
 		}
@@ -411,43 +388,37 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			p.mu.Unlock()
 			return
 		}
-		// Only accepted acks are round traffic: a Done frame may land after
-		// the round's last ack, so counting it would race finishRound.
+		// The job leaves the hold before the decode releases mu: a death
+		// meanwhile leaves it to this decode instead of dealing it again.
+		st.held = slices.Delete(st.held, k, k+1)
 		rf.rs.UploadBytes += int64(n)
 		if jr.Patch.Full {
 			rf.rs.UploadFallbacks++
 		} else {
 			rf.rs.PatchUploads++
 		}
-		var finished *RoundStats
-		if fl0 := &rf.jobs[b.idxs[jr.Index]]; !fl0.done {
-			res, err := p.decodeResult(jr, b.base)
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if err != nil {
-				p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
-				p.mu.Unlock()
-				return
-			}
-			// A re-queued copy of the job can settle it while this ack
-			// decodes; this result and its buffer are then dropped.
-			if !fl0.done {
-				fl0.res, fl0.done = res, true
-				nanos := time.Since(rf.rs.Start).Nanoseconds()
-				if rf.rs.FirstAckNanos == 0 {
-					rf.rs.FirstAckNanos = nanos
-				}
-				rf.rs.LastAckNanos = nanos
-				rf.remaining--
-				p.Telemetry.ObserveAck(slot, time.Duration(nanos))
-				if rf.remaining == 0 {
-					finished = p.finishRound(rf)
-				}
-			}
+		res, err := p.decodeResult(jr, st.base)
+		if p.closed {
+			p.mu.Unlock()
+			return
 		}
-		b.acked++
+		if err != nil {
+			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
+			p.mu.Unlock()
+			return
+		}
+		rf.jobs[jr.Index].res, rf.jobs[jr.Index].done = res, true
+		nanos := time.Since(rf.rs.Start).Nanoseconds()
+		if rf.rs.FirstAckNanos == 0 {
+			rf.rs.FirstAckNanos = nanos
+		}
+		rf.rs.LastAckNanos = nanos
+		rf.remaining--
+		p.Telemetry.ObserveAck(slot, time.Duration(nanos))
+		var finished *RoundStats
+		if rf.remaining == 0 {
+			finished = p.finishRound(rf)
+		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 		if finished != nil && p.OnRound != nil {
@@ -470,15 +441,16 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	return &rs
 }
 
-// workerDied handles a slot's connection death: re-queue every unfinished
-// job of the round in flight that its queued batches hold onto the
-// survivors, one batch per survivor sent like any other (sendBatch). When
-// the dead slot was the last live one, wait up to JoinWait for a
-// (re-)joining worker and re-queue onto its fresh slot. Safe to call
-// repeatedly and from collectors and dispatch alike: each call drains
-// whatever the slot's queue holds (a sendBatch that lost the race with an
-// earlier death appends its batch to the dead slot's queue and then routes
-// here), so no batch is ever stranded. Callers must not hold mu.
+// workerDied handles a slot's connection death: the jobs the slot holds —
+// dealt to it, their acks not read — are dealt again over the survivors
+// (deal), in job-index order. A job whose ack the slot's collector read
+// before the death has left the hold, and that collector's decode settles
+// it. When the dead slot was the last live one, deal waits up to JoinWait
+// for a (re-)joining worker. Safe to call repeatedly and from collectors
+// and senders alike: each call takes whatever the slot holds (a send that
+// lost the race with an earlier death adds its jobs to the dead slot's
+// hold and then routes here), so no job is ever stranded. Callers must not
+// hold mu.
 func (p *Pipeline) workerDied(slot int) {
 	p.coord.markDead(slot)
 	p.mu.Lock()
@@ -493,66 +465,21 @@ func (p *Pipeline) workerDied(slot int) {
 		p.Telemetry.WorkerDead(slot)
 	}
 	st.dead = true
-	// Batches of earlier rounds were fully acked — only their Done frames
-	// were outstanding — so the unfinished jobs all belong to the round in
-	// flight.
-	rf := p.cur
-	var specs []fl.JobSpec
-	var idxs []int
-	for _, b := range st.queue {
-		if b.rf != rf {
-			continue
-		}
-		for k, ji := range b.idxs {
-			if !rf.jobs[ji].done {
-				specs = append(specs, b.specs[k])
-				idxs = append(idxs, ji)
-			}
-		}
-	}
-	st.queue = nil
-	p.mu.Unlock()
+	idxs, rf := st.held, p.cur
+	st.held = nil
 	if len(idxs) == 0 {
-		return
-	}
-
-	// The redo jobs now belong to this call alone — their batches left the
-	// dead slot's queue, so the round cannot finish under it, and no next
-	// round can replace the encoder's state — and the wait for a survivor
-	// can run unlocked.
-	survivors := p.liveOrJoined()
-
-	p.mu.Lock()
-	if p.closed || p.fatal != nil {
 		p.mu.Unlock()
 		return
 	}
-	if len(survivors) == 0 {
-		p.failLocked(fmt.Errorf("transport: no live workers with jobs unfinished"))
-		p.mu.Unlock()
-		return
-	}
+	slices.Sort(idxs)
 	rf.rs.Attempts++
 	p.Telemetry.Requeued(rf.task, rf.round, len(idxs))
 	p.mu.Unlock()
-
-	// Deal the jobs round-robin into one batch per survivor.
-	batches := make([]*batch, min(len(survivors), len(idxs)))
-	for k, ji := range idxs {
-		s := k % len(survivors)
-		if batches[s] == nil {
-			batches[s] = &batch{rf: rf}
-		}
-		batches[s].specs = append(batches[s].specs, specs[k])
-		batches[s].idxs = append(batches[s].idxs, ji)
-	}
-	for s, b := range batches {
-		if err := p.sendBatch(survivors[s], b); err != nil {
-			// The survivor died too; recurse — its queue (our batch
-			// included) re-queues on whoever is left.
-			p.workerDied(survivors[s])
-		}
-	}
+	// The jobs now belong to this call alone — they left the dead slot's
+	// hold, so the round cannot finish under it, and no next round can
+	// replace the encoder's state — and the wait for a survivor can run
+	// unlocked.
+	p.deal(rf, idxs)
 }
 
 // await is RunEach's second half: block until job index of rf settles, then
@@ -598,6 +525,11 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 	return nil
 }
 
+// holdDecode, set by tests through export_test.go, runs inside
+// decodeResult with mu released, before the patch decodes, given the ack's
+// job index: a test holds a collector there to kill its slot mid-decode.
+var holdDecode atomic.Pointer[func(index int)]
+
 // decodeResult converts one acked JobResult into an fl.Result, decoding the
 // upload patch into a buffer from the free list. base is the broadcast base
 // the sending worker diffed its patch against — its post-frame state, the
@@ -607,10 +539,11 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 // ack to overwrite.
 //
 // Called with mu held, and returns with it held, but releases it while the
-// patch decodes: the ack's bytes are the collector's until its next recv
-// and base is immutable, and an engine waiting on mu behind a decode would
-// leave every result decoded meanwhile holding a buffer. The method's
-// DecodeUpload, not documented concurrency-safe, runs under mu.
+// patch decodes (and while a test's holdDecode runs): the ack's bytes are
+// the collector's until its next recv and base is immutable, and an engine
+// waiting on mu behind a decode would leave every result decoded meanwhile
+// holding a buffer. The method's DecodeUpload, not documented
+// concurrency-safe, runs under mu.
 func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
 	var buf *wire.DecodeBuffer
 	if n := len(p.free); n > 0 {
@@ -619,6 +552,9 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		buf = new(wire.DecodeBuffer)
 	}
 	p.mu.Unlock()
+	if hold := holdDecode.Load(); hold != nil {
+		(*hold)(jr.Index)
+	}
 	dict, err := buf.Decode(base, jr.Patch)
 	p.mu.Lock()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
 )
@@ -32,13 +33,13 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 	domains := family.Domains[:2]
 	for _, method := range []string{"RefFiL", "FedLwF"} {
 		t.Run(short(method), func(t *testing.T) {
-			var cleanState, poisonedState finalState
+			var cleanState, poisonedState fltest.Final
 			clean, cleanStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &cleanState})
 			restore := transport.PoisonReusedBuffers()
 			poisoned, poisonedStats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &poisonedState})
 			restore()
 			requireSameMatrix(t, "poisoned", clean, poisoned)
-			requireSameFinal(t, "poisoned", cleanState, poisonedState)
+			fltest.RequireSameFinal(t, "poisoned", cleanState, poisonedState)
 			if cleanStats != poisonedStats {
 				t.Fatalf("stats differ under poisoned buffers:\n%+v\n%+v", cleanStats, poisonedStats)
 			}
@@ -77,7 +78,7 @@ func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 			t.Fatalf("poisoned crash-and-redial run failed: %v", err)
 		}
 		requireSameMatrix(t, "poisoned crash-and-redial", want.A, mat.A)
-		requireSameFinal(t, "poisoned crash-and-redial", want.final, finalOf(t, alg))
+		fltest.RequireSameFinal(t, "poisoned crash-and-redial", want.final, fltest.FinalOf(t, alg))
 		requireAllPatchUploads(t, runner.Stats())
 		_ = runner.Close()
 		if err := coord.Shutdown(); err != nil {

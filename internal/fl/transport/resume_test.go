@@ -11,18 +11,14 @@ package transport_test
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"math"
-	"slices"
 	"testing"
 
 	"reffil/internal/checkpoint"
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/model"
-	"reffil/internal/nn"
-	"reffil/internal/tensor"
 )
 
 // captureSnapshots runs the method on the in-process runner, collecting
@@ -51,7 +47,7 @@ func captureSnapshots(t *testing.T, method string, family *data.Family, domains 
 // resumeFrom round-trips a snapshot through the run-state disk format and
 // runs a fresh engine from it, returning the completed matrix and the final
 // weights and wire state.
-func resumeFrom(t *testing.T, method string, family *data.Family, domains []string, snap fl.ResumeState) ([][]float64, finalState) {
+func resumeFrom(t *testing.T, method string, family *data.Family, domains []string, snap fl.ResumeState) ([][]float64, fltest.Final) {
 	t.Helper()
 	var buf bytes.Buffer
 	snap.Method, snap.Seed = method, crossRunnerConfig().Seed
@@ -78,58 +74,7 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if err != nil {
 		t.Fatalf("resume from (%d,%d) failed: %v", snap.NextTask, snap.NextRound, err)
 	}
-	return mat.A, finalOf(t, alg)
-}
-
-// finalState is what a finished run leaves besides its matrix: the global
-// state dict and, for a method with wire state, the encoded wire state.
-type finalState struct {
-	global map[string]*tensor.Tensor
-	wire   []byte
-}
-
-// finalOf captures alg's final state.
-func finalOf(t *testing.T, alg fl.Algorithm) finalState {
-	t.Helper()
-	st := finalState{global: nn.StateDict(alg.Global())}
-	if ws, ok := alg.(fl.WireStater); ok {
-		wire, err := ws.EncodeWireState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.wire = wire
-	}
-	return st
-}
-
-// requireSameFinal requires got to hold the reference's weights bit for bit —
-// the same key set both ways and every element's Float64bits — and the same
-// wire-state bytes.
-func requireSameFinal(t *testing.T, label string, want, got finalState) {
-	t.Helper()
-	for name := range got.global {
-		if _, ok := want.global[name]; !ok {
-			t.Fatalf("%s global state has key %q the reference lacks", label, name)
-		}
-	}
-	for _, name := range slices.Sorted(maps.Keys(want.global)) {
-		w := want.global[name]
-		g, ok := got.global[name]
-		if !ok {
-			t.Fatalf("%s global state lacks key %q", label, name)
-		}
-		if !g.SameShape(w) {
-			t.Fatalf("%s global %q has shape %v, reference %v", label, name, g.Shape(), w.Shape())
-		}
-		for i, v := range w.Data() {
-			if math.Float64bits(g.Data()[i]) != math.Float64bits(v) {
-				t.Fatalf("%s global %q[%d] = %v, reference %v", label, name, i, g.Data()[i], v)
-			}
-		}
-	}
-	if !bytes.Equal(got.wire, want.wire) || (got.wire == nil) != (want.wire == nil) {
-		t.Fatalf("%s wire state (%d bytes) differs from the reference's (%d bytes)", label, len(got.wire), len(want.wire))
-	}
+	return mat.A, fltest.FinalOf(t, alg)
 }
 
 // TestResumeBitIdentical resumes from checkpoints and requires the
@@ -167,7 +112,7 @@ func TestResumeBitIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("task%d_round%d", snap.NextTask, snap.NextRound), func(t *testing.T) {
 					got, final := resumeFrom(t, method, family, domains, snap)
 					requireSameMatrix(t, "resumed", want.A, got)
-					requireSameFinal(t, "resumed", want.final, final)
+					fltest.RequireSameFinal(t, "resumed", want.final, final)
 				})
 			}
 		})

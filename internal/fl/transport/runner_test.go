@@ -20,6 +20,7 @@ import (
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/model"
 	"reffil/internal/telemetry"
@@ -63,7 +64,7 @@ func runLocal(t *testing.T, method string, family *data.Family, domains []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return localRun{A: mat.A, final: finalOf(t, alg)}
+	return localRun{A: mat.A, final: fltest.FinalOf(t, alg)}
 }
 
 // tcpRun configures one loopback federation for runTCPWith.
@@ -82,7 +83,7 @@ type tcpRun struct {
 	onRound func(transport.RoundStats)
 	// final, when non-nil, receives the coordinator's final global state
 	// dict and wire state.
-	final *finalState
+	final *fltest.Final
 }
 
 // runTCPWith executes the same sequence as runLocal over loopback TCP:
@@ -158,7 +159,7 @@ func runTCPWith(t *testing.T, method string, family *data.Family, domains []stri
 		t.Fatal(err)
 	}
 	if opt.final != nil {
-		*opt.final = finalOf(t, alg)
+		*opt.final = fltest.FinalOf(t, alg)
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
@@ -198,12 +199,12 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
 			local := localRunOf(t, method, family, domains)
-			var final finalState
+			var final fltest.Final
 			remote, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &final})
 			// Only the lower triangle is recorded (task i is evaluated on
 			// domains 0..i); the rest stays NaN.
 			requireSameMatrix(t, "TCP", local.A, remote)
-			requireSameFinal(t, "TCP", local.final, final)
+			fltest.RequireSameFinal(t, "TCP", local.final, final)
 			requireAllPatchUploads(t, stats)
 		})
 	}
@@ -333,20 +334,22 @@ func TestClassLimitedFamilyOverTCP(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	local := runLocal(t, "RefFiL", family, domains)
-	var final finalState
+	var final fltest.Final
 	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, final: &final})
 	requireSameMatrix(t, "TCP(class-limited)", local.A, remote)
-	requireSameFinal(t, "TCP(class-limited)", local.final, final)
+	fltest.RequireSameFinal(t, "TCP(class-limited)", local.final, final)
 	requireAllPatchUploads(t, stats)
 }
 
 // TestCodecDeterminism runs every method of the paper's tables the way the
 // benchmark configures its Pipeline — the "delta" codec named through
-// UseCodec — over four workers, so with three jobs a round one slot idles in
-// every round and the broadcasts mix full, delta and idle frames. Each
-// method's accuracy matrix must equal the in-process reference exactly (==),
-// every upload must be a patch, and no slot may need more than the one full
-// snapshot its fresh connection costs.
+// UseCodec — over four workers, so with three jobs a round one slot is
+// dealt no job in any round. Each method's accuracy matrix must equal the
+// in-process reference exactly (==), every upload must be a patch, each of
+// the three working slots must take exactly the one full snapshot its fresh
+// connection costs, and the slot with no job must receive no frame: its
+// first would be a fourth full snapshot, and with nothing re-queued every
+// frame carries state.
 func TestCodecDeterminism(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -362,23 +365,21 @@ func TestCodecDeterminism(t *testing.T) {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
 			local := localRunOf(t, method, family, domains)
-			var final finalState
+			var final fltest.Final
 			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: workers, codec: "delta", final: &final})
 			requireSameMatrix(t, "TCP(delta)", local.A, delta)
-			requireSameFinal(t, "TCP(delta)", local.final, final)
+			fltest.RequireSameFinal(t, "TCP(delta)", local.final, final)
 			requireAllPatchUploads(t, stats)
-			if stats.IdleFrames == 0 {
-				t.Fatalf("four workers for three jobs sent no idle frames: %+v", stats)
-			}
-			if stats.Fallbacks > workers {
-				t.Fatalf("%d full-snapshot fallbacks over %d fresh slots: %+v", stats.Fallbacks, workers, stats)
+			if stats.Fallbacks != workers-1 || stats.IdleFrames != 0 {
+				t.Fatalf("%d full-snapshot fallbacks and %d frames without state over %d fresh slots, one with no job: %+v",
+					stats.Fallbacks, stats.IdleFrames, workers, stats)
 			}
 		})
 	}
 }
 
 // TestDeltaStatsAreDeterministic runs one federation twice — four
-// workers for three jobs a round, so one slot idles every round — and
+// workers for three jobs a round, so one slot is sent nothing — and
 // requires the two runs' Stats to be equal, byte counts included: the
 // counts are whole frames of round traffic, none of which can race a
 // round's last ack. The values are pinned too, so a change to which frames
@@ -397,8 +398,8 @@ func TestDeltaStatsAreDeterministic(t *testing.T) {
 		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
 	}
 	want := transport.Stats{
-		Rounds: 4, BroadcastBytes: 3105679, UploadBytes: 2212550,
-		FullFrames: 3, DeltaFrames: 9, IdleFrames: 4, Fallbacks: 3,
+		Rounds: 4, BroadcastBytes: 3105591, UploadBytes: 2212550,
+		FullFrames: 3, DeltaFrames: 9, IdleFrames: 0, Fallbacks: 3,
 		PatchUploads: 12, UploadFallbacks: 0,
 	}
 	if first != want {

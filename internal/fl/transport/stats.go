@@ -16,9 +16,9 @@ type Stats struct {
 	BroadcastBytes int64
 	UploadBytes    int64
 	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
-	// kind: complete snapshots, per-key diffs, and frames carrying no state
-	// at all (idle workers, and re-queued jobs on a worker already at the
-	// current version).
+	// kind: complete snapshots, per-key diffs, and job-carrying frames
+	// without state (re-queued jobs on a worker already at the current
+	// version). A worker dealt no job is sent no frame, so none is counted.
 	FullFrames  int64
 	DeltaFrames int64
 	IdleFrames  int64

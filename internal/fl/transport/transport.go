@@ -39,7 +39,7 @@
 // one more broadcast on the survivor's frame stream: exactly one round is in
 // flight, so the coordinator's encoder still holds that round's state, and
 // the survivor's frame brings it from whatever version it holds — none, when
-// it is current; a delta or a full snapshot, when it idled or just joined.
+// it is current; a delta or a full snapshot, when it lags or just joined.
 package transport
 
 import (
@@ -62,19 +62,20 @@ import (
 // the bytes inside one change meaning; the golden frames in frame_test.go
 // fail until the bump is made.
 //
-// v12: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
-// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Frame, Jobs}, and an
-// Update as one of ack{WorkerID, JobResult}, done{WorkerID, Error} or
-// pong{WorkerID}; every state dict in them is a wire.Patch{Full, Dense,
-// Packed}, and every method payload (fl.WireStater, fl.UploadCoder) is a
-// checkpoint dict. v11 also carried the broadcast's codec name.
-const ProtocolVersion = 12
+// v13: messages are frames (frame.go) — Hello{WorkerID, Heartbeat},
+// HelloAck{Slot, Error}, Broadcast{Task, Round, Done, Frame, Jobs} of
+// {Index, JobSpec} entries, and an Update as one of ack{WorkerID, JobResult},
+// fail{WorkerID, Error} or pong{WorkerID}; every state dict in them is a
+// wire.Patch{Full, Dense, Packed}, and every method payload is a checkpoint
+// dict. v12 named an acked job by its position in the broadcast, ended each
+// reply with a done frame and sent stateless frames to slots without jobs.
+const ProtocolVersion = 13
 
 // Broadcast is a coordinator-to-worker message: one round's state and job
-// assignment. A round normally sends one broadcast per worker; when a
-// worker dies mid-round, survivors receive a follow-up broadcast for the
-// same (Task, Round) carrying the re-queued jobs, its Frame built against
-// the survivor's state like any other.
+// assignment. A round sends one broadcast to each worker it deals a job to
+// and none to the others; when a worker dies mid-round, survivors receive a
+// follow-up broadcast for the same (Task, Round) carrying the re-queued
+// jobs, its Frame built against the survivor's state like any other.
 type Broadcast struct {
 	// Version is the wire protocol revision; stamped by the coordinator,
 	// checked by workers.
@@ -88,18 +89,24 @@ type Broadcast struct {
 	// changed since this worker last loaded it.
 	Frame wire.Frame
 	// Jobs frames the local-training jobs assigned to this worker for the
-	// round: client id, group, round, and the domain/seed coordinates the
-	// worker derives its data shard from. Workers with no jobs reply with
-	// a bare Done update.
-	Jobs []fl.JobSpec
+	// round, each under its index in the round.
+	Jobs []Job
 	// Done tells workers to exit their serve loop.
 	Done bool
 }
 
+// Job is one entry of a Broadcast's job list: the job's index in its round,
+// set by the Pipeline and echoed by the ack, and the spec (client id, group,
+// round, and the coordinates the worker derives its data shard from).
+type Job struct {
+	Index int
+	Spec  fl.JobSpec
+}
+
 // JobResult is one executed job's acknowledged reply.
 type JobResult struct {
-	// Index is the job's position in the broadcast's Jobs list; the
-	// coordinator validates it when mapping results back to round order.
+	// Index is the job's index in its round, echoed from the broadcast's
+	// Job entry; the coordinator settles the job it names.
 	Index int
 	// Patch is the trained replica's state (the FedAvg payload): a lossless
 	// diff against the round's broadcast base — the dict both ends already
@@ -113,25 +120,23 @@ type JobResult struct {
 	Upload []byte
 }
 
-// Update is a worker-to-coordinator frame. A worker answers each broadcast
-// with a stream of per-job acks — one Update holding exactly one JobResult,
-// sent the moment that job finishes training — terminated by one final
-// Update with Done set (and Error, if the handler failed). The per-job
-// framing is what lets the coordinator keep a dead worker's completed
-// results and re-queue only its unfinished jobs.
+// Update is a worker-to-coordinator frame: exactly one of an ack, a fail
+// or a pong. A worker answers each broadcast with one ack per job — one
+// Update holding exactly one JobResult, sent the moment that job finishes
+// training — and nothing else once they are sent. The per-job framing is
+// what lets the coordinator keep a dead worker's completed results and
+// re-queue only its unfinished jobs.
 type Update struct {
 	// Version is stamped by the worker and checked by the coordinator.
 	Version  int
 	WorkerID int
-	// Ack is the one job result an ack frame carries; nil on the final
-	// Done frame and on a pong.
+	// Ack is the one job result an ack frame carries; nil on a fail frame
+	// and on a pong.
 	Ack *JobResult
-	// Done marks the end of this worker's reply stream for the broadcast.
-	Done bool
-	// Error reports a worker-side failure for the round. It rides on the
-	// final frame; the coordinator fails the round with it — worker logic
-	// errors are deterministic, so re-queueing the job elsewhere would
-	// fail identically.
+	// Error, set on a fail frame only, reports a worker-side failure — the
+	// handler's error or a broadcast of another version — and fails the
+	// round: worker logic errors are deterministic, so re-queueing the job
+	// elsewhere would fail identically.
 	Error string
 	// Pong marks a liveness heartbeat: sent on a timer by workers that
 	// advertised a heartbeat interval in their Hello, consumed inside the
@@ -533,7 +538,7 @@ func (c *Coordinator) Close() error {
 type Worker struct {
 	id   int
 	conn net.Conn
-	// out serializes outgoing updates: Serve's job acks and final frames
+	// out serializes outgoing updates: Serve's job acks and fail frame
 	// interleave with the heartbeat goroutine's Pong frames on the one
 	// stream. in is read by Serve alone.
 	out frameWriter
@@ -622,13 +627,12 @@ func (w *Worker) heartbeatLoop(interval time.Duration) {
 
 // Serve processes broadcasts until the coordinator sends Done or the
 // connection closes. handle receives each broadcast plus an emit function
-// that streams one acknowledged JobResult back to the coordinator; Serve
-// appends the final Done frame itself when handle returns. Outgoing frames
-// are stamped with the worker id and ProtocolVersion. A broadcast from a
-// different protocol version, or a handler error, is reported to the
-// coordinator on the final frame and then surfaced as Serve's own error —
-// the worker does not try to keep decoding a stream it may be misreading.
-// The version gate runs before anything else is honored, including Done: a
+// that streams one acknowledged JobResult back to the coordinator. Outgoing
+// frames are stamped with the worker id and ProtocolVersion. A broadcast
+// from a different protocol version, or a handler error, is reported to the
+// coordinator on a fail frame and then surfaced as Serve's own error — the
+// worker does not try to keep decoding a stream it may be misreading. The
+// version gate runs before anything else is honored, including Done: a
 // mismatched-version coordinator must not be able to silently shut a
 // worker down (Shutdown stamps Done frames with the version like every
 // other send). A broadcast's byte fields alias the connection's read buffer,
@@ -641,33 +645,28 @@ func (w *Worker) Serve(handle func(b Broadcast, emit func(JobResult) error) erro
 			return fmt.Errorf("transport: worker %d receive: %w", w.id, err)
 		}
 		var fatal error
-		final := Update{WorkerID: w.id, Version: ProtocolVersion, Done: true}
+		fail := Update{WorkerID: w.id, Version: ProtocolVersion}
 		if b.Version != ProtocolVersion {
 			fatal = fmt.Errorf("transport: worker %d speaks protocol v%d, coordinator sent v%d", w.id, ProtocolVersion, b.Version)
-			final.Error = fatal.Error()
+			fail.Error = fatal.Error()
 		} else if b.Done {
 			return nil
-		} else {
-			emit := func(jr JobResult) error {
-				return w.send(Update{WorkerID: w.id, Version: ProtocolVersion, Ack: &jr})
-			}
-			if err := handle(b, emit); err != nil {
-				fatal = fmt.Errorf("transport: worker %d handler: %w", w.id, err)
-				final.Error = err.Error()
-			}
+		} else if err := handle(b, func(jr JobResult) error {
+			return w.send(Update{WorkerID: w.id, Version: ProtocolVersion, Ack: &jr})
+		}); err != nil {
+			fatal = fmt.Errorf("transport: worker %d handler: %w", w.id, err)
+			fail.Error = err.Error()
 		}
-		if err := w.send(final); err != nil {
-			if fatal != nil {
-				// The handler/version failure is the real story — when the
-				// coordinator is already gone the final frame always fails
-				// too, and reporting only the send would mask the cause.
-				return fmt.Errorf("%w (final frame not sent: %v)", fatal, err)
-			}
-			return fmt.Errorf("transport: worker %d send: %w", w.id, err)
+		if fatal == nil {
+			continue
 		}
-		if fatal != nil {
-			return fatal
+		if err := w.send(fail); err != nil {
+			// The handler/version failure is the real story — when the
+			// coordinator is already gone the fail frame always fails too,
+			// and reporting only the send would mask the cause.
+			return fmt.Errorf("%w (fail frame not sent: %v)", fatal, err)
 		}
+		return fatal
 	}
 }
 

@@ -108,7 +108,7 @@ func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 // job by adding delta(clientID) to every broadcast weight and acks it. It
 // maintains the worker-side frame tracker and uploads patches against the
 // state it trained from, so it works under every frame kind (full
-// snapshots, per-key deltas, idle frames).
+// snapshots, per-key deltas, frames without state).
 func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	return perturbKeysHandler(nil, delta)
 }
@@ -123,7 +123,7 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 			return err
 		}
 		base := tr.Dict
-		for k, spec := range b.Jobs {
+		for _, job := range b.Jobs {
 			state := cloneDict(base)
 			for name, v := range state {
 				if keys != nil {
@@ -137,14 +137,14 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 				}
 				d := v.Data()
 				for j := range d {
-					d[j] += delta(spec.ClientID)
+					d[j] += delta(job.Spec.ClientID)
 				}
 			}
 			p, err := wire.Delta{}.Encode(base, state)
 			if err != nil {
 				return err
 			}
-			if err := emit(JobResult{Index: k, Patch: p}); err != nil {
+			if err := emit(JobResult{Index: job.Index, Patch: p}); err != nil {
 				return err
 			}
 		}
@@ -190,9 +190,10 @@ func fakeCoordHandshake(t *testing.T, conn net.Conn) (*frameWriter, *frameReader
 	return enc, dec
 }
 
-// TestPipelineStreamsPerJobAcks drives the v3 flow end to end over loopback:
+// TestPipelineStreamsPerJobAcks drives the flow end to end over loopback:
 // three jobs fan out over two workers, each worker streams one ack per job
-// plus a Done frame, and the Pipeline maps the acks back into job order.
+// naming the job's index in the round, and the Pipeline hands the results
+// over in job order.
 func TestPipelineStreamsPerJobAcks(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -230,18 +231,29 @@ func TestPipelineStreamsPerJobAcks(t *testing.T) {
 	}
 }
 
-// TestPipelineIdleWorkerStaysInLockstep runs a round with fewer jobs than
-// workers: the idle worker must receive an empty broadcast, answer with a
-// bare Done, and stay live for the next round.
+// TestPipelineIdleWorkerStaysInLockstep runs two rounds with fewer jobs
+// than workers: the worker dealt no job must be sent no frame at all, and
+// stay live, so a third round with a job for each worker reaches it with the
+// full snapshot its first frame is.
 func TestPipelineIdleWorkerStaysInLockstep(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	var mu sync.Mutex
+	var idleSaw []wire.Kind
+	idle := perturbHandler(func(id int) float64 { return 1 })
 	done := acceptInOrder(t, coord,
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
-		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
+		func(w *Worker) error {
+			return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
+				mu.Lock()
+				idleSaw = append(idleSaw, b.Frame.Kind)
+				mu.Unlock()
+				return idle(b, emit)
+			})
+		},
 	)
 	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
@@ -256,8 +268,23 @@ func TestPipelineIdleWorkerStaysInLockstep(t *testing.T) {
 			t.Fatalf("round %d result = %v, want 1", round, got)
 		}
 	}
+	mu.Lock()
+	saw := len(idleSaw)
+	mu.Unlock()
+	if saw != 0 {
+		t.Fatalf("the worker dealt no job received %d frames, want none", saw)
+	}
 	if got := coord.NumLive(); got != 2 {
 		t.Fatalf("live workers = %d, want 2", got)
+	}
+	results, err := runCollected(r, wireJobs(7, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 1} {
+		if got := results[i].Dict["w"].At(0); got != want {
+			t.Fatalf("third round job %d result = %v, want %v", i, got, want)
+		}
 	}
 	_ = r.Close()
 	if err := coord.Shutdown(); err != nil {
@@ -267,6 +294,9 @@ func TestPipelineIdleWorkerStaysInLockstep(t *testing.T) {
 		if err := <-ch; err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
+	}
+	if !reflect.DeepEqual(idleSaw, []wire.Kind{wire.KindFull}) {
+		t.Fatalf("the once-idle worker saw frames %v, want one full snapshot", idleSaw)
 	}
 }
 
@@ -428,9 +458,10 @@ func TestPipelineCloseFailsWaitingRound(t *testing.T) {
 
 // TestBroadcastRoundTrip pins the frame codec: a Broadcast carrying a
 // versioned delta frame (packed patch, payload bytes) and per-client job
-// specs, a re-queue broadcast to an idle survivor (full snapshot and a
-// spliced payload), and the per-job ack, Done and Pong updates must
-// round-trip through one frame stream without loss.
+// entries, a re-queue broadcast to a survivor dealt no job before (full
+// snapshot and a spliced payload), the shutdown broadcast, and the per-job
+// ack, fail and pong updates must round-trip through one frame stream
+// without loss; an update that is none of those is refused.
 func TestBroadcastRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dense, err := wire.Delta{}.Encode(nil, map[string]*tensor.Tensor{"w": tensor.RandN(rng, 1, 2, 3)})
@@ -457,7 +488,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			HasPayload:     true,
 			Payload:        []byte{9, 8, 7},
 		},
-		Jobs: []fl.JobSpec{{
+		Jobs: []Job{{Index: 3, Spec: fl.JobSpec{
 			ClientID:   5,
 			Task:       1,
 			ClientTask: 1,
@@ -473,7 +504,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 				{Dataset: "pacs", Image: 16, Domain: "cartoon", Task: 1, TrainPerDomain: 24, TestPerDomain: 12,
 					GenSeed: fl.TaskSeed(2025, 1), Learners: 5, Index: 0, Alpha: 0.5, PartSeed: fl.PartitionSeed(2025, 1)},
 			},
-		}},
+		}}},
 	}
 	requeue := Broadcast{
 		Version: ProtocolVersion, Task: 1, Round: 4, Jobs: b.Jobs,
@@ -508,8 +539,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			WorkerID: 0,
 			Ack:      &JobResult{Index: 2, Patch: patch},
 		},
-		{Version: ProtocolVersion, WorkerID: 1, Done: true},
-		{Version: ProtocolVersion, WorkerID: 1, Done: true, Error: "local training failed"},
+		{Version: ProtocolVersion, WorkerID: 1, Error: "local training failed"},
 		{Version: ProtocolVersion, WorkerID: 3, Pong: true},
 	} {
 		if err := enc.writeUpdate(&u); err != nil {
@@ -523,6 +553,9 @@ func TestBroadcastRoundTrip(t *testing.T) {
 			t.Fatalf("update round trip diverged:\n got %+v\nwant %+v", got, u)
 		}
 	}
+	if err := enc.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1}); err == nil {
+		t.Fatal("an update with no ack, error or pong was written")
+	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes left on the stream after the last frame", buf.Len())
 	}
@@ -530,8 +563,8 @@ func TestBroadcastRoundTrip(t *testing.T) {
 
 // TestWorkerRejectsVersionMismatch drives a Worker.Serve loop from a raw
 // frame stream posing as a future-protocol coordinator: the worker must
-// report the mismatch on its final frame and terminate Serve with an
-// error rather than interpreting the broadcast.
+// report the mismatch on a fail frame, send nothing after it, and
+// terminate Serve with an error rather than interpreting the broadcast.
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -570,11 +603,14 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	if u.Error == "" || !strings.Contains(u.Error, "protocol") {
 		t.Fatalf("update error = %q, want a protocol version rejection", u.Error)
 	}
-	if !u.Done {
-		t.Fatal("the error frame must be the stream's final frame")
+	if u.Ack != nil || u.Pong {
+		t.Fatalf("update %+v, want a fail frame", u)
 	}
 	if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("Serve returned %v, want a protocol version error", err)
+	}
+	if u, _, err := dec.readUpdate(); err == nil {
+		t.Fatalf("the worker sent %+v after its fail frame", u)
 	}
 	select {
 	case <-handled:
@@ -695,7 +731,7 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- enc.writeUpdate(&Update{Version: ProtocolVersion - 1, Done: true})
+		done <- enc.writeUpdate(&Update{Version: ProtocolVersion - 1, Error: "an older worker"})
 	}()
 	if err := coord.Accept(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -1048,11 +1084,11 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 // TestRequeueAdvancesSurvivorMirror pins the re-queue/delta interaction:
 // jobs re-queued onto a survivor are broadcasts of the round in flight like
 // any other, framed against the survivor's mirror, which advances with them.
-// Three workers die holding jobs, one after another, and the idle worker 3
-// inherits twice: its first re-queue frame is a full snapshot (it never held
-// a state version), its second carries no state (it now holds the round's),
-// and its next live frame is a delta from the round's version rather than a
-// fallback. Worker 2 dies on its dispatch frame, workers 0 and 1 on the
+// Three workers die holding jobs, one after another, and worker 3, dealt no
+// job and so sent no frame at dispatch, inherits twice: its first re-queue
+// frame is a full snapshot (it never held a state version), its second
+// carries no state (it now holds the round's), and its next live frame is a
+// delta from the round's version rather than a fallback. Worker 2 dies on its dispatch frame, workers 0 and 1 on the
 // re-queue frame each receives after it, and worker 1 only once the
 // survivor holds worker 0's re-queue: otherwise worker 1's death could deal
 // the survivor its two jobs before worker 0's death dealt it one. So the
@@ -1098,14 +1134,14 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	}
 	seen := make(chan seenFrame, 8)
 	// firstRequeue closes when the survivor receives its first re-queue,
-	// its second frame of the round.
+	// its first frame of the round.
 	firstRequeue := make(chan struct{})
 	survivor := func(w *Worker) error {
 		inner := perturbHandler(func(id int) float64 { return float64(id) })
 		frames := 0
 		return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
 			seen <- seenFrame{b.Frame.Kind, len(b.Jobs)}
-			if frames++; frames == 2 {
+			if frames++; frames == 1 {
 				close(firstRequeue)
 			}
 			return inner(b, emit)
@@ -1120,7 +1156,7 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	roundDone := make(chan RoundStats, 1)
 	r.OnRound = func(rs RoundStats) { roundDone <- rs }
 
-	// Three jobs over four workers: slots 0–2 get one each, slot 3 idles.
+	// Three jobs over four workers: slots 0–2 get one each, slot 3 nothing.
 	// Slot 2's job re-queues onto slot 0, slot 0's two onto slots 1 and 3,
 	// slot 1's two onto slot 3.
 	results, err := runCollected(r, wireJobs(1, 2, 3))
@@ -1136,11 +1172,11 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 		t.Fatalf("live workers = %d, want 1", got)
 	}
 	rs := <-roundDone
-	// Full frames: three at dispatch, one to the idle survivor. Frames
-	// without state: the survivor's idle one, then one to each worker
-	// already at the round's version (slots 0, 1 and 3).
-	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.IdleFrames != 4 || rs.DeltaFrames != 0 {
-		t.Fatalf("round stats %+v, want 4 attempts, 4 full frames (all fallbacks), 4 without state, no delta", rs)
+	// Full frames: three at dispatch, one to the survivor's first re-queue.
+	// Frames without state: one to each worker already at the round's
+	// version (slots 0, 1 and 3).
+	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.IdleFrames != 3 || rs.DeltaFrames != 0 {
+		t.Fatalf("round stats %+v, want 4 attempts, 4 full frames (all fallbacks), 3 without state, no delta", rs)
 	}
 	r.mu.Lock()
 	st := r.slots[3]
@@ -1178,8 +1214,8 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	for f := range seen {
 		got = append(got, f)
 	}
-	want := []seenFrame{{wire.KindNone, 0}, {wire.KindFull, 1}, {wire.KindNone, 2}, {wire.KindDelta, 1}}
+	want := []seenFrame{{wire.KindFull, 1}, {wire.KindNone, 2}, {wire.KindDelta, 1}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("survivor saw frames %+v, want idle, full re-queue, stateless re-queue, delta", got)
+		t.Fatalf("survivor saw frames %+v, want full re-queue, stateless re-queue, delta", got)
 	}
 }

@@ -55,20 +55,16 @@ func (e *Encoder) Dict() map[string]*tensor.Tensor {
 	return e.dict
 }
 
-// FrameFor builds the frame for a worker whose receive state is t. active
-// says whether the worker has jobs in this broadcast: inactive workers get
-// a bare KindNone frame (no state, no payload — their versions simply lag),
-// active ones get whatever it takes to bring them to the current versions.
-func (e *Encoder) FrameFor(t *Tracker, active bool) (*Frame, error) {
+// FrameFor builds the frame that brings a worker whose receive state is t
+// to the current versions: a KindNone frame when it already holds them, a
+// delta against its base, or a full snapshot when it holds none.
+func (e *Encoder) FrameFor(t *Tracker) (*Frame, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dict == nil {
 		return nil, fmt.Errorf("wire: FrameFor before SetRound")
 	}
 	f := &Frame{Kind: KindNone, Version: t.Version, PayloadVersion: t.PayloadVersion}
-	if !active {
-		return f, nil
-	}
 	if t.Version != e.version {
 		base, baseV := t.Dict, t.Version
 		if base == nil {

@@ -28,11 +28,10 @@
 // State versions advance once per round; a worker at version v receiving a
 // delta frame with BaseVersion v applies it and lands on the frame's
 // Version. Payload versions advance only when the encoded wire-state bytes
-// differ from the previous round's. Idle workers (no jobs in a broadcast)
-// receive KindNone frames carrying no state at all; their version simply
-// lags until they next receive work, at which point the encoder diffs
-// against their actual base — or sends a full snapshot if they never had
-// one.
+// differ from the previous round's. A worker without jobs is sent no frame,
+// so its version lags until it next receives work, at which point the
+// encoder diffs against its actual base — or sends a full snapshot if it
+// never had one.
 //
 // Delta is direction-agnostic: workers diff each trained replica against the
 // round's broadcast base (their Tracker's dict) and upload a Patch instead
@@ -85,8 +84,8 @@ type Kind uint8
 
 const (
 	// KindNone carries no state update: the receiver must already hold the
-	// frame's Version (idle workers, and re-queued jobs on a worker that
-	// already applied this round's broadcast).
+	// frame's Version (re-queued jobs on a worker that already applied this
+	// round's broadcast).
 	KindNone Kind = iota
 	// KindFull installs a base-independent snapshot at Version.
 	KindFull

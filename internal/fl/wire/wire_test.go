@@ -608,7 +608,7 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 			payload = []byte("teacher-v2") // task boundary: payload changes
 		}
 		enc.SetRound(cloneDict(state), payload)
-		f, err := enc.FrameFor(coordView, true)
+		f, err := enc.FrameFor(coordView)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -641,21 +641,20 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 		mutate(rng, state, 0.5, "conv.w", "lin.w") // next round's aggregate
 	}
 
-	// An idle worker's frame carries nothing and leaves versions lagging.
-	idle := &Tracker{}
-	f, err := enc.FrameFor(idle, false)
+	// A worker already at the round's versions gets a frame with no state
+	// and no payload.
+	f, err := enc.FrameFor(coordView)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Kind != KindNone || f.HasPayload {
-		t.Fatalf("idle frame: %+v", f)
+		t.Fatalf("frame for a current worker: %+v", f)
 	}
-	if _, _, _, err := idle.Apply(f); err != nil {
+	if _, _, _, err := workerView.Apply(f); err != nil {
 		t.Fatal(err)
 	}
-	// When the idle worker later gets work with no base, it falls back to a
-	// full snapshot.
-	f, err = enc.FrameFor(idle, true)
+	// A worker with no base falls back to a full snapshot.
+	f, err = enc.FrameFor(&Tracker{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,9 @@ type RoundObservation struct {
 	BroadcastBytes, UploadBytes int64
 	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
 	// kind: complete snapshots (each a fallback: the worker had no usable
-	// base), per-key diffs, and frames carrying no state at all.
+	// base), per-key diffs, and frames carrying jobs without state (a
+	// re-queue onto a worker already at the round's version). Every frame
+	// of a round carries jobs.
 	FullFrames, DeltaFrames, IdleFrames int64
 	// PatchUploads / UploadFallbacks count acked job results diffed against
 	// the broadcast base and sent as full snapshots.
