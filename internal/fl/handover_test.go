@@ -6,7 +6,7 @@ import (
 
 	"reffil/internal/data"
 	"reffil/internal/fl"
-	"reffil/internal/nn"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/tensor"
 )
 
@@ -48,10 +48,10 @@ func (r cloningRunner) RunEach(jobs []fl.Job, done func(i int, res fl.Result) er
 
 // TestLocalRunnerHandsOverReplicaState pins the move LocalRunner makes: a
 // result's dict holds the trained replica's own parameter and buffer
-// tensors, not copies — and engine runs that fold those tensors, training
-// pooled replicas, land on exactly the matrix and final state of runs that
-// fold StateDict clones of fresh Spawns, which the engine hands back,
-// poisoned, once it is done with them.
+// tensors, not copies — and the reference run, which folds those tensors
+// and trains pooled replicas, is exactly the run that folds StateDict clones
+// of fresh Spawns, which the engine hands back, poisoned, once it is done
+// with them.
 func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 
-	spy := &spyAlg{Algorithm: newParallelTestMethod(t, "RefFiL", family.Classes, len(domains))}
+	spy := &spyAlg{Algorithm: fltest.NewMethod(t, "RefFiL", family, domains)}
 	train, _, err := family.Generate(domains[0], 8, 1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -92,34 +92,10 @@ func TestLocalRunnerHandsOverReplicaState(t *testing.T) {
 
 	for _, name := range []string{"RefFiL", "FedLwF"} {
 		t.Run(name, func(t *testing.T) {
-			run := func(runner func(fl.Algorithm) fl.EachRunner) ([][]float64, map[string]*tensor.Tensor) {
-				alg := newParallelTestMethod(t, name, family.Classes, len(domains))
-				eng, err := fl.NewEngineWithRunner(parallelTestConfig(2), alg, runner(alg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				mat, err := eng.Run(family, domains)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return mat.A, nn.StateDict(alg.Global())
-			}
-			moved, movedState := run(func(alg fl.Algorithm) fl.EachRunner { return &fl.LocalRunner{Alg: alg, Workers: 2} })
-			cloned, clonedState := run(func(alg fl.Algorithm) fl.EachRunner {
+			cloned := fltest.Local(t, name, family, domains, fltest.LocalRun{Runner: func(alg fl.Algorithm) fl.EachRunner {
 				return cloningRunner{&fl.LocalRunner{Alg: alg, Workers: 2}}
-			})
-			for i := range cloned {
-				for j := 0; j <= i; j++ {
-					if moved[i][j] != cloned[i][j] {
-						t.Fatalf("accuracy matrix diverged at [%d][%d]: hand-over %v vs clones %v", i, j, moved[i][j], cloned[i][j])
-					}
-				}
-			}
-			for key, want := range clonedState {
-				if !movedState[key].EqualBits(want) {
-					t.Fatalf("final state %q differs between hand-over and clones", key)
-				}
-			}
+			}})
+			fltest.RequireSameRun(t, "clones", fltest.Reference(t, name, family, domains), cloned)
 		})
 	}
 }

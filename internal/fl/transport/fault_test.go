@@ -2,7 +2,7 @@
 // full engine run over loopback TCP has one worker killed mid-round — the
 // connection is closed immediately after the worker acks its first job of
 // a chosen round — and the run must still complete, on the surviving
-// worker, with an accuracy matrix exactly equal to an uncrashed run's.
+// worker, making the same run as an uncrashed one.
 //
 // That equality is the whole correctness argument: jobs are placement-free
 // deterministic computations, so the survivor re-executing the dead
@@ -23,144 +23,35 @@ import (
 	"time"
 
 	"reffil/internal/data"
-	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
-	"reffil/internal/model"
 )
 
-// localRunCache memoizes runLocal per (method, family, domain count):
-// several tests in this package compare against the same synchronous
-// in-process reference under crossRunnerConfig.
-var localRunCache sync.Map
-
-// localRun is what the in-process reference run leaves: its accuracy matrix
-// and its final weights and wire state.
-type localRun struct {
-	A     [][]float64
-	final fltest.Final
-}
-
-// localRunOf returns the synchronous LocalRunner run of the method under
-// crossRunnerConfig, computing it at most once per (method, family, class
-// count, domains) fixture.
-func localRunOf(t *testing.T, method string, family *data.Family, domains []string) localRun {
-	t.Helper()
-	key := fmt.Sprintf("%s/%s/%d/%d", method, family.Name, family.Classes, len(domains))
-	if run, ok := localRunCache.Load(key); ok {
-		return run.(localRun)
-	}
-	run := runLocal(t, method, family, domains)
-	localRunCache.Store(key, run)
-	return run
-}
-
-// runTCPWithCrash runs the full task sequence over loopback TCP with two
-// workers, where worker slot 0 closes its connection right after acking
-// its first job of round (crashTask, crashRound). Workers are dialed one
-// at a time so the killer deterministically occupies slot 0 — the slot
-// that round-robin assignment hands the round's first (and, with three
-// jobs over two workers, third) job, guaranteeing the crash strands at
-// least one unfinished job for the survivor to pick up. codec, when set, is
-// named through the Pipeline's UseCodec first, as the benchmark does.
-//
-// With idleHeir the federation has four workers instead, so at three jobs a
-// round slot 3 is dealt no job, and sent no frame, in any round: slots 0–2
-// sever their connections on receiving the crash round's jobs, before
-// acking any, and every one of those jobs ends up on slot 3, whose first
-// re-queue frame — its first frame of the run — has to bring it from no
-// state at all to the round's state and payload.
-//
-// It returns the run's matrix and final state.
-func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains []string, crashTask, crashRound int, codec string, idleHeir bool) localRun {
-	t.Helper()
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	var killErrs []<-chan error
-	if idleHeir {
-		for id := 0; id < 3; id++ {
-			killErrs = append(killErrs, serveDyingOnJobs(t, coord, method, family, len(domains), id, crashTask, crashRound))
-		}
-	} else {
-		// Worker slot 0: the killer. It executes jobs through a real
-		// Executor, but in the crash round it severs the connection after
-		// its first ack.
-		killErrs = append(killErrs, serveCrashing(t, coord, method, family, len(domains), 0, crashTask, crashRound, nil))
-	}
-	// The last slot: a normal executor — the survivor.
-	surviveErr, trained := dialServe(t, coord, method, family, len(domains), len(killErrs))
-
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != "" {
-		if err := runner.UseCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatalf("run with injected crash failed instead of re-queueing: %v", err)
-	}
-
-	if got := coord.NumLive(); got != 1 {
-		t.Fatalf("live workers after crash = %d, want 1", got)
-	}
-	// The whole crashed-and-requeued run — including the survivor's
-	// re-executions, which diff against the state their re-queue frames
-	// brought it to — must have used base-relative uploads throughout.
-	requireAllPatchUploads(t, runner.Stats())
-	if trained.Load() == 0 {
-		t.Fatal("the survivor trained no jobs")
-	}
-	for _, killErr := range killErrs {
-		if err := <-killErr; err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = runner.Close()
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-surviveErr; err != nil {
-		t.Fatalf("surviving worker: %v", err)
-	}
-	return localRun{A: mat.A, final: fltest.FinalOf(t, alg)}
-}
-
-// TestFaultInjectionCrashMidRound kills worker 0 mid-round and requires
-// the completed run's accuracy matrix to equal the uncrashed reference,
-// cell for cell, and its final weights and wire state to equal it bit for
-// bit. The task-1 crash points re-execute jobs that depend on
-// method wire state (EWC's Fisher/anchors, LwF's teacher) on a worker
-// that never trained them before — the re-queue path's wire-state gate.
-// RefFiL crashing in task 0 covers the prompt-upload path under re-queue.
+// TestFaultInjectionCrashMidRound kills workers mid-round and requires the
+// completed run to be the uncrashed reference: the same hashes at every
+// snapshot, the same matrix cell for cell, and the same final weights and
+// wire state bit for bit. Worker slot 0 acks its first job of the crash
+// round and severs its connection; workers are dialed in order, so it holds
+// the slot that round-robin dealing hands the round's first (and, with three
+// jobs over two workers, third) job, and the crash strands at least one
+// unfinished job for the survivor in slot 1. The task-1 crash points
+// re-execute jobs that depend on method wire state (EWC's Fisher/anchors,
+// LwF's teacher) on a worker that never trained them before — the re-queue
+// path's wire-state gate. RefFiL crashing in task 0 covers the
+// prompt-upload path under re-queue.
 //
 // The survivor receives the unfinished jobs as one more frame of the round,
 // built against the coordinator's mirror of it, and uploads patches diffed
 // against the state that frame leaves it at — the mirror's dict, so the
-// reconstruction is exact. Bit-identical matrices prove the re-queue/delta
-// interaction loses nothing in either wire direction; the runs additionally
-// assert every upload was a base-relative patch (no silent full-snapshot
-// fallback). The cases suffixed /delta configure the runner as the
-// benchmark does, naming the codec through UseCodec, and must recover to the
-// same matrix. The idle-heir case hands LwF's
-// task-1 jobs to a worker that idled through every earlier round, so its
-// re-queue frame must carry the full state and the teacher payload.
+// reconstruction is exact. Every upload must be a base-relative patch (no
+// silent full-snapshot fallback), one worker must be left live and the
+// survivor must have trained. The idle-heir case has four workers: at three
+// jobs a round slot 3 is dealt no job, and sent no frame, in any round, and
+// slots 0–2 sever their connections on receiving the crash round's jobs,
+// before acking any. Every one of those jobs ends up on slot 3, whose first
+// re-queue frame — its first frame of the run — has to bring it from no
+// state at all to LwF's task-1 state and teacher payload.
 func TestFaultInjectionCrashMidRound(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -168,79 +59,44 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	type crashCase struct {
-		method     string
-		crashTask  int
-		crashRound int
-		codec      string
-		idleHeir   bool
+		method      string
+		task, round int
+		idleHeir    bool
 	}
 	cases := []crashCase{
-		{"RefFiL", 0, 1, "", false},
-		{"FedEWC", 1, 0, "", false},
-		{"FedLwF", 1, 0, "", false},
-		{"RefFiL", 0, 1, "delta", false},
-		{"FedEWC", 1, 0, "delta", false},
-		{"FedLwF", 1, 0, "delta", false},
-		{"FedLwF", 1, 0, "", true},
+		{"RefFiL", 0, 1, false},
+		{"FedEWC", 1, 0, false},
+		{"FedLwF", 1, 0, false},
+		{"FedLwF", 1, 0, true},
 	}
 	if testing.Short() {
-		cases = []crashCase{{"RefFiL", 0, 1, "", false}, {"FedLwF", 1, 0, "delta", false}}
+		cases = []crashCase{{"RefFiL", 0, 1, false}, {"FedLwF", 1, 0, false}}
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s/task%d_round%d", short(tc.method), tc.crashTask, tc.crashRound)
-		if tc.codec != "" {
-			name += "/" + tc.codec
-		}
+		name := fmt.Sprintf("%s/task%d_round%d", short(tc.method), tc.task, tc.round)
+		workers := []fltest.Worker{{Kind: fltest.CrashAfterAck, Task: tc.task, Round: tc.round}}
 		if tc.idleHeir {
 			name += "/idle_heir"
+			die := fltest.Worker{Kind: fltest.DieOnJobs, Task: tc.task, Round: tc.round}
+			workers = []fltest.Worker{die, die, die}
 		}
+		workers = append(workers, fltest.Worker{})
 		t.Run(name, func(t *testing.T) {
-			want := localRunOf(t, tc.method, family, domains)
-			got := runTCPWithCrash(t, tc.method, family, domains, tc.crashTask, tc.crashRound, tc.codec, tc.idleHeir)
-			requireSameMatrix(t, "crashed-and-requeued", want.A, got.A)
-			fltest.RequireSameFinal(t, "crashed-and-requeued", want.final, got.final)
-		})
-	}
-}
-
-// serveDyingOnJobs dials worker id with a fresh Executor and serves it on a
-// background goroutine until the broadcast of round (crashTask, crashRound)
-// that carries jobs: then it severs the connection without acking any. The
-// channel reports a crash that was never injected.
-func serveDyingOnJobs(t *testing.T, coord *transport.Coordinator, method string, family *data.Family, nTasks, id, crashTask, crashRound int) <-chan error {
-	t.Helper()
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), nTasks, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := transport.NewExecutor(alg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := transport.Dial(coord.Addr(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		err := w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-			if b.Task == crashTask && b.Round == crashRound && len(b.Jobs) > 0 {
-				_ = w.Close()
-				return fmt.Errorf("injected crash on task %d round %d's jobs", b.Task, b.Round)
+			got := fltest.Federate(t, tc.method, family, domains, fltest.Federation{Workers: workers})
+			fltest.RequireSameRun(t, "crashed-and-requeued", fltest.Reference(t, tc.method, family, domains), got.Run)
+			if got.Live != 1 {
+				t.Fatalf("live workers after crash = %d, want 1", got.Live)
 			}
-			return ex.Handle(b, emit)
+			// The whole crashed-and-requeued run — including the
+			// survivor's re-executions, which diff against the state their
+			// re-queue frames brought it to — must have used base-relative
+			// uploads throughout.
+			requireAllPatchUploads(t, got.Stats)
+			if got.Trained[len(workers)-1] == 0 {
+				t.Fatal("the survivor trained no jobs")
+			}
 		})
-		_ = w.Close()
-		if err == nil {
-			done <- fmt.Errorf("worker %d's Serve returned nil — the crash was never injected", id)
-			return
-		}
-		done <- nil
-	}()
-	if err := coord.Accept(1, 10*time.Second); err != nil {
-		t.Fatal(err)
 	}
-	return done
 }
 
 // TestDeathMidDecodeLeavesTheJobToTheDecode holds the invariant an ack that
@@ -250,8 +106,8 @@ func serveDyingOnJobs(t *testing.T, coord *transport.Coordinator, method string,
 // ack while the test severs slot 0's connection and kills slot 1 before it
 // acks. Slot 1's job is dealt to slot 0 first, whose send fails, so slot 0
 // dies while its ack decodes. The job being decoded stays with the decode:
-// slot 2 must be dealt slot 1's job alone, and the run must finish with the
-// matrix and final state of a clean run.
+// slot 2 must be dealt slot 1's job alone, and the run must be the clean
+// run.
 func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
 	const method, crashTask, crashRound = "Finetune", 0, 1
 	family, err := data.NewFamily("pacs", 16)
@@ -259,7 +115,7 @@ func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	want := localRunOf(t, method, family, domains)
+	want := fltest.Reference(t, method, family, domains)
 
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -270,11 +126,7 @@ func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
 	// serve dials worker id and serves it through handle, given the
 	// worker's Executor, on a background goroutine.
 	serve := func(id int, handle func(w *transport.Worker, ex *transport.Executor, b transport.Broadcast, emit func(transport.JobResult) error) error) <-chan error {
-		alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := transport.NewExecutor(alg, 1)
+		ex, err := transport.NewExecutor(fltest.NewMethod(t, method, family, domains), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,19 +197,16 @@ func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
 		})
 	})()
 
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alg := fltest.NewMethod(t, method, family, domains)
 	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
+	eng, err := fl.NewEngineWithRunner(fltest.Config(), alg, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := eng.Run(family, domains)
+	got, err := fltest.Execute(t, eng, alg, family, domains, nil)
 	if err != nil {
 		t.Fatalf("run with a death mid-decode failed: %v", err)
 	}
@@ -365,10 +214,9 @@ func TestDeathMidDecodeLeavesTheJobToTheDecode(t *testing.T) {
 		t.Fatalf("round (%d,%d) dealt slot 0 jobs %v and slot 2 jobs %v, want [0] and [2]", crashTask, crashRound, dispatched[0], dispatched[2])
 	}
 	if !slices.Equal(requeued, []int{1}) {
-		t.Fatalf("slot 2 was dealt jobs %v again, want only slot 1's job [1]: the job slot 0 was decoding must stay with the decode", requeued)
+		t.Fatalf("round (%d,%d) dealt slot 2 jobs %v again, want only slot 1's job [1]: the job slot 0 was decoding must stay with the decode", crashTask, crashRound, requeued)
 	}
-	requireSameMatrix(t, "death mid-decode", want.A, mat.A)
-	fltest.RequireSameFinal(t, "death mid-decode", want.final, fltest.FinalOf(t, alg))
+	fltest.RequireSameRun(t, "death mid-decode", want, got)
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers = %d, want 1", got)
 	}

@@ -1,7 +1,8 @@
 // Coordinator-resume acceptance: every snapshot the engine's Checkpoint
 // hook emits must be a point the run can be resumed from — through the
-// on-disk run-state format — with the resumed run's accuracy matrix equal
-// to the uninterrupted reference bit for bit. The sweep covers mid-task
+// on-disk run-state format — with the resumed run equal to the
+// uninterrupted reference from that point on, snapshot by snapshot, and in
+// its matrix and final state bit for bit. The sweep covers mid-task
 // snapshots (rounds pending), rounds-complete snapshots (task-end hooks
 // and evaluation pending), task boundaries, and the finished-run marker,
 // for methods with wire state that must round-trip (RefFiL's prompt bank,
@@ -15,42 +16,16 @@ import (
 
 	"reffil/internal/checkpoint"
 	"reffil/internal/data"
-	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/fltest"
-	"reffil/internal/model"
 )
 
-// captureSnapshots runs the method on the in-process runner, collecting
-// every checkpoint the engine emits.
-func captureSnapshots(t *testing.T, method string, family *data.Family, domains []string) []fl.ResumeState {
-	t.Helper()
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []fl.ResumeState
-	eng.Checkpoint = func(st fl.ResumeState) error {
-		snaps = append(snaps, st)
-		return nil
-	}
-	if _, err := eng.Run(family, domains); err != nil {
-		t.Fatal(err)
-	}
-	return snaps
-}
-
 // resumeFrom round-trips a snapshot through the run-state disk format and
-// runs a fresh engine from it, returning the completed matrix and the final
-// weights and wire state.
-func resumeFrom(t *testing.T, method string, family *data.Family, domains []string, snap fl.ResumeState) ([][]float64, fltest.Final) {
+// runs a fresh in-process engine from it.
+func resumeFrom(t *testing.T, method string, family *data.Family, domains []string, snap fl.ResumeState) fltest.Run {
 	t.Helper()
 	var buf bytes.Buffer
-	snap.Method, snap.Seed = method, crossRunnerConfig().Seed
+	snap.Method, snap.Seed = method, fltest.Config().Seed
 	if err := checkpoint.SaveRunState(&buf, &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -61,25 +36,13 @@ func resumeFrom(t *testing.T, method string, family *data.Family, domains []stri
 	if loaded.Method != method || loaded.Seed != snap.Seed {
 		t.Fatalf("run-state header round-trip: got (%s,%d), want (%s,%d)", loaded.Method, loaded.Seed, method, snap.Seed)
 	}
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Resume = loaded
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatalf("resume from (%d,%d) failed: %v", snap.NextTask, snap.NextRound, err)
-	}
-	return mat.A, fltest.FinalOf(t, alg)
+	return fltest.Local(t, method, family, domains, fltest.LocalRun{Resume: loaded})
 }
 
-// TestResumeBitIdentical resumes from checkpoints and requires the
-// completed matrix to equal the uninterrupted run's, cell for cell, and the
-// final weights and wire state to equal its bit for bit.
+// TestResumeBitIdentical resumes from the reference run's snapshots and
+// requires each resumed run to be the reference's suffix from its snapshot:
+// the same hashes at every later snapshot, the same matrix cell for cell and
+// the same final weights and wire state bit for bit.
 // RefFiL sweeps every snapshot the run emits (with 2 tasks x 2 rounds:
 // both mid-task points, both rounds-complete points, the task boundary and
 // the finished-run marker); the other methods pin the wire-state-heavy
@@ -96,23 +59,18 @@ func TestResumeBitIdentical(t *testing.T) {
 		methods = []string{"RefFiL"}
 	}
 	for _, method := range methods {
-		method := method
 		t.Run(short(method), func(t *testing.T) {
-			want := localRunOf(t, method, family, domains)
-			snaps := captureSnapshots(t, method, family, domains)
+			want := fltest.Reference(t, method, family, domains)
 			// 2 tasks x 2 rounds emit (0,1),(0,2),(1,0),(1,1),(1,2),(2,0).
-			if len(snaps) != 6 {
-				t.Fatalf("captured %d snapshots, want 6", len(snaps))
+			if len(want.Snapshots) != 6 {
+				t.Fatalf("captured %d snapshots, want 6", len(want.Snapshots))
 			}
-			for _, snap := range snaps {
-				snap := snap
+			for _, snap := range want.Snapshots {
 				if method != "RefFiL" && !(snap.NextTask == 1 || snap.NextTask == 2 && snap.NextRound == 0) {
 					continue // the reffil sweep covers the method-agnostic points
 				}
 				t.Run(fmt.Sprintf("task%d_round%d", snap.NextTask, snap.NextRound), func(t *testing.T) {
-					got, final := resumeFrom(t, method, family, domains, snap)
-					requireSameMatrix(t, "resumed", want.A, got)
-					fltest.RequireSameFinal(t, "resumed", want.final, final)
+					fltest.RequireSameRun(t, "resumed", want, resumeFrom(t, method, family, domains, snap))
 				})
 			}
 		})

@@ -1,8 +1,11 @@
 // Cross-runner determinism coverage: the acceptance gate for the pluggable
 // round runner. For every method the in-process LocalRunner and a real TCP
-// fan-out over 127.0.0.1 must produce identical accuracy matrices for the
-// same (dataset, domain, seed, workers) — the networked path runs the same
-// engine, derives the same shards from specs, and trains the same replicas.
+// fan-out over 127.0.0.1 must make the same run for the same (dataset,
+// domain, seed) — the networked path runs the same engine, derives the same
+// shards from specs, and trains the same replicas. Each run is built by
+// fltest.Federate and checked by fltest.RequireSameRun against the cached
+// in-process reference, snapshot by snapshot, so a failure names the first
+// (task, round) that diverged.
 //
 // Lives in an external test package so it can drive the real algorithms
 // (core/baselines import fl; importing them from package transport itself
@@ -13,172 +16,19 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"reffil/internal/data"
 	"reffil/internal/experiments"
 	"reffil/internal/fl"
 	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
-	"reffil/internal/model"
-	"reffil/internal/telemetry"
 )
 
-// crossRunnerConfig is deliberately tiny: enough tasks/rounds/clients to
-// exercise selection, the In-between shard merge, wire state for every
-// method, and multi-job broadcasts (SelectPerRound > worker count), small
-// enough for -race.
-func crossRunnerConfig() fl.Config {
-	return fl.Config{
-		Rounds:            2,
-		Epochs:            1,
-		BatchSize:         8,
-		LR:                0.05,
-		InitialClients:    4,
-		SelectPerRound:    3,
-		ClientsPerTaskInc: 1,
-		TransferFrac:      0.8,
-		Alpha:             0.5,
-		TrainPerDomain:    24,
-		TestPerDomain:     12,
-		EvalBatch:         12,
-		Seed:              2025,
-		Workers:           2,
-	}
-}
-
-// runLocal executes the full task sequence on the in-process runner.
-func runLocal(t *testing.T, method string, family *data.Family, domains []string) localRun {
-	t.Helper()
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return localRun{A: mat.A, final: fltest.FinalOf(t, alg)}
-}
-
-// tcpRun configures one loopback federation for runTCPWith.
-type tcpRun struct {
-	// workers is the number of goroutine "machines".
-	workers int
-	// codec, when set, is named through Pipeline.UseCodec before the run,
-	// as the benchmark configures its Pipeline.
-	codec string
-	// ackDelay, when positive, makes every worker sleep this long before
-	// it sends each ack: slow workers, built from the test side.
-	ackDelay time.Duration
-	// sink and onRound, when non-nil, are attached wherever the fedserver
-	// wires them: coordinator, pipeline and engine; the pipeline's OnRound.
-	sink    *telemetry.Sink
-	onRound func(transport.RoundStats)
-	// final, when non-nil, receives the coordinator's final global state
-	// dict and wire state.
-	final *fltest.Final
-}
-
-// runTCPWith executes the same sequence as runLocal over loopback TCP:
-// engine → transport.Pipeline → workers, each speaking only
-// frames over TCP through an Executor around its own independently constructed
-// algorithm instance. It returns the matrix and the Pipeline's cumulative
-// wire accounting, so tests can assert which upload/broadcast paths a run
-// actually exercised.
-func runTCPWith(t *testing.T, method string, family *data.Family, domains []string, opt tcpRun) ([][]float64, transport.Stats) {
-	t.Helper()
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.SetTelemetry(opt.sink)
-
-	var wg sync.WaitGroup
-	workerErr := make([]error, opt.workers)
-	for id := 0; id < opt.workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex, err := transport.NewExecutor(alg, 1)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			w, err := transport.Dial(coord.Addr(), id)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			defer w.Close()
-			workerErr[id] = w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-				return ex.Handle(b, func(jr transport.JobResult) error {
-					time.Sleep(opt.ackDelay)
-					return emit(jr)
-				})
-			})
-		}(id)
-	}
-	if err := coord.Accept(opt.workers, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	alg, err := experiments.NewMethod(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Telemetry, pl.OnRound = opt.sink, opt.onRound
-	if opt.codec != "" {
-		if err := pl.UseCodec(opt.codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Telemetry = opt.sink
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.final != nil {
-		*opt.final = fltest.FinalOf(t, alg)
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for id, err := range workerErr {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
-	return mat.A, pl.Stats()
-}
-
-// TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
-// matrices from the local and loopback-TCP runners for all eight methods of
-// the paper's tables. The TCP run exercises both wire directions: per-key
+// TestCrossRunnerDeterminism requires the loopback-TCP run of each of the
+// eight methods of the paper's tables to be the local run: the same state
+// and wire-state hashes at every snapshot, the same accuracy matrix (==) and
+// the same final state bit for bit. The TCP run exercises both wire directions: per-key
 // diffs against each worker's acked base version on broadcast, per-job patch
 // uploads against the round's broadcast base on the way back, and wire-state
 // payload sent only when its bytes change. The delta path changes how bytes
@@ -198,36 +48,20 @@ func TestCrossRunnerDeterminism(t *testing.T) {
 	for _, method := range methods {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
-			local := localRunOf(t, method, family, domains)
-			var final fltest.Final
-			remote, stats := runTCPWith(t, method, family, domains, tcpRun{workers: 2, final: &final})
-			// Only the lower triangle is recorded (task i is evaluated on
-			// domains 0..i); the rest stays NaN.
-			requireSameMatrix(t, "TCP", local.A, remote)
-			fltest.RequireSameFinal(t, "TCP", local.final, final)
-			requireAllPatchUploads(t, stats)
+			got := fltest.Federate(t, method, family, domains, fltest.Federation{Workers: plain(2)})
+			fltest.RequireSameRun(t, "TCP", fltest.Reference(t, method, family, domains), got.Run)
+			requireAllPatchUploads(t, got.Stats)
 		})
 	}
 }
+
+// plain is n Plain workers.
+func plain(n int) []fltest.Worker { return make([]fltest.Worker, n) }
 
 // short is a method's subtest name: its table name in lowercase, without
 // the "Fed" prefix (FedLwF → lwf, FedL2P+pool → l2p+pool).
 func short(method string) string {
 	return strings.ToLower(strings.TrimPrefix(method, "Fed"))
-}
-
-// requireSameMatrix asserts exact (==) equality on the recorded lower
-// triangle of two accuracy matrices.
-func requireSameMatrix(t *testing.T, label string, want, got [][]float64) {
-	t.Helper()
-	for i := range want {
-		for j := 0; j <= i; j++ {
-			if want[i][j] != got[i][j] {
-				t.Fatalf("accuracy matrix diverged at [%d][%d]: reference %v vs %s %v",
-					i, j, want[i][j], label, got[i][j])
-			}
-		}
-	}
 }
 
 // TestShardSpecMaterializeMatchesPartition pins the data-derivation
@@ -325,27 +159,24 @@ func TestShardSpecMaterializeMatchesPartition(t *testing.T) {
 
 // TestClassLimitedFamilyOverTCP runs a class-limited family (the smoke
 // preset's) end to end: workers rebuild their shards from ShardSpecs, so
-// the spec must carry the class limit for the TCP matrix to equal the
-// in-process one.
+// the spec must carry the class limit for the TCP run to be the in-process
+// one.
 func TestClassLimitedFamilyOverTCP(t *testing.T) {
 	family, err := experiments.ScaleSmoke.Family("pacs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
-	local := runLocal(t, "RefFiL", family, domains)
-	var final fltest.Final
-	remote, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, final: &final})
-	requireSameMatrix(t, "TCP(class-limited)", local.A, remote)
-	fltest.RequireSameFinal(t, "TCP(class-limited)", local.final, final)
-	requireAllPatchUploads(t, stats)
+	got := fltest.Federate(t, "RefFiL", family, domains, fltest.Federation{Workers: plain(2)})
+	fltest.RequireSameRun(t, "TCP(class-limited)", fltest.Reference(t, "RefFiL", family, domains), got.Run)
+	requireAllPatchUploads(t, got.Stats)
 }
 
-// TestCodecDeterminism runs every method of the paper's tables the way the
-// benchmark configures its Pipeline — the "delta" codec named through
-// UseCodec — over four workers, so with three jobs a round one slot is
-// dealt no job in any round. Each method's accuracy matrix must equal the
-// in-process reference exactly (==), every upload must be a patch, each of
+// TestCodecDeterminism runs every method of the paper's tables with the
+// codec named through UseCodec, as the benchmark names it — UseCodec only
+// checks the name, so the run must be unchanged — over four workers, so
+// with three jobs a round one slot is dealt no job in any round. Each
+// method's run must be the in-process reference's, every upload a patch, each of
 // the three working slots must take exactly the one full snapshot its fresh
 // connection costs, and the slot with no job must receive no frame: its
 // first would be a fourth full snapshot, and with nothing re-queued every
@@ -364,11 +195,9 @@ func TestCodecDeterminism(t *testing.T) {
 	for _, method := range methods {
 		method := method
 		t.Run(short(method), func(t *testing.T) {
-			local := localRunOf(t, method, family, domains)
-			var final fltest.Final
-			delta, stats := runTCPWith(t, method, family, domains, tcpRun{workers: workers, codec: "delta", final: &final})
-			requireSameMatrix(t, "TCP(delta)", local.A, delta)
-			fltest.RequireSameFinal(t, "TCP(delta)", local.final, final)
+			got := fltest.Federate(t, method, family, domains, fltest.Federation{Workers: plain(workers), Codec: "delta"})
+			fltest.RequireSameRun(t, "TCP(delta)", fltest.Reference(t, method, family, domains), got.Run)
+			stats := got.Stats
 			requireAllPatchUploads(t, stats)
 			if stats.Fallbacks != workers-1 || stats.IdleFrames != 0 {
 				t.Fatalf("%d full-snapshot fallbacks and %d frames without state over %d fresh slots, one with no job: %+v",
@@ -380,7 +209,7 @@ func TestCodecDeterminism(t *testing.T) {
 
 // TestDeltaStatsAreDeterministic runs one federation twice — four
 // workers for three jobs a round, so one slot is sent nothing — and
-// requires the two runs' Stats to be equal, byte counts included: the
+// requires both to be the reference run and their Stats to be equal, byte counts included: the
 // counts are whole frames of round traffic, none of which can race a
 // round's last ack. The values are pinned too, so a change to which frames
 // the accounting counts fails here, and the run's OnRound records must sum
@@ -391,9 +220,16 @@ func TestDeltaStatsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	domains := family.Domains[:2]
+	ref := fltest.Reference(t, "FedLwF", family, domains)
 	rounds := make(chan transport.RoundStats, 64)
-	_, first := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4, onRound: func(rs transport.RoundStats) { rounds <- rs }})
-	_, second := runTCPWith(t, "FedLwF", family, domains, tcpRun{workers: 4})
+	runs := [2]fltest.FedRun{
+		fltest.Federate(t, "FedLwF", family, domains, fltest.Federation{Workers: plain(4), OnRound: func(rs transport.RoundStats) { rounds <- rs }}),
+		fltest.Federate(t, "FedLwF", family, domains, fltest.Federation{Workers: plain(4)}),
+	}
+	for i, run := range runs {
+		fltest.RequireSameRun(t, fmt.Sprintf("TCP run %d", i+1), ref, run.Run)
+	}
+	first, second := runs[0].Stats, runs[1].Stats
 	if first != second {
 		t.Fatalf("two runs of one federation report different Stats:\n%+v\n%+v", first, second)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"reffil/internal/data"
+	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
 	"reffil/internal/telemetry"
 )
@@ -34,10 +35,10 @@ func TestRoundStatsTiming(t *testing.T) {
 
 	var mu sync.Mutex
 	var rounds []transport.RoundStats
-	runTCPWith(t, "RefFiL", family, domains, tcpRun{
-		workers:  2,
-		ackDelay: sleep,
-		onRound: func(rs transport.RoundStats) {
+	fltest.Federate(t, "RefFiL", family, domains, fltest.Federation{
+		Workers:  plain(2),
+		AckDelay: sleep,
+		OnRound: func(rs transport.RoundStats) {
 			mu.Lock()
 			rounds = append(rounds, rs)
 			mu.Unlock()
@@ -79,7 +80,7 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 	}
 	sink := telemetry.NewSink(reg, trc)
 
-	_, stats := runTCPWith(t, "RefFiL", family, domains, tcpRun{workers: 2, sink: sink})
+	stats := fltest.Federate(t, "RefFiL", family, domains, fltest.Federation{Workers: plain(2), Sink: sink}).Stats
 	sink.Close()
 
 	snap := reg.Snapshot()
