@@ -14,6 +14,7 @@ import (
 	"maps"
 	"slices"
 
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/tensor"
 )
 
@@ -36,8 +37,13 @@ import (
 // methods freeze the whole backbone), which is both mathematically exact
 // and what lets the delta wire codec skip them. The witness is maintained
 // per key: while a key is unanimous no sum is materialized at all; the
-// first fold that disagrees allocates the accumulator and replays the
+// first fold that disagrees materializes the key's sum and replays the
 // earlier (bit-identical) contributions from the retained first dict.
+//
+// One Accumulator serves a whole run: Reset starts the next round's fold and
+// keeps each sum tensor a broken key materialized, so a key that breaks
+// again sums into the same storage, zero-filled first exactly as a new
+// tensor starts — the bits are those of a fresh Accumulator.
 //
 // Folded dicts are borrowed, not copied. A later dict is read only during
 // its Fold. The first is retained: Fold replays it when a key's unanimity
@@ -47,9 +53,11 @@ import (
 //
 // An Accumulator is not safe for concurrent Folds.
 type Accumulator struct {
-	names     []string // sorted keys, fixed by the first fold
-	first     map[string]*tensor.Tensor
-	accs      []*tensor.Tensor // per key; nil while the key is unanimous
+	names []string // sorted keys, fixed by the first fold
+	first map[string]*tensor.Tensor
+	// sums holds each key's running sum, nil until the key's unanimity
+	// first breaks. Reset keeps the tensors for the next fold.
+	sums      []*tensor.Tensor
 	unanimous []bool
 	weights   []float64 // per folded dict, for unanimity-break replay
 	total     float64
@@ -58,14 +66,34 @@ type Accumulator struct {
 // NewAccumulator returns an empty streaming FedAvg fold.
 func NewAccumulator() *Accumulator { return &Accumulator{} }
 
+// Reset empties the accumulator for the next fold. It keeps the sum tensors
+// of the keys whose unanimity broke, which a later Fold zero-fills and sums
+// into instead of allocating, so the aggregate the last Finalize returned
+// is invalid once Reset runs: the caller must be done reading it (the
+// engine has loaded it into the global model by then). Reset drops the
+// reference to the first folded dict.
+func (a *Accumulator) Reset() {
+	for _, s := range a.sums {
+		if s != nil {
+			poison.Tensor(s)
+		}
+	}
+	a.first = nil
+	a.weights = a.weights[:0]
+	a.total = 0
+}
+
 // Folded reports how many client updates have been folded in.
 func (a *Accumulator) Folded() int { return len(a.weights) }
 
 // UnanimityStats reports how many keys are still bit-identically unanimous
 // across every folded dict and how many broke unanimity (materializing an
 // accumulated sum). Valid after Finalize too — Finalize reads the witness
-// without mutating it. Zero/zero before the first fold.
+// without mutating it. Zero/zero before the first fold after a Reset too.
 func (a *Accumulator) UnanimityStats() (unanimousKeys, brokenKeys int) {
+	if a.first == nil {
+		return 0, 0
+	}
 	for _, u := range a.unanimous {
 		if u {
 			unanimousKeys++
@@ -85,10 +113,13 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 		return fmt.Errorf("fl: non-positive aggregation weight %v for client %d", w, n)
 	}
 	if a.first == nil {
-		a.names = slices.Sorted(maps.Keys(dict))
+		if !sameKeys(a.names, dict) {
+			// A new key set: the kept sums belong to the old one.
+			a.names = slices.Sorted(maps.Keys(dict))
+			a.sums = make([]*tensor.Tensor, len(a.names))
+			a.unanimous = make([]bool, len(a.names))
+		}
 		a.first = dict
-		a.accs = make([]*tensor.Tensor, len(a.names))
-		a.unanimous = make([]bool, len(a.names))
 		for k := range a.unanimous {
 			a.unanimous[k] = true
 		}
@@ -114,13 +145,18 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 			// adding w_j*first in fold order reproduces the exact
 			// accumulation a non-unanimous key would have seen.
 			a.unanimous[k] = false
-			acc := tensor.NewLike(first)
-			for j := 0; j < n; j++ {
-				acc.AddScaledInPlace(a.weights[j], first)
+			sum := a.sums[k]
+			if sum == nil || !sum.SameShape(first) {
+				sum = tensor.NewLike(first)
+				a.sums[k] = sum
+			} else {
+				sum.Zero()
 			}
-			a.accs[k] = acc
+			for j := 0; j < n; j++ {
+				sum.AddScaledInPlace(a.weights[j], first)
+			}
 		}
-		a.accs[k].AddScaledInPlace(w, src)
+		a.sums[k].AddScaledInPlace(w, src)
 	}
 	a.weights = append(a.weights, w)
 	a.total += w
@@ -130,8 +166,9 @@ func (a *Accumulator) Fold(dict map[string]*tensor.Tensor, w float64) error {
 // Finalize normalizes the fold into the aggregate dict: accumulated keys
 // are scaled by 1/total in place, unanimous keys come back as the first
 // folded dict's tensors, uncopied. The result may therefore alias the first
-// folded dict; read it, never write it. The accumulator must not be reused
-// afterwards (the other returned tensors are its accumulators).
+// folded dict; read it, never write it. The other returned tensors are the
+// accumulator's sums, valid until the next Reset. Call Finalize once per
+// fold: a second call would scale the sums again.
 func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 	if len(a.weights) == 0 {
 		return nil, fmt.Errorf("fl: no client updates to aggregate")
@@ -140,11 +177,24 @@ func (a *Accumulator) Finalize() (map[string]*tensor.Tensor, error) {
 	out := make(map[string]*tensor.Tensor, len(a.names))
 	for k, name := range a.names {
 		if a.unanimous[k] {
-			a.accs[k] = a.first[name]
-		} else {
-			a.accs[k].ScaleInPlace(inv)
+			out[name] = a.first[name]
+			continue
 		}
-		out[name] = a.accs[k]
+		a.sums[k].ScaleInPlace(inv)
+		out[name] = a.sums[k]
 	}
 	return out, nil
+}
+
+// sameKeys reports whether dict's key set is exactly names.
+func sameKeys(names []string, dict map[string]*tensor.Tensor) bool {
+	if len(names) != len(dict) {
+		return false
+	}
+	for _, name := range names {
+		if _, ok := dict[name]; !ok {
+			return false
+		}
+	}
+	return true
 }

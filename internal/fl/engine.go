@@ -265,6 +265,9 @@ type Engine struct {
 	// fold count, unanimity bookkeeping, and the finalize+load+server-hook
 	// span. Observation only; results are unaffected.
 	Telemetry *telemetry.Sink
+	// acc is the streaming FedAvg fold, kept across rounds so that each
+	// round sums into the storage of the last (see runRound).
+	acc Accumulator
 }
 
 // NewEngineWithRunner builds an engine that executes each round's jobs on
@@ -486,6 +489,11 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 // accumulator borrows that one, and the aggregate may alias it, until
 // install has loaded the aggregate into the global.
 //
+// The accumulator is the engine's own, Reset at the start of every round:
+// the sums a key materialized last round are zero-filled and reused, which
+// is safe because install copied the last aggregate into the global before
+// this round began.
+//
 // A round that folds nothing — every selected client dropped out — leaves
 // the global untouched.
 func (e *Engine) runRound(t, r int) error {
@@ -493,7 +501,8 @@ func (e *Engine) runRound(t, r int) error {
 	if err != nil {
 		return err
 	}
-	acc := NewAccumulator()
+	acc := &e.acc
+	acc.Reset()
 	var uploads []Upload
 	var first Result
 	defer func() { first.release() }()

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"reffil/internal/data"
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/tensor"
 )
 
@@ -14,11 +15,13 @@ func (e *Engine) Evaluate(arena *tensor.Arena, ds *data.Dataset) (float64, error
 	return e.evaluate(arena, ds)
 }
 
-// PoisonReleasedReplicas makes every LocalRunner fill a released replica's
-// parameters and buffers with NaN bits before it re-enters the pool, until
-// the returned function is called. A result dict read after its Release
-// then reads NaN instead of weights a later job copied or trained there.
+// PoisonReleasedReplicas turns the runtime's buffer poisoning on (see
+// package poison) until the returned function is called: every LocalRunner
+// fills a released replica's parameters and buffers with NaN bits before it
+// re-enters the pool, and every Accumulator its kept sums at Reset. A
+// result dict read after its Release, or an aggregate read after the next
+// round began, then reads NaN instead of what a later job or fold wrote
+// there.
 func PoisonReleasedReplicas() (restore func()) {
-	poisonReleased.Store(true)
-	return func() { poisonReleased.Store(false) }
+	return poison.Enable()
 }

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"reffil/internal/data"
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/nn"
 	"reffil/internal/tensor"
 )
@@ -344,12 +344,6 @@ type replica struct {
 	dict   map[string]*tensor.Tensor
 }
 
-// poisonReleased, set by tests through export_test.go, makes every released
-// replica have its parameters and buffers filled with NaN bits before it
-// re-enters the pool. A result dict read after its Release then reads NaN
-// instead of the weights the next job's copy or training left there.
-var poisonReleased atomic.Bool
-
 // takeReplica returns an idle replica brought to the global state given as
 // params and buffers (Alg.Global()'s), or a cold Spawn when none is idle.
 func (lr *LocalRunner) takeReplica(params []nn.Param, buffers []nn.Buffer) (*replica, error) {
@@ -378,10 +372,12 @@ func (lr *LocalRunner) takeReplica(params []nn.Param, buffers []nn.Buffer) (*rep
 
 // putReplica returns a released replica to the pool.
 func (lr *LocalRunner) putReplica(rep *replica) {
-	if poisonReleased.Load() {
+	if poison.On() {
+		// A result dict read after its Release then reads NaN instead of
+		// the weights the next job's copy or training left there.
 		//fedvet:ignore maporder every tensor gets the same fill, in any order
 		for _, t := range rep.dict {
-			t.Fill(math.Float64frombits(^uint64(0)))
+			poison.Tensor(t)
 		}
 	}
 	lr.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/tensor"
 )
 
@@ -177,5 +178,101 @@ func TestAccumulatorStreamingAllocs(t *testing.T) {
 	// len(sizes) allocations (and tens of kilobytes) per fold.
 	if avg >= 2 {
 		t.Fatalf("steady-state Fold allocates %.1f objects per client update, want < 2", avg)
+	}
+}
+
+// TestResetAccumulatorMatchesFreshOne folds four rounds into one
+// Accumulator, Reset between rounds as the engine does, and into a fresh
+// Accumulator per round. Key "a" is unanimous in rounds 0 and 2 and broken
+// in 1 and 3, key "b" the other way round, and key "c" is broken in every
+// round; element 1 of every key is -0 in every client, so a kept sum that
+// were not zero-filled to +0 before its replay — left at last round's
+// values, at the NaN poison, or scaled to -0 — would finalize to another
+// sign or value. Every round's aggregate must match the fresh one's bit for
+// bit, key "c" must be summed into the same tensor every round, and no
+// dict folded in any round may be written: a unanimous key's aggregate is
+// the first dict's own tensor, which a later round's sums must never
+// become.
+func TestResetAccumulatorMatchesFreshOne(t *testing.T) {
+	defer poison.Enable()()
+	rng := rand.New(rand.NewSource(5))
+	weights := []float64{2, 1, 3}
+	negZero := math.Copysign(0, -1)
+	var reused Accumulator
+	var keptC *tensor.Tensor
+	// folded holds every dict folded so far, kept a copy of each.
+	var folded, kept []map[string]*tensor.Tensor
+	for round := 0; round < 4; round++ {
+		unanimous := map[string]bool{"a": round%2 == 0, "b": round%2 == 1, "c": false}
+		shared := map[string][]float64{}
+		for _, k := range []string{"a", "b", "c"} {
+			shared[k] = []float64{rng.NormFloat64(), negZero, rng.NormFloat64()}
+		}
+		dicts := make([]map[string]*tensor.Tensor, len(weights))
+		for c := range dicts {
+			dicts[c] = make(map[string]*tensor.Tensor)
+			for k, vals := range shared {
+				tt := tensor.New(len(vals))
+				copy(tt.Data(), vals)
+				if !unanimous[k] {
+					tt.Data()[0] += float64(c + 1)
+				}
+				dicts[c][k] = tt
+			}
+		}
+		for _, d := range dicts {
+			clone := make(map[string]*tensor.Tensor, len(d))
+			for k, v := range d {
+				clone[k] = v.Clone()
+			}
+			folded, kept = append(folded, d), append(kept, clone)
+		}
+		fresh := NewAccumulator()
+		reused.Reset()
+		for c, d := range dicts {
+			if err := fresh.Fold(d, weights[c]); err != nil {
+				t.Fatal(err)
+			}
+			if err := reused.Fold(d, weights[c]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := fresh.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, w := range want {
+			for i, wv := range w.Data() {
+				if gv := got[k].Data()[i]; math.Float64bits(gv) != math.Float64bits(wv) {
+					t.Fatalf("round %d %s[%d]: reused accumulator %x, fresh %x", round, k, i, math.Float64bits(gv), math.Float64bits(wv))
+				}
+			}
+			if unanimous[k] != (got[k] == dicts[0][k]) {
+				t.Fatalf("round %d key %s: unanimous %v, but aggregate is the first dict's tensor: %v", round, k, unanimous[k], got[k] == dicts[0][k])
+			}
+		}
+		if math.Signbit(got["c"].Data()[1]) {
+			t.Fatalf("round %d: a -0 in every client summed to -0, want the +0 a zero-filled sum gives", round)
+		}
+		if round == 0 {
+			keptC = got["c"]
+		} else if got["c"] != keptC {
+			t.Fatalf("round %d: key c was summed into a new tensor, not the one Reset kept", round)
+		}
+		gu, gb := reused.UnanimityStats()
+		if wu, wb := fresh.UnanimityStats(); gu != wu || gb != wb {
+			t.Fatalf("round %d: unanimity %d/%d, fresh %d/%d", round, gu, gb, wu, wb)
+		}
+		for i, d := range folded {
+			for k, v := range d {
+				if !v.EqualBits(kept[i][k]) {
+					t.Fatalf("round %d wrote into round %d client %d's %s", round, i/len(weights), i%len(weights), k)
+				}
+			}
+		}
 	}
 }

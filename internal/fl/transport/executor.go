@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reffil/internal/fl"
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/fl/wire"
 	"reffil/internal/nn"
 )
@@ -132,8 +133,8 @@ func (e *Executor) Handle(b Broadcast, emit func(JobResult) error) error {
 			return fmt.Errorf("job %d upload state: %w", entries[i].Index, err)
 		}
 		defer func() {
-			poison(p.Dense[:cap(p.Dense)])
-			poison(p.Packed[:cap(p.Packed)])
+			poison.Bytes(p.Dense[:cap(p.Dense)])
+			poison.Bytes(p.Packed[:cap(p.Packed)])
 		}()
 		jr := JobResult{Index: entries[i].Index, Patch: p}
 		if res.Upload != nil {

@@ -1,17 +1,24 @@
 package transport
 
-import "io"
+import (
+	"io"
 
-// PoisonReusedBuffers makes every connection overwrite its read buffer with
-// 0xFF once the message in it is consumed (when the next frame is read),
-// every Executor overwrite its upload buffer once the ack holding it is sent,
-// and every Pipeline fill a decode buffer's tensors with NaN bits once the
-// result decoded into it is released, until the returned function is
-// called. A message field, upload patch or result dict kept past its
-// lifetime then reads 0xFF or NaN instead of silently reusing storage.
+	"reffil/internal/fl/internal/poison"
+)
+
+// PoisonReusedBuffers turns the runtime's buffer poisoning on (see package
+// poison) until the returned function is called: every connection
+// overwrites its read buffer with 0xFF once the message in it is consumed
+// (when the next frame is read), every Executor its upload buffer once the
+// ack holding it is sent, every Pipeline's encoder the bytes of a round's
+// broadcast patches at the next round's SetRound, every Pipeline fills a
+// decode buffer's tensors with NaN bits once the result decoded into it is
+// released, every engine's Accumulator its kept sums at Reset, and every
+// LocalRunner a released replica's tensors. A message field, broadcast
+// patch, upload patch, result dict or aggregate kept past its lifetime
+// then reads 0xFF or NaN instead of silently reusing storage.
 func PoisonReusedBuffers() (restore func()) {
-	poisonReused.Store(true)
-	return func() { poisonReused.Store(false) }
+	return poison.Enable()
 }
 
 // WriteHello writes h onto w as one frame, and ReadHelloAck reads the reply:

@@ -12,6 +12,7 @@ import (
 
 	"reffil/internal/binfmt"
 	"reffil/internal/fl"
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/fl/wire"
 	"reffil/internal/tensor"
 )
@@ -110,34 +111,17 @@ func (t msgType) String() string {
 	return fmt.Sprintf("type-%d", uint8(t))
 }
 
-// poisonReused, set by tests through export_test.go, makes every reused
-// buffer be overwritten with 0xFF bytes the moment its contents stop being
-// valid: a connection's read buffer when the next frame is read, an
-// Executor's upload buffer once the ack holding it is sent, a Pipeline's
-// decode buffer once the result decoded into it is released. A retained
-// alias then reads 0xFF bytes — NaN, as float64 — instead of the values it
-// expected.
-var poisonReused atomic.Bool
-
-func poison(b []byte) {
-	if poisonReused.Load() {
-		for i := range b {
-			b[i] = 0xFF
-		}
-	}
-}
-
-// poisonDecoded poisons the tensors of a released upload dict that are not
-// its base's: those its decode buffer owns, which the next decode
-// overwrites.
+// poisonDecoded poisons (see package poison) the tensors of a released
+// upload dict that are not its base's: those its decode buffer owns, which
+// the next decode overwrites.
 func poisonDecoded(dict, base map[string]*tensor.Tensor) {
-	if !poisonReused.Load() {
+	if !poison.On() {
 		return
 	}
 	//fedvet:ignore maporder every tensor gets the same fill, in any order
 	for k, t := range dict {
 		if t != base[k] {
-			t.Fill(math.Float64frombits(^uint64(0)))
+			poison.Tensor(t)
 		}
 	}
 }
@@ -356,9 +340,12 @@ type frameReader struct {
 // the stream left mid-frame: the caller reports the mismatch and stops.
 // Everything else is validated before the body is read — magic, reserved
 // byte, type, and the length against the type's bound — and the buffer
-// grows only as bytes arrive, at most frameChunk ahead of them.
+// grows only as bytes arrive, at most frameChunk ahead of them. Its last
+// growth for a frame aims an eighth past the frame's length (within the
+// type's bound), so a later frame a few bytes longer — the next upload of
+// the same model — fits without another copy of the whole body.
 func (fr *frameReader) next() (t msgType, version int, body []byte, err error) {
-	poison(fr.buf[:cap(fr.buf)])
+	poison.Bytes(fr.buf[:cap(fr.buf)])
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
@@ -382,9 +369,10 @@ func (fr *frameReader) next() (t msgType, version int, body []byte, err error) {
 		return 0, 0, nil, fmt.Errorf("transport: %v body of %d bytes exceeds %d", t, n, maxBody[t])
 	}
 	b := fr.buf[:0]
+	room := min(n+n/8, maxBody[t])
 	for len(b) < n {
 		if len(b) == cap(b) {
-			grown := make([]byte, len(b), min(n, len(b)+frameChunk))
+			grown := make([]byte, len(b), min(room, len(b)+frameChunk))
 			copy(grown, b)
 			b = grown
 		}

@@ -54,6 +54,14 @@ import (
 // elsewhere would fail identically). A dead worker's mirror dies with its
 // slot, so a re-dial starts from a full snapshot.
 //
+// A warm round copies nothing of model size. The round's dict keeps the
+// last round's tensor for every key whose bits did not change (snapshot),
+// which the encoder's immutable round dicts allow; the encoder writes the
+// round's broadcast patches into the last round's patch bytes, so dispatch
+// waits until every send that wrote them has returned; and job i's ack
+// decodes into the buffer of index i, which the engine's Release hands back
+// before the next round's job i.
+//
 // Determinism: a result is identified by its job index and the engine folds
 // in job-index order regardless of arrival order, so the same results are
 // folded in the same order with the same bits whatever the wall-clock
@@ -81,20 +89,30 @@ type Pipeline struct {
 	enc wire.Encoder
 
 	// mu guards the round in flight, the slots' holds and bases, the fatal
-	// flag and the cumulative stats; cond (on mu) wakes await when a job
-	// settles.
+	// flag, the send count, the decode buffers and the cumulative stats;
+	// cond (on mu) wakes await when a job settles and dispatch when the
+	// last send returns.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cur    *roundFlight
 	slots  map[int]*slotState
 	fatal  error
 	closed bool
-	// free holds the idle upload decode buffers. Each ack is decoded into
-	// one taken from here (or a new one when it is empty), and its result's
-	// Release puts it back, so the list never outgrows the number of results
-	// the engine held at once.
-	free  []*wire.DecodeBuffer
+	// sends counts the sends in progress; cond wakes a dispatch waiting for
+	// it to reach zero.
+	sends int
+	// bufs[i] is the upload decode buffer of every round's job i, so a run
+	// keeps one per job of its largest round, whatever order acks arrive
+	// in.
+	bufs  []*decodeBuffer
 	stats Stats
+}
+
+// decodeBuffer is one job index's upload decode buffer. lent marks it
+// holding a result that has not been released.
+type decodeBuffer struct {
+	wire.DecodeBuffer
+	lent bool
 }
 
 // flight is one job's spec and settlement state.
@@ -210,9 +228,16 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 			return nil, fmt.Errorf("transport: encoding wire state: %w", err)
 		}
 	}
-	// StateDict clones, so the round's dict is immune to the engine
-	// mutating the global during aggregation.
-	p.enc.SetRound(nn.StateDict(p.alg.Global()), payload)
+	// SetRound hands the last round's patch bytes to this one, so every
+	// write of them must have returned. A slot that died can still be
+	// inside its write after its jobs were dealt again and the round
+	// finished; its death closed the connection, so the write fails soon.
+	p.mu.Lock()
+	for p.sends > 0 {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+	p.enc.SetRound(snapshot(p.alg.Global(), p.enc.Dict()), payload)
 	start := time.Now()
 
 	// Register the round before anything hits the wire: acks can start
@@ -299,11 +324,20 @@ func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
 // The jobs are held before the write: if the slot is dead or the write
 // fails, the returned error routes the caller into workerDied, which finds
 // them in the hold and deals them again. A frame that cannot be built fails
-// the run.
+// the run. The send is counted from start to return, so the next dispatch
+// can wait for it before the encoder reuses the frame's patch bytes.
 func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
 	p.mu.Lock()
 	st := p.slotFor(slot)
+	p.sends++
 	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		if p.sends--; p.sends == 0 {
+			p.cond.Broadcast()
+		}
+		p.mu.Unlock()
+	}()
 	st.sendMu.Lock()
 	defer st.sendMu.Unlock()
 	f, err := p.enc.FrameFor(&st.tracker)
@@ -531,12 +565,14 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 var holdDecode atomic.Pointer[func(index int)]
 
 // decodeResult converts one acked JobResult into an fl.Result, decoding the
-// upload patch into a buffer from the free list. base is the broadcast base
-// the sending worker diffed its patch against — its post-frame state, the
-// slot mirror's dict once the frame was built — so the result's unchanged
-// keys point at the encoder's round dict and its changed keys at the
-// buffer's tensors. The result's Release hands the buffer back for a later
-// ack to overwrite.
+// upload patch into its job index's buffer. base is the broadcast base the
+// sending worker diffed its patch against — its post-frame state, the slot
+// mirror's dict once the frame was built — so the result's unchanged keys
+// point at the encoder's round dict and its changed keys at the buffer's
+// tensors. The result's Release hands the buffer back for the next round's
+// ack of the same index to overwrite. A buffer still lent — a result from an
+// earlier round that was never released — is left to that result, and the
+// index gets a new one.
 //
 // Called with mu held, and returns with it held, but releases it while the
 // patch decodes (and while a test's holdDecode runs): the ack's bytes are
@@ -545,12 +581,15 @@ var holdDecode atomic.Pointer[func(index int)]
 // holding a buffer. The method's DecodeUpload, not documented
 // concurrency-safe, runs under mu.
 func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
-	var buf *wire.DecodeBuffer
-	if n := len(p.free); n > 0 {
-		buf, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		buf = new(wire.DecodeBuffer)
+	for len(p.bufs) <= jr.Index {
+		p.bufs = append(p.bufs, new(decodeBuffer))
 	}
+	buf := p.bufs[jr.Index]
+	if buf.lent {
+		buf = new(decodeBuffer)
+		p.bufs[jr.Index] = buf
+	}
+	buf.lent = true
 	p.mu.Unlock()
 	if hold := holdDecode.Load(); hold != nil {
 		(*hold)(jr.Index)
@@ -575,9 +614,34 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		poisonDecoded(dict, base)
-		p.free = append(p.free, buf)
+		buf.lent = false
 	}
 	return fl.Result{Dict: dict, Upload: up, Release: release}, nil
+}
+
+// snapshot returns the global's state dict for the next round: each key
+// whose shape and bits equal prev's — the last round's dict — keeps prev's
+// tensor, and the rest are cloned. Round dicts are immutable once the
+// encoder has them (see wire.Encoder), so two rounds can share a tensor, and
+// the dict is immune to the engine writing the global during aggregation.
+// A round that leaves most of the model alone (a frozen backbone) then
+// copies only what changed.
+func snapshot(m nn.Module, prev map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+	out := make(map[string]*tensor.Tensor, len(prev))
+	keep := func(name string, t *tensor.Tensor) {
+		if old := prev[name]; old != nil && old.SameShape(t) && old.EqualBits(t) {
+			out[name] = old
+		} else {
+			out[name] = t.Clone()
+		}
+	}
+	for _, p := range m.Params() {
+		keep(p.Name, p.Value.T)
+	}
+	for _, b := range m.Buffers() {
+		keep(b.Name, b.T)
+	}
+	return out
 }
 
 var _ fl.EachRunner = (*Pipeline)(nil)

@@ -9,18 +9,22 @@ import (
 )
 
 // TestPoisonedBuffersLeaveRunsBitIdentical is the lifetime gate for the
-// transport's three reused buffers. With every connection's read buffer
+// federation's reused buffers. With every connection's read buffer
 // overwritten by 0xFF once its message is consumed, every Executor's upload
-// buffer once its ack is sent, and every Pipeline decode buffer's tensors
-// once the engine releases the result decoded into them, a federation
-// of RefFiL and of FedLwF — whose wire-state payloads change at task
+// buffer once its ack is sent, the encoder's broadcast patch bytes at the
+// next round's SetRound, every Pipeline decode buffer's tensors once the
+// engine releases the result decoded into them, the engine accumulator's
+// kept sums at its next Reset and every released replica, a federation of
+// RefFiL and of FedLwF — whose wire-state payloads change at task
 // boundaries — must be the reference run, as an unpoisoned one is, with the
 // unpoisoned one's byte counts; and a worker crash with re-dial, whose
 // re-queued jobs run on a survivor brought to the round's state by their
 // frame, must still be the reference run. Any field kept past its message,
-// an upload kept past its send, or a result read past its release — the
-// engine's first result included, whose tensors the aggregate may alias
-// until it is installed — would read 0xFF or NaN instead.
+// a broadcast patch written after the next round began, an upload kept
+// past its send, a result read past its release — the engine's first
+// result included, whose tensors the aggregate may alias until it is
+// installed — or an aggregate read after the next round began would read
+// 0xFF or NaN instead.
 func TestPoisonedBuffersLeaveRunsBitIdentical(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

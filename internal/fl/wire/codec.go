@@ -128,11 +128,13 @@ func compatible(base, next map[string]*tensor.Tensor) bool {
 // changedKeys returns, in key order, the keys whose tensors are not
 // bit-identical between base and next (tensor.EqualBits: a 0 ↔ -0 flip or
 // a NaN payload change still counts as a change — the delta path must
-// never weaken the bit-identity guarantee).
+// never weaken the bit-identity guarantee). A key whose tensor is the same
+// one in both dicts is unchanged without a compare: consecutive round
+// dicts share the tensors of the keys a round left alone.
 func changedKeys(keys []string, base, next map[string]*tensor.Tensor) []string {
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if !base[k].EqualBits(next[k]) {
+		if b, n := base[k], next[k]; b != n && !b.EqualBits(n) {
 			out = append(out, k)
 		}
 	}

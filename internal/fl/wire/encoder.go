@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/tensor"
 )
 
@@ -18,6 +19,13 @@ import (
 // the payload bytes differ from the previous round's — which is what stops
 // LwF's teacher (a full model) from crossing the wire more than once per
 // task.
+//
+// Ownership: every round dict the encoder is given, and every tensor in
+// one, is immutable from SetRound on — mirrors, upload-decode bases and the
+// dicts decoded against them read them for as long as they hold them — so
+// consecutive round dicts may share the tensors of unchanged keys. The
+// bytes of the patches FrameFor builds are the encoder's own: after the
+// next SetRound, that round's patches are written into them.
 type Encoder struct {
 	mu             sync.Mutex
 	version        uint64
@@ -28,12 +36,22 @@ type Encoder struct {
 	// base-independent full snapshot). Delta is exact, so two workers at the
 	// same version hold the same dict and can share one patch.
 	patches map[uint64]*Patch
+	// bufs[i] holds the bytes of the round's i-th encoded patch, and used
+	// counts the round's patches: each round encodes into the storage the
+	// rounds before it grew.
+	bufs []Buffer
+	used int
 }
 
 // SetRound installs the round's canonical state dict and encoded wire-state
 // payload, advancing the state version (and the payload version iff the
-// payload bytes changed). The encoder takes ownership of dict: the caller
-// must pass a fresh copy (nn.StateDict already clones) and never mutate it.
+// payload bytes changed). The encoder takes ownership of dict, whose
+// tensors no one may write from now on; it may share tensors with earlier
+// rounds' dicts (a key whose bits did not change), which are immutable too.
+//
+// SetRound retires every Frame FrameFor built before it: their patches'
+// bytes become the storage of this round's patches. The caller must be done
+// with all of them — every write of one returned — before calling it.
 func (e *Encoder) SetRound(dict map[string]*tensor.Tensor, payload []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -43,7 +61,14 @@ func (e *Encoder) SetRound(dict map[string]*tensor.Tensor, payload []byte) {
 		e.payloadVersion++
 		e.payload = payload
 	}
-	e.patches = make(map[uint64]*Patch)
+	if e.patches == nil {
+		e.patches = make(map[uint64]*Patch)
+	}
+	clear(e.patches)
+	for i := range e.bufs[:e.used] {
+		poison.Bytes(e.bufs[i].b[:cap(e.bufs[i].b)])
+	}
+	e.used = 0
 }
 
 // Dict returns the current round's canonical state dict (nil before the
@@ -58,6 +83,7 @@ func (e *Encoder) Dict() map[string]*tensor.Tensor {
 // FrameFor builds the frame that brings a worker whose receive state is t
 // to the current versions: a KindNone frame when it already holds them, a
 // delta against its base, or a full snapshot when it holds none.
+// The frame's patch aliases the encoder's storage until the next SetRound.
 func (e *Encoder) FrameFor(t *Tracker) (*Frame, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -93,10 +119,14 @@ func (e *Encoder) patchFor(baseV uint64, base map[string]*tensor.Tensor) (*Patch
 	if p, ok := e.patches[baseV]; ok {
 		return p, nil
 	}
-	p, err := Delta{}.Encode(base, e.dict)
+	if e.used == len(e.bufs) {
+		e.bufs = append(e.bufs, Buffer{})
+	}
+	p, err := e.bufs[e.used].Encode(base, e.dict)
 	if err != nil {
 		return nil, err
 	}
+	e.used++
 	e.patches[baseV] = p
 	return p, nil
 }
