@@ -170,7 +170,6 @@ func run() error {
 		return err
 	}
 	tr.JoinWait = *joinWait
-	tr.Telemetry = sink
 	tr.OnRound = func(rs transport.RoundStats) {
 		wlog.Event("wire_round",
 			telemetry.F("task", rs.Task), telemetry.F("round", rs.Round),
@@ -198,10 +197,10 @@ func run() error {
 	if err := experiments.PrintMatrix(os.Stdout, res); err != nil {
 		return err
 	}
-	// Closed before the worker goodbye: collectors must stop treating the
-	// connection teardown Shutdown triggers as worker deaths. The goodbye is
-	// best-effort: a worker that died after its last reply must not discard
-	// a completed run's results.
+	// Closed before the worker goodbye, so no collector re-queues while the
+	// workers leave; Shutdown stops counting their connections' teardown as
+	// deaths. The goodbye is best-effort: a worker that died after its last
+	// reply must not discard a completed run's results.
 	_ = tr.Close()
 	if err := coord.Shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, "fedserver: shutdown:", err)

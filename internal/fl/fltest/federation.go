@@ -61,7 +61,8 @@ type Federation struct {
 	// JoinWait is the Pipeline's.
 	JoinWait time.Duration
 	// Sink, when non-nil, is attached wherever fedserver attaches its
-	// telemetry: coordinator, pipeline and engine.
+	// telemetry: the coordinator, which the pipeline reports through, and
+	// the engine.
 	Sink *telemetry.Sink
 	// OnRound is the Pipeline's.
 	OnRound func(transport.RoundStats)
@@ -131,7 +132,7 @@ func Federate(t testing.TB, method string, family *data.Family, domains []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.Telemetry, pl.OnRound, pl.JoinWait = opt.Sink, opt.OnRound, opt.JoinWait
+	pl.OnRound, pl.JoinWait = opt.OnRound, opt.JoinWait
 	if opt.Codec != "" {
 		if err := pl.UseCodec(opt.Codec); err != nil {
 			t.Fatal(err)

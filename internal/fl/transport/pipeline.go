@@ -3,14 +3,12 @@ package transport
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/nn"
-	"reffil/internal/telemetry"
 	"reffil/internal/tensor"
 )
 
@@ -38,13 +36,14 @@ import (
 // Every job entry of a broadcast carries the job's index in the round, and
 // each ack echoes it, so a slot keeps only its mirror, the round's jobs it
 // holds unsettled, the upload-decode base of its latest frame, and a
-// collector goroutine that reads its acks. An index-only ack is sound only
-// under one invariant: a job is settled only by a slot that holds it, so a
-// live slot never holds a job of an earlier round. A collector takes a job
-// out of its slot's hold when it reads the job's ack, before the decode
-// releases the lock, so a death during the decode leaves the job to that
-// decode; and it drops anything it reads once its slot is dead, whose jobs
-// were dealt again at its death.
+// collector goroutine that reads its acks — all in the coordinator's record
+// of the slot, beside its connection and its dead flag. An index-only ack is
+// sound only under one invariant: a job is settled only by a slot that holds
+// it, so a live slot never holds a job of an earlier round. A collector
+// takes a job out of its slot's hold when it reads the job's ack, before the
+// decode releases the lock, so a death during the decode leaves the job to
+// that decode; and it drops anything it reads once its slot is dead, whose
+// jobs are dealt again at its death.
 //
 // A worker connection dying does not fail the run: its acknowledged
 // results are kept and the jobs it holds are dealt over the survivors, as
@@ -53,6 +52,11 @@ import (
 // itself reports is deterministic and fails the run (re-running the job
 // elsewhere would fail identically). A dead worker's mirror dies with its
 // slot, so a re-dial starts from a full snapshot.
+//
+// The Pipeline runs on its coordinator's mutex and condition variable, so
+// one coordinator serves one Pipeline, which reports to the coordinator's
+// telemetry sink. Neither a collector nor a send holds the mutex in a
+// socket read or write.
 //
 // A warm round copies nothing of model size. The round's dict keeps the
 // last round's tensor for every key whose bits did not change (snapshot),
@@ -71,7 +75,7 @@ type Pipeline struct {
 	alg   fl.Algorithm
 	// OnRound, when non-nil, receives each round's wire statistics once its
 	// last ack lands. Called from a collector goroutine, outside the
-	// pipeline's locks, possibly after RunEach has returned.
+	// coordinator's lock, possibly after RunEach has returned.
 	OnRound func(RoundStats)
 	// JoinWait, when positive, is how long a moment with no live workers —
 	// at a round's start, or when the last live worker dies holding jobs —
@@ -79,23 +83,16 @@ type Pipeline struct {
 	// (re-)joining worker (elastic membership) before failing the run. Zero
 	// keeps the fail-fast behaviour.
 	JoinWait time.Duration
-	// Telemetry, when non-nil, receives round observations, per-worker ack
-	// latencies, death and requeue events. Set before the first round; nil
-	// (the default) keeps the hot path allocation-free.
-	Telemetry *telemetry.Sink
 
 	// enc holds the round in flight's state and payload until the next
 	// dispatch, so re-queues frame against it too.
 	enc wire.Encoder
 
-	// mu guards the round in flight, the slots' holds and bases, the fatal
-	// flag, the send count, the decode buffers and the cumulative stats;
-	// cond (on mu) wakes await when a job settles and dispatch when the
-	// last send returns.
-	mu     sync.Mutex
-	cond   *sync.Cond
+	// The rest is guarded by the coordinator's mu: the round in flight, the
+	// fatal error, the send count, the decode buffers and the cumulative
+	// stats. The coordinator's cond wakes await when a job settles and
+	// dispatch when the last send returns.
 	cur    *roundFlight
-	slots  map[int]*slotState
 	fatal  error
 	closed bool
 	// sends counts the sends in progress; cond wakes a dispatch waiting for
@@ -134,23 +131,6 @@ type roundFlight struct {
 	sent atomic.Int64
 }
 
-// slotState is one worker slot's send/collect machinery. sendMu serializes
-// send — frame, mirror advance, hold, write — so the mirror follows wire
-// order; tracker, the coordinator's mirror of the worker's wire.Tracker, is
-// only touched under it. The other fields are guarded by the Pipeline's mu.
-type slotState struct {
-	sendMu  sync.Mutex
-	tracker wire.Tracker
-	// held lists the jobs of the round in flight dealt to the slot whose
-	// acks its collector has not read.
-	held []int
-	// base is the upload-decode base of the slot's latest frame: the
-	// mirror's dict once the frame was built.
-	base       map[string]*tensor.Tensor
-	collecting bool
-	dead       bool
-}
-
 // NewPipeline wraps a coordinator and the engine's algorithm instance. The
 // algorithm must be the same instance the fl.Engine aggregates into — each
 // round reads its Global() state and wire state at dispatch.
@@ -161,13 +141,7 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("transport: pipeline needs an algorithm")
 	}
-	p := &Pipeline{
-		coord: coord,
-		alg:   alg,
-		slots: make(map[int]*slotState),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	return p, nil
+	return &Pipeline{coord: coord, alg: alg}, nil
 }
 
 // UseCodec accepts only wire.CodecDelta, the wire format the Pipeline
@@ -180,45 +154,36 @@ func (p *Pipeline) UseCodec(name string) error {
 
 // Stats returns the cumulative wire accounting across completed rounds.
 func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.coord.mu.Lock()
+	defer p.coord.mu.Unlock()
 	return p.stats
 }
 
-// Close fails a round waiting for results and stops the collectors from
-// reporting further deaths. Call it before Coordinator.Shutdown/Close
-// when tearing a run down.
+// Close fails a round waiting for results and stops the collectors and
+// re-queues. Call it before Coordinator.Shutdown/Close when tearing a run
+// down.
 func (p *Pipeline) Close() error {
-	p.mu.Lock()
+	p.coord.mu.Lock()
 	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.coord.cond.Broadcast()
+	p.coord.mu.Unlock()
 	return nil
 }
 
-// fail records the first fatal error and wakes every waiter. Callers must
-// hold mu.
+// failLocked records the first fatal error and wakes every waiter. Callers
+// must hold the coordinator's mu.
 func (p *Pipeline) failLocked(err error) {
 	if p.fatal == nil {
 		p.fatal = err
 	}
-	p.cond.Broadcast()
-}
-
-// slotFor returns (creating if needed) slot's state. Callers must hold mu.
-func (p *Pipeline) slotFor(slot int) *slotState {
-	st, ok := p.slots[slot]
-	if !ok {
-		st = &slotState{}
-		p.slots[slot] = st
-	}
-	return st
+	p.coord.cond.Broadcast()
 }
 
 // dispatch is RunEach's first half: register the round, deal every job and
 // return the round as soon as the sends complete. Results arrive on the
 // collectors; await hands them over.
 func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
+	c := p.coord
 	task, round := jobs[0].Spec.Task, jobs[0].Spec.Round
 	var payload []byte
 	if ws, ok := p.alg.(fl.WireStater); ok {
@@ -232,28 +197,28 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	// write of them must have returned. A slot that died can still be
 	// inside its write after its jobs were dealt again and the round
 	// finished; its death closed the connection, so the write fails soon.
-	p.mu.Lock()
+	c.mu.Lock()
 	for p.sends > 0 {
-		p.cond.Wait()
+		c.cond.Wait()
 	}
-	p.mu.Unlock()
+	c.mu.Unlock()
 	p.enc.SetRound(snapshot(p.alg.Global(), p.enc.Dict()), payload)
 	start := time.Now()
 
 	// Register the round before anything hits the wire: acks can start
 	// arriving the moment the first send completes.
-	p.mu.Lock()
+	c.mu.Lock()
 	if p.fatal != nil {
 		err := p.fatal
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return nil, err
 	}
 	if p.closed {
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return nil, fmt.Errorf("transport: dispatch on a closed pipeline")
 	}
 	if p.cur != nil {
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return nil, fmt.Errorf("transport: round %d is still in flight", p.cur.round)
 	}
 	rf := &roundFlight{
@@ -268,12 +233,12 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 		all[k] = k
 	}
 	p.cur = rf
-	p.mu.Unlock()
+	c.mu.Unlock()
 
 	p.deal(rf, all)
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	rf.rs.DispatchNanos = time.Since(start).Nanoseconds()
 	return rf, p.fatal
 }
@@ -287,21 +252,22 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 // carries a job, so each is counted before the round's last ack can land.
 // Callers must not hold mu.
 func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
-	live := p.coord.liveSlots()
-	if len(live) == 0 && p.JoinWait > 0 && p.coord.AwaitLive(1, p.JoinWait) == nil {
-		live = p.coord.liveSlots()
+	c := p.coord
+	c.mu.Lock()
+	if p.JoinWait > 0 && c.liveLocked() == 0 {
+		_ = c.waitJoin(p.JoinWait, func() bool { return c.liveLocked() > 0 })
 	}
-	p.mu.Lock()
+	live := c.liveSlots()
 	if p.closed || p.fatal != nil {
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	if len(live) == 0 {
 		p.failLocked(fmt.Errorf("transport: no live workers for %d jobs of round %d", len(idxs), rf.round))
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
-	p.mu.Unlock()
+	c.mu.Unlock()
 	for s := range min(len(live), len(idxs)) {
 		var share []int
 		for k := s; k < len(idxs); k += len(live) {
@@ -313,9 +279,14 @@ func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
 	}
 }
 
+// holdSend, set by tests, runs inside send with mu released, just before
+// the frame is written, given the slot: a test holds a send there while the
+// slot dies and its jobs finish elsewhere.
+var holdSend atomic.Pointer[func(slot int)]
+
 // send sends the round's jobs idxs to the slot as one broadcast: it builds
 // the frame that brings the worker from its mirrored state to the round's,
-// advances the mirror past it, records the mirror's dict as the slot's
+// which advances the mirror past it, records the mirror's dict as the slot's
 // upload-decode base, adds idxs to the slot's hold and writes the frame, all
 // under the slot's sendMu. Dispatch and re-queues can both send to a slot
 // while a round is in flight; holding sendMu from frame to write makes the
@@ -327,35 +298,37 @@ func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
 // the run. The send is counted from start to return, so the next dispatch
 // can wait for it before the encoder reuses the frame's patch bytes.
 func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
-	p.mu.Lock()
-	st := p.slotFor(slot)
-	p.sends++
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		if p.sends--; p.sends == 0 {
-			p.cond.Broadcast()
-		}
-		p.mu.Unlock()
-	}()
-	st.sendMu.Lock()
-	defer st.sendMu.Unlock()
-	f, err := p.enc.FrameFor(&st.tracker)
-	if err == nil {
-		err = p.enc.Advance(&st.tracker, f)
+	c := p.coord
+	c.mu.Lock()
+	w, err := c.slotLocked(slot)
+	if err != nil {
+		c.mu.Unlock()
+		return err
 	}
-	p.mu.Lock()
+	p.sends++
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		if p.sends--; p.sends == 0 {
+			c.cond.Broadcast()
+		}
+		c.mu.Unlock()
+	}()
+	w.sendMu.Lock()
+	defer w.sendMu.Unlock()
+	f, err := p.enc.FrameFor(&w.tracker)
+	c.mu.Lock()
 	if err != nil {
 		p.failLocked(fmt.Errorf("transport: framing round %d for worker %d: %w", rf.round, slot, err))
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return nil
 	}
-	st.base = st.tracker.Dict
-	st.held = append(st.held, idxs...)
-	if st.dead {
+	w.base = w.tracker.Dict
+	w.held = append(w.held, idxs...)
+	if w.dead {
 		// The slot died while this send was being prepared; the death
 		// that ran, or the one the caller runs next, deals the jobs again.
-		p.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("transport: worker %d is dead", slot)
 	}
 	switch f.Kind {
@@ -371,74 +344,77 @@ func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
 	for k, ji := range idxs {
 		jobs[k] = Job{Index: ji, Spec: rf.jobs[ji].spec}
 	}
-	if !st.collecting {
-		st.collecting = true
-		go p.collect(slot, st)
+	if !w.collecting {
+		w.collecting = true
+		go p.collect(slot, w)
 	}
-	p.mu.Unlock()
-	return p.coord.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: jobs}, &rf.sent)
+	c.mu.Unlock()
+	if hold := holdSend.Load(); hold != nil {
+		(*hold)(slot)
+	}
+	return c.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: jobs}, &rf.sent)
 }
 
 // collect is slot's dedicated receive loop: it settles the job each ack
 // names, decoding the upload against the slot's base, and finalizes the
 // round when its last ack lands. One collector runs per slot for the
 // pipeline's lifetime; it exits on worker death or pipeline close.
-func (p *Pipeline) collect(slot int, st *slotState) {
+func (p *Pipeline) collect(slot int, w *wireConn) {
+	c := p.coord
 	for {
-		u, n, err := p.coord.recv(slot)
-		p.mu.Lock()
-		if p.closed || st.dead {
-			// A dead slot's jobs were dealt again when it died: whatever
-			// it still reads settles nothing.
-			p.mu.Unlock()
+		u, n, err := c.recv(slot)
+		if err != nil {
+			p.workerDied(slot)
 			return
 		}
-		if err != nil {
-			p.mu.Unlock()
-			p.workerDied(slot)
+		c.mu.Lock()
+		if p.closed || w.dead {
+			// A dead slot's jobs are dealt again by whoever saw it die:
+			// whatever it still reads settles nothing.
+			c.mu.Unlock()
 			return
 		}
 		if u.Version != ProtocolVersion {
 			p.failLocked(fmt.Errorf("transport: worker %d speaks protocol v%d, coordinator v%d", slot, u.Version, ProtocolVersion))
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		if u.Error != "" {
 			// A worker-reported error is deterministic: re-queueing the job
 			// elsewhere would fail identically, so the run fails.
 			p.failLocked(fmt.Errorf("transport: worker %d: %s", slot, u.Error))
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		jr, rf := u.Ack, p.cur
-		k := slices.Index(st.held, jr.Index)
+		k := slices.Index(w.held, jr.Index)
 		if k < 0 {
 			p.failLocked(fmt.Errorf("transport: worker %d acked job %d, which it does not hold", slot, jr.Index))
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		if jr.Patch == nil {
 			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, rf.round, jr.Index))
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		// The job leaves the hold before the decode releases mu: a death
 		// meanwhile leaves it to this decode instead of dealing it again.
-		st.held = slices.Delete(st.held, k, k+1)
+		w.held = slices.Delete(w.held, k, k+1)
 		rf.rs.UploadBytes += int64(n)
 		if jr.Patch.Full {
 			rf.rs.UploadFallbacks++
 		} else {
 			rf.rs.PatchUploads++
 		}
-		res, err := p.decodeResult(jr, st.base)
+		res, err := p.decodeResult(jr, w.base)
 		if p.closed {
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		if err != nil {
 			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
-			p.mu.Unlock()
+			c.mu.Unlock()
 			return
 		}
 		rf.jobs[jr.Index].res, rf.jobs[jr.Index].done = res, true
@@ -448,13 +424,13 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 		}
 		rf.rs.LastAckNanos = nanos
 		rf.remaining--
-		p.Telemetry.ObserveAck(slot, time.Duration(nanos))
+		c.tel.ObserveAck(slot, time.Duration(nanos))
 		var finished *RoundStats
 		if rf.remaining == 0 {
 			finished = p.finishRound(rf)
 		}
-		p.cond.Broadcast()
-		p.mu.Unlock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
 		if finished != nil && p.OnRound != nil {
 			p.OnRound(*finished)
 		}
@@ -471,44 +447,36 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	p.cur = nil
 	rs := rf.rs
 	p.stats.add(rs)
-	p.Telemetry.ObserveRound(rs)
+	p.coord.tel.ObserveRound(rs)
 	return &rs
 }
 
-// workerDied handles a slot's connection death: the jobs the slot holds —
-// dealt to it, their acks not read — are dealt again over the survivors
-// (deal), in job-index order. A job whose ack the slot's collector read
-// before the death has left the hold, and that collector's decode settles
-// it. When the dead slot was the last live one, deal waits up to JoinWait
-// for a (re-)joining worker. Safe to call repeatedly and from collectors
-// and senders alike: each call takes whatever the slot holds (a send that
-// lost the race with an earlier death adds its jobs to the dead slot's
-// hold and then routes here), so no job is ever stranded. Callers must not
-// hold mu.
+// workerDied handles a slot's connection death: it marks the slot dead
+// (markDead counts the death if no one saw it first), and the jobs the slot
+// holds — dealt to it, their acks not read — are dealt again over the
+// survivors (deal), in job-index order. A job whose ack the slot's
+// collector read before the death has left the hold, and that collector's
+// decode settles it. When the dead slot was the last live one, deal waits
+// up to JoinWait for a (re-)joining worker. Safe to call repeatedly and
+// from collectors and senders alike: each call takes whatever the slot
+// holds (a send that lost the race with an earlier death adds its jobs to
+// the dead slot's hold and then routes here), so no job is ever stranded.
+// Callers must not hold mu.
 func (p *Pipeline) workerDied(slot int) {
-	p.coord.markDead(slot)
-	p.mu.Lock()
-	st := p.slotFor(slot)
-	if p.closed || p.fatal != nil {
-		p.mu.Unlock()
+	c := p.coord
+	c.markDead(slot, false)
+	c.mu.Lock()
+	w, err := c.slotLocked(slot)
+	if err != nil || p.closed || p.fatal != nil || len(w.held) == 0 {
+		c.mu.Unlock()
 		return
 	}
-	if !st.dead {
-		// First observation of this death (teardown paths return above, so
-		// clean shutdowns never count as deaths).
-		p.Telemetry.WorkerDead(slot)
-	}
-	st.dead = true
-	idxs, rf := st.held, p.cur
-	st.held = nil
-	if len(idxs) == 0 {
-		p.mu.Unlock()
-		return
-	}
+	idxs, rf := w.held, p.cur
+	w.held = nil
 	slices.Sort(idxs)
 	rf.rs.Attempts++
-	p.Telemetry.Requeued(rf.task, rf.round, len(idxs))
-	p.mu.Unlock()
+	c.tel.Requeued(rf.task, rf.round, len(idxs))
+	c.mu.Unlock()
 	// The jobs now belong to this call alone — they left the dead slot's
 	// hold, so the round cannot finish under it, and no next round can
 	// replace the encoder's state — and the wait for a survivor can run
@@ -519,8 +487,9 @@ func (p *Pipeline) workerDied(slot int) {
 // await is RunEach's second half: block until job index of rf settles, then
 // consume and return its result.
 func (p *Pipeline) await(rf *roundFlight, index int) (fl.Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	c := p.coord
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
 		if p.fatal != nil {
 			return fl.Result{}, p.fatal
@@ -533,7 +502,7 @@ func (p *Pipeline) await(rf *roundFlight, index int) (fl.Result, error) {
 		if p.closed {
 			return fl.Result{}, fmt.Errorf("transport: pipeline closed with job %d of round %d in flight", index, rf.round)
 		}
-		p.cond.Wait()
+		c.cond.Wait()
 	}
 }
 
@@ -590,12 +559,12 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		p.bufs[jr.Index] = buf
 	}
 	buf.lent = true
-	p.mu.Unlock()
+	p.coord.mu.Unlock()
 	if hold := holdDecode.Load(); hold != nil {
 		(*hold)(jr.Index)
 	}
 	dict, err := buf.Decode(base, jr.Patch)
-	p.mu.Lock()
+	p.coord.mu.Lock()
 	if err != nil {
 		return fl.Result{}, fmt.Errorf("upload patch: %w", err)
 	}
@@ -611,8 +580,8 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		}
 	}
 	release := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+		p.coord.mu.Lock()
+		defer p.coord.mu.Unlock()
 		poisonDecoded(dict, base)
 		buf.lent = false
 	}

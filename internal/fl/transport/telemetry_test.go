@@ -134,3 +134,53 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 		t.Errorf("trace has %d round spans, want %d", roundSpans, stats.Rounds)
 	}
 }
+
+// TestDeathAccountingOverTCP holds the membership counters to a real
+// federation: slot 0 dies on receiving round (0,1)'s jobs, before acking
+// any, and the survivor in slot 1 runs them and the rest of the run. The
+// registry must count one death, the dead slot's share of that round as
+// re-queued jobs (round-robin over two slots deals it jobs 0, 2, …), one
+// round attempt more than the run's rounds, and one live worker at the
+// end: the survivor leaving at shutdown is not a death.
+func TestDeathAccountingOverTCP(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	reg := telemetry.NewRegistry()
+	sink := telemetry.NewSink(reg, nil)
+	var mu sync.Mutex
+	var crash transport.RoundStats
+	run := fltest.Federate(t, "Finetune", family, domains, fltest.Federation{
+		Workers: []fltest.Worker{{Kind: fltest.DieOnJobs, Task: 0, Round: 1}, {}},
+		Sink:    sink,
+		OnRound: func(rs transport.RoundStats) {
+			if rs.Task == 0 && rs.Round == 1 {
+				mu.Lock()
+				crash = rs
+				mu.Unlock()
+			}
+		},
+	})
+	sink.Close()
+	// Every job of round (0,1) was settled by slot 1, whose collector
+	// delivers the round's record before it settles a job of the next.
+	mu.Lock()
+	jobs := crash.PatchUploads + crash.UploadFallbacks
+	mu.Unlock()
+	if jobs == 0 {
+		t.Fatal("no record of the crash round")
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"fed_worker_deaths_total":  1,
+		"fed_requeued_jobs_total":  (jobs + 1) / 2,
+		"fed_round_attempts_total": run.Stats.Rounds + 1,
+		"fed_workers_live":         1,
+	} {
+		if got := int64(snap[name]); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

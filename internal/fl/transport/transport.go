@@ -53,6 +53,7 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/wire"
 	"reffil/internal/telemetry"
+	"reffil/internal/tensor"
 )
 
 // ProtocolVersion is stamped in every frame header. Both ends reject a
@@ -175,16 +176,18 @@ type HelloAck struct {
 	Error string
 }
 
-// Coordinator runs the server side of a federation. Worker connections
-// that fail are marked dead and skipped from then on — the round layer
-// (Pipeline) re-queues their unfinished work.
+// Coordinator runs the server side of a federation. It keeps one record
+// per worker slot (wireConn), which the round layer (Pipeline) runs on too:
+// a worker connection that fails is marked dead and skipped from then on,
+// and the Pipeline re-queues its unfinished work.
 type Coordinator struct {
 	ln net.Listener
-	mu sync.Mutex
-	// joinCond (sharing mu) signals membership changes — admissions from
-	// the background accept loop, and Close — to Accept/AwaitLive waiters.
-	joinCond *sync.Cond
-	workers  []*wireConn
+	// mu guards the slot table and the state of the Pipeline running on the
+	// coordinator; cond (on mu) wakes every waiter — Accept/AwaitLive on an
+	// admission or Close, and the Pipeline's waits (see Pipeline).
+	mu      sync.Mutex
+	cond    *sync.Cond
+	workers []*wireConn
 	// joined counts admissions the background accept loop has ever made;
 	// accepted is the cursor successive Accept calls have consumed from it.
 	// Tracking a cursor instead of "joins since the call" keeps Accept
@@ -196,21 +199,40 @@ type Coordinator struct {
 	// indexing a nil workers slice (Close may race a straggling round
 	// goroutine's send/recv/markDead).
 	closed bool
-	// tel records membership telemetry (joins, live-worker gauge, wedge
-	// detections). Nil — the default — disables it; see SetTelemetry.
+	// leaving marks Shutdown: the workers were told to exit, so a connection
+	// that closes from then on is not counted as a death.
+	leaving bool
+	// tel records membership telemetry (joins, live-worker gauge, deaths,
+	// wedge detections) and the Pipeline's rounds. Nil — the default —
+	// disables it; see SetTelemetry.
 	tel *telemetry.Sink
 }
 
+// wireConn is one worker slot's record: its connection, whether it is dead,
+// and the Pipeline's send/collect machinery for it.
 type wireConn struct {
 	conn net.Conn
 	// out serializes sends; in is read by one goroutine at a time (the
 	// handshake, then the slot's collector).
-	out  frameWriter
-	in   frameReader
-	dead bool
+	out frameWriter
+	in  frameReader
 	// heartbeat is the interval the slot's Hello advertised; immutable after
 	// admission.
 	heartbeat time.Duration
+	// sendMu serializes a Pipeline send — frame, mirror advance, hold,
+	// write — so the mirror follows wire order; tracker, the coordinator's
+	// mirror of the worker's wire.Tracker, is only touched under it.
+	sendMu  sync.Mutex
+	tracker wire.Tracker
+	// The rest is guarded by the coordinator's mu. dead is set by markDead
+	// alone. held lists the jobs of the round in flight dealt to the slot
+	// whose acks its collector has not read; base is the upload-decode base
+	// of the slot's latest frame, the mirror's dict once the frame was
+	// built; collecting marks the slot's collector started.
+	dead       bool
+	held       []int
+	base       map[string]*tensor.Tensor
+	collecting bool
 }
 
 // Listen starts a coordinator on addr (e.g. "127.0.0.1:0") and its
@@ -222,7 +244,7 @@ func Listen(addr string) (*Coordinator, error) {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	c := &Coordinator{ln: ln}
-	c.joinCond = sync.NewCond(&c.mu)
+	c.cond = sync.NewCond(&c.mu)
 	go c.acceptLoop()
 	return c, nil
 }
@@ -291,10 +313,9 @@ func (c *Coordinator) admit(conn net.Conn) {
 	}
 	c.workers = append(c.workers, w)
 	c.joined++
-	tel, live := c.tel, c.liveLocked()
-	c.joinCond.Broadcast()
+	c.tel.WorkerJoined(slot, h.WorkerID, c.liveLocked())
+	c.cond.Broadcast()
 	c.mu.Unlock()
-	tel.WorkerJoined(slot, h.WorkerID, live)
 }
 
 // Accept blocks until n more workers — beyond those previous Accept calls
@@ -333,14 +354,14 @@ func (c *Coordinator) AwaitLive(n int, timeout time.Duration) error {
 	return nil
 }
 
-// waitJoin blocks on joinCond — mu held — until ok() holds, the timeout
+// waitJoin blocks on cond — mu held — until ok() holds, the timeout
 // elapses, or the coordinator closes. sync.Cond has no timed wait, so a
 // timer broadcasts the condition at the deadline to wake the waiter.
 func (c *Coordinator) waitJoin(timeout time.Duration, ok func() bool) error {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
-		c.joinCond.Broadcast()
+		c.cond.Broadcast()
 		c.mu.Unlock()
 	})
 	defer timer.Stop()
@@ -351,27 +372,20 @@ func (c *Coordinator) waitJoin(timeout time.Duration, ok func() bool) error {
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("timed out after %v", timeout)
 		}
-		c.joinCond.Wait()
+		c.cond.Wait()
 	}
 	return nil
 }
 
 // SetTelemetry attaches a telemetry sink (nil-safe: a nil sink keeps
 // telemetry off). The coordinator reports membership events through it —
-// join handshakes, the live-worker gauge, and heartbeat wedge detections;
-// round-level signals come from the Pipeline layer instead.
+// join handshakes, the live-worker gauge, deaths and heartbeat wedge
+// detections — and the Pipeline running on it its rounds, acks and
+// re-queues.
 func (c *Coordinator) SetTelemetry(s *telemetry.Sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tel = s
-}
-
-// telemetrySink reads the attached sink under mu (nil when telemetry is
-// off — every sink method tolerates that).
-func (c *Coordinator) telemetrySink() *telemetry.Sink {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tel
 }
 
 // liveLocked counts non-dead workers. Caller holds mu.
@@ -394,13 +408,14 @@ func (c *Coordinator) NumWorkers() int {
 
 // NumLive returns how many connected workers are still usable.
 func (c *Coordinator) NumLive() int {
-	return len(c.liveSlots())
-}
-
-// liveSlots returns the slot indices of workers not marked dead.
-func (c *Coordinator) liveSlots() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.liveLocked()
+}
+
+// liveSlots returns the slot indices of workers not marked dead. Caller
+// holds mu.
+func (c *Coordinator) liveSlots() []int {
 	var out []int
 	for i, w := range c.workers {
 		if !w.dead {
@@ -410,28 +425,41 @@ func (c *Coordinator) liveSlots() []int {
 	return out
 }
 
-// markDead flags a worker slot as unusable and closes its connection. It
-// is a no-op on a closed coordinator (Close already tore every connection
-// down) and on an out-of-range slot.
-func (c *Coordinator) markDead(slot int) {
+// markDead flags a worker slot as unusable and closes its connection: the
+// one place a slot dies, wherever the death is first seen — a send, a recv,
+// a wedge or the Pipeline. The first call counts the death to telemetry,
+// unless Shutdown told the workers to leave. It is a no-op on a closed
+// coordinator (Close already tore every connection down) and on an
+// out-of-range slot. wedged reports a heartbeat deadline that fired.
+func (c *Coordinator) markDead(slot int, wedged bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || slot < 0 || slot >= len(c.workers) {
+	w, err := c.slotLocked(slot)
+	if err != nil || w.dead {
 		return
 	}
-	w := c.workers[slot]
-	if !w.dead {
-		w.dead = true
-		_ = w.conn.Close()
-		c.tel.SetLiveWorkers(c.liveLocked())
+	w.dead = true
+	_ = w.conn.Close()
+	if c.leaving {
+		return
 	}
+	if wedged {
+		c.tel.WedgeDetected(slot)
+	}
+	c.tel.WorkerDead(slot)
+	c.tel.SetLiveWorkers(c.liveLocked())
 }
 
-// slot returns the wire connection for a worker slot, or an error after
-// Close (the workers slice is gone) or for an out-of-range index.
+// slot returns the record of a worker slot, or an error after Close (the
+// workers slice is gone) or for an out-of-range index.
 func (c *Coordinator) slot(i int) (*wireConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.slotLocked(i)
+}
+
+// slotLocked is slot with mu held.
+func (c *Coordinator) slotLocked(i int) (*wireConn, error) {
 	if c.closed {
 		return nil, fmt.Errorf("transport: coordinator is closed")
 	}
@@ -452,7 +480,7 @@ func (c *Coordinator) send(slot int, b Broadcast, sent *atomic.Int64) error {
 	}
 	b.Version = ProtocolVersion
 	if err := w.out.writeBroadcast(&b, sent); err != nil {
-		c.markDead(slot)
+		c.markDead(slot, false)
 		return fmt.Errorf("transport: sending to worker %d: %w", slot, err)
 	}
 	return nil
@@ -485,10 +513,7 @@ func (c *Coordinator) recv(slot int) (Update, int, error) {
 			// detector going off: the connection is open but nothing flowed
 			// for the bounded interval.
 			var ne net.Error
-			if timeout > 0 && errors.As(err, &ne) && ne.Timeout() {
-				c.telemetrySink().WedgeDetected(slot)
-			}
-			c.markDead(slot)
+			c.markDead(slot, timeout > 0 && errors.As(err, &ne) && ne.Timeout())
 			return Update{}, 0, fmt.Errorf("transport: receiving from worker %d: %w", slot, err)
 		}
 		if u.Pong {
@@ -501,12 +526,17 @@ func (c *Coordinator) recv(slot int) (Update, int, error) {
 	}
 }
 
-// Shutdown tells every live worker to exit its serve loop. It is
+// Shutdown tells every live worker to exit its serve loop; a connection
+// that closes from then on is a worker leaving, not a death. It is
 // best-effort by design: a worker that died after its last useful reply
 // must not fail a completed run.
 func (c *Coordinator) Shutdown() error {
+	c.mu.Lock()
+	c.leaving = true
+	live := c.liveSlots()
+	c.mu.Unlock()
 	var firstErr error
-	for _, slot := range c.liveSlots() {
+	for _, slot := range live {
 		if err := c.send(slot, Broadcast{Done: true}, nil); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -530,7 +560,7 @@ func (c *Coordinator) Close() error {
 	c.workers = nil
 	// Wake Accept/AwaitLive waiters so they observe closed; closing the
 	// listener also ends the background accept loop.
-	c.joinCond.Broadcast()
+	c.cond.Broadcast()
 	return c.ln.Close()
 }
 

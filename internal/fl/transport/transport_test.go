@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,6 +455,108 @@ func TestPipelineCloseFailsWaitingRound(t *testing.T) {
 	close(release)
 	_ = coord.Close()
 	<-done[0]
+}
+
+// TestDispatchWaitsForADyingSend pins dispatch's wait for in-flight sends:
+// the encoder writes a round's broadcast patches into the last round's
+// patch bytes, so the next round's SetRound must not run while a send of the
+// last round may still be writing one. Three workers, two jobs: slot 0 dies
+// on its frame once slot 1 holds its own, and its job is dealt to slot 1.
+// That send is held just before its write while the test severs slot 1,
+// whose jobs then finish on slot 2. The round ends with the send still
+// held, and the next round's dispatch must leave the encoder's round alone
+// until the send returns.
+func TestDispatchWaitsForADyingSend(t *testing.T) {
+	coord, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	train := func() func(Broadcast, func(JobResult) error) error {
+		return perturbHandler(func(id int) float64 { return float64(id) })
+	}
+	framed := make(chan struct{})
+	var once sync.Once
+	slot1 := train()
+	done := acceptInOrder(t, coord,
+		func(w *Worker) error {
+			if _, err := w.in.readBroadcast(); err != nil {
+				return err
+			}
+			<-framed
+			return w.Close()
+		},
+		func(w *Worker) error {
+			return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
+				once.Do(func() { close(framed) })
+				return slot1(b, emit)
+			})
+		},
+		func(w *Worker) error { return w.Serve(train()) },
+	)
+
+	// Slot 1's first send is its dispatch frame, which reached the worker
+	// before slot 0 died; its second is slot 0's job.
+	held, release := make(chan struct{}), make(chan struct{})
+	var slot1Sends atomic.Int32
+	hold := func(slot int) {
+		if slot == 1 && slot1Sends.Add(1) == 2 {
+			close(held)
+			<-release
+		}
+	}
+	holdSend.Store(&hold)
+	defer holdSend.Store(nil)
+	go func() {
+		<-held
+		coord.Sever(1)
+	}()
+
+	alg := newWireAlg(100)
+	r, err := NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := runCollected(r, wireJobs(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{101, 102} {
+		if got := results[i].Dict["w"].At(0); got != want {
+			t.Fatalf("job %d result = %v, want %v", i, got, want)
+		}
+	}
+	round1 := r.enc.Dict()["w"]
+
+	alg.w.T.Data()[0] = 200 // the next round's dict gets a new "w"
+	next := make(chan error, 1)
+	go func() {
+		results, err := runCollected(r, wireJobs(3))
+		if err == nil && results[0].Dict["w"].At(0) != 203 {
+			err = fmt.Errorf("round 2 result = %v, want 203", results[0].Dict["w"].At(0))
+		}
+		next <- err
+	}()
+	// A waiting dispatch gives no sign of waiting; one that did not wait
+	// would reach SetRound well inside this window.
+	time.Sleep(100 * time.Millisecond)
+	if r.enc.Dict()["w"] != round1 {
+		t.Error("the next round's SetRound ran while a send of the last round was held before its write")
+	}
+	close(release)
+	if err := <-next; err != nil {
+		t.Fatal(err)
+	}
+	if r.enc.Dict()["w"] == round1 {
+		t.Fatal("the next round ran on the last round's dict")
+	}
+	_ = r.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done[2]; err != nil {
+		t.Fatalf("worker 2: %v", err)
+	}
 }
 
 // TestBroadcastRoundTrip pins the frame codec: a Broadcast carrying a
@@ -956,9 +1059,9 @@ func TestPipelineRecyclesDecodeBuffers(t *testing.T) {
 		for _, res := range held {
 			res.Release()
 		}
-		r.mu.Lock()
+		coord.mu.Lock()
 		bufs := len(r.bufs)
-		r.mu.Unlock()
+		coord.mu.Unlock()
 		if bufs != len(jobs) {
 			t.Fatalf("round %d: %d decode buffers for %d jobs", round, bufs, len(jobs))
 		}
@@ -1050,7 +1153,7 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			coord.markDead(0)
+			coord.markDead(0, false)
 			coord.NumLive()
 		}
 	}()
@@ -1069,8 +1172,8 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 	if _, _, err := coord.recv(0); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("recv after Close = %v, want a closed-coordinator error", err)
 	}
-	coord.markDead(0) // must not panic
-	coord.markDead(99)
+	coord.markDead(0, false) // must not panic
+	coord.markDead(99, false)
 	if err := coord.Accept(1, 10*time.Millisecond); err == nil {
 		t.Fatal("Accept after Close must error")
 	}
@@ -1176,12 +1279,13 @@ func requeueOntoIdleSurvivor(t *testing.T) {
 	if rs.Attempts != 4 || rs.FullFrames != 4 || rs.IdleFrames != 3 || rs.DeltaFrames != 0 {
 		t.Fatalf("round stats %+v, want 4 attempts, 4 full frames (all fallbacks), 3 without state, no delta", rs)
 	}
-	r.mu.Lock()
-	st := r.slots[3]
-	r.mu.Unlock()
-	st.sendMu.Lock()
-	mirror := st.tracker
-	st.sendMu.Unlock()
+	w, err := coord.slot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sendMu.Lock()
+	mirror := w.tracker
+	w.sendMu.Unlock()
 	if mirror.Version != 1 || mirror.Dict == nil {
 		t.Fatalf("survivor mirror at version %d after the re-queues, want the round's version 1", mirror.Version)
 	}

@@ -51,7 +51,7 @@ func (u *Buffer) Encode(base, next map[string]*tensor.Tensor) (*Patch, error) {
 // significance-plane shuffled, DEFLATE-compressed). It is exact:
 // Decode(base, Encode(base, next)) reproduces next bit for bit, which is what
 // lets the sender of a patch know the receiver's resulting state without
-// decoding it (Encoder.Advance). Broadcast patches are encoded on the
+// decoding it (Encoder.FrameFor). Broadcast patches are encoded on the
 // coordinator against the base it knows the worker holds and decoded on the
 // worker; upload patches go the other way.
 type Delta struct{}

@@ -81,9 +81,14 @@ func (e *Encoder) Dict() map[string]*tensor.Tensor {
 }
 
 // FrameFor builds the frame that brings a worker whose receive state is t
-// to the current versions: a KindNone frame when it already holds them, a
-// delta against its base, or a full snapshot when it holds none.
-// The frame's patch aliases the encoder's storage until the next SetRound.
+// to the current versions — a KindNone frame when it already holds them, a
+// delta against its base, or a full snapshot when it holds none — and
+// advances t past it, so t must be the coordinator's mirror of that worker's
+// Tracker and the frame must reach the worker. Nothing is decoded: Delta is
+// exact, so a worker that applies a state frame holds the canonical round
+// dict, and the mirror shares it; t.Dict is then the base the worker's
+// upload patches diff against. The frame's patch aliases the encoder's
+// storage until the next SetRound.
 func (e *Encoder) FrameFor(t *Tracker) (*Frame, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -110,6 +115,7 @@ func (e *Encoder) FrameFor(t *Tracker) (*Frame, error) {
 	if t.PayloadVersion != e.payloadVersion {
 		f.HasPayload, f.Payload, f.PayloadVersion = true, e.payload, e.payloadVersion
 	}
+	t.Dict, t.Version, t.PayloadVersion = e.dict, e.version, e.payloadVersion
 	return f, nil
 }
 
@@ -129,29 +135,4 @@ func (e *Encoder) patchFor(baseV uint64, base map[string]*tensor.Tensor) (*Patch
 	e.used++
 	e.patches[baseV] = p
 	return p, nil
-}
-
-// Advance moves t — the coordinator's mirror of one worker's Tracker — past
-// f, the frame FrameFor just built for it, with the same version-mismatch
-// rejection the worker's Tracker.Apply performs. Nothing is decoded: Delta
-// is exact, so a worker that applies a state frame for the current
-// version holds the canonical round dict, and the mirror shares it. After
-// Advance, t.Dict is the base the worker's upload patches diff against.
-func (e *Encoder) Advance(t *Tracker, f *Frame) error {
-	if err := t.Validate(f); err != nil {
-		return err
-	}
-	if f.Kind != KindNone {
-		e.mu.Lock()
-		dict, version := e.dict, e.version
-		e.mu.Unlock()
-		if f.Version != version {
-			return fmt.Errorf("wire: advancing past a frame for version %d, encoder holds %d", f.Version, version)
-		}
-		t.Dict, t.Version = dict, version
-	}
-	if f.HasPayload {
-		t.PayloadVersion = f.PayloadVersion
-	}
-	return nil
 }

@@ -12,13 +12,13 @@
 //     bits changed, base-relative packed (pack.go), and a full snapshot when
 //     the receiver has no usable base. It is exact.
 //   - Frame/Patch/Tracker (this file): the versioned wire framing and the
-//     receiver-side state machine. Both ends run the same Tracker checks —
-//     the worker applies frames as they arrive (Apply), the coordinator
-//     advances its mirror of the worker as it sends them (Encoder.Advance)
-//     — so version mismatches are rejected symmetrically instead of
-//     silently diverging. Decoding writes into tensors that already exist:
-//     the worker's Tracker into its own dict, the coordinator into a
-//     DecodeBuffer per upload it is folding.
+//     receiver-side state machine. The worker applies frames as they
+//     arrive (Apply), which rejects a version mismatch instead of silently
+//     diverging; the coordinator's mirror of the worker advances as each
+//     frame is built (Encoder.FrameFor), so a frame always matches the
+//     mirror it was built from. Decoding writes into tensors that already
+//     exist: the worker's Tracker into its own dict, the coordinator into
+//     a DecodeBuffer per upload it is folding.
 //   - Encoder (encoder.go): the coordinator-side frame builder. It versions
 //     the round state and the method wire-state payload separately, so
 //     payloads that only change at task boundaries (LwF's distillation
@@ -141,7 +141,7 @@ type Frame struct {
 // A tracker that Applies frames owns Dict: each delta is decoded into the
 // tensors Dict already holds, so a caller that needs a version's values past
 // the next Apply copies them (nn.LoadStateDict does). A coordinator mirror
-// never Applies. Encoder.Advance points its Dict at the encoder's round
+// never Applies. Encoder.FrameFor points its Dict at the encoder's round
 // dict, which is shared and immutable.
 type Tracker struct {
 	// Version is the state version currently held (0 = no state yet).
@@ -165,7 +165,7 @@ type Tracker struct {
 // transport reuses.
 func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadChanged bool, err error) {
 	// Validate everything before mutating anything.
-	if err := t.Validate(f); err != nil {
+	if err := t.validate(f); err != nil {
 		return false, nil, false, err
 	}
 
@@ -186,12 +186,9 @@ func (t *Tracker) Apply(f *Frame) (stateChanged bool, payload []byte, payloadCha
 	return stateChanged, payload, payloadChanged, nil
 }
 
-// Validate checks f against the tracker's versions without mutating
-// anything. It is the single source of the frame invariants: Apply runs it
-// before applying on the worker, and the coordinator's Encoder.Advance runs
-// exactly the same checks on its mirror — tightening an invariant here
-// tightens both ends of the connection at once.
-func (t *Tracker) Validate(f *Frame) error {
+// validate checks f against the tracker's versions without mutating
+// anything; Apply runs it before applying.
+func (t *Tracker) validate(f *Frame) error {
 	switch f.Kind {
 	case KindNone:
 		if f.Version != t.Version {

@@ -554,9 +554,7 @@ func TestDecodeRejectsCorruptPatches(t *testing.T) {
 // TestTrackerVersionMismatch drives the receiver state machine through the
 // version-mismatch rejections: a delta against the wrong base, a delta with
 // no base at all, a no-op frame for a version the receiver does not hold,
-// and a silently skewed payload version. Apply and the coordinator's
-// Encoder.Advance both run Tracker.Validate, so these rejections hold
-// symmetrically.
+// and a silently skewed payload version.
 func TestTrackerVersionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dict := randDict(rng)
@@ -592,7 +590,7 @@ func TestTrackerVersionMismatch(t *testing.T) {
 
 // TestEncoderVersionsAndPayloadSkipping drives a coordinator/worker pair
 // through three rounds: the payload is re-sent only when its bytes change,
-// deltas chain across rounds, and Encoder.Advance — which decodes nothing —
+// deltas chain across rounds, and Encoder.FrameFor — which decodes nothing —
 // keeps the coordinator's mirror tracker in lockstep with what the worker
 // reconstructs from the frame.
 func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
@@ -627,9 +625,6 @@ func TestEncoderVersionsAndPayloadSkipping(t *testing.T) {
 			}
 		}
 		if _, _, _, err := workerView.Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Advance(coordView, f); err != nil {
 			t.Fatal(err)
 		}
 		if coordView.Version != workerView.Version || coordView.PayloadVersion != workerView.PayloadVersion {
