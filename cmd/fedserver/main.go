@@ -63,7 +63,10 @@
 // CPU/heap profiling of a running coordinator; -trace FILE records the
 // round/job lifecycle as a Chrome trace-event file loadable in Perfetto.
 // Both are off by default and cost nothing when disabled (see README
-// "Observability").
+// "Observability"). Lifecycle events and each round's record go to stdout
+// as `evt=<event> run=<id> key=value ...` lines, written by log/slog's
+// TextHandler through the logger telemetry.Start returns; under -trace each
+// line is also an instant on the trace's "log" track.
 package main
 
 import (
@@ -134,12 +137,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	startTime := time.Now()
-	runID := telemetry.NewRunID(*seed, startTime)
-	sink, bound, err := telemetry.Start(*metricsAddr, *traceFile, telemetry.Manifest{
-		RunID: runID, Role: "fedserver",
-		Method: *method, Dataset: *dataset,
-		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
+	sink, log, bound, err := telemetry.Start(os.Stdout, *metricsAddr, *traceFile, telemetry.Manifest{
+		Role: "fedserver", Method: *method, Dataset: *dataset,
+		Seed: *seed, Protocol: transport.ProtocolVersion,
 	})
 	if err != nil {
 		return err
@@ -148,10 +148,6 @@ func run() error {
 	if bound != "" {
 		fmt.Printf("metrics listening on http://%s/metrics\n", bound)
 	}
-	// One structured logger for the wire/lifecycle lines, sharing the run
-	// id — and, when tracing, the timeline — with the telemetry sink.
-	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID))
-	wlog.Tracer = sink.Tracer()
 
 	coord, err := transport.Listen(*addr)
 	if err != nil {
@@ -159,11 +155,11 @@ func run() error {
 	}
 	defer coord.Close()
 	coord.SetTelemetry(sink)
-	wlog.Event("listening", telemetry.F("addr", coord.Addr()), telemetry.F("waiting_for", *workers))
+	log.Info("listening", "addr", coord.Addr(), "waiting_for", *workers)
 	if err := coord.Accept(*workers, *timeout); err != nil {
 		return err
 	}
-	wlog.Event("workers_connected")
+	log.Info("workers_connected")
 
 	tr, err := transport.NewPipeline(coord, r.Alg)
 	if err != nil {
@@ -171,16 +167,16 @@ func run() error {
 	}
 	tr.JoinWait = *joinWait
 	tr.OnRound = func(rs transport.RoundStats) {
-		wlog.Event("wire_round",
-			telemetry.F("task", rs.Task), telemetry.F("round", rs.Round),
-			telemetry.F("broadcast", fmtBytes(rs.BroadcastBytes)), telemetry.F("uploads", fmtBytes(rs.UploadBytes)),
-			telemetry.F("patch", rs.PatchUploads),
-			telemetry.F("full", rs.FullFrames), telemetry.F("delta", rs.DeltaFrames), telemetry.F("idle", rs.IdleFrames),
-			telemetry.F("upload_fallbacks", rs.UploadFallbacks),
-			telemetry.F("attempts", rs.Attempts),
-			telemetry.F("dispatch_ms", fmt.Sprintf("%.1f", float64(rs.DispatchNanos)/1e6)),
-			telemetry.F("first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6)),
-			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)))
+		log.Info("wire_round",
+			"task", rs.Task, "round", rs.Round,
+			"broadcast", fmtBytes(rs.BroadcastBytes), "uploads", fmtBytes(rs.UploadBytes),
+			"patch", rs.PatchUploads,
+			"full", rs.FullFrames, "delta", rs.DeltaFrames, "idle", rs.IdleFrames,
+			"upload_fallbacks", rs.UploadFallbacks,
+			"attempts", rs.Attempts,
+			"dispatch_ms", fmt.Sprintf("%.1f", float64(rs.DispatchNanos)/1e6),
+			"first_ack_ms", fmt.Sprintf("%.1f", float64(rs.FirstAckNanos)/1e6),
+			"last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6))
 	}
 	res, err := r.Execute(tr, func(msg string) { fmt.Println(msg) }, sink)
 	if err != nil {

@@ -35,6 +35,10 @@
 // CPU/heap profiling — the worker is where the kernel hot paths (local
 // training) burn; -trace FILE records its round lifecycle as a Chrome
 // trace-event file. Both are off by default (see README "Observability").
+// Dials, re-joins and each handled round go to stdout as `evt=<event>
+// run=<id> worker=<id> key=value ...` lines, written by log/slog's
+// TextHandler through the logger telemetry.Start returns; under -trace each
+// line is also an instant on the trace's "log" track.
 package main
 
 import (
@@ -86,12 +90,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	startTime := time.Now()
-	runID := telemetry.NewRunID(*seed, startTime)
-	sink, bound, err := telemetry.Start(*metricsAddr, *traceFile, telemetry.Manifest{
-		RunID: runID, Role: "fedworker",
-		Method: *method, Dataset: *dataset,
-		Seed: *seed, Protocol: transport.ProtocolVersion, Start: startTime,
+	sink, log, bound, err := telemetry.Start(os.Stdout, *metricsAddr, *traceFile, telemetry.Manifest{
+		Role: "fedworker", Method: *method, Dataset: *dataset,
+		Seed: *seed, Protocol: transport.ProtocolVersion,
 	})
 	if err != nil {
 		return err
@@ -100,8 +101,7 @@ func run() error {
 	if bound != "" {
 		fmt.Printf("worker %d: metrics listening on http://%s/metrics\n", *id, bound)
 	}
-	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID), telemetry.F("worker", *id))
-	wlog.Tracer = sink.Tracer()
+	log = log.With("worker", *id)
 
 	ex, err := transport.NewExecutor(r.Alg, *jobs)
 	if err != nil {
@@ -112,7 +112,7 @@ func run() error {
 	dial := func() (*transport.Worker, error) {
 		w, err := transport.DialWith(*addr, *id, opts)
 		for backoff, attempt := *dialBackoff, 0; err != nil && attempt < *dialRetries; attempt++ {
-			wlog.Event("dial_retry", telemetry.F("addr", *addr), telemetry.F("error", err.Error()), telemetry.F("backoff", backoff.String()))
+			log.Info("dial_retry", "addr", *addr, "error", err.Error(), "backoff", backoff.String())
 			time.Sleep(backoff)
 			backoff *= 2
 			w, err = transport.DialWith(*addr, *id, opts)
@@ -129,7 +129,7 @@ func run() error {
 			return err
 		}
 		sink.WorkerRound(b.Task, b.Round, trained, time.Since(begin))
-		wlog.Event("round_done", telemetry.F("task", b.Task), telemetry.F("round", b.Round), telemetry.F("trained", trained))
+		log.Info("round_done", "task", b.Task, "round", b.Round, "trained", trained)
 		return nil
 	}
 
@@ -142,7 +142,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		wlog.Event("connected", telemetry.F("addr", *addr), telemetry.F("method", r.Alg.Name()), telemetry.F("dataset", *dataset))
+		log.Info("connected", "addr", *addr, "method", r.Alg.Name(), "dataset", *dataset)
 		err = w.Serve(handle)
 		_ = w.Close()
 		if err == nil {
@@ -151,7 +151,7 @@ func run() error {
 		if attempt >= *rejoin {
 			return err
 		}
-		wlog.Event("rejoin", telemetry.F("error", err.Error()), telemetry.F("attempt", attempt+1), telemetry.F("max", *rejoin))
+		log.Info("rejoin", "error", err.Error(), "attempt", attempt+1, "max", *rejoin)
 		ex.ResetStream()
 	}
 }

@@ -89,6 +89,9 @@ type Fed struct {
 	domains  []string
 	ackDelay time.Duration
 	workers  []*worker
+	// neverDealt counts worker connections that ended without being dealt
+	// a job.
+	neverDealt atomic.Int64
 }
 
 // worker is a running worker's bookkeeping.
@@ -113,7 +116,9 @@ type FedRun struct {
 
 // Federate runs method over a loopback federation. It fails the test if
 // the run fails (unless WantErr accepts the failure), if a worker did not
-// behave as its kind says, or if the federation does not shut down cleanly.
+// behave as its kind says, or if the federation does not shut down cleanly:
+// after a successful run every slot that was dealt a job must be dead
+// within 10s of the workers' exit.
 func Federate(t testing.TB, method string, family *data.Family, domains []string, opt Federation) FedRun {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
@@ -174,6 +179,18 @@ func Federate(t testing.TB, method string, family *data.Family, domains []string
 		}
 		out.Trained = append(out.Trained, w.trained.Load())
 	}
+	if runErr == nil {
+		// The workers have left; wait until every collector has seen its
+		// connection close, so a goodbye that markDead counted as a death
+		// reaches the Sink before the deferred Close ends the coordinator.
+		idle := int(f.neverDealt.Load())
+		for ms := 0; coord.NumLive() > idle; ms++ {
+			if ms == 10000 {
+				t.Fatalf("%d slots still live 10s after every worker left, %d of them never dealt a job", coord.NumLive(), idle)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	return out
 }
 
@@ -205,8 +222,9 @@ func (f *Fed) Join(spec Worker) {
 // serve runs worker id on conn until the coordinator shuts it down or, for
 // a crashing kind, until its crash, after which it may re-dial.
 func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec Worker, w *worker) error {
-	var crashed atomic.Bool
+	var crashed, dealt atomic.Bool
 	handle := func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+		dealt.Store(true)
 		at := spec.Kind != Plain && !crashed.Load() && b.Task == spec.Task && b.Round == spec.Round
 		if at && spec.Kind == DieOnJobs && len(b.Jobs) > 0 {
 			crashed.Store(true)
@@ -229,8 +247,18 @@ func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec
 			return nil
 		})
 	}
-	err := conn.Serve(handle)
-	_ = conn.Close()
+	// A connection never dealt a job has no collector on the coordinator,
+	// so nothing there sees it close and its slot stays live.
+	serveOn := func(c *transport.Worker) error {
+		dealt.Store(false)
+		err := c.Serve(handle)
+		_ = c.Close()
+		if !dealt.Load() {
+			f.neverDealt.Add(1)
+		}
+		return err
+	}
+	err := serveOn(conn)
 	if spec.Kind == Plain {
 		return err
 	}
@@ -245,8 +273,7 @@ func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec
 	if err != nil {
 		return err
 	}
-	defer again.Close()
-	return again.Serve(handle)
+	return serveOn(again)
 }
 
 // wedge joins worker id through a relay: a real worker runs the handshake,

@@ -339,9 +339,9 @@ func (c *Coordinator) Accept(n int, timeout time.Duration) error {
 }
 
 // AwaitLive blocks until at least n workers are simultaneously live, or
-// the timeout elapses. It is the elastic-membership gate: round layers use
-// it to wait out a re-dial instead of failing a round that momentarily has
-// no workers.
+// the timeout elapses. The Pipeline does not call it: its deal waits for a
+// re-dial through waitJoin. A membership test's snapshot hook uses it to
+// hold a round until a crashed worker's re-dial is admitted.
 func (c *Coordinator) AwaitLive(n int, timeout time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

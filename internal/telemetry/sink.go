@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"log/slog"
 	"sort"
 	"strconv"
 	"sync"
@@ -145,15 +147,6 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 	return s
 }
 
-// Tracer exposes the sink's tracer (nil when tracing is off) so the
-// structured logger can mirror log events into the trace.
-func (s *Sink) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tracer
-}
-
 // StartRun records the manifest: a fed_build_info constant gauge whose
 // labels carry the run identity, and a trace Meta event with every flag.
 func (s *Sink) StartRun(m Manifest) {
@@ -182,19 +175,24 @@ func (s *Sink) StartRun(m Manifest) {
 }
 
 // Start is the telemetry start-up of a networked process, from its -metrics
-// and -trace flags. With both empty it starts nothing and returns a nil
-// Sink, on which every instrumentation point is a no-op. Otherwise it builds
-// the sink, records m as the run manifest with the command line's
-// explicitly set flags, and, when metricsAddr is set, serves /metrics and
-// /debug/pprof there and returns the bound address.
-func Start(metricsAddr, traceFile string, m Manifest) (s *Sink, bound string, err error) {
+// and -trace flags. It names the run — m.RunID from m.Seed and the start
+// time, which it also stores in m.Start — and returns the process's logger,
+// writing to w with the run id bound (see newLogger). With both flags empty
+// it starts nothing else and returns a nil Sink, on which every
+// instrumentation point is a no-op. Otherwise it builds the sink, records m
+// as the run manifest with the command line's explicitly set flags, mirrors
+// the logger into the trace when tracing, and, when metricsAddr is set,
+// serves /metrics and /debug/pprof there and returns the bound address.
+func Start(w io.Writer, metricsAddr, traceFile string, m Manifest) (s *Sink, log *slog.Logger, bound string, err error) {
+	m.Start = time.Now()
+	m.RunID = NewRunID(m.Seed, m.Start)
 	if metricsAddr == "" && traceFile == "" {
-		return nil, "", nil
+		return nil, newLogger(w, nil).With("run", m.RunID), "", nil
 	}
 	var trc *Tracer
 	if traceFile != "" {
 		if trc, err = CreateTrace(traceFile); err != nil {
-			return nil, "", err
+			return nil, nil, "", err
 		}
 	}
 	var reg *Registry
@@ -208,10 +206,10 @@ func Start(metricsAddr, traceFile string, m Manifest) (s *Sink, bound string, er
 	if metricsAddr != "" {
 		if bound, err = reg.Serve(metricsAddr); err != nil {
 			_ = s.Close()
-			return nil, "", err
+			return nil, nil, "", err
 		}
 	}
-	return s, bound, nil
+	return s, newLogger(w, trc).With("run", m.RunID), bound, nil
 }
 
 // ObserveRound folds one completed round into the metric set and draws it

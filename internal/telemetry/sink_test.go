@@ -155,19 +155,26 @@ func TestSinkManifestExposition(t *testing.T) {
 }
 
 // TestStartFromFlags is the networked mains' start-up: with -metrics and
-// -trace empty it starts nothing and returns a nil sink; with both set the
-// manifest reaches the served /metrics page and the trace file.
+// -trace empty it starts nothing and returns a nil sink and a logger with
+// the run id bound; with both set the manifest reaches the served /metrics
+// page and the trace file, and the logger's lines reach the trace too.
 func TestStartFromFlags(t *testing.T) {
-	m := Manifest{RunID: "abc123", Role: "fedworker", Method: "reffil", Dataset: "pacs", Seed: 7, Start: time.Now()}
-	s, bound, err := Start("", "", m)
+	m := Manifest{Role: "fedworker", Method: "reffil", Dataset: "pacs", Seed: 7}
+	var out bytes.Buffer
+	s, log, bound, err := Start(&out, "", "", m)
 	if s != nil || bound != "" || err != nil {
 		t.Fatalf("disabled start gave (%v, %q, %v), want a nil sink", s, bound, err)
 	}
+	log.Info("connected")
+	if !strings.HasPrefix(out.String(), "evt=connected run=") {
+		t.Fatalf("disabled start's logger wrote %q", out.String())
+	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	s, bound, err = Start("127.0.0.1:0", trace, m)
+	s, log, bound, err = Start(&out, "127.0.0.1:0", trace, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log.Info("round_done", "round", 1)
 	resp, err := http.Get("http://" + bound + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +184,8 @@ func TestStartFromFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(page), `fed_build_info{run_id="abc123",role="fedworker",`) {
+	if !strings.Contains(string(page), `fed_build_info{run_id="`) ||
+		!strings.Contains(string(page), `",role="fedworker",method="reffil",dataset="pacs",seed="7",`) {
 		t.Errorf("/metrics has no manifest gauge:\n%s", page)
 	}
 	if err := s.Close(); err != nil {
@@ -187,8 +195,13 @@ func TestStartFromFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"manifest"`) {
-		t.Errorf("trace file has no manifest event:\n%s", raw)
+	var manifest, logged bool
+	for _, e := range parseTrace(t, raw) {
+		manifest = manifest || e.Name == "manifest"
+		logged = logged || (e.Name == "round_done" && e.Args["round"] == 1.0 && e.Args["run"] != nil)
+	}
+	if !manifest || !logged {
+		t.Errorf("trace file lacks the manifest (%v) or the mirrored log line (%v):\n%s", manifest, logged, raw)
 	}
 }
 
@@ -205,9 +218,6 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.Installed(0, 0, 1, 1, 0, time.Second)
 	s.CheckpointWritten(0, 0, 1, time.Second)
 	s.WorkerRound(0, 0, 1, time.Second)
-	if s.Tracer() != nil {
-		t.Fatal("a nil sink's tracer must be nil")
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

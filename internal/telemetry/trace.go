@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -30,13 +32,14 @@ type Tracer struct {
 	w      *bufio.Writer
 	c      io.Closer
 	t0     time.Time
-	buf    []byte
 	pids   map[string]int
 	closed bool
 }
 
 // Arg is one key/value attached to a trace event, rendered into the
-// event's "args" object. Val may be a string, integer, float or bool.
+// event's "args" object. A string, int, int64, uint64, float64 or bool Val
+// keeps its JSON type (a NaN or infinite float is written as its string);
+// any other Val is written as its fmt.Sprint text.
 type Arg struct {
 	Key string
 	Val any
@@ -66,6 +69,55 @@ func CreateTrace(path string) (*Tracer, error) {
 	return NewTracer(f), nil
 }
 
+// chromeEvent is one trace event, its fields in the trace-event spec's
+// order; encoding/json renders it, so every string is JSON-quoted.
+type chromeEvent struct {
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int64          `json:"tid"`
+	Ts   int64          `json:"ts"`
+	Dur  *int64         `json:"dur,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Name string         `json:"name"`
+	Args map[string]any `json:"args"`
+}
+
+// jsonVal returns an arg value encoding/json renders: strings, booleans
+// and finite numbers as themselves, a non-finite float as its string
+// ("NaN", "+Inf"), anything else as fmt.Sprint's text.
+func jsonVal(v any) any {
+	switch x := v.(type) {
+	case string, bool, int, int64, uint64:
+		return x
+	case float64:
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return strconv.FormatFloat(x, 'g', -1, 64)
+		}
+		return x
+	default:
+		return fmt.Sprint(x)
+	}
+}
+
+// argMap renders args as an event's "args" object.
+func argMap(args []Arg) map[string]any {
+	m := make(map[string]any, len(args))
+	for _, a := range args {
+		m[a.Key] = jsonVal(a.Val)
+	}
+	return m
+}
+
+// write renders ev as one line followed by end. Caller holds mu.
+func (t *Tracer) write(ev chromeEvent, end string) {
+	b, err := json.Marshal(ev)
+	if err != nil { // unreachable: every value is a string, bool or finite number
+		return
+	}
+	t.w.Write(b)
+	t.w.WriteString(end)
+}
+
 // pid returns the synthetic process id for a track, emitting the
 // process_name metadata event on first use. Caller holds mu.
 func (t *Tracer) pid(track string) int {
@@ -74,123 +126,56 @@ func (t *Tracer) pid(track string) int {
 	}
 	p := len(t.pids) + 1
 	t.pids[track] = p
-	b := t.buf[:0]
-	b = append(b, `{"ph":"M","pid":`...)
-	b = strconv.AppendInt(b, int64(p), 10)
-	b = append(b, `,"name":"process_name","args":{"name":`...)
-	b = strconv.AppendQuote(b, track)
-	b = append(b, "}},\n"...)
-	t.w.Write(b)
-	t.buf = b
+	t.write(chromeEvent{Ph: "M", Pid: p, Name: "process_name", Args: map[string]any{"name": track}}, ",\n")
 	return p
 }
 
-// appendArgs renders an args object (possibly empty) into b.
-func appendArgs(b []byte, args []Arg) []byte {
-	b = append(b, `,"args":{`...)
-	for i, a := range args {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendQuote(b, a.Key)
-		b = append(b, ':')
-		switch v := a.Val.(type) {
-		case string:
-			b = strconv.AppendQuote(b, v)
-		case int:
-			b = strconv.AppendInt(b, int64(v), 10)
-		case int64:
-			b = strconv.AppendInt(b, v, 10)
-		case float64:
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		case bool:
-			b = strconv.AppendBool(b, v)
-		default:
-			b = strconv.AppendQuote(b, fmt.Sprint(v))
-		}
+// add writes one event line at the offset of at (the zero time meaning
+// now) from the tracer's start: a no-op on a nil or closed tracer.
+func (t *Tracer) add(ph, track string, tid int64, name string, at time.Time, dur time.Duration, args []Arg) {
+	if t == nil {
+		return
 	}
-	return append(b, '}')
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	if at.IsZero() {
+		at = time.Now()
+	}
+	ev := chromeEvent{Ph: ph, Pid: t.pid(track), Tid: tid, Ts: at.Sub(t.t0).Microseconds(), Name: name, Args: argMap(args)}
+	switch ph {
+	case "X":
+		d := dur.Microseconds()
+		ev.Dur = &d
+	case "i":
+		ev.S = "t"
+	}
+	t.write(ev, ",\n")
 }
-
-// event writes one complete trace event line. Caller holds mu.
-func (t *Tracer) event(ph byte, track string, tid int64, name string, tsMicros, durMicros int64, args []Arg) {
-	p := t.pid(track)
-	b := t.buf[:0]
-	b = append(b, `{"ph":"`...)
-	b = append(b, ph)
-	b = append(b, `","pid":`...)
-	b = strconv.AppendInt(b, int64(p), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, tid, 10)
-	b = append(b, `,"ts":`...)
-	b = strconv.AppendInt(b, tsMicros, 10)
-	if ph == 'X' {
-		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, durMicros, 10)
-	}
-	if ph == 'i' {
-		b = append(b, `,"s":"t"`...)
-	}
-	b = append(b, `,"name":`...)
-	b = strconv.AppendQuote(b, name)
-	b = appendArgs(b, args)
-	b = append(b, "},\n"...)
-	t.w.Write(b)
-	t.buf = b
-}
-
-// micros converts a wall-clock instant to the trace timebase.
-func (t *Tracer) micros(at time.Time) int64 { return at.Sub(t.t0).Microseconds() }
 
 // Span records a complete duration event ("X") on track/tid covering
 // [start, start+dur).
 func (t *Tracer) Span(track string, tid int64, name string, start time.Time, dur time.Duration, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed {
-		t.event('X', track, tid, name, t.micros(start), dur.Microseconds(), args)
-	}
-	t.mu.Unlock()
+	t.add("X", track, tid, name, start, dur, args)
 }
 
 // Instant records a point-in-time event ("i", thread-scoped) at now.
 func (t *Tracer) Instant(track string, tid int64, name string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed {
-		t.event('i', track, tid, name, t.micros(time.Now()), 0, args)
-	}
-	t.mu.Unlock()
+	t.add("i", track, tid, name, time.Time{}, 0, args)
 }
 
 // Value records a counter sample ("C") — Perfetto renders these as a
 // stepped value graph on the track.
 func (t *Tracer) Value(track, name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed {
-		t.event('C', track, 0, name, t.micros(time.Now()), 0, []Arg{{Key: "value", Val: v}})
-	}
-	t.mu.Unlock()
+	t.add("C", track, 0, name, time.Time{}, 0, []Arg{{Key: "value", Val: v}})
 }
 
 // Meta records a named metadata instant on the "meta" track — the run
 // manifest goes through here so the trace file is self-describing.
 func (t *Tracer) Meta(name string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed {
-		t.event('i', "meta", 0, name, t.micros(time.Now()), 0, args)
-	}
-	t.mu.Unlock()
+	t.add("i", "meta", 0, name, time.Time{}, 0, args)
 }
 
 // Close terminates the JSON array, flushes, and closes the underlying
@@ -206,9 +191,9 @@ func (t *Tracer) Close() error {
 	}
 	t.closed = true
 	// The spec's array-of-events form allows a dangling comma before the
-	// closing bracket in every consumer we target, but emit a final
-	// metadata event so the file is also strictly valid JSON.
-	t.w.WriteString(`{"ph":"M","pid":0,"name":"trace_end","args":{}}` + "\n]\n")
+	// closing bracket in every consumer we target, but end on a metadata
+	// event so the file is also strictly valid JSON.
+	t.write(chromeEvent{Ph: "M", Name: "trace_end", Args: map[string]any{}}, "\n]\n")
 	err := t.w.Flush()
 	if t.c != nil {
 		if cerr := t.c.Close(); err == nil {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +73,37 @@ func TestTracerProducesValidJSON(t *testing.T) {
 	}
 	if meta.Args["method"] != "reffil" {
 		t.Errorf("manifest args = %v", meta.Args)
+	}
+}
+
+// TestTracerQuotesHostileStrings holds the trace to strict JSON whatever
+// its strings and floats hold: a control byte, DEL and a byte that is not
+// UTF-8 in a track, a name and a string arg, and NaN and +Inf args. A
+// logged error can carry such bytes from a peer.
+func TestTracerQuotesHostileStrings(t *testing.T) {
+	const hostile = "bell\a del\x7f bad\xff"
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	tr.Span(hostile, 1, hostile, time.Now(), time.Millisecond,
+		Arg{Key: "error", Val: hostile}, Arg{Key: "nan", Val: math.NaN()}, Arg{Key: "inf", Val: math.Inf(1)})
+	tr.Instant(hostile, 0, hostile, Arg{Key: hostile, Val: hostile}, Arg{Key: "inf", Val: math.Inf(1)})
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "bell\a del\x7f bad\uFFFD"
+	var span, inst bool
+	for _, e := range parseTrace(t, buf.Bytes()) {
+		switch {
+		case e.Ph == "X" && e.Name == want:
+			span = e.Args["error"] == want && e.Args["nan"] == "NaN" && e.Args["inf"] == "+Inf"
+		case e.Ph == "i" && e.Name == want:
+			inst = e.Args[want] == want && e.Args["inf"] == "+Inf"
+		case e.Ph == "M" && e.Name == "process_name" && e.Args["name"] != want:
+			t.Errorf("track named %q, want %q", e.Args["name"], want)
+		}
+	}
+	if !span || !inst {
+		t.Fatalf("span decoded %v, instant decoded %v:\n%s", span, inst, buf.Bytes())
 	}
 }
 

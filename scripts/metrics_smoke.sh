@@ -7,7 +7,10 @@
 # their frames are written, uploads where the collector accepts each ack,
 # and broadcasts after the first round ship diffs rather than snapshots. The
 # page must not carry fed_frame_fallbacks_total: every full frame is a
-# fallback, so fed_frames_total{kind="full"} is that count.
+# fallback, so fed_frames_total{kind="full"} is that count. The server and
+# worker 0 also write -trace files: once both exit, each must decode as
+# strict JSON and hold a mirrored log line (an instant on the "log" track):
+# wire_round from the server, round_done from the worker.
 #
 # Usage: scripts/metrics_smoke.sh
 # Exits nonzero (with the captured log) on any failure.
@@ -30,12 +33,13 @@ addr=127.0.0.1:7463
 common=(-method RefFiL -dataset pacs -scale mini -seed 3)
 
 "$work/fedserver" -addr "$addr" -workers 2 "${common[@]}" \
-	-metrics 127.0.0.1:0 >"$work/run.log" 2>&1 &
+	-metrics 127.0.0.1:0 -trace "$work/server.trace.json" >"$work/run.log" 2>&1 &
 pid=$!
-for id in 0 1; do
-	"$work/fedworker" -addr "$addr" -id "$id" "${common[@]}" -dial-retries 20 -dial-backoff 200ms \
-		>"$work/worker-$id.log" 2>&1 &
-done
+"$work/fedworker" -addr "$addr" -id 0 "${common[@]}" -dial-retries 20 -dial-backoff 200ms \
+	-trace "$work/worker-0.trace.json" >"$work/worker-0.log" 2>&1 &
+wpid=$!
+"$work/fedworker" -addr "$addr" -id 1 "${common[@]}" -dial-retries 20 -dial-backoff 200ms \
+	>"$work/worker-1.log" 2>&1 &
 
 # fedserver prints "metrics listening on http://ADDR/metrics" once the
 # registry server has bound its ephemeral port.
@@ -87,5 +91,14 @@ if grep -q 'fed_frame_fallbacks_total' "$work/metrics.txt"; then
 	exit 1
 fi
 
+wait "$pid" || { echo "FAIL: fedserver exited nonzero"; cat "$work/run.log"; exit 1; }
+wait "$wpid" || { echo "FAIL: fedworker 0 exited nonzero"; cat "$work/worker-0.log"; exit 1; }
+for pair in server.trace.json:wire_round worker-0.trace.json:round_done; do
+	file=$work/${pair%%:*} evt=${pair#*:}
+	python3 -m json.tool "$file" >/dev/null || { echo "FAIL: $file is not valid JSON"; exit 1; }
+	grep -q "\"ph\":\"i\",.*\"name\":\"$evt\"" "$file" || { echo "FAIL: $file holds no mirrored $evt log line"; exit 1; }
+done
+
 echo "metrics smoke OK:"
 grep -E '^fed_(rounds_total|broadcast_bytes_total|upload_bytes_total|frames_total\{kind="delta"\}) ' "$work/metrics.txt"
+echo "traces OK: strict JSON with mirrored wire_round (server) and round_done (worker 0) log lines"
