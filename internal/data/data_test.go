@@ -24,6 +24,49 @@ func TestFamilyNamesConstructAll(t *testing.T) {
 	}
 }
 
+// TestWaveTableMatchesFreshDraws pins the per-class wave table to the draw
+// it replaced: every entry of every wave family's table must hold, bit for
+// bit, the components a fresh source seeded 7919k+13 draws for class k, in
+// the order u, v, phase, amp per component — drawn first through a
+// class-limited copy, which shares the family's table. A digits family has
+// no table.
+func TestWaveTableMatchesFreshDraws(t *testing.T) {
+	for _, name := range FamilyNames() {
+		f, err := NewFamily(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limited, err := f.WithClassLimit(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waves := limited.waves.table()
+		if f.digits {
+			if waves != nil {
+				t.Errorf("%s: a digits family holds a wave table", name)
+			}
+			continue
+		}
+		if len(waves) != f.Classes {
+			t.Fatalf("%s: wave table has %d classes, want %d", name, len(waves), f.Classes)
+		}
+		for k, class := range waves {
+			cr := rand.New(rand.NewSource(int64(7919*k + 13)))
+			for i, got := range class {
+				u := (cr.Float64()*2 - 1) * 3
+				v := (cr.Float64()*2 - 1) * 3
+				phase := cr.Float64() * 2 * math.Pi
+				amp := 0.4 + 0.6*cr.Float64()
+				for _, c := range [][2]float64{{got.u, u}, {got.v, v}, {got.phase, phase}, {got.amp, amp}} {
+					if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+						t.Fatalf("%s class %d component %d: table holds %+v, a fresh draw gives {u:%v v:%v phase:%v amp:%v}", name, k, i, got, u, v, phase, amp)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFamilyClassCountsMatchPaper(t *testing.T) {
 	want := map[string]struct {
 		classes, domains int

@@ -16,7 +16,10 @@ type Family struct {
 	// Size is the image side length (paper: 32 or 224; scaled down here).
 	Size int
 	// digits selects glyph prototypes instead of wave prototypes.
-	digits     bool
+	digits bool
+	// waves draws each class's wave prototype once, at the family's first
+	// wave sample, for every copy of the family (nil for a digits family).
+	waves      *waveTable
 	transforms map[string]DomainTransform
 }
 
@@ -47,9 +50,10 @@ func NewFamily(name string, size int) (*Family, error) {
 	if size < 8 {
 		return nil, fmt.Errorf("data: image size %d too small (min 8)", size)
 	}
+	var f *Family
 	switch name {
 	case "digitsfive":
-		return &Family{
+		f = &Family{
 			Name: name, Classes: 10, Domains: digitsFiveDomains, Size: size, digits: true,
 			transforms: map[string]DomainTransform{
 				// MNIST: clean grayscale digits.
@@ -82,9 +86,9 @@ func NewFamily(name string, size int) (*Family, error) {
 					return t
 				}(),
 			},
-		}, nil
+		}
 	case "officecaltech10":
-		return &Family{
+		f = &Family{
 			Name: name, Classes: 10, Domains: officeCaltechDomains, Size: size,
 			transforms: map[string]DomainTransform{
 				// Amazon: clean product shots on white.
@@ -115,9 +119,9 @@ func NewFamily(name string, size int) (*Family, error) {
 					return t
 				}(),
 			},
-		}, nil
+		}
 	case "pacs":
-		return &Family{
+		f = &Family{
 			Name: name, Classes: 7, Domains: pacsDomains, Size: size,
 			transforms: map[string]DomainTransform{
 				// Photo: realistic texture and background.
@@ -144,9 +148,9 @@ func NewFamily(name string, size int) (*Family, error) {
 					return t
 				}(),
 			},
-		}, nil
+		}
 	case "feddomainnet":
-		return &Family{
+		f = &Family{
 			Name: name, Classes: 48, Domains: fedDomainNetDomains, Size: size,
 			transforms: map[string]DomainTransform{
 				"clipart": func() DomainTransform {
@@ -187,10 +191,14 @@ func NewFamily(name string, size int) (*Family, error) {
 					return t
 				}(),
 			},
-		}, nil
+		}
 	default:
 		return nil, fmt.Errorf("data: unknown family %q (want one of %v)", name, FamilyNames())
 	}
+	if !f.digits {
+		f.waves = &waveTable{classes: f.Classes}
+	}
+	return f, nil
 }
 
 // WithClassLimit returns a copy of the family restricted to the first k
@@ -231,11 +239,12 @@ func (f *Family) Generate(domain string, nTrain, nTest int, seed int64) (train, 
 		return nil, nil, fmt.Errorf("data: sample counts must be positive, got train=%d test=%d", nTrain, nTest)
 	}
 	rng := rand.New(rand.NewSource(seed ^ int64(len(domain))<<32 ^ hashString(domain)))
+	waves := f.waves.table()
 	gen := func(n int, tag string) *Dataset {
 		ds := &Dataset{Name: fmt.Sprintf("%s/%s/%s", f.Name, domain, tag), Domain: domain}
 		for i := 0; i < n; i++ {
 			k := i % f.Classes
-			ds.Examples = append(ds.Examples, Example{X: t.Apply(f.Size, k, f.digits, rng), Y: k})
+			ds.Examples = append(ds.Examples, Example{X: t.Apply(f.Size, k, waves, rng), Y: k})
 		}
 		return ds
 	}

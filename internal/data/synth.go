@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"reffil/internal/tensor"
 )
@@ -41,23 +42,59 @@ func renderGlyph(canvas []float64, size, k, dx, dy int, thickness float64) {
 	}
 }
 
-// renderWave draws the class-k procedural prototype: a superposition of
-// class-seeded oriented sinusoids, giving every class a distinct smooth
-// texture signature. Used by families whose classes are not digits.
-// Per-sample phase and amplitude jitter (driven by rng) softens the class
-// boundaries so the task is not solvable by memorizing single images.
-func renderWave(canvas []float64, size, k int, rng *rand.Rand) {
+// waveComp is one oriented sinusoid of a wave class prototype.
+type waveComp struct{ u, v, phase, amp float64 }
+
+// waveClass is a wave class's prototype: three sinusoids drawn from a
+// class-seeded source.
+type waveClass [3]waveComp
+
+// drawWaveClass draws class k's prototype components.
+func drawWaveClass(k int) waveClass {
 	cr := rand.New(rand.NewSource(int64(7919*k + 13)))
-	type comp struct{ u, v, phase, amp float64 }
-	comps := make([]comp, 3)
+	var comps waveClass
 	for i := range comps {
-		comps[i] = comp{
+		comps[i] = waveComp{
 			u:     (cr.Float64()*2 - 1) * 3,
 			v:     (cr.Float64()*2 - 1) * 3,
 			phase: cr.Float64() * 2 * math.Pi,
 			amp:   0.4 + 0.6*cr.Float64(),
 		}
 	}
+	return comps
+}
+
+// waveTable holds a family's wave class prototypes, drawn on first use:
+// seeding a source costs more than setting a family up, and a family that
+// renders no sample needs none.
+type waveTable struct {
+	classes int
+	once    sync.Once
+	waves   []waveClass
+}
+
+// table returns the prototypes of classes [0, classes), drawing them on the
+// first call; a nil table returns nil (glyph classes).
+func (t *waveTable) table() []waveClass {
+	if t == nil {
+		return nil
+	}
+	t.once.Do(func() {
+		t.waves = make([]waveClass, t.classes)
+		for k := range t.waves {
+			t.waves[k] = drawWaveClass(k)
+		}
+	})
+	return t.waves
+}
+
+// renderWave draws a wave class prototype: a superposition of
+// class-seeded oriented sinusoids, giving every class a distinct smooth
+// texture signature. Used by families whose classes are not digits.
+// Per-sample phase and amplitude jitter (driven by rng) softens the class
+// boundaries so the task is not solvable by memorizing single images.
+func renderWave(canvas []float64, size int, class *waveClass, rng *rand.Rand) {
+	comps := *class
 	for i := range comps {
 		comps[i].phase += (rng.Float64() - 0.5) * 1.0
 		comps[i].amp *= 0.75 + 0.5*rng.Float64()
@@ -155,17 +192,18 @@ func seededColorDomain(name string, seed int64, background float64, freq float64
 	return t
 }
 
-// Apply renders one sample: the class figure for class k (digit glyph or
-// wave prototype), instance-jittered by rng, pushed through the domain
-// transform. Returns a (3,size,size) image in [0,1].
-func (t DomainTransform) Apply(size, k int, digits bool, rng *rand.Rand) *tensor.Tensor {
+// Apply renders one sample: the class figure for class k (the digit glyph
+// when waves is nil, else the wave prototype waves[k]), instance-jittered
+// by rng, pushed through the domain transform. Returns a (3,size,size)
+// image in [0,1].
+func (t DomainTransform) Apply(size, k int, waves []waveClass, rng *rand.Rand) *tensor.Tensor {
 	gray := make([]float64, size*size)
-	if digits {
+	if waves == nil {
 		dx := rng.Intn(5) - 2
 		dy := rng.Intn(5) - 2
 		renderGlyph(gray, size, k, dx, dy, 0.7+0.3*rng.Float64())
 	} else {
-		renderWave(gray, size, k, rng)
+		renderWave(gray, size, &waves[k], rng)
 		// Instance jitter: intensity wobble on top of the phase jitter.
 		for i := range gray {
 			gray[i] = clamp01(gray[i] + (rng.Float64()-0.5)*0.1)

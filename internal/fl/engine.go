@@ -252,7 +252,10 @@ type Engine struct {
 	// installed round and after every completed task — every state Run can
 	// later be resumed from via Resume. Returning an error aborts the run.
 	// Rounds are synchronous, so nothing is in flight at a snapshot: every
-	// one of them resumes bit-identically.
+	// one of them resumes bit-identically. The snapshot is valid only
+	// during the call: its Global is the live model's own tensors, which
+	// the next round overwrites, so a hook that keeps it past the call
+	// copies it.
 	Checkpoint func(ResumeState) error
 	// Resume, when non-nil, fast-forwards Run to the snapshot's position
 	// before executing: completed tasks replay their RNG draws (client

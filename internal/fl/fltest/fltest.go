@@ -131,7 +131,9 @@ func (r Run) stoppedIn() string {
 
 // Execute runs eng over family's domains and returns what the run left,
 // with the run's error. Every snapshot the engine emits is recorded through
-// eng.Checkpoint, which Execute sets; hook, when non-nil, runs after the
+// eng.Checkpoint, which Execute sets, with a copy of its global: the
+// engine's is the live model, valid only during the call. hook, when
+// non-nil, gets the snapshot as the engine gave it; it runs after the
 // recorder at every snapshot, and its error aborts the run as a checkpoint
 // hook's does. alg is the engine's algorithm, whose final state a finished
 // run captures.
@@ -143,7 +145,13 @@ func Execute(t testing.TB, eng *fl.Engine, alg fl.Algorithm, family *data.Family
 	}
 	eng.Checkpoint = func(st fl.ResumeState) error {
 		run.Transcript = append(run.Transcript, entryOf(st))
-		run.Snapshots = append(run.Snapshots, st)
+		kept := st
+		kept.Global = make(map[string]*tensor.Tensor, len(st.Global))
+		//fedvet:ignore maporder a copy of each entry, in any order
+		for k, t := range st.Global {
+			kept.Global[k] = t.Clone()
+		}
+		run.Snapshots = append(run.Snapshots, kept)
 		if hook != nil {
 			return hook(st)
 		}

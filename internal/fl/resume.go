@@ -50,8 +50,9 @@ func validateResume(rs *ResumeState, tasks, rounds int) error {
 }
 
 // checkpointAfter snapshots the run for the Checkpoint hook with the given
-// resume position. The matrix rows and the global dict are deep copies —
-// the hook may retain or serialize the snapshot while the run mutates on.
+// resume position. The matrix rows are copies, but the global dict holds
+// the model's own tensors, so the snapshot is valid only during the call: a
+// hook serializes it there, or copies what it keeps.
 func (e *Engine) checkpointAfter(nextTask, nextRound int, mat *metrics.Matrix) error {
 	if e.Checkpoint == nil {
 		return nil
@@ -64,7 +65,7 @@ func (e *Engine) checkpointAfter(nextTask, nextRound int, mat *metrics.Matrix) e
 		NextTask:  nextTask,
 		NextRound: nextRound,
 		Matrix:    rows,
-		Global:    nn.StateDict(e.alg.Global()),
+		Global:    nn.Tensors(e.alg.Global()),
 	}
 	if ws, ok := e.alg.(WireStater); ok {
 		payload, err := ws.EncodeWireState()

@@ -52,6 +52,47 @@ func TestCheckpointPositions(t *testing.T) {
 	}
 }
 
+// TestCheckpointGlobalIsTheLiveModel pins what the hook's snapshot holds:
+// its Global is the model's own tensors, one per parameter and buffer, not
+// a copy — the coordinator copies no model to checkpoint a round, and a
+// hook keeps the snapshot valid only during the call.
+func TestCheckpointGlobalIsTheLiveModel(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := newFakeAlg()
+	eng, err := NewEngineWithRunner(smallConfig(), alg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := 0
+	eng.Checkpoint = func(st ResumeState) error {
+		snapshots++
+		m := alg.Global()
+		for _, p := range m.Params() {
+			if st.Global[p.Name] != p.Value.T {
+				t.Errorf("snapshot (%d,%d): parameter %s is not the model's tensor", st.NextTask, st.NextRound, p.Name)
+			}
+		}
+		for _, b := range m.Buffers() {
+			if st.Global[b.Name] != b.T {
+				t.Errorf("snapshot (%d,%d): buffer %s is not the model's tensor", st.NextTask, st.NextRound, b.Name)
+			}
+		}
+		if want := len(m.Params()) + len(m.Buffers()); len(st.Global) != want {
+			t.Errorf("snapshot (%d,%d) holds %d tensors, want %d", st.NextTask, st.NextRound, len(st.Global), want)
+		}
+		return nil
+	}
+	if _, err := eng.Run(family, family.Domains[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if snapshots == 0 {
+		t.Fatal("the hook saw no snapshot")
+	}
+}
+
 // TestCheckpointErrorAborts: a failing checkpoint hook must abort the run
 // (a coordinator that cannot persist its promise to resume must not run
 // past it) with the position in the error.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"reffil/internal/fl"
+	"reffil/internal/fl/internal/poison"
 	"reffil/internal/fl/wire"
 	"reffil/internal/nn"
 	"reffil/internal/tensor"
@@ -59,8 +60,11 @@ import (
 // socket read or write.
 //
 // A warm round copies nothing of model size. The round's dict keeps the
-// last round's tensor for every key whose bits did not change (snapshot),
-// which the encoder's immutable round dicts allow; the encoder writes the
+// last round's tensor for every key whose bits did not change, and writes
+// every changed key into a tensor retired from the dict of two rounds back
+// (snapshot): once every live mirror and upload-decode base holds the
+// current dict and no result is lent, nothing can read that older dict's
+// tensors that the current dict does not share. The encoder writes the
 // round's broadcast patches into the last round's patch bytes, so dispatch
 // waits until every send that wrote them has returned; and job i's ack
 // decodes into the buffer of index i, which the engine's Release hands back
@@ -87,6 +91,9 @@ type Pipeline struct {
 	// enc holds the round in flight's state and payload until the next
 	// dispatch, so re-queues frame against it too.
 	enc wire.Encoder
+	// older is the round dict the encoder held before its current one,
+	// whose tensors the next dispatch may retire (see recyclableLocked).
+	older map[string]*tensor.Tensor
 
 	// The rest is guarded by the coordinator's mu: the round in flight, the
 	// fatal error, the send count, the decode buffers and the cumulative
@@ -100,8 +107,10 @@ type Pipeline struct {
 	sends int
 	// bufs[i] is the upload decode buffer of every round's job i, so a run
 	// keeps one per job of its largest round, whatever order acks arrive
-	// in.
+	// in. lent counts the decode buffers, in bufs or replaced there, that
+	// hold a result not yet released.
 	bufs  []*decodeBuffer
+	lent  int
 	stats Stats
 }
 
@@ -201,8 +210,13 @@ func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	for p.sends > 0 {
 		c.cond.Wait()
 	}
+	cur, older := p.enc.Dict(), p.older
+	if !p.recyclableLocked(cur) {
+		older = nil
+	}
 	c.mu.Unlock()
-	p.enc.SetRound(snapshot(p.alg.Global(), p.enc.Dict()), payload)
+	p.enc.SetRound(snapshot(p.alg.Global(), cur, older), payload)
+	p.older = cur
 	start := time.Now()
 
 	// Register the round before anything hits the wire: acks can start
@@ -559,6 +573,7 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		p.bufs[jr.Index] = buf
 	}
 	buf.lent = true
+	p.lent++
 	p.coord.mu.Unlock()
 	if hold := holdDecode.Load(); hold != nil {
 		(*hold)(jr.Index)
@@ -583,31 +598,99 @@ func (p *Pipeline) decodeResult(jr *JobResult, base map[string]*tensor.Tensor) (
 		p.coord.mu.Lock()
 		defer p.coord.mu.Unlock()
 		poisonDecoded(dict, base)
-		buf.lent = false
+		if buf.lent {
+			buf.lent = false
+			p.lent--
+		}
 	}
 	return fl.Result{Dict: dict, Upload: up, Release: release}, nil
 }
 
+// recyclableLocked reports whether nothing can read the tensors of
+// p.older, the round dict from two dispatches back, that cur, the encoder's
+// current dict, does not share, so that snapshot may write the next round's
+// dict into them. Mirrors and upload-decode bases hold round dicts, and a
+// lent result's unchanged keys point at its base's tensors; so it holds
+// when every live slot's mirror and base holds nothing or only cur's
+// tensors, and no decode buffer is lent — counting those a later ack of the
+// same index replaced in bufs. A dead slot is sent nothing again,
+// and a decode still running on one holds its buffer lent. Called with mu
+// held and no send in progress, so no mirror moves.
+func (p *Pipeline) recyclableLocked(cur map[string]*tensor.Tensor) bool {
+	if p.lent > 0 {
+		return false
+	}
+	for _, w := range p.coord.workers {
+		if !w.dead && !(within(w.tracker.Dict, cur) && within(w.base, cur)) {
+			return false
+		}
+	}
+	return true
+}
+
+// within reports whether every tensor of d is cur's under the same key (a
+// nil d holds nothing).
+func within(d, cur map[string]*tensor.Tensor) bool {
+	//fedvet:ignore maporder an all-of test over the keys has one answer in any order
+	for k, t := range d {
+		if cur[k] != t {
+			return false
+		}
+	}
+	return true
+}
+
 // snapshot returns the global's state dict for the next round: each key
 // whose shape and bits equal prev's — the last round's dict — keeps prev's
-// tensor, and the rest are cloned. Round dicts are immutable once the
-// encoder has them (see wire.Encoder), so two rounds can share a tensor, and
-// the dict is immune to the engine writing the global during aggregation.
+// tensor, and the rest are copied into a tensor retired from older, or
+// into a clone when no retired tensor of their shape is left. The retired
+// tensors are older's that prev does not share; a nil older retires none.
 // A round that leaves most of the model alone (a frozen backbone) then
-// copies only what changed.
-func snapshot(m nn.Module, prev map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+// copies only what changed, and a warm round that changes every key
+// allocates none of them. Round dicts are immutable once the encoder has
+// them and while any mirror, upload-decode base or lent result holds them
+// (see wire.Encoder), so two rounds can share a tensor, and older must be
+// a dict none of them holds any more (recyclableLocked). Under poisoning
+// (package poison) the retired tensors are filled with NaN first. The dict
+// is immune to the engine writing the global during aggregation.
+func snapshot(m nn.Module, prev, older map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+	params, buffers := m.Params(), m.Buffers()
+	var spare []*tensor.Tensor
+	if older != nil {
+		spare = make([]*tensor.Tensor, 0, len(older))
+		retire := func(name string) {
+			if t := older[name]; t != nil && t != prev[name] {
+				poison.Tensor(t)
+				spare = append(spare, t)
+			}
+		}
+		for _, p := range params {
+			retire(p.Name)
+		}
+		for _, b := range buffers {
+			retire(b.Name)
+		}
+	}
 	out := make(map[string]*tensor.Tensor, len(prev))
 	keep := func(name string, t *tensor.Tensor) {
 		if old := prev[name]; old != nil && old.SameShape(t) && old.EqualBits(t) {
 			out[name] = old
-		} else {
-			out[name] = t.Clone()
+			return
 		}
+		for i, s := range spare {
+			if s.SameShape(t) {
+				s.CopyFrom(t)
+				out[name] = s
+				spare = slices.Delete(spare, i, i+1)
+				return
+			}
+		}
+		out[name] = t.Clone()
 	}
-	for _, p := range m.Params() {
+	for _, p := range params {
 		keep(p.Name, p.Value.T)
 	}
-	for _, b := range m.Buffers() {
+	for _, b := range buffers {
 		keep(b.Name, b.T)
 	}
 	return out

@@ -221,7 +221,8 @@ type wireConn struct {
 	heartbeat time.Duration
 	// sendMu serializes a Pipeline send — frame, mirror advance, hold,
 	// write — so the mirror follows wire order; tracker, the coordinator's
-	// mirror of the worker's wire.Tracker, is only touched under it.
+	// mirror of the worker's wire.Tracker, is only touched under it, or
+	// read under the coordinator's mu while no send is in progress.
 	sendMu  sync.Mutex
 	tracker wire.Tracker
 	// The rest is guarded by the coordinator's mu. dead is set by markDead

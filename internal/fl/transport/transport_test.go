@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1064,6 +1065,121 @@ func TestPipelineRecyclesDecodeBuffers(t *testing.T) {
 		coord.mu.Unlock()
 		if bufs != len(jobs) {
 			t.Fatalf("round %d: %d decode buffers for %d jobs", round, bufs, len(jobs))
+		}
+	}
+	_ = r.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range done {
+		if err := <-ch; err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+}
+
+// TestLaggingSlotKeepsItsRoundDict runs rounds of 3, 2, 3, 3 and 3 jobs
+// over three workers. Round 1 deals no job to slot 2, whose mirror and
+// upload-decode base then still hold round 0's dict when round 2
+// dispatches: that dict's tensors must not be written, so round 2's dict
+// is a copy and slot 2's frame still diffs against round 0's values.
+func TestLaggingSlotKeepsItsRoundDict(t *testing.T) {
+	requireRoundDictsRecycleSafely(t, 3, nil, []int{3, 2, 3, 3, 3}, false)
+}
+
+// TestHeldResultKeepsItsRoundDict holds round 0's results, whose buffer
+// key the upload leaves alone and so points at round 0's dict, until round
+// 2 has run: with a result still lent, round 2's dispatch must copy
+// instead of writing round 0's tensors, so the held results still read
+// round 0's values.
+func TestHeldResultKeepsItsRoundDict(t *testing.T) {
+	requireRoundDictsRecycleSafely(t, 2, []string{"w"}, []int{2, 2, 2, 2}, true)
+}
+
+// requireRoundDictsRecycleSafely runs rounds of the given job counts over
+// the given number of workers, which add their client id to the keys
+// named (nil = every key), with a weight and a buffer that every round
+// changes, so every key of every round's dict changes. Every result must
+// be its round's global plus the client id on the trained keys, exactly;
+// with hold, round 0's results are held until round 2 has run and must
+// still read round 0's values then. Round 2's dict must not be written
+// into round 0's tensors, and round 3's — once every slot holds round 2's
+// dict and nothing is held — must be written into round 1's.
+func requireRoundDictsRecycleSafely(t *testing.T, workers int, keys []string, rounds []int, hold bool) {
+	t.Helper()
+	coord, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	serve := make([]func(*Worker) error, workers)
+	for i := range serve {
+		serve[i] = func(w *Worker) error {
+			return w.Serve(perturbKeysHandler(keys, func(id int) float64 { return float64(id) }))
+		}
+	}
+	done := acceptInOrder(t, coord, serve...)
+	alg := newWireAlg(0).withFrozenBuffer(64)
+	r, err := NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := func(name string) bool { return keys == nil || slices.Contains(keys, name) }
+	check := func(round int, res fl.Result, id int, want map[string][]float64) error {
+		for name, g := range want {
+			for j, v := range g {
+				if trained(name) {
+					v += float64(id)
+				}
+				if got := res.Dict[name].Data()[j]; got != v {
+					return fmt.Errorf("round %d client %d: %s[%d] = %v, want %v", round, id, name, j, got, v)
+				}
+			}
+		}
+		return nil
+	}
+	var (
+		held  []fl.Result
+		want0 map[string][]float64
+		dicts []map[string]*tensor.Tensor
+	)
+	for round, n := range rounds {
+		alg.w.T.Data()[0] = float64(10 * round)
+		for i := range alg.frozen.Data() {
+			alg.frozen.Data()[i] = float64(i + 100*round)
+		}
+		want := map[string][]float64{"w": slices.Clone(alg.w.T.Data()), "frozen": slices.Clone(alg.frozen.Data())}
+		jobs := wireJobs(1, 2, 3)[:n]
+		err := r.RunEach(jobs, func(i int, res fl.Result) error {
+			if hold && round == 0 {
+				held = append(held, res)
+			} else {
+				defer res.Release()
+			}
+			return check(round, res, jobs[i].Spec.ClientID, want)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			want0 = want
+		}
+		if round == 2 {
+			for i, res := range held {
+				if err := check(0, res, i+1, want0); err != nil {
+					t.Fatalf("held past round 2: %v", err)
+				}
+				res.Release()
+			}
+		}
+		dicts = append(dicts, r.enc.Dict())
+	}
+	for name := range dicts[0] {
+		if dicts[2][name] == dicts[0][name] {
+			t.Errorf("round 2's %s was written into round 0's tensor, which a slot or a result still held", name)
+		}
+		if dicts[3][name] != dicts[1][name] {
+			t.Errorf("round 3's %s was not written into round 1's tensor", name)
 		}
 	}
 	_ = r.Close()

@@ -21,11 +21,14 @@ import (
 // task.
 //
 // Ownership: every round dict the encoder is given, and every tensor in
-// one, is immutable from SetRound on — mirrors, upload-decode bases and the
-// dicts decoded against them read them for as long as they hold them — so
-// consecutive round dicts may share the tensors of unchanged keys. The
-// bytes of the patches FrameFor builds are the encoder's own: after the
-// next SetRound, that round's patches are written into them.
+// one, is immutable from SetRound on for as long as the encoder, a mirror,
+// an upload-decode base or a dict decoded against one still holds it — they
+// read it until they let go — so consecutive round dicts may share the
+// tensors of unchanged keys. Once a replaced dict is held by none of them,
+// its tensors that the current dict does not share are the caller's again,
+// to write a later round's dict into. The bytes of the patches FrameFor
+// builds are the encoder's own: after the next SetRound, that round's
+// patches are written into them.
 type Encoder struct {
 	mu             sync.Mutex
 	version        uint64
@@ -46,8 +49,9 @@ type Encoder struct {
 // SetRound installs the round's canonical state dict and encoded wire-state
 // payload, advancing the state version (and the payload version iff the
 // payload bytes changed). The encoder takes ownership of dict, whose
-// tensors no one may write from now on; it may share tensors with earlier
-// rounds' dicts (a key whose bits did not change), which are immutable too.
+// tensors no one may write while anything holds it (see Encoder); it may
+// share tensors with earlier rounds' dicts (a key whose bits did not
+// change), which are immutable too.
 //
 // SetRound retires every Frame FrameFor built before it: their patches'
 // bytes become the storage of this round's patches. The caller must be done

@@ -56,6 +56,19 @@ func StateDict(m Module) map[string]*tensor.Tensor {
 	return out
 }
 
+// Tensors maps a module's parameter and buffer names to the module's own
+// tensors, uncopied, so every later write to the module shows through it.
+func Tensors(m Module) map[string]*tensor.Tensor {
+	out := make(map[string]*tensor.Tensor)
+	for _, p := range m.Params() {
+		out[p.Name] = p.Value.T
+	}
+	for _, b := range m.Buffers() {
+		out[b.Name] = b.T
+	}
+	return out
+}
+
 // LoadStateDict copies tensors from the dict into the module's parameters
 // and buffers. Every entry in the module must be present with a matching
 // shape; extra dict entries are an error too, so silent drift is impossible.
