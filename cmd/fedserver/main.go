@@ -193,8 +193,8 @@ func run() error {
 	if err := experiments.PrintMatrix(os.Stdout, res); err != nil {
 		return err
 	}
-	// Closed before the worker goodbye, so no collector re-queues while the
-	// workers leave; Shutdown stops counting their connections' teardown as
+	// Closed before the worker goodbye, so no slot reader re-queues while
+	// the workers leave; Shutdown stops counting their connections' teardown as
 	// deaths. The goodbye is best-effort: a worker that died after its last
 	// reply must not discard a completed run's results.
 	_ = tr.Close()

@@ -27,9 +27,10 @@ const (
 	// Round) that carries jobs, and severs its connection on receiving it,
 	// before acking any.
 	DieOnJobs
-	// Wedged joins with a Hello that advertises Heartbeat, then never
-	// writes again — no ack, no pong, no close — while it drains every
-	// broadcast, so only the coordinator's read deadline can unmask it.
+	// Wedged joins with a Hello that advertises Heartbeat and pongs on it
+	// until its first broadcast arrives; from then on it never writes again
+	// — no ack, no pong, no close — while it drains every broadcast, so only
+	// the coordinator's read deadline can unmask it, with a job in hand.
 	Wedged
 )
 
@@ -89,9 +90,6 @@ type Fed struct {
 	domains  []string
 	ackDelay time.Duration
 	workers  []*worker
-	// neverDealt counts worker connections that ended without being dealt
-	// a job.
-	neverDealt atomic.Int64
 }
 
 // worker is a running worker's bookkeeping.
@@ -117,8 +115,8 @@ type FedRun struct {
 // Federate runs method over a loopback federation. It fails the test if
 // the run fails (unless WantErr accepts the failure), if a worker did not
 // behave as its kind says, or if the federation does not shut down cleanly:
-// after a successful run every slot that was dealt a job must be dead
-// within 10s of the workers' exit.
+// after a successful run every slot must be dead within 10s of the
+// workers' exit.
 func Federate(t testing.TB, method string, family *data.Family, domains []string, opt Federation) FedRun {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
@@ -180,13 +178,12 @@ func Federate(t testing.TB, method string, family *data.Family, domains []string
 		out.Trained = append(out.Trained, w.trained.Load())
 	}
 	if runErr == nil {
-		// The workers have left; wait until every collector has seen its
+		// The workers have left; wait until every slot's reader has seen its
 		// connection close, so a goodbye that markDead counted as a death
 		// reaches the Sink before the deferred Close ends the coordinator.
-		idle := int(f.neverDealt.Load())
-		for ms := 0; coord.NumLive() > idle; ms++ {
+		for ms := 0; coord.NumLive() > 0; ms++ {
 			if ms == 10000 {
-				t.Fatalf("%d slots still live 10s after every worker left, %d of them never dealt a job", coord.NumLive(), idle)
+				t.Fatalf("%d slots still live 10s after every worker left", coord.NumLive())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -222,9 +219,8 @@ func (f *Fed) Join(spec Worker) {
 // serve runs worker id on conn until the coordinator shuts it down or, for
 // a crashing kind, until its crash, after which it may re-dial.
 func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec Worker, w *worker) error {
-	var crashed, dealt atomic.Bool
+	var crashed atomic.Bool
 	handle := func(b transport.Broadcast, emit func(transport.JobResult) error) error {
-		dealt.Store(true)
 		at := spec.Kind != Plain && !crashed.Load() && b.Task == spec.Task && b.Round == spec.Round
 		if at && spec.Kind == DieOnJobs && len(b.Jobs) > 0 {
 			crashed.Store(true)
@@ -247,18 +243,8 @@ func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec
 			return nil
 		})
 	}
-	// A connection never dealt a job has no collector on the coordinator,
-	// so nothing there sees it close and its slot stays live.
-	serveOn := func(c *transport.Worker) error {
-		dealt.Store(false)
-		err := c.Serve(handle)
-		_ = c.Close()
-		if !dealt.Load() {
-			f.neverDealt.Add(1)
-		}
-		return err
-	}
-	err := serveOn(conn)
+	err := conn.Serve(handle)
+	_ = conn.Close()
 	if spec.Kind == Plain {
 		return err
 	}
@@ -273,14 +259,15 @@ func (f *Fed) serve(id int, conn *transport.Worker, ex *transport.Executor, spec
 	if err != nil {
 		return err
 	}
-	return serveOn(again)
+	defer again.Close()
+	return again.Serve(handle)
 }
 
 // wedge joins worker id through a relay: a real worker runs the handshake,
-// advertising heartbeat, and closes at once, before its first pong is due;
-// the relay keeps the coordinator's end of the connection open, drains
-// every broadcast sent to it and never writes again. done reports the
-// relay's end, once the coordinator has closed that connection.
+// advertising heartbeat, pongs through the relay, and closes on its first
+// broadcast; the relay keeps the coordinator's end of the connection open,
+// drains every broadcast sent to it and never writes again. done reports
+// the relay's end, once the coordinator has closed that connection.
 func (f *Fed) wedge(id int, heartbeat time.Duration, done chan<- error) {
 	f.t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -301,16 +288,18 @@ func (f *Fed) wedge(id int, heartbeat time.Duration, done chan<- error) {
 			return
 		}
 		defer up.Close()
-		// The Hello, until the worker closes; then nothing more.
-		hello := make(chan struct{})
+		// The Hello and the pongs, until the worker closes; then nothing
+		// more.
+		pongs := make(chan struct{})
 		go func() {
-			defer close(hello)
+			defer close(pongs)
 			_, _ = io.Copy(up, down)
 		}()
-		// The HelloAck, until a write finds the worker gone; then drain.
+		// The HelloAck and the first broadcast, until a write finds the
+		// worker gone; then drain.
 		_, _ = io.Copy(down, up)
 		_ = down.Close()
-		<-hello
+		<-pongs
 		_, _ = io.Copy(io.Discard, up)
 		done <- nil
 	}()
@@ -319,5 +308,10 @@ func (f *Fed) wedge(id int, heartbeat time.Duration, done chan<- error) {
 		_ = ln.Close()
 		f.t.Fatal(err)
 	}
-	_ = w.Close()
+	// Serve returns once the first broadcast, or Shutdown's Done, has
+	// arrived and the worker has closed.
+	go func() {
+		_ = w.Serve(func(transport.Broadcast, func(transport.JobResult) error) error { return w.Close() })
+		_ = w.Close()
+	}()
 }

@@ -32,12 +32,14 @@ func BenchmarkJoinAdmission(b *testing.B) {
 }
 
 // BenchmarkHeartbeatDetection measures how long the coordinator takes to
-// unmask a wedged worker — socket open, broadcasts drained, nothing ever
-// sent back — for several timeouts, each reached by advertising a heartbeat
-// of a quarter of it. One iteration is send-then-recv against a fresh wedged
-// slot; recv must return with the deadline error, so ns/op ≈ the detection
-// latency (the timeout plus scheduling overhead). Pre-v7 this recv blocked
-// forever.
+// unmask a wedged worker — socket open, broadcasts drained, nothing sent
+// back once the first broadcast arrives — for several timeouts, each
+// reached by advertising a heartbeat of a quarter of it. The endpoint pongs
+// until the broadcast, as the slot's reader reads it from the handshake on.
+// One iteration runs from the broadcast's send until the coordinator counts
+// the slot dead, so ns/op ≈ the detection latency: at most the timeout (the
+// deadline runs from the last frame the slot's reader read, the Hello or a
+// pong), plus scheduling overhead. Pre-v7 the slot was never given up.
 func BenchmarkHeartbeatDetection(b *testing.B) {
 	for _, timeout := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond} {
 		b.Run(timeout.String(), func(b *testing.B) {
@@ -59,11 +61,29 @@ func BenchmarkHeartbeatDetection(b *testing.B) {
 				if err != nil || ack.Error != "" {
 					b.Fatalf("join failed: %v %q", err, ack.Error)
 				}
+				broadcast := make(chan struct{})
 				go func() {
 					buf := make([]byte, 1<<16)
-					for {
+					for first := true; ; first = false {
 						if _, err := conn.Read(buf); err != nil {
 							return
+						}
+						if first {
+							close(broadcast)
+						}
+					}
+				}()
+				go func() {
+					tick := time.NewTicker(timeout / 4)
+					defer tick.Stop()
+					for {
+						select {
+						case <-broadcast:
+							return
+						case <-tick.C:
+							if enc.writeUpdate(&Update{Version: ProtocolVersion, Pong: true}) != nil {
+								return
+							}
 						}
 					}
 				}()
@@ -74,8 +94,8 @@ func BenchmarkHeartbeatDetection(b *testing.B) {
 				if err := coord.send(ack.Slot, Broadcast{}, nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := coord.recv(ack.Slot); err == nil {
-					b.Fatal("recv on a wedged slot returned a frame")
+				for coord.NumLive() > 0 {
+					time.Sleep(100 * time.Microsecond)
 				}
 				b.StopTimer()
 				_ = conn.Close()

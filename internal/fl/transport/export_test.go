@@ -22,7 +22,7 @@ func PoisonReusedBuffers() (restore func()) {
 }
 
 // WriteHello writes h onto w as one frame, and ReadHelloAck reads the reply:
-// the join handshake as a raw endpoint that speaks nothing else runs it.
+// the join handshake as a raw endpoint runs it.
 func WriteHello(w io.Writer, h Hello) error {
 	fw := frameWriter{w: w}
 	return fw.writeHello(h)
@@ -31,6 +31,12 @@ func WriteHello(w io.Writer, h Hello) error {
 func ReadHelloAck(r io.Reader) (HelloAck, error) {
 	fr := frameReader{r: r}
 	return fr.readHelloAck()
+}
+
+// WriteUpdate writes u onto w as one frame: a raw endpoint's update.
+func WriteUpdate(w io.Writer, u Update) error {
+	fw := frameWriter{w: w}
+	return fw.writeUpdate(&u)
 }
 
 // SumRounds adds up round records field by field, as the Stats of a run
@@ -51,7 +57,7 @@ func SumRounds(rounds []RoundStats) Stats {
 	return s
 }
 
-// HoldDecodes makes every Pipeline collector call hold with the ack's job
+// HoldDecodes makes every slot reader call hold with the ack's job
 // index inside its decode of the ack — the pipeline's lock released, before
 // the patch decodes — until the returned function is called.
 func HoldDecodes(hold func(index int)) (restore func()) {

@@ -102,7 +102,7 @@ func TestFaultInjectionCrashMidRound(t *testing.T) {
 // TestDeathMidDecodeLeavesTheJobToTheDecode holds the invariant an ack that
 // names its job by index rests on — a job is settled only by a slot that
 // holds it — across a death during a decode. Three workers take one job
-// each of round (0,1). Slot 0's collector is held inside the decode of its
+// each of round (0,1). Slot 0's reader is held inside the decode of its
 // ack while the test severs slot 0's connection and kills slot 1 before it
 // acks. Slot 1's job is dealt to slot 0 first, whose send fails, so slot 0
 // dies while its ack decodes. The job being decoded stays with the decode:

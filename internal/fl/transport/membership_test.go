@@ -11,8 +11,10 @@ package transport_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +22,8 @@ import (
 	"reffil/internal/fl"
 	"reffil/internal/fl/fltest"
 	"reffil/internal/fl/transport"
+	"reffil/internal/fl/wire"
+	"reffil/internal/telemetry"
 )
 
 // rawHello dials the coordinator with a raw frame endpoint, runs the join
@@ -143,12 +147,13 @@ func awaitLiveBefore(task, round, live int) func(*fltest.Fed, fl.ResumeState) er
 
 // TestHeartbeatDetectsWedgedWorker wedges a worker without killing it: an
 // endpoint that advertises a 75 ms heartbeat in its Hello, so the
-// coordinator reads its slot under a 300 ms deadline, keeps reading
-// broadcasts, but never acks a job nor sends a pong. Without heartbeats the
-// coordinator would block in recv forever — no read error ever arrives.
-// With them the slot's read deadline expires within 4x the advertised
-// interval, the worker is marked dead, its jobs re-queue on the survivor,
-// and the run is the reference's.
+// coordinator reads its slot under a 300 ms deadline, pongs until its first
+// broadcast arrives, then keeps reading broadcasts but never acks a job nor
+// sends a pong. Without heartbeats the coordinator would wait on the slot
+// forever — no read error ever arrives. With them the slot's read deadline
+// expires within 4x the advertised interval, the worker is marked dead with
+// a job in hand, its jobs re-queue on the survivor (some round takes more
+// than one attempt), and the run is the reference's.
 func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -156,9 +161,15 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	}
 	domains := family.Domains[:2]
 	start := time.Now()
+	var attempts atomic.Int64
 	// Slot 0 is the survivor, slot 1 the wedge.
 	got := fltest.Federate(t, "RefFiL", family, domains, fltest.Federation{
 		Workers: []fltest.Worker{{}, {Kind: fltest.Wedged, Heartbeat: 75 * time.Millisecond}},
+		OnRound: func(rs transport.RoundStats) {
+			if int64(rs.Attempts) > attempts.Load() {
+				attempts.Store(int64(rs.Attempts))
+			}
+		},
 	})
 	// Detection is deadline-bounded, not run-length-bounded: the whole run
 	// — including the one round that waited out the wedge — must finish in
@@ -170,6 +181,125 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if got.Live != 1 {
 		t.Fatalf("live workers after wedge detection = %d, want 1", got.Live)
 	}
+	if a := attempts.Load(); a < 2 {
+		t.Fatalf("most attempts of any round = %d, want a re-queued round: the wedge was found before it held a job", a)
+	}
+}
+
+// TestEveryAdmittedSlotIsRead holds the coordinator to reading every slot
+// from its handshake on, whether or not the slot is ever dealt a job. A
+// worker that is admitted, never dealt a job and closes is counted dead
+// (closes); one that advertises a 20 ms heartbeat and then falls silent
+// with its connection open is unmasked as a wedge (wedges); and one that
+// acks before it was sent any frame dies for it, while the run it joined
+// goes on to be the reference's (stray_ack).
+func TestEveryAdmittedSlotIsRead(t *testing.T) {
+	// observed is a coordinator reporting to a fresh registry.
+	observed := func(t *testing.T) (*transport.Coordinator, *telemetry.Registry) {
+		coord, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = coord.Close() })
+		reg := telemetry.NewRegistry()
+		coord.SetTelemetry(telemetry.NewSink(reg, nil))
+		return coord, reg
+	}
+	requireCounts := func(t *testing.T, reg *telemetry.Registry, want map[string]int64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		for name, n := range want {
+			if got := int64(snap[name]); got != n {
+				t.Errorf("%s = %d, want %d", name, got, n)
+			}
+		}
+	}
+
+	t.Run("closes", func(t *testing.T) {
+		coord, reg := observed(t)
+		w, err := transport.Dial(coord.Addr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Accept(1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		_ = w.Close()
+		if err := awaitLive(coord, 0); err != nil {
+			t.Fatal(err)
+		}
+		requireCounts(t, reg, map[string]int64{"fed_worker_deaths_total": 1, "fed_workers_live": 0, "fed_worker_wedges_total": 0})
+	})
+
+	t.Run("wedges", func(t *testing.T) {
+		coord, reg := observed(t)
+		conn := rawJoin(t, coord, transport.Hello{Version: transport.ProtocolVersion, Heartbeat: 20 * time.Millisecond})
+		defer conn.Close()
+		if err := awaitLive(coord, 0); err != nil {
+			t.Fatal(err)
+		}
+		requireCounts(t, reg, map[string]int64{"fed_worker_deaths_total": 1, "fed_workers_live": 0, "fed_worker_wedges_total": 1})
+	})
+
+	t.Run("stray_ack", func(t *testing.T) {
+		family, err := data.NewFamily("pacs", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		domains := family.Domains[:2]
+		got := fltest.Federate(t, "Finetune", family, domains, fltest.Federation{
+			Workers: plain(2),
+			Hook: func(f *fltest.Fed, st fl.ResumeState) error {
+				if st.NextTask != 0 || st.NextRound != 1 {
+					return nil
+				}
+				// Slot 2 joins between rounds and acks job 0 before the next
+				// round can deal it one; it must be dead before that round.
+				conn := rawJoin(t, f.Coord, transport.Hello{Version: transport.ProtocolVersion, WorkerID: 2})
+				defer conn.Close()
+				stray := transport.Update{Version: transport.ProtocolVersion, WorkerID: 2, Ack: &transport.JobResult{Patch: &wire.Patch{}}}
+				if err := transport.WriteUpdate(conn, stray); err != nil {
+					return err
+				}
+				return awaitLive(f.Coord, 2)
+			},
+		})
+		fltest.RequireSameRun(t, "stray-ack", fltest.Reference(t, "Finetune", family, domains), got.Run)
+		if got.Live != 2 || got.Joined != 3 {
+			t.Fatalf("workers live/ever = %d/%d, want 2/3 (the stray slot dead)", got.Live, got.Joined)
+		}
+	})
+}
+
+// rawJoin runs the join handshake with h on a raw connection, waits for the
+// coordinator to admit it and returns the connection.
+func rawJoin(t *testing.T, coord *transport.Coordinator, h transport.Hello) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteHello(conn, h); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := transport.ReadHelloAck(conn); err != nil || ack.Error != "" {
+		t.Fatalf("join failed: %v %q", err, ack.Error)
+	}
+	if err := coord.Accept(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// awaitLive waits up to 10s for the coordinator to count n live slots.
+func awaitLive(coord *transport.Coordinator, n int) error {
+	for ms := 0; coord.NumLive() != n; ms++ {
+		if ms == 10000 {
+			return fmt.Errorf("%d slots live 10s on, want %d", coord.NumLive(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // TestCoordinatorResumeOverTCP is the coordinator-crash acceptance gate:

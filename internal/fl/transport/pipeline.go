@@ -36,15 +36,16 @@ import (
 //
 // Every job entry of a broadcast carries the job's index in the round, and
 // each ack echoes it, so a slot keeps only its mirror, the round's jobs it
-// holds unsettled, the upload-decode base of its latest frame, and a
-// collector goroutine that reads its acks — all in the coordinator's record
-// of the slot, beside its connection and its dead flag. An index-only ack is
-// sound only under one invariant: a job is settled only by a slot that holds
-// it, so a live slot never holds a job of an earlier round. A collector
-// takes a job out of its slot's hold when it reads the job's ack, before the
-// decode releases the lock, so a death during the decode leaves the job to
-// that decode; and it drops anything it reads once its slot is dead, whose
-// jobs are dealt again at its death.
+// holds unsettled and the upload-decode base of its latest frame — all in
+// the coordinator's record of the slot, beside its connection and its dead
+// flag. The slot's reader, which the coordinator runs from the slot's
+// handshake to its close, hands each ack to settle and each death to
+// workerDied. An index-only ack is sound only under one invariant: a job is
+// settled only by a slot that holds it, so a live slot never holds a job of
+// an earlier round. settle takes a job out of its slot's hold when it reads
+// the job's ack, before the decode releases the lock, so a death during the
+// decode leaves the job to that decode; and it drops anything read once its
+// slot is dead, whose jobs are dealt again at its death.
 //
 // A worker connection dying does not fail the run: its acknowledged
 // results are kept and the jobs it holds are dealt over the survivors, as
@@ -55,9 +56,9 @@ import (
 // slot, so a re-dial starts from a full snapshot.
 //
 // The Pipeline runs on its coordinator's mutex and condition variable, so
-// one coordinator serves one Pipeline, which reports to the coordinator's
-// telemetry sink. Neither a collector nor a send holds the mutex in a
-// socket read or write.
+// one coordinator serves one Pipeline (NewPipeline refuses a second), which
+// reports to the coordinator's telemetry sink. Neither a slot reader nor a
+// send holds the mutex in a socket read or write.
 //
 // A warm round copies nothing of model size. The round's dict keeps the
 // last round's tensor for every key whose bits did not change, and writes
@@ -78,7 +79,7 @@ type Pipeline struct {
 	coord *Coordinator
 	alg   fl.Algorithm
 	// OnRound, when non-nil, receives each round's wire statistics once its
-	// last ack lands. Called from a collector goroutine, outside the
+	// last ack lands. Called from a slot's reader goroutine, outside the
 	// coordinator's lock, possibly after RunEach has returned.
 	OnRound func(RoundStats)
 	// JoinWait, when positive, is how long a moment with no live workers —
@@ -140,9 +141,12 @@ type roundFlight struct {
 	sent atomic.Int64
 }
 
-// NewPipeline wraps a coordinator and the engine's algorithm instance. The
-// algorithm must be the same instance the fl.Engine aggregates into — each
-// round reads its Global() state and wire state at dispatch.
+// NewPipeline wraps a coordinator and the engine's algorithm instance, and
+// registers the Pipeline on the coordinator, whose slot readers then hand
+// it their updates; a coordinator runs one Pipeline for its lifetime, so a
+// second is refused. The algorithm must be the same instance the fl.Engine
+// aggregates into — each round reads its Global() state and wire state at
+// dispatch.
 func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("transport: pipeline needs a coordinator")
@@ -150,7 +154,13 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("transport: pipeline needs an algorithm")
 	}
-	return &Pipeline{coord: coord, alg: alg}, nil
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if coord.pipeline != nil {
+		return nil, fmt.Errorf("transport: the coordinator already runs a pipeline")
+	}
+	coord.pipeline = &Pipeline{coord: coord, alg: alg}
+	return coord.pipeline, nil
 }
 
 // UseCodec accepts only wire.CodecDelta, the wire format the Pipeline
@@ -168,9 +178,9 @@ func (p *Pipeline) Stats() Stats {
 	return p.stats
 }
 
-// Close fails a round waiting for results and stops the collectors and
-// re-queues. Call it before Coordinator.Shutdown/Close when tearing a run
-// down.
+// Close fails a round waiting for results and stops settling acks and
+// re-queueing; the slot readers read on until their connections end. Call
+// it before Coordinator.Shutdown/Close when tearing a run down.
 func (p *Pipeline) Close() error {
 	p.coord.mu.Lock()
 	p.closed = true
@@ -190,7 +200,7 @@ func (p *Pipeline) failLocked(err error) {
 
 // dispatch is RunEach's first half: register the round, deal every job and
 // return the round as soon as the sends complete. Results arrive on the
-// collectors; await hands them over.
+// slot readers; await hands them over.
 func (p *Pipeline) dispatch(jobs []fl.Job) (*roundFlight, error) {
 	c := p.coord
 	task, round := jobs[0].Spec.Task, jobs[0].Spec.Round
@@ -288,7 +298,7 @@ func (p *Pipeline) deal(rf *roundFlight, idxs []int) {
 			share = append(share, idxs[k])
 		}
 		if err := p.send(live[s], rf, share); err != nil {
-			p.workerDied(live[s])
+			c.workerDied(live[s], false)
 		}
 	}
 }
@@ -358,10 +368,6 @@ func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
 	for k, ji := range idxs {
 		jobs[k] = Job{Index: ji, Spec: rf.jobs[ji].spec}
 	}
-	if !w.collecting {
-		w.collecting = true
-		go p.collect(slot, w)
-	}
 	c.mu.Unlock()
 	if hold := holdSend.Load(); hold != nil {
 		(*hold)(slot)
@@ -369,86 +375,84 @@ func (p *Pipeline) send(slot int, rf *roundFlight, idxs []int) error {
 	return c.send(slot, Broadcast{Task: rf.task, Round: rf.round, Frame: *f, Jobs: jobs}, &rf.sent)
 }
 
-// collect is slot's dedicated receive loop: it settles the job each ack
-// names, decoding the upload against the slot's base, and finalizes the
-// round when its last ack lands. One collector runs per slot for the
-// pipeline's lifetime; it exits on worker death or pipeline close.
-func (p *Pipeline) collect(slot int, w *wireConn) {
-	c := p.coord
-	for {
-		u, n, err := c.recv(slot)
-		if err != nil {
-			p.workerDied(slot)
-			return
-		}
-		c.mu.Lock()
-		if p.closed || w.dead {
-			// A dead slot's jobs are dealt again by whoever saw it die:
-			// whatever it still reads settles nothing.
-			c.mu.Unlock()
-			return
-		}
-		if u.Version != ProtocolVersion {
-			p.failLocked(fmt.Errorf("transport: worker %d speaks protocol v%d, coordinator v%d", slot, u.Version, ProtocolVersion))
-			c.mu.Unlock()
-			return
-		}
-		if u.Error != "" {
-			// A worker-reported error is deterministic: re-queueing the job
-			// elsewhere would fail identically, so the run fails.
-			p.failLocked(fmt.Errorf("transport: worker %d: %s", slot, u.Error))
-			c.mu.Unlock()
-			return
-		}
-		jr, rf := u.Ack, p.cur
-		k := slices.Index(w.held, jr.Index)
-		if k < 0 {
-			p.failLocked(fmt.Errorf("transport: worker %d acked job %d, which it does not hold", slot, jr.Index))
-			c.mu.Unlock()
-			return
-		}
-		if jr.Patch == nil {
-			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, rf.round, jr.Index))
-			c.mu.Unlock()
-			return
-		}
-		// The job leaves the hold before the decode releases mu: a death
-		// meanwhile leaves it to this decode instead of dealing it again.
-		w.held = slices.Delete(w.held, k, k+1)
-		rf.rs.UploadBytes += int64(n)
-		if jr.Patch.Full {
-			rf.rs.UploadFallbacks++
-		} else {
-			rf.rs.PatchUploads++
-		}
-		res, err := p.decodeResult(jr, w.base)
-		if p.closed {
-			c.mu.Unlock()
-			return
-		}
-		if err != nil {
-			p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
-			c.mu.Unlock()
-			return
-		}
-		rf.jobs[jr.Index].res, rf.jobs[jr.Index].done = res, true
-		nanos := time.Since(rf.rs.Start).Nanoseconds()
-		if rf.rs.FirstAckNanos == 0 {
-			rf.rs.FirstAckNanos = nanos
-		}
-		rf.rs.LastAckNanos = nanos
-		rf.remaining--
-		c.tel.ObserveAck(slot, time.Duration(nanos))
-		var finished *RoundStats
-		if rf.remaining == 0 {
-			finished = p.finishRound(rf)
-		}
-		c.cond.Broadcast()
+// settle hands one update a slot's reader read to the Pipeline running on
+// the coordinator: it settles the job an ack names, decoding the upload
+// against the slot's base, and finalizes the round when its last ack lands.
+// It reports false, settling nothing, for an update that arrived before the
+// slot's first frame (base is still nil, as it is while no Pipeline runs),
+// which answers nothing and is the slot's fault. Anything read on a dead
+// slot (whose jobs are dealt again by whoever saw it die), after the run
+// failed or after Close settles nothing. Any other fault — a worker's
+// error, a version mismatch, an ack of a job the slot does not hold, one
+// with no patch or an undecodable one — fails the run.
+func (c *Coordinator) settle(slot int, w *wireConn, u Update, n int) bool {
+	c.mu.Lock()
+	if w.base == nil {
 		c.mu.Unlock()
-		if finished != nil && p.OnRound != nil {
-			p.OnRound(*finished)
-		}
+		return false
 	}
+	// Only a Pipeline's send sets a base.
+	p := c.pipeline
+	if w.dead || p.closed || p.fatal != nil {
+		c.mu.Unlock()
+		return true
+	}
+	jr, rf := u.Ack, p.cur
+	var k int
+	var fault error
+	if u.Version != ProtocolVersion {
+		fault = fmt.Errorf("transport: worker %d speaks protocol v%d, coordinator v%d", slot, u.Version, ProtocolVersion)
+	} else if u.Error != "" {
+		// A worker-reported error is deterministic: re-queueing the job
+		// elsewhere would fail identically, so the run fails.
+		fault = fmt.Errorf("transport: worker %d: %s", slot, u.Error)
+	} else if k = slices.Index(w.held, jr.Index); k < 0 {
+		fault = fmt.Errorf("transport: worker %d acked job %d, which it does not hold", slot, jr.Index)
+	} else if jr.Patch == nil {
+		fault = fmt.Errorf("transport: worker %d round %d job %d: ack carries no state patch", slot, rf.round, jr.Index)
+	}
+	if fault != nil {
+		p.failLocked(fault)
+		c.mu.Unlock()
+		return true
+	}
+	// The job leaves the hold before the decode releases mu: a death
+	// meanwhile leaves it to this decode instead of dealing it again.
+	w.held = slices.Delete(w.held, k, k+1)
+	rf.rs.UploadBytes += int64(n)
+	if jr.Patch.Full {
+		rf.rs.UploadFallbacks++
+	} else {
+		rf.rs.PatchUploads++
+	}
+	res, err := p.decodeResult(jr, w.base)
+	if p.closed {
+		c.mu.Unlock()
+		return true
+	}
+	if err != nil {
+		p.failLocked(fmt.Errorf("transport: worker %d round %d job %d: %w", slot, rf.round, jr.Index, err))
+		c.mu.Unlock()
+		return true
+	}
+	rf.jobs[jr.Index].res, rf.jobs[jr.Index].done = res, true
+	nanos := time.Since(rf.rs.Start).Nanoseconds()
+	if rf.rs.FirstAckNanos == 0 {
+		rf.rs.FirstAckNanos = nanos
+	}
+	rf.rs.LastAckNanos = nanos
+	rf.remaining--
+	c.tel.ObserveAck(slot, time.Duration(nanos))
+	var finished *RoundStats
+	if rf.remaining == 0 {
+		finished = p.finishRound(rf)
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	if finished != nil && p.OnRound != nil {
+		p.OnRound(*finished)
+	}
+	return true
 }
 
 // finishRound finalizes the round in flight once its last ack landed:
@@ -465,23 +469,25 @@ func (p *Pipeline) finishRound(rf *roundFlight) *RoundStats {
 	return &rs
 }
 
-// workerDied handles a slot's connection death: it marks the slot dead
-// (markDead counts the death if no one saw it first), and the jobs the slot
-// holds — dealt to it, their acks not read — are dealt again over the
-// survivors (deal), in job-index order. A job whose ack the slot's
-// collector read before the death has left the hold, and that collector's
-// decode settles it. When the dead slot was the last live one, deal waits
-// up to JoinWait for a (re-)joining worker. Safe to call repeatedly and
-// from collectors and senders alike: each call takes whatever the slot
-// holds (a send that lost the race with an earlier death adds its jobs to
-// the dead slot's hold and then routes here), so no job is ever stranded.
-// Callers must not hold mu.
-func (p *Pipeline) workerDied(slot int) {
-	c := p.coord
-	c.markDead(slot, false)
+// workerDied handles a slot's death, wherever it was seen — a failed send,
+// or the end of the slot's reader (wedged: its heartbeat deadline fired).
+// It marks the slot dead (markDead counts the death if no one saw it
+// first), and then the jobs the slot holds — dealt to it, their acks not
+// read — are dealt again over the survivors (deal), in job-index order. A
+// job whose ack the slot's reader read before the death has left the hold,
+// and that reader's decode settles it. When the dead slot was the last live
+// one, deal waits up to JoinWait for a (re-)joining worker. Safe to call
+// repeatedly: each call takes whatever the slot holds, and since the death
+// comes first, a send either added its jobs to the hold before it (this
+// call finds them) or sees the death and routes here again, so no job is
+// ever stranded. Callers must not hold mu.
+func (c *Coordinator) workerDied(slot int, wedged bool) {
+	c.markDead(slot, wedged)
 	c.mu.Lock()
+	// Only a Pipeline's send holds jobs, so a slot holding some has one.
+	p := c.pipeline
 	w, err := c.slotLocked(slot)
-	if err != nil || p.closed || p.fatal != nil || len(w.held) == 0 {
+	if err != nil || len(w.held) == 0 || p.closed || p.fatal != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -544,7 +550,8 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 
 // holdDecode, set by tests through export_test.go, runs inside
 // decodeResult with mu released, before the patch decodes, given the ack's
-// job index: a test holds a collector there to kill its slot mid-decode.
+// job index: a test holds a slot's reader there to kill its slot
+// mid-decode.
 var holdDecode atomic.Pointer[func(index int)]
 
 // decodeResult converts one acked JobResult into an fl.Result, decoding the
@@ -559,7 +566,7 @@ var holdDecode atomic.Pointer[func(index int)]
 //
 // Called with mu held, and returns with it held, but releases it while the
 // patch decodes (and while a test's holdDecode runs): the ack's bytes are
-// the collector's until its next recv and base is immutable, and an engine
+// the slot reader's until its next read and base is immutable, and an engine
 // waiting on mu behind a decode would leave every result decoded meanwhile
 // holding a buffer. The method's DecodeUpload, not documented
 // concurrency-safe, runs under mu.

@@ -164,7 +164,7 @@ func TestDeathAccountingOverTCP(t *testing.T) {
 		},
 	})
 	sink.Close()
-	// Every job of round (0,1) was settled by slot 1, whose collector
+	// Every job of round (0,1) was settled by slot 1, whose reader
 	// delivers the round's record before it settles a job of the next.
 	mu.Lock()
 	jobs := crash.PatchUploads + crash.UploadFallbacks

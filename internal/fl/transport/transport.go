@@ -19,10 +19,12 @@
 // Membership is elastic. Every connection opens with a Hello/HelloAck
 // handshake against an accept loop that runs for the coordinator's whole
 // lifetime, so a fresh or restarted worker can dial mid-run; it is admitted
-// into a brand-new slot whose first frame is a full snapshot. Workers that
-// advertise a heartbeat stream Pong updates on it and the coordinator reads
-// their slots under a deadline, so a silently wedged worker is detected
-// within a bounded interval.
+// into a brand-new slot whose first frame is a full snapshot. The goroutine
+// that ran a slot's handshake reads the slot from then until its connection
+// ends, whether or not it is ever dealt a job, so every admitted worker's
+// exit is seen. Workers that advertise a heartbeat stream Pong updates on
+// it and that reader reads their slots under a deadline, so a silently
+// wedged worker is detected within a bounded interval.
 //
 // Broadcasts are delta-encoded: each carries a versioned wire.Frame — a
 // state patch against the base version the coordinator knows this worker
@@ -140,8 +142,8 @@ type Update struct {
 	// elsewhere would fail identically.
 	Error string
 	// Pong marks a liveness heartbeat: sent on a timer by workers that
-	// advertised a heartbeat interval in their Hello, consumed inside the
-	// coordinator's receive loop without ever surfacing to the round layer.
+	// advertised a heartbeat interval in their Hello, consumed by the slot's
+	// reader without ever surfacing to the round layer.
 	Pong bool
 }
 
@@ -197,11 +199,15 @@ type Coordinator struct {
 	accepted int
 	// closed marks the coordinator shut down: slot lookups error instead of
 	// indexing a nil workers slice (Close may race a straggling round
-	// goroutine's send/recv/markDead).
+	// goroutine's send or a slot reader's markDead).
 	closed bool
 	// leaving marks Shutdown: the workers were told to exit, so a connection
 	// that closes from then on is not counted as a death.
 	leaving bool
+	// pipeline is the one Pipeline running on the coordinator, set by
+	// NewPipeline: the slot readers hand it every update but a pong, and
+	// every death.
+	pipeline *Pipeline
 	// tel records membership telemetry (joins, live-worker gauge, deaths,
 	// wedge detections) and the Pipeline's rounds. Nil — the default —
 	// disables it; see SetTelemetry.
@@ -209,16 +215,13 @@ type Coordinator struct {
 }
 
 // wireConn is one worker slot's record: its connection, whether it is dead,
-// and the Pipeline's send/collect machinery for it.
+// and the Pipeline's send and settle state for it.
 type wireConn struct {
 	conn net.Conn
-	// out serializes sends; in is read by one goroutine at a time (the
-	// handshake, then the slot's collector).
+	// out serializes sends; in is read by one goroutine, the one that ran
+	// the slot's handshake and then reads it until its connection ends.
 	out frameWriter
 	in  frameReader
-	// heartbeat is the interval the slot's Hello advertised; immutable after
-	// admission.
-	heartbeat time.Duration
 	// sendMu serializes a Pipeline send — frame, mirror advance, hold,
 	// write — so the mirror follows wire order; tracker, the coordinator's
 	// mirror of the worker's wire.Tracker, is only touched under it, or
@@ -227,13 +230,12 @@ type wireConn struct {
 	tracker wire.Tracker
 	// The rest is guarded by the coordinator's mu. dead is set by markDead
 	// alone. held lists the jobs of the round in flight dealt to the slot
-	// whose acks its collector has not read; base is the upload-decode base
-	// of the slot's latest frame, the mirror's dict once the frame was
-	// built; collecting marks the slot's collector started.
-	dead       bool
-	held       []int
-	base       map[string]*tensor.Tensor
-	collecting bool
+	// whose acks its reader has not read; base is the upload-decode base of
+	// the slot's latest frame, the mirror's dict once the frame was built,
+	// and nil until the slot's first frame.
+	dead bool
+	held []int
+	base map[string]*tensor.Tensor
 }
 
 // Listen starts a coordinator on addr (e.g. "127.0.0.1:0") and its
@@ -275,12 +277,13 @@ func (c *Coordinator) acceptLoop() {
 
 // admit runs the join handshake on a fresh connection: decode the
 // worker's Hello under a deadline, reject version mismatches before they
-// can mis-decode a round frame, then append a brand-new slot and answer
-// with its HelloAck. Slots are append-only — a re-dialing worker gets a
-// fresh slot whose lack of a base version makes its first frame a full
-// snapshot, so re-joins are state-correct by construction. The HelloAck is
-// encoded under mu, before the slot becomes visible to send/recv, so it
-// always precedes the slot's first Broadcast on the stream.
+// can mis-decode a round frame, then append a brand-new slot, answer with
+// its HelloAck and read the slot until its connection ends (read). Slots
+// are append-only — a re-dialing worker gets a fresh slot whose lack of a
+// base version makes its first frame a full snapshot, so re-joins are
+// state-correct by construction. The HelloAck is encoded under mu, before
+// the slot becomes visible to send, so it always precedes the slot's first
+// Broadcast on the stream.
 func (c *Coordinator) admit(conn net.Conn) {
 	w := &wireConn{conn: conn, out: frameWriter{w: conn}, in: frameReader{r: conn}}
 	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
@@ -295,7 +298,6 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	w.heartbeat = h.Heartbeat
 	c.mu.Lock()
 	if c.closed {
 		// Close ran while this handshake was in flight: the coordinator's
@@ -317,7 +319,46 @@ func (c *Coordinator) admit(conn net.Conn) {
 	c.tel.WorkerJoined(slot, h.WorkerID, c.liveLocked())
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	c.read(slot, w, 4*h.Heartbeat)
 }
+
+// read is the slot's one reader, from its handshake to its close. A slot
+// whose Hello advertised a heartbeat reads under a timeout of 4x it,
+// re-armed per frame, so each Pong proves liveness and a wedged worker —
+// connection open, nothing flowing — dies within a bounded interval; a
+// zero timeout reads without a deadline. Every update but a pong goes to
+// settle. The reader ends at a read error, a fired deadline or an update
+// that answers no frame (settle), and each ends the slot through
+// workerDied, which marks it dead and deals the jobs it holds again.
+func (c *Coordinator) read(slot int, w *wireConn, timeout time.Duration) {
+	wedged := false
+	for {
+		if timeout > 0 {
+			_ = w.conn.SetReadDeadline(time.Now().Add(timeout))
+		}
+		u, n, err := w.in.readUpdate()
+		if err != nil {
+			// A deadline-fired decode on a heartbeating slot is the wedge
+			// detector going off: the connection is open but nothing flowed
+			// for the bounded interval.
+			var ne net.Error
+			wedged = timeout > 0 && errors.As(err, &ne) && ne.Timeout()
+			break
+		}
+		if !u.Pong && !c.settle(slot, w, u, n) {
+			break
+		}
+	}
+	if hold := holdRead.Load(); hold != nil {
+		(*hold)(slot)
+	}
+	c.workerDied(slot, wedged)
+}
+
+// holdRead, set by tests, runs in a slot's reader once it has stopped
+// reading, before the slot dies, given the slot: a test holds a reader
+// there while a round deals the slot jobs.
+var holdRead atomic.Pointer[func(slot int)]
 
 // Accept blocks until n more workers — beyond those previous Accept calls
 // already consumed — have completed the join handshake. Admission itself
@@ -427,11 +468,12 @@ func (c *Coordinator) liveSlots() []int {
 }
 
 // markDead flags a worker slot as unusable and closes its connection: the
-// one place a slot dies, wherever the death is first seen — a send, a recv,
-// a wedge or the Pipeline. The first call counts the death to telemetry,
-// unless Shutdown told the workers to leave. It is a no-op on a closed
-// coordinator (Close already tore every connection down) and on an
-// out-of-range slot. wedged reports a heartbeat deadline that fired.
+// one place a slot dies, wherever the death is first seen — a send, the
+// slot's reader (a read error, a wedge or a stray update) or the Pipeline.
+// The first call counts the death to telemetry, unless Shutdown told the
+// workers to leave. It is a no-op on a closed coordinator (Close already
+// tore every connection down) and on an out-of-range slot. wedged reports a
+// heartbeat deadline that fired.
 func (c *Coordinator) markDead(slot int, wedged bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -487,46 +529,6 @@ func (c *Coordinator) send(slot int, b Broadcast, sent *atomic.Int64) error {
 	return nil
 }
 
-// recv reads one round update from the given worker slot, consuming Pong
-// heartbeats internally. Slots whose Hello advertised a heartbeat read
-// under a deadline (re-armed per frame, so each Pong proves liveness): a
-// wedged worker — connection open, nothing flowing — is marked dead when
-// the deadline fires, within a bounded interval, instead of stalling the
-// round until a read error that may never come. A failed decode marks the
-// worker dead; a recv after Close errors without touching anything. The
-// update's byte fields alias the slot's read buffer: the caller is done
-// with them before its next recv. The int is the update's frame size,
-// header included.
-func (c *Coordinator) recv(slot int) (Update, int, error) {
-	w, err := c.slot(slot)
-	if err != nil {
-		return Update{}, 0, err
-	}
-	// A slot that advertised no heartbeat reads without a deadline.
-	timeout := 4 * w.heartbeat
-	for {
-		if timeout > 0 {
-			_ = w.conn.SetReadDeadline(time.Now().Add(timeout))
-		}
-		u, n, err := w.in.readUpdate()
-		if err != nil {
-			// A deadline-fired decode on a heartbeating slot is the wedge
-			// detector going off: the connection is open but nothing flowed
-			// for the bounded interval.
-			var ne net.Error
-			c.markDead(slot, timeout > 0 && errors.As(err, &ne) && ne.Timeout())
-			return Update{}, 0, fmt.Errorf("transport: receiving from worker %d: %w", slot, err)
-		}
-		if u.Pong {
-			continue
-		}
-		if timeout > 0 {
-			_ = w.conn.SetReadDeadline(time.Time{})
-		}
-		return u, n, nil
-	}
-}
-
 // Shutdown tells every live worker to exit its serve loop; a connection
 // that closes from then on is a worker leaving, not a death. It is
 // best-effort by design: a worker that died after its last useful reply
@@ -546,8 +548,9 @@ func (c *Coordinator) Shutdown() error {
 }
 
 // Close shuts the coordinator and all worker connections down. It is
-// idempotent, and concurrent or subsequent send/recv/markDead calls return
-// errors (or no-op) instead of panicking on the discarded workers slice.
+// idempotent, and concurrent or subsequent send/markDead calls return
+// errors (or no-op) instead of panicking on the discarded workers slice;
+// every slot reader then sees its connection end.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -635,11 +638,6 @@ func DialWith(addr string, id int, opts DialOptions) (*Worker, error) {
 	return w, nil
 }
 
-// send writes one update onto the shared stream.
-func (w *Worker) send(u Update) error {
-	return w.out.writeUpdate(&u)
-}
-
 // heartbeatLoop streams Pong updates until Close or a send failure.
 func (w *Worker) heartbeatLoop(interval time.Duration) {
 	t := time.NewTicker(interval)
@@ -649,7 +647,7 @@ func (w *Worker) heartbeatLoop(interval time.Duration) {
 		case <-w.stop:
 			return
 		case <-t.C:
-			if w.send(Update{Version: ProtocolVersion, WorkerID: w.id, Pong: true}) != nil {
+			if w.out.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: w.id, Pong: true}) != nil {
 				return
 			}
 		}
@@ -683,7 +681,7 @@ func (w *Worker) Serve(handle func(b Broadcast, emit func(JobResult) error) erro
 		} else if b.Done {
 			return nil
 		} else if err := handle(b, func(jr JobResult) error {
-			return w.send(Update{WorkerID: w.id, Version: ProtocolVersion, Ack: &jr})
+			return w.out.writeUpdate(&Update{WorkerID: w.id, Version: ProtocolVersion, Ack: &jr})
 		}); err != nil {
 			fatal = fmt.Errorf("transport: worker %d handler: %w", w.id, err)
 			fail.Error = err.Error()
@@ -691,7 +689,7 @@ func (w *Worker) Serve(handle func(b Broadcast, emit func(JobResult) error) erro
 		if fatal == nil {
 			continue
 		}
-		if err := w.send(fail); err != nil {
+		if err := w.out.writeUpdate(&fail); err != nil {
 			// The handler/version failure is the real story — when the
 			// coordinator is already gone the fail frame always fails too,
 			// and reporting only the send would mask the cause.

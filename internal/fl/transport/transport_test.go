@@ -560,6 +560,83 @@ func TestDispatchWaitsForADyingSend(t *testing.T) {
 	}
 }
 
+// TestStrayUpdateDeathRedealsJobsSentMeanwhile pins the order of a slot's
+// death at its reader's end: the slot is marked dead before its hold is
+// looked at. Slot 1 acks before it was sent any frame; its reader, having
+// judged that update, is held before the death while a round deals slot 1
+// a job and the frame reaches the worker. Released, the death must deal
+// that job again on slot 0, or the round waits on it forever.
+func TestStrayUpdateDeathRedealsJobsSentMeanwhile(t *testing.T) {
+	coord, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	stopped, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	hold := func(slot int) {
+		if slot == 1 && held.CompareAndSwap(false, true) {
+			close(stopped)
+			<-release
+		}
+	}
+	holdRead.Store(&hold)
+	defer holdRead.Store(nil)
+	framed := make(chan struct{})
+	done := acceptInOrder(t, coord,
+		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
+		func(w *Worker) error {
+			if err := w.out.writeUpdate(&Update{Version: ProtocolVersion, WorkerID: 1, Ack: &JobResult{Patch: &wire.Patch{}}}); err != nil {
+				return err
+			}
+			if _, err := w.in.readBroadcast(); err != nil {
+				return err
+			}
+			close(framed)
+			_, err := w.in.readBroadcast()
+			return err
+		},
+	)
+	<-stopped
+
+	r, err := NewPipeline(coord, newWireAlg(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := make(chan error, 1)
+	var results []fl.Result
+	go func() {
+		var err error
+		results, err = runCollected(r, wireJobs(1, 2))
+		round <- err
+	}()
+	<-framed
+	close(release)
+	select {
+	case err := <-round:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round never finished: the job slot 1 was dealt before its death is stranded")
+	}
+	for i, want := range []float64{101, 102} {
+		if got := results[i].Dict["w"].At(0); got != want {
+			t.Fatalf("job %d result = %v, want %v", i, got, want)
+		}
+	}
+	if live := coord.NumLive(); live != 1 {
+		t.Fatalf("live slots = %d, want 1 (slot 1 dead)", live)
+	}
+	_ = r.Close()
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done[0]; err != nil {
+		t.Fatalf("worker 0: %v", err)
+	}
+}
+
 // TestBroadcastRoundTrip pins the frame codec: a Broadcast carrying a
 // versioned delta frame (packed patch, payload bytes) and per-client job
 // entries, a re-queue broadcast to a survivor dealt no job before (full
@@ -943,7 +1020,7 @@ func TestPipelineDeltaStats(t *testing.T) {
 	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
-	// OnRound fires on a collector goroutine once the round's last ack has
+	// OnRound fires on a slot's reader goroutine once the round's last ack has
 	// landed, possibly after Run has returned.
 	roundDone := make(chan RoundStats, 1)
 	r.OnRound = func(rs RoundStats) { roundDone <- rs }
@@ -1237,33 +1314,47 @@ func TestWorkerChecksVersionBeforeDone(t *testing.T) {
 }
 
 // TestCoordinatorClosedSafe pins the Close/round race fix: slot lookups,
-// markDead, send and recv on a closed coordinator must error (or no-op)
-// instead of panicking on the discarded workers slice, Close must be
-// idempotent, and concurrent markDead calls during Close must be safe.
+// markDead and send on a closed coordinator must error (or no-op) instead
+// of panicking on the discarded workers slice, Close must be idempotent,
+// and concurrent sends and markDead calls, and slot readers still reading,
+// during Close must be safe. It also holds a coordinator to one Pipeline.
 func TestCoordinatorClosedSafe(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := acceptInOrder(t, coord,
-		func(w *Worker) error { return w.Serve(perturbHandler(func(int) float64 { return 1 })) },
-	)
+	// Both workers pong every millisecond, so their slots' readers are
+	// reading while Close runs; slot 0 is also hammered, slot 1 is not.
+	var served []chan error
+	for id := range 2 {
+		w, err := DialWith(coord.Addr(), id, DialOptions{Heartbeat: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if err := coord.Accept(1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ch := make(chan error, 1)
+		served = append(served, ch)
+		go func() { ch <- w.Serve(perturbHandler(func(int) float64 { return 1 })) }()
+	}
+	if _, err := NewPipeline(coord, newWireAlg(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPipeline(coord, newWireAlg(0)); err == nil || !strings.Contains(err.Error(), "already runs a pipeline") {
+		t.Fatalf("second NewPipeline on one coordinator = %v, want a refusal", err)
+	}
 
 	var wg sync.WaitGroup
 	// Hammer the paths a straggling round goroutine would hit while Close
-	// runs (one sender and one receiver per connection, as the Pipeline
-	// guarantees); under -race this also proves the locking.
-	wg.Add(3)
+	// runs (one sender per connection, as the Pipeline guarantees); under
+	// -race this also proves the locking.
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			_ = coord.send(0, Broadcast{Done: true}, nil)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			_, _, _ = coord.recv(0)
 		}
 	}()
 	go func() {
@@ -1277,16 +1368,13 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	<-done[0] // the worker's connection died with the coordinator
+	<-served[1] // the worker's connection died with the coordinator
 
 	if err := coord.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 	if err := coord.send(0, Broadcast{}, nil); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("send after Close = %v, want a closed-coordinator error", err)
-	}
-	if _, _, err := coord.recv(0); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("recv after Close = %v, want a closed-coordinator error", err)
 	}
 	coord.markDead(0, false) // must not panic
 	coord.markDead(99, false)

@@ -130,7 +130,7 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 	s.lastAckHist = reg.Histogram("fed_round_last_ack_seconds", "Time from round start to the final job ack.", DefSecondsBuckets)
 	s.workersLive = reg.Gauge("fed_workers_live", "Currently live worker connections.")
 	s.joins = reg.Counter("fed_worker_joins_total", "Worker join handshakes accepted (includes rejoins).")
-	s.deaths = reg.Counter("fed_worker_deaths_total", "Workers that died mid-round (send/recv failure).")
+	s.deaths = reg.Counter("fed_worker_deaths_total", "Worker slots that died before Shutdown (a failed send or read, a wedge or a stray update).")
 	s.wedges = reg.Counter("fed_worker_wedges_total", "Wedged workers detected by heartbeat read deadlines.")
 	s.requeuedJobs = reg.Counter("fed_requeued_jobs_total", "Jobs re-queued onto survivors after a worker death.")
 	s.folds = reg.Counter("fed_folds_total", "Results folded into streaming weighted averages.")
@@ -278,7 +278,7 @@ func (s *Sink) WorkerJoined(slot int, workerID, live int) {
 	s.tracer.Value("membership", "workers_live", float64(live))
 }
 
-// WorkerDead records a mid-round worker death observed by a runner.
+// WorkerDead records a worker slot's death, counted once by the coordinator.
 func (s *Sink) WorkerDead(slot int) {
 	if s == nil {
 		return

@@ -4,7 +4,7 @@
 # progress, and check that the round counter, both byte counters and the
 # delta-frame counter are nonzero — i.e. the telemetry subsystem is wired
 # into the live transport, not just compiled: broadcasts are counted where
-# their frames are written, uploads where the collector accepts each ack,
+# their frames are written, uploads where the slot reader settles each ack,
 # and broadcasts after the first round ship diffs rather than snapshots. The
 # page must not carry fed_frame_fallbacks_total: every full frame is a
 # fallback, so fed_frames_total{kind="full"} is that count. The server and
