@@ -156,31 +156,72 @@ func TestKernelsAllocateNothingWhenWarm(t *testing.T) {
 	}
 }
 
-// TestTapeOpsAllocateNothingButClosures: on a warm arena, at the default
-// GOMAXPROCS, a forward and backward through MatMul, Add, ReLU, Reshape,
-// Narrow, Mul of a View leaf and Sum allocate one object per op, its
-// backward closure, and nothing else: the tape's nodes, their parent lists,
-// the view headers and Backward's sort buffers all come from the arena. The
-// count is averaged over many steps, from after a collection, because above
-// one P the runtime makes a few objects of its own now and then.
-func TestTapeOpsAllocateNothingButClosures(t *testing.T) {
+// TestTapeOpsAllocateNothing: on a warm arena, at the default GOMAXPROCS,
+// a forward and backward through every op of the tape — each the paper
+// step runs and the baselines' losses besides — allocates nothing: the
+// tape's nodes, their parent lists, what each op saves for its backward,
+// the view headers and Backward's sort buffers all come from the arena, and
+// no backward is a closure. The count is averaged over many steps, from
+// after a collection, because above one P the runtime makes a few objects
+// of its own now and then.
+func TestTapeOpsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(19))
 	var ar tensor.Arena
-	x := ar.Wrap(tensor.RandN(rng, 1, 6, 8))
-	w, b := Param(tensor.RandN(rng, 1, 8, 10)), Param(tensor.RandN(rng, 1, 10))
-	const ops, runs = 7, 100 // MatMul, Add, ReLU, Reshape, Narrow, Mul, Sum
+	const bs, c, hw, o, d, k = 2, 3, 4, 4, 6, 3
+	img := ar.Wrap(tensor.RandN(rng, 1, bs, c, hw, hw))
+	param := func(shape ...int) *Value { return Param(tensor.RandN(rng, 1, shape...)) }
+	convW, convB := param(o, c, 3, 3), param(o)
+	bnG, bnB := param(o), param(o)
+	stats := &BatchNormStats{Mean: tensor.New(o), Var: tensor.Ones(o), Momentum: 0.1, Eps: 1e-5}
+	lnG, lnB := param(o), param(o)
+	cls, proj, w, b := param(1, 1, o), param(o, d), param(d, k), param(k)
+	keys, table := param(5, d), param(4, d)
+	// Constants a step reads, wrapped into the arena once, as a step's
+	// batch is: a Wrap outlives every Reset.
+	bank, pairs := ar.Wrap(tensor.RandN(rng, 1, 5, d)), ar.Wrap(tensor.RandN(rng, 1, bs, d))
+	teacher := ar.Wrap(tensor.RandN(rng, 1, bs, k))
+	fisher, anchor := ar.Wrap(tensor.RandN(rng, 1, d, k)), ar.Wrap(tensor.RandN(rng, 1, d, k))
+	labels, ids, positives := []int{0, 2}, []int{3, 1}, [][]int{{0, 4}, {}}
+	must := func(v *Value, err error) *Value {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	step := func() {
-		h := ReLU(Add(MatMul(Param(x), w), b))  // (6,10)
-		h = Narrow(Reshape(h, 3, 20), 1, 5, 15) // (3,10)
-		if err := Backward(Sum(Mul(h, Constant(x.View(8, 3, 10))))); err != nil {
+		h := must(Conv2D(Param(img), convW, convB, 1, 1))     // (2,4,4,4)
+		h = ReLU(must(BatchNorm2D(h, bnG, bnB, stats, true))) // (2,4,4,4)
+		tok := Reshape(Permute(h, 0, 2, 3, 1), bs, hw*hw, o)  // (2,16,4)
+		tok = must(LayerNorm(tok, lnG, lnB, 1e-5))            // (2,16,4)
+		seq := Concat(1, BroadcastBatch(cls, tok.T), tok)     // (2,17,4)
+		att := Softmax(Scale(BatchMatMul(seq, Permute(seq, 0, 2, 1)), 0.5))
+		ctx := Narrow(BatchMatMul(att, seq), 1, 0, 1)  // (2,1,4)
+		feat := Linear(Reshape(ctx, bs, o), proj, nil) // (2,6)
+		feat = Add(feat, Mul(Embedding(&ar, table, ids), AddScalar(Neg(feat), 1)))
+		logits := Linear(feat, w, b) // (2,3)
+		losses := []*Value{
+			must(SoftmaxCrossEntropy(logits, labels)),
+			must(InfoNCE(must(CosineSimToConst(feat, bank)), positives, 0.5)),
+			Mean(must(CosineSimPairs(feat, pairs))),
+			must(DistillLoss(logits, teacher, 2)),
+			must(L2Penalty(w, fisher, anchor)),
+			Sum(MeanAxis(Embedding(&ar, keys, ids), 0)),
+			Sum(SumAxis(Mul(Reshape(ctx, bs, o), Reshape(ctx, bs, o)), 1)),
+		}
+		loss := losses[0]
+		for _, l := range losses[1:] {
+			loss = Add(loss, l)
+		}
+		if err := Backward(loss); err != nil {
 			t.Fatal(err)
 		}
 		ar.Reset()
 	}
 	step() // warms the arena, its tape and the parameters' Grads
+	const runs = 100
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -190,7 +231,7 @@ func TestTapeOpsAllocateNothingButClosures(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	n := (after.Mallocs - before.Mallocs) / runs
 	t.Logf("%d allocations per warm step", n)
-	if n > ops {
-		t.Errorf("warm forward and backward of %d ops: %d allocations per step, want at most %d (the closures)", ops, n, ops)
+	if n != 0 {
+		t.Errorf("warm forward and backward of every tape op: %d allocations per step, want 0", n)
 	}
 }

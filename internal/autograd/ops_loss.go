@@ -3,31 +3,32 @@ package autograd
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"reffil/internal/tensor"
 )
 
 // Softmax applies softmax along the last axis as a differentiable op.
 func Softmax(x *Value) *Value {
-	out := tensor.Softmax(x.T)
-	node := newNode(out, "softmax", x)
-	node.back = func() {
-		d := x.T.Dim(x.T.NDim() - 1)
-		rows := x.T.Size() / d
-		g := out.Arena().ScratchLike(x.T)
-		od, ng, gd := out.Data(), node.Grad.Data(), g.Data()
-		for r := 0; r < rows; r++ {
-			dot := 0.0
-			for i := 0; i < d; i++ {
-				dot += ng[r*d+i] * od[r*d+i]
-			}
-			for i := 0; i < d; i++ {
-				gd[r*d+i] = od[r*d+i] * (ng[r*d+i] - dot)
-			}
+	return newNode(tensor.Softmax(x.T), "softmax", softmaxBackward, x)
+}
+
+func softmaxBackward(n *Value) {
+	x := n.parents[0]
+	d := x.T.Dim(x.T.NDim() - 1)
+	rows := x.T.Size() / d
+	g := n.T.Arena().ScratchLike(x.T)
+	od, ng, gd := n.T.Data(), n.Grad.Data(), g.Data()
+	for r := 0; r < rows; r++ {
+		dot := 0.0
+		for i := 0; i < d; i++ {
+			dot += ng[r*d+i] * od[r*d+i]
 		}
-		accumulateTemp(x, g)
+		for i := 0; i < d; i++ {
+			gd[r*d+i] = od[r*d+i] * (ng[r*d+i] - dot)
+		}
 	}
-	return node
+	accumulateTemp(x, g)
 }
 
 // SoftmaxCrossEntropy computes the mean cross-entropy between logits (B,K)
@@ -52,19 +53,25 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) (*Value, error) {
 		loss -= math.Log(math.Max(p, 1e-300))
 	}
 	loss /= float64(bs)
-	node := newNode(probs.Arena().Scalar(loss), "softmaxCE", logits)
-	node.back = func() {
-		up := node.Grad.Item() / float64(bs)
-		g := probs.Arena().ScratchLike(probs)
-		g.CopyFrom(probs)
-		gd := g.Data()
-		for i, y := range labels {
-			gd[i*k+y]--
-		}
-		g.ScaleInPlace(up)
-		accumulateTemp(logits, g)
-	}
+	node := newNode(probs.Arena().Scalar(loss), "softmaxCE", softmaxCEBackward, logits)
+	node.idx, node.saved[0] = labels, probs
 	return node, nil
+}
+
+// softmaxCEBackward reads the labels from n.idx and the softmax from
+// n.saved[0].
+func softmaxCEBackward(n *Value) {
+	labels, probs := n.idx, n.saved[0]
+	k := probs.Dim(1)
+	up := n.Grad.Item() / float64(len(labels))
+	g := probs.Arena().ScratchLike(probs)
+	g.CopyFrom(probs)
+	gd := g.Data()
+	for i, y := range labels {
+		gd[i*k+y]--
+	}
+	g.ScaleInPlace(up)
+	accumulateTemp(n.parents[0], g)
 }
 
 // DistillLoss is Hinton knowledge distillation: the mean KL divergence
@@ -88,19 +95,25 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 		}
 	}
 	loss = loss / float64(bs) * temperature * temperature
-	node := newNode(q.Arena().Scalar(loss), "distill", student)
-	node.back = func() {
-		// dL/dz_student = T * (q - p) / B (the T² scale cancels one 1/T
-		// from the softened softmax derivative).
-		up := node.Grad.Item() * temperature / float64(bs)
-		g := q.Arena().ScratchLike(q)
-		gd := g.Data()
-		for i := range gd {
-			gd[i] = up * (qd[i] - pd[i])
-		}
-		accumulateTemp(student, g)
-	}
+	node := newNode(q.Arena().Scalar(loss), "distill", distillBackward, student)
+	node.f, node.saved[0], node.saved[1] = temperature, p, q
 	return node, nil
+}
+
+// distillBackward reads the temperature from n.f and the teacher's and
+// student's softened distributions from n.saved.
+func distillBackward(n *Value) {
+	p, q := n.saved[0], n.saved[1]
+	pd, qd := p.Data(), q.Data()
+	// dL/dz_student = T * (q - p) / B (the T² scale cancels one 1/T
+	// from the softened softmax derivative).
+	up := n.Grad.Item() * n.f / float64(q.Dim(0))
+	g := q.Arena().ScratchLike(q)
+	gd := g.Data()
+	for i := range gd {
+		gd[i] = up * (qd[i] - pd[i])
+	}
+	accumulateTemp(n.parents[0], g)
 }
 
 // CosineSimToConst computes the cosine similarity matrix between rows of
@@ -114,7 +127,8 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 	bs, d := u.T.Dim(0), u.T.Dim(1)
 	n := p.Dim(0)
 	ar := tensor.ArenaOf(u.T, p)
-	uNorm := ar.Scratch(bs).Data()
+	uNormT, pNormT := ar.Scratch(bs), ar.Scratch(n)
+	uNorm, pNorm := uNormT.Data(), pNormT.Data()
 	for i := 0; i < bs; i++ {
 		s := 0.0
 		for _, v := range u.T.Data()[i*d : (i+1)*d] {
@@ -122,7 +136,6 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 		}
 		uNorm[i] = math.Max(math.Sqrt(s), eps)
 	}
-	pNorm := ar.Scratch(n).Data()
 	for j := 0; j < n; j++ {
 		s := 0.0
 		for _, v := range p.Data()[j*d : (j+1)*d] {
@@ -142,30 +155,38 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 			out.Set(dot/(uNorm[i]*pNorm[j]), i, j)
 		}
 	}
-	node := newNode(out, "cosineSim", u)
-	node.back = func() {
-		g := ar.New(bs, d)
-		for i := 0; i < bs; i++ {
-			ui := u.T.Data()[i*d : (i+1)*d]
-			gi := g.Data()[i*d : (i+1)*d]
-			for j := 0; j < n; j++ {
-				gij := node.Grad.At(i, j)
-				//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-				if gij == 0 {
-					continue
-				}
-				pj := p.Data()[j*d : (j+1)*d]
-				sij := out.At(i, j)
-				inv := 1 / (uNorm[i] * pNorm[j])
-				invU2 := 1 / (uNorm[i] * uNorm[i])
-				for t := 0; t < d; t++ {
-					gi[t] += gij * (pj[t]*inv - sij*ui[t]*invU2)
-				}
+	node := newNode(out, "cosineSim", cosineSimToConstBackward, u)
+	node.saved = [3]*tensor.Tensor{p, uNormT, pNormT}
+	return node, nil
+}
+
+// cosineSimToConstBackward reads the prompt bank, the norms of u's rows and
+// those of the bank's from node.saved.
+func cosineSimToConstBackward(node *Value) {
+	u, p := node.parents[0], node.saved[0]
+	uNorm, pNorm := node.saved[1].Data(), node.saved[2].Data()
+	bs, d := u.T.Dim(0), u.T.Dim(1)
+	n := p.Dim(0)
+	g := node.T.Arena().New(bs, d)
+	for i := 0; i < bs; i++ {
+		ui := u.T.Data()[i*d : (i+1)*d]
+		gi := g.Data()[i*d : (i+1)*d]
+		for j := 0; j < n; j++ {
+			gij := node.Grad.At(i, j)
+			//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
+			if gij == 0 {
+				continue
+			}
+			pj := p.Data()[j*d : (j+1)*d]
+			sij := node.T.At(i, j)
+			inv := 1 / (uNorm[i] * pNorm[j])
+			invU2 := 1 / (uNorm[i] * uNorm[i])
+			for t := 0; t < d; t++ {
+				gi[t] += gij * (pj[t]*inv - sij*ui[t]*invU2)
 			}
 		}
-		accumulateTemp(u, g)
 	}
-	return node, nil
+	accumulateTemp(u, g)
 }
 
 // CosineSimPairs computes the row-paired cosine similarity between u (M,d)
@@ -179,8 +200,8 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 	m, d := u.T.Dim(0), u.T.Dim(1)
 	ar := tensor.ArenaOf(u.T, v)
 	out := ar.Scratch(m)
-	uNorm := ar.Scratch(m).Data()
-	vNorm := ar.Scratch(m).Data()
+	uNormT, vNormT := ar.Scratch(m), ar.Scratch(m)
+	uNorm, vNorm := uNormT.Data(), vNormT.Data()
 	for i := 0; i < m; i++ {
 		ui := u.T.Data()[i*d : (i+1)*d]
 		vi := v.Data()[i*d : (i+1)*d]
@@ -194,28 +215,35 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 		vNorm[i] = math.Max(math.Sqrt(sv), eps)
 		out.Set(dot/(uNorm[i]*vNorm[i]), i)
 	}
-	node := newNode(out, "cosineSimPairs", u)
-	node.back = func() {
-		g := ar.New(m, d) // rows with a zero upstream gradient are skipped
-		for i := 0; i < m; i++ {
-			gi := node.Grad.At(i)
-			//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-			if gi == 0 {
-				continue
-			}
-			ui := u.T.Data()[i*d : (i+1)*d]
-			vi := v.Data()[i*d : (i+1)*d]
-			si := out.At(i)
-			inv := 1 / (uNorm[i] * vNorm[i])
-			invU2 := 1 / (uNorm[i] * uNorm[i])
-			row := g.Data()[i*d : (i+1)*d]
-			for t := 0; t < d; t++ {
-				row[t] = gi * (vi[t]*inv - si*ui[t]*invU2)
-			}
-		}
-		accumulateTemp(u, g)
-	}
+	node := newNode(out, "cosineSimPairs", cosineSimPairsBackward, u)
+	node.saved = [3]*tensor.Tensor{v, uNormT, vNormT}
 	return node, nil
+}
+
+// cosineSimPairsBackward reads v and the norms of u's and v's rows from
+// n.saved.
+func cosineSimPairsBackward(n *Value) {
+	u, v := n.parents[0], n.saved[0]
+	uNorm, vNorm := n.saved[1].Data(), n.saved[2].Data()
+	m, d := u.T.Dim(0), u.T.Dim(1)
+	g := n.T.Arena().New(m, d) // rows with a zero upstream gradient are skipped
+	for i := 0; i < m; i++ {
+		gi := n.Grad.At(i)
+		//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
+		if gi == 0 {
+			continue
+		}
+		ui := u.T.Data()[i*d : (i+1)*d]
+		vi := v.Data()[i*d : (i+1)*d]
+		si := n.T.At(i)
+		inv := 1 / (uNorm[i] * vNorm[i])
+		invU2 := 1 / (uNorm[i] * uNorm[i])
+		row := g.Data()[i*d : (i+1)*d]
+		for t := 0; t < d; t++ {
+			row[t] = gi * (vi[t]*inv - si*ui[t]*invU2)
+		}
+	}
+	accumulateTemp(u, g)
 }
 
 // InfoNCE computes the mean contrastive loss over rows of a similarity
@@ -236,28 +264,31 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 	if len(positives) != bs {
 		return nil, fmt.Errorf("autograd: InfoNCE has %d positive sets for batch %d", len(positives), bs)
 	}
-	isPos := make([][]bool, bs)
+	// mask is 1 at each row's positives and 0 elsewhere.
+	ar := sims.T.Arena()
+	mask := ar.New(bs, n)
+	md := mask.Data()
 	active := 0
 	for i, pos := range positives {
-		isPos[i] = make([]bool, n)
 		for _, j := range pos {
 			if j < 0 || j >= n {
+				mask.Release()
 				return nil, fmt.Errorf("autograd: InfoNCE positive index %d out of range [0,%d)", j, n)
 			}
-			isPos[i][j] = true
+			md[i*n+j] = 1
 		}
 		if len(pos) > 0 {
 			active++
 		}
 	}
 	if active == 0 {
-		// Degenerate batch: contribute zero loss with zero gradient.
-		return Scale(Sum(Mul(sims, NewLeaf(sims.T.Arena().New(bs, n), false))), 0), nil
+		// Degenerate batch: contribute zero loss with zero gradient. The
+		// mask is all zeros.
+		return Scale(Sum(Mul(sims, NewLeaf(mask, false))), 0), nil
 	}
 
 	// softAll[i][j] = softmax over the full row of s/τ,
 	// softPos restricted to the positive subset.
-	ar := sims.T.Arena()
 	softAll := ar.New(bs, n)
 	softPos := ar.New(bs, n)
 	exps := ar.Scratch(n).Data() // rewritten in full by every active row
@@ -267,6 +298,7 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 			continue
 		}
 		row := sims.T.Data()[i*n : (i+1)*n]
+		isPos := md[i*n : (i+1)*n]
 		maxV := math.Inf(-1)
 		for _, v := range row {
 			if v/tau > maxV {
@@ -278,39 +310,48 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 			e := math.Exp(v/tau - maxV)
 			exps[j] = e
 			denom += e
-			if isPos[i][j] {
+			if isPos[j] > 0 {
 				num += e
 			}
 		}
 		loss -= math.Log(num / denom)
 		for j := range exps {
 			softAll.Set(exps[j]/denom, i, j)
-			if isPos[i][j] {
+			if isPos[j] > 0 {
 				softPos.Set(exps[j]/num, i, j)
 			}
 		}
 	}
 	loss /= float64(active)
 
-	node := newNode(ar.Scalar(loss), "infoNCE", sims)
-	node.back = func() {
-		up := node.Grad.Item() / (tau * float64(active))
-		g := ar.New(bs, n) // rows without positives stay zero
-		for i := 0; i < bs; i++ {
-			if len(positives[i]) == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				d := softAll.At(i, j)
-				if isPos[i][j] {
-					d -= softPos.At(i, j)
-				}
-				g.Set(up*d, i, j)
-			}
-		}
-		accumulateTemp(sims, g)
-	}
+	node := newNode(ar.Scalar(loss), "infoNCE", infoNCEBackward, sims)
+	node.ints[0], node.f = active, tau
+	node.saved = [3]*tensor.Tensor{softAll, softPos, mask}
 	return node, nil
+}
+
+// infoNCEBackward reads the count of rows with positives from node.ints[0], τ
+// from node.f, and the two softmaxes and the mask from node.saved.
+func infoNCEBackward(node *Value) {
+	sims := node.parents[0]
+	softAll, softPos, mask := node.saved[0], node.saved[1], node.saved[2]
+	bs, n := sims.T.Dim(0), sims.T.Dim(1)
+	up := node.Grad.Item() / (node.f * float64(node.ints[0]))
+	g := node.T.Arena().New(bs, n) // rows without positives stay zero
+	for i := 0; i < bs; i++ {
+		isPos := mask.Data()[i*n : (i+1)*n]
+		if slices.Max(isPos) < 1 {
+			continue // a row without positives
+		}
+		for j := 0; j < n; j++ {
+			d := softAll.At(i, j)
+			if isPos[j] > 0 {
+				d -= softPos.At(i, j)
+			}
+			g.Set(up*d, i, j)
+		}
+	}
+	accumulateTemp(sims, g)
 }
 
 // L2Penalty returns 0.5 * Σ w_i (x_i - ref_i)², the quadratic penalty used
@@ -328,15 +369,20 @@ func L2Penalty(x *Value, w, ref *tensor.Tensor) (*Value, error) {
 	// x is typically a parameter, a heap leaf: a w or ref wrapped into the
 	// step's arena is what puts the penalty's tensors there.
 	ar := tensor.ArenaOf(x.T, w, ref)
-	node := newNode(ar.Scalar(loss), "l2penalty", x)
-	node.back = func() {
-		up := node.Grad.Item()
-		g := ar.ScratchLike(x.T)
-		gd := g.Data()
-		for i := range xd {
-			gd[i] = up * wd[i] * (xd[i] - rd[i])
-		}
-		accumulateTemp(x, g)
-	}
+	node := newNode(ar.Scalar(loss), "l2penalty", l2PenaltyBackward, x)
+	node.saved[0], node.saved[1] = w, ref
 	return node, nil
+}
+
+// l2PenaltyBackward reads w and ref from n.saved.
+func l2PenaltyBackward(n *Value) {
+	x := n.parents[0]
+	xd, wd, rd := x.T.Data(), n.saved[0].Data(), n.saved[1].Data()
+	up := n.Grad.Item()
+	g := n.T.Arena().ScratchLike(x.T)
+	gd := g.Data()
+	for i := range xd {
+		gd[i] = up * wd[i] * (xd[i] - rd[i])
+	}
+	accumulateTemp(x, g)
 }

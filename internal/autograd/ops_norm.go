@@ -18,8 +18,8 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 	// The loop below writes every element of all three.
 	ar := x.T.Arena()
 	out := ar.ScratchLike(x.T)
-	xhat := ar.ScratchLike(x.T).Data()
-	invStd := ar.Scratch(rows).Data()
+	xhatT, invStdT := ar.ScratchLike(x.T), ar.Scratch(rows)
+	xhat, invStd := xhatT.Data(), invStdT.Data()
 	xd, od := x.T.Data(), out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
 	for r := 0; r < rows; r++ {
@@ -42,50 +42,59 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 			od[r*d+i] = gd[i]*xh + bd[i]
 		}
 	}
-	node := newNode(out, "layernorm", x, gamma, beta)
-	node.back = func() {
-		ng := node.Grad.Data()
-		if gamma.requiresGrad {
-			gg := ar.New(d)
-			for r := 0; r < rows; r++ {
-				for i := 0; i < d; i++ {
-					gg.Data()[i] += ng[r*d+i] * xhat[r*d+i]
-				}
-			}
-			accumulateTemp(gamma, gg)
-		}
-		if beta.requiresGrad {
-			gb := ar.New(d)
-			for r := 0; r < rows; r++ {
-				for i := 0; i < d; i++ {
-					gb.Data()[i] += ng[r*d+i]
-				}
-			}
-			accumulateTemp(beta, gb)
-		}
-		if x.requiresGrad {
-			gx := ar.ScratchLike(x.T)
-			gxd := gx.Data()
-			df := float64(d)
-			for r := 0; r < rows; r++ {
-				// dxhat_i = dout_i * gamma_i
-				sumDxhat := 0.0
-				sumDxhatXhat := 0.0
-				for i := 0; i < d; i++ {
-					dxh := ng[r*d+i] * gd[i]
-					sumDxhat += dxh
-					sumDxhatXhat += dxh * xhat[r*d+i]
-				}
-				is := invStd[r]
-				for i := 0; i < d; i++ {
-					dxh := ng[r*d+i] * gd[i]
-					gxd[r*d+i] = is * (dxh - sumDxhat/df - xhat[r*d+i]*sumDxhatXhat/df)
-				}
-			}
-			accumulateTemp(x, gx)
-		}
-	}
+	node := newNode(out, "layernorm", layerNormBackward, x, gamma, beta)
+	node.saved[0], node.saved[1] = xhatT, invStdT
 	return node, nil
+}
+
+// layerNormBackward reads xhat and the rows' inverse deviations from
+// n.saved.
+func layerNormBackward(n *Value) {
+	x, gamma, beta := n.parents[0], n.parents[1], n.parents[2]
+	d := x.T.Dim(x.T.NDim() - 1)
+	rows := x.T.Size() / d
+	ar := n.T.Arena()
+	xhat, invStd := n.saved[0].Data(), n.saved[1].Data()
+	ng, gd := n.Grad.Data(), gamma.T.Data()
+	if gamma.requiresGrad {
+		gg := ar.New(d)
+		for r := 0; r < rows; r++ {
+			for i := 0; i < d; i++ {
+				gg.Data()[i] += ng[r*d+i] * xhat[r*d+i]
+			}
+		}
+		accumulateTemp(gamma, gg)
+	}
+	if beta.requiresGrad {
+		gb := ar.New(d)
+		for r := 0; r < rows; r++ {
+			for i := 0; i < d; i++ {
+				gb.Data()[i] += ng[r*d+i]
+			}
+		}
+		accumulateTemp(beta, gb)
+	}
+	if x.requiresGrad {
+		gx := ar.ScratchLike(x.T)
+		gxd := gx.Data()
+		df := float64(d)
+		for r := 0; r < rows; r++ {
+			// dxhat_i = dout_i * gamma_i
+			sumDxhat := 0.0
+			sumDxhatXhat := 0.0
+			for i := 0; i < d; i++ {
+				dxh := ng[r*d+i] * gd[i]
+				sumDxhat += dxh
+				sumDxhatXhat += dxh * xhat[r*d+i]
+			}
+			is := invStd[r]
+			for i := 0; i < d; i++ {
+				dxh := ng[r*d+i] * gd[i]
+				gxd[r*d+i] = is * (dxh - sumDxhat/df - xhat[r*d+i]*sumDxhatXhat/df)
+			}
+		}
+		accumulateTemp(x, gx)
+	}
 }
 
 // BatchNormStats carries the running statistics of a BatchNorm2D layer.
@@ -149,12 +158,14 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 		copy(variance, stats.Var.Data())
 	}
 
-	invStd := ar.Scratch(c).Data()
+	invStdT := ar.Scratch(c)
+	invStd := invStdT.Data()
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+stats.Eps)
 	}
 	out := ar.ScratchLike(x.T)
-	xhat := ar.ScratchLike(x.T).Data()
+	xhatT := ar.ScratchLike(x.T)
+	xhat := xhatT.Data()
 	od := out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
 	for b := 0; b < bs; b++ {
@@ -168,76 +179,90 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 		}
 	}
 
-	node := newNode(out, "batchnorm2d", x, gamma, beta)
-	node.back = func() {
-		ng := node.Grad.Data()
-		if gamma.requiresGrad {
-			gg := ar.New(c)
-			for b := 0; b < bs; b++ {
-				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * hw
-					s := 0.0
-					for i := 0; i < hw; i++ {
-						s += ng[base+i] * xhat[base+i]
-					}
-					gg.Data()[ch] += s
-				}
-			}
-			accumulateTemp(gamma, gg)
-		}
-		if beta.requiresGrad {
-			gb := ar.New(c)
-			for b := 0; b < bs; b++ {
-				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * hw
-					s := 0.0
-					for i := 0; i < hw; i++ {
-						s += ng[base+i]
-					}
-					gb.Data()[ch] += s
-				}
-			}
-			accumulateTemp(beta, gb)
-		}
-		if x.requiresGrad {
-			gx := ar.ScratchLike(x.T)
-			gxd := gx.Data()
-			if !training {
-				// Eval mode: out is an affine function of x.
-				for b := 0; b < bs; b++ {
-					for ch := 0; ch < c; ch++ {
-						base := (b*c + ch) * hw
-						k := gd[ch] * invStd[ch]
-						for i := 0; i < hw; i++ {
-							gxd[base+i] = ng[base+i] * k
-						}
-					}
-				}
-				accumulateTemp(x, gx)
-				return
-			}
-			nf := float64(n)
-			for ch := 0; ch < c; ch++ {
-				sumDxhat := 0.0
-				sumDxhatXhat := 0.0
-				for b := 0; b < bs; b++ {
-					base := (b*c + ch) * hw
-					for i := 0; i < hw; i++ {
-						dxh := ng[base+i] * gd[ch]
-						sumDxhat += dxh
-						sumDxhatXhat += dxh * xhat[base+i]
-					}
-				}
-				for b := 0; b < bs; b++ {
-					base := (b*c + ch) * hw
-					for i := 0; i < hw; i++ {
-						dxh := ng[base+i] * gd[ch]
-						gxd[base+i] = invStd[ch] * (dxh - sumDxhat/nf - xhat[base+i]*sumDxhatXhat/nf)
-					}
-				}
-			}
-			accumulateTemp(x, gx)
-		}
+	node := newNode(out, "batchnorm2d", batchNorm2DBackward, x, gamma, beta)
+	node.saved[0], node.saved[1] = xhatT, invStdT
+	if training {
+		node.ints[0] = 1
 	}
 	return node, nil
+}
+
+// batchNorm2DBackward reads xhat and the channels' inverse deviations from
+// n.saved, and whether the forward used the batch's statistics from
+// n.ints[0] (1 when it did).
+func batchNorm2DBackward(n *Value) {
+	x, gamma, beta := n.parents[0], n.parents[1], n.parents[2]
+	bs, c, h, w := x.T.Dim(0), x.T.Dim(1), x.T.Dim(2), x.T.Dim(3)
+	hw := h * w
+	ar := n.T.Arena()
+	xhat, invStd := n.saved[0].Data(), n.saved[1].Data()
+	ng, gd := n.Grad.Data(), gamma.T.Data()
+	if gamma.requiresGrad {
+		gg := ar.New(c)
+		for b := 0; b < bs; b++ {
+			for ch := 0; ch < c; ch++ {
+				base := (b*c + ch) * hw
+				s := 0.0
+				for i := 0; i < hw; i++ {
+					s += ng[base+i] * xhat[base+i]
+				}
+				gg.Data()[ch] += s
+			}
+		}
+		accumulateTemp(gamma, gg)
+	}
+	if beta.requiresGrad {
+		gb := ar.New(c)
+		for b := 0; b < bs; b++ {
+			for ch := 0; ch < c; ch++ {
+				base := (b*c + ch) * hw
+				s := 0.0
+				for i := 0; i < hw; i++ {
+					s += ng[base+i]
+				}
+				gb.Data()[ch] += s
+			}
+		}
+		accumulateTemp(beta, gb)
+	}
+	if !x.requiresGrad {
+		return
+	}
+	gx := ar.ScratchLike(x.T)
+	gxd := gx.Data()
+	if n.ints[0] == 0 {
+		// Eval mode: out is an affine function of x.
+		for b := 0; b < bs; b++ {
+			for ch := 0; ch < c; ch++ {
+				base := (b*c + ch) * hw
+				k := gd[ch] * invStd[ch]
+				for i := 0; i < hw; i++ {
+					gxd[base+i] = ng[base+i] * k
+				}
+			}
+		}
+		accumulateTemp(x, gx)
+		return
+	}
+	nf := float64(bs * hw)
+	for ch := 0; ch < c; ch++ {
+		sumDxhat := 0.0
+		sumDxhatXhat := 0.0
+		for b := 0; b < bs; b++ {
+			base := (b*c + ch) * hw
+			for i := 0; i < hw; i++ {
+				dxh := ng[base+i] * gd[ch]
+				sumDxhat += dxh
+				sumDxhatXhat += dxh * xhat[base+i]
+			}
+		}
+		for b := 0; b < bs; b++ {
+			base := (b*c + ch) * hw
+			for i := 0; i < hw; i++ {
+				dxh := ng[base+i] * gd[ch]
+				gxd[base+i] = invStd[ch] * (dxh - sumDxhat/nf - xhat[base+i]*sumDxhatXhat/nf)
+			}
+		}
+	}
+	accumulateTemp(x, gx)
 }

@@ -11,77 +11,64 @@ import (
 // is — handed over and re-shaped in place, or added element for element —
 // with no view of it in between.
 func Reshape(a *Value, shape ...int) *Value {
-	out := a.T.Reshape(shape...)
-	node := newNode(out, "reshape", a)
-	node.back = func() { passOn(node, a) }
-	return node
+	return newNode(a.T.Reshape(shape...), "reshape", passOnBackward, a)
 }
 
 // Permute reorders the axes of a. Its backward permutes the gradient back
-// by the inverse permutation, which the closure holds by value for up to 8
+// by the inverse permutation, which the node holds in its ints for up to 8
 // axes, so that neither perm nor the inverse reaches the heap.
 func Permute(a *Value, perm ...int) *Value {
-	out := tensor.Permute(a.T, perm...)
-	node := newNode(out, "permute", a)
-	if len(perm) > 8 {
-		inv := make([]int, len(perm))
-		invert(inv, perm)
-		node.back = func() { accumulateTemp(a, tensor.Permute(node.Grad, inv...)) }
-		return node
+	node := newNode(tensor.Permute(a.T, perm...), "permute", permuteBackward, a)
+	if len(perm) <= len(node.ints) {
+		node.idx = node.ints[:len(perm)]
+	} else {
+		node.idx = make([]int, len(perm))
 	}
-	r, inv := len(perm), inverse8(perm)
-	node.back = func() {
-		axes := inv // a copy: slicing the captured array would move it to the heap
-		accumulateTemp(a, tensor.Permute(node.Grad, axes[:r]...))
+	for i, p := range perm { // tensor.Permute has checked perm
+		node.idx[p] = i
 	}
 	return node
 }
 
-// inverse8 returns the inverse of a permutation of at most 8 axes.
-func inverse8(perm []int) (inv [8]int) {
-	invert(inv[:], perm)
-	return inv
-}
-
-// invert writes the inverse of perm, which tensor.Permute has checked, into
-// inv.
-func invert(inv, perm []int) {
-	for i, p := range perm {
-		inv[p] = i
-	}
+func permuteBackward(n *Value) {
+	accumulateTemp(n.parents[0], tensor.Permute(n.Grad, n.idx...))
 }
 
 // Concat concatenates values along the given axis.
 func Concat(axis int, vs ...*Value) *Value {
-	ts := make([]*tensor.Tensor, len(vs))
-	for i, v := range vs {
-		ts[i] = v.T
+	var buf [4]*tensor.Tensor // the operands' tensors, on the stack for up to 4
+	ts := buf[:0]
+	for _, v := range vs {
+		ts = append(ts, v.T)
 	}
-	out := tensor.Concat(axis, ts...)
-	node := newNode(out, "concat", vs...)
-	node.back = func() {
-		off := 0
-		for _, v := range vs {
-			width := v.T.Dim(axis)
-			if v.requiresGrad {
-				accumulateTemp(v, tensor.Narrow(node.Grad, axis, off, off+width))
-			}
-			off += width
-		}
-	}
+	node := newNode(tensor.Concat(axis, ts...), "concat", concatBackward, vs...)
+	node.ints[0] = axis
 	return node
+}
+
+func concatBackward(n *Value) {
+	axis, off := n.ints[0], 0
+	for _, v := range n.parents {
+		width := v.T.Dim(axis)
+		if v.requiresGrad {
+			accumulateTemp(v, tensor.Narrow(n.Grad, axis, off, off+width))
+		}
+		off += width
+	}
 }
 
 // Narrow slices a along axis from start (inclusive) to end (exclusive).
 func Narrow(a *Value, axis, start, end int) *Value {
-	out := tensor.Narrow(a.T, axis, start, end)
-	node := newNode(out, "narrow", a)
-	node.back = func() {
-		g := out.Arena().NewLike(a.T)
-		tensor.NarrowAddInPlace(g, axis, start, node.Grad)
-		accumulateTemp(a, g)
-	}
+	node := newNode(tensor.Narrow(a.T, axis, start, end), "narrow", narrowBackward, a)
+	node.ints[0], node.ints[1] = axis, start
 	return node
+}
+
+func narrowBackward(n *Value) {
+	a := n.parents[0]
+	g := n.T.Arena().NewLike(a.T)
+	tensor.NarrowAddInPlace(g, n.ints[0], n.ints[1], n.Grad)
+	accumulateTemp(a, g)
 }
 
 // BroadcastBatch tiles a value with leading dimension 1 into one copy per
@@ -105,19 +92,21 @@ func BroadcastBatch(a *Value, batch *tensor.Tensor) *Value {
 	for i := 0; i < b; i++ {
 		copy(out.Data()[i*per:(i+1)*per], a.T.Data())
 	}
-	node := newNode(out, "broadcastBatch", a)
-	node.back = func() {
-		g := out.Arena().NewLike(a.T)
-		gd := g.Data()
-		src := node.Grad.Data()
-		for i := 0; i < b; i++ {
-			for j := 0; j < per; j++ {
-				gd[j] += src[i*per+j]
-			}
+	return newNode(out, "broadcastBatch", broadcastBatchBackward, a)
+}
+
+func broadcastBatchBackward(n *Value) {
+	a := n.parents[0]
+	b, per := n.T.Dim(0), a.T.Size()
+	g := n.T.Arena().NewLike(a.T)
+	gd := g.Data()
+	src := n.Grad.Data()
+	for i := 0; i < b; i++ {
+		for j := 0; j < per; j++ {
+			gd[j] += src[i*per+j]
 		}
-		accumulateTemp(a, g)
 	}
-	return node
+	accumulateTemp(a, g)
 }
 
 // Embedding gathers rows of table (V,d) at the given ids, producing
@@ -131,17 +120,21 @@ func Embedding(ar *tensor.Arena, table *Value, ids []int) *Value {
 	for i, id := range ids {
 		copy(out.Data()[i*d:(i+1)*d], table.T.Data()[id*d:(id+1)*d])
 	}
-	node := newNode(out, "embedding", table)
-	node.back = func() {
-		g := out.Arena().NewLike(table.T)
-		for i, id := range ids {
-			dst := g.Data()[id*d : (id+1)*d]
-			src := node.Grad.Data()[i*d : (i+1)*d]
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-		accumulateTemp(table, g)
-	}
+	node := newNode(out, "embedding", embeddingBackward, table)
+	node.idx = ids
 	return node
+}
+
+func embeddingBackward(n *Value) {
+	table := n.parents[0]
+	d := table.T.Dim(1)
+	g := n.T.Arena().NewLike(table.T)
+	for i, id := range n.idx {
+		dst := g.Data()[id*d : (id+1)*d]
+		src := n.Grad.Data()[i*d : (i+1)*d]
+		for j, v := range src {
+			dst[j] += v
+		}
+	}
+	accumulateTemp(table, g)
 }

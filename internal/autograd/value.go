@@ -17,7 +17,11 @@ import (
 )
 
 // Value is a node in the autograd tape: a tensor plus the bookkeeping needed
-// to backpropagate through the operation that produced it.
+// to backpropagate through the operation that produced it — its operands,
+// its backward function and what that function reads besides them. The
+// node holds these in fixed fields, so recording an op on an arena tape
+// allocates nothing unless it has more than three operands or permutes more
+// than eight axes.
 type Value struct {
 	// T holds the node's forward result.
 	T *tensor.Tensor
@@ -35,9 +39,22 @@ type Value struct {
 	// most len(inline) of them, so that recording them allocates nothing.
 	parents []*Value
 	inline  [3]*Value
-	// back propagates this node's Grad into its parents' Grads.
-	back func()
+	// back propagates n's Grad into its parents' Grads, n being this node.
+	// It captures nothing: it reads its operands from n.parents, its
+	// output from n.T and anything else from the fields below, so
+	// recording an op allocates no closure.
+	back func(n *Value)
 	op   string
+	// What an op's backward reads besides its operands and output, set by
+	// the op: integer attributes (an axis, a start, a stride and padding),
+	// one float attribute (a scale, a temperature), the labels or ids it
+	// indexes by (Permute's inverse, in ints when it fits), and forward
+	// intermediates drawn where T was. The tape's Reset clears them with
+	// the node, so they die with the step.
+	ints  [8]int
+	f     float64
+	idx   []int
+	saved [3]*tensor.Tensor
 }
 
 // tape is the step-scoped state autograd keeps with an arena (see
@@ -80,7 +97,8 @@ func nodeOver(t *tensor.Tensor) *Value {
 }
 
 // Reset clears every node drawn since the last Reset and Backward's sort
-// buffers, dropping what they reference: tensors, gradients, closures.
+// buffers, dropping what they reference: tensors, gradients, saved
+// intermediates.
 func (tp *tape) Reset() {
 	for i := 0; i < tp.n; i += tapeChunk {
 		clear(tp.chunks[i/tapeChunk][:min(tapeChunk, tp.n-i)])
@@ -173,10 +191,12 @@ func (v *Value) ZeroGrad() {
 	}
 }
 
-// newNode constructs an interior tape node; the op assigns its back
-// closure. The node requires grad if any parent does, and Backward only
-// visits nodes that do. Up to three parents are copied into the node, so a
-// caller's variadic list stays on its stack; more are copied to the heap.
+// newNode constructs an interior tape node whose backward is back, a
+// function that reads everything it needs from the node: the op sets the
+// node's attributes and saved tensors. The node requires grad if any parent
+// does, and Backward only visits nodes that do. Up to three parents are
+// copied into the node, so a caller's variadic list stays on its stack; more
+// are copied to the heap.
 //
 // A node over an arena tensor is drawn from that arena (see tape), and so is
 // every view header Reshape and View give an arena tensor: both live exactly
@@ -184,7 +204,7 @@ func (v *Value) ZeroGrad() {
 // nil data — so nothing may hold a node or a view across it; Clone the
 // tensor out. A node over a heap tensor is a heap object, as are all nodes
 // of a heap tape (GradCheck, EWC's Fisher pass).
-func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
+func newNode(t *tensor.Tensor, op string, back func(*Value), parents ...*Value) *Value {
 	req := false
 	for _, p := range parents {
 		if p != nil && p.requiresGrad {
@@ -193,7 +213,7 @@ func newNode(t *tensor.Tensor, op string, parents ...*Value) *Value {
 		}
 	}
 	v := nodeOver(t)
-	v.T, v.requiresGrad, v.op = t, req, op
+	v.T, v.requiresGrad, v.op, v.back = t, req, op, back
 	if len(parents) <= len(v.inline) {
 		v.parents = v.inline[:copy(v.inline[:], parents)]
 	} else {
@@ -236,7 +256,7 @@ func accumulateSum(p *Value, g *tensor.Tensor) {
 	accumulateTemp(p, tensor.ReduceLike(g, p.T))
 }
 
-// accumulateTemp is accumulate for a g the calling closure computed for this
+// accumulateTemp is accumulate for a g the calling backward computed for this
 // one call and nothing else references. It becomes p's Grad when handOff
 // allows; otherwise, once added, it goes back to its arena. Never pass it a
 // node's Grad.
@@ -322,7 +342,7 @@ func propagate(order []*Value) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.back != nil && n.Grad != nil {
-			n.back()
+			n.back(n)
 			// An interior gradient has been passed on in full; nothing
 			// reads it again, so its buffer serves the nodes still to come.
 			// A backward that handed it to a parent has left nil here.

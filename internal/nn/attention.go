@@ -11,6 +11,7 @@ import (
 // MultiHeadSelfAttention implements standard MHSA over token sequences
 // (B, n, d) with h heads of width d/h.
 type MultiHeadSelfAttention struct {
+	lists
 	name           string
 	wq, wk, wv, wo *Linear
 	heads, dim     int
@@ -22,7 +23,7 @@ func NewMHSA(name string, rng *rand.Rand, dim, heads int) (*MultiHeadSelfAttenti
 	if dim%heads != 0 {
 		return nil, fmt.Errorf("nn: MHSA dim %d not divisible by heads %d", dim, heads)
 	}
-	return &MultiHeadSelfAttention{
+	m := &MultiHeadSelfAttention{
 		name:  name,
 		wq:    NewLinearXavier(name+".wq", rng, dim, dim, true),
 		wk:    NewLinearXavier(name+".wk", rng, dim, dim, true),
@@ -30,12 +31,13 @@ func NewMHSA(name string, rng *rand.Rand, dim, heads int) (*MultiHeadSelfAttenti
 		wo:    NewLinearXavier(name+".wo", rng, dim, dim, true),
 		heads: heads,
 		dim:   dim,
-	}, nil
+	}
+	return m.listed(), nil
 }
 
 // Clone returns a deep copy sharing no tensors with m.
 func (m *MultiHeadSelfAttention) Clone() *MultiHeadSelfAttention {
-	return &MultiHeadSelfAttention{
+	c := &MultiHeadSelfAttention{
 		name:  m.name,
 		wq:    m.wq.Clone(),
 		wk:    m.wk.Clone(),
@@ -44,6 +46,14 @@ func (m *MultiHeadSelfAttention) Clone() *MultiHeadSelfAttention {
 		heads: m.heads,
 		dim:   m.dim,
 	}
+	return c.listed()
+}
+
+// listed builds the layer's lists from its projections'.
+func (m *MultiHeadSelfAttention) listed() *MultiHeadSelfAttention {
+	m.set(join(m.wq.Params(), m.wk.Params(), m.wv.Params(), m.wo.Params()),
+		join(m.wq.Buffers(), m.wk.Buffers(), m.wv.Buffers(), m.wo.Buffers()))
+	return m
 }
 
 // splitHeads reshapes (B,n,d) into (B*h, n, d/h).
@@ -76,14 +86,6 @@ func (m *MultiHeadSelfAttention) Forward(x *autograd.Value) (*autograd.Value, er
 	return m.wo.Forward(y), nil
 }
 
-// Params implements Module.
-func (m *MultiHeadSelfAttention) Params() []Param {
-	return joinParams(m.wq.Params(), m.wk.Params(), m.wv.Params(), m.wo.Params())
-}
-
-// Buffers implements Module.
-func (m *MultiHeadSelfAttention) Buffers() []Buffer { return nil }
-
 var _ Module = (*MultiHeadSelfAttention)(nil)
 
 // AttentionBlock is the paper's Eq. 2 block:
@@ -92,6 +94,7 @@ var _ Module = (*MultiHeadSelfAttention)(nil)
 //	I″  = MLP(I′)
 //	I₊₁ = LN(I′ + I″)
 type AttentionBlock struct {
+	lists
 	attn *MultiHeadSelfAttention
 	ln1  *LayerNorm
 	mlp  *MLP
@@ -105,17 +108,26 @@ func NewAttentionBlock(name string, rng *rand.Rand, dim, heads int) (*AttentionB
 	if err != nil {
 		return nil, err
 	}
-	return &AttentionBlock{
+	a := &AttentionBlock{
 		attn: attn,
 		ln1:  NewLayerNorm(name+".ln1", dim),
 		mlp:  NewMLP(name+".mlp", rng, dim, dim*2, dim),
 		ln2:  NewLayerNorm(name+".ln2", dim),
-	}, nil
+	}
+	return a.listed(), nil
 }
 
 // Clone returns a deep copy sharing no tensors with a.
 func (a *AttentionBlock) Clone() *AttentionBlock {
-	return &AttentionBlock{attn: a.attn.Clone(), ln1: a.ln1.Clone(), mlp: a.mlp.Clone(), ln2: a.ln2.Clone()}
+	c := &AttentionBlock{attn: a.attn.Clone(), ln1: a.ln1.Clone(), mlp: a.mlp.Clone(), ln2: a.ln2.Clone()}
+	return c.listed()
+}
+
+// listed builds the block's lists from its layers'.
+func (a *AttentionBlock) listed() *AttentionBlock {
+	a.set(join(a.attn.Params(), a.ln1.Params(), a.mlp.Params(), a.ln2.Params()),
+		join(a.attn.Buffers(), a.ln1.Buffers(), a.mlp.Buffers(), a.ln2.Buffers()))
+	return a
 }
 
 // Forward applies the block to x (B,n,d).
@@ -130,16 +142,6 @@ func (a *AttentionBlock) Forward(x *autograd.Value) (*autograd.Value, error) {
 	}
 	iDouble := a.mlp.Forward(iPrime)
 	return a.ln2.Forward(autograd.Add(iPrime, iDouble))
-}
-
-// Params implements Module.
-func (a *AttentionBlock) Params() []Param {
-	return joinParams(a.attn.Params(), a.ln1.Params(), a.mlp.Params(), a.ln2.Params())
-}
-
-// Buffers implements Module.
-func (a *AttentionBlock) Buffers() []Buffer {
-	return joinBuffers(a.attn.Buffers(), a.ln1.Buffers(), a.mlp.Buffers(), a.ln2.Buffers())
 }
 
 var _ Module = (*AttentionBlock)(nil)

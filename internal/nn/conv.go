@@ -10,6 +10,7 @@ import (
 
 // Conv2d is a 2-D convolution layer.
 type Conv2d struct {
+	lists
 	name        string
 	W           *autograd.Value // (out, in, kh, kw)
 	B           *autograd.Value // (out,) or nil
@@ -28,7 +29,7 @@ func NewConv2d(name string, rng *rand.Rand, inC, outC, kernel, stride, pad int, 
 	if bias {
 		c.B = autograd.Param(tensor.New(outC))
 	}
-	return c
+	return c.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with c.
@@ -37,7 +38,18 @@ func (c *Conv2d) Clone() *Conv2d {
 	if c.B != nil {
 		out.B = c.B.CloneLeaf()
 	}
-	return out
+	return out.listed()
+}
+
+// listed builds the layer's lists: W and B, when there is one, are its
+// parameters, and it has no buffers.
+func (c *Conv2d) listed() *Conv2d {
+	ps := []Param{{Name: c.name + ".w", Value: c.W}}
+	if c.B != nil {
+		ps = append(ps, Param{Name: c.name + ".b", Value: c.B})
+	}
+	c.set(ps, nil)
+	return c
 }
 
 // Forward convolves x (B,C,H,W).
@@ -49,22 +61,11 @@ func (c *Conv2d) Forward(x *autograd.Value) (*autograd.Value, error) {
 	return out, nil
 }
 
-// Params implements Module.
-func (c *Conv2d) Params() []Param {
-	ps := []Param{{Name: c.name + ".w", Value: c.W}}
-	if c.B != nil {
-		ps = append(ps, Param{Name: c.name + ".b", Value: c.B})
-	}
-	return ps
-}
-
-// Buffers implements Module.
-func (c *Conv2d) Buffers() []Buffer { return nil }
-
 var _ Module = (*Conv2d)(nil)
 
 // BatchNorm2d is per-channel batch normalization with running statistics.
 type BatchNorm2d struct {
+	lists
 	name        string
 	Gamma, Beta *autograd.Value
 	Stats       *autograd.BatchNormStats
@@ -72,7 +73,7 @@ type BatchNorm2d struct {
 
 // NewBatchNorm2d builds a BatchNorm over c channels with standard momentum.
 func NewBatchNorm2d(name string, c int) *BatchNorm2d {
-	return &BatchNorm2d{
+	b := &BatchNorm2d{
 		name:  name,
 		Gamma: autograd.Param(tensor.Ones(c)),
 		Beta:  autograd.Param(tensor.New(c)),
@@ -83,13 +84,14 @@ func NewBatchNorm2d(name string, c int) *BatchNorm2d {
 			Eps:      1e-5,
 		},
 	}
+	return b.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with b, including the
 // running statistics (each model replica tracks its own batch statistics
 // during local training; FedAvg reconciles them as buffers).
 func (b *BatchNorm2d) Clone() *BatchNorm2d {
-	return &BatchNorm2d{
+	c := &BatchNorm2d{
 		name:  b.name,
 		Gamma: b.Gamma.CloneLeaf(),
 		Beta:  b.Beta.CloneLeaf(),
@@ -100,6 +102,20 @@ func (b *BatchNorm2d) Clone() *BatchNorm2d {
 			Eps:      b.Stats.Eps,
 		},
 	}
+	return c.listed()
+}
+
+// listed builds the layer's lists: gamma and beta are its parameters, the
+// running statistics its buffers.
+func (b *BatchNorm2d) listed() *BatchNorm2d {
+	b.set([]Param{
+		{Name: b.name + ".gamma", Value: b.Gamma},
+		{Name: b.name + ".beta", Value: b.Beta},
+	}, []Buffer{
+		{Name: b.name + ".running_mean", T: b.Stats.Mean},
+		{Name: b.name + ".running_var", T: b.Stats.Var},
+	})
+	return b
 }
 
 // Forward normalizes x (B,C,H,W); ctx.Train selects batch statistics.
@@ -111,26 +127,11 @@ func (b *BatchNorm2d) Forward(ctx *Ctx, x *autograd.Value) (*autograd.Value, err
 	return out, nil
 }
 
-// Params implements Module.
-func (b *BatchNorm2d) Params() []Param {
-	return []Param{
-		{Name: b.name + ".gamma", Value: b.Gamma},
-		{Name: b.name + ".beta", Value: b.Beta},
-	}
-}
-
-// Buffers implements Module.
-func (b *BatchNorm2d) Buffers() []Buffer {
-	return []Buffer{
-		{Name: b.name + ".running_mean", T: b.Stats.Mean},
-		{Name: b.name + ".running_var", T: b.Stats.Var},
-	}
-}
-
 var _ Module = (*BatchNorm2d)(nil)
 
 // LayerNorm normalizes over the last axis with learnable affine parameters.
 type LayerNorm struct {
+	lists
 	name        string
 	Gamma, Beta *autograd.Value
 	Eps         float64
@@ -138,17 +139,29 @@ type LayerNorm struct {
 
 // NewLayerNorm builds a LayerNorm over width d.
 func NewLayerNorm(name string, d int) *LayerNorm {
-	return &LayerNorm{
+	l := &LayerNorm{
 		name:  name,
 		Gamma: autograd.Param(tensor.Ones(d)),
 		Beta:  autograd.Param(tensor.New(d)),
 		Eps:   1e-5,
 	}
+	return l.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with l.
 func (l *LayerNorm) Clone() *LayerNorm {
-	return &LayerNorm{name: l.name, Gamma: l.Gamma.CloneLeaf(), Beta: l.Beta.CloneLeaf(), Eps: l.Eps}
+	c := &LayerNorm{name: l.name, Gamma: l.Gamma.CloneLeaf(), Beta: l.Beta.CloneLeaf(), Eps: l.Eps}
+	return c.listed()
+}
+
+// listed builds the layer's lists: gamma and beta are its parameters, and
+// it has no buffers.
+func (l *LayerNorm) listed() *LayerNorm {
+	l.set([]Param{
+		{Name: l.name + ".gamma", Value: l.Gamma},
+		{Name: l.name + ".beta", Value: l.Beta},
+	}, nil)
+	return l
 }
 
 // Forward normalizes x over its last axis.
@@ -159,16 +172,5 @@ func (l *LayerNorm) Forward(x *autograd.Value) (*autograd.Value, error) {
 	}
 	return out, nil
 }
-
-// Params implements Module.
-func (l *LayerNorm) Params() []Param {
-	return []Param{
-		{Name: l.name + ".gamma", Value: l.Gamma},
-		{Name: l.name + ".beta", Value: l.Beta},
-	}
-}
-
-// Buffers implements Module.
-func (l *LayerNorm) Buffers() []Buffer { return nil }
 
 var _ Module = (*LayerNorm)(nil)

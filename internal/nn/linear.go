@@ -9,6 +9,7 @@ import (
 
 // Linear is a fully connected layer computing x·W + b.
 type Linear struct {
+	lists
 	name string
 	W    *autograd.Value // (in, out)
 	B    *autograd.Value // (out,) or nil
@@ -28,7 +29,7 @@ func NewLinear(name string, rng *rand.Rand, in, out int, bias bool) *Linear {
 	if bias {
 		l.B = autograd.Param(tensor.New(out))
 	}
-	return l
+	return l.listed()
 }
 
 // NewLinearXavier builds a Glorot-initialized linear layer, suited to
@@ -41,17 +42,19 @@ func NewLinearXavier(name string, rng *rand.Rand, in, out int, bias bool) *Linea
 	if bias {
 		l.B = autograd.Param(tensor.New(out))
 	}
-	return l
+	return l.listed()
 }
 
 // Freeze marks the layer's parameters as non-trainable (used by the frozen
-// tokenizer). Frozen parameters still appear in the state dict.
+// tokenizer, right after building it). Frozen parameters still appear in the
+// state dict, as buffers.
 func (l *Linear) Freeze() {
 	l.frozen = true
 	l.W = autograd.Constant(l.W.T)
 	if l.B != nil {
 		l.B = autograd.Constant(l.B.T)
 	}
+	l.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with l. Frozen layers stay
@@ -61,7 +64,7 @@ func (l *Linear) Clone() *Linear {
 	if l.B != nil {
 		c.B = l.B.CloneLeaf()
 	}
-	return c
+	return c.listed()
 }
 
 // Forward applies the layer to x, whose last dimension must equal the
@@ -83,60 +86,57 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 	return autograd.Reshape(out, append(outShape, l.W.T.Dim(1))...)
 }
 
-// Params implements Module.
-func (l *Linear) Params() []Param {
-	if l.frozen {
-		return nil
-	}
+// listed builds the layer's lists: its weights are parameters, or buffers
+// once frozen, so that they still travel in the state dict.
+func (l *Linear) listed() *Linear {
 	ps := []Param{{Name: l.name + ".w", Value: l.W}}
 	if l.B != nil {
 		ps = append(ps, Param{Name: l.name + ".b", Value: l.B})
 	}
-	return ps
-}
-
-// Buffers implements Module. Frozen weights are exposed as buffers so they
-// still travel in the state dict.
-func (l *Linear) Buffers() []Buffer {
 	if !l.frozen {
-		return nil
+		l.set(ps, nil)
+		return l
 	}
-	bs := []Buffer{{Name: l.name + ".w", T: l.W.T}}
-	if l.B != nil {
-		bs = append(bs, Buffer{Name: l.name + ".b", T: l.B.T})
+	bs := make([]Buffer, len(ps))
+	for i, p := range ps {
+		bs[i] = Buffer{Name: p.Name, T: p.Value.T}
 	}
-	return bs
+	l.set(nil, bs)
+	return l
 }
 
 var _ Module = (*Linear)(nil)
 
 // MLP is a two-layer perceptron with a ReLU between the layers.
 type MLP struct {
+	lists
 	fc1, fc2 *Linear
 }
 
 // NewMLP builds an in->hidden->out MLP.
 func NewMLP(name string, rng *rand.Rand, in, hidden, out int) *MLP {
-	return &MLP{
+	m := &MLP{
 		fc1: NewLinear(name+".fc1", rng, in, hidden, true),
 		fc2: NewLinear(name+".fc2", rng, hidden, out, true),
 	}
+	return m.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with m.
 func (m *MLP) Clone() *MLP {
-	return &MLP{fc1: m.fc1.Clone(), fc2: m.fc2.Clone()}
+	c := &MLP{fc1: m.fc1.Clone(), fc2: m.fc2.Clone()}
+	return c.listed()
+}
+
+// listed builds the layer's lists from its two layers'.
+func (m *MLP) listed() *MLP {
+	m.set(join(m.fc1.Params(), m.fc2.Params()), join(m.fc1.Buffers(), m.fc2.Buffers()))
+	return m
 }
 
 // Forward applies fc2(relu(fc1(x))).
 func (m *MLP) Forward(x *autograd.Value) *autograd.Value {
 	return m.fc2.Forward(autograd.ReLU(m.fc1.Forward(x)))
 }
-
-// Params implements Module.
-func (m *MLP) Params() []Param { return joinParams(m.fc1.Params(), m.fc2.Params()) }
-
-// Buffers implements Module.
-func (m *MLP) Buffers() []Buffer { return joinBuffers(m.fc1.Buffers(), m.fc2.Buffers()) }
 
 var _ Module = (*MLP)(nil)

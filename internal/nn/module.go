@@ -37,6 +37,30 @@ type Module interface {
 	Buffers() []Buffer
 }
 
+// lists is the Module half of every layer of this package: its Params and
+// Buffers, built once when the layer is constructed or cloned. A layer's
+// layout never changes after that — Freeze and Inference change only the
+// leaves' flags, and Linear.Freeze, which turns weights into buffers, runs
+// before the layer is used and rebuilds them — so reading them allocates
+// nothing. Both lists are capacity-capped: a caller's append copies them
+// instead of writing into the layer's own, and callers must not write
+// their elements.
+type lists struct {
+	params  []Param
+	buffers []Buffer
+}
+
+// Params implements Module.
+func (l *lists) Params() []Param { return l.params }
+
+// Buffers implements Module.
+func (l *lists) Buffers() []Buffer { return l.buffers }
+
+// set records a layer's lists, capped at their lengths.
+func (l *lists) set(ps []Param, bs []Buffer) {
+	l.params, l.buffers = ps[:len(ps):len(ps)], bs[:len(bs):len(bs)]
+}
+
 // Ctx carries per-forward-pass flags through layer stacks.
 type Ctx struct {
 	// Train selects training behaviour (batch statistics in BatchNorm).
@@ -176,18 +200,17 @@ func (m Modules) Buffers() []Buffer {
 
 var _ Module = (Modules)(nil)
 
-// joinParams concatenates parameter lists from submodules.
-func joinParams(lists ...[]Param) []Param {
-	var out []Param
+// join concatenates submodules' lists into one list of exactly their total
+// length, nil when that is 0.
+func join[E any](lists ...[]E) []E {
+	n := 0
 	for _, l := range lists {
-		out = append(out, l...)
+		n += len(l)
 	}
-	return out
-}
-
-// joinBuffers concatenates buffer lists from submodules.
-func joinBuffers(lists ...[]Buffer) []Buffer {
-	var out []Buffer
+	if n == 0 {
+		return nil
+	}
+	out := make([]E, 0, n)
 	for _, l := range lists {
 		out = append(out, l...)
 	}

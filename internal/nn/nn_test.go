@@ -99,6 +99,33 @@ func TestFreezeKeepsLayout(t *testing.T) {
 	}
 }
 
+// TestModuleListsAllocateNothing: every layer builds its Params and Buffers
+// when it is constructed or cloned, so reading them allocates nothing, and
+// they are capped at their lengths, so a caller's append copies them instead
+// of writing into the layer's list.
+func TestModuleListsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	block, err := NewAttentionBlock("a", rng, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resnet := NewResNet10("r", rng, 2)
+	for name, m := range map[string]Module{
+		"ResNet10":       resnet,
+		"ResNet10 clone": resnet.Clone(),
+		"AttentionBlock": block,
+		"PatchEmbed":     NewPatchEmbed("p", rng, 4, 8, 4),
+	} {
+		if n := testing.AllocsPerRun(10, func() { m.Params(); m.Buffers() }); n != 0 {
+			t.Errorf("%s: Params and Buffers allocate %v objects, want 0", name, n)
+		}
+		if ps, bs := m.Params(), m.Buffers(); cap(ps) != len(ps) || cap(bs) != len(bs) {
+			t.Errorf("%s: %d of %d parameters and %d of %d buffers used, want the lists capped at their lengths",
+				name, len(ps), cap(ps), len(bs), cap(bs))
+		}
+	}
+}
+
 func TestMLPGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP("m", rng, 3, 5, 2)

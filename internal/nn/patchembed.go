@@ -13,6 +13,7 @@ import (
 // the (B,C,H,W) feature map becomes one token; a frozen linear projection
 // maps channels to the token width and a frozen positional table is added.
 type PatchEmbed struct {
+	lists
 	name string
 	proj *Linear
 	pos  *tensor.Tensor // (maxTokens, d), frozen
@@ -24,18 +25,28 @@ type PatchEmbed struct {
 func NewPatchEmbed(name string, rng *rand.Rand, inC, dim, maxTokens int) *PatchEmbed {
 	proj := NewLinearXavier(name+".proj", rng, inC, dim, true)
 	proj.Freeze()
-	return &PatchEmbed{
+	p := &PatchEmbed{
 		name: name,
 		proj: proj,
 		pos:  tensor.RandN(rng, 0.02, maxTokens, dim),
 		dim:  dim,
 	}
+	return p.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with p. The projection stays
 // frozen in the clone.
 func (p *PatchEmbed) Clone() *PatchEmbed {
-	return &PatchEmbed{name: p.name, proj: p.proj.Clone(), pos: p.pos.Clone(), dim: p.dim}
+	c := &PatchEmbed{name: p.name, proj: p.proj.Clone(), pos: p.pos.Clone(), dim: p.dim}
+	return c.listed()
+}
+
+// listed builds the tokenizer's lists. It is frozen, so it has no
+// parameters: the frozen projection and the positional table travel as
+// buffers, so that all participants share the same tokenizer.
+func (p *PatchEmbed) listed() *PatchEmbed {
+	p.set(nil, join(p.proj.Buffers(), []Buffer{{Name: p.name + ".pos", T: p.pos}}))
+	return p
 }
 
 // Forward tokenizes a feature map (B,C,H,W) into (B, H*W, dim).
@@ -53,15 +64,6 @@ func (p *PatchEmbed) Forward(fm *autograd.Value) (*autograd.Value, error) {
 	tokens = p.proj.Forward(tokens)
 	// The first n rows of the row-major table are contiguous: a view.
 	return autograd.Add(tokens, autograd.Constant(p.pos.View(0, 1, n, p.dim))), nil
-}
-
-// Params implements Module: the tokenizer is frozen, so none.
-func (p *PatchEmbed) Params() []Param { return nil }
-
-// Buffers implements Module: frozen projection and positional table travel
-// as buffers so all participants share the same tokenizer.
-func (p *PatchEmbed) Buffers() []Buffer {
-	return append(p.proj.Buffers(), Buffer{Name: p.name + ".pos", T: p.pos})
 }
 
 var _ Module = (*PatchEmbed)(nil)

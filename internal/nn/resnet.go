@@ -10,6 +10,7 @@ import (
 // BasicBlock is the two-convolution residual block of ResNet, with an
 // optional 1x1 downsampling projection on the skip path.
 type BasicBlock struct {
+	lists
 	conv1, conv2 *Conv2d
 	bn1, bn2     *BatchNorm2d
 	downConv     *Conv2d      // nil when the skip is an identity
@@ -29,7 +30,7 @@ func NewBasicBlock(name string, rng *rand.Rand, inC, outC, stride int) *BasicBlo
 		b.downConv = NewConv2d(name+".down.conv", rng, inC, outC, 1, stride, 0, false)
 		b.downBN = NewBatchNorm2d(name+".down.bn", outC)
 	}
-	return b
+	return b.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with b.
@@ -44,7 +45,19 @@ func (b *BasicBlock) Clone() *BasicBlock {
 		c.downConv = b.downConv.Clone()
 		c.downBN = b.downBN.Clone()
 	}
-	return c
+	return c.listed()
+}
+
+// listed builds the block's lists from its layers'.
+func (b *BasicBlock) listed() *BasicBlock {
+	if b.downConv == nil {
+		b.set(join(b.conv1.Params(), b.bn1.Params(), b.conv2.Params(), b.bn2.Params()),
+			join(b.bn1.Buffers(), b.bn2.Buffers()))
+		return b
+	}
+	b.set(join(b.conv1.Params(), b.bn1.Params(), b.conv2.Params(), b.bn2.Params(), b.downConv.Params(), b.downBN.Params()),
+		join(b.bn1.Buffers(), b.bn2.Buffers(), b.downBN.Buffers()))
+	return b
 }
 
 // Forward applies the residual block.
@@ -75,24 +88,6 @@ func (b *BasicBlock) Forward(ctx *Ctx, x *autograd.Value) (*autograd.Value, erro
 	return autograd.ReLU(autograd.Add(h, skip)), nil
 }
 
-// Params implements Module.
-func (b *BasicBlock) Params() []Param {
-	ps := joinParams(b.conv1.Params(), b.bn1.Params(), b.conv2.Params(), b.bn2.Params())
-	if b.downConv != nil {
-		ps = joinParams(ps, b.downConv.Params(), b.downBN.Params())
-	}
-	return ps
-}
-
-// Buffers implements Module.
-func (b *BasicBlock) Buffers() []Buffer {
-	bs := joinBuffers(b.bn1.Buffers(), b.bn2.Buffers())
-	if b.downBN != nil {
-		bs = joinBuffers(bs, b.downBN.Buffers())
-	}
-	return bs
-}
-
 var _ Module = (*BasicBlock)(nil)
 
 // ResNet10 is the paper's feature-extractor backbone: a convolutional stem
@@ -102,6 +97,7 @@ var _ Module = (*BasicBlock)(nil)
 // (in the paper) a final classifier — the classifier lives outside this
 // module here because RefFiL inserts the prompt/attention stage before it.
 type ResNet10 struct {
+	lists
 	stem   *Conv2d
 	stemBN *BatchNorm2d
 	stages [4]*BasicBlock
@@ -125,7 +121,7 @@ func NewResNet10(name string, rng *rand.Rand, baseWidth int) *ResNet10 {
 		r.stages[i] = NewBasicBlock(fmt.Sprintf("%s.stage%d", name, i+1), rng, in, widths[i], strides[i])
 		in = widths[i]
 	}
-	return r
+	return r.listed()
 }
 
 // Clone returns a deep copy sharing no tensors with r.
@@ -139,7 +135,17 @@ func (r *ResNet10) Clone() *ResNet10 {
 	for i, s := range r.stages {
 		c.stages[i] = s.Clone()
 	}
-	return c
+	return c.listed()
+}
+
+// listed builds the backbone's lists from its layers'.
+func (r *ResNet10) listed() *ResNet10 {
+	ps, bs := [][]Param{r.stem.Params(), r.stemBN.Params()}, [][]Buffer{r.stemBN.Buffers()}
+	for _, s := range r.stages {
+		ps, bs = append(ps, s.Params()), append(bs, s.Buffers())
+	}
+	r.set(join(ps...), join(bs...))
+	return r
 }
 
 // Forward maps x (B,3,H,W) to a feature map (B, 8*base, H/8, W/8).
@@ -158,24 +164,6 @@ func (r *ResNet10) Forward(ctx *Ctx, x *autograd.Value) (*autograd.Value, error)
 		}
 	}
 	return h, nil
-}
-
-// Params implements Module.
-func (r *ResNet10) Params() []Param {
-	ps := joinParams(r.stem.Params(), r.stemBN.Params())
-	for _, s := range r.stages {
-		ps = joinParams(ps, s.Params())
-	}
-	return ps
-}
-
-// Buffers implements Module.
-func (r *ResNet10) Buffers() []Buffer {
-	bs := r.stemBN.Buffers()
-	for _, s := range r.stages {
-		bs = joinBuffers(bs, s.Buffers())
-	}
-	return bs
 }
 
 var _ Module = (*ResNet10)(nil)

@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
-// BroadcastShapes returns the numpy-style broadcast of two shapes, or an
-// error when the shapes are incompatible.
-func BroadcastShapes(a, b []int) ([]int, error) {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]int, n)
+// broadcastShape appends the numpy-style broadcast of shapes a and b to dst,
+// or returns an error when the shapes are incompatible. Given a dst on its
+// stack, a caller gathers the shape without allocating.
+func broadcastShape(dst, a, b []int) ([]int, error) {
+	n := max(len(a), len(b))
 	for i := 0; i < n; i++ {
 		da, db := 1, 1
 		if i >= n-len(a) {
@@ -24,37 +20,24 @@ func BroadcastShapes(a, b []int) ([]int, error) {
 			db = b[i-(n-len(b))]
 		}
 		switch {
-		case da == db:
-			out[i] = da
+		case da == db || db == 1:
+			dst = append(dst, da)
 		case da == 1:
-			out[i] = db
-		case db == 1:
-			out[i] = da
+			dst = append(dst, db)
 		default:
 			return nil, fmt.Errorf("tensor: cannot broadcast shapes %v and %v", a, b)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
-// bcScratch is the reusable stride/index scratch of one broadcasting walk.
-// Ranks are tiny (≤ a handful of axes), but binaryOp and ReduceTo sit under
-// every autograd op, so two or three make([]int, …) per call add up; the
-// pool keeps the steady state allocation-free.
-type bcScratch struct {
-	sa, sb, idx []int
-}
-
-var bcPool = sync.Pool{New: func() any { return new(bcScratch) }}
-
-// sized reslices *s to length n, growing the backing array only when needed.
-// The returned slice's contents are unspecified.
-func sized(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
+// axes returns n zeroed ints for a broadcasting walk's strides or index:
+// buf's, on its caller's stack, when they fit, and the heap's otherwise.
+func axes(buf *[permRank]int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	*s = (*s)[:n]
-	return *s
+	return make([]int, n)
 }
 
 // broadcastStridesInto fills dst (length len(out)) with strides for
@@ -85,18 +68,15 @@ func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 		}
 		return out
 	}
-	outShape, err := BroadcastShapes(a.shape, b.shape)
+	var dims, saBuf, sbBuf, idxBuf [permRank]int
+	outShape, err := broadcastShape(dims[:0], a.shape, b.shape)
 	if err != nil {
 		panic(err.Error())
 	}
 	out := ar.Scratch(outShape...)
-	sc := bcPool.Get().(*bcScratch)
-	sa := broadcastStridesInto(sized(&sc.sa, len(outShape)), a.shape, outShape)
-	sb := broadcastStridesInto(sized(&sc.sb, len(outShape)), b.shape, outShape)
-	idx := sized(&sc.idx, len(outShape))
-	for i := range idx {
-		idx[i] = 0
-	}
+	sa := broadcastStridesInto(axes(&saBuf, len(outShape)), a.shape, outShape)
+	sb := broadcastStridesInto(axes(&sbBuf, len(outShape)), b.shape, outShape)
+	idx := axes(&idxBuf, len(outShape))
 	oa, ob := 0, 0
 	for i := range out.data {
 		out.data[i] = f(a.data[oa], b.data[ob])
@@ -113,7 +93,6 @@ func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 			ob -= sb[ax] * outShape[ax]
 		}
 	}
-	bcPool.Put(sc)
 	return out
 }
 
@@ -180,12 +159,9 @@ func ReduceTo(t *Tensor, shape []int) *Tensor {
 		}
 	}
 	out := t.ar.New(shape...)
-	sc := bcPool.Get().(*bcScratch)
-	strides := broadcastStridesInto(sized(&sc.sa, len(t.shape)), shape, t.shape)
-	idx := sized(&sc.idx, len(t.shape))
-	for i := range idx {
-		idx[i] = 0
-	}
+	var stridesBuf, idxBuf [permRank]int
+	strides := broadcastStridesInto(axes(&stridesBuf, len(t.shape)), shape, t.shape)
+	idx := axes(&idxBuf, len(t.shape))
 	off := 0
 	for i := range t.data {
 		out.data[off] += t.data[i]
@@ -199,7 +175,6 @@ func ReduceTo(t *Tensor, shape []int) *Tensor {
 			off -= strides[ax] * t.shape[ax]
 		}
 	}
-	bcPool.Put(sc)
 	return out
 }
 

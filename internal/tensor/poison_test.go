@@ -193,7 +193,10 @@ func trainArenaAndHeap(t *testing.T, batches []int) {
 // TestReclaimedViewsAndNodesPanic: Reset clears the view headers and tape
 // nodes it takes back, so a view or a node held past the Reset that ended
 // its step panics on first use, even once the next step has drawn the
-// buffer it viewed, instead of reading what that step wrote there.
+// buffer it viewed, instead of reading what that step wrote there. That
+// holds for the nodes whose backward reads tensors the op saved on them —
+// a LayerNorm's xhat, a Conv2D's columns — whose buffers the next step's
+// draws take over.
 func TestReclaimedViewsAndNodesPanic(t *testing.T) {
 	defer tensor.PoisonReclaimed()()
 	var ar tensor.Arena
@@ -201,17 +204,31 @@ func TestReclaimedViewsAndNodesPanic(t *testing.T) {
 	view, reshaped := x.View(6, 3, 6), x.Reshape(6, 4)
 	leaf := autograd.Param(x)
 	node := autograd.Sum(autograd.Scale(leaf, 2))
+	ln, err := autograd.LayerNorm(autograd.Param(ar.New(4, 6)), autograd.Param(tensor.Ones(6)), autograd.Param(tensor.New(6)), 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := autograd.Conv2D(autograd.Param(ar.New(2, 3, 4, 4)), autograd.Param(tensor.Ones(2, 3, 3, 3)), nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, conv = autograd.Sum(ln), autograd.Sum(conv)
 	ar.Reset()
 	next := ar.New(4, 6)
 	if &next.Data()[0] != &x.Data()[0] {
 		t.Fatal("the next step's draw does not reuse the reclaimed buffer")
 	}
 	next.Fill(1)
+	for _, shape := range [][]int{{4, 6}, {4, 6}, {4}, {2, 2, 4, 4}, {2 * 27, 16}} {
+		ar.New(shape...).Fill(1) // over the buffers of the saved xhat, invStd and columns, among others
+	}
 	for name, use := range map[string]func(){
 		"View":          func() { _ = view.Data()[0] },
 		"Reshape":       func() { _ = reshaped.At(0, 0) },
 		"leaf":          func() { _ = leaf.T.Size() },
 		"interior node": func() { _ = autograd.Backward(node) },
+		"LayerNorm":     func() { _ = autograd.Backward(ln) },
+		"Conv2D":        func() { _ = autograd.Backward(conv) },
 	} {
 		func() {
 			defer func() {

@@ -36,18 +36,19 @@ func axisSpans(shape []int, axis int) (outer, dim, inner int) {
 	return outer, dim, inner
 }
 
-func reducedShape(shape []int, axis int, keepDim bool) []int {
-	out := make([]int, 0, len(shape))
+// reducedShape appends shape without axis, or with it as 1 under keepDim,
+// to dst.
+func reducedShape(dst, shape []int, axis int, keepDim bool) []int {
 	for i, d := range shape {
 		if i == axis {
 			if keepDim {
-				out = append(out, 1)
+				dst = append(dst, 1)
 			}
 			continue
 		}
-		out = append(out, d)
+		dst = append(dst, d)
 	}
-	return out
+	return dst
 }
 
 // SumAxis sums along the given axis. With keepDim the reduced axis is
@@ -57,7 +58,8 @@ func SumAxis(t *Tensor, axis int, keepDim bool) *Tensor {
 		panic(fmt.Sprintf("tensor: SumAxis axis %d out of range for %v", axis, t.shape))
 	}
 	outer, dim, inner := axisSpans(t.shape, axis)
-	out := t.ar.New(reducedShape(t.shape, axis, keepDim)...)
+	var dims [permRank]int
+	out := t.ar.New(reducedShape(dims[:0], t.shape, axis, keepDim)...)
 	for o := 0; o < outer; o++ {
 		for j := 0; j < dim; j++ {
 			src := t.data[(o*dim+j)*inner : (o*dim+j+1)*inner]
@@ -83,7 +85,8 @@ func MaxAxis(t *Tensor, axis int, keepDim bool) (*Tensor, []int) {
 		panic(fmt.Sprintf("tensor: MaxAxis axis %d out of range for %v", axis, t.shape))
 	}
 	outer, dim, inner := axisSpans(t.shape, axis)
-	out := t.ar.Scratch(reducedShape(t.shape, axis, keepDim)...)
+	var dims [permRank]int
+	out := t.ar.Scratch(reducedShape(dims[:0], t.shape, axis, keepDim)...)
 	idx := make([]int, outer*inner)
 	for o := 0; o < outer; o++ {
 		for i := 0; i < inner; i++ {

@@ -68,9 +68,9 @@ func TestBroadcastShapes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := BroadcastShapes(tt.a, tt.b)
+			got, err := broadcastShape(nil, tt.a, tt.b)
 			if (err != nil) != tt.wantErr {
-				t.Fatalf("BroadcastShapes(%v,%v) err = %v, wantErr %v", tt.a, tt.b, err, tt.wantErr)
+				t.Fatalf("broadcastShape(nil, %v, %v) err = %v, wantErr %v", tt.a, tt.b, err, tt.wantErr)
 			}
 			if err != nil {
 				return
